@@ -19,7 +19,6 @@ import (
 	"ppclust/internal/party"
 	"ppclust/internal/protocol"
 	"ppclust/internal/rng"
-	"ppclust/internal/wire"
 )
 
 // benchNumericVectors builds shared-size random int64 vectors.
@@ -533,20 +532,4 @@ func benchAttack(b *testing.B, s *protocol.Int64Matrix, seedJT rng.Seed, p struc
 		jt.Reseed()
 	}
 	_ = total
-}
-
-// BenchmarkWireGob tracks serialization cost for the dominant message (the
-// responder's s matrix).
-func BenchmarkWireGob(b *testing.B) {
-	m := protocol.NewFloat64Matrix(128, 128)
-	s := rng.NewXoshiro(rng.SeedFromUint64(10))
-	for i := range m.Cell {
-		m.Cell[i] = rng.Float64(s) * 1e6
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := wire.EncodeBody(m); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

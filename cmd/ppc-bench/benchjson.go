@@ -290,8 +290,8 @@ func benchFamilies() []struct {
 	}{{"A", 1200}, {"B", 6}} {
 		tab := dataset.MustNewTable(streamSchema)
 		for r := 0; r < spec.rows; r++ {
-			// Continuous values keep gob's float encoding at its realistic
-			// ~9 bytes per cell.
+			// Continuous values, as real attributes have (8 bytes per cell
+			// on the wire whatever the value).
 			tab.MustAppendRow((float64(r*37+pi) + 0.125) * 1.000003)
 		}
 		streamParts = append(streamParts, dataset.Partition{Site: spec.site, Table: tab})

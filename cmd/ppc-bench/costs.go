@@ -117,9 +117,9 @@ func runCostAlpha(w io.Writer) error {
 		k := minusOverhead(sentBy(out, "B", "A", "TP"), overhead)
 		lj, pj := costmodel.AlphaInitiatorElems(n, p)
 		lk, pk := costmodel.AlphaResponderElems(n, p, n, p)
-		// Local matrices ship as float64, protocol symbols as ~1 byte in
-		// gob; model in elements with uniform width and let the fit absorb
-		// the constant.
+		// Local matrices ship as 8-byte float64 cells, protocol symbols
+		// as 1 byte each; model in elements with uniform width and let the
+		// fit absorb the constant.
 		mj := float64(costmodel.Bytes(lj, costmodel.Float64Width) + costmodel.Bytes(pj, costmodel.SymbolWidth))
 		mk := float64(costmodel.Bytes(lk, costmodel.Float64Width) + costmodel.Bytes(pk, costmodel.SymbolWidth))
 		measJ = append(measJ, j)

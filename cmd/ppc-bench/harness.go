@@ -33,8 +33,8 @@ func numericParts(counts []int, seed uint64) ([]dataset.Partition, error) {
 			return nil, err
 		}
 		for r := 0; r < n; r++ {
-			// Continuous values keep gob's variable-width float encoding
-			// at a stable ~9 bytes/element across sweep sizes.
+			// Continuous values, as real attributes have; the wire spends a
+			// fixed 8 bytes per element either way.
 			if err := t.AppendRow(rng.Float64(s) * 1000); err != nil {
 				return nil, err
 			}

@@ -106,7 +106,7 @@
 // remaining chunks and protocol rounds are still on the wire, each
 // protocol chunk is unmasked and placed on arrival (mask keystreams stay
 // aligned across chunks, so unmasked values are exactly the monolithic
-// ones), the sender's gob encoding of chunk i+1 overlaps the transfer of
+// ones), the sender's encoding of chunk i+1 overlaps the transfer of
 // chunk i, and — because no session message grows with the partition —
 // session size is bounded by memory instead of the transport's 256 MiB
 // frame limit. Both sides derive the identical chunk schedules from the

@@ -1,9 +1,7 @@
 package party
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"strings"
@@ -212,7 +210,7 @@ type abortInjectingConduit struct {
 }
 
 func (c *abortInjectingConduit) Send(frame []byte) error {
-	m, err := decodeFrame(frame)
+	m, err := wire.ParseFrame(frame)
 	if err != nil || m.Kind != kindLocal {
 		return c.Conduit.Send(frame)
 	}
@@ -228,11 +226,7 @@ func (c *abortInjectingConduit) Send(frame []byte) error {
 		return err
 	}
 	abort := &wire.Message{From: c.from, To: TPName, Kind: kindAbort, Attr: -1, Payload: payload}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(abort); err != nil {
-		return err
-	}
-	if err := c.Conduit.Send(buf.Bytes()); err != nil {
+	if err := c.Conduit.Send(wire.AppendFrame(nil, abort)); err != nil {
 		return err
 	}
 	// The genuine chunk — and everything after it — still goes out, now
@@ -279,7 +273,7 @@ func (c *chunkDuplicatingConduit) Send(frame []byte) error {
 	if err := c.Conduit.Send(frame); err != nil {
 		return err
 	}
-	m, err := decodeFrame(frame)
+	m, err := wire.ParseFrame(frame)
 	if err != nil || m.Kind != kindLocal {
 		return nil
 	}

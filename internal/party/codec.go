@@ -1,0 +1,381 @@
+package party
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+
+	"ppclust/internal/alphabet"
+	"ppclust/internal/protocol"
+)
+
+// Fixed binary layouts of the six partition-quadratic bodies
+// (wire.BodyAppender / wire.BodyDecoder; every other body stays gob).
+// Integers are zigzag varints; cells are little-endian 8-byte int64 or
+// float64 bit patterns, 32-byte mod-p elements, or 1- or 2-byte symbols.
+// Each layout ends in a cell block that runs to the end of the payload, so
+// a decoder sizes its one allocation from the bytes actually present.
+//
+//	localBody         N Lo Hi | float64 cells
+//	numSBody,
+//	numDisguisedBody  Rows Lo Hi | variant byte | [rows cols | cells]
+//	alphaMBody        Rows Lo Hi | width byte | rows matrices |
+//	                  per row: count, per matrix: rows cols | symbol cells
+//	shardSliceBody    Attr | float64 Max | float64 cells
+//	shardFrameBody    the relayed frame, byte for byte
+
+// Variant bytes of a numeric chunk body.
+const (
+	numNone byte = iota
+	numInt
+	numFloat
+	numModP
+)
+
+func appendInts(dst []byte, vs ...int) []byte {
+	for _, v := range vs {
+		dst = binary.AppendVarint(dst, int64(v))
+	}
+	return dst
+}
+
+// extend grows dst by n bytes and returns it with the new tail to fill.
+func extend(dst []byte, n int) (all, tail []byte) {
+	all = slices.Grow(dst, n)[:len(dst)+n]
+	return all, all[len(dst):]
+}
+
+func appendFloat64s(dst []byte, cells []float64) []byte {
+	dst, tail := extend(dst, 8*len(cells))
+	for i, v := range cells {
+		binary.LittleEndian.PutUint64(tail[8*i:], math.Float64bits(v))
+	}
+	return dst
+}
+
+func appendInt64s(dst []byte, cells []int64) []byte {
+	dst, tail := extend(dst, 8*len(cells))
+	for i, v := range cells {
+		binary.LittleEndian.PutUint64(tail[8*i:], uint64(v))
+	}
+	return dst
+}
+
+// bodyReader walks a payload with a sticky error, so a decoder reads its
+// header fields unconditionally and checks once.
+type bodyReader struct {
+	p   []byte
+	err error
+}
+
+func (r *bodyReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (r *bodyReader) int() int {
+	v, w := binary.Varint(r.p)
+	if w <= 0 || int64(int(v)) != v {
+		r.fail("bad integer with %d bytes left", len(r.p))
+		r.p = nil
+		return 0
+	}
+	r.p = r.p[w:]
+	return int(v)
+}
+
+// count reads a non-negative integer — a dimension or an element count.
+func (r *bodyReader) count() int {
+	v := r.int()
+	if v < 0 {
+		r.fail("negative count %d", v)
+		return 0
+	}
+	return v
+}
+
+func (r *bodyReader) tag() byte {
+	if len(r.p) == 0 {
+		r.fail("payload ends before a tag byte")
+		return 0
+	}
+	b := r.p[0]
+	r.p = r.p[1:]
+	return b
+}
+
+// cellBlock returns the rest of the payload as n = rows×cols cells of size
+// bytes each, or fails: the claimed shape must account for exactly the
+// bytes present, so nothing is allocated on a shape's say-so.
+func (r *bodyReader) cellBlock(rows, cols, size int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	n := len(r.p) / size
+	if len(r.p)%size != 0 || !shapeHolds(rows, cols, n) {
+		r.fail("%dx%d cells of %d bytes do not account for the %d bytes left", rows, cols, size, len(r.p))
+		return nil
+	}
+	return r.p
+}
+
+// shapeHolds reports rows×cols == n without overflowing.
+func shapeHolds(rows, cols, n int) bool {
+	if rows == 0 || cols == 0 {
+		return n == 0
+	}
+	return rows <= n/cols && rows*cols == n
+}
+
+func float64s(p []byte) []float64 {
+	out := make([]float64, len(p)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+	}
+	return out
+}
+
+func (b localBody) AppendBody(dst []byte) ([]byte, error) {
+	return appendFloat64s(appendInts(dst, b.N, b.Lo, b.Hi), b.Cells), nil
+}
+
+func (b *localBody) DecodeBody(p []byte) error {
+	r := bodyReader{p: p}
+	b.N, b.Lo, b.Hi = r.int(), r.int(), r.int()
+	if r.err == nil && len(r.p)%8 != 0 {
+		r.fail("%d trailing bytes after the last cell", len(r.p)%8)
+	}
+	if r.err != nil {
+		return r.err
+	}
+	b.Cells = float64s(r.p)
+	return nil
+}
+
+func (b shardSliceBody) AppendBody(dst []byte) ([]byte, error) {
+	dst = appendFloat64s(appendInts(dst, b.Attr), []float64{b.Max})
+	return appendFloat64s(dst, b.Cells), nil
+}
+
+func (b *shardSliceBody) DecodeBody(p []byte) error {
+	r := bodyReader{p: p}
+	b.Attr = r.int()
+	if r.err == nil && (len(r.p) < 8 || len(r.p)%8 != 0) {
+		r.fail("%d bytes left do not hold a maximum and whole cells", len(r.p))
+	}
+	if r.err != nil {
+		return r.err
+	}
+	b.Max = math.Float64frombits(binary.LittleEndian.Uint64(r.p))
+	b.Cells = float64s(r.p[8:])
+	return nil
+}
+
+func (b shardFrameBody) AppendBody(dst []byte) ([]byte, error) {
+	return append(dst, b.Frame...), nil
+}
+
+// DecodeBody keeps the payload itself: the received Message owns it.
+func (b *shardFrameBody) DecodeBody(p []byte) error {
+	b.Frame = p
+	return nil
+}
+
+func (b numSBody) AppendBody(dst []byte) ([]byte, error) {
+	dst = appendInts(dst, b.Rows, b.Lo, b.Hi)
+	switch {
+	case b.Int != nil:
+		if err := b.Int.Validate(); err != nil {
+			return nil, err
+		}
+		dst = appendInts(append(dst, numInt), b.Int.Rows, b.Int.Cols)
+		dst = appendInt64s(dst, b.Int.Cell)
+	case b.Float != nil:
+		if err := b.Float.Validate(); err != nil {
+			return nil, err
+		}
+		dst = appendInts(append(dst, numFloat), b.Float.Rows, b.Float.Cols)
+		dst = appendFloat64s(dst, b.Float.Cell)
+	case b.ModP != nil:
+		if err := b.ModP.Validate(); err != nil {
+			return nil, err
+		}
+		dst = appendInts(append(dst, numModP), b.ModP.Rows, b.ModP.Cols)
+		var tail []byte
+		dst, tail = extend(dst, 32*len(b.ModP.Cell))
+		for i := range b.ModP.Cell {
+			copy(tail[32*i:], b.ModP.Cell[i][:])
+		}
+	default:
+		dst = append(dst, numNone)
+	}
+	return dst, nil
+}
+
+func (b *numSBody) DecodeBody(p []byte) error {
+	r := bodyReader{p: p}
+	*b = numSBody{Rows: r.int(), Lo: r.int(), Hi: r.int()}
+	tag := r.tag()
+	if tag == numNone {
+		if r.err == nil && len(r.p) != 0 {
+			r.fail("%d trailing bytes after a chunk without a payload", len(r.p))
+		}
+		return r.err
+	}
+	rows, cols := r.count(), r.count()
+	size := 8
+	switch {
+	case tag == numModP:
+		size = 32
+	case tag > numModP:
+		r.fail("unknown numeric variant %d", tag)
+	}
+	cells := r.cellBlock(rows, cols, size)
+	if r.err != nil {
+		return r.err
+	}
+	switch tag {
+	case numInt:
+		m := &protocol.Int64Matrix{Rows: rows, Cols: cols, Cell: make([]int64, len(cells)/8)}
+		for i := range m.Cell {
+			m.Cell[i] = int64(binary.LittleEndian.Uint64(cells[8*i:]))
+		}
+		b.Int = m
+	case numFloat:
+		b.Float = &protocol.Float64Matrix{Rows: rows, Cols: cols, Cell: float64s(cells)}
+	case numModP:
+		m := &protocol.ElementMatrix{Rows: rows, Cols: cols, Cell: make([][32]byte, len(cells)/32)}
+		for i := range m.Cell {
+			copy(m.Cell[i][:], cells[32*i:])
+		}
+		b.ModP = m
+	}
+	return nil
+}
+
+// numDisguisedBody shares numSBody's fields and therefore its layout.
+func (b numDisguisedBody) AppendBody(dst []byte) ([]byte, error) { return numSBody(b).AppendBody(dst) }
+func (b *numDisguisedBody) DecodeBody(p []byte) error            { return (*numSBody)(b).DecodeBody(p) }
+
+func (b alphaMBody) AppendBody(dst []byte) ([]byte, error) {
+	// One pass over the matrices settles everything the header needs: the
+	// counts, that every shape is sound, and whether any symbol needs the
+	// second byte.
+	mats, cells := 0, 0
+	var seen alphabet.Symbol
+	for i, row := range b.M {
+		mats += len(row)
+		for j, m := range row {
+			if m == nil || m.Rows < 0 || m.Cols < 0 || len(m.Cell) != m.Rows*m.Cols {
+				return nil, fmt.Errorf("party: intermediary matrix (%d,%d) is missing or inconsistent", i, j)
+			}
+			cells += len(m.Cell)
+			for _, s := range m.Cell {
+				seen |= s
+			}
+		}
+	}
+	width := 1
+	if seen > 0xFF {
+		width = 2
+	}
+	dst = appendInts(dst, b.Rows, b.Lo, b.Hi)
+	dst = appendInts(append(dst, byte(width)), len(b.M), mats)
+	for _, row := range b.M {
+		dst = appendInts(dst, len(row))
+		for _, m := range row {
+			dst = appendInts(dst, m.Rows, m.Cols)
+		}
+	}
+	dst, tail := extend(dst, width*cells)
+	for _, row := range b.M {
+		for _, m := range row {
+			if width == 1 {
+				for i, s := range m.Cell {
+					tail[i] = byte(s)
+				}
+			} else {
+				for i, s := range m.Cell {
+					binary.LittleEndian.PutUint16(tail[2*i:], uint16(s))
+				}
+			}
+			tail = tail[width*len(m.Cell):]
+		}
+	}
+	return dst, nil
+}
+
+// DecodeBody makes four allocations per chunk however many string pairs it
+// carries: the row slice, one pointer array the rows are cut from, one
+// []SymbolMatrix and one []Symbol backing every matrix's cells.
+func (b *alphaMBody) DecodeBody(p []byte) error {
+	r := bodyReader{p: p}
+	*b = alphaMBody{Rows: r.int(), Lo: r.int(), Hi: r.int()}
+	width := int(r.tag())
+	nRows, nMats := r.count(), r.count()
+	if r.err != nil {
+		return r.err
+	}
+	if width != 1 && width != 2 {
+		return fmt.Errorf("symbol width %d, want 1 or 2", width)
+	}
+	// Every row costs at least its count byte and every matrix its two
+	// shape bytes, which bounds both claims by the bytes left.
+	if nRows > len(r.p) || nMats > len(r.p)/2 {
+		return fmt.Errorf("%d rows of %d matrices claimed with %d bytes left", nRows, nMats, len(r.p))
+	}
+	if nRows > 0 {
+		b.M = make([][]*protocol.SymbolMatrix, nRows)
+	}
+	ptrs := make([]*protocol.SymbolMatrix, nMats)
+	mats := make([]protocol.SymbolMatrix, nMats)
+	next, cells := 0, 0
+	for i := range b.M {
+		n := r.count()
+		if n > nMats-next {
+			return fmt.Errorf("row %d claims %d matrices, %d left of the %d announced", i, n, nMats-next, nMats)
+		}
+		b.M[i] = ptrs[next : next+n : next+n]
+		for ; n > 0; n-- {
+			m := &mats[next]
+			m.Rows, m.Cols = r.count(), r.count()
+			// A matrix larger than the whole payload cannot be backed by
+			// it; checking per matrix keeps the running sum from wrapping.
+			if m.Cols != 0 && m.Rows > len(p)/m.Cols {
+				return fmt.Errorf("matrix %d claims %dx%d cells in a %d-byte payload", next, m.Rows, m.Cols, len(p))
+			}
+			cells += m.Rows * m.Cols
+			if cells > len(p) {
+				return fmt.Errorf("matrices claim more cells than the %d-byte payload holds", len(p))
+			}
+			ptrs[next] = m
+			next++
+		}
+	}
+	if r.err != nil {
+		return r.err
+	}
+	if next != nMats {
+		return fmt.Errorf("rows hold %d matrices, %d announced", next, nMats)
+	}
+	if len(r.p) != width*cells {
+		return fmt.Errorf("%d cells of %d bytes do not account for the %d bytes left", cells, width, len(r.p))
+	}
+	backing := make([]alphabet.Symbol, cells)
+	if width == 1 {
+		for i, c := range r.p {
+			backing[i] = alphabet.Symbol(c)
+		}
+	} else {
+		for i := range backing {
+			backing[i] = alphabet.Symbol(binary.LittleEndian.Uint16(r.p[2*i:]))
+		}
+	}
+	for i := range mats {
+		n := mats[i].Rows * mats[i].Cols
+		mats[i].Cell, backing = backing[:n:n], backing[n:]
+	}
+	return nil
+}

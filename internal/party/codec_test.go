@@ -1,0 +1,367 @@
+package party
+
+import (
+	"bytes"
+	"errors"
+	"math"
+	"net"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"ppclust/internal/alphabet"
+	"ppclust/internal/protocol"
+	"ppclust/internal/wire"
+)
+
+// chunkDecoders lists a fresh decoder for each fixed layout, in a fixed
+// order the fuzz target indexes.
+func chunkDecoders() []wire.BodyDecoder {
+	return []wire.BodyDecoder{&localBody{}, &numSBody{}, &numDisguisedBody{}, &alphaMBody{}, &shardSliceBody{}, &shardFrameBody{}}
+}
+
+// reencode encodes what a decoder holds, through the value receiver the
+// session sends with.
+func reencode(t testing.TB, d wire.BodyDecoder) []byte {
+	t.Helper()
+	out, err := wire.EncodeBody(reflect.ValueOf(d).Elem().Interface())
+	if err != nil {
+		t.Fatalf("re-encoding %T: %v", d, err)
+	}
+	return out
+}
+
+func symbolMatrix(rows, cols int, cells ...alphabet.Symbol) *protocol.SymbolMatrix {
+	m := protocol.NewSymbolMatrix(rows, cols)
+	copy(m.Cell, cells)
+	return m
+}
+
+// TestChunkBodyRoundTrip drives every fixed layout through
+// wire.EncodeBody / wire.DecodeBody — the calls the session makes — over
+// the shapes the schedules produce and the edge cases they can: the
+// decoded body must re-encode to the same bytes (the layouts write every
+// field bit for bit, so equal bytes are equal bodies), and one byte more
+// or less must be rejected as malformed.
+func TestChunkBodyRoundTrip(t *testing.T) {
+	specials := []float64{math.NaN(), math.Float64frombits(0x7ff8000000000123), math.Inf(1), math.Inf(-1),
+		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, -math.MaxFloat64}
+	var elems [][32]byte
+	for i := 0; i < 6; i++ {
+		var e [32]byte
+		for j := range e {
+			e[j] = byte(i*32 + j)
+		}
+		elems = append(elems, e)
+	}
+	for _, tc := range []struct {
+		name    string
+		body    wire.BodyAppender
+		decoder wire.BodyDecoder
+		size    int // exact encoded size, 0 to skip
+	}{
+		{"local", localBody{N: 5, Lo: 2, Hi: 4, Cells: []float64{1, 2, 3, 4, 5}}, &localBody{}, 3 + 5*8},
+		{"local zero rows", localBody{N: 0, Lo: 0, Hi: 0}, &localBody{}, 3},
+		{"local special floats", localBody{N: 9, Lo: 1, Hi: 2, Cells: specials}, &localBody{}, 0},
+		{"local negative header", localBody{N: -1, Lo: -7, Hi: 1 << 40}, &localBody{}, 0},
+		{"numS no variant", numSBody{Rows: 4, Lo: 1, Hi: 3}, &numSBody{}, 4},
+		{"numS float", numSBody{Rows: 4, Lo: 1, Hi: 3, Float: &protocol.Float64Matrix{Rows: 2, Cols: 4, Cell: specials}}, &numSBody{}, 6 + 8*8},
+		{"numS int", numSBody{Rows: 4, Lo: 0, Hi: 2, Int: &protocol.Int64Matrix{Rows: 2, Cols: 2,
+			Cell: []int64{math.MinInt64, -1, 0, math.MaxInt64}}}, &numSBody{}, 6 + 4*8},
+		{"numS modp", numSBody{Rows: 3, Lo: 0, Hi: 3, ModP: &protocol.ElementMatrix{Rows: 3, Cols: 2, Cell: elems}}, &numSBody{}, 6 + 6*32},
+		{"numS zero rows", numSBody{Rows: 0, Lo: 0, Hi: 0, Float: &protocol.Float64Matrix{Rows: 0, Cols: 7}}, &numSBody{}, 6},
+		{"disguised float", numDisguisedBody{Rows: 1, Lo: 0, Hi: 1, Float: &protocol.Float64Matrix{Rows: 1, Cols: 3,
+			Cell: []float64{1.5, -2.5, 1e300}}}, &numDisguisedBody{}, 0},
+		{"disguised modp", numDisguisedBody{Rows: 2, Lo: 1, Hi: 2, ModP: &protocol.ElementMatrix{Rows: 1, Cols: 2, Cell: elems[:2]}}, &numDisguisedBody{}, 0},
+		{"alpha one-byte symbols", alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: [][]*protocol.SymbolMatrix{
+			{symbolMatrix(2, 3, 0, 1, 2, 3, 254, 255), symbolMatrix(0, 3)},
+			{symbolMatrix(1, 1, 7), symbolMatrix(2, 0)},
+		}}, &alphaMBody{}, 3 + 1 + 2 + 2 + 8 + 7},
+		{"alpha two-byte symbols", alphaMBody{Rows: 9, Lo: 4, Hi: 5, M: [][]*protocol.SymbolMatrix{
+			{symbolMatrix(1, 2, 255, 256), symbolMatrix(2, 2, 0, 1000, 65535, 3)},
+		}}, &alphaMBody{}, 3 + 1 + 2 + 1 + 4 + 2*6},
+		{"alpha zero rows", alphaMBody{Rows: 0, Lo: 0, Hi: 0}, &alphaMBody{}, 6},
+		{"alpha ragged", alphaMBody{Rows: 3, Lo: 0, Hi: 3, M: [][]*protocol.SymbolMatrix{
+			{symbolMatrix(1, 1, 1)}, {}, {symbolMatrix(1, 1, 2), symbolMatrix(1, 1, 3)},
+		}}, &alphaMBody{}, 0},
+		{"slice", shardSliceBody{Attr: 2, Max: math.Inf(1), Cells: specials}, &shardSliceBody{}, 1 + 8 + 8*8},
+		{"slice empty", shardSliceBody{Attr: 0, Max: 0}, &shardSliceBody{}, 9},
+		{"relayed frame", shardFrameBody{Frame: []byte("any bytes at all")}, &shardFrameBody{}, 16},
+	} {
+		enc, err := wire.EncodeBody(tc.body)
+		if err != nil {
+			t.Errorf("%s: encode: %v", tc.name, err)
+			continue
+		}
+		if tc.size != 0 && len(enc) != tc.size {
+			t.Errorf("%s: encodes to %d bytes, layout says %d", tc.name, len(enc), tc.size)
+		}
+		if err := wire.DecodeBody(enc, tc.decoder); err != nil {
+			t.Errorf("%s: decode: %v", tc.name, err)
+			continue
+		}
+		if again := reencode(t, tc.decoder); !bytes.Equal(again, enc) {
+			t.Errorf("%s: decoded body re-encodes to %x, want %x", tc.name, again, enc)
+		}
+		if _, relayed := tc.body.(shardFrameBody); relayed {
+			continue // every byte string is a relayed frame
+		}
+		for name, bad := range map[string][]byte{"trailing byte": append(enc[:len(enc):len(enc)], 0), "short by one": enc[:len(enc)-1]} {
+			if err := wire.DecodeBody(bad, tc.decoder); !errors.Is(err, wire.ErrMalformed) {
+				t.Errorf("%s, %s: want ErrMalformed, got %v", tc.name, name, err)
+			}
+		}
+	}
+
+	// Bit patterns, not just values: the re-encode comparison above would
+	// pass a decoder that canonicalized NaNs both ways.
+	enc, _ := wire.EncodeBody(localBody{Cells: specials})
+	var got localBody
+	if err := wire.DecodeBody(enc, &got); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range specials {
+		if math.Float64bits(got.Cells[i]) != math.Float64bits(v) {
+			t.Errorf("cell %d: bits %#x, want %#x", i, math.Float64bits(got.Cells[i]), math.Float64bits(v))
+		}
+	}
+	// The alphanumeric decoder allocates per chunk, not per string pair.
+	row := make([]*protocol.SymbolMatrix, 100)
+	for i := range row {
+		row[i] = symbolMatrix(2, 2, 1, 2, 3, 0)
+	}
+	enc, _ = wire.EncodeBody(alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: [][]*protocol.SymbolMatrix{row, row}})
+	if allocs := testing.AllocsPerRun(10, func() {
+		var am alphaMBody
+		if err := wire.DecodeBody(enc, &am); err != nil || am.M[1][99].Cell[2] != 3 {
+			t.Errorf("alphanumeric chunk: %v", err)
+		}
+	}); allocs > 5 {
+		t.Errorf("decoding a chunk of 200 symbol matrices took %v allocations", allocs)
+	}
+	// What a sender must not put on the wire is refused where it is built.
+	for name, body := range map[string]wire.BodyAppender{
+		"nil matrix":          alphaMBody{M: [][]*protocol.SymbolMatrix{{nil}}},
+		"inconsistent matrix": alphaMBody{M: [][]*protocol.SymbolMatrix{{{Rows: 2, Cols: 2, Cell: make([]alphabet.Symbol, 3)}}}},
+		"inconsistent S":      numSBody{Float: &protocol.Float64Matrix{Rows: 2, Cols: 2, Cell: make([]float64, 3)}},
+	} {
+		if _, err := wire.EncodeBody(body); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
+	}
+}
+
+// TestChunkDecodersBoundClaims: a few bytes that claim a huge shape are
+// refused before anything is allocated for them.
+func TestChunkDecodersBoundClaims(t *testing.T) {
+	huge := func(dst []byte) []byte { return appendInts(dst, math.MaxInt64/2) }
+	header := appendInts(appendInts(appendInts(nil, 1), 0), 1)
+	for name, tc := range map[string]struct {
+		payload []byte
+		decoder wire.BodyDecoder
+	}{
+		"S rows":       {huge(appendInts(append(header[:3:3], numFloat), 1)), &numSBody{}},
+		"S overflow":   {huge(huge(append(header[:3:3], numModP))), &numSBody{}},
+		"alpha rows":   {appendInts(huge(append(header[:3:3], 1)), 0), &alphaMBody{}},
+		"alpha mats":   {huge(appendInts(append(header[:3:3], 1), 1)), &alphaMBody{}},
+		"alpha shape":  {huge(huge(appendInts(appendInts(appendInts(append(header[:3:3], 2), 1), 1), 1))), &alphaMBody{}},
+		"alpha cells":  {appendInts(appendInts(appendInts(appendInts(appendInts(append(header[:3:3], 1), 1), 1), 1), 1<<20), 1<<20), &alphaMBody{}},
+		"alpha width":  {appendInts(appendInts(append(header[:3:3], 3), 0), 0), &alphaMBody{}},
+		"S bad tag":    {append(header[:3:3], 9, 0, 0), &numSBody{}},
+		"slice no max": {[]byte{0, 1, 2, 3}, &shardSliceBody{}},
+	} {
+		grew := allocatedBytes(func() {
+			if err := wire.DecodeBody(tc.payload, tc.decoder); !errors.Is(err, wire.ErrMalformed) {
+				t.Errorf("%s: want ErrMalformed, got %v", name, err)
+			}
+		})
+		// The error values are about all a refusal may allocate.
+		if grew > 4<<10 {
+			t.Errorf("%s: allocated %d bytes while refusing %d", name, grew, len(tc.payload))
+		}
+	}
+}
+
+// allocatedBytes reports the heap bytes allocated while fn ran (by any
+// goroutine — callers leave slack for the runtime's own).
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// sessionFrames runs a small plaintext session and returns every frame it
+// put on a wire, the seed material of the fuzz corpora.
+func sessionFrames(t testing.TB, cfg Config) [][]byte {
+	t.Helper()
+	var mu sync.Mutex
+	var frames [][]byte
+	tap := func(_, _ string, c wire.Conduit) wire.Conduit {
+		return wire.Tap(c, func(dir string, frame []byte) {
+			if dir == "send" {
+				mu.Lock()
+				frames = append(frames, bytes.Clone(frame))
+				mu.Unlock()
+			}
+		})
+	}
+	cfg.PlaintextChannels = true
+	if _, err := RunInMemoryWrapped(cfg, pipelineParts(t, 3), pipelineReqs(), deterministicRandom(61), tap); err != nil {
+		t.Fatalf("seed session: %v", err)
+	}
+	return frames
+}
+
+// FuzzChunkBodyDecoders feeds arbitrary payloads to the six fixed-layout
+// decoders: never a panic, only ErrMalformed failures, memory bounded by
+// the input (no claimed length is believed before the bytes are seen), and
+// whatever decodes re-encodes to a fixed point. Seeded with the payloads
+// of real session frames in every numeric variant.
+func FuzzChunkBodyDecoders(f *testing.F) {
+	which := map[wire.Kind]uint8{kindLocal: 0, kindNumS: 1, kindNumDisg: 2, kindAlphaM: 3}
+	for _, cfg := range []Config{
+		{Schema: pipelineSchema(), Variant: Float64Variant, LocalChunkBytes: 64},
+		{Schema: pipelineSchema(), Variant: Int64Variant, Mode: protocol.PerPair},
+		{Schema: pipelineSchema(), Variant: ModPVariant, LocalChunkBytes: 256},
+	} {
+		for _, frame := range sessionFrames(f, cfg) {
+			m, err := wire.ParseFrame(frame)
+			if err != nil {
+				f.Fatalf("session frame does not parse: %v", err)
+			}
+			if w, ok := which[m.Kind]; ok {
+				f.Add(w, m.Payload)
+				f.Add(uint8(5), frame) // as the coordinator relays it
+			}
+		}
+	}
+	slice, _ := wire.EncodeBody(shardSliceBody{Attr: 1, Max: 2.5, Cells: []float64{0.5, 2.5}})
+	f.Add(uint8(4), slice)
+
+	f.Fuzz(func(t *testing.T, which uint8, payload []byte) {
+		decoders := chunkDecoders()
+		d := decoders[int(which)%len(decoders)]
+		var err error
+		grew := allocatedBytes(func() { err = wire.DecodeBody(payload, d) })
+		// The widest expansion is an empty symbol matrix: two shape bytes
+		// become a 40-byte header and an 8-byte pointer. The slack covers
+		// the error value and whatever the runtime allocates on the side.
+		if grew > 64*uint64(len(payload))+32<<10 {
+			t.Fatalf("%T allocated %d bytes decoding %d", d, grew, len(payload))
+		}
+		if err != nil {
+			if !errors.Is(err, wire.ErrMalformed) {
+				t.Fatalf("%T: unclassified error: %v", d, err)
+			}
+			return
+		}
+		enc := reencode(t, d)
+		again := chunkDecoders()[int(which)%len(decoders)]
+		if err := wire.DecodeBody(enc, again); err != nil {
+			t.Fatalf("%T: own encoding rejected: %v", d, err)
+		}
+		if !bytes.Equal(reencode(t, again), enc) {
+			t.Fatalf("%T: encoding is not a fixed point", d)
+		}
+	})
+}
+
+// TestPooledTCPPlaintextSessionBitIdentical is the frame-ownership
+// regression: with plaintext channels nothing stands between the session
+// endpoints and wire.TCPPooled's recycled receive buffer, and a one-row
+// chunk budget queues many frames per demux lane — each parked across
+// the Recvs that overwrite that buffer. The report must still be
+// bit-identical to the in-memory session's.
+func TestPooledTCPPlaintextSessionBitIdentical(t *testing.T) {
+	parts := pairCapParts(t, 24, 24)
+	cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant,
+		PlaintextChannels: true, LocalChunkBytes: 1}
+	want, err := RunInMemory(cfg, parts, nil, deterministicRandom(62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// The driver wraps the two ends of a link back to back, so the first
+	// call of a pair dials and parks the accepted end for the second.
+	var parked net.Conn
+	overTCP := func(_, _ string, c wire.Conduit) wire.Conduit {
+		if parked != nil {
+			conn := parked
+			parked = nil
+			return wire.TCPPooled(conn)
+		}
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close(); accepted.Close() })
+		parked = accepted
+		return wire.TCPPooled(conn)
+	}
+	got, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(62), overTCP)
+	if err != nil {
+		t.Fatalf("session over pooled TCP: %v", err)
+	}
+	assertSameOutcome(t, "plaintext over TCPPooled, one-row chunks", want, got)
+}
+
+// BenchmarkChunkBodyCodec tracks serialization cost for the session's
+// dominant messages — a responder's S matrix chunk and an alphanumeric M
+// chunk — through the calls the session makes.
+func BenchmarkChunkBodyCodec(b *testing.B) {
+	s := numSBody{Rows: 128, Lo: 0, Hi: 128, Float: protocol.NewFloat64Matrix(128, 128)}
+	for i := range s.Float.Cell {
+		s.Float.Cell[i] = float64(i) * 1.000003
+	}
+	row := make([]*protocol.SymbolMatrix, 64)
+	for i := range row {
+		row[i] = symbolMatrix(16, 16, 1, 2, 3)
+	}
+	m := alphaMBody{Rows: 16, Lo: 0, Hi: 16}
+	for i := 0; i < 16; i++ {
+		m.M = append(m.M, row)
+	}
+	for _, tc := range []struct {
+		name    string
+		body    wire.BodyAppender
+		decoder func() wire.BodyDecoder
+	}{
+		{"numeric-s", s, func() wire.BodyDecoder { return &numSBody{} }},
+		{"alpha-m", m, func() wire.BodyDecoder { return &alphaMBody{} }},
+	} {
+		enc, err := wire.EncodeBody(tc.body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name+"/encode", func(b *testing.B) {
+			b.SetBytes(int64(len(enc)))
+			b.ReportAllocs()
+			buf := make([]byte, 0, len(enc))
+			for i := 0; i < b.N; i++ {
+				if buf, err = tc.body.AppendBody(buf[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(tc.name+"/decode", func(b *testing.B) {
+			b.SetBytes(int64(len(enc)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := wire.DecodeBody(enc, tc.decoder()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

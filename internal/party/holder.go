@@ -426,9 +426,9 @@ func tagBased(t dataset.AttrType) bool {
 // installs each range on arrival — so assembly of this attribute starts
 // while most of the triangle is still on the wire — and no single frame
 // approaches wire.MaxFrame no matter how large the partition is.
-// PackedRowsView keeps the serialization zero-copy: each frame gob-encodes
-// straight out of the matrix storage of a matrix that is dropped right
-// after the final chunk.
+// PackedRowsView keeps the serialization zero-copy: each frame's cells are
+// written (localBody.AppendBody) straight out of the storage of a matrix
+// that is dropped right after the final chunk.
 func (h *Holder) sendLocalMatrix(attr int) error {
 	if tagBased(h.cfg.Schema.Attrs[attr].Type) {
 		return nil

@@ -1,8 +1,6 @@
 package party
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"strings"
@@ -70,16 +68,6 @@ func TestPairChunkedMatchesSerialAcrossVariants(t *testing.T) {
 	}
 }
 
-// decodeFrame decodes one plaintext wire frame into a Message. Only valid
-// on sessions with PlaintextChannels.
-func decodeFrame(frame []byte) (*wire.Message, error) {
-	var m wire.Message
-	if err := gob.NewDecoder(bytes.NewReader(frame)).Decode(&m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
 // kindCappingConduit rejects frames of the given kind larger than cap at
 // Send, standing in for a transport with a much smaller MaxFrame — but
 // only for the message family under test, so the property "this payload
@@ -92,7 +80,7 @@ type kindCappingConduit struct {
 
 func (c *kindCappingConduit) Send(frame []byte) error {
 	if len(frame) > c.cap {
-		if m, err := decodeFrame(frame); err == nil && m.Kind == c.kind {
+		if m, err := wire.ParseFrame(frame); err == nil && m.Kind == c.kind {
 			return fmt.Errorf("party test: %q frame of %d bytes over conduit cap %d: %w",
 				m.Kind, len(frame), c.cap, wire.ErrFrameTooLarge)
 		}
@@ -102,7 +90,7 @@ func (c *kindCappingConduit) Send(frame []byte) error {
 
 // pairCapParts builds a two-holder numeric session in which both
 // partitions are large enough that the responder's masked S matrix (the
-// |B|×|A| comparison payload) gob-encodes well past the test cap.
+// |B|×|A| comparison payload, 8 bytes a cell) is well past the test cap.
 func pairCapParts(t testing.TB, rowsA, rowsB int) []dataset.Partition {
 	t.Helper()
 	schema := dataset.Schema{Attrs: []dataset.Attribute{{Name: "x", Type: dataset.Numeric}}}
@@ -123,8 +111,8 @@ func pairCapParts(t testing.TB, rowsA, rowsB int) []dataset.Partition {
 // TestPairChunkedStreamingLiftsFrameCeiling is the pairwise ceiling-lift
 // property at test scale: over conduits that reject responder→TP S frames
 // above 8 KiB — a stand-in for a shrunken wire.MaxFrame — a session whose
-// monolithic S payload encodes to hundreds of KiB (both partitions large)
-// succeeds when the payload streams as 4 KiB row-range chunks, and fails
+// monolithic S payload is 60×60 cells, 28 KiB on the wire (both partitions
+// large), succeeds when the payload streams as 4 KiB row-range chunks, and fails
 // with the descriptive frame-size error when forced monolithic.
 func TestPairChunkedStreamingLiftsFrameCeiling(t *testing.T) {
 	parts := pairCapParts(t, 60, 60)
@@ -170,7 +158,7 @@ func (c *tamperConduit) Send(frame []byte) error {
 	if c.closed {
 		return wire.ErrClosed
 	}
-	m, err := decodeFrame(frame)
+	m, err := wire.ParseFrame(frame)
 	if err != nil || m.Kind != kindNumS {
 		return c.Conduit.Send(frame)
 	}
@@ -286,7 +274,7 @@ func (c *extraChunkConduit) Send(frame []byte) error {
 		return err
 	}
 	if c.owner == "B" && c.peer == TPName {
-		if m, err := decodeFrame(frame); err == nil && m.Kind == kindNumS {
+		if m, err := wire.ParseFrame(frame); err == nil && m.Kind == kindNumS {
 			return c.Conduit.Send(frame)
 		}
 	}
@@ -302,7 +290,7 @@ type colsTamperConduit struct {
 }
 
 func (c *colsTamperConduit) Send(frame []byte) error {
-	m, err := decodeFrame(frame)
+	m, err := wire.ParseFrame(frame)
 	if err != nil || m.Kind != kindNumS || c.done {
 		return c.Conduit.Send(frame)
 	}
@@ -318,11 +306,7 @@ func (c *colsTamperConduit) Send(frame []byte) error {
 		return err
 	}
 	m.Payload = payload
-	buf := new(bytes.Buffer)
-	if err := gob.NewEncoder(buf).Encode(m); err != nil {
-		return err
-	}
-	return c.Conduit.Send(buf.Bytes())
+	return c.Conduit.Send(wire.AppendFrame(nil, m))
 }
 
 // TestPairChunkRejectsWrongColumns: a chunk whose matrix claims a column

@@ -28,7 +28,7 @@ func pipelineSchema() dataset.Schema {
 }
 
 // pipelineParts builds three deterministic partitions over pipelineSchema.
-func pipelineParts(t *testing.T, rows int) []dataset.Partition {
+func pipelineParts(t testing.TB, rows int) []dataset.Partition {
 	t.Helper()
 	s := rng.NewXoshiro(rng.SeedFromUint64(777))
 	cities := []string{"ankara", "istanbul", "izmir"}

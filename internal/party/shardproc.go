@@ -208,7 +208,11 @@ func (tp *ThirdParty) dialShard(s int) (*shardLink, error) {
 					ErrSessionTimeout, TPName, s, tp.guard.phaseName(), err))
 			},
 		)
-		link.ep = wire.NewEndpoint(rc)
+		// Bound like a holder's resumable lane (armResume): operations
+		// parked in a down Reconn see neither the inner conduit's close nor
+		// the guard's cancellation, so without this a session that fails
+		// while the link is down sits out the rest of the window.
+		link.ep = wire.NewEndpoint(tp.guard.bind(rc))
 	} else {
 		link.ep = wire.NewEndpoint(secured)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -297,6 +298,74 @@ func TestChaosShardProcRedialRefusedFatal(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 8*time.Second {
 		t.Fatalf("refused redial burned the window: took %v", elapsed)
+	}
+}
+
+// TestShardProcRegistrationOrderedByEpoch pins the supersede fence on the
+// worker: registrations are handled concurrently, so the hello of a link
+// the coordinator already replaced can finish its handshake after its
+// successor's. The higher epoch must win in either arrival order, and the
+// loser must die silently — an abort frame on a replaced link either has
+// no reader or one that takes it for the session's.
+func TestShardProcRegistrationOrderedByEpoch(t *testing.T) {
+	leakcheck.Check(t)
+	for _, order := range [][2]uint32{{1, 0}, {0, 1}} {
+		t.Run(fmt.Sprintf("epoch-%d-then-%d", order[0], order[1]), func(t *testing.T) {
+			events := make(chan string, 16) // a handful of lifecycle lines per registration
+			pool := newShardWorkerPool(t, 1, ShardServerConfig{Schema: pipelineSchema(),
+				Logf: func(format string, args ...any) { events <- fmt.Sprintf(format, args...) }})
+			defer pool.close()
+			dial := pool.dialer("epoch-order", nil)
+			cfg, err := Config{Schema: pipelineSchema(), Variant: Float64Variant}.normalized()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tp := &ThirdParty{cfg: cfg, guard: newGuard(TPName, cfg)}
+			defer tp.guard.release()
+			if tp.identity, err = keys.NewIdentity(TPName, rand.Reader); err != nil {
+				t.Fatal(err)
+			}
+			// register completes one registration and returns once the
+			// worker has decided what to do with it.
+			register := func(epoch uint32) *wire.Endpoint {
+				raw, _, err := dial(context.Background(), 0, ResumeState{Epoch: epoch})
+				if err != nil {
+					t.Fatalf("dial epoch %d: %v", epoch, err)
+				}
+				secured, err := tp.shardSecure(0, raw)
+				if err != nil {
+					t.Fatalf("handshake epoch %d: %v", epoch, err)
+				}
+				t.Cleanup(func() { secured.Close() })
+				for {
+					select {
+					case ev := <-events:
+						if strings.HasPrefix(ev, "event=shard-register") {
+							return wire.NewEndpoint(secured)
+						}
+					case <-time.After(5 * time.Second):
+						t.Fatalf("worker never logged the epoch %d registration", epoch)
+					}
+				}
+			}
+			eps := map[uint32]*wire.Endpoint{}
+			eps[order[0]] = register(order[0])
+			eps[order[1]] = register(order[1])
+
+			// The loser's link just closes: no abort frame.
+			if m, err := eps[0].Recv(); !errors.Is(err, wire.ErrClosed) {
+				t.Fatalf("epoch 0 link: want a silent close, got message %+v, err %v", m, err)
+			}
+			// The winner's run is alive: it answers a bad offer itself.
+			offer := shardOfferBody{Fingerprint: "bogus"}
+			if err := eps[1].SendBody(wire.Message{From: TPName, To: ShardName(0), Kind: kindShardOffer, Attr: -1}, offer); err != nil {
+				t.Fatalf("offer on the epoch 1 link: %v", err)
+			}
+			m, err := eps[1].Recv()
+			if err != nil || m.Kind != kindAbort || !strings.Contains(peerAbortError(m).Error(), "fingerprint") {
+				t.Fatalf("epoch 1 link: want the run's own fingerprint abort, got %+v, err %v", m, err)
+			}
+		})
 	}
 }
 

@@ -213,11 +213,25 @@ func (s *ShardServer) handle(conn net.Conn) {
 		return
 	}
 	if old := s.runs[run.key]; old != nil {
+		if old.epoch > run.epoch {
+			// Registrations are handled concurrently, so the one for the
+			// link the coordinator has already replaced can finish its
+			// handshake last. It must not displace its successor.
+			s.mu.Unlock()
+			s.cfg.Logf("event=shard-register-stale session=%q shard=%d epoch=%d current=%d",
+				hello.Session, shard, hello.Epoch, old.epoch)
+			secured.Close()
+			return
+		}
 		// Re-registration after a crash of the coordinator's link (or a
 		// coordinator that never learned its old link died): the stream
 		// restarts from the beginning, so the old run must not keep
-		// half-assembled state alive.
-		old.close(errors.New("party: superseded by re-registration"))
+		// half-assembled state alive. It dies silently — the coordinator
+		// has replaced that link and an abort frame has no reader there,
+		// or worse, a reader that takes it for the session's.
+		s.cfg.Logf("event=shard-superseded session=%q shard=%d epoch=%d by=%d",
+			hello.Session, shard, old.epoch, hello.Epoch)
+		old.close(nil)
 	}
 	s.runs[run.key] = run
 	s.mu.Unlock()

@@ -64,7 +64,8 @@ func (c *cappingConduit) Send(frame []byte) error {
 }
 
 // streamCapParts builds a two-holder numeric session whose larger holder's
-// packed triangle gob-encodes well past the test conduit cap.
+// packed triangle (7140 cells, 56 KiB on the wire) is well past the test
+// conduit cap.
 func streamCapParts(t *testing.T) []dataset.Partition {
 	t.Helper()
 	schema := dataset.Schema{Attrs: []dataset.Attribute{{Name: "x", Type: dataset.Numeric}}}
@@ -84,7 +85,7 @@ func streamCapParts(t *testing.T) []dataset.Partition {
 
 // TestChunkedStreamingLiftsFrameCeiling: over holder→TP conduits that
 // reject frames above 24 KiB, a session whose local triangle encodes to
-// ~64 KiB succeeds when streamed in 4 KiB row chunks and fails with the
+// 56 KiB succeeds when streamed in 4 KiB row chunks and fails with the
 // descriptive frame-size error when forced monolithic — the MaxFrame
 // ceiling-lift property at test scale.
 func TestChunkedStreamingLiftsFrameCeiling(t *testing.T) {
@@ -141,8 +142,6 @@ func TestSessionStreamsTrianglePastMaxFrame(t *testing.T) {
 	}{{"A", nBig}, {"B", nSmall}} {
 		tab := dataset.MustNewTable(schema)
 		for r := 0; r < spec.rows; r++ {
-			// Integral values keep gob's float encoding short, so the test
-			// spends its time in the streaming path rather than encoding.
 			tab.MustAppendRow(float64(r % 977))
 		}
 		parts = append(parts, dataset.Partition{Site: spec.site, Table: tab})
@@ -193,8 +192,7 @@ func benchStreamSession(b *testing.B, serial bool, chunkBytes, rowsA, rowsB int)
 	}{{"A", rowsA}, {"B", rowsB}} {
 		tab := dataset.MustNewTable(schema)
 		for r := 0; r < spec.rows; r++ {
-			// Continuous values: gob's full-width float encoding keeps the
-			// triangle at realistic wire size (~9 bytes per cell).
+			// Continuous values, as real attributes have.
 			tab.MustAppendRow((float64(r*37+pi) + 0.125) * 1.000003)
 		}
 		parts = append(parts, dataset.Partition{Site: spec.site, Table: tab})

@@ -23,7 +23,8 @@ package protocol
 import "fmt"
 
 // Int64Matrix is a dense row-major matrix of int64, the shape exchanged by
-// the integer numeric protocol. Fields are exported for gob transport.
+// the integer numeric protocol. Fields are exported for the orchestration
+// layer's chunk codec, which writes Cell as 8-byte little-endian words.
 type Int64Matrix struct {
 	Rows, Cols int
 	Cell       []int64

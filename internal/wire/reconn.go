@@ -189,6 +189,13 @@ func (r *Reconn) Recv() ([]byte, error) {
 		frame, err := inner.Recv()
 		r.mu.Lock()
 		if err == nil {
+			if epoch != r.epoch {
+				// Read from a conduit a Rebind replaced meanwhile. The
+				// peer was told a watermark that does not count this
+				// frame and replays it on the replacement — or, on a link
+				// rebound to a fresh peer, it is the old peer's last word.
+				continue
+			}
 			r.recvSeq++
 			r.mu.Unlock()
 			return frame, nil

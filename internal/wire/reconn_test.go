@@ -370,3 +370,64 @@ func TestChaosReconnectFaultFlap(t *testing.T) {
 		t.Fatalf("post-flap err = %v, want ErrClosed", err)
 	}
 }
+
+// lateConduit is a transport whose send side fails at once while its
+// receive side stays parked until the test lets one last frame through —
+// the shape of a half-dead link whose reader outlives the rebind.
+type lateConduit struct {
+	parked  chan struct{} // closed once the receiver is inside Recv
+	release chan struct{}
+	frame   []byte
+}
+
+func (l *lateConduit) Send([]byte) error { return ErrClosed }
+func (l *lateConduit) Recv() ([]byte, error) {
+	close(l.parked)
+	<-l.release
+	return l.frame, nil
+}
+func (l *lateConduit) Close() error { return nil }
+
+// TestReconnDropsFrameFromReplacedConduit: a receiver parked in a conduit
+// that a Rebind has since replaced must not hand out what that conduit
+// delivers late. The peer replays from a watermark that never counted the
+// frame, so accepting it would duplicate it; on a worker link it would be
+// the superseded run's abort taken for the live run's.
+func TestReconnDropsFrameFromReplacedConduit(t *testing.T) {
+	leakcheck.Check(t)
+	old := &lateConduit{parked: make(chan struct{}), release: make(chan struct{}), frame: []byte("stale")}
+	r := NewReconn(old, 5*time.Second)
+	defer r.Close()
+
+	got := make(chan []byte, 1)
+	go func() {
+		frame, err := r.Recv() // parks in old.Recv
+		if err != nil {
+			t.Errorf("recv: %v", err)
+		}
+		got <- frame
+	}()
+	<-old.parked
+	sent := make(chan error, 1)
+	go func() { sent <- r.Send([]byte("x")) }() // fails on old, opens the window
+	awaitDown(t, r)
+
+	fresh, peer := Pipe()
+	defer peer.Close()
+	if err := r.Rebind(fresh, 0, 1); err != nil {
+		t.Fatalf("rebind: %v", err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatalf("send across the rebind: %v", err)
+	}
+	close(old.release) // the replaced conduit delivers its late frame
+	if err := peer.Send([]byte("live")); err != nil {
+		t.Fatal(err)
+	}
+	if frame := <-got; string(frame) != "live" {
+		t.Fatalf("received %q, want the replacement conduit's frame", frame)
+	}
+	if _, recv, _ := r.State(); recv != 1 {
+		t.Fatalf("receive watermark %d counts the dropped frame", recv)
+	}
+}

@@ -22,8 +22,9 @@ func TCP(c net.Conn) Conduit {
 // calls, so a long stream of bounded frames — the row-chunked local-matrix
 // path — performs zero per-frame receive allocations. The returned frame is
 // valid only until the next Recv on the conduit; use it when the consumer
-// decodes each frame before asking for the next, as the session Endpoints
-// do, and plain TCP when frames are retained.
+// is done with each frame before asking for the next — Secure, which opens
+// every frame into a buffer of its own, or an Endpoint, which copies the
+// payload out — and plain TCP when frames are retained.
 func TCPPooled(c net.Conn) Conduit {
 	return &tcpConduit{conn: c, pooled: true}
 }

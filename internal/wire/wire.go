@@ -33,7 +33,7 @@ var ErrFrameTooLarge = errors.New("frame exceeds MaxFrame")
 const MaxFrame = 1 << 28 // 256 MiB
 
 // maxRetainedBuf caps how much memory the framing layers keep parked in
-// reusable buffers (the pooled Endpoint encode buffers, a secure conduit's
+// reusable buffers (the pooled Endpoint frame buffers, a secure conduit's
 // seal buffer, a pooled TCP conduit's receive buffer). Buffers that had to
 // grow past it for one oversized frame are dropped rather than retained.
 const maxRetainedBuf = 1 << 20
@@ -45,15 +45,28 @@ const maxRetainedBuf = 1 << 20
 // concurrent receiver.
 //
 // Ownership: Send must not retain frame after it returns — the caller may
-// immediately reuse the buffer (the Endpoint layer recycles its encode
+// immediately reuse the buffer (the Endpoint layer recycles its frame
 // buffers through a pool on the strength of this). Recv transfers ownership
 // of the returned frame to the caller, except for implementations that
 // document recycled receive buffers (TCPPooled), whose frames are valid
 // only until the next Recv on that conduit.
+//
+// A wrapper cannot tell which kind it wraps, so Endpoint.Recv — whose
+// Messages alias the frame and outlive the next Recv — trusts the transfer
+// only from a conduit that vouches for it through recvOwner (Pipe, Secure)
+// and copies the payload out of every other frame. Session endpoints sit
+// on Secure, so the copy is paid only on plaintext channels and on lanes
+// armed for reconnect, where a Reconn sits in between.
 type Conduit interface {
 	Send(frame []byte) error
 	Recv() ([]byte, error)
 	Close() error
+}
+
+// recvOwner marks the conduits of this package whose Recv is known to hand
+// out a frame nothing else will write to again.
+type recvOwner interface {
+	recvOwned()
 }
 
 // Pipe returns two ends of an in-memory conduit. Frames are copied on Send,
@@ -133,6 +146,7 @@ type pipeEnd struct {
 
 func (p *pipeEnd) Send(frame []byte) error { return p.out.push(frame) }
 func (p *pipeEnd) Recv() ([]byte, error)   { return p.in.pop() }
+func (p *pipeEnd) recvOwned()              {} // push copied the frame
 
 func (p *pipeEnd) Close() error {
 	p.out.close()
