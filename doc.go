@@ -120,10 +120,10 @@
 // chunk size or pipeline schedule; tie-breaks never depend on arrival
 // timing. Overlap pays off whenever link time per attribute is comparable
 // to assembly compute — WAN links, many attributes, or large payloads; on
-// loss-free in-memory conduits it is simply neutral. The serial path
-// remains available for benchmarking and differential tests (it
-// reassembles the chunk streams into the monolithic installs, pinning
-// that chunking is pure framing).
+// loss-free in-memory conduits it is simply neutral. The phase-serial
+// path survives as internal/party's test oracle (it reassembles the chunk
+// streams into the monolithic installs, pinning that chunking is pure
+// framing).
 //
 // The wire layer keeps the chunked stream allocation-lean: message encode
 // buffers are pooled across sends, the AES-GCM layer reuses its seal
@@ -171,8 +171,9 @@
 // writes the machine-readable perf-regression report — BENCH_1.json, then
 // BENCH_2.json with the clustering families recorded per GOMAXPROCS
 // setting, then BENCH_3.json adding the session-pipeline family: a full
-// session over latency-injecting links, serial vs pipelined third party,
-// then BENCH_4.json adding the session-stream family: a big-triangle
+// session over latency-injecting links (its serial-third-party row ended
+// with BENCH_10.json, when that engine became a test oracle), then
+// BENCH_4.json adding the session-stream family: a big-triangle
 // session over bandwidth-limited store-and-forward links sweeping the
 // local-matrix chunk size against the monolithic wire shape, then
 // BENCH_5.json adding that family's both-partitions-large rows, where the

@@ -13,7 +13,7 @@ import (
 func TestRowChunksInvariants(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 17, 64, 100, 257} {
 		for _, maxCells := range []int{1, 7, 64, 511, 4096, 1 << 30} {
-			chunks := RowChunks(n, maxCells)
+			chunks := RowChunksRange(0, n, maxCells)
 			if len(chunks) == 0 {
 				t.Fatalf("n=%d maxCells=%d: empty schedule", n, maxCells)
 			}
@@ -41,16 +41,19 @@ func TestRowChunksInvariants(t *testing.T) {
 		}
 	}
 	// Degenerate arguments normalize rather than panic.
-	if got := RowChunks(-3, 0); len(got) != 1 || got[0] != [2]int{0, 0} {
-		t.Fatalf("RowChunks(-3, 0) = %v", got)
+	if got := RowChunksRange(-3, -5, 0); len(got) != 1 || got[0] != [2]int{0, 0} {
+		t.Fatalf("RowChunksRange(-3, -5, 0) = %v", got)
 	}
 }
 
 // chunkedInstall streams party p's local matrix into the assembler under
 // the given schedule via SetLocalRows, using the same packed row views the
-// wire path serializes.
+// wire path serializes. An empty party installs nothing, as on the wire.
 func chunkedInstall(t *testing.T, a *Assembler, p int, local *Matrix, chunks [][2]int) {
 	t.Helper()
+	if local.N() == 0 {
+		return
+	}
 	for _, ch := range chunks {
 		if err := a.SetLocalRows(p, ch[0], ch[1], local.PackedRowsView(ch[0], ch[1])); err != nil {
 			t.Fatalf("SetLocalRows(%d, %d, %d): %v", p, ch[0], ch[1], err)
@@ -94,7 +97,7 @@ func TestSetLocalRowsMatchesSetLocal(t *testing.T) {
 		})
 		for _, maxCells := range []int{1, 4096 / 8, 1 << 30} {
 			got := build(func(a *Assembler, p int, local *Matrix) {
-				chunkedInstall(t, a, p, local, RowChunks(local.N(), maxCells))
+				chunkedInstall(t, a, p, local, RowChunksRange(0, local.N(), maxCells))
 			})
 			if !got.EqualWithin(want, 0) {
 				t.Fatalf("n=%d maxCells=%d: cells differ from SetLocal", n, maxCells)
@@ -106,68 +109,63 @@ func TestSetLocalRowsMatchesSetLocal(t *testing.T) {
 	}
 }
 
-// TestSetLocalRowsReinstallMarksMaxStale: overwriting rows with smaller
-// values must leave Done with the true (rescanned) maximum, whether the
-// overwrite is chunk-over-chunk, chunk-over-monolith, or monolith-over-
-// chunks — mirroring TestAssemblerReinstallInvalidatesMax.
+// TestSetLocalRowsReinstallMarksMaxStale pins what replaced the old
+// max-stale bookkeeping: a row can be installed exactly once, so the
+// running maximum can never go stale. Every re-install shape — chunk over
+// chunk, chunk over monolith, monolith over chunks, a duplicated chunk
+// mid-stream — is rejected, and the rejected install leaves cells and
+// maximum untouched.
 func TestSetLocalRowsReinstallMarksMaxStale(t *testing.T) {
 	big := FromLocal(4, func(i, j int) float64 { return 10 })
 	small := FromLocal(4, func(i, j int) float64 { return 4 })
-	cross := func(m, n int) float64 { return 3 }
-	chunks := RowChunks(4, 1)
-
-	check := func(label string, first, second func(a *Assembler)) {
+	chunks := RowChunksRange(0, 4, 1)
+	monolith := func(m *Matrix) func(a *Assembler) error {
+		return func(a *Assembler) error { return a.SetLocal(0, m) }
+	}
+	rows := func(m *Matrix) func(a *Assembler) error {
+		return func(a *Assembler) error {
+			for _, ch := range chunks {
+				if err := a.SetLocalRows(0, ch[0], ch[1], m.PackedRowsView(ch[0], ch[1])); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	for _, tc := range []struct {
+		label         string
+		first, second func(a *Assembler) error
+	}{
+		{"rows over rows", rows(big), rows(small)},
+		{"rows over monolith", monolith(big), rows(small)},
+		{"monolith over rows", rows(big), monolith(small)},
+		{"duplicate chunk", rows(big), func(a *Assembler) error {
+			return a.SetLocalRows(0, 1, 2, big.PackedRowsView(1, 2))
+		}},
+	} {
 		a, err := NewAssembler([]int{4, 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		first(a)
+		if err := tc.first(a); err != nil {
+			t.Fatalf("%s: first install: %v", tc.label, err)
+		}
+		if err := tc.second(a); err == nil {
+			t.Fatalf("%s: re-install accepted", tc.label)
+		}
 		if err := a.SetLocal(1, small); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.SetCross(0, 1, cross); err != nil {
+		if err := a.SetCross(0, 1, func(m, n int) float64 { return 3 }); err != nil {
 			t.Fatal(err)
-		}
-		second(a)
-		if !a.maxStale {
-			t.Fatalf("%s: re-install did not mark the max stale", label)
 		}
 		g, err := a.Done()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := g.Max(); got != 4 {
-			t.Fatalf("%s: max after overwrite = %v, want 4", label, got)
+		if got := g.Max(); got != 10 || g.At(1, 0) != 10 {
+			t.Fatalf("%s: rejected re-install changed the matrix: max %v, cell %v", tc.label, got, g.At(1, 0))
 		}
-	}
-	check("rows over rows",
-		func(a *Assembler) { chunkedInstall(t, a, 0, big, chunks) },
-		func(a *Assembler) { chunkedInstall(t, a, 0, small, chunks) })
-	check("rows over monolith",
-		func(a *Assembler) {
-			if err := a.SetLocal(0, big); err != nil {
-				t.Fatal(err)
-			}
-		},
-		func(a *Assembler) { chunkedInstall(t, a, 0, small, chunks) })
-	check("monolith over rows",
-		func(a *Assembler) { chunkedInstall(t, a, 0, big, chunks) },
-		func(a *Assembler) {
-			if err := a.SetLocal(0, small); err != nil {
-				t.Fatal(err)
-			}
-		})
-	// A duplicated chunk mid-stream (same values) is also an overwrite.
-	a, err := NewAssembler([]int{4, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunkedInstall(t, a, 0, big, chunks)
-	if err := a.SetLocalRows(0, 1, 2, big.PackedRowsView(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if !a.maxStale {
-		t.Fatal("duplicate chunk did not mark the max stale")
 	}
 }
 
@@ -191,20 +189,31 @@ func TestSetLocalRowsValidation(t *testing.T) {
 	if err := a.SetLocalRows(0, 0, 5, make([]float64, 10)); err == nil {
 		t.Fatal("range past n accepted")
 	}
-	if err := a.SetLocalRows(0, 1, 3, []float64{1}); err == nil {
+	if err := a.SetLocalRows(0, 0, 3, []float64{1}); err == nil {
 		t.Fatal("short cell run accepted")
 	}
-	if err := a.SetLocalRows(0, 1, 2, []float64{math.NaN()}); err == nil {
+	if err := a.SetLocalRows(0, 0, 2, []float64{math.NaN()}); err == nil {
 		t.Fatal("NaN accepted")
 	}
-	if err := a.SetLocalRows(0, 1, 2, []float64{-1}); err == nil {
+	if err := a.SetLocalRows(0, 0, 2, []float64{-1}); err == nil {
 		t.Fatal("negative dissimilarity accepted")
 	}
-	if err := a.SetLocalRows(0, 1, 3, []float64{1, 2, 3}); err != nil {
+	if err := a.SetLocalRows(0, 1, 3, []float64{1, 2, 3}); err == nil {
+		t.Fatal("range skipping the install cursor accepted")
+	}
+	if err := a.SetLocalRows(0, 0, 3, []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Done(); err == nil || !strings.Contains(err.Error(), "rows missing") {
+	if _, err := a.Done(); err == nil || !strings.Contains(err.Error(), "incomplete") {
 		t.Fatalf("partial rows not reported by Done: %v", err)
+	}
+	// A party with no rows installs nothing: even an empty chunk is refused.
+	e, err := NewAssembler([]int{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetLocalRows(0, 0, 0, nil); err == nil {
+		t.Fatal("empty party's chunk accepted")
 	}
 }
 
@@ -217,7 +226,7 @@ func TestRectChunksInvariants(t *testing.T) {
 	for _, rows := range []int{0, 1, 2, 3, 17, 64, 257} {
 		for _, cols := range []int{0, 1, 5, 64, 300} {
 			for _, maxCells := range []int{1, 7, 64, 4096, 1 << 30} {
-				chunks := RectChunks(rows, cols, maxCells)
+				chunks := RectChunksRange(0, rows, cols, maxCells)
 				if len(chunks) == 0 {
 					t.Fatalf("rows=%d cols=%d maxCells=%d: empty schedule", rows, cols, maxCells)
 				}
@@ -241,26 +250,26 @@ func TestRectChunksInvariants(t *testing.T) {
 				if next != rows {
 					t.Fatalf("rows=%d cols=%d maxCells=%d: schedule ends at %d", rows, cols, maxCells, next)
 				}
-				if got := RectChunkCount(rows, cols, maxCells); got != len(chunks) {
-					t.Fatalf("rows=%d cols=%d maxCells=%d: RectChunkCount=%d, schedule has %d chunks", rows, cols, maxCells, got, len(chunks))
+				if got := RectChunkCountRange(0, rows, cols, maxCells); got != len(chunks) {
+					t.Fatalf("rows=%d cols=%d maxCells=%d: RectChunkCountRange=%d, schedule has %d chunks", rows, cols, maxCells, got, len(chunks))
 				}
 			}
 		}
 	}
 	// Degenerate arguments normalize rather than panic.
-	if got := RectChunks(-3, -1, 0); len(got) != 1 || got[0] != [2]int{0, 0} {
-		t.Fatalf("RectChunks(-3, -1, 0) = %v", got)
+	if got := RectChunksRange(-3, -5, -1, 0); len(got) != 1 || got[0] != [2]int{0, 0} {
+		t.Fatalf("RectChunksRange(-3, -5, -1, 0) = %v", got)
 	}
-	if got := RectChunkCount(-3, -1, 0); got != 1 {
-		t.Fatalf("RectChunkCount(-3, -1, 0) = %d", got)
+	if got := RectChunkCountRange(-3, -5, -1, 0); got != 1 {
+		t.Fatalf("RectChunkCountRange(-3, -5, -1, 0) = %d", got)
 	}
 }
 
 // TestSetCrossRowsMatchesSetCross is the property test of the chunked
 // cross-block install: for every block shape and chunking — one row per
-// chunk, a mid-size bound, the whole block at once — and even a reversed
-// installation order, the assembled cells and the Done-primed max are
-// bit-identical to the monolithic SetCross path.
+// chunk, a mid-size bound, the whole block at once — the assembled cells
+// and the Done-primed max are bit-identical to the monolithic SetCross
+// path.
 func TestSetCrossRowsMatchesSetCross(t *testing.T) {
 	for _, shape := range [][2]int{{0, 3}, {3, 0}, {1, 1}, {4, 7}, {17, 5}, {33, 33}} {
 		nJ, nK := shape[0], shape[1]
@@ -289,53 +298,61 @@ func TestSetCrossRowsMatchesSetCross(t *testing.T) {
 			}
 		})
 		for _, maxCells := range []int{1, 64, 1 << 30} {
-			for _, reversed := range []bool{false, true} {
-				chunks := RectChunks(nK, nJ, maxCells)
-				if reversed {
-					rev := make([][2]int, len(chunks))
-					for i, ch := range chunks {
-						rev[len(chunks)-1-i] = ch
+			got := build(func(a *Assembler) {
+				if nK == 0 {
+					return // an empty responder installs nothing, as on the wire
+				}
+				for _, ch := range RectChunksRange(0, nK, nJ, maxCells) {
+					lo := ch[0]
+					at := func(m, n int) float64 { return cross(lo+m, n) }
+					if err := a.SetCrossRows(0, 1, ch[0], ch[1], at); err != nil {
+						t.Fatalf("SetCrossRows([%d,%d)): %v", ch[0], ch[1], err)
 					}
-					chunks = rev
 				}
-				got := build(func(a *Assembler) {
-					for _, ch := range chunks {
-						lo := ch[0]
-						at := func(m, n int) float64 { return cross(lo+m, n) }
-						if err := a.SetCrossRows(0, 1, ch[0], ch[1], at); err != nil {
-							t.Fatalf("SetCrossRows([%d,%d)): %v", ch[0], ch[1], err)
-						}
-					}
-				})
-				if !got.EqualWithin(want, 0) {
-					t.Fatalf("shape=%v maxCells=%d reversed=%v: cells differ from SetCross", shape, maxCells, reversed)
-				}
-				if got.Max() != want.Max() {
-					t.Fatalf("shape=%v maxCells=%d reversed=%v: max %v vs SetCross %v", shape, maxCells, reversed, got.Max(), want.Max())
-				}
+			})
+			if !got.EqualWithin(want, 0) {
+				t.Fatalf("shape=%v maxCells=%d: cells differ from SetCross", shape, maxCells)
+			}
+			if got.Max() != want.Max() {
+				t.Fatalf("shape=%v maxCells=%d: max %v vs SetCross %v", shape, maxCells, got.Max(), want.Max())
 			}
 		}
 	}
 }
 
-// TestSetCrossRowsReinstallMarksMaxStale: overwriting cross rows with
-// smaller values must leave Done with the true (rescanned) maximum,
-// whether the overwrite is chunk-over-chunk, chunk-over-monolith or
-// monolith-over-chunks.
+// TestSetCrossRowsReinstallMarksMaxStale is the cross-block twin of
+// TestSetLocalRowsReinstallMarksMaxStale: every re-install shape is
+// rejected — so the maximum cannot go stale — and leaves the block
+// untouched. An out-of-order chunk is the same violation.
 func TestSetCrossRowsReinstallMarksMaxStale(t *testing.T) {
 	big := func(m, n int) float64 { return 10 }
 	small := func(m, n int) float64 { return 3 }
-	chunks := RectChunks(4, 4, 4) // one row per chunk
-	install := func(t *testing.T, a *Assembler, at func(m, n int) float64) {
-		t.Helper()
-		for _, ch := range chunks {
-			lo := ch[0]
-			if err := a.SetCrossRows(0, 1, ch[0], ch[1], func(m, n int) float64 { return at(lo+m, n) }); err != nil {
-				t.Fatal(err)
+	chunks := RectChunksRange(0, 4, 4, 4) // one row per chunk
+	monolith := func(at func(m, n int) float64) func(a *Assembler) error {
+		return func(a *Assembler) error { return a.SetCross(0, 1, at) }
+	}
+	rows := func(at func(m, n int) float64) func(a *Assembler) error {
+		return func(a *Assembler) error {
+			for _, ch := range chunks {
+				lo := ch[0]
+				if err := a.SetCrossRows(0, 1, ch[0], ch[1], func(m, n int) float64 { return at(lo+m, n) }); err != nil {
+					return err
+				}
 			}
+			return nil
 		}
 	}
-	check := func(label string, first, second func(a *Assembler)) {
+	for _, tc := range []struct {
+		label         string
+		first, second func(a *Assembler) error
+	}{
+		{"rows over rows", rows(big), rows(small)},
+		{"rows over monolith", monolith(big), rows(small)},
+		{"monolith over rows", rows(big), monolith(small)},
+		{"duplicate chunk", rows(big), func(a *Assembler) error { return a.SetCrossRows(0, 1, 1, 2, small) }},
+		{"out of order", func(a *Assembler) error { return a.SetCrossRows(0, 1, 0, 1, big) },
+			func(a *Assembler) error { return a.SetCrossRows(0, 1, 2, 3, small) }},
+	} {
 		a, err := NewAssembler([]int{4, 4})
 		if err != nil {
 			t.Fatal(err)
@@ -345,47 +362,22 @@ func TestSetCrossRowsReinstallMarksMaxStale(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		first(a)
-		second(a)
-		if !a.maxStale {
-			t.Fatalf("%s: re-install did not mark the max stale", label)
+		if err := tc.first(a); err != nil {
+			t.Fatalf("%s: first install: %v", tc.label, err)
+		}
+		if err := tc.second(a); err == nil {
+			t.Fatalf("%s: re-install accepted", tc.label)
+		}
+		if tc.label == "out of order" {
+			continue // the block is legitimately incomplete
 		}
 		g, err := a.Done()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := g.Max(); got != 4 {
-			t.Fatalf("%s: max after overwrite = %v, want 4", label, got)
+		if got := g.Max(); got != 10 || g.At(4, 0) != 10 {
+			t.Fatalf("%s: rejected re-install changed the matrix: max %v, cell %v", tc.label, got, g.At(4, 0))
 		}
-	}
-	check("rows over rows",
-		func(a *Assembler) { install(t, a, big) },
-		func(a *Assembler) { install(t, a, small) })
-	check("rows over monolith",
-		func(a *Assembler) {
-			if err := a.SetCross(0, 1, big); err != nil {
-				t.Fatal(err)
-			}
-		},
-		func(a *Assembler) { install(t, a, small) })
-	check("monolith over rows",
-		func(a *Assembler) { install(t, a, big) },
-		func(a *Assembler) {
-			if err := a.SetCross(0, 1, small); err != nil {
-				t.Fatal(err)
-			}
-		})
-	// A duplicated chunk mid-stream (same values) is also an overwrite.
-	a, err := NewAssembler([]int{4, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	install(t, a, big)
-	if err := a.SetCrossRows(0, 1, 1, 2, func(m, n int) float64 { return 10 }); err != nil {
-		t.Fatal(err)
-	}
-	if !a.maxStale {
-		t.Fatal("duplicate cross chunk did not mark the max stale")
 	}
 }
 
@@ -429,64 +421,5 @@ func TestSetCrossRowsValidation(t *testing.T) {
 	}
 	if _, err := a.Done(); err == nil || !strings.Contains(err.Error(), "incomplete") {
 		t.Fatalf("partial cross rows not reported by Done: %v", err)
-	}
-}
-
-// TestAssemblerWatermarks pins the installed-prefix accessors the resume
-// control plane reads: watermarks advance exactly with the contiguous
-// installed prefix, ignore out-of-order islands, and saturate at the
-// party/pair size on completion.
-func TestAssemblerWatermarks(t *testing.T) {
-	a, err := NewAssembler([]int{6, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := a.LocalWatermark(0); got != 0 {
-		t.Fatalf("fresh local watermark = %d, want 0", got)
-	}
-	if got := a.CrossWatermark(0, 1); got != 0 {
-		t.Fatalf("fresh cross watermark = %d, want 0", got)
-	}
-	local := FromLocal(6, synthDist)
-	// Rows [0,3): prefix advances to 3.
-	if err := a.SetLocalRows(0, 0, 3, local.PackedRowsView(0, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.LocalWatermark(0); got != 3 {
-		t.Fatalf("after rows [0,3): watermark = %d, want 3", got)
-	}
-	// Out-of-order island [4,6) does not move the prefix.
-	if err := a.SetLocalRows(0, 4, 6, local.PackedRowsView(4, 6)); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.LocalWatermark(0); got != 3 {
-		t.Fatalf("island [4,6): watermark = %d, want 3", got)
-	}
-	// Filling the gap completes the triangle: watermark saturates at n.
-	if err := a.SetLocalRows(0, 3, 4, local.PackedRowsView(3, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.LocalWatermark(0); got != 6 {
-		t.Fatalf("complete: watermark = %d, want 6", got)
-	}
-	cross := func(m, n int) float64 { return synthDist(m+7, n) }
-	if err := a.SetCrossRows(0, 1, 0, 2, cross); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.CrossWatermark(0, 1); got != 2 {
-		t.Fatalf("cross rows [0,2): watermark = %d, want 2", got)
-	}
-	if err := a.SetCrossRows(0, 1, 2, 4, func(m, n int) float64 { return cross(m+2, n) }); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.CrossWatermark(0, 1); got != 4 {
-		t.Fatalf("cross complete: watermark = %d, want 4", got)
-	}
-	// Out-of-range queries answer 0, never panic.
-	if got := a.LocalWatermark(9); got != 0 {
-		t.Fatalf("out-of-range local watermark = %d", got)
-	}
-	if got := a.CrossWatermark(1, 1); got != 0 {
-		t.Fatalf("invalid pair watermark = %d", got)
 	}
 }

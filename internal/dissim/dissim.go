@@ -22,7 +22,7 @@ import (
 // The matrix carries a maximum-entry cache so that Normalize — the final
 // step of the paper's Figure 11 — needs no separate Max pass when the
 // matrix came out of one of the package's builders (FromLocal,
-// FromPacked, WeightedMerge, the Assembler): those fuse max tracking into
+// FromPacked, WeightedMerge, the assemblers): those fuse max tracking into
 // the construction pass they already make. Set keeps the cache alive on
 // the grow-from-zero write patterns the builders use and invalidates it
 // otherwise.
@@ -117,8 +117,8 @@ func (m *Matrix) setMax(max float64) {
 }
 
 // invalidateMax drops the cache; the next Max call rescans. Builders use
-// it when their incremental tracking can no longer be trusted (e.g. a
-// block overwrite in the Assembler).
+// it when their incremental tracking can no longer be trusted (a packed-row
+// overwrite in SetPackedRows).
 func (m *Matrix) invalidateMax() {
 	m.maxOK = false
 }
@@ -228,79 +228,87 @@ func (m *Matrix) PackedRowsView(lo, hi int) []float64 {
 	return m.cell[lo*(lo-1)/2 : hi*(hi-1)/2]
 }
 
-// RowChunks splits the packed triangle of an n-object matrix into
-// contiguous row ranges of at most maxCells packed cells each (minimum one
+// RowChunksRange splits the triangle rows [lo, hi) of a packed matrix into
+// contiguous sub-ranges of at most maxCells packed cells each (minimum one
 // row per chunk, so a single row larger than maxCells still travels whole —
 // rows are the installation granularity). It is the shared chunk schedule
 // of the streaming wire path: sender and receiver derive the identical
-// partition from (n, maxCells) alone, so the receiver knows every chunk's
-// row range and count up front. n <= 0 and n == 1 yield one (empty) chunk,
-// keeping "one frame minimum" true for degenerate parties.
-func RowChunks(n, maxCells int) [][2]int {
-	if n < 0 {
-		n = 0
+// partition from (lo, hi, maxCells) alone, so the receiver knows every
+// chunk's row range and count up front. A whole triangle is the range
+// [0, n); a shard's share of one is the holder-local intersection with the
+// shard's rows. An empty range yields one empty chunk — callers that want
+// zero frames for an empty range skip it before scheduling.
+func RowChunksRange(lo, hi, maxCells int) [][2]int {
+	if lo < 0 {
+		lo = 0
+	}
+	if hi < lo {
+		hi = lo
 	}
 	if maxCells < 1 {
 		maxCells = 1
 	}
 	var chunks [][2]int
-	lo, cells := 0, 0
-	for i := 0; i < n; i++ {
-		if i > lo && cells+i > maxCells {
-			chunks = append(chunks, [2]int{lo, i})
-			lo, cells = i, 0
+	clo, cells := lo, 0
+	for i := lo; i < hi; i++ {
+		if i > clo && cells+i > maxCells {
+			chunks = append(chunks, [2]int{clo, i})
+			clo, cells = i, 0
 		}
 		cells += i // row i holds i packed cells
 	}
-	return append(chunks, [2]int{lo, n})
+	return append(chunks, [2]int{clo, hi})
 }
 
-// RectChunks splits a dense rows×cols matrix — the shape of the pairwise
-// protocol's responder→TP S/M payloads — into contiguous row ranges of at
-// most maxCells cells each (minimum one row per chunk, so a single row
-// wider than maxCells still travels whole: rows are the evaluation and
-// installation granularity). Like RowChunks it is a shared schedule:
-// sender and receiver derive the identical partition from (rows, cols,
-// maxCells) alone, so the receiver knows every chunk's row range — and the
-// frame count — before the first frame arrives. rows <= 0 yields one
-// (empty) chunk, keeping "one frame minimum" true for empty responders;
-// cols <= 0 puts every row in that single chunk, since rows carry no
-// cells.
-func RectChunks(rows, cols, maxCells int) [][2]int {
-	if rows < 0 {
-		rows = 0
+// RectChunksRange splits rows [lo, hi) of a dense ·×cols matrix — the
+// shape of the pairwise protocol's S/M payloads — into contiguous row
+// ranges of at most maxCells cells each (minimum one row per chunk, so a
+// single row wider than maxCells still travels whole: rows are the
+// evaluation and installation granularity). Like RowChunksRange it is a
+// shared schedule: sender and receiver derive the identical partition from
+// (lo, hi, cols, maxCells) alone. An empty range yields one empty chunk;
+// cols <= 0 puts every row in a single chunk, since rows carry no cells.
+func RectChunksRange(lo, hi, cols, maxCells int) [][2]int {
+	if lo < 0 {
+		lo = 0
 	}
-	per := rectRowsPerChunk(rows, cols, maxCells)
-	chunks := make([][2]int, 0, (rows+per-1)/per)
-	for lo := 0; lo < rows; lo += per {
-		hi := lo + per
-		if hi > rows {
-			hi = rows
+	if hi < lo {
+		hi = lo
+	}
+	per := rectRowsPerChunk(hi-lo, cols, maxCells)
+	chunks := make([][2]int, 0, (hi-lo+per-1)/per)
+	for c := lo; c < hi; c += per {
+		h := c + per
+		if h > hi {
+			h = hi
 		}
-		chunks = append(chunks, [2]int{lo, hi})
+		chunks = append(chunks, [2]int{c, h})
 	}
 	if len(chunks) == 0 {
-		chunks = [][2]int{{0, 0}}
+		chunks = [][2]int{{lo, lo}}
 	}
 	return chunks
 }
 
-// RectChunkCount returns len(RectChunks(rows, cols, maxCells)) without
-// materializing the schedule. The third party's demux lane quotas need
-// only the frame count per pair, and computing it arithmetically keeps
-// quota setup allocation-free even at one-row chunk schedules.
-func RectChunkCount(rows, cols, maxCells int) int {
-	if rows <= 0 {
+// RectChunkCountRange returns len(RectChunksRange(lo, hi, cols, maxCells))
+// without materializing the schedule. The demux lane quotas need only the
+// frame count per pair, and computing it arithmetically keeps quota setup
+// allocation-free even at one-row chunk schedules.
+func RectChunkCountRange(lo, hi, cols, maxCells int) int {
+	if lo < 0 {
+		lo = 0
+	}
+	if hi <= lo {
 		return 1
 	}
-	per := rectRowsPerChunk(rows, cols, maxCells)
-	return (rows + per - 1) / per
+	per := rectRowsPerChunk(hi-lo, cols, maxCells)
+	return (hi - lo + per - 1) / per
 }
 
-// rectRowsPerChunk is the rows-per-chunk derivation RectChunks and
-// RectChunkCount must share: the quota a receiver computes from the count
-// and the schedule a sender walks diverging would stall the session, so
-// there is exactly one copy of the arithmetic. Always at least 1.
+// rectRowsPerChunk is the rows-per-chunk derivation RectChunksRange and
+// RectChunkCountRange must share: the quota a receiver computes from the
+// count and the schedule a sender walks diverging would stall the session,
+// so there is exactly one copy of the arithmetic. Always at least 1.
 func rectRowsPerChunk(rows, cols, maxCells int) int {
 	if maxCells < 1 {
 		maxCells = 1

@@ -221,13 +221,6 @@ func TestAssemblerFullFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if asm.Total() != 6 {
-		t.Fatalf("Total = %d", asm.Total())
-	}
-	if asm.Offset(2) != 3 {
-		t.Fatalf("Offset(2) = %d", asm.Offset(2))
-	}
-
 	offs := []int{0, 2, 3}
 	for p, sz := range sizes {
 		local := FromLocal(sz, func(i, j int) float64 {
@@ -461,9 +454,10 @@ func TestAssemblerParMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestAssemblerReinstallInvalidatesMax overwrites a block with smaller
-// values: the fused max must not go stale (the pre-engine assembler
-// allowed overwrites, since Normalize always rescanned).
+// TestAssemblerReinstallInvalidatesMax: a block can be installed exactly
+// once, so the fused max can never be invalidated by an overwrite — the
+// re-install is rejected and the matrix keeps the first install's cells
+// and maximum.
 func TestAssemblerReinstallInvalidatesMax(t *testing.T) {
 	a, err := NewAssembler([]int{2, 2})
 	if err != nil {
@@ -480,19 +474,21 @@ func TestAssemblerReinstallInvalidatesMax(t *testing.T) {
 	if err := a.SetCross(0, 1, func(m, n int) float64 { return 3 }); err != nil {
 		t.Fatal(err)
 	}
-	// Overwrite the big local with the small one: true max is now 4.
-	if err := a.SetLocal(0, small); err != nil {
-		t.Fatal(err)
+	if err := a.SetLocal(0, small); err == nil {
+		t.Fatal("local re-install accepted")
+	}
+	if err := a.SetCross(0, 1, func(m, n int) float64 { return 1 }); err == nil {
+		t.Fatal("cross re-install accepted")
 	}
 	g, err := a.Done()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := g.Max(); got != 4 {
-		t.Fatalf("max after overwrite = %v, want 4", got)
+	if got := g.Max(); got != 10 {
+		t.Fatalf("max after rejected overwrite = %v, want 10", got)
 	}
-	if scale := g.Normalize(); scale != 4 {
-		t.Fatalf("normalize scale = %v, want 4", scale)
+	if scale := g.Normalize(); scale != 10 {
+		t.Fatalf("normalize scale = %v, want 10", scale)
 	}
 	if g.Max() != 1 {
 		t.Fatalf("max after normalize = %v, want 1", g.Max())
@@ -529,5 +525,31 @@ func TestAssemblerDoneIdempotent(t *testing.T) {
 	}
 	if g2.Max() != 1 {
 		t.Fatalf("max after second Done = %v, want 1 (stale cache re-primed)", g2.Max())
+	}
+}
+
+// TestAssemblerDoneAdoptsStorage is the no-second-triangle guard: the
+// matrix a full-range assembly returns IS the assembler's storage, not a
+// copy of it — the third party holds one triangle per attribute, not two.
+func TestAssemblerDoneAdoptsStorage(t *testing.T) {
+	a, err := NewAssembler([]int{3, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, n := range []int{3, 2} {
+		if err := a.SetLocal(p, FromLocal(n, synthDist)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.SetCross(0, 1, func(m, n int) float64 { return synthDist(m+3, n) }); err != nil {
+		t.Fatal(err)
+	}
+	storage := &a.cells[0]
+	g, err := a.Done()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &g.PackedView()[0] != storage {
+		t.Fatal("Done copied the assembled triangle instead of adopting it")
 	}
 }

@@ -81,13 +81,63 @@ func TestShardRangesBalance(t *testing.T) {
 	}
 }
 
-// TestRowChunksRangeMatchesRowChunks pins the degenerate identity
-// RowChunksRange(0, n, b) == RowChunks(n, b) and checks that restricted
-// schedules cover their range exactly.
+// refRowChunks is the whole-triangle schedule written out on its own — the
+// reference the range form's [0, n) case is pinned against: greedy row
+// ranges of at most maxCells packed cells, one (empty) chunk for n <= 1.
+func refRowChunks(n, maxCells int) [][2]int {
+	if n < 0 {
+		n = 0
+	}
+	if maxCells < 1 {
+		maxCells = 1
+	}
+	var chunks [][2]int
+	lo, cells := 0, 0
+	for i := 0; i < n; i++ {
+		if i > lo && cells+i > maxCells {
+			chunks = append(chunks, [2]int{lo, i})
+			lo, cells = i, 0
+		}
+		cells += i
+	}
+	return append(chunks, [2]int{lo, n})
+}
+
+// refRectChunks is the whole-block counterpart of refRowChunks: floor(
+// maxCells/cols) rows per chunk, at least one, one (empty) chunk for an
+// empty block.
+func refRectChunks(rows, cols, maxCells int) [][2]int {
+	if rows <= 0 {
+		return [][2]int{{0, 0}}
+	}
+	if maxCells < 1 {
+		maxCells = 1
+	}
+	per := rows
+	if cols > 0 {
+		per = maxCells / cols
+	}
+	if per < 1 {
+		per = 1
+	}
+	var chunks [][2]int
+	for lo := 0; lo < rows; lo += per {
+		hi := lo + per
+		if hi > rows {
+			hi = rows
+		}
+		chunks = append(chunks, [2]int{lo, hi})
+	}
+	return chunks
+}
+
+// TestRowChunksRangeMatchesRowChunks pins the whole-triangle identity
+// RowChunksRange(0, n, b) == the reference schedule and checks that
+// restricted schedules cover their range exactly.
 func TestRowChunksRangeMatchesRowChunks(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 33} {
 		for _, b := range []int{-1, 0, 1, 5, 64, 1 << 20} {
-			full := RowChunks(n, b)
+			full := refRowChunks(n, b)
 			got := RowChunksRange(0, n, b)
 			if fmt.Sprint(full) != fmt.Sprint(got) {
 				t.Fatalf("RowChunksRange(0,%d,%d) = %v, want %v", n, b, got, full)
@@ -110,12 +160,12 @@ func TestRowChunksRangeMatchesRowChunks(t *testing.T) {
 }
 
 // TestRectChunksRangeMatchesRectChunks pins RectChunksRange(0, rows, ...)
-// == RectChunks(rows, ...), the count identity, and empty-range handling.
+// == the reference schedule, the count identity, and empty-range handling.
 func TestRectChunksRangeMatchesRectChunks(t *testing.T) {
 	for _, rows := range []int{0, 1, 2, 9, 40} {
 		for _, cols := range []int{0, 1, 3, 17} {
 			for _, b := range []int{-1, 1, 8, 50, 1 << 16} {
-				full := RectChunks(rows, cols, b)
+				full := refRectChunks(rows, cols, b)
 				got := RectChunksRange(0, rows, cols, b)
 				if fmt.Sprint(full) != fmt.Sprint(got) {
 					t.Fatalf("RectChunksRange(0,%d,%d,%d) = %v, want %v", rows, cols, b, got, full)
@@ -220,7 +270,7 @@ func TestSliceAssemblerMatchesAssembler(t *testing.T) {
 						t.Fatal(err)
 					}
 					for p := range counts {
-						llo, lhi := sa.LocalRows(p)
+						llo, lhi := sa.PartyRows(p)
 						if llo >= lhi {
 							continue
 						}
@@ -234,7 +284,7 @@ func TestSliceAssemblerMatchesAssembler(t *testing.T) {
 						}
 					}
 					for kk := 1; kk < len(counts); kk++ {
-						rlo, rhi := sa.CrossRows(kk)
+						rlo, rhi := sa.PartyRows(kk)
 						if rlo >= rhi {
 							continue
 						}
@@ -355,7 +405,7 @@ func TestSliceAssemblerSingleRowSlices(t *testing.T) {
 			t.Fatal(err)
 		}
 		for p := range counts {
-			llo, lhi := sa.LocalRows(p)
+			llo, lhi := sa.PartyRows(p)
 			if llo >= lhi {
 				continue
 			}
@@ -367,7 +417,7 @@ func TestSliceAssemblerSingleRowSlices(t *testing.T) {
 			}
 		}
 		for kk := 1; kk < len(counts); kk++ {
-			rlo, rhi := sa.CrossRows(kk)
+			rlo, rhi := sa.PartyRows(kk)
 			if rlo >= rhi {
 				continue
 			}
@@ -458,27 +508,5 @@ func TestSetPackedRowsOverwrite(t *testing.T) {
 	}
 	if got := m.Max(); got != 4 {
 		t.Fatalf("Max after overwrite = %v, want 4", got)
-	}
-}
-
-// TestNormalizeSliceMatchesNormalize pins that dividing shard slices by
-// the folded global max is bit-identical to normalizing the whole matrix.
-func TestNormalizeSliceMatchesNormalize(t *testing.T) {
-	n := 23
-	whole := FromLocal(n, shardTestDistance)
-	max := whole.Max()
-	sharded := FromLocal(n, shardTestDistance)
-	for _, r := range ShardRanges(n, 4) {
-		cells := append([]float64(nil), sharded.PackedRowsView(r[0], r[1])...)
-		NormalizeSlice(cells, max, 2)
-		merged := New(n)
-		_ = merged
-		copy(sharded.PackedRowsView(r[0], r[1]), cells)
-	}
-	if got := whole.NormalizePar(0); got != max {
-		t.Fatalf("NormalizePar returned %v, want %v", got, max)
-	}
-	if !whole.EqualWithin(sharded, 0) {
-		t.Fatal("slice-wise normalize differs from whole-matrix normalize")
 	}
 }

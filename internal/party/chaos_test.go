@@ -310,17 +310,3 @@ func TestChaosDuplicateLocalChunkFrame(t *testing.T) {
 		t.Fatalf("duplicate chunk error not descriptive: %v", err)
 	}
 }
-
-// TestChaosSerialTPFaults runs the fault sweep's starvation case against
-// the phase-serial reference engine too: the watchdog is a party-level
-// property, not a pipelined-engine feature.
-func TestChaosSerialTPFaults(t *testing.T) {
-	leakcheck.Check(t)
-	cfg := chaosConfig()
-	cfg.SerialTP = true
-	_, err := RunInMemoryWrappedContext(context.Background(), cfg, pipelineParts(t, 8), pipelineReqs(),
-		deterministicRandom(28), linkFault("A", "TP", wire.FaultSpec{Kind: wire.FaultDrop, Frame: 3}))
-	if !errors.Is(err, ErrSessionTimeout) {
-		t.Fatalf("serial TP: want ErrSessionTimeout, got %v", err)
-	}
-}

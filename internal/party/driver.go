@@ -69,6 +69,15 @@ func RunInMemoryWrapped(cfg Config, parts []dataset.Partition, reqs map[string]C
 // RunInMemoryWrappedContext is the full-control driver: caller context plus
 // per-end conduit decoration.
 func RunInMemoryWrappedContext(ctx context.Context, cfg Config, parts []dataset.Partition, reqs map[string]ClusterRequest, random RandomSource, wrap ConduitWrap) (*SessionOutcome, error) {
+	return runInMemory(ctx, cfg, parts, reqs, random, wrap, (*ThirdParty).RunContext)
+}
+
+// runInMemory is the driver behind every RunInMemory* entry point. tpRun is
+// the third party's run method: the in-package tests pass their
+// phase-serial reference engine through it, so the oracle runs over the
+// very session wiring — holders, conduits, wraps — it is compared against.
+func runInMemory(ctx context.Context, cfg Config, parts []dataset.Partition, reqs map[string]ClusterRequest, random RandomSource, wrap ConduitWrap,
+	tpRun func(*ThirdParty, context.Context) (*TPReport, error)) (*SessionOutcome, error) {
 	holders := make([]string, len(parts))
 	for i, p := range parts {
 		holders[i] = p.Site
@@ -82,32 +91,29 @@ func RunInMemoryWrappedContext(ctx context.Context, cfg Config, parts []dataset.
 
 	traffic := make(Traffic)
 	// conduitFor[a][b] is a's end of the a–b link, metered.
-	conduitFor := make(map[string]map[string]wire.Conduit)
+	conduitFor := map[string]map[string]wire.Conduit{TPName: {}}
+	for _, h := range holders {
+		conduitFor[h] = map[string]wire.Conduit{}
+	}
 	raw := []wire.Conduit{}
-	addLink := func(a, b string) {
+	// link creates the a–b link and returns its two metered ends.
+	link := func(a, b string) (wire.Conduit, wire.Conduit) {
 		ca, cb := wire.Pipe()
 		raw = append(raw, ca, cb)
 		ctrA, ctrB := &wire.Counter{}, &wire.Counter{}
 		traffic[LinkName(a, b)] = ctrA
 		traffic[LinkName(b, a)] = ctrB
-		if conduitFor[a] == nil {
-			conduitFor[a] = map[string]wire.Conduit{}
-		}
-		if conduitFor[b] == nil {
-			conduitFor[b] = map[string]wire.Conduit{}
-		}
 		wa, wb := ca, cb
 		if wrap != nil {
 			wa, wb = wrap(a, b, ca), wrap(b, a, cb)
 		}
-		conduitFor[a][b] = wire.Meter(wa, ctrA)
-		conduitFor[b][a] = wire.Meter(wb, ctrB)
+		return wire.Meter(wa, ctrA), wire.Meter(wb, ctrB)
 	}
-	for i := range holders {
-		for j := i + 1; j < len(holders); j++ {
-			addLink(holders[i], holders[j])
+	for i, h := range holders {
+		for _, peer := range holders[i+1:] {
+			conduitFor[h][peer], conduitFor[peer][h] = link(h, peer)
 		}
-		addLink(holders[i], TPName)
+		conduitFor[h][TPName], conduitFor[TPName][h] = link(h, TPName)
 	}
 	// Shard conduits: one extra link per (holder, shard) when the session
 	// shards the third party. The holder keys its end by the shard name;
@@ -117,18 +123,7 @@ func RunInMemoryWrappedContext(ctx context.Context, cfg Config, parts []dataset.
 	if k := cfg.shardCount(); k > 1 {
 		for _, h := range holders {
 			for s := 0; s < k; s++ {
-				name := ShardName(s)
-				ca, cb := wire.Pipe()
-				raw = append(raw, ca, cb)
-				ctrA, ctrB := &wire.Counter{}, &wire.Counter{}
-				traffic[LinkName(h, name)] = ctrA
-				traffic[LinkName(name, h)] = ctrB
-				wa, wb := ca, cb
-				if wrap != nil {
-					wa, wb = wrap(h, name, ca), wrap(name, h, cb)
-				}
-				conduitFor[h][name] = wire.Meter(wa, ctrA)
-				conduitFor[TPName][ShardConduitKey(h, s)] = wire.Meter(wb, ctrB)
+				conduitFor[h][ShardName(s)], conduitFor[TPName][ShardConduitKey(h, s)] = link(h, ShardName(s))
 			}
 		}
 	}
@@ -218,7 +213,7 @@ func RunInMemoryWrappedContext(ctx context.Context, cfg Config, parts []dataset.
 			return
 		}
 		tpCell.Store(tp)
-		report, tpErr = tp.RunContext(ctx)
+		report, tpErr = tpRun(tp, ctx)
 		if tpErr != nil {
 			closeAll()
 		}

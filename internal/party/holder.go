@@ -33,19 +33,28 @@ type Holder struct {
 
 	identity *keys.Identity
 	tp       *wire.Endpoint
-	shards   []*wire.Endpoint // TP shard endpoints; empty on the single-TP path
 	peers    map[string]*wire.Endpoint
 	masters  map[string][]byte // pairwise master secrets by peer name
 	counts   map[string]int
 	groupKey detenc.Key
 	guard    *guard
 
-	// Sharded routing, derived from the census (see exchangeCensus):
-	// shardRanges is the global row partition, offset this holder's global
-	// row offset — together they tell the holder which shard owns each of
-	// its rows.
-	shardRanges [][2]int
-	offset      int
+	// rangeLanes are the third-party conduits comparison traffic rides,
+	// one per row range of dissim.ShardRanges(total, K): the control
+	// conduit alone at K ≤ 1, the K shard conduits otherwise. lanes,
+	// derived from the census (see exchangeCensus), lists the ones this
+	// holder's rows reach.
+	rangeLanes []compLane
+	lanes      []compLane
+}
+
+// compLane is one destination of a holder's comparison traffic: the
+// conduit toward the owner of a global row range, and — once the census
+// is known — the holder-local rows [lo, hi) that fall in that range.
+type compLane struct {
+	ep     *wire.Endpoint
+	to     string
+	lo, hi int
 }
 
 // NewHolder prepares a data holder named name holding table, with direct
@@ -122,100 +131,61 @@ func (h *Holder) handshakeAll(conduits map[string]wire.Conduit) error {
 		return err
 	}
 	fp := schemaFingerprint(h.cfg.Schema)
-	hello := helloBody{Public: h.identity.PublicBytes(), Fingerprint: fp}
-
-	peerNames := append([]string{}, h.holders...)
-	peerNames = append(peerNames, TPName)
-	for _, peer := range peerNames {
+	// secure handshakes one conduit. bind sits directly on the raw conduit
+	// — below the AES-GCM layer — so a lifecycle cancel closes the real
+	// transport and unparks any blocked read, and every frame either way
+	// feeds the watchdog.
+	secure := func(peer string, initiator bool) (wire.Conduit, []byte, error) {
+		bound := h.guard.bind(conduits[peer])
+		secured, master, err := handshake(bound, h.name, peer, h.identity, fp, initiator)
+		if err == nil && h.cfg.PlaintextChannels {
+			secured = bound
+		}
+		return secured, master, err
+	}
+	for _, peer := range append(append([]string{}, h.holders...), TPName) {
 		if peer == h.name {
 			continue
 		}
-		// bind sits directly on the raw conduit — below the AES-GCM layer —
-		// so a lifecycle cancel closes the real transport and unparks any
-		// blocked read, and every frame either way feeds the watchdog.
-		bound := h.guard.bind(conduits[peer])
-		ep := wire.NewEndpoint(bound)
-		if err := ep.SendBody(wire.Message{From: h.name, To: peer, Kind: kindHello, Attr: -1}, hello); err != nil {
-			return fmt.Errorf("party: %s hello to %s: %w", h.name, peer, err)
-		}
-		var peerHello helloBody
-		if _, err := expectMsg(ep, kindHello, &peerHello); err != nil {
-			return fmt.Errorf("party: %s hello from %s: %w", h.name, peer, err)
-		}
-		if peerHello.Fingerprint != fp {
-			return fmt.Errorf("party: %s and %s disagree on the schema", h.name, peer)
-		}
-		master, err := h.identity.Master(peerHello.Public)
+		// Initiator: the lexicographically smaller holder name, or the
+		// holder on a holder-TP link.
+		secured, master, err := secure(peer, peer == TPName || h.name < peer)
 		if err != nil {
-			return fmt.Errorf("party: %s master with %s: %w", h.name, peer, err)
+			return err
 		}
 		h.masters[peer] = master
-
-		secured := bound
-		if !h.cfg.PlaintextChannels {
-			key := keys.DeriveKey(master, keys.PurposeChannel, h.name, peer)
-			// Initiator: the lexicographically smaller holder name, or the
-			// holder on a holder-TP link.
-			initiator := peer == TPName || h.name < peer
-			secured, err = wire.Secure(bound, key, initiator)
-			if err != nil {
-				return err
-			}
+		if peer != TPName {
+			h.peers[peer] = wire.NewEndpoint(secured)
+			continue
 		}
 		// The TP control lane (not holder↔holder conduits) is resumable:
 		// the Reconn sits above the channel so a sever parks the lane and
 		// the redial loop replaces the transport underneath the endpoint.
-		if peer == TPName && h.resumable() {
+		if h.resumable() {
 			secured = h.armResume(secured, peer, 0)
 		}
-		ep = wire.NewEndpoint(secured)
-		if peer == TPName {
-			h.tp = ep
-		} else {
-			h.peers[peer] = ep
-		}
+		h.tp = wire.NewEndpoint(secured)
 	}
+	h.rangeLanes = []compLane{{ep: h.tp, to: TPName}}
 	// Shard conduits, ascending, right after the TP control conduit — the
-	// same order the third party handshakes them in, and both sides send
-	// their hello before reading the peer's, so no conduit ordering can
-	// deadlock. The shards present the TP identity (the master must match
-	// the control conduit's), but each conduit derives its own channel key
-	// salted by the shard name.
+	// same order the third party handshakes them in. The shards present the
+	// TP identity (the master must match the control conduit's), but each
+	// conduit derives its own channel key salted by the shard name.
 	if k := h.cfg.shardCount(); k > 1 {
-		h.shards = make([]*wire.Endpoint, k)
-		for s := 0; s < k; s++ {
+		h.rangeLanes = make([]compLane, k)
+		for s := range h.rangeLanes {
 			name := ShardName(s)
-			bound := h.guard.bind(conduits[name])
-			ep := wire.NewEndpoint(bound)
-			if err := ep.SendBody(wire.Message{From: h.name, To: name, Kind: kindHello, Attr: -1}, hello); err != nil {
-				return fmt.Errorf("party: %s hello to %s: %w", h.name, name, err)
-			}
-			var peerHello helloBody
-			if _, err := expectMsg(ep, kindHello, &peerHello); err != nil {
-				return fmt.Errorf("party: %s hello from %s: %w", h.name, name, err)
-			}
-			if peerHello.Fingerprint != fp {
-				return fmt.Errorf("party: %s and %s disagree on the schema", h.name, name)
-			}
-			master, err := h.identity.Master(peerHello.Public)
+			secured, master, err := secure(name, true)
 			if err != nil {
-				return fmt.Errorf("party: %s master with %s: %w", h.name, name, err)
+				return err
 			}
 			if string(master) != string(h.masters[TPName]) {
 				return fmt.Errorf("party: %s presented a different identity than %s", name, TPName)
 			}
-			secured := bound
-			if !h.cfg.PlaintextChannels {
-				key := keys.DeriveKey(master, keys.PurposeChannel, h.name, name)
-				secured, err = wire.Secure(bound, key, true)
-				if err != nil {
-					return err
-				}
-			}
 			if h.resumable() {
 				secured = h.armResume(secured, name, s+1)
 			}
-			h.shards[s] = wire.NewEndpoint(secured)
+			h.rangeLanes[s] = compLane{ep: wire.NewEndpoint(secured), to: name}
 		}
 	}
 	// With every channel established the holder can explain a failure to
@@ -307,17 +277,22 @@ func (h *Holder) exchangeCensus() error {
 	if h.counts[h.name] != h.table.Len() {
 		return fmt.Errorf("party: census miscounts %s", h.name)
 	}
-	if k := h.cfg.shardCount(); k > 1 {
-		// The census fixes the global row layout, so the shard partition —
-		// identical to the coordinator's — is known from here on.
-		total := 0
-		for i, c := range census.Counts {
-			if i < h.index {
-				h.offset += c
-			}
-			total += c
+	// The census fixes the global row layout, so the row-range partition —
+	// identical to the third party's — is known from here on: each lane
+	// whose range this holder's rows reach receives exactly those rows,
+	// the others nothing.
+	total, offset := 0, 0
+	for i, c := range census.Counts {
+		if i < h.index {
+			offset += c
 		}
-		h.shardRanges = dissim.ShardRanges(total, k)
+		total += c
+	}
+	for s, r := range dissim.ShardRanges(total, h.cfg.shardCount()) {
+		ln := h.rangeLanes[s]
+		if ln.lo, ln.hi = shardRowsOf(r[0], r[1], offset, h.table.Len()); ln.lo < ln.hi {
+			h.lanes = append(h.lanes, ln)
+		}
 	}
 	return nil
 }
@@ -422,7 +397,8 @@ func tagBased(t dataset.AttrType) bool {
 // encrypted columns.
 //
 // The triangle streams as a sequence of bounded row-range frames in the
-// localChunks schedule instead of one monolithic body: the third party
+// localChunksRange schedule instead of one monolithic body, each lane
+// receiving exactly the rows its range owns: the third party
 // installs each range on arrival — so assembly of this attribute starts
 // while most of the triangle is still on the wire — and no single frame
 // approaches wire.MaxFrame no matter how large the partition is.
@@ -438,30 +414,13 @@ func (h *Holder) sendLocalMatrix(attr int) error {
 		return err
 	}
 	local := dissim.FromLocalPar(h.table.Len(), h.workers, distFn)
-	if len(h.shards) > 0 {
-		// Sharded routing: each shard receives exactly the rows it owns,
-		// chunked by the range-restricted schedule the shard derives too.
-		// Shards the holder's rows don't intersect receive nothing.
-		for s, r := range h.shardRanges {
-			llo, lhi := shardRowsOf(r[0], r[1], h.offset, local.N())
-			if llo >= lhi {
-				continue
+	for _, ln := range h.lanes {
+		msg := wire.Message{From: h.name, To: ln.to, Kind: kindLocal, Attr: attr}
+		for _, ch := range h.cfg.localChunksRange(ln.lo, ln.hi) {
+			body := localBody{N: local.N(), Lo: ch[0], Hi: ch[1], Cells: local.PackedRowsView(ch[0], ch[1])}
+			if err := ln.ep.SendBody(msg, body); err != nil {
+				return err
 			}
-			msg := wire.Message{From: h.name, To: ShardName(s), Kind: kindLocal, Attr: attr}
-			for _, ch := range h.cfg.localChunksRange(llo, lhi) {
-				body := localBody{N: local.N(), Lo: ch[0], Hi: ch[1], Cells: local.PackedRowsView(ch[0], ch[1])}
-				if err := h.shards[s].SendBody(msg, body); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	for _, ch := range h.cfg.localChunks(local.N()) {
-		msg := wire.Message{From: h.name, To: TPName, Kind: kindLocal, Attr: attr}
-		body := localBody{N: local.N(), Lo: ch[0], Hi: ch[1], Cells: local.PackedRowsView(ch[0], ch[1])}
-		if err := h.tp.SendBody(msg, body); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -570,7 +529,7 @@ func (h *Holder) initiate(attr int, j, k string) error {
 		return err
 	}
 	responderRows := h.counts[k]
-	var full numDisguisedBody
+	var full numSBody // numDisguisedBody's layout; chunked by the shared numSView
 	switch h.cfg.Variant {
 	case Float64Variant:
 		full.Float, err = h.eng.NumericInitiatorFloat(col, jk, jt, h.cfg.FloatParams, h.cfg.Mode, responderRows)
@@ -591,7 +550,7 @@ func (h *Holder) initiate(attr int, j, k string) error {
 		return err
 	}
 	// The disguised matrix streams as bounded row-range chunks in the
-	// shared pairChunks schedule — it is responderRows×cols in per-pair
+	// shared pairChunksRange schedule — it is responderRows×cols in per-pair
 	// mode, the session's last partition-quadratic payload to be chunked,
 	// so a monolithic frame would re-impose the wire.MaxFrame ceiling the
 	// rest of the session has shed. Batch mode disguises a single masked
@@ -599,8 +558,8 @@ func (h *Holder) initiate(attr int, j, k string) error {
 	// zero-copy sub-matrix views of a payload dropped right after the
 	// final chunk.
 	disgRows := disguisedRows(h.cfg.Mode, responderRows)
-	for _, ch := range h.cfg.pairChunks(a.Type, disgRows, len(col)) {
-		if err := h.peers[k].SendBody(msg, disguisedView(&full, disgRows, ch)); err != nil {
+	for _, ch := range h.cfg.pairChunksRange(a.Type, 0, disgRows, len(col)) {
+		if err := h.peers[k].SendBody(msg, numDisguisedBody(numSView(&full, disgRows, ch))); err != nil {
 			return err
 		}
 	}
@@ -618,31 +577,14 @@ func disguisedRows(mode protocol.Mode, responderRows int) int {
 	return 1
 }
 
-// disguisedView is the zero-copy row-range chunk [ch[0], ch[1]) of a
-// disguised matrix, mirroring the numSBody sub-views of respond.
-func disguisedView(full *numDisguisedBody, rows int, ch [2]int) numDisguisedBody {
-	body := numDisguisedBody{Rows: rows, Lo: ch[0], Hi: ch[1]}
-	switch {
-	case full.Float != nil:
-		body.Float = &protocol.Float64Matrix{Rows: ch[1] - ch[0], Cols: full.Float.Cols,
-			Cell: full.Float.Cell[ch[0]*full.Float.Cols : ch[1]*full.Float.Cols]}
-	case full.Int != nil:
-		body.Int = &protocol.Int64Matrix{Rows: ch[1] - ch[0], Cols: full.Int.Cols,
-			Cell: full.Int.Cell[ch[0]*full.Int.Cols : ch[1]*full.Int.Cols]}
-	case full.ModP != nil:
-		body.ModP = &protocol.ElementMatrix{Rows: ch[1] - ch[0], Cols: full.ModP.Cols,
-			Cell: full.ModP.Cell[ch[0]*full.ModP.Cols : ch[1]*full.ModP.Cols]}
-	}
-	return body
-}
-
 // respond is the DHK role for one (attribute, pair): combine the
 // initiator's disguised payload with the own column, then stream the
 // masked S/M comparison matrix to the third party.
 //
 // Like the local triangles, the payload travels as a sequence of bounded
-// row-range frames in the shared pairChunks schedule instead of one
-// monolithic body: the third party evaluates and installs each range on
+// row-range frames in the shared pairChunksRange schedule instead of one
+// monolithic body, each lane receiving the responder rows its range owns:
+// the third party evaluates and installs each range on
 // arrival, and no frame grows with either partition — the masked matrix is
 // rows×cols over BOTH parties' object counts, so it was the session's last
 // wire.MaxFrame-bound message when both partitions are large. The chunk
@@ -675,27 +617,13 @@ func (h *Holder) respond(attr int, j, k string) error {
 		}
 		m := h.eng.AlphaResponder(own, disg.Strings, a.Alphabet)
 		msg.Kind = kindAlphaM
-		if len(h.shards) > 0 {
-			for sh, r := range h.shardRanges {
-				rlo, rhi := shardRowsOf(r[0], r[1], h.offset, rows)
-				if rlo >= rhi {
-					continue
+		for _, ln := range h.lanes {
+			msg.To = ln.to
+			for _, ch := range h.cfg.pairChunksRange(a.Type, ln.lo, ln.hi, cols) {
+				body := alphaMBody{Rows: rows, Lo: ch[0], Hi: ch[1], M: m[ch[0]:ch[1]]}
+				if err := ln.ep.SendBody(msg, body); err != nil {
+					return err
 				}
-				smsg := msg
-				smsg.To = ShardName(sh)
-				for _, ch := range h.cfg.pairChunksRange(a.Type, rlo, rhi, cols) {
-					body := alphaMBody{Rows: rows, Lo: ch[0], Hi: ch[1], M: m[ch[0]:ch[1]]}
-					if err := h.shards[sh].SendBody(smsg, body); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
-		for _, ch := range h.cfg.pairChunks(a.Type, rows, cols) {
-			body := alphaMBody{Rows: rows, Lo: ch[0], Hi: ch[1], M: m[ch[0]:ch[1]]}
-			if err := h.tp.SendBody(msg, body); err != nil {
-				return err
 			}
 		}
 		return nil
@@ -709,7 +637,7 @@ func (h *Holder) respond(attr int, j, k string) error {
 	// former monolithic message at every chunk budget.
 	disgRows := disguisedRows(h.cfg.Mode, rows)
 	var disg numSBody
-	for ci, sched := range h.cfg.pairChunks(a.Type, disgRows, cols) {
+	for ci, sched := range h.cfg.pairChunksRange(a.Type, 0, disgRows, cols) {
 		var chunk numDisguisedBody
 		if _, err := expectMsg(h.peers[j], kindNumDisg, &chunk); err != nil {
 			return err
@@ -762,32 +690,20 @@ func (h *Holder) respond(attr int, j, k string) error {
 	if err != nil {
 		return err
 	}
-	if len(h.shards) > 0 {
-		for sh, r := range h.shardRanges {
-			rlo, rhi := shardRowsOf(r[0], r[1], h.offset, rows)
-			if rlo >= rhi {
-				continue
+	for _, ln := range h.lanes {
+		msg.To = ln.to
+		for _, ch := range h.cfg.pairChunksRange(a.Type, ln.lo, ln.hi, cols) {
+			if err := ln.ep.SendBody(msg, numSView(&s, rows, ch)); err != nil {
+				return err
 			}
-			smsg := msg
-			smsg.To = ShardName(sh)
-			for _, ch := range h.cfg.pairChunksRange(a.Type, rlo, rhi, cols) {
-				if err := h.shards[sh].SendBody(smsg, numSView(&s, rows, ch)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	for _, ch := range h.cfg.pairChunks(a.Type, rows, cols) {
-		if err := h.tp.SendBody(msg, numSView(&s, rows, ch)); err != nil {
-			return err
 		}
 	}
 	return nil
 }
 
-// numSView is the zero-copy row-range chunk [ch[0], ch[1]) of a masked S/M
-// payload.
+// numSView is the zero-copy row-range chunk [ch[0], ch[1]) of a numeric
+// pairwise payload — the masked S/M matrix, or (by conversion, the bodies
+// share one layout) the disguised matrix.
 func numSView(s *numSBody, rows int, ch [2]int) numSBody {
 	body := numSBody{Rows: rows, Lo: ch[0], Hi: ch[1]}
 	switch {
@@ -802,6 +718,87 @@ func numSView(s *numSBody, rows int, ch [2]int) numSBody {
 			Cell: s.ModP.Cell[ch[0]*s.ModP.Cols : ch[1]*s.ModP.Cols]}
 	}
 	return body
+}
+
+// appendNumChunk concatenates one numeric chunk's sub-matrix onto the
+// reassembled monolithic payload, enforcing a consistent variant and the
+// census column count across the chunks of one pair. totalRows and
+// censusCols (both census-derived) presize the reassembled cell storage
+// on the first chunk, so the multi-append reassembly copies each cell
+// once instead of re-growing a multi-megabyte payload log-many times; the
+// column check runs before the presize, so a hostile chunk's
+// self-declared Cols can only produce the shape error — never a
+// rows-amplified allocation.
+func appendNumChunk(mono, chunk *numSBody, ch [2]int, totalRows, censusCols int) error {
+	wantRows := ch[1] - ch[0]
+	grow := func(validate func() error, chunkRows, chunkCols int, monoCols *int) error {
+		if err := validate(); err != nil {
+			return err
+		}
+		if chunkRows != wantRows {
+			return fmt.Errorf("carries %d rows, want %d", chunkRows, wantRows)
+		}
+		// A zero-row chunk (empty responder) carries no usable column
+		// count, matching the monolithic path's census-check exemption.
+		if chunkRows > 0 && chunkCols != censusCols {
+			return fmt.Errorf("has %d columns, census says %d", chunkCols, censusCols)
+		}
+		*monoCols = chunkCols
+		return nil
+	}
+	switch {
+	case chunk.Float != nil:
+		if mono.Int != nil || mono.ModP != nil {
+			return fmt.Errorf("mixes numeric variants across chunks")
+		}
+		first := mono.Float == nil
+		if first {
+			mono.Float = &protocol.Float64Matrix{}
+		}
+		if err := grow(chunk.Float.Validate, chunk.Float.Rows, chunk.Float.Cols, &mono.Float.Cols); err != nil {
+			return err
+		}
+		if first {
+			mono.Float.Cell = make([]float64, 0, totalRows*mono.Float.Cols)
+		}
+		mono.Float.Cell = append(mono.Float.Cell, chunk.Float.Cell...)
+		mono.Float.Rows += chunk.Float.Rows
+	case chunk.Int != nil:
+		if mono.Float != nil || mono.ModP != nil {
+			return fmt.Errorf("mixes numeric variants across chunks")
+		}
+		first := mono.Int == nil
+		if first {
+			mono.Int = &protocol.Int64Matrix{}
+		}
+		if err := grow(chunk.Int.Validate, chunk.Int.Rows, chunk.Int.Cols, &mono.Int.Cols); err != nil {
+			return err
+		}
+		if first {
+			mono.Int.Cell = make([]int64, 0, totalRows*mono.Int.Cols)
+		}
+		mono.Int.Cell = append(mono.Int.Cell, chunk.Int.Cell...)
+		mono.Int.Rows += chunk.Int.Rows
+	case chunk.ModP != nil:
+		if mono.Float != nil || mono.Int != nil {
+			return fmt.Errorf("mixes numeric variants across chunks")
+		}
+		first := mono.ModP == nil
+		if first {
+			mono.ModP = &protocol.ElementMatrix{}
+		}
+		if err := grow(chunk.ModP.Validate, chunk.ModP.Rows, chunk.ModP.Cols, &mono.ModP.Cols); err != nil {
+			return err
+		}
+		if first {
+			mono.ModP.Cell = make([][32]byte, 0, totalRows*mono.ModP.Cols)
+		}
+		mono.ModP.Cell = append(mono.ModP.Cell, chunk.ModP.Cell...)
+		mono.ModP.Rows += chunk.ModP.Rows
+	default:
+		return fmt.Errorf("carries no payload")
+	}
+	return nil
 }
 
 func (h *Holder) sendRequest() error {

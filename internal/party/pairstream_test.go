@@ -40,8 +40,8 @@ func TestPairChunkedMatchesSerialAcrossVariants(t *testing.T) {
 	}
 	for _, tc := range cases {
 		base := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: tc.mode,
-			Parallelism: 1, SerialTP: true, LocalChunkBytes: -1}
-		want, err := RunInMemory(base, parts, reqs, deterministicRandom(15))
+			Parallelism: 1, LocalChunkBytes: -1}
+		want, err := runSerialTP(base, parts, reqs, deterministicRandom(15), nil)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", tc.name, err)
 		}
@@ -58,8 +58,8 @@ func TestPairChunkedMatchesSerialAcrossVariants(t *testing.T) {
 			// Serial third party over the same chunked wire: the pairwise
 			// reassembly reference must agree too.
 			cfg := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: tc.mode,
-				Parallelism: 1, SerialTP: true, LocalChunkBytes: chunk}
-			got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(15))
+				Parallelism: 1, LocalChunkBytes: chunk}
+			got, err := runSerialTP(cfg, parts, reqs, deterministicRandom(15), nil)
 			if err != nil {
 				t.Fatalf("%s chunk=%d serial: %v", tc.name, chunk, err)
 			}
@@ -212,7 +212,7 @@ func runTamperedPairStream(t *testing.T, mode string) error {
 	// (4 rows per frame).
 	cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant,
 		PlaintextChannels: true, LocalChunkBytes: 320}
-	if chunks := cfg.pairChunks(dataset.Numeric, 10, 10); len(chunks) < 2 {
+	if chunks := cfg.pairChunksRange(dataset.Numeric, 0, 10, 10); len(chunks) < 2 {
 		t.Fatalf("test shape yields %d chunks, want several", len(chunks))
 	}
 	_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(17), wrap)
@@ -311,9 +311,11 @@ func (c *colsTamperConduit) Send(frame []byte) error {
 
 // TestPairChunkRejectsWrongColumns: a chunk whose matrix claims a column
 // count other than the census's must fail with a descriptive shape error
-// on both third-party paths — in the serial reassembly path BEFORE the
-// reassembled payload is presized, so a hostile self-declared width can
-// never amplify into a rows×cols allocation.
+// on the session pipeline and on the serial oracle — in the oracle's
+// reassembly path (appendNumChunk, which the holders' disguised-matrix
+// reassembly shares) BEFORE the reassembled payload is presized, so a
+// hostile self-declared width can never amplify into a rows×cols
+// allocation.
 func TestPairChunkRejectsWrongColumns(t *testing.T) {
 	parts := pairCapParts(t, 10, 10)
 	wrap := func(owner, peer string, c wire.Conduit) wire.Conduit {
@@ -322,10 +324,14 @@ func TestPairChunkRejectsWrongColumns(t *testing.T) {
 		}
 		return c
 	}
+	cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant,
+		PlaintextChannels: true, LocalChunkBytes: 320}
 	for _, serial := range []bool{false, true} {
-		cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant,
-			PlaintextChannels: true, LocalChunkBytes: 320, SerialTP: serial}
-		_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(19), wrap)
+		run := RunInMemoryWrapped
+		if serial {
+			run = runSerialTP
+		}
+		_, err := run(cfg, parts, nil, deterministicRandom(19), wrap)
 		if err == nil {
 			t.Fatalf("serial=%v: inflated-columns chunk reported no error", serial)
 		}

@@ -23,9 +23,19 @@
 //
 // Interleaving the local matrices per attribute (rather than sending them
 // all up front) makes every attribute's traffic a contiguous run of each
-// holder's stream, which is what lets the third party's pipelined session
-// engine (ThirdParty.Run) finish assembling attribute i while attribute
-// i+1 is still on the wire.
+// holder's stream, which is what lets the third party's session pipeline
+// (ThirdParty.Run) finish assembling attribute i while attribute i+1 is
+// still on the wire.
+//
+// The third party has one session pipeline. The census total is cut into
+// K = Config.TPShards row ranges (one range, the whole triangle, when K ≤
+// 1); each holder streams every comparison attribute's chunk frames to
+// the lane that owns the rows — its control conduit at K ≤ 1, the shard
+// conduits otherwise — and the third party runs one stage pool per lane
+// group over the shared receive loops (shardCore). A range's slice is
+// assembled either in-process or by a ppc-shard worker the coordinator
+// relays the lane's frames to (Config.ShardDial); nothing else differs
+// between the deployments.
 //
 // On holder-to-holder conduits data only ever flows from the lower-indexed
 // to the higher-indexed holder, and the third party never sends until all
@@ -44,6 +54,7 @@ import (
 	"ppclust/internal/dataset"
 	"ppclust/internal/dissim"
 	"ppclust/internal/hcluster"
+	"ppclust/internal/keys"
 	"ppclust/internal/protocol"
 	"ppclust/internal/rng"
 	"ppclust/internal/wire"
@@ -130,18 +141,10 @@ type Config struct {
 	// prefetch by the demux readers is unaffected). Results are
 	// bit-identical for every setting.
 	Parallelism int
-	// SerialTP makes the third party run its phase-serial reference
-	// engine — one attribute at a time, blocking reads, no overlap of
-	// protocol compute with wire I/O — instead of the pipelined session
-	// engine. Reports are bit-identical either way; benchmarks use this
-	// as the baseline and differential tests pin the equivalence. Only
-	// the third party consults it, and only when TPShards ≤ 1: the
-	// serial engine is the single-TP reference point the sharded path is
-	// differentially pinned against.
-	SerialTP bool
 	// TPShards splits the third party into that many row-range shards
-	// plus a merge coordinator (0 and 1 both select the single-TP path,
-	// byte-for-byte the pre-sharding code). Each shard owns a contiguous
+	// plus a merge coordinator (0 and 1 both mean one range: the whole
+	// triangle, streamed on the control conduit and assembled by the third
+	// party itself). Each shard owns a contiguous
 	// range of global triangle rows (dissim.ShardRanges over the census
 	// total): holders fan each comparison attribute's local and pairwise
 	// chunk frames to the owning shard's conduit, each shard evaluates
@@ -160,8 +163,8 @@ type Config struct {
 	// cut into row ranges of at most this many payload bytes (at least
 	// one row per frame), and the third party installs or evaluates each
 	// range the moment it arrives. It is part of the session agreement —
-	// both sides derive the identical chunk schedules (localChunks,
-	// pairChunks) from it — and tunes only framing: reports are
+	// both sides derive the identical chunk schedules (localChunksRange,
+	// pairChunksRange) from it — and tunes only framing: reports are
 	// bit-identical at every setting. 0 selects DefaultLocalChunkBytes;
 	// negative sends every payload as a single monolithic frame (the
 	// pre-streaming wire shape, which re-imposes the wire.MaxFrame
@@ -263,19 +266,6 @@ func (c Config) chunkBudgetBytes() int {
 	}
 }
 
-// localChunks is the chunk schedule of one party's local-matrix stream:
-// row ranges of the packed triangle bounded by the configured chunk bytes
-// (8 bytes per packed float64 cell). Holder and third party compute it
-// independently from the shared Config, so the receiver knows every
-// chunk's row range — and the demux lane quota — before the first frame.
-func (c Config) localChunks(n int) [][2]int {
-	b := c.chunkBudgetBytes()
-	if b < 0 {
-		return [][2]int{{0, n}}
-	}
-	return dissim.RowChunks(n, b/8)
-}
-
 // alphaPairCellBytes is the nominal wire weight of one alphanumeric S/M
 // "cell" — a whole per-(responder string, initiator string) symbol matrix —
 // in the pairwise chunk schedule. String lengths are private, so the
@@ -302,33 +292,7 @@ func (c Config) pairCellBytes(t dataset.AttrType) int {
 	}
 }
 
-// pairChunks is the chunk schedule of one responder→TP S/M payload for an
-// attribute of type t: row ranges of the rows×cols comparison matrix
-// (rows = the responder's object count, cols = the initiator's) bounded by
-// the configured chunk bytes — the pairwise-protocol analogue of
-// localChunks, driven by the same Config.LocalChunkBytes knob. Responder
-// and third party compute it independently from the shared Config and the
-// census, so the receiver knows every chunk's row range — and the demux
-// lane quota — before the first frame.
-func (c Config) pairChunks(t dataset.AttrType, rows, cols int) [][2]int {
-	b := c.chunkBudgetBytes()
-	if b < 0 {
-		return [][2]int{{0, rows}}
-	}
-	return dissim.RectChunks(rows, cols, b/c.pairCellBytes(t))
-}
-
-// pairChunkCount is len(pairChunks(t, rows, cols)) without materializing
-// the schedule, for the demux lane quotas.
-func (c Config) pairChunkCount(t dataset.AttrType, rows, cols int) int {
-	b := c.chunkBudgetBytes()
-	if b < 0 {
-		return 1
-	}
-	return dissim.RectChunkCount(rows, cols, b/c.pairCellBytes(t))
-}
-
-// shardCount resolves TPShards: anything below 2 is the single-TP path.
+// shardCount resolves TPShards: anything below 2 is one range.
 func (c Config) shardCount() int {
 	if c.TPShards < 1 {
 		return 1
@@ -336,10 +300,13 @@ func (c Config) shardCount() int {
 	return c.TPShards
 }
 
-// localChunksRange is localChunks restricted to triangle rows [lo, hi) —
-// the schedule of one holder's local-matrix stream toward the shard that
-// owns those rows. localChunksRange(0, n) equals localChunks(n), so the
-// single-TP schedule is the one-shard special case.
+// localChunksRange is the chunk schedule of one holder's local-matrix
+// stream over its triangle rows [lo, hi) — the rows one lane's range owns,
+// the whole triangle [0, n) on a single-range session: row ranges bounded
+// by the configured chunk bytes (8 bytes per packed float64 cell). Holder
+// and third party compute it independently from the shared Config and the
+// census, so the receiver knows every chunk's row range — and the demux
+// lane quota — before the first frame.
 func (c Config) localChunksRange(lo, hi int) [][2]int {
 	b := c.chunkBudgetBytes()
 	if b < 0 {
@@ -348,10 +315,13 @@ func (c Config) localChunksRange(lo, hi int) [][2]int {
 	return dissim.RowChunksRange(lo, hi, b/8)
 }
 
-// pairChunksRange is pairChunks restricted to responder rows [lo, hi) —
-// the schedule of one responder→shard S/M stream for the shard owning
-// those rows. pairChunksRange(t, 0, rows, cols) equals
-// pairChunks(t, rows, cols).
+// pairChunksRange is the chunk schedule of rows [lo, hi) of one pairwise
+// payload for an attribute of type t — the responder→TP S/M matrix (rows
+// = the responder's objects a lane's range owns, cols = the initiator's
+// count) or the initiator→responder disguised matrix: row ranges bounded
+// by the configured chunk bytes, driven by the same Config.LocalChunkBytes
+// knob as localChunksRange and shared between sender and receiver the
+// same way.
 func (c Config) pairChunksRange(t dataset.AttrType, lo, hi, cols int) [][2]int {
 	b := c.chunkBudgetBytes()
 	if b < 0 {
@@ -361,7 +331,7 @@ func (c Config) pairChunksRange(t dataset.AttrType, lo, hi, cols int) [][2]int {
 }
 
 // pairChunkCountRange is len(pairChunksRange(t, lo, hi, cols)) without
-// materializing the schedule, for the shard demux lane quotas.
+// materializing the schedule, for the demux lane quotas.
 func (c Config) pairChunkCountRange(t dataset.AttrType, lo, hi, cols int) int {
 	b := c.chunkBudgetBytes()
 	if b < 0 {
@@ -373,9 +343,10 @@ func (c Config) pairChunkCountRange(t dataset.AttrType, lo, hi, cols int) int {
 // shardRowsOf intersects global triangle rows [lo, hi) with the rows a
 // holder of global offset off and object count n contributes, returning
 // the holder-local row range (empty ranges come back as [x, x)). Holder
-// and shard derive the identical intersection from the census, so both
-// know every frame's row range — and the shard demux lane quotas — before
-// the first frame moves.
+// and third party derive the identical intersection from the census, so
+// both know every frame's row range — and the demux lane quotas — before
+// the first frame moves. A holder with no rows in a range sends nothing
+// toward it.
 func shardRowsOf(lo, hi, off, n int) (int, int) {
 	rlo, rhi := lo-off, hi-off
 	if rlo < 0 {
@@ -591,6 +562,40 @@ type helloBody struct {
 	Fingerprint string
 }
 
+// handshake runs the key agreement every link of a session starts with —
+// holder↔holder, holder↔TP (control and shard lanes) and coordinator↔
+// worker: send the own hello, read the peer's, refuse a schema
+// disagreement, derive the pairwise master and wrap c in AES-GCM under the
+// channel key of the unordered (self, peer) name pair. Both ends send
+// before they read, so no ordering of a party's conduits can deadlock;
+// exactly one end passes initiator. It returns the secured conduit and
+// the master: a session agreed on PlaintextChannels keeps using c, and a
+// link that must present an identity already known (a shard lane) has its
+// master compared by the caller.
+func handshake(c wire.Conduit, self, peer string, id *keys.Identity, fp string, initiator bool) (wire.Conduit, []byte, error) {
+	ep := wire.NewEndpoint(c)
+	hello := helloBody{Public: id.PublicBytes(), Fingerprint: fp}
+	if err := ep.SendBody(wire.Message{From: self, To: peer, Kind: kindHello, Attr: -1}, hello); err != nil {
+		return nil, nil, fmt.Errorf("party: %s hello to %s: %w", self, peer, err)
+	}
+	var theirs helloBody
+	if _, err := expectMsg(ep, kindHello, &theirs); err != nil {
+		return nil, nil, fmt.Errorf("party: %s hello from %s: %w", self, peer, err)
+	}
+	if theirs.Fingerprint != fp {
+		return nil, nil, fmt.Errorf("party: %s and %s disagree on the schema", self, peer)
+	}
+	master, err := id.Master(theirs.Public)
+	if err != nil {
+		return nil, nil, fmt.Errorf("party: %s master with %s: %w", self, peer, err)
+	}
+	secured, err := wire.Secure(c, keys.DeriveKey(master, keys.PurposeChannel, self, peer), initiator)
+	if err != nil {
+		return nil, nil, err
+	}
+	return secured, master, nil
+}
+
 // countBody reports a holder's object count.
 type countBody struct {
 	Count int
@@ -609,7 +614,7 @@ type groupKeyBody struct {
 
 // localBody is one chunk of an attribute's local dissimilarity matrix:
 // the packed cells of triangle rows [Lo, Hi), streamed in the shared
-// localChunks schedule (a single chunk covering [0, N) under a monolithic
+// localChunksRange schedule (a single chunk per lane under a monolithic
 // configuration). N is the full object count, repeated per chunk so every
 // frame validates against the census on its own.
 type localBody struct {
@@ -620,7 +625,7 @@ type localBody struct {
 
 // numDisguisedBody is one chunk of the initiator→responder numeric
 // message: rows [Lo, Hi) of the disguised matrix, streamed in the shared
-// pairChunks schedule — the same budget that bounds responder→TP frames,
+// pairChunksRange schedule — the same budget that bounds responder→TP frames,
 // so no session message grows with the partition. Rows is the full
 // disguised row count (the responder's census count in per-pair mode, 1
 // in batch mode), repeated per chunk so every frame validates on its own;
@@ -635,8 +640,8 @@ type numDisguisedBody struct {
 
 // numSBody is one chunk of the responder→TP numeric message: rows
 // [Lo, Hi) of the masked comparison matrix S, streamed in the shared
-// pairChunks schedule (a single chunk covering [0, Rows) under a
-// monolithic configuration). Rows is the responder's full object count,
+// pairChunksRange schedule (a single chunk per lane under a monolithic
+// configuration). Rows is the responder's full object count,
 // repeated per chunk so every frame validates against the census on its
 // own; exactly one variant pointer is set, holding the (Hi−Lo)×cols
 // sub-matrix.
@@ -655,8 +660,8 @@ type alphaDisguisedBody struct {
 
 // alphaMBody is one chunk of the responder→TP alphanumeric message: rows
 // [Lo, Hi) of the intermediary-matrix block (one row of per-initiator
-// symbol matrices per responder string), streamed in the shared pairChunks
-// schedule. Rows is the responder's full object count, repeated per chunk.
+// symbol matrices per responder string), streamed in the shared
+// pairChunksRange schedule. Rows is the responder's full object count, repeated per chunk.
 type alphaMBody struct {
 	Rows   int
 	Lo, Hi int

@@ -4,6 +4,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ppclust/internal/alphabet"
@@ -13,6 +14,7 @@ import (
 	"ppclust/internal/keys"
 	"ppclust/internal/protocol"
 	"ppclust/internal/rng"
+	"ppclust/internal/wire"
 )
 
 // deterministicRandom gives each party an independent but reproducible
@@ -285,26 +287,75 @@ func TestValidationErrors(t *testing.T) {
 }
 
 // TestEmptyPartition: a holder with zero objects participates without
-// breaking assembly.
+// breaking assembly — on one range and on two. It sends no comparison
+// frame at all (no rows in any range, so a zero lane quota), only its tag
+// columns and request.
 func TestEmptyPartition(t *testing.T) {
 	parts := mixedPartitions(t)
 	parts[1] = dataset.Partition{Site: "B", Table: dataset.MustNewTable(mixedSchema())}
-	cfg := Config{Schema: mixedSchema(), Variant: Float64Variant}
-	out, err := RunInMemory(cfg, parts, map[string]ClusterRequest{"A": {Linkage: hcluster.Average, K: 2}}, deterministicRandom(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Report.AttributeMatrices[0].N() != 6 {
-		t.Fatalf("global size = %d, want 6", out.Report.AttributeMatrices[0].N())
-	}
 	want, _, err := CentralizedMatrices(mixedSchema(), parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for attr := range want {
-		if !out.Report.AttributeMatrices[attr].EqualWithin(want[attr], 1e-9) {
-			t.Fatalf("attr %d mismatch with empty partition", attr)
+	for _, k := range []int{1, 2} {
+		cfg := Config{Schema: mixedSchema(), Variant: Float64Variant, TPShards: k}
+		out, err := RunInMemory(cfg, parts, map[string]ClusterRequest{"A": {Linkage: hcluster.Average, K: 2}}, deterministicRandom(5))
+		if err != nil {
+			t.Fatalf("shards=%d: %v", k, err)
 		}
+		if out.Report.AttributeMatrices[0].N() != 6 {
+			t.Fatalf("shards=%d: global size = %d, want 6", k, out.Report.AttributeMatrices[0].N())
+		}
+		for attr := range want {
+			if !out.Report.AttributeMatrices[attr].EqualWithin(want[attr], 1e-9) {
+				t.Fatalf("shards=%d: attr %d mismatch with empty partition", k, attr)
+			}
+		}
+	}
+}
+
+// kindCountingConduit counts the frames of the given kinds its owner sends.
+// Plaintext sessions only.
+type kindCountingConduit struct {
+	wire.Conduit
+	kinds map[wire.Kind]bool
+	n     *atomic.Int64
+}
+
+func (c *kindCountingConduit) Send(frame []byte) error {
+	if m, err := wire.ParseFrame(frame); err == nil && c.kinds[m.Kind] {
+		c.n.Add(1)
+	}
+	return c.Conduit.Send(frame)
+}
+
+// TestEmptyHolderSendsNoComparisonFrames pins the wire rule for holders
+// without objects: no rows in a range means no frames toward it — not the
+// former "one empty frame minimum" — for local triangles and S/M payloads
+// alike, while the non-empty holders' streams are untouched.
+func TestEmptyHolderSendsNoComparisonFrames(t *testing.T) {
+	parts := mixedPartitions(t)
+	parts[1] = dataset.Partition{Site: "B", Table: dataset.MustNewTable(mixedSchema())}
+	comparison := map[wire.Kind]bool{kindLocal: true, kindNumS: true, kindAlphaM: true}
+	var fromB, fromC atomic.Int64
+	wrap := func(owner, peer string, c wire.Conduit) wire.Conduit {
+		switch {
+		case owner == "B" && peer == TPName:
+			return &kindCountingConduit{Conduit: c, kinds: comparison, n: &fromB}
+		case owner == "C" && peer == TPName:
+			return &kindCountingConduit{Conduit: c, kinds: comparison, n: &fromC}
+		}
+		return c
+	}
+	cfg := Config{Schema: mixedSchema(), Variant: Float64Variant, PlaintextChannels: true}
+	if _, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(5), wrap); err != nil {
+		t.Fatal(err)
+	}
+	if n := fromB.Load(); n != 0 {
+		t.Fatalf("empty holder B sent %d comparison frames, want 0", n)
+	}
+	if fromC.Load() == 0 {
+		t.Fatal("holder C sent no comparison frames; the counter is not observing the stream")
 	}
 }
 
@@ -422,12 +473,14 @@ func TestAllEmptySession(t *testing.T) {
 		{Site: "A", Table: dataset.MustNewTable(schema)},
 		{Site: "B", Table: dataset.MustNewTable(schema)},
 	}
-	out, err := RunInMemory(Config{Schema: schema, Variant: Float64Variant}, parts, nil, deterministicRandom(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results["A"].Clusters) != 0 {
-		t.Fatalf("empty session produced clusters: %+v", out.Results["A"])
+	for _, k := range []int{1, 2} {
+		out, err := RunInMemory(Config{Schema: schema, Variant: Float64Variant, TPShards: k}, parts, nil, deterministicRandom(9))
+		if err != nil {
+			t.Fatalf("shards=%d: %v", k, err)
+		}
+		if len(out.Results["A"].Clusters) != 0 {
+			t.Fatalf("shards=%d: empty session produced clusters: %+v", k, out.Results["A"])
+		}
 	}
 }
 

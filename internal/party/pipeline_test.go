@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,17 +95,55 @@ func TestPipelinedMatchesSerialTP(t *testing.T) {
 	parts := pipelineParts(t, 10)
 	reqs := pipelineReqs()
 	for _, workers := range []int{1, 2, 0} {
-		cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: workers, SerialTP: true}
-		serial, err := RunInMemory(cfg, parts, reqs, deterministicRandom(3))
+		cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: workers}
+		serial, err := runSerialTP(cfg, parts, reqs, deterministicRandom(3), nil)
 		if err != nil {
 			t.Fatalf("workers=%d serial: %v", workers, err)
 		}
-		cfg.SerialTP = false
 		piped, err := RunInMemory(cfg, parts, reqs, deterministicRandom(3))
 		if err != nil {
 			t.Fatalf("workers=%d pipelined: %v", workers, err)
 		}
 		assertSameOutcome(t, fmt.Sprintf("workers=%d", workers), serial, piped)
+	}
+}
+
+// stageSamplingConduit records the highest ActiveStages reading seen at any
+// frame its owner receives.
+type stageSamplingConduit struct {
+	wire.Conduit
+	max *atomic.Int64
+}
+
+func (c *stageSamplingConduit) Recv() ([]byte, error) {
+	frame, err := c.Conduit.Recv()
+	for v := ActiveStages(); ; {
+		if cur := c.max.Load(); v <= cur || c.max.CompareAndSwap(cur, v) {
+			break
+		}
+	}
+	return frame, err
+}
+
+// TestParallelismOneRunsOneStage pins pipelineDepth's contract on a
+// one-range session: at Parallelism 1 tag and comparison attributes share
+// a single stage pool of width one, so assembly compute is never in flight
+// twice — sampled at every frame the third party reads during a
+// mixed-attribute session.
+func TestParallelismOneRunsOneStage(t *testing.T) {
+	var max atomic.Int64
+	sample := func(owner, peer string, c wire.Conduit) wire.Conduit {
+		if owner != TPName {
+			return c
+		}
+		return &stageSamplingConduit{Conduit: c, max: &max}
+	}
+	cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, LocalChunkBytes: 256}
+	if _, err := RunInMemoryWrapped(cfg, pipelineParts(t, 8), pipelineReqs(), deterministicRandom(7), sample); err != nil {
+		t.Fatal(err)
+	}
+	if got := max.Load(); got != 1 {
+		t.Fatalf("ActiveStages peaked at %d during a Parallelism 1 session, want exactly 1", got)
 	}
 }
 
@@ -318,9 +357,9 @@ func TestCentralizedMatrixRejectsUnknownType(t *testing.T) {
 }
 
 // benchSession builds the session the pipeline benchmark runs: several
-// attributes over three holders with TP-side link latency, so serial
-// receive time is visible against assembly compute.
-func benchPipelineSession(b *testing.B, serial bool) {
+// attributes over three holders with TP-side link latency, so receive
+// time is visible against assembly compute.
+func benchPipelineSession(b *testing.B) {
 	schema := pipelineSchema()
 	s := rng.NewXoshiro(rng.SeedFromUint64(99))
 	cities := []string{"a", "b", "c", "d"}
@@ -337,12 +376,12 @@ func benchPipelineSession(b *testing.B, serial bool) {
 		}
 		parts = append(parts, dataset.Partition{Site: site, Table: tab})
 	}
-	cfg := Config{Schema: schema, Variant: Float64Variant, SerialTP: serial}
+	cfg := Config{Schema: schema, Variant: Float64Variant}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A fresh latencyWrap per session restarts the seed counter, so
-		// every iteration of both variants sees the same jitter schedule.
+		// every iteration sees the same jitter schedule.
 		if _, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(9),
 			latencyWrap(time.Millisecond, time.Millisecond/2)); err != nil {
 			b.Fatal(err)
@@ -352,8 +391,7 @@ func benchPipelineSession(b *testing.B, serial bool) {
 
 // BenchmarkSessionPipeline is the session-pipeline family's in-tree smoke
 // variant (CI runs it at -benchtime=1x): a full session over
-// latency-injecting TP links, serial third party vs pipelined.
+// latency-injecting TP links.
 func BenchmarkSessionPipeline(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchPipelineSession(b, true) })
-	b.Run("pipelined", func(b *testing.B) { benchPipelineSession(b, false) })
+	b.Run("pipelined", benchPipelineSession)
 }

@@ -1,0 +1,217 @@
+package party
+
+// The phase-serial reference engine — formerly Config.SerialTP, now the
+// in-package oracle every differential test pins the session pipeline
+// against. It shares the wire and nothing of the assembly: attributes are
+// received, assembled and normalized strictly one after the other, in
+// schema order, with blocking endpoint reads (no demux, no stage pool);
+// every chunk stream is reassembled into the monolithic pre-streaming
+// payload, evaluated in one whole-matrix engine pass and installed with the
+// monolithic SetLocal / SetCross — the exact pre-streaming code path over
+// the chunked wire, which is what pins chunking, pipelining and sharding as
+// pure framing and scheduling. It reads comparison traffic off the control
+// conduits, so it serves one-range (TPShards ≤ 1) sessions only.
+
+import (
+	"context"
+	"fmt"
+
+	"ppclust/internal/dataset"
+	"ppclust/internal/dissim"
+	"ppclust/internal/protocol"
+	"ppclust/internal/rng"
+	"ppclust/internal/wire"
+)
+
+// runSerialTP is RunInMemoryWrapped with the third party swapped for the
+// oracle, through the driver's tpRun seam.
+func runSerialTP(cfg Config, parts []dataset.Partition, reqs map[string]ClusterRequest, random RandomSource, wrap ConduitWrap) (*SessionOutcome, error) {
+	return runInMemory(context.Background(), cfg, parts, reqs, random, wrap,
+		func(tp *ThirdParty, ctx context.Context) (*TPReport, error) { return tp.runGuarded(ctx, tp.runSerial) })
+}
+
+// epSource reads the holder endpoints directly — the phase-serial
+// consumption order, valid only when attributes are processed one at a
+// time in schema order.
+type epSource struct{ tp *ThirdParty }
+
+func (s epSource) expect(hi int, kind wire.Kind, body any) (*wire.Message, error) {
+	return expectMsg(s.tp.eps[s.tp.holders[hi]], kind, body)
+}
+
+func (tp *ThirdParty) runSerial() (*TPReport, error) {
+	eng := tp.engines.Get()
+	defer tp.engines.Put(eng)
+	core, src := tp.core(), epSource{tp}
+	matrices := make([]*dissim.Matrix, len(tp.cfg.Schema.Attrs))
+	scales := make([]float64, len(tp.cfg.Schema.Attrs))
+	for attr, a := range tp.cfg.Schema.Attrs {
+		var m *dissim.Matrix
+		var err error
+		if tagBased(a.Type) {
+			m, err = tp.assembleAttr(core, eng, attr, src)
+		} else {
+			m, err = tp.assembleComparisonSerial(eng, attr, src)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("party: assembling attribute %q: %w", a.Name, err)
+		}
+		scales[attr] = m.NormalizePar(tp.workers)
+		matrices[attr] = m
+	}
+	return tp.finish(matrices, scales, func(hi int) (requestBody, error) {
+		var req requestBody
+		_, err := expectMsg(tp.eps[tp.holders[hi]], kindRequest, &req)
+		return req, err
+	})
+}
+
+// assembleComparisonSerial builds one comparison attribute's matrix from
+// whole local triangles and whole pair blocks. A holder without objects
+// sends no comparison frames, so its triangle and the pairs it would
+// respond in are skipped.
+func (tp *ThirdParty) assembleComparisonSerial(eng *protocol.Engine, attr int, src attrSource) (*dissim.Matrix, error) {
+	asm, err := dissim.NewAssemblerPar(tp.counts, tp.workers)
+	if err != nil {
+		return nil, err
+	}
+	for hi, h := range tp.holders {
+		if tp.counts[hi] == 0 {
+			continue
+		}
+		if err := tp.recvLocalSerial(asm, src, hi, h, attr); err != nil {
+			return nil, err
+		}
+	}
+	for _, pair := range sortedPairs(tp.holders) {
+		if tp.counts[pair[1]] == 0 {
+			continue
+		}
+		if err := tp.recvPairSerial(eng, asm, src, attr, pair[0], pair[1]); err != nil {
+			return nil, err
+		}
+	}
+	return asm.Done()
+}
+
+// recvLocalSerial reassembles one holder's local-matrix chunk stream into
+// the monolithic packed triangle and performs the FromPacked + SetLocal
+// install.
+func (tp *ThirdParty) recvLocalSerial(asm *dissim.Assembler, src attrSource, hi int, h string, attr int) error {
+	n := tp.counts[hi]
+	mono := make([]float64, 0, n*(n-1)/2)
+	for ci, ch := range tp.cfg.localChunksRange(0, n) {
+		var body localBody
+		m, err := src.expect(hi, kindLocal, &body)
+		if err != nil {
+			return err
+		}
+		if m.Attr != attr {
+			return fmt.Errorf("party: %s sent local matrix for attr %d, want %d", h, m.Attr, attr)
+		}
+		if body.N != n {
+			return fmt.Errorf("party: %s local matrix has %d objects, census says %d", h, body.N, n)
+		}
+		if body.Lo != ch[0] || body.Hi != ch[1] {
+			return fmt.Errorf("party: %s local chunk %d covers rows [%d,%d), schedule says [%d,%d)",
+				h, ci, body.Lo, body.Hi, ch[0], ch[1])
+		}
+		mono = append(mono, body.Cells...)
+	}
+	local, err := dissim.FromPacked(n, mono)
+	if err != nil {
+		return err
+	}
+	return asm.SetLocal(hi, local)
+}
+
+// recvPairSerial is the phase-serial reference consumption of one pair's
+// S/M chunk stream: the chunks are reassembled into the pre-chunking
+// monolithic payload, evaluated in one whole-matrix engine pass and
+// installed with the monolithic SetCross — the exact pre-streaming code
+// path over the chunked wire, which is what pins chunking as pure framing.
+func (tp *ThirdParty) recvPairSerial(eng *protocol.Engine, asm *dissim.Assembler, src attrSource, attr, ji, ki int) error {
+	a := tp.cfg.Schema.Attrs[attr]
+	j, k := tp.holders[ji], tp.holders[ki]
+	rows, cols := tp.counts[ki], tp.counts[ji]
+	chunks := tp.cfg.pairChunksRange(a.Type, 0, rows, cols)
+	jt := rng.New(tp.cfg.RNG, tp.seedJT(attr, j, k))
+
+	var block func(m, n int) float64
+	var bRows, bCols int
+	if a.Type == dataset.Alphanumeric {
+		mono := make([][]*protocol.SymbolMatrix, 0, rows)
+		for ci, ch := range chunks {
+			var body alphaMBody
+			if _, err := src.expect(ki, kindAlphaM, &body); err != nil {
+				return err
+			}
+			if err := checkPairChunk(j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
+				return err
+			}
+			if len(body.M) != ch[1]-ch[0] {
+				return fmt.Errorf("party: %s pair (%s,%s) chunk %d carries %d rows, want %d",
+					k, j, k, ci, len(body.M), ch[1]-ch[0])
+			}
+			mono = append(mono, body.M...)
+		}
+		dists, err := eng.AlphaThirdParty(mono, a.Alphabet, jt)
+		if err != nil {
+			return err
+		}
+		bRows, bCols = dists.Rows, dists.Cols
+		block = func(m, n int) float64 { return float64(dists.At(m, n)) }
+	} else {
+		var mono numSBody
+		for ci, ch := range chunks {
+			var body numSBody
+			if _, err := src.expect(ki, kindNumS, &body); err != nil {
+				return err
+			}
+			if err := checkPairChunk(j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
+				return err
+			}
+			if err := appendNumChunk(&mono, &body, ch, rows, cols); err != nil {
+				return fmt.Errorf("party: %s pair (%s,%s) chunk %d: %w", k, j, k, ci, err)
+			}
+		}
+		switch tp.cfg.Variant {
+		case Float64Variant:
+			if mono.Float == nil {
+				return fmt.Errorf("party: missing float payload from %s", k)
+			}
+			dists, err := eng.NumericThirdPartyFloat(mono.Float, jt, tp.cfg.FloatParams, tp.cfg.Mode)
+			if err != nil {
+				return err
+			}
+			bRows, bCols = dists.Rows, dists.Cols
+			block = func(m, n int) float64 { return dists.At(m, n) }
+		case Int64Variant:
+			if mono.Int == nil {
+				return fmt.Errorf("party: missing int payload from %s", k)
+			}
+			dists, err := eng.NumericThirdPartyInt(mono.Int, jt, tp.cfg.IntParams, tp.cfg.Mode)
+			if err != nil {
+				return err
+			}
+			bRows, bCols = dists.Rows, dists.Cols
+			block = func(m, n int) float64 { return float64(dists.At(m, n)) }
+		case ModPVariant:
+			if mono.ModP == nil {
+				return fmt.Errorf("party: missing modp payload from %s", k)
+			}
+			dists, err := eng.NumericThirdPartyModP(mono.ModP, jt, tp.cfg.Mode)
+			if err != nil {
+				return err
+			}
+			bRows, bCols = dists.Rows, dists.Cols
+			block = func(m, n int) float64 { return float64(dists.At(m, n)) }
+		}
+	}
+	// A zero-row block (empty responder) carries no usable column count
+	// and is never consulted during assembly.
+	if bRows != rows || (bRows > 0 && bCols != cols) {
+		return fmt.Errorf("party: block (%s,%s) is %dx%d, census says %dx%d", j, k, bRows, bCols, rows, cols)
+	}
+	return asm.SetCross(ji, ki, block)
+}

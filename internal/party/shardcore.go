@@ -1,22 +1,23 @@
 package party
 
-// shardCore is one TP shard's stage pipeline, detached from the ThirdParty
-// session object so the same code drives both deployments of the sharded
-// third party:
+// shardCore is the third party's assembly pipeline over one set of
+// per-holder demuxes, detached from the ThirdParty session object so the
+// same code runs wherever a row range is assembled:
 //
-//   - in-process (PR 8): the coordinator builds a core from its own session
-//     state and runs K of them as goroutines under its guard;
-//   - cross-process: a ppc-shard worker builds a core from the
-//     coordinator's slice offer (census, range, per-pair mask seeds) and
-//     runs exactly one, fed by relayed holder frames.
+//   - on the third party itself, over the control demuxes (the one range of
+//     a TPShards ≤ 1 session, plus the tag attributes of every session) and
+//     over the shard-lane demuxes of in-process shards;
+//   - in a ppc-shard worker, which builds a core from the coordinator's
+//     slice offer (census, range, per-pair mask seeds) and feeds it the
+//     relayed holder frames.
 //
-// The core holds only what the shard math needs — the session agreement,
-// the census, the compute budget and the per-(attribute, pair) mask-stream
+// The core holds only what the math needs — the session agreement, the
+// census, the compute budget and the per-(attribute, pair) mask-stream
 // seeds — and never the channel masters, which stay on the coordinator.
 // Because the demux lane quotas, the chunk schedules and the keystream
 // positioning are all pure functions of (Config, census, range), a core fed
-// the same per-holder frame bytes produces bit-identical slices wherever it
-// runs; that is the whole cross-process bit-identity argument.
+// the same per-holder frame bytes produces bit-identical rows wherever it
+// runs; that is the whole cross-deployment bit-identity argument.
 
 import (
 	"fmt"
@@ -29,25 +30,46 @@ import (
 	"ppclust/internal/wire"
 )
 
+// attrSource feeds one attribute's assembly the protocol messages of that
+// attribute, per holder, in the holder's send order.
+type attrSource interface {
+	expect(hi int, kind wire.Kind, body any) (*wire.Message, error)
+}
+
+// demuxSource pulls a fixed attribute lane out of each holder's session
+// demultiplexer.
+type demuxSource struct {
+	ds   []*wire.Demux
+	lane int
+}
+
+func (s demuxSource) expect(hi int, kind wire.Kind, body any) (*wire.Message, error) {
+	return s.ds[hi].Expect(s.lane, kind, body)
+}
+
 type shardCore struct {
 	cfg     Config
 	holders []string
 	counts  []int
+	offsets []int // global row offset of each holder's first object
+	total   int
 	workers int
 	engines *protocol.EnginePool
 	// seed yields the shared mask-stream seed of (attr, pair (j, k)) — the
 	// coordinator derives it from the key agreement (ThirdParty.seedJT), a
 	// worker looks it up in the slice offer.
-	seed func(attr int, j, k string) rng.Seed
+	seed  func(attr int, j, k string) rng.Seed
+	seeds [][]rng.Seed // pairSeeds' table; the coordinator's offers only
 }
 
-// core builds the third party's own shard pipeline view — the in-process
-// deployment, and the source of the single-TP receive loops (recvLocal,
-// recvPair delegate here so shard assembly is the same code over a
-// restricted schedule).
-func (tp *ThirdParty) core() *shardCore {
-	return &shardCore{cfg: tp.cfg, holders: tp.holders, counts: tp.counts,
-		workers: tp.workers, engines: tp.engines, seed: tp.seedJT}
+func newShardCore(cfg Config, holders []string, counts []int, workers int, engines *protocol.EnginePool, seed func(attr int, j, k string) rng.Seed) *shardCore {
+	c := &shardCore{cfg: cfg, holders: holders, counts: counts, offsets: make([]int, len(counts)),
+		workers: workers, engines: engines, seed: seed}
+	for i, n := range counts {
+		c.offsets[i] = c.total
+		c.total += n
+	}
+	return c
 }
 
 // stageWidthFor resolves a stage-pool size: at most pipelineDepth, never
@@ -69,19 +91,19 @@ func stageWidthFor(nAttr, workers int) int {
 	return width
 }
 
-// shardLaneQuotas is the per-attribute frame quota of holder hi's stream
-// toward the shard owning global rows [r[0], r[1]): the local-matrix chunks
-// of the holder-local row intersection plus the S/M chunks of every pair
-// the holder responds in, restricted the same way. Every party — the
-// holder, the in-process shard demux, the coordinator's relay pumps and a
+// laneQuotas is the per-attribute frame quota of holder hi's comparison
+// stream toward the owner of global rows [r[0], r[1]): the local-matrix
+// chunks of the holder-local row intersection plus the S/M chunks of every
+// pair the holder responds in, restricted the same way. Every party — the
+// holder, the third party's demuxes, the coordinator's relay pumps and a
 // worker process's own demux — derives the identical vector from (Config,
 // census, range) alone, so the exact stream length is known before the
-// first frame moves. A holder with no rows in the shard has an all-zero
+// first frame moves. A holder with no rows in the range has an all-zero
 // vector and sends nothing there.
-func shardLaneQuotas(cfg Config, counts, offsets []int, hi int, r [2]int) []int {
-	attrs := cfg.Schema.Attrs
+func (c *shardCore) laneQuotas(hi int, r [2]int) []int {
+	attrs := c.cfg.Schema.Attrs
 	quotas := make([]int, len(attrs))
-	llo, lhi := shardRowsOf(r[0], r[1], offsets[hi], counts[hi])
+	llo, lhi := shardRowsOf(r[0], r[1], c.offsets[hi], c.counts[hi])
 	if llo >= lhi {
 		return quotas
 	}
@@ -89,37 +111,30 @@ func shardLaneQuotas(cfg Config, counts, offsets []int, hi int, r [2]int) []int 
 		if tagBased(a.Type) {
 			continue
 		}
-		quotas[attr] = len(cfg.localChunksRange(llo, lhi))
+		quotas[attr] = len(c.cfg.localChunksRange(llo, lhi))
 		for j := 0; j < hi; j++ {
-			quotas[attr] += cfg.pairChunkCountRange(a.Type, llo, lhi, counts[j])
+			quotas[attr] += c.cfg.pairChunkCountRange(a.Type, llo, lhi, c.counts[j])
 		}
 	}
 	return quotas
 }
 
-// runShard is one shard's session body: a stage pool (bounded exactly like
-// the single-TP pipeline's) pulls the comparison attributes through
-// receive → evaluate → slice-assemble, writing each finished slice into
-// out[attr]. Errors flow through fail, which the caller wires to stop every
-// demux of the session so sibling shards and the coordinator unwind too.
-func (c *shardCore) runShard(s int, r [2]int, demux []*wire.Demux, out []attrSlice, fail func(error)) {
-	attrs := c.cfg.Schema.Attrs
-	var comp []int
-	for attr, a := range attrs {
-		if !tagBased(a.Type) {
-			comp = append(comp, attr)
-		}
-	}
-	if len(comp) == 0 {
-		return
-	}
-	attrCh := make(chan int, len(comp))
-	for _, attr := range comp {
+// runStages is the session's one stage pool: stageWidthFor goroutines pull
+// attrs in order through stage, each with a private engine from the pool,
+// so attribute i is being decoded and assembled while attribute i+1 is
+// still streaming in. Every lane group of a session runs one — the control
+// group and each in-process shard on the third party, the single range of
+// a worker process. A stage error goes to fail, which the caller wires to
+// stop every demux of the session so sibling stages and groups unwind too,
+// and ends the goroutine that hit it.
+func (c *shardCore) runStages(attrs []int, stage func(eng *protocol.Engine, attr int) error, fail func(error)) {
+	attrCh := make(chan int, len(attrs))
+	for _, attr := range attrs {
 		attrCh <- attr
 	}
 	close(attrCh)
 	var wg sync.WaitGroup
-	for w, width := 0, stageWidthFor(len(comp), c.workers); w < width; w++ {
+	for w, width := 0, stageWidthFor(len(attrs), c.workers); w < width && len(attrs) > 0; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -128,42 +143,48 @@ func (c *shardCore) runShard(s int, r [2]int, demux []*wire.Demux, out []attrSli
 			eng := c.engines.Get()
 			defer c.engines.Put(eng)
 			for attr := range attrCh {
-				cells, max, err := c.assembleShardSlice(eng, r, demux, attr)
-				if err != nil {
-					fail(fmt.Errorf("party: shard %d assembling attribute %q: %w", s, attrs[attr].Name, err))
+				if err := stage(eng, attr); err != nil {
+					fail(fmt.Errorf("party: assembling attribute %q: %w", c.cfg.Schema.Attrs[attr].Name, err))
 					return
 				}
-				out[attr] = attrSlice{cells: cells, max: max}
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// assembleShardSlice builds one comparison attribute's slice of global
-// rows [r[0], r[1]): each intersecting holder's local chunk frames, then
-// each pair's S/M chunk frames over the responder-row intersection — the
-// exact receive loops of the single-TP pipeline (recvLocalRows,
-// recvPairRows) over the shard-restricted schedules.
-func (c *shardCore) assembleShardSlice(eng *protocol.Engine, r [2]int, demux []*wire.Demux, attr int) ([]float64, float64, error) {
-	a := c.cfg.Schema.Attrs[attr]
-	sa, err := dissim.NewSliceAssembler(c.counts, r[0], r[1], c.workers)
-	if err != nil {
-		return nil, 0, err
+// comparisonAttrs lists the schema's numeric, ordered and alphanumeric
+// attributes — the ones assembled from local triangles and pair blocks.
+func (c *shardCore) comparisonAttrs() []int {
+	var comp []int
+	for attr, a := range c.cfg.Schema.Attrs {
+		if !tagBased(a.Type) {
+			comp = append(comp, attr)
+		}
 	}
-	src := demuxSource{ds: demux, lane: attr}
+	return comp
+}
+
+// assembleRows receives one comparison attribute's traffic for the global
+// rows asm covers and installs it: each intersecting holder's local chunk
+// frames, then each pair's S/M chunk frames over the responder-row
+// intersection, pulled from src in the fixed order every holder sends in.
+// The caller completes asm — as the whole matrix when the
+// range is the whole triangle, as a slice otherwise.
+func (c *shardCore) assembleRows(eng *protocol.Engine, asm *dissim.SliceAssembler, src attrSource, attr int) error {
+	a := c.cfg.Schema.Attrs[attr]
 	for hi, h := range c.holders {
-		llo, lhi := sa.LocalRows(hi)
+		llo, lhi := asm.PartyRows(hi)
 		if llo >= lhi {
 			continue
 		}
-		if err := c.recvLocalRows(sa, src, hi, h, attr, c.cfg.localChunksRange(llo, lhi)); err != nil {
-			return nil, 0, err
+		if err := c.recvLocalRows(asm, src, hi, h, attr, c.cfg.localChunksRange(llo, lhi)); err != nil {
+			return err
 		}
 	}
 	for _, pair := range sortedPairs(c.holders) {
 		ji, ki := pair[0], pair[1]
-		rlo, rhi := sa.CrossRows(ki)
+		rlo, rhi := asm.PartyRows(ki)
 		if rlo >= rhi {
 			continue
 		}
@@ -171,11 +192,11 @@ func (c *shardCore) assembleShardSlice(eng *protocol.Engine, r [2]int, demux []*
 		cols := c.counts[ji]
 		jt := rng.New(c.cfg.RNG, c.seed(attr, j, k))
 		// Per-pair masking consumes the keystream row-major with no
-		// re-initialization, so a shard whose range starts mid-block first
-		// draws and discards the earlier rows' masks — its first chunk
-		// then evaluates at the exact keystream position the monolithic
-		// pass would use. Batch and alphanumeric evaluation rewind per
-		// chunk and need no positioning (the Advance calls no-op).
+		// re-initialization, so a range that starts mid-block first draws
+		// and discards the earlier rows' masks — its first chunk then
+		// evaluates at the exact keystream position a whole-block pass
+		// would use. Batch and alphanumeric evaluation rewind per chunk and
+		// need no positioning (the Advance calls no-op, as they do at row 0).
 		if a.Type != dataset.Alphanumeric {
 			switch c.cfg.Variant {
 			case Float64Variant:
@@ -187,19 +208,20 @@ func (c *shardCore) assembleShardSlice(eng *protocol.Engine, r [2]int, demux []*
 			}
 		}
 		chunks := c.cfg.pairChunksRange(a.Type, rlo, rhi, cols)
-		if err := c.recvPairRows(eng, sa, src, attr, ji, ki, jt, chunks); err != nil {
-			return nil, 0, err
+		if err := c.recvPairRows(eng, asm, src, attr, ji, ki, jt, chunks); err != nil {
+			return err
 		}
 	}
-	return sa.Done()
+	return nil
 }
 
 // recvLocalRows consumes one holder's local-matrix chunk stream for one
-// attribute, restricted to the given schedule, installing each row-range
-// frame the moment it arrives. The single-TP pipeline passes the full
-// localChunks schedule; a shard passes localChunksRange over its
-// holder-local intersection.
-func (c *shardCore) recvLocalRows(inst localInstaller, src attrSource, hi int, h string, attr int, chunks [][2]int) error {
+// attribute in the given schedule, installing each row-range frame the
+// moment it arrives, so triangle installation overlaps the rest of the
+// attribute's traffic still on the wire. Chunks must follow the shared
+// schedule exactly: holder and third party derive it from the same Config,
+// so any deviation is a protocol error, rejected before install.
+func (c *shardCore) recvLocalRows(asm *dissim.SliceAssembler, src attrSource, hi int, h string, attr int, chunks [][2]int) error {
 	n := c.counts[hi]
 	for ci, ch := range chunks {
 		var body localBody
@@ -217,22 +239,38 @@ func (c *shardCore) recvLocalRows(inst localInstaller, src attrSource, hi int, h
 			return fmt.Errorf("party: %s local chunk %d covers rows [%d,%d), schedule says [%d,%d)",
 				h, ci, body.Lo, body.Hi, ch[0], ch[1])
 		}
-		if err := inst.SetLocalRows(hi, body.Lo, body.Hi, body.Cells); err != nil {
+		if err := asm.SetLocalRows(hi, body.Lo, body.Hi, body.Cells); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// recvPairRows consumes the S/M chunk frames of one (attribute, pair)
-// covering the scheduled responder row ranges, evaluating and installing
-// each chunk the moment it arrives. The single-TP pipeline passes the
-// full pairChunks schedule and a fresh jt; a shard passes pairChunksRange
-// over its responder-row intersection with jt pre-positioned by the
-// engine's AdvanceThirdParty* (per-pair mode consumes the keystream
-// row-major with no re-initialization, so a shard starting mid-block must
-// first draw and discard the earlier rows' masks).
-func (c *shardCore) recvPairRows(eng *protocol.Engine, inst crossInstaller, src attrSource, attr, ji, ki int, jt rng.Stream, chunks [][2]int) error {
+// checkPairChunk validates one received S/M chunk frame against the
+// shared pairChunksRange schedule. Responder and third party derive the
+// schedule from the same Config and census, so a frame that claims a
+// different row count or covers a different range — duplicated,
+// out-of-order or misdrawn chunks — is a protocol error, reported
+// descriptively rather than installed.
+func checkPairChunk(j, k string, ci int, sched [2]int, bodyRows, lo, hi, rows int) error {
+	if bodyRows != rows {
+		return fmt.Errorf("party: %s S/M payload for pair (%s,%s) claims %d rows, census says %d", k, j, k, bodyRows, rows)
+	}
+	if lo != sched[0] || hi != sched[1] {
+		return fmt.Errorf("party: %s pair (%s,%s) chunk %d covers rows [%d,%d), schedule says [%d,%d)",
+			k, j, k, ci, lo, hi, sched[0], sched[1])
+	}
+	return nil
+}
+
+// recvPairRows consumes the responder→TP S/M chunk frames of one
+// (attribute, pair) covering the scheduled responder row ranges,
+// evaluating each chunk the moment it arrives (the protocol engine's *Rows
+// methods, sharing one jt stream per pair so batched keystreams stay
+// aligned — the caller positions jt for a range that starts mid-block) and
+// installing it row-exactly, so unmasking and placement of a pair's block
+// overlap the rest of the payload still on the wire.
+func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssembler, src attrSource, attr, ji, ki int, jt rng.Stream, chunks [][2]int) error {
 	a := c.cfg.Schema.Attrs[attr]
 	j, k := c.holders[ji], c.holders[ki]
 	rows, cols := c.counts[ki], c.counts[ji]
@@ -294,13 +332,11 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, inst crossInstaller, src 
 				block = func(m, n int) float64 { return float64(dists.At(m, n)) }
 			}
 		}
-		// A zero-row chunk (empty responder) carries no usable column
-		// count and is never consulted during assembly.
 		if bRows > 0 && bCols != cols {
 			return fmt.Errorf("party: block (%s,%s) rows [%d,%d) have %d columns, census says %d",
 				j, k, ch[0], ch[1], bCols, cols)
 		}
-		if err := inst.SetCrossRows(ji, ki, ch[0], ch[1], block); err != nil {
+		if err := asm.SetCrossRows(ji, ki, ch[0], ch[1], block); err != nil {
 			return err
 		}
 	}

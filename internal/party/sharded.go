@@ -1,56 +1,62 @@
 package party
 
-// The sharded third party splits the TP role into two composable halves:
+// A sharded third party (TPShards > 1) differs from the single one only in
+// where comparison rows are assembled. The session body (ThirdParty.assemble)
+// is shared: the control conduit carries handshake, census, the tag-based
+// attributes, clustering requests and results in every session, and at K ≤ 1
+// the comparison traffic too. At K > 1 each row range of
+// dissim.ShardRanges(total, K) has its own holder conduits, and this file is
+// what the extra lanes need:
 //
-//   - a shard owns a contiguous range of global triangle rows
-//     (dissim.ShardRanges over the census total). Holders fan each
-//     comparison attribute's local-matrix and S/M chunk frames to the
-//     owning shard's conduit; the shard demultiplexes its lanes, evaluates
-//     each chunk row-exactly (the protocol engine's *Rows methods, with
-//     AdvanceThirdParty* positioning the per-pair keystream for mid-block
-//     starts) and assembles exactly its slice with a SliceAssembler;
-//   - the coordinator runs everything else unchanged: handshake, census,
-//     the tag-based attributes, clustering requests and result publication
-//     all stay on the per-holder control conduit. When the shards finish,
-//     it concatenates their slices into each attribute's condensed matrix
-//     (SetPackedRows) and normalizes.
+//   - shardSource, where one range's slices come from: a stage pool over the
+//     range's demuxes in this process (localShard, below), or a ppc-shard
+//     worker behind a relay link (remoteShard, shardproc.go);
+//   - mergeShardSlices, which concatenates the slices into each attribute's
+//     condensed matrix (SetPackedRows) and normalizes.
 //
-// The shard pipeline itself lives in shardCore (shardcore.go) and has two
-// deployments: in-process goroutines under the coordinator's session guard
-// (this file), or separate ppc-shard worker processes driven over the
-// coordinator↔shard control protocol (shardproc.go, shardserver.go). The
-// split partitions rows, wire lanes and resident memory (each shard holds
-// ~1/K of every attribute triangle), not trust. Bit-identity with the
-// single-TP path holds for every K: chunk evaluation is sequence-identical
-// (pinned by the protocol row tests), slice assembly writes each cell
-// exactly once with the same value (pinned by the dissim slice tests), and
-// max is associative, so the merged matrix, its normalization scale and
-// every downstream clustering result match the single-TP session byte for
-// byte. TPShards ≤ 1 never reaches this file.
+// The split partitions rows, wire lanes and resident memory (each shard
+// holds ~1/K of every attribute triangle), not trust. Bit-identity with the
+// one-range session holds for every K: chunk evaluation is sequence-identical
+// (pinned by the protocol row tests), slice assembly writes each cell exactly
+// once with the same value (pinned by the dissim slice tests), and max is
+// associative, so the merged matrix, its normalization scale and every
+// downstream clustering result match byte for byte.
 
 import (
 	"fmt"
-	"sync"
 
-	"ppclust/internal/dataset"
 	"ppclust/internal/dissim"
+	"ppclust/internal/protocol"
 	"ppclust/internal/wire"
 )
 
 // attrSlice is one shard's assembled slice of one comparison attribute:
-// the packed cells of the shard's global row range plus their maximum
-// (folded into the merged matrix's max cache by SetPackedRows).
+// the packed cells of the shard's global row range plus their maximum.
 type attrSlice struct {
 	cells []float64
 	max   float64
 }
 
-// shardClassifier routes a sharded session's demux traffic: aborts fail the
-// lane, clustering requests land past the attribute lanes, everything else
-// routes by attribute. Both coordinator deployments and the worker process
-// use the same routing (the worker's demuxes simply have no request lane).
-func shardClassifier(nAttr, reqLane int) func(m *wire.Message) (int, error) {
+// shardSource is where one row range's slices come from. run blocks until
+// every comparison attribute's slice has landed in out (indexed by
+// attribute) or the source failed; stop unblocks it from outside and
+// releases what it holds — safe to call more than once and after run
+// returned.
+type shardSource struct {
+	run  func(out []attrSlice) error
+	stop func()
+}
+
+// laneClassifier routes a session's demux traffic: aborts fail the lane,
+// clustering requests land past the attribute lanes, everything else routes
+// by attribute. The third party's control and shard demuxes and a worker's
+// demuxes use the same routing (shard and worker demuxes have no request
+// lane: reqLane < 0).
+func laneClassifier(nAttr, reqLane int) func(m *wire.Message) (int, error) {
 	return func(m *wire.Message) (int, error) {
+		// A peer's abort terminates the whole stream: the classify error
+		// becomes the demux's terminal error, every lane closes, and the
+		// stages observe the classified reason instead of a routing error.
 		if m.Kind == kindAbort {
 			return 0, peerAbortError(m)
 		}
@@ -64,74 +70,59 @@ func shardClassifier(nAttr, reqLane int) func(m *wire.Message) (int, error) {
 	}
 }
 
-// controlDemuxes builds the coordinator's per-holder control demuxes for a
-// sharded session: the tag columns and the clustering request only —
-// comparison-attribute traffic flows on the shard conduits.
-func (tp *ThirdParty) controlDemuxes(reqLane int, classify func(m *wire.Message) (int, error)) []*wire.Demux {
-	attrs := tp.cfg.Schema.Attrs
-	ctl := make([]*wire.Demux, len(tp.holders))
-	for hi, h := range tp.holders {
-		counts := make([]int, len(attrs)+1)
-		for attr, a := range attrs {
-			if tagBased(a.Type) {
-				counts[attr] = 1
-			}
-		}
-		counts[reqLane] = 1
-		ctl[hi] = wire.NewDemux(tp.eps[h], counts, laneBuffer, classify)
+// assembleSlice builds one comparison attribute's slice of global rows r
+// from the range's demuxes.
+func (c *shardCore) assembleSlice(eng *protocol.Engine, r [2]int, demux []*wire.Demux, attr int) (attrSlice, error) {
+	sa, err := dissim.NewSliceAssembler(c.counts, r[0], r[1], c.workers)
+	if err != nil {
+		return attrSlice{}, err
 	}
-	return ctl
+	if err := c.assembleRows(eng, sa, demuxSource{ds: demux, lane: attr}, attr); err != nil {
+		return attrSlice{}, err
+	}
+	cells, max, err := sa.Done()
+	return attrSlice{cells: cells, max: max}, err
 }
 
-// runTagStages assembles the tag-based attributes from the control lanes on
-// a stage pool (the same shape as the pipelined single-TP engine's) while
-// the shards stream, adding its workers to wg.
-func (tp *ThirdParty) runTagStages(ctl []*wire.Demux, matrices []*dissim.Matrix, scales []float64, wg *sync.WaitGroup, fail func(error)) {
-	attrs := tp.cfg.Schema.Attrs
-	var tagAttrs []int
-	for attr, a := range attrs {
-		if tagBased(a.Type) {
-			tagAttrs = append(tagAttrs, attr)
-		}
+// localShard is the in-process source of shard s: one demux per holder over
+// the shard's conduits, lane quotas restricted to each holder's row
+// intersection with the range (a holder with no rows there sends nothing:
+// every quota is zero, the lanes close immediately and the reader never
+// touches the conduit), and a stage pool of its own — a pool shared between
+// shards and narrower than K could deadlock against holders blocked on a
+// lane nobody is draining.
+func (tp *ThirdParty) localShard(core *shardCore, s int, r [2]int, fail func(error)) (shardSource, error) {
+	demux := make([]*wire.Demux, len(tp.holders))
+	classify := laneClassifier(len(tp.cfg.Schema.Attrs), -1)
+	for hi, h := range tp.holders {
+		demux[hi] = wire.NewDemux(wire.NewEndpoint(tp.shardLanes[s][h]), core.laneQuotas(hi, r), laneBuffer, classify)
 	}
-	if len(tagAttrs) == 0 {
-		return
-	}
-	tagCh := make(chan int, len(tagAttrs))
-	for _, attr := range tagAttrs {
-		tagCh <- attr
-	}
-	close(tagCh)
-	for w, width := 0, tp.stageWidth(len(tagAttrs)); w < width; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			activeStages.Add(1)
-			defer activeStages.Add(-1)
-			for attr := range tagCh {
-				var m *dissim.Matrix
-				var err error
-				if attrs[attr].Type == dataset.Categorical {
-					m, err = tp.assembleCategorical(attr, demuxSource{ds: ctl, lane: attr})
-				} else {
-					m, err = tp.assembleHierarchical(attr, demuxSource{ds: ctl, lane: attr})
-				}
+	return shardSource{
+		run: func(out []attrSlice) error {
+			core.runStages(core.comparisonAttrs(), func(eng *protocol.Engine, attr int) error {
+				sl, err := core.assembleSlice(eng, r, demux, attr)
 				if err != nil {
-					fail(fmt.Errorf("party: assembling attribute %q: %w", attrs[attr].Name, err))
-					return
+					return fmt.Errorf("shard %d: %w", s, err)
 				}
-				scales[attr] = m.NormalizePar(tp.workers)
-				matrices[attr] = m
+				out[attr] = sl
+				return nil
+			}, fail)
+			return nil
+		},
+		stop: func() {
+			for _, d := range demux {
+				d.Stop()
 			}
-		}()
-	}
+		},
+	}, nil
 }
 
 // mergeShardSlices concatenates each comparison attribute's shard slices
 // into the condensed matrix and normalizes. The slices partition the
-// triangle, SetPackedRows folds each slice's maximum into the matrix's max
-// cache, and max is associative — so the scale, and with element-wise
-// division every cell, is bit-identical to the single-TP assembly.
+// triangle, SetPackedRows validates each and folds its maximum into the
+// matrix's max cache, and max is associative — so the scale, and with
+// element-wise division every cell, is bit-identical to the one-range
+// assembly.
 func (tp *ThirdParty) mergeShardSlices(total int, ranges [][2]int, slices [][]attrSlice, matrices []*dissim.Matrix, scales []float64) error {
 	for attr, a := range tp.cfg.Schema.Attrs {
 		if tagBased(a.Type) {
@@ -147,93 +138,4 @@ func (tp *ThirdParty) mergeShardSlices(total int, ranges [][2]int, slices [][]at
 		matrices[attr] = m
 	}
 	return nil
-}
-
-// runSharded is the coordinator's session body for TPShards > 1 with
-// in-process shards — the sharded counterpart of runPipelined.
-func (tp *ThirdParty) runSharded() (*TPReport, error) {
-	attrs := tp.cfg.Schema.Attrs
-	nAttr := len(attrs)
-	reqLane := nAttr
-
-	total := 0
-	offsets := make([]int, len(tp.counts))
-	for i, c := range tp.counts {
-		offsets[i] = total
-		total += c
-	}
-	// ShardRanges never emits an empty range, so fewer than K shards are
-	// active when the session has fewer rows than shards; the surplus
-	// conduits stay idle (both sides derive the same partition from the
-	// census, so holders send nothing on them either).
-	ranges := dissim.ShardRanges(total, len(tp.shardEps))
-
-	classify := shardClassifier(nAttr, reqLane)
-	ctl := tp.controlDemuxes(reqLane, classify)
-	// Shard demuxes, with lane quotas restricted to each holder's row
-	// intersection with the shard. A holder with no rows in a shard sends
-	// nothing there: every quota is zero, the lanes close immediately and
-	// the reader never touches the conduit.
-	shardDemux := make([][]*wire.Demux, len(ranges))
-	for s, r := range ranges {
-		shardDemux[s] = make([]*wire.Demux, len(tp.holders))
-		for hi, h := range tp.holders {
-			shardDemux[s][hi] = wire.NewDemux(tp.shardEps[s][h],
-				shardLaneQuotas(tp.cfg, tp.counts, offsets, hi, r), laneBuffer, classify)
-		}
-	}
-	stopAll := func() {
-		for _, d := range ctl {
-			d.Stop()
-		}
-		for _, ds := range shardDemux {
-			for _, d := range ds {
-				d.Stop()
-			}
-		}
-	}
-	defer stopAll()
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			stopAll()
-		}
-		mu.Unlock()
-	}
-
-	matrices := make([]*dissim.Matrix, nAttr)
-	scales := make([]float64, nAttr)
-	slices := make([][]attrSlice, len(ranges))
-
-	core := tp.core()
-	var wg sync.WaitGroup
-	for s, r := range ranges {
-		slices[s] = make([]attrSlice, nAttr)
-		wg.Add(1)
-		go func(s int, r [2]int) {
-			defer wg.Done()
-			core.runShard(s, r, shardDemux[s], slices[s], fail)
-		}(s, r)
-	}
-	tp.runTagStages(ctl, matrices, scales, &wg, fail)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	if err := tp.mergeShardSlices(total, ranges, slices, matrices, scales); err != nil {
-		return nil, err
-	}
-
-	return tp.finish(matrices, scales, func(hi int) (requestBody, error) {
-		var req requestBody
-		_, err := ctl[hi].Expect(reqLane, kindRequest, &req)
-		return req, err
-	})
 }

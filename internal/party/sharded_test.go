@@ -22,8 +22,8 @@ import (
 func TestShardedMatchesSingleTP(t *testing.T) {
 	parts := pipelineParts(t, 10)
 	reqs := pipelineReqs()
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, SerialTP: true}
-	want, err := RunInMemory(base, parts, reqs, deterministicRandom(23))
+	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
+	want, err := runSerialTP(base, parts, reqs, deterministicRandom(23), nil)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -35,6 +35,61 @@ func TestShardedMatchesSingleTP(t *testing.T) {
 				t.Fatalf("shards=%d workers=%d: %v", k, workers, err)
 			}
 			assertSameOutcome(t, fmt.Sprintf("shards=%d workers=%d", k, workers), want, got)
+		}
+	}
+}
+
+// TestSessionMatrixMatchesOracle is the full differential matrix of the one
+// session pipeline against the phase-serial oracle: every deployment of the
+// row ranges — one range, 2 and 4 in-process shards, 2 shards in ShardServer
+// workers over real TCP — crossed with chunk sizes one row per frame, 4 KiB,
+// the 256 KiB default and monolithic, Parallelism 1, 2 and all cores, and
+// the float64, int64, mod-p and per-pair arithmetic must publish a report
+// bit-identical to the oracle's monolithic one. -short trims the chunk and
+// Parallelism axes to their extremes.
+func TestSessionMatrixMatchesOracle(t *testing.T) {
+	parts := pipelineParts(t, 8)
+	reqs := pipelineReqs()
+	chunks, workers := []int{1, 4 << 10, 256 << 10, -1}, []int{1, 2, 0}
+	if testing.Short() {
+		chunks, workers = []int{1, -1}, []int{1, 0}
+	}
+	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: pipelineSchema()})
+	for _, v := range []struct {
+		name    string
+		variant Variant
+		mode    protocol.Mode
+	}{
+		{"float64", Float64Variant, protocol.Batch},
+		{"int64", Int64Variant, protocol.Batch},
+		{"modp", ModPVariant, protocol.Batch},
+		{"per-pair", Float64Variant, protocol.PerPair},
+	} {
+		base := Config{Schema: pipelineSchema(), Variant: v.variant, Mode: v.mode, Parallelism: 1, LocalChunkBytes: -1}
+		want, err := runSerialTP(base, parts, reqs, deterministicRandom(31), nil)
+		if err != nil {
+			t.Fatalf("%s oracle: %v", v.name, err)
+		}
+		for _, chunk := range chunks {
+			for _, w := range workers {
+				for _, dep := range []struct {
+					name   string
+					shards int
+					procs  bool
+				}{{"one-range", 1, false}, {"shards-2", 2, false}, {"shards-4", 4, false}, {"workers-2", 2, true}} {
+					label := fmt.Sprintf("%s chunk=%d workers=%d %s", v.name, chunk, w, dep.name)
+					cfg := base
+					cfg.LocalChunkBytes, cfg.Parallelism, cfg.TPShards = chunk, w, dep.shards
+					if dep.procs {
+						cfg.ShardDial = pool.dialer(label, nil)
+					}
+					got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(31))
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					assertSameOutcome(t, label, want, got)
+				}
+			}
 		}
 	}
 }
@@ -58,8 +113,8 @@ func TestShardedPerPairDisguisedChunkSweep(t *testing.T) {
 		{"modp", ModPVariant, []int{1}},
 	} {
 		base := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: protocol.PerPair,
-			Parallelism: 1, SerialTP: true, LocalChunkBytes: -1}
-		want, err := RunInMemory(base, parts, reqs, deterministicRandom(24))
+			Parallelism: 1, LocalChunkBytes: -1}
+		want, err := runSerialTP(base, parts, reqs, deterministicRandom(24), nil)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", tc.name, err)
 		}
@@ -84,8 +139,8 @@ func TestShardedPerPairDisguisedChunkSweep(t *testing.T) {
 // several shard×holder row intersections empty.
 func TestShardedMoreShardsThanRows(t *testing.T) {
 	parts := pipelineParts(t, 1) // holders of 1, 2 and 3 rows: 6 triangle rows
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, SerialTP: true}
-	want, err := RunInMemory(base, parts, nil, deterministicRandom(25))
+	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
+	want, err := runSerialTP(base, parts, nil, deterministicRandom(25), nil)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}

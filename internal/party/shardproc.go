@@ -2,10 +2,11 @@ package party
 
 // Cross-process TP shards: the coordinator side.
 //
-// With Config.ShardDial set and TPShards > 1, the shard pipelines run in
-// separate ppc-shard worker processes (shardserver.go) instead of
-// goroutines, and this file is the coordinator's half of the
-// coordinator↔shard control protocol:
+// With Config.ShardDial set and TPShards > 1, a range's slices come from a
+// ppc-shard worker process (shardserver.go) instead of a stage pool in this
+// process, and this file is the coordinator's half of the
+// coordinator↔shard control protocol — remoteShard, the shardSource the
+// session body plugs in:
 //
 //	coordinator                                 worker
 //	    │  netid v4 shard-registration hello       │
@@ -23,9 +24,9 @@ package party
 //
 // The coordinator keeps the secured holder→shard conduits from the
 // handshake and relays every frame, byte for byte, to the owning worker
-// (one pump per (shard, holder) lane with the shared shardLaneQuotas
-// stream length). The worker feeds the bytes through an identical demux,
-// so the shard pipeline reads the exact stream an in-process shard would —
+// (one pump per (shard, holder) lane with the shared laneQuotas stream
+// length). The worker feeds the bytes through an identical demux, so its
+// stage pool reads the exact stream an in-process shard would —
 // bit-identity across deployments is code identity, not re-derivation.
 //
 // Failure and healing: worker links are plain conduits when ResumeWindow
@@ -49,8 +50,6 @@ import (
 	"sync"
 	"time"
 
-	"ppclust/internal/dissim"
-	"ppclust/internal/keys"
 	"ppclust/internal/rng"
 	"ppclust/internal/wire"
 )
@@ -69,12 +68,6 @@ type ShardDialFunc func(ctx context.Context, shard int, state ResumeState) (wire
 // worker that died after delivering its slices would park the send in the
 // Reconn, and the session must not wait on a corpse to publish results.
 const shardDoneGrace = 250 * time.Millisecond
-
-// remoteShards reports whether this TP runs its shards as separate worker
-// processes.
-func (tp *ThirdParty) remoteShards() bool {
-	return tp.cfg.ShardDial != nil && tp.cfg.shardCount() > 1
-}
 
 // shardLink is the coordinator's control link to one worker process.
 type shardLink struct {
@@ -121,35 +114,16 @@ func (l *shardLink) shutdown() {
 }
 
 // shardSecure runs the coordinator side of the worker-link handshake over
-// a fresh raw transport: lifecycle binding, X25519 hello exchange, then
-// AES-GCM under the derived channel key. The worker generates a fresh
-// identity per connection, so every (re)dial derives a fresh key and
-// nonce sequence. Worker links are always encrypted —
-// Config.PlaintextChannels governs only the holder conduits, whose
-// protection the parties agree on before any payload moves; a worker
+// a fresh raw transport: lifecycle binding, then the key agreement. The
+// worker generates a fresh identity per connection, so every (re)dial
+// derives a fresh key and nonce sequence. Worker links are always
+// encrypted — Config.PlaintextChannels governs only the holder conduits,
+// whose protection the parties agree on before any payload moves; a worker
 // link's configuration rides the link itself, so it never starts plain.
 func (tp *ThirdParty) shardSecure(s int, raw wire.Conduit) (wire.Conduit, error) {
-	name := ShardName(s)
-	bound := tp.guard.bind(raw)
-	ep := wire.NewEndpoint(bound)
-	fp := schemaFingerprint(tp.cfg.Schema)
-	hello := helloBody{Public: tp.identity.PublicBytes(), Fingerprint: fp}
-	if err := ep.SendBody(wire.Message{From: TPName, To: name, Kind: kindHello, Attr: -1}, hello); err != nil {
-		return nil, err
-	}
-	var peer helloBody
-	if _, err := expectMsg(ep, kindHello, &peer); err != nil {
-		return nil, fmt.Errorf("party: hello from shard worker %d: %w", s, err)
-	}
-	if peer.Fingerprint != fp {
-		return nil, fmt.Errorf("party: shard worker %d disagrees on the schema", s)
-	}
-	master, err := tp.identity.Master(peer.Public)
-	if err != nil {
-		return nil, err
-	}
-	key := keys.DeriveKey(master, keys.PurposeChannel, TPName, name)
-	return wire.Secure(bound, key, true)
+	secured, _, err := handshake(tp.guard.bind(raw), TPName, ShardName(s), tp.identity,
+		schemaFingerprint(tp.cfg.Schema), true)
+	return secured, err
 }
 
 // dialShard establishes the control link to worker s: registration dial,
@@ -286,165 +260,73 @@ func (tp *ThirdParty) shardRedialLoop(link *shardLink) {
 	}
 }
 
-// runShardedRemote is the coordinator's session body for TPShards > 1 with
-// worker processes — runSharded with the shard pipelines on the far side
-// of the control protocol.
-func (tp *ThirdParty) runShardedRemote() (*TPReport, error) {
-	attrs := tp.cfg.Schema.Attrs
-	nAttr := len(attrs)
-	reqLane := nAttr
-
-	total := 0
-	offsets := make([]int, len(tp.counts))
-	for i, c := range tp.counts {
-		offsets[i] = total
-		total += c
+// remoteShard is the worker-process source of shard s: it dials the worker
+// and hands it the slice offer; run then relays the holders' shard-lane
+// frames and collects the slices the worker returns.
+func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, fail func(error)) (shardSource, error) {
+	link, err := tp.dialShard(s)
+	if err != nil {
+		return shardSource{}, err
 	}
-	// Only the active ranges get workers: with fewer rows than shards the
-	// surplus holder conduits stay idle (holders derive the same partition)
-	// and no surplus process is dialed.
-	ranges := dissim.ShardRanges(total, len(tp.shardConduits))
-
-	classify := shardClassifier(nAttr, reqLane)
-	ctl := tp.controlDemuxes(reqLane, classify)
-
-	links := make([]*shardLink, len(ranges))
-	closeLinks := func() {
-		for _, l := range links {
-			if l != nil {
-				l.close()
-			}
-		}
+	offer := shardOfferBody{
+		Shard: s, Lo: r[0], Hi: r[1],
+		Holders:     tp.holders,
+		Counts:      tp.counts,
+		Fingerprint: schemaFingerprint(tp.cfg.Schema),
+		Mode:        tp.cfg.Mode, Variant: tp.cfg.Variant, RNG: tp.cfg.RNG,
+		IntParams: tp.cfg.IntParams, FloatParams: tp.cfg.FloatParams,
+		LocalChunkBytes: tp.cfg.LocalChunkBytes,
+		Parallelism:     tp.cfg.Parallelism,
+		Seeds:           core.pairSeeds(),
 	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			for _, d := range ctl {
-				d.Stop()
-			}
-			// Unparks slice collectors and relay sends; pumps parked in a
-			// holder-conduit Recv unwind when the session guard tears the
-			// bound transports down.
-			closeLinks()
-		}
-		mu.Unlock()
+	if err := link.send(wire.Message{From: TPName, To: ShardName(s), Kind: kindShardOffer, Attr: -1}, offer); err != nil {
+		link.close()
+		return shardSource{}, fmt.Errorf("party: offering slice to shard worker %d: %w", s, err)
 	}
-	defer func() {
-		for _, d := range ctl {
-			d.Stop()
-		}
-	}()
-
-	// Dial the workers and hand each its slice.
-	seeds := tp.pairSeeds()
-	fp := schemaFingerprint(tp.cfg.Schema)
-	for s, r := range ranges {
-		link, err := tp.dialShard(s)
-		if err != nil {
-			closeLinks()
-			return nil, err
-		}
-		links[s] = link
-		offer := shardOfferBody{
-			Shard: s, Lo: r[0], Hi: r[1],
-			Holders:     tp.holders,
-			Counts:      tp.counts,
-			Fingerprint: fp,
-			Mode:        tp.cfg.Mode, Variant: tp.cfg.Variant, RNG: tp.cfg.RNG,
-			IntParams: tp.cfg.IntParams, FloatParams: tp.cfg.FloatParams,
-			LocalChunkBytes: tp.cfg.LocalChunkBytes,
-			Parallelism:     tp.cfg.Parallelism,
-			Seeds:           seeds,
-		}
-		if err := link.send(wire.Message{From: TPName, To: ShardName(s), Kind: kindShardOffer, Attr: -1}, offer); err != nil {
-			closeLinks()
-			return nil, fmt.Errorf("party: offering slice to shard worker %d: %w", s, err)
-		}
-	}
-
-	// Relay pumps: one per (shard, holder) lane with a non-zero quota,
-	// copying exactly the lane's scheduled frame count. Pumps are not part
-	// of the session-gating WaitGroup — a pump parked in a holder Recv
-	// when some other component fails unwinds at guard teardown, exactly
-	// like a demux reader; on the clean path every pump has drained its
-	// quota by the time the collectors finish, so the join below is
-	// immediate.
-	var pumpWg sync.WaitGroup
-	for s, r := range ranges {
-		for hi := range tp.holders {
+	run := func(out []attrSlice) error {
+		// Relay pumps: one per holder lane with a non-zero quota, copying
+		// exactly the lane's scheduled frame count. A pump parked in a
+		// holder Recv when some other component fails unwinds at guard
+		// teardown, exactly like a demux reader, so it is joined on the
+		// clean path only — where every pump has drained its quota by the
+		// time the slices are in, unless its holder lane died, which fails
+		// the session before run returns.
+		var pumps sync.WaitGroup
+		for hi, h := range tp.holders {
 			quota := 0
-			for _, q := range shardLaneQuotas(tp.cfg, tp.counts, offsets, hi, r) {
+			for _, q := range core.laneQuotas(hi, r) {
 				quota += q
 			}
 			if quota == 0 {
 				continue
 			}
-			pumpWg.Add(1)
-			go func(s, hi, quota int, src wire.Conduit, link *shardLink) {
-				defer pumpWg.Done()
+			pumps.Add(1)
+			go func(src wire.Conduit) {
+				defer pumps.Done()
 				for i := 0; i < quota; i++ {
 					frame, err := src.Recv()
-					if err != nil {
-						fail(fmt.Errorf("party: relaying %s frames to shard worker %d: %w", tp.holders[hi], s, err))
-						return
+					if err == nil {
+						m := wire.Message{From: TPName, To: ShardName(s), Kind: kindShardFrame, Attr: hi}
+						err = link.send(m, shardFrameBody{Frame: frame})
 					}
-					m := wire.Message{From: TPName, To: ShardName(s), Kind: kindShardFrame, Attr: hi}
-					if err := link.send(m, shardFrameBody{Frame: frame}); err != nil {
-						fail(fmt.Errorf("party: relaying %s frames to shard worker %d: %w", tp.holders[hi], s, err))
+					if err != nil {
+						fail(fmt.Errorf("party: relaying %s frames to shard worker %d: %w", h, s, err))
 						return
 					}
 				}
-			}(s, hi, quota, tp.shardConduits[s][tp.holders[hi]], links[s])
+			}(tp.shardLanes[s][h])
 		}
-	}
-
-	matrices := make([]*dissim.Matrix, nAttr)
-	scales := make([]float64, nAttr)
-	slices := make([][]attrSlice, len(ranges))
-
-	var wg sync.WaitGroup
-	for s := range ranges {
-		slices[s] = make([]attrSlice, nAttr)
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			if err := tp.collectShardSlices(s, links[s], slices[s]); err != nil {
-				fail(err)
-			}
-		}(s)
-	}
-	tp.runTagStages(ctl, matrices, scales, &wg, fail)
-	wg.Wait()
-	if firstErr == nil {
-		pumpWg.Wait()
-	}
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-
-	// Clean hand-off: end each worker's run and drop the links before
-	// publishing — the workers are not session peers and hold no results.
-	for _, link := range links {
+		if err := tp.collectShardSlices(s, link, out); err != nil {
+			return err
+		}
+		pumps.Wait()
+		// Clean hand-off: end the worker's run and drop the link before
+		// publishing — a worker is not a session peer and holds no results.
 		link.shutdown()
+		return nil
 	}
-
-	if err := tp.mergeShardSlices(total, ranges, slices, matrices, scales); err != nil {
-		return nil, err
-	}
-
-	return tp.finish(matrices, scales, func(hi int) (requestBody, error) {
-		var req requestBody
-		_, err := ctl[hi].Expect(reqLane, kindRequest, &req)
-		return req, err
-	})
+	// stop unparks the slice collector and relay sends.
+	return shardSource{run: run, stop: link.close}, nil
 }
 
 // collectShardSlices drains worker s's control stream until every
@@ -493,15 +375,18 @@ func (tp *ThirdParty) collectShardSlices(s int, link *shardLink, out []attrSlice
 }
 
 // pairSeeds materializes the offer's seed table: every (attribute, pair)
-// mask-stream seed, pairs in sortedPairs order.
-func (tp *ThirdParty) pairSeeds() [][]rng.Seed {
-	pairs := sortedPairs(tp.holders)
-	out := make([][]rng.Seed, len(tp.cfg.Schema.Attrs))
-	for attr := range out {
-		out[attr] = make([]rng.Seed, len(pairs))
-		for pi, p := range pairs {
-			out[attr][pi] = tp.seedJT(attr, tp.holders[p[0]], tp.holders[p[1]])
+// mask-stream seed, pairs in sortedPairs order. Every offer of a session
+// carries the same table, so it is built once.
+func (c *shardCore) pairSeeds() [][]rng.Seed {
+	if c.seeds == nil {
+		pairs := sortedPairs(c.holders)
+		c.seeds = make([][]rng.Seed, len(c.cfg.Schema.Attrs))
+		for attr := range c.seeds {
+			c.seeds[attr] = make([]rng.Seed, len(pairs))
+			for pi, p := range pairs {
+				c.seeds[attr][pi] = c.seed(attr, c.holders[p[0]], c.holders[p[1]])
+			}
 		}
 	}
-	return out
+	return c.seeds
 }

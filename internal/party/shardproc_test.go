@@ -8,9 +8,11 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"ppclust/internal/dataset"
 	"ppclust/internal/keys"
 	"ppclust/internal/leakcheck"
 	"ppclust/internal/netid"
@@ -121,8 +123,8 @@ func (p *shardWorkerPool) dialer(session string, wrap func(shard, dial int, c wi
 func TestShardProcMatchesInProcess(t *testing.T) {
 	parts := pipelineParts(t, 10)
 	reqs := pipelineReqs()
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, SerialTP: true}
-	want, err := RunInMemory(base, parts, reqs, deterministicRandom(41))
+	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
+	want, err := runSerialTP(base, parts, reqs, deterministicRandom(41), nil)
 	if err != nil {
 		t.Fatalf("single-TP baseline: %v", err)
 	}
@@ -153,8 +155,8 @@ func TestShardProcMatchesInProcess(t *testing.T) {
 // registration at all — and the report stays bit-identical.
 func TestShardProcMoreShardsThanRows(t *testing.T) {
 	parts := pipelineParts(t, 1) // holders of 1, 2 and 3 rows: 6 triangle rows
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, SerialTP: true}
-	want, err := RunInMemory(base, parts, nil, deterministicRandom(42))
+	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
+	want, err := runSerialTP(base, parts, nil, deterministicRandom(42), nil)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -178,8 +180,8 @@ func TestChaosShardProcLinkFlapResumes(t *testing.T) {
 	leakcheck.Check(t)
 	parts := pipelineParts(t, 8)
 	reqs := pipelineReqs()
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, SerialTP: true}
-	want, err := RunInMemory(base, parts, reqs, deterministicRandom(43))
+	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
+	want, err := runSerialTP(base, parts, reqs, deterministicRandom(43), nil)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -213,8 +215,8 @@ func TestChaosShardProcWorkerRestartResumes(t *testing.T) {
 	leakcheck.Check(t)
 	parts := pipelineParts(t, 8)
 	reqs := pipelineReqs()
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, SerialTP: true}
-	want, err := RunInMemory(base, parts, reqs, deterministicRandom(44))
+	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
+	want, err := runSerialTP(base, parts, reqs, deterministicRandom(44), nil)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -298,6 +300,96 @@ func TestChaosShardProcRedialRefusedFatal(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 8*time.Second {
 		t.Fatalf("refused redial burned the window: took %v", elapsed)
+	}
+}
+
+// eagerWorker stands in for a shard worker that answers the slice offer
+// with (all-zero) slices at once, without waiting for a single relayed
+// frame, and then drains its link — so the coordinator's slice collectors
+// finish while its relay pumps are still mid-stream.
+func eagerWorker(t *testing.T, schema dataset.Schema) ShardDialFunc {
+	return func(_ context.Context, shard int, _ ResumeState) (wire.Conduit, ResumeGrant, error) {
+		near, far := wire.Pipe()
+		go func() {
+			defer far.Close()
+			id, err := keys.NewIdentity(ShardName(shard), rand.Reader)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			secured, _, err := handshake(far, ShardName(shard), TPName, id, schemaFingerprint(schema), false)
+			if err != nil {
+				return
+			}
+			ep := wire.NewEndpoint(secured)
+			var offer shardOfferBody
+			if _, err := ep.Expect(kindShardOffer, &offer); err != nil {
+				return
+			}
+			cells := make([]float64, offer.Hi*(offer.Hi-1)/2-offer.Lo*(offer.Lo-1)/2)
+			for attr, a := range schema.Attrs {
+				if tagBased(a.Type) {
+					continue
+				}
+				msg := wire.Message{From: ShardName(shard), To: TPName, Kind: kindShardSlice, Attr: attr}
+				if err := ep.SendBody(msg, shardSliceBody{Attr: attr, Cells: cells}); err != nil {
+					return
+				}
+			}
+			for {
+				if _, err := ep.Recv(); err != nil {
+					return
+				}
+			}
+		}()
+		return near, ResumeGrant{}, nil
+	}
+}
+
+// recvSeveringConduit severs itself after its owner has read n frames.
+type recvSeveringConduit struct {
+	wire.Conduit
+	left atomic.Int64
+}
+
+func (c *recvSeveringConduit) Recv() ([]byte, error) {
+	if c.left.Add(-1) < 0 {
+		c.Conduit.Close()
+		return nil, wire.ErrClosed
+	}
+	return c.Conduit.Recv()
+}
+
+// TestChaosShardProcPumpFailsAfterSlices is the -race regression for the
+// coordinator's error hand-off: relay pumps outlive the slice collectors,
+// so a pump whose holder lane dies after every slice is in reports its
+// failure while the session body is deciding whether it succeeded. The
+// decision must read that failure under the lock and the session must end
+// with the relay error, not publish.
+func TestChaosShardProcPumpFailsAfterSlices(t *testing.T) {
+	leakcheck.Check(t)
+	cfg, err := chaosConfig().normalized() // the fingerprint covers defaulted weights
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.TPShards = 2
+	cfg.ShardDial = eagerWorker(t, cfg.Schema)
+	// C is the holder whose rows reach shard 1; its lane there dies on the
+	// coordinator's side after the hello and two chunk frames.
+	sever := func(owner, peer string, c wire.Conduit) wire.Conduit {
+		if owner == ShardName(1) && peer == "C" {
+			sc := &recvSeveringConduit{Conduit: c}
+			sc.left.Store(3)
+			return sc
+		}
+		return c
+	}
+	_, err = RunInMemoryWrapped(cfg, pipelineParts(t, 8), pipelineReqs(), deterministicRandom(47), sever)
+	if err == nil {
+		t.Fatal("session with a dead relay lane published")
+	}
+	if !strings.Contains(err.Error(), "relaying C frames to shard worker 1") {
+		t.Fatalf("session error does not name the failed relay: %v", err)
 	}
 }
 
@@ -506,7 +598,7 @@ func TestShardOfferValidation(t *testing.T) {
 				Fingerprint: schemaFingerprint(cfg.Schema),
 				Variant:     cfg.Variant,
 				RNG:         cfg.RNG,
-				Seeds:       tp.pairSeeds(),
+				Seeds:       tp.core().pairSeeds(),
 			}
 			tc.mutate(&offer)
 			if err := link.send(wire.Message{From: TPName, To: ShardName(0), Kind: kindShardOffer, Attr: -1}, offer); err != nil {

@@ -247,32 +247,16 @@ func (s *ShardServer) handle(conn net.Conn) {
 
 // secure is the worker side of the link handshake: a fresh X25519
 // identity per connection (the link is transport protection only — no
-// session key material derives from it), hello exchange, AES-GCM.
+// session key material derives from it), then the key agreement. Like the
+// coordinator's side, it never runs plain.
 func (s *ShardServer) secure(conn net.Conn, shard int) (wire.Conduit, error) {
-	raw := wire.TCPPooled(conn)
-	ep := wire.NewEndpoint(raw)
 	name := ShardName(shard)
 	identity, err := keys.NewIdentity(name, rand.Reader)
 	if err != nil {
 		return nil, err
 	}
-	hello := helloBody{Public: identity.PublicBytes(), Fingerprint: s.fp}
-	if err := ep.SendBody(wire.Message{From: name, To: TPName, Kind: kindHello, Attr: -1}, hello); err != nil {
-		return nil, err
-	}
-	var peer helloBody
-	if _, err := expectMsg(ep, kindHello, &peer); err != nil {
-		return nil, err
-	}
-	if peer.Fingerprint != s.fp {
-		return nil, errors.New("party: coordinator disagrees on the schema")
-	}
-	master, err := identity.Master(peer.Public)
-	if err != nil {
-		return nil, err
-	}
-	key := keys.DeriveKey(master, keys.PurposeChannel, TPName, name)
-	return wire.Secure(raw, key, false)
+	secured, _, err := handshake(wire.TCPPooled(conn), name, TPName, identity, s.fp, false)
+	return secured, err
 }
 
 // shardRun is one registration's lifetime on the worker.
@@ -370,43 +354,33 @@ func (r *shardRun) run(offer shardOfferBody) error {
 			return fmt.Errorf("party: offer attribute %d carries %d pair seeds, want %d", attr, len(offer.Seeds[attr]), len(pairs))
 		}
 	}
-	total := 0
-	offsets := make([]int, len(offer.Counts))
 	for i, c := range offer.Counts {
 		if c < 0 {
 			return fmt.Errorf("party: offer census holds a negative count for %s", offer.Holders[i])
 		}
-		offsets[i] = total
-		total += c
 	}
-	if offer.Lo < 0 || offer.Hi < offer.Lo || offer.Hi > total {
-		return fmt.Errorf("party: offer range [%d,%d) outside the census total %d", offer.Lo, offer.Hi, total)
+	seeds := offer.Seeds
+	core := newShardCore(cfg, offer.Holders, offer.Counts, parallel.Workers(cfg.Parallelism),
+		protocol.NewEnginePool(cfg.Parallelism), func(attr int, j, k string) rng.Seed {
+			return seeds[attr][pairIdx[[2]string{j, k}]]
+		})
+	if offer.Lo < 0 || offer.Hi < offer.Lo || offer.Hi > core.total {
+		return fmt.Errorf("party: offer range [%d,%d) outside the census total %d", offer.Lo, offer.Hi, core.total)
 	}
 	rg := [2]int{offer.Lo, offer.Hi}
-	seeds := offer.Seeds
-	core := &shardCore{
-		cfg:     cfg,
-		holders: offer.Holders,
-		counts:  offer.Counts,
-		workers: parallel.Workers(cfg.Parallelism),
-		engines: protocol.NewEnginePool(cfg.Parallelism),
-		seed: func(attr int, j, k string) rng.Seed {
-			return seeds[attr][pairIdx[[2]string{j, k}]]
-		},
-	}
 
 	// One pipe + demux per holder — the write end receives the relayed
 	// frame bytes, the read end reproduces exactly the stream an
 	// in-process shard's demux would see. Holders with an all-zero quota
 	// close their lanes immediately and never touch the pipe.
-	classify := shardClassifier(nAttr, -1)
+	classify := laneClassifier(nAttr, -1)
 	feeds := make([]wire.Conduit, len(offer.Holders))
 	demux := make([]*wire.Demux, len(offer.Holders))
 	quotas := make([]int, len(offer.Holders))
 	for hi := range offer.Holders {
 		a, b := wire.Pipe()
 		feeds[hi] = a
-		lanes := shardLaneQuotas(cfg, offer.Counts, offsets, hi, rg)
+		lanes := core.laneQuotas(hi, rg)
 		for _, q := range lanes {
 			quotas[hi] += q
 		}
@@ -442,7 +416,10 @@ func (r *shardRun) run(offer shardOfferBody) error {
 	computeDone := make(chan struct{})
 	go func() {
 		defer close(computeDone)
-		core.runShard(r.key.shard, rg, demux, out, fail)
+		core.runStages(core.comparisonAttrs(), func(eng *protocol.Engine, attr int) (err error) {
+			out[attr], err = core.assembleSlice(eng, rg, demux, attr)
+			return err
+		}, fail)
 		mu.Lock()
 		failed := runErr != nil
 		mu.Unlock()

@@ -22,8 +22,8 @@ import (
 func TestChunkedStreamingMatchesSerialTP(t *testing.T) {
 	parts := pipelineParts(t, 10)
 	reqs := pipelineReqs()
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, SerialTP: true, LocalChunkBytes: -1}
-	want, err := RunInMemory(base, parts, reqs, deterministicRandom(11))
+	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, LocalChunkBytes: -1}
+	want, err := runSerialTP(base, parts, reqs, deterministicRandom(11), nil)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -38,8 +38,8 @@ func TestChunkedStreamingMatchesSerialTP(t *testing.T) {
 		}
 		// Serial third party over the same chunked wire: the reassembly
 		// reference must agree too.
-		cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, SerialTP: true, LocalChunkBytes: chunk}
-		got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(11))
+		cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, LocalChunkBytes: chunk}
+		got, err := runSerialTP(cfg, parts, reqs, deterministicRandom(11), nil)
 		if err != nil {
 			t.Fatalf("chunk=%d serial: %v", chunk, err)
 		}
@@ -180,10 +180,9 @@ func TestSessionStreamsTrianglePastMaxFrame(t *testing.T) {
 // The lopsided rows (rowsA ≫ rowsB) make the local triangle the dominant
 // payload; the both-large rows (rowsA = rowsB) make the responder→TP S
 // matrix (rowsB×rowsA cells) dominate instead — the payload the pairwise
-// chunking adds streaming for. serial selects the phase-serial reference
-// engine; chunkBytes -1 is the monolithic wire shape and positive values
-// stream row chunks.
-func benchStreamSession(b *testing.B, serial bool, chunkBytes, rowsA, rowsB int) {
+// chunking adds streaming for. chunkBytes -1 is the monolithic wire shape
+// and positive values stream row chunks.
+func benchStreamSession(b *testing.B, chunkBytes, rowsA, rowsB int) {
 	schema := dataset.Schema{Attrs: []dataset.Attribute{{Name: "x", Type: dataset.Numeric}}}
 	var parts []dataset.Partition
 	for pi, spec := range []struct {
@@ -197,7 +196,7 @@ func benchStreamSession(b *testing.B, serial bool, chunkBytes, rowsA, rowsB int)
 		}
 		parts = append(parts, dataset.Partition{Site: spec.site, Table: tab})
 	}
-	cfg := Config{Schema: schema, Variant: Float64Variant, SerialTP: serial, LocalChunkBytes: chunkBytes}
+	cfg := Config{Schema: schema, Variant: Float64Variant, LocalChunkBytes: chunkBytes}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -216,15 +215,14 @@ func benchStreamSession(b *testing.B, serial bool, chunkBytes, rowsA, rowsB int)
 }
 
 // BenchmarkSessionStream is the session-stream family's in-tree smoke
-// variant (CI runs it at -benchtime=1x): serial reference vs the
-// monolithic pipeline vs row-chunked streaming over bandwidth-limited
+// variant (CI runs it at -benchtime=1x): the monolithic wire shape vs
+// row-chunked streaming over bandwidth-limited
 // 1 ms links, in the lopsided (big local triangle) shape and the
 // both-partitions-large shape whose dominant payload is the pairwise S
 // matrix.
 func BenchmarkSessionStream(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchStreamSession(b, true, -1, 1200, 6) })
-	b.Run("pipelined-mono", func(b *testing.B) { benchStreamSession(b, false, -1, 1200, 6) })
-	b.Run("streamed", func(b *testing.B) { benchStreamSession(b, false, 256<<10, 1200, 6) })
-	b.Run("both-large-mono", func(b *testing.B) { benchStreamSession(b, false, -1, 600, 600) })
-	b.Run("both-large-streamed", func(b *testing.B) { benchStreamSession(b, false, 256<<10, 600, 600) })
+	b.Run("pipelined-mono", func(b *testing.B) { benchStreamSession(b, -1, 1200, 6) })
+	b.Run("streamed", func(b *testing.B) { benchStreamSession(b, 256<<10, 1200, 6) })
+	b.Run("both-large-mono", func(b *testing.B) { benchStreamSession(b, -1, 600, 600) })
+	b.Run("both-large-streamed", func(b *testing.B) { benchStreamSession(b, 256<<10, 600, 600) })
 }

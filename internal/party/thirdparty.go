@@ -37,7 +37,7 @@ func ActiveStages() int64 { return activeStages.Load() }
 // messages, so a fast sender can run only a bounded distance ahead of
 // assembly. Depth 4 keeps the CPU fed on real links without hoarding
 // per-stage scratch memory. The effective width is further capped by the
-// session's Parallelism budget (see stageWidth): stage concurrency must
+// session's Parallelism budget (see stageWidthFor): stage concurrency must
 // never put more compute in flight than the operator allowed, and at
 // Parallelism 1 assembly compute stays strictly serial — wire overlap
 // then comes from the demux readers prefetching into their mailboxes.
@@ -64,18 +64,11 @@ type ThirdParty struct {
 	counts   []int
 	guard    *guard
 
-	// shardEps[s][holder] is shard s's endpoint to that holder; empty
-	// (nil) on the single-TP path. All shards run in-process under the
-	// coordinator's guard — the shard split partitions rows and wire
-	// lanes, not trust.
-	shardEps []map[string]*wire.Endpoint
-
-	// shardConduits[s][holder] is the secured holder→shard-s conduit when
-	// the shards run as separate worker processes (Config.ShardDial set):
-	// the coordinator keeps the raw conduit instead of an endpoint and
-	// relays each frame, byte for byte, to the owning worker. Exactly one
-	// of shardEps/shardConduits is populated for a sharded session.
-	shardConduits []map[string]wire.Conduit
+	// shardLanes[s][holder] is the secured holder→shard-s conduit of a
+	// TPShards > 1 session; nil otherwise. An in-process shard reads it
+	// through a demux; with Config.ShardDial the coordinator relays each
+	// frame, byte for byte, to the owning worker.
+	shardLanes []map[string]wire.Conduit
 
 	// resumeLanes registers each Reconn-armed holder lane for Resume;
 	// nil unless Config.ResumeWindow is positive. Written only during the
@@ -117,9 +110,6 @@ func NewThirdParty(holders []string, cfg Config, conduits map[string]wire.Condui
 		}
 	}
 	if k := cfg.shardCount(); k > 1 {
-		if cfg.SerialTP {
-			return nil, fmt.Errorf("party: SerialTP is the single-TP reference engine and requires TPShards <= 1, have %d", k)
-		}
 		for _, h := range holders {
 			for s := 0; s < k; s++ {
 				if conduits[ShardConduitKey(h, s)] == nil {
@@ -156,104 +146,57 @@ func (tp *ThirdParty) handshakeAll(conduits map[string]wire.Conduit) error {
 		return err
 	}
 	fp := schemaFingerprint(tp.cfg.Schema)
-	hello := helloBody{Public: tp.identity.PublicBytes(), Fingerprint: fp}
-	nShardLanes := 0
 	if k := tp.cfg.shardCount(); k > 1 {
-		nShardLanes = k
-		if tp.remoteShards() {
-			tp.shardConduits = make([]map[string]wire.Conduit, k)
-			for s := range tp.shardConduits {
-				tp.shardConduits[s] = make(map[string]wire.Conduit)
-			}
-		} else {
-			tp.shardEps = make([]map[string]*wire.Endpoint, k)
-			for s := range tp.shardEps {
-				tp.shardEps[s] = make(map[string]*wire.Endpoint)
-			}
+		tp.shardLanes = make([]map[string]wire.Conduit, k)
+		for s := range tp.shardLanes {
+			tp.shardLanes[s] = make(map[string]wire.Conduit)
 		}
 	}
-	for _, h := range tp.holders {
+	// secure handshakes holder h's lane (0 = control, s+1 = shard s) under
+	// the name the third party presents on it.
+	secure := func(raw wire.Conduit, self, h string, lane int) (wire.Conduit, []byte, error) {
 		// bind sits directly on the raw conduit — below the AES-GCM layer —
 		// so a lifecycle cancel closes the real transport and unparks any
 		// blocked read, and every frame either way feeds the watchdog.
-		bound := tp.guard.bind(conduits[h])
-		ep := wire.NewEndpoint(bound)
-		if err := ep.SendBody(wire.Message{From: TPName, To: h, Kind: kindHello, Attr: -1}, hello); err != nil {
-			return err
-		}
-		var peerHello helloBody
-		if _, err := expectMsg(ep, kindHello, &peerHello); err != nil {
-			return fmt.Errorf("party: TP hello from %s: %w", h, err)
-		}
-		if peerHello.Fingerprint != fp {
-			return fmt.Errorf("party: TP and %s disagree on the schema", h)
-		}
-		master, err := tp.identity.Master(peerHello.Public)
+		bound := tp.guard.bind(raw)
+		secured, master, err := handshake(bound, self, h, tp.identity, fp, false)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		tp.masters[h] = master
-		secured := bound
-		if !tp.cfg.PlaintextChannels {
-			key := keys.DeriveKey(master, keys.PurposeChannel, h, TPName)
-			secured, err = wire.Secure(bound, key, false)
-			if err != nil {
-				return err
-			}
+		if tp.cfg.PlaintextChannels {
+			secured = bound
 		}
 		// Resumable sessions park a severed holder lane in the Reconn and
 		// wait for the acceptor to deliver a replacement via Resume.
 		if tp.cfg.ResumeWindow > 0 {
-			secured = tp.armResume(secured, h, 0)
+			secured = tp.armResume(secured, h, lane)
 		}
-		tp.eps[h] = wire.NewEndpoint(secured)
+		return secured, master, nil
+	}
+	for _, h := range tp.holders {
+		ctl, master, err := secure(conduits[h], TPName, h, 0)
+		if err != nil {
+			return err
+		}
+		tp.masters[h] = master
+		tp.eps[h] = wire.NewEndpoint(ctl)
 		// Shard conduits, ascending, right after the holder's control
-		// conduit — the holder handshakes them in the same order, and both
-		// sides send their hello before reading the peer's, so no conduit
-		// ordering can deadlock. The shards reuse the TP identity (one
-		// X25519 agreement per holder, so the master is unchanged), but
-		// each conduit derives its own channel key salted by the shard
-		// name — control and shard channels never share AES-GCM keys.
-		// The holder's side is identical whether the shard runs in-process
-		// or as a worker process: in remote mode the coordinator keeps the
-		// secured conduit and relays its frames to the worker.
-		for s := 0; s < nShardLanes; s++ {
+		// conduit — the holder handshakes them in the same order. The
+		// shards reuse the TP identity (one X25519 agreement per holder, so
+		// the master is unchanged), but each conduit derives its own
+		// channel key salted by the shard name — control and shard channels
+		// never share AES-GCM keys. The holder's side is identical whether
+		// the shard runs in-process or as a worker process.
+		for s := range tp.shardLanes {
 			name := ShardName(s)
-			sb := tp.guard.bind(conduits[ShardConduitKey(h, s)])
-			sep := wire.NewEndpoint(sb)
-			if err := sep.SendBody(wire.Message{From: name, To: h, Kind: kindHello, Attr: -1}, hello); err != nil {
-				return err
-			}
-			var shardHello helloBody
-			if _, err := expectMsg(sep, kindHello, &shardHello); err != nil {
-				return fmt.Errorf("party: %s hello from %s: %w", name, h, err)
-			}
-			if shardHello.Fingerprint != fp {
-				return fmt.Errorf("party: %s and %s disagree on the schema", name, h)
-			}
-			shardMaster, err := tp.identity.Master(shardHello.Public)
+			lane, shardMaster, err := secure(conduits[ShardConduitKey(h, s)], name, h, s+1)
 			if err != nil {
 				return err
 			}
 			if string(shardMaster) != string(master) {
 				return fmt.Errorf("party: %s presented a different identity on shard conduit %s", h, name)
 			}
-			ssecured := sb
-			if !tp.cfg.PlaintextChannels {
-				key := keys.DeriveKey(master, keys.PurposeChannel, h, name)
-				ssecured, err = wire.Secure(sb, key, false)
-				if err != nil {
-					return err
-				}
-			}
-			if tp.cfg.ResumeWindow > 0 {
-				ssecured = tp.armResume(ssecured, h, s+1)
-			}
-			if tp.remoteShards() {
-				tp.shardConduits[s][h] = ssecured
-			} else {
-				tp.shardEps[s][h] = wire.NewEndpoint(ssecured)
-			}
+			tp.shardLanes[s][h] = lane
 		}
 	}
 	// With every channel established the third party can explain a failure
@@ -270,48 +213,22 @@ func (tp *ThirdParty) seedJT(attr int, j, k string) rng.Seed {
 	return ctxSeed(base, fmt.Sprintf("attr/%d/pair/%s/%s", attr, j, k))
 }
 
-// attrSource feeds one attribute's assembly stage the protocol messages
-// of that attribute, per holder, in the holder's send order. The
-// pipelined engine backs it with demultiplexed mailboxes; the serial
-// reference path reads the endpoints directly.
-type attrSource interface {
-	expect(hi int, kind wire.Kind, body any) (*wire.Message, error)
-}
-
-// demuxSource pulls a fixed attribute lane out of each holder's session
-// demultiplexer.
-type demuxSource struct {
-	ds   []*wire.Demux
-	lane int
-}
-
-func (s demuxSource) expect(hi int, kind wire.Kind, body any) (*wire.Message, error) {
-	return s.ds[hi].Expect(s.lane, kind, body)
-}
-
-// epSource reads the holder endpoints directly — the phase-serial
-// consumption order, valid only when attributes are processed one at a
-// time in schema order (Config.SerialTP).
-type epSource struct{ tp *ThirdParty }
-
-func (s epSource) expect(hi int, kind wire.Kind, body any) (*wire.Message, error) {
-	return expectMsg(s.tp.eps[s.tp.holders[hi]], kind, body)
+// core builds the third party's own view of the assembly pipeline.
+func (tp *ThirdParty) core() *shardCore {
+	return newShardCore(tp.cfg, tp.holders, tp.counts, tp.workers, tp.engines, tp.seedJT)
 }
 
 // Run executes the third party's side and returns the session report.
 //
-// By default the per-attribute work runs as a bounded pipeline: one
-// reader goroutine per holder demultiplexes that holder's message stream
-// into per-attribute mailboxes, and a pool of pipelineDepth stage
+// The per-attribute work runs as a bounded pipeline: one reader goroutine
+// per holder conduit demultiplexes that holder's message stream into
+// per-attribute mailboxes, and a pool of at most pipelineDepth stage
 // goroutines pulls complete attributes through receive → assemble →
 // normalize, so attribute i's matrix is being decoded and assembled while
 // attribute i+1 is still streaming in, and clustering starts the moment
 // the last matrix lands. Every stage writes only its own attribute's
 // slot and borrows a private engine from the pool, so the report is
-// bit-identical to the serial path at any worker count or pipeline
-// schedule. Config.SerialTP selects the phase-serial reference path
-// instead (one attribute at a time, blocking reads — the pre-pipeline
-// behavior, retained for benchmarks and differential tests).
+// bit-identical at any worker count, pipeline schedule and shard count.
 func (tp *ThirdParty) Run() (*TPReport, error) { return tp.RunContext(context.Background()) }
 
 // RunContext is Run bounded by a caller context: cancelling ctx aborts the
@@ -321,186 +238,192 @@ func (tp *ThirdParty) Run() (*TPReport, error) { return tp.RunContext(context.Ba
 // Config.PhaseTimeout bound the session independently of ctx. On a clean
 // return conduit ownership stays with the caller, exactly as with Run.
 func (tp *ThirdParty) RunContext(ctx context.Context) (*TPReport, error) {
+	return tp.runGuarded(ctx, tp.assemble)
+}
+
+// runGuarded runs the census and then body — everything after it — under
+// the session guard.
+func (tp *ThirdParty) runGuarded(ctx context.Context, body func() (*TPReport, error)) (*TPReport, error) {
 	defer tp.guard.release()
 	stop := tp.guard.watchCaller(ctx)
 	defer stop()
-	rep, err := tp.run()
+	tp.guard.setPhase("census")
+	err := tp.census()
+	var rep *TPReport
+	if err == nil {
+		tp.guard.setPhase("assemble")
+		rep, err = body()
+	}
 	if err != nil {
 		return nil, tp.guard.abort(err)
 	}
 	return rep, nil
 }
 
-func (tp *ThirdParty) run() (*TPReport, error) {
-	tp.guard.setPhase("census")
-	if err := tp.census(); err != nil {
-		return nil, err
-	}
-	tp.guard.setPhase("assemble")
-	if len(tp.shardConduits) > 0 {
-		return tp.runShardedRemote()
-	}
-	if len(tp.shardEps) > 0 {
-		return tp.runSharded()
-	}
-	if tp.cfg.SerialTP {
-		return tp.runSerial()
-	}
-	return tp.runPipelined()
-}
-
-func (tp *ThirdParty) runPipelined() (*TPReport, error) {
+// assemble is the third party's one post-census session body. The census
+// total is cut into dissim.ShardRanges(total, TPShards) row ranges and the
+// work into lane groups, each a stage pool (shardCore.runStages) over its
+// own demuxes:
+//
+//   - the control group, on the per-holder control conduits: the tag-based
+//     attributes always, and at TPShards ≤ 1 — one range, the whole
+//     triangle, which holders stream on the control conduit — every
+//     attribute in schema order through a single pool;
+//   - at TPShards > 1 one group per range carrying the comparison
+//     attributes, whose slices come from a shardSource: a stage pool in this
+//     process, or a worker process behind a relay link (Config.ShardDial).
+//
+// The groups finish, the shard slices (if any) merge, and the clustering
+// requests are served.
+func (tp *ThirdParty) assemble() (*TPReport, error) {
 	attrs := tp.cfg.Schema.Attrs
 	nAttr := len(attrs)
 	reqLane := nAttr
+	core := tp.core()
+	whole := [2]int{0, core.total}
+	sharded := len(tp.shardLanes) > 0
 
-	// One demux per holder: lane a carries attribute a's messages (the
+	// One control demux per holder: lane a carries attribute a's messages
+	// (the single tag column, or — on a one-range session — the
 	// local-matrix chunk frames plus the S/M chunk frames of every pair
-	// this holder responds in, or the single tag column), the extra lane
-	// carries the clustering request that ends the holder's stream.
-	demux := make([]*wire.Demux, len(tp.holders))
-	classify := func(m *wire.Message) (int, error) {
-		// A peer's abort terminates the whole stream: the classify error
-		// becomes the demux's terminal error, every lane closes, and the
-		// stages observe the classified reason instead of a routing error.
-		if m.Kind == kindAbort {
-			return 0, peerAbortError(m)
-		}
-		if m.Kind == kindRequest {
-			return reqLane, nil
-		}
-		if m.Attr < 0 || m.Attr >= nAttr {
-			return 0, fmt.Errorf("party: message %q for attribute %d outside schema", m.Kind, m.Attr)
-		}
-		return m.Attr, nil
-	}
+	// this holder responds in), the extra lane carries the clustering
+	// request that ends the holder's stream. The chunk schedules are pure
+	// functions of the census and the shared Config, so each lane's quota
+	// is known before the first frame arrives.
+	ctl := make([]*wire.Demux, len(tp.holders))
+	classify := laneClassifier(nAttr, reqLane)
 	for hi, h := range tp.holders {
-		// The chunk schedules are pure functions of the census and the
-		// shared Config, so each lane's quota — local-matrix chunk frames
-		// plus the S/M chunk frames of every pair (j, holder), j < holder,
-		// this holder responds in — is known before the first frame
-		// arrives.
-		chunks := len(tp.cfg.localChunks(tp.counts[hi]))
-		counts := make([]int, nAttr+1)
+		quotas := make([]int, nAttr+1)
+		if !sharded {
+			copy(quotas, core.laneQuotas(hi, whole))
+		}
 		for attr, a := range attrs {
 			if tagBased(a.Type) {
-				counts[attr] = 1 // the encrypted column
-				continue
-			}
-			counts[attr] = chunks
-			for j := 0; j < hi; j++ {
-				counts[attr] += tp.cfg.pairChunkCount(a.Type, tp.counts[hi], tp.counts[j])
+				quotas[attr] = 1 // the encrypted column
 			}
 		}
-		counts[reqLane] = 1
-		demux[hi] = wire.NewDemux(tp.eps[h], counts, laneBuffer, classify)
+		quotas[reqLane] = 1
+		ctl[hi] = wire.NewDemux(tp.eps[h], quotas, laneBuffer, classify)
 	}
-	defer func() {
-		for _, d := range demux {
-			d.Stop()
+	var ctlAttrs []int
+	for attr, a := range attrs {
+		if !sharded || tagBased(a.Type) {
+			ctlAttrs = append(ctlAttrs, attr)
 		}
-	}()
-
-	matrices := make([]*dissim.Matrix, nAttr)
-	scales := make([]float64, nAttr)
-	attrCh := make(chan int, nAttr)
-	for attr := 0; attr < nAttr; attr++ {
-		attrCh <- attr
 	}
-	close(attrCh)
 
 	var (
-		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
+		sources  []shardSource
 	)
+	stopAll := func() {
+		for _, d := range ctl {
+			d.Stop()
+		}
+		for _, src := range sources {
+			src.stop()
+		}
+	}
+	defer stopAll()
 	fail := func(err error) {
 		mu.Lock()
 		if firstErr == nil {
 			firstErr = err
-			// Release reader goroutines blocked on mailboxes no stage
-			// will drain, and abort sibling stages waiting in Next —
-			// even those waiting on a holder whose reader is parked in
-			// a conduit Recv that Stop cannot reach.
-			for _, d := range demux {
-				d.Stop()
-			}
+			// Release reader goroutines blocked on mailboxes no stage will
+			// drain, and abort sibling stages waiting in Next — even those
+			// waiting on a holder whose reader is parked in a conduit Recv
+			// that Stop cannot reach (the guard's teardown unparks those).
+			stopAll()
 		}
 		mu.Unlock()
 	}
-	for w, width := 0, tp.stageWidth(nAttr); w < width; w++ {
+
+	// ShardRanges never emits an empty range, so fewer than K shards are
+	// active when the session has fewer rows than shards; the surplus
+	// conduits stay idle (both sides derive the same partition from the
+	// census, so holders send nothing on them either) and no surplus
+	// worker is dialed.
+	var ranges [][2]int
+	if sharded {
+		ranges = dissim.ShardRanges(core.total, len(tp.shardLanes))
+		open := tp.localShard
+		if tp.cfg.ShardDial != nil {
+			open = tp.remoteShard
+		}
+		for s, r := range ranges {
+			src, err := open(core, s, r, fail)
+			if err != nil {
+				return nil, err
+			}
+			sources = append(sources, src)
+		}
+	}
+
+	matrices := make([]*dissim.Matrix, nAttr)
+	scales := make([]float64, nAttr)
+	slices := make([][]attrSlice, len(sources))
+	var wg sync.WaitGroup
+	for s, src := range sources {
+		slices[s] = make([]attrSlice, nAttr)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			activeStages.Add(1)
-			defer activeStages.Add(-1)
-			eng := tp.engines.Get()
-			defer tp.engines.Put(eng)
-			for attr := range attrCh {
-				m, err := tp.assembleAttr(eng, attr, demuxSource{ds: demux, lane: attr})
-				if err != nil {
-					fail(fmt.Errorf("party: assembling attribute %q: %w", tp.cfg.Schema.Attrs[attr].Name, err))
-					return
-				}
-				scales[attr] = m.NormalizePar(tp.workers)
-				matrices[attr] = m
+			if err := src.run(slices[s]); err != nil {
+				fail(err)
 			}
 		}()
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	return tp.finish(matrices, scales, func(hi int) (requestBody, error) {
-		var req requestBody
-		_, err := demux[hi].Expect(reqLane, kindRequest, &req)
-		return req, err
-	})
-}
-
-// stageWidth resolves the pipeline's stage-pool size from the session's
-// Parallelism budget (see stageWidthFor).
-func (tp *ThirdParty) stageWidth(nAttr int) int {
-	return stageWidthFor(nAttr, tp.workers)
-}
-
-// runSerial is the phase-serial reference engine: attributes are
-// received, assembled and normalized strictly one after the other, in
-// schema order, with blocking endpoint reads — the wire sits idle while
-// the CPU assembles and vice versa. Benchmarks run it as the baseline
-// the pipeline is measured against, and differential tests pin the
-// pipelined report to be bit-identical to this path's.
-func (tp *ThirdParty) runSerial() (*TPReport, error) {
-	eng := tp.engines.Get()
-	defer tp.engines.Put(eng)
-	matrices := make([]*dissim.Matrix, len(tp.cfg.Schema.Attrs))
-	scales := make([]float64, len(tp.cfg.Schema.Attrs))
-	for attr := range tp.cfg.Schema.Attrs {
-		m, err := tp.assembleAttr(eng, attr, epSource{tp})
+	core.runStages(ctlAttrs, func(eng *protocol.Engine, attr int) error {
+		m, err := tp.assembleAttr(core, eng, attr, demuxSource{ds: ctl, lane: attr})
 		if err != nil {
-			return nil, fmt.Errorf("party: assembling attribute %q: %w", tp.cfg.Schema.Attrs[attr].Name, err)
+			return err
 		}
 		scales[attr] = m.NormalizePar(tp.workers)
 		matrices[attr] = m
+		return nil
+	}, fail)
+	wg.Wait()
+	// Everything that can call fail has returned, except relay pumps of a
+	// source that itself failed — hence the lock.
+	mu.Lock()
+	err := firstErr
+	mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
+	if sharded {
+		if err := tp.mergeShardSlices(core.total, ranges, slices, matrices, scales); err != nil {
+			return nil, err
+		}
+	}
+
 	return tp.finish(matrices, scales, func(hi int) (requestBody, error) {
 		var req requestBody
-		_, err := expectMsg(tp.eps[tp.holders[hi]], kindRequest, &req)
+		_, err := ctl[hi].Expect(reqLane, kindRequest, &req)
 		return req, err
 	})
 }
 
-// assembleAttr dispatches one attribute's receive+assemble stage.
-func (tp *ThirdParty) assembleAttr(eng *protocol.Engine, attr int, src attrSource) (*dissim.Matrix, error) {
+// assembleAttr is the control group's stage: one attribute's global matrix
+// from the messages src delivers. A comparison attribute reaches it
+// only on a one-range session, where the range is the whole triangle and
+// the finished assembly is adopted as the matrix — no second triangle.
+func (tp *ThirdParty) assembleAttr(core *shardCore, eng *protocol.Engine, attr int, src attrSource) (*dissim.Matrix, error) {
 	switch tp.cfg.Schema.Attrs[attr].Type {
 	case dataset.Categorical:
 		return tp.assembleCategorical(attr, src)
 	case dataset.Hierarchical:
 		return tp.assembleHierarchical(attr, src)
-	default:
-		return tp.assembleComparison(eng, attr, src)
 	}
+	asm, err := dissim.NewAssemblerPar(tp.counts, tp.workers)
+	if err != nil {
+		return nil, err
+	}
+	if err := core.assembleRows(eng, asm.SliceAssembler, src, attr); err != nil {
+		return nil, err
+	}
+	return asm.Done()
 }
 
 // finish serves the clustering requests: each holder's request is read
@@ -576,293 +499,6 @@ func (tp *ThirdParty) census() error {
 		if err := tp.eps[h].SendBody(msg, census); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// recvLocal consumes one holder's local-matrix chunk stream for one
-// attribute. The pipelined engine installs each row-range frame into the
-// assembler the moment it arrives (SetLocalRows), so triangle installation
-// overlaps the rest of the attribute's traffic still on the wire; the
-// phase-serial reference path instead reassembles the chunks into the
-// monolithic packed triangle and performs the old FromPacked + SetLocal
-// install, pinning that chunked streaming is pure framing — the
-// differential tests hold the two paths bit-identical at every chunk size.
-// Chunks must follow the shared schedule exactly: holder and third party
-// derive it from the same Config, so any deviation is a protocol error.
-func (tp *ThirdParty) recvLocal(asm *dissim.Assembler, src attrSource, hi int, h string, attr int) error {
-	n := tp.counts[hi]
-	chunks := tp.cfg.localChunks(n)
-	if !tp.cfg.SerialTP {
-		return tp.core().recvLocalRows(asm, src, hi, h, attr, chunks)
-	}
-	mono := make([]float64, 0, n*(n-1)/2)
-	for ci, ch := range chunks {
-		var body localBody
-		m, err := src.expect(hi, kindLocal, &body)
-		if err != nil {
-			return err
-		}
-		if m.Attr != attr {
-			return fmt.Errorf("party: %s sent local matrix for attr %d, want %d", h, m.Attr, attr)
-		}
-		if body.N != n {
-			return fmt.Errorf("party: %s local matrix has %d objects, census says %d", h, body.N, n)
-		}
-		if body.Lo != ch[0] || body.Hi != ch[1] {
-			return fmt.Errorf("party: %s local chunk %d covers rows [%d,%d), schedule says [%d,%d)",
-				h, ci, body.Lo, body.Hi, ch[0], ch[1])
-		}
-		mono = append(mono, body.Cells...)
-	}
-	local, err := dissim.FromPacked(n, mono)
-	if err != nil {
-		return err
-	}
-	return asm.SetLocal(hi, local)
-}
-
-// localInstaller and crossInstaller are the row-exact install surfaces
-// shared by the global Assembler (single TP) and the SliceAssembler (one
-// TP shard) — the receive loops are written against them once, so shard
-// assembly is the same code over a restricted schedule.
-type localInstaller interface {
-	SetLocalRows(p, lo, hi int, cells []float64) error
-}
-
-type crossInstaller interface {
-	SetCrossRows(j, k, lo, hi int, at func(m, n int) float64) error
-}
-
-// assembleComparison builds one numeric or alphanumeric attribute's global
-// matrix: each holder's local matrix (the attribute's leading chunk frames
-// on that holder's stream) plus protocol-decoded cross blocks, pulled from
-// src in the fixed pair order every holder sends in.
-func (tp *ThirdParty) assembleComparison(eng *protocol.Engine, attr int, src attrSource) (*dissim.Matrix, error) {
-	asm, err := dissim.NewAssemblerPar(tp.counts, tp.workers)
-	if err != nil {
-		return nil, err
-	}
-	for hi, h := range tp.holders {
-		if err := tp.recvLocal(asm, src, hi, h, attr); err != nil {
-			return nil, err
-		}
-	}
-	for _, pair := range sortedPairs(tp.holders) {
-		if err := tp.recvPair(eng, asm, src, attr, pair[0], pair[1]); err != nil {
-			return nil, err
-		}
-	}
-	return asm.Done()
-}
-
-// checkPairChunk validates one received S/M chunk frame against the
-// shared pairChunks schedule. Responder and third party derive the
-// schedule from the same Config and census, so a frame that claims a
-// different row count or covers a different range — duplicated,
-// out-of-order or misdrawn chunks — is a protocol error, reported
-// descriptively rather than installed.
-func checkPairChunk(j, k string, ci int, sched [2]int, bodyRows, lo, hi, rows int) error {
-	if bodyRows != rows {
-		return fmt.Errorf("party: %s S/M payload for pair (%s,%s) claims %d rows, census says %d", k, j, k, bodyRows, rows)
-	}
-	if lo != sched[0] || hi != sched[1] {
-		return fmt.Errorf("party: %s pair (%s,%s) chunk %d covers rows [%d,%d), schedule says [%d,%d)",
-			k, j, k, ci, lo, hi, sched[0], sched[1])
-	}
-	return nil
-}
-
-// recvPair consumes the responder→TP S/M chunk stream of one (attribute,
-// pair) and installs the decoded distance block. The pipelined engine
-// evaluates each row-range chunk the moment it arrives (the protocol
-// engine's *Rows methods, sharing one jt stream per pair so batched
-// keystreams stay aligned) and installs it with the row-exact
-// SetCrossRows, so unmasking and placement of a pair's block overlap the
-// rest of the payload still on the wire; the phase-serial reference path
-// instead reassembles the chunks into the monolithic payload and performs
-// the old whole-matrix evaluation + SetCross install, pinning that
-// pairwise chunking is pure framing — the differential tests hold the two
-// paths bit-identical at every chunk size.
-func (tp *ThirdParty) recvPair(eng *protocol.Engine, asm *dissim.Assembler, src attrSource, attr, ji, ki int) error {
-	a := tp.cfg.Schema.Attrs[attr]
-	j, k := tp.holders[ji], tp.holders[ki]
-	rows, cols := tp.counts[ki], tp.counts[ji]
-	chunks := tp.cfg.pairChunks(a.Type, rows, cols)
-	jt := rng.New(tp.cfg.RNG, tp.seedJT(attr, j, k))
-
-	if tp.cfg.SerialTP {
-		return tp.recvPairSerial(eng, asm, src, attr, ji, ki, jt, chunks)
-	}
-	return tp.core().recvPairRows(eng, asm, src, attr, ji, ki, jt, chunks)
-}
-
-// recvPairSerial is the phase-serial reference consumption of one pair's
-// S/M chunk stream: the chunks are reassembled into the pre-chunking
-// monolithic payload, evaluated in one whole-matrix engine pass and
-// installed with the monolithic SetCross — the exact pre-streaming code
-// path over the chunked wire, which is what pins chunking as pure framing.
-func (tp *ThirdParty) recvPairSerial(eng *protocol.Engine, asm *dissim.Assembler, src attrSource, attr, ji, ki int, jt rng.Stream, chunks [][2]int) error {
-	a := tp.cfg.Schema.Attrs[attr]
-	j, k := tp.holders[ji], tp.holders[ki]
-	rows, cols := tp.counts[ki], tp.counts[ji]
-
-	var block func(m, n int) float64
-	var bRows, bCols int
-	if a.Type == dataset.Alphanumeric {
-		mono := make([][]*protocol.SymbolMatrix, 0, rows)
-		for ci, ch := range chunks {
-			var body alphaMBody
-			if _, err := src.expect(ki, kindAlphaM, &body); err != nil {
-				return err
-			}
-			if err := checkPairChunk(j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
-				return err
-			}
-			if len(body.M) != ch[1]-ch[0] {
-				return fmt.Errorf("party: %s pair (%s,%s) chunk %d carries %d rows, want %d",
-					k, j, k, ci, len(body.M), ch[1]-ch[0])
-			}
-			mono = append(mono, body.M...)
-		}
-		dists, err := eng.AlphaThirdParty(mono, a.Alphabet, jt)
-		if err != nil {
-			return err
-		}
-		bRows, bCols = dists.Rows, dists.Cols
-		block = func(m, n int) float64 { return float64(dists.At(m, n)) }
-	} else {
-		var mono numSBody
-		for ci, ch := range chunks {
-			var body numSBody
-			if _, err := src.expect(ki, kindNumS, &body); err != nil {
-				return err
-			}
-			if err := checkPairChunk(j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
-				return err
-			}
-			if err := appendNumChunk(&mono, &body, ch, rows, cols); err != nil {
-				return fmt.Errorf("party: %s pair (%s,%s) chunk %d: %w", k, j, k, ci, err)
-			}
-		}
-		switch tp.cfg.Variant {
-		case Float64Variant:
-			if mono.Float == nil {
-				return fmt.Errorf("party: missing float payload from %s", k)
-			}
-			dists, err := eng.NumericThirdPartyFloat(mono.Float, jt, tp.cfg.FloatParams, tp.cfg.Mode)
-			if err != nil {
-				return err
-			}
-			bRows, bCols = dists.Rows, dists.Cols
-			block = func(m, n int) float64 { return dists.At(m, n) }
-		case Int64Variant:
-			if mono.Int == nil {
-				return fmt.Errorf("party: missing int payload from %s", k)
-			}
-			dists, err := eng.NumericThirdPartyInt(mono.Int, jt, tp.cfg.IntParams, tp.cfg.Mode)
-			if err != nil {
-				return err
-			}
-			bRows, bCols = dists.Rows, dists.Cols
-			block = func(m, n int) float64 { return float64(dists.At(m, n)) }
-		case ModPVariant:
-			if mono.ModP == nil {
-				return fmt.Errorf("party: missing modp payload from %s", k)
-			}
-			dists, err := eng.NumericThirdPartyModP(mono.ModP, jt, tp.cfg.Mode)
-			if err != nil {
-				return err
-			}
-			bRows, bCols = dists.Rows, dists.Cols
-			block = func(m, n int) float64 { return float64(dists.At(m, n)) }
-		}
-	}
-	// A zero-row block (empty responder) carries no usable column count
-	// and is never consulted during assembly.
-	if bRows != rows || (bRows > 0 && bCols != cols) {
-		return fmt.Errorf("party: block (%s,%s) is %dx%d, census says %dx%d", j, k, bRows, bCols, rows, cols)
-	}
-	return asm.SetCross(ji, ki, block)
-}
-
-// appendNumChunk concatenates one numeric chunk's sub-matrix onto the
-// reassembled monolithic payload, enforcing a consistent variant and the
-// census column count across the chunks of one pair. totalRows and
-// censusCols (both census-derived) presize the reassembled cell storage
-// on the first chunk, so the multi-append reassembly copies each cell
-// once instead of re-growing a multi-megabyte payload log-many times; the
-// column check runs before the presize, so a hostile chunk's
-// self-declared Cols can only produce the shape error — never a
-// rows-amplified allocation.
-func appendNumChunk(mono, chunk *numSBody, ch [2]int, totalRows, censusCols int) error {
-	wantRows := ch[1] - ch[0]
-	grow := func(validate func() error, chunkRows, chunkCols int, monoCols *int) error {
-		if err := validate(); err != nil {
-			return err
-		}
-		if chunkRows != wantRows {
-			return fmt.Errorf("carries %d rows, want %d", chunkRows, wantRows)
-		}
-		// A zero-row chunk (empty responder) carries no usable column
-		// count, matching the monolithic path's census-check exemption.
-		if chunkRows > 0 && chunkCols != censusCols {
-			return fmt.Errorf("has %d columns, census says %d", chunkCols, censusCols)
-		}
-		*monoCols = chunkCols
-		return nil
-	}
-	switch {
-	case chunk.Float != nil:
-		if mono.Int != nil || mono.ModP != nil {
-			return fmt.Errorf("mixes numeric variants across chunks")
-		}
-		first := mono.Float == nil
-		if first {
-			mono.Float = &protocol.Float64Matrix{}
-		}
-		if err := grow(chunk.Float.Validate, chunk.Float.Rows, chunk.Float.Cols, &mono.Float.Cols); err != nil {
-			return err
-		}
-		if first {
-			mono.Float.Cell = make([]float64, 0, totalRows*mono.Float.Cols)
-		}
-		mono.Float.Cell = append(mono.Float.Cell, chunk.Float.Cell...)
-		mono.Float.Rows += chunk.Float.Rows
-	case chunk.Int != nil:
-		if mono.Float != nil || mono.ModP != nil {
-			return fmt.Errorf("mixes numeric variants across chunks")
-		}
-		first := mono.Int == nil
-		if first {
-			mono.Int = &protocol.Int64Matrix{}
-		}
-		if err := grow(chunk.Int.Validate, chunk.Int.Rows, chunk.Int.Cols, &mono.Int.Cols); err != nil {
-			return err
-		}
-		if first {
-			mono.Int.Cell = make([]int64, 0, totalRows*mono.Int.Cols)
-		}
-		mono.Int.Cell = append(mono.Int.Cell, chunk.Int.Cell...)
-		mono.Int.Rows += chunk.Int.Rows
-	case chunk.ModP != nil:
-		if mono.Float != nil || mono.Int != nil {
-			return fmt.Errorf("mixes numeric variants across chunks")
-		}
-		first := mono.ModP == nil
-		if first {
-			mono.ModP = &protocol.ElementMatrix{}
-		}
-		if err := grow(chunk.ModP.Validate, chunk.ModP.Rows, chunk.ModP.Cols, &mono.ModP.Cols); err != nil {
-			return err
-		}
-		if first {
-			mono.ModP.Cell = make([][32]byte, 0, totalRows*mono.ModP.Cols)
-		}
-		mono.ModP.Cell = append(mono.ModP.Cell, chunk.ModP.Cell...)
-		mono.ModP.Rows += chunk.ModP.Rows
-	default:
-		return fmt.Errorf("carries no payload")
 	}
 	return nil
 }

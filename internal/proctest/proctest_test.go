@@ -149,10 +149,11 @@ func dialerFor(session string, addrs []string) party.ShardDialFunc {
 	}
 }
 
-// baseline runs the phase-serial single-TP reference session.
+// baseline runs the reference session: one range, assembled by the third
+// party itself (internal/party pins that pipeline to its serial oracle).
 func baseline(t *testing.T, rows int, salt uint64) *party.SessionOutcome {
 	t.Helper()
-	cfg := party.Config{Schema: schema(), Variant: party.Float64Variant, Parallelism: 1, SerialTP: true}
+	cfg := party.Config{Schema: schema(), Variant: party.Float64Variant, Parallelism: 1}
 	want, err := party.RunInMemory(cfg, parts(t, rows), reqs(), random(salt))
 	if err != nil {
 		t.Fatalf("single-TP baseline: %v", err)

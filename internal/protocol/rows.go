@@ -10,7 +10,7 @@ import (
 
 // Row-range third-party evaluation — the engine side of the chunked
 // pairwise wire path. A responder streams its masked S/M matrix to the
-// third party as contiguous row-range chunks (dissim.RectChunks schedule),
+// third party as contiguous row-range chunks (dissim.RectChunksRange schedule),
 // and the third party evaluates each chunk the moment it arrives instead
 // of waiting for the whole payload. The methods below are the row-exact
 // forms of NumericThirdParty* and AlphaThirdParty: each takes one chunk
@@ -132,32 +132,4 @@ func (e *Engine) AlphaThirdPartyRows(chunk [][]*SymbolMatrix, lo, hi int, a *alp
 		return nil, err
 	}
 	return e.AlphaThirdParty(chunk, a, jt)
-}
-
-// ResumePoint locates where a sender restarts a chunked stream after a
-// reconnect, given the chunk schedule it was walking (ascending,
-// non-overlapping [lo, hi) row ranges — RowChunks/RectChunks output) and
-// the receiver's installed-row watermark (dissim.Assembler.LocalWatermark
-// or CrossWatermark). It returns the index of the first chunk not fully
-// covered by the watermark and the first row of that chunk still owed;
-// chunkIdx == len(chunks) means the stream had fully landed and there is
-// nothing to resend. Empty chunks (a zero-row schedule's [0,0)) carry no
-// cells and count as covered. row normally equals the chunk's lo; when a
-// watermark from a coarser tracker lands mid-chunk, the sender must still
-// restart at chunkIdx (masks are drawn per chunk) and row reports where
-// new cells begin. The frame-exact Reconn replay makes this positioning
-// redundant on the live path; it exists for diagnostics and for control
-// planes that replay from application state instead of a frame cache.
-func ResumePoint(chunks [][2]int, installed int) (chunkIdx, row int) {
-	for i, c := range chunks {
-		if installed >= c[1] {
-			continue // fully covered by the watermark (or empty)
-		}
-		row = c[0]
-		if installed > row {
-			row = installed
-		}
-		return i, row
-	}
-	return len(chunks), 0
 }
