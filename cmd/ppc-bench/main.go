@@ -8,7 +8,6 @@
 //	ppc-bench                     # run everything
 //	ppc-bench -run cost           # run experiments whose id contains "cost"
 //	ppc-bench -list               # list experiment ids
-//	ppc-bench -json BENCH_1.json  # write the perf-regression report
 package main
 
 import (
@@ -47,18 +46,11 @@ var experiments = []experiment{
 func main() {
 	runFilter := flag.String("run", "", "only run experiments whose id contains this substring")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	jsonPath := flag.String("json", "", "measure the hot-path benchmark families and write a JSON perf report to this file (e.g. BENCH_1.json), then exit")
 	flag.Parse()
 
 	if *list {
 		for _, e := range experiments {
 			fmt.Printf("%-16s %s\n", e.id, e.title)
-		}
-		return
-	}
-	if *jsonPath != "" {
-		if err := runBenchJSON(os.Stdout, *jsonPath); err != nil {
-			log.Fatalf("bench json: %v", err)
 		}
 		return
 	}

@@ -14,22 +14,22 @@
 //	ppc-holder -name C -data c.csv -tp tp:9000 \
 //	    -holders A,B,C -peers A=hostA:9001,B=hostB:9002 -schema ...
 //
-// Against a multi-tenant third party, add -session to name the tenant
-// session: the holder sends the versioned hello, waits for the typed
-// admission response, and exits with code 5 when the server refuses
-// (retrying first, with capped exponential backoff, when the refusal is
-// retryable — e.g. the server is draining). The routing admission carries
-// the server's TP shard count: when the third party is sharded (ppc-tp
-// -shards K), the holder automatically dials one extra connection per
-// shard lane — no holder-side flag. All dials retry transient failures
-// under -connect-retries / -connect-backoff.
+// The holder announces itself to the third party with the versioned hello
+// (-session names the tenant session; empty is the server's default
+// session), waits for the typed admission response, and exits with code 5
+// when the server refuses (retrying first, with capped exponential backoff,
+// when the refusal is retryable — e.g. the server is draining). The routing
+// admission carries the server's TP shard count: when the third party is
+// sharded (ppc-tp -shards K), the holder automatically dials one extra
+// connection per shard lane — no holder-side flag. All dials retry
+// transient failures under -connect-retries / -connect-backoff.
 //
-// With -reconnect-window (and -session), a severed third-party connection
-// mid-session no longer kills the run: the holder redials the server under
-// the same -connect-retries / -connect-backoff policy, performs the
-// version-3 resume handshake, and the session continues bit-identically
-// after a watermarked replay. The window must match the server's
-// (ppc-tp -reconnect-window). An unrecoverable sever exits with code 6.
+// With -reconnect-window, a severed third-party connection mid-session no
+// longer kills the run: the holder redials the server under the same
+// -connect-retries / -connect-backoff policy, performs the version-3 resume
+// handshake, and the session continues bit-identically after a watermarked
+// replay. The window must match the server's (ppc-tp -reconnect-window).
+// An unrecoverable sever exits with code 6.
 package main
 
 import (
@@ -131,10 +131,10 @@ func run() error {
 	variant := flag.String("variant", "float64", "numeric arithmetic: float64, int64 or modp")
 	sessionTimeout := flag.Duration("session-timeout", 0, "bound on the whole session (0 = unbounded)")
 	phaseTimeout := flag.Duration("phase-timeout", 2*time.Minute, "watchdog bound on session inactivity (0 = disabled)")
-	session := flag.String("session", "", "session ID for a multi-tenant third party (empty = legacy single-session hello)")
+	session := flag.String("session", "", "session ID at the third party (empty = the default session)")
 	connectRetries := flag.Int("connect-retries", 5, "connect attempts per target before giving up")
 	connectBackoff := flag.Duration("connect-backoff", 200*time.Millisecond, "initial connect backoff (doubles per attempt, capped, jittered)")
-	reconnectWindow := flag.Duration("reconnect-window", 0, "grace period to redial the third party after a mid-session sever (0 = disabled; requires -session, must match the server's)")
+	reconnectWindow := flag.Duration("reconnect-window", 0, "grace period to redial the third party after a mid-session sever (0 = disabled; must match the server's)")
 	flag.Parse()
 
 	holders := splitNonEmpty(*holdersFlag)
@@ -170,9 +170,6 @@ func run() error {
 	opts.SessionTimeout = *sessionTimeout
 	opts.PhaseTimeout = *phaseTimeout
 	opts.ReconnectWindow = *reconnectWindow
-	if *reconnectWindow > 0 && *session == "" {
-		return fmt.Errorf("-reconnect-window requires -session: only the multi-tenant server routes resume hellos")
-	}
 
 	f, err := os.Open(*dataPath)
 	if err != nil {
@@ -210,12 +207,12 @@ func run() error {
 		rnd:     mrand.New(mrand.NewSource(time.Now().UnixNano())),
 	}
 
-	// Dial the third party. With -session the versioned hello names the
-	// tenant session and the routing admission is awaited — a typed
-	// refusal (capacity, budget, version skew, …) surfaces here instead of
-	// a hang or a dead socket mid-protocol, and the accept carries the
-	// session's TP shard count. Retryable refusals (server draining)
-	// re-dial under the same backoff as connect failures.
+	// Dial the third party. The versioned hello names the tenant session
+	// and the routing admission is awaited — a typed refusal (capacity,
+	// budget, version skew, …) surfaces here instead of a hang or a dead
+	// socket mid-protocol, and the accept carries the session's TP shard
+	// count. Retryable refusals (server draining) re-dial under the same
+	// backoff as connect failures.
 	tpShards := 1
 	tpConn, err := d.dial("third party", *tpAddr, tpHandshake(*name, *session, &tpShards))
 	if err != nil {
@@ -284,13 +281,13 @@ func run() error {
 				continue
 			}
 			retries = 0
-			peer, err := netid.AcceptWithin(c, handshakeTimeout)
-			if err != nil || !contains(expectHigher, peer) || conns[peer] != nil {
-				log.Printf("rejecting connection (%v, peer %q)", err, peer)
+			peer, err := netid.AcceptHelloWithin(c, handshakeTimeout)
+			if err != nil || peer.Extended() || !contains(expectHigher, peer.Name) || conns[peer.Name] != nil {
+				log.Printf("rejecting connection (%v, peer %q)", err, peer.Name)
 				c.Close()
 				continue
 			}
-			conns[peer] = c
+			conns[peer.Name] = c
 			pending--
 		}
 	}
@@ -329,14 +326,10 @@ func run() error {
 }
 
 // tpHandshake announces to the third party: the versioned session hello
-// followed by the routing-admission wait when a session ID is set — the
-// accept carries the session's TP shard count, written to *shards — and
-// the legacy name-only preamble otherwise.
+// followed by the routing-admission wait — the accept carries the session's
+// TP shard count, written to *shards.
 func tpHandshake(name, session string, shards *int) func(net.Conn) error {
 	return func(c net.Conn) error {
-		if session == "" {
-			return netid.AnnounceWithin(c, name, handshakeTimeout)
-		}
 		if err := netid.AnnounceSessionShardWithin(c, name, session, -1, handshakeTimeout); err != nil {
 			return err
 		}

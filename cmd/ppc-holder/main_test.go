@@ -172,9 +172,10 @@ func TestDelayCapAndJitter(t *testing.T) {
 	}
 }
 
-// TestLegacyHandshakeSendsNoSession: without -session the holder speaks
-// the legacy preamble and never waits for an admission frame.
-func TestLegacyHandshakeSendsNoSession(t *testing.T) {
+// TestEmptySessionSendsVersionedHello: without -session the holder still
+// speaks the versioned hello — naming the default session — and learns the
+// shard count from the routing admission like any other tenant.
+func TestEmptySessionSendsVersionedHello(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -188,22 +189,21 @@ func TestLegacyHandshakeSendsNoSession(t *testing.T) {
 		}
 		defer conn.Close()
 		hello, err := netid.AcceptHelloWithin(conn, time.Second)
-		if err == nil {
-			got <- hello
+		if err != nil {
+			return
 		}
-		// Deliberately send nothing back: legacy clients must not wait.
+		got <- hello
+		netid.SendAcceptRouting(conn, 2)
+		time.Sleep(50 * time.Millisecond)
 	}()
-	conn, err := testDialer(1).dial("third party", ln.Addr().String(), tpHandshake("B", "", nil))
+	shards := 0
+	conn, err := testDialer(1).dial("third party", ln.Addr().String(), tpHandshake("B", "", &shards))
 	if err != nil {
-		t.Fatalf("legacy dial: %v", err)
+		t.Fatalf("dial: %v", err)
 	}
 	conn.Close()
-	select {
-	case hello := <-got:
-		if hello.Extended() || hello.Name != "B" {
-			t.Fatalf("legacy hello parsed as %+v", hello)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("server never saw the hello")
+	want := netid.Hello{Name: "B", Version: netid.VersionSharded}
+	if hello := <-got; hello != want || shards != 2 {
+		t.Fatalf("hello = %+v, learned %d shards; want %+v and 2", hello, shards, want)
 	}
 }

@@ -1,9 +1,9 @@
 // ppc-tp runs the third party of the privacy-preserving clustering protocol
 // as a long-lived multi-tenant TCP server: holders announcing the same
-// session ID are matched into one session, many sessions run concurrently
-// under admission control and resource budgets, and a termination signal
-// drains gracefully. The -once flag restores the historical single-session
-// behaviour: serve exactly one session, print its report, exit. The
+// session ID (ppc-holder -session; empty is the default session) are
+// matched into one session, many sessions run concurrently under admission
+// control and resource budgets, and a termination signal drains gracefully.
+// With -once it serves exactly one session, prints its report and exits. The
 // -shards flag splits each session's third party into K row-range shards
 // behind a merge coordinator — holders learn the shard count from the
 // routing admission and dial one extra connection per shard; reports are

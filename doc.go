@@ -167,17 +167,9 @@
 // Runnable scenarios live under examples/, command-line tools (including a
 // real TCP deployment of the three-role protocol) under cmd/, and the
 // experiment harness regenerating every figure and analysis of the paper is
-// cmd/ppc-bench plus the benchmarks in bench_test.go (ppc-bench -json
-// writes the machine-readable perf-regression report — BENCH_1.json, then
-// BENCH_2.json with the clustering families recorded per GOMAXPROCS
-// setting, then BENCH_3.json adding the session-pipeline family: a full
-// session over latency-injecting links (its serial-third-party row ended
-// with BENCH_10.json, when that engine became a test oracle), then
-// BENCH_4.json adding the session-stream family: a big-triangle
-// session over bandwidth-limited store-and-forward links sweeping the
-// local-matrix chunk size against the monolithic wire shape, then
-// BENCH_5.json adding that family's both-partitions-large rows, where the
-// chunked pairwise S/M streaming is the lever, then BENCH_9.json adding
-// the session-reconnect family: baseline vs armed reconnect window vs a
-// mid-session lane flap recovered by watermarked replay).
+// cmd/ppc-bench plus the benchmarks in bench_test.go. What a session
+// costs — end to end and layer by layer — is measured by the separate
+// module under benchmark/ (bash benchmark/run.sh; workloads pair-cpu,
+// pair-wan, mixed-cpu, shard-workers and tenants-small are described in
+// benchmark/README.md).
 package ppclust

@@ -11,8 +11,9 @@ import (
 
 // captureWrite runs one announce/send function against a net.Pipe and
 // returns the exact bytes it put on the wire, so the fuzz corpora are
-// seeded from the real writers rather than hand-maintained encodings.
-func captureWrite(f *testing.F, write func(c net.Conn) error) []byte {
+// seeded from — and the golden vectors compared against — the real writers
+// rather than hand-maintained encodings.
+func captureWrite(f testing.TB, write func(c net.Conn) error) []byte {
 	f.Helper()
 	a, b := net.Pipe()
 	defer a.Close()
@@ -31,21 +32,26 @@ func captureWrite(f *testing.F, write func(c net.Conn) error) []byte {
 	return buf[:n]
 }
 
-// FuzzParseHello exercises every hello form — legacy, v1 session, v2
-// sharded, v3 resume, v4 shard registration, and claimed-future versions —
-// against arbitrary byte streams: the parser must never panic, and a hello
+// FuzzParseHello exercises the one preamble parser — the bare name label,
+// the join, resume and shard-registration hellos, and hellos claiming a
+// version the package does not lay out (the retired version 1, the future)
+// — against arbitrary byte streams: the parser must never panic, and a hello
 // it accepts must satisfy the documented field bounds and version
 // classification invariants.
 func FuzzParseHello(f *testing.F) {
-	f.Add(captureWrite(f, func(c net.Conn) error { return Announce(c, "HolderA") }))
-	f.Add(captureWrite(f, func(c net.Conn) error { return AnnounceSession(c, "HolderA", "tenant-7") }))
-	f.Add(captureWrite(f, func(c net.Conn) error { return AnnounceSession(c, "B", "") }))
-	f.Add(captureWrite(f, func(c net.Conn) error { return AnnounceSessionShard(c, "HolderA", "tenant-7", -1) }))
-	f.Add(captureWrite(f, func(c net.Conn) error { return AnnounceSessionShard(c, "HolderA", "tenant-7", 3) }))
-	f.Add(captureWrite(f, func(c net.Conn) error { return AnnounceResume(c, "HolderB", "tenant-9", 2, 5, 1234, 99) }))
-	f.Add(captureWrite(f, func(c net.Conn) error { return AnnounceShardRegistration(c, "TP", "tenant-3", 2, 7, 41, 8) }))
-	f.Add([]byte{magicExtended, 5, 1, 'H', 1, 's'}) // claimed-future version
-	f.Add([]byte{magicExtended, 0, 1, 'H'})         // invalid version 0
+	for _, form := range goldenForms {
+		if form.hello != (Hello{}) {
+			f.Add(captureWrite(f, form.write))
+		}
+	}
+	f.Add(captureWrite(f, func(c net.Conn) error { return AnnounceSessionShardWithin(c, "B", "", -1, time.Second) }))
+	// The two retired hellos, as their deleted writers laid them out: both
+	// must parse (to a Hello no acceptor serves), reading nothing past the
+	// session.
+	f.Add([]byte("\x07HolderB"))                     // v0: the bare label sent to a session acceptor
+	f.Add([]byte("\xff\x01\x07HolderA\x08tenant-7")) // v1: no lane byte
+	f.Add([]byte{magicExtended, 5, 1, 'H', 1, 's'})  // claimed-future version
+	f.Add([]byte{magicExtended, 0, 1, 'H'})          // invalid version 0
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := ParseHello(bytes.NewReader(data))
 		if err != nil {
@@ -58,10 +64,10 @@ func FuzzParseHello(f *testing.F) {
 			t.Fatalf("accepted session of %d bytes", len(h.Session))
 		}
 		if h.Version == 0 && (h.Session != "" || h.Lane != 0 || h.Epoch != 0 || h.Sent != 0 || h.Recv != 0) {
-			t.Fatalf("legacy hello carries extended fields: %+v", h)
+			t.Fatalf("bare label carries hello fields: %+v", h)
 		}
-		if h.Version < VersionSharded && h.Lane != 0 {
-			t.Fatalf("version %d hello carries lane %d", h.Version, h.Lane)
+		if (h.Version < VersionSharded || h.Version > VersionShardProc) && h != (Hello{Name: h.Name, Session: h.Session, Version: h.Version}) {
+			t.Fatalf("unserved version %d read past the session: %+v", h.Version, h)
 		}
 		if h.Resume() && h.ShardRegistration() {
 			t.Fatalf("hello classifies as both resume and registration: %+v", h)

@@ -1,18 +1,18 @@
-// Package netid is the tiny connection-labeling preamble the TCP
-// deployment tools use: the dialing party announces its protocol name
-// before the session handshake so the acceptor can route the connection.
+// Package netid is the connection preamble of the TCP deployment: the first
+// bytes a dialer writes on a fresh connection, before the session handshake,
+// so the acceptor can route it. The parties agree on the roster and the
+// attribute list out of band; a connection only says who is dialing, which
+// session, and which lane.
 //
-// Two hello forms share the wire. The legacy hello — one length byte, then
-// the party name — is what single-session deployments have always sent. The
-// extended hello adds a protocol version and a session ID, so a multi-tenant
-// third-party server can route many concurrent sessions on one listener;
-// holders announcing the same session ID are matched into one session. An
-// acceptor that speaks the extension answers every extended hello with an
-// admission response: a one-byte accept, or a typed reject frame
-// ("ppc/reject" in docs/WIRE.md) naming why the connection was refused —
-// capacity, queue overflow, budget, drain, version skew. Legacy hellos get
-// no response, which is what keeps old holders working against both old and
-// new acceptors (see the compatibility notes in docs/WIRE.md).
+// One hello layout carries three forms, told apart by the version byte: a
+// holder joining a session on its control or a shard lane, a holder resuming
+// a severed lane of a live session, and a coordinator registering with a
+// shard worker process. The acceptor answers every one: a routing accept, a
+// resume grant, or a typed reject frame ("ppc/reject" in docs/WIRE.md)
+// naming why the connection was refused — capacity, queue overflow, budget,
+// drain, version skew. The bare name label (one length byte, then the name)
+// labels holder↔holder links only: it gets no answer, and an acceptor of
+// sessions refuses it.
 package netid
 
 import (
@@ -24,32 +24,29 @@ import (
 	"time"
 )
 
-// maxName bounds announced names.
-const maxName = 64
+// Bounds on announced names, on session IDs, and on the free-text detail of
+// a reject frame.
+const (
+	maxName         = 64
+	maxSession      = 64
+	maxRejectDetail = 512
+)
 
-// maxSession bounds announced session IDs.
-const maxSession = 64
-
-// Version is the baseline extended-hello protocol version. An acceptor
-// refuses hellos from the future (RejectVersion) rather than guessing at
-// their layout.
-const Version = 1
-
-// VersionSharded is the extended-hello version that adds a one-byte shard
-// lane to the preamble, so a sharded third-party server can route a
-// holder's control connection and its K shard connections on one
-// listener. Version-2 hellos are answered with a routing admission
-// (SendAcceptRouting) that carries the session's shard count.
+// VersionSharded is the hello version a holder joins a session with: name,
+// session ID and a one-byte lane, so a third-party server can route a
+// holder's control connection and its K shard connections on one listener.
+// It is answered with a routing admission (SendAcceptRouting) that carries
+// the session's shard count. An acceptor refuses every version it does not
+// serve (RejectVersion) rather than guessing at its layout.
 const VersionSharded = 2
 
-// VersionResume is the extended-hello version a holder sends when
-// re-dialing a severed conduit of a live session: the version-2 fields
-// plus a proposed transport epoch and the holder's per-lane frame
-// watermarks (frames sent / frames received on the dead conduit). The
-// acceptor matches it to the degraded session and answers with a resume
-// grant (SendAcceptResume) carrying its own watermarks, so both ends
-// replay exactly the frames the other never installed. Version-3 hellos
-// never create sessions; v0–v2 admission is unchanged.
+// VersionResume is the hello version a holder sends when re-dialing a
+// severed conduit of a live session: the version-2 fields plus a proposed
+// transport epoch and the holder's per-lane frame watermarks (frames sent /
+// frames received on the dead conduit). The acceptor matches it to the
+// degraded session and answers with a resume grant (SendAcceptResume)
+// carrying its own watermarks, so both ends replay exactly the frames the
+// other never installed. Version-3 hellos never create sessions.
 const VersionResume = 3
 
 // VersionShardProc is the hello version a shard worker process accepts
@@ -62,18 +59,17 @@ const VersionResume = 3
 // (SendAcceptResume) carrying its own counters: (0, 0) from a freshly
 // started process, so the coordinator replays the full cached stream.
 // Version-4 hellos are never valid at the third-party server itself —
-// holders don't send them and the server refuses unknown-from-the-future
-// versions — they exist only on coordinator↔shard links.
+// holders don't send them and the server refuses them — they exist only on
+// coordinator↔shard links.
 const VersionShardProc = 4
 
-// MaxShards bounds the shard index a version-2 hello can carry (the lane
-// byte reserves 0x00 for the control connection).
+// MaxShards bounds the shard index a hello can carry (the lane byte
+// reserves 0x00 for the control connection).
 const MaxShards = 254
 
-// magicExtended marks an extended hello. It is deliberately an invalid
-// legacy name length (> maxName), so a legacy acceptor that receives an
-// extended hello fails the preamble with its usual descriptive error
-// instead of misreading the frame.
+// magicExtended marks a versioned hello. It is deliberately an invalid
+// name length (> maxName), so the first byte alone tells a hello from a
+// bare name label.
 const magicExtended = 0xFF
 
 // Admission response status bytes.
@@ -82,80 +78,48 @@ const (
 	statusReject = 0x01
 )
 
-// maxRejectDetail bounds the free-text detail of a reject frame.
-const maxRejectDetail = 512
-
-// Announce writes the caller's party name on a fresh connection.
-func Announce(conn net.Conn, name string) error {
+// checkName validates an announced party name.
+func checkName(name string) error {
 	if name == "" || len(name) > maxName {
 		return fmt.Errorf("netid: invalid name %q", name)
 	}
-	buf := append([]byte{byte(len(name))}, name...)
-	_, err := conn.Write(buf)
-	return err
+	return nil
 }
 
-// Accept reads the peer's announced name from a fresh connection.
-func Accept(conn net.Conn) (string, error) {
-	var l [1]byte
-	if _, err := io.ReadFull(conn, l[:]); err != nil {
-		return "", fmt.Errorf("netid: reading name length: %w", err)
-	}
-	if l[0] == 0 || int(l[0]) > maxName {
-		return "", fmt.Errorf("netid: invalid name length %d", l[0])
-	}
-	name := make([]byte, l[0])
-	if _, err := io.ReadFull(conn, name); err != nil {
-		return "", fmt.Errorf("netid: reading name: %w", err)
-	}
-	return string(name), nil
-}
-
-// AnnounceWithin is Announce under a write deadline: a peer that accepts
-// the connection but never drains the socket cannot wedge session setup.
-// The deadline is cleared before returning so the session owns the
+// writeWithin writes one preamble frame under a write deadline: a peer that
+// accepts the connection but never drains the socket cannot wedge session
+// setup. The deadline is cleared before returning so the session owns the
 // connection's timeout policy afterwards.
-func AnnounceWithin(conn net.Conn, name string, timeout time.Duration) error {
+func writeWithin(conn net.Conn, buf []byte, timeout time.Duration) error {
 	if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
 		return err
 	}
-	if err := Announce(conn, name); err != nil {
+	if _, err := conn.Write(buf); err != nil {
 		return err
 	}
 	return conn.SetWriteDeadline(time.Time{})
 }
 
-// AcceptWithin is Accept under a read deadline: a client that connects
-// and goes silent fails the preamble instead of blocking the accept loop
-// forever. The deadline is cleared before returning.
-func AcceptWithin(conn net.Conn, timeout time.Duration) (string, error) {
-	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-		return "", err
+// AnnounceWithin writes the bare name label on a fresh holder↔holder link,
+// under a write deadline (cleared before returning). The accepting holder
+// reads it with AcceptHelloWithin and answers nothing.
+func AnnounceWithin(conn net.Conn, name string, timeout time.Duration) error {
+	if err := checkName(name); err != nil {
+		return err
 	}
-	name, err := Accept(conn)
-	if err != nil {
-		return "", err
-	}
-	if err := conn.SetReadDeadline(time.Time{}); err != nil {
-		return "", err
-	}
-	return name, nil
+	return writeWithin(conn, append([]byte{byte(len(name))}, name...), timeout)
 }
 
-// Hello is a parsed connection preamble. Version 0 with an empty Session
-// is a legacy single-session hello; extended hellos carry the dialer's
-// protocol version and session ID (the empty session ID names the default
-// session, so a versioned hello without -session routes exactly like a
-// legacy one).
+// Hello is a parsed connection preamble. Version 0 is the bare name label;
+// a versioned hello carries the dialer's protocol version and session ID
+// (the empty session ID names the default session).
 type Hello struct {
 	Name    string
 	Session string
 	Version int
-	// Lane is the TP conduit lane a version-2 hello announces, in wire
-	// form: 0 for the control connection (and for every version-0/1
-	// hello, which predate lanes), s+1 for the conduit to TP shard s.
-	// The zero value is the control lane, so hand-built hellos route like
-	// legacy ones.
+	// Lane is the TP conduit lane the hello announces, in wire form: 0 for
+	// the control connection, s+1 for the conduit to TP shard s. The zero
+	// value is the control lane.
 	Lane int
 	// Epoch is the transport epoch a version-3 resume hello proposes for
 	// the rebound conduit — strictly greater than every epoch the lane has
@@ -164,12 +128,12 @@ type Hello struct {
 	Epoch uint32
 	// Sent and Recv are the dialer's frame watermarks for the severed lane:
 	// how many frames it had sent on, and received from, the dead conduit.
-	// Version-3 only.
+	// Versions 3 and 4 only.
 	Sent uint64
 	Recv uint64
 }
 
-// Extended reports whether the hello used the extended form — only then
+// Extended reports whether the hello used the versioned form — only then
 // does the dialer await an admission response.
 func (h Hello) Extended() bool { return h.Version > 0 }
 
@@ -183,226 +147,141 @@ func (h Hello) Resume() bool { return h.Version == VersionResume }
 // as shard+1; Epoch/Sent/Recv carry the coordinator's link state.
 func (h Hello) ShardRegistration() bool { return h.Version == VersionShardProc }
 
-// AnnounceSession writes the extended hello: magic, version, the caller's
-// party name and its session ID. The acceptor answers with an admission
-// response (AwaitAdmission); a legacy acceptor instead fails its preamble
-// descriptively on the magic byte, which is the documented signal that the
-// server does not speak sessions.
-func AnnounceSession(conn net.Conn, name, session string) error {
-	if name == "" || len(name) > maxName {
-		return fmt.Errorf("netid: invalid name %q", name)
+// announce is the one hello writer: magic, version, the caller's party name
+// and session ID, the lane byte (shard+1), and — for the resume and
+// registration forms — the epoch and frame watermarks, big-endian. shard -1
+// names the control lane, which a shard registration does not have. The
+// frame goes out under a write deadline (writeWithin).
+func announce(conn net.Conn, version byte, name, session string, shard int, epoch uint32, sent, recv uint64, timeout time.Duration) error {
+	if err := checkName(name); err != nil {
+		return err
 	}
 	if len(session) > maxSession {
 		return fmt.Errorf("netid: session ID %q longer than %d bytes", session, maxSession)
 	}
-	buf := make([]byte, 0, 4+len(name)+len(session))
-	buf = append(buf, magicExtended, Version, byte(len(name)))
-	buf = append(buf, name...)
-	buf = append(buf, byte(len(session)))
-	buf = append(buf, session...)
-	_, err := conn.Write(buf)
-	return err
-}
-
-// AnnounceSessionShard writes the version-2 hello: the extended fields
-// plus the shard lane byte. shard -1 announces the control connection,
-// shard s >= 0 the conduit to TP shard s. The acceptor answers with a
-// routing admission carrying the session's shard count
-// (AwaitAdmissionRouting); acceptors that only speak version 1 refuse the
-// hello with RejectVersion.
-func AnnounceSessionShard(conn net.Conn, name, session string, shard int) error {
-	if name == "" || len(name) > maxName {
-		return fmt.Errorf("netid: invalid name %q", name)
+	minShard := -1
+	if version == VersionShardProc {
+		minShard = 0
 	}
-	if len(session) > maxSession {
-		return fmt.Errorf("netid: session ID %q longer than %d bytes", session, maxSession)
+	if shard < minShard || shard >= MaxShards {
+		return fmt.Errorf("netid: shard %d outside [%d, %d)", shard, minShard, MaxShards)
 	}
-	if shard < -1 || shard >= MaxShards {
-		return fmt.Errorf("netid: shard %d outside [-1, %d)", shard, MaxShards)
-	}
-	buf := make([]byte, 0, 5+len(name)+len(session))
-	buf = append(buf, magicExtended, VersionSharded, byte(len(name)))
+	buf := make([]byte, 0, 25+len(name)+len(session))
+	buf = append(buf, magicExtended, version, byte(len(name)))
 	buf = append(buf, name...)
 	buf = append(buf, byte(len(session)))
 	buf = append(buf, session...)
 	buf = append(buf, byte(shard+1))
-	_, err := conn.Write(buf)
-	return err
+	if version >= VersionResume {
+		buf = binary.BigEndian.AppendUint32(buf, epoch)
+		buf = binary.BigEndian.AppendUint64(buf, sent)
+		buf = binary.BigEndian.AppendUint64(buf, recv)
+	}
+	return writeWithin(conn, buf, timeout)
 }
 
-// AnnounceSessionShardWithin is AnnounceSessionShard under a write
-// deadline, cleared before returning (cf. AnnounceWithin).
+// AnnounceSessionShardWithin writes the version-2 join hello under a write
+// deadline, cleared before returning. shard -1 announces the control
+// connection, shard s >= 0 the conduit to TP shard s. The acceptor answers
+// with a routing admission carrying the session's shard count
+// (AwaitAdmissionRouting).
 func AnnounceSessionShardWithin(conn net.Conn, name, session string, shard int, timeout time.Duration) error {
-	if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-		return err
-	}
-	if err := AnnounceSessionShard(conn, name, session, shard); err != nil {
-		return err
-	}
-	return conn.SetWriteDeadline(time.Time{})
+	return announce(conn, VersionSharded, name, session, shard, 0, 0, 0, timeout)
 }
 
-// AnnounceResume writes the version-3 resume hello: the version-2 fields,
-// then the proposed transport epoch and the dialer's frame watermarks for
-// the severed lane (big-endian). shard follows the AnnounceSessionShard
-// convention: -1 for the control conduit, s >= 0 for shard s. The acceptor
-// answers with a resume grant (AwaitResumeGrant) or a typed refusal; v0–v2
-// acceptors refuse the unknown version (RejectVersion).
-func AnnounceResume(conn net.Conn, name, session string, shard int, epoch uint32, sent, recv uint64) error {
-	if name == "" || len(name) > maxName {
-		return fmt.Errorf("netid: invalid name %q", name)
-	}
-	if len(session) > maxSession {
-		return fmt.Errorf("netid: session ID %q longer than %d bytes", session, maxSession)
-	}
-	if shard < -1 || shard >= MaxShards {
-		return fmt.Errorf("netid: shard %d outside [-1, %d)", shard, MaxShards)
-	}
-	buf := make([]byte, 0, 25+len(name)+len(session))
-	buf = append(buf, magicExtended, VersionResume, byte(len(name)))
-	buf = append(buf, name...)
-	buf = append(buf, byte(len(session)))
-	buf = append(buf, session...)
-	buf = append(buf, byte(shard+1))
-	buf = binary.BigEndian.AppendUint32(buf, epoch)
-	buf = binary.BigEndian.AppendUint64(buf, sent)
-	buf = binary.BigEndian.AppendUint64(buf, recv)
-	_, err := conn.Write(buf)
-	return err
-}
-
-// AnnounceResumeWithin is AnnounceResume under a write deadline, cleared
-// before returning (cf. AnnounceWithin).
+// AnnounceResumeWithin writes the version-3 resume hello under a write
+// deadline, cleared before returning: the version-2 fields, then the
+// proposed transport epoch and the dialer's frame watermarks for the
+// severed lane. shard follows the AnnounceSessionShardWithin convention: -1
+// for the control conduit, s >= 0 for shard s. The acceptor answers with a
+// resume grant (AwaitResumeGrant) or a typed refusal.
 func AnnounceResumeWithin(conn net.Conn, name, session string, shard int, epoch uint32, sent, recv uint64, timeout time.Duration) error {
-	if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-		return err
-	}
-	if err := AnnounceResume(conn, name, session, shard, epoch, sent, recv); err != nil {
-		return err
-	}
-	return conn.SetWriteDeadline(time.Time{})
+	return announce(conn, VersionResume, name, session, shard, epoch, sent, recv, timeout)
 }
 
-// AnnounceShardRegistration writes the version-4 shard-registration hello
-// a coordinator sends to a shard worker process: the version-3 layout with
-// the registering party's name, the session ID, the shard index being
-// assigned (always a real shard — workers have no control lane, so shard
-// must be in [0, MaxShards)), the transport epoch the coordinator proposes
-// and its frame watermarks for the link (zero on first contact). The
-// worker answers with a resume grant carrying its own watermarks
-// (AwaitResumeGrant): (0, 0) from a fresh process, its live counters when
-// it survived a link flap.
-func AnnounceShardRegistration(conn net.Conn, name, session string, shard int, epoch uint32, sent, recv uint64) error {
-	if name == "" || len(name) > maxName {
-		return fmt.Errorf("netid: invalid name %q", name)
-	}
-	if len(session) > maxSession {
-		return fmt.Errorf("netid: session ID %q longer than %d bytes", session, maxSession)
-	}
-	if shard < 0 || shard >= MaxShards {
-		return fmt.Errorf("netid: shard %d outside [0, %d)", shard, MaxShards)
-	}
-	buf := make([]byte, 0, 25+len(name)+len(session))
-	buf = append(buf, magicExtended, VersionShardProc, byte(len(name)))
-	buf = append(buf, name...)
-	buf = append(buf, byte(len(session)))
-	buf = append(buf, session...)
-	buf = append(buf, byte(shard+1))
-	buf = binary.BigEndian.AppendUint32(buf, epoch)
-	buf = binary.BigEndian.AppendUint64(buf, sent)
-	buf = binary.BigEndian.AppendUint64(buf, recv)
-	_, err := conn.Write(buf)
-	return err
-}
-
-// AnnounceShardRegistrationWithin is AnnounceShardRegistration under a
-// write deadline, cleared before returning (cf. AnnounceWithin).
+// AnnounceShardRegistrationWithin writes the version-4 shard-registration
+// hello a coordinator sends to a shard worker process, under a write
+// deadline, cleared before returning: the version-3 layout with the
+// registering party's name, the session ID, the shard index being assigned
+// (always a real shard — workers have no control lane, so shard must be in
+// [0, MaxShards)), the transport epoch the coordinator proposes and its
+// frame watermarks for the link (zero on first contact). The worker answers
+// with a resume grant carrying its own watermarks (AwaitResumeGrant):
+// (0, 0) from a fresh process, its live counters when it survived a link
+// flap.
 func AnnounceShardRegistrationWithin(conn net.Conn, name, session string, shard int, epoch uint32, sent, recv uint64, timeout time.Duration) error {
-	if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-		return err
-	}
-	if err := AnnounceShardRegistration(conn, name, session, shard, epoch, sent, recv); err != nil {
-		return err
-	}
-	return conn.SetWriteDeadline(time.Time{})
+	return announce(conn, VersionShardProc, name, session, shard, epoch, sent, recv, timeout)
 }
 
-// AnnounceSessionWithin is AnnounceSession under a write deadline, cleared
-// before returning (cf. AnnounceWithin).
-func AnnounceSessionWithin(conn net.Conn, name, session string, timeout time.Duration) error {
-	if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-		return err
+// readByte reads one header byte of the preamble.
+func readByte(r io.Reader, what string) (byte, error) {
+	var b [1]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return 0, fmt.Errorf("netid: reading %s: %w", what, err)
 	}
-	if err := AnnounceSession(conn, name, session); err != nil {
-		return err
-	}
-	return conn.SetWriteDeadline(time.Time{})
+	return b[0], nil
 }
 
-// ParseHello reads either hello form from r: the first byte distinguishes
-// a legacy length prefix from the extended magic. A legacy hello parses to
-// Version 0 and the default (empty) session, which is how old
-// single-session holders keep working against a multi-tenant acceptor. A
-// version-2 hello additionally carries the shard lane byte; versions 3
-// (resume) and 4 (shard registration) carry the lane plus the epoch and
-// watermark fields. A hello claiming a version newer than this package
-// understands is returned intact with its claimed Version — the acceptor
-// decides whether to refuse it (RejectVersion) rather than this layer
-// guessing at an unknown layout; bytes past the version-2 fields stay
-// unread, so the refusal must close the connection.
+// readField reads the n-byte body of a length-prefixed field after checking
+// n against the field's bounds.
+func readField(r io.Reader, what string, n byte, min, max int) (string, error) {
+	if int(n) < min || int(n) > max {
+		return "", fmt.Errorf("netid: invalid %s length %d", what, n)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return "", fmt.Errorf("netid: reading %s: %w", what, err)
+	}
+	return string(buf), nil
+}
+
+// ParseHello is the one preamble parser: the first byte distinguishes the
+// bare name label (a length prefix; it parses to Version 0 and the empty
+// session) from the versioned hello's magic. A version-2 hello carries the
+// shard lane byte; versions 3 (resume) and 4 (shard registration) carry the
+// lane plus the epoch and watermark fields. A hello claiming any other
+// version — older or newer — is returned intact with its claimed Version
+// and only the name and session read: the acceptor refuses it
+// (RejectVersion) rather than this layer guessing at an unknown layout;
+// whatever followed the session stays unread, so the refusal must close the
+// connection.
 func ParseHello(r io.Reader) (Hello, error) {
-	var first [1]byte
-	if _, err := io.ReadFull(r, first[:]); err != nil {
-		return Hello{}, fmt.Errorf("netid: reading hello: %w", err)
+	var h Hello
+	nameLen, err := readByte(r, "hello")
+	if err != nil {
+		return Hello{}, err
 	}
-	if first[0] != magicExtended {
-		// Legacy hello: first byte is the name length.
-		if first[0] == 0 || int(first[0]) > maxName {
-			return Hello{}, fmt.Errorf("netid: invalid name length %d", first[0])
+	if nameLen == magicExtended {
+		var hdr [2]byte // version, name length
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return Hello{}, fmt.Errorf("netid: reading hello version: %w", err)
 		}
-		name := make([]byte, first[0])
-		if _, err := io.ReadFull(r, name); err != nil {
-			return Hello{}, fmt.Errorf("netid: reading name: %w", err)
+		if hdr[0] == 0 {
+			return Hello{}, fmt.Errorf("netid: invalid extended hello version 0")
 		}
-		return Hello{Name: string(name)}, nil
+		h.Version, nameLen = int(hdr[0]), hdr[1]
 	}
-	var ver [1]byte
-	if _, err := io.ReadFull(r, ver[:]); err != nil {
-		return Hello{}, fmt.Errorf("netid: reading hello version: %w", err)
+	if h.Name, err = readField(r, "name", nameLen, 1, maxName); err != nil {
+		return Hello{}, err
 	}
-	if ver[0] == 0 {
-		return Hello{}, fmt.Errorf("netid: invalid extended hello version 0")
+	if !h.Extended() {
+		return h, nil
 	}
-	var l [1]byte
-	if _, err := io.ReadFull(r, l[:]); err != nil {
-		return Hello{}, fmt.Errorf("netid: reading name length: %w", err)
+	sessionLen, err := readByte(r, "session length")
+	if err != nil {
+		return Hello{}, err
 	}
-	if l[0] == 0 || int(l[0]) > maxName {
-		return Hello{}, fmt.Errorf("netid: invalid name length %d", l[0])
+	if h.Session, err = readField(r, "session", sessionLen, 0, maxSession); err != nil {
+		return Hello{}, err
 	}
-	name := make([]byte, l[0])
-	if _, err := io.ReadFull(r, name); err != nil {
-		return Hello{}, fmt.Errorf("netid: reading name: %w", err)
-	}
-	if _, err := io.ReadFull(r, l[:]); err != nil {
-		return Hello{}, fmt.Errorf("netid: reading session length: %w", err)
-	}
-	if int(l[0]) > maxSession {
-		return Hello{}, fmt.Errorf("netid: invalid session length %d", l[0])
-	}
-	session := make([]byte, l[0])
-	if _, err := io.ReadFull(r, session); err != nil {
-		return Hello{}, fmt.Errorf("netid: reading session: %w", err)
-	}
-	h := Hello{Name: string(name), Session: string(session), Version: int(ver[0])}
-	if ver[0] >= VersionSharded && ver[0] <= VersionShardProc {
-		var lane [1]byte
-		if _, err := io.ReadFull(r, lane[:]); err != nil {
-			return Hello{}, fmt.Errorf("netid: reading shard lane: %w", err)
+	if h.Version >= VersionSharded && h.Version <= VersionShardProc {
+		lane, err := readByte(r, "shard lane")
+		if err != nil {
+			return Hello{}, err
 		}
-		h.Lane = int(lane[0])
+		h.Lane = int(lane)
 	}
-	if ver[0] == VersionResume || ver[0] == VersionShardProc {
+	if h.Resume() || h.ShardRegistration() {
 		var marks [20]byte
 		if _, err := io.ReadFull(r, marks[:]); err != nil {
 			return Hello{}, fmt.Errorf("netid: reading resume watermarks: %w", err)
@@ -414,25 +293,19 @@ func ParseHello(r io.Reader) (Hello, error) {
 	return h, nil
 }
 
-// AcceptHello is ParseHello on a fresh connection.
-func AcceptHello(conn net.Conn) (Hello, error) {
-	return ParseHello(conn)
-}
-
-// AcceptHelloWithin is AcceptHello under a read deadline, cleared before
-// returning (cf. AcceptWithin).
+// AcceptHelloWithin is ParseHello on a fresh connection under a read
+// deadline: a client that connects and goes silent fails the preamble
+// instead of blocking the accept loop forever. The deadline is cleared
+// before returning.
 func AcceptHelloWithin(conn net.Conn, timeout time.Duration) (Hello, error) {
 	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 		return Hello{}, err
 	}
-	h, err := AcceptHello(conn)
+	h, err := ParseHello(conn)
 	if err != nil {
 		return Hello{}, err
 	}
-	if err := conn.SetReadDeadline(time.Time{}); err != nil {
-		return Hello{}, err
-	}
-	return h, nil
+	return h, conn.SetReadDeadline(time.Time{})
 }
 
 // RejectCode types the reason an admission was refused, so holders and
@@ -473,32 +346,26 @@ const (
 	RejectResume
 )
 
+// rejectNames is RejectCode.String's table.
+var rejectNames = [...]string{
+	RejectCapacity:        "capacity",
+	RejectQueueFull:       "queue-full",
+	RejectBudget:          "budget",
+	RejectDraining:        "draining",
+	RejectVersion:         "version",
+	RejectSession:         "session",
+	RejectUnknownHolder:   "unknown-holder",
+	RejectDuplicateHolder: "duplicate-holder",
+	RejectTimeout:         "gather-timeout",
+	RejectResume:          "resume",
+}
+
 // String names the code as it appears in reject frames, logs and metrics.
 func (c RejectCode) String() string {
-	switch c {
-	case RejectCapacity:
-		return "capacity"
-	case RejectQueueFull:
-		return "queue-full"
-	case RejectBudget:
-		return "budget"
-	case RejectDraining:
-		return "draining"
-	case RejectVersion:
-		return "version"
-	case RejectSession:
-		return "session"
-	case RejectUnknownHolder:
-		return "unknown-holder"
-	case RejectDuplicateHolder:
-		return "duplicate-holder"
-	case RejectTimeout:
-		return "gather-timeout"
-	case RejectResume:
-		return "resume"
-	default:
-		return fmt.Sprintf("code-%d", byte(c))
+	if int(c) < len(rejectNames) && rejectNames[c] != "" {
+		return rejectNames[c]
 	}
+	return fmt.Sprintf("code-%d", byte(c))
 }
 
 // ErrRejected classifies every admission refusal; test with errors.Is and
@@ -526,20 +393,11 @@ func (e *RejectedError) Unwrap() error { return ErrRejected }
 // back off and reconnect rather than exit.
 func (e *RejectedError) Retryable() bool { return e.Code == RejectDraining }
 
-// SendAccept answers an extended hello with admission. The session
-// handshake frames follow on the same connection.
-func SendAccept(conn net.Conn) error {
-	_, err := conn.Write([]byte{statusAccept})
-	return err
-}
-
 // SendAcceptRouting answers a version-2 hello with admission plus the
 // routing preamble: the session's TP shard count. The dialer is expected
 // to establish one conduit per shard (to ShardName(0..shards-1)) before
 // the party handshake; shards == 1 means the single-TP path with no shard
-// conduits. Version-1 dialers never receive this form — they cannot read
-// the count, so a sharded server admits them only when shards == 1
-// (SendAccept) and refuses otherwise (RejectVersion).
+// conduits. The session handshake frames follow on the same connection.
 func SendAcceptRouting(conn net.Conn, shards int) error {
 	if shards < 1 || shards > MaxShards {
 		return fmt.Errorf("netid: shard count %d outside [1, %d]", shards, MaxShards)
@@ -555,15 +413,13 @@ func SendAcceptRouting(conn net.Conn, shards int) error {
 // past the hello's Recv. Secure-channel re-establishment under the agreed
 // epoch follows on the same connection.
 func SendAcceptResume(conn net.Conn, sent, recv uint64) error {
-	buf := make([]byte, 0, 17)
-	buf = append(buf, statusAccept)
-	buf = binary.BigEndian.AppendUint64(buf, sent)
+	buf := binary.BigEndian.AppendUint64([]byte{statusAccept}, sent)
 	buf = binary.BigEndian.AppendUint64(buf, recv)
 	_, err := conn.Write(buf)
 	return err
 }
 
-// SendReject answers an extended hello with a typed refusal and detail
+// SendReject answers a versioned hello with a typed refusal and detail
 // (truncated to a bounded length). The caller closes the connection after;
 // nothing may follow a reject frame.
 func SendReject(conn net.Conn, code RejectCode, detail string) error {
@@ -578,84 +434,61 @@ func SendReject(conn net.Conn, code RejectCode, detail string) error {
 	return err
 }
 
-// AwaitAdmission reads the admission response that follows an extended
-// hello: nil on accept, a *RejectedError (classified under ErrRejected) on
-// a typed refusal. The timeout bounds the whole wait — a saturated server
-// parks the connection in its admission queue and answers only once a slot
-// frees, so this deadline is the dialer's backpressure patience. The read
-// deadline is cleared before returning so the session owns the
-// connection's timeout policy afterwards.
-func AwaitAdmission(conn net.Conn, timeout time.Duration) error {
+// awaitStatus is the one admission-answer reader: under a read deadline it
+// reads the status byte that follows a versioned hello and returns nil on
+// accept — the caller reads its form's body and clears the deadline — or the
+// *RejectedError (classified under ErrRejected) of a typed refusal. A
+// saturated server parks the connection in its admission queue and answers
+// only once a slot frees, so the timeout is the dialer's backpressure patience.
+func awaitStatus(conn net.Conn, timeout time.Duration) error {
 	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 		return err
 	}
-	var status [1]byte
-	if _, err := io.ReadFull(conn, status[:]); err != nil {
-		return fmt.Errorf("netid: reading admission response: %w", err)
+	status, err := readByte(conn, "admission response")
+	if err != nil {
+		return err
 	}
-	switch status[0] {
+	switch status {
 	case statusAccept:
-		return conn.SetReadDeadline(time.Time{})
+		return nil
 	case statusReject:
-		return readReject(conn)
+		return parseReject(conn)
 	default:
-		return fmt.Errorf("netid: invalid admission response status %d", status[0])
+		return fmt.Errorf("netid: invalid admission response status %d", status)
 	}
 }
 
 // AwaitAdmissionRouting reads the routing admission that follows a
 // version-2 hello: the session's TP shard count on accept, a
-// *RejectedError on a typed refusal. Deadline semantics match
-// AwaitAdmission.
+// *RejectedError on a typed refusal. The timeout bounds the whole wait
+// (awaitStatus); the read deadline is cleared before returning so the
+// session owns the connection's timeout policy afterwards.
 func AwaitAdmissionRouting(conn net.Conn, timeout time.Duration) (int, error) {
-	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+	if err := awaitStatus(conn, timeout); err != nil {
 		return 0, err
 	}
-	var status [1]byte
-	if _, err := io.ReadFull(conn, status[:]); err != nil {
-		return 0, fmt.Errorf("netid: reading admission response: %w", err)
+	count, err := readByte(conn, "shard count")
+	if err != nil {
+		return 0, err
 	}
-	switch status[0] {
-	case statusAccept:
-		var count [1]byte
-		if _, err := io.ReadFull(conn, count[:]); err != nil {
-			return 0, fmt.Errorf("netid: reading shard count: %w", err)
-		}
-		if count[0] < 1 {
-			return 0, fmt.Errorf("netid: invalid shard count %d", count[0])
-		}
-		return int(count[0]), conn.SetReadDeadline(time.Time{})
-	case statusReject:
-		return 0, readReject(conn)
-	default:
-		return 0, fmt.Errorf("netid: invalid admission response status %d", status[0])
+	if count < 1 {
+		return 0, fmt.Errorf("netid: invalid shard count %d", count)
 	}
+	return int(count), conn.SetReadDeadline(time.Time{})
 }
 
-// AwaitResumeGrant reads the resume grant that follows a version-3 hello:
-// the acceptor's (sent, recv) watermarks for the lane on accept, a
-// *RejectedError on a typed refusal. Deadline semantics match
-// AwaitAdmission.
+// AwaitResumeGrant reads the resume grant that follows a version-3 or
+// version-4 hello: the acceptor's (sent, recv) watermarks for the lane on
+// accept, a *RejectedError on a typed refusal. Deadline semantics match
+// AwaitAdmissionRouting.
 func AwaitResumeGrant(conn net.Conn, timeout time.Duration) (sent, recv uint64, err error) {
-	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+	if err := awaitStatus(conn, timeout); err != nil {
 		return 0, 0, err
 	}
-	var status [1]byte
-	if _, err := io.ReadFull(conn, status[:]); err != nil {
-		return 0, 0, fmt.Errorf("netid: reading resume grant: %w", err)
+	if sent, recv, err = parseResumeGrant(conn); err != nil {
+		return 0, 0, err
 	}
-	switch status[0] {
-	case statusAccept:
-		sent, recv, err = parseResumeGrant(conn)
-		if err != nil {
-			return 0, 0, err
-		}
-		return sent, recv, conn.SetReadDeadline(time.Time{})
-	case statusReject:
-		return 0, 0, readReject(conn)
-	default:
-		return 0, 0, fmt.Errorf("netid: invalid resume grant status %d", status[0])
-	}
+	return sent, recv, conn.SetReadDeadline(time.Time{})
 }
 
 // parseResumeGrant reads the watermark body of an accepted resume grant:
@@ -666,11 +499,6 @@ func parseResumeGrant(r io.Reader) (sent, recv uint64, err error) {
 		return 0, 0, fmt.Errorf("netid: reading resume watermarks: %w", err)
 	}
 	return binary.BigEndian.Uint64(marks[0:8]), binary.BigEndian.Uint64(marks[8:16]), nil
-}
-
-// readReject is parseReject on a connection.
-func readReject(conn net.Conn) error {
-	return parseReject(conn)
 }
 
 // parseReject parses the typed refusal frame that follows a reject status

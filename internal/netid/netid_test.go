@@ -1,6 +1,7 @@
 package netid
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"strings"
@@ -13,13 +14,13 @@ func TestAnnounceAccept(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	done := make(chan error, 1)
-	go func() { done <- Announce(a, "HolderA") }()
-	name, err := Accept(b)
+	go func() { done <- AnnounceWithin(a, "HolderA", time.Second) }()
+	h, err := AcceptHelloWithin(b, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "HolderA" {
-		t.Fatalf("name = %q", name)
+	if h.Name != "HolderA" {
+		t.Fatalf("name = %q", h.Name)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -30,10 +31,10 @@ func TestAnnounceValidation(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	if err := Announce(a, ""); err == nil {
+	if err := AnnounceWithin(a, "", time.Second); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	if err := Announce(a, strings.Repeat("x", 65)); err == nil {
+	if err := AnnounceWithin(a, strings.Repeat("x", 65), time.Second); err == nil {
 		t.Fatal("oversized name accepted")
 	}
 }
@@ -43,42 +44,21 @@ func TestAcceptRejectsGarbage(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	go a.Write([]byte{0})
-	if _, err := Accept(b); err == nil {
+	if _, err := AcceptHelloWithin(b, time.Second); err == nil {
 		t.Fatal("zero length accepted")
 	}
 }
 
-func TestExtendedHelloRoundTrip(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	done := make(chan error, 1)
-	go func() { done <- AnnounceSessionWithin(a, "HolderA", "tenant-7", time.Second) }()
-	h, err := AcceptHelloWithin(b, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Name != "HolderA" || h.Session != "tenant-7" || h.Version != Version {
-		t.Fatalf("hello = %+v", h)
-	}
-	if !h.Extended() {
-		t.Fatal("extended hello not marked extended")
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLegacyHelloParsesAsDefaultSession(t *testing.T) {
-	// Old single-session holders keep working against a multi-tenant
-	// acceptor: their hello routes to the default (empty) session and no
-	// admission response is owed.
+	// The bare name label — the retired legacy hello, still the
+	// holder↔holder link label — parses to Version 0 with the empty session
+	// and is not Extended, which is what a session acceptor refuses it by.
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
 	done := make(chan error, 1)
-	go func() { done <- Announce(a, "HolderB") }()
-	h, err := AcceptHello(b)
+	go func() { done <- AnnounceWithin(a, "HolderB", time.Second) }()
+	h, err := AcceptHelloWithin(b, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,50 +73,36 @@ func TestLegacyHelloParsesAsDefaultSession(t *testing.T) {
 	}
 }
 
-func TestLegacyAcceptorRejectsExtendedHelloDescriptively(t *testing.T) {
-	// A new holder announcing a session to an old single-session TP must
-	// fail the old preamble with a descriptive error, not a misparse: the
-	// extended magic is an invalid legacy name length.
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	go AnnounceSession(a, "HolderA", "tenant-7")
-	_, err := Accept(b)
-	if err == nil || !strings.Contains(err.Error(), "invalid name length 255") {
-		t.Fatalf("err = %v, want invalid name length 255", err)
-	}
-}
-
 func TestAnnounceSessionValidation(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	if err := AnnounceSession(a, "", "s"); err == nil {
+	if err := AnnounceSessionShardWithin(a, "", "s", -1, time.Second); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	if err := AnnounceSession(a, "H", strings.Repeat("s", 65)); err == nil {
+	if err := AnnounceSessionShardWithin(a, "H", strings.Repeat("s", 65), -1, time.Second); err == nil {
 		t.Fatal("oversized session accepted")
 	}
 }
 
 func TestFutureVersionHelloSurvivesParse(t *testing.T) {
-	// A version-5 hello parses through the version-1 fields known to this
-	// package (minus the lane and watermark fields, which versions 2–4
-	// define) and reports its claimed version, so the acceptor can refuse
-	// it with RejectVersion instead of a parse error.
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	go a.Write([]byte{magicExtended, 5, 1, 'H', 2, 's', '2'})
-	h, err := AcceptHello(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Version != 5 || h.Name != "H" || h.Session != "s2" {
-		t.Fatalf("hello = %+v", h)
-	}
-	if h.Lane != 0 {
-		t.Fatalf("future hello claims lane %d, want 0", h.Lane)
+	// A hello of a version this package does not lay out — the retired
+	// version 1 as much as a version 5 from the future — parses through the
+	// name and session, reads nothing past them, and reports its claimed
+	// version, so the acceptor can refuse it with RejectVersion instead of
+	// a parse error.
+	for _, ver := range []byte{1, 5} {
+		r := bytes.NewReader([]byte{magicExtended, ver, 1, 'H', 2, 's', '2', 0xAA})
+		h, err := ParseHello(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (Hello{Name: "H", Session: "s2", Version: int(ver)}); h != want {
+			t.Fatalf("hello = %+v, want %+v", h, want)
+		}
+		if r.Len() != 1 {
+			t.Fatalf("version %d: parser read past the session", ver)
+		}
 	}
 }
 
@@ -146,7 +112,7 @@ func TestAdmissionAcceptAndReject(t *testing.T) {
 		serve func(c net.Conn) error
 		check func(t *testing.T, err error)
 	}{
-		{"accept", SendAccept, func(t *testing.T, err error) {
+		{"accept", func(c net.Conn) error { return SendAcceptRouting(c, 1) }, func(t *testing.T, err error) {
 			if err != nil {
 				t.Fatalf("accept: %v", err)
 			}
@@ -186,7 +152,8 @@ func TestAdmissionAcceptAndReject(t *testing.T) {
 			defer b.Close()
 			done := make(chan error, 1)
 			go func() { done <- tc.serve(a) }()
-			tc.check(t, AwaitAdmission(b, time.Second))
+			_, err := AwaitAdmissionRouting(b, time.Second)
+			tc.check(t, err)
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +168,7 @@ func TestAwaitAdmissionTimesOutOnParkedConnection(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	start := time.Now()
-	err := AwaitAdmission(b, 30*time.Millisecond)
+	_, err := AwaitAdmissionRouting(b, 30*time.Millisecond)
 	if err == nil || errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v, want plain deadline error", err)
 	}
@@ -215,7 +182,7 @@ func TestAcceptWithinTimesOutOnSilentClient(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	start := time.Now()
-	if _, err := AcceptWithin(b, 30*time.Millisecond); err == nil {
+	if _, err := AcceptHelloWithin(b, 30*time.Millisecond); err == nil {
 		t.Fatal("silent client accepted")
 	}
 	if time.Since(start) > 5*time.Second {
@@ -224,12 +191,12 @@ func TestAcceptWithinTimesOutOnSilentClient(t *testing.T) {
 	// A prompt client still gets through, and the deadline is cleared.
 	done := make(chan error, 1)
 	go func() { done <- AnnounceWithin(a, "H", time.Second) }()
-	name, err := AcceptWithin(b, time.Second)
+	h, err := AcceptHelloWithin(b, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "H" {
-		t.Fatalf("name = %q", name)
+	if h.Name != "H" {
+		t.Fatalf("name = %q", h.Name)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -239,7 +206,7 @@ func TestAcceptWithinTimesOutOnSilentClient(t *testing.T) {
 // TestShardedHelloRoundTrip covers the version-2 preamble end to end: the
 // control hello (shard -1, wire lane 0) and shard-lane hellos round-trip
 // name, session, version and lane through AnnounceSessionShardWithin /
-// AcceptHello.
+// AcceptHelloWithin.
 func TestShardedHelloRoundTrip(t *testing.T) {
 	for _, shard := range []int{-1, 0, 3} {
 		a, b := net.Pipe()
@@ -270,18 +237,17 @@ func TestAnnounceSessionShardValidation(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	if err := AnnounceSessionShard(a, "H", "s", -2); err == nil {
+	if err := AnnounceSessionShardWithin(a, "H", "s", -2, time.Second); err == nil {
 		t.Fatal("shard -2 accepted")
 	}
-	if err := AnnounceSessionShard(a, "H", "s", MaxShards); err == nil {
+	if err := AnnounceSessionShardWithin(a, "H", "s", MaxShards, time.Second); err == nil {
 		t.Fatalf("shard %d accepted", MaxShards)
 	}
 }
 
 // TestRoutingAdmission: the routing accept carries the session's shard
-// count to the holder; rejects flow through the same typed path as the
-// version-1 admission; and a plain version-1 accept (no count byte) is a
-// descriptive error, never a misparse or a hang.
+// count to the holder; rejects come back typed; and an accept cut short of
+// its count byte is a descriptive error, never a misparse or a hang.
 func TestRoutingAdmission(t *testing.T) {
 	serve := func(f func(c net.Conn) error) (net.Conn, chan error) {
 		a, b := net.Pipe()
@@ -308,9 +274,8 @@ func TestRoutingAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A v1 accept closes (or stalls) before the count byte arrives.
 	b, done = serve(func(c net.Conn) error {
-		if err := SendAccept(c); err != nil {
+		if _, err := c.Write([]byte{statusAccept}); err != nil {
 			return err
 		}
 		return c.Close()
@@ -362,8 +327,8 @@ func TestResumeHelloControlLane(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	go AnnounceResume(a, "HolderA", "s", -1, 1, 7, 7)
-	h, err := AcceptHello(b)
+	go AnnounceResumeWithin(a, "HolderA", "s", -1, 1, 7, 7, time.Second)
+	h, err := AcceptHelloWithin(b, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +385,7 @@ func TestFutureVersionPassthrough(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	go a.Write([]byte{0xFF, 5, 1, 'H', 1, 's'})
-	h, err := AcceptHello(b)
+	h, err := AcceptHelloWithin(b, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +400,7 @@ func TestFutureVersionPassthrough(t *testing.T) {
 // TestShardRegistrationRoundTrip covers the version-4 preamble: the
 // coordinator's shard-registration hello round-trips name, session, shard
 // lane, epoch and watermarks through AnnounceShardRegistrationWithin /
-// AcceptHello, and classifies as a registration (never a holder resume).
+// AcceptHelloWithin, and classifies as a registration (never a holder resume).
 func TestShardRegistrationRoundTrip(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
@@ -468,13 +433,13 @@ func TestAnnounceShardRegistrationValidation(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	if err := AnnounceShardRegistration(a, "TP", "s", -1, 0, 0, 0); err == nil {
+	if err := AnnounceShardRegistrationWithin(a, "TP", "s", -1, 0, 0, 0, time.Second); err == nil {
 		t.Fatal("shard -1 accepted (workers have no control lane)")
 	}
-	if err := AnnounceShardRegistration(a, "TP", "s", MaxShards, 0, 0, 0); err == nil {
+	if err := AnnounceShardRegistrationWithin(a, "TP", "s", MaxShards, 0, 0, 0, time.Second); err == nil {
 		t.Fatalf("shard %d accepted", MaxShards)
 	}
-	if err := AnnounceShardRegistration(a, "", "s", 0, 0, 0, 0); err == nil {
+	if err := AnnounceShardRegistrationWithin(a, "", "s", 0, 0, 0, 0, time.Second); err == nil {
 		t.Fatal("empty name accepted")
 	}
 }

@@ -55,8 +55,8 @@ import (
 )
 
 // ShardDialFunc establishes the coordinator's transport to shard worker s.
-// It performs the shard registration (netid.AnnounceShardRegistration with
-// the given resume state; epoch 0 on first contact) and returns the raw
+// It performs the shard registration (netid.AnnounceShardRegistrationWithin
+// with the given resume state; epoch 0 on first contact) and returns the raw
 // conduit plus the worker's watermark grant, which is always (0, 0) — a
 // worker is always fresh. Errors wrapping ErrResumeStale, ErrResumeAborted
 // or ErrResumeUnknown (for example a mapped netid rejection) are fatal to

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -477,12 +478,12 @@ func TestShardProcDrainingWorkerRejects(t *testing.T) {
 	go func() { defer close(serveDone); srv.Serve(ln) }()
 	addr := ln.Addr().String()
 
-	// A live worker rejects a legacy (non-registration) hello by version.
+	// A live worker rejects a non-registration hello by version.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	if err := netid.AnnounceResume(conn, TPName, "s", 0, 1, 0, 0); err != nil {
+	if err := netid.AnnounceResumeWithin(conn, TPName, "s", 0, 1, 0, 0, 5*time.Second); err != nil {
 		t.Fatalf("announce: %v", err)
 	}
 	_, _, err = netid.AwaitResumeGrant(conn, 5*time.Second)
@@ -501,6 +502,48 @@ func TestShardProcDrainingWorkerRejects(t *testing.T) {
 	if _, err := net.Dial("tcp", addr); err == nil {
 		t.Fatal("dial after Close succeeded")
 	}
+}
+
+// TestShardProcRefusesRetiredHellos: the bare name label and the version-1
+// hello reach a shard worker's listener as they reach any other — both are
+// refused by version and the connection closed, leaving no run and no
+// goroutine behind, and a real session registered on the same listeners
+// afterwards is bit-identical to the single-TP reference.
+func TestShardProcRefusesRetiredHellos(t *testing.T) {
+	leakcheck.Check(t)
+	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: pipelineSchema()})
+	for _, raw := range []string{"\x02TP", "\xff\x01\x02TP\x00"} {
+		conn, err := net.Dial("tcp", pool.addrs[0])
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte(raw)); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = netid.AwaitResumeGrant(conn, 5*time.Second)
+		var rej *netid.RejectedError
+		if !errors.As(err, &rej) || rej.Code != netid.RejectVersion {
+			t.Fatalf("hello %q to a shard worker: want RejectVersion, got %v", raw, err)
+		}
+		if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+			t.Fatalf("hello %q: connection not closed after the refusal: %v", raw, err)
+		}
+	}
+
+	parts := pipelineParts(t, 1)
+	want, err := runSerialTP(Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1},
+		parts, nil, deterministicRandom(43), nil)
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, TPShards: 2}
+	cfg.ShardDial = pool.dialer("after-refusals", nil)
+	got, err := RunInMemory(cfg, parts, nil, deterministicRandom(43))
+	if err != nil {
+		t.Fatalf("session after the refusals: %v", err)
+	}
+	assertSameOutcome(t, "session after the refusals", want, got)
 }
 
 // TestShardSliceDedup drives the collector's duplicate-slice guard

@@ -164,7 +164,7 @@ func (s *ShardServer) Close() {
 // the link dies.
 func (s *ShardServer) handle(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
-	hello, err := netid.AcceptHello(conn)
+	hello, err := netid.ParseHello(conn)
 	if err != nil {
 		conn.Close()
 		return

@@ -65,8 +65,8 @@ type Metrics struct {
 // granted), including those later refused at gather timeout.
 func (m *Metrics) Admitted() int64 { return m.admitted.Load() }
 
-// Refused returns the number of typed admission refusals sent (or, for
-// legacy hellos owed no frame, connections closed in refusal).
+// Refused returns the number of typed admission refusals sent (or, for a
+// bare name label, which reads no frame, connections closed in refusal).
 func (m *Metrics) Refused() int64 { return m.refused.Load() }
 
 // Completed returns the number of sessions that ran to a published report.

@@ -53,7 +53,7 @@ func dialAnnounce(t *testing.T, addr, name, session string) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := netid.AnnounceSessionWithin(conn, name, session, 5*time.Second); err != nil {
+	if err := netid.AnnounceSessionShardWithin(conn, name, session, -1, 5*time.Second); err != nil {
 		conn.Close()
 		t.Fatalf("announce %s/%s: %v", session, name, err)
 	}
@@ -81,7 +81,7 @@ func TestMultiTenantIsolationAndRefusal(t *testing.T) {
 	// The N+1-th session is refused, typed, while the server is saturated.
 	overflow := dialAnnounce(t, addr, "A", "delta")
 	defer overflow.Close()
-	err := netid.AwaitAdmission(overflow, 10*time.Second)
+	_, err := netid.AwaitAdmissionRouting(overflow, 10*time.Second)
 	var rej *netid.RejectedError
 	if !errors.As(err, &rej) || rej.Code != netid.RejectCapacity {
 		t.Fatalf("overflow admission %v, want capacity rejection", err)
@@ -98,7 +98,7 @@ func TestMultiTenantIsolationAndRefusal(t *testing.T) {
 		ab, ba := wire.Pipe()
 		errs := make(chan error, 2)
 		run := func(name, peer string, conn net.Conn, hh wire.Conduit) {
-			if err := netid.AwaitAdmission(conn, 30*time.Second); err != nil {
+			if _, err := netid.AwaitAdmissionRouting(conn, 30*time.Second); err != nil {
 				conn.Close()
 				errs <- err
 				return

@@ -100,26 +100,27 @@ func (m *Manager) Serve(ln net.Listener, sc ServeConfig) error {
 }
 
 // SubmitConn adapts one TCP connection whose hello is already read into
-// the manager: the conn becomes a pooled TCP conduit and, for extended
-// hellos, the admission response is written back on the same socket under
-// responseTimeout. Legacy hellos are owed no response and get none.
+// the manager: the conn becomes a pooled TCP conduit and the admission
+// response is written back on the same socket under responseTimeout. A bare
+// name label is the holder↔holder link form — its dialer reads no answer,
+// so none is written: the refusal is logged and the connection closed.
 func (m *Manager) SubmitConn(hello netid.Hello, conn net.Conn, responseTimeout time.Duration) {
-	var r Responder
-	if hello.Extended() {
-		r = &connResponder{conn: conn, timeout: responseTimeout,
-			routing: hello.Version >= netid.VersionSharded}
+	if !hello.Extended() {
+		m.metrics.refused.Add(1)
+		m.logf("event=session-refused holder=%s code=%s detail=%q",
+			hello.Name, netid.RejectVersion, "bare name label is not a session hello")
+		conn.Close()
+		return
 	}
-	m.Submit(hello, wire.TCPPooled(conn), r)
+	m.Submit(hello, wire.TCPPooled(conn), &connResponder{conn: conn, timeout: responseTimeout})
 }
 
 // connResponder writes netid admission responses on a net.Conn under a
 // write deadline, cleared after the accept so the session owns the
-// connection's timeout policy. routing selects the version-2 accept form,
-// which carries the session's shard count.
+// connection's timeout policy.
 type connResponder struct {
 	conn    net.Conn
 	timeout time.Duration
-	routing bool
 }
 
 func (r *connResponder) deadline() time.Time {
@@ -133,13 +134,7 @@ func (r *connResponder) Accept(shards int) error {
 	if err := r.conn.SetWriteDeadline(r.deadline()); err != nil {
 		return err
 	}
-	var err error
-	if r.routing {
-		err = netid.SendAcceptRouting(r.conn, shards)
-	} else {
-		err = netid.SendAccept(r.conn)
-	}
-	if err != nil {
+	if err := netid.SendAcceptRouting(r.conn, shards); err != nil {
 		return err
 	}
 	return r.conn.SetWriteDeadline(time.Time{})

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -46,7 +47,7 @@ func startServe(t *testing.T, m *Manager, sc ServeConfig) (string, func()) {
 }
 
 // runTCPSession drives one complete tenant session against a served
-// address: each holder dials, announces with the extended hello, waits for
+// address: each holder dials, announces with the join hello, waits for
 // its admission accept, then runs the party protocol with the TCP conduit
 // to the TP and an in-memory pipe to its peer.
 func runTCPSession(t *testing.T, addr, session string) <-chan error {
@@ -61,12 +62,12 @@ func runTCPSession(t *testing.T, addr, session string) <-chan error {
 			errs <- err
 			return
 		}
-		if err := netid.AnnounceSessionWithin(conn, name, session, 5*time.Second); err != nil {
+		if err := netid.AnnounceSessionShardWithin(conn, name, session, -1, 5*time.Second); err != nil {
 			conn.Close()
 			errs <- err
 			return
 		}
-		if err := netid.AwaitAdmission(conn, 30*time.Second); err != nil {
+		if _, err := netid.AwaitAdmissionRouting(conn, 30*time.Second); err != nil {
 			conn.Close()
 			errs <- err
 			return
@@ -128,48 +129,48 @@ func TestServeSilentConnDoesNotBlockOthers(t *testing.T) {
 	}
 }
 
-// TestServeLegacyHelloOverTCP: a pre-extension client (legacy hello, no
-// admission read) still completes against the multi-tenant server.
+// TestServeLegacyHelloOverTCP: the two retired hellos — the bare name label
+// pre-session holders announced themselves with, and the version-1 hello —
+// are refused, not mis-served. The label's dialer reads no answer, so its
+// connection is just closed; the version-1 dialer gets the typed version
+// refusal it can read, then the close. Neither takes a session slot, and
+// the default session (what an empty -session names) then completes on the
+// same listener.
 func TestServeLegacyHelloOverTCP(t *testing.T) {
 	defer leakcheck.Check(t)
 	m, done := newManager(t, Config{MaxSessions: 1})
 	addr, stop := startServe(t, m, ServeConfig{})
 
-	tables := testTables()
-	random := sessionRandom("")
-	ab, ba := wire.Pipe()
-	errs := make(chan error, 2)
-	run := func(name, peer string, hh wire.Conduit) {
+	for _, raw := range []string{"\x01A", "\xff\x01\x01A\x00"} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
-			errs <- err
-			return
+			t.Fatal(err)
 		}
-		if err := netid.AnnounceWithin(conn, name, 5*time.Second); err != nil {
-			conn.Close()
-			errs <- err
-			return
+		defer conn.Close()
+		if _, err := conn.Write([]byte(raw)); err != nil {
+			t.Fatal(err)
 		}
-		tp := wire.TCPPooled(conn)
-		defer tp.Close()
-		h, err := party.NewHolder(name, tables[name], roster, testSession(), party.ClusterRequest{K: 2},
-			map[string]wire.Conduit{party.TPName: tp, peer: hh}, random(name))
-		if err != nil {
-			errs <- err
-			return
+		_, err = netid.AwaitAdmissionRouting(conn, 10*time.Second)
+		if raw[0] == 0xFF {
+			var rej *netid.RejectedError
+			if !errors.As(err, &rej) || rej.Code != netid.RejectVersion {
+				t.Fatalf("version-1 hello answered %v, want version rejection", err)
+			}
+			_, err = conn.Read(make([]byte, 1))
 		}
-		_, err = h.Run()
-		errs <- err
+		if !errors.Is(err, io.EOF) {
+			t.Fatalf("hello %q: connection not closed: %v", raw, err)
+		}
 	}
-	go run("A", "B", ab)
-	go run("B", "A", ba)
-	if err := errors.Join(<-errs, <-errs); err != nil {
-		t.Fatalf("legacy session: %v", err)
+	if mt := m.Metrics(); mt.Refused() != 2 || mt.Admitted() != 0 || mt.Active() != 0 {
+		t.Fatalf("refused=%d admitted=%d active=%d, want 2, 0, 0", mt.Refused(), mt.Admitted(), mt.Active())
 	}
-	ab.Close()
-	ba.Close()
+
+	if err := awaitHolders(t, runTCPSession(t, addr, "")); err != nil {
+		t.Fatalf("default session after the refusals: %v", err)
+	}
 	if out := done.next(t); out.id != "" || out.err != nil {
-		t.Fatalf("legacy completion id=%q err=%v", out.id, out.err)
+		t.Fatalf("completion id=%q err=%v", out.id, out.err)
 	}
 	stop()
 }
@@ -194,7 +195,7 @@ func TestServeFutureVersionRejectedOverTCP(t *testing.T) {
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	err = netid.AwaitAdmission(conn, 10*time.Second)
+	_, err = netid.AwaitAdmissionRouting(conn, 10*time.Second)
 	var rej *netid.RejectedError
 	if !errors.As(err, &rej) || rej.Code != netid.RejectVersion {
 		t.Fatalf("admission result %v, want version rejection", err)

@@ -1,6 +1,6 @@
 // Package server is the multi-tenant third-party service: a session
 // manager that runs many concurrent ppclust sessions on one listener,
-// keyed by the session ID of the extended netid hello. Holders announcing
+// keyed by the session ID of the netid hello. Holders announcing
 // the same session ID are matched into one session, each session runs its
 // own party.ThirdParty under the PR 6 lifecycle guards, and the manager
 // enforces admission control (bounded queue, then typed refusal — never a
@@ -20,8 +20,8 @@
 //	            released, the next pending session promoted
 //
 // See docs/ARCHITECTURE.md ("Multi-tenant TP server") for the budget
-// formula and drain semantics, and docs/WIRE.md for the extended hello and
-// reject frame this package speaks through internal/netid.
+// formula and drain semantics, and docs/WIRE.md for the hello and reject
+// frame this package speaks through internal/netid.
 package server
 
 import (
@@ -49,11 +49,8 @@ type Config struct {
 	// Session is the shared session agreement (schema, variant, chunking,
 	// timeouts, TP shard count) each per-session ThirdParty runs under.
 	// When Session.TPShards > 1 the server serves the sharded third party:
-	// every holder must announce a version-2 hello on its control
-	// connection — the routing admission carries the shard count — and
-	// then dial one version-2 connection per shard lane. Version-0/1
-	// holders are admitted only when TPShards <= 1 (they cannot read the
-	// routing preamble); see docs/WIRE.md for the compatibility matrix.
+	// the routing admission on a holder's control connection carries the
+	// shard count, and the holder then dials one connection per shard lane.
 	Session party.Config
 	// ShardAddrs, when set, moves the session shard pipelines out of this
 	// process: entry s is the listen address of a ppc-shard worker serving
@@ -155,36 +152,28 @@ type session struct {
 }
 
 // tenantConn is one holder's connection into a session: the metered
-// conduit the ThirdParty will run over and the pending admission reply
-// (nil for legacy hellos, which are owed no response). accepted records
-// that the admission accept has been sent — a sharded session answers its
-// connections at join time (the routing accept is what tells a holder to
-// dial its shard lanes), and an accepted connection can no longer be sent
-// a reject frame, only closed.
+// conduit the ThirdParty will run over and the pending admission reply.
+// accepted records that the admission accept has been sent — a sharded
+// session answers its connections at join time (the routing accept is what
+// tells a holder to dial its shard lanes), and an accepted connection can no
+// longer be sent a reject frame, only closed.
 type tenantConn struct {
 	conduit  wire.Conduit
 	respond  Responder
 	accepted bool
 }
 
-// Responder delivers the admission decision on one extended-hello
-// connection's transport. Accept carries the session's TP shard count
-// (rendered as the routing admission for version-2 hellos, the plain
-// accept for version-1) and is followed by the session handshake on the
-// same connection; Reject is terminal — the manager closes the conduit
-// after it. A nil Responder (legacy hello) is owed no response.
+// Responder delivers the admission decision on one connection's transport.
+// Accept carries the session's TP shard count (the routing admission) and
+// is followed by the session handshake on the same connection;
+// AcceptResume grants a version-3 resume hello, carrying the server's own
+// frame watermarks for the severed lane so the holder knows where to
+// restart its streams; Reject is terminal — the manager closes the conduit
+// after it.
 type Responder interface {
 	Accept(shards int) error
-	Reject(code netid.RejectCode, detail string) error
-}
-
-// ResumeResponder is the additional capability a Responder needs to grant
-// a version-3 resume hello: the grant carries the server's own frame
-// watermarks for the severed lane, so the holder knows where to restart
-// its streams. Responders lacking it (or nil legacy responders) make the
-// resume unanswerable and the hello is refused.
-type ResumeResponder interface {
 	AcceptResume(sent, recv uint64) error
+	Reject(code netid.RejectCode, detail string) error
 }
 
 // New validates the configuration and returns an idle Manager.
@@ -258,11 +247,11 @@ func (m *Manager) logf(format string, args ...any) {
 	}
 }
 
-// refuseConn answers one connection with a typed refusal (when a reply is
-// owed) and closes its conduit. Called with m.mu NOT held — replies may
-// block on a slow client's socket.
+// refuseConn answers one connection with a typed refusal (unless its accept
+// already went out) and closes its conduit. Called with m.mu NOT held —
+// replies may block on a slow client's socket.
 func (m *Manager) refuseConn(tc *tenantConn, code netid.RejectCode, detail string) {
-	if tc.respond != nil && !tc.accepted {
+	if !tc.accepted {
 		_ = tc.respond.Reject(code, detail)
 	}
 	_ = tc.conduit.Close()
@@ -304,22 +293,13 @@ func (m *Manager) Submit(hello netid.Hello, c wire.Conduit, respond Responder) {
 		metered = wire.Meter(metered, &m.metrics.shardWire[hello.Lane-1])
 	}
 	tc := &tenantConn{conduit: metered, respond: respond}
-	if hello.Version > netid.VersionResume {
+	if hello.Version < netid.VersionSharded || hello.Version > netid.VersionResume {
 		m.refuse(hello, tc, netid.RejectVersion,
-			fmt.Sprintf("hello version %d, server speaks up to %d", hello.Version, netid.VersionResume))
+			fmt.Sprintf("hello version %d, server speaks %d to %d", hello.Version, netid.VersionSharded, netid.VersionResume))
 		return
 	}
 	if hello.Resume() {
 		m.resume(hello, tc)
-		return
-	}
-	if m.shards > 1 && hello.Version < netid.VersionSharded {
-		// A pre-shard holder cannot read the routing admission, so it could
-		// never establish its shard lanes; refuse it descriptively instead
-		// of wedging the gather.
-		m.refuse(hello, tc, netid.RejectVersion,
-			fmt.Sprintf("server shards the third party %d ways; announce a version-%d hello",
-				m.shards, netid.VersionSharded))
 		return
 	}
 	if !contains(m.cfg.Holders, hello.Name) {
@@ -392,11 +372,6 @@ func (m *Manager) resume(hello netid.Hello, tc *tenantConn) {
 			hello.Session, hello.Name, hello.Lane, code, detail)
 		m.refuseConn(tc, code, detail)
 	}
-	rr, ok := tc.respond.(ResumeResponder)
-	if !ok {
-		refuse(netid.RejectResume, "connection cannot carry a resume grant")
-		return
-	}
 	m.mu.Lock()
 	s := m.sessions[hello.Session]
 	var tp *party.ThirdParty
@@ -422,7 +397,7 @@ func (m *Manager) resume(hello netid.Hello, tc *tenantConn) {
 		return
 	}
 	grant := ticket.Grant()
-	if err := rr.AcceptResume(grant.Sent, grant.Recv); err != nil {
+	if err := tc.respond.AcceptResume(grant.Sent, grant.Recv); err != nil {
 		// The grant never reached the holder, so it will redial; put the
 		// lane back the way Resume found it by failing this attempt.
 		ticket.Abandon()
@@ -451,14 +426,14 @@ func (m *Manager) resume(hello netid.Hello, tc *tenantConn) {
 
 // pendingAcceptsLocked collects (and marks) the unanswered accepts of a
 // gathering sharded session, with m.mu held. Single-TP sessions defer all
-// accepts to runSession, preserving the legacy reply timing.
+// accepts to runSession: nothing tells their holders to dial more lanes.
 func (m *Manager) pendingAcceptsLocked(s *session) []*tenantConn {
 	if m.shards <= 1 {
 		return nil
 	}
 	var out []*tenantConn
 	for _, key := range s.order {
-		if tc := s.conns[key]; tc.respond != nil && !tc.accepted {
+		if tc := s.conns[key]; !tc.accepted {
 			tc.accepted = true
 			out = append(out, tc)
 		}
@@ -606,7 +581,7 @@ func (m *Manager) startLocked(s *session) {
 func (m *Manager) runSession(s *session) {
 	defer m.wg.Done()
 	for _, name := range s.order {
-		if tc := s.conns[name]; tc.respond != nil && !tc.accepted {
+		if tc := s.conns[name]; !tc.accepted {
 			if err := tc.respond.Accept(m.shards); err != nil {
 				// A broken admission reply means a broken connection; the
 				// session handshake on it will fail and classify the session.

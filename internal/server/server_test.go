@@ -65,6 +65,10 @@ func newPipeResponder() *pipeResponder { return &pipeResponder{ch: make(chan err
 
 func (r *pipeResponder) Accept(shards int) error { r.ch <- nil; return nil }
 
+func (r *pipeResponder) AcceptResume(sent, recv uint64) error {
+	return errors.New("join hello got a resume grant")
+}
+
 func (r *pipeResponder) Reject(code netid.RejectCode, detail string) error {
 	r.ch <- &netid.RejectedError{Code: code, Detail: detail}
 	return nil
@@ -137,7 +141,7 @@ func newTenant(t *testing.T, id string) *tenant {
 }
 
 func (te *tenant) hello(name string) netid.Hello {
-	return netid.Hello{Name: name, Session: te.id, Version: netid.Version}
+	return netid.Hello{Name: name, Session: te.id, Version: netid.VersionSharded}
 }
 
 func (te *tenant) submit(m *Manager, name string) {
@@ -522,7 +526,7 @@ func TestUnknownDuplicateAndVersionRefusals(t *testing.T) {
 	c1, s1 := wire.Pipe()
 	defer c1.Close()
 	r1 := newPipeResponder()
-	m.Submit(netid.Hello{Name: "Z", Session: "s", Version: netid.Version}, s1, r1)
+	m.Submit(netid.Hello{Name: "Z", Session: "s", Version: netid.VersionSharded}, s1, r1)
 	expectReject(t, r1, netid.RejectUnknownHolder)
 
 	// Duplicate holder within a gathering session.
@@ -531,42 +535,22 @@ func TestUnknownDuplicateAndVersionRefusals(t *testing.T) {
 	c2, s2 := wire.Pipe()
 	defer c2.Close()
 	r2 := newPipeResponder()
-	m.Submit(netid.Hello{Name: "A", Session: "s", Version: netid.Version}, s2, r2)
+	m.Submit(netid.Hello{Name: "A", Session: "s", Version: netid.VersionSharded}, s2, r2)
 	expectReject(t, r2, netid.RejectDuplicateHolder)
 
-	// Hello from the future.
-	c3, s3 := wire.Pipe()
-	defer c3.Close()
-	r3 := newPipeResponder()
-	m.Submit(netid.Hello{Name: "B", Session: "s2", Version: netid.VersionResume + 1}, s3, r3)
-	rej := expectReject(t, r3, netid.RejectVersion)
-	if !strings.Contains(rej.Detail, "server speaks up to") {
-		t.Fatalf("version detail %q", rej.Detail)
+	// Hellos from the future and from the retired past, either side of the
+	// versions the server speaks.
+	for _, version := range []int{netid.VersionResume + 1, netid.VersionSharded - 1} {
+		c3, s3 := wire.Pipe()
+		defer c3.Close()
+		r3 := newPipeResponder()
+		m.Submit(netid.Hello{Name: "B", Session: "s2", Version: version}, s3, r3)
+		rej := expectReject(t, r3, netid.RejectVersion)
+		if !strings.Contains(rej.Detail, "server speaks 2 to 3") {
+			t.Fatalf("version detail %q", rej.Detail)
+		}
 	}
-	if m.Metrics().Refused() != 3 {
-		t.Fatalf("refused = %d, want 3", m.Metrics().Refused())
-	}
-}
-
-// TestLegacyHelloDefaultSession: legacy hellos (no session ID, no
-// admission response owed) land in the default "" session and the session
-// runs exactly as before the extension.
-func TestLegacyHelloDefaultSession(t *testing.T) {
-	defer leakcheck.Check(t)
-	m, done := newManager(t, Config{MaxSessions: 1})
-
-	te := newTenant(t, "")
-	m.Submit(netid.Hello{Name: "A"}, te.server["A"], nil)
-	m.Submit(netid.Hello{Name: "B"}, te.server["B"], nil)
-	holders := te.runHolders(testSession())
-	if err := awaitHolders(t, holders); err != nil {
-		t.Fatalf("legacy holders: %v", err)
-	}
-	out := done.next(t)
-	if out.id != "" || out.err != nil {
-		t.Fatalf("legacy completion id=%q err=%v", out.id, out.err)
-	}
-	if len(out.report.ObjectIDs) != 5 {
-		t.Fatalf("legacy session saw %d objects", len(out.report.ObjectIDs))
+	if m.Metrics().Refused() != 4 {
+		t.Fatalf("refused = %d, want 4", m.Metrics().Refused())
 	}
 }

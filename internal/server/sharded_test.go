@@ -57,7 +57,6 @@ func newShardedTenant(t *testing.T, id string, k int) *shardedTenant {
 func (st *shardedTenant) submitAllSharded(m *Manager) {
 	for _, h := range roster {
 		hello := st.hello(h)
-		hello.Version = netid.VersionSharded
 		m.Submit(hello, st.server[h], st.resp[h])
 		for s := 0; s < st.k; s++ {
 			sh := hello
@@ -158,11 +157,10 @@ func TestShardedSessionCompletes(t *testing.T) {
 	}
 }
 
-// TestShardedServerRefusesPreShardHellos: a server splitting its third
-// party cannot serve holders that predate the routing admission — they
-// could never learn the shard count — so version-0/1 hellos get the typed
-// version refusal, and a shard lane outside the configured range gets the
-// session refusal.
+// TestShardedServerRefusesPreShardHellos: a holder that predates the
+// routing admission could never learn the shard count, so its version-1
+// hello gets the typed version refusal, and a shard lane outside the
+// configured range gets the session refusal.
 func TestShardedServerRefusesPreShardHellos(t *testing.T) {
 	defer leakcheck.Check(t)
 	m, err := New(Config{Holders: roster, Session: shardedSession(2),
@@ -173,9 +171,11 @@ func TestShardedServerRefusesPreShardHellos(t *testing.T) {
 	t.Cleanup(func() { m.Close() })
 
 	te := newTenant(t, "old")
-	te.submit(m, "A") // version-1 hello
+	old := te.hello("A")
+	old.Version = 1
+	m.Submit(old, te.server["A"], te.resp["A"])
 	rej := expectReject(t, te.resp["A"], netid.RejectVersion)
-	if want := "shards the third party 2 ways"; !strings.Contains(rej.Detail, want) {
+	if want := "server speaks 2 to 3"; !strings.Contains(rej.Detail, want) {
 		t.Fatalf("version refusal detail %q does not mention %q", rej.Detail, want)
 	}
 
@@ -207,7 +207,6 @@ func TestShardedGatherSendsEarlyAccepts(t *testing.T) {
 	// Only holder A's control lane joins: with the roster incomplete, the
 	// accept must still arrive so A can dial its shard lanes.
 	helloA := st.hello("A")
-	helloA.Version = netid.VersionSharded
 	m.Submit(helloA, st.server["A"], st.resp["A"])
 	expectAccept(t, st.resp["A"])
 	if active := m.Metrics().Active(); active != 1 {
@@ -220,7 +219,6 @@ func TestShardedGatherSendsEarlyAccepts(t *testing.T) {
 		m.Submit(sh, st.shardServer[party.ShardConduitKey("A", s)], st.shardResp[party.ShardConduitKey("A", s)])
 	}
 	helloB := st.hello("B")
-	helloB.Version = netid.VersionSharded
 	m.Submit(helloB, st.server["B"], st.resp["B"])
 	for s := 0; s < k; s++ {
 		sh := helloB

@@ -153,7 +153,7 @@ func optRandom(opts Options, name string) io.Reader {
 }
 
 // TPServer is the multi-tenant third-party server: one listener serving
-// many concurrent sessions, keyed by the session ID in the extended hello.
+// many concurrent sessions, keyed by the session ID in the netid hello.
 // Feed it a listener with Serve, stop it with Drain (graceful: running
 // sessions finish, new arrivals get a retryable refusal) or Close
 // (immediate, classified aborts). See docs/ARCHITECTURE.md ("Multi-tenant
