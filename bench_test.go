@@ -332,15 +332,13 @@ func BenchmarkE10Hierarchical(b *testing.B) {
 // BenchmarkClusterBackend times the rebuilt clustering backend at the
 // perf-regression scale (n=500): the MST/NN-chain engines serial vs
 // parallel, and the retained generic reference engine as the baseline the
-// ≥5× single-linkage criterion is measured against. It deliberately
-// mirrors ppc-bench's hcluster-single/-average JSON families (same
-// matrix, seed and variants), the same pairing the numeric-batch and
-// merge-normalize families already use: the Go benchmark is for ad-hoc
-// runs, the JSON family for the recorded trajectory — change both
-// together. Note the per-merge fan-out is grain-gated (a row of 500
-// cells runs inline at any worker count), so at this n the parallel
-// variant pins the absence of scheduling overhead rather than a
-// multi-core win.
+// ≥5× single-linkage criterion is measured against. It is for ad-hoc
+// before/after runs; the recorded trajectory is the hcluster.cluster_ms
+// row of the repo benchmark (benchmark/README.md), which replays
+// ClusterPar at a session's own shape. Note the per-merge fan-out is
+// grain-gated (a row of 500 cells runs inline at any worker count), so at
+// this n the parallel variant pins the absence of scheduling overhead
+// rather than a multi-core win.
 func BenchmarkClusterBackend(b *testing.B) {
 	s := rng.NewXoshiro(rng.SeedFromUint64(2))
 	m := dissim.New(500)
@@ -376,8 +374,8 @@ func BenchmarkClusterBackend(b *testing.B) {
 }
 
 // The PAM swap-round family (n=512, k=8, serial vs parallel) lives next
-// to the implementation as pam.BenchmarkPAMSwap; ppc-bench's pam-swap
-// JSON family mirrors it, so the scale is defined in one place.
+// to the implementation as pam.BenchmarkPAMSwap, so the scale is defined
+// in one place.
 
 // BenchmarkE18Methods times the three clustering methods the third party
 // offers, on one 200-object matrix.

@@ -390,6 +390,31 @@ func FromLocalPar(n, workers int, newDist func(worker int) func(i, j int) float6
 	return m
 }
 
+// NormalizeWeights validates a weight vector for a merge of `matrices`
+// attribute matrices — one finite non-negative weight each, positive sum —
+// and returns wᵢ / Σ wᵢ, the coefficients WeightedMerge applies. Two
+// vectors with the same normalised bits merge to the same matrix.
+func NormalizeWeights(weights []float64, matrices int) ([]float64, error) {
+	if len(weights) != matrices {
+		return nil, fmt.Errorf("dissim: %d weights for %d matrices", len(weights), matrices)
+	}
+	sum := 0.0
+	for i, w := range weights {
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("dissim: invalid weight %v at %d", w, i)
+		}
+		sum += w
+	}
+	if sum == 0 {
+		return nil, fmt.Errorf("dissim: weights sum to zero")
+	}
+	norm := make([]float64, len(weights))
+	for i, w := range weights {
+		norm[i] = w / sum
+	}
+	return norm, nil
+}
+
 // WeightedMerge combines per-attribute dissimilarity matrices into the
 // final matrix using the data holders' weight vector (paper Section 5):
 // result = Σ wᵢ·dᵢ / Σ wᵢ. Weights must be non-negative with a positive
@@ -407,28 +432,15 @@ func WeightedMergePar(ms []*Matrix, weights []float64, workers int) (*Matrix, er
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("dissim: no matrices to merge")
 	}
-	if len(weights) != len(ms) {
-		return nil, fmt.Errorf("dissim: %d weights for %d matrices", len(weights), len(ms))
-	}
-	sum := 0.0
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("dissim: invalid weight %v at %d", w, i)
-		}
-		sum += w
-	}
-	if sum == 0 {
-		return nil, fmt.Errorf("dissim: weights sum to zero")
+	norm, err := NormalizeWeights(weights, len(ms))
+	if err != nil {
+		return nil, err
 	}
 	n := ms[0].n
 	for i, mi := range ms {
 		if mi.n != n {
 			return nil, fmt.Errorf("dissim: matrix %d has %d objects, want %d", i, mi.n, n)
 		}
-	}
-	norm := make([]float64, len(weights))
-	for i, w := range weights {
-		norm[i] = w / sum
 	}
 	out := New(n)
 	max := parallel.MaxRange(workers, len(out.cell), func(_, lo, hi int) float64 {

@@ -88,6 +88,14 @@ func ParseLinkage(name string) (Linkage, error) {
 	return 0, fmt.Errorf("hcluster: unknown linkage %q", name)
 }
 
+// Validate rejects a value that names none of the seven linkages.
+func (l Linkage) Validate() error {
+	if l < Single || l > Ward {
+		return fmt.Errorf("hcluster: invalid linkage %d", l)
+	}
+	return nil
+}
+
 // usesSquared reports whether the linkage's Lance–Williams form operates on
 // squared dissimilarities (heights are square-rooted on output).
 func (l Linkage) usesSquared() bool {
@@ -143,8 +151,7 @@ func lwParams(l Linkage, ni, nj, nk float64) (ai, aj, beta, gamma float64) {
 	}
 }
 
-func errEmptyMatrix() error         { return fmt.Errorf("hcluster: empty dissimilarity matrix") }
-func errBadLinkage(l Linkage) error { return fmt.Errorf("hcluster: invalid linkage %d", l) }
+func errEmptyMatrix() error { return fmt.Errorf("hcluster: empty dissimilarity matrix") }
 func errBadAlgorithm(a Algorithm) error {
 	return fmt.Errorf("hcluster: invalid algorithm %d", a)
 }

@@ -67,8 +67,8 @@ func ClusterOpt(d *dissim.Matrix, link Linkage, opts ClusterOptions) (*Dendrogra
 	if n < 1 {
 		return nil, errEmptyMatrix()
 	}
-	if link < Single || link > Ward {
-		return nil, errBadLinkage(link)
+	if err := link.Validate(); err != nil {
+		return nil, err
 	}
 	useChain := false
 	switch opts.Algorithm {
@@ -224,11 +224,12 @@ func clusterNNChain(d *dissim.Matrix, link Linkage, workers int) *Dendrogram {
 		return dg
 	}
 
-	// Condensed working copy (squared for the squared-form linkages),
-	// built in parallel from the matrix's packed storage.
+	// Condensed working copy (squared, in parallel, for the squared-form
+	// linkages; else a clone, which zeroes nothing it then overwrites).
 	src := d.PackedView()
-	w := make([]float64, len(src))
+	var w []float64
 	if link.usesSquared() {
+		w = make([]float64, len(src))
 		parallel.Range(workers, len(src), func(_, lo, hi int) {
 			for c := lo; c < hi; c++ {
 				v := src[c]
@@ -236,7 +237,7 @@ func clusterNNChain(d *dissim.Matrix, link Linkage, workers int) *Dendrogram {
 			}
 		})
 	} else {
-		copy(w, src)
+		w = slices.Clone(src)
 	}
 
 	active := make([]bool, n)

@@ -164,8 +164,8 @@ func TestCondIdxRoundTrip(t *testing.T) {
 
 // BenchmarkClusterSingle500Reference pairs with BenchmarkClusterSingle500
 // (the automatic engine) for a quick in-package before/after; the full
-// linkage × worker-count family at this scale lives in the root
-// bench_test.go and ppc-bench's JSON families.
+// linkage × worker-count family at this scale is BenchmarkClusterBackend
+// in the root bench_test.go.
 func BenchmarkClusterSingle500Reference(b *testing.B) {
 	d := randomMatrix(500, 2)
 	b.ReportAllocs()

@@ -51,6 +51,7 @@ func QualityPar(d *dissim.Matrix, clusters [][]int, workers int) ([]ClusterQuali
 	}
 	rowSq := make([]float64, len(units))
 	rowMax := make([]float64, len(units))
+	w := d.PackedView()
 	parallel.Range(workers, len(units), func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			members := clusters[units[u].c]
@@ -58,7 +59,10 @@ func QualityPar(d *dissim.Matrix, clusters [][]int, workers int) ([]ClusterQuali
 			i := members[a]
 			sq, max := 0.0, 0.0
 			for b := 0; b < a; b++ {
-				v := d.At(i, members[b])
+				v := 0.0 // the diagonal, when a list repeats a member
+				if m := members[b]; m != i {
+					v = w[condIdx(i, m)]
+				}
 				sq += v * v
 				if v > max {
 					max = v
@@ -99,7 +103,8 @@ func Silhouette(d *dissim.Matrix, labels []int) (float64, error) {
 // the per-object array serially, so the score is bit-identical at any
 // worker count. Cluster ids are ranked by first appearance; the
 // nearest-other-cluster choice breaks exact ties toward the earliest-
-// appearing cluster.
+// appearing cluster. Object i's scan walks the packed triangle the way
+// nearestActive does: row i for j < i, then column i for j > i.
 func SilhouettePar(d *dissim.Matrix, labels []int, workers int) (float64, error) {
 	n := d.N()
 	if len(labels) != n {
@@ -128,6 +133,7 @@ func SilhouettePar(d *dissim.Matrix, labels []int, workers int) (float64, error)
 		sizes[di]++
 	}
 	contrib := make([]float64, n)
+	w := d.PackedView()
 	parallel.Range(workers, n, func(_, lo, hi int) {
 		sums := make([]float64, nc)
 		for i := lo; i < hi; i++ {
@@ -138,10 +144,13 @@ func SilhouettePar(d *dissim.Matrix, labels []int, workers int) (float64, error)
 			for c := range sums {
 				sums[c] = 0
 			}
-			for j := 0; j < n; j++ {
-				if j != i {
-					sums[dense[j]] += d.At(i, j)
-				}
+			for j, v := range w[i*(i-1)/2 : i*(i+1)/2] {
+				sums[dense[j]] += v
+			}
+			off := i*(i+1)/2 + i // packed index of (i+1, i)
+			for j := i + 1; j < n; j++ {
+				sums[dense[j]] += w[off]
+				off += j
 			}
 			a := sums[own] / float64(sizes[own]-1)
 			b, first := 0.0, true

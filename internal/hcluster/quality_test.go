@@ -122,8 +122,9 @@ func TestQualitySilhouetteDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// BenchmarkSilhouette500 mirrors ppc-bench's hcluster-silhouette JSON
-// family (same n, labeling and variants) — change both together.
+// BenchmarkSilhouette500 times the packed-row silhouette scan at the
+// perf-regression scale, serial and on all cores; BenchmarkSilhouette1200
+// times it at session scale against the Matrix.At reference.
 func BenchmarkSilhouette500(b *testing.B) {
 	d := randomMatrix(500, 2)
 	labels := make([]int, 500)

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -225,10 +226,10 @@ func (tp *ThirdParty) core() *shardCore {
 // per-attribute mailboxes, and a pool of at most pipelineDepth stage
 // goroutines pulls complete attributes through receive → assemble →
 // normalize, so attribute i's matrix is being decoded and assembled while
-// attribute i+1 is still streaming in, and clustering starts the moment
-// the last matrix lands. Every stage writes only its own attribute's
-// slot and borrows a private engine from the pool, so the report is
-// bit-identical at any worker count, pipeline schedule and shard count.
+// attribute i+1 is still streaming in; once the last matrix lands the
+// clustering tail (clusterAll) runs. Every stage writes only its own
+// attribute's slot and borrows a private engine from the pool, so the report
+// is bit-identical at any worker count, pipeline schedule and shard count.
 func (tp *ThirdParty) Run() (*TPReport, error) { return tp.RunContext(context.Background()) }
 
 // RunContext is Run bounded by a caller context: cancelling ctx aborts the
@@ -426,29 +427,20 @@ func (tp *ThirdParty) assembleAttr(core *shardCore, eng *protocol.Engine, attr i
 	return asm.Done()
 }
 
-// finish serves the clustering requests: each holder's request is read
-// (nextReq, in holder order), answered from the assembled matrices, and
-// the results are published. Requests arrive after all of a holder's
-// protocol traffic, so by the time the last matrix lands they are
-// typically already buffered and clustering starts immediately.
+// finish answers the holders' clustering requests (nextReq reads one, in
+// holder order) through clusterAll and publishes the results. Requests
+// arrive after all of a holder's protocol traffic, so by the time the last
+// matrix lands they are typically already buffered.
 func (tp *ThirdParty) finish(matrices []*dissim.Matrix, scales []float64, nextReq func(hi int) (requestBody, error)) (*TPReport, error) {
 	tp.guard.setPhase("cluster-publish")
 	report := &TPReport{
 		ObjectIDs:         tp.objectIDs(),
 		AttributeMatrices: matrices,
 		Scales:            scales,
-		Results:           make(map[string]*Result),
 	}
-	for hi, h := range tp.holders {
-		req, err := nextReq(hi)
-		if err != nil {
-			return nil, err
-		}
-		res, err := tp.cluster(matrices, req)
-		if err != nil {
-			return nil, fmt.Errorf("party: clustering for %s: %w", h, err)
-		}
-		report.Results[h] = res
+	var err error
+	if report.Results, err = tp.clusterAll(matrices, report.ObjectIDs, nextReq); err != nil {
+		return nil, err
 	}
 	for _, h := range tp.holders {
 		res := report.Results[h]
@@ -575,80 +567,177 @@ func (tp *ThirdParty) objectIDs() []dataset.ObjectID {
 	return out
 }
 
-// cluster merges the attribute matrices under the request's weights, runs
-// the requested clustering algorithm and packages the published result.
-func (tp *ThirdParty) cluster(matrices []*dissim.Matrix, req requestBody) (*Result, error) {
-	merged, err := dissim.WeightedMergePar(matrices, req.Weights, tp.workers)
-	if err != nil {
-		return nil, err
+// clusterAll is the clustering tail over the global object ordering ids.
+// Every request is read and validated before any is served, so a bad one —
+// reported for the first holder in holder order that sent it — costs no
+// clustering; then each distinct request is served once (see tail) and
+// every holder gets, under its name, its own copy of the Result it asked for.
+func (tp *ThirdParty) clusterAll(matrices []*dissim.Matrix, ids []dataset.ObjectID, nextReq func(hi int) (requestBody, error)) (map[string]*Result, error) {
+	t := &tail{
+		workers: tp.workers, matrices: matrices, ids: ids,
+		merged:  make(map[string]*dissim.Matrix),
+		trees:   make(map[tailKey]*hcluster.Dendrogram),
+		results: make(map[tailKey]*Result),
 	}
-	method := Method(req.Method)
-	link := hcluster.Linkage(req.Linkage)
-	if merged.N() == 0 {
-		// A census of zero objects (all holders empty) publishes an empty
-		// result rather than failing the session.
-		return &Result{Method: method, Linkage: link, K: 0}, nil
+	reqs := make([]requestBody, len(tp.holders))
+	keys := make([]tailKey, len(tp.holders))
+	for hi, h := range tp.holders {
+		var err error
+		if reqs[hi], err = nextReq(hi); err != nil {
+			return nil, err
+		}
+		if keys[hi], err = t.keyOf(reqs[hi]); err != nil {
+			return nil, fmt.Errorf("party: clustering for %s: %w", h, err)
+		}
 	}
-	k := req.K
-	if k < 1 {
-		k = 1
+	out := make(map[string]*Result, len(tp.holders))
+	for hi, h := range tp.holders {
+		res, err := t.serve(keys[hi], reqs[hi].Weights)
+		if err != nil {
+			return nil, fmt.Errorf("party: clustering for %s: %w", h, err)
+		}
+		out[h] = res.clone()
 	}
-	if k > merged.N() {
-		k = merged.N()
-	}
+	return out, nil
+}
 
-	var clusters [][]int
-	var labels []int
-	switch method {
-	case MethodAgglomerative, MethodDiana:
-		var dg *hcluster.Dendrogram
-		if method == MethodDiana {
-			dg, err = hcluster.DianaPar(merged, tp.workers)
-		} else {
-			dg, err = hcluster.ClusterPar(merged, link, tp.workers)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if clusters, err = dg.CutK(k); err != nil {
-			return nil, err
-		}
-		if labels, err = dg.Labels(k); err != nil {
-			return nil, err
-		}
-	case MethodPAM:
-		// PAM's tie-breaking stream is derived deterministically from the
-		// problem shape so results reproduce across runs and deployments.
-		seed := rng.SeedFromBytes([]byte(fmt.Sprintf("ppc/pam/%d/%d", merged.N(), k)))
-		res, err := pam.Cluster(merged, k, rng.NewXoshiro(seed), pam.Config{Workers: tp.workers})
-		if err != nil {
-			return nil, err
-		}
-		clusters = res.Clusters()
-		labels = res.Labels
+// tail is what one session's requests share, each level computed by the
+// first request that needs it and gone when clusterAll returns: normalised
+// weights → merged matrix; (weights, method, linkage) → dendrogram; the
+// whole key → the Result, from one cut and one scoring pass. Nothing here
+// writes a matrix: merged may BE one of TPReport.AttributeMatrices.
+type tail struct {
+	workers  int
+	matrices []*dissim.Matrix
+	ids      []dataset.ObjectID
+	merged   map[string]*dissim.Matrix
+	trees    map[tailKey]*hcluster.Dendrogram // keyed with k = 0
+	results  map[tailKey]*Result
+}
+
+// tailKey names a distinct request. weights spells the normalised vector's
+// exact bits, so scalar multiples of one vector share; k is clamped into
+// [1, n] — 0 for a census of zero objects, which publishes an empty result
+// whatever the method.
+type tailKey struct {
+	weights string
+	method  Method
+	linkage hcluster.Linkage
+	k       int
+}
+
+// keyOf names one request after checking everything in it that serve
+// would otherwise reject only once a merge is paid for.
+func (t *tail) keyOf(req requestBody) (tailKey, error) {
+	norm, err := dissim.NormalizeWeights(req.Weights, len(t.matrices))
+	if err != nil {
+		return tailKey{}, err
+	}
+	key := tailKey{weights: fmt.Sprintf("%x", norm), method: Method(req.Method),
+		linkage: hcluster.Linkage(req.Linkage), k: min(max(req.K, 1), len(t.ids))}
+	switch {
+	case key.k == 0 || key.method == MethodDiana || key.method == MethodPAM: // reads no linkage
+	case key.method == MethodAgglomerative:
+		err = key.linkage.Validate()
 	default:
-		return nil, fmt.Errorf("party: unknown clustering method %d", req.Method)
+		err = fmt.Errorf("party: unknown clustering method %d", req.Method)
 	}
+	return key, err
+}
 
-	quality, err := hcluster.QualityPar(merged, clusters, tp.workers)
+// serve returns the one Result of a distinct request; weights is any raw
+// vector that normalises to key.weights.
+func (t *tail) serve(key tailKey, weights []float64) (*Result, error) {
+	if res := t.results[key]; res != nil {
+		return res, nil
+	}
+	res := &Result{Method: key.method, Linkage: key.linkage, K: key.k}
+	if key.k == 0 {
+		return res, nil
+	}
+	merged := t.merged[key.weights]
+	if merged == nil {
+		// A single non-zero weight normalises to 1.0 and every other term is
+		// 0·x = 0, so the merge — 0 + 1.0·x, bit for bit x — is that
+		// attribute's matrix itself: no pass, no triangle.
+		nonzero, last := 0, 0
+		for i, w := range weights {
+			if w != 0 {
+				nonzero, last = nonzero+1, i
+			}
+		}
+		merged = t.matrices[last]
+		if nonzero > 1 {
+			var err error
+			if merged, err = dissim.WeightedMergePar(t.matrices, weights, t.workers); err != nil {
+				return nil, err
+			}
+		}
+		t.merged[key.weights] = merged
+	}
+	clusters, err := t.partition(merged, key)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Quality: quality, Method: method, Linkage: link, K: k}
-	if k >= 2 {
-		// Silhouette is undefined for degenerate partitions; publish 0
-		// rather than failing the session.
-		if s, err := hcluster.SilhouettePar(merged, labels, tp.workers); err == nil {
-			res.Silhouette = s
-		}
+	if res.Quality, err = hcluster.QualityPar(merged, clusters, t.workers); err != nil {
+		return nil, err
 	}
-	ids := tp.objectIDs()
-	for _, members := range clusters {
+	labels := make([]int, len(t.ids))
+	for c, members := range clusters {
 		objs := make([]dataset.ObjectID, len(members))
 		for i, m := range members {
-			objs[i] = ids[m]
+			objs[i], labels[m] = t.ids[m], c
 		}
 		res.Clusters = append(res.Clusters, objs)
 	}
+	if key.k >= 2 {
+		// Silhouette is undefined for degenerate partitions; publish 0
+		// rather than failing the session.
+		res.Silhouette, _ = hcluster.SilhouettePar(merged, labels, t.workers)
+	}
+	t.results[key] = res
 	return res, nil
+}
+
+// partition cuts merged into key.k clusters: a PAM run, or one cut of the
+// dendrogram every k of the same (weights, method, linkage) shares.
+func (t *tail) partition(merged *dissim.Matrix, key tailKey) ([][]int, error) {
+	if key.method == MethodPAM {
+		// PAM's tie-breaking stream is derived deterministically from the
+		// problem shape so results reproduce across runs and deployments.
+		seed := rng.SeedFromBytes([]byte(fmt.Sprintf("ppc/pam/%d/%d", merged.N(), key.k)))
+		res, err := pam.Cluster(merged, key.k, rng.NewXoshiro(seed), pam.Config{Workers: t.workers})
+		if err != nil {
+			return nil, err
+		}
+		return res.Clusters(), nil
+	}
+	tree := key
+	tree.k = 0
+	dg := t.trees[tree]
+	if dg == nil {
+		var err error
+		if key.method == MethodDiana {
+			dg, err = hcluster.DianaPar(merged, t.workers)
+		} else {
+			dg, err = hcluster.ClusterPar(merged, key.linkage, t.workers)
+		}
+		if err != nil {
+			return nil, err
+		}
+		t.trees[tree] = dg
+	}
+	return dg.CutK(key.k)
+}
+
+// clone is a Result sharing no memory with r: what one holder does to its
+// result is invisible to the others that asked for the same one.
+func (r *Result) clone() *Result {
+	c := *r
+	c.Quality = slices.Clone(r.Quality)
+	c.Clusters = slices.Clone(r.Clusters)
+	for i, members := range c.Clusters {
+		c.Clusters[i] = slices.Clone(members)
+	}
+	return &c
 }
