@@ -158,26 +158,36 @@ func (a *Alphabet) Decode(v []Symbol) string {
 }
 
 // Add returns (x + y) mod Size: the disguise operation of the alphanumeric
-// protocol.
+// protocol. Like Sub it takes symbols of the alphabet — both operands in
+// [0, Size) — which is what lets it reduce with one comparison instead of
+// a division.
 func (a *Alphabet) Add(x, y Symbol) Symbol {
-	return Symbol((int(x) + int(y)) % len(a.symbols))
+	s := int(x) + int(y)
+	if n := len(a.symbols); s >= n {
+		s -= n
+	}
+	return Symbol(s)
 }
 
 // Sub returns (x − y) mod Size: the responder's differencing operation.
 func (a *Alphabet) Sub(x, y Symbol) Symbol {
-	n := len(a.symbols)
-	return Symbol(((int(x)-int(y))%n + n) % n)
+	d := int(x) - int(y)
+	if d < 0 {
+		d += len(a.symbols)
+	}
+	return Symbol(d)
 }
 
-// AddVec returns element-wise (x + mask) mod Size. The mask is cycled if it
-// is shorter than x, mirroring the protocol's reuse of the regenerated
-// random stream prefix.
-func (a *Alphabet) AddVec(x, mask []Symbol) []Symbol {
-	out := make([]Symbol, len(x))
-	for i, s := range x {
-		out[i] = a.Add(s, mask[i%len(mask)])
+// InRange reports nil when every symbol of v belongs to the alphabet, and
+// otherwise names the first that does not — the one check, and the one
+// wording, for symbols that arrive from another party.
+func InRange[T ~uint8 | ~uint16](a *Alphabet, v []T) error {
+	for i, s := range v {
+		if int(s) >= len(a.symbols) {
+			return fmt.Errorf("symbol %d at position %d outside %s", s, i, a)
+		}
 	}
-	return out
+	return nil
 }
 
 // String implements fmt.Stringer.

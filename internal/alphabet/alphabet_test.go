@@ -102,25 +102,16 @@ func TestQuickAddSubInverseAllAlphabets(t *testing.T) {
 	}
 }
 
-func TestAddVecCyclesMask(t *testing.T) {
-	x := Lower.MustEncode("abcdef")
-	mask := Lower.MustEncode("xy")
-	got := Lower.Decode(Lower.AddVec(x, mask))
-	// a+x(23)=x(23)... compute: a(0)+23=23→x, b(1)+24=25→z, c(2)+23=25→z,
-	// d(3)+24=27%26=1→b, e(4)+23=27%26=1→b, f(5)+24=29%26=3→d.
-	if got != "xzzbbd" {
-		t.Fatalf("AddVec cycle = %q, want %q", got, "xzzbbd")
-	}
-}
-
 func TestFigure7DisguiseExample(t *testing.T) {
 	// Paper Figure 7: alphabet A={a,b,c,d}, S="abc", R="013" (symbol
 	// offsets 0,1,3) gives S' = "acb". Reproduce with a custom alphabet.
 	abcd := MustNew("abcd", []rune("abcd"))
 	s := abcd.MustEncode("abc")
 	r := []Symbol{0, 1, 3}
-	got := abcd.Decode(abcd.AddVec(s, r))
-	if got != "acb" {
+	for i := range s {
+		s[i] = abcd.Add(s[i], r[i])
+	}
+	if got := abcd.Decode(s); got != "acb" {
 		t.Fatalf("Figure 7 disguise = %q, want %q", got, "acb")
 	}
 }
@@ -137,5 +128,41 @@ func TestRunePanicsOutOfRange(t *testing.T) {
 func TestStringer(t *testing.T) {
 	if DNA.String() != "alphabet(dna, 4 symbols)" {
 		t.Fatalf("String() = %q", DNA.String())
+	}
+}
+
+// TestAddSubMatchModulo pins the division-free Add and Sub to the modular
+// definition over every operand pair, at sizes on both sides of a byte and
+// at the Symbol limit's neighbourhood.
+func TestAddSubMatchModulo(t *testing.T) {
+	for _, n := range []int{1, 2, 4, 255, 256, 257} {
+		runes := make([]rune, n)
+		for i := range runes {
+			runes[i] = rune(0x100 + i)
+		}
+		a := MustNew("sized", runes)
+		for x := 0; x < n; x++ {
+			for y := 0; y < n; y++ {
+				if got, want := a.Add(Symbol(x), Symbol(y)), Symbol((x+y)%n); got != want {
+					t.Fatalf("size %d: Add(%d,%d) = %d, want %d", n, x, y, got, want)
+				}
+				if got, want := a.Sub(Symbol(x), Symbol(y)), Symbol(((x-y)%n+n)%n); got != want {
+					t.Fatalf("size %d: Sub(%d,%d) = %d, want %d", n, x, y, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestInRange(t *testing.T) {
+	if err := InRange(DNA, []Symbol{0, 3, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := InRange(DNA, []byte{}); err != nil {
+		t.Fatal(err)
+	}
+	err := InRange(DNA, []byte{2, 4})
+	if err == nil || err.Error() != "symbol 4 at position 1 outside alphabet(dna, 4 symbols)" {
+		t.Fatalf("InRange = %v", err)
 	}
 }

@@ -63,6 +63,7 @@ func DistanceCosts(a, b []alphabet.Symbol, costs Costs) int {
 type Scratch struct {
 	costs     Costs
 	prev, cur []int
+	zero      []int // FromCCM's mask
 }
 
 // NewScratch validates the cost model once and returns a reusable
@@ -121,27 +122,49 @@ func (s *Scratch) Distance(a, b []alphabet.Symbol) int {
 }
 
 // FromCCM runs the edit-distance DP over a character comparison matrix
-// without allocating — the third party's per-pair evaluation (Figure 10),
-// called n²/2 times per alphanumeric attribute.
+// without allocating: a CCM is a matrix of differences from an all-zero
+// mask, over byte cells that cannot leave their range.
 func (s *Scratch) FromCCM(m CCM) int {
-	s.grow(m.Cols)
+	if cap(s.zero) < m.Cols {
+		s.zero = make([]int, m.Cols)
+	}
+	dist, _ := FromMasked(s, m.Cell, m.Rows, m.Cols, s.zero[:m.Cols], 1<<8)
+	return dist
+}
+
+// FromMasked is the third party's per-pair evaluation (Figure 10), called
+// n²/2 times per alphanumeric attribute: the edit-distance DP over the
+// rows×cols matrix of masked symbol differences a responder sends,
+// row-major in cells, without allocating. Character i of the row string
+// equals character j of the column string iff cells[i*cols+j] == mask[j] —
+// for cell and mask in [0, limit) that is (cell − mask) mod limit == 0 — so
+// the CCM is never written out: each cell is range-checked, compared with
+// its mask and fed to the DP's match test in one pass. ok is false, and
+// the distance meaningless, when some cell is not below limit.
+func FromMasked[T ~uint8 | ~uint16](s *Scratch, cells []T, rows, cols int, mask []int, limit int) (dist int, ok bool) {
+	s.grow(cols)
 	prev, cur, costs := s.prev, s.cur, s.costs
 	for j := range prev {
 		prev[j] = j * costs.Insert
 	}
-	for i := 1; i <= m.Rows; i++ {
+	for i := 1; i <= rows; i++ {
 		cur[0] = i * costs.Delete
-		row := m.Cell[(i-1)*m.Cols : i*m.Cols]
-		for j := 1; j <= m.Cols; j++ {
-			sub := prev[j-1]
-			if row[j-1] != 0 {
+		mask := mask[:cols] // needed only where there is a row to compare
+		for j, c := range cells[(i-1)*cols : i*cols] {
+			if int(c) >= limit {
+				return 0, false
+			}
+			// Kept free of side effects so it compiles to a conditional
+			// move: matches are data, and a branch here mispredicts.
+			sub := prev[j]
+			if int(c) != mask[j] {
 				sub += costs.Substitute
 			}
-			cur[j] = min3(prev[j]+costs.Delete, cur[j-1]+costs.Insert, sub)
+			cur[j+1] = min3(prev[j+1]+costs.Delete, cur[j]+costs.Insert, sub)
 		}
 		prev, cur = cur, prev
 	}
-	return prev[m.Cols]
+	return prev[cols], true
 }
 
 // DistanceStrings encodes s and t over a and returns their edit distance

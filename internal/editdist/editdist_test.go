@@ -1,6 +1,7 @@
 package editdist
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -312,5 +313,48 @@ func TestScratchMatchesOneShot(t *testing.T) {
 func TestScratchRejectsInvalidCosts(t *testing.T) {
 	if _, err := NewScratch(Costs{Insert: -1, Delete: 1, Substitute: 1}); err == nil {
 		t.Fatal("negative insert cost accepted")
+	}
+}
+
+// TestFromMaskedMatchesDistance: over masked differences (b[j] + mask[j] −
+// a[i]) mod n the fused kernel returns the strings' edit distance, for byte
+// and symbol cells alike; a cell at the limit is refused; a matrix with no
+// row needs no mask.
+func TestFromMaskedMatchesDistance(t *testing.T) {
+	const n = 20
+	gen := rand.New(rand.NewSource(26))
+	s := MustUnitScratch()
+	for trial := 0; trial < 200; trial++ {
+		a, b := make([]alphabet.Symbol, gen.Intn(70)), make([]alphabet.Symbol, gen.Intn(70))
+		for i := range a {
+			a[i] = alphabet.Symbol(gen.Intn(n))
+		}
+		mask := make([]int, len(b))
+		for j := range b {
+			b[j], mask[j] = alphabet.Symbol(gen.Intn(n)), gen.Intn(n)
+		}
+		wide, narrow := make([]alphabet.Symbol, len(a)*len(b)), make([]byte, len(a)*len(b))
+		for i := range a {
+			for j := range b {
+				d := (int(b[j]) + mask[j] - int(a[i]) + n) % n
+				wide[i*len(b)+j], narrow[i*len(b)+j] = alphabet.Symbol(d), byte(d)
+			}
+		}
+		want := Distance(a, b)
+		if got, ok := FromMasked(s, wide, len(a), len(b), mask, n); !ok || got != want {
+			t.Fatalf("trial %d: symbol cells give %d (%v), want %d", trial, got, ok, want)
+		}
+		if got, ok := FromMasked(s, narrow, len(a), len(b), mask, n); !ok || got != want {
+			t.Fatalf("trial %d: byte cells give %d (%v), want %d", trial, got, ok, want)
+		}
+		if len(narrow) > 0 {
+			narrow[gen.Intn(len(narrow))] = n
+			if _, ok := FromMasked(s, narrow, len(a), len(b), mask, n); ok {
+				t.Fatalf("trial %d: a cell at the limit passed", trial)
+			}
+		}
+	}
+	if got, ok := FromMasked(s, []byte(nil), 0, 7, nil, n); !ok || got != 7 {
+		t.Fatalf("0×7 matrix: %d (%v), want 7", got, ok)
 	}
 }

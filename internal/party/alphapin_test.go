@@ -1,0 +1,124 @@
+package party
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"ppclust/internal/alphabet"
+	"ppclust/internal/dataset"
+	"ppclust/internal/protocol"
+	"ppclust/internal/rng"
+	"ppclust/internal/wire"
+)
+
+// scriptedConduit hands out the frames it was given and measures the ones
+// it is sent, keeping none (the Conduit contract).
+type scriptedConduit struct {
+	recv          [][]byte
+	frames, bytes int
+}
+
+func (c *scriptedConduit) Send(frame []byte) error {
+	c.frames++
+	c.bytes += len(frame)
+	return nil
+}
+
+func (c *scriptedConduit) Recv() ([]byte, error) {
+	if len(c.recv) == 0 {
+		return nil, wire.ErrClosed
+	}
+	frame := c.recv[0]
+	c.recv = c.recv[1:]
+	return frame, nil
+}
+
+func (c *scriptedConduit) Close() error { return nil }
+
+// TestAlphaChunkAllocationPin runs the responder role of one alphanumeric
+// pair — Holder.respond itself, over conduits that only count — and pins
+// what it may allocate. The allocation COUNT follows the strings on either
+// side and the frames sent, never the rows × cols string pairs (the parent
+// allocated two objects per pair); the allocated BYTES, an upper bound on
+// the holder's peak, follow one chunk's cells and not the block's (the
+// parent built the whole rows × cols × len² block, two bytes a cell,
+// before its first frame).
+func TestAlphaChunkAllocationPin(t *testing.T) {
+	const strLen = 16
+	schema := dataset.Schema{Attrs: []dataset.Attribute{{Name: "seq", Type: dataset.Alphanumeric, Alphabet: alphabet.DNA}}}
+	cfg, err := Config{Schema: schema, Variant: Float64Variant, Parallelism: 2}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := rng.NewXoshiro(rng.SeedFromUint64(26))
+	dna := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			s := make([]byte, strLen)
+			for j := range s {
+				s[j] = "ACGT"[rng.Symbol(gen, 4)]
+			}
+			out[i] = string(s)
+		}
+		return out
+	}
+	respond := func(rows, cols int) (mallocs, bytes uint64, sink *scriptedConduit) {
+		table := dataset.MustNewTable(schema)
+		for _, s := range dna(rows) {
+			table.MustAppendRow(s)
+		}
+		disg := alphaDisguisedBody{Strings: make([]protocol.SymbolString, cols)}
+		for i, s := range dna(cols) {
+			disg.Strings[i] = alphabet.DNA.MustEncode(s)
+		}
+		frame, err := wire.EncodeBody(disg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame = wire.AppendFrame(nil, &wire.Message{From: "A", To: "B", Kind: kindAlphaDisg, Payload: frame})
+		sink = &scriptedConduit{}
+		h := &Holder{name: "B", table: table, cfg: cfg, eng: protocol.NewEngine(cfg.Parallelism),
+			peers:  map[string]*wire.Endpoint{"A": wire.NewEndpoint(&scriptedConduit{recv: [][]byte{frame}})},
+			counts: map[string]int{"A": cols},
+			lanes:  []compLane{{ep: wire.NewEndpoint(sink), to: TPName, lo: 0, hi: rows}},
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := h.respond(0, "A", "B"); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, sink
+	}
+
+	respond(8, 8) // warm the gob type tables and the frame-buffer pool
+	for _, tc := range []struct{ rows, cols int }{{80, 80}, {160, 80}, {80, 160}, {160, 160}} {
+		mallocs, bytes, sink := respond(tc.rows, tc.cols)
+		pairs, cells := tc.rows*tc.cols, tc.rows*tc.cols*strLen*strLen
+		chunks := len(cfg.pairChunksRange(dataset.Alphanumeric, 0, tc.rows, tc.cols))
+		chunkCells := cells / tc.rows * ((tc.rows + chunks - 1) / chunks)
+		label := fmt.Sprintf("%dx%d", tc.rows, tc.cols)
+		t.Logf("%s: %d pairs, %d cells in %d frames; %d allocations, %d bytes (largest chunk %d cells)",
+			label, pairs, cells, sink.frames, mallocs, bytes, chunkCells)
+		if sink.frames != chunks || sink.bytes < cells {
+			t.Fatalf("%s: sent %d frames of %d bytes, want %d frames carrying %d cells", label, sink.frames, sink.bytes, chunks, cells)
+		}
+		if chunks < 2 || pairs < 1600 {
+			t.Fatalf("%s: %d chunks of %d pairs pin nothing", label, chunks, pairs)
+		}
+		// Per string: its decoded or encoded symbols. Per frame: the
+		// worker fan-out. Nothing per pair.
+		if limit := uint64(6*(tc.rows+tc.cols) + 32*chunks + 64); mallocs > limit {
+			t.Errorf("%s: %d allocations for %d string pairs, want at most %d", label, mallocs, pairs, limit)
+		}
+		// The slab, the shapes beside it and the frame it is copied into,
+		// each reached by growing: a few chunks' worth, and well under the
+		// one-byte-a-cell block. Not under the race detector, where
+		// sync.Pool drops a share of the frame buffers it is handed back
+		// and every dropped one is a chunk-sized allocation.
+		if limit := uint64(4*chunkCells + 64<<10); !raceEnabled && (bytes > limit || limit > uint64(cells)*3/4) {
+			t.Errorf("%s: %d bytes allocated, want at most %d (the block is %d cells)", label, bytes, limit, cells)
+		}
+	}
+}

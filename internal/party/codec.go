@@ -22,6 +22,7 @@ import (
 //	numDisguisedBody  Rows Lo Hi | variant byte | [rows cols | cells]
 //	alphaMBody        Rows Lo Hi | width byte | rows matrices |
 //	                  per row: count, per matrix: rows cols | symbol cells
+//	                  (a protocol.AlphaChunk, slab and all)
 //	shardSliceBody    Attr | float64 Max | float64 cells
 //	shardFrameBody    the relayed frame, byte for byte
 
@@ -259,57 +260,48 @@ func (b *numSBody) DecodeBody(p []byte) error {
 func (b numDisguisedBody) AppendBody(dst []byte) ([]byte, error) { return numSBody(b).AppendBody(dst) }
 func (b *numDisguisedBody) DecodeBody(p []byte) error            { return (*numSBody)(b).DecodeBody(p) }
 
+// AppendBody writes the header and then the chunk's slab as it lies: the
+// cell block is the in-memory layout. A narrow slab is one copy; a wide one
+// is narrowed on the way out when no cell of this chunk needs its second
+// byte, so the width is a property of the data, not of the alphabet.
 func (b alphaMBody) AppendBody(dst []byte) ([]byte, error) {
-	// One pass over the matrices settles everything the header needs: the
-	// counts, that every shape is sound, and whether any symbol needs the
-	// second byte.
-	mats, cells := 0, 0
-	var seen alphabet.Symbol
-	for i, row := range b.M {
-		mats += len(row)
-		for j, m := range row {
-			if m == nil || m.Rows < 0 || m.Cols < 0 || len(m.Cell) != m.Rows*m.Cols {
-				return nil, fmt.Errorf("party: intermediary matrix (%d,%d) is missing or inconsistent", i, j)
-			}
-			cells += len(m.Cell)
-			for _, s := range m.Cell {
-				seen |= s
-			}
-		}
+	c := &b.M
+	if err := c.Validate(); err != nil {
+		return nil, fmt.Errorf("party: intermediary chunk: %w", err)
 	}
 	width := 1
-	if seen > 0xFF {
+	if slices.ContainsFunc(c.Wide, func(s alphabet.Symbol) bool { return s > 0xFF }) {
 		width = 2
 	}
 	dst = appendInts(dst, b.Rows, b.Lo, b.Hi)
-	dst = appendInts(append(dst, byte(width)), len(b.M), mats)
-	for _, row := range b.M {
-		dst = appendInts(dst, len(row))
-		for _, m := range row {
-			dst = appendInts(dst, m.Rows, m.Cols)
+	dst = appendInts(append(dst, byte(width)), len(c.Counts), len(c.Shapes))
+	shapes := c.Shapes
+	for _, n := range c.Counts {
+		dst = appendInts(dst, n)
+		for _, sh := range shapes[:n] {
+			dst = appendInts(dst, sh.Rows, sh.Cols)
 		}
+		shapes = shapes[n:]
 	}
-	dst, tail := extend(dst, width*cells)
-	for _, row := range b.M {
-		for _, m := range row {
-			if width == 1 {
-				for i, s := range m.Cell {
-					tail[i] = byte(s)
-				}
-			} else {
-				for i, s := range m.Cell {
-					binary.LittleEndian.PutUint16(tail[2*i:], uint16(s))
-				}
-			}
-			tail = tail[width*len(m.Cell):]
+	if c.Wide == nil {
+		return append(dst, c.Narrow...), nil
+	}
+	dst, tail := extend(dst, width*len(c.Wide))
+	for i, s := range c.Wide {
+		if width == 1 {
+			tail[i] = byte(s)
+		} else {
+			binary.LittleEndian.PutUint16(tail[2*i:], uint16(s))
 		}
 	}
 	return dst, nil
 }
 
-// DecodeBody makes four allocations per chunk however many string pairs it
-// carries: the row slice, one pointer array the rows are cut from, one
-// []SymbolMatrix and one []Symbol backing every matrix's cells.
+// DecodeBody makes two allocations per chunk however many string pairs it
+// carries — the counts and the shapes — and keeps a one-byte cell block
+// where it arrived: the chunk's Narrow slab is the payload's tail, which the
+// received Message owns and the evaluation only reads. A two-byte block is
+// decoded into a Wide slab of its own, whatever its symbols need.
 func (b *alphaMBody) DecodeBody(p []byte) error {
 	r := bodyReader{p: p}
 	*b = alphaMBody{Rows: r.int(), Lo: r.int(), Hi: r.int()}
@@ -326,31 +318,30 @@ func (b *alphaMBody) DecodeBody(p []byte) error {
 	if nRows > len(r.p) || nMats > len(r.p)/2 {
 		return fmt.Errorf("%d rows of %d matrices claimed with %d bytes left", nRows, nMats, len(r.p))
 	}
+	c := &b.M
 	if nRows > 0 {
-		b.M = make([][]*protocol.SymbolMatrix, nRows)
+		c.Counts = make([]int, nRows)
 	}
-	ptrs := make([]*protocol.SymbolMatrix, nMats)
-	mats := make([]protocol.SymbolMatrix, nMats)
+	c.Shapes = make([]protocol.AlphaShape, nMats)
 	next, cells := 0, 0
-	for i := range b.M {
+	for i := range c.Counts {
 		n := r.count()
 		if n > nMats-next {
 			return fmt.Errorf("row %d claims %d matrices, %d left of the %d announced", i, n, nMats-next, nMats)
 		}
-		b.M[i] = ptrs[next : next+n : next+n]
+		c.Counts[i] = n
 		for ; n > 0; n-- {
-			m := &mats[next]
-			m.Rows, m.Cols = r.count(), r.count()
+			sh := &c.Shapes[next]
+			sh.Rows, sh.Cols = r.count(), r.count()
 			// A matrix larger than the whole payload cannot be backed by
 			// it; checking per matrix keeps the running sum from wrapping.
-			if m.Cols != 0 && m.Rows > len(p)/m.Cols {
-				return fmt.Errorf("matrix %d claims %dx%d cells in a %d-byte payload", next, m.Rows, m.Cols, len(p))
+			if sh.Cols != 0 && sh.Rows > len(p)/sh.Cols {
+				return fmt.Errorf("matrix %d claims %dx%d cells in a %d-byte payload", next, sh.Rows, sh.Cols, len(p))
 			}
-			cells += m.Rows * m.Cols
+			cells += sh.Rows * sh.Cols
 			if cells > len(p) {
 				return fmt.Errorf("matrices claim more cells than the %d-byte payload holds", len(p))
 			}
-			ptrs[next] = m
 			next++
 		}
 	}
@@ -363,19 +354,13 @@ func (b *alphaMBody) DecodeBody(p []byte) error {
 	if len(r.p) != width*cells {
 		return fmt.Errorf("%d cells of %d bytes do not account for the %d bytes left", cells, width, len(r.p))
 	}
-	backing := make([]alphabet.Symbol, cells)
 	if width == 1 {
-		for i, c := range r.p {
-			backing[i] = alphabet.Symbol(c)
-		}
-	} else {
-		for i := range backing {
-			backing[i] = alphabet.Symbol(binary.LittleEndian.Uint16(r.p[2*i:]))
-		}
+		c.Narrow = r.p
+		return nil
 	}
-	for i := range mats {
-		n := mats[i].Rows * mats[i].Cols
-		mats[i].Cell, backing = backing[:n:n], backing[n:]
+	c.Wide = make([]alphabet.Symbol, cells)
+	for i := range c.Wide {
+		c.Wide[i] = alphabet.Symbol(binary.LittleEndian.Uint16(r.p[2*i:]))
 	}
 	return nil
 }

@@ -2,16 +2,23 @@ package party
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash"
 	"math"
 	"net"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
 	"ppclust/internal/alphabet"
+	"ppclust/internal/dataset"
 	"ppclust/internal/protocol"
+	"ppclust/internal/rng"
 	"ppclust/internal/wire"
 )
 
@@ -36,6 +43,27 @@ func symbolMatrix(rows, cols int, cells ...alphabet.Symbol) *protocol.SymbolMatr
 	m := protocol.NewSymbolMatrix(rows, cols)
 	copy(m.Cell, cells)
 	return m
+}
+
+// alphaChunkOf packs per-pair matrices into the slab form the body
+// carries: narrow, or wide when asked — which symbols that fit a byte do
+// not prevent.
+func alphaChunkOf(wide bool, rows ...[]*protocol.SymbolMatrix) protocol.AlphaChunk {
+	var c protocol.AlphaChunk
+	for _, row := range rows {
+		c.Counts = append(c.Counts, len(row))
+		for _, m := range row {
+			c.Shapes = append(c.Shapes, protocol.AlphaShape{Rows: m.Rows, Cols: m.Cols})
+			for _, s := range m.Cell {
+				if wide {
+					c.Wide = append(c.Wide, s)
+				} else {
+					c.Narrow = append(c.Narrow, byte(s))
+				}
+			}
+		}
+	}
+	return c
 }
 
 // TestChunkBodyRoundTrip drives every fixed layout through
@@ -74,17 +102,21 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 		{"disguised float", numDisguisedBody{Rows: 1, Lo: 0, Hi: 1, Float: &protocol.Float64Matrix{Rows: 1, Cols: 3,
 			Cell: []float64{1.5, -2.5, 1e300}}}, &numDisguisedBody{}, 0},
 		{"disguised modp", numDisguisedBody{Rows: 2, Lo: 1, Hi: 2, ModP: &protocol.ElementMatrix{Rows: 1, Cols: 2, Cell: elems[:2]}}, &numDisguisedBody{}, 0},
-		{"alpha one-byte symbols", alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: [][]*protocol.SymbolMatrix{
-			{symbolMatrix(2, 3, 0, 1, 2, 3, 254, 255), symbolMatrix(0, 3)},
-			{symbolMatrix(1, 1, 7), symbolMatrix(2, 0)},
-		}}, &alphaMBody{}, 3 + 1 + 2 + 2 + 8 + 7},
-		{"alpha two-byte symbols", alphaMBody{Rows: 9, Lo: 4, Hi: 5, M: [][]*protocol.SymbolMatrix{
-			{symbolMatrix(1, 2, 255, 256), symbolMatrix(2, 2, 0, 1000, 65535, 3)},
-		}}, &alphaMBody{}, 3 + 1 + 2 + 1 + 4 + 2*6},
+		{"alpha one-byte symbols", alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: alphaChunkOf(false,
+			[]*protocol.SymbolMatrix{symbolMatrix(2, 3, 0, 1, 2, 3, 254, 255), symbolMatrix(0, 3)},
+			[]*protocol.SymbolMatrix{symbolMatrix(1, 1, 7), symbolMatrix(2, 0)},
+		)}, &alphaMBody{}, 3 + 1 + 2 + 2 + 8 + 7},
+		{"alpha one-byte symbols in a wide slab", alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: alphaChunkOf(true,
+			[]*protocol.SymbolMatrix{symbolMatrix(2, 3, 0, 1, 2, 3, 254, 255), symbolMatrix(0, 3)},
+			[]*protocol.SymbolMatrix{symbolMatrix(1, 1, 7), symbolMatrix(2, 0)},
+		)}, &alphaMBody{}, 3 + 1 + 2 + 2 + 8 + 7},
+		{"alpha two-byte symbols", alphaMBody{Rows: 9, Lo: 4, Hi: 5, M: alphaChunkOf(true,
+			[]*protocol.SymbolMatrix{symbolMatrix(1, 2, 255, 256), symbolMatrix(2, 2, 0, 1000, 65535, 3)},
+		)}, &alphaMBody{}, 3 + 1 + 2 + 1 + 4 + 2*6},
 		{"alpha zero rows", alphaMBody{Rows: 0, Lo: 0, Hi: 0}, &alphaMBody{}, 6},
-		{"alpha ragged", alphaMBody{Rows: 3, Lo: 0, Hi: 3, M: [][]*protocol.SymbolMatrix{
-			{symbolMatrix(1, 1, 1)}, {}, {symbolMatrix(1, 1, 2), symbolMatrix(1, 1, 3)},
-		}}, &alphaMBody{}, 0},
+		{"alpha ragged", alphaMBody{Rows: 3, Lo: 0, Hi: 3, M: alphaChunkOf(false,
+			[]*protocol.SymbolMatrix{symbolMatrix(1, 1, 1)}, nil, []*protocol.SymbolMatrix{symbolMatrix(1, 1, 2), symbolMatrix(1, 1, 3)},
+		)}, &alphaMBody{}, 0},
 		{"slice", shardSliceBody{Attr: 2, Max: math.Inf(1), Cells: specials}, &shardSliceBody{}, 1 + 8 + 8*8},
 		{"slice empty", shardSliceBody{Attr: 0, Max: 0}, &shardSliceBody{}, 9},
 		{"relayed frame", shardFrameBody{Frame: []byte("any bytes at all")}, &shardFrameBody{}, 16},
@@ -131,20 +163,20 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 	for i := range row {
 		row[i] = symbolMatrix(2, 2, 1, 2, 3, 0)
 	}
-	enc, _ = wire.EncodeBody(alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: [][]*protocol.SymbolMatrix{row, row}})
+	enc, _ = wire.EncodeBody(alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: alphaChunkOf(false, row, row)})
 	if allocs := testing.AllocsPerRun(10, func() {
 		var am alphaMBody
-		if err := wire.DecodeBody(enc, &am); err != nil || am.M[1][99].Cell[2] != 3 {
+		if err := wire.DecodeBody(enc, &am); err != nil || am.M.Narrow[199*4+2] != 3 {
 			t.Errorf("alphanumeric chunk: %v", err)
 		}
-	}); allocs > 5 {
+	}); allocs > 3 {
 		t.Errorf("decoding a chunk of 200 symbol matrices took %v allocations", allocs)
 	}
 	// What a sender must not put on the wire is refused where it is built.
 	for name, body := range map[string]wire.BodyAppender{
-		"nil matrix":          alphaMBody{M: [][]*protocol.SymbolMatrix{{nil}}},
-		"inconsistent matrix": alphaMBody{M: [][]*protocol.SymbolMatrix{{{Rows: 2, Cols: 2, Cell: make([]alphabet.Symbol, 3)}}}},
-		"inconsistent S":      numSBody{Float: &protocol.Float64Matrix{Rows: 2, Cols: 2, Cell: make([]float64, 3)}},
+		"stray matrix":   alphaMBody{M: protocol.AlphaChunk{Shapes: []protocol.AlphaShape{{Rows: 0, Cols: 0}}}},
+		"short slab":     alphaMBody{M: protocol.AlphaChunk{Counts: []int{1}, Shapes: []protocol.AlphaShape{{Rows: 2, Cols: 2}}, Narrow: make([]byte, 3)}},
+		"inconsistent S": numSBody{Float: &protocol.Float64Matrix{Rows: 2, Cols: 2, Cell: make([]float64, 3)}},
 	} {
 		if _, err := wire.EncodeBody(body); err == nil {
 			t.Errorf("%s: encoded", name)
@@ -195,7 +227,7 @@ func allocatedBytes(fn func()) uint64 {
 
 // sessionFrames runs a small plaintext session and returns every frame it
 // put on a wire, the seed material of the fuzz corpora.
-func sessionFrames(t testing.TB, cfg Config) [][]byte {
+func sessionFrames(t testing.TB, cfg Config, parts []dataset.Partition) [][]byte {
 	t.Helper()
 	var mu sync.Mutex
 	var frames [][]byte
@@ -209,17 +241,78 @@ func sessionFrames(t testing.TB, cfg Config) [][]byte {
 		})
 	}
 	cfg.PlaintextChannels = true
-	if _, err := RunInMemoryWrapped(cfg, pipelineParts(t, 3), pipelineReqs(), deterministicRandom(61), tap); err != nil {
+	if _, err := RunInMemoryWrapped(cfg, parts, pipelineReqs(), deterministicRandom(61), tap); err != nil {
 		t.Fatalf("seed session: %v", err)
 	}
 	return frames
 }
 
+// TestAlphaFramesMatchParent is the transcript differential of the
+// alphanumeric engine: every ppc/alpha-m frame of a mixed-schema session,
+// lane by lane in the order it was sent, must hash to what commit d84a373
+// — the last one to build a SymbolMatrix per string pair — put on the same
+// lane, at every chunk budget, shard count and worker count (the recorded
+// digests do not depend on the last).
+func TestAlphaFramesMatchParent(t *testing.T) {
+	parts := pipelineParts(t, 40)
+	for _, tc := range []struct {
+		chunk, shards int
+		hash          string
+	}{
+		{1, 1, "2/125/b8995a1d4c009a6c"},
+		{64, 1, "2/125/b8995a1d4c009a6c"},
+		{0, 1, "2/6/dd33634bcc8f6733"},
+		{-1, 1, "2/3/20962a784e1d016d"},
+		{1, 2, "3/125/1f072683517bed5a"},
+		{64, 2, "3/125/1f072683517bed5a"},
+		{0, 2, "3/8/a7484b74663bdd39"},
+		{-1, 2, "3/5/b3d1412079729d48"},
+	} {
+		for _, workers := range []int{1, 2} {
+			cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant,
+				LocalChunkBytes: tc.chunk, TPShards: tc.shards, Parallelism: workers}
+			lanes := map[string]hash.Hash{}
+			frames := 0
+			for _, frame := range sessionFrames(t, cfg, parts) {
+				m, err := wire.ParseFrame(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.Kind != kindAlphaM {
+					continue
+				}
+				lane := m.From + ">" + m.To
+				if lanes[lane] == nil {
+					lanes[lane] = sha256.New()
+				}
+				binary.Write(lanes[lane], binary.LittleEndian, uint64(len(frame)))
+				lanes[lane].Write(frame)
+				frames++
+			}
+			names := make([]string, 0, len(lanes))
+			for lane := range lanes {
+				names = append(names, lane)
+			}
+			sort.Strings(names)
+			all := sha256.New()
+			for _, lane := range names {
+				fmt.Fprintf(all, "%s %x\n", lane, lanes[lane].Sum(nil))
+			}
+			if got := fmt.Sprintf("%d/%d/%x", len(names), frames, all.Sum(nil)[:8]); got != tc.hash {
+				t.Errorf("chunk %d, shards %d, workers %d: lanes/frames/digest %s, the parent sent %s",
+					tc.chunk, tc.shards, workers, got, tc.hash)
+			}
+		}
+	}
+}
+
 // FuzzChunkBodyDecoders feeds arbitrary payloads to the six fixed-layout
 // decoders: never a panic, only ErrMalformed failures, memory bounded by
 // the input (no claimed length is believed before the bytes are seen), and
-// whatever decodes re-encodes to a fixed point. Seeded with the payloads
-// of real session frames in every numeric variant.
+// whatever decodes re-encodes to a fixed point; an alphanumeric chunk, which
+// keeps its cells in the payload, is also evaluated, and nothing may have
+// written the payload by the end. Seeded with the payloads of real session
+// frames in every numeric variant.
 func FuzzChunkBodyDecoders(f *testing.F) {
 	which := map[wire.Kind]uint8{kindLocal: 0, kindNumS: 1, kindNumDisg: 2, kindAlphaM: 3}
 	for _, cfg := range []Config{
@@ -227,7 +320,7 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 		{Schema: pipelineSchema(), Variant: Int64Variant, Mode: protocol.PerPair},
 		{Schema: pipelineSchema(), Variant: ModPVariant, LocalChunkBytes: 256},
 	} {
-		for _, frame := range sessionFrames(f, cfg) {
+		for _, frame := range sessionFrames(f, cfg, pipelineParts(f, 3)) {
 			m, err := wire.ParseFrame(frame)
 			if err != nil {
 				f.Fatalf("session frame does not parse: %v", err)
@@ -244,11 +337,17 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 	f.Fuzz(func(t *testing.T, which uint8, payload []byte) {
 		decoders := chunkDecoders()
 		d := decoders[int(which)%len(decoders)]
+		received := bytes.Clone(payload)
+		defer func() {
+			if !bytes.Equal(payload, received) {
+				t.Fatalf("%T: the payload was written", d)
+			}
+		}()
 		var err error
 		grew := allocatedBytes(func() { err = wire.DecodeBody(payload, d) })
 		// The widest expansion is an empty symbol matrix: two shape bytes
-		// become a 40-byte header and an 8-byte pointer. The slack covers
-		// the error value and whatever the runtime allocates on the side.
+		// become a 16-byte AlphaShape. The slack covers the error value
+		// and whatever the runtime allocates on the side.
 		if grew > 64*uint64(len(payload))+32<<10 {
 			t.Fatalf("%T allocated %d bytes decoding %d", d, grew, len(payload))
 		}
@@ -257,6 +356,13 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 				t.Fatalf("%T: unclassified error: %v", d, err)
 			}
 			return
+		}
+		if am, ok := d.(*alphaMBody); ok {
+			// Either outcome is fine — fuzzed cells seldom stay inside an
+			// alphabet — as long as it is an outcome and not a panic.
+			for _, a := range []*alphabet.Alphabet{alphabet.DNA, alphabet.AlphaNum} {
+				protocol.NewEngine(2).AlphaThirdPartyChunk(&am.M, 0, len(am.M.Counts), a, rng.NewAESCTR(rng.SeedFromUint64(1)))
+			}
 		}
 		enc := reencode(t, d)
 		again := chunkDecoders()[int(which)%len(decoders)]
@@ -328,10 +434,11 @@ func BenchmarkChunkBodyCodec(b *testing.B) {
 	for i := range row {
 		row[i] = symbolMatrix(16, 16, 1, 2, 3)
 	}
-	m := alphaMBody{Rows: 16, Lo: 0, Hi: 16}
-	for i := 0; i < 16; i++ {
-		m.M = append(m.M, row)
+	rows := make([][]*protocol.SymbolMatrix, 16)
+	for i := range rows {
+		rows[i] = row
 	}
+	m := alphaMBody{Rows: 16, Lo: 0, Hi: 16, M: alphaChunkOf(false, rows...)}
 	for _, tc := range []struct {
 		name    string
 		body    wire.BodyAppender

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"ppclust/internal/alphabet"
 	"ppclust/internal/catdist"
 	"ppclust/internal/dataset"
 	"ppclust/internal/detenc"
@@ -587,9 +588,10 @@ func disguisedRows(mode protocol.Mode, responderRows int) int {
 // the third party evaluates and installs each range on
 // arrival, and no frame grows with either partition — the masked matrix is
 // rows×cols over BOTH parties' object counts, so it was the session's last
-// wire.MaxFrame-bound message when both partitions are large. The chunk
-// bodies are zero-copy sub-matrix views of a payload that is dropped right
-// after the final chunk (Conduit.Send may not retain frames).
+// wire.MaxFrame-bound message when both partitions are large. The numeric
+// chunk bodies are zero-copy sub-matrix views of a payload that is dropped
+// right after the final chunk (Conduit.Send may not retain frames); the
+// alphanumeric ones are built a chunk at a time.
 func (h *Holder) respond(attr int, j, k string) error {
 	a := h.cfg.Schema.Attrs[attr]
 	rows, cols := h.table.Len(), h.counts[j]
@@ -608,19 +610,21 @@ func (h *Holder) respond(attr int, j, k string) error {
 		for i, s := range col {
 			own[i] = protocol.SymbolString(s)
 		}
-		for _, s := range disg.Strings {
-			for _, sym := range s {
-				if int(sym) >= a.Alphabet.Size() {
-					return fmt.Errorf("party: disguised symbol %d outside alphabet", sym)
-				}
+		for i, s := range disg.Strings {
+			if err := alphabet.InRange(a.Alphabet, s); err != nil {
+				return fmt.Errorf("party: disguised string %d: %w", i, err)
 			}
 		}
-		m := h.eng.AlphaResponder(own, disg.Strings, a.Alphabet)
+		// One slab, filled for a chunk's rows just before its frame is
+		// built from it and refilled for the next: the holder never holds
+		// more of the rows×cols block than the chunk in flight.
+		var chunk protocol.AlphaChunk
 		msg.Kind = kindAlphaM
 		for _, ln := range h.lanes {
 			msg.To = ln.to
 			for _, ch := range h.cfg.pairChunksRange(a.Type, ln.lo, ln.hi, cols) {
-				body := alphaMBody{Rows: rows, Lo: ch[0], Hi: ch[1], M: m[ch[0]:ch[1]]}
+				h.eng.AlphaResponderChunk(&chunk, own[ch[0]:ch[1]], disg.Strings, a.Alphabet)
+				body := alphaMBody{Rows: rows, Lo: ch[0], Hi: ch[1], M: chunk}
 				if err := ln.ep.SendBody(msg, body); err != nil {
 					return err
 				}

@@ -660,12 +660,13 @@ type alphaDisguisedBody struct {
 
 // alphaMBody is one chunk of the responder→TP alphanumeric message: rows
 // [Lo, Hi) of the intermediary-matrix block (one row of per-initiator
-// symbol matrices per responder string), streamed in the shared
-// pairChunksRange schedule. Rows is the responder's full object count, repeated per chunk.
+// symbol matrices per responder string) in one cell slab, streamed in the
+// shared pairChunksRange schedule. Rows is the responder's full object
+// count, repeated per chunk.
 type alphaMBody struct {
 	Rows   int
 	Lo, Hi int
-	M      [][]*protocol.SymbolMatrix
+	M      protocol.AlphaChunk
 }
 
 // catTagsBody is a holder's encrypted categorical column.

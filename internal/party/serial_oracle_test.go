@@ -16,8 +16,10 @@ import (
 	"context"
 	"fmt"
 
+	"ppclust/internal/alphabet"
 	"ppclust/internal/dataset"
 	"ppclust/internal/dissim"
+	"ppclust/internal/editdist"
 	"ppclust/internal/protocol"
 	"ppclust/internal/rng"
 	"ppclust/internal/wire"
@@ -140,7 +142,7 @@ func (tp *ThirdParty) recvPairSerial(eng *protocol.Engine, asm *dissim.Assembler
 	var block func(m, n int) float64
 	var bRows, bCols int
 	if a.Type == dataset.Alphanumeric {
-		mono := make([][]*protocol.SymbolMatrix, 0, rows)
+		var mono []protocol.AlphaChunk
 		for ci, ch := range chunks {
 			var body alphaMBody
 			if _, err := src.expect(ki, kindAlphaM, &body); err != nil {
@@ -149,13 +151,13 @@ func (tp *ThirdParty) recvPairSerial(eng *protocol.Engine, asm *dissim.Assembler
 			if err := checkPairChunk(j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
 				return err
 			}
-			if len(body.M) != ch[1]-ch[0] {
+			if len(body.M.Counts) != ch[1]-ch[0] {
 				return fmt.Errorf("party: %s pair (%s,%s) chunk %d carries %d rows, want %d",
-					k, j, k, ci, len(body.M), ch[1]-ch[0])
+					k, j, k, ci, len(body.M.Counts), ch[1]-ch[0])
 			}
-			mono = append(mono, body.M...)
+			mono = append(mono, body.M)
 		}
-		dists, err := eng.AlphaThirdParty(mono, a.Alphabet, jt)
+		dists, err := alphaThreePass(mono, a.Alphabet, jt)
 		if err != nil {
 			return err
 		}
@@ -214,4 +216,88 @@ func (tp *ThirdParty) recvPairSerial(eng *protocol.Engine, asm *dissim.Assembler
 		return fmt.Errorf("party: block (%s,%s) is %dx%d, census says %dx%d", j, k, bRows, bCols, rows, cols)
 	}
 	return asm.SetCross(ji, ki, block)
+}
+
+// alphaThreePass is the third party's alphanumeric evaluation as it stood
+// before the fused kernel (commit d84a373), over the reassembled block of
+// one pair: every matrix range-checked, its masks stripped by modular
+// subtraction into a materialised CCM, and the edit-distance DP run over
+// that — three passes, none of them sharing code with the engine's one.
+func alphaThreePass(chunks []protocol.AlphaChunk, a *alphabet.Alphabet, jt rng.Stream) (*protocol.Int64Matrix, error) {
+	type pair struct {
+		rows, cols int
+		cell       []int
+	}
+	var block [][]pair
+	maxCols, anyRows := 0, false
+	for _, c := range chunks {
+		if err := c.Validate(); err != nil {
+			return nil, err
+		}
+		shapes, off := c.Shapes, 0
+		for _, n := range c.Counts {
+			var row []pair
+			for _, sh := range shapes[:n] {
+				p := pair{rows: sh.Rows, cols: sh.Cols, cell: make([]int, sh.Rows*sh.Cols)}
+				for i := range p.cell {
+					if c.Wide != nil {
+						p.cell[i] = int(c.Wide[off+i])
+					} else {
+						p.cell[i] = int(c.Narrow[off+i])
+					}
+				}
+				off += len(p.cell)
+				if p.rows > 0 {
+					anyRows = true
+					maxCols = max(maxCols, p.cols)
+				}
+				row = append(row, p)
+			}
+			shapes = shapes[n:]
+			if len(block) > 0 && len(row) != len(block[0]) {
+				return nil, fmt.Errorf("protocol: ragged intermediary matrix row %d", len(block))
+			}
+			block = append(block, row)
+		}
+	}
+	prefix := make([]int, maxCols)
+	if maxCols > 0 {
+		rng.FillIntn(jt, prefix, a.Size())
+	}
+	if anyRows {
+		jt.Reseed()
+	}
+	cols := 0
+	if len(block) > 0 {
+		cols = len(block[0])
+	}
+	out := protocol.NewInt64Matrix(len(block), cols)
+	for i, row := range block {
+		for j, p := range row {
+			for at, s := range p.cell {
+				if s >= a.Size() {
+					return nil, fmt.Errorf("protocol: intermediary (%d,%d): symbol %d at cell %d outside %s", i, j, s, at, a)
+				}
+			}
+			ccm := editdist.NewCCM(p.rows, p.cols)
+			for at, s := range p.cell {
+				if n := a.Size(); ((s-prefix[at%p.cols])%n+n)%n != 0 {
+					ccm.Cell[at] = 1
+				}
+			}
+			prev, cur := make([]int, p.cols+1), make([]int, p.cols+1)
+			for c := range prev {
+				prev[c] = c
+			}
+			for r := 1; r <= p.rows; r++ {
+				cur[0] = r
+				for c := 1; c <= p.cols; c++ {
+					cur[c] = min(prev[c]+1, cur[c-1]+1, prev[c-1]+int(ccm.At(r-1, c-1)))
+				}
+				prev, cur = cur, prev
+			}
+			out.Set(i, j, int64(prev[p.cols]))
+		}
+	}
+	return out, nil
 }

@@ -285,7 +285,7 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssemble
 			if err := checkPairChunk(j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
 				return err
 			}
-			dists, err := eng.AlphaThirdPartyRows(body.M, body.Lo, body.Hi, a.Alphabet, jt)
+			dists, err := eng.AlphaThirdPartyChunk(&body.M, body.Lo, body.Hi, a.Alphabet, jt)
 			if err != nil {
 				return err
 			}

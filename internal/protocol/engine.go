@@ -36,7 +36,8 @@ type Engine struct {
 	sym []int          // alphanumeric mask prefix (shared rngJT)
 	elm []modp.Element // field masks of the mod-p variant (shared rngJT)
 
-	tpw []tpWorker // per-worker CCM decode + edit-distance DP scratch
+	tpw   []*editdist.Scratch // per-worker edit-distance DP scratch
+	pairs []alphaPair         // the block the third party is evaluating
 }
 
 // NewEngine returns an engine over the given worker count (<= 0 = all
@@ -88,31 +89,11 @@ func (e *Engine) elembuf(n int) []modp.Element {
 	return e.elm
 }
 
-// tpWorker is one worker's third-party evaluation state: a reusable CCM
-// cell buffer and the two-row edit-distance scratch, so the n²/2 DP calls
-// per alphanumeric attribute stop allocating.
-type tpWorker struct {
-	ccm editdist.CCM
-	sc  *editdist.Scratch
-}
-
-func (w *tpWorker) ccmBuf(rows, cols int) *editdist.CCM {
-	n := rows * cols
-	if cap(w.ccm.Cell) < n {
-		w.ccm.Cell = make([]uint8, n)
-	}
-	w.ccm.Cell = w.ccm.Cell[:n]
-	w.ccm.Rows, w.ccm.Cols = rows, cols
-	return &w.ccm
-}
-
-// tpWorkers sizes the per-worker scratch pool.
-func (e *Engine) tpWorkers() []tpWorker {
-	if len(e.tpw) < e.workers {
-		e.tpw = make([]tpWorker, e.workers)
-		for i := range e.tpw {
-			e.tpw[i].sc = editdist.MustUnitScratch()
-		}
+// tpScratch sizes the third party's per-worker edit-distance DP scratch,
+// so the n²/2 DP calls per alphanumeric attribute stop allocating.
+func (e *Engine) tpScratch() []*editdist.Scratch {
+	for len(e.tpw) < e.workers {
+		e.tpw = append(e.tpw, editdist.MustUnitScratch())
 	}
 	return e.tpw
 }

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ppclust/internal/alphabet"
@@ -162,13 +163,14 @@ func TestEngineAlphaBitIdentical(t *testing.T) {
 	js, ks := mk(9), mk(7)
 	seedJT := rng.SeedFromUint64(123)
 
+	// The references are the pre-slab three-pass forms (alpha_oracle_test.go).
 	wantD := AlphaInitiator(js, alphabet.Protein, rng.NewAESCTR(seedJT))
-	wantM := AlphaResponder(ks, wantD, alphabet.Protein)
-	wantOut, err := AlphaThirdParty(wantM, alphabet.Protein, rng.NewAESCTR(seedJT))
+	wantM := oracleAlphaResponder(ks, wantD, alphabet.Protein)
+	wantOut, err := oracleAlphaThirdParty(wantM, alphabet.Protein, rng.NewAESCTR(seedJT))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCCMs, err := AlphaThirdPartyCCMs(wantM, alphabet.Protein, rng.NewAESCTR(seedJT))
+	wantCCMs, err := oracleAlphaCCMs(wantM, alphabet.Protein, rng.NewAESCTR(seedJT))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +186,24 @@ func TestEngineAlphaBitIdentical(t *testing.T) {
 			}
 		}
 		gotM := e.AlphaResponder(ks, gotD, alphabet.Protein)
-		for i := range gotM {
-			for j := range gotM[i] {
-				for c := range gotM[i][j].Cell {
-					if gotM[i][j].Cell[c] != wantM[i][j].Cell[c] {
-						t.Fatalf("workers=%d: intermediary (%d,%d) differs", workers, i, j)
+		var chunk AlphaChunk
+		e.AlphaResponderChunk(&chunk, ks, gotD, alphabet.Protein)
+		if chunk.Wide != nil || chunk.Validate() != nil {
+			t.Fatalf("workers=%d: a 20-symbol alphabet's chunk is wide or inconsistent", workers)
+		}
+		for name, got := range map[string][][]*SymbolMatrix{"per-pair": gotM, "chunk": chunkMatrices(&chunk)} {
+			for i := range wantM {
+				for j := range wantM[i] {
+					g, w := got[i][j], wantM[i][j]
+					if g.Rows != w.Rows || g.Cols != w.Cols || !slices.Equal(g.Cell, w.Cell) {
+						t.Fatalf("workers=%d: %s intermediary (%d,%d) differs", workers, name, i, j)
 					}
 				}
 			}
+		}
+		gotChunkOut, err := e.AlphaThirdPartyChunk(&chunk, 0, len(ks), alphabet.Protein, rng.NewAESCTR(seedJT))
+		if err != nil || !slices.Equal(gotChunkOut.Cell, wantOut.Cell) {
+			t.Fatalf("workers=%d: chunk distance block differs (%v)", workers, err)
 		}
 		gotOut, err := e.AlphaThirdParty(gotM, alphabet.Protein, rng.NewAESCTR(seedJT))
 		if err != nil {

@@ -10,7 +10,11 @@
 //     site TP); in int64, float64 and mod-p arithmetic, each in batch or
 //     per-pair masking mode;
 //   - alphanumeric (Section 4.2): AlphaInitiator (Figure 8),
-//     AlphaResponder (Figure 9), AlphaThirdParty (Figure 10);
+//     AlphaResponder (Figure 9), AlphaThirdParty (Figure 10). Those
+//     per-pair forms, over one SymbolMatrix per string pair, are
+//     containers over the two kernels the session runs chunk by chunk on
+//     an AlphaChunk's cell slab — AlphaResponderChunk and
+//     AlphaThirdPartyChunk (see alpha.go);
 //   - categorical (Section 4.3): CategoricalEncryptColumn and
 //     CategoricalDistances.
 //

@@ -34,9 +34,9 @@ import (
 //     keystream positions as the monolithic pass. Callers MUST therefore
 //     feed chunks in schedule order — the order the wire delivers them in.
 //   - The alphanumeric protocol re-initializes per CCM row; a chunk call
-//     draws the chunk's longest mask prefix (a prefix of the monolithic
-//     pass's longest prefix, so the shared values are identical) and
-//     leaves jt rewound.
+//     (AlphaThirdPartyChunk, alpha.go) draws the chunk's longest mask
+//     prefix (a prefix of the monolithic pass's longest prefix, so the
+//     shared values are identical) and leaves jt rewound.
 //
 // In all three cases, evaluating every chunk of a pair on one jt stream,
 // in schedule order, yields blocks bit-identical to the monolithic
@@ -121,12 +121,9 @@ func (e *Engine) AdvanceThirdPartyModP(jt rng.Stream, rows, cols int, mode Mode)
 	}
 }
 
-// AlphaThirdPartyRows is Figure 10 restricted to rows [lo, hi) of the
-// responder's intermediary-matrix block: chunk must hold exactly those
-// rows (one row of per-initiator matrices per responder string). The mask
-// prefix drawn per chunk is a prefix of the monolithic pass's, so decoded
-// CCMs — and the edit distances computed from them — are bit-identical to
-// evaluating the whole block at once; jt is left rewound either way.
+// AlphaThirdPartyRows is AlphaThirdPartyChunk in per-pair form: chunk must
+// hold exactly rows [lo, hi) of the responder's intermediary-matrix block
+// (one row of per-initiator matrices per responder string).
 func (e *Engine) AlphaThirdPartyRows(chunk [][]*SymbolMatrix, lo, hi int, a *alphabet.Alphabet, jt rng.Stream) (*Int64Matrix, error) {
 	if err := chunkShape(len(chunk), lo, hi); err != nil {
 		return nil, err

@@ -159,20 +159,26 @@ func TestAlphaThirdPartyRowsMatchesMonolithic(t *testing.T) {
 
 	disguised := e.AlphaInitiator(their, a, rng.NewAESCTR(seedJT))
 	block := e.AlphaResponder(own, disguised, a)
-	want, err := e.AlphaThirdParty(block, a, rng.NewAESCTR(seedJT))
+	want, err := oracleAlphaThirdParty(oracleAlphaResponder(own, disguised, a), a, rng.NewAESCTR(seedJT))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var chunk AlphaChunk // reused from range to range, as a responder does
 	for _, per := range []int{1, 3, len(own)} {
-		jt := rng.NewAESCTR(seedJT)
+		jt, chunkJT := rng.NewAESCTR(seedJT), rng.NewAESCTR(seedJT)
 		for _, ch := range rowRanges(len(own), per) {
 			lo, hi := ch[0], ch[1]
 			got, err := e.AlphaThirdPartyRows(block[lo:hi], lo, hi, a, jt)
 			if err != nil {
 				t.Fatal(err)
 			}
+			e.AlphaResponderChunk(&chunk, own[lo:hi], disguised, a)
+			gotChunk, err := e.AlphaThirdPartyChunk(&chunk, lo, hi, a, chunkJT)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := 0; i < (hi-lo)*len(their); i++ {
-				if got.Cell[i] != want.Cell[lo*len(their)+i] {
+				if w := want.Cell[lo*len(their)+i]; got.Cell[i] != w || gotChunk.Cell[i] != w {
 					t.Fatalf("per=%d: alpha chunk [%d,%d) differs at %d", per, lo, hi, i)
 				}
 			}
@@ -313,5 +319,8 @@ func TestThirdPartyRowsShapeValidation(t *testing.T) {
 	}
 	if _, err := e.AlphaThirdPartyRows(make([][]*SymbolMatrix, 2), 0, 1, alphabet.DNA, jt); err == nil {
 		t.Fatal("alpha short chunk accepted")
+	}
+	if _, err := e.AlphaThirdPartyChunk(&AlphaChunk{Counts: []int{0, 0}}, 0, 1, alphabet.DNA, jt); err == nil {
+		t.Fatal("alpha short slab chunk accepted")
 	}
 }
