@@ -1,6 +1,7 @@
 package dissim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -118,11 +119,33 @@ func (a *SliceAssembler) PartyRows(p int) (lo, hi int) {
 
 // SetLocalRows installs rows [lo, hi) of party p's local triangle from
 // their packed cells (holder-local indices; see Matrix.PackedRowsView) —
-// called once per arriving chunk frame, so assembly of a triangle starts
-// with its first rows rather than after the last. Entries are validated
-// like FromPacked since they come straight off the wire. The range must
-// continue the party's ascending install cursor and stay within its span.
+// called once per arriving chunk, so assembly of a triangle starts with its
+// first rows rather than after the last. Entries are validated like
+// FromPacked since they come straight off the wire. The range must continue
+// the party's ascending install cursor and stay within its span.
 func (a *SliceAssembler) SetLocalRows(p, lo, hi int, cells []float64) error {
+	return a.setLocalRows(p, lo, hi, len(cells), func(dst []float64, at int) { copy(dst, cells[at:]) })
+}
+
+// SetLocalRowsLE is SetLocalRows over the cells as a frame carries them —
+// 8 little-endian bytes of float64 bits each — decoded straight into the
+// assembled rows, with no []float64 of the chunk in between. cells is only
+// read.
+func (a *SliceAssembler) SetLocalRowsLE(p, lo, hi int, cells []byte) error {
+	if len(cells)%8 != 0 {
+		return fmt.Errorf("dissim: %d trailing bytes after the last cell of party %d rows [%d,%d)", len(cells)%8, p, lo, hi)
+	}
+	return a.setLocalRows(p, lo, hi, len(cells)/8, func(dst []float64, at int) {
+		for c := range dst {
+			dst[c] = math.Float64frombits(binary.LittleEndian.Uint64(cells[8*(at+c):]))
+		}
+	})
+}
+
+// setLocalRows checks the chunk against the party's cursor and has fill
+// write each row — the chunk's cells from index at on — into place, where
+// it is validated.
+func (a *SliceAssembler) setLocalRows(p, lo, hi, n int, fill func(dst []float64, at int)) error {
 	if a.done {
 		return fmt.Errorf("dissim: assembler already completed")
 	}
@@ -138,42 +161,65 @@ func (a *SliceAssembler) SetLocalRows(p, lo, hi int, cells []float64) error {
 		return fmt.Errorf("dissim: local rows [%d,%d) for party %d: want next range starting at %d within [%d,%d)", lo, hi, p, next, next, want)
 	}
 	srcBase := lo * (lo - 1) / 2
-	if wantCells := hi*(hi-1)/2 - srcBase; len(cells) != wantCells {
-		return fmt.Errorf("dissim: %d cells for local rows [%d,%d) of party %d, want %d", len(cells), lo, hi, p, wantCells)
-	}
-	chunkMax := 0.0
-	for i, v := range cells {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return fmt.Errorf("dissim: invalid dissimilarity %v in party %d rows [%d,%d) at cell %d", v, p, lo, hi, i)
-		}
-		if v > chunkMax {
-			chunkMax = v
-		}
+	if wantCells := hi*(hi-1)/2 - srcBase; n != wantCells {
+		return fmt.Errorf("dissim: %d cells for local rows [%d,%d) of party %d, want %d", n, lo, hi, p, wantCells)
 	}
 	off := a.offsets[p]
+	chunkMax := 0.0
 	for i := lo; i < hi; i++ {
-		gi := off + i
-		src := cells[i*(i-1)/2-srcBase : i*(i-1)/2-srcBase+i]
-		dst := a.cells[gi*(gi-1)/2+off-a.base:]
-		copy(dst[:i], src)
+		gi, at := off+i, i*(i-1)/2-srcBase
+		dst := a.cells[gi*(gi-1)/2+off-a.base:][:i]
+		fill(dst, at)
+		bad, rowMax := scanRow(dst)
+		if bad >= 0 {
+			return fmt.Errorf("dissim: invalid dissimilarity %v in party %d rows [%d,%d) at cell %d", dst[bad], p, lo, hi, at+bad)
+		}
+		chunkMax = max(chunkMax, rowMax)
 	}
-	if chunkMax > a.max {
-		a.max = chunkMax
-	}
+	a.max = max(a.max, chunkMax)
 	a.localNext[p] = hi
 	return nil
 }
 
+// scanRow returns the index of the first entry of an installed row that is
+// not a dissimilarity — negative or non-finite — or −1, and the row's
+// maximum.
+func scanRow(row []float64) (bad int, rowMax float64) {
+	for c, v := range row {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return c, rowMax
+		}
+		if v > rowMax {
+			rowMax = v
+		}
+	}
+	return -1, rowMax
+}
+
 // SetCrossRows installs the decoded block of pair (j, k), k > j, covering
-// responder k's holder-local rows [lo, hi) — called once per decoded
-// protocol chunk. at is chunk-relative: at(r, c) is the distance between
-// party k's object lo+r and party j's object c, matching the J_K matrix of
-// Figures 6 and 10. Rows are placed in parallel, so at must be safe for
-// concurrent calls (the decoded protocol blocks are plain value lookups).
-// Invalid entries — negative or non-finite, indicating a protocol-layer
-// bug — are reported as errors. The range must continue the pair's
-// ascending install cursor.
+// responder k's holder-local rows [lo, hi), from a cell lookup: at is
+// chunk-relative, at(r, c) being the distance between party k's object
+// lo+r and party j's object c, matching the J_K matrix of Figures 6 and
+// 10. See SetCrossRowsInto, whose contract it shares.
 func (a *SliceAssembler) SetCrossRows(j, k, lo, hi int, at func(r, c int) float64) error {
+	return a.SetCrossRowsInto(j, k, lo, hi, func(r int, dst []float64) error {
+		for c := range dst {
+			dst[c] = at(r, c)
+		}
+		return nil
+	})
+}
+
+// SetCrossRowsInto installs rows [lo, hi) of the block of pair (j, k),
+// k > j — called once per protocol chunk — by having row write each one
+// where it belongs: row(r, dst) fills dst, one cell per object of party j,
+// with the distances of party k's object lo+r, so an evaluation that can
+// write its result anywhere writes it once. Rows are placed in parallel,
+// so row must be safe for concurrent calls on distinct rows. Invalid
+// entries — negative or non-finite, indicating a protocol-layer bug — are
+// reported as errors. The range must continue the pair's ascending install
+// cursor.
+func (a *SliceAssembler) SetCrossRowsInto(j, k, lo, hi int, row func(r int, dst []float64) error) error {
 	if a.done {
 		return fmt.Errorf("dissim: assembler already completed")
 	}
@@ -194,26 +240,22 @@ func (a *SliceAssembler) SetCrossRows(j, k, lo, hi int, at func(r, c int) float6
 		chunkMax := 0.0
 		for r := blo; r < bhi; r++ {
 			gi := offK + lo + r
-			dst := a.cells[gi*(gi-1)/2+offJ-a.base:]
-			for c := 0; c < cols; c++ {
-				v := at(r, c)
-				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-					return chunkMax, fmt.Errorf("dissim: invalid dissimilarity %v in cross block (%d,%d) at (%d,%d)", v, j, k, lo+r, c)
-				}
-				dst[c] = v
-				if v > chunkMax {
-					chunkMax = v
-				}
+			dst := a.cells[gi*(gi-1)/2+offJ-a.base:][:cols]
+			if err := row(r, dst); err != nil {
+				return chunkMax, err
 			}
+			bad, rowMax := scanRow(dst)
+			if bad >= 0 {
+				return chunkMax, fmt.Errorf("dissim: invalid dissimilarity %v in cross block (%d,%d) at (%d,%d)", dst[bad], j, k, lo+r, bad)
+			}
+			chunkMax = max(chunkMax, rowMax)
 		}
 		return chunkMax, nil
 	})
 	if err != nil {
 		return err
 	}
-	if blockMax > a.max {
-		a.max = blockMax
-	}
+	a.max = max(a.max, blockMax)
 	a.crossNext[key] = hi
 	return nil
 }

@@ -1,6 +1,9 @@
 package dissim
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -96,14 +99,34 @@ func TestSetLocalRowsMatchesSetLocal(t *testing.T) {
 			}
 		})
 		for _, maxCells := range []int{1, 4096 / 8, 1 << 30} {
-			got := build(func(a *Assembler, p int, local *Matrix) {
-				chunkedInstall(t, a, p, local, RowChunksRange(0, local.N(), maxCells))
-			})
-			if !got.EqualWithin(want, 0) {
-				t.Fatalf("n=%d maxCells=%d: cells differ from SetLocal", n, maxCells)
-			}
-			if got.Max() != want.Max() {
-				t.Fatalf("n=%d maxCells=%d: max %v vs SetLocal %v", n, maxCells, got.Max(), want.Max())
+			for _, le := range []bool{false, true} {
+				got := build(func(a *Assembler, p int, local *Matrix) {
+					chunks := RowChunksRange(0, local.N(), maxCells)
+					if !le || local.N() == 0 {
+						chunkedInstall(t, a, p, local, chunks)
+						return
+					}
+					// The same chunks as their frames carry them.
+					for _, ch := range chunks {
+						var cells []byte
+						for _, v := range local.PackedRowsView(ch[0], ch[1]) {
+							cells = binary.LittleEndian.AppendUint64(cells, math.Float64bits(v))
+						}
+						received := bytes.Clone(cells)
+						if err := a.SetLocalRowsLE(p, ch[0], ch[1], cells); err != nil {
+							t.Fatalf("SetLocalRowsLE(%d, %d, %d): %v", p, ch[0], ch[1], err)
+						}
+						if !bytes.Equal(cells, received) {
+							t.Fatal("SetLocalRowsLE wrote the cells it was given")
+						}
+					}
+				})
+				if !got.EqualWithin(want, 0) {
+					t.Fatalf("n=%d maxCells=%d le=%v: cells differ from SetLocal", n, maxCells, le)
+				}
+				if got.Max() != want.Max() {
+					t.Fatalf("n=%d maxCells=%d le=%v: max %v vs SetLocal %v", n, maxCells, le, got.Max(), want.Max())
+				}
 			}
 		}
 	}
@@ -200,6 +223,24 @@ func TestSetLocalRowsValidation(t *testing.T) {
 	}
 	if err := a.SetLocalRows(0, 1, 3, []float64{1, 2, 3}); err == nil {
 		t.Fatal("range skipping the install cursor accepted")
+	}
+	le := func(vs ...float64) (cells []byte) {
+		for _, v := range vs {
+			cells = binary.LittleEndian.AppendUint64(cells, math.Float64bits(v))
+		}
+		return cells
+	}
+	if err := a.SetLocalRowsLE(0, 0, 3, le(1, 2, 3)[:23]); err == nil {
+		t.Fatal("torn cell accepted")
+	}
+	if err := a.SetLocalRowsLE(0, 0, 3, le(1, 2)); err == nil {
+		t.Fatal("short little-endian cell run accepted")
+	}
+	if err := a.SetLocalRowsLE(0, 0, 3, le(1, 2, math.Inf(1))); err == nil || !strings.Contains(err.Error(), "at cell 2") {
+		t.Fatalf("non-finite little-endian cell: %v", err)
+	}
+	if err := a.SetLocalRowsLE(0, 0, 3, le(1, -2, 3)); err == nil || !strings.Contains(err.Error(), "at cell 1") {
+		t.Fatalf("negative little-endian cell: %v", err)
 	}
 	if err := a.SetLocalRows(0, 0, 3, []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
@@ -316,6 +357,30 @@ func TestSetCrossRowsMatchesSetCross(t *testing.T) {
 			if got.Max() != want.Max() {
 				t.Fatalf("shape=%v maxCells=%d: max %v vs SetCross %v", shape, maxCells, got.Max(), want.Max())
 			}
+			// The same chunks written a destination row at a time.
+			into := build(func(a *Assembler) {
+				if nK == 0 {
+					return
+				}
+				for _, ch := range RectChunksRange(0, nK, nJ, maxCells) {
+					lo := ch[0]
+					row := func(r int, dst []float64) error {
+						if len(dst) != nJ {
+							t.Errorf("destination row of %d cells, want %d", len(dst), nJ)
+						}
+						for c := range dst {
+							dst[c] = cross(lo+r, c)
+						}
+						return nil
+					}
+					if err := a.SetCrossRowsInto(0, 1, ch[0], ch[1], row); err != nil {
+						t.Fatalf("SetCrossRowsInto([%d,%d)): %v", ch[0], ch[1], err)
+					}
+				}
+			})
+			if !into.EqualWithin(want, 0) || into.Max() != want.Max() {
+				t.Fatalf("shape=%v maxCells=%d: rows written in place differ from SetCross", shape, maxCells)
+			}
 		}
 	}
 }
@@ -410,6 +475,16 @@ func TestSetCrossRowsValidation(t *testing.T) {
 	}
 	if err := a.SetCrossRows(0, 1, 0, 1, func(m, n int) float64 { return -1 }); err == nil {
 		t.Fatal("negative dissimilarity accepted")
+	}
+	boom := errors.New("boom")
+	if err := a.SetCrossRowsInto(0, 1, 0, 2, func(r int, dst []float64) error {
+		if r == 1 {
+			return boom
+		}
+		clear(dst)
+		return nil
+	}); err != boom {
+		t.Fatalf("a row's error came back as %v", err)
 	}
 	for p, n := range []int{3, 4} {
 		if err := a.SetLocal(p, FromLocal(n, synthDist)); err != nil {

@@ -11,6 +11,7 @@ package dissim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"ppclust/internal/parallel"
@@ -364,30 +365,52 @@ func FromLocal(n int, dist func(i, j int) float64) *Matrix {
 // Normalize would otherwise need.
 func FromLocalPar(n, workers int, newDist func(worker int) func(i, j int) float64) *Matrix {
 	m := New(n)
-	total := len(m.cell)
-	max := parallel.MaxRange(workers, total, func(w, lo, hi int) float64 {
-		dist := newDist(w)
-		i, j := parallel.PairOf(lo)
-		chunkMax := 0.0
-		for k := lo; k < hi; k++ {
-			v := dist(i, j)
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				panic(fmt.Sprintf("dissim: invalid dissimilarity %v at (%d,%d)", v, i, j))
-			}
-			m.cell[k] = v
-			if v > chunkMax {
-				chunkMax = v
-			}
-			j++
-			if j == i {
-				i++
-				j = 0
-			}
-		}
-		return chunkMax
-	})
-	m.setMax(max)
+	m.setMax(fillLocalRows(m.cell, 0, workers, newDist))
 	return m
+}
+
+// FromLocalRowsPar is FromLocalPar for triangle rows [lo, hi) alone: it
+// returns their packed cells — what PackedRowsView(lo, hi) of the whole
+// matrix would show — built in dst's storage when that suffices, so a
+// holder streaming its triangle a chunk at a time holds one chunk.
+func FromLocalRowsPar(dst []float64, lo, hi, workers int, newDist func(worker int) func(i, j int) float64) []float64 {
+	if lo < 0 || hi < lo {
+		panic(fmt.Sprintf("dissim: invalid row range [%d,%d)", lo, hi))
+	}
+	n := hi*(hi-1)/2 - lo*(lo-1)/2
+	dst = slices.Grow(dst[:0], n)[:n]
+	fillLocalRows(dst, lo*(lo-1)/2, workers, newDist)
+	return dst
+}
+
+// fillLocalRows computes the packed cells [base, base+len(cells)) of a
+// local triangle into cells and returns their maximum.
+func fillLocalRows(cells []float64, base, workers int, newDist func(worker int) func(i, j int) float64) float64 {
+	return parallel.MaxRange(workers, len(cells), func(w, lo, hi int) float64 {
+		return fillLocalCells(cells[lo:hi], base+lo, newDist(w))
+	})
+}
+
+// fillLocalCells is one worker's share: the cells from packed index k on.
+func fillLocalCells(cells []float64, k int, dist func(i, j int) float64) float64 {
+	i, j := parallel.PairOf(k)
+	max := 0.0
+	for k := range cells {
+		v := dist(i, j)
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			panic(fmt.Sprintf("dissim: invalid dissimilarity %v at (%d,%d)", v, i, j))
+		}
+		cells[k] = v
+		if v > max {
+			max = v
+		}
+		j++
+		if j == i {
+			i++
+			j = 0
+		}
+	}
+	return max
 }
 
 // NormalizeWeights validates a weight vector for a merge of `matrices`

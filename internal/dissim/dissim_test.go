@@ -2,6 +2,7 @@ package dissim
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -327,6 +328,27 @@ func TestFromLocalParBitIdentical(t *testing.T) {
 			}
 			if got.Max() != want.Max() {
 				t.Fatalf("n=%d workers=%d: max %v vs %v", n, workers, got.Max(), want.Max())
+			}
+		}
+	}
+}
+
+// TestFromLocalRowsParMatchesWholeTriangle: every row range of every
+// schedule, built into one reused buffer at several worker counts, holds
+// the cells the whole-triangle build shows for those rows.
+func TestFromLocalRowsParMatchesWholeTriangle(t *testing.T) {
+	newDist := func(int) func(i, j int) float64 { return synthDist }
+	for _, n := range []int{0, 1, 2, 17, 64, 150} {
+		whole := FromLocalPar(n, 1, newDist)
+		for _, maxCells := range []int{1, 100, 1 << 30} {
+			for _, workers := range []int{1, 3} {
+				var cells []float64
+				for _, ch := range RowChunksRange(0, n, maxCells) {
+					cells = FromLocalRowsPar(cells, ch[0], ch[1], workers, newDist)
+					if want := whole.PackedRowsView(ch[0], ch[1]); !slices.Equal(cells, want) {
+						t.Fatalf("n=%d maxCells=%d workers=%d: rows [%d,%d) differ from the whole triangle's", n, maxCells, workers, ch[0], ch[1])
+					}
+				}
 			}
 		}
 	}

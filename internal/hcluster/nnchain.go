@@ -329,62 +329,73 @@ func nearestActive(w []float64, active []bool, n, x, prev int) (int, float64) {
 // the size-weighted forms fold the partner size in exactly as lwParams
 // does. The k-range is driven through the parallel engine: every k
 // writes only its own condensed cell, so the result is bit-identical at
-// any worker count.
+// any worker count. At one row worker — every n below the row grain — the
+// body runs inline: a closure handed to the engine is a heap allocation
+// per merge.
 func lwUpdate(w []float64, active []bool, size []float64, n, lo, hi int, dij float64, link Linkage, workers int) {
+	if rw := rowWorkers(workers, n); rw > 1 {
+		parallel.Range(rw, n, func(_, from, to int) {
+			lwUpdateRange(w, active, size, from, to, lo, hi, dij, link)
+		})
+		return
+	}
+	lwUpdateRange(w, active, size, 0, n, lo, hi, dij, link)
+}
+
+// lwUpdateRange is lwUpdate for the partners k in [from, to).
+func lwUpdateRange(w []float64, active []bool, size []float64, from, to, lo, hi int, dij float64, link Linkage) {
 	ni, nj := size[lo], size[hi]
 	rlo, rhi := lo*(lo-1)/2, hi*(hi-1)/2
 	avgI, avgJ := ni/(ni+nj), nj/(ni+nj)
-	parallel.Range(rowWorkers(workers, n), n, func(_, from, to int) {
-		for k := from; k < to; k++ {
-			if !active[k] || k == lo || k == hi {
-				continue
-			}
-			// Resolve both condensed cells once: contiguous row walks
-			// when k sits below the slot, column offsets above it.
-			var iik, ijk int
-			if k < lo {
-				iik = rlo + k
-			} else {
-				iik = k*(k-1)/2 + lo
-			}
-			if k < hi {
-				ijk = rhi + k
-			} else {
-				ijk = k*(k-1)/2 + hi
-			}
-			dik, djk := w[iik], w[ijk]
-			var v float64
-			switch link {
-			case Single:
-				if dik < djk {
-					v = dik
-				} else {
-					v = djk
-				}
-			case Complete:
-				if dik > djk {
-					v = dik
-				} else {
-					v = djk
-				}
-			case Average:
-				v = avgI*dik + avgJ*djk
-			case Weighted:
-				v = 0.5*dik + 0.5*djk
-			case Ward:
-				nk := size[k]
-				s := ni + nj + nk
-				v = ((ni+nk)/s)*dik + ((nj+nk)/s)*djk + (-nk/s)*dij
-			default:
-				// Centroid/median are routed to the generic engine
-				// before this point; keep the generic recurrence for
-				// completeness.
-				ai, aj, beta, gamma := lwParams(link, ni, nj, size[k])
-				v = ai*dik + aj*djk + beta*dij + gamma*math.Abs(dik-djk)
-			}
-			w[ijk] = v
+	for k := from; k < to; k++ {
+		if !active[k] || k == lo || k == hi {
+			continue
 		}
-	})
+		// Resolve both condensed cells once: contiguous row walks
+		// when k sits below the slot, column offsets above it.
+		var iik, ijk int
+		if k < lo {
+			iik = rlo + k
+		} else {
+			iik = k*(k-1)/2 + lo
+		}
+		if k < hi {
+			ijk = rhi + k
+		} else {
+			ijk = k*(k-1)/2 + hi
+		}
+		dik, djk := w[iik], w[ijk]
+		var v float64
+		switch link {
+		case Single:
+			if dik < djk {
+				v = dik
+			} else {
+				v = djk
+			}
+		case Complete:
+			if dik > djk {
+				v = dik
+			} else {
+				v = djk
+			}
+		case Average:
+			v = avgI*dik + avgJ*djk
+		case Weighted:
+			v = 0.5*dik + 0.5*djk
+		case Ward:
+			nk := size[k]
+			s := ni + nj + nk
+			v = ((ni+nk)/s)*dik + ((nj+nk)/s)*djk + (-nk/s)*dij
+		default:
+			// Centroid/median are routed to the generic engine
+			// before this point; keep the generic recurrence for
+			// completeness.
+			ai, aj, beta, gamma := lwParams(link, ni, nj, size[k])
+			v = ai*dik + aj*djk + beta*dij + gamma*math.Abs(dik-djk)
+		}
+		w[ijk] = v
+	}
 }
 
 // labelMerges sorts the raw NN-chain merges by height (stable, so ties

@@ -110,6 +110,26 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestNNChainAllocationPin: below the row grain the Lance–Williams update
+// runs inline, so a tree costs a fixed handful of allocations — the working
+// copy, the chain state, the dendrogram — not a closure per merge (the
+// parent made 316 here).
+func TestNNChainAllocationPin(t *testing.T) {
+	d := randomMatrix(300, 7)
+	for _, link := range []Linkage{Complete, Average, Weighted, Ward} {
+		for _, workers := range []int{1, 2} {
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := ClusterOpt(d, link, ClusterOptions{Algorithm: AlgoNNChain, Workers: workers}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 40 {
+				t.Errorf("%v, workers %d: %v allocations for a 300-leaf tree", link, workers, allocs)
+			}
+		}
+	}
+}
+
 // TestDianaDeterministicAcrossWorkers pins identical divisive trees at
 // Parallelism 1, 2 and all cores.
 func TestDianaDeterministicAcrossWorkers(t *testing.T) {

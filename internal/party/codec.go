@@ -142,17 +142,16 @@ func (b localBody) AppendBody(dst []byte) ([]byte, error) {
 	return appendFloat64s(appendInts(dst, b.N, b.Lo, b.Hi), b.Cells), nil
 }
 
+// DecodeBody keeps the cell block where it is: the received Message owns
+// its payload, and the assembler reads the cells out of it.
 func (b *localBody) DecodeBody(p []byte) error {
 	r := bodyReader{p: p}
-	b.N, b.Lo, b.Hi = r.int(), r.int(), r.int()
+	*b = localBody{N: r.int(), Lo: r.int(), Hi: r.int()}
 	if r.err == nil && len(r.p)%8 != 0 {
 		r.fail("%d trailing bytes after the last cell", len(r.p)%8)
 	}
-	if r.err != nil {
-		return r.err
-	}
-	b.Cells = float64s(r.p)
-	return nil
+	b.wire = r.p
+	return r.err
 }
 
 func (b shardSliceBody) AppendBody(dst []byte) ([]byte, error) {
@@ -215,6 +214,9 @@ func (b numSBody) AppendBody(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
+// DecodeBody checks the claimed shape against the bytes present and keeps
+// the cell block where it is: the received Message owns its payload, and
+// the protocol engine evaluates the cells out of it.
 func (b *numSBody) DecodeBody(p []byte) error {
 	r := bodyReader{p: p}
 	*b = numSBody{Rows: r.int(), Lo: r.int(), Hi: r.int()}
@@ -237,7 +239,20 @@ func (b *numSBody) DecodeBody(p []byte) error {
 	if r.err != nil {
 		return r.err
 	}
-	switch tag {
+	b.variant, b.wire = tag, protocol.NumericChunk{Rows: rows, Cols: cols, Cells: cells}
+	return nil
+}
+
+func (b numDisguisedBody) AppendBody(dst []byte) ([]byte, error) { return numSBody(b).AppendBody(dst) }
+
+// DecodeBody is numSBody's, with the cell block then decoded into the
+// variant's matrix.
+func (b *numDisguisedBody) DecodeBody(p []byte) error {
+	if err := (*numSBody)(b).DecodeBody(p); err != nil {
+		return err
+	}
+	rows, cols, cells := b.wire.Rows, b.wire.Cols, b.wire.Cells
+	switch b.variant {
 	case numInt:
 		m := &protocol.Int64Matrix{Rows: rows, Cols: cols, Cell: make([]int64, len(cells)/8)}
 		for i := range m.Cell {
@@ -253,12 +268,9 @@ func (b *numSBody) DecodeBody(p []byte) error {
 		}
 		b.ModP = m
 	}
+	b.variant, b.wire = numNone, protocol.NumericChunk{}
 	return nil
 }
-
-// numDisguisedBody shares numSBody's fields and therefore its layout.
-func (b numDisguisedBody) AppendBody(dst []byte) ([]byte, error) { return numSBody(b).AppendBody(dst) }
-func (b *numDisguisedBody) DecodeBody(p []byte) error            { return (*numSBody)(b).DecodeBody(p) }
 
 // AppendBody writes the header and then the chunk's slab as it lies: the
 // cell block is the in-memory layout. A narrow slab is one copy; a wide one

@@ -11,12 +11,14 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"ppclust/internal/alphabet"
 	"ppclust/internal/dataset"
+	"ppclust/internal/dissim"
 	"ppclust/internal/protocol"
 	"ppclust/internal/rng"
 	"ppclust/internal/wire"
@@ -29,10 +31,22 @@ func chunkDecoders() []wire.BodyDecoder {
 }
 
 // reencode encodes what a decoder holds, through the value receiver the
-// session sends with.
+// session sends with. The two bodies that keep their cells in the payload
+// are never sent again by the session, so their send form is rebuilt here:
+// the local cells as values, the numeric header around the cell block.
 func reencode(t testing.TB, d wire.BodyDecoder) []byte {
 	t.Helper()
-	out, err := wire.EncodeBody(reflect.ValueOf(d).Elem().Interface())
+	body := reflect.ValueOf(d).Elem().Interface()
+	switch b := d.(type) {
+	case *localBody:
+		body = localBody{N: b.N, Lo: b.Lo, Hi: b.Hi, Cells: float64s(b.wire)}
+	case *numSBody:
+		if b.variant != numNone {
+			out := appendInts(append(appendInts(nil, b.Rows, b.Lo, b.Hi), b.variant), b.wire.Rows, b.wire.Cols)
+			return append(out, b.wire.Cells...)
+		}
+	}
+	out, err := wire.EncodeBody(body)
 	if err != nil {
 		t.Fatalf("re-encoding %T: %v", d, err)
 	}
@@ -154,8 +168,8 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range specials {
-		if math.Float64bits(got.Cells[i]) != math.Float64bits(v) {
-			t.Errorf("cell %d: bits %#x, want %#x", i, math.Float64bits(got.Cells[i]), math.Float64bits(v))
+		if bits := binary.LittleEndian.Uint64(got.wire[8*i:]); bits != math.Float64bits(v) {
+			t.Errorf("cell %d: bits %#x, want %#x", i, bits, math.Float64bits(v))
 		}
 	}
 	// The alphanumeric decoder allocates per chunk, not per string pair.
@@ -247,6 +261,43 @@ func sessionFrames(t testing.TB, cfg Config, parts []dataset.Partition) [][]byte
 	return frames
 }
 
+// laneDigest runs the session and digests every frame of the given kinds,
+// lane by lane in the order it was sent: "lanes/frames/digest", where the
+// digest covers each lane's name and the SHA-256 of its length-prefixed
+// frames — what the transcript differentials below compare with the
+// digests a parent commit's session produced.
+func laneDigest(t *testing.T, cfg Config, parts []dataset.Partition, kinds ...wire.Kind) string {
+	t.Helper()
+	lanes := map[string]hash.Hash{}
+	frames := 0
+	for _, frame := range sessionFrames(t, cfg, parts) {
+		m, err := wire.ParseFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(kinds, m.Kind) {
+			continue
+		}
+		lane := m.From + ">" + m.To
+		if lanes[lane] == nil {
+			lanes[lane] = sha256.New()
+		}
+		binary.Write(lanes[lane], binary.LittleEndian, uint64(len(frame)))
+		lanes[lane].Write(frame)
+		frames++
+	}
+	names := make([]string, 0, len(lanes))
+	for lane := range lanes {
+		names = append(names, lane)
+	}
+	sort.Strings(names)
+	all := sha256.New()
+	for _, lane := range names {
+		fmt.Fprintf(all, "%s %x\n", lane, lanes[lane].Sum(nil))
+	}
+	return fmt.Sprintf("%d/%d/%x", len(names), frames, all.Sum(nil)[:8])
+}
+
 // TestAlphaFramesMatchParent is the transcript differential of the
 // alphanumeric engine: every ppc/alpha-m frame of a mixed-schema session,
 // lane by lane in the order it was sent, must hash to what commit d84a373
@@ -271,36 +322,73 @@ func TestAlphaFramesMatchParent(t *testing.T) {
 		for _, workers := range []int{1, 2} {
 			cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant,
 				LocalChunkBytes: tc.chunk, TPShards: tc.shards, Parallelism: workers}
-			lanes := map[string]hash.Hash{}
-			frames := 0
-			for _, frame := range sessionFrames(t, cfg, parts) {
-				m, err := wire.ParseFrame(frame)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if m.Kind != kindAlphaM {
-					continue
-				}
-				lane := m.From + ">" + m.To
-				if lanes[lane] == nil {
-					lanes[lane] = sha256.New()
-				}
-				binary.Write(lanes[lane], binary.LittleEndian, uint64(len(frame)))
-				lanes[lane].Write(frame)
-				frames++
-			}
-			names := make([]string, 0, len(lanes))
-			for lane := range lanes {
-				names = append(names, lane)
-			}
-			sort.Strings(names)
-			all := sha256.New()
-			for _, lane := range names {
-				fmt.Fprintf(all, "%s %x\n", lane, lanes[lane].Sum(nil))
-			}
-			if got := fmt.Sprintf("%d/%d/%x", len(names), frames, all.Sum(nil)[:8]); got != tc.hash {
+			if got := laneDigest(t, cfg, parts, kindAlphaM); got != tc.hash {
 				t.Errorf("chunk %d, shards %d, workers %d: lanes/frames/digest %s, the parent sent %s",
 					tc.chunk, tc.shards, workers, got, tc.hash)
+			}
+		}
+	}
+}
+
+// TestNumericFramesMatchParent is the same differential for the frames the
+// numeric rewrite touches — every ppc/local, ppc/numeric-disguised and
+// ppc/numeric-s frame — against commit 813549b, the last one whose holders
+// built whole local triangles and whole S matrices before the first chunk
+// left: every variant and mode at every chunk budget, shard count and
+// worker count.
+func TestNumericFramesMatchParent(t *testing.T) {
+	parts := pipelineParts(t, 24)
+	for _, tc := range []struct {
+		variant Variant
+		mode    protocol.Mode
+		hashes  [8]string // chunk budgets 1, 64, default, monolithic × shards 1, 2
+	}{
+		{Float64Variant, protocol.Batch, [8]string{
+			"6/376/b8f81cb96879ca98", "7/376/317173f999fa1c0f",
+			"6/358/2ac5359282b68fb1", "7/358/83fcc732e0682920",
+			"6/21/a064af03cc764d7b", "7/28/4ac8a5128f9feb43",
+			"6/21/a064af03cc764d7b", "7/28/4ac8a5128f9feb43",
+		}},
+		{Float64Variant, protocol.PerPair, [8]string{
+			"6/524/9f71ed10087c158f", "7/524/66969f6295ca7d5d",
+			"6/506/b8c595f0a1d83561", "7/506/00261a815c176d27",
+			"6/21/dfdbf32742d68666", "7/28/73ab2e8d8e5d1036",
+			"6/21/dfdbf32742d68666", "7/28/73ab2e8d8e5d1036",
+		}},
+		{Int64Variant, protocol.Batch, [8]string{
+			"6/376/95761945d79d11a0", "7/376/fffbea969e0cc46d",
+			"6/358/9f708035b45268fd", "7/358/efd8485b2bd753ad",
+			"6/21/f3b5ec3439910b9e", "7/28/157105bb1d9605d7",
+			"6/21/f3b5ec3439910b9e", "7/28/157105bb1d9605d7",
+		}},
+		{Int64Variant, protocol.PerPair, [8]string{
+			"6/524/6d1367e67f32990c", "7/524/e9d7124f5a06f1d2",
+			"6/506/651d185fd275a1e0", "7/506/febe3473f6d42acf",
+			"6/21/e99553ab594530a6", "7/28/7f8a5db2633925e3",
+			"6/21/e99553ab594530a6", "7/28/7f8a5db2633925e3",
+		}},
+		{ModPVariant, protocol.Batch, [8]string{
+			"6/376/ee89d7f737785d0f", "7/376/9cd7eed77d85f259",
+			"6/358/4b885b41f8535601", "7/358/e867794ae7ed0723",
+			"6/21/5e440f832315023d", "7/28/397bea39bc2800fc",
+			"6/21/5e440f832315023d", "7/28/397bea39bc2800fc",
+		}},
+		{ModPVariant, protocol.PerPair, [8]string{
+			"6/524/1edf64fbbde0ea0a", "7/524/ca9cd4c02364ce38",
+			"6/506/d1a955534f32e5a2", "7/506/a9edfd45c3096765",
+			"6/21/f4a14fb9397b6523", "7/28/5afa2bf285e6fb14",
+			"6/21/f4a14fb9397b6523", "7/28/5afa2bf285e6fb14",
+		}},
+	} {
+		for i, hash := range tc.hashes {
+			chunk, shards := [...]int{1, 64, 0, -1}[i/2], 1+i%2
+			for _, workers := range []int{1, 2} {
+				cfg := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: tc.mode,
+					LocalChunkBytes: chunk, TPShards: shards, Parallelism: workers}
+				if got := laneDigest(t, cfg, parts, kindLocal, kindNumDisg, kindNumS); got != hash {
+					t.Errorf("%v %v, chunk %d, shards %d, workers %d: lanes/frames/digest %s, the parent sent %s",
+						tc.variant, tc.mode, chunk, shards, workers, got, hash)
+				}
 			}
 		}
 	}
@@ -309,9 +397,10 @@ func TestAlphaFramesMatchParent(t *testing.T) {
 // FuzzChunkBodyDecoders feeds arbitrary payloads to the six fixed-layout
 // decoders: never a panic, only ErrMalformed failures, memory bounded by
 // the input (no claimed length is believed before the bytes are seen), and
-// whatever decodes re-encodes to a fixed point; an alphanumeric chunk, which
-// keeps its cells in the payload, is also evaluated, and nothing may have
-// written the payload by the end. Seeded with the payloads of real session
+// whatever decodes re-encodes to a fixed point; the chunks that keep their
+// cells in the payload — local, numeric S and alphanumeric — are also
+// evaluated and installed, and nothing may have written the payload by the
+// end. Seeded with the payloads of real session
 // frames in every numeric variant.
 func FuzzChunkBodyDecoders(f *testing.F) {
 	which := map[wire.Kind]uint8{kindLocal: 0, kindNumS: 1, kindNumDisg: 2, kindAlphaM: 3}
@@ -357,11 +446,43 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 			}
 			return
 		}
-		if am, ok := d.(*alphaMBody); ok {
-			// Either outcome is fine — fuzzed cells seldom stay inside an
-			// alphabet — as long as it is an outcome and not a panic.
+		// The bodies that keep their cells in the payload are also evaluated
+		// and installed the way the third party does. Either outcome is fine
+		// — fuzzed cells seldom stay inside an alphabet, fuzzed headers seldom
+		// agree with their cell count — as long as it is an outcome and not a
+		// panic, and (the deferred check) the payload is only read.
+		jt := rng.NewAESCTR(rng.SeedFromUint64(1))
+		switch b := d.(type) {
+		case *alphaMBody:
 			for _, a := range []*alphabet.Alphabet{alphabet.DNA, alphabet.AlphaNum} {
-				protocol.NewEngine(2).AlphaThirdPartyChunk(&am.M, 0, len(am.M.Counts), a, rng.NewAESCTR(rng.SeedFromUint64(1)))
+				protocol.NewEngine(2).AlphaThirdPartyChunk(&b.M, 0, len(b.M.Counts), a, jt)
+			}
+		case *localBody:
+			if 0 <= b.Lo && b.Lo <= b.N && b.N <= 256 {
+				if asm, err := dissim.NewSliceAssembler([]int{b.N}, b.Lo, b.N, 2); err == nil {
+					asm.SetLocalRowsLE(0, b.Lo, b.Hi, b.wire)
+				}
+			}
+		case *numSBody:
+			c, eng := b.wire, protocol.NewEngine(2)
+			for _, mode := range []protocol.Mode{protocol.Batch, protocol.PerPair} {
+				for _, eval := range []func() (protocol.RowFunc, error){
+					func() (protocol.RowFunc, error) {
+						return eng.NumericThirdPartyFloatChunk(c, b.Lo, b.Hi, jt, protocol.DefaultFloatParams, mode)
+					},
+					func() (protocol.RowFunc, error) {
+						return eng.NumericThirdPartyIntChunk(c, b.Lo, b.Hi, jt, protocol.DefaultIntParams, mode)
+					},
+					func() (protocol.RowFunc, error) { return eng.NumericThirdPartyModPChunk(c, b.Lo, b.Hi, jt, mode) },
+				} {
+					row, err := eval()
+					if err != nil || b.Lo < 0 || b.Hi > 256 || c.Cols > 256 {
+						continue
+					}
+					if asm, err := dissim.NewSliceAssembler([]int{c.Cols, b.Hi}, c.Cols+b.Lo, c.Cols+b.Hi, 2); err == nil {
+						asm.SetCrossRowsInto(0, 1, b.Lo, b.Hi, row)
+					}
+				}
 			}
 		}
 		enc := reencode(t, d)

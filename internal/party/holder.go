@@ -403,9 +403,10 @@ func tagBased(t dataset.AttrType) bool {
 // installs each range on arrival — so assembly of this attribute starts
 // while most of the triangle is still on the wire — and no single frame
 // approaches wire.MaxFrame no matter how large the partition is.
-// PackedRowsView keeps the serialization zero-copy: each frame's cells are
-// written (localBody.AppendBody) straight out of the storage of a matrix
-// that is dropped right after the final chunk.
+// Rows [lo, hi) of the triangle are computed into one reused buffer just
+// before their frame is written from it (localBody.AppendBody), so the
+// holder holds one chunk of its triangle, not the triangle, and the first
+// frame leaves after one chunk's compute.
 func (h *Holder) sendLocalMatrix(attr int) error {
 	if tagBased(h.cfg.Schema.Attrs[attr].Type) {
 		return nil
@@ -414,11 +415,12 @@ func (h *Holder) sendLocalMatrix(attr int) error {
 	if err != nil {
 		return err
 	}
-	local := dissim.FromLocalPar(h.table.Len(), h.workers, distFn)
+	var cells []float64
 	for _, ln := range h.lanes {
 		msg := wire.Message{From: h.name, To: ln.to, Kind: kindLocal, Attr: attr}
 		for _, ch := range h.cfg.localChunksRange(ln.lo, ln.hi) {
-			body := localBody{N: local.N(), Lo: ch[0], Hi: ch[1], Cells: local.PackedRowsView(ch[0], ch[1])}
+			cells = dissim.FromLocalRowsPar(cells, ch[0], ch[1], h.workers, distFn)
+			body := localBody{N: h.table.Len(), Lo: ch[0], Hi: ch[1], Cells: cells}
 			if err := ln.ep.SendBody(msg, body); err != nil {
 				return err
 			}
@@ -588,10 +590,10 @@ func disguisedRows(mode protocol.Mode, responderRows int) int {
 // the third party evaluates and installs each range on
 // arrival, and no frame grows with either partition — the masked matrix is
 // rows×cols over BOTH parties' object counts, so it was the session's last
-// wire.MaxFrame-bound message when both partitions are large. The numeric
-// chunk bodies are zero-copy sub-matrix views of a payload that is dropped
-// right after the final chunk (Conduit.Send may not retain frames); the
-// alphanumeric ones are built a chunk at a time.
+// wire.MaxFrame-bound message when both partitions are large. Both kinds of
+// chunk are built a chunk at a time, in storage the next chunk reuses
+// (Conduit.Send may not retain frames), so the responder never holds more
+// of the rows×cols block than the chunk in flight.
 func (h *Holder) respond(attr int, j, k string) error {
 	a := h.cfg.Schema.Attrs[attr]
 	rows, cols := h.table.Len(), h.counts[j]
@@ -654,9 +656,7 @@ func (h *Holder) respond(attr int, j, k string) error {
 			return fmt.Errorf("party: %s pair (%s,%s) disguised chunk %d covers rows [%d,%d), schedule says [%d,%d)",
 				j, j, k, ci, chunk.Lo, chunk.Hi, sched[0], sched[1])
 		}
-		cs := numSBody{Rows: chunk.Rows, Lo: chunk.Lo, Hi: chunk.Hi,
-			Int: chunk.Int, Float: chunk.Float, ModP: chunk.ModP}
-		if err := appendNumChunk(&disg, &cs, sched, disgRows, cols); err != nil {
+		if err := appendNumChunk(&disg, (*numSBody)(&chunk), sched, disgRows, cols); err != nil {
 			return fmt.Errorf("party: %s pair (%s,%s) disguised chunk %d %w", j, j, k, ci, err)
 		}
 	}
@@ -665,39 +665,52 @@ func (h *Holder) respond(attr int, j, k string) error {
 	if err != nil {
 		return err
 	}
-	var s numSBody
+	// The chunk's matrix — the one variant pointer the session uses — is
+	// refilled for every chunk's rows [lo, hi) just before its frame.
+	s := numSBody{Rows: rows}
+	var fill func(lo, hi int) error
 	switch h.cfg.Variant {
 	case Float64Variant:
 		if disg.Float == nil {
 			return fmt.Errorf("party: missing float payload from %s", j)
 		}
-		s.Float, err = h.eng.NumericResponderFloat(disg.Float, col, jk, h.cfg.FloatParams, h.cfg.Mode)
+		s.Float = &protocol.Float64Matrix{}
+		fill = func(lo, hi int) error {
+			return h.eng.NumericResponderFloatRows(s.Float, disg.Float, col[lo:hi], lo, jk, h.cfg.FloatParams, h.cfg.Mode)
+		}
 	case Int64Variant:
 		if disg.Int == nil {
 			return fmt.Errorf("party: missing int payload from %s", j)
 		}
-		ints, cerr := toInts(col, h.cfg.IntParams)
-		if cerr != nil {
-			return cerr
+		ints, err := toInts(col, h.cfg.IntParams)
+		if err != nil {
+			return err
 		}
-		s.Int, err = h.eng.NumericResponderInt(disg.Int, ints, jk, h.cfg.IntParams, h.cfg.Mode)
+		s.Int = &protocol.Int64Matrix{}
+		fill = func(lo, hi int) error {
+			return h.eng.NumericResponderIntRows(s.Int, disg.Int, ints[lo:hi], lo, jk, h.cfg.IntParams, h.cfg.Mode)
+		}
 	case ModPVariant:
 		if disg.ModP == nil {
 			return fmt.Errorf("party: missing modp payload from %s", j)
 		}
-		ints, cerr := toIntsUnbounded(col)
-		if cerr != nil {
-			return cerr
+		ints, err := toIntsUnbounded(col)
+		if err != nil {
+			return err
 		}
-		s.ModP, err = h.eng.NumericResponderModP(disg.ModP, ints, jk, h.cfg.Mode)
-	}
-	if err != nil {
-		return err
+		s.ModP = &protocol.ElementMatrix{}
+		fill = func(lo, hi int) error {
+			return h.eng.NumericResponderModPRows(s.ModP, disg.ModP, ints[lo:hi], lo, jk, h.cfg.Mode)
+		}
 	}
 	for _, ln := range h.lanes {
 		msg.To = ln.to
 		for _, ch := range h.cfg.pairChunksRange(a.Type, ln.lo, ln.hi, cols) {
-			if err := ln.ep.SendBody(msg, numSView(&s, rows, ch)); err != nil {
+			s.Lo, s.Hi = ch[0], ch[1]
+			if err := fill(s.Lo, s.Hi); err != nil {
+				return err
+			}
+			if err := ln.ep.SendBody(msg, s); err != nil {
 				return err
 			}
 		}
@@ -734,74 +747,51 @@ func numSView(s *numSBody, rows int, ch [2]int) numSBody {
 // self-declared Cols can only produce the shape error — never a
 // rows-amplified allocation.
 func appendNumChunk(mono, chunk *numSBody, ch [2]int, totalRows, censusCols int) error {
-	wantRows := ch[1] - ch[0]
-	grow := func(validate func() error, chunkRows, chunkCols int, monoCols *int) error {
-		if err := validate(); err != nil {
-			return err
-		}
-		if chunkRows != wantRows {
-			return fmt.Errorf("carries %d rows, want %d", chunkRows, wantRows)
-		}
-		// A zero-row chunk (empty responder) carries no usable column
-		// count, matching the monolithic path's census-check exemption.
-		if chunkRows > 0 && chunkCols != censusCols {
-			return fmt.Errorf("has %d columns, census says %d", chunkCols, censusCols)
-		}
-		*monoCols = chunkCols
-		return nil
+	if (chunk.Float == nil && mono.Float != nil) || (chunk.Int == nil && mono.Int != nil) || (chunk.ModP == nil && mono.ModP != nil) {
+		return fmt.Errorf("mixes numeric variants across chunks")
 	}
+	wantRows := ch[1] - ch[0]
 	switch {
 	case chunk.Float != nil:
-		if mono.Int != nil || mono.ModP != nil {
-			return fmt.Errorf("mixes numeric variants across chunks")
-		}
-		first := mono.Float == nil
-		if first {
+		if mono.Float == nil {
 			mono.Float = &protocol.Float64Matrix{}
 		}
-		if err := grow(chunk.Float.Validate, chunk.Float.Rows, chunk.Float.Cols, &mono.Float.Cols); err != nil {
-			return err
-		}
-		if first {
-			mono.Float.Cell = make([]float64, 0, totalRows*mono.Float.Cols)
-		}
-		mono.Float.Cell = append(mono.Float.Cell, chunk.Float.Cell...)
-		mono.Float.Rows += chunk.Float.Rows
+		m, c := mono.Float, chunk.Float
+		return appendRows(&m.Rows, &m.Cols, &m.Cell, c.Validate(), c.Rows, c.Cols, c.Cell, wantRows, totalRows, censusCols)
 	case chunk.Int != nil:
-		if mono.Float != nil || mono.ModP != nil {
-			return fmt.Errorf("mixes numeric variants across chunks")
-		}
-		first := mono.Int == nil
-		if first {
+		if mono.Int == nil {
 			mono.Int = &protocol.Int64Matrix{}
 		}
-		if err := grow(chunk.Int.Validate, chunk.Int.Rows, chunk.Int.Cols, &mono.Int.Cols); err != nil {
-			return err
-		}
-		if first {
-			mono.Int.Cell = make([]int64, 0, totalRows*mono.Int.Cols)
-		}
-		mono.Int.Cell = append(mono.Int.Cell, chunk.Int.Cell...)
-		mono.Int.Rows += chunk.Int.Rows
+		m, c := mono.Int, chunk.Int
+		return appendRows(&m.Rows, &m.Cols, &m.Cell, c.Validate(), c.Rows, c.Cols, c.Cell, wantRows, totalRows, censusCols)
 	case chunk.ModP != nil:
-		if mono.Float != nil || mono.Int != nil {
-			return fmt.Errorf("mixes numeric variants across chunks")
-		}
-		first := mono.ModP == nil
-		if first {
+		if mono.ModP == nil {
 			mono.ModP = &protocol.ElementMatrix{}
 		}
-		if err := grow(chunk.ModP.Validate, chunk.ModP.Rows, chunk.ModP.Cols, &mono.ModP.Cols); err != nil {
-			return err
-		}
-		if first {
-			mono.ModP.Cell = make([][32]byte, 0, totalRows*mono.ModP.Cols)
-		}
-		mono.ModP.Cell = append(mono.ModP.Cell, chunk.ModP.Cell...)
-		mono.ModP.Rows += chunk.ModP.Rows
-	default:
-		return fmt.Errorf("carries no payload")
+		m, c := mono.ModP, chunk.ModP
+		return appendRows(&m.Rows, &m.Cols, &m.Cell, c.Validate(), c.Rows, c.Cols, c.Cell, wantRows, totalRows, censusCols)
 	}
+	return fmt.Errorf("carries no payload")
+}
+
+// appendRows is appendNumChunk for one variant's cell type: the chunk
+// (cRows×cCols, its Validate result in invalid) onto the reassembled matrix.
+func appendRows[T any](rows, cols *int, cell *[]T, invalid error, cRows, cCols int, cCell []T, wantRows, totalRows, censusCols int) error {
+	if invalid != nil {
+		return invalid
+	}
+	if cRows != wantRows {
+		return fmt.Errorf("carries %d rows, want %d", cRows, wantRows)
+	}
+	// A zero-row chunk (empty responder) carries no usable column count,
+	// matching the monolithic path's census-check exemption.
+	if cRows > 0 && cCols != censusCols {
+		return fmt.Errorf("has %d columns, census says %d", cCols, censusCols)
+	}
+	if *cell == nil {
+		*cell = make([]T, 0, totalRows*cCols)
+	}
+	*rows, *cols, *cell = *rows+cRows, cCols, append(*cell, cCell...)
 	return nil
 }
 

@@ -139,6 +139,8 @@ func (c *guardedConduit) Recv() ([]byte, error) {
 	return f, nil
 }
 
+func (c *guardedConduit) RecvOwned() bool { return wire.RecvOwned(c.inner) }
+
 func (c *guardedConduit) Close() error { return c.inner.Close() }
 
 // touch marks progress; the watchdog only fires when a full PhaseTimeout

@@ -295,7 +295,7 @@ func (c *colsTamperConduit) Send(frame []byte) error {
 		return c.Conduit.Send(frame)
 	}
 	c.done = true
-	var body numSBody
+	var body numDisguisedBody // numSBody's layout, decoded into a matrix
 	if err := wire.DecodeBody(m.Payload, &body); err != nil || body.Float == nil {
 		return c.Conduit.Send(frame)
 	}

@@ -368,13 +368,17 @@ func shardRowsOf(lo, hi, off, n int) (int, int) {
 // global budget before letting a session start. It is a deliberate
 // overestimate built from the same constants that size the pipeline:
 //
-//   - the assembled matrices: nAttr normalized attribute matrices plus
-//     one merged matrix, each a condensed float64 triangle of
-//     totalObjects·(totalObjects−1)/2 cells;
+//   - the resident triangles, each a condensed float64 triangle of
+//     totalObjects·(totalObjects−1)/2 cells: nAttr attribute matrices,
+//     assembled in place as their chunks arrive and normalized where they
+//     lie, plus one — the merged matrix, or, when a single non-zero weight
+//     makes the merge the attribute matrix itself, the linkage engine's
+//     working copy;
 //   - the demux mailboxes: numHolders demultiplexers × (nAttr+1) lanes ×
 //     laneBuffer frames, each up to one chunk;
-//   - stage scratch: pipelineDepth stages, each decoding, evaluating and
-//     installing a few chunk-sized buffers at once.
+//   - the pipeline stages: pipelineDepth of them, each holding the frame
+//     it is consuming (the payload is read where it lies) and one engine's
+//     mask scratch — priced at four chunks apiece, which is mostly slack.
 //
 // Sharding does NOT multiply the matrix term: the K shard slices of one
 // attribute partition its triangle, so all slices resident before the
@@ -616,26 +620,15 @@ type groupKeyBody struct {
 // the packed cells of triangle rows [Lo, Hi), streamed in the shared
 // localChunksRange schedule (a single chunk per lane under a monolithic
 // configuration). N is the full object count, repeated per chunk so every
-// frame validates against the census on its own.
+// frame validates against the census on its own. A holder sends Cells; a
+// decoded chunk keeps its cell block where it arrived (wire, 8
+// little-endian bytes a cell, aliasing the payload) for the assembler to
+// read straight into the triangle.
 type localBody struct {
 	N      int
 	Lo, Hi int
 	Cells  []float64
-}
-
-// numDisguisedBody is one chunk of the initiator→responder numeric
-// message: rows [Lo, Hi) of the disguised matrix, streamed in the shared
-// pairChunksRange schedule — the same budget that bounds responder→TP frames,
-// so no session message grows with the partition. Rows is the full
-// disguised row count (the responder's census count in per-pair mode, 1
-// in batch mode), repeated per chunk so every frame validates on its own;
-// exactly one variant pointer is set, holding the (Hi−Lo)×cols sub-matrix.
-type numDisguisedBody struct {
-	Rows   int
-	Lo, Hi int
-	Int    *protocol.Int64Matrix
-	Float  *protocol.Float64Matrix
-	ModP   *protocol.ElementMatrix
+	wire   []byte
 }
 
 // numSBody is one chunk of the responder→TP numeric message: rows
@@ -643,15 +636,28 @@ type numDisguisedBody struct {
 // pairChunksRange schedule (a single chunk per lane under a monolithic
 // configuration). Rows is the responder's full object count,
 // repeated per chunk so every frame validates against the census on its
-// own; exactly one variant pointer is set, holding the (Hi−Lo)×cols
-// sub-matrix.
+// own. A sender sets exactly one variant pointer, holding the (Hi−Lo)×cols
+// sub-matrix; a decoded chunk keeps the variant byte and the cell block
+// where it arrived (wire aliases the payload) for the protocol engine to
+// evaluate in place.
 type numSBody struct {
-	Rows   int
-	Lo, Hi int
-	Int    *protocol.Int64Matrix
-	Float  *protocol.Float64Matrix
-	ModP   *protocol.ElementMatrix
+	Rows    int
+	Lo, Hi  int
+	Int     *protocol.Int64Matrix
+	Float   *protocol.Float64Matrix
+	ModP    *protocol.ElementMatrix
+	variant byte
+	wire    protocol.NumericChunk
 }
+
+// numDisguisedBody is one chunk of the initiator→responder numeric
+// message: rows [Lo, Hi) of the disguised matrix, streamed in the shared
+// pairChunksRange schedule — the same budget that bounds responder→TP frames,
+// so no session message grows with the partition. Rows is the full
+// disguised row count (the responder's census count in per-pair mode, 1
+// in batch mode). It has numSBody's layout, but the responder combines it
+// with its own column as a matrix, so it decodes into the variant pointer.
+type numDisguisedBody numSBody
 
 // alphaDisguisedBody is the initiator→responder alphanumeric message.
 type alphaDisguisedBody struct {

@@ -15,6 +15,9 @@ package party
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
+	"testing"
 
 	"ppclust/internal/alphabet"
 	"ppclust/internal/dataset"
@@ -118,7 +121,7 @@ func (tp *ThirdParty) recvLocalSerial(asm *dissim.Assembler, src attrSource, hi 
 			return fmt.Errorf("party: %s local chunk %d covers rows [%d,%d), schedule says [%d,%d)",
 				h, ci, body.Lo, body.Hi, ch[0], ch[1])
 		}
-		mono = append(mono, body.Cells...)
+		mono = append(mono, float64s(body.wire)...)
 	}
 	local, err := dissim.FromPacked(n, mono)
 	if err != nil {
@@ -166,14 +169,16 @@ func (tp *ThirdParty) recvPairSerial(eng *protocol.Engine, asm *dissim.Assembler
 	} else {
 		var mono numSBody
 		for ci, ch := range chunks {
-			var body numSBody
+			// The disguised body has the S chunk's layout and decodes it the
+			// old way, into a matrix.
+			var body numDisguisedBody
 			if _, err := src.expect(ki, kindNumS, &body); err != nil {
 				return err
 			}
 			if err := checkPairChunk(j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
 				return err
 			}
-			if err := appendNumChunk(&mono, &body, ch, rows, cols); err != nil {
+			if err := appendNumChunk(&mono, (*numSBody)(&body), ch, rows, cols); err != nil {
 				return fmt.Errorf("party: %s pair (%s,%s) chunk %d: %w", k, j, k, ci, err)
 			}
 		}
@@ -300,4 +305,247 @@ func alphaThreePass(chunks []protocol.AlphaChunk, a *alphabet.Alphabet, jt rng.S
 		}
 	}
 	return out, nil
+}
+
+// numericForms is one arithmetic variant's protocol steps in both shapes:
+// the whole-matrix forms — the oracles — and the row forms the session
+// runs, the responder's writing into a reused chunk body and the third
+// party's reading a decoded one.
+type numericForms struct {
+	variant      Variant
+	initiate     func(e *protocol.Engine, xs []int64, jk, jt rng.Stream, mode protocol.Mode, rows int) (numSBody, error)
+	respondWhole func(e *protocol.Engine, disg numSBody, ys []int64, jk rng.Stream, mode protocol.Mode) (numSBody, error)
+	respondRows  func(e *protocol.Engine, s *numSBody, disg numSBody, ys []int64, lo int, jk rng.Stream, mode protocol.Mode) error
+	tpWhole      func(e *protocol.Engine, s numSBody, jt rng.Stream, mode protocol.Mode) (func(m, n int) float64, error)
+	tpChunk      func(e *protocol.Engine, c protocol.NumericChunk, lo, hi int, jt rng.Stream, mode protocol.Mode) (protocol.RowFunc, error)
+	advance      func(e *protocol.Engine, jt rng.Stream, rows, cols int, mode protocol.Mode)
+}
+
+func floats(vs []int64) []float64 {
+	out := make([]float64, len(vs))
+	for i, v := range vs {
+		out[i] = float64(v)
+	}
+	return out
+}
+
+var allNumericForms = []numericForms{{
+	variant: Float64Variant,
+	initiate: func(e *protocol.Engine, xs []int64, jk, jt rng.Stream, mode protocol.Mode, rows int) (b numSBody, err error) {
+		b.Float, err = e.NumericInitiatorFloat(floats(xs), jk, jt, protocol.DefaultFloatParams, mode, rows)
+		return b, err
+	},
+	respondWhole: func(e *protocol.Engine, disg numSBody, ys []int64, jk rng.Stream, mode protocol.Mode) (b numSBody, err error) {
+		b.Float, err = e.NumericResponderFloat(disg.Float, floats(ys), jk, protocol.DefaultFloatParams, mode)
+		return b, err
+	},
+	respondRows: func(e *protocol.Engine, s *numSBody, disg numSBody, ys []int64, lo int, jk rng.Stream, mode protocol.Mode) error {
+		if s.Float == nil {
+			s.Float = &protocol.Float64Matrix{}
+		}
+		return e.NumericResponderFloatRows(s.Float, disg.Float, floats(ys), lo, jk, protocol.DefaultFloatParams, mode)
+	},
+	tpWhole: func(e *protocol.Engine, s numSBody, jt rng.Stream, mode protocol.Mode) (func(m, n int) float64, error) {
+		d, err := e.NumericThirdPartyFloat(s.Float, jt, protocol.DefaultFloatParams, mode)
+		return func(m, n int) float64 { return d.At(m, n) }, err
+	},
+	tpChunk: func(e *protocol.Engine, c protocol.NumericChunk, lo, hi int, jt rng.Stream, mode protocol.Mode) (protocol.RowFunc, error) {
+		return e.NumericThirdPartyFloatChunk(c, lo, hi, jt, protocol.DefaultFloatParams, mode)
+	},
+	advance: func(e *protocol.Engine, jt rng.Stream, rows, cols int, mode protocol.Mode) {
+		e.AdvanceThirdPartyFloat(jt, rows, cols, protocol.DefaultFloatParams, mode)
+	},
+}, {
+	variant: Int64Variant,
+	initiate: func(e *protocol.Engine, xs []int64, jk, jt rng.Stream, mode protocol.Mode, rows int) (b numSBody, err error) {
+		b.Int, err = e.NumericInitiatorInt(xs, jk, jt, protocol.DefaultIntParams, mode, rows)
+		return b, err
+	},
+	respondWhole: func(e *protocol.Engine, disg numSBody, ys []int64, jk rng.Stream, mode protocol.Mode) (b numSBody, err error) {
+		b.Int, err = e.NumericResponderInt(disg.Int, ys, jk, protocol.DefaultIntParams, mode)
+		return b, err
+	},
+	respondRows: func(e *protocol.Engine, s *numSBody, disg numSBody, ys []int64, lo int, jk rng.Stream, mode protocol.Mode) error {
+		if s.Int == nil {
+			s.Int = &protocol.Int64Matrix{}
+		}
+		return e.NumericResponderIntRows(s.Int, disg.Int, ys, lo, jk, protocol.DefaultIntParams, mode)
+	},
+	tpWhole: func(e *protocol.Engine, s numSBody, jt rng.Stream, mode protocol.Mode) (func(m, n int) float64, error) {
+		d, err := e.NumericThirdPartyInt(s.Int, jt, protocol.DefaultIntParams, mode)
+		return func(m, n int) float64 { return float64(d.At(m, n)) }, err
+	},
+	tpChunk: func(e *protocol.Engine, c protocol.NumericChunk, lo, hi int, jt rng.Stream, mode protocol.Mode) (protocol.RowFunc, error) {
+		return e.NumericThirdPartyIntChunk(c, lo, hi, jt, protocol.DefaultIntParams, mode)
+	},
+	advance: func(e *protocol.Engine, jt rng.Stream, rows, cols int, mode protocol.Mode) {
+		e.AdvanceThirdPartyInt(jt, rows, cols, protocol.DefaultIntParams, mode)
+	},
+}, {
+	variant: ModPVariant,
+	initiate: func(e *protocol.Engine, xs []int64, jk, jt rng.Stream, mode protocol.Mode, rows int) (b numSBody, err error) {
+		b.ModP, err = e.NumericInitiatorModP(xs, jk, jt, mode, rows)
+		return b, err
+	},
+	respondWhole: func(e *protocol.Engine, disg numSBody, ys []int64, jk rng.Stream, mode protocol.Mode) (b numSBody, err error) {
+		b.ModP, err = e.NumericResponderModP(disg.ModP, ys, jk, mode)
+		return b, err
+	},
+	respondRows: func(e *protocol.Engine, s *numSBody, disg numSBody, ys []int64, lo int, jk rng.Stream, mode protocol.Mode) error {
+		if s.ModP == nil {
+			s.ModP = &protocol.ElementMatrix{}
+		}
+		return e.NumericResponderModPRows(s.ModP, disg.ModP, ys, lo, jk, mode)
+	},
+	tpWhole: func(e *protocol.Engine, s numSBody, jt rng.Stream, mode protocol.Mode) (func(m, n int) float64, error) {
+		d, err := e.NumericThirdPartyModP(s.ModP, jt, mode)
+		return func(m, n int) float64 { return float64(d.At(m, n)) }, err
+	},
+	tpChunk: func(e *protocol.Engine, c protocol.NumericChunk, lo, hi int, jt rng.Stream, mode protocol.Mode) (protocol.RowFunc, error) {
+		return e.NumericThirdPartyModPChunk(c, lo, hi, jt, mode)
+	},
+	advance: func(e *protocol.Engine, jt rng.Stream, rows, cols int, mode protocol.Mode) {
+		e.AdvanceThirdPartyModP(jt, rows, cols, mode)
+	},
+}}
+
+// TestRowFormsMatchWholeMatrixOracles drives one pair's comparison traffic
+// the way the session does — local triangles built a row range at a time,
+// the responder's S rows produced per chunk into reused storage, every
+// chunk through its body's codec, local cells read out of the payload and
+// pair chunks unmasked out of it straight into the assembler — and requires
+// the assembled rows to be, bit for bit, what the whole-matrix forms
+// produce: FromLocalPar, NumericResponder*, NumericThirdParty*, installed
+// whole. Every variant, mode, chunk budget and worker count; the whole
+// triangle, and a slice whose first row is in the middle of the responder's
+// block — where a per-pair keystream must be entered mid-stream on both
+// the jk and the jt side.
+func TestRowFormsMatchWholeMatrixOracles(t *testing.T) {
+	const n, m = 13, 9 // initiator and responder counts
+	src := rng.NewXoshiro(rng.SeedFromUint64(2727))
+	xs, ys := make([]int64, n), make([]int64, m)
+	for i := range xs {
+		xs[i] = rng.Int64Range(src, -500, 500)
+	}
+	for i := range ys {
+		ys[i] = rng.Int64Range(src, -500, 500)
+	}
+	values := [][]int64{xs, ys}
+	localDist := func(p int) func(int) func(i, j int) float64 {
+		dist := func(i, j int) float64 { return math.Abs(float64(values[p][i] - values[p][j])) }
+		return func(int) func(i, j int) float64 { return dist }
+	}
+	seedJK, seedJT := rng.SeedFromUint64(71), rng.SeedFromUint64(72)
+	numeric := dataset.Numeric
+
+	for _, f := range allNumericForms {
+		for _, mode := range []protocol.Mode{protocol.Batch, protocol.PerPair} {
+			for _, workers := range []int{1, 2} {
+				e := protocol.NewEngine(workers)
+				disg, err := f.initiate(e, xs, rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT), mode, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The oracle: everything whole.
+				whole, err := dissim.NewAssemblerPar([]int{n, m}, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for p, size := range []int{n, m} {
+					if err := whole.SetLocal(p, dissim.FromLocalPar(size, workers, localDist(p))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s, err := f.respondWhole(e, disg, ys, rng.NewAESCTR(seedJK), mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at, err := f.tpWhole(e, s, rng.NewAESCTR(seedJT), mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := whole.SetCross(0, 1, at); err != nil {
+					t.Fatal(err)
+				}
+				want, err := whole.Done()
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				for _, chunkBytes := range []int{1, 200, 0} {
+					for _, start := range []int{0, 4} { // the slice's first responder row
+						name := fmt.Sprintf("%v %v workers=%d chunk=%d start=%d", f.variant, mode, workers, chunkBytes, start)
+						cfg := Config{Variant: f.variant, LocalChunkBytes: chunkBytes}
+						lo := 0
+						if start > 0 {
+							lo = n + start
+						}
+						asm, err := dissim.NewSliceAssembler([]int{n, m}, lo, n+m, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var cells []float64
+						for p := range values {
+							plo, phi := asm.PartyRows(p)
+							if plo == phi {
+								continue
+							}
+							for _, ch := range cfg.localChunksRange(plo, phi) {
+								cells = dissim.FromLocalRowsPar(cells, ch[0], ch[1], workers, localDist(p))
+								enc, err := wire.EncodeBody(localBody{N: len(values[p]), Lo: ch[0], Hi: ch[1], Cells: cells})
+								if err != nil {
+									t.Fatal(err)
+								}
+								var body localBody
+								if err := wire.DecodeBody(enc, &body); err != nil {
+									t.Fatal(err)
+								}
+								if err := asm.SetLocalRowsLE(p, body.Lo, body.Hi, body.wire); err != nil {
+									t.Fatalf("%s: %v", name, err)
+								}
+							}
+						}
+						jk, jt := rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT)
+						if mode == protocol.PerPair {
+							rng.FillUint64(jk, make([]uint64, start*n))
+						}
+						f.advance(e, jt, start, n, mode)
+						chunk := numSBody{Rows: m}
+						for _, ch := range cfg.pairChunksRange(numeric, start, m, n) {
+							chunk.Lo, chunk.Hi = ch[0], ch[1]
+							if err := f.respondRows(e, &chunk, disg, ys[ch[0]:ch[1]], ch[0], jk, mode); err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							enc, err := wire.EncodeBody(chunk)
+							if err != nil {
+								t.Fatal(err)
+							}
+							var body numSBody
+							if err := wire.DecodeBody(enc, &body); err != nil {
+								t.Fatal(err)
+							}
+							row, err := f.tpChunk(e, body.wire, body.Lo, body.Hi, jt, mode)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if err := asm.SetCrossRowsInto(0, 1, body.Lo, body.Hi, row); err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+						}
+						got, max, err := asm.Done()
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						wantCells := want.PackedRowsView(lo, n+m)
+						if !slices.Equal(got, wantCells) {
+							t.Fatalf("%s: assembled rows differ from the whole-matrix forms'", name)
+						}
+						if wantMax := slices.Max(slices.Concat(wantCells, []float64{0})); max != wantMax {
+							t.Fatalf("%s: running max %v, want %v", name, max, wantMax)
+						}
+					}
+				}
+			}
+		}
+	}
 }

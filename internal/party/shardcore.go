@@ -239,7 +239,7 @@ func (c *shardCore) recvLocalRows(asm *dissim.SliceAssembler, src attrSource, hi
 			return fmt.Errorf("party: %s local chunk %d covers rows [%d,%d), schedule says [%d,%d)",
 				h, ci, body.Lo, body.Hi, ch[0], ch[1])
 		}
-		if err := asm.SetLocalRows(hi, body.Lo, body.Hi, body.Cells); err != nil {
+		if err := asm.SetLocalRowsLE(hi, body.Lo, body.Hi, body.wire); err != nil {
 			return err
 		}
 	}
@@ -265,17 +265,19 @@ func checkPairChunk(j, k string, ci int, sched [2]int, bodyRows, lo, hi, rows in
 
 // recvPairRows consumes the responder→TP S/M chunk frames of one
 // (attribute, pair) covering the scheduled responder row ranges,
-// evaluating each chunk the moment it arrives (the protocol engine's *Rows
+// evaluating each chunk the moment it arrives (the protocol engine's chunk
 // methods, sharing one jt stream per pair so batched keystreams stay
 // aligned — the caller positions jt for a range that starts mid-block) and
 // installing it row-exactly, so unmasking and placement of a pair's block
-// overlap the rest of the payload still on the wire.
+// overlap the rest of the payload still on the wire. A numeric chunk is
+// unmasked from the payload's cells straight into the assembled rows.
 func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssembler, src attrSource, attr, ji, ki int, jt rng.Stream, chunks [][2]int) error {
 	a := c.cfg.Schema.Attrs[attr]
 	j, k := c.holders[ji], c.holders[ki]
 	rows, cols := c.counts[ki], c.counts[ji]
+	variant := [...]byte{Float64Variant: numFloat, Int64Variant: numInt, ModPVariant: numModP}[c.cfg.Variant]
 	for ci, ch := range chunks {
-		var block func(m, n int) float64
+		var row protocol.RowFunc
 		var bRows, bCols int
 		if a.Type == dataset.Alphanumeric {
 			var body alphaMBody
@@ -290,7 +292,12 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssemble
 				return err
 			}
 			bRows, bCols = dists.Rows, dists.Cols
-			block = func(m, n int) float64 { return float64(dists.At(m, n)) }
+			row = func(r int, dst []float64) error {
+				for n, d := range dists.Cell[r*dists.Cols : (r+1)*dists.Cols] {
+					dst[n] = float64(d)
+				}
+				return nil
+			}
 		} else {
 			var body numSBody
 			if _, err := src.expect(ki, kindNumS, &body); err != nil {
@@ -299,44 +306,28 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssemble
 			if err := checkPairChunk(j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
 				return err
 			}
+			if body.variant != variant {
+				return fmt.Errorf("party: missing %s payload from %s", c.cfg.Variant, k)
+			}
+			var err error
 			switch c.cfg.Variant {
 			case Float64Variant:
-				if body.Float == nil {
-					return fmt.Errorf("party: missing float payload from %s", k)
-				}
-				dists, err := eng.NumericThirdPartyFloatRows(body.Float, ch[0], ch[1], jt, c.cfg.FloatParams, c.cfg.Mode)
-				if err != nil {
-					return err
-				}
-				bRows, bCols = dists.Rows, dists.Cols
-				block = func(m, n int) float64 { return dists.At(m, n) }
+				row, err = eng.NumericThirdPartyFloatChunk(body.wire, ch[0], ch[1], jt, c.cfg.FloatParams, c.cfg.Mode)
 			case Int64Variant:
-				if body.Int == nil {
-					return fmt.Errorf("party: missing int payload from %s", k)
-				}
-				dists, err := eng.NumericThirdPartyIntRows(body.Int, ch[0], ch[1], jt, c.cfg.IntParams, c.cfg.Mode)
-				if err != nil {
-					return err
-				}
-				bRows, bCols = dists.Rows, dists.Cols
-				block = func(m, n int) float64 { return float64(dists.At(m, n)) }
+				row, err = eng.NumericThirdPartyIntChunk(body.wire, ch[0], ch[1], jt, c.cfg.IntParams, c.cfg.Mode)
 			case ModPVariant:
-				if body.ModP == nil {
-					return fmt.Errorf("party: missing modp payload from %s", k)
-				}
-				dists, err := eng.NumericThirdPartyModPRows(body.ModP, ch[0], ch[1], jt, c.cfg.Mode)
-				if err != nil {
-					return err
-				}
-				bRows, bCols = dists.Rows, dists.Cols
-				block = func(m, n int) float64 { return float64(dists.At(m, n)) }
+				row, err = eng.NumericThirdPartyModPChunk(body.wire, ch[0], ch[1], jt, c.cfg.Mode)
 			}
+			if err != nil {
+				return err
+			}
+			bRows, bCols = body.wire.Rows, body.wire.Cols
 		}
 		if bRows > 0 && bCols != cols {
 			return fmt.Errorf("party: block (%s,%s) rows [%d,%d) have %d columns, census says %d",
 				j, k, ch[0], ch[1], bCols, cols)
 		}
-		if err := asm.SetCrossRows(ji, ki, ch[0], ch[1], block); err != nil {
+		if err := asm.SetCrossRowsInto(ji, ki, ch[0], ch[1], row); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,7 @@ package protocol
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ppclust/internal/parallel"
 	"ppclust/internal/rng"
@@ -148,55 +149,114 @@ func NumericResponderInt(disguised *Int64Matrix, values []int64, jk rng.Stream, 
 	return NewEngine(1).NumericResponderInt(disguised, values, jk, params, mode)
 }
 
-// NumericResponderInt is Figure 5 on the engine. In batch mode every row
-// re-reads the same rngJK prefix (the paper's per-row re-initialization),
-// so the engine draws that prefix once — collapsing O(rows·cols)
-// keystream work to O(cols) — and leaves jk rewound exactly as the serial
-// per-row Reseed discipline does.
+// NumericResponderInt is Figure 5 on the engine: NumericResponderIntRows
+// over every row at once.
 func (e *Engine) NumericResponderInt(disguised *Int64Matrix, values []int64, jk rng.Stream, params IntParams, mode Mode) (*Int64Matrix, error) {
-	if err := disguised.Validate(); err != nil {
-		return nil, err
-	}
-	if err := params.validate(values); err != nil {
-		return nil, err
-	}
-	if mode == Batch && disguised.Rows != 1 {
-		return nil, fmt.Errorf("protocol: batch mode expects a 1-row disguised vector, got %d rows", disguised.Rows)
-	}
 	if mode == PerPair && disguised.Rows != len(values) {
 		return nil, fmt.Errorf("protocol: per-pair mode expects %d disguised rows, got %d", len(values), disguised.Rows)
 	}
-	rows, cols := len(values), disguised.Cols
-	s := NewInt64Matrix(rows, cols)
-	if rows == 0 {
-		return s, nil
+	s := &Int64Matrix{}
+	if err := e.NumericResponderIntRows(s, disguised, values, 0, jk, params, mode); err != nil {
+		return nil, err
 	}
-	var signs []uint64
-	if mode == Batch {
-		signs = e.u64buf(cols)
-		rng.FillUint64(jk, signs)
-	} else {
-		signs = e.u64buf(rows * cols)
-		rng.FillUint64(jk, signs)
+	return s, nil
+}
+
+// NumericResponderIntRows is Figure 5 for the responder rows
+// [lo, lo+len(values)) alone: values holds those rows' own values and s
+// receives exactly their rows of the comparison matrix, in storage it
+// reuses from call to call, so a responder streaming S a chunk at a time
+// holds one chunk. Sign alignment mirrors the third party's chunk
+// evaluation (rows.go): in batch mode every row re-reads the same rngJK
+// prefix (the paper's per-row re-initialization), so a call draws it once
+// and leaves jk rewound; in per-pair mode a call advances jk by its own
+// rows·cols draws, so calls in ascending row order from row 0 on one
+// stream consume exactly what the whole-matrix pass consumes.
+func (e *Engine) NumericResponderIntRows(s, disguised *Int64Matrix, values []int64, lo int, jk rng.Stream, params IntParams, mode Mode) (err error) {
+	if err = disguised.Validate(); err == nil {
+		err = params.validate(values)
 	}
-	parallel.Range(e.workers, rows, func(_, lo, hi int) {
-		for m := lo; m < hi; m++ {
-			y := values[m]
-			srcBase, signBase := 0, 0
-			if mode == PerPair {
-				srcBase, signBase = m*cols, m*cols
-			}
-			dst := s.Cell[m*cols : (m+1)*cols]
-			src := disguised.Cell[srcBase : srcBase+cols]
-			for n := 0; n < cols; n++ {
-				dst[n] = src[n] + y*negSignResponder(signs[signBase+n])
+	if err != nil {
+		return err
+	}
+	s.Rows, s.Cols = len(values), disguised.Cols
+	s.Cell, err = respondRows(e, s.Cell, disguised.Cell, disguised.Rows, s.Cols, values, lo, jk, mode)
+	return err
+}
+
+// respondRows is the arithmetic of Figure 5 for both machine-word
+// variants: s[m][n] = disguised(lo+m, n) + values[m]·σ̄, written into
+// cell's storage when it suffices.
+func respondRows[T int64 | float64](e *Engine, cell, disguised []T, disguisedRows, cols int, values []T, lo int, jk rng.Stream, mode Mode) ([]T, error) {
+	rows := len(values)
+	if err := disguisedCovers(disguisedRows, lo, rows, mode); err != nil {
+		return nil, err
+	}
+	cell = resize(cell, rows*cols)
+	signs := e.signs(jk, rows, cols, mode)
+	parallel.Range(e.workers, rows, func(_, from, to int) {
+		for m := from; m < to; m++ {
+			y, dst := values[m], cell[m*cols:(m+1)*cols]
+			src, sign := drawRow(disguised, lo+m, cols, mode), drawRow(signs, m, cols, mode)
+			for n := range dst {
+				dst[n] = src[n] + y*T(negSignResponder(sign[n]))
 			}
 		}
 	})
-	if mode == Batch {
-		jk.Reseed()
+	return cell, nil
+}
+
+// keystream draws what a protocol step over rows×cols cells consumes of a
+// shared generator — one row's worth, re-read by every row, in batch mode
+// (the stream is left rewound); one value per cell in per-pair mode — into
+// an engine buffer.
+func keystream[T any](g rng.Stream, buf func(int) []T, fill func([]T), rows, cols int, mode Mode) []T {
+	if rows == 0 {
+		return nil
 	}
-	return s, nil
+	n := cols
+	if mode == PerPair {
+		n = rows * cols
+	}
+	out := buf(n)
+	fill(out)
+	if mode == Batch {
+		g.Reseed()
+	}
+	return out
+}
+
+// signs draws the responder's parities.
+func (e *Engine) signs(jk rng.Stream, rows, cols int, mode Mode) []uint64 {
+	return keystream(jk, e.u64buf, func(s []uint64) { rng.FillUint64(jk, s) }, rows, cols, mode)
+}
+
+// disguisedCovers checks that a disguised matrix of the given row count
+// serves responder rows [lo, lo+rows): the one masked row of batch mode,
+// or a row per responder object in per-pair mode.
+func disguisedCovers(disguisedRows, lo, rows int, mode Mode) error {
+	if mode == Batch && disguisedRows != 1 {
+		return fmt.Errorf("protocol: batch mode expects a 1-row disguised vector, got %d rows", disguisedRows)
+	}
+	if mode == PerPair && (lo < 0 || lo+rows > disguisedRows) {
+		return fmt.Errorf("protocol: per-pair mode: rows [%d,%d) outside the %d disguised rows", lo, lo+rows, disguisedRows)
+	}
+	return nil
+}
+
+// drawRow is row m's share of a keystream buffer, or of a disguised matrix,
+// which has the same shape.
+func drawRow[T any](buf []T, m, cols int, mode Mode) []T {
+	if mode == PerPair {
+		return buf[m*cols : (m+1)*cols]
+	}
+	return buf[:cols]
+}
+
+// resize returns cell with length n and unspecified contents, reusing its
+// storage when it suffices.
+func resize[T any](cell []T, n int) []T {
+	return slices.Grow(cell[:0], n)[:n]
 }
 
 // NumericThirdPartyInt is Figure 6, run at site TP over integer data. It
@@ -214,43 +274,37 @@ func (e *Engine) NumericThirdPartyInt(s *Int64Matrix, jt rng.Stream, params IntP
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if params.MaskRange <= 0 {
-		return nil, fmt.Errorf("protocol: MaskRange %d must be positive", params.MaskRange)
+	masks, err := e.intMasks(jt, s.Rows, s.Cols, params, mode)
+	if err != nil {
+		return nil, err
 	}
 	rows, cols := s.Rows, s.Cols
 	out := NewInt64Matrix(rows, cols)
-	if rows == 0 {
-		return out, nil
-	}
-	var masks []int64
-	if mode == Batch {
-		masks = e.i64buf(cols)
-		rng.FillInt64n(jt, masks, params.MaskRange)
-	} else {
-		masks = e.i64buf(rows * cols)
-		rng.FillInt64n(jt, masks, params.MaskRange)
-	}
 	parallel.Range(e.workers, rows, func(_, lo, hi int) {
 		for m := lo; m < hi; m++ {
-			maskBase := 0
-			if mode == PerPair {
-				maskBase = m * cols
-			}
-			src := s.Cell[m*cols : (m+1)*cols]
-			dst := out.Cell[m*cols : (m+1)*cols]
-			for n := 0; n < cols; n++ {
-				d := src[n] - masks[maskBase+n]
-				if d < 0 {
-					d = -d
-				}
-				dst[n] = d
+			mask := drawRow(masks, m, cols, mode)
+			src, dst := s.Cell[m*cols:(m+1)*cols], out.Cell[m*cols:(m+1)*cols]
+			for n := range dst {
+				dst[n] = absInt64(src[n] - mask[n])
 			}
 		}
 	})
-	if mode == Batch {
-		jt.Reseed()
-	}
 	return out, nil
+}
+
+// intMasks regenerates the masks Figure 6 strips from rows×cols cells.
+func (e *Engine) intMasks(jt rng.Stream, rows, cols int, params IntParams, mode Mode) ([]int64, error) {
+	if params.MaskRange <= 0 {
+		return nil, fmt.Errorf("protocol: MaskRange %d must be positive", params.MaskRange)
+	}
+	return keystream(jt, e.i64buf, func(m []int64) { rng.FillInt64n(jt, m, params.MaskRange) }, rows, cols, mode), nil
+}
+
+func absInt64(d int64) int64 {
+	if d < 0 {
+		return -d
+	}
+	return d
 }
 
 // FloatParams bounds the real-valued numeric protocol. Masks are drawn
@@ -325,50 +379,30 @@ func NumericResponderFloat(disguised *Float64Matrix, values []float64, jk rng.St
 }
 
 // NumericResponderFloat is Figure 5 over reals on the engine; see
-// NumericResponderInt for the batching contract.
+// NumericResponderInt.
 func (e *Engine) NumericResponderFloat(disguised *Float64Matrix, values []float64, jk rng.Stream, params FloatParams, mode Mode) (*Float64Matrix, error) {
-	if err := disguised.Validate(); err != nil {
-		return nil, err
-	}
-	if err := params.validate(values); err != nil {
-		return nil, err
-	}
-	if mode == Batch && disguised.Rows != 1 {
-		return nil, fmt.Errorf("protocol: batch mode expects a 1-row disguised vector, got %d rows", disguised.Rows)
-	}
 	if mode == PerPair && disguised.Rows != len(values) {
 		return nil, fmt.Errorf("protocol: per-pair mode expects %d disguised rows, got %d", len(values), disguised.Rows)
 	}
-	rows, cols := len(values), disguised.Cols
-	s := NewFloat64Matrix(rows, cols)
-	if rows == 0 {
-		return s, nil
-	}
-	var signs []uint64
-	if mode == Batch {
-		signs = e.u64buf(cols)
-	} else {
-		signs = e.u64buf(rows * cols)
-	}
-	rng.FillUint64(jk, signs)
-	parallel.Range(e.workers, rows, func(_, lo, hi int) {
-		for m := lo; m < hi; m++ {
-			y := values[m]
-			srcBase, signBase := 0, 0
-			if mode == PerPair {
-				srcBase, signBase = m*cols, m*cols
-			}
-			dst := s.Cell[m*cols : (m+1)*cols]
-			src := disguised.Cell[srcBase : srcBase+cols]
-			for n := 0; n < cols; n++ {
-				dst[n] = src[n] + y*float64(negSignResponder(signs[signBase+n]))
-			}
-		}
-	})
-	if mode == Batch {
-		jk.Reseed()
+	s := &Float64Matrix{}
+	if err := e.NumericResponderFloatRows(s, disguised, values, 0, jk, params, mode); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// NumericResponderFloatRows is the real-valued form of
+// NumericResponderIntRows.
+func (e *Engine) NumericResponderFloatRows(s, disguised *Float64Matrix, values []float64, lo int, jk rng.Stream, params FloatParams, mode Mode) (err error) {
+	if err = disguised.Validate(); err == nil {
+		err = params.validate(values)
+	}
+	if err != nil {
+		return err
+	}
+	s.Rows, s.Cols = len(values), disguised.Cols
+	s.Cell, err = respondRows(e, s.Cell, disguised.Cell, disguised.Rows, s.Cols, values, lo, jk, mode)
+	return err
 }
 
 // NumericThirdPartyFloat is Figure 6 over real-valued data.
@@ -382,39 +416,33 @@ func (e *Engine) NumericThirdPartyFloat(s *Float64Matrix, jt rng.Stream, params 
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if !(params.MaskRange > 0) {
-		return nil, fmt.Errorf("protocol: MaskRange %v must be positive", params.MaskRange)
+	masks, err := e.floatMasks(jt, s.Rows, s.Cols, params, mode)
+	if err != nil {
+		return nil, err
 	}
 	rows, cols := s.Rows, s.Cols
 	out := NewFloat64Matrix(rows, cols)
-	if rows == 0 {
-		return out, nil
-	}
-	var masks []float64
-	if mode == Batch {
-		masks = e.f64buf(cols)
-	} else {
-		masks = e.f64buf(rows * cols)
-	}
-	rng.FillFloat64(jt, masks)
-	for i := range masks {
-		masks[i] *= params.MaskRange
-	}
 	parallel.Range(e.workers, rows, func(_, lo, hi int) {
 		for m := lo; m < hi; m++ {
-			maskBase := 0
-			if mode == PerPair {
-				maskBase = m * cols
-			}
-			src := s.Cell[m*cols : (m+1)*cols]
-			dst := out.Cell[m*cols : (m+1)*cols]
-			for n := 0; n < cols; n++ {
-				dst[n] = math.Abs(src[n] - masks[maskBase+n])
+			mask := drawRow(masks, m, cols, mode)
+			src, dst := s.Cell[m*cols:(m+1)*cols], out.Cell[m*cols:(m+1)*cols]
+			for n := range dst {
+				dst[n] = math.Abs(src[n] - mask[n])
 			}
 		}
 	})
-	if mode == Batch {
-		jt.Reseed()
-	}
 	return out, nil
+}
+
+// floatMasks is the real-valued form of intMasks.
+func (e *Engine) floatMasks(jt rng.Stream, rows, cols int, params FloatParams, mode Mode) ([]float64, error) {
+	if !(params.MaskRange > 0) {
+		return nil, fmt.Errorf("protocol: MaskRange %v must be positive", params.MaskRange)
+	}
+	return keystream(jt, e.f64buf, func(m []float64) {
+		rng.FillFloat64(jt, m)
+		for i := range m {
+			m[i] *= params.MaskRange
+		}
+	}, rows, cols, mode), nil
 }

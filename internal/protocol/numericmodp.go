@@ -93,44 +93,44 @@ func NumericResponderModP(disguised *ElementMatrix, values []int64, jk rng.Strea
 	return NewEngine(1).NumericResponderModP(disguised, values, jk, mode)
 }
 
-// NumericResponderModP is Figure 5 in Z_p on the engine; the batch-mode
-// parity prefix is drawn once (see NumericResponderInt).
+// NumericResponderModP is Figure 5 in Z_p on the engine; see
+// NumericResponderInt.
 func (eng *Engine) NumericResponderModP(disguised *ElementMatrix, values []int64, jk rng.Stream, mode Mode) (*ElementMatrix, error) {
-	if err := disguised.Validate(); err != nil {
-		return nil, err
-	}
-	if mode == Batch && disguised.Rows != 1 {
-		return nil, fmt.Errorf("protocol: batch mode expects a 1-row disguised vector, got %d rows", disguised.Rows)
-	}
 	if mode == PerPair && disguised.Rows != len(values) {
 		return nil, fmt.Errorf("protocol: per-pair mode expects %d disguised rows, got %d", len(values), disguised.Rows)
 	}
+	s := &ElementMatrix{}
+	if err := eng.NumericResponderModPRows(s, disguised, values, 0, jk, mode); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// NumericResponderModPRows is the Z_p form of NumericResponderIntRows.
+func (eng *Engine) NumericResponderModPRows(s, disguised *ElementMatrix, values []int64, lo int, jk rng.Stream, mode Mode) error {
+	if err := disguised.Validate(); err != nil {
+		return err
+	}
 	rows, cols := len(values), disguised.Cols
-	s := NewElementMatrix(rows, cols)
-	if rows == 0 {
-		return s, nil
+	if err := disguisedCovers(disguised.Rows, lo, rows, mode); err != nil {
+		return err
 	}
-	var signs []uint64
-	if mode == Batch {
-		signs = eng.u64buf(cols)
-	} else {
-		signs = eng.u64buf(rows * cols)
-	}
-	rng.FillUint64(jk, signs)
-	err := parallel.RangeErr(eng.workers, rows, func(_, lo, hi int) error {
-		for m := lo; m < hi; m++ {
-			y := values[m]
-			srcRow, signBase := 0, 0
+	s.Rows, s.Cols, s.Cell = rows, cols, resize(s.Cell, rows*cols)
+	signs := eng.signs(jk, rows, cols, mode)
+	return parallel.RangeErr(eng.workers, rows, func(_, from, to int) error {
+		for m := from; m < to; m++ {
+			srcRow := 0
 			if mode == PerPair {
-				srcRow, signBase = m, m*cols
+				srcRow = lo + m
 			}
+			sign := drawRow(signs, m, cols, mode)
 			for n := 0; n < cols; n++ {
 				d, err := disguised.At(srcRow, n)
 				if err != nil {
 					return fmt.Errorf("protocol: disguised(%d,%d): %w", srcRow, n, err)
 				}
-				e := modp.FromInt64(y)
-				if negSignResponder(signs[signBase+n]) < 0 {
+				e := modp.FromInt64(values[m])
+				if negSignResponder(sign[n]) < 0 {
 					e = e.Neg()
 				}
 				s.Set(m, n, d.Add(e))
@@ -138,13 +138,6 @@ func (eng *Engine) NumericResponderModP(disguised *ElementMatrix, values []int64
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if mode == Batch {
-		jk.Reseed()
-	}
-	return s, nil
 }
 
 // NumericThirdPartyModP is Figure 6 in Z_p: subtract the regenerated mask
@@ -162,31 +155,14 @@ func (eng *Engine) NumericThirdPartyModP(s *ElementMatrix, jt rng.Stream, mode M
 	}
 	rows, cols := s.Rows, s.Cols
 	out := NewInt64Matrix(rows, cols)
-	if rows == 0 {
-		return out, nil
-	}
-	maskCount := cols
-	if mode == PerPair {
-		maskCount = rows * cols
-	}
-	masks := eng.elembuf(maskCount)
-	for i := range masks {
-		masks[i] = modp.Random(jt)
-	}
+	masks := eng.modpMasks(jt, rows, cols, mode)
 	err := parallel.RangeErr(eng.workers, rows, func(_, lo, hi int) error {
 		for m := lo; m < hi; m++ {
-			maskBase := 0
-			if mode == PerPair {
-				maskBase = m * cols
-			}
+			mask := drawRow(masks, m, cols, mode)
 			for n := 0; n < cols; n++ {
-				v, err := s.At(m, n)
+				abs, err := unmaskModP(s.Cell[m*cols+n], mask[n], m, n)
 				if err != nil {
-					return fmt.Errorf("protocol: s(%d,%d): %w", m, n, err)
-				}
-				abs, err := v.Sub(masks[maskBase+n]).AbsInt64()
-				if err != nil {
-					return fmt.Errorf("protocol: decoding distance (%d,%d): %w", m, n, err)
+					return err
 				}
 				out.Set(m, n, abs)
 			}
@@ -196,8 +172,28 @@ func (eng *Engine) NumericThirdPartyModP(s *ElementMatrix, jt rng.Stream, mode M
 	if err != nil {
 		return nil, err
 	}
-	if mode == Batch {
-		jt.Reseed()
-	}
 	return out, nil
+}
+
+// modpMasks is the Z_p form of intMasks.
+func (eng *Engine) modpMasks(jt rng.Stream, rows, cols int, mode Mode) []modp.Element {
+	return keystream(jt, eng.elembuf, func(m []modp.Element) {
+		for i := range m {
+			m[i] = modp.Random(jt)
+		}
+	}, rows, cols, mode)
+}
+
+// unmaskModP strips the mask from the cell at chunk position (m, n) and
+// decodes |x−y| from the signed embedding.
+func unmaskModP(cell [32]byte, mask modp.Element, m, n int) (int64, error) {
+	v, err := modp.FromBytes(cell)
+	if err != nil {
+		return 0, fmt.Errorf("protocol: s(%d,%d): %w", m, n, err)
+	}
+	abs, err := v.Sub(mask).AbsInt64()
+	if err != nil {
+		return 0, fmt.Errorf("protocol: decoding distance (%d,%d): %w", m, n, err)
+	}
+	return abs, nil
 }

@@ -1,7 +1,9 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"ppclust/internal/alphabet"
 	"ppclust/internal/modp"
@@ -55,21 +57,9 @@ func chunkShape(got, lo, hi int) error {
 	return nil
 }
 
-// NumericThirdPartyIntRows is Figure 6 restricted to rows [lo, hi) of the
-// responder's S matrix: chunk must hold exactly those rows (storage
-// consistency is validated by the delegated whole-matrix method). See the
-// package comment above for the mask-alignment contract; in PerPair mode
-// the chunks of one pair must be evaluated in ascending row order on one
-// shared jt stream.
-func (e *Engine) NumericThirdPartyIntRows(chunk *Int64Matrix, lo, hi int, jt rng.Stream, params IntParams, mode Mode) (*Int64Matrix, error) {
-	if err := chunkShape(chunk.Rows, lo, hi); err != nil {
-		return nil, err
-	}
-	return e.NumericThirdPartyInt(chunk, jt, params, mode)
-}
-
-// NumericThirdPartyFloatRows is the real-valued form of
-// NumericThirdPartyIntRows.
+// NumericThirdPartyFloatRows is Figure 6 restricted to rows [lo, hi) of the
+// responder's S matrix held as a matrix — the container form of
+// NumericThirdPartyFloatChunk, which the session runs.
 func (e *Engine) NumericThirdPartyFloatRows(chunk *Float64Matrix, lo, hi int, jt rng.Stream, params FloatParams, mode Mode) (*Float64Matrix, error) {
 	if err := chunkShape(chunk.Rows, lo, hi); err != nil {
 		return nil, err
@@ -77,12 +67,101 @@ func (e *Engine) NumericThirdPartyFloatRows(chunk *Float64Matrix, lo, hi int, jt
 	return e.NumericThirdPartyFloat(chunk, jt, params, mode)
 }
 
-// NumericThirdPartyModPRows is the Z_p form of NumericThirdPartyIntRows.
-func (e *Engine) NumericThirdPartyModPRows(chunk *ElementMatrix, lo, hi int, jt rng.Stream, mode Mode) (*Int64Matrix, error) {
-	if err := chunkShape(chunk.Rows, lo, hi); err != nil {
+// NumericChunk is a row range of a responder's S matrix as its frame
+// carries it: Rows×Cols cells, row-major — 8 little-endian bytes of int64
+// or float64 bits each, or a 32-byte field element. Cells aliases the
+// received payload and is only read.
+type NumericChunk struct {
+	Rows, Cols int
+	Cells      []byte
+}
+
+// RowFunc writes row r of an evaluated chunk — the distances between the
+// responder's object lo+r and every initiator object — into dst, one
+// element per chunk column: the shape dissim.SliceAssembler.SetCrossRowsInto
+// installs from, so a distance is written once, where it stays. Calls for
+// distinct rows may run concurrently; the function reads the engine's mask
+// buffer and is dead once the engine is used again.
+type RowFunc = func(r int, dst []float64) error
+
+// row returns row r's cells, size bytes each, for the destination dst.
+func (c NumericChunk) row(r, size int, dst []float64) []byte {
+	if len(dst) != c.Cols {
+		panic(fmt.Sprintf("protocol: destination row of %d cells for a chunk of %d columns", len(dst), c.Cols))
+	}
+	return c.Cells[size*r*c.Cols : size*(r+1)*c.Cols]
+}
+
+// covers validates that the chunk holds exactly rows [lo, hi) in cells of
+// size bytes.
+func (c NumericChunk) covers(lo, hi, size int) error {
+	if err := chunkShape(c.Rows, lo, hi); err != nil {
+		return err
+	}
+	if c.Cols < 0 || len(c.Cells) != size*c.Rows*c.Cols {
+		return fmt.Errorf("protocol: inconsistent chunk %dx%d with %d bytes of %d-byte cells", c.Rows, c.Cols, len(c.Cells), size)
+	}
+	return nil
+}
+
+// NumericThirdPartyIntChunk is Figure 6 over rows [lo, hi) of the
+// responder's S matrix where they arrived: the masks are regenerated at
+// once (the alignment contract above applies) and the returned function
+// strips them a row at a time, from the payload's cells straight into the
+// caller's destination.
+func (e *Engine) NumericThirdPartyIntChunk(c NumericChunk, lo, hi int, jt rng.Stream, params IntParams, mode Mode) (RowFunc, error) {
+	if err := c.covers(lo, hi, 8); err != nil {
 		return nil, err
 	}
-	return e.NumericThirdPartyModP(chunk, jt, mode)
+	masks, err := e.intMasks(jt, c.Rows, c.Cols, params, mode)
+	if err != nil {
+		return nil, err
+	}
+	return func(r int, dst []float64) error {
+		src, mask := c.row(r, 8, dst), drawRow(masks, r, c.Cols, mode)
+		for n := range dst {
+			dst[n] = float64(absInt64(int64(binary.LittleEndian.Uint64(src[8*n:])) - mask[n]))
+		}
+		return nil
+	}, nil
+}
+
+// NumericThirdPartyFloatChunk is the real-valued form of
+// NumericThirdPartyIntChunk.
+func (e *Engine) NumericThirdPartyFloatChunk(c NumericChunk, lo, hi int, jt rng.Stream, params FloatParams, mode Mode) (RowFunc, error) {
+	if err := c.covers(lo, hi, 8); err != nil {
+		return nil, err
+	}
+	masks, err := e.floatMasks(jt, c.Rows, c.Cols, params, mode)
+	if err != nil {
+		return nil, err
+	}
+	return func(r int, dst []float64) error {
+		src, mask := c.row(r, 8, dst), drawRow(masks, r, c.Cols, mode)
+		for n := range dst {
+			dst[n] = math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(src[8*n:])) - mask[n])
+		}
+		return nil
+	}, nil
+}
+
+// NumericThirdPartyModPChunk is the Z_p form of NumericThirdPartyIntChunk.
+func (e *Engine) NumericThirdPartyModPChunk(c NumericChunk, lo, hi int, jt rng.Stream, mode Mode) (RowFunc, error) {
+	if err := c.covers(lo, hi, 32); err != nil {
+		return nil, err
+	}
+	masks := e.modpMasks(jt, c.Rows, c.Cols, mode)
+	return func(r int, dst []float64) error {
+		src, mask := c.row(r, 32, dst), drawRow(masks, r, c.Cols, mode)
+		for n := range dst {
+			abs, err := unmaskModP([32]byte(src[32*n:]), mask[n], r, n)
+			if err != nil {
+				return err
+			}
+			dst[n] = float64(abs)
+		}
+		return nil
+	}, nil
 }
 
 // AdvanceThirdPartyInt positions jt for a third party that evaluates only

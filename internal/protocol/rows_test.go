@@ -1,7 +1,10 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"sync"
 	"testing"
 
 	"ppclust/internal/alphabet"
@@ -23,6 +26,96 @@ func rowRanges(rows, per int) [][2]int {
 		out = [][2]int{{0, 0}}
 	}
 	return out
+}
+
+// leChunk packs matrix rows [lo, hi) the way a ppc/numeric-s frame carries
+// them.
+func leChunk[T int64 | float64](cell []T, lo, hi, cols int) NumericChunk {
+	c := NumericChunk{Rows: hi - lo, Cols: cols}
+	for _, v := range cell[lo*cols : hi*cols] {
+		switch v := any(v).(type) {
+		case int64:
+			c.Cells = binary.LittleEndian.AppendUint64(c.Cells, uint64(v))
+		case float64:
+			c.Cells = binary.LittleEndian.AppendUint64(c.Cells, math.Float64bits(v))
+		}
+	}
+	return c
+}
+
+func elemChunk(cell [][32]byte, lo, hi, cols int) NumericChunk {
+	c := NumericChunk{Rows: hi - lo, Cols: cols}
+	for _, v := range cell[lo*cols : hi*cols] {
+		c.Cells = append(c.Cells, v[:]...)
+	}
+	return c
+}
+
+// evalRows runs an evaluated chunk's row function over every row, two at
+// a time, into a fresh block.
+func evalRows(t *testing.T, row RowFunc, err error, rows, cols int) []float64 {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, rows*cols)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := w; r < rows; r += 2 {
+				if err := row(r, out[r*cols:(r+1)*cols]); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// chunkCase is one pair's three S matrices and their monolithic
+// evaluations.
+type chunkCase struct {
+	e     *Engine
+	n     int
+	sI    *Int64Matrix
+	sF    *Float64Matrix
+	sM    *ElementMatrix
+	wantI *Int64Matrix
+	wantF *Float64Matrix
+	wantM *Int64Matrix
+}
+
+// check evaluates rows [lo, hi) through the chunk forms the session runs —
+// the float ones through their matrix container as well — each on its own
+// jt stream, and compares them with the monolithic blocks.
+func (c chunkCase) check(t *testing.T, name string, lo, hi int, jtI, jtF, jtC, jtM rng.Stream, mode Mode) {
+	t.Helper()
+	e, n := c.e, c.n
+	row, err := e.NumericThirdPartyIntChunk(leChunk(c.sI.Cell, lo, hi, n), lo, hi, jtI, DefaultIntParams, mode)
+	gI := evalRows(t, row, err, hi-lo, n)
+	cF := &Float64Matrix{Rows: hi - lo, Cols: n, Cell: c.sF.Cell[lo*n : hi*n]}
+	gF, err := e.NumericThirdPartyFloatRows(cF, lo, hi, jtF, DefaultFloatParams, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err = e.NumericThirdPartyFloatChunk(leChunk(c.sF.Cell, lo, hi, n), lo, hi, jtC, DefaultFloatParams, mode)
+	gC := evalRows(t, row, err, hi-lo, n)
+	row, err = e.NumericThirdPartyModPChunk(elemChunk(c.sM.Cell, lo, hi, n), lo, hi, jtM, mode)
+	gM := evalRows(t, row, err, hi-lo, n)
+	for i := 0; i < (hi-lo)*n; i++ {
+		if gI[i] != float64(c.wantI.Cell[lo*n+i]) {
+			t.Fatalf("%s: int chunk [%d,%d) differs at %d", name, lo, hi, i)
+		}
+		if gF.Cell[i] != c.wantF.Cell[lo*n+i] || gC[i] != c.wantF.Cell[lo*n+i] {
+			t.Fatalf("%s: float chunk [%d,%d) differs at %d", name, lo, hi, i)
+		}
+		if gM[i] != float64(c.wantM.Cell[lo*n+i]) {
+			t.Fatalf("%s: modp chunk [%d,%d) differs at %d", name, lo, hi, i)
+		}
+	}
 }
 
 // TestNumericThirdPartyRowsMatchesMonolithic: evaluating a responder's S
@@ -100,35 +193,11 @@ func TestNumericThirdPartyRowsMatchesMonolithic(t *testing.T) {
 			name := fmt.Sprintf("%v/per=%d", mode, per)
 			jtI := rng.NewAESCTR(seedJT)
 			jtF := rng.NewAESCTR(seedJT)
+			jtC := rng.NewAESCTR(seedJT)
 			jtM := rng.NewAESCTR(seedJT)
 			for _, ch := range rowRanges(m, per) {
 				lo, hi := ch[0], ch[1]
-				cI := &Int64Matrix{Rows: hi - lo, Cols: n, Cell: sI.Cell[lo*n : hi*n]}
-				gI, err := e.NumericThirdPartyIntRows(cI, lo, hi, jtI, DefaultIntParams, mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cF := &Float64Matrix{Rows: hi - lo, Cols: n, Cell: sF.Cell[lo*n : hi*n]}
-				gF, err := e.NumericThirdPartyFloatRows(cF, lo, hi, jtF, DefaultFloatParams, mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cM := &ElementMatrix{Rows: hi - lo, Cols: n, Cell: sM.Cell[lo*n : hi*n]}
-				gM, err := e.NumericThirdPartyModPRows(cM, lo, hi, jtM, mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < (hi-lo)*n; i++ {
-					if gI.Cell[i] != wantI.Cell[lo*n+i] {
-						t.Fatalf("%s: int chunk [%d,%d) differs at %d", name, lo, hi, i)
-					}
-					if gF.Cell[i] != wantF.Cell[lo*n+i] {
-						t.Fatalf("%s: float chunk [%d,%d) differs at %d", name, lo, hi, i)
-					}
-					if gM.Cell[i] != wantM.Cell[lo*n+i] {
-						t.Fatalf("%s: modp chunk [%d,%d) differs at %d", name, lo, hi, i)
-					}
-				}
+				chunkCase{e, n, sI, sF, sM, wantI, wantF, wantM}.check(t, name, lo, hi, jtI, jtF, jtC, jtM, mode)
 			}
 		}
 	}
@@ -263,35 +332,12 @@ func TestAdvanceThirdPartyPositionsStream(t *testing.T) {
 			jtM := rng.NewAESCTR(seedJT)
 			e.AdvanceThirdPartyInt(jtI, lo, n, DefaultIntParams, mode)
 			e.AdvanceThirdPartyFloat(jtF, lo, n, DefaultFloatParams, mode)
+			jtC := rng.NewAESCTR(seedJT)
+			e.AdvanceThirdPartyFloat(jtC, lo, n, DefaultFloatParams, mode)
 			e.AdvanceThirdPartyModP(jtM, lo, n, mode)
 			for _, ch := range rowRanges(m-lo, 3) {
 				clo, chi := lo+ch[0], lo+ch[1]
-				cI := &Int64Matrix{Rows: chi - clo, Cols: n, Cell: sI.Cell[clo*n : chi*n]}
-				gI, err := e.NumericThirdPartyIntRows(cI, clo, chi, jtI, DefaultIntParams, mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cF := &Float64Matrix{Rows: chi - clo, Cols: n, Cell: sF.Cell[clo*n : chi*n]}
-				gF, err := e.NumericThirdPartyFloatRows(cF, clo, chi, jtF, DefaultFloatParams, mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cM := &ElementMatrix{Rows: chi - clo, Cols: n, Cell: sM.Cell[clo*n : chi*n]}
-				gM, err := e.NumericThirdPartyModPRows(cM, clo, chi, jtM, mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < (chi-clo)*n; i++ {
-					if gI.Cell[i] != wantI.Cell[clo*n+i] {
-						t.Fatalf("%s: int rows [%d,%d) differ at %d", name, clo, chi, i)
-					}
-					if gF.Cell[i] != wantF.Cell[clo*n+i] {
-						t.Fatalf("%s: float rows [%d,%d) differ at %d", name, clo, chi, i)
-					}
-					if gM.Cell[i] != wantM.Cell[clo*n+i] {
-						t.Fatalf("%s: modp rows [%d,%d) differ at %d", name, clo, chi, i)
-					}
-				}
+				chunkCase{e, n, sI, sF, sM, wantI, wantF, wantM}.check(t, name, clo, chi, jtI, jtF, jtC, jtM, mode)
 			}
 		}
 	}
@@ -302,21 +348,39 @@ func TestAdvanceThirdPartyPositionsStream(t *testing.T) {
 func TestThirdPartyRowsShapeValidation(t *testing.T) {
 	e := NewEngine(1)
 	jt := rng.NewAESCTR(rng.SeedFromUint64(1))
-	chunk := NewInt64Matrix(2, 3)
-	if _, err := e.NumericThirdPartyIntRows(chunk, 0, 3, jt, DefaultIntParams, Batch); err == nil {
+	chunk := NumericChunk{Rows: 2, Cols: 3, Cells: make([]byte, 2*3*8)}
+	if _, err := e.NumericThirdPartyIntChunk(chunk, 0, 3, jt, DefaultIntParams, Batch); err == nil {
 		t.Fatal("short chunk accepted")
 	}
-	if _, err := e.NumericThirdPartyIntRows(chunk, 3, 1, jt, DefaultIntParams, Batch); err == nil {
+	if _, err := e.NumericThirdPartyIntChunk(chunk, 3, 1, jt, DefaultIntParams, Batch); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 	fchunk := NewFloat64Matrix(2, 3)
 	if _, err := e.NumericThirdPartyFloatRows(fchunk, 0, 1, jt, DefaultFloatParams, Batch); err == nil {
+		t.Fatal("float short matrix accepted")
+	}
+	if _, err := e.NumericThirdPartyFloatChunk(chunk, 0, 1, jt, DefaultFloatParams, Batch); err == nil {
 		t.Fatal("float short chunk accepted")
 	}
-	mchunk := NewElementMatrix(2, 3)
-	if _, err := e.NumericThirdPartyModPRows(mchunk, 0, 1, jt, Batch); err == nil {
-		t.Fatal("modp short chunk accepted")
+	if _, err := e.NumericThirdPartyModPChunk(chunk, 0, 2, jt, Batch); err == nil {
+		t.Fatal("modp chunk of 8-byte cells accepted")
 	}
+	chunk.Cells = chunk.Cells[:2*3*8-1]
+	if _, err := e.NumericThirdPartyFloatChunk(chunk, 0, 2, jt, DefaultFloatParams, Batch); err == nil {
+		t.Fatal("chunk with a torn cell accepted")
+	}
+	row, err := e.NumericThirdPartyIntChunk(NumericChunk{Rows: 1, Cols: 3, Cells: make([]byte, 3*8)}, 0, 1, jt, DefaultIntParams, Batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a destination row narrower than the chunk accepted")
+			}
+		}()
+		row(0, make([]float64, 2))
+	}()
 	if _, err := e.AlphaThirdPartyRows(make([][]*SymbolMatrix, 2), 0, 1, alphabet.DNA, jt); err == nil {
 		t.Fatal("alpha short chunk accepted")
 	}

@@ -93,6 +93,8 @@ func (b *boundConduit) Recv() ([]byte, error) {
 	return f, nil
 }
 
+func (b *boundConduit) RecvOwned() bool { return RecvOwned(b.inner) }
+
 func (b *boundConduit) Close() error {
 	b.release()
 	return b.inner.Close()

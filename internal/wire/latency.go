@@ -84,6 +84,8 @@ func (l *latencyConduit) Recv() ([]byte, error) {
 	return f, nil
 }
 
+func (l *latencyConduit) RecvOwned() bool { return RecvOwned(l.inner) }
+
 func (l *latencyConduit) Close() error {
 	l.closeOnce.Do(func() { close(l.closed) })
 	return l.inner.Close()
@@ -124,6 +126,7 @@ func Link(c Conduit, base, jitter time.Duration, bytesPerSec int, seed uint64) C
 
 type linkFrame struct {
 	frame   []byte
+	owned   bool // the inner conduit vouched for the frame when the pump read it
 	deliver time.Time
 }
 
@@ -138,6 +141,7 @@ type linkConduit struct {
 	cond  *sync.Cond
 	queue []linkFrame
 	head  int
+	owned bool  // of the frame the last Recv returned
 	err   error // terminal pump error, delivered after the queue drains
 
 	closeOnce sync.Once
@@ -158,6 +162,7 @@ func (l *linkConduit) pump() {
 			l.mu.Unlock()
 			return
 		}
+		owned := RecvOwned(l.inner)
 		now := time.Now()
 		start := busyUntil
 		if now.After(start) {
@@ -173,7 +178,7 @@ func (l *linkConduit) pump() {
 			deliver = deliver.Add(time.Duration(rng.Float64(l.src) * float64(l.jitter)))
 		}
 		l.mu.Lock()
-		l.queue = append(l.queue, linkFrame{frame: f, deliver: deliver})
+		l.queue = append(l.queue, linkFrame{frame: f, owned: owned, deliver: deliver})
 		l.cond.Broadcast()
 		l.mu.Unlock()
 	}
@@ -198,11 +203,20 @@ func (l *linkConduit) Recv() ([]byte, error) {
 		l.queue = l.queue[:0]
 		l.head = 0
 	}
+	l.owned = lf.owned
 	l.mu.Unlock()
 	if !sleepInterruptible(time.Until(lf.deliver), l.closed) {
 		return nil, ErrClosed
 	}
 	return lf.frame, nil
+}
+
+// RecvOwned answers for the delivered frame, not for whichever the pump
+// read last: over a Reconn the answer may change from frame to frame.
+func (l *linkConduit) RecvOwned() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.owned
 }
 
 func (l *linkConduit) Close() error {

@@ -192,7 +192,7 @@ func (e *Endpoint) Recv() (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, owned := e.conduit.(recvOwner); !owned {
+	if !RecvOwned(e.conduit) {
 		m.Payload = bytes.Clone(m.Payload)
 	}
 	return m, nil

@@ -56,6 +56,7 @@ type Reconn struct {
 
 	sentSeq uint64 // frames accepted by Send
 	recvSeq uint64 // frames returned by Recv
+	owned   bool   // the inner conduit that delivered the last frame vouched for it
 	acked   uint64 // peer-confirmed prefix of sentSeq
 	flushed uint64 // highest seq known delivered to the current inner
 	cache   [][]byte
@@ -187,6 +188,7 @@ func (r *Reconn) Recv() ([]byte, error) {
 		inner, epoch := r.inner, r.epoch
 		r.mu.Unlock()
 		frame, err := inner.Recv()
+		owned := err == nil && RecvOwned(inner) // asked before the lock is retaken
 		r.mu.Lock()
 		if err == nil {
 			if epoch != r.epoch {
@@ -197,6 +199,7 @@ func (r *Reconn) Recv() ([]byte, error) {
 				continue
 			}
 			r.recvSeq++
+			r.owned = owned
 			r.mu.Unlock()
 			return frame, nil
 		}
@@ -204,6 +207,15 @@ func (r *Reconn) Recv() ([]byte, error) {
 			r.noteDownLocked(err)
 		}
 	}
+}
+
+// RecvOwned forwards the vouch of the inner conduit the last frame came
+// from: Reconn hands received frames through untouched, so a lane armed
+// for reconnect costs its Endpoint no payload copy.
+func (r *Reconn) RecvOwned() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.owned
 }
 
 // Close is terminal: parked and future operations fail with ErrClosed.

@@ -16,6 +16,12 @@ import (
 // This realizes the paper's standing assumption that "the channels are
 // secured": an observer of the underlying conduit sees only ciphertext, and
 // any modification or reordering causes the receiver to fail loudly.
+//
+// Recv opens a frame in place when c vouches that it handed the frame over
+// (RecvOwned) and into a buffer of its own otherwise: a conduit that lends
+// its frames — or replays the same ones to a second reader — finds them
+// byte for byte as it delivered them. Either way the plaintext is the
+// caller's, so Secure itself always vouches.
 func Secure(c Conduit, key [32]byte, initiator bool) (Conduit, error) {
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
@@ -92,13 +98,17 @@ func (s *secureConduit) Recv() ([]byte, error) {
 	s.recvSeq++
 	s.recvMu.Unlock()
 	n := nonce(s.recvDir, seq)
-	frame, err := s.aead.Open(nil, n[:], sealed, nil)
+	var dst []byte
+	if RecvOwned(s.inner) {
+		dst = sealed[:0]
+	}
+	frame, err := s.aead.Open(dst, n[:], sealed, nil)
 	if err != nil {
 		return nil, fmt.Errorf("wire: secure channel authentication failed (frame %d): %w", seq, err)
 	}
 	return frame, nil
 }
 
-func (s *secureConduit) recvOwned() {} // Open allocated the frame
+func (s *secureConduit) RecvOwned() bool { return true }
 
 func (s *secureConduit) Close() error { return s.inner.Close() }

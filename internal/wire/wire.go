@@ -46,27 +46,29 @@ const maxRetainedBuf = 1 << 20
 //
 // Ownership: Send must not retain frame after it returns — the caller may
 // immediately reuse the buffer (the Endpoint layer recycles its frame
-// buffers through a pool on the strength of this). Recv transfers ownership
-// of the returned frame to the caller, except for implementations that
-// document recycled receive buffers (TCPPooled), whose frames are valid
-// only until the next Recv on that conduit.
-//
-// A wrapper cannot tell which kind it wraps, so Endpoint.Recv — whose
-// Messages alias the frame and outlive the next Recv — trusts the transfer
-// only from a conduit that vouches for it through recvOwner (Pipe, Secure)
-// and copies the payload out of every other frame. Session endpoints sit
-// on Secure, so the copy is paid only on plaintext channels and on lanes
-// armed for reconnect, where a Reconn sits in between.
+// buffers through a pool on the strength of this). Whether the frame Recv
+// returned belongs to the caller, or is only lent until the next Recv, is
+// answered by RecvOwned: a conduit vouches when nothing else will read or
+// write the frame again. Pipe and Secure vouch; Meter, Bind, Latency, Link
+// and Reconn hand frames through untouched and forward their inner
+// conduit's answer; TCPPooled (recycled receive buffer), Tap (its observer
+// may be reading), the fault injectors and any Conduit from outside this
+// package do not. Secure opens an owned frame in place and any other into
+// a buffer of its own; Endpoint.Recv — whose Messages alias the frame and
+// outlive the next Recv — copies the payload out of a frame that is not
+// owned (docs/WIRE.md, "Ownership").
 type Conduit interface {
 	Send(frame []byte) error
 	Recv() ([]byte, error)
 	Close() error
 }
 
-// recvOwner marks the conduits of this package whose Recv is known to hand
-// out a frame nothing else will write to again.
-type recvOwner interface {
-	recvOwned()
+// RecvOwned reports whether c vouches that the frame its last Recv returned
+// was handed over to the caller — by a RecvOwned method of its own, which a
+// conduit that cannot know does not have.
+func RecvOwned(c Conduit) bool {
+	o, ok := c.(interface{ RecvOwned() bool })
+	return ok && o.RecvOwned()
 }
 
 // Pipe returns two ends of an in-memory conduit. Frames are copied on Send,
@@ -99,13 +101,15 @@ func newQueue() *queue {
 }
 
 func (q *queue) push(frame []byte) error {
+	// Copied before the lock is taken, so the receiver's pop never waits
+	// out a sender's copy.
+	cp := make([]byte, len(frame))
+	copy(cp, frame)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrClosed
 	}
-	cp := make([]byte, len(frame))
-	copy(cp, frame)
 	q.frames = append(q.frames, cp)
 	q.cond.Signal()
 	return nil
@@ -146,7 +150,7 @@ type pipeEnd struct {
 
 func (p *pipeEnd) Send(frame []byte) error { return p.out.push(frame) }
 func (p *pipeEnd) Recv() ([]byte, error)   { return p.in.pop() }
-func (p *pipeEnd) recvOwned()              {} // push copied the frame
+func (p *pipeEnd) RecvOwned() bool         { return true } // push copied the frame
 
 func (p *pipeEnd) Close() error {
 	p.out.close()
@@ -238,6 +242,8 @@ func (m *meteredConduit) Recv() ([]byte, error) {
 	m.ctr.addRecv(len(f))
 	return f, nil
 }
+
+func (m *meteredConduit) RecvOwned() bool { return RecvOwned(m.inner) }
 
 func (m *meteredConduit) Close() error { return m.inner.Close() }
 

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -587,6 +589,242 @@ func TestMeterTapSendPathAllocFree(t *testing.T) {
 	}
 	if b, frames := ctr.Sent(); b == 0 || frames == 0 {
 		t.Fatal("meter did not count")
+	}
+}
+
+// TestPipeSendRacingCloseNeverEnqueues: the pipe copies a frame before it
+// takes the queue lock, so the closed check now comes after the copy — a
+// Send that loses the race with Close must still report ErrClosed, and what
+// it copied must not turn up at the receiver.
+func TestPipeSendRacingCloseNeverEnqueues(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		a, b := Pipe()
+		const senders = 4
+		accepted := make([][]uint32, senders)
+		var wg sync.WaitGroup
+		for s := 0; s < senders; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				frame := make([]byte, 4096)
+				for i := uint32(0); ; i++ {
+					binary.BigEndian.PutUint32(frame, uint32(s)<<24|i)
+					if err := a.Send(frame); err != nil {
+						if !errors.Is(err, ErrClosed) {
+							t.Errorf("send racing close: %v", err)
+						}
+						return
+					}
+					accepted[s] = append(accepted[s], i)
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round%5) * 100 * time.Microsecond)
+		a.Close()
+		wg.Wait()
+		if err := a.Send([]byte("late")); !errors.Is(err, ErrClosed) {
+			t.Fatalf("send after close: %v", err)
+		}
+		next := make([]int, senders)
+		for {
+			f, err := b.Recv()
+			if err != nil {
+				break
+			}
+			id := binary.BigEndian.Uint32(f)
+			s, i := id>>24, id&0xFFFFFF
+			if next[s] >= len(accepted[s]) || accepted[s][next[s]] != i {
+				t.Fatalf("round %d: sender %d's frame %d was queued though its Send did not succeed", round, s, i)
+			}
+			next[s]++
+		}
+		for s := range next {
+			if next[s] != len(accepted[s]) {
+				t.Fatalf("round %d: sender %d had %d sends accepted, %d delivered", round, s, len(accepted[s]), next[s])
+			}
+		}
+	}
+}
+
+// spy records the last frame the conduit under it returned, and forwards
+// that conduit's ownership vouch.
+type spy struct {
+	Conduit
+	last []byte
+}
+
+func (s *spy) Recv() ([]byte, error) {
+	f, err := s.Conduit.Recv()
+	s.last = f
+	return f, err
+}
+
+func (s *spy) RecvOwned() bool { return RecvOwned(s.Conduit) }
+
+// tape is a conduit from outside the vouching set that replays kept frames
+// — the shape of the benchmark's replayer, which opens the same ciphertext
+// again and again.
+type tape struct {
+	frames [][]byte
+	next   int
+}
+
+func (p *tape) Send([]byte) error { return nil }
+func (p *tape) Close() error      { return nil }
+func (p *tape) Recv() ([]byte, error) {
+	if p.next == len(p.frames) {
+		return nil, ErrClosed
+	}
+	p.next++
+	return p.frames[p.next-1], nil
+}
+
+// TestSecureOpensInPlaceOnlyWhenVouched pins both halves of the ownership
+// rule. Over a pipe — bare, and under every pass-through decorator at once —
+// the plaintext Secure returns lies in the received frame itself, and an
+// Endpoint above a Reconn aliases it too. Over anything that does not vouch
+// — a pooled TCP buffer, a tap, a foreign replayer — the sealed bytes are
+// as they arrived after Recv, so whoever else holds them can open them
+// again. A corrupted owned frame fails authentication and yields nothing.
+func TestSecureOpensInPlaceOnlyWhenVouched(t *testing.T) {
+	var key [32]byte
+	key[7] = 27
+	msg := &Message{From: "A", To: "TP", Kind: "test/kind", Attr: 3, Payload: bytes.Repeat([]byte("cells "), 100)}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for name, decorate := range map[string]func(Conduit) Conduit{
+		"bare pipe": func(c Conduit) Conduit { return c },
+		"meter+bind+link+reconn": func(c Conduit) Conduit {
+			bound, _ := Bind(ctx, Link(c, 0, 0, 0, 1))
+			return NewReconn(Meter(Latency(bound, 0, 0, 1), &Counter{}), time.Second)
+		},
+	} {
+		a, b := Pipe()
+		under := &spy{Conduit: decorate(b)}
+		sa, _ := Secure(a, key, true)
+		sb, _ := Secure(under, key, false)
+		ea, eb := NewEndpoint(sa), NewEndpoint(NewReconn(sb, time.Second))
+		if err := ea.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		got, err := eb.Recv()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !RecvOwned(under) {
+			t.Fatalf("%s: the vouch was not forwarded", name)
+		}
+		if !bytes.Equal(got.Payload, msg.Payload) {
+			t.Fatalf("%s: payload %q", name, got.Payload)
+		}
+		// sealed = header | payload | tag, opened over itself.
+		if hdr := len(under.last) - 16 - len(got.Payload); &got.Payload[0] != &under.last[hdr] {
+			t.Errorf("%s: the payload does not alias the received frame", name)
+		}
+		a.Close()
+	}
+
+	// Sealed frames as a sender put them on the wire.
+	var sealed [][]byte
+	rec, _ := Pipe()
+	ss, _ := Secure(Tap(rec, func(_ string, f []byte) { sealed = append(sealed, bytes.Clone(f)) }), key, true)
+	for i := 0; i < 3; i++ {
+		if err := ss.Send(fmt.Appendf(nil, "frame %d of the kept session", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	openAll := func(name string, c Conduit, n int) {
+		t.Helper()
+		if RecvOwned(c) {
+			t.Fatalf("%s vouches for its frames", name)
+		}
+		sc, _ := Secure(c, key, false)
+		for i := 0; i < n; i++ {
+			if got, err := sc.Recv(); err != nil || string(got) != fmt.Sprintf("frame %d of the kept session", i) {
+				t.Fatalf("%s, frame %d: %q, %v", name, i, got, err)
+			}
+		}
+	}
+	kept := make([][]byte, len(sealed))
+	for i := range sealed {
+		kept[i] = bytes.Clone(sealed[i])
+	}
+	for pass := 0; pass < 2; pass++ { // the second reader finds what the first did
+		openAll("replaying conduit", &tape{frames: kept}, len(kept))
+		for i := range kept {
+			if !bytes.Equal(kept[i], sealed[i]) {
+				t.Fatalf("pass %d: opening wrote the replayer's frame %d", pass, i)
+			}
+		}
+	}
+	var tapped []byte // a tap may still be reading the frame it was shown
+	openAll("tap", Tap(&tape{frames: kept[:1]}, func(_ string, f []byte) { tapped = f }), 1)
+	if !bytes.Equal(tapped, sealed[0]) {
+		t.Fatal("opening wrote a frame a tap had been handed")
+	}
+	if RecvOwned(Meter(&tape{}, &Counter{})) {
+		t.Fatal("a meter vouches for a conduit that does not")
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	srv, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := TCP(conn).Send(sealed[0]); err != nil {
+		t.Fatal(err)
+	}
+	pooled := TCPPooled(srv)
+	openAll("pooled TCP", pooled, 1)
+	if buf := pooled.(*tcpConduit).recvBuf; !bytes.Equal(buf[:len(sealed[0])], sealed[0]) {
+		t.Fatal("opening wrote the pooled receive buffer")
+	}
+
+	c, d := Pipe()
+	sc, _ := Secure(&flipper{c}, key, true)
+	owned := &spy{Conduit: d}
+	sd, _ := Secure(owned, key, false)
+	sc.Send([]byte("payload"))
+	if got, err := sd.Recv(); err == nil || got != nil {
+		t.Fatalf("corrupted owned frame: %q, %v", got, err)
+	}
+	if bytes.Contains(owned.last, []byte("payload")) {
+		t.Fatal("a frame that failed authentication holds plaintext")
+	}
+}
+
+// everyOther replays kept frames and vouches for the even-numbered ones —
+// what a Reconn resumed onto a conduit of another kind looks like from above.
+type everyOther struct{ tape }
+
+func (p *everyOther) RecvOwned() bool { return p.next%2 == 1 }
+
+// TestLinkVouchesForTheDeliveredFrame: the link's pump reads ahead of
+// delivery, so the vouch is kept beside each queued frame — the answer after
+// a Recv is about the frame it returned, not the last one the pump read.
+func TestLinkVouchesForTheDeliveredFrame(t *testing.T) {
+	inner := &everyOther{tape{frames: [][]byte{{0}, {1}, {2}, {3}}}}
+	link := Link(inner, 30*time.Millisecond, 0, 0, 1) // all four are read before the first is due
+	defer link.Close()
+	for i := range inner.frames {
+		f, err := link.Recv()
+		if err != nil || int(f[0]) != i {
+			t.Fatalf("frame %d: %v, %v", i, f, err)
+		}
+		if got, want := RecvOwned(link), i%2 == 0; got != want {
+			t.Errorf("frame %d: vouch %v, want %v", i, got, want)
+		}
 	}
 }
 
