@@ -387,13 +387,22 @@ func TestLinkageStringRoundTrip(t *testing.T) {
 	}
 }
 
-func BenchmarkClusterAverage200(b *testing.B) {
-	d := randomMatrix(200, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Cluster(d, Average); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkClusterAverage times the average-linkage NN-chain engine on a
+// random matrix (n = 200) and on a pair-cpu-shaped one (n = 1200: four
+// families, |x − y|, max-normalised).
+func BenchmarkClusterAverage(b *testing.B) {
+	for _, bench := range []struct {
+		name string
+		d    *dissim.Matrix
+	}{{"n=200", randomMatrix(200, 1)}, {"n=1200", familyMatrix(1200, 1)}} {
+		b.Run(bench.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Cluster(bench.d, Average); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

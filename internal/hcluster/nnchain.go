@@ -212,11 +212,12 @@ type rawMerge struct {
 // Müllner 2011): grow a chain of nearest neighbors until a reciprocal
 // pair is found, merge it, and keep the remaining chain — reducibility
 // guarantees it stays a valid nearest-neighbor chain. Every object is
-// appended to the chain O(1) times amortized, each append costs one O(n)
-// scan, and each merge costs one O(n) Lance–Williams row update, for
-// O(n²) total. The working copy is a condensed upper-triangular
-// []float64 in dissim.Matrix's packed layout — half the memory of a
-// dense matrix and cache-linear row walks.
+// appended to the chain O(1) times amortized, each append costs one scan
+// and each merge one Lance–Williams row update, O(n²) in all; both walk only
+// the live slots (ascending; a merge retires the lower slot), n − m cells
+// after m merges. The working copy is a condensed upper-triangular
+// []float64 in dissim.Matrix's packed layout — half the memory of a dense
+// matrix and cache-linear row walks.
 func clusterNNChain(d *dissim.Matrix, link Linkage, workers int) *Dendrogram {
 	n := d.N()
 	dg := &Dendrogram{NLeaves: n, Linkage: link, Merges: make([]Merge, 0, n-1)}
@@ -240,23 +241,19 @@ func clusterNNChain(d *dissim.Matrix, link Linkage, workers int) *Dendrogram {
 		w = slices.Clone(src)
 	}
 
-	active := make([]bool, n)
+	live := make([]int, n) // ascending slots still standing for a cluster
 	size := make([]float64, n)
-	for i := range active {
-		active[i] = true
+	for i := range live {
+		live[i] = i
 		size[i] = 1
 	}
 
 	chain := make([]int, 0, n)
 	raw := make([]rawMerge, 0, n-1)
-	start := 0 // lowest slot that may still be active
 
 	for len(raw) < n-1 {
 		if len(chain) == 0 {
-			for !active[start] {
-				start++
-			}
-			chain = append(chain, start)
+			chain = append(chain, live[0])
 		}
 		// Extend the chain until a reciprocal nearest-neighbor pair
 		// appears at its end.
@@ -268,7 +265,7 @@ func clusterNNChain(d *dissim.Matrix, link Linkage, workers int) *Dendrogram {
 			if len(chain) > 1 {
 				prev = chain[len(chain)-2]
 			}
-			y, dxy = nearestActive(w, active, n, x, prev)
+			y, dxy = nearestActive(w, live, x, prev)
 			if y == prev {
 				break
 			}
@@ -283,72 +280,68 @@ func clusterNNChain(d *dissim.Matrix, link Linkage, workers int) *Dendrogram {
 			lo, hi = hi, lo
 		}
 		raw = append(raw, rawMerge{a: lo, b: hi, h: dxy})
-		lwUpdate(w, active, size, n, lo, hi, dxy, link, workers)
-		active[lo] = false
+		lwUpdate(w, live, size, lo, hi, dxy, link, workers)
+		p, _ := slices.BinarySearch(live, lo)
+		live = slices.Delete(live, p, p+1)
 		size[hi] += size[lo]
 	}
 
 	return labelMerges(dg, raw, link, n)
 }
 
-// nearestActive returns the active slot nearest to x (excluding x) and
-// its distance. Ties prefer prev (the previous chain element, which
-// guarantees termination), then the lowest slot index. The scan walks
-// slot x's condensed row contiguously for partners below x, then its
-// column above with an incrementally maintained offset (the stride from
-// row z to z+1 is z, so no multiply per step).
-func nearestActive(w []float64, active []bool, n, x, prev int) (int, float64) {
+// nearestActive returns the live slot nearest to x (excluding x) and its
+// distance. Ties prefer prev (the previous chain element, which guarantees
+// termination), then the lowest slot index. The scan walks the live slots
+// in ascending order — so the first strictly smaller distance wins, as in
+// an all-slot scan — reading slot x's condensed row for partners below x,
+// then one cell of each live row above x for its column.
+func nearestActive(w []float64, live []int, x, prev int) (int, float64) {
 	best, bestD := -1, math.Inf(1)
 	if prev >= 0 {
 		best, bestD = prev, w[condIdx(x, prev)]
 	}
-	row := x * (x - 1) / 2
-	for z := 0; z < x; z++ {
-		if active[z] {
-			if v := w[row+z]; v < bestD {
-				best, bestD = z, v
-			}
+	p, _ := slices.BinarySearch(live, x)
+	row := w[x*(x-1)/2 : x*(x+1)/2]
+	for _, z := range live[:p] {
+		if v := row[z]; v < bestD {
+			best, bestD = z, v
 		}
 	}
-	off := x*(x+1)/2 + x // condensed index of (x+1, x)
-	for z := x + 1; z < n; z++ {
-		if active[z] {
-			if v := w[off]; v < bestD {
-				best, bestD = z, v
-			}
+	for _, z := range live[p+1:] {
+		if v := w[z*(z-1)/2+x]; v < bestD {
+			best, bestD = z, v
 		}
-		off += z
 	}
 	return best, bestD
 }
 
 // lwUpdate applies the Lance–Williams recurrence for the merge of slots
-// lo and hi (at squared-form distance dij) to every other active slot,
+// lo and hi (at squared-form distance dij) to every other live slot,
 // writing the merged cluster's distances into slot hi. The per-linkage
 // inner loops avoid a coefficient recomputation per partner; Ward and
 // the size-weighted forms fold the partner size in exactly as lwParams
-// does. The k-range is driven through the parallel engine: every k
+// does. The live list is split over the parallel engine: every partner
 // writes only its own condensed cell, so the result is bit-identical at
 // any worker count. At one row worker — every n below the row grain — the
 // body runs inline: a closure handed to the engine is a heap allocation
 // per merge.
-func lwUpdate(w []float64, active []bool, size []float64, n, lo, hi int, dij float64, link Linkage, workers int) {
-	if rw := rowWorkers(workers, n); rw > 1 {
-		parallel.Range(rw, n, func(_, from, to int) {
-			lwUpdateRange(w, active, size, from, to, lo, hi, dij, link)
+func lwUpdate(w []float64, live []int, size []float64, lo, hi int, dij float64, link Linkage, workers int) {
+	if rw := rowWorkers(workers, len(live)); rw > 1 {
+		parallel.Range(rw, len(live), func(_, from, to int) {
+			lwUpdateRange(w, live[from:to], size, lo, hi, dij, link)
 		})
 		return
 	}
-	lwUpdateRange(w, active, size, 0, n, lo, hi, dij, link)
+	lwUpdateRange(w, live, size, lo, hi, dij, link)
 }
 
-// lwUpdateRange is lwUpdate for the partners k in [from, to).
-func lwUpdateRange(w []float64, active []bool, size []float64, from, to, lo, hi int, dij float64, link Linkage) {
+// lwUpdateRange is lwUpdate for the partners in part, a piece of live.
+func lwUpdateRange(w []float64, part []int, size []float64, lo, hi int, dij float64, link Linkage) {
 	ni, nj := size[lo], size[hi]
 	rlo, rhi := lo*(lo-1)/2, hi*(hi-1)/2
 	avgI, avgJ := ni/(ni+nj), nj/(ni+nj)
-	for k := from; k < to; k++ {
-		if !active[k] || k == lo || k == hi {
+	for _, k := range part {
+		if k == lo || k == hi {
 			continue
 		}
 		// Resolve both condensed cells once: contiguous row walks

@@ -1,9 +1,250 @@
 package hcluster
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
+
+	"ppclust/internal/dissim"
+	"ppclust/internal/parallel"
+	"ppclust/internal/rng"
 )
+
+// nnChainParent is the NN-chain engine as it stood before the live-slot
+// list: every chain scan and every Lance–Williams update walks all n slots
+// and tests an active flag. It is the exact oracle the engine is pinned to
+// — same merges, same node ids, same height bits.
+func nnChainParent(d *dissim.Matrix, link Linkage, workers int) *Dendrogram {
+	n := d.N()
+	dg := &Dendrogram{NLeaves: n, Linkage: link, Merges: make([]Merge, 0, n-1)}
+	if n == 1 {
+		return dg
+	}
+
+	// Condensed working copy (squared, in parallel, for the squared-form
+	// linkages; else a clone, which zeroes nothing it then overwrites).
+	src := d.PackedView()
+	var w []float64
+	if link.usesSquared() {
+		w = make([]float64, len(src))
+		parallel.Range(workers, len(src), func(_, lo, hi int) {
+			for c := lo; c < hi; c++ {
+				v := src[c]
+				w[c] = v * v
+			}
+		})
+	} else {
+		w = slices.Clone(src)
+	}
+
+	active := make([]bool, n)
+	size := make([]float64, n)
+	for i := range active {
+		active[i] = true
+		size[i] = 1
+	}
+
+	chain := make([]int, 0, n)
+	raw := make([]rawMerge, 0, n-1)
+	start := 0 // lowest slot that may still be active
+
+	for len(raw) < n-1 {
+		if len(chain) == 0 {
+			for !active[start] {
+				start++
+			}
+			chain = append(chain, start)
+		}
+		// Extend the chain until a reciprocal nearest-neighbor pair
+		// appears at its end.
+		var x, y int
+		var dxy float64
+		for {
+			x = chain[len(chain)-1]
+			prev := -1
+			if len(chain) > 1 {
+				prev = chain[len(chain)-2]
+			}
+			y, dxy = nearestActiveParent(w, active, n, x, prev)
+			if y == prev {
+				break
+			}
+			chain = append(chain, y)
+		}
+		chain = chain[:len(chain)-2] // pop x and y
+
+		// Merge x and y at height dxy; the merged cluster lives in the
+		// higher slot (longer contiguous condensed row).
+		lo, hi := x, y
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		raw = append(raw, rawMerge{a: lo, b: hi, h: dxy})
+		lwUpdateParent(w, active, size, n, lo, hi, dxy, link, workers)
+		active[lo] = false
+		size[hi] += size[lo]
+	}
+
+	return labelMerges(dg, raw, link, n)
+}
+
+// nearestActiveParent returns the active slot nearest to x (excluding x) and
+// its distance. Ties prefer prev (the previous chain element, which
+// guarantees termination), then the lowest slot index. The scan walks
+// slot x's condensed row contiguously for partners below x, then its
+// column above with an incrementally maintained offset (the stride from
+// row z to z+1 is z, so no multiply per step).
+func nearestActiveParent(w []float64, active []bool, n, x, prev int) (int, float64) {
+	best, bestD := -1, math.Inf(1)
+	if prev >= 0 {
+		best, bestD = prev, w[condIdx(x, prev)]
+	}
+	row := x * (x - 1) / 2
+	for z := 0; z < x; z++ {
+		if active[z] {
+			if v := w[row+z]; v < bestD {
+				best, bestD = z, v
+			}
+		}
+	}
+	off := x*(x+1)/2 + x // condensed index of (x+1, x)
+	for z := x + 1; z < n; z++ {
+		if active[z] {
+			if v := w[off]; v < bestD {
+				best, bestD = z, v
+			}
+		}
+		off += z
+	}
+	return best, bestD
+}
+
+// lwUpdateParent applies the Lance–Williams recurrence for the merge of slots
+// lo and hi (at squared-form distance dij) to every other active slot,
+// writing the merged cluster's distances into slot hi.
+func lwUpdateParent(w []float64, active []bool, size []float64, n, lo, hi int, dij float64, link Linkage, workers int) {
+	if rw := rowWorkers(workers, n); rw > 1 {
+		parallel.Range(rw, n, func(_, from, to int) {
+			lwUpdateRangeParent(w, active, size, from, to, lo, hi, dij, link)
+		})
+		return
+	}
+	lwUpdateRangeParent(w, active, size, 0, n, lo, hi, dij, link)
+}
+
+// lwUpdateRangeParent is lwUpdateParent for the partners k in [from, to).
+func lwUpdateRangeParent(w []float64, active []bool, size []float64, from, to, lo, hi int, dij float64, link Linkage) {
+	ni, nj := size[lo], size[hi]
+	rlo, rhi := lo*(lo-1)/2, hi*(hi-1)/2
+	avgI, avgJ := ni/(ni+nj), nj/(ni+nj)
+	for k := from; k < to; k++ {
+		if !active[k] || k == lo || k == hi {
+			continue
+		}
+		// Resolve both condensed cells once: contiguous row walks
+		// when k sits below the slot, column offsets above it.
+		var iik, ijk int
+		if k < lo {
+			iik = rlo + k
+		} else {
+			iik = k*(k-1)/2 + lo
+		}
+		if k < hi {
+			ijk = rhi + k
+		} else {
+			ijk = k*(k-1)/2 + hi
+		}
+		dik, djk := w[iik], w[ijk]
+		var v float64
+		switch link {
+		case Single:
+			if dik < djk {
+				v = dik
+			} else {
+				v = djk
+			}
+		case Complete:
+			if dik > djk {
+				v = dik
+			} else {
+				v = djk
+			}
+		case Average:
+			v = avgI*dik + avgJ*djk
+		case Weighted:
+			v = 0.5*dik + 0.5*djk
+		case Ward:
+			nk := size[k]
+			s := ni + nj + nk
+			v = ((ni+nk)/s)*dik + ((nj+nk)/s)*djk + (-nk/s)*dij
+		default:
+			ai, aj, beta, gamma := lwParams(link, ni, nj, size[k])
+			v = ai*dik + aj*djk + beta*dij + gamma*math.Abs(dik-djk)
+		}
+		w[ijk] = v
+	}
+}
+
+// tieMatrix is an integer-valued matrix over a handful of values: most
+// cells, and most Lance–Williams updates, tie exactly.
+func tieMatrix(n int, seed uint64) *dissim.Matrix {
+	gen := rng.NewXoshiro(rng.SeedFromUint64(seed))
+	return dissim.FromLocal(n, func(i, j int) float64 { return float64(1 + rng.Symbol(gen, 8)) })
+}
+
+// familyMatrix is a pair-cpu-shaped matrix: one numeric attribute drawn
+// from four well-separated families, |x − y|, normalised by the maximum.
+func familyMatrix(n int, seed uint64) *dissim.Matrix {
+	gen := rng.NewXoshiro(rng.SeedFromUint64(seed))
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = float64(rng.Symbol(gen, 4))*10 + rng.Float64(gen)
+	}
+	d := dissim.FromLocal(n, func(i, j int) float64 { return math.Abs(x[i] - x[j]) })
+	d.Normalize()
+	return d
+}
+
+// TestNNChainMergesMatchParent pins the live-slot engine to the parent's
+// all-slot engine exactly: every merge's pair, node id and height bits, for
+// every reducible linkage at workers 1, 2 and all cores, on random,
+// tie-heavy and pair-cpu-shaped matrices.
+func TestNNChainMergesMatchParent(t *testing.T) {
+	inputs := []struct {
+		name string
+		d    *dissim.Matrix
+	}{
+		{"random-2", randomMatrix(2, 1)},
+		{"random-97", randomMatrix(97, 5)},
+		{"random-300", randomMatrix(300, 9)},
+		{"ties-3", tieMatrix(3, 2)},
+		{"ties-150", tieMatrix(150, 4)},
+		{"ties-400", tieMatrix(400, 6)},
+		{"family-1200", familyMatrix(1200, 11)},
+	}
+	for _, in := range inputs {
+		for _, link := range []Linkage{Single, Complete, Average, Weighted, Ward} {
+			want := nnChainParent(in.d, link, 1)
+			for _, workers := range []int{1, 2, 0} {
+				t.Run(fmt.Sprintf("%s/%v/workers=%d", in.name, link, workers), func(t *testing.T) {
+					got := clusterNNChain(in.d, link, workers)
+					if len(got.Merges) != len(want.Merges) {
+						t.Fatalf("%d merges, parent %d", len(got.Merges), len(want.Merges))
+					}
+					for s, m := range want.Merges {
+						g := got.Merges[s]
+						if g.A != m.A || g.B != m.B || g.Node != m.Node || g.Size != m.Size ||
+							math.Float64bits(g.Height) != math.Float64bits(m.Height) {
+							t.Fatalf("merge %d: %+v, parent %+v", s, g, m)
+						}
+					}
+				})
+			}
+		}
+	}
+}
 
 // TestNNChainMatchesReference is the backend equivalence property test:
 // across all linkages and a spread of sizes, the automatic engine
@@ -110,21 +351,43 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// allocBytes reports the bytes run allocates, the least of three runs (so a
+// stray allocation by a finished test's winding-down goroutine cannot fail a
+// pin).
+func allocBytes(run func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
 // TestNNChainAllocationPin: below the row grain the Lance–Williams update
 // runs inline, so a tree costs a fixed handful of allocations — the working
-// copy, the chain state, the dendrogram — not a closure per merge (the
-// parent made 316 here).
+// copy, the chain state, the dendrogram — not a closure per merge (an
+// earlier engine made 316 here). In bytes that is one working triangle plus
+// a few n-length slices: a second triangle, or any slice allocated per
+// merge, is at least another triangle's worth and fails it.
 func TestNNChainAllocationPin(t *testing.T) {
-	d := randomMatrix(300, 7)
+	const n = 300
+	d := randomMatrix(n, 7)
+	bound := uint64(8*n*(n-1)/2 + 24*8*n)
 	for _, link := range []Linkage{Complete, Average, Weighted, Ward} {
 		for _, workers := range []int{1, 2} {
-			allocs := testing.AllocsPerRun(3, func() {
+			run := func() {
 				if _, err := ClusterOpt(d, link, ClusterOptions{Algorithm: AlgoNNChain, Workers: workers}); err != nil {
 					t.Fatal(err)
 				}
-			})
-			if allocs > 40 {
+			}
+			if allocs := testing.AllocsPerRun(3, run); allocs > 40 {
 				t.Errorf("%v, workers %d: %v allocations for a 300-leaf tree", link, workers, allocs)
+			}
+			if bytes := allocBytes(run); bytes > bound {
+				t.Errorf("%v, workers %d: %d bytes for a 300-leaf tree, want ≤ %d", link, workers, bytes, bound)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package hcluster
 
 import (
 	"fmt"
+	"slices"
 
 	"ppclust/internal/dissim"
 	"ppclust/internal/parallel"
@@ -97,14 +98,11 @@ func Silhouette(d *dissim.Matrix, labels []int) (float64, error) {
 	return SilhouettePar(d, labels, 1)
 }
 
-// SilhouettePar is Silhouette with an explicit worker count (<= 0 = all
-// cores). Each object's coefficient is computed independently (its
-// per-cluster sums accumulate in object order) and the final mean reduces
-// the per-object array serially, so the score is bit-identical at any
-// worker count. Cluster ids are ranked by first appearance; the
-// nearest-other-cluster choice breaks exact ties toward the earliest-
-// appearing cluster. Object i's scan walks the packed triangle the way
-// nearestActive does: row i for j < i, then column i for j > i.
+// SilhouettePar is Silhouette scored by ScorePartition's serial sweep, which
+// reads each packed cell once where a per-object fan-out reads each twice,
+// half by strided column walks; workers no longer matters. Cluster ids rank
+// by first appearance; exact ties for the nearest other cluster go to the
+// earliest-appearing one.
 func SilhouettePar(d *dissim.Matrix, labels []int, workers int) (float64, error) {
 	n := d.N()
 	if len(labels) != n {
@@ -113,67 +111,140 @@ func SilhouettePar(d *dissim.Matrix, labels []int, workers int) (float64, error)
 	if n == 0 {
 		return 0, fmt.Errorf("hcluster: empty matrix")
 	}
-	// Dense cluster ids in first-appearance order.
 	idx := make(map[int]int)
-	dense := make([]int, n)
+	var clusters [][]int
 	for i, l := range labels {
-		di, ok := idx[l]
+		c, ok := idx[l]
 		if !ok {
-			di = len(idx)
-			idx[l] = di
+			c, idx[l] = len(clusters), len(clusters)
+			clusters = append(clusters, nil)
 		}
-		dense[i] = di
+		clusters[c] = append(clusters[c], i)
 	}
-	nc := len(idx)
-	if nc < 2 {
+	if len(clusters) < 2 {
 		return 0, fmt.Errorf("hcluster: silhouette needs at least 2 clusters")
 	}
-	sizes := make([]int, nc)
-	for _, di := range dense {
-		sizes[di]++
+	_, s, err := ScorePartition(d, clusters)
+	return s, err
+}
+
+// ScorePartition returns, from one pass over the packed triangle, the
+// per-cluster quality QualityPar reports and the silhouette Silhouette
+// reports (0 below two non-empty clusters) for clusters, which must cover
+// [0, n) once with ascending members, as CutK and pam.Result.Clusters do;
+// an empty cluster (coinciding PAM medoids) scores Size 0. Cell (i, j),
+// j < i, goes into i's sum for j's cluster and j's for i's, so object i gets
+// d(i, j) in ascending j as a per-object scan adds them; row i's QualityPar
+// unit (its cluster-mates below it, gathered from the row) folds into its
+// cluster as the row ends, in member order: both scores are the separate
+// passes' to the bit. Its n sums per cluster of 2+ members stay ≤ a triangle.
+func ScorePartition(d *dissim.Matrix, clusters [][]int) ([]ClusterQuality, float64, error) {
+	n := d.N()
+	label := slices.Repeat([]int{-1}, n)
+	for c, members := range clusters {
+		for a, m := range members {
+			switch {
+			case m < 0 || m >= n:
+				return nil, 0, fmt.Errorf("hcluster: member %d out of range", m)
+			case a > 0 && m <= members[a-1]:
+				return nil, 0, fmt.Errorf("hcluster: cluster %d members not strictly ascending at %d", c, m)
+			case label[m] >= 0:
+				return nil, 0, fmt.Errorf("hcluster: object %d in two clusters", m)
+			}
+			label[m] = c
+		}
 	}
-	contrib := make([]float64, n)
-	w := d.PackedView()
-	parallel.Range(workers, n, func(_, lo, hi int) {
-		sums := make([]float64, nc)
-		for i := lo; i < hi; i++ {
-			own := dense[i]
-			if sizes[own] == 1 {
-				continue // contributes 0
-			}
-			for c := range sums {
-				sums[c] = 0
-			}
-			for j, v := range w[i*(i-1)/2 : i*(i+1)/2] {
-				sums[dense[j]] += v
-			}
-			off := i*(i+1)/2 + i // packed index of (i+1, i)
-			for j := i + 1; j < n; j++ {
-				sums[dense[j]] += w[off]
-				off += j
-			}
-			a := sums[own] / float64(sizes[own]-1)
-			b, first := 0.0, true
-			for c := 0; c < nc; c++ {
-				if c == own {
-					continue
-				}
-				if avg := sums[c] / float64(sizes[c]); first || avg < b {
-					b, first = avg, false
-				}
-			}
-			max := a
-			if b > max {
-				max = b
-			}
-			if max > 0 {
-				contrib[i] = (b - a) / max
+	// order ranks the non-empty clusters by first member, as SilhouettePar
+	// ranks labels. sums[slot[c]·n + i] is object i's sum over cluster c; a
+	// singleton {s} has no slot, its sum being the one cell d(i, s).
+	var order []int
+	slot, slots := slices.Repeat([]int{-1}, len(clusters)), 0
+	for i, c := range label {
+		if c < 0 {
+			return nil, 0, fmt.Errorf("hcluster: object %d in no cluster", i)
+		}
+		if clusters[c][0] == i {
+			order = append(order, c)
+			if len(clusters[c]) > 1 {
+				slot[c], slots = slots, slots+1
 			}
 		}
-	})
-	total := 0.0
-	for _, v := range contrib {
-		total += v
 	}
-	return total / float64(n), nil
+	q := make([]ClusterQuality, len(clusters))
+	// Nothing reaches i's sums before row i: row i's part accumulates in acc
+	// and is stored whole, the column part is one contiguous add.
+	sums := make([]float64, slots*n)
+	acc := make([]float64, len(clusters))
+	passed := make([]int, len(clusters)) // members of each cluster the sweep has passed
+	w := d.PackedView()
+	for i, ci := range label {
+		row := w[i*(i-1)/2 : i*(i+1)/2]
+		for j, v := range row {
+			acc[label[j]] += v
+		}
+		for c, s := range acc {
+			if slot[c] >= 0 {
+				sums[slot[c]*n+i] = s
+			}
+			acc[c] = 0
+		}
+		if s := slot[ci]; s >= 0 {
+			col := sums[s*n : s*n+len(row)]
+			for j, v := range row {
+				col[j] += v
+			}
+		}
+		sq, max := 0.0, 0.0
+		for _, m := range clusters[ci][:passed[ci]] {
+			v := row[m]
+			sq += v * v
+			if v > max {
+				max = v
+			}
+		}
+		passed[ci]++
+		q[ci].AvgSquaredDistance += sq
+		if max > q[ci].Diameter {
+			q[ci].Diameter = max
+		}
+	}
+	for c, members := range clusters {
+		q[c].Size = len(members)
+		if pairs := len(members) * (len(members) - 1) / 2; pairs > 0 {
+			q[c].AvgSquaredDistance /= float64(pairs)
+		}
+	}
+	if len(order) < 2 {
+		return q, 0, nil
+	}
+	total := 0.0
+	for i, own := range label {
+		if q[own].Size == 1 {
+			continue // contributes 0
+		}
+		a := sums[slot[own]*n+i] / float64(q[own].Size-1)
+		b, first := 0.0, true
+		for _, c := range order {
+			if c == own {
+				continue
+			}
+			var sum float64
+			if s := slot[c]; s >= 0 {
+				sum = sums[s*n+i]
+			} else {
+				sum = w[condIdx(i, clusters[c][0])]
+			}
+			if avg := sum / float64(q[c].Size); first || avg < b {
+				b, first = avg, false
+			}
+		}
+		max := a
+		if b > max {
+			max = b
+		}
+		if max > 0 {
+			total += (b - a) / max
+		}
+	}
+	return q, total / float64(n), nil
 }

@@ -8,9 +8,11 @@ package hcluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ppclust/internal/dissim"
+	"ppclust/internal/pam"
 	"ppclust/internal/parallel"
 	"ppclust/internal/rng"
 )
@@ -207,6 +209,142 @@ func TestPackedScoringMatchesAtReference(t *testing.T) {
 				t.Fatalf("n=%d workers=%d: silhouette %v, reference %v", n, workers, got, want)
 			}
 		}
+		// ScorePartition over the partitions the tail hands it — CutK's and
+		// PAM's, k = 1 through mostly-singleton cuts — and over the shuffled
+		// labeling's clusters once sorted, on a random and a tie-heavy matrix.
+		for _, d := range []*dissim.Matrix{d, tieMatrix(n, uint64(n))} {
+			partitions := map[string][][]int{"labeling": sortedClusters(clusters)}
+			dg, err := Cluster(d, Average)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{1, 2, 3, 4, 7, 50} {
+				if k > n {
+					continue
+				}
+				if partitions[fmt.Sprintf("cut-%d", k)], err = dg.CutK(k); err != nil {
+					t.Fatal(err)
+				}
+				res, err := pam.Cluster(d, k, rng.NewXoshiro(rng.SeedFromUint64(uint64(k))), pam.Config{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				partitions[fmt.Sprintf("pam-%d", k)] = res.Clusters()
+			}
+			for name, cs := range partitions {
+				assertScoresMatchReference(t, fmt.Sprintf("n=%d %s", n, name), d, cs)
+			}
+		}
+	}
+}
+
+// sortedClusters is clusters with each member list sorted ascending.
+func sortedClusters(clusters [][]int) [][]int {
+	out := make([][]int, len(clusters))
+	for c, members := range clusters {
+		out[c] = slices.Sorted(slices.Values(members))
+	}
+	return out
+}
+
+// assertScoresMatchReference demands ScorePartition's quality rows and
+// silhouette be the Matrix.At references' to the bit (silhouette 0 below two
+// non-empty clusters).
+func assertScoresMatchReference(t *testing.T, label string, d *dissim.Matrix, cs [][]int) {
+	t.Helper()
+	labels := make([]int, d.N())
+	nonEmpty := 0
+	for c, members := range cs {
+		for _, m := range members {
+			labels[m] = c
+		}
+		if len(members) > 0 {
+			nonEmpty++
+		}
+	}
+	wantQ, err := qualityAt(d, cs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantS := 0.0
+	if nonEmpty >= 2 {
+		if wantS, err = silhouetteAt(d, labels, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gotQ, gotS, err := ScorePartition(d, cs)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !slices.Equal(gotQ, wantQ) {
+		t.Fatalf("%s: quality %+v, reference %+v", label, gotQ, wantQ)
+	}
+	if math.Float64bits(gotS) != math.Float64bits(wantS) {
+		t.Fatalf("%s: silhouette %v, reference %v", label, gotS, wantS)
+	}
+}
+
+// TestScorePartitionRejectsNonPartitions: duplicate, out-of-range, unsorted
+// and missing members are errors, not scores. An empty cluster — PAM's, when
+// two medoids coincide — is scored as the separate passes score it.
+func TestScorePartitionRejectsNonPartitions(t *testing.T) {
+	d := randomMatrix(4, 1)
+	for name, cs := range map[string][][]int{
+		"duplicate-within": {{0, 1, 1}, {2, 3}},
+		"duplicate-across": {{0, 1}, {1, 2, 3}},
+		"out-of-range":     {{0, 1}, {2, 3, 4}},
+		"negative":         {{-1, 0, 1}, {2, 3}},
+		"unsorted":         {{1, 0}, {2, 3}},
+		"missing":          {{0, 1}, {3}},
+		"no-clusters":      nil,
+	} {
+		if _, _, err := ScorePartition(d, cs); err == nil {
+			t.Errorf("%s: %v accepted", name, cs)
+		}
+	}
+	assertScoresMatchReference(t, "empty cluster", d, [][]int{{0, 1}, {}, {2, 3}})
+	assertScoresMatchReference(t, "one non-empty cluster", d, [][]int{{}, {0, 1, 2, 3}})
+	if q, s, err := ScorePartition(dissim.New(0), nil); err != nil || len(q) != 0 || s != 0 {
+		t.Fatalf("empty partition of nothing: %v %v %v", q, s, err)
+	}
+}
+
+// TestScorePartitionAllocationPin: at session scale (n = 1200, k = 4) the
+// sweep allocates its n·k sums plus O(n) — no per-row or per-object slice.
+// k is the requester's choice: a singleton needs no sums, so k = n − 1
+// costs O(n) and the worst case, n/2 pairs, stays within one triangle.
+func TestScorePartitionAllocationPin(t *testing.T) {
+	const n = 1200
+	d := familyMatrix(n, 3)
+	dg, err := Cluster(d, Average)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make([][]int, n/2)
+	for c := range pairs {
+		pairs[c] = []int{2 * c, 2*c + 1}
+	}
+	for _, tc := range []struct {
+		k     int
+		cs    [][]int
+		bound int
+	}{
+		{4, nil, n*4*8 + 4*8*n},
+		{n - 1, nil, 16 * 8 * n},
+		{n / 2, pairs, 8*n*(n-1)/2 + 16*8*n},
+	} {
+		if tc.cs == nil {
+			if tc.cs, err = dg.CutK(tc.k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if bytes := allocBytes(func() {
+			if _, _, err := ScorePartition(d, tc.cs); err != nil {
+				t.Fatal(err)
+			}
+		}); bytes > uint64(tc.bound) {
+			t.Errorf("%d bytes to score n=%d k=%d, want ≤ %d", bytes, n, tc.k, tc.bound)
+		}
 	}
 }
 
@@ -230,28 +368,5 @@ func TestPackedScoringErrorsMatchAtReference(t *testing.T) {
 	}
 	if _, err := SilhouettePar(dissim.New(0), nil, 1); err == nil {
 		t.Fatal("empty matrix accepted")
-	}
-}
-
-// BenchmarkSilhouette1200 is the session-scale scan (a 600+600 census, four
-// clusters) on the packed walk and on the Matrix.At reference — the ≥ 2×
-// this change claims for it.
-func BenchmarkSilhouette1200(b *testing.B) {
-	d := randomMatrix(1200, 2)
-	labels := make([]int, 1200)
-	for i := range labels {
-		labels[i] = i % 4
-	}
-	for _, bench := range []struct {
-		name string
-		run  func(*dissim.Matrix, []int, int) (float64, error)
-	}{{"packed", SilhouettePar}, {"at-reference", silhouetteAt}} {
-		b.Run(bench.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.run(d, labels, 2); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

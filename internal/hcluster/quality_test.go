@@ -1,6 +1,7 @@
 package hcluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -122,23 +123,20 @@ func TestQualitySilhouetteDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// BenchmarkSilhouette500 times the packed-row silhouette scan at the
-// perf-regression scale, serial and on all cores; BenchmarkSilhouette1200
-// times it at session scale against the Matrix.At reference.
-func BenchmarkSilhouette500(b *testing.B) {
-	d := randomMatrix(500, 2)
-	labels := make([]int, 500)
-	for i := range labels {
-		labels[i] = i % 4
-	}
-	for _, bench := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(bench.name, func(b *testing.B) {
+// BenchmarkScorePartition times the one-sweep quality + silhouette scoring
+// of a four-cluster partition at the perf-regression scale (n = 500) and at
+// session scale (n = 1200, a 600 + 600 pair-cpu census).
+func BenchmarkScorePartition(b *testing.B) {
+	for _, n := range []int{500, 1200} {
+		d := randomMatrix(n, 2)
+		clusters := make([][]int, 4)
+		for i := 0; i < n; i++ {
+			clusters[i%4] = append(clusters[i%4], i)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := SilhouettePar(d, labels, bench.workers); err != nil {
+				if _, _, err := ScorePartition(d, clusters); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -253,6 +253,33 @@ func TestTailMatchesPerRequestOracle(t *testing.T) {
 	}
 }
 
+// TestTailScoresCoincidingMedoids: over identical objects PAM's medoids
+// coincide and its partition has empty clusters; the tail still publishes
+// exactly what the per-request tail does (Size-0 quality rows, silhouette 0)
+// instead of failing the session.
+func TestTailScoresCoincidingMedoids(t *testing.T) {
+	tp := bareTP(1, 4, 3)
+	ms := []*dissim.Matrix{dissim.New(7)}
+	reqs := []requestBody{
+		{Weights: []float64{1}, Method: int(MethodPAM), K: 3},
+		{Weights: []float64{1}, Method: int(MethodPAM), K: 2},
+	}
+	want, err := tp.oracleTail(ms, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tp.sharedTail(ms, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range tp.holders {
+		if want[h].Quality[len(want[h].Quality)-1].Size != 0 {
+			t.Fatalf("holder %s: PAM left no cluster empty — the case is not exercised", h)
+		}
+		assertSameResult(t, "holder "+h, want[h], got[h])
+	}
+}
+
 // TestTailKeys pins what counts as the same request: scalar multiples of a
 // weight vector, and every k clamped to the same end of [1, n].
 func TestTailKeys(t *testing.T) {
@@ -477,8 +504,9 @@ func resultsHash(holders []string, results map[string]*Result) string {
 // tailSessionShape builds a benchmark workload's shape at test size:
 // pair (2 holders, one numeric attribute, identical average-linkage
 // requests — pair-cpu) or mixed (3 holders, numeric + DNA + categorical,
-// average / single / PAM — mixed-cpu).
-func tailSessionShape(mixed bool, rows int) (dataset.Schema, []dataset.Partition, map[string]ClusterRequest) {
+// average / single / PAM — mixed-cpu). ties makes the pair's values
+// integers in 0..20, so most cells of the matrix tie exactly.
+func tailSessionShape(mixed, ties bool, rows int) (dataset.Schema, []dataset.Partition, map[string]ClusterRequest) {
 	schema := dataset.Schema{Attrs: []dataset.Attribute{{Name: "x", Type: dataset.Numeric}}}
 	sites := []string{"A", "B"}
 	reqs := map[string]ClusterRequest{
@@ -505,6 +533,9 @@ func tailSessionShape(mixed bool, rows int) (dataset.Schema, []dataset.Partition
 		for r := 0; r < rows; r++ {
 			family := rng.Symbol(s, 4)
 			x := float64(family)*10 + rng.Float64(s)
+			if ties {
+				x = float64(rng.Symbol(s, 21))
+			}
 			if !mixed {
 				tab.MustAppendRow(x)
 				continue
@@ -524,19 +555,23 @@ func tailSessionShape(mixed bool, rows int) (dataset.Schema, []dataset.Partition
 // mixed-cpu shapes, unsharded and at TPShards 2, and requires the published
 // report to be the parent's: equal to the per-request oracle over the
 // session's own matrices, delivered intact to every holder, and hashing to
-// the digest recorded from commit 04d7c0a (the last one whose finish ran
-// the per-request tail) by this very function.
+// the digest recorded by this very function from commit 04d7c0a (the last
+// one whose finish ran the per-request tail) — or, for the benchmark-size
+// and tie-heavy pair rows, from c7db6ce (the last one whose NN-chain walked
+// every slot and whose silhouette scanned object by object).
 func TestSessionTailMatchesParent(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		mixed bool
-		rows  int
-		hash  string
+		name        string
+		mixed, ties bool
+		rows        int
+		hash        string
 	}{
-		{"pair-cpu", false, 120, "697ac28c97c684ec"},
-		{"mixed-cpu", true, 30, "3e0cf2cc02596b62"},
+		{"pair-cpu", false, false, 120, "697ac28c97c684ec"},
+		{"pair-cpu-600", false, false, 600, "8baaa5ccec7de956"},
+		{"pair-ties", false, true, 200, "35b3503e740e97e3"},
+		{"mixed-cpu", true, false, 30, "3e0cf2cc02596b62"},
 	} {
-		schema, parts, reqs := tailSessionShape(tc.mixed, tc.rows)
+		schema, parts, reqs := tailSessionShape(tc.mixed, tc.ties, tc.rows)
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
 				cfg := Config{Schema: schema, Variant: Float64Variant, Parallelism: 2, TPShards: shards}

@@ -679,21 +679,16 @@ func (t *tail) serve(key tailKey, weights []float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if res.Quality, err = hcluster.QualityPar(merged, clusters, t.workers); err != nil {
+	// Below two clusters the silhouette is undefined and published as 0.
+	if res.Quality, res.Silhouette, err = hcluster.ScorePartition(merged, clusters); err != nil {
 		return nil, err
 	}
-	labels := make([]int, len(t.ids))
-	for c, members := range clusters {
+	for _, members := range clusters {
 		objs := make([]dataset.ObjectID, len(members))
 		for i, m := range members {
-			objs[i], labels[m] = t.ids[m], c
+			objs[i] = t.ids[m]
 		}
 		res.Clusters = append(res.Clusters, objs)
-	}
-	if key.k >= 2 {
-		// Silhouette is undefined for degenerate partitions; publish 0
-		// rather than failing the session.
-		res.Silhouette, _ = hcluster.SilhouettePar(merged, labels, t.workers)
 	}
 	t.results[key] = res
 	return res, nil
