@@ -331,8 +331,9 @@ func BenchmarkE10Hierarchical(b *testing.B) {
 
 // BenchmarkClusterBackend times the rebuilt clustering backend at the
 // perf-regression scale (n=500): the MST/NN-chain engines serial vs
-// parallel, and the retained generic reference engine as the baseline the
-// ≥5× single-linkage criterion is measured against. It is for ad-hoc
+// parallel. The retained generic reference engine, the baseline the ≥5×
+// single-linkage criterion is measured against, is timed in-package by
+// hcluster's BenchmarkClusterSingle500Reference. It is for ad-hoc
 // before/after runs; the recorded trajectory is the hcluster.cluster_ms
 // row of the repo benchmark (benchmark/README.md), which replays
 // ClusterPar at a session's own shape. Note the per-merge fan-out is
@@ -362,15 +363,6 @@ func BenchmarkClusterBackend(b *testing.B) {
 			})
 		}
 	}
-	b.Run("single/n=500/reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			opts := hcluster.ClusterOptions{Algorithm: hcluster.AlgoGeneric, Workers: 1}
-			if _, err := hcluster.ClusterOpt(m, hcluster.Single, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // The PAM swap-round family (n=512, k=8, serial vs parallel) lives next

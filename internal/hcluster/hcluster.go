@@ -10,8 +10,8 @@
 // built"). All seven classical linkages are provided through the
 // Lance–Williams recurrence.
 //
-// Three exact engines back Cluster, selected automatically (see
-// Algorithm): Prim's minimum-spanning-tree pass for single linkage (O(n²)
+// Three exact engines back Cluster, selected by linkage (see
+// ClusterPar): Prim's minimum-spanning-tree pass for single linkage (O(n²)
 // time, O(n) extra space, no working copy), the nearest-neighbor-chain
 // algorithm for the remaining reducible linkages — complete, average,
 // weighted, Ward — over a condensed packed working copy (guaranteed O(n²)
@@ -21,7 +21,7 @@
 // and median linkages. Per-merge Lance–Williams row updates run through
 // internal/parallel; results are bit-identical at any worker count.
 // The MST and NN-chain engines emit merges in non-decreasing height
-// order with ties kept in discovery order (see ClusterOpt for the exact
+// order with ties kept in discovery order (see ClusterPar for the exact
 // convention); centroid and median linkage — non-reducible, served by
 // the generic engine — can exhibit the classical dendrogram inversions,
 // so their merge heights follow discovery order and need not be
@@ -152,18 +152,12 @@ func lwParams(l Linkage, ni, nj, nk float64) (ai, aj, beta, gamma float64) {
 }
 
 func errEmptyMatrix() error { return fmt.Errorf("hcluster: empty dissimilarity matrix") }
-func errBadAlgorithm(a Algorithm) error {
-	return fmt.Errorf("hcluster: invalid algorithm %d", a)
-}
 
-// Cluster builds the dendrogram of the matrix under the given linkage. It
-// runs the automatic engine selection serially: the NN-chain engine for
-// reducible linkages, the generic reference engine otherwise. Use
-// ClusterPar or ClusterOpt to set the worker count or force an engine. A
-// matrix with fewer than one object is rejected; a single object yields
-// an empty merge list.
+// Cluster builds the dendrogram of the matrix under the given linkage,
+// serially: ClusterPar at one worker. A matrix with fewer than one object
+// is rejected; a single object yields an empty merge list.
 func Cluster(d *dissim.Matrix, link Linkage) (*Dendrogram, error) {
-	return ClusterOpt(d, link, ClusterOptions{Workers: 1})
+	return ClusterPar(d, link, 1)
 }
 
 // clusterGeneric is the retained reference engine: a dense working matrix

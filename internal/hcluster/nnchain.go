@@ -8,41 +8,6 @@ import (
 	"ppclust/internal/parallel"
 )
 
-// Algorithm selects the agglomeration engine behind Cluster.
-type Algorithm int
-
-const (
-	// AlgoAuto (the default) picks the nearest-neighbor-chain engine for
-	// the reducible linkages (single, complete, average, weighted, Ward),
-	// where it is exact and guarantees O(n²) time with O(n) extra space
-	// beyond the condensed working copy, and falls back to the generic
-	// nearest-neighbor-cached engine for the non-reducible linkages
-	// (centroid, median), where NN-chain would not reproduce the
-	// minimum-distance merge order.
-	AlgoAuto Algorithm = iota
-	// AlgoNNChain requests the NN-chain engine. For centroid and median
-	// linkage — which are not reducible — it still falls back to the
-	// generic engine, since NN-chain is only exact under reducibility.
-	AlgoNNChain
-	// AlgoGeneric is the retained reference implementation: a dense
-	// working matrix with a nearest-neighbor cache and a global minimum
-	// scan per step. It is the ground truth the NN-chain engine is tested
-	// against.
-	AlgoGeneric
-)
-
-// ClusterOptions tunes ClusterOpt. The zero value runs the automatic
-// engine on all cores.
-type ClusterOptions struct {
-	// Algorithm selects the agglomeration engine (default AlgoAuto).
-	Algorithm Algorithm
-	// Workers is the parallel engine's worker count for the per-merge
-	// Lance–Williams row updates and the working-copy construction:
-	// 0 or negative selects all cores, 1 runs serially. The result is
-	// bit-identical at any setting.
-	Workers int
-}
-
 // reducible reports whether NN-chain is exact for the linkage: the
 // Lance–Williams update may never bring two clusters closer than the pair
 // that just merged. Centroid and median linkage violate this (inversions),
@@ -51,8 +16,15 @@ func (l Linkage) reducible() bool {
 	return l != Centroid && l != Median
 }
 
-// ClusterOpt builds the dendrogram of the matrix under the given linkage
-// and options. Cluster and ClusterPar are thin wrappers.
+// ClusterPar builds the dendrogram of the matrix under the given linkage
+// with an explicit worker count for the per-merge row updates and the
+// working-copy construction (<= 0 = all cores); results are bit-identical
+// at any count. The engine follows the linkage: Prim's minimum spanning
+// tree for single, the nearest-neighbor chain for the other reducible
+// linkages (complete, average, weighted, Ward), where it is exact in O(n²)
+// time and O(n) extra space beyond the condensed working copy, and the
+// generic nearest-neighbor-cached engine for centroid and median, where
+// NN-chain would not reproduce the minimum-distance merge order.
 //
 // Tie-breaking convention: the NN-chain engine scans for a nearest
 // neighbor preferring the previous chain element on equal distance, then
@@ -62,34 +34,26 @@ func (l Linkage) reducible() bool {
 // the same tree whenever pairwise cluster distances are distinct; under
 // exact ties the trees may differ in which equal-height merge happens
 // first (the induced partitions at every distinct height coincide).
-func ClusterOpt(d *dissim.Matrix, link Linkage, opts ClusterOptions) (*Dendrogram, error) {
-	n := d.N()
-	if n < 1 {
+func ClusterPar(d *dissim.Matrix, link Linkage, workers int) (*Dendrogram, error) {
+	if d.N() < 1 {
 		return nil, errEmptyMatrix()
 	}
 	if err := link.Validate(); err != nil {
 		return nil, err
 	}
-	useChain := false
-	switch opts.Algorithm {
-	case AlgoAuto, AlgoNNChain:
-		useChain = link.reducible()
-	case AlgoGeneric:
+	switch {
+	case link == Single:
+		// Single linkage needs no Lance–Williams updates at all: its
+		// dendrogram is the minimum spanning tree of the original matrix
+		// with edges replayed in weight order, computed by Prim's
+		// algorithm directly over the read-only condensed storage in
+		// O(n²) time and O(n) extra space.
+		return clusterMSTSingle(d, workers), nil
+	case link.reducible():
+		return clusterNNChain(d, link, workers), nil
 	default:
-		return nil, errBadAlgorithm(opts.Algorithm)
+		return clusterGeneric(d, link, workers), nil
 	}
-	if useChain {
-		if link == Single {
-			// Single linkage needs no Lance–Williams updates at all: its
-			// dendrogram is the minimum spanning tree of the original
-			// matrix with edges replayed in weight order, computed by
-			// Prim's algorithm directly over the read-only condensed
-			// storage in O(n²) time and O(n) extra space.
-			return clusterMSTSingle(d, opts.Workers), nil
-		}
-		return clusterNNChain(d, link, opts.Workers), nil
-	}
-	return clusterGeneric(d, link, opts.Workers), nil
 }
 
 // clusterMSTSingle is the single-linkage fast path: Prim's minimum
@@ -152,12 +116,6 @@ func clusterMSTSingle(d *dissim.Matrix, workers int) *Dendrogram {
 		cur = best
 	}
 	return labelMerges(dg, raw, Single, n)
-}
-
-// ClusterPar is Cluster with an explicit worker count for the per-merge
-// row updates (<= 0 = all cores). Results are bit-identical at any count.
-func ClusterPar(d *dissim.Matrix, link Linkage, workers int) (*Dendrogram, error) {
-	return ClusterOpt(d, link, ClusterOptions{Workers: workers})
 }
 
 // rowParallelGrain gates the per-merge fan-out: a Lance–Williams row

@@ -247,24 +247,21 @@ func TestNNChainMergesMatchParent(t *testing.T) {
 }
 
 // TestNNChainMatchesReference is the backend equivalence property test:
-// across all linkages and a spread of sizes, the automatic engine
-// (MST for single, NN-chain for the other reducible linkages, generic
-// for centroid/median) must produce the same CutK partitions at every k
-// and the same cophenetic matrix as the retained reference engine.
+// across all linkages and a spread of sizes, ClusterPar's engine (MST for
+// single, NN-chain for the other reducible linkages, generic for
+// centroid/median) must produce the same CutK partitions at every k and
+// the same cophenetic matrix as the retained reference engine.
 func TestNNChainMatchesReference(t *testing.T) {
 	for _, link := range allLinkages {
 		t.Run(link.String(), func(t *testing.T) {
 			for _, n := range []int{1, 2, 3, 17, 64} {
 				for seed := uint64(1); seed <= 3; seed++ {
 					d := randomMatrix(n, seed*100+uint64(n))
-					fast, err := ClusterOpt(d, link, ClusterOptions{Algorithm: AlgoAuto, Workers: 1})
+					fast, err := ClusterPar(d, link, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref, err := ClusterOpt(d, link, ClusterOptions{Algorithm: AlgoGeneric, Workers: 1})
-					if err != nil {
-						t.Fatal(err)
-					}
+					ref := clusterGeneric(d, link, 1)
 					if !partitionsEqual(t, fast, ref) {
 						t.Fatalf("n=%d seed=%d: engines induce different partitions", n, seed)
 					}
@@ -280,30 +277,6 @@ func TestNNChainMatchesReference(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestNNChainExplicitAlgorithm pins AlgoNNChain to the chain engine for
-// every reducible linkage (single included — the MST fast path is an
-// AlgoAuto routing decision, the chain must stay correct on its own) and
-// verifies the documented centroid/median fallback to the generic engine.
-func TestNNChainExplicitAlgorithm(t *testing.T) {
-	for _, link := range allLinkages {
-		d := randomMatrix(33, 7)
-		chain, err := ClusterOpt(d, link, ClusterOptions{Algorithm: AlgoNNChain, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := ClusterOpt(d, link, ClusterOptions{Algorithm: AlgoGeneric, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !partitionsEqual(t, chain, ref) {
-			t.Fatalf("%v: AlgoNNChain disagrees with reference", link)
-		}
-	}
-	if _, err := ClusterOpt(randomMatrix(4, 1), Single, ClusterOptions{Algorithm: Algorithm(9)}); err == nil {
-		t.Fatal("invalid algorithm accepted")
 	}
 }
 
@@ -325,25 +298,33 @@ func TestNNChainSingleUsesChainDirectly(t *testing.T) {
 
 // TestClusterDeterministicAcrossWorkers pins bit-identical dendrograms
 // (merge pairs, node ids and exact heights) at Parallelism 1, 2 and all
-// cores for every linkage and engine.
+// cores for every linkage and engine: ClusterPar's routing and the generic
+// reference engine.
 func TestClusterDeterministicAcrossWorkers(t *testing.T) {
-	for _, algo := range []Algorithm{AlgoAuto, AlgoGeneric} {
-		for _, link := range allLinkages {
-			d := randomMatrix(48, 21)
-			ref, err := ClusterOpt(d, link, ClusterOptions{Algorithm: algo, Workers: 1})
+	engines := []struct {
+		name string
+		run  func(d *dissim.Matrix, link Linkage, workers int) *Dendrogram
+	}{
+		{"routed", func(d *dissim.Matrix, link Linkage, workers int) *Dendrogram {
+			dg, err := ClusterPar(d, link, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
+			return dg
+		}},
+		{"generic", clusterGeneric},
+	}
+	for _, eng := range engines {
+		for _, link := range allLinkages {
+			d := randomMatrix(48, 21)
+			ref := eng.run(d, link, 1)
 			for _, workers := range []int{2, 0} {
-				got, err := ClusterOpt(d, link, ClusterOptions{Algorithm: algo, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := eng.run(d, link, workers)
 				for s := range ref.Merges {
 					a, b := ref.Merges[s], got.Merges[s]
 					if a != b {
-						t.Fatalf("algo=%d %v workers=%d: merge %d %+v vs serial %+v",
-							algo, link, workers, s, b, a)
+						t.Fatalf("%s %v workers=%d: merge %d %+v vs serial %+v",
+							eng.name, link, workers, s, b, a)
 					}
 				}
 			}
@@ -378,11 +359,7 @@ func TestNNChainAllocationPin(t *testing.T) {
 	bound := uint64(8*n*(n-1)/2 + 24*8*n)
 	for _, link := range []Linkage{Complete, Average, Weighted, Ward} {
 		for _, workers := range []int{1, 2} {
-			run := func() {
-				if _, err := ClusterOpt(d, link, ClusterOptions{Algorithm: AlgoNNChain, Workers: workers}); err != nil {
-					t.Fatal(err)
-				}
-			}
+			run := func() { clusterNNChain(d, link, workers) }
 			if allocs := testing.AllocsPerRun(3, run); allocs > 40 {
 				t.Errorf("%v, workers %d: %v allocations for a 300-leaf tree", link, workers, allocs)
 			}
@@ -445,16 +422,16 @@ func TestCondIdxRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkClusterSingle500Reference pairs with BenchmarkClusterSingle500
-// (the automatic engine) for a quick in-package before/after; the full
-// linkage × worker-count family at this scale is BenchmarkClusterBackend
-// in the root bench_test.go.
+// BenchmarkClusterSingle500Reference times the retained generic reference
+// engine on single linkage, the baseline the MST path's ≥5× criterion is
+// measured against; it pairs with BenchmarkClusterSingle500 (the routed
+// engine) for a quick in-package before/after. The engines' linkage ×
+// worker-count family at this scale is BenchmarkClusterBackend in the root
+// bench_test.go.
 func BenchmarkClusterSingle500Reference(b *testing.B) {
 	d := randomMatrix(500, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ClusterOpt(d, Single, ClusterOptions{Algorithm: AlgoGeneric, Workers: 1}); err != nil {
-			b.Fatal(err)
-		}
+		clusterGeneric(d, Single, 1)
 	}
 }

@@ -29,7 +29,7 @@ func TestEstimateSessionBytesFormula(t *testing.T) {
 
 func TestEstimateSessionBytesMonolithicPricesFullTriangle(t *testing.T) {
 	chunked := Config{Schema: mixedSchema(), LocalChunkBytes: 1 << 10}
-	mono := Config{Schema: mixedSchema(), LocalChunkBytes: -1}
+	mono := Config{Schema: mixedSchema(), LocalChunkBytes: oneFrameBudget}
 	if c, m := chunked.EstimateSessionBytes(3, 500, 1), mono.EstimateSessionBytes(3, 500, 1); m <= c {
 		t.Fatalf("monolithic estimate %d not above chunked %d", m, c)
 	}

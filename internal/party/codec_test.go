@@ -313,11 +313,11 @@ func TestAlphaFramesMatchParent(t *testing.T) {
 		{1, 1, "2/125/b8995a1d4c009a6c"},
 		{64, 1, "2/125/b8995a1d4c009a6c"},
 		{0, 1, "2/6/dd33634bcc8f6733"},
-		{-1, 1, "2/3/20962a784e1d016d"},
+		{oneFrameBudget, 1, "2/3/20962a784e1d016d"},
 		{1, 2, "3/125/1f072683517bed5a"},
 		{64, 2, "3/125/1f072683517bed5a"},
 		{0, 2, "3/8/a7484b74663bdd39"},
-		{-1, 2, "3/5/b3d1412079729d48"},
+		{oneFrameBudget, 2, "3/5/b3d1412079729d48"},
 	} {
 		for _, workers := range []int{1, 2} {
 			cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant,
@@ -381,7 +381,7 @@ func TestNumericFramesMatchParent(t *testing.T) {
 		}},
 	} {
 		for i, hash := range tc.hashes {
-			chunk, shards := [...]int{1, 64, 0, -1}[i/2], 1+i%2
+			chunk, shards := [...]int{1, 64, 0, oneFrameBudget}[i/2], 1+i%2
 			for _, workers := range []int{1, 2} {
 				cfg := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: tc.mode,
 					LocalChunkBytes: chunk, TPShards: shards, Parallelism: workers}

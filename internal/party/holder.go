@@ -535,13 +535,13 @@ func (h *Holder) initiate(attr int, j, k string) error {
 	var full numSBody // numDisguisedBody's layout; chunked by the shared numSView
 	switch h.cfg.Variant {
 	case Float64Variant:
-		full.Float, err = h.eng.NumericInitiatorFloat(col, jk, jt, h.cfg.FloatParams, h.cfg.Mode, responderRows)
+		full.Float, err = h.eng.NumericInitiatorFloat(col, jk, jt, protocol.DefaultFloatParams, h.cfg.Mode, responderRows)
 	case Int64Variant:
-		ints, cerr := toInts(col, h.cfg.IntParams)
+		ints, cerr := toInts(col)
 		if cerr != nil {
 			return cerr
 		}
-		full.Int, err = h.eng.NumericInitiatorInt(ints, jk, jt, h.cfg.IntParams, h.cfg.Mode, responderRows)
+		full.Int, err = h.eng.NumericInitiatorInt(ints, jk, jt, protocol.DefaultIntParams, h.cfg.Mode, responderRows)
 	case ModPVariant:
 		ints, cerr := toIntsUnbounded(col)
 		if cerr != nil {
@@ -676,19 +676,19 @@ func (h *Holder) respond(attr int, j, k string) error {
 		}
 		s.Float = &protocol.Float64Matrix{}
 		fill = func(lo, hi int) error {
-			return h.eng.NumericResponderFloatRows(s.Float, disg.Float, col[lo:hi], lo, jk, h.cfg.FloatParams, h.cfg.Mode)
+			return h.eng.NumericResponderFloatRows(s.Float, disg.Float, col[lo:hi], lo, jk, protocol.DefaultFloatParams, h.cfg.Mode)
 		}
 	case Int64Variant:
 		if disg.Int == nil {
 			return fmt.Errorf("party: missing int payload from %s", j)
 		}
-		ints, err := toInts(col, h.cfg.IntParams)
+		ints, err := toInts(col)
 		if err != nil {
 			return err
 		}
 		s.Int = &protocol.Int64Matrix{}
 		fill = func(lo, hi int) error {
-			return h.eng.NumericResponderIntRows(s.Int, disg.Int, ints[lo:hi], lo, jk, h.cfg.IntParams, h.cfg.Mode)
+			return h.eng.NumericResponderIntRows(s.Int, disg.Int, ints[lo:hi], lo, jk, protocol.DefaultIntParams, h.cfg.Mode)
 		}
 	case ModPVariant:
 		if disg.ModP == nil {
@@ -843,14 +843,15 @@ func (h *Holder) recvResult() (*Result, error) {
 
 // toInts converts a numeric column for the integer variant, requiring
 // integral values within the magnitude bound.
-func toInts(col []float64, params protocol.IntParams) ([]int64, error) {
+func toInts(col []float64) ([]int64, error) {
+	bound := protocol.DefaultIntParams.MaxMagnitude
 	out := make([]int64, len(col))
 	for i, v := range col {
 		iv := int64(v)
 		if float64(iv) != v {
 			return nil, fmt.Errorf("party: value %v at row %d is not integral (required by the int64/modp variants)", v, i)
 		}
-		if iv > params.MaxMagnitude || iv < -params.MaxMagnitude {
+		if iv > bound || iv < -bound {
 			return nil, fmt.Errorf("party: value %v at row %d exceeds magnitude bound", v, i)
 		}
 		out[i] = iv

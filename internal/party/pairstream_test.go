@@ -40,7 +40,7 @@ func TestPairChunkedMatchesSerialAcrossVariants(t *testing.T) {
 	}
 	for _, tc := range cases {
 		base := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: tc.mode,
-			Parallelism: 1, LocalChunkBytes: -1}
+			Parallelism: 1, LocalChunkBytes: oneFrameBudget}
 		want, err := runSerialTP(base, parts, reqs, deterministicRandom(15), nil)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", tc.name, err)
@@ -135,7 +135,7 @@ func TestPairChunkedStreamingLiftsFrameCeiling(t *testing.T) {
 	}
 	assertSameOutcome(t, "capped conduit", uncapped, out)
 
-	cfg.LocalChunkBytes = -1 // monolithic: the S-matrix frame must be rejected
+	cfg.LocalChunkBytes = oneFrameBudget // monolithic: the S-matrix frame must be rejected
 	if _, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(16), capWrap); !errors.Is(err, wire.ErrFrameTooLarge) {
 		t.Fatalf("monolithic session over capped conduit: want ErrFrameTooLarge, got %v", err)
 	}

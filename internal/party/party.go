@@ -90,7 +90,8 @@ const (
 	// plaintext value at unit scale.
 	Float64Variant Variant = iota
 	// Int64Variant runs the protocol over integers; numeric attribute
-	// values must be integral and within IntParams.MaxMagnitude. Exact.
+	// values must be integral and within protocol.DefaultIntParams'
+	// MaxMagnitude. Exact.
 	Int64Variant
 	// ModPVariant runs the protocol in Z_p with perfectly hiding masks;
 	// values must be integral. Exact.
@@ -118,16 +119,15 @@ type Config struct {
 	Schema dataset.Schema
 	// Mode is the numeric protocol's masking mode (batch or per-pair).
 	Mode protocol.Mode
-	// Variant selects the numeric protocol arithmetic.
+	// Variant selects the numeric protocol arithmetic. Integer and float
+	// masks are always bounded by protocol.DefaultIntParams and
+	// protocol.DefaultFloatParams.
 	Variant Variant
-	// RNG selects the shared generator implementation; defaults to the
-	// AES-CTR generator, matching the paper's "high quality,
+	// RNG selects the shared generator implementation. The zero value is
+	// rng.KindXoshiro, and normalized does not replace it; the ppclust
+	// facade pins rng.KindAESCTR, matching the paper's "high quality,
 	// unpredictable" requirement.
 	RNG rng.Kind
-	// IntParams bounds the integer variant (zero value = defaults).
-	IntParams protocol.IntParams
-	// FloatParams bounds the float variant (zero value = defaults).
-	FloatParams protocol.FloatParams
 	// PlaintextChannels disables AES-GCM channel protection. Only the
 	// eavesdropping experiments set this; the paper requires secured
 	// channels.
@@ -166,9 +166,9 @@ type Config struct {
 	// both sides derive the identical chunk schedules (localChunksRange,
 	// pairChunksRange) from it — and tunes only framing: reports are
 	// bit-identical at every setting. 0 selects DefaultLocalChunkBytes;
-	// negative sends every payload as a single monolithic frame (the
-	// pre-streaming wire shape, which re-imposes the wire.MaxFrame
-	// ceiling on session size).
+	// negative is refused. A budget at least as large as a payload sends
+	// it as one frame per lane, which re-imposes the wire.MaxFrame ceiling
+	// on session size.
 	LocalChunkBytes int
 	// SessionTimeout bounds a whole session, handshake through result.
 	// When it elapses the party fails with ErrSessionTimeout, notifies
@@ -252,18 +252,14 @@ type Config struct {
 const DefaultLocalChunkBytes = 256 << 10
 
 // chunkBudgetBytes resolves the LocalChunkBytes knob's defaulting in one
-// place for every chunk schedule: negative means monolithic (returned as
-// −1), 0 selects DefaultLocalChunkBytes. Holder and third party must
-// derive identical schedules, so this is the only ladder.
+// place for every chunk schedule: 0 selects DefaultLocalChunkBytes.
+// Holder and third party must derive identical schedules, so this is the
+// only ladder.
 func (c Config) chunkBudgetBytes() int {
-	switch {
-	case c.LocalChunkBytes < 0:
-		return -1
-	case c.LocalChunkBytes == 0:
+	if c.LocalChunkBytes == 0 {
 		return DefaultLocalChunkBytes
-	default:
-		return c.LocalChunkBytes
 	}
+	return c.LocalChunkBytes
 }
 
 // alphaPairCellBytes is the nominal wire weight of one alphanumeric S/M
@@ -308,11 +304,7 @@ func (c Config) shardCount() int {
 // census, so the receiver knows every chunk's row range — and the demux
 // lane quota — before the first frame.
 func (c Config) localChunksRange(lo, hi int) [][2]int {
-	b := c.chunkBudgetBytes()
-	if b < 0 {
-		return [][2]int{{lo, hi}}
-	}
-	return dissim.RowChunksRange(lo, hi, b/8)
+	return dissim.RowChunksRange(lo, hi, c.chunkBudgetBytes()/8)
 }
 
 // pairChunksRange is the chunk schedule of rows [lo, hi) of one pairwise
@@ -323,21 +315,13 @@ func (c Config) localChunksRange(lo, hi int) [][2]int {
 // knob as localChunksRange and shared between sender and receiver the
 // same way.
 func (c Config) pairChunksRange(t dataset.AttrType, lo, hi, cols int) [][2]int {
-	b := c.chunkBudgetBytes()
-	if b < 0 {
-		return [][2]int{{lo, hi}}
-	}
-	return dissim.RectChunksRange(lo, hi, cols, b/c.pairCellBytes(t))
+	return dissim.RectChunksRange(lo, hi, cols, c.chunkBudgetBytes()/c.pairCellBytes(t))
 }
 
 // pairChunkCountRange is len(pairChunksRange(t, lo, hi, cols)) without
 // materializing the schedule, for the demux lane quotas.
 func (c Config) pairChunkCountRange(t dataset.AttrType, lo, hi, cols int) int {
-	b := c.chunkBudgetBytes()
-	if b < 0 {
-		return 1
-	}
-	return dissim.RectChunkCountRange(lo, hi, cols, b/c.pairCellBytes(t))
+	return dissim.RectChunkCountRange(lo, hi, cols, c.chunkBudgetBytes()/c.pairCellBytes(t))
 }
 
 // shardRowsOf intersects global triangle rows [lo, hi) with the rows a
@@ -389,10 +373,10 @@ func shardRowsOf(lo, hi, off, n int) (int, int) {
 // K× the single-TP estimate would over-reserve by roughly the matrix
 // term times K−1.
 //
-// A monolithic configuration (LocalChunkBytes < 0) prices each "chunk"
-// at the full triangle, which is exactly the pre-streaming resident
-// shape. The estimate is a pure function of public shape (schema, census,
-// chunking, shard count) — it never consults private data.
+// A chunk budget larger than the triangle prices each "chunk" at the full
+// triangle, which is exactly the pre-streaming resident shape. The
+// estimate is a pure function of public shape (schema, census, chunking,
+// shard count) — it never consults private data.
 func (c Config) EstimateSessionBytes(numHolders, totalObjects, shards int) int64 {
 	if numHolders < 0 {
 		numHolders = 0
@@ -402,10 +386,7 @@ func (c Config) EstimateSessionBytes(numHolders, totalObjects, shards int) int64
 		n = 0
 	}
 	triangle := 8 * n * (n - 1) / 2
-	chunk := int64(c.chunkBudgetBytes())
-	if chunk < 0 || chunk > triangle {
-		chunk = triangle
-	}
+	chunk := min(int64(c.chunkBudgetBytes()), triangle)
 	nAttr := int64(len(c.Schema.Attrs))
 	matrices := (nAttr + 1) * triangle
 	mailboxes := int64(numHolders) * (nAttr + 1) * laneBuffer * chunk
@@ -439,11 +420,8 @@ func (c Config) normalized() (Config, error) {
 	if c.Variant < Float64Variant || c.Variant > ModPVariant {
 		return c, fmt.Errorf("party: invalid variant %d", c.Variant)
 	}
-	if c.IntParams == (protocol.IntParams{}) {
-		c.IntParams = protocol.DefaultIntParams
-	}
-	if c.FloatParams == (protocol.FloatParams{}) {
-		c.FloatParams = protocol.DefaultFloatParams
+	if c.LocalChunkBytes < 0 {
+		return c, fmt.Errorf("party: negative LocalChunkBytes %d", c.LocalChunkBytes)
 	}
 	if c.TPShards > MaxTPShards {
 		return c, fmt.Errorf("party: TPShards %d exceeds the maximum of %d", c.TPShards, MaxTPShards)
@@ -618,8 +596,8 @@ type groupKeyBody struct {
 
 // localBody is one chunk of an attribute's local dissimilarity matrix:
 // the packed cells of triangle rows [Lo, Hi), streamed in the shared
-// localChunksRange schedule (a single chunk per lane under a monolithic
-// configuration). N is the full object count, repeated per chunk so every
+// localChunksRange schedule (a single chunk per lane when the budget
+// exceeds the payload). N is the full object count, repeated per chunk so every
 // frame validates against the census on its own. A holder sends Cells; a
 // decoded chunk keeps its cell block where it arrived (wire, 8
 // little-endian bytes a cell, aliasing the payload) for the assembler to
@@ -633,8 +611,8 @@ type localBody struct {
 
 // numSBody is one chunk of the responder→TP numeric message: rows
 // [Lo, Hi) of the masked comparison matrix S, streamed in the shared
-// pairChunksRange schedule (a single chunk per lane under a monolithic
-// configuration). Rows is the responder's full object count,
+// pairChunksRange schedule (a single chunk per lane when the budget
+// exceeds the payload). Rows is the responder's full object count,
 // repeated per chunk so every frame validates against the census on its
 // own. A sender sets exactly one variant pointer, holding the (Hi−Lo)×cols
 // sub-matrix; a decoded chunk keeps the variant byte and the cell block
@@ -724,8 +702,6 @@ type shardOfferBody struct {
 	Mode            protocol.Mode
 	Variant         Variant
 	RNG             rng.Kind
-	IntParams       protocol.IntParams
-	FloatParams     protocol.FloatParams
 	LocalChunkBytes int
 	Parallelism     int
 

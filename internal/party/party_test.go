@@ -284,6 +284,9 @@ func TestValidationErrors(t *testing.T) {
 		mixedPartitions(t), nil, deterministicRandom(4)); err == nil {
 		t.Fatal("invalid variant accepted")
 	}
+	if _, err := (Config{Schema: schema, LocalChunkBytes: -1}).normalized(); err == nil {
+		t.Fatal("negative chunk budget accepted")
+	}
 }
 
 // TestEmptyPartition: a holder with zero objects participates without

@@ -115,7 +115,9 @@ func TestChaosReconnectShardedFlap(t *testing.T) {
 
 // TestChaosReconnectWindowExpiry: when no replacement transport can be
 // dialed, the degraded session fails within a bounded window, classified
-// ErrSessionTimeout and naming the reconnect window — never a hang.
+// ErrSessionTimeout with wire.ErrReconnectExpired kept in the chain and
+// naming the reconnect window — never a hang. TestChaosShardProcWindowExpiry
+// is the same case on a worker link.
 func TestChaosReconnectWindowExpiry(t *testing.T) {
 	leakcheck.Check(t)
 	cfg := reconnConfig()
@@ -127,6 +129,9 @@ func TestChaosReconnectWindowExpiry(t *testing.T) {
 		deterministicRandom(33), flapLaneOnce("A", TPName, 3))
 	if !errors.Is(err, ErrSessionTimeout) {
 		t.Fatalf("want ErrSessionTimeout after window expiry, got %v", err)
+	}
+	if !errors.Is(err, wire.ErrReconnectExpired) {
+		t.Fatalf("wire.ErrReconnectExpired lost from the chain: %v", err)
 	}
 	if !strings.Contains(err.Error(), "reconnect window") {
 		t.Fatalf("expiry error does not name the reconnect window: %v", err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ppclust/internal/keys"
@@ -101,13 +102,110 @@ func resumeChannelKey(master []byte, holder, lane string, epoch uint32) [32]byte
 	return keys.DeriveKey(master, purpose, holder, lane)
 }
 
-// Holder resume backoff: the redial loop starts fast (a flap is usually
-// over by the time it is observed) and backs off to a bounded cadence so
-// a long outage does not hammer the coordinator's acceptor.
+// Resume backoff: a redial loop starts fast (a flap is usually over by
+// the time it is observed) and backs off to a bounded cadence so a long
+// outage does not hammer the peer's acceptor.
 const (
 	resumeBackoffMin = 25 * time.Millisecond
 	resumeBackoffMax = time.Second
 )
+
+// redialFunc re-establishes one severed link for a proposed epoch, given
+// the frame watermarks the parked Reconn settled on. It returns the
+// secured replacement and the peer's installed-frame watermark, from which
+// the Reconn replays. Errors wrapping ErrResumeStale, ErrResumeAborted or
+// ErrResumeUnknown are fatal; any other error is retried.
+type redialFunc func(epoch uint32, sent, recv uint64) (secured wire.Conduit, peerRecv uint64, err error)
+
+// keepUp installs the hooks every resumable link shares — holder TP lanes,
+// the third party's holder lanes and the coordinator's worker links. A
+// sever marks the session degraded (suspending the phase watchdog) and
+// calls onDown; a rebind restores it and calls onUp; window expiry fails
+// the session with a timeout naming what degraded. With a non-nil redial
+// the sever also runs redialLoop, one per link at a time: a replay failure
+// inside Rebind re-enters the down state and fires onDown again while the
+// first loop is still retrying. A passive end (the third party's holder
+// lanes) passes nil and waits for Resume.
+func (g *guard) keepUp(rc *wire.Reconn, what string, onDown func(error), onUp func(), redial redialFunc) {
+	var looping atomic.Bool
+	rc.SetHooks(
+		func(cause error) {
+			g.noteDegraded()
+			onDown(cause)
+			if redial != nil && looping.CompareAndSwap(false, true) {
+				g.redialLoop(rc, what, redial)
+				looping.Store(false)
+			}
+		},
+		func() {
+			g.noteRestored()
+			onUp()
+		},
+		func(err error) {
+			g.noteRestored()
+			g.fail(fmt.Errorf("%w: %s: %s degraded past the reconnect window in phase %q: %w",
+				ErrSessionTimeout, g.name, what, g.phaseName(), err))
+		},
+	)
+}
+
+// redialLoop drives one parked link back up: read the watermarks the link
+// settled on, propose an epoch beyond both its own and any a
+// half-completed earlier attempt may have installed on the peer, redial
+// and rebind. It retries with capped backoff until the link rebinds, turns
+// terminal (window expiry, which onExpire classifies, or close) or the
+// session ends; a typed refusal fails the session as a disconnect.
+func (g *guard) redialLoop(rc *wire.Reconn, what string, redial redialFunc) {
+	backoff := resumeBackoffMin
+	for attempt := uint32(0); ; attempt++ {
+		select {
+		case <-rc.Failed():
+			return
+		case <-g.ctx.Done():
+			return
+		default:
+		}
+		sent, recv, down := rc.State()
+		if !down {
+			return
+		}
+		epoch := rc.Epoch() + 1 + attempt
+		secured, peerRecv, err := redial(epoch, sent, recv)
+		if err == nil {
+			if err = rc.Rebind(secured, peerRecv, epoch); err == nil {
+				return
+			}
+			secured.Close()
+		} else if errors.Is(err, ErrResumeStale) || errors.Is(err, ErrResumeAborted) || errors.Is(err, ErrResumeUnknown) {
+			g.fail(fmt.Errorf("%w: %s: redial of %s refused: %w", ErrDisconnected, g.name, what, err))
+			return
+		}
+		t := time.NewTimer(backoff)
+		select {
+		case <-t.C:
+		case <-rc.Failed():
+		case <-g.ctx.Done():
+		}
+		t.Stop()
+		backoff = min(2*backoff, resumeBackoffMax)
+	}
+}
+
+// conduitHooks adapts the OnConduitDown / OnConduitUp observers to one
+// holder↔TP lane's keepUp hooks; peer is the name across the lane.
+func (c Config) conduitHooks(peer string, lane int) (func(error), func()) {
+	down := func(cause error) {
+		if c.OnConduitDown != nil {
+			c.OnConduitDown(peer, lane, cause)
+		}
+	}
+	up := func() {
+		if c.OnConduitUp != nil {
+			c.OnConduitUp(peer, lane)
+		}
+	}
+	return down, up
+}
 
 // resumable reports whether this holder arms mid-session resume on its TP
 // lanes: it needs both the grace window and a way to dial replacements.
@@ -116,131 +214,25 @@ func (h *Holder) resumable() bool {
 }
 
 // armResume wraps one secured TP lane in a Reconn and returns the guarded
-// conduit the endpoint reads: a sever now parks the lane, suspends the
-// watchdog, and starts the redial loop; window expiry fails the session
-// with a timeout naming the degraded phase.
+// conduit the endpoint reads: a sever parks the lane and redials through
+// Config.Redial, carrying the lane's watermarks, and secures the
+// replacement under the epoch key.
 func (h *Holder) armResume(secured wire.Conduit, peer string, lane int) wire.Conduit {
 	rc := wire.NewReconn(secured, h.cfg.ResumeWindow)
-	// One redial loop per lane at a time: a replay failure inside Rebind
-	// re-enters the down state and fires onDown again while the original
-	// loop is still retrying.
-	var loopMu sync.Mutex
-	looping := false
-	rc.SetHooks(
-		func(cause error) {
-			h.guard.noteDegraded()
-			if hook := h.cfg.OnConduitDown; hook != nil {
-				hook(peer, lane, cause)
-			}
-			loopMu.Lock()
-			already := looping
-			looping = true
-			loopMu.Unlock()
-			if already {
-				return
-			}
-			h.resumeLoop(rc, peer, lane)
-			loopMu.Lock()
-			looping = false
-			loopMu.Unlock()
-		},
-		func() {
-			h.guard.noteRestored()
-			if hook := h.cfg.OnConduitUp; hook != nil {
-				hook(peer, lane)
-			}
-		},
-		func(err error) {
-			h.guard.noteRestored()
-			h.guard.fail(fmt.Errorf("%w: %s: lane to %s degraded past the reconnect window in phase %q: %w",
-				ErrSessionTimeout, h.name, peer, h.guard.phaseName(), err))
-		},
-	)
+	down, up := h.cfg.conduitHooks(peer, lane)
+	h.guard.keepUp(rc, "lane to "+peer, down, up, func(epoch uint32, sent, recv uint64) (wire.Conduit, uint64, error) {
+		raw, grant, err := h.cfg.Redial(h.guard.ctx, h.name, lane, ResumeState{Epoch: epoch, Sent: sent, Recv: recv})
+		if err != nil {
+			return nil, 0, err
+		}
+		secured, err := h.resumeSecure(raw, peer, epoch)
+		if err != nil {
+			raw.Close()
+			return nil, 0, err
+		}
+		return secured, grant.Recv, nil
+	})
 	return h.guard.bind(rc)
-}
-
-// resumeLoop drives one lane back up: read the watermarks the parked lane
-// settled on, propose a fresh epoch, redial, secure the replacement under
-// the epoch key and rebind. Runs on the Reconn's onDown goroutine.
-func (h *Holder) resumeLoop(rc *wire.Reconn, peer string, lane int) {
-	backoff := resumeBackoffMin
-	for attempt := uint32(0); ; attempt++ {
-		select {
-		case <-rc.Failed():
-			return // window expired (onExpire classified it) or session torn down
-		case <-h.guard.ctx.Done():
-			return
-		default:
-		}
-		sent, recv, down := rc.State()
-		if !down {
-			return
-		}
-		// Propose beyond both our epoch and any epoch a half-completed
-		// earlier attempt may have installed on the third party's side.
-		epoch := rc.Epoch() + 1 + attempt
-		conduit, grant, err := h.cfg.Redial(h.guard.ctx, h.name, lane, ResumeState{Epoch: epoch, Sent: sent, Recv: recv})
-		if err != nil {
-			if errors.Is(err, ErrResumeStale) || errors.Is(err, ErrResumeAborted) ||
-				errors.Is(err, ErrResumeUnknown) || h.guard.ctx.Err() != nil {
-				h.guard.fail(fmt.Errorf("%w: %s: resume of lane to %s refused: %w",
-					ErrDisconnected, h.name, peer, err))
-				return
-			}
-			if !h.resumeWait(rc, backoff) {
-				return
-			}
-			backoff = nextBackoff(backoff)
-			continue
-		}
-		secured, err := h.resumeSecure(conduit, peer, epoch)
-		if err != nil {
-			conduit.Close()
-			if !h.resumeWait(rc, backoff) {
-				return
-			}
-			backoff = nextBackoff(backoff)
-			continue
-		}
-		if err := rc.Rebind(secured, grant.Recv, epoch); err != nil {
-			secured.Close()
-			if !h.resumeWait(rc, backoff) {
-				return
-			}
-			backoff = nextBackoff(backoff)
-			continue
-		}
-		return
-	}
-}
-
-func nextBackoff(d time.Duration) time.Duration {
-	d *= 2
-	if d > resumeBackoffMax {
-		d = resumeBackoffMax
-	}
-	return d
-}
-
-// resumeWait sleeps one backoff step, aborting early when the lane turns
-// terminal or the session ends.
-func (h *Holder) resumeWait(rc *wire.Reconn, d time.Duration) bool {
-	return waitBackoff(h.guard, rc, d)
-}
-
-// waitBackoff is resumeWait for any redialing party: true after a full
-// backoff step, false when the lane turns terminal or the session ends.
-func waitBackoff(g *guard, rc *wire.Reconn, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-rc.Failed():
-		return false
-	case <-g.ctx.Done():
-		return false
-	}
 }
 
 // resumeSecure layers the holder's lifecycle binding and epoch-keyed
@@ -282,25 +274,8 @@ func (tp *ThirdParty) armResume(secured wire.Conduit, holder string, lane int) w
 		tp.resumeLanes = make(map[laneKey]*resumeLane)
 	}
 	tp.resumeLanes[laneKey{holder, lane}] = &resumeLane{holder: holder, lane: lane, rc: rc}
-	rc.SetHooks(
-		func(cause error) {
-			tp.guard.noteDegraded()
-			if hook := tp.cfg.OnConduitDown; hook != nil {
-				hook(holder, lane, cause)
-			}
-		},
-		func() {
-			tp.guard.noteRestored()
-			if hook := tp.cfg.OnConduitUp; hook != nil {
-				hook(holder, lane)
-			}
-		},
-		func(err error) {
-			tp.guard.noteRestored()
-			tp.guard.fail(fmt.Errorf("%w: %s: %s lane to %s degraded past the reconnect window in phase %q: %w",
-				ErrSessionTimeout, TPName, laneConduitName(lane), holder, tp.guard.phaseName(), err))
-		},
-	)
+	down, up := tp.cfg.conduitHooks(holder, lane)
+	tp.guard.keepUp(rc, laneConduitName(lane)+" lane to "+holder, down, up, nil)
 	return tp.guard.bind(rc)
 }
 

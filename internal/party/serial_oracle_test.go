@@ -187,7 +187,7 @@ func (tp *ThirdParty) recvPairSerial(eng *protocol.Engine, asm *dissim.Assembler
 			if mono.Float == nil {
 				return fmt.Errorf("party: missing float payload from %s", k)
 			}
-			dists, err := eng.NumericThirdPartyFloat(mono.Float, jt, tp.cfg.FloatParams, tp.cfg.Mode)
+			dists, err := eng.NumericThirdPartyFloat(mono.Float, jt, protocol.DefaultFloatParams, tp.cfg.Mode)
 			if err != nil {
 				return err
 			}
@@ -197,7 +197,7 @@ func (tp *ThirdParty) recvPairSerial(eng *protocol.Engine, asm *dissim.Assembler
 			if mono.Int == nil {
 				return fmt.Errorf("party: missing int payload from %s", k)
 			}
-			dists, err := eng.NumericThirdPartyInt(mono.Int, jt, tp.cfg.IntParams, tp.cfg.Mode)
+			dists, err := eng.NumericThirdPartyInt(mono.Int, jt, protocol.DefaultIntParams, tp.cfg.Mode)
 			if err != nil {
 				return err
 			}

@@ -200,9 +200,9 @@ func (c *shardCore) assembleRows(eng *protocol.Engine, asm *dissim.SliceAssemble
 		if a.Type != dataset.Alphanumeric {
 			switch c.cfg.Variant {
 			case Float64Variant:
-				eng.AdvanceThirdPartyFloat(jt, rlo, cols, c.cfg.FloatParams, c.cfg.Mode)
+				eng.AdvanceThirdPartyFloat(jt, rlo, cols, protocol.DefaultFloatParams, c.cfg.Mode)
 			case Int64Variant:
-				eng.AdvanceThirdPartyInt(jt, rlo, cols, c.cfg.IntParams, c.cfg.Mode)
+				eng.AdvanceThirdPartyInt(jt, rlo, cols, protocol.DefaultIntParams, c.cfg.Mode)
 			case ModPVariant:
 				eng.AdvanceThirdPartyModP(jt, rlo, cols, c.cfg.Mode)
 			}
@@ -312,9 +312,9 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssemble
 			var err error
 			switch c.cfg.Variant {
 			case Float64Variant:
-				row, err = eng.NumericThirdPartyFloatChunk(body.wire, ch[0], ch[1], jt, c.cfg.FloatParams, c.cfg.Mode)
+				row, err = eng.NumericThirdPartyFloatChunk(body.wire, ch[0], ch[1], jt, protocol.DefaultFloatParams, c.cfg.Mode)
 			case Int64Variant:
-				row, err = eng.NumericThirdPartyIntChunk(body.wire, ch[0], ch[1], jt, c.cfg.IntParams, c.cfg.Mode)
+				row, err = eng.NumericThirdPartyIntChunk(body.wire, ch[0], ch[1], jt, protocol.DefaultIntParams, c.cfg.Mode)
 			case ModPVariant:
 				row, err = eng.NumericThirdPartyModPChunk(body.wire, ch[0], ch[1], jt, c.cfg.Mode)
 			}

@@ -43,16 +43,17 @@ func TestShardedMatchesSingleTP(t *testing.T) {
 // session pipeline against the phase-serial oracle: every deployment of the
 // row ranges — one range, 2 and 4 in-process shards, 2 shards in ShardServer
 // workers over real TCP — crossed with chunk sizes one row per frame, 4 KiB,
-// the 256 KiB default and monolithic, Parallelism 1, 2 and all cores, and
+// the 256 KiB default and one frame per payload, Parallelism 1, 2 and all
+// cores, and
 // the float64, int64, mod-p and per-pair arithmetic must publish a report
 // bit-identical to the oracle's monolithic one. -short trims the chunk and
 // Parallelism axes to their extremes.
 func TestSessionMatrixMatchesOracle(t *testing.T) {
 	parts := pipelineParts(t, 8)
 	reqs := pipelineReqs()
-	chunks, workers := []int{1, 4 << 10, 256 << 10, -1}, []int{1, 2, 0}
+	chunks, workers := []int{1, 4 << 10, 256 << 10, oneFrameBudget}, []int{1, 2, 0}
 	if testing.Short() {
-		chunks, workers = []int{1, -1}, []int{1, 0}
+		chunks, workers = []int{1, oneFrameBudget}, []int{1, 0}
 	}
 	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: pipelineSchema()})
 	for _, v := range []struct {
@@ -65,7 +66,7 @@ func TestSessionMatrixMatchesOracle(t *testing.T) {
 		{"modp", ModPVariant, protocol.Batch},
 		{"per-pair", Float64Variant, protocol.PerPair},
 	} {
-		base := Config{Schema: pipelineSchema(), Variant: v.variant, Mode: v.mode, Parallelism: 1, LocalChunkBytes: -1}
+		base := Config{Schema: pipelineSchema(), Variant: v.variant, Mode: v.mode, Parallelism: 1, LocalChunkBytes: oneFrameBudget}
 		want, err := runSerialTP(base, parts, reqs, deterministicRandom(31), nil)
 		if err != nil {
 			t.Fatalf("%s oracle: %v", v.name, err)
@@ -97,8 +98,8 @@ func TestSessionMatrixMatchesOracle(t *testing.T) {
 // TestShardedPerPairDisguisedChunkSweep extends the differential pin to
 // per-pair masking — the mode whose initiator→responder disguised matrix
 // now streams on the shared chunk schedule — across chunk sizes one row
-// per frame, 4 KiB, the 256 KiB default and ∞ (the monolithic legacy
-// shape), unsharded and at K=2. The mod-p variant rides along at the
+// per frame, 4 KiB, the 256 KiB default and one frame per payload (the
+// monolithic legacy shape), unsharded and at K=2. The mod-p variant rides along at the
 // smallest chunk: its rejection-sampled per-cell masks are the most
 // alignment-sensitive keystream across chunk and shard boundaries.
 func TestShardedPerPairDisguisedChunkSweep(t *testing.T) {
@@ -109,11 +110,11 @@ func TestShardedPerPairDisguisedChunkSweep(t *testing.T) {
 		variant Variant
 		chunks  []int
 	}{
-		{"float64", Float64Variant, []int{1, 4 << 10, 256 << 10, -1}},
+		{"float64", Float64Variant, []int{1, 4 << 10, 256 << 10, oneFrameBudget}},
 		{"modp", ModPVariant, []int{1}},
 	} {
 		base := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: protocol.PerPair,
-			Parallelism: 1, LocalChunkBytes: -1}
+			Parallelism: 1, LocalChunkBytes: oneFrameBudget}
 		want, err := runSerialTP(base, parts, reqs, deterministicRandom(24), nil)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", tc.name, err)

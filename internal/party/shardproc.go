@@ -45,7 +45,6 @@ package party
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -126,62 +125,57 @@ func (tp *ThirdParty) shardSecure(s int, raw wire.Conduit) (wire.Conduit, error)
 	return secured, err
 }
 
-// dialShard establishes the control link to worker s: registration dial,
-// grant check, key agreement, and — when the session is resumable — the
-// Reconn wrap with the redial hooks.
-func (tp *ThirdParty) dialShard(s int) (*shardLink, error) {
-	raw, grant, err := tp.cfg.ShardDial(tp.guard.ctx, s, ResumeState{})
+// shardConnect dials worker s for a transport epoch (0 on first contact)
+// and runs the link handshake over the fresh transport. A worker is always
+// fresh, so any grant but (0, 0) — a process with retained watermarks,
+// which a full replay cannot reconcile — is refused as stale.
+func (tp *ThirdParty) shardConnect(s int, epoch uint32) (wire.Conduit, error) {
+	raw, grant, err := tp.cfg.ShardDial(tp.guard.ctx, s, ResumeState{Epoch: epoch})
 	if err != nil {
-		return nil, fmt.Errorf("party: dialing shard worker %d: %w", s, err)
+		return nil, err
 	}
-	if grant.Sent != 0 || grant.Recv != 0 {
+	if grant != (ResumeGrant{}) {
 		raw.Close()
-		return nil, fmt.Errorf("party: shard worker %d granted watermarks (%d, %d) on first contact, want (0, 0)",
-			s, grant.Sent, grant.Recv)
+		return nil, fmt.Errorf("%w: shard worker %d granted watermarks (%d, %d), want (0, 0)",
+			ErrResumeStale, s, grant.Sent, grant.Recv)
 	}
 	secured, err := tp.shardSecure(s, raw)
 	if err != nil {
 		raw.Close()
 		return nil, err
 	}
+	return secured, nil
+}
+
+// dialShard establishes the control link to worker s and, when the session
+// is resumable, arms it like a holder lane. A severed link redials through
+// shardConnect (the pool restarts dead workers; a surviving worker
+// discards its old run on re-registration) and rebinds with peerRecv 0, so
+// the full cached stream replays into the fresh worker.
+func (tp *ThirdParty) dialShard(s int) (*shardLink, error) {
+	secured, err := tp.shardConnect(s, 0)
+	if err != nil {
+		return nil, fmt.Errorf("party: dialing shard worker %d: %w", s, err)
+	}
 	link := &shardLink{s: s}
 	if tp.cfg.ResumeWindow > 0 {
 		rc := wire.NewReconn(secured, tp.cfg.ResumeWindow)
 		link.rc = rc
-		// Run at most one redial loop per link, however down/up cycles
-		// interleave (same shape as Holder.armResume).
-		var loopMu sync.Mutex
-		looping := false
-		rc.SetHooks(
+		tp.guard.keepUp(rc, fmt.Sprintf("link to shard worker %d", s),
 			func(cause error) {
-				tp.guard.noteDegraded()
 				if hook := tp.cfg.OnShardProcDown; hook != nil {
 					hook(s, cause)
 				}
-				loopMu.Lock()
-				already := looping
-				looping = true
-				loopMu.Unlock()
-				if already {
-					return
-				}
-				tp.shardRedialLoop(link)
-				loopMu.Lock()
-				looping = false
-				loopMu.Unlock()
 			},
 			func() {
-				tp.guard.noteRestored()
 				if hook := tp.cfg.OnShardProcUp; hook != nil {
 					hook(s, rc.Epoch())
 				}
 			},
-			func(err error) {
-				tp.guard.noteRestored()
-				tp.guard.fail(fmt.Errorf("%w: %s: link to shard worker %d degraded past the reconnect window in phase %q: %v",
-					ErrSessionTimeout, TPName, s, tp.guard.phaseName(), err))
-			},
-		)
+			func(epoch uint32, _, _ uint64) (wire.Conduit, uint64, error) {
+				secured, err := tp.shardConnect(s, epoch)
+				return secured, 0, err
+			})
 		// Bound like a holder's resumable lane (armResume): operations
 		// parked in a down Reconn see neither the inner conduit's close nor
 		// the guard's cancellation, so without this a session that fails
@@ -194,70 +188,6 @@ func (tp *ThirdParty) dialShard(s int) (*shardLink, error) {
 		hook(s, 0)
 	}
 	return link, nil
-}
-
-// shardRedialLoop re-establishes a severed worker link: dial a replacement
-// (the pool restarts dead workers; a surviving worker discards its old run
-// on re-registration), redo the key agreement, and rebind the Reconn with
-// peerRecv 0 so the full cached stream replays into the fresh worker. The
-// loop runs on the Reconn's down-hook goroutine and retries with capped
-// backoff until it succeeds, the window expires, or the session ends.
-func (tp *ThirdParty) shardRedialLoop(link *shardLink) {
-	rc := link.rc
-	backoff := resumeBackoffMin
-	for attempt := uint32(0); ; attempt++ {
-		select {
-		case <-rc.Failed():
-			return
-		case <-tp.guard.ctx.Done():
-			return
-		default:
-		}
-		if _, _, down := rc.State(); !down {
-			return
-		}
-		epoch := rc.Epoch() + 1 + attempt
-		raw, grant, err := tp.cfg.ShardDial(tp.guard.ctx, link.s, ResumeState{Epoch: epoch})
-		if err != nil {
-			if errors.Is(err, ErrResumeStale) || errors.Is(err, ErrResumeAborted) ||
-				errors.Is(err, ErrResumeUnknown) || tp.guard.ctx.Err() != nil {
-				tp.guard.fail(fmt.Errorf("%w: %s: redial of shard worker %d refused: %v",
-					ErrDisconnected, TPName, link.s, err))
-				return
-			}
-			if !waitBackoff(tp.guard, rc, backoff) {
-				return
-			}
-			backoff = nextBackoff(backoff)
-			continue
-		}
-		if grant.Sent != 0 || grant.Recv != 0 {
-			// Not the fresh worker this protocol expects; a process with
-			// retained watermarks cannot be reconciled with a full replay.
-			raw.Close()
-			tp.guard.fail(fmt.Errorf("%w: %s: shard worker %d granted watermarks (%d, %d) on redial, want (0, 0)",
-				ErrDisconnected, TPName, link.s, grant.Sent, grant.Recv))
-			return
-		}
-		secured, err := tp.shardSecure(link.s, raw)
-		if err != nil {
-			raw.Close()
-			if !waitBackoff(tp.guard, rc, backoff) {
-				return
-			}
-			backoff = nextBackoff(backoff)
-			continue
-		}
-		if err := rc.Rebind(secured, 0, epoch); err != nil {
-			secured.Close()
-			if !waitBackoff(tp.guard, rc, backoff) {
-				return
-			}
-			backoff = nextBackoff(backoff)
-			continue
-		}
-		return
-	}
 }
 
 // remoteShard is the worker-process source of shard s: it dials the worker
@@ -274,7 +204,6 @@ func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, fail func(er
 		Counts:      tp.counts,
 		Fingerprint: schemaFingerprint(tp.cfg.Schema),
 		Mode:        tp.cfg.Mode, Variant: tp.cfg.Variant, RNG: tp.cfg.RNG,
-		IntParams: tp.cfg.IntParams, FloatParams: tp.cfg.FloatParams,
 		LocalChunkBytes: tp.cfg.LocalChunkBytes,
 		Parallelism:     tp.cfg.Parallelism,
 		Seeds:           core.pairSeeds(),

@@ -17,6 +17,8 @@ import (
 	"ppclust/internal/keys"
 	"ppclust/internal/leakcheck"
 	"ppclust/internal/netid"
+	"ppclust/internal/protocol"
+	"ppclust/internal/rng"
 	"ppclust/internal/wire"
 )
 
@@ -271,7 +273,8 @@ func TestChaosShardProcKillOutsideWindow(t *testing.T) {
 
 // TestChaosShardProcRedialRefusedFatal: a redial answered with a typed
 // fatal refusal (ErrResumeAborted from the control plane) must end the
-// degraded session classified ErrDisconnected without burning the window.
+// degraded session classified ErrDisconnected, with the refusal kept in the
+// chain, without burning the window.
 func TestChaosShardProcRedialRefusedFatal(t *testing.T) {
 	leakcheck.Check(t)
 	parts := pipelineParts(t, 8)
@@ -299,8 +302,42 @@ func TestChaosShardProcRedialRefusedFatal(t *testing.T) {
 	if !errors.Is(err, ErrDisconnected) && !errors.Is(err, ErrAborted) {
 		t.Fatalf("refused redial: unclassified error: %v", err)
 	}
+	if !errors.Is(err, ErrResumeAborted) {
+		t.Fatalf("refused redial: refusal class lost from the chain: %v", err)
+	}
 	if elapsed := time.Since(start); elapsed > 8*time.Second {
 		t.Fatalf("refused redial burned the window: took %v", elapsed)
+	}
+}
+
+// TestChaosShardProcWindowExpiry is TestChaosReconnectWindowExpiry on a
+// worker link: when no replacement worker can be dialed inside the window,
+// the session fails classified ErrSessionTimeout with
+// wire.ErrReconnectExpired kept in the chain, as a holder lane's does.
+func TestChaosShardProcWindowExpiry(t *testing.T) {
+	leakcheck.Check(t)
+	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: pipelineSchema()})
+	inner := pool.dialer("proc-expiry",
+		func(shard, dial int, c wire.Conduit) wire.Conduit {
+			if shard == 0 && dial == 0 {
+				return wire.Fault(c, wire.FaultSpec{Kind: wire.FaultFlap, Frame: 3})
+			}
+			return c
+		})
+	cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, TPShards: 2,
+		ResumeWindow: 200 * time.Millisecond, SessionTimeout: time.Minute}
+	cfg.ShardDial = func(ctx context.Context, shard int, state ResumeState) (wire.Conduit, ResumeGrant, error) {
+		if state.Epoch > 0 {
+			return nil, ResumeGrant{}, errors.New("pool: worker unreachable")
+		}
+		return inner(ctx, shard, state)
+	}
+	_, err := RunInMemory(cfg, pipelineParts(t, 8), pipelineReqs(), deterministicRandom(48))
+	if !errors.Is(err, ErrSessionTimeout) {
+		t.Fatalf("want ErrSessionTimeout after the worker link's window expired, got %v", err)
+	}
+	if !errors.Is(err, wire.ErrReconnectExpired) {
+		t.Fatalf("wire.ErrReconnectExpired lost from the chain: %v", err)
 	}
 }
 
@@ -656,6 +693,102 @@ func TestShardOfferValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestShardProcOfferParamsCannotCrashWorker: the offer once carried the
+// coordinator's integer mask bounds, and a worker trusted them — an offer
+// with MaskRange 0 for an int64 per-pair session over a range that starts
+// mid-holder made the keystream positioning panic in a stage goroutine,
+// killing every session of the process. Such an offer (gob matches fields
+// by name, so the old layout still decodes) must now leave the worker
+// answering with a heartbeat, slice or abort, and the same ShardServer must
+// then complete a normal session.
+func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
+	leakcheck.Check(t)
+	pool := newShardWorkerPool(t, 1, ShardServerConfig{Schema: pipelineSchema()})
+	cfg, err := Config{Schema: pipelineSchema(), Variant: Int64Variant, Mode: protocol.PerPair, Parallelism: 1}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := &ThirdParty{cfg: cfg, holders: []string{"A", "B"}, counts: []int{2, 2},
+		guard: newGuard(TPName, cfg), masters: map[string][]byte{"A": {1}, "B": {2}}}
+	defer tp.guard.release()
+	tp.cfg.ShardDial = pool.dialer("crafted-offer", nil)
+	if tp.identity, err = keys.NewIdentity(TPName, rand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	link, err := tp.dialShard(0)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer link.close()
+	// The offer layout that still carried the mask bounds.
+	type boundedOffer struct {
+		Shard           int
+		Lo, Hi          int
+		Holders         []string
+		Counts          []int
+		Fingerprint     string
+		Mode            protocol.Mode
+		Variant         Variant
+		RNG             rng.Kind
+		IntParams       protocol.IntParams
+		FloatParams     protocol.FloatParams
+		LocalChunkBytes int
+		Parallelism     int
+		Seeds           [][]rng.Seed
+	}
+	offer := boundedOffer{
+		Shard: 0, Lo: 3, Hi: 4, // B's second row: the range starts mid-holder
+		Holders: tp.holders, Counts: tp.counts,
+		Fingerprint: schemaFingerprint(cfg.Schema),
+		Mode:        protocol.PerPair, Variant: Int64Variant, RNG: cfg.RNG,
+		IntParams:   protocol.IntParams{MaskRange: 0, MaxMagnitude: 1},
+		Parallelism: 1,
+		Seeds:       tp.core().pairSeeds(),
+	}
+	if err := link.send(wire.Message{From: TPName, To: ShardName(0), Kind: kindShardOffer, Attr: -1}, offer); err != nil {
+		t.Fatalf("send offer: %v", err)
+	}
+	// B's one local chunk of the range, attribute 0 (numeric), encoded as
+	// B's shard lane carries it: once it is installed the stage positions
+	// the pair's keystream at B's row 1.
+	near, far := wire.Pipe()
+	chunk := localBody{N: 2, Lo: 1, Hi: 2, Cells: []float64{1}}
+	if err := wire.NewEndpoint(near).SendBody(wire.Message{From: "B", To: ShardName(0), Kind: kindLocal, Attr: 0}, chunk); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := far.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := link.send(wire.Message{From: TPName, To: ShardName(0), Kind: kindShardFrame, Attr: 1}, shardFrameBody{Frame: frame}); err != nil {
+		t.Fatalf("relay B's chunk: %v", err)
+	}
+	m, err := link.ep.Recv()
+	if err != nil {
+		t.Fatalf("worker link after the crafted offer: %v", err)
+	}
+	if m.Kind != kindShardBeat && m.Kind != kindShardSlice && m.Kind != kindAbort {
+		t.Fatalf("worker answered the crafted offer with %q", m.Kind)
+	}
+	link.close()
+
+	parts := pipelineParts(t, 1)
+	base := Config{Schema: pipelineSchema(), Variant: Int64Variant, Mode: protocol.PerPair, Parallelism: 1}
+	want, err := runSerialTP(base, parts, nil, deterministicRandom(49), nil)
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	pool.setAddr(1, pool.addrs[0]) // both ranges on the one worker
+	session := base
+	session.TPShards = 2
+	session.ShardDial = pool.dialer("after-crafted-offer", nil)
+	got, err := RunInMemory(session, parts, nil, deterministicRandom(49))
+	if err != nil {
+		t.Fatalf("session after the crafted offer: %v", err)
+	}
+	assertSameOutcome(t, "session after the crafted offer", want, got)
 }
 
 // benchShardProcSession runs one full session whose K shard pipelines

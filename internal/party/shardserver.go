@@ -29,8 +29,12 @@ import (
 )
 
 const (
-	defaultShardHandshakeTimeout = 10 * time.Second
-	defaultShardHeartbeat        = time.Second
+	// shardHandshakeTimeout bounds registration + key agreement per
+	// connection.
+	shardHandshakeTimeout = 10 * time.Second
+	// shardHeartbeat is the cadence of worker→coordinator liveness
+	// heartbeats.
+	shardHeartbeat = time.Second
 )
 
 // ShardServerConfig configures one shard worker.
@@ -39,12 +43,6 @@ type ShardServerConfig struct {
 	// list. An offer whose schema fingerprint disagrees is refused — the
 	// worker evaluates protocol payloads and must share the agreement.
 	Schema dataset.Schema
-	// HandshakeTimeout bounds registration + key agreement per connection.
-	// 0 means 10s.
-	HandshakeTimeout time.Duration
-	// HeartbeatInterval is the cadence of worker→coordinator liveness
-	// heartbeats. 0 means 1s.
-	HeartbeatInterval time.Duration
 	// OnFrame, when set, observes every relayed holder frame after it is
 	// fed to the pipeline: session, shard index and the running frame
 	// total of the current run. The multi-process test harness uses it to
@@ -80,12 +78,6 @@ type ShardServer struct {
 func NewShardServer(cfg ShardServerConfig) (*ShardServer, error) {
 	if err := cfg.Schema.Validate(); err != nil {
 		return nil, fmt.Errorf("party: shard server schema: %w", err)
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = defaultShardHandshakeTimeout
-	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = defaultShardHeartbeat
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -163,7 +155,7 @@ func (s *ShardServer) Close() {
 // agreement, then the run loop until the coordinator finishes, aborts, or
 // the link dies.
 func (s *ShardServer) handle(conn net.Conn) {
-	conn.SetDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
+	conn.SetDeadline(time.Now().Add(shardHandshakeTimeout))
 	hello, err := netid.ParseHello(conn)
 	if err != nil {
 		conn.Close()
@@ -332,8 +324,6 @@ func (r *shardRun) run(offer shardOfferBody) error {
 		Mode:            offer.Mode,
 		Variant:         offer.Variant,
 		RNG:             offer.RNG,
-		IntParams:       offer.IntParams,
-		FloatParams:     offer.FloatParams,
 		LocalChunkBytes: offer.LocalChunkBytes,
 		Parallelism:     offer.Parallelism,
 	}.normalized()
@@ -443,7 +433,7 @@ func (r *shardRun) run(offer shardOfferBody) error {
 	hbWg.Add(1)
 	go func() {
 		defer hbWg.Done()
-		t := time.NewTicker(s.cfg.HeartbeatInterval)
+		t := time.NewTicker(shardHeartbeat)
 		defer t.Stop()
 		for {
 			select {

@@ -11,9 +11,14 @@ import (
 	"ppclust/internal/wire"
 )
 
+// oneFrameBudget is a chunk budget larger than any payload the tests move:
+// every lane's payload travels as one frame, the pre-streaming wire shape.
+const oneFrameBudget = 1 << 30
+
 // TestChunkedStreamingMatchesSerialTP is the streaming engine's
 // differential pin: every chunk size — one row per frame, 4 KiB, the
-// 256 KiB default, and ∞ (the monolithic pre-streaming wire shape) —
+// 256 KiB default, and one frame per payload (the pre-streaming wire
+// shape) —
 // crossed with Parallelism 1, 2 and all cores must publish a report
 // bit-identical to the phase-serial reference path's monolithic install.
 // The serial reference is also run over a chunked wire (it reassembles the
@@ -22,12 +27,12 @@ import (
 func TestChunkedStreamingMatchesSerialTP(t *testing.T) {
 	parts := pipelineParts(t, 10)
 	reqs := pipelineReqs()
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, LocalChunkBytes: -1}
+	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, LocalChunkBytes: oneFrameBudget}
 	want, err := runSerialTP(base, parts, reqs, deterministicRandom(11), nil)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	for _, chunk := range []int{1, 4 << 10, 256 << 10, -1} {
+	for _, chunk := range []int{1, 4 << 10, 256 << 10, oneFrameBudget} {
 		for _, workers := range []int{1, 2, 0} {
 			cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: workers, LocalChunkBytes: chunk}
 			got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(11))
@@ -107,7 +112,7 @@ func TestChunkedStreamingLiftsFrameCeiling(t *testing.T) {
 	}
 	assertSameOutcome(t, "capped conduit", uncapped, out)
 
-	cfg.LocalChunkBytes = -1 // monolithic: the triangle frame must be rejected
+	cfg.LocalChunkBytes = oneFrameBudget // monolithic: the triangle frame must be rejected
 	if _, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(12), capWrap); !errors.Is(err, wire.ErrFrameTooLarge) {
 		t.Fatalf("monolithic session over capped conduit: want ErrFrameTooLarge, got %v", err)
 	}
@@ -180,8 +185,8 @@ func TestSessionStreamsTrianglePastMaxFrame(t *testing.T) {
 // The lopsided rows (rowsA ≫ rowsB) make the local triangle the dominant
 // payload; the both-large rows (rowsA = rowsB) make the responder→TP S
 // matrix (rowsB×rowsA cells) dominate instead — the payload the pairwise
-// chunking adds streaming for. chunkBytes -1 is the monolithic wire shape
-// and positive values stream row chunks.
+// chunking adds streaming for. chunkBytes oneFrameBudget is the monolithic
+// wire shape and smaller values stream row chunks.
 func benchStreamSession(b *testing.B, chunkBytes, rowsA, rowsB int) {
 	schema := dataset.Schema{Attrs: []dataset.Attribute{{Name: "x", Type: dataset.Numeric}}}
 	var parts []dataset.Partition
@@ -221,8 +226,8 @@ func benchStreamSession(b *testing.B, chunkBytes, rowsA, rowsB int) {
 // both-partitions-large shape whose dominant payload is the pairwise S
 // matrix.
 func BenchmarkSessionStream(b *testing.B) {
-	b.Run("pipelined-mono", func(b *testing.B) { benchStreamSession(b, -1, 1200, 6) })
+	b.Run("pipelined-mono", func(b *testing.B) { benchStreamSession(b, oneFrameBudget, 1200, 6) })
 	b.Run("streamed", func(b *testing.B) { benchStreamSession(b, 256<<10, 1200, 6) })
-	b.Run("both-large-mono", func(b *testing.B) { benchStreamSession(b, -1, 600, 600) })
+	b.Run("both-large-mono", func(b *testing.B) { benchStreamSession(b, oneFrameBudget, 600, 600) })
 	b.Run("both-large-streamed", func(b *testing.B) { benchStreamSession(b, 256<<10, 600, 600) })
 }

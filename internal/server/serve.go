@@ -12,55 +12,41 @@ import (
 )
 
 // ServeConfig tunes the TCP accept path. The zero value selects the
-// defaults noted per field.
+// default noted per field.
 type ServeConfig struct {
 	// HandshakeTimeout bounds one connection's hello read (default 10s).
 	HandshakeTimeout time.Duration
-	// MaxHandshakes caps hellos being read concurrently (default 32): each
-	// accepted connection handshakes in its own goroutine — one client
-	// that connects and stalls can never block the accept loop — and the
-	// cap keeps a connect flood from minting unbounded goroutines. The
-	// slot is released the moment the hello is read, before admission:
-	// a queue of parked admissions must not starve the handshakes of the
-	// sessions whose completion will drain that queue.
-	MaxHandshakes int
-	// MaxAcceptRetries bounds consecutive Accept failures before Serve
-	// gives up (default 10); transient errors back off and retry.
-	MaxAcceptRetries int
-	// AcceptBackoff is the sleep between Accept retries (default 100ms).
-	AcceptBackoff time.Duration
-	// ResponseTimeout bounds each admission response write (default 5s).
-	ResponseTimeout time.Duration
 }
 
-func (sc ServeConfig) withDefaults() ServeConfig {
-	if sc.HandshakeTimeout <= 0 {
-		sc.HandshakeTimeout = 10 * time.Second
-	}
-	if sc.MaxHandshakes <= 0 {
-		sc.MaxHandshakes = 32
-	}
-	if sc.MaxAcceptRetries <= 0 {
-		sc.MaxAcceptRetries = 10
-	}
-	if sc.AcceptBackoff <= 0 {
-		sc.AcceptBackoff = 100 * time.Millisecond
-	}
-	if sc.ResponseTimeout <= 0 {
-		sc.ResponseTimeout = 5 * time.Second
-	}
-	return sc
-}
+// The accept path's fixed limits.
+const (
+	// maxHandshakes caps hellos being read concurrently: each accepted
+	// connection handshakes in its own goroutine — one client that
+	// connects and stalls can never block the accept loop — and the cap
+	// keeps a connect flood from minting unbounded goroutines. The slot is
+	// released the moment the hello is read, before admission: a queue of
+	// parked admissions must not starve the handshakes of the sessions
+	// whose completion will drain that queue.
+	maxHandshakes = 32
+	// maxAcceptRetries bounds consecutive Accept failures before Serve
+	// gives up; transient errors back off acceptBackoff and retry.
+	maxAcceptRetries = 10
+	acceptBackoff    = 100 * time.Millisecond
+	// responseTimeout bounds each admission response write.
+	responseTimeout = 5 * time.Second
+)
 
 // Serve runs the accept loop on ln until the listener closes (the caller
 // closes it to begin shutdown — typically right before Drain) or Accept
-// fails MaxAcceptRetries times in a row. Every accepted connection is
+// fails maxAcceptRetries times in a row. Every accepted connection is
 // handshaken concurrently under the in-flight cap and submitted to the
 // manager; Serve returns only after in-flight handshakes finish, so a
 // Drain that follows observes every connection the loop admitted.
 func (m *Manager) Serve(ln net.Listener, sc ServeConfig) error {
-	sc = sc.withDefaults()
-	sem := make(chan struct{}, sc.MaxHandshakes)
+	if sc.HandshakeTimeout <= 0 {
+		sc.HandshakeTimeout = 10 * time.Second
+	}
+	sem := make(chan struct{}, maxHandshakes)
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	retries := 0
@@ -71,15 +57,15 @@ func (m *Manager) Serve(ln net.Listener, sc ServeConfig) error {
 				return nil
 			}
 			retries++
-			if retries > sc.MaxAcceptRetries {
+			if retries > maxAcceptRetries {
 				return fmt.Errorf("server: accept failed %d times in a row, giving up: %w", retries, err)
 			}
-			m.logf("event=accept-retry attempt=%d/%d err=%q", retries, sc.MaxAcceptRetries, err)
-			time.Sleep(sc.AcceptBackoff)
+			m.logf("event=accept-retry attempt=%d/%d err=%q", retries, maxAcceptRetries, err)
+			time.Sleep(acceptBackoff)
 			continue
 		}
 		retries = 0
-		// The acquire blocks the loop only when MaxHandshakes hellos are
+		// The acquire blocks the loop only when maxHandshakes hellos are
 		// already in flight — bounded, deliberate backpressure, unlike the
 		// old inline handshake where a single silent client blocked
 		// everyone for the full timeout.
@@ -94,7 +80,7 @@ func (m *Manager) Serve(ln net.Listener, sc ServeConfig) error {
 				conn.Close()
 				return
 			}
-			m.SubmitConn(hello, conn, sc.ResponseTimeout)
+			m.SubmitConn(hello, conn)
 		}(conn)
 	}
 }
@@ -104,7 +90,7 @@ func (m *Manager) Serve(ln net.Listener, sc ServeConfig) error {
 // response is written back on the same socket under responseTimeout. A bare
 // name label is the holder↔holder link form — its dialer reads no answer,
 // so none is written: the refusal is logged and the connection closed.
-func (m *Manager) SubmitConn(hello netid.Hello, conn net.Conn, responseTimeout time.Duration) {
+func (m *Manager) SubmitConn(hello netid.Hello, conn net.Conn) {
 	if !hello.Extended() {
 		m.metrics.refused.Add(1)
 		m.logf("event=session-refused holder=%s code=%s detail=%q",
@@ -112,23 +98,17 @@ func (m *Manager) SubmitConn(hello netid.Hello, conn net.Conn, responseTimeout t
 		conn.Close()
 		return
 	}
-	m.Submit(hello, wire.TCPPooled(conn), &connResponder{conn: conn, timeout: responseTimeout})
+	m.Submit(hello, wire.TCPPooled(conn), &connResponder{conn: conn})
 }
 
 // connResponder writes netid admission responses on a net.Conn under a
-// write deadline, cleared after the accept so the session owns the
-// connection's timeout policy.
+// responseTimeout write deadline, cleared after the accept so the session
+// owns the connection's timeout policy.
 type connResponder struct {
-	conn    net.Conn
-	timeout time.Duration
+	conn net.Conn
 }
 
-func (r *connResponder) deadline() time.Time {
-	if r.timeout <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(r.timeout)
-}
+func (r *connResponder) deadline() time.Time { return time.Now().Add(responseTimeout) }
 
 func (r *connResponder) Accept(shards int) error {
 	if err := r.conn.SetWriteDeadline(r.deadline()); err != nil {

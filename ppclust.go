@@ -216,9 +216,6 @@ type Options struct {
 	Masking MaskingMode
 	// Variant selects the numeric arithmetic.
 	Variant NumericVariant
-	// InsecureChannels disables channel encryption. Never enable outside
-	// experiments; the paper's privacy analysis requires secured channels.
-	InsecureChannels bool
 	// Parallelism sets the worker count every party uses for its O(n²)
 	// hot paths: local dissimilarity construction, the protocol's
 	// disguise and mask-stripping steps, the third party's CCM
@@ -240,11 +237,11 @@ type Options struct {
 	// attribute thus overlaps that attribute's own wire time, and no
 	// session message grows with the partition — session size is
 	// memory-bound rather than capped by the transport's frame limit.
-	// 0 (the default) uses 256 KiB; negative restores the monolithic
-	// one-frame-per-payload wire shape. Like Parallelism, the knob is
-	// pure scheduling: chunking changes framing only, never values, so
-	// results are bit-identical at every setting. See docs/WIRE.md for
-	// the chunk-frame schemas.
+	// 0 (the default) uses 256 KiB; negative is refused. A budget at
+	// least as large as a payload sends it as one frame. Like
+	// Parallelism, the knob is pure scheduling: chunking changes framing
+	// only, never values, so results are bit-identical at every setting.
+	// See docs/WIRE.md for the chunk-frame schemas.
 	StreamChunkBytes int
 	// TPShards splits the third party into this many row-range shards
 	// with a merge coordinator: each shard owns a contiguous range of the
@@ -292,16 +289,15 @@ type Options struct {
 
 func (o Options) toConfig(schema Schema) party.Config {
 	cfg := party.Config{
-		Schema:            schema,
-		Variant:           party.Variant(o.Variant),
-		PlaintextChannels: o.InsecureChannels,
-		Parallelism:       o.Parallelism,
-		LocalChunkBytes:   o.StreamChunkBytes,
-		TPShards:          o.TPShards,
-		SessionTimeout:    o.SessionTimeout,
-		PhaseTimeout:      o.PhaseTimeout,
-		ResumeWindow:      o.ReconnectWindow,
-		RNG:               rng.KindAESCTR,
+		Schema:          schema,
+		Variant:         party.Variant(o.Variant),
+		Parallelism:     o.Parallelism,
+		LocalChunkBytes: o.StreamChunkBytes,
+		TPShards:        o.TPShards,
+		SessionTimeout:  o.SessionTimeout,
+		PhaseTimeout:    o.PhaseTimeout,
+		ResumeWindow:    o.ReconnectWindow,
+		RNG:             rng.KindAESCTR,
 	}
 	if o.Masking == PerPairMasking {
 		cfg.Mode = protocol.PerPair
