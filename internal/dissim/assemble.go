@@ -28,11 +28,17 @@ import (
 // The expected sources are exactly those whose data intersects the range:
 // party p's local triangle contributes its rows [lo, hi) ∩ [off_p,
 // off_p+n_p), and pair (j, k), j < k, contributes the responder rows
-// [lo, hi) ∩ [off_k, off_k+n_k). A source with no rows in range installs
-// nothing. Chunks must arrive in ascending row order per source (the order
-// every chunk schedule emits and the per-conduit demux preserves), each row
-// exactly once; overlaps, gaps, re-installs and out-of-range rows are
-// rejected.
+// [lo, hi) ∩ [off_k, off_k+n_k) — as one source, or, once SplitCross has
+// cut the block at a responder row, as two: the rows below the cut and the
+// rows from it on. A source with no rows in range installs nothing. Chunks
+// must arrive in ascending row order per source (the order every chunk
+// schedule emits and the per-conduit demux preserves), each row exactly
+// once; overlaps, gaps, re-installs and out-of-range rows are rejected.
+//
+// Installs into distinct sources may run concurrently — their rows are
+// disjoint, and each source keeps its own cursor and running maximum,
+// folded together by Done — while the sources themselves, splits included,
+// are fixed before the first install.
 type SliceAssembler struct {
 	sizes   []int
 	offsets []int
@@ -41,15 +47,25 @@ type SliceAssembler struct {
 	cells   []float64
 	workers int
 
-	// next expected holder-local row per source; a source is complete
-	// when its cursor reaches its span end. want holds the span ends.
-	localNext map[int]int
-	localWant map[int]int
-	crossNext map[[2]int]int
-	crossWant map[[2]int]int
+	local []*cursor                // by party; nil without rows in range
+	cross map[[2]int]*crossSources // by (k, j)
 
-	max  float64
 	done bool
+}
+
+// cursor is one source's install state: the next expected holder-local
+// row, the end of its span, and the largest entry it has installed.
+type cursor struct {
+	next, want int
+	max        float64
+}
+
+// crossSources are the sources of one cross block: the responder rows
+// below split and those from split on (split is the block's row count
+// until SplitCross moves it).
+type crossSources struct {
+	split  int
+	shares [2]cursor
 }
 
 // NewSliceAssembler prepares assembly of global rows [lo, hi) for parties
@@ -69,30 +85,53 @@ func NewSliceAssembler(counts []int, lo, hi, workers int) (*SliceAssembler, erro
 		return nil, fmt.Errorf("dissim: shard range [%d,%d) out of range for %d objects", lo, hi, total)
 	}
 	a := &SliceAssembler{
-		sizes:     append([]int(nil), counts...),
-		offsets:   offsets,
-		lo:        lo,
-		hi:        hi,
-		base:      lo * (lo - 1) / 2,
-		cells:     make([]float64, hi*(hi-1)/2-lo*(lo-1)/2),
-		workers:   parallel.Workers(workers),
-		localNext: make(map[int]int),
-		localWant: make(map[int]int),
-		crossNext: make(map[[2]int]int),
-		crossWant: make(map[[2]int]int),
+		sizes:   append([]int(nil), counts...),
+		offsets: offsets,
+		lo:      lo,
+		hi:      hi,
+		base:    lo * (lo - 1) / 2,
+		cells:   make([]float64, hi*(hi-1)/2-lo*(lo-1)/2),
+		workers: parallel.Workers(workers),
+		local:   make([]*cursor, len(counts)),
+		cross:   make(map[[2]int]*crossSources),
 	}
 	for p := range counts {
 		plo, phi := a.PartyRows(p)
 		if plo >= phi {
 			continue
 		}
-		a.localNext[p], a.localWant[p] = plo, phi
+		a.local[p] = &cursor{next: plo, want: phi}
 		for j := 0; j < p; j++ {
-			key := [2]int{p, j}
-			a.crossNext[key], a.crossWant[key] = plo, phi
+			a.cross[[2]int{p, j}] = &crossSources{split: counts[p], shares: [2]cursor{{next: plo, want: phi}, {next: phi, want: phi}}}
 		}
 	}
 	return a, nil
+}
+
+// SplitCross cuts the block of pair (j, k), k > j, at responder row at:
+// from then on its rows below at and its rows from at on are two sources,
+// each with its own ascending cursor, which may install concurrently. It
+// must come before the block's first install; a block without rows in the
+// range has nothing to cut.
+func (a *SliceAssembler) SplitCross(j, k, at int) error {
+	if j < 0 || k >= len(a.sizes) || k <= j {
+		return fmt.Errorf("dissim: invalid pair (%d,%d)", j, k)
+	}
+	if at < 0 || at > a.sizes[k] {
+		return fmt.Errorf("dissim: split row %d outside the %d rows of pair (%d,%d)", at, a.sizes[k], j, k)
+	}
+	src := a.cross[[2]int{k, j}]
+	if src == nil {
+		return nil
+	}
+	plo, phi := a.PartyRows(k)
+	if src.shares[0].next != plo || src.shares[1].next != phi {
+		return fmt.Errorf("dissim: pair (%d,%d) split after its first install", j, k)
+	}
+	cut := min(max(at, plo), phi)
+	src.split = at
+	src.shares = [2]cursor{{next: plo, want: cut}, {next: cut, want: phi}}
+	return nil
 }
 
 // PartyRows returns party p's holder-local row range that falls inside
@@ -152,13 +191,12 @@ func (a *SliceAssembler) setLocalRows(p, lo, hi, n int, fill func(dst []float64,
 	if p < 0 || p >= len(a.sizes) {
 		return fmt.Errorf("dissim: party %d out of range", p)
 	}
-	next, ok := a.localNext[p]
-	if !ok {
+	cur := a.local[p]
+	if cur == nil {
 		return fmt.Errorf("dissim: party %d has no local rows in [%d,%d)", p, a.lo, a.hi)
 	}
-	want := a.localWant[p]
-	if lo != next || hi < lo || hi > want {
-		return fmt.Errorf("dissim: local rows [%d,%d) for party %d: want next range starting at %d within [%d,%d)", lo, hi, p, next, next, want)
+	if lo != cur.next || hi < lo || hi > cur.want {
+		return fmt.Errorf("dissim: local rows [%d,%d) for party %d: want next range starting at %d within [%d,%d)", lo, hi, p, cur.next, cur.next, cur.want)
 	}
 	srcBase := lo * (lo - 1) / 2
 	if wantCells := hi*(hi-1)/2 - srcBase; n != wantCells {
@@ -176,8 +214,8 @@ func (a *SliceAssembler) setLocalRows(p, lo, hi, n int, fill func(dst []float64,
 		}
 		chunkMax = max(chunkMax, rowMax)
 	}
-	a.max = max(a.max, chunkMax)
-	a.localNext[p] = hi
+	cur.max = max(cur.max, chunkMax)
+	cur.next = hi
 	return nil
 }
 
@@ -226,14 +264,16 @@ func (a *SliceAssembler) SetCrossRowsInto(j, k, lo, hi int, row func(r int, dst 
 	if j < 0 || k >= len(a.sizes) || k <= j {
 		return fmt.Errorf("dissim: invalid pair (%d,%d)", j, k)
 	}
-	key := [2]int{k, j}
-	next, ok := a.crossNext[key]
-	if !ok {
+	src := a.cross[[2]int{k, j}]
+	if src == nil {
 		return fmt.Errorf("dissim: pair (%d,%d) has no rows in [%d,%d)", j, k, a.lo, a.hi)
 	}
-	want := a.crossWant[key]
-	if lo != next || hi < lo || hi > want {
-		return fmt.Errorf("dissim: cross rows [%d,%d) for pair (%d,%d): want next range starting at %d within [%d,%d)", lo, hi, j, k, next, next, want)
+	cur := &src.shares[0]
+	if lo >= src.split {
+		cur = &src.shares[1]
+	}
+	if lo != cur.next || hi < lo || hi > cur.want {
+		return fmt.Errorf("dissim: cross rows [%d,%d) for pair (%d,%d): want next range starting at %d within [%d,%d)", lo, hi, j, k, cur.next, cur.next, cur.want)
 	}
 	offK, offJ, cols := a.offsets[k], a.offsets[j], a.sizes[j]
 	blockMax, err := parallel.MaxRangeErr(a.workers, hi-lo, func(_, blo, bhi int) (float64, error) {
@@ -255,8 +295,8 @@ func (a *SliceAssembler) SetCrossRowsInto(j, k, lo, hi int, row func(r int, dst 
 	if err != nil {
 		return err
 	}
-	a.max = max(a.max, blockMax)
-	a.crossNext[key] = hi
+	cur.max = max(cur.max, blockMax)
+	cur.next = hi
 	return nil
 }
 
@@ -264,18 +304,26 @@ func (a *SliceAssembler) SetCrossRowsInto(j, k, lo, hi int, row func(r int, dst 
 // assembled packed slice of rows [lo, hi) together with its maximum
 // entry. The slice aliases the assembler's storage.
 func (a *SliceAssembler) Done() ([]float64, float64, error) {
-	for p, next := range a.localNext {
-		if next != a.localWant[p] {
-			return nil, 0, fmt.Errorf("dissim: local rows of party %d incomplete: next %d, want %d", p, next, a.localWant[p])
+	top := 0.0
+	for p, cur := range a.local {
+		if cur == nil {
+			continue
 		}
+		if cur.next != cur.want {
+			return nil, 0, fmt.Errorf("dissim: local rows of party %d incomplete: next %d, want %d", p, cur.next, cur.want)
+		}
+		top = max(top, cur.max)
 	}
-	for key, next := range a.crossNext {
-		if next != a.crossWant[key] {
-			return nil, 0, fmt.Errorf("dissim: cross rows of pair (%d,%d) incomplete: next %d, want %d", key[1], key[0], next, a.crossWant[key])
+	for key, src := range a.cross {
+		for _, cur := range src.shares {
+			if cur.next != cur.want {
+				return nil, 0, fmt.Errorf("dissim: cross rows of pair (%d,%d) incomplete: next %d, want %d", key[1], key[0], cur.next, cur.want)
+			}
+			top = max(top, cur.max)
 		}
 	}
 	a.done = true
-	return a.cells, a.max, nil
+	return a.cells, top, nil
 }
 
 // Assembler is the full-range SliceAssembler: rows [0, total), whose

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -496,5 +498,144 @@ func TestSetCrossRowsValidation(t *testing.T) {
 	}
 	if _, err := a.Done(); err == nil || !strings.Contains(err.Error(), "incomplete") {
 		t.Fatalf("partial cross rows not reported by Done: %v", err)
+	}
+}
+
+// TestSplitCrossSharesInstallConcurrently: with every cross block cut at a
+// responder row, each party's local rows and each share of each block are
+// installed by their own goroutine, in chunks, racing one another — over
+// the whole triangle and over a slice whose first row is past a cut. The
+// cells and the maximum Done folds are those of the monolithic installs,
+// and a share takes only its own rows.
+func TestSplitCrossSharesInstallConcurrently(t *testing.T) {
+	sizes := []int{7, 11, 5}
+	total := 23
+	cross := func(j, k int) func(m, n int) float64 {
+		return func(m, n int) float64 { return synthDist(m+10*k, n+3*j) }
+	}
+	splits := map[[2]int]int{{0, 1}: 4, {0, 2}: 0, {1, 2}: 5}
+	want, err := NewAssembler(sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, n := range sizes {
+		if err := want.SetLocal(p, FromLocal(n, synthDist)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pair := range splits {
+		if err := want.SetCross(pair[0], pair[1], cross(pair[0], pair[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole, err := want.Done()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rows := range [][2]int{{0, total}, {7 + 6, total}} {
+		a, err := NewSliceAssembler(sizes, rows[0], rows[1], 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pair, at := range splits {
+			if err := a.SplitCross(pair[0], pair[1], at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 16)
+		install := func(fn func() error) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := fn(); err != nil {
+					errs <- err
+				}
+			}()
+		}
+		for p := range sizes {
+			install(func() error {
+				lo, hi := a.PartyRows(p)
+				for r := lo; r < hi; r++ {
+					if err := a.SetLocalRows(p, r, r+1, FromLocal(sizes[p], synthDist).PackedRowsView(r, r+1)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
+		for pair, at := range splits {
+			j, k := pair[0], pair[1]
+			lo, hi := a.PartyRows(k)
+			for _, share := range [][2]int{{lo, min(hi, at)}, {max(lo, at), hi}} {
+				install(func() error {
+					for r := share[0]; r < share[1]; r++ {
+						f := cross(j, k)
+						if err := a.SetCrossRows(j, k, r, r+1, func(m, n int) float64 { return f(r+m, n) }); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+			}
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("rows %v: %v", rows, err)
+		}
+		cells, top, err := a.Done()
+		if err != nil {
+			t.Fatalf("rows %v: %v", rows, err)
+		}
+		wantCells := whole.PackedRowsView(rows[0], rows[1])
+		if !slices.Equal(cells, wantCells) || top != slices.Max(append([]float64{0}, wantCells...)) {
+			t.Fatalf("rows %v: concurrent share installs differ from the monolithic ones", rows)
+		}
+	}
+}
+
+// TestSplitCrossValidation: a cut outside the block or after its first
+// install is refused, and once cut, each share accepts only its own rows.
+func TestSplitCrossValidation(t *testing.T) {
+	zero := func(m, n int) float64 { return 0 }
+	a, err := NewAssembler([]int{3, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SplitCross(0, 1, 7); err == nil {
+		t.Fatal("cut past the block accepted")
+	}
+	if err := a.SplitCross(1, 0, 2); err == nil {
+		t.Fatal("inverted pair accepted")
+	}
+	if err := a.SplitCross(0, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SetCrossRows(0, 1, 0, 3, zero); err == nil {
+		t.Fatal("rows across the cut accepted")
+	}
+	if err := a.SetCrossRows(0, 1, 3, 4, zero); err == nil {
+		t.Fatal("the second share installed out of order")
+	}
+	if err := a.SetCrossRows(0, 1, 2, 4, zero); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SplitCross(0, 1, 3); err == nil {
+		t.Fatal("cut after an install accepted")
+	}
+	if err := a.SetCrossRows(0, 1, 0, 2, zero); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SetCrossRows(0, 1, 4, 6, zero); err != nil {
+		t.Fatal(err)
+	}
+	for p, n := range []int{3, 6} {
+		if err := a.SetLocal(p, FromLocal(n, synthDist)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := a.Done(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -78,14 +78,15 @@ func TestAlphaChunkAllocationPin(t *testing.T) {
 		}
 		frame = wire.AppendFrame(nil, &wire.Message{From: "A", To: "B", Kind: kindAlphaDisg, Payload: frame})
 		sink = &scriptedConduit{}
-		h := &Holder{name: "B", table: table, cfg: cfg, eng: protocol.NewEngine(cfg.Parallelism),
-			peers:  map[string]*wire.Endpoint{"A": wire.NewEndpoint(&scriptedConduit{recv: [][]byte{frame}})},
-			counts: map[string]int{"A": cols},
-			lanes:  []compLane{{ep: wire.NewEndpoint(sink), to: TPName, lo: 0, hi: rows}},
+		h := &Holder{name: "B", index: 1, holders: []string{"A", "B"}, table: table, cfg: cfg, eng: protocol.NewEngine(cfg.Parallelism),
+			peers:      map[string]*wire.Endpoint{"A": wire.NewEndpoint(&scriptedConduit{recv: [][]byte{frame}})},
+			census:     newCensus([]int{cols, rows}),
+			ranges:     [][2]int{{0, cols + rows}},
+			rangeLanes: []compLane{{ep: wire.NewEndpoint(sink), to: TPName}},
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if err := h.respond(0, "A", "B"); err != nil {
+		if err := h.respond(0, 0); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

@@ -21,7 +21,7 @@ func TestEstimateSessionBytesFormula(t *testing.T) {
 	nAttr := int64(len(cfg.Schema.Attrs))
 	want := (nAttr+1)*triangle +
 		int64(holders)*(nAttr+1)*laneBuffer*chunk +
-		pipelineDepth*4*chunk
+		pipelineDepth*2*holders*chunk
 	if got := cfg.EstimateSessionBytes(holders, n, 1); got != want {
 		t.Fatalf("EstimateSessionBytes = %d, want %d", got, want)
 	}

@@ -330,12 +330,15 @@ func TestAlphaFramesMatchParent(t *testing.T) {
 	}
 }
 
-// TestNumericFramesMatchParent is the same differential for the frames the
-// numeric rewrite touches — every ppc/local, ppc/numeric-disguised and
-// ppc/numeric-s frame — against commit 813549b, the last one whose holders
+// TestNumericFramesMatchParent is the same differential for the numeric
+// frames — every ppc/local, ppc/numeric-disguised and ppc/numeric-s frame —
+// at every variant and mode, chunk budget, shard count and worker count.
+// The digests were first recorded at 813549b, the last commit whose holders
 // built whole local triangles and whole S matrices before the first chunk
-// left: every variant and mode at every chunk budget, shard count and
-// worker count.
+// left, and re-recorded once when each pair block was split between its two
+// holders: the initiator then produces the rows from the split on, the
+// responder sends its disguise of them back, and both holders stream S
+// frames.
 func TestNumericFramesMatchParent(t *testing.T) {
 	parts := pipelineParts(t, 24)
 	for _, tc := range []struct {
@@ -344,40 +347,40 @@ func TestNumericFramesMatchParent(t *testing.T) {
 		hashes  [8]string // chunk budgets 1, 64, default, monolithic × shards 1, 2
 	}{
 		{Float64Variant, protocol.Batch, [8]string{
-			"6/376/b8f81cb96879ca98", "7/376/317173f999fa1c0f",
-			"6/358/2ac5359282b68fb1", "7/358/83fcc732e0682920",
-			"6/21/a064af03cc764d7b", "7/28/4ac8a5128f9feb43",
-			"6/21/a064af03cc764d7b", "7/28/4ac8a5128f9feb43",
+			"9/450/9389d2acd6cdfd5e", "12/450/d34b2b79e8b43f31",
+			"9/368/2ec1f7fa97d7982e", "12/368/2f5a8aa5d6c68f8f",
+			"9/33/52af87e425be8f8a", "12/40/d1348ea6b00b3c43",
+			"9/33/52af87e425be8f8a", "12/40/d1348ea6b00b3c43",
 		}},
 		{Float64Variant, protocol.PerPair, [8]string{
-			"6/524/9f71ed10087c158f", "7/524/66969f6295ca7d5d",
-			"6/506/b8c595f0a1d83561", "7/506/00261a815c176d27",
-			"6/21/dfdbf32742d68666", "7/28/73ab2e8d8e5d1036",
-			"6/21/dfdbf32742d68666", "7/28/73ab2e8d8e5d1036",
+			"9/524/db2b9ffa0c1e1660", "12/524/ae3d6d63f00c6ccd",
+			"9/506/f32d63fb76efde06", "12/506/418f0b364d527544",
+			"9/33/42b841ab0b049b27", "12/40/8a119ae90da8dc39",
+			"9/33/42b841ab0b049b27", "12/40/8a119ae90da8dc39",
 		}},
 		{Int64Variant, protocol.Batch, [8]string{
-			"6/376/95761945d79d11a0", "7/376/fffbea969e0cc46d",
-			"6/358/9f708035b45268fd", "7/358/efd8485b2bd753ad",
-			"6/21/f3b5ec3439910b9e", "7/28/157105bb1d9605d7",
-			"6/21/f3b5ec3439910b9e", "7/28/157105bb1d9605d7",
+			"9/450/16337a8e5f6879d7", "12/450/340407400d4b279d",
+			"9/368/a49edadb07f5d8bb", "12/368/92c13c43b38419b8",
+			"9/33/b55b3cf14647db3f", "12/40/18098400e80c0a93",
+			"9/33/b55b3cf14647db3f", "12/40/18098400e80c0a93",
 		}},
 		{Int64Variant, protocol.PerPair, [8]string{
-			"6/524/6d1367e67f32990c", "7/524/e9d7124f5a06f1d2",
-			"6/506/651d185fd275a1e0", "7/506/febe3473f6d42acf",
-			"6/21/e99553ab594530a6", "7/28/7f8a5db2633925e3",
-			"6/21/e99553ab594530a6", "7/28/7f8a5db2633925e3",
+			"9/524/409f655989f73e97", "12/524/c717a9b4f994f04d",
+			"9/506/9d8c6b4985ec474d", "12/506/bf23eb80e9c309ac",
+			"9/33/f578c39524e27ce9", "12/40/3320e7560fe3e0af",
+			"9/33/f578c39524e27ce9", "12/40/3320e7560fe3e0af",
 		}},
 		{ModPVariant, protocol.Batch, [8]string{
-			"6/376/ee89d7f737785d0f", "7/376/9cd7eed77d85f259",
-			"6/358/4b885b41f8535601", "7/358/e867794ae7ed0723",
-			"6/21/5e440f832315023d", "7/28/397bea39bc2800fc",
-			"6/21/5e440f832315023d", "7/28/397bea39bc2800fc",
+			"9/450/973318b3810f2e26", "12/450/abfcd63fbe5a37a5",
+			"9/396/6304cbe888b67930", "12/396/a764885cc6ea4f23",
+			"9/33/e8416d4308d360b9", "12/40/a76095182e03c51e",
+			"9/33/e8416d4308d360b9", "12/40/a76095182e03c51e",
 		}},
 		{ModPVariant, protocol.PerPair, [8]string{
-			"6/524/1edf64fbbde0ea0a", "7/524/ca9cd4c02364ce38",
-			"6/506/d1a955534f32e5a2", "7/506/a9edfd45c3096765",
-			"6/21/f4a14fb9397b6523", "7/28/5afa2bf285e6fb14",
-			"6/21/f4a14fb9397b6523", "7/28/5afa2bf285e6fb14",
+			"9/524/5b991ba73ad639ca", "12/524/6411b99023b30fcc",
+			"9/506/15d9e11beb3ae0e5", "12/506/0ce210b83905c148",
+			"9/33/8bd63505901cd538", "12/40/9213b39ee8fb157e",
+			"9/33/8bd63505901cd538", "12/40/9213b39ee8fb157e",
 		}},
 	} {
 		for i, hash := range tc.hashes {
@@ -386,7 +389,7 @@ func TestNumericFramesMatchParent(t *testing.T) {
 				cfg := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: tc.mode,
 					LocalChunkBytes: chunk, TPShards: shards, Parallelism: workers}
 				if got := laneDigest(t, cfg, parts, kindLocal, kindNumDisg, kindNumS); got != hash {
-					t.Errorf("%v %v, chunk %d, shards %d, workers %d: lanes/frames/digest %s, the parent sent %s",
+					t.Errorf("%v %v, chunk %d, shards %d, workers %d: lanes/frames/digest %s, recorded %s",
 						tc.variant, tc.mode, chunk, shards, workers, got, hash)
 				}
 			}
@@ -401,11 +404,15 @@ func TestNumericFramesMatchParent(t *testing.T) {
 // cells in the payload — local, numeric S and alphanumeric — are also
 // evaluated and installed, and nothing may have written the payload by the
 // end. Seeded with the payloads of real session
-// frames in every numeric variant.
+// frames in every numeric variant and mode — both holders' S chunks of a
+// split pair block, and the disguise each sends the other: the initiator's
+// column row, the responder's rows of one cell (batch) or of every column
+// (per-pair).
 func FuzzChunkBodyDecoders(f *testing.F) {
 	which := map[wire.Kind]uint8{kindLocal: 0, kindNumS: 1, kindNumDisg: 2, kindAlphaM: 3}
 	for _, cfg := range []Config{
 		{Schema: pipelineSchema(), Variant: Float64Variant, LocalChunkBytes: 64},
+		{Schema: pipelineSchema(), Variant: Float64Variant, Mode: protocol.PerPair},
 		{Schema: pipelineSchema(), Variant: Int64Variant, Mode: protocol.PerPair},
 		{Schema: pipelineSchema(), Variant: ModPVariant, LocalChunkBytes: 256},
 	} {
@@ -466,21 +473,23 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 		case *numSBody:
 			c, eng := b.wire, protocol.NewEngine(2)
 			for _, mode := range []protocol.Mode{protocol.Batch, protocol.PerPair} {
-				for _, eval := range []func() (protocol.RowFunc, error){
-					func() (protocol.RowFunc, error) {
-						return eng.NumericThirdPartyFloatChunk(c, b.Lo, b.Hi, jt, protocol.DefaultFloatParams, mode)
-					},
-					func() (protocol.RowFunc, error) {
-						return eng.NumericThirdPartyIntChunk(c, b.Lo, b.Hi, jt, protocol.DefaultIntParams, mode)
-					},
-					func() (protocol.RowFunc, error) { return eng.NumericThirdPartyModPChunk(c, b.Lo, b.Hi, jt, mode) },
-				} {
-					row, err := eval()
-					if err != nil || b.Lo < 0 || b.Hi > 256 || c.Cols > 256 {
-						continue
-					}
-					if asm, err := dissim.NewSliceAssembler([]int{c.Cols, b.Hi}, c.Cols+b.Lo, c.Cols+b.Hi, 2); err == nil {
-						asm.SetCrossRowsInto(0, 1, b.Lo, b.Hi, row)
+				for _, axis := range []protocol.Axis{protocol.InitiatorCols, protocol.InitiatorRows} {
+					for _, eval := range []func() (protocol.RowFunc, error){
+						func() (protocol.RowFunc, error) {
+							return eng.NumericThirdPartyFloatChunk(c, b.Lo, b.Hi, jt, protocol.DefaultFloatParams, mode, axis)
+						},
+						func() (protocol.RowFunc, error) {
+							return eng.NumericThirdPartyIntChunk(c, b.Lo, b.Hi, jt, protocol.DefaultIntParams, mode, axis)
+						},
+						func() (protocol.RowFunc, error) { return eng.NumericThirdPartyModPChunk(c, b.Lo, b.Hi, jt, mode, axis) },
+					} {
+						row, err := eval()
+						if err != nil || b.Lo < 0 || b.Hi > 256 || c.Cols > 256 {
+							continue
+						}
+						if asm, err := dissim.NewSliceAssembler([]int{c.Cols, b.Hi}, c.Cols+b.Lo, c.Cols+b.Hi, 2); err == nil {
+							asm.SetCrossRowsInto(0, 1, b.Lo, b.Hi, row)
+						}
 					}
 				}
 			}

@@ -36,22 +36,33 @@ type Holder struct {
 	tp       *wire.Endpoint
 	peers    map[string]*wire.Endpoint
 	masters  map[string][]byte // pairwise master secrets by peer name
-	counts   map[string]int
 	groupKey detenc.Key
 	guard    *guard
 
+	// pairBases (by peer holder) and maskBase are the bases every parity
+	// and mask stream seed of the session is derived from.
+	pairBases map[string]rng.Seed
+	maskBase  rng.Seed
+
 	// rangeLanes are the third-party conduits comparison traffic rides,
 	// one per row range of dissim.ShardRanges(total, K): the control
-	// conduit alone at K ≤ 1, the K shard conduits otherwise. lanes,
-	// derived from the census (see exchangeCensus), lists the ones this
-	// holder's rows reach.
+	// conduit alone at K ≤ 1, the K shard conduits otherwise. census and
+	// ranges, known from the census exchange on, say which rows ride which.
 	rangeLanes []compLane
-	lanes      []compLane
+	census     *census
+	ranges     [][2]int
+
+	// slab is the storage every chunk this holder builds is computed into
+	// just before its frame is written — its local rows and the float64 S
+	// rows of each share it produces — and s is its one S chunk body:
+	// whichever roles it plays, a holder holds one chunk.
+	slab []float64
+	s    numSBody
 }
 
 // compLane is one destination of a holder's comparison traffic: the
-// conduit toward the owner of a global row range, and — once the census
-// is known — the holder-local rows [lo, hi) that fall in that range.
+// conduit toward the owner of a global row range, and the holder-local
+// rows [lo, hi) of one stream that fall in that range.
 type compLane struct {
 	ep     *wire.Endpoint
 	to     string
@@ -98,18 +109,18 @@ func NewHolder(name string, table *dataset.Table, holders []string, cfg Config, 
 		}
 	}
 	h := &Holder{
-		name:    name,
-		index:   idx,
-		holders: holders,
-		table:   table,
-		cfg:     cfg,
-		req:     req,
-		random:  random,
-		workers: parallel.Workers(cfg.Parallelism),
-		eng:     protocol.NewEngine(cfg.Parallelism),
-		peers:   make(map[string]*wire.Endpoint),
-		masters: make(map[string][]byte),
-		counts:  make(map[string]int),
+		name:      name,
+		index:     idx,
+		holders:   holders,
+		table:     table,
+		cfg:       cfg,
+		req:       req,
+		random:    random,
+		workers:   parallel.Workers(cfg.Parallelism),
+		eng:       protocol.NewEngine(cfg.Parallelism),
+		peers:     make(map[string]*wire.Endpoint),
+		masters:   make(map[string][]byte),
+		pairBases: make(map[string]rng.Seed),
 	}
 	// The guard arms before the handshake so the session deadline and phase
 	// watchdog bound construction too: a peer that never answers hello
@@ -124,7 +135,9 @@ func NewHolder(name string, table *dataset.Table, holders []string, cfg Config, 
 }
 
 // handshakeAll exchanges public keys on every conduit, derives the pairwise
-// masters and wraps the conduits in AES-GCM channels.
+// masters and wraps the conduits in AES-GCM channels. Every hello goes out
+// before any is read, and the replies are read at once (recvAll), so
+// construction costs one round trip, not one per link.
 func (h *Holder) handshakeAll(conduits map[string]wire.Conduit) error {
 	var err error
 	h.identity, err = keys.NewIdentity(h.name, h.random)
@@ -132,61 +145,82 @@ func (h *Holder) handshakeAll(conduits map[string]wire.Conduit) error {
 		return err
 	}
 	fp := schemaFingerprint(h.cfg.Schema)
-	// secure handshakes one conduit. bind sits directly on the raw conduit
-	// — below the AES-GCM layer — so a lifecycle cancel closes the real
-	// transport and unparks any blocked read, and every frame either way
-	// feeds the watchdog.
-	secure := func(peer string, initiator bool) (wire.Conduit, []byte, error) {
-		bound := h.guard.bind(conduits[peer])
-		secured, master, err := handshake(bound, h.name, peer, h.identity, fp, initiator)
-		if err == nil && h.cfg.PlaintextChannels {
-			secured = bound
-		}
-		return secured, master, err
+	// Every link: the other holders (lane −1; initiator: the
+	// lexicographically smaller name), the TP control conduit (lane 0), then
+	// the shard conduits ascending (lane s+1; the holder initiates both).
+	// The shards present the TP identity (the master must match the control
+	// conduit's), but each conduit derives its own channel key salted by the
+	// shard name.
+	type link struct {
+		peer      string
+		lane      int
+		initiator bool
 	}
-	for _, peer := range append(append([]string{}, h.holders...), TPName) {
-		if peer == h.name {
-			continue
+	var links []link
+	for _, peer := range h.holders {
+		if peer != h.name {
+			links = append(links, link{peer: peer, lane: -1, initiator: h.name < peer})
 		}
-		// Initiator: the lexicographically smaller holder name, or the
-		// holder on a holder-TP link.
-		secured, master, err := secure(peer, peer == TPName || h.name < peer)
+	}
+	links = append(links, link{peer: TPName, initiator: true})
+	k := h.cfg.shardCount()
+	if k > 1 {
+		for s := 0; s < k; s++ {
+			links = append(links, link{peer: ShardName(s), lane: s + 1, initiator: true})
+		}
+	}
+	// bind sits directly on the raw conduit — below the AES-GCM layer — so a
+	// lifecycle cancel closes the real transport and unparks any blocked
+	// read, and every frame either way feeds the watchdog.
+	bound := make([]wire.Conduit, len(links))
+	for i, l := range links {
+		bound[i] = h.guard.bind(conduits[l.peer])
+	}
+	for i, l := range links {
+		if err := sendHello(bound[i], h.name, l.peer, h.identity, fp); err != nil {
+			return err
+		}
+	}
+	hellos, failed, err := recvAll(bound)
+	if err != nil {
+		return fmt.Errorf("party: %s hello from %s: %w", h.name, links[failed].peer, err)
+	}
+	h.rangeLanes = make([]compLane, k)
+	for i, l := range links {
+		secured, master, err := answerHello(bound[i], hellos[i], h.name, l.peer, h.identity, fp, l.initiator)
 		if err != nil {
 			return err
 		}
-		h.masters[peer] = master
-		if peer != TPName {
-			h.peers[peer] = wire.NewEndpoint(secured)
+		if h.cfg.PlaintextChannels {
+			secured = bound[i]
+		}
+		if l.lane < 0 {
+			h.masters[l.peer] = master
+			h.pairBases[l.peer] = keys.DeriveSeed(master, keys.PurposePairRNG, h.name, l.peer)
+			h.peers[l.peer] = wire.NewEndpoint(secured)
 			continue
 		}
-		// The TP control lane (not holder↔holder conduits) is resumable:
-		// the Reconn sits above the channel so a sever parks the lane and
-		// the redial loop replaces the transport underneath the endpoint.
-		if h.resumable() {
-			secured = h.armResume(secured, peer, 0)
+		if l.lane == 0 {
+			h.masters[TPName] = master
+			h.maskBase = maskBase(master, h.name)
+		} else if string(master) != string(h.masters[TPName]) {
+			return fmt.Errorf("party: %s presented a different identity than %s", l.peer, TPName)
 		}
-		h.tp = wire.NewEndpoint(secured)
-	}
-	h.rangeLanes = []compLane{{ep: h.tp, to: TPName}}
-	// Shard conduits, ascending, right after the TP control conduit — the
-	// same order the third party handshakes them in. The shards present the
-	// TP identity (the master must match the control conduit's), but each
-	// conduit derives its own channel key salted by the shard name.
-	if k := h.cfg.shardCount(); k > 1 {
-		h.rangeLanes = make([]compLane, k)
-		for s := range h.rangeLanes {
-			name := ShardName(s)
-			secured, master, err := secure(name, true)
-			if err != nil {
-				return err
+		// The TP lanes (not holder↔holder conduits) are resumable: the
+		// Reconn sits above the channel so a sever parks the lane and the
+		// redial loop replaces the transport underneath the endpoint.
+		if h.resumable() {
+			secured = h.armResume(secured, l.peer, l.lane)
+		}
+		ep := wire.NewEndpoint(secured)
+		switch {
+		case l.lane == 0:
+			h.tp = ep
+			if k == 1 {
+				h.rangeLanes[0] = compLane{ep: ep, to: TPName} // one range, on the control conduit
 			}
-			if string(master) != string(h.masters[TPName]) {
-				return fmt.Errorf("party: %s presented a different identity than %s", name, TPName)
-			}
-			if h.resumable() {
-				secured = h.armResume(secured, name, s+1)
-			}
-			h.rangeLanes[s] = compLane{ep: wire.NewEndpoint(secured), to: name}
+		default:
+			h.rangeLanes[l.lane-1] = compLane{ep: ep, to: l.peer}
 		}
 	}
 	// With every channel established the holder can explain a failure to
@@ -262,37 +296,45 @@ func (h *Holder) exchangeCensus() error {
 	if err != nil {
 		return err
 	}
-	var census censusBody
-	if _, err := expectMsg(h.tp, kindCensus, &census); err != nil {
+	var body censusBody
+	if _, err := expectMsg(h.tp, kindCensus, &body); err != nil {
 		return err
 	}
-	if len(census.Holders) != len(h.holders) {
-		return fmt.Errorf("party: census names %v do not match session holders", census.Holders)
+	if len(body.Holders) != len(h.holders) || len(body.Counts) != len(h.holders) {
+		return fmt.Errorf("party: census of %d names and %d counts does not match the %d session holders",
+			len(body.Holders), len(body.Counts), len(h.holders))
 	}
-	for i, name := range census.Holders {
+	for i, name := range body.Holders {
 		if name != h.holders[i] {
-			return fmt.Errorf("party: census names %v do not match session holders", census.Holders)
+			return fmt.Errorf("party: census names %v do not match session holders", body.Holders)
 		}
-		h.counts[name] = census.Counts[i]
+		if body.Counts[i] < 0 {
+			return fmt.Errorf("party: census holds a negative count %d for %s", body.Counts[i], name)
+		}
 	}
-	if h.counts[h.name] != h.table.Len() {
+	if body.Counts[h.index] != h.table.Len() {
 		return fmt.Errorf("party: census miscounts %s", h.name)
 	}
-	// The census fixes the global row layout, so the row-range partition —
-	// identical to the third party's — is known from here on: each lane
-	// whose range this holder's rows reach receives exactly those rows,
-	// the others nothing.
-	total, offset := 0, 0
-	for i, c := range census.Counts {
-		if i < h.index {
-			offset += c
-		}
-		total += c
-	}
-	for s, r := range dissim.ShardRanges(total, h.cfg.shardCount()) {
+	// The census fixes the global row layout, so the row-range partition
+	// and every pair block's split — identical to the third party's — are
+	// known from here on.
+	h.census = newCensus(body.Counts)
+	h.ranges = dissim.ShardRanges(h.census.total, h.cfg.shardCount())
+	return nil
+}
+
+// eachLane calls send with every lane whose range holder p's rows [lo, hi)
+// reach, carrying the rows that fall in it, in ascending range order — so a
+// stream over those rows reads on from one lane to the next. A lane with
+// none of the rows gets nothing.
+func (h *Holder) eachLane(p, lo, hi int, send func(ln compLane) error) error {
+	for s, r := range h.ranges {
 		ln := h.rangeLanes[s]
-		if ln.lo, ln.hi = shardRowsOf(r[0], r[1], offset, h.table.Len()); ln.lo < ln.hi {
-			h.lanes = append(h.lanes, ln)
+		ln.lo, ln.hi = shardRowsOf(r[0], r[1], h.census.offsets[p], h.census.counts[p])
+		if ln.lo, ln.hi = max(ln.lo, lo), min(ln.hi, hi); ln.lo < ln.hi {
+			if err := send(ln); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -415,32 +457,48 @@ func (h *Holder) sendLocalMatrix(attr int) error {
 	if err != nil {
 		return err
 	}
-	var cells []float64
-	for _, ln := range h.lanes {
-		msg := wire.Message{From: h.name, To: ln.to, Kind: kindLocal, Attr: attr}
+	msg := wire.Message{From: h.name, Kind: kindLocal, Attr: attr}
+	return h.eachLane(h.index, 0, h.table.Len(), func(ln compLane) error {
+		msg.To = ln.to
 		for _, ch := range h.cfg.localChunksRange(ln.lo, ln.hi) {
-			cells = dissim.FromLocalRowsPar(cells, ch[0], ch[1], h.workers, distFn)
-			body := localBody{N: h.table.Len(), Lo: ch[0], Hi: ch[1], Cells: cells}
+			h.slab = dissim.FromLocalRowsPar(h.slab, ch[0], ch[1], h.workers, distFn)
+			body := localBody{N: h.table.Len(), Lo: ch[0], Hi: ch[1], Cells: h.slab}
 			if err := ln.ep.SendBody(msg, body); err != nil {
 				return err
 			}
 		}
+		return nil
+	})
+}
+
+// seedJK returns the parity-stream seed this holder shares with peer for
+// one share of their pair's block of attr: the rows the responder produces,
+// or — rows — those the initiator produces.
+func (h *Holder) seedJK(peer string, attr int, rows bool) rng.Seed {
+	ctx := fmt.Sprintf("attr/%d", attr)
+	if rows {
+		ctx += "/rows"
 	}
-	return nil
+	return ctxSeed(h.pairBases[peer], ctx)
 }
 
-// seedJK returns the generator seed shared by holders j and k for attr.
-func (h *Holder) seedJK(peer string, attr int) rng.Seed {
-	base := keys.DeriveSeed(h.masters[peer], keys.PurposePairRNG, h.name, peer)
-	return ctxSeed(base, fmt.Sprintf("attr/%d", attr))
+// maskBase is the base of every mask stream holder shares with the third
+// party, derived from their pairwise master.
+func maskBase(master []byte, holder string) rng.Seed {
+	return keys.DeriveSeed(master, keys.PurposeMaskRNG, holder, TPName)
 }
 
-// seedJT returns the generator seed shared by initiator j and the third
-// party for (attr, pair). Deriving per pair (rather than the paper's single
+// maskSeed is the seed of the mask stream a holder shares with the third
+// party (under its maskBase) for one share of pair (j, k)'s block of attr:
+// the rows k produces, the holder being j, or — rows — the rows j produces,
+// the holder being k. Deriving per pair (rather than the paper's single
 // rJT) prevents two responders from jointly cancelling the masks.
-func (h *Holder) seedJT(attr int, j, k string) rng.Seed {
-	base := keys.DeriveSeed(h.masters[TPName], keys.PurposeMaskRNG, h.name, TPName)
-	return ctxSeed(base, fmt.Sprintf("attr/%d/pair/%s/%s", attr, j, k))
+func maskSeed(base rng.Seed, attr int, j, k string, rows bool) rng.Seed {
+	ctx := fmt.Sprintf("attr/%d/pair/%s/%s", attr, j, k)
+	if rows {
+		ctx += "/rows"
+	}
+	return ctxSeed(base, ctx)
 }
 
 func ctxSeed(base rng.Seed, ctx string) rng.Seed {
@@ -490,15 +548,15 @@ func (h *Holder) runAttribute(attr int) error {
 		return h.tp.SendBody(msg, pathTagsBody{Paths: paths})
 	}
 
-	for _, pair := range sortedPairs(h.holders) {
-		j, k := h.holders[pair[0]], h.holders[pair[1]]
-		switch h.name {
-		case j:
-			if err := h.initiate(attr, j, k); err != nil {
+	for p, pr := range h.census.pairs {
+		j, k := h.holders[pr[0]], h.holders[pr[1]]
+		switch h.index {
+		case pr[0]:
+			if err := h.initiate(attr, p); err != nil {
 				return fmt.Errorf("party: %s initiating (%s,%s) attr %d: %w", h.name, j, k, attr, err)
 			}
-		case k:
-			if err := h.respond(attr, j, k); err != nil {
+		case pr[1]:
+			if err := h.respond(attr, p); err != nil {
 				return fmt.Errorf("party: %s responding (%s,%s) attr %d: %w", h.name, j, k, attr, err)
 			}
 		}
@@ -506,11 +564,17 @@ func (h *Holder) runAttribute(attr int) error {
 	return nil
 }
 
-// initiate is the DHJ role for one (attribute, pair).
-func (h *Holder) initiate(attr int, j, k string) error {
+// initiate is the initiator J's part of pair p's block of attr. Per the
+// paper (Figure 4) it disguises its own values for the rows [0, h) the
+// responder K produces; then, for the rows [h, n_k) it produces itself, it
+// receives K's disguise of them and combines it with its values (Figure 5
+// with the roles swapped), streaming the rows to the lanes that own them.
+// An alphanumeric block is not split: J only disguises.
+func (h *Holder) initiate(attr, p int) error {
 	a := h.cfg.Schema.Attrs[attr]
-	jk := rng.New(h.cfg.RNG, h.seedJK(k, attr))
-	jt := rng.New(h.cfg.RNG, h.seedJT(attr, j, k))
+	kIdx := h.census.pairs[p][1]
+	j, k := h.name, h.holders[kIdx]
+	jt := rng.New(h.cfg.RNG, maskSeed(h.maskBase, attr, j, k, false))
 	msg := wire.Message{From: j, To: k, Kind: kindNumDisg, Attr: attr, PairJ: j, PairK: k}
 
 	if a.Type == dataset.Alphanumeric {
@@ -527,77 +591,68 @@ func (h *Holder) initiate(attr int, j, k string) error {
 		return h.peers[k].SendBody(msg, alphaDisguisedBody{Strings: disguised})
 	}
 
-	col, err := h.numericValues(attr)
+	col, err := h.numCol(attr)
 	if err != nil {
 		return err
 	}
-	responderRows := h.counts[k]
-	var full numSBody // numDisguisedBody's layout; chunked by the shared numSView
-	switch h.cfg.Variant {
-	case Float64Variant:
-		full.Float, err = h.eng.NumericInitiatorFloat(col, jk, jt, protocol.DefaultFloatParams, h.cfg.Mode, responderRows)
-	case Int64Variant:
-		ints, cerr := toInts(col)
-		if cerr != nil {
-			return cerr
+	split, nk := h.census.splitAt(a.Type, p), h.census.counts[kIdx]
+	if split > 0 {
+		jk := rng.New(h.cfg.RNG, h.seedJK(k, attr, false))
+		full, err := h.disguise(col, false, split, jk, jt)
+		if err != nil {
+			return err
 		}
-		full.Int, err = h.eng.NumericInitiatorInt(ints, jk, jt, protocol.DefaultIntParams, h.cfg.Mode, responderRows)
-	case ModPVariant:
-		ints, cerr := toIntsUnbounded(col)
-		if cerr != nil {
-			return cerr
-		}
-		full.ModP, err = h.eng.NumericInitiatorModP(ints, jk, jt, h.cfg.Mode, responderRows)
-	}
-	if err != nil {
-		return err
-	}
-	// The disguised matrix streams as bounded row-range chunks in the
-	// shared pairChunksRange schedule — it is responderRows×cols in per-pair
-	// mode, the session's last partition-quadratic payload to be chunked,
-	// so a monolithic frame would re-impose the wire.MaxFrame ceiling the
-	// rest of the session has shed. Batch mode disguises a single masked
-	// row and travels as one frame under any budget. The chunk bodies are
-	// zero-copy sub-matrix views of a payload dropped right after the
-	// final chunk.
-	disgRows := disguisedRows(h.cfg.Mode, responderRows)
-	for _, ch := range h.cfg.pairChunksRange(a.Type, 0, disgRows, len(col)) {
-		if err := h.peers[k].SendBody(msg, numDisguisedBody(numSView(&full, disgRows, ch))); err != nil {
+		rows := disguisedRows(h.cfg.Mode, split)
+		if err := h.sendDisguise(k, msg, a.Type, &full, rows, 0, rows, h.table.Len()); err != nil {
 			return err
 		}
 	}
-	return nil
+	if split == nk {
+		return nil
+	}
+	width := protocol.RowWidth(h.table.Len(), h.cfg.Mode)
+	disg, err := h.recvDisguise(k, a.Type, j, k, nk, split, nk, width)
+	if err != nil {
+		return err
+	}
+	fill, err := h.shareFill(col, &disg, rng.New(h.cfg.RNG, h.seedJK(k, attr, true)), true, split)
+	if err != nil {
+		return err
+	}
+	return h.streamShare(attr, p, split, nk, fill)
 }
 
-// disguisedRows is the row count of one pair's disguised matrix — the
-// shape both ends derive independently (the responder needs it to compute
-// the chunk schedule before the first frame): the responder's census count
-// in per-pair mode, one masked row in batch mode.
-func disguisedRows(mode protocol.Mode, responderRows int) int {
+// disguisedRows is the row count of J's disguised matrix for the split
+// responder rows of a block — the shape both ends derive independently
+// (the responder needs it to compute the chunk schedule before the first
+// frame): split rows in per-pair mode, one masked row in batch mode.
+func disguisedRows(mode protocol.Mode, split int) int {
 	if mode == protocol.PerPair {
-		return responderRows
+		return split
 	}
 	return 1
 }
 
-// respond is the DHK role for one (attribute, pair): combine the
-// initiator's disguised payload with the own column, then stream the
-// masked S/M comparison matrix to the third party.
+// respond is the responder K's part of pair p's block of attr. Per the
+// paper (Figure 5) it combines J's disguise with its own values for the
+// rows [0, h) it produces and streams them to the lanes that own them; in
+// between it disguises its own values for the rows [h, n_k) J produces
+// (Figure 4 with the initiator on the row axis) and sends them to J — after
+// J's disguise is in, so the pair's holder-link traffic runs one way at a
+// time.
 //
-// Like the local triangles, the payload travels as a sequence of bounded
-// row-range frames in the shared pairChunksRange schedule instead of one
-// monolithic body, each lane receiving the responder rows its range owns:
-// the third party evaluates and installs each range on
-// arrival, and no frame grows with either partition — the masked matrix is
-// rows×cols over BOTH parties' object counts, so it was the session's last
-// wire.MaxFrame-bound message when both partitions are large. Both kinds of
-// chunk are built a chunk at a time, in storage the next chunk reuses
-// (Conduit.Send may not retain frames), so the responder never holds more
-// of the rows×cols block than the chunk in flight.
-func (h *Holder) respond(attr int, j, k string) error {
+// Like the local triangles, the rows travel as bounded row-range frames in
+// the shared pairChunksRange schedule, each lane receiving the rows its
+// range owns: the third party evaluates and installs each range on arrival,
+// and no frame grows with either partition. Every chunk is built just
+// before its frame, in storage the next chunk reuses (Conduit.Send may not
+// retain frames), so the responder never holds more of a block than the
+// chunk in flight.
+func (h *Holder) respond(attr, p int) error {
 	a := h.cfg.Schema.Attrs[attr]
-	rows, cols := h.table.Len(), h.counts[j]
-	msg := wire.Message{From: k, To: TPName, Kind: kindNumS, Attr: attr, PairJ: j, PairK: k}
+	jIdx := h.census.pairs[p][0]
+	j, k := h.holders[jIdx], h.name
+	rows, cols := h.table.Len(), h.census.counts[jIdx]
 
 	if a.Type == dataset.Alphanumeric {
 		var disg alphaDisguisedBody
@@ -621,8 +676,8 @@ func (h *Holder) respond(attr int, j, k string) error {
 		// built from it and refilled for the next: the holder never holds
 		// more of the rows×cols block than the chunk in flight.
 		var chunk protocol.AlphaChunk
-		msg.Kind = kindAlphaM
-		for _, ln := range h.lanes {
+		msg := wire.Message{From: k, Kind: kindAlphaM, Attr: attr, PairJ: j, PairK: k}
+		return h.eachLane(h.index, 0, rows, func(ln compLane) error {
 			msg.To = ln.to
 			for _, ch := range h.cfg.pairChunksRange(a.Type, ln.lo, ln.hi, cols) {
 				h.eng.AlphaResponderChunk(&chunk, own[ch[0]:ch[1]], disg.Strings, a.Alphabet)
@@ -631,108 +686,236 @@ func (h *Holder) respond(attr int, j, k string) error {
 					return err
 				}
 			}
-		}
-		return nil
+			return nil
+		})
 	}
 
-	// The disguised matrix arrives as the chunk stream initiate produces:
-	// both ends derive the identical schedule (disguisedRows × the
-	// initiator's census count), so the responder validates each frame's
-	// claimed range against its own schedule and reassembles before the
-	// combine — framing only, the combined payload is bit-identical to the
-	// former monolithic message at every chunk budget.
-	disgRows := disguisedRows(h.cfg.Mode, rows)
-	var disg numSBody
-	for ci, sched := range h.cfg.pairChunksRange(a.Type, 0, disgRows, cols) {
-		var chunk numDisguisedBody
-		if _, err := expectMsg(h.peers[j], kindNumDisg, &chunk); err != nil {
-			return err
-		}
-		if chunk.Rows != disgRows {
-			return fmt.Errorf("party: %s disguised payload for pair (%s,%s) claims %d rows, expected %d",
-				j, j, k, chunk.Rows, disgRows)
-		}
-		if chunk.Lo != sched[0] || chunk.Hi != sched[1] {
-			return fmt.Errorf("party: %s pair (%s,%s) disguised chunk %d covers rows [%d,%d), schedule says [%d,%d)",
-				j, j, k, ci, chunk.Lo, chunk.Hi, sched[0], sched[1])
-		}
-		if err := appendNumChunk(&disg, (*numSBody)(&chunk), sched, disgRows, cols); err != nil {
-			return fmt.Errorf("party: %s pair (%s,%s) disguised chunk %d %w", j, j, k, ci, err)
-		}
-	}
-	jk := rng.New(h.cfg.RNG, h.seedJK(j, attr))
-	col, err := h.numericValues(attr)
+	col, err := h.numCol(attr)
 	if err != nil {
 		return err
 	}
-	// The chunk's matrix — the one variant pointer the session uses — is
-	// refilled for every chunk's rows [lo, hi) just before its frame.
-	s := numSBody{Rows: rows}
-	var fill func(lo, hi int) error
-	switch h.cfg.Variant {
-	case Float64Variant:
-		if disg.Float == nil {
-			return fmt.Errorf("party: missing float payload from %s", j)
-		}
-		s.Float = &protocol.Float64Matrix{}
-		fill = func(lo, hi int) error {
-			return h.eng.NumericResponderFloatRows(s.Float, disg.Float, col[lo:hi], lo, jk, protocol.DefaultFloatParams, h.cfg.Mode)
-		}
-	case Int64Variant:
-		if disg.Int == nil {
-			return fmt.Errorf("party: missing int payload from %s", j)
-		}
-		ints, err := toInts(col)
-		if err != nil {
+	split := h.census.splitAt(a.Type, p)
+	var disg numSBody
+	if split > 0 {
+		dRows := disguisedRows(h.cfg.Mode, split)
+		if disg, err = h.recvDisguise(j, a.Type, j, k, dRows, 0, dRows, cols); err != nil {
 			return err
-		}
-		s.Int = &protocol.Int64Matrix{}
-		fill = func(lo, hi int) error {
-			return h.eng.NumericResponderIntRows(s.Int, disg.Int, ints[lo:hi], lo, jk, protocol.DefaultIntParams, h.cfg.Mode)
-		}
-	case ModPVariant:
-		if disg.ModP == nil {
-			return fmt.Errorf("party: missing modp payload from %s", j)
-		}
-		ints, err := toIntsUnbounded(col)
-		if err != nil {
-			return err
-		}
-		s.ModP = &protocol.ElementMatrix{}
-		fill = func(lo, hi int) error {
-			return h.eng.NumericResponderModPRows(s.ModP, disg.ModP, ints[lo:hi], lo, jk, h.cfg.Mode)
 		}
 	}
-	for _, ln := range h.lanes {
-		msg.To = ln.to
-		for _, ch := range h.cfg.pairChunksRange(a.Type, ln.lo, ln.hi, cols) {
-			s.Lo, s.Hi = ch[0], ch[1]
-			if err := fill(s.Lo, s.Hi); err != nil {
-				return err
-			}
-			if err := ln.ep.SendBody(msg, s); err != nil {
-				return err
-			}
+	if split < rows {
+		jk := rng.New(h.cfg.RNG, h.seedJK(j, attr, true))
+		kt := rng.New(h.cfg.RNG, maskSeed(h.maskBase, attr, j, k, true))
+		full, err := h.disguise(col.from(split), true, cols, jk, kt)
+		if err != nil {
+			return err
+		}
+		msg := wire.Message{From: k, To: j, Kind: kindNumDisg, Attr: attr, PairJ: j, PairK: k}
+		if err := h.sendDisguise(j, msg, a.Type, &full, rows, split, rows, protocol.RowWidth(cols, h.cfg.Mode)); err != nil {
+			return err
+		}
+	}
+	if split == 0 {
+		return nil
+	}
+	fill, err := h.shareFill(col, &disg, rng.New(h.cfg.RNG, h.seedJK(j, attr, false)), false, 0)
+	if err != nil {
+		return err
+	}
+	return h.streamShare(attr, p, 0, split, fill)
+}
+
+// sendDisguise streams full, a disguise of the rows [lo, hi) of a rows-row
+// payload of width cells a row, to peer as bounded row-range chunks in the
+// shared pairChunksRange schedule: a per-pair disguise grows with both
+// partitions, so a monolithic frame would re-impose the wire.MaxFrame
+// ceiling the rest of the session has shed (in batch mode a disguise is
+// O(n) and travels as one frame under the default budget). The chunk
+// bodies are zero-copy views of a payload dropped after the final chunk.
+func (h *Holder) sendDisguise(peer string, msg wire.Message, t dataset.AttrType, full *numSBody, rows, lo, hi, width int) error {
+	for _, ch := range h.cfg.pairChunksRange(t, lo, hi, width) {
+		if err := h.peers[peer].SendBody(msg, numDisguisedBody(numSView(full, rows, ch, lo))); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// recvDisguise reassembles a peer's disguise of the rows [lo, hi) of a
+// rows-row payload of width cols, streamed in the shared pairChunksRange
+// schedule: both ends derive the schedule from the census, so the receiver
+// validates each frame's claimed range against its own before the combine
+// — framing only, the result is what one monolithic frame would have
+// carried.
+func (h *Holder) recvDisguise(peer string, t dataset.AttrType, j, k string, rows, lo, hi, cols int) (numSBody, error) {
+	var disg numSBody
+	for ci, sched := range h.cfg.pairChunksRange(t, lo, hi, cols) {
+		var chunk numDisguisedBody
+		if _, err := expectMsg(h.peers[peer], kindNumDisg, &chunk); err != nil {
+			return disg, err
+		}
+		if chunk.Rows != rows {
+			return disg, fmt.Errorf("party: %s disguised payload for pair (%s,%s) claims %d rows, expected %d",
+				peer, j, k, chunk.Rows, rows)
+		}
+		if chunk.Lo != sched[0] || chunk.Hi != sched[1] {
+			return disg, fmt.Errorf("party: %s pair (%s,%s) disguised chunk %d covers rows [%d,%d), schedule says [%d,%d)",
+				peer, j, k, ci, chunk.Lo, chunk.Hi, sched[0], sched[1])
+		}
+		if err := appendNumChunk(&disg, (*numSBody)(&chunk), sched, hi-lo, cols); err != nil {
+			return disg, fmt.Errorf("party: %s pair (%s,%s) disguised chunk %d %w", peer, j, k, ci, err)
+		}
+	}
+	return disg, nil
+}
+
+// numCol is a holder's column of one numeric or ordered attribute in the
+// session variant's arithmetic: floats, or integers (bounded by
+// protocol.DefaultIntParams for the int64 variant).
+type numCol struct {
+	f []float64
+	i []int64
+}
+
+func (h *Holder) numCol(attr int) (numCol, error) {
+	col, err := h.numericValues(attr)
+	if err != nil {
+		return numCol{}, err
+	}
+	switch h.cfg.Variant {
+	case Int64Variant:
+		ints, err := toInts(col)
+		return numCol{i: ints}, err
+	case ModPVariant:
+		ints, err := toIntsUnbounded(col)
+		return numCol{i: ints}, err
+	}
+	return numCol{f: col}, nil
+}
+
+// from is the column from row lo on.
+func (c numCol) from(lo int) numCol {
+	if c.f != nil {
+		return numCol{f: c.f[lo:]}
+	}
+	return numCol{i: c.i[lo:]}
+}
+
+// disguise is Figure 4 over col: with the initiator on the columns of a
+// block of n responder rows (J's disguise), or — onRows — on the rows of a
+// block of n columns (K's disguise of the rows J produces).
+func (h *Holder) disguise(col numCol, onRows bool, n int, jk, jt rng.Stream) (b numSBody, err error) {
+	mode := h.cfg.Mode
+	switch {
+	case h.cfg.Variant == Float64Variant && onRows:
+		b.Float, err = h.eng.NumericInitiatorRowsFloat(col.f, n, jk, jt, protocol.DefaultFloatParams, mode)
+	case h.cfg.Variant == Float64Variant:
+		b.Float, err = h.eng.NumericInitiatorFloat(col.f, jk, jt, protocol.DefaultFloatParams, mode, n)
+	case h.cfg.Variant == Int64Variant && onRows:
+		b.Int, err = h.eng.NumericInitiatorRowsInt(col.i, n, jk, jt, protocol.DefaultIntParams, mode)
+	case h.cfg.Variant == Int64Variant:
+		b.Int, err = h.eng.NumericInitiatorInt(col.i, jk, jt, protocol.DefaultIntParams, mode, n)
+	case onRows:
+		b.ModP, err = h.eng.NumericInitiatorRowsModP(col.i, n, jk, jt, mode)
+	default:
+		b.ModP, err = h.eng.NumericInitiatorModP(col.i, jk, jt, mode, n)
+	}
+	return b, err
+}
+
+// shareFill returns the function that computes rows [lo, hi) of a share
+// into h.s: Figure 5 over the peer's disguise disg and this holder's col —
+// on the rows the responder produces, or — onCols, the rows from first on
+// the initiator produces — with this holder's values on the columns. jk is
+// the share's parity stream, read on from chunk to chunk.
+func (h *Holder) shareFill(col numCol, disg *numSBody, jk rng.Stream, onCols bool, first int) (func(lo, hi int) error, error) {
+	mode, s := h.cfg.Mode, &h.s
+	switch h.cfg.Variant {
+	case Float64Variant:
+		if disg.Float == nil {
+			return nil, fmt.Errorf("party: missing float payload")
+		}
+		if s.Float == nil {
+			s.Float = &protocol.Float64Matrix{}
+		}
+		return func(lo, hi int) (err error) {
+			// The S rows are computed into the slab the local chunks use.
+			s.Float.Cell = h.slab
+			if onCols {
+				err = h.eng.NumericResponderColsFloatRows(s.Float, disg.Float, col.f, lo-first, hi-lo, jk, protocol.DefaultFloatParams, mode)
+			} else {
+				err = h.eng.NumericResponderFloatRows(s.Float, disg.Float, col.f[lo:hi], lo, jk, protocol.DefaultFloatParams, mode)
+			}
+			h.slab = s.Float.Cell
+			return err
+		}, nil
+	case Int64Variant:
+		if disg.Int == nil {
+			return nil, fmt.Errorf("party: missing int payload")
+		}
+		if s.Int == nil {
+			s.Int = &protocol.Int64Matrix{}
+		}
+		return func(lo, hi int) error {
+			if onCols {
+				return h.eng.NumericResponderColsIntRows(s.Int, disg.Int, col.i, lo-first, hi-lo, jk, protocol.DefaultIntParams, mode)
+			}
+			return h.eng.NumericResponderIntRows(s.Int, disg.Int, col.i[lo:hi], lo, jk, protocol.DefaultIntParams, mode)
+		}, nil
+	default:
+		if disg.ModP == nil {
+			return nil, fmt.Errorf("party: missing modp payload")
+		}
+		if s.ModP == nil {
+			s.ModP = &protocol.ElementMatrix{}
+		}
+		return func(lo, hi int) error {
+			if onCols {
+				return h.eng.NumericResponderColsModPRows(s.ModP, disg.ModP, col.i, lo-first, hi-lo, jk, mode)
+			}
+			return h.eng.NumericResponderModPRows(s.ModP, disg.ModP, col.i[lo:hi], lo, jk, mode)
+		}, nil
+	}
+}
+
+// streamShare streams rows [lo, hi) of pair p's block — the responder's
+// objects — to the lanes that own them, a chunk at a time: fill computes a
+// chunk's rows into h.s just before its frame is written from it.
+func (h *Holder) streamShare(attr, p, lo, hi int, fill func(lo, hi int) error) error {
+	pr := h.census.pairs[p]
+	msg := wire.Message{From: h.name, Kind: kindNumS, Attr: attr, PairJ: h.holders[pr[0]], PairK: h.holders[pr[1]]}
+	h.s.Rows = h.census.counts[pr[1]]
+	return h.eachLane(pr[1], lo, hi, func(ln compLane) error {
+		msg.To = ln.to
+		for _, ch := range h.cfg.pairChunksRange(h.cfg.Schema.Attrs[attr].Type, ln.lo, ln.hi, h.census.counts[pr[0]]) {
+			h.s.Lo, h.s.Hi = ch[0], ch[1]
+			if err := fill(ch[0], ch[1]); err != nil {
+				return err
+			}
+			if err := ln.ep.SendBody(msg, h.s); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 // numSView is the zero-copy row-range chunk [ch[0], ch[1]) of a numeric
-// pairwise payload — the masked S/M matrix, or (by conversion, the bodies
-// share one layout) the disguised matrix.
-func numSView(s *numSBody, rows int, ch [2]int) numSBody {
+// pairwise payload whose first row is row first of rows — the masked S/M
+// matrix, or (by conversion, the bodies share one layout) a disguised
+// matrix.
+func numSView(s *numSBody, rows int, ch [2]int, first int) numSBody {
 	body := numSBody{Rows: rows, Lo: ch[0], Hi: ch[1]}
+	lo, hi := ch[0]-first, ch[1]-first
 	switch {
 	case s.Float != nil:
-		body.Float = &protocol.Float64Matrix{Rows: ch[1] - ch[0], Cols: s.Float.Cols,
-			Cell: s.Float.Cell[ch[0]*s.Float.Cols : ch[1]*s.Float.Cols]}
+		body.Float = &protocol.Float64Matrix{Rows: hi - lo, Cols: s.Float.Cols,
+			Cell: s.Float.Cell[lo*s.Float.Cols : hi*s.Float.Cols]}
 	case s.Int != nil:
-		body.Int = &protocol.Int64Matrix{Rows: ch[1] - ch[0], Cols: s.Int.Cols,
-			Cell: s.Int.Cell[ch[0]*s.Int.Cols : ch[1]*s.Int.Cols]}
+		body.Int = &protocol.Int64Matrix{Rows: hi - lo, Cols: s.Int.Cols,
+			Cell: s.Int.Cell[lo*s.Int.Cols : hi*s.Int.Cols]}
 	case s.ModP != nil:
-		body.ModP = &protocol.ElementMatrix{Rows: ch[1] - ch[0], Cols: s.ModP.Cols,
-			Cell: s.ModP.Cell[ch[0]*s.ModP.Cols : ch[1]*s.ModP.Cols]}
+		body.ModP = &protocol.ElementMatrix{Rows: hi - lo, Cols: s.ModP.Cols,
+			Cell: s.ModP.Cell[lo*s.ModP.Cols : hi*s.ModP.Cols]}
 	}
 	return body
 }

@@ -410,16 +410,22 @@ func expectMsg(ep *wire.Endpoint, kind wire.Kind, body any) (*wire.Message, erro
 	if err != nil {
 		return nil, err
 	}
-	if m.Kind == kindAbort {
-		return nil, peerAbortError(m)
-	}
-	if m.Kind != kind {
-		return nil, fmt.Errorf("party: expected message %q, got %q from %s", kind, m.Kind, m.From)
-	}
-	if body != nil {
-		if err := wire.DecodeBody(m.Payload, body); err != nil {
-			return nil, err
-		}
+	if err := expectBody(m, kind, body); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// expectBody is expectMsg for a message already received.
+func expectBody(m *wire.Message, kind wire.Kind, body any) error {
+	if m.Kind == kindAbort {
+		return peerAbortError(m)
+	}
+	if m.Kind != kind {
+		return fmt.Errorf("party: expected message %q, got %q from %s", kind, m.Kind, m.From)
+	}
+	if body != nil {
+		return wire.DecodeBody(m.Payload, body)
+	}
+	return nil
 }

@@ -7,7 +7,8 @@
 // The message flow is strictly deterministic, which keeps the protocol
 // deadlock-free over both in-memory and TCP transports:
 //
-//  1. handshake on every conduit (X25519 key agreement, then AES-GCM);
+//  1. handshake on every conduit (X25519 key agreement, then AES-GCM),
+//     every hello sent before any is read;
 //  2. every holder reports its object count to the third party, which
 //     broadcasts the full census;
 //  3. the first holder distributes the group categorical key to its peers;
@@ -16,7 +17,10 @@
 //     matrix (numeric and alphanumeric attributes, Figure 12), then the
 //     attribute's protocol messages — categorical columns go to the third
 //     party encrypted; for other types every holder pair (J, K), J < K,
-//     runs the comparison protocol (J disguises → K combines → TP decodes);
+//     runs the comparison protocol (J disguises → K combines → TP decodes),
+//     a numeric block's rows split between the two holders (split.go): K
+//     also disguises its own values for the rows J produces, which J
+//     combines;
 //  5. every holder submits its weight vector and clustering request;
 //  6. the third party answers each holder with its clustering result
 //     (Figure 13 format plus quality parameters).
@@ -37,11 +41,11 @@
 // relays the lane's frames to (Config.ShardDial); nothing else differs
 // between the deployments.
 //
-// On holder-to-holder conduits data only ever flows from the lower-indexed
-// to the higher-indexed holder, and the third party never sends until all
-// protocol traffic is received, so no cycle of blocking sends can form;
-// the third party's demultiplexers consume each holder stream in arrival
-// order, so its pipelining adds no new blocking edges.
+// Holder-to-holder conduits carry a pair's two disguises in a fixed order —
+// J sends, K receives and then sends, J receives — and every holder walks
+// the pairs in the same order; the third party never sends until all
+// protocol traffic is received, and reads every holder lane as its frames
+// arrive. So no cycle of blocking sends can form.
 package party
 
 import (
@@ -49,6 +53,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"ppclust/internal/dataset"
@@ -159,7 +164,7 @@ type Config struct {
 	TPShards int
 	// LocalChunkBytes bounds the frames the session's partition-sized
 	// payloads stream in: each local dissimilarity triangle (holder→TP)
-	// and each pairwise-protocol S/M comparison matrix (responder→TP) is
+	// and each pairwise-protocol S/M comparison matrix (holder→TP) is
 	// cut into row ranges of at most this many payload bytes (at least
 	// one row per frame), and the third party installs or evaluates each
 	// range the moment it arrives. It is part of the session agreement —
@@ -272,7 +277,7 @@ func (c Config) chunkBudgetBytes() int {
 // grows with the partition.
 const alphaPairCellBytes = 256
 
-// pairCellBytes is the nominal wire bytes per cell of a responder→TP S/M
+// pairCellBytes is the nominal wire bytes per cell of a holder→TP S/M
 // payload, used to derive the shared pairwise chunk schedule: 8 for the
 // int64/float64 numeric variants (one machine word per cell), 32 for the
 // mod-p variant (fixed field-element encoding), and alphaPairCellBytes
@@ -308,9 +313,10 @@ func (c Config) localChunksRange(lo, hi int) [][2]int {
 }
 
 // pairChunksRange is the chunk schedule of rows [lo, hi) of one pairwise
-// payload for an attribute of type t — the responder→TP S/M matrix (rows
-// = the responder's objects a lane's range owns, cols = the initiator's
-// count) or the initiator→responder disguised matrix: row ranges bounded
+// payload for an attribute of type t — a share of the holder→TP S/M matrix
+// (rows = the responder's objects a lane's range owns, cols = the
+// initiator's count) or a disguised matrix one holder sends the other: row
+// ranges bounded
 // by the configured chunk bytes, driven by the same Config.LocalChunkBytes
 // knob as localChunksRange and shared between sender and receiver the
 // same way.
@@ -360,9 +366,11 @@ func shardRowsOf(lo, hi, off, n int) (int, int) {
 //     working copy;
 //   - the demux mailboxes: numHolders demultiplexers × (nAttr+1) lanes ×
 //     laneBuffer frames, each up to one chunk;
-//   - the pipeline stages: pipelineDepth of them, each holding the frame
-//     it is consuming (the payload is read where it lies) and one engine's
-//     mask scratch — priced at four chunks apiece, which is mostly slack.
+//   - the pipeline stages: pipelineDepth of them, each reading every
+//     holder lane with a consumer of its own (shardCore.assembleRows) that
+//     holds the frame it is consuming (the payload is read where it lies)
+//     and one engine's mask scratch — priced at two chunks per holder lane,
+//     and at least four per stage.
 //
 // Sharding does NOT multiply the matrix term: the K shard slices of one
 // attribute partition its triangle, so all slices resident before the
@@ -390,7 +398,8 @@ func (c Config) EstimateSessionBytes(numHolders, totalObjects, shards int) int64
 	nAttr := int64(len(c.Schema.Attrs))
 	matrices := (nAttr + 1) * triangle
 	mailboxes := int64(numHolders) * (nAttr + 1) * laneBuffer * chunk
-	scratch := int64(pipelineDepth) * 4 * chunk
+	lanes := int64(max(numHolders, 2))
+	scratch := int64(pipelineDepth) * 2 * lanes * chunk
 	if shards > 1 {
 		// Aggregate resident shard slices before the merge: one extra
 		// triangle total, however many shards partition it.
@@ -403,7 +412,7 @@ func (c Config) EstimateSessionBytes(numHolders, totalObjects, shards int) int64
 			shardChunk = slice
 		}
 		mailboxes += int64(shards) * int64(numHolders) * nAttr * laneBuffer * shardChunk
-		scratch += int64(shards) * int64(pipelineDepth) * 2 * shardChunk
+		scratch += int64(shards) * int64(pipelineDepth) * 2 * lanes * shardChunk
 	}
 	return matrices + mailboxes + scratch
 }
@@ -546,22 +555,72 @@ type helloBody struct {
 
 // handshake runs the key agreement every link of a session starts with —
 // holder↔holder, holder↔TP (control and shard lanes) and coordinator↔
-// worker: send the own hello, read the peer's, refuse a schema
-// disagreement, derive the pairwise master and wrap c in AES-GCM under the
-// channel key of the unordered (self, peer) name pair. Both ends send
-// before they read, so no ordering of a party's conduits can deadlock;
-// exactly one end passes initiator. It returns the secured conduit and
-// the master: a session agreed on PlaintextChannels keeps using c, and a
-// link that must present an identity already known (a shard lane) has its
-// master compared by the caller.
+// worker: sendHello, read the peer's, answerHello. It returns the secured
+// conduit and the master: a session agreed on PlaintextChannels keeps using
+// c, and a link that must present an identity already known (a shard lane)
+// has its master compared by the caller.
 func handshake(c wire.Conduit, self, peer string, id *keys.Identity, fp string, initiator bool) (wire.Conduit, []byte, error) {
-	ep := wire.NewEndpoint(c)
-	hello := helloBody{Public: id.PublicBytes(), Fingerprint: fp}
-	if err := ep.SendBody(wire.Message{From: self, To: peer, Kind: kindHello, Attr: -1}, hello); err != nil {
-		return nil, nil, fmt.Errorf("party: %s hello to %s: %w", self, peer, err)
+	if err := sendHello(c, self, peer, id, fp); err != nil {
+		return nil, nil, err
 	}
+	m, err := wire.NewEndpoint(c).Recv()
+	if err != nil {
+		return nil, nil, fmt.Errorf("party: %s hello from %s: %w", self, peer, err)
+	}
+	return answerHello(c, m, self, peer, id, fp, initiator)
+}
+
+// sendHello sends the own public key and schema fingerprint to peer. A
+// hello never waits for a read, so a party with many links sends every
+// hello before it reads any (recvAll): no ordering of the parties'
+// conduits can deadlock, and the round trips of all its links overlap —
+// constructing a party costs one round trip, not one per link.
+func sendHello(c wire.Conduit, self, peer string, id *keys.Identity, fp string) error {
+	hello := helloBody{Public: id.PublicBytes(), Fingerprint: fp}
+	if err := wire.NewEndpoint(c).SendBody(wire.Message{From: self, To: peer, Kind: kindHello, Attr: -1}, hello); err != nil {
+		return fmt.Errorf("party: %s hello to %s: %w", self, peer, err)
+	}
+	return nil
+}
+
+// recvAll receives the next message on every conduit at once and returns
+// them in conduit order. The first failure closes every conduit — the
+// session cannot start, and no receive is left waiting on a peer — and is
+// returned with its conduit's index.
+func recvAll(conduits []wire.Conduit) ([]*wire.Message, int, error) {
+	msgs := make([]*wire.Message, len(conduits))
+	var (
+		first  error
+		failed int
+		once   sync.Once
+		wg     sync.WaitGroup
+	)
+	for i, c := range conduits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if msgs[i], err = wire.NewEndpoint(c).Recv(); err != nil {
+				once.Do(func() {
+					first, failed = err, i
+					for _, c := range conduits {
+						c.Close()
+					}
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	return msgs, failed, first
+}
+
+// answerHello completes a handshake with the peer's reply m: refuse
+// anything but a hello in the same schema, derive the pairwise master and
+// wrap c in AES-GCM under the channel key of the unordered (self, peer)
+// name pair. Exactly one end passes initiator.
+func answerHello(c wire.Conduit, m *wire.Message, self, peer string, id *keys.Identity, fp string, initiator bool) (wire.Conduit, []byte, error) {
 	var theirs helloBody
-	if _, err := expectMsg(ep, kindHello, &theirs); err != nil {
+	if err := expectBody(m, kindHello, &theirs); err != nil {
 		return nil, nil, fmt.Errorf("party: %s hello from %s: %w", self, peer, err)
 	}
 	if theirs.Fingerprint != fp {
@@ -609,8 +668,9 @@ type localBody struct {
 	wire   []byte
 }
 
-// numSBody is one chunk of the responder→TP numeric message: rows
-// [Lo, Hi) of the masked comparison matrix S, streamed in the shared
+// numSBody is one chunk of a holder→TP numeric message: rows [Lo, Hi) of
+// the masked comparison matrix S of one pair — from the responder's share
+// of the rows or the initiator's (split.go) — streamed in the shared
 // pairChunksRange schedule (a single chunk per lane when the budget
 // exceeds the payload). Rows is the responder's full object count,
 // repeated per chunk so every frame validates against the census on its
@@ -628,13 +688,16 @@ type numSBody struct {
 	wire    protocol.NumericChunk
 }
 
-// numDisguisedBody is one chunk of the initiator→responder numeric
-// message: rows [Lo, Hi) of the disguised matrix, streamed in the shared
-// pairChunksRange schedule — the same budget that bounds responder→TP frames,
-// so no session message grows with the partition. Rows is the full
-// disguised row count (the responder's census count in per-pair mode, 1
-// in batch mode). It has numSBody's layout, but the responder combines it
-// with its own column as a matrix, so it decodes into the variant pointer.
+// numDisguisedBody is one chunk of a disguise one holder of a pair sends
+// the other: rows [Lo, Hi) of the disguised matrix, streamed in the shared
+// pairChunksRange schedule — the same budget that bounds holder→TP frames,
+// so no session message grows with the partition. The initiator's disguise
+// has Rows = its row count (the split row in per-pair mode, 1 in batch
+// mode); the responder's disguise of the rows the initiator produces keeps
+// the block's rows, Rows being the responder's census count and [Lo, Hi)
+// within [split, Rows), each row one cell wide in batch mode. It has
+// numSBody's layout, but the receiver combines it with its own column as a
+// matrix, so it decodes into the variant pointer.
 type numDisguisedBody numSBody
 
 // alphaDisguisedBody is the initiator→responder alphanumeric message.
@@ -706,8 +769,9 @@ type shardOfferBody struct {
 	Parallelism     int
 
 	// Seeds[attr][p] is the mask-stream seed of attribute attr and the
-	// p-th pair in sortedPairs(Holders) order.
-	Seeds [][]rng.Seed
+	// p-th pair in sortedPairs order, for the rows its responder produces;
+	// RowSeeds[attr][p] is the seed for the rows its initiator produces.
+	Seeds, RowSeeds [][]rng.Seed
 }
 
 // shardFrameBody relays one holder frame, byte for byte, to the worker.
@@ -773,11 +837,12 @@ func attrSeed(base rng.Seed, attr int) rng.Seed {
 	return rng.SeedFromBytes(buf)
 }
 
-// sortedPairs enumerates holder pairs (J, K) with J < K in holder order.
-func sortedPairs(holders []string) [][2]int {
+// sortedPairs enumerates the pairs (J, K), J < K, of n holders in holder
+// order.
+func sortedPairs(n int) [][2]int {
 	var out [][2]int
-	for j := 0; j < len(holders); j++ {
-		for k := j + 1; k < len(holders); k++ {
+	for j := 0; j < n; j++ {
+		for k := j + 1; k < n; k++ {
 			out = append(out, [2]int{j, k})
 		}
 	}

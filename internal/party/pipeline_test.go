@@ -31,13 +31,20 @@ func pipelineSchema() dataset.Schema {
 // pipelineParts builds three deterministic partitions over pipelineSchema.
 func pipelineParts(t testing.TB, rows int) []dataset.Partition {
 	t.Helper()
+	return pipelinePartsOf(rows, rows+1, rows+2)
+}
+
+// pipelinePartsOf builds deterministic partitions A, B, C, … of the given
+// sizes over pipelineSchema.
+func pipelinePartsOf(sizes ...int) []dataset.Partition {
 	s := rng.NewXoshiro(rng.SeedFromUint64(777))
 	cities := []string{"ankara", "istanbul", "izmir"}
 	bases := "ACGT"
 	var parts []dataset.Partition
-	for pi, site := range []string{"A", "B", "C"} {
+	for pi, n := range sizes {
+		site := string(rune('A' + pi))
 		tab := dataset.MustNewTable(pipelineSchema())
-		for r := 0; r < rows+pi; r++ {
+		for r := 0; r < n; r++ {
 			dna := make([]byte, 5+rng.Symbol(s, 4))
 			for i := range dna {
 				dna[i] = bases[rng.Symbol(s, 4)]

@@ -23,6 +23,7 @@ import (
 	"ppclust/internal/dataset"
 	"ppclust/internal/dissim"
 	"ppclust/internal/editdist"
+	"ppclust/internal/modp"
 	"ppclust/internal/protocol"
 	"ppclust/internal/rng"
 	"ppclust/internal/wire"
@@ -54,9 +55,9 @@ func (tp *ThirdParty) runSerial() (*TPReport, error) {
 		var m *dissim.Matrix
 		var err error
 		if tagBased(a.Type) {
-			m, err = tp.assembleAttr(core, eng, attr, src)
+			m, err = tp.assembleAttr(core, attr, src, func(error) {})
 		} else {
-			m, err = tp.assembleComparisonSerial(eng, attr, src)
+			m, err = tp.assembleComparisonSerial(core, eng, attr, src)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("party: assembling attribute %q: %w", a.Name, err)
@@ -72,10 +73,11 @@ func (tp *ThirdParty) runSerial() (*TPReport, error) {
 }
 
 // assembleComparisonSerial builds one comparison attribute's matrix from
-// whole local triangles and whole pair blocks. A holder without objects
-// sends no comparison frames, so its triangle and the pairs it would
-// respond in are skipped.
-func (tp *ThirdParty) assembleComparisonSerial(eng *protocol.Engine, attr int, src attrSource) (*dissim.Matrix, error) {
+// whole local triangles and whole pair blocks, each block put together from
+// its two shares. A holder without objects sends no comparison frames, so
+// its triangle and the blocks it would hold rows of are skipped.
+func (tp *ThirdParty) assembleComparisonSerial(core *shardCore, eng *protocol.Engine, attr int, src attrSource) (*dissim.Matrix, error) {
+	t := tp.cfg.Schema.Attrs[attr].Type
 	asm, err := dissim.NewAssemblerPar(tp.counts, tp.workers)
 	if err != nil {
 		return nil, err
@@ -88,11 +90,26 @@ func (tp *ThirdParty) assembleComparisonSerial(eng *protocol.Engine, attr int, s
 			return nil, err
 		}
 	}
-	for _, pair := range sortedPairs(tp.holders) {
-		if tp.counts[pair[1]] == 0 {
+	for p, pair := range core.pairs {
+		ji, ki := pair[0], pair[1]
+		rows, split := tp.counts[ki], core.splitAt(t, p)
+		if rows == 0 {
 			continue
 		}
-		if err := tp.recvPairSerial(eng, asm, src, attr, pair[0], pair[1]); err != nil {
+		top, err := tp.recvShareSerial(core, eng, src, attr, pairShare{p: p, j: ji, k: ki, lo: 0, hi: split})
+		if err != nil {
+			return nil, err
+		}
+		bottom, err := tp.recvShareSerial(core, eng, src, attr, pairShare{p: p, j: ji, k: ki, lo: split, hi: rows, byInitiator: true})
+		if err != nil {
+			return nil, err
+		}
+		if err := asm.SetCross(ji, ki, func(m, n int) float64 {
+			if m < split {
+				return top(m, n)
+			}
+			return bottom(m-split, n)
+		}); err != nil {
 			return nil, err
 		}
 	}
@@ -130,17 +147,25 @@ func (tp *ThirdParty) recvLocalSerial(asm *dissim.Assembler, src attrSource, hi 
 	return asm.SetLocal(hi, local)
 }
 
-// recvPairSerial is the phase-serial reference consumption of one pair's
-// S/M chunk stream: the chunks are reassembled into the pre-chunking
-// monolithic payload, evaluated in one whole-matrix engine pass and
-// installed with the monolithic SetCross — the exact pre-streaming code
-// path over the chunked wire, which is what pins chunking as pure framing.
-func (tp *ThirdParty) recvPairSerial(eng *protocol.Engine, asm *dissim.Assembler, src attrSource, attr, ji, ki int) error {
+// recvShareSerial is the phase-serial reference consumption of one share
+// of a pair block (an empty one receives nothing): the chunks are
+// reassembled into the monolithic payload and evaluated in one pass — the
+// responder's rows by the whole-matrix engine forms, the initiator's rows
+// by masks this function draws itself — returning the share's block, rows
+// counted from the share's first.
+func (tp *ThirdParty) recvShareSerial(core *shardCore, eng *protocol.Engine, src attrSource, attr int, sh pairShare) (func(m, n int) float64, error) {
 	a := tp.cfg.Schema.Attrs[attr]
-	j, k := tp.holders[ji], tp.holders[ki]
-	rows, cols := tp.counts[ki], tp.counts[ji]
-	chunks := tp.cfg.pairChunksRange(a.Type, 0, rows, cols)
-	jt := rng.New(tp.cfg.RNG, tp.seedJT(attr, j, k))
+	j, k, from := tp.holders[sh.j], tp.holders[sh.k], tp.holders[sh.sender()]
+	rows, cols := tp.counts[sh.k], tp.counts[sh.j]
+	if sh.lo == sh.hi {
+		return nil, nil
+	}
+	chunks := tp.cfg.pairChunksRange(a.Type, sh.lo, sh.hi, cols)
+	seed := core.seeds[attr][sh.p]
+	if sh.byInitiator {
+		seed = core.rowSeeds[attr][sh.p]
+	}
+	jt := rng.New(tp.cfg.RNG, seed)
 
 	var block func(m, n int) float64
 	var bRows, bCols int
@@ -148,21 +173,21 @@ func (tp *ThirdParty) recvPairSerial(eng *protocol.Engine, asm *dissim.Assembler
 		var mono []protocol.AlphaChunk
 		for ci, ch := range chunks {
 			var body alphaMBody
-			if _, err := src.expect(ki, kindAlphaM, &body); err != nil {
-				return err
+			if _, err := src.expect(sh.sender(), kindAlphaM, &body); err != nil {
+				return nil, err
 			}
-			if err := checkPairChunk(j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
-				return err
+			if err := checkPairChunk(from, j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
+				return nil, err
 			}
 			if len(body.M.Counts) != ch[1]-ch[0] {
-				return fmt.Errorf("party: %s pair (%s,%s) chunk %d carries %d rows, want %d",
-					k, j, k, ci, len(body.M.Counts), ch[1]-ch[0])
+				return nil, fmt.Errorf("party: %s pair (%s,%s) chunk %d carries %d rows, want %d",
+					from, j, k, ci, len(body.M.Counts), ch[1]-ch[0])
 			}
 			mono = append(mono, body.M)
 		}
 		dists, err := alphaThreePass(mono, a.Alphabet, jt)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		bRows, bCols = dists.Rows, dists.Cols
 		block = func(m, n int) float64 { return float64(dists.At(m, n)) }
@@ -172,55 +197,114 @@ func (tp *ThirdParty) recvPairSerial(eng *protocol.Engine, asm *dissim.Assembler
 			// The disguised body has the S chunk's layout and decodes it the
 			// old way, into a matrix.
 			var body numDisguisedBody
-			if _, err := src.expect(ki, kindNumS, &body); err != nil {
-				return err
+			if _, err := src.expect(sh.sender(), kindNumS, &body); err != nil {
+				return nil, err
 			}
-			if err := checkPairChunk(j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
-				return err
+			if err := checkPairChunk(from, j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
+				return nil, err
 			}
-			if err := appendNumChunk(&mono, (*numSBody)(&body), ch, rows, cols); err != nil {
-				return fmt.Errorf("party: %s pair (%s,%s) chunk %d: %w", k, j, k, ci, err)
+			if err := appendNumChunk(&mono, (*numSBody)(&body), ch, sh.hi-sh.lo, cols); err != nil {
+				return nil, fmt.Errorf("party: %s pair (%s,%s) chunk %d: %w", from, j, k, ci, err)
 			}
 		}
-		switch tp.cfg.Variant {
-		case Float64Variant:
-			if mono.Float == nil {
-				return fmt.Errorf("party: missing float payload from %s", k)
-			}
-			dists, err := eng.NumericThirdPartyFloat(mono.Float, jt, protocol.DefaultFloatParams, tp.cfg.Mode)
-			if err != nil {
-				return err
-			}
-			bRows, bCols = dists.Rows, dists.Cols
-			block = func(m, n int) float64 { return dists.At(m, n) }
-		case Int64Variant:
-			if mono.Int == nil {
-				return fmt.Errorf("party: missing int payload from %s", k)
-			}
-			dists, err := eng.NumericThirdPartyInt(mono.Int, jt, protocol.DefaultIntParams, tp.cfg.Mode)
-			if err != nil {
-				return err
-			}
-			bRows, bCols = dists.Rows, dists.Cols
-			block = func(m, n int) float64 { return float64(dists.At(m, n)) }
-		case ModPVariant:
-			if mono.ModP == nil {
-				return fmt.Errorf("party: missing modp payload from %s", k)
-			}
-			dists, err := eng.NumericThirdPartyModP(mono.ModP, jt, tp.cfg.Mode)
-			if err != nil {
-				return err
-			}
-			bRows, bCols = dists.Rows, dists.Cols
-			block = func(m, n int) float64 { return float64(dists.At(m, n)) }
+		var err error
+		if sh.byInitiator {
+			block, bRows, bCols, err = unmaskRowsSerial(tp.cfg, mono, jt)
+		} else {
+			block, bRows, bCols, err = unmaskWhole(tp.cfg, eng, mono, jt)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-	// A zero-row block (empty responder) carries no usable column count
+	// A zero-column block (empty initiator) carries no usable column count
 	// and is never consulted during assembly.
-	if bRows != rows || (bRows > 0 && bCols != cols) {
-		return fmt.Errorf("party: block (%s,%s) is %dx%d, census says %dx%d", j, k, bRows, bCols, rows, cols)
+	if bRows != sh.hi-sh.lo || (bRows > 0 && cols > 0 && bCols != cols) {
+		return nil, fmt.Errorf("party: share of block (%s,%s) is %dx%d, census says %dx%d", j, k, bRows, bCols, sh.hi-sh.lo, cols)
 	}
-	return asm.SetCross(ji, ki, block)
+	return block, nil
+}
+
+// unmaskWhole is Figure 6 over a reassembled share of the responder's
+// rows, through the engine's whole-matrix forms.
+func unmaskWhole(cfg Config, eng *protocol.Engine, mono numSBody, jt rng.Stream) (func(m, n int) float64, int, int, error) {
+	switch {
+	case cfg.Variant == Float64Variant && mono.Float != nil:
+		d, err := eng.NumericThirdPartyFloat(mono.Float, jt, protocol.DefaultFloatParams, cfg.Mode)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return d.At, d.Rows, d.Cols, nil
+	case cfg.Variant == Int64Variant && mono.Int != nil:
+		d, err := eng.NumericThirdPartyInt(mono.Int, jt, protocol.DefaultIntParams, cfg.Mode)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return func(m, n int) float64 { return float64(d.At(m, n)) }, d.Rows, d.Cols, nil
+	case cfg.Variant == ModPVariant && mono.ModP != nil:
+		d, err := eng.NumericThirdPartyModP(mono.ModP, jt, cfg.Mode)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return func(m, n int) float64 { return float64(d.At(m, n)) }, d.Rows, d.Cols, nil
+	}
+	return nil, 0, 0, fmt.Errorf("party: missing %s payload", cfg.Variant)
+}
+
+// unmaskRowsSerial is the reference for a reassembled share of the rows
+// the initiator produces: it draws the responder's masks itself, one per
+// row in batch mode and one per cell in per-pair mode, row-major, and
+// strips them — sharing nothing with the engine but the generators.
+func unmaskRowsSerial(cfg Config, mono numSBody, jt rng.Stream) (func(m, n int) float64, int, int, error) {
+	var rows, cols int
+	switch {
+	case cfg.Variant == Float64Variant && mono.Float != nil:
+		rows, cols = mono.Float.Rows, mono.Float.Cols
+	case cfg.Variant == Int64Variant && mono.Int != nil:
+		rows, cols = mono.Int.Rows, mono.Int.Cols
+	case cfg.Variant == ModPVariant && mono.ModP != nil:
+		rows, cols = mono.ModP.Rows, mono.ModP.Cols
+	default:
+		return nil, 0, 0, fmt.Errorf("party: missing %s payload", cfg.Variant)
+	}
+	w := cols
+	if cfg.Mode == protocol.Batch {
+		w = 1
+	}
+	out := make([]float64, rows*cols)
+	at := func(m, n int) int { return m*w + min(n, w-1) }
+	switch cfg.Variant {
+	case Float64Variant:
+		masks := make([]float64, rows*w)
+		rng.FillFloat64(jt, masks)
+		for i, v := range mono.Float.Cell {
+			out[i] = math.Abs(v - masks[at(i/cols, i%cols)]*protocol.DefaultFloatParams.MaskRange)
+		}
+	case Int64Variant:
+		masks := make([]int64, rows*w)
+		rng.FillInt64n(jt, masks, protocol.DefaultIntParams.MaskRange)
+		for i, v := range mono.Int.Cell {
+			d := v - masks[at(i/cols, i%cols)]
+			out[i] = math.Abs(float64(d))
+		}
+	case ModPVariant:
+		masks := make([]modp.Element, rows*w)
+		for i := range masks {
+			masks[i] = modp.Random(jt)
+		}
+		for i, cell := range mono.ModP.Cell {
+			v, err := modp.FromBytes(cell)
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			d, err := v.Sub(masks[at(i/cols, i%cols)]).AbsInt64()
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			out[i] = float64(d)
+		}
+	}
+	return func(m, n int) float64 { return out[m*cols+n] }, rows, cols, nil
 }
 
 // alphaThreePass is the third party's alphanumeric evaluation as it stood
@@ -350,10 +434,10 @@ var allNumericForms = []numericForms{{
 		return func(m, n int) float64 { return d.At(m, n) }, err
 	},
 	tpChunk: func(e *protocol.Engine, c protocol.NumericChunk, lo, hi int, jt rng.Stream, mode protocol.Mode) (protocol.RowFunc, error) {
-		return e.NumericThirdPartyFloatChunk(c, lo, hi, jt, protocol.DefaultFloatParams, mode)
+		return e.NumericThirdPartyFloatChunk(c, lo, hi, jt, protocol.DefaultFloatParams, mode, protocol.InitiatorCols)
 	},
 	advance: func(e *protocol.Engine, jt rng.Stream, rows, cols int, mode protocol.Mode) {
-		e.AdvanceThirdPartyFloat(jt, rows, cols, protocol.DefaultFloatParams, mode)
+		e.AdvanceThirdPartyFloat(jt, rows, cols, protocol.DefaultFloatParams, mode, protocol.InitiatorCols)
 	},
 }, {
 	variant: Int64Variant,
@@ -376,10 +460,10 @@ var allNumericForms = []numericForms{{
 		return func(m, n int) float64 { return float64(d.At(m, n)) }, err
 	},
 	tpChunk: func(e *protocol.Engine, c protocol.NumericChunk, lo, hi int, jt rng.Stream, mode protocol.Mode) (protocol.RowFunc, error) {
-		return e.NumericThirdPartyIntChunk(c, lo, hi, jt, protocol.DefaultIntParams, mode)
+		return e.NumericThirdPartyIntChunk(c, lo, hi, jt, protocol.DefaultIntParams, mode, protocol.InitiatorCols)
 	},
 	advance: func(e *protocol.Engine, jt rng.Stream, rows, cols int, mode protocol.Mode) {
-		e.AdvanceThirdPartyInt(jt, rows, cols, protocol.DefaultIntParams, mode)
+		e.AdvanceThirdPartyInt(jt, rows, cols, protocol.DefaultIntParams, mode, protocol.InitiatorCols)
 	},
 }, {
 	variant: ModPVariant,
@@ -402,10 +486,10 @@ var allNumericForms = []numericForms{{
 		return func(m, n int) float64 { return float64(d.At(m, n)) }, err
 	},
 	tpChunk: func(e *protocol.Engine, c protocol.NumericChunk, lo, hi int, jt rng.Stream, mode protocol.Mode) (protocol.RowFunc, error) {
-		return e.NumericThirdPartyModPChunk(c, lo, hi, jt, mode)
+		return e.NumericThirdPartyModPChunk(c, lo, hi, jt, mode, protocol.InitiatorCols)
 	},
 	advance: func(e *protocol.Engine, jt rng.Stream, rows, cols int, mode protocol.Mode) {
-		e.AdvanceThirdPartyModP(jt, rows, cols, mode)
+		e.AdvanceThirdPartyModP(jt, rows, cols, mode, protocol.InitiatorCols)
 	},
 }}
 

@@ -48,34 +48,35 @@ func (s demuxSource) expect(hi int, kind wire.Kind, body any) (*wire.Message, er
 }
 
 type shardCore struct {
+	*census
 	cfg     Config
 	holders []string
-	counts  []int
-	offsets []int // global row offset of each holder's first object
-	total   int
 	workers int
 	engines *protocol.EnginePool
-	// seed yields the shared mask-stream seed of (attr, pair (j, k)) — the
-	// coordinator derives it from the key agreement (ThirdParty.seedJT), a
-	// worker looks it up in the slice offer.
-	seed  func(attr int, j, k string) rng.Seed
-	seeds [][]rng.Seed // pairSeeds' table; the coordinator's offers only
+	// compute holds one token per unit of the Parallelism budget: a lane
+	// consumer holds one while it evaluates and installs a chunk, never
+	// while it waits for one, so the session's consumers — one per holder
+	// lane of every attribute in flight — never compute wider than the
+	// budget allows, and can never deadlock on it.
+	compute chan struct{}
+	// seeds[attr][p] and rowSeeds[attr][p] are the mask-stream seeds of pair
+	// p's block (sortedPairs order): the one the initiator shares with the
+	// third party, for the rows the responder produces, and the one the
+	// responder shares with it, for the rows the initiator produces. The
+	// coordinator derives them from the key agreement (ThirdParty.seedTables),
+	// a worker reads them from its slice offer.
+	seeds, rowSeeds [][]rng.Seed
 }
 
-func newShardCore(cfg Config, holders []string, counts []int, workers int, engines *protocol.EnginePool, seed func(attr int, j, k string) rng.Seed) *shardCore {
-	c := &shardCore{cfg: cfg, holders: holders, counts: counts, offsets: make([]int, len(counts)),
-		workers: workers, engines: engines, seed: seed}
-	for i, n := range counts {
-		c.offsets[i] = c.total
-		c.total += n
-	}
-	return c
+func newShardCore(cfg Config, holders []string, counts []int, workers int, engines *protocol.EnginePool, seeds, rowSeeds [][]rng.Seed) *shardCore {
+	return &shardCore{census: newCensus(counts), cfg: cfg, holders: holders, workers: workers, engines: engines,
+		compute: make(chan struct{}, max(workers, 1)), seeds: seeds, rowSeeds: rowSeeds}
 }
 
 // stageWidthFor resolves a stage-pool size: at most pipelineDepth, never
 // more than there are attributes, and never more than the Parallelism
-// worker budget — a party pinned to Parallelism 1 runs its assembly compute
-// serially (readers still prefetch the wire), and higher budgets never
+// worker budget — a party pinned to Parallelism 1 runs one attribute at a
+// time (readers still prefetch the wire), and higher budgets never
 // multiply total compute goroutines by the full depth on small machines.
 func stageWidthFor(nAttr, workers int) int {
 	width := pipelineDepth
@@ -93,41 +94,41 @@ func stageWidthFor(nAttr, workers int) int {
 
 // laneQuotas is the per-attribute frame quota of holder hi's comparison
 // stream toward the owner of global rows [r[0], r[1]): the local-matrix
-// chunks of the holder-local row intersection plus the S/M chunks of every
-// pair the holder responds in, restricted the same way. Every party — the
-// holder, the third party's demuxes, the coordinator's relay pumps and a
-// worker process's own demux — derives the identical vector from (Config,
-// census, range) alone, so the exact stream length is known before the
-// first frame moves. A holder with no rows in the range has an all-zero
-// vector and sends nothing there.
+// chunks of the holder-local row intersection plus the chunks of every
+// pair-block share the holder produces (census.shares), restricted the
+// same way. Every party — the holder, the third party's demuxes, the
+// coordinator's relay pumps and a worker process's own demux — derives the
+// identical vector from (Config, census, range) alone, so the exact stream
+// length is known before the first frame moves. A holder with no rows to
+// send toward the range has an all-zero vector and sends nothing there.
 func (c *shardCore) laneQuotas(hi int, r [2]int) []int {
 	attrs := c.cfg.Schema.Attrs
 	quotas := make([]int, len(attrs))
-	llo, lhi := shardRowsOf(r[0], r[1], c.offsets[hi], c.counts[hi])
-	if llo >= lhi {
-		return quotas
-	}
+	rows := func(p int) (int, int) { return shardRowsOf(r[0], r[1], c.offsets[p], c.counts[p]) }
 	for attr, a := range attrs {
 		if tagBased(a.Type) {
 			continue
 		}
-		quotas[attr] = len(c.cfg.localChunksRange(llo, lhi))
-		for j := 0; j < hi; j++ {
-			quotas[attr] += c.cfg.pairChunkCountRange(a.Type, llo, lhi, c.counts[j])
+		if llo, lhi := rows(hi); llo < lhi {
+			quotas[attr] = len(c.cfg.localChunksRange(llo, lhi))
+		}
+		for _, sh := range c.shares(hi, a.Type, rows) {
+			quotas[attr] += c.cfg.pairChunkCountRange(a.Type, sh.lo, sh.hi, c.counts[sh.j])
 		}
 	}
 	return quotas
 }
 
 // runStages is the session's one stage pool: stageWidthFor goroutines pull
-// attrs in order through stage, each with a private engine from the pool,
-// so attribute i is being decoded and assembled while attribute i+1 is
-// still streaming in. Every lane group of a session runs one — the control
-// group and each in-process shard on the third party, the single range of
-// a worker process. A stage error goes to fail, which the caller wires to
-// stop every demux of the session so sibling stages and groups unwind too,
-// and ends the goroutine that hit it.
-func (c *shardCore) runStages(attrs []int, stage func(eng *protocol.Engine, attr int) error, fail func(error)) {
+// attrs in order through stage, so attribute i is being decoded and
+// assembled while attribute i+1 is still streaming in. Every lane group of
+// a session runs one — the control group and each in-process shard on the
+// third party, the single range of a worker process. A stage error goes to
+// fail, which the caller wires to stop every demux of the session so
+// sibling stages and groups unwind too, and ends the goroutine that hit it;
+// a stage whose own goroutines fail reports through the fail it is handed,
+// at once, with the same attribution.
+func (c *shardCore) runStages(attrs []int, stage func(attr int, fail func(error)) error, fail func(error)) {
 	attrCh := make(chan int, len(attrs))
 	for _, attr := range attrs {
 		attrCh <- attr
@@ -140,11 +141,12 @@ func (c *shardCore) runStages(attrs []int, stage func(eng *protocol.Engine, attr
 			defer wg.Done()
 			activeStages.Add(1)
 			defer activeStages.Add(-1)
-			eng := c.engines.Get()
-			defer c.engines.Put(eng)
 			for attr := range attrCh {
-				if err := stage(eng, attr); err != nil {
+				failAttr := func(err error) {
 					fail(fmt.Errorf("party: assembling attribute %q: %w", c.cfg.Schema.Attrs[attr].Name, err))
+				}
+				if err := stage(attr, failAttr); err != nil {
+					failAttr(err)
 					return
 				}
 			}
@@ -166,64 +168,92 @@ func (c *shardCore) comparisonAttrs() []int {
 }
 
 // assembleRows receives one comparison attribute's traffic for the global
-// rows asm covers and installs it: each intersecting holder's local chunk
-// frames, then each pair's S/M chunk frames over the responder-row
-// intersection, pulled from src in the fixed order every holder sends in.
-// The caller completes asm — as the whole matrix when the
-// range is the whole triangle, as a slice otherwise.
-func (c *shardCore) assembleRows(eng *protocol.Engine, asm *dissim.SliceAssembler, src attrSource, attr int) error {
-	a := c.cfg.Schema.Attrs[attr]
-	for hi, h := range c.holders {
-		llo, lhi := asm.PartyRows(hi)
-		if llo >= lhi {
-			continue
-		}
-		if err := c.recvLocalRows(asm, src, hi, h, attr, c.cfg.localChunksRange(llo, lhi)); err != nil {
+// rows asm covers and installs it. Every holder lane is read as its frames
+// arrive, by a consumer of its own: the holder's local chunk frames, then
+// the chunk frames of its pair-block shares, in the order the holder sends
+// them. The consumers install disjoint rows — each share of a block is a
+// source of its own (SliceAssembler.SplitCross) — so none waits for
+// another, and a holder whose frames the third party is not yet reading
+// never stalls behind one whose frames it is. A consumer that fails
+// reports through fail at once, which stops the session's demuxes and so
+// unblocks its siblings. The caller completes asm — as the whole matrix when
+// the range is the whole triangle, as a slice otherwise.
+func (c *shardCore) assembleRows(asm *dissim.SliceAssembler, src attrSource, attr int, fail func(error)) error {
+	t := c.cfg.Schema.Attrs[attr].Type
+	for p, pr := range c.pairs {
+		if err := asm.SplitCross(pr[0], pr[1], c.splitAt(t, p)); err != nil {
 			return err
 		}
 	}
-	for _, pair := range sortedPairs(c.holders) {
-		ji, ki := pair[0], pair[1]
-		rlo, rhi := asm.PartyRows(ki)
-		if rlo >= rhi {
-			continue
-		}
-		j, k := c.holders[ji], c.holders[ki]
-		cols := c.counts[ji]
-		jt := rng.New(c.cfg.RNG, c.seed(attr, j, k))
-		// Per-pair masking consumes the keystream row-major with no
-		// re-initialization, so a range that starts mid-block first draws
-		// and discards the earlier rows' masks — its first chunk then
-		// evaluates at the exact keystream position a whole-block pass
-		// would use. Batch and alphanumeric evaluation rewind per chunk and
-		// need no positioning (the Advance calls no-op, as they do at row 0).
-		if a.Type != dataset.Alphanumeric {
-			switch c.cfg.Variant {
-			case Float64Variant:
-				eng.AdvanceThirdPartyFloat(jt, rlo, cols, protocol.DefaultFloatParams, c.cfg.Mode)
-			case Int64Variant:
-				eng.AdvanceThirdPartyInt(jt, rlo, cols, protocol.DefaultIntParams, c.cfg.Mode)
-			case ModPVariant:
-				eng.AdvanceThirdPartyModP(jt, rlo, cols, c.cfg.Mode)
+	errs := make([]error, len(c.holders))
+	consume := func(hi int, shares []pairShare) {
+		eng := c.engines.Get()
+		defer c.engines.Put(eng)
+		err := c.recvLocalRows(asm, src, hi, attr)
+		for _, sh := range shares {
+			if err != nil {
+				break
 			}
+			err = c.recvPairRows(eng, asm, src, attr, sh)
 		}
-		chunks := c.cfg.pairChunksRange(a.Type, rlo, rhi, cols)
-		if err := c.recvPairRows(eng, asm, src, attr, ji, ki, jt, chunks); err != nil {
+		if err != nil {
+			errs[hi] = err
+			fail(err)
+		}
+	}
+	type lane struct {
+		hi     int
+		shares []pairShare
+	}
+	var lanes []lane
+	for hi := range c.holders {
+		llo, lhi := asm.PartyRows(hi)
+		if shares := c.shares(hi, t, asm.PartyRows); llo < lhi || len(shares) > 0 {
+			lanes = append(lanes, lane{hi, shares})
+		}
+	}
+	// The stage's own goroutine consumes the first lane with traffic.
+	var wg sync.WaitGroup
+	for _, ln := range lanes[min(1, len(lanes)):] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			consume(ln.hi, ln.shares)
+		}()
+	}
+	if len(lanes) > 0 {
+		consume(lanes[0].hi, lanes[0].shares)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// computing runs fn holding one of the session's compute tokens.
+func (c *shardCore) computing(fn func() error) error {
+	c.compute <- struct{}{}
+	defer func() { <-c.compute }()
+	return fn()
+}
+
 // recvLocalRows consumes one holder's local-matrix chunk stream for one
-// attribute in the given schedule, installing each row-range frame the
-// moment it arrives, so triangle installation overlaps the rest of the
-// attribute's traffic still on the wire. Chunks must follow the shared
-// schedule exactly: holder and third party derive it from the same Config,
-// so any deviation is a protocol error, rejected before install.
-func (c *shardCore) recvLocalRows(asm *dissim.SliceAssembler, src attrSource, hi int, h string, attr int, chunks [][2]int) error {
-	n := c.counts[hi]
-	for ci, ch := range chunks {
+// attribute — the rows of its triangle asm covers, in the localChunksRange
+// schedule — installing each row-range frame the moment it arrives, so
+// triangle installation overlaps the rest of the attribute's traffic still
+// on the wire. Chunks must follow the shared schedule exactly: holder and
+// third party derive it from the same Config, so any deviation is a
+// protocol error, rejected before install.
+func (c *shardCore) recvLocalRows(asm *dissim.SliceAssembler, src attrSource, hi int, attr int) error {
+	h, n := c.holders[hi], c.counts[hi]
+	llo, lhi := asm.PartyRows(hi)
+	if llo >= lhi {
+		return nil
+	}
+	for ci, ch := range c.cfg.localChunksRange(llo, lhi) {
 		var body localBody
 		m, err := src.expect(hi, kindLocal, &body)
 		if err != nil {
@@ -239,7 +269,7 @@ func (c *shardCore) recvLocalRows(asm *dissim.SliceAssembler, src attrSource, hi
 			return fmt.Errorf("party: %s local chunk %d covers rows [%d,%d), schedule says [%d,%d)",
 				h, ci, body.Lo, body.Hi, ch[0], ch[1])
 		}
-		if err := asm.SetLocalRowsLE(hi, body.Lo, body.Hi, body.wire); err != nil {
+		if err := c.computing(func() error { return asm.SetLocalRowsLE(hi, body.Lo, body.Hi, body.wire) }); err != nil {
 			return err
 		}
 	}
@@ -247,87 +277,116 @@ func (c *shardCore) recvLocalRows(asm *dissim.SliceAssembler, src attrSource, hi
 }
 
 // checkPairChunk validates one received S/M chunk frame against the
-// shared pairChunksRange schedule. Responder and third party derive the
+// shared pairChunksRange schedule. Sender and third party derive the
 // schedule from the same Config and census, so a frame that claims a
 // different row count or covers a different range — duplicated,
-// out-of-order or misdrawn chunks — is a protocol error, reported
-// descriptively rather than installed.
-func checkPairChunk(j, k string, ci int, sched [2]int, bodyRows, lo, hi, rows int) error {
+// out-of-order or misdrawn chunks, or rows of the other holder's share — is
+// a protocol error, reported descriptively rather than installed.
+func checkPairChunk(from, j, k string, ci int, sched [2]int, bodyRows, lo, hi, rows int) error {
 	if bodyRows != rows {
-		return fmt.Errorf("party: %s S/M payload for pair (%s,%s) claims %d rows, census says %d", k, j, k, bodyRows, rows)
+		return fmt.Errorf("party: %s S/M payload for pair (%s,%s) claims %d rows, census says %d", from, j, k, bodyRows, rows)
 	}
 	if lo != sched[0] || hi != sched[1] {
 		return fmt.Errorf("party: %s pair (%s,%s) chunk %d covers rows [%d,%d), schedule says [%d,%d)",
-			k, j, k, ci, lo, hi, sched[0], sched[1])
+			from, j, k, ci, lo, hi, sched[0], sched[1])
 	}
 	return nil
 }
 
-// recvPairRows consumes the responder→TP S/M chunk frames of one
-// (attribute, pair) covering the scheduled responder row ranges,
-// evaluating each chunk the moment it arrives (the protocol engine's chunk
-// methods, sharing one jt stream per pair so batched keystreams stay
-// aligned — the caller positions jt for a range that starts mid-block) and
-// installing it row-exactly, so unmasking and placement of a pair's block
-// overlap the rest of the payload still on the wire. A numeric chunk is
-// unmasked from the payload's cells straight into the assembled rows.
-func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssembler, src attrSource, attr, ji, ki int, jt rng.Stream, chunks [][2]int) error {
+// recvPairRows consumes the chunk frames of one share of one (attribute,
+// pair) block from the holder that produces it, evaluating each chunk the
+// moment it arrives (the protocol engine's chunk methods, sharing one
+// mask stream per share so batched keystreams stay aligned — positioned
+// first for a share that starts past its stream's first row) and
+// installing it row-exactly, so unmasking and placement of a block overlap
+// the rest of the payload still on the wire. A numeric chunk is unmasked
+// from the payload's cells straight into the assembled rows.
+func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssembler, src attrSource, attr int, sh pairShare) error {
 	a := c.cfg.Schema.Attrs[attr]
-	j, k := c.holders[ji], c.holders[ki]
-	rows, cols := c.counts[ki], c.counts[ji]
+	j, k, from := c.holders[sh.j], c.holders[sh.k], c.holders[sh.sender()]
+	rows, cols := c.counts[sh.k], c.counts[sh.j]
 	variant := [...]byte{Float64Variant: numFloat, Int64Variant: numInt, ModPVariant: numModP}[c.cfg.Variant]
-	for ci, ch := range chunks {
-		var row protocol.RowFunc
-		var bRows, bCols int
+	// The responder's rows are masked by the initiator's stream from row 0,
+	// the initiator's rows by the responder's from the split row on.
+	seed, axis, first := c.seeds[attr][sh.p], protocol.InitiatorCols, 0
+	if sh.byInitiator {
+		seed, axis, first = c.rowSeeds[attr][sh.p], protocol.InitiatorRows, c.splitAt(a.Type, sh.p)
+	}
+	jt := rng.New(c.cfg.RNG, seed)
+	// A stream read on from chunk to chunk (per-pair masks; the
+	// initiator's rows in either mode) is positioned at the share's first
+	// row by drawing and discarding the earlier rows' masks, so its first
+	// chunk evaluates at the exact keystream position a whole-block pass
+	// would use. Streams rewound per chunk (batch and alphanumeric
+	// evaluation on the responder's rows) need no positioning: the Advance
+	// calls no-op, as they do at the stream's first row.
+	if a.Type != dataset.Alphanumeric {
+		switch c.cfg.Variant {
+		case Float64Variant:
+			eng.AdvanceThirdPartyFloat(jt, sh.lo-first, cols, protocol.DefaultFloatParams, c.cfg.Mode, axis)
+		case Int64Variant:
+			eng.AdvanceThirdPartyInt(jt, sh.lo-first, cols, protocol.DefaultIntParams, c.cfg.Mode, axis)
+		case ModPVariant:
+			eng.AdvanceThirdPartyModP(jt, sh.lo-first, cols, c.cfg.Mode, axis)
+		}
+	}
+	for ci, ch := range c.cfg.pairChunksRange(a.Type, sh.lo, sh.hi, cols) {
+		var eval func() (protocol.RowFunc, int, int, error)
 		if a.Type == dataset.Alphanumeric {
 			var body alphaMBody
-			if _, err := src.expect(ki, kindAlphaM, &body); err != nil {
+			if _, err := src.expect(sh.sender(), kindAlphaM, &body); err != nil {
+				return fmt.Errorf("party: %s pair (%s,%s) chunk %d: %w", from, j, k, ci, err)
+			}
+			if err := checkPairChunk(from, j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
 				return err
 			}
-			if err := checkPairChunk(j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
-				return err
-			}
-			dists, err := eng.AlphaThirdPartyChunk(&body.M, body.Lo, body.Hi, a.Alphabet, jt)
-			if err != nil {
-				return err
-			}
-			bRows, bCols = dists.Rows, dists.Cols
-			row = func(r int, dst []float64) error {
-				for n, d := range dists.Cell[r*dists.Cols : (r+1)*dists.Cols] {
-					dst[n] = float64(d)
+			eval = func() (protocol.RowFunc, int, int, error) {
+				dists, err := eng.AlphaThirdPartyChunk(&body.M, body.Lo, body.Hi, a.Alphabet, jt)
+				if err != nil {
+					return nil, 0, 0, err
 				}
-				return nil
+				return func(r int, dst []float64) error {
+					for n, d := range dists.Cell[r*dists.Cols : (r+1)*dists.Cols] {
+						dst[n] = float64(d)
+					}
+					return nil
+				}, dists.Rows, dists.Cols, nil
 			}
 		} else {
 			var body numSBody
-			if _, err := src.expect(ki, kindNumS, &body); err != nil {
-				return err
+			if _, err := src.expect(sh.sender(), kindNumS, &body); err != nil {
+				return fmt.Errorf("party: %s pair (%s,%s) chunk %d: %w", from, j, k, ci, err)
 			}
-			if err := checkPairChunk(j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
+			if err := checkPairChunk(from, j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
 				return err
 			}
 			if body.variant != variant {
-				return fmt.Errorf("party: missing %s payload from %s", c.cfg.Variant, k)
+				return fmt.Errorf("party: missing %s payload from %s", c.cfg.Variant, from)
 			}
-			var err error
-			switch c.cfg.Variant {
-			case Float64Variant:
-				row, err = eng.NumericThirdPartyFloatChunk(body.wire, ch[0], ch[1], jt, protocol.DefaultFloatParams, c.cfg.Mode)
-			case Int64Variant:
-				row, err = eng.NumericThirdPartyIntChunk(body.wire, ch[0], ch[1], jt, protocol.DefaultIntParams, c.cfg.Mode)
-			case ModPVariant:
-				row, err = eng.NumericThirdPartyModPChunk(body.wire, ch[0], ch[1], jt, c.cfg.Mode)
+			eval = func() (row protocol.RowFunc, _ int, _ int, err error) {
+				switch c.cfg.Variant {
+				case Float64Variant:
+					row, err = eng.NumericThirdPartyFloatChunk(body.wire, ch[0], ch[1], jt, protocol.DefaultFloatParams, c.cfg.Mode, axis)
+				case Int64Variant:
+					row, err = eng.NumericThirdPartyIntChunk(body.wire, ch[0], ch[1], jt, protocol.DefaultIntParams, c.cfg.Mode, axis)
+				case ModPVariant:
+					row, err = eng.NumericThirdPartyModPChunk(body.wire, ch[0], ch[1], jt, c.cfg.Mode, axis)
+				}
+				return row, body.wire.Rows, body.wire.Cols, err
 			}
+		}
+		err := c.computing(func() error {
+			row, bRows, bCols, err := eval()
 			if err != nil {
 				return err
 			}
-			bRows, bCols = body.wire.Rows, body.wire.Cols
-		}
-		if bRows > 0 && bCols != cols {
-			return fmt.Errorf("party: block (%s,%s) rows [%d,%d) have %d columns, census says %d",
-				j, k, ch[0], ch[1], bCols, cols)
-		}
-		if err := asm.SetCrossRowsInto(ji, ki, ch[0], ch[1], row); err != nil {
+			if bRows > 0 && bCols != cols {
+				return fmt.Errorf("party: block (%s,%s) rows [%d,%d) have %d columns, census says %d",
+					j, k, ch[0], ch[1], bCols, cols)
+			}
+			return asm.SetCrossRowsInto(sh.j, sh.k, ch[0], ch[1], row)
+		})
+		if err != nil {
 			return err
 		}
 	}

@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"ppclust/internal/dissim"
-	"ppclust/internal/protocol"
 	"ppclust/internal/wire"
 )
 
@@ -72,12 +71,12 @@ func laneClassifier(nAttr, reqLane int) func(m *wire.Message) (int, error) {
 
 // assembleSlice builds one comparison attribute's slice of global rows r
 // from the range's demuxes.
-func (c *shardCore) assembleSlice(eng *protocol.Engine, r [2]int, demux []*wire.Demux, attr int) (attrSlice, error) {
+func (c *shardCore) assembleSlice(r [2]int, demux []*wire.Demux, attr int, fail func(error)) (attrSlice, error) {
 	sa, err := dissim.NewSliceAssembler(c.counts, r[0], r[1], c.workers)
 	if err != nil {
 		return attrSlice{}, err
 	}
-	if err := c.assembleRows(eng, sa, demuxSource{ds: demux, lane: attr}, attr); err != nil {
+	if err := c.assembleRows(sa, demuxSource{ds: demux, lane: attr}, attr, fail); err != nil {
 		return attrSlice{}, err
 	}
 	cells, max, err := sa.Done()
@@ -99,8 +98,8 @@ func (tp *ThirdParty) localShard(core *shardCore, s int, r [2]int, fail func(err
 	}
 	return shardSource{
 		run: func(out []attrSlice) error {
-			core.runStages(core.comparisonAttrs(), func(eng *protocol.Engine, attr int) error {
-				sl, err := core.assembleSlice(eng, r, demux, attr)
+			core.runStages(core.comparisonAttrs(), func(attr int, fail func(error)) error {
+				sl, err := core.assembleSlice(r, demux, attr, func(err error) { fail(fmt.Errorf("shard %d: %w", s, err)) })
 				if err != nil {
 					return fmt.Errorf("shard %d: %w", s, err)
 				}

@@ -49,7 +49,6 @@ import (
 	"sync"
 	"time"
 
-	"ppclust/internal/rng"
 	"ppclust/internal/wire"
 )
 
@@ -206,7 +205,8 @@ func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, fail func(er
 		Mode:        tp.cfg.Mode, Variant: tp.cfg.Variant, RNG: tp.cfg.RNG,
 		LocalChunkBytes: tp.cfg.LocalChunkBytes,
 		Parallelism:     tp.cfg.Parallelism,
-		Seeds:           core.pairSeeds(),
+		Seeds:           core.seeds,
+		RowSeeds:        core.rowSeeds,
 	}
 	if err := link.send(wire.Message{From: TPName, To: ShardName(s), Kind: kindShardOffer, Attr: -1}, offer); err != nil {
 		link.close()
@@ -301,21 +301,4 @@ func (tp *ThirdParty) collectShardSlices(s int, link *shardLink, out []attrSlice
 		}
 	}
 	return nil
-}
-
-// pairSeeds materializes the offer's seed table: every (attribute, pair)
-// mask-stream seed, pairs in sortedPairs order. Every offer of a session
-// carries the same table, so it is built once.
-func (c *shardCore) pairSeeds() [][]rng.Seed {
-	if c.seeds == nil {
-		pairs := sortedPairs(c.holders)
-		c.seeds = make([][]rng.Seed, len(c.cfg.Schema.Attrs))
-		for attr := range c.seeds {
-			c.seeds[attr] = make([]rng.Seed, len(pairs))
-			for pi, p := range pairs {
-				c.seeds[attr][pi] = c.seed(attr, c.holders[p[0]], c.holders[p[1]])
-			}
-		}
-	}
-	return c.seeds
 }

@@ -650,6 +650,9 @@ func TestShardOfferValidation(t *testing.T) {
 		{"shard-index", func(o *shardOfferBody) { o.Shard = 3 }},
 		{"range", func(o *shardOfferBody) { o.Hi = 1 << 30 }},
 		{"seed-shape", func(o *shardOfferBody) { o.Seeds = o.Seeds[:1] }},
+		{"row-seed-shape", func(o *shardOfferBody) { o.RowSeeds = o.RowSeeds[:1] }},
+		{"row-seed-pairs", func(o *shardOfferBody) { o.RowSeeds[1] = nil }},
+		{"row-seeds-missing", func(o *shardOfferBody) { o.RowSeeds = nil }},
 		{"count-shape", func(o *shardOfferBody) { o.Counts = o.Counts[:1] }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -671,6 +674,7 @@ func TestShardOfferValidation(t *testing.T) {
 				t.Fatalf("dial: %v", err)
 			}
 			defer link.close()
+			seeds, rowSeeds := tp.seedTables()
 			offer := shardOfferBody{
 				Shard: 0, Lo: 0, Hi: 3,
 				Holders:     tp.holders,
@@ -678,7 +682,8 @@ func TestShardOfferValidation(t *testing.T) {
 				Fingerprint: schemaFingerprint(cfg.Schema),
 				Variant:     cfg.Variant,
 				RNG:         cfg.RNG,
-				Seeds:       tp.core().pairSeeds(),
+				Seeds:       seeds,
+				RowSeeds:    rowSeeds,
 			}
 			tc.mutate(&offer)
 			if err := link.send(wire.Message{From: TPName, To: ShardName(0), Kind: kindShardOffer, Attr: -1}, offer); err != nil {
@@ -737,6 +742,7 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 		LocalChunkBytes int
 		Parallelism     int
 		Seeds           [][]rng.Seed
+		RowSeeds        [][]rng.Seed
 	}
 	offer := boundedOffer{
 		Shard: 0, Lo: 3, Hi: 4, // B's second row: the range starts mid-holder
@@ -745,8 +751,8 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 		Mode:        protocol.PerPair, Variant: Int64Variant, RNG: cfg.RNG,
 		IntParams:   protocol.IntParams{MaskRange: 0, MaxMagnitude: 1},
 		Parallelism: 1,
-		Seeds:       tp.core().pairSeeds(),
 	}
+	offer.Seeds, offer.RowSeeds = tp.seedTables()
 	if err := link.send(wire.Message{From: TPName, To: ShardName(0), Kind: kindShardOffer, Attr: -1}, offer); err != nil {
 		t.Fatalf("send offer: %v", err)
 	}

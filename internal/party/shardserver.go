@@ -330,18 +330,15 @@ func (r *shardRun) run(offer shardOfferBody) error {
 	if err != nil {
 		return err
 	}
-	nAttr := len(cfg.Schema.Attrs)
-	pairs := sortedPairs(offer.Holders)
-	if len(offer.Seeds) != nAttr {
-		return fmt.Errorf("party: offer carries seeds for %d attributes, schema has %d", len(offer.Seeds), nAttr)
-	}
-	pairIdx := make(map[[2]string]int, len(pairs))
-	for pi, p := range pairs {
-		pairIdx[[2]string{offer.Holders[p[0]], offer.Holders[p[1]]}] = pi
-	}
-	for attr := range offer.Seeds {
-		if len(offer.Seeds[attr]) != len(pairs) {
-			return fmt.Errorf("party: offer attribute %d carries %d pair seeds, want %d", attr, len(offer.Seeds[attr]), len(pairs))
+	nAttr, pairs := len(cfg.Schema.Attrs), len(sortedPairs(len(offer.Holders)))
+	for name, table := range map[string][][]rng.Seed{"seeds": offer.Seeds, "row seeds": offer.RowSeeds} {
+		if len(table) != nAttr {
+			return fmt.Errorf("party: offer carries %s for %d attributes, schema has %d", name, len(table), nAttr)
+		}
+		for attr, seeds := range table {
+			if len(seeds) != pairs {
+				return fmt.Errorf("party: offer attribute %d carries %d pair %s, want %d", attr, len(seeds), name, pairs)
+			}
 		}
 	}
 	for i, c := range offer.Counts {
@@ -349,11 +346,8 @@ func (r *shardRun) run(offer shardOfferBody) error {
 			return fmt.Errorf("party: offer census holds a negative count for %s", offer.Holders[i])
 		}
 	}
-	seeds := offer.Seeds
 	core := newShardCore(cfg, offer.Holders, offer.Counts, parallel.Workers(cfg.Parallelism),
-		protocol.NewEnginePool(cfg.Parallelism), func(attr int, j, k string) rng.Seed {
-			return seeds[attr][pairIdx[[2]string{j, k}]]
-		})
+		protocol.NewEnginePool(cfg.Parallelism), offer.Seeds, offer.RowSeeds)
 	if offer.Lo < 0 || offer.Hi < offer.Lo || offer.Hi > core.total {
 		return fmt.Errorf("party: offer range [%d,%d) outside the census total %d", offer.Lo, offer.Hi, core.total)
 	}
@@ -406,8 +400,8 @@ func (r *shardRun) run(offer shardOfferBody) error {
 	computeDone := make(chan struct{})
 	go func() {
 		defer close(computeDone)
-		core.runStages(core.comparisonAttrs(), func(eng *protocol.Engine, attr int) (err error) {
-			out[attr], err = core.assembleSlice(eng, rg, demux, attr)
+		core.runStages(core.comparisonAttrs(), func(attr int, fail func(error)) (err error) {
+			out[attr], err = core.assembleSlice(rg, demux, attr, fail)
 			return err
 		}, fail)
 		mu.Lock()

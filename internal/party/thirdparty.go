@@ -140,6 +140,10 @@ func NewThirdParty(holders []string, cfg Config, conduits map[string]wire.Condui
 	return tp, nil
 }
 
+// handshakeAll runs the key agreement with every holder on its control
+// conduit and, at TPShards > 1, its shard conduits. Every hello goes out
+// before any is read, and the replies are read at once (recvAll), so
+// construction costs one round trip, not one per lane.
 func (tp *ThirdParty) handshakeAll(conduits map[string]wire.Conduit) error {
 	var err error
 	tp.identity, err = keys.NewIdentity(TPName, tp.random)
@@ -147,57 +151,72 @@ func (tp *ThirdParty) handshakeAll(conduits map[string]wire.Conduit) error {
 		return err
 	}
 	fp := schemaFingerprint(tp.cfg.Schema)
+	lanes := 1 // per holder: the control conduit, then its shard conduits
 	if k := tp.cfg.shardCount(); k > 1 {
+		lanes += k
 		tp.shardLanes = make([]map[string]wire.Conduit, k)
 		for s := range tp.shardLanes {
 			tp.shardLanes[s] = make(map[string]wire.Conduit)
 		}
 	}
-	// secure handshakes holder h's lane (0 = control, s+1 = shard s) under
-	// the name the third party presents on it.
-	secure := func(raw wire.Conduit, self, h string, lane int) (wire.Conduit, []byte, error) {
-		// bind sits directly on the raw conduit — below the AES-GCM layer —
-		// so a lifecycle cancel closes the real transport and unparks any
-		// blocked read, and every frame either way feeds the watchdog.
-		bound := tp.guard.bind(raw)
-		secured, master, err := handshake(bound, self, h, tp.identity, fp, false)
+	// Lane 0 of a holder is its control conduit, lane s+1 its conduit to
+	// shard s — the holder handshakes them too. The shards reuse the TP
+	// identity (one X25519 agreement per holder, so the master is
+	// unchanged), but each conduit derives its own channel key salted by the
+	// shard name — control and shard channels never share AES-GCM keys. The
+	// holder's side is identical whether the shard runs in-process or as a
+	// worker process.
+	type link struct {
+		holder string
+		lane   int
+	}
+	var links []link
+	var bound []wire.Conduit
+	for _, h := range tp.holders {
+		for lane := 0; lane < lanes; lane++ {
+			key := h
+			if lane > 0 {
+				key = ShardConduitKey(h, lane-1)
+			}
+			links = append(links, link{holder: h, lane: lane})
+			// bind sits directly on the raw conduit — below the AES-GCM
+			// layer — so a lifecycle cancel closes the real transport and
+			// unparks any blocked read, and every frame either way feeds the
+			// watchdog.
+			bound = append(bound, tp.guard.bind(conduits[key]))
+		}
+	}
+	for i, l := range links {
+		if err := sendHello(bound[i], laneConduitName(l.lane), l.holder, tp.identity, fp); err != nil {
+			return err
+		}
+	}
+	hellos, failed, err := recvAll(bound)
+	if err != nil {
+		return fmt.Errorf("party: %s hello from %s: %w", laneConduitName(links[failed].lane), links[failed].holder, err)
+	}
+	for i, l := range links {
+		secured, master, err := answerHello(bound[i], hellos[i], laneConduitName(l.lane), l.holder, tp.identity, fp, false)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		if tp.cfg.PlaintextChannels {
-			secured = bound
+			secured = bound[i]
+		}
+		if l.lane == 0 {
+			tp.masters[l.holder] = master
+		} else if string(master) != string(tp.masters[l.holder]) {
+			return fmt.Errorf("party: %s presented a different identity on shard conduit %s", l.holder, laneConduitName(l.lane))
 		}
 		// Resumable sessions park a severed holder lane in the Reconn and
 		// wait for the acceptor to deliver a replacement via Resume.
 		if tp.cfg.ResumeWindow > 0 {
-			secured = tp.armResume(secured, h, lane)
+			secured = tp.armResume(secured, l.holder, l.lane)
 		}
-		return secured, master, nil
-	}
-	for _, h := range tp.holders {
-		ctl, master, err := secure(conduits[h], TPName, h, 0)
-		if err != nil {
-			return err
-		}
-		tp.masters[h] = master
-		tp.eps[h] = wire.NewEndpoint(ctl)
-		// Shard conduits, ascending, right after the holder's control
-		// conduit — the holder handshakes them in the same order. The
-		// shards reuse the TP identity (one X25519 agreement per holder, so
-		// the master is unchanged), but each conduit derives its own
-		// channel key salted by the shard name — control and shard channels
-		// never share AES-GCM keys. The holder's side is identical whether
-		// the shard runs in-process or as a worker process.
-		for s := range tp.shardLanes {
-			name := ShardName(s)
-			lane, shardMaster, err := secure(conduits[ShardConduitKey(h, s)], name, h, s+1)
-			if err != nil {
-				return err
-			}
-			if string(shardMaster) != string(master) {
-				return fmt.Errorf("party: %s presented a different identity on shard conduit %s", h, name)
-			}
-			tp.shardLanes[s][h] = lane
+		if l.lane == 0 {
+			tp.eps[l.holder] = wire.NewEndpoint(secured)
+		} else {
+			tp.shardLanes[l.lane-1][l.holder] = secured
 		}
 	}
 	// With every channel established the third party can explain a failure
@@ -208,15 +227,40 @@ func (tp *ThirdParty) handshakeAll(conduits map[string]wire.Conduit) error {
 	return nil
 }
 
-// seedJT mirrors Holder.seedJT for the initiator j of pair (j, k).
-func (tp *ThirdParty) seedJT(attr int, j, k string) rng.Seed {
-	base := keys.DeriveSeed(tp.masters[j], keys.PurposeMaskRNG, j, TPName)
-	return ctxSeed(base, fmt.Sprintf("attr/%d/pair/%s/%s", attr, j, k))
+// seedTables derives the mask-stream seeds of the session's pair blocks, by
+// attribute and pair of sortedPairs order: the seeds the initiator j shares
+// with the third party (the rows k produces) and those the responder k
+// shares with it (the rows j produces). Streams no block reads — any of a
+// tag attribute, the responder's of an alphanumeric block, which is never
+// split — keep the zero seed.
+func (tp *ThirdParty) seedTables() (seeds, rowSeeds [][]rng.Seed) {
+	bases := make([]rng.Seed, len(tp.holders))
+	for i, h := range tp.holders {
+		bases[i] = maskBase(tp.masters[h], h)
+	}
+	pairs := sortedPairs(len(tp.holders))
+	seeds = make([][]rng.Seed, len(tp.cfg.Schema.Attrs))
+	rowSeeds = make([][]rng.Seed, len(seeds))
+	for attr, a := range tp.cfg.Schema.Attrs {
+		seeds[attr] = make([]rng.Seed, len(pairs))
+		rowSeeds[attr] = make([]rng.Seed, len(pairs))
+		for p, pr := range pairs {
+			j, k := tp.holders[pr[0]], tp.holders[pr[1]]
+			if !tagBased(a.Type) {
+				seeds[attr][p] = maskSeed(bases[pr[0]], attr, j, k, false)
+			}
+			if !tagBased(a.Type) && a.Type != dataset.Alphanumeric {
+				rowSeeds[attr][p] = maskSeed(bases[pr[1]], attr, j, k, true)
+			}
+		}
+	}
+	return seeds, rowSeeds
 }
 
 // core builds the third party's own view of the assembly pipeline.
 func (tp *ThirdParty) core() *shardCore {
-	return newShardCore(tp.cfg, tp.holders, tp.counts, tp.workers, tp.engines, tp.seedJT)
+	seeds, rowSeeds := tp.seedTables()
+	return newShardCore(tp.cfg, tp.holders, tp.counts, tp.workers, tp.engines, seeds, rowSeeds)
 }
 
 // Run executes the third party's side and returns the session report.
@@ -286,8 +330,8 @@ func (tp *ThirdParty) assemble() (*TPReport, error) {
 
 	// One control demux per holder: lane a carries attribute a's messages
 	// (the single tag column, or — on a one-range session — the
-	// local-matrix chunk frames plus the S/M chunk frames of every pair
-	// this holder responds in), the extra lane carries the clustering
+	// local-matrix chunk frames plus the S/M chunk frames of every pair-block
+	// share this holder produces), the extra lane carries the clustering
 	// request that ends the holder's stream. The chunk schedules are pure
 	// functions of the census and the shared Config, so each lane's quota
 	// is known before the first frame arrives.
@@ -375,8 +419,8 @@ func (tp *ThirdParty) assemble() (*TPReport, error) {
 			}
 		}()
 	}
-	core.runStages(ctlAttrs, func(eng *protocol.Engine, attr int) error {
-		m, err := tp.assembleAttr(core, eng, attr, demuxSource{ds: ctl, lane: attr})
+	core.runStages(ctlAttrs, func(attr int, fail func(error)) error {
+		m, err := tp.assembleAttr(core, attr, demuxSource{ds: ctl, lane: attr}, fail)
 		if err != nil {
 			return err
 		}
@@ -410,7 +454,7 @@ func (tp *ThirdParty) assemble() (*TPReport, error) {
 // from the messages src delivers. A comparison attribute reaches it
 // only on a one-range session, where the range is the whole triangle and
 // the finished assembly is adopted as the matrix — no second triangle.
-func (tp *ThirdParty) assembleAttr(core *shardCore, eng *protocol.Engine, attr int, src attrSource) (*dissim.Matrix, error) {
+func (tp *ThirdParty) assembleAttr(core *shardCore, attr int, src attrSource, fail func(error)) (*dissim.Matrix, error) {
 	switch tp.cfg.Schema.Attrs[attr].Type {
 	case dataset.Categorical:
 		return tp.assembleCategorical(attr, src)
@@ -421,7 +465,7 @@ func (tp *ThirdParty) assembleAttr(core *shardCore, eng *protocol.Engine, attr i
 	if err != nil {
 		return nil, err
 	}
-	if err := core.assembleRows(eng, asm.SliceAssembler, src, attr); err != nil {
+	if err := core.assembleRows(asm.SliceAssembler, src, attr, fail); err != nil {
 		return nil, err
 	}
 	return asm.Done()

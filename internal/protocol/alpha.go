@@ -391,7 +391,7 @@ func (e *Engine) AlphaThirdPartyChunk(c *AlphaChunk, lo, hi int, a *alphabet.Alp
 			return nil, fmt.Errorf("protocol: ragged intermediary matrix row %d", i)
 		}
 	}
-	e.pairs = e.pairs[:0]
+	e.pairs = slices.Grow(e.pairs[:0], len(c.Shapes))
 	off := 0
 	for _, sh := range c.Shapes {
 		p, end := alphaPair{AlphaShape: sh}, off+sh.Rows*sh.Cols

@@ -206,21 +206,25 @@ func respondRows[T int64 | float64](e *Engine, cell, disguised []T, disguisedRow
 	return cell, nil
 }
 
-// keystream draws what a protocol step over rows×cols cells consumes of a
-// shared generator — one row's worth, re-read by every row, in batch mode
-// (the stream is left rewound); one value per cell in per-pair mode — into
-// an engine buffer.
-func keystream[T any](g rng.Stream, buf func(int) []T, fill func([]T), rows, cols int, mode Mode) []T {
+// keystream draws what a protocol step over rows×cols cells of a block
+// consumes of a shared generator into an engine buffer: one value per cell
+// in per-pair mode; in batch mode one row's worth, re-read by every row,
+// when the initiator is on the columns (the stream is left rewound), and
+// one value per row, read on, when it is on the rows.
+func keystream[T any](g rng.Stream, buf func(int) []T, fill func([]T), rows, cols int, mode Mode, axis Axis) []T {
 	if rows == 0 {
 		return nil
 	}
 	n := cols
-	if mode == PerPair {
+	switch {
+	case axis == InitiatorRows:
+		n = rows * RowWidth(cols, mode)
+	case mode == PerPair:
 		n = rows * cols
 	}
 	out := buf(n)
 	fill(out)
-	if mode == Batch {
+	if mode == Batch && axis == InitiatorCols {
 		g.Reseed()
 	}
 	return out
@@ -228,7 +232,7 @@ func keystream[T any](g rng.Stream, buf func(int) []T, fill func([]T), rows, col
 
 // signs draws the responder's parities.
 func (e *Engine) signs(jk rng.Stream, rows, cols int, mode Mode) []uint64 {
-	return keystream(jk, e.u64buf, func(s []uint64) { rng.FillUint64(jk, s) }, rows, cols, mode)
+	return keystream(jk, e.u64buf, func(s []uint64) { rng.FillUint64(jk, s) }, rows, cols, mode, InitiatorCols)
 }
 
 // disguisedCovers checks that a disguised matrix of the given row count
@@ -274,7 +278,7 @@ func (e *Engine) NumericThirdPartyInt(s *Int64Matrix, jt rng.Stream, params IntP
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	masks, err := e.intMasks(jt, s.Rows, s.Cols, params, mode)
+	masks, err := e.intMasks(jt, s.Rows, s.Cols, params, mode, InitiatorCols)
 	if err != nil {
 		return nil, err
 	}
@@ -293,11 +297,11 @@ func (e *Engine) NumericThirdPartyInt(s *Int64Matrix, jt rng.Stream, params IntP
 }
 
 // intMasks regenerates the masks Figure 6 strips from rows×cols cells.
-func (e *Engine) intMasks(jt rng.Stream, rows, cols int, params IntParams, mode Mode) ([]int64, error) {
+func (e *Engine) intMasks(jt rng.Stream, rows, cols int, params IntParams, mode Mode, axis Axis) ([]int64, error) {
 	if params.MaskRange <= 0 {
 		return nil, fmt.Errorf("protocol: MaskRange %d must be positive", params.MaskRange)
 	}
-	return keystream(jt, e.i64buf, func(m []int64) { rng.FillInt64n(jt, m, params.MaskRange) }, rows, cols, mode), nil
+	return keystream(jt, e.i64buf, func(m []int64) { rng.FillInt64n(jt, m, params.MaskRange) }, rows, cols, mode, axis), nil
 }
 
 func absInt64(d int64) int64 {
@@ -416,7 +420,7 @@ func (e *Engine) NumericThirdPartyFloat(s *Float64Matrix, jt rng.Stream, params 
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	masks, err := e.floatMasks(jt, s.Rows, s.Cols, params, mode)
+	masks, err := e.floatMasks(jt, s.Rows, s.Cols, params, mode, InitiatorCols)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +439,7 @@ func (e *Engine) NumericThirdPartyFloat(s *Float64Matrix, jt rng.Stream, params 
 }
 
 // floatMasks is the real-valued form of intMasks.
-func (e *Engine) floatMasks(jt rng.Stream, rows, cols int, params FloatParams, mode Mode) ([]float64, error) {
+func (e *Engine) floatMasks(jt rng.Stream, rows, cols int, params FloatParams, mode Mode, axis Axis) ([]float64, error) {
 	if !(params.MaskRange > 0) {
 		return nil, fmt.Errorf("protocol: MaskRange %v must be positive", params.MaskRange)
 	}
@@ -444,5 +448,5 @@ func (e *Engine) floatMasks(jt rng.Stream, rows, cols int, params FloatParams, m
 		for i := range m {
 			m[i] *= params.MaskRange
 		}
-	}, rows, cols, mode), nil
+	}, rows, cols, mode, axis), nil
 }

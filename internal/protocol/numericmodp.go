@@ -155,7 +155,7 @@ func (eng *Engine) NumericThirdPartyModP(s *ElementMatrix, jt rng.Stream, mode M
 	}
 	rows, cols := s.Rows, s.Cols
 	out := NewInt64Matrix(rows, cols)
-	masks := eng.modpMasks(jt, rows, cols, mode)
+	masks := eng.modpMasks(jt, rows, cols, mode, InitiatorCols)
 	err := parallel.RangeErr(eng.workers, rows, func(_, lo, hi int) error {
 		for m := lo; m < hi; m++ {
 			mask := drawRow(masks, m, cols, mode)
@@ -176,12 +176,12 @@ func (eng *Engine) NumericThirdPartyModP(s *ElementMatrix, jt rng.Stream, mode M
 }
 
 // modpMasks is the Z_p form of intMasks.
-func (eng *Engine) modpMasks(jt rng.Stream, rows, cols int, mode Mode) []modp.Element {
+func (eng *Engine) modpMasks(jt rng.Stream, rows, cols int, mode Mode, axis Axis) []modp.Element {
 	return keystream(jt, eng.elembuf, func(m []modp.Element) {
 		for i := range m {
 			m[i] = modp.Random(jt)
 		}
-	}, rows, cols, mode)
+	}, rows, cols, mode, axis)
 }
 
 // unmaskModP strips the mask from the cell at chunk position (m, n) and

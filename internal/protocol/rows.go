@@ -109,16 +109,22 @@ func (c NumericChunk) covers(lo, hi, size int) error {
 // once (the alignment contract above applies) and the returned function
 // strips them a row at a time, from the payload's cells straight into the
 // caller's destination.
-func (e *Engine) NumericThirdPartyIntChunk(c NumericChunk, lo, hi int, jt rng.Stream, params IntParams, mode Mode) (RowFunc, error) {
+func (e *Engine) NumericThirdPartyIntChunk(c NumericChunk, lo, hi int, jt rng.Stream, params IntParams, mode Mode, axis Axis) (RowFunc, error) {
 	if err := c.covers(lo, hi, 8); err != nil {
 		return nil, err
 	}
-	masks, err := e.intMasks(jt, c.Rows, c.Cols, params, mode)
+	masks, err := e.intMasks(jt, c.Rows, c.Cols, params, mode, axis)
 	if err != nil {
 		return nil, err
 	}
 	return func(r int, dst []float64) error {
-		src, mask := c.row(r, 8, dst), drawRow(masks, r, c.Cols, mode)
+		src, mask := c.row(r, 8, dst), maskRow(masks, r, c.Cols, mode, axis)
+		if len(mask) == 1 {
+			for n := range dst {
+				dst[n] = float64(absInt64(int64(binary.LittleEndian.Uint64(src[8*n:])) - mask[0]))
+			}
+			return nil
+		}
 		for n := range dst {
 			dst[n] = float64(absInt64(int64(binary.LittleEndian.Uint64(src[8*n:])) - mask[n]))
 		}
@@ -128,16 +134,22 @@ func (e *Engine) NumericThirdPartyIntChunk(c NumericChunk, lo, hi int, jt rng.St
 
 // NumericThirdPartyFloatChunk is the real-valued form of
 // NumericThirdPartyIntChunk.
-func (e *Engine) NumericThirdPartyFloatChunk(c NumericChunk, lo, hi int, jt rng.Stream, params FloatParams, mode Mode) (RowFunc, error) {
+func (e *Engine) NumericThirdPartyFloatChunk(c NumericChunk, lo, hi int, jt rng.Stream, params FloatParams, mode Mode, axis Axis) (RowFunc, error) {
 	if err := c.covers(lo, hi, 8); err != nil {
 		return nil, err
 	}
-	masks, err := e.floatMasks(jt, c.Rows, c.Cols, params, mode)
+	masks, err := e.floatMasks(jt, c.Rows, c.Cols, params, mode, axis)
 	if err != nil {
 		return nil, err
 	}
 	return func(r int, dst []float64) error {
-		src, mask := c.row(r, 8, dst), drawRow(masks, r, c.Cols, mode)
+		src, mask := c.row(r, 8, dst), maskRow(masks, r, c.Cols, mode, axis)
+		if len(mask) == 1 {
+			for n := range dst {
+				dst[n] = math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(src[8*n:])) - mask[0])
+			}
+			return nil
+		}
 		for n := range dst {
 			dst[n] = math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(src[8*n:])) - mask[n])
 		}
@@ -146,15 +158,15 @@ func (e *Engine) NumericThirdPartyFloatChunk(c NumericChunk, lo, hi int, jt rng.
 }
 
 // NumericThirdPartyModPChunk is the Z_p form of NumericThirdPartyIntChunk.
-func (e *Engine) NumericThirdPartyModPChunk(c NumericChunk, lo, hi int, jt rng.Stream, mode Mode) (RowFunc, error) {
+func (e *Engine) NumericThirdPartyModPChunk(c NumericChunk, lo, hi int, jt rng.Stream, mode Mode, axis Axis) (RowFunc, error) {
 	if err := c.covers(lo, hi, 32); err != nil {
 		return nil, err
 	}
-	masks := e.modpMasks(jt, c.Rows, c.Cols, mode)
+	masks := e.modpMasks(jt, c.Rows, c.Cols, mode, axis)
 	return func(r int, dst []float64) error {
-		src, mask := c.row(r, 32, dst), drawRow(masks, r, c.Cols, mode)
+		src, mask := c.row(r, 32, dst), maskRow(masks, r, c.Cols, mode, axis)
 		for n := range dst {
-			abs, err := unmaskModP([32]byte(src[32*n:]), mask[n], r, n)
+			abs, err := unmaskModP([32]byte(src[32*n:]), mask[min(n, len(mask)-1)], r, n)
 			if err != nil {
 				return err
 			}
@@ -165,39 +177,47 @@ func (e *Engine) NumericThirdPartyModPChunk(c NumericChunk, lo, hi int, jt rng.S
 }
 
 // AdvanceThirdPartyInt positions jt for a third party that evaluates only
-// rows [rows, ·) of one pair's S matrix: in PerPair mode it draws and
-// discards the masks of the first `rows` responder rows (rows·cols values,
-// via the same FillInt64n the evaluation uses, so rejection-sampled word
-// consumption is identical), leaving jt at the exact keystream position the
-// monolithic pass would have reached. Batch and alphanumeric evaluation
-// rewind jt per chunk, so those modes need no positioning and the call is a
-// no-op. This is the entry point for TP shards whose row range starts
-// mid-block.
-func (e *Engine) AdvanceThirdPartyInt(jt rng.Stream, rows, cols int, params IntParams, mode Mode) {
-	if mode != PerPair || rows <= 0 || cols <= 0 {
-		return
+// rows [rows, ·) of one pair block with cols columns: it draws and discards
+// what the first `rows` rows take of the stream — rows·cols masks in
+// PerPair mode, one per row in Batch mode with the initiator on the row
+// axis (via the same FillInt64n the evaluation uses, so rejection-sampled
+// word consumption is identical) — leaving jt at the exact keystream
+// position the monolithic pass would have reached. Batch evaluation with
+// the initiator on the columns, and alphanumeric evaluation, rewind jt per
+// chunk and need no positioning: the call is a no-op, as it is at row 0.
+// This is the entry point for TP shards whose row range starts mid-block,
+// and for the share of a block that starts at its split row.
+func (e *Engine) AdvanceThirdPartyInt(jt rng.Stream, rows, cols int, params IntParams, mode Mode, axis Axis) {
+	if n := advanceDraws(rows, cols, mode, axis); n > 0 {
+		rng.FillInt64n(jt, e.i64buf(n), params.MaskRange)
 	}
-	buf := e.i64buf(rows * cols)
-	rng.FillInt64n(jt, buf, params.MaskRange)
 }
 
 // AdvanceThirdPartyFloat is the real-valued form of AdvanceThirdPartyInt.
-func (e *Engine) AdvanceThirdPartyFloat(jt rng.Stream, rows, cols int, params FloatParams, mode Mode) {
-	if mode != PerPair || rows <= 0 || cols <= 0 {
-		return
+func (e *Engine) AdvanceThirdPartyFloat(jt rng.Stream, rows, cols int, params FloatParams, mode Mode, axis Axis) {
+	if n := advanceDraws(rows, cols, mode, axis); n > 0 {
+		rng.FillFloat64(jt, e.f64buf(n))
 	}
-	buf := e.f64buf(rows * cols)
-	rng.FillFloat64(jt, buf)
 }
 
 // AdvanceThirdPartyModP is the Z_p form of AdvanceThirdPartyInt.
-func (e *Engine) AdvanceThirdPartyModP(jt rng.Stream, rows, cols int, mode Mode) {
-	if mode != PerPair || rows <= 0 || cols <= 0 {
-		return
-	}
-	for i := 0; i < rows*cols; i++ {
+func (e *Engine) AdvanceThirdPartyModP(jt rng.Stream, rows, cols int, mode Mode, axis Axis) {
+	for i := advanceDraws(rows, cols, mode, axis); i > 0; i-- {
 		modp.Random(jt)
 	}
+}
+
+// advanceDraws is how many masks the first rows rows of a block take from
+// a stream the evaluation reads on from one chunk to the next: none when it
+// rewinds per chunk.
+func advanceDraws(rows, cols int, mode Mode, axis Axis) int {
+	if rows <= 0 || (mode == Batch && axis == InitiatorCols) {
+		return 0
+	}
+	if axis == InitiatorRows {
+		return rows * RowWidth(cols, mode)
+	}
+	return rows * cols
 }
 
 // AlphaThirdPartyRows is AlphaThirdPartyChunk in per-pair form: chunk must

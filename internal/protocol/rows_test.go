@@ -94,16 +94,16 @@ type chunkCase struct {
 func (c chunkCase) check(t *testing.T, name string, lo, hi int, jtI, jtF, jtC, jtM rng.Stream, mode Mode) {
 	t.Helper()
 	e, n := c.e, c.n
-	row, err := e.NumericThirdPartyIntChunk(leChunk(c.sI.Cell, lo, hi, n), lo, hi, jtI, DefaultIntParams, mode)
+	row, err := e.NumericThirdPartyIntChunk(leChunk(c.sI.Cell, lo, hi, n), lo, hi, jtI, DefaultIntParams, mode, InitiatorCols)
 	gI := evalRows(t, row, err, hi-lo, n)
 	cF := &Float64Matrix{Rows: hi - lo, Cols: n, Cell: c.sF.Cell[lo*n : hi*n]}
 	gF, err := e.NumericThirdPartyFloatRows(cF, lo, hi, jtF, DefaultFloatParams, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err = e.NumericThirdPartyFloatChunk(leChunk(c.sF.Cell, lo, hi, n), lo, hi, jtC, DefaultFloatParams, mode)
+	row, err = e.NumericThirdPartyFloatChunk(leChunk(c.sF.Cell, lo, hi, n), lo, hi, jtC, DefaultFloatParams, mode, InitiatorCols)
 	gC := evalRows(t, row, err, hi-lo, n)
-	row, err = e.NumericThirdPartyModPChunk(elemChunk(c.sM.Cell, lo, hi, n), lo, hi, jtM, mode)
+	row, err = e.NumericThirdPartyModPChunk(elemChunk(c.sM.Cell, lo, hi, n), lo, hi, jtM, mode, InitiatorCols)
 	gM := evalRows(t, row, err, hi-lo, n)
 	for i := 0; i < (hi-lo)*n; i++ {
 		if gI[i] != float64(c.wantI.Cell[lo*n+i]) {
@@ -330,11 +330,11 @@ func TestAdvanceThirdPartyPositionsStream(t *testing.T) {
 			jtI := rng.NewAESCTR(seedJT)
 			jtF := rng.NewAESCTR(seedJT)
 			jtM := rng.NewAESCTR(seedJT)
-			e.AdvanceThirdPartyInt(jtI, lo, n, DefaultIntParams, mode)
-			e.AdvanceThirdPartyFloat(jtF, lo, n, DefaultFloatParams, mode)
+			e.AdvanceThirdPartyInt(jtI, lo, n, DefaultIntParams, mode, InitiatorCols)
+			e.AdvanceThirdPartyFloat(jtF, lo, n, DefaultFloatParams, mode, InitiatorCols)
 			jtC := rng.NewAESCTR(seedJT)
-			e.AdvanceThirdPartyFloat(jtC, lo, n, DefaultFloatParams, mode)
-			e.AdvanceThirdPartyModP(jtM, lo, n, mode)
+			e.AdvanceThirdPartyFloat(jtC, lo, n, DefaultFloatParams, mode, InitiatorCols)
+			e.AdvanceThirdPartyModP(jtM, lo, n, mode, InitiatorCols)
 			for _, ch := range rowRanges(m-lo, 3) {
 				clo, chi := lo+ch[0], lo+ch[1]
 				chunkCase{e, n, sI, sF, sM, wantI, wantF, wantM}.check(t, name, clo, chi, jtI, jtF, jtC, jtM, mode)
@@ -349,27 +349,27 @@ func TestThirdPartyRowsShapeValidation(t *testing.T) {
 	e := NewEngine(1)
 	jt := rng.NewAESCTR(rng.SeedFromUint64(1))
 	chunk := NumericChunk{Rows: 2, Cols: 3, Cells: make([]byte, 2*3*8)}
-	if _, err := e.NumericThirdPartyIntChunk(chunk, 0, 3, jt, DefaultIntParams, Batch); err == nil {
+	if _, err := e.NumericThirdPartyIntChunk(chunk, 0, 3, jt, DefaultIntParams, Batch, InitiatorCols); err == nil {
 		t.Fatal("short chunk accepted")
 	}
-	if _, err := e.NumericThirdPartyIntChunk(chunk, 3, 1, jt, DefaultIntParams, Batch); err == nil {
+	if _, err := e.NumericThirdPartyIntChunk(chunk, 3, 1, jt, DefaultIntParams, Batch, InitiatorCols); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 	fchunk := NewFloat64Matrix(2, 3)
 	if _, err := e.NumericThirdPartyFloatRows(fchunk, 0, 1, jt, DefaultFloatParams, Batch); err == nil {
 		t.Fatal("float short matrix accepted")
 	}
-	if _, err := e.NumericThirdPartyFloatChunk(chunk, 0, 1, jt, DefaultFloatParams, Batch); err == nil {
+	if _, err := e.NumericThirdPartyFloatChunk(chunk, 0, 1, jt, DefaultFloatParams, Batch, InitiatorCols); err == nil {
 		t.Fatal("float short chunk accepted")
 	}
-	if _, err := e.NumericThirdPartyModPChunk(chunk, 0, 2, jt, Batch); err == nil {
+	if _, err := e.NumericThirdPartyModPChunk(chunk, 0, 2, jt, Batch, InitiatorCols); err == nil {
 		t.Fatal("modp chunk of 8-byte cells accepted")
 	}
 	chunk.Cells = chunk.Cells[:2*3*8-1]
-	if _, err := e.NumericThirdPartyFloatChunk(chunk, 0, 2, jt, DefaultFloatParams, Batch); err == nil {
+	if _, err := e.NumericThirdPartyFloatChunk(chunk, 0, 2, jt, DefaultFloatParams, Batch, InitiatorCols); err == nil {
 		t.Fatal("chunk with a torn cell accepted")
 	}
-	row, err := e.NumericThirdPartyIntChunk(NumericChunk{Rows: 1, Cols: 3, Cells: make([]byte, 3*8)}, 0, 1, jt, DefaultIntParams, Batch)
+	row, err := e.NumericThirdPartyIntChunk(NumericChunk{Rows: 1, Cols: 3, Cells: make([]byte, 3*8)}, 0, 1, jt, DefaultIntParams, Batch, InitiatorCols)
 	if err != nil {
 		t.Fatal(err)
 	}
