@@ -127,7 +127,7 @@
 //
 // The wire layer keeps the chunked stream allocation-lean: message encode
 // buffers are pooled across sends, the AES-GCM layer reuses its seal
-// buffer, and the TCP transport offers a pooled-receive variant, so
+// buffer, and the TCP transport recycles its receive buffer, so
 // framing a triangle as hundreds of chunks does not multiply allocations.
 //
 // # Session lifecycle

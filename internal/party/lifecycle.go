@@ -50,25 +50,28 @@ const abortGrace = 2 * time.Second
 // fit through a failing session's wire.
 const abortReasonLimit = 512
 
-// guard owns one party's session lifecycle: the cancellable context every
-// conduit is bound to, the session and phase watchdogs, and the abort
-// notification that tells peers why a failing party is leaving. It is the
-// one place cancellation, deadlines and teardown ordering meet:
+// guard owns one party's session lifecycle: the cancellable context, the
+// conduits closed when it ends, the session and phase watchdogs, and the
+// abort notification that tells peers why a failing party is leaving. It
+// is the one place cancellation, deadlines and teardown ordering meet, and
+// the only thing that closes a party's conduits:
 //
 //	failure (local error, watchdog, peer abort, caller cancel)
 //	  → notify peers (abort frames, best-effort, bounded by abortGrace)
 //	  → cancel the guard context with the classified cause
-//	  → bound conduits close, unblocking every parked Send/Recv
+//	  → owned conduits close, unblocking every parked Send/Recv
 //	  → demux readers and pipeline stages drain out with the cause
 //
-// A clean session instead calls release, which detaches the conduit
-// watchers without closing anything — conduit ownership stays with the
-// caller, exactly as before the lifecycle hardening.
+// A clean session instead calls release, which detaches the close so
+// nothing closes — conduit ownership stays with the caller, exactly as
+// before the lifecycle hardening.
 type guard struct {
 	name         string
 	phaseTimeout time.Duration
 	ctx          context.Context
 	cancel       context.CancelCauseFunc
+	stopDeadline context.CancelFunc // frees the SessionTimeout timer; nil without one
+	stopClose    func() bool        // detaches closeOwned from ctx
 
 	mu       sync.Mutex
 	phase    string
@@ -80,41 +83,86 @@ type guard struct {
 	failed   bool
 	cause    error // first failure's cause; recorded before peers are notified
 	released bool
-	releases []func()       // wire.Bind releases + context cancels, run on release
-	binds    []wire.Conduit // bound conduits; closed by a release after a failure
+	owned    []wire.Conduit // closed when ctx ends, unless a clean release came first
 }
 
 // newGuard arms a party's lifecycle: the session deadline (if any) starts
 // counting immediately — construction-time handshakes are inside the
-// bound — and the phase watchdog starts in the named phase.
+// bound — and the phase watchdog starts in the named phase. Ending the
+// guard context, by fail's cancel or by the deadline, closes every conduit
+// the guard owns from one AfterFunc: no goroutine waits per conduit.
 func newGuard(name string, cfg Config) *guard {
 	g := &guard{name: name, phaseTimeout: cfg.PhaseTimeout, phase: "handshake"}
 	base := context.Background()
 	if cfg.SessionTimeout > 0 {
-		var cancel context.CancelFunc
-		base, cancel = context.WithDeadlineCause(base, time.Now().Add(cfg.SessionTimeout),
+		base, g.stopDeadline = context.WithDeadlineCause(base, time.Now().Add(cfg.SessionTimeout),
 			fmt.Errorf("%w: %s: session exceeded %v", ErrSessionTimeout, name, cfg.SessionTimeout))
-		g.releases = append(g.releases, cancel)
 	}
 	g.ctx, g.cancel = context.WithCancelCause(base)
+	g.stopClose = context.AfterFunc(g.ctx, g.closeOwned)
 	if cfg.PhaseTimeout > 0 {
 		g.watchdog = time.AfterFunc(cfg.PhaseTimeout, g.tick)
 	}
 	return g
 }
 
-// bind wraps a conduit so that (1) guard cancellation closes it promptly
-// and surfaces the classified cause, and (2) every successful frame in
-// either direction counts as progress for the phase watchdog. It must
-// wrap the raw transport — below any channel protection — so the
-// cancel-close reaches the real blocking call.
+// bind owns a conduit and wraps it so that every successful frame in
+// either direction counts as progress for the phase watchdog, and errors
+// seen once the session ended abnormally carry its classified cause. It
+// must wrap the raw transport — below any channel protection — so the
+// guard's close reaches the real blocking call.
 func (g *guard) bind(c wire.Conduit) wire.Conduit {
-	bc, release := wire.Bind(g.ctx, c)
+	g.own(c)
+	return &guardedConduit{inner: c, g: g}
+}
+
+// own registers c to be closed when the guard context ends, which
+// unblocks every Send and Recv parked on it; a conduit owned after that
+// is closed at once. Resumable links are owned, not bound: the raw
+// transports beneath them are bound already, and a parked Reconn sees
+// neither their close nor the guard's end.
+func (g *guard) own(c wire.Conduit) {
 	g.mu.Lock()
-	g.releases = append(g.releases, release)
-	g.binds = append(g.binds, c)
+	// ctx ends before closeOwned runs, and closeOwned reads the list under
+	// mu, so whatever is appended while ctx is live gets closed.
+	live := g.ctx.Err() == nil
+	if live {
+		g.owned = append(g.owned, c)
+	}
 	g.mu.Unlock()
-	return &guardedConduit{inner: bc, g: g}
+	if !live {
+		c.Close()
+	}
+}
+
+// closeOwned closes the owned conduits, newest first: a resumable link
+// closes before the transport under it, so the close ends the link
+// instead of parking it as a sever.
+func (g *guard) closeOwned() {
+	g.mu.Lock()
+	owned := g.owned
+	g.mu.Unlock()
+	for i := len(owned) - 1; i >= 0; i-- {
+		owned[i].Close()
+	}
+}
+
+// ended reports the classified cause of a session that ended abnormally:
+// the failure's cause, or the deadline's when it fired without one. It is
+// nil while the session is live and after a clean release.
+func (g *guard) ended() error {
+	if g.ctx.Err() == nil {
+		return nil
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	switch {
+	case g.failed:
+		return g.cause
+	case g.released:
+		return nil
+	}
+	return context.Cause(g.ctx)
 }
 
 type guardedConduit struct {
@@ -122,9 +170,22 @@ type guardedConduit struct {
 	g     *guard
 }
 
+// endedErr maps a transport error seen after an abnormal end to the
+// session's cause: the error is almost always the ErrClosed of the
+// guard's own close, and the cause is why that close happened.
+func (c *guardedConduit) endedErr(err error) error {
+	if cause := c.g.ended(); cause != nil {
+		return fmt.Errorf("party: %s: conduit closed by session end: %w", c.g.name, cause)
+	}
+	return err
+}
+
 func (c *guardedConduit) Send(frame []byte) error {
+	if c.g.ended() != nil {
+		return c.endedErr(wire.ErrClosed)
+	}
 	if err := c.inner.Send(frame); err != nil {
-		return err
+		return c.endedErr(err)
 	}
 	c.g.touch()
 	return nil
@@ -133,7 +194,7 @@ func (c *guardedConduit) Send(frame []byte) error {
 func (c *guardedConduit) Recv() ([]byte, error) {
 	f, err := c.inner.Recv()
 	if err != nil {
-		return nil, err
+		return nil, c.endedErr(err)
 	}
 	c.g.touch()
 	return f, nil
@@ -262,11 +323,10 @@ func (g *guard) fail(cause error) {
 }
 
 // release ends the guard's watch after a clean session: the watchdog
-// stops, the conduit watchers detach WITHOUT closing (ownership returns
-// to the caller), and the context is cancelled only to free its timer.
-// The binding releases run before the cancel, which is what guarantees
-// the watchers see the release first. Idempotent; a release after fail
-// only detaches what the failure has not already torn down.
+// stops, the close detaches WITHOUT running (ownership returns to the
+// caller), and the context is cancelled only to free its timer. The
+// detach comes before the cancel, which is what keeps the cancel from
+// closing anything. Idempotent.
 func (g *guard) release() {
 	g.mu.Lock()
 	if g.released {
@@ -277,44 +337,33 @@ func (g *guard) release() {
 	if g.watchdog != nil {
 		g.watchdog.Stop()
 	}
-	releases := g.releases
-	g.releases = nil
 	failed := g.failed
-	binds := g.binds
-	g.binds = nil
 	g.mu.Unlock()
 	if failed {
 		// A release after a failure is teardown, not a clean handover: the
-		// run goroutine can unwind during fail's notify grace, and detaching
-		// the watchers then would leave fail's cancel with nothing to close —
-		// abort senders parked in a downed resumable lane would never
-		// unblock. Close the bound conduits synchronously instead.
-		for _, c := range binds {
-			c.Close()
-		}
-	}
-	for _, r := range releases {
-		r()
+		// run goroutine can unwind during fail's notify grace, before fail's
+		// cancel. Close synchronously, so abort senders parked in a downed
+		// resumable lane unblock before the Run returns.
+		g.closeOwned()
+	} else {
+		g.stopClose()
 	}
 	g.cancel(errSessionDone)
+	if g.stopDeadline != nil {
+		g.stopDeadline()
+	}
 }
 
 // watchCaller links the caller's context into the session for the
 // duration of a Run: caller cancellation becomes a classified abort. The
-// returned stop function detaches the watcher.
-func (g *guard) watchCaller(ctx context.Context) func() {
-	if ctx == nil || ctx.Done() == nil {
-		return func() {}
+// returned stop function detaches it.
+func (g *guard) watchCaller(ctx context.Context) func() bool {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	stopped := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			g.fail(fmt.Errorf("%w: %s: caller cancelled: %v", ErrAborted, g.name, context.Cause(ctx)))
-		case <-stopped:
-		}
-	}()
-	return func() { close(stopped) }
+	return context.AfterFunc(ctx, func() {
+		g.fail(fmt.Errorf("%w: %s: caller cancelled: %v", ErrAborted, g.name, context.Cause(ctx)))
+	})
 }
 
 // abort is the error epilogue of a Run: ensure the failure went through

@@ -240,14 +240,14 @@ func TestTCPSessionOverJitteryLinkMatchesInMemory(t *testing.T) {
 	for i, a := range holders {
 		for _, b := range holders[i+1:] {
 			ca, cb := tcpLink(t)
-			holderConduits[a][b] = wire.TCP(ca)
-			holderConduits[b][a] = wire.TCP(cb)
+			holderConduits[a][b] = wire.TCPPooled(ca)
+			holderConduits[b][a] = wire.TCPPooled(cb)
 		}
 		ch, ct := tcpLink(t)
-		holderConduits[a][TPName] = wire.TCP(ch)
+		holderConduits[a][TPName] = wire.TCPPooled(ch)
 		// The TP receives each holder stream through an independent
 		// jittery link, the deployment the pipeline exists for.
-		tpConduits[a] = wire.Latency(wire.TCP(ct), time.Millisecond, time.Millisecond, uint64(i+1))
+		tpConduits[a] = wire.Latency(wire.TCPPooled(ct), time.Millisecond, time.Millisecond, uint64(i+1))
 	}
 
 	var wg sync.WaitGroup

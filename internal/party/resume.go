@@ -213,9 +213,9 @@ func (h *Holder) resumable() bool {
 	return h.cfg.ResumeWindow > 0 && h.cfg.Redial != nil
 }
 
-// armResume wraps one secured TP lane in a Reconn and returns the guarded
-// conduit the endpoint reads: a sever parks the lane and redials through
-// Config.Redial, carrying the lane's watermarks, and secures the
+// armResume wraps one secured TP lane in a Reconn, owned by the guard, and
+// returns it for the endpoint to read: a sever parks the lane and redials
+// through Config.Redial, carrying the lane's watermarks, and secures the
 // replacement under the epoch key.
 func (h *Holder) armResume(secured wire.Conduit, peer string, lane int) wire.Conduit {
 	rc := wire.NewReconn(secured, h.cfg.ResumeWindow)
@@ -232,7 +232,8 @@ func (h *Holder) armResume(secured wire.Conduit, peer string, lane int) wire.Con
 		}
 		return secured, grant.Recv, nil
 	})
-	return h.guard.bind(rc)
+	h.guard.own(rc)
+	return rc
 }
 
 // resumeSecure layers the holder's lifecycle binding and epoch-keyed
@@ -276,7 +277,8 @@ func (tp *ThirdParty) armResume(secured wire.Conduit, holder string, lane int) w
 	tp.resumeLanes[laneKey{holder, lane}] = &resumeLane{holder: holder, lane: lane, rc: rc}
 	down, up := tp.cfg.conduitHooks(holder, lane)
 	tp.guard.keepUp(rc, laneConduitName(lane)+" lane to "+holder, down, up, nil)
-	return tp.guard.bind(rc)
+	tp.guard.own(rc)
+	return rc
 }
 
 // Resumable reports whether this third party arms reconnect windows on

@@ -175,11 +175,12 @@ func (tp *ThirdParty) dialShard(s int) (*shardLink, error) {
 				secured, err := tp.shardConnect(s, epoch)
 				return secured, 0, err
 			})
-		// Bound like a holder's resumable lane (armResume): operations
+		// Owned like a holder's resumable lane (armResume): operations
 		// parked in a down Reconn see neither the inner conduit's close nor
-		// the guard's cancellation, so without this a session that fails
-		// while the link is down sits out the rest of the window.
-		link.ep = wire.NewEndpoint(tp.guard.bind(rc))
+		// the guard's end, so without this a session that fails while the
+		// link is down sits out the rest of the window.
+		tp.guard.own(rc)
+		link.ep = wire.NewEndpoint(rc)
 	} else {
 		link.ep = wire.NewEndpoint(secured)
 	}

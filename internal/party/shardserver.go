@@ -441,33 +441,11 @@ func (r *shardRun) run(offer shardOfferBody) error {
 		}
 	}()
 
-	// Per-holder feeders restore the concurrency structure the relay
-	// serialized away: in-process, each holder pushes its stream from its
-	// own goroutine, so one holder's backpressure (a full attribute
-	// mailbox) never stalls another holder's frames. The relayed frames
-	// all arrive on one link, so the receive loop below must never block
-	// on a pipe — each holder's frames go through a channel sized for the
-	// holder's entire quota (never more frames than that exist) and a
-	// feeder goroutine absorbs the pipe backpressure per holder.
-	feedWg := sync.WaitGroup{}
-	queues := make([]chan []byte, len(offer.Holders))
-	for hi := range offer.Holders {
-		if quotas[hi] == 0 {
-			continue
-		}
-		queues[hi] = make(chan []byte, quotas[hi])
-		feedWg.Add(1)
-		go func(hi int) {
-			defer feedWg.Done()
-			for frame := range queues[hi] {
-				if err := feeds[hi].Send(frame); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}(hi)
-	}
-
+	// The relayed frames all arrive on one link, so the receive loop must
+	// never block on one holder's pipe while another holder's demux waits
+	// for frames. It does not: a pipe queue is unbounded, so Send never
+	// blocks, and the lane quota bounds how much a coordinator can make
+	// the worker hold.
 	frames := 0
 	fed := make([]int, len(offer.Holders))
 	clean := false
@@ -495,7 +473,9 @@ loop:
 				break loop
 			}
 			fed[m.Attr]++
-			queues[m.Attr] <- body.Frame
+			if err := feeds[m.Attr].Send(body.Frame); err != nil {
+				fail(err)
+			}
 			frames++
 			if hook := s.cfg.OnFrame; hook != nil {
 				hook(r.key.session, r.key.shard, frames)
@@ -512,13 +492,7 @@ loop:
 		}
 	}
 	close(hbStop)
-	for _, q := range queues {
-		if q != nil {
-			close(q)
-		}
-	}
 	stopAll()
-	feedWg.Wait()
 	<-computeDone
 	hbWg.Wait()
 	if clean {

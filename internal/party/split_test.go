@@ -381,11 +381,11 @@ func TestPerPairSplitOverSmallTCPBuffers(t *testing.T) {
 		if parked != nil {
 			conn := parked
 			parked = nil
-			return wire.TCP(conn)
+			return wire.TCPPooled(conn)
 		}
 		a, b := tcpLink(t)
 		parked = small(b)
-		return wire.TCP(small(a))
+		return wire.TCPPooled(small(a))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -168,56 +167,6 @@ func TestChaosFaultTransientAndRetry(t *testing.T) {
 	}
 	if got, err := b2.Recv(); err != nil || string(got) != "retried" {
 		t.Fatalf("retried frame: %q %v", got, err)
-	}
-}
-
-// TestChaosBindCancelUnblocksRecv: cancelling the bound context closes the
-// conduit, unparks a blocked Recv and surfaces the cancellation cause.
-func TestChaosBindCancelUnblocksRecv(t *testing.T) {
-	leakcheck.Check(t)
-	a, b := Pipe()
-	defer b.Close()
-	cause := errors.New("scripted failure")
-	ctx, cancel := context.WithCancelCause(context.Background())
-	bound, release := Bind(ctx, a)
-	defer release()
-	done := make(chan error, 1)
-	go func() {
-		_, err := bound.Recv()
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel(cause)
-	select {
-	case err := <-done:
-		if !errors.Is(err, cause) {
-			t.Fatalf("want cancellation cause, got %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancel did not unblock Recv")
-	}
-	if err := bound.Send([]byte("late")); !errors.Is(err, cause) {
-		t.Fatalf("post-cancel send want cause, got %v", err)
-	}
-}
-
-// TestChaosBindReleaseDetaches: after release the conduit stays usable and
-// a later context cancellation no longer closes it.
-func TestChaosBindReleaseDetaches(t *testing.T) {
-	leakcheck.Check(t)
-	a, b := Pipe()
-	defer a.Close()
-	defer b.Close()
-	ctx, cancel := context.WithCancelCause(context.Background())
-	bound, release := Bind(ctx, a)
-	release()
-	cancel(errors.New("too late"))
-	time.Sleep(20 * time.Millisecond) // give a buggy watcher time to close
-	if err := bound.Send([]byte("still alive")); err != nil {
-		t.Fatalf("send after release+cancel: %v", err)
-	}
-	if got, err := b.Recv(); err != nil || string(got) != "still alive" {
-		t.Fatalf("frame after release+cancel: %q %v", got, err)
 	}
 }
 

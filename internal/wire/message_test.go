@@ -113,7 +113,7 @@ func TestEndpointRecvOwnsPayload(t *testing.T) {
 	ca, cb := net.Pipe()
 	defer ca.Close()
 	defer cb.Close()
-	sender, receiver := NewEndpoint(TCP(ca)), NewEndpoint(TCPPooled(cb))
+	sender, receiver := NewEndpoint(TCPPooled(ca)), NewEndpoint(TCPPooled(cb))
 	go func() {
 		sender.SendBody(Message{Kind: "fixed"}, fixedBody{raw: []byte("first frame")})
 		sender.SendBody(Message{Kind: "fixed"}, fixedBody{raw: []byte("other bytes")})

@@ -28,7 +28,7 @@ var ErrReconnectExpired = errors.New("wire: reconnect window expired")
 // same order as on a fault-free run.
 //
 // Failures that are not ErrClosed — an AES-GCM authentication failure from
-// a Secure layer below, a cancellation cause injected by Bind — are
+// a Secure layer below, a session's cancellation cause — are
 // treated as terminal immediately: they mean the channel is compromised or
 // the session is over, not that the transport flapped.
 //

@@ -10,29 +10,23 @@ import (
 	"syscall"
 )
 
-// TCP adapts a net.Conn into a Conduit using 4-byte big-endian length
-// framing. The caller owns connection establishment (Dial/Accept); see
-// cmd/ppc-tp and cmd/ppc-holder for the deployment wiring.
-func TCP(c net.Conn) Conduit {
-	return &tcpConduit{conn: c}
-}
-
-// TCPPooled is TCP with a recycled receive buffer: Recv reads each frame
-// into a conduit-owned buffer that is reused (and grown as needed) across
-// calls, so a long stream of bounded frames — the row-chunked local-matrix
-// path — performs zero per-frame receive allocations. The returned frame is
-// valid only until the next Recv on the conduit; use it when the consumer
-// is done with each frame before asking for the next — Secure, which opens
-// every frame into a buffer of its own, or an Endpoint, which copies the
-// payload out — and plain TCP when frames are retained.
+// TCPPooled adapts a net.Conn into a Conduit using 4-byte big-endian length
+// framing, with a recycled receive buffer: Recv reads each frame into a
+// conduit-owned buffer that is reused (and grown as needed) across calls,
+// so a long stream of bounded frames — the row-chunked local-matrix path —
+// performs zero per-frame receive allocations. The returned frame is valid
+// only until the next Recv on the conduit: the conduit does not vouch for
+// it (RecvOwned), so Secure opens it into a buffer of its own and an
+// Endpoint copies the payload out. The caller owns connection
+// establishment (Dial/Accept); see cmd/ppc-tp and cmd/ppc-holder for the
+// deployment wiring.
 func TCPPooled(c net.Conn) Conduit {
-	return &tcpConduit{conn: c, pooled: true}
+	return &tcpConduit{conn: c}
 }
 
 type tcpConduit struct {
 	conn    net.Conn
-	pooled  bool
-	recvBuf []byte // pooled mode only; guarded by recvMu
+	recvBuf []byte // guarded by recvMu
 	sendMu  sync.Mutex
 	recvMu  sync.Mutex
 	closeMu sync.Mutex
@@ -75,17 +69,12 @@ func (t *tcpConduit) Recv() ([]byte, error) {
 		return nil, fmt.Errorf("wire: incoming frame of %d bytes exceeds MaxFrame", n32)
 	}
 	n := int(n32)
-	var frame []byte
-	if t.pooled {
-		// Reuse the conduit buffer; drop it back to a fresh right-sized one
-		// when a single oversized frame would otherwise stay parked.
-		if cap(t.recvBuf) < n || (cap(t.recvBuf) > maxRetainedBuf && n <= maxRetainedBuf) {
-			t.recvBuf = make([]byte, n)
-		}
-		frame = t.recvBuf[:n]
-	} else {
-		frame = make([]byte, n)
+	// Reuse the conduit buffer; drop it back to a fresh right-sized one
+	// when a single oversized frame would otherwise stay parked.
+	if cap(t.recvBuf) < n || (cap(t.recvBuf) > maxRetainedBuf && n <= maxRetainedBuf) {
+		t.recvBuf = make([]byte, n)
 	}
+	frame := t.recvBuf[:n]
 	if _, err := io.ReadFull(t.conn, frame); err != nil {
 		return nil, t.recvErr("body", err)
 	}

@@ -30,7 +30,7 @@ func tcpPair(t *testing.T) (server Conduit, client net.Conn) {
 	}
 	srv := <-accepted
 	t.Cleanup(func() { conn.Close(); srv.Close() })
-	return TCP(srv), conn
+	return TCPPooled(srv), conn
 }
 
 // TestTCPTruncatedFrameIsErrClosed: a peer that dies mid-frame (header
@@ -98,7 +98,7 @@ func TestTCPLocalCloseRace(t *testing.T) {
 // sizes (including empty) survive the header+body Buffers write intact.
 func TestTCPVectoredFrameRoundTrip(t *testing.T) {
 	server, client := tcpPair(t)
-	c := TCP(client)
+	c := TCPPooled(client)
 	sizes := []int{0, 1, 5, 4096, 100_000}
 	go func() {
 		for _, n := range sizes {

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -312,7 +311,7 @@ func TestTCPConduit(t *testing.T) {
 			done <- err
 			return
 		}
-		c := TCP(conn)
+		c := TCPPooled(conn)
 		defer c.Close()
 		f, err := c.Recv()
 		if err != nil {
@@ -326,7 +325,7 @@ func TestTCPConduit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := TCP(conn)
+	c := TCPPooled(conn)
 	defer c.Close()
 	if err := c.Send([]byte("over tcp")); err != nil {
 		t.Fatal(err)
@@ -362,7 +361,7 @@ func TestTCPCloseYieldsErrClosed(t *testing.T) {
 	}
 	server := <-accepted
 	server.Close()
-	c := TCP(conn)
+	c := TCPPooled(conn)
 	if _, err := c.Recv(); err != ErrClosed {
 		t.Fatalf("want ErrClosed after peer close, got %v", err)
 	}
@@ -385,7 +384,7 @@ func TestTCPSecureStack(t *testing.T) {
 			done <- err
 			return
 		}
-		sc, err := Secure(TCP(conn), key, false)
+		sc, err := Secure(TCPPooled(conn), key, false)
 		if err != nil {
 			done <- err
 			return
@@ -405,7 +404,7 @@ func TestTCPSecureStack(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ctr Counter
-	sc, err := Secure(Meter(TCP(conn), &ctr), key, true)
+	sc, err := Secure(Meter(TCPPooled(conn), &ctr), key, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +441,7 @@ func TestSendOversizeFrameRejected(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		c := TCP(conn)
+		c := TCPPooled(conn)
 		f, err := c.Recv()
 		if err != nil {
 			return
@@ -453,7 +452,7 @@ func TestSendOversizeFrameRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := TCP(conn)
+	c := TCPPooled(conn)
 	defer c.Close()
 	if err := c.Send(make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversize frame: want ErrFrameTooLarge, got %v", err)
@@ -528,7 +527,7 @@ func TestTCPPooledRecvReusesBuffer(t *testing.T) {
 	defer conn.Close()
 	defer srv.Close()
 
-	sender, receiver := TCP(conn), TCPPooled(srv)
+	sender, receiver := TCPPooled(conn), TCPPooled(srv)
 	go func() {
 		sender.Send([]byte("first frame"))
 		sender.Send([]byte("other bytes"))
@@ -691,13 +690,10 @@ func TestSecureOpensInPlaceOnlyWhenVouched(t *testing.T) {
 	key[7] = 27
 	msg := &Message{From: "A", To: "TP", Kind: "test/kind", Attr: 3, Payload: bytes.Repeat([]byte("cells "), 100)}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	for name, decorate := range map[string]func(Conduit) Conduit{
 		"bare pipe": func(c Conduit) Conduit { return c },
-		"meter+bind+link+reconn": func(c Conduit) Conduit {
-			bound, _ := Bind(ctx, Link(c, 0, 0, 0, 1))
-			return NewReconn(Meter(Latency(bound, 0, 0, 1), &Counter{}), time.Second)
+		"meter+link+reconn": func(c Conduit) Conduit {
+			return NewReconn(Meter(Latency(Link(c, 0, 0, 0, 1), 0, 0, 1), &Counter{}), time.Second)
 		},
 	} {
 		a, b := Pipe()
@@ -782,7 +778,7 @@ func TestSecureOpensInPlaceOnlyWhenVouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if err := TCP(conn).Send(sealed[0]); err != nil {
+	if err := TCPPooled(conn).Send(sealed[0]); err != nil {
 		t.Fatal(err)
 	}
 	pooled := TCPPooled(srv)
