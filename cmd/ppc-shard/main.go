@@ -1,7 +1,7 @@
 // ppc-shard runs one external TP shard worker: a long-lived TCP server
 // that accepts version-4 shard-registration hellos from session
 // coordinators (ppc-tp started with -shard-addrs) and executes one
-// shard's stage pipeline per registered session. Workers hold no state
+// shard's lane readers per registered session. Workers hold no state
 // between registrations — a coordinator heals a crashed worker by
 // redialing its address and replaying the shard stream, and the restarted
 // process recomputes the slice — so deployment is one ppc-shard per

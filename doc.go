@@ -71,27 +71,27 @@
 //
 // The third party "serves as a means of computation power and storage
 // space" (paper Section 3); on real links its session work is dominated
-// by waiting for holder traffic. Its session engine therefore runs as a
-// bounded pipeline. Each holder streams its attributes independently —
-// for every attribute, in schema order: the local dissimilarity matrix,
-// then that attribute's protocol messages — and at the third party one
-// reader goroutine per holder demultiplexes the stream into bounded
-// per-attribute mailboxes:
+// by waiting for holder traffic. Its session engine therefore reads every
+// holder lane as it arrives. Each holder streams its attributes one after
+// another — for every attribute, in schema order: the local dissimilarity
+// matrix, then that attribute's protocol messages — and at the third party
+// one reader goroutine per holder lane walks that same order, installing
+// each frame as it reads it:
 //
-//	holder A ──recv──▶ demux A ─┐  lane 0   ┌─ stage: receive → assemble → normalize ─▶ matrix 0
-//	holder B ──recv──▶ demux B ─┼─ lane 1 ─▶┤  (pool of ≤4 stage goroutines, capped by
-//	holder C ──recv──▶ demux C ─┘  lane …   └─  Parallelism, one pooled engine each)  ─▶ matrix …
+//	holder A ──recv──▶ reader A ─┐
+//	holder B ──recv──▶ reader B ─┼─▶ install each frame ─▶ last reader through attr i ─▶ normalize ─▶ matrix i
+//	holder C ──recv──▶ reader C ─┘   as it is read          finishes it
 //
-// A pool of stage goroutines pulls whole attributes through receive →
-// assemble → normalize, so attribute i's matrix completes while attribute
+// No lane waits for another, compute tokens (one per unit of Parallelism)
+// bound how many readers evaluate at once, and the last reader through an
+// attribute finishes it, so attribute i's matrix completes while attribute
 // i+1 is still on the wire, and clustering starts the moment the last
-// matrix lands. The mailboxes are bounded, so a fast sender can run only
-// a fixed distance ahead of assembly.
+// matrix lands.
 //
 // Overlap also exists within an attribute: every partition-sized payload
 // streams as a sequence of bounded row-range chunk frames
 // (Options.StreamChunkBytes, 256 KiB by default) rather than one
-// monolithic body, and the receiving stage consumes every row range the
+// monolithic body, and the lane's reader consumes every row range the
 // moment it arrives,
 //
 //	local triangle ──▶ chunk [rows 0,512) ─▶ … ─▶ masked S matrix ─▶ chunk [0,256) ─▶ …
@@ -110,15 +110,15 @@
 // chunk i, and — because no session message grows with the partition —
 // session size is bounded by memory instead of the transport's 256 MiB
 // frame limit. Both sides derive the identical chunk schedules from the
-// shared configuration, so the receiver knows every lane's frame quota up
-// front. Ordering guarantees are unchanged: every lane preserves its
-// holder's send order, stages consume holders in session order and pairs
-// in the fixed (J, K) enumeration, every stage writes only its own
-// attribute's slot, and all protocol randomness is seeded per (attribute,
-// pair) — so the published report is bit-identical to the phase-serial
-// reference path (and to the centralized baseline) at any worker count,
-// chunk size or pipeline schedule; tie-breaks never depend on arrival
-// timing. Overlap pays off whenever link time per attribute is comparable
+// shared configuration, so the receiver checks every frame's kind,
+// attribute and row range against the schedule as it reads it. Ordering
+// guarantees are unchanged: every lane is read in its holder's send order,
+// pairs in the fixed (J, K) enumeration, every cell is written once by the
+// reader of the lane that carries it, and all protocol randomness is seeded
+// per (attribute, pair) — so the published report is bit-identical to the
+// phase-serial reference path (and to the centralized baseline) at any
+// worker count, chunk size or arrival order; tie-breaks never depend on
+// arrival timing. Overlap pays off whenever link time per attribute is comparable
 // to assembly compute — WAN links, many attributes, or large payloads; on
 // loss-free in-memory conduits it is simply neutral. The phase-serial
 // path survives as internal/party's test oracle (it reassembles the chunk
@@ -156,11 +156,11 @@
 //
 // # Documentation map
 //
-// The systems-level architecture — session stage pipeline, determinism
+// The systems-level architecture — session pipeline, determinism
 // guarantees, where every knob bites — is documented in
 // docs/ARCHITECTURE.md, and the wire protocol — frame layout, MaxFrame
-// semantics, the no-retain Conduit.Send contract, AES-GCM sealing, demux
-// lane quotas and the chunk-frame schemas — in docs/WIRE.md. The
+// semantics, the no-retain Conduit.Send contract, AES-GCM sealing, lane
+// order and frame counts, and the chunk-frame schemas — in docs/WIRE.md. The
 // examples/quickstart and examples/tcp READMEs walk through the
 // streaming knobs with expected output.
 //

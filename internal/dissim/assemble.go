@@ -32,7 +32,7 @@ import (
 // cut the block at a responder row, as two: the rows below the cut and the
 // rows from it on. A source with no rows in range installs nothing. Chunks
 // must arrive in ascending row order per source (the order every chunk
-// schedule emits and the per-conduit demux preserves), each row exactly
+// schedule emits and a lane reader preserves), each row exactly
 // once; overlaps, gaps, re-installs and out-of-range rows are rejected.
 //
 // Installs into distinct sources may run concurrently — their rows are

@@ -292,8 +292,8 @@ func RectChunksRange(lo, hi, cols, maxCells int) [][2]int {
 }
 
 // RectChunkCountRange returns len(RectChunksRange(lo, hi, cols, maxCells))
-// without materializing the schedule. The demux lane quotas need only the
-// frame count per pair, and computing it arithmetically keeps quota setup
+// without materializing the schedule. The lane frame counts need only the
+// frame count per pair, and computing it arithmetically keeps counting
 // allocation-free even at one-row chunk schedules.
 func RectChunkCountRange(lo, hi, cols, maxCells int) int {
 	if lo < 0 {
@@ -307,7 +307,7 @@ func RectChunkCountRange(lo, hi, cols, maxCells int) int {
 }
 
 // rectRowsPerChunk is the rows-per-chunk derivation RectChunksRange and
-// RectChunkCountRange must share: the quota a receiver computes from the
+// RectChunkCountRange must share: the frame count a relay computes from the
 // count and the schedule a sender walks diverging would stall the session,
 // so there is exactly one copy of the arithmetic. Always at least 1.
 func rectRowsPerChunk(rows, cols, maxCells int) int {

@@ -1,6 +1,6 @@
 // Package leakcheck verifies that a test leaves no goroutines behind — the
 // reusable assertion the session-lifecycle chaos sweeps are built on: every
-// fault-injected session must unwind its demux readers, stage pools, link
+// fault-injected session must unwind its lane readers, relay pumps, link
 // pumps and conduit watchers, not just return an error.
 package leakcheck
 

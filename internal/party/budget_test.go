@@ -19,9 +19,7 @@ func TestEstimateSessionBytesFormula(t *testing.T) {
 	triangle := int64(8 * n * (n - 1) / 2)
 	chunk := int64(1 << 10)
 	nAttr := int64(len(cfg.Schema.Attrs))
-	want := (nAttr+1)*triangle +
-		int64(holders)*(nAttr+1)*laneBuffer*chunk +
-		pipelineDepth*2*holders*chunk
+	want := (nAttr+1)*triangle + readerChunks*holders*chunk
 	if got := cfg.EstimateSessionBytes(holders, n, 1); got != want {
 		t.Fatalf("EstimateSessionBytes = %d, want %d", got, want)
 	}

@@ -6,10 +6,15 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"ppclust/internal/dataset"
+	"ppclust/internal/dissim"
 	"ppclust/internal/leakcheck"
+	"ppclust/internal/protocol"
+	"ppclust/internal/rng"
 	"ppclust/internal/wire"
 )
 
@@ -236,9 +241,9 @@ func (c *abortInjectingConduit) Send(frame []byte) error {
 
 // TestChaosLateChunksAfterAbort covers the post-abort wire tail: chunk
 // frames that arrive after an abort frame terminated the stream must
-// surface the peer's classified reason — never a send-on-closed-channel
-// panic in the demux, never a misrouting error — and the late frames are
-// simply never consumed. Runs under -race in CI.
+// surface the peer's classified reason — never a kind-mismatch or schedule
+// error — and the late frames are simply never consumed. Runs under -race
+// in CI.
 func TestChaosLateChunksAfterAbort(t *testing.T) {
 	leakcheck.Check(t)
 	cfg := chaosConfig()
@@ -289,8 +294,8 @@ func (c *chunkDuplicatingConduit) Send(frame []byte) error {
 
 // TestChaosDuplicateLocalChunkFrame: a duplicated chunk frame in the
 // local-matrix stream is a protocol violation the third party must turn
-// into a descriptive error — over-quota on the demux lane or a chunk
-// outside the agreed schedule — never a panic, never a hang.
+// into a descriptive error — the lane reader finds a chunk outside the
+// agreed schedule — never a panic, never a hang.
 func TestChaosDuplicateLocalChunkFrame(t *testing.T) {
 	leakcheck.Check(t)
 	cfg := chaosConfig()
@@ -306,7 +311,108 @@ func TestChaosDuplicateLocalChunkFrame(t *testing.T) {
 	if err == nil {
 		t.Fatal("duplicated chunk frame was accepted")
 	}
-	if !strings.Contains(err.Error(), "quota") && !strings.Contains(err.Error(), "chunk") {
+	if !strings.Contains(err.Error(), "schedule") && !strings.Contains(err.Error(), "chunk") {
 		t.Fatalf("duplicate chunk error not descriptive: %v", err)
 	}
+}
+
+// gatedConduit parks its first Recv until release closes, after telling
+// entered it has begun, and counts every Recv.
+type gatedConduit struct {
+	wire.Conduit
+	entered, release chan struct{}
+	recvs            atomic.Int32
+}
+
+func (c *gatedConduit) Recv() ([]byte, error) {
+	if c.recvs.Add(1) == 1 {
+		close(c.entered)
+		<-c.release
+	}
+	return c.Conduit.Recv()
+}
+
+// failingConduit fails its first Recv once ready closes.
+type failingConduit struct {
+	wire.Conduit
+	ready <-chan struct{}
+	err   error
+}
+
+func (c *failingConduit) Recv() ([]byte, error) {
+	<-c.ready
+	return nil, c.err
+}
+
+// TestChaosLaneFailureStopsSiblingReaders: the first lane error returns at
+// once, and the other lanes' readers stop before their next frame — even
+// with frames still queued for them in an in-memory pipe, and even for a
+// frame one of them was already receiving when the failure came: it is
+// dropped, not installed.
+func TestChaosLaneFailureStopsSiblingReaders(t *testing.T) {
+	cfg, err := Config{Schema: dataset.Schema{Attrs: []dataset.Attribute{{Name: "x", Type: dataset.Numeric}}},
+		LocalChunkBytes: 64}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	holders, counts := []string{"A", "B"}, []int{8, 8}
+	seeds := [][]rng.Seed{make([]rng.Seed, 1)}
+	core := newShardCore(cfg, holders, counts, 1, protocol.NewEnginePool(1), seeds, seeds)
+	asm, err := dissim.NewSliceAssembler(counts, 0, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.splitBlocks(asm, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	// A's lane holds its whole local-matrix stream, queued before any read.
+	in, out := wire.Pipe()
+	sender := wire.NewEndpoint(in)
+	chunks := cfg.localChunksRange(0, counts[0])
+	if len(chunks) < 3 {
+		t.Fatalf("A's stream has %d frames; the test needs a few", len(chunks))
+	}
+	cellsOf := func(ch [2]int) []float64 { return make([]float64, ch[1]*(ch[1]-1)/2-ch[0]*(ch[0]-1)/2) }
+	for _, ch := range chunks {
+		msg := wire.Message{From: "A", To: TPName, Kind: kindLocal, Attr: 0}
+		if err := sender.SendBody(msg, localBody{N: counts[0], Lo: ch[0], Hi: ch[1], Cells: cellsOf(ch)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in.Close()
+	a := &gatedConduit{Conduit: out, entered: make(chan struct{}), release: make(chan struct{})}
+	t.Cleanup(func() { // runs once leakcheck has seen every reader exit
+		if got := a.recvs.Load(); got != 1 {
+			t.Errorf("A's reader received %d frames after B's lane failed, want only the one in flight", got)
+		}
+		left := 0
+		for {
+			if _, err := out.Recv(); err != nil {
+				break
+			}
+			left++
+		}
+		if left != len(chunks)-1 {
+			t.Errorf("%d of A's %d frames left in the pipe, want %d", left, len(chunks), len(chunks)-1)
+		}
+		if err := asm.SetLocalRows(0, chunks[0][0], chunks[0][1], cellsOf(chunks[0])); err != nil {
+			t.Errorf("A's first chunk was installed after B's lane failed: %v", err)
+		}
+	})
+	leakcheck.Check(t)
+
+	// B's lane fails once A's reader is inside its first receive.
+	severed := errors.New("lane B severed")
+	b := &failingConduit{ready: a.entered, err: severed}
+	g := &laneGroup{
+		eps:    []*wire.Endpoint{wire.NewEndpoint(a), wire.NewEndpoint(b)},
+		attrs:  []int{0},
+		asms:   []*dissim.SliceAssembler{asm},
+		finish: func(int) error { return errors.New("an attribute finished") },
+	}
+	if err := core.readLanes(context.Background(), g); !errors.Is(err, severed) {
+		t.Fatalf("readLanes returned %v, want B's lane error", err)
+	}
+	close(a.release)
 }

@@ -508,8 +508,8 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 // TestPooledTCPPlaintextSessionBitIdentical is the frame-ownership
 // regression: with plaintext channels nothing stands between the session
 // endpoints and wire.TCPPooled's recycled receive buffer, and a one-row
-// chunk budget queues many frames per demux lane — each parked across
-// the Recvs that overwrite that buffer. The report must still be
+// chunk budget sends many frames per lane, and the third party keeps each
+// holder's tag frame across the Recvs that overwrite that buffer. The report must still be
 // bit-identical to the in-memory session's.
 func TestPooledTCPPlaintextSessionBitIdentical(t *testing.T) {
 	parts := pairCapParts(t, 24, 24)

@@ -60,7 +60,7 @@ const abortReasonLimit = 512
 //	  → notify peers (abort frames, best-effort, bounded by abortGrace)
 //	  → cancel the guard context with the classified cause
 //	  → owned conduits close, unblocking every parked Send/Recv
-//	  → demux readers and pipeline stages drain out with the cause
+//	  → lane readers and relay pumps drain out with the cause
 //
 // A clean session instead calls release, which detaches the close so
 // nothing closes — conduit ownership stays with the caller, exactly as
@@ -451,9 +451,8 @@ func peerAbortError(m *wire.Message) error {
 // expectMsg is Endpoint.Expect plus abort interception: an abort frame
 // arriving where any protocol message is awaited terminates the wait with
 // the peer's classified reason instead of a kind-mismatch error. Every
-// direct endpoint read in the session goes through it; the pipelined
-// third party intercepts in its demux classifier instead, before frames
-// reach a lane.
+// direct endpoint read in the session goes through it, and so does the
+// third party's lane reader (expectBody).
 func expectMsg(ep *wire.Endpoint, kind wire.Kind, body any) (*wire.Message, error) {
 	m, err := ep.Recv()
 	if err != nil {

@@ -243,10 +243,11 @@ func TestPairChunkStreamTampering(t *testing.T) {
 	}
 }
 
-// TestPairChunkQuotaEnforced: an S/M chunk frame beyond the schedule's
-// frame count trips the demux lane quota — the receive-side guard that a
-// flooding responder cannot grow a lane's mailbox unboundedly.
-func TestPairChunkQuotaEnforced(t *testing.T) {
+// TestPairChunkScheduleEnforced: an S/M chunk frame beyond the schedule's
+// frame count is refused by the third party's lane reader — where the
+// schedule wants the next chunk, the repeated one covers the wrong rows —
+// so a flooding responder cannot make it install or hold extra frames.
+func TestPairChunkScheduleEnforced(t *testing.T) {
 	parts := pairCapParts(t, 10, 10)
 	extra := func(owner, peer string, c wire.Conduit) wire.Conduit {
 		return &extraChunkConduit{Conduit: c, owner: owner, peer: peer}
@@ -255,15 +256,15 @@ func TestPairChunkQuotaEnforced(t *testing.T) {
 		PlaintextChannels: true, LocalChunkBytes: 320}
 	_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(18), extra)
 	if err == nil {
-		t.Fatal("over-quota chunk stream reported no error")
+		t.Fatal("over-long chunk stream reported no error")
 	}
-	if !strings.Contains(err.Error(), "quota") && !strings.Contains(err.Error(), "schedule") && !strings.Contains(err.Error(), "closed") {
-		t.Fatalf("over-quota error %q names neither the quota nor the schedule", err)
+	if !strings.Contains(err.Error(), "schedule") && !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("over-long stream error %q does not name the schedule", err)
 	}
 }
 
-// extraChunkConduit re-sends every kindNumS frame once more, overflowing
-// the lane quota the third party derived from the shared schedule.
+// extraChunkConduit re-sends every kindNumS frame once more, running past
+// the schedule the third party derived from the census.
 type extraChunkConduit struct {
 	wire.Conduit
 	owner, peer string

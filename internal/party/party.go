@@ -35,11 +35,11 @@
 // K = Config.TPShards row ranges (one range, the whole triangle, when K ≤
 // 1); each holder streams every comparison attribute's chunk frames to
 // the lane that owns the rows — its control conduit at K ≤ 1, the shard
-// conduits otherwise — and the third party runs one stage pool per lane
-// group over the shared receive loops (shardCore). A range's slice is
-// assembled either in-process or by a ppc-shard worker the coordinator
-// relays the lane's frames to (Config.ShardDial); nothing else differs
-// between the deployments.
+// conduits otherwise — and the third party reads every lane with a reader
+// of its own, in the holder's send order (shardCore.readLanes). A range's
+// slice is assembled either in-process or by a ppc-shard worker the
+// coordinator relays the lane's frames to (Config.ShardDial); nothing else
+// differs between the deployments.
 //
 // Holder-to-holder conduits carry a pair's two disguises in a fixed order —
 // J sends, K receives and then sends, J receives — and every holder walks
@@ -141,10 +141,10 @@ type Config struct {
 	// hot paths (local matrix construction, protocol disguise/strip
 	// steps, CCM edit-distance evaluation, assembly, merge and
 	// normalization). 0 selects all cores (GOMAXPROCS); 1 runs serially.
-	// It also caps the third party's pipeline stage concurrency, so the
-	// session never puts more compute in flight than this budget (wire
-	// prefetch by the demux readers is unaffected). Results are
-	// bit-identical for every setting.
+	// It is also the number of compute tokens the third party's lane
+	// readers share, so the session never evaluates more chunks at once
+	// than this budget (readers waiting for frames hold none). Results
+	// are bit-identical for every setting.
 	Parallelism int
 	// TPShards splits the third party into that many row-range shards
 	// plus a merge coordinator (0 and 1 both mean one range: the whole
@@ -306,8 +306,8 @@ func (c Config) shardCount() int {
 // the whole triangle [0, n) on a single-range session: row ranges bounded
 // by the configured chunk bytes (8 bytes per packed float64 cell). Holder
 // and third party compute it independently from the shared Config and the
-// census, so the receiver knows every chunk's row range — and the demux
-// lane quota — before the first frame.
+// census, so the receiver knows every chunk's row range — and the lane's
+// frame count — before the first frame.
 func (c Config) localChunksRange(lo, hi int) [][2]int {
 	return dissim.RowChunksRange(lo, hi, c.chunkBudgetBytes()/8)
 }
@@ -325,7 +325,7 @@ func (c Config) pairChunksRange(t dataset.AttrType, lo, hi, cols int) [][2]int {
 }
 
 // pairChunkCountRange is len(pairChunksRange(t, lo, hi, cols)) without
-// materializing the schedule, for the demux lane quotas.
+// materializing the schedule, for the lane frame counts.
 func (c Config) pairChunkCountRange(t dataset.AttrType, lo, hi, cols int) int {
 	return dissim.RectChunkCountRange(lo, hi, cols, c.chunkBudgetBytes()/c.pairCellBytes(t))
 }
@@ -334,7 +334,7 @@ func (c Config) pairChunkCountRange(t dataset.AttrType, lo, hi, cols int) int {
 // holder of global offset off and object count n contributes, returning
 // the holder-local row range (empty ranges come back as [x, x)). Holder
 // and third party derive the identical intersection from the census, so
-// both know every frame's row range — and the demux lane quotas — before
+// both know every frame's row range — and the lane frame counts — before
 // the first frame moves. A holder with no rows in a range sends nothing
 // toward it.
 func shardRowsOf(lo, hi, off, n int) (int, int) {
@@ -356,7 +356,7 @@ func shardRowsOf(lo, hi, off, n int) (int, int) {
 // `shards` TP shards (≤1 = single TP) under this config — the
 // admission-control number the multi-tenant server reserves against its
 // global budget before letting a session start. It is a deliberate
-// overestimate built from the same constants that size the pipeline:
+// overestimate of what the session holds:
 //
 //   - the resident triangles, each a condensed float64 triangle of
 //     totalObjects·(totalObjects−1)/2 cells: nAttr attribute matrices,
@@ -364,20 +364,17 @@ func shardRowsOf(lo, hi, off, n int) (int, int) {
 //     lie, plus one — the merged matrix, or, when a single non-zero weight
 //     makes the merge the attribute matrix itself, the linkage engine's
 //     working copy;
-//   - the demux mailboxes: numHolders demultiplexers × (nAttr+1) lanes ×
-//     laneBuffer frames, each up to one chunk;
-//   - the pipeline stages: pipelineDepth of them, each reading every
-//     holder lane with a consumer of its own (shardCore.assembleRows) that
-//     holds the frame it is consuming (the payload is read where it lies)
-//     and one engine's mask scratch — priced at two chunks per holder lane,
-//     and at least four per stage.
+//   - the lane readers: one per holder lane, each holding the frame it is
+//     consuming (the payload is read where it lies) and one engine's mask
+//     scratch — priced at readerChunks chunks per lane, and at least two
+//     lanes.
 //
 // Sharding does NOT multiply the matrix term: the K shard slices of one
 // attribute partition its triangle, so all slices resident before the
 // coordinator's merge add up to at most one extra triangle in aggregate —
 // regardless of K. What does scale with K is the per-shard plumbing: each
-// shard runs its own demuxes (mailboxes bounded by the per-shard slice,
-// not the full chunk) and its own stage scratch. Pricing the session at
+// shard runs its own lane readers, whose frames are bounded by the
+// per-shard slice, not the full chunk. Pricing the session at
 // K× the single-TP estimate would over-reserve by roughly the matrix
 // term times K−1.
 //
@@ -397,25 +394,29 @@ func (c Config) EstimateSessionBytes(numHolders, totalObjects, shards int) int64
 	chunk := min(int64(c.chunkBudgetBytes()), triangle)
 	nAttr := int64(len(c.Schema.Attrs))
 	matrices := (nAttr + 1) * triangle
-	mailboxes := int64(numHolders) * (nAttr + 1) * laneBuffer * chunk
 	lanes := int64(max(numHolders, 2))
-	scratch := int64(pipelineDepth) * 2 * lanes * chunk
+	readers := readerChunks * lanes * chunk
 	if shards > 1 {
 		// Aggregate resident shard slices before the merge: one extra
 		// triangle total, however many shards partition it.
 		matrices += triangle
-		// Per-shard demux mailboxes and stage scratch. A shard never
-		// buffers more than its own slice, so its chunk price is capped
-		// at the slice size.
+		// Per-shard lane readers. A shard never holds more than its own
+		// slice, so its chunk price is capped at the slice size.
 		shardChunk := chunk
 		if slice := triangle / int64(shards); shardChunk > slice {
 			shardChunk = slice
 		}
-		mailboxes += int64(shards) * int64(numHolders) * nAttr * laneBuffer * shardChunk
-		scratch += int64(shards) * int64(pipelineDepth) * 2 * lanes * shardChunk
+		readers += int64(shards) * readerChunks * lanes * shardChunk
 	}
-	return matrices + mailboxes + scratch
+	return matrices + readers
 }
+
+// readerChunks is what EstimateSessionBytes prices one lane reader at, in
+// chunks. A reader holds one frame and one engine's mask scratch at a
+// time, but the collector frees what it is done with only later: priced at
+// two chunks, the estimate of a 600 + 600 session falls below its measured
+// peak.
+const readerChunks = 8
 
 // normalized validates the config and fills defaults. The schema's
 // attribute slice is cloned first: Validate fills defaulted weights in
@@ -776,8 +777,8 @@ type shardOfferBody struct {
 
 // shardFrameBody relays one holder frame, byte for byte, to the worker.
 // Message.Attr carries the holder's census index; the worker feeds the
-// bytes into that holder's demux, reproducing the exact stream an
-// in-process shard would read.
+// bytes into that holder's pipe, reproducing the exact stream an
+// in-process shard's lane reader reads.
 type shardFrameBody struct {
 	Frame []byte
 }

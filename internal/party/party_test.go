@@ -291,8 +291,8 @@ func TestValidationErrors(t *testing.T) {
 
 // TestEmptyPartition: a holder with zero objects participates without
 // breaking assembly — on one range and on two. It sends no comparison
-// frame at all (no rows in any range, so a zero lane quota), only its tag
-// columns and request.
+// frame at all (no rows in any range, so a zero lane frame count), only
+// its tag columns and request.
 func TestEmptyPartition(t *testing.T) {
 	parts := mixedPartitions(t)
 	parts[1] = dataset.Partition{Site: "B", Table: dataset.MustNewTable(mixedSchema())}

@@ -1,9 +1,11 @@
 package party
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,12 +14,13 @@ import (
 
 	"ppclust/internal/dataset"
 	"ppclust/internal/hcluster"
+	"ppclust/internal/protocol"
 	"ppclust/internal/rng"
 	"ppclust/internal/wire"
 )
 
 // pipelineSchema exercises several attributes so the third party's
-// pipeline has stages to overlap: two comparison-protocol attributes, an
+// pipeline has attributes to overlap: two comparison-protocol attributes, an
 // alphanumeric CCM attribute and a tag-based one.
 func pipelineSchema() dataset.Schema {
 	return dataset.Schema{Attrs: []dataset.Attribute{
@@ -115,47 +118,79 @@ func TestPipelinedMatchesSerialTP(t *testing.T) {
 	}
 }
 
-// stageSamplingConduit records the highest ActiveStages reading seen at any
-// frame its owner receives.
-type stageSamplingConduit struct {
-	wire.Conduit
-	max *atomic.Int64
-}
+// TestParallelismOneComputesOneChunk pins the compute tokens' contract on
+// a one-range session: at Parallelism 1 the lane readers of tag and
+// comparison attributes alike share one token, so no two chunks — nor a
+// chunk and an attribute's finish — are ever evaluated at once. The
+// process-wide gauge is read at every frame the third party receives and,
+// in between, by a sampler for as long as the session runs; it counts
+// every evaluation, which the test checks on a core of its own first.
+func TestParallelismOneComputesOneChunk(t *testing.T) {
+	cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, LocalChunkBytes: 256}
+	core := newShardCore(cfg, []string{"A", "B"}, []int{1, 1}, 1, protocol.NewEnginePool(1), nil, nil)
+	before := ComputeActive()
+	err := core.computing(context.Background(), func() error {
+		if got := ComputeActive(); got != before+1 {
+			return fmt.Errorf("ComputeActive reads %d while evaluating, want %d", got, before+1)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-func (c *stageSamplingConduit) Recv() ([]byte, error) {
-	frame, err := c.Conduit.Recv()
-	for v := ActiveStages(); ; {
-		if cur := c.max.Load(); v <= cur || c.max.CompareAndSwap(cur, v) {
-			break
+	var peak atomic.Int64
+	sample := func() {
+		for v := ComputeActive(); ; {
+			if cur := peak.Load(); v <= cur || peak.CompareAndSwap(cur, v) {
+				return
+			}
 		}
 	}
-	return frame, err
-}
-
-// TestParallelismOneRunsOneStage pins pipelineDepth's contract on a
-// one-range session: at Parallelism 1 tag and comparison attributes share
-// a single stage pool of width one, so assembly compute is never in flight
-// twice — sampled at every frame the third party reads during a
-// mixed-attribute session.
-func TestParallelismOneRunsOneStage(t *testing.T) {
-	var max atomic.Int64
-	sample := func(owner, peer string, c wire.Conduit) wire.Conduit {
+	done, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			sample()
+			select {
+			case <-done:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	wrap := func(owner, peer string, c wire.Conduit) wire.Conduit {
 		if owner != TPName {
 			return c
 		}
-		return &stageSamplingConduit{Conduit: c, max: &max}
+		return &samplingConduit{Conduit: c, sample: sample}
 	}
-	cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, LocalChunkBytes: 256}
-	if _, err := RunInMemoryWrapped(cfg, pipelineParts(t, 8), pipelineReqs(), deterministicRandom(7), sample); err != nil {
+	_, err = RunInMemoryWrapped(cfg, pipelineParts(t, 30), pipelineReqs(), deterministicRandom(7), wrap)
+	close(done)
+	<-sampled
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := max.Load(); got != 1 {
-		t.Fatalf("ActiveStages peaked at %d during a Parallelism 1 session, want exactly 1", got)
+	if got := peak.Load(); got > 1 {
+		t.Fatalf("ComputeActive peaked at %d during a Parallelism 1 session, want at most 1", got)
 	}
 }
 
-// latencyWrap injects per-frame delay and jitter into the third party's
-// receive side of every holder link, modeling a WAN deployment.
+// samplingConduit calls sample at every frame its owner receives.
+type samplingConduit struct {
+	wire.Conduit
+	sample func()
+}
+
+func (c *samplingConduit) Recv() ([]byte, error) {
+	frame, err := c.Conduit.Recv()
+	c.sample()
+	return frame, err
+}
+
+// latencyWrap injects delay and jitter into the third party's receive side
+// of every holder link, modeling a WAN deployment.
 func latencyWrap(base, jitter time.Duration) ConduitWrap {
 	seed := uint64(0)
 	var mu sync.Mutex
@@ -167,7 +202,7 @@ func latencyWrap(base, jitter time.Duration) ConduitWrap {
 		seed++
 		s := seed
 		mu.Unlock()
-		return wire.Latency(c, base, jitter, s)
+		return wire.Link(c, base, jitter, 0, s)
 	}
 }
 
@@ -247,7 +282,7 @@ func TestTCPSessionOverJitteryLinkMatchesInMemory(t *testing.T) {
 		holderConduits[a][TPName] = wire.TCPPooled(ch)
 		// The TP receives each holder stream through an independent
 		// jittery link, the deployment the pipeline exists for.
-		tpConduits[a] = wire.Latency(wire.TCPPooled(ct), time.Millisecond, time.Millisecond, uint64(i+1))
+		tpConduits[a] = wire.Link(wire.TCPPooled(ct), time.Millisecond, time.Millisecond, 0, uint64(i+1))
 	}
 
 	var wg sync.WaitGroup
@@ -298,8 +333,8 @@ func TestTCPSessionOverJitteryLinkMatchesInMemory(t *testing.T) {
 }
 
 // TestPipelinedSessionFailsCleanly: a holder stream that breaks mid-session
-// must error out of the pipelined TP (readers stopped, stages unblocked),
-// not hang it.
+// must error out of the pipelined TP (every lane reader stopped), not hang
+// it.
 func TestPipelinedSessionFailsCleanly(t *testing.T) {
 	parts := pipelineParts(t, 6)
 	cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant}

@@ -4,7 +4,8 @@ package party
 // in-package oracle every differential test pins the session pipeline
 // against. It shares the wire and nothing of the assembly: attributes are
 // received, assembled and normalized strictly one after the other, in
-// schema order, with blocking endpoint reads (no demux, no stage pool);
+// schema order, with blocking endpoint reads from one goroutine (no lane
+// readers, no compute tokens);
 // every chunk stream is reassembled into the monolithic pre-streaming
 // payload, evaluated in one whole-matrix engine pass and installed with the
 // monolithic SetLocal / SetCross — the exact pre-streaming code path over
@@ -36,28 +37,24 @@ func runSerialTP(cfg Config, parts []dataset.Partition, reqs map[string]ClusterR
 		func(tp *ThirdParty, ctx context.Context) (*TPReport, error) { return tp.runGuarded(ctx, tp.runSerial) })
 }
 
-// epSource reads the holder endpoints directly — the phase-serial
+// ep is holder hi's control endpoint, read directly — the phase-serial
 // consumption order, valid only when attributes are processed one at a
 // time in schema order.
-type epSource struct{ tp *ThirdParty }
-
-func (s epSource) expect(hi int, kind wire.Kind, body any) (*wire.Message, error) {
-	return expectMsg(s.tp.eps[s.tp.holders[hi]], kind, body)
-}
+func (tp *ThirdParty) ep(hi int) *wire.Endpoint { return tp.eps[tp.holders[hi]] }
 
 func (tp *ThirdParty) runSerial() (*TPReport, error) {
 	eng := tp.engines.Get()
 	defer tp.engines.Put(eng)
-	core, src := tp.core(), epSource{tp}
+	core := tp.core()
 	matrices := make([]*dissim.Matrix, len(tp.cfg.Schema.Attrs))
 	scales := make([]float64, len(tp.cfg.Schema.Attrs))
 	for attr, a := range tp.cfg.Schema.Attrs {
 		var m *dissim.Matrix
 		var err error
 		if tagBased(a.Type) {
-			m, err = tp.assembleAttr(core, attr, src, func(error) {})
+			m, err = tp.assembleTagsSerial(attr)
 		} else {
-			m, err = tp.assembleComparisonSerial(core, eng, attr, src)
+			m, err = tp.assembleComparisonSerial(core, eng, attr)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("party: assembling attribute %q: %w", a.Name, err)
@@ -67,16 +64,40 @@ func (tp *ThirdParty) runSerial() (*TPReport, error) {
 	}
 	return tp.finish(matrices, scales, func(hi int) (requestBody, error) {
 		var req requestBody
-		_, err := expectMsg(tp.eps[tp.holders[hi]], kindRequest, &req)
+		_, err := expectMsg(tp.ep(hi), kindRequest, &req)
 		return req, err
 	})
+}
+
+// assembleTagsSerial reads every holder's frame of one tag attribute, in
+// holder order, and builds its matrix.
+func (tp *ThirdParty) assembleTagsSerial(attr int) (*dissim.Matrix, error) {
+	kind := kindCatTags
+	if tp.cfg.Schema.Attrs[attr].Type == dataset.Hierarchical {
+		kind = kindPathTags
+	}
+	frames := make([]*wire.Message, len(tp.holders))
+	for hi, h := range tp.holders {
+		m, err := expectMsg(tp.ep(hi), kind, nil)
+		if err != nil {
+			return nil, err
+		}
+		if m.Attr != attr {
+			return nil, fmt.Errorf("party: %s sent tags for attr %d, want %d", h, m.Attr, attr)
+		}
+		frames[hi] = m
+	}
+	if kind == kindPathTags {
+		return tp.assembleHierarchical(frames)
+	}
+	return tp.assembleCategorical(frames)
 }
 
 // assembleComparisonSerial builds one comparison attribute's matrix from
 // whole local triangles and whole pair blocks, each block put together from
 // its two shares. A holder without objects sends no comparison frames, so
 // its triangle and the blocks it would hold rows of are skipped.
-func (tp *ThirdParty) assembleComparisonSerial(core *shardCore, eng *protocol.Engine, attr int, src attrSource) (*dissim.Matrix, error) {
+func (tp *ThirdParty) assembleComparisonSerial(core *shardCore, eng *protocol.Engine, attr int) (*dissim.Matrix, error) {
 	t := tp.cfg.Schema.Attrs[attr].Type
 	asm, err := dissim.NewAssemblerPar(tp.counts, tp.workers)
 	if err != nil {
@@ -86,7 +107,7 @@ func (tp *ThirdParty) assembleComparisonSerial(core *shardCore, eng *protocol.En
 		if tp.counts[hi] == 0 {
 			continue
 		}
-		if err := tp.recvLocalSerial(asm, src, hi, h, attr); err != nil {
+		if err := tp.recvLocalSerial(asm, hi, h, attr); err != nil {
 			return nil, err
 		}
 	}
@@ -96,11 +117,11 @@ func (tp *ThirdParty) assembleComparisonSerial(core *shardCore, eng *protocol.En
 		if rows == 0 {
 			continue
 		}
-		top, err := tp.recvShareSerial(core, eng, src, attr, pairShare{p: p, j: ji, k: ki, lo: 0, hi: split})
+		top, err := tp.recvShareSerial(core, eng, attr, pairShare{p: p, j: ji, k: ki, lo: 0, hi: split})
 		if err != nil {
 			return nil, err
 		}
-		bottom, err := tp.recvShareSerial(core, eng, src, attr, pairShare{p: p, j: ji, k: ki, lo: split, hi: rows, byInitiator: true})
+		bottom, err := tp.recvShareSerial(core, eng, attr, pairShare{p: p, j: ji, k: ki, lo: split, hi: rows, byInitiator: true})
 		if err != nil {
 			return nil, err
 		}
@@ -119,12 +140,12 @@ func (tp *ThirdParty) assembleComparisonSerial(core *shardCore, eng *protocol.En
 // recvLocalSerial reassembles one holder's local-matrix chunk stream into
 // the monolithic packed triangle and performs the FromPacked + SetLocal
 // install.
-func (tp *ThirdParty) recvLocalSerial(asm *dissim.Assembler, src attrSource, hi int, h string, attr int) error {
+func (tp *ThirdParty) recvLocalSerial(asm *dissim.Assembler, hi int, h string, attr int) error {
 	n := tp.counts[hi]
 	mono := make([]float64, 0, n*(n-1)/2)
 	for ci, ch := range tp.cfg.localChunksRange(0, n) {
 		var body localBody
-		m, err := src.expect(hi, kindLocal, &body)
+		m, err := expectMsg(tp.ep(hi), kindLocal, &body)
 		if err != nil {
 			return err
 		}
@@ -153,7 +174,7 @@ func (tp *ThirdParty) recvLocalSerial(asm *dissim.Assembler, src attrSource, hi 
 // responder's rows by the whole-matrix engine forms, the initiator's rows
 // by masks this function draws itself — returning the share's block, rows
 // counted from the share's first.
-func (tp *ThirdParty) recvShareSerial(core *shardCore, eng *protocol.Engine, src attrSource, attr int, sh pairShare) (func(m, n int) float64, error) {
+func (tp *ThirdParty) recvShareSerial(core *shardCore, eng *protocol.Engine, attr int, sh pairShare) (func(m, n int) float64, error) {
 	a := tp.cfg.Schema.Attrs[attr]
 	j, k, from := tp.holders[sh.j], tp.holders[sh.k], tp.holders[sh.sender()]
 	rows, cols := tp.counts[sh.k], tp.counts[sh.j]
@@ -173,7 +194,7 @@ func (tp *ThirdParty) recvShareSerial(core *shardCore, eng *protocol.Engine, src
 		var mono []protocol.AlphaChunk
 		for ci, ch := range chunks {
 			var body alphaMBody
-			if _, err := src.expect(sh.sender(), kindAlphaM, &body); err != nil {
+			if _, err := expectMsg(tp.ep(sh.sender()), kindAlphaM, &body); err != nil {
 				return nil, err
 			}
 			if err := checkPairChunk(from, j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
@@ -197,7 +218,7 @@ func (tp *ThirdParty) recvShareSerial(core *shardCore, eng *protocol.Engine, src
 			// The disguised body has the S chunk's layout and decodes it the
 			// old way, into a matrix.
 			var body numDisguisedBody
-			if _, err := src.expect(sh.sender(), kindNumS, &body); err != nil {
+			if _, err := expectMsg(tp.ep(sh.sender()), kindNumS, &body); err != nil {
 				return nil, err
 			}
 			if err := checkPairChunk(from, j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {

@@ -1,12 +1,12 @@
 package party
 
 // shardCore is the third party's assembly pipeline over one set of
-// per-holder demuxes, detached from the ThirdParty session object so the
-// same code runs wherever a row range is assembled:
+// per-holder lanes, detached from the ThirdParty session object so the same
+// code runs wherever a row range is assembled:
 //
-//   - on the third party itself, over the control demuxes (the one range of
+//   - on the third party itself, over the control conduits (the one range of
 //     a TPShards ≤ 1 session, plus the tag attributes of every session) and
-//     over the shard-lane demuxes of in-process shards;
+//     over the shard conduits of in-process shards;
 //   - in a ppc-shard worker, which builds a core from the coordinator's
 //     slice offer (census, range, per-pair mask seeds) and feeds it the
 //     relayed holder frames.
@@ -14,14 +14,15 @@ package party
 // The core holds only what the math needs — the session agreement, the
 // census, the compute budget and the per-(attribute, pair) mask-stream
 // seeds — and never the channel masters, which stay on the coordinator.
-// Because the demux lane quotas, the chunk schedules and the keystream
+// Because the lane frame counts, the chunk schedules and the keystream
 // positioning are all pure functions of (Config, census, range), a core fed
 // the same per-holder frame bytes produces bit-identical rows wherever it
 // runs; that is the whole cross-deployment bit-identity argument.
 
 import (
+	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"ppclust/internal/dataset"
 	"ppclust/internal/dissim"
@@ -30,23 +31,6 @@ import (
 	"ppclust/internal/wire"
 )
 
-// attrSource feeds one attribute's assembly the protocol messages of that
-// attribute, per holder, in the holder's send order.
-type attrSource interface {
-	expect(hi int, kind wire.Kind, body any) (*wire.Message, error)
-}
-
-// demuxSource pulls a fixed attribute lane out of each holder's session
-// demultiplexer.
-type demuxSource struct {
-	ds   []*wire.Demux
-	lane int
-}
-
-func (s demuxSource) expect(hi int, kind wire.Kind, body any) (*wire.Message, error) {
-	return s.ds[hi].Expect(s.lane, kind, body)
-}
-
 type shardCore struct {
 	*census
 	cfg     Config
@@ -54,10 +38,10 @@ type shardCore struct {
 	workers int
 	engines *protocol.EnginePool
 	// compute holds one token per unit of the Parallelism budget: a lane
-	// consumer holds one while it evaluates and installs a chunk, never
-	// while it waits for one, so the session's consumers — one per holder
-	// lane of every attribute in flight — never compute wider than the
-	// budget allows, and can never deadlock on it.
+	// reader holds one while it evaluates and installs a chunk or finishes
+	// an attribute, never while it waits for a frame, so the session's
+	// readers — one per holder lane — never compute wider than the budget
+	// allows, and can never deadlock on it.
 	compute chan struct{}
 	// seeds[attr][p] and rowSeeds[attr][p] are the mask-stream seeds of pair
 	// p's block (sortedPairs order): the one the initiator shares with the
@@ -73,170 +57,188 @@ func newShardCore(cfg Config, holders []string, counts []int, workers int, engin
 		compute: make(chan struct{}, max(workers, 1)), seeds: seeds, rowSeeds: rowSeeds}
 }
 
-// stageWidthFor resolves a stage-pool size: at most pipelineDepth, never
-// more than there are attributes, and never more than the Parallelism
-// worker budget — a party pinned to Parallelism 1 runs one attribute at a
-// time (readers still prefetch the wire), and higher budgets never
-// multiply total compute goroutines by the full depth on small machines.
-func stageWidthFor(nAttr, workers int) int {
-	width := pipelineDepth
-	if width > nAttr {
-		width = nAttr
-	}
-	if width > workers {
-		width = workers
-	}
-	if width < 1 {
-		width = 1
-	}
-	return width
-}
-
-// laneQuotas is the per-attribute frame quota of holder hi's comparison
-// stream toward the owner of global rows [r[0], r[1]): the local-matrix
-// chunks of the holder-local row intersection plus the chunks of every
-// pair-block share the holder produces (census.shares), restricted the
-// same way. Every party — the holder, the third party's demuxes, the
-// coordinator's relay pumps and a worker process's own demux — derives the
-// identical vector from (Config, census, range) alone, so the exact stream
-// length is known before the first frame moves. A holder with no rows to
-// send toward the range has an all-zero vector and sends nothing there.
-func (c *shardCore) laneQuotas(hi int, r [2]int) []int {
-	attrs := c.cfg.Schema.Attrs
-	quotas := make([]int, len(attrs))
+// laneFrames is the number of comparison frames holder hi sends toward
+// the owner of global rows [r[0], r[1]): for every comparison attribute,
+// the local-matrix chunks of the holder-local row intersection plus the
+// chunks of every pair-block share the holder produces (census.shares),
+// restricted the same way. Every party — the holder, the coordinator's
+// relay pumps and a worker process's relay bound — derives the identical
+// count from (Config, census, range) alone, so the exact stream length is
+// known before the first frame moves. A holder with no rows to send toward
+// the range sends nothing there.
+func (c *shardCore) laneFrames(hi int, r [2]int) int {
+	frames := 0
 	rows := func(p int) (int, int) { return shardRowsOf(r[0], r[1], c.offsets[p], c.counts[p]) }
-	for attr, a := range attrs {
+	for _, a := range c.cfg.Schema.Attrs {
 		if tagBased(a.Type) {
 			continue
 		}
 		if llo, lhi := rows(hi); llo < lhi {
-			quotas[attr] = len(c.cfg.localChunksRange(llo, lhi))
+			frames += len(c.cfg.localChunksRange(llo, lhi))
 		}
 		for _, sh := range c.shares(hi, a.Type, rows) {
-			quotas[attr] += c.cfg.pairChunkCountRange(a.Type, sh.lo, sh.hi, c.counts[sh.j])
+			frames += c.cfg.pairChunkCountRange(a.Type, sh.lo, sh.hi, c.counts[sh.j])
 		}
 	}
-	return quotas
+	return frames
 }
 
-// runStages is the session's one stage pool: stageWidthFor goroutines pull
-// attrs in order through stage, so attribute i is being decoded and
-// assembled while attribute i+1 is still streaming in. Every lane group of
-// a session runs one — the control group and each in-process shard on the
-// third party, the single range of a worker process. A stage error goes to
-// fail, which the caller wires to stop every demux of the session so
-// sibling stages and groups unwind too, and ends the goroutine that hit it;
-// a stage whose own goroutines fail reports through the fail it is handed,
-// at once, with the same attribution.
-func (c *shardCore) runStages(attrs []int, stage func(attr int, fail func(error)) error, fail func(error)) {
-	attrCh := make(chan int, len(attrs))
-	for _, attr := range attrs {
-		attrCh <- attr
-	}
-	close(attrCh)
-	var wg sync.WaitGroup
-	for w, width := 0, stageWidthFor(len(attrs), c.workers); w < width && len(attrs) > 0; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			activeStages.Add(1)
-			defer activeStages.Add(-1)
-			for attr := range attrCh {
-				failAttr := func(err error) {
-					fail(fmt.Errorf("party: assembling attribute %q: %w", c.cfg.Schema.Attrs[attr].Name, err))
-				}
-				if err := stage(attr, failAttr); err != nil {
-					failAttr(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// comparisonAttrs lists the schema's numeric, ordered and alphanumeric
-// attributes — the ones assembled from local triangles and pair blocks.
-func (c *shardCore) comparisonAttrs() []int {
-	var comp []int
-	for attr, a := range c.cfg.Schema.Attrs {
-		if !tagBased(a.Type) {
-			comp = append(comp, attr)
-		}
-	}
-	return comp
-}
-
-// assembleRows receives one comparison attribute's traffic for the global
-// rows asm covers and installs it. Every holder lane is read as its frames
-// arrive, by a consumer of its own: the holder's local chunk frames, then
-// the chunk frames of its pair-block shares, in the order the holder sends
-// them. The consumers install disjoint rows — each share of a block is a
-// source of its own (SliceAssembler.SplitCross) — so none waits for
-// another, and a holder whose frames the third party is not yet reading
-// never stalls behind one whose frames it is. A consumer that fails
-// reports through fail at once, which stops the session's demuxes and so
-// unblocks its siblings. The caller completes asm — as the whole matrix when
-// the range is the whole triangle, as a slice otherwise.
-func (c *shardCore) assembleRows(asm *dissim.SliceAssembler, src attrSource, attr int, fail func(error)) error {
+// splitBlocks cuts every pair block of a comparison attribute's assembler
+// at the pair's split row, so the two holders' shares of a block are
+// sources of their own (SliceAssembler.SplitCross) and their lanes install
+// them independently.
+func (c *shardCore) splitBlocks(asm *dissim.SliceAssembler, attr int) error {
 	t := c.cfg.Schema.Attrs[attr].Type
 	for p, pr := range c.pairs {
 		if err := asm.SplitCross(pr[0], pr[1], c.splitAt(t, p)); err != nil {
 			return err
 		}
 	}
-	errs := make([]error, len(c.holders))
-	consume := func(hi int, shares []pairShare) {
-		eng := c.engines.Get()
-		defer c.engines.Put(eng)
-		err := c.recvLocalRows(asm, src, hi, attr)
-		for _, sh := range shares {
-			if err != nil {
-				break
-			}
-			err = c.recvPairRows(eng, asm, src, attr, sh)
-		}
-		if err != nil {
-			errs[hi] = err
-			fail(err)
-		}
+	return nil
+}
+
+// laneGroup is what one set of holder lanes carries — the control
+// conduits, one shard's conduits, or a worker's relay pipes — and what it
+// builds.
+type laneGroup struct {
+	eps   []*wire.Endpoint // by holder
+	attrs []int            // the attributes the lanes carry, in schema order
+	// asms[attr] assembles comparison attribute attr's rows of the group's
+	// range, its pair blocks already split (splitBlocks).
+	asms []*dissim.SliceAssembler
+	// tags[attr][hi] is holder hi's frame of tag attribute attr.
+	tags [][]*wire.Message
+	// finish completes attr once every lane has passed it.
+	finish func(attr int) error
+	// reqs, when set, receives each holder's clustering request: the frame
+	// that ends a control lane.
+	reqs []requestBody
+}
+
+// readLanes reads a lane group with one reader per holder lane. A reader
+// walks its holder's send order — every attribute of the group in schema
+// order (a comparison attribute's local chunks, then its pair-block shares
+// in census.shares order; a tag attribute's one frame), then the request
+// on a control lane — and installs each frame as it reads it, so no lane
+// ever waits for another and none is re-sorted. The last reader through an
+// attribute finishes it, under a compute token like every chunk.
+//
+// The first error returns at once and ends ctx for the group's other
+// readers: each checks it before every frame and again once it holds a
+// compute token, so none evaluates a chunk after a failure. One parked in
+// a receive is unparked by whoever owns the conduits — the guard's
+// teardown on the third party, the close of the feed pipes on a worker.
+func (c *shardCore) readLanes(ctx context.Context, g *laneGroup) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	pending := make([]atomic.Int32, len(c.cfg.Schema.Attrs))
+	for _, attr := range g.attrs {
+		pending[attr].Store(int32(len(g.eps)))
 	}
-	type lane struct {
-		hi     int
-		shares []pairShare
+	errs := make(chan error, len(g.eps))
+	for hi, ep := range g.eps {
+		go func() { errs <- c.readLane(g, hi, lane{ctx: ctx, ep: ep}, pending) }()
 	}
-	var lanes []lane
-	for hi := range c.holders {
-		llo, lhi := asm.PartyRows(hi)
-		if shares := c.shares(hi, t, asm.PartyRows); llo < lhi || len(shares) > 0 {
-			lanes = append(lanes, lane{hi, shares})
-		}
-	}
-	// The stage's own goroutine consumes the first lane with traffic.
-	var wg sync.WaitGroup
-	for _, ln := range lanes[min(1, len(lanes)):] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			consume(ln.hi, ln.shares)
-		}()
-	}
-	if len(lanes) > 0 {
-		consume(lanes[0].hi, lanes[0].shares)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	for range g.eps {
+		if err := <-errs; err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// computing runs fn holding one of the session's compute tokens.
-func (c *shardCore) computing(fn func() error) error {
+// readLane is holder hi's reader of readLanes.
+func (c *shardCore) readLane(g *laneGroup, hi int, ln lane, pending []atomic.Int32) error {
+	for _, attr := range g.attrs {
+		err := c.readAttr(g, hi, ln, attr)
+		if err == nil && pending[attr].Add(-1) == 0 {
+			err = c.computing(ln.ctx, func() error { return g.finish(attr) })
+		}
+		if err != nil {
+			return fmt.Errorf("party: assembling attribute %q: %w", c.cfg.Schema.Attrs[attr].Name, err)
+		}
+	}
+	if g.reqs == nil {
+		return nil
+	}
+	_, err := ln.expect(kindRequest, &g.reqs[hi])
+	return err
+}
+
+// readAttr reads holder hi's frames of one attribute off its lane.
+func (c *shardCore) readAttr(g *laneGroup, hi int, ln lane, attr int) error {
+	a := c.cfg.Schema.Attrs[attr]
+	if tagBased(a.Type) {
+		kind := kindCatTags
+		if a.Type == dataset.Hierarchical {
+			kind = kindPathTags
+		}
+		m, err := ln.expect(kind, nil)
+		if err != nil {
+			return err
+		}
+		if m.Attr != attr {
+			return fmt.Errorf("party: %s sent tags for attr %d, want %d", c.holders[hi], m.Attr, attr)
+		}
+		g.tags[attr][hi] = m
+		return nil
+	}
+	asm := g.asms[attr]
+	if err := c.recvLocalRows(asm, ln, hi, attr); err != nil {
+		return err
+	}
+	shares := c.shares(hi, a.Type, asm.PartyRows)
+	if len(shares) == 0 {
+		return nil
+	}
+	eng := c.engines.Get()
+	defer c.engines.Put(eng)
+	for _, sh := range shares {
+		if err := c.recvPairRows(eng, asm, ln, attr, sh); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// lane is one holder's stream toward a lane group. It yields no frame once
+// ctx ends, and computing evaluates none received before.
+type lane struct {
+	ctx context.Context
+	ep  *wire.Endpoint
+}
+
+func (l lane) expect(kind wire.Kind, body any) (*wire.Message, error) {
+	if l.ctx.Err() != nil {
+		return nil, context.Cause(l.ctx)
+	}
+	m, err := l.ep.Recv()
+	if err != nil {
+		return nil, err
+	}
+	return m, expectBody(m, kind, body)
+}
+
+// computeActive counts the compute tokens evaluating right now across every
+// session in the process — the gauge the multi-tenant server exports.
+// Process-wide on purpose: it is a statement about the machine's compute
+// in flight, not about one session.
+var computeActive atomic.Int64
+
+// ComputeActive reports how many compute tokens are held right now, summed
+// over all concurrent third-party sessions and shard workers.
+func ComputeActive() int64 { return computeActive.Load() }
+
+// computing runs fn holding one of the session's compute tokens — unless
+// ctx ended while it waited for one.
+func (c *shardCore) computing(ctx context.Context, fn func() error) error {
 	c.compute <- struct{}{}
 	defer func() { <-c.compute }()
+	if ctx.Err() != nil {
+		return context.Cause(ctx)
+	}
+	computeActive.Add(1)
+	defer computeActive.Add(-1)
 	return fn()
 }
 
@@ -247,7 +249,7 @@ func (c *shardCore) computing(fn func() error) error {
 // on the wire. Chunks must follow the shared schedule exactly: holder and
 // third party derive it from the same Config, so any deviation is a
 // protocol error, rejected before install.
-func (c *shardCore) recvLocalRows(asm *dissim.SliceAssembler, src attrSource, hi int, attr int) error {
+func (c *shardCore) recvLocalRows(asm *dissim.SliceAssembler, ln lane, hi int, attr int) error {
 	h, n := c.holders[hi], c.counts[hi]
 	llo, lhi := asm.PartyRows(hi)
 	if llo >= lhi {
@@ -255,7 +257,7 @@ func (c *shardCore) recvLocalRows(asm *dissim.SliceAssembler, src attrSource, hi
 	}
 	for ci, ch := range c.cfg.localChunksRange(llo, lhi) {
 		var body localBody
-		m, err := src.expect(hi, kindLocal, &body)
+		m, err := ln.expect(kindLocal, &body)
 		if err != nil {
 			return err
 		}
@@ -269,7 +271,7 @@ func (c *shardCore) recvLocalRows(asm *dissim.SliceAssembler, src attrSource, hi
 			return fmt.Errorf("party: %s local chunk %d covers rows [%d,%d), schedule says [%d,%d)",
 				h, ci, body.Lo, body.Hi, ch[0], ch[1])
 		}
-		if err := c.computing(func() error { return asm.SetLocalRowsLE(hi, body.Lo, body.Hi, body.wire) }); err != nil {
+		if err := c.computing(ln.ctx, func() error { return asm.SetLocalRowsLE(hi, body.Lo, body.Hi, body.wire) }); err != nil {
 			return err
 		}
 	}
@@ -301,7 +303,7 @@ func checkPairChunk(from, j, k string, ci int, sched [2]int, bodyRows, lo, hi, r
 // installing it row-exactly, so unmasking and placement of a block overlap
 // the rest of the payload still on the wire. A numeric chunk is unmasked
 // from the payload's cells straight into the assembled rows.
-func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssembler, src attrSource, attr int, sh pairShare) error {
+func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssembler, ln lane, attr int, sh pairShare) error {
 	a := c.cfg.Schema.Attrs[attr]
 	j, k, from := c.holders[sh.j], c.holders[sh.k], c.holders[sh.sender()]
 	rows, cols := c.counts[sh.k], c.counts[sh.j]
@@ -334,8 +336,12 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssemble
 		var eval func() (protocol.RowFunc, int, int, error)
 		if a.Type == dataset.Alphanumeric {
 			var body alphaMBody
-			if _, err := src.expect(sh.sender(), kindAlphaM, &body); err != nil {
+			m, err := ln.expect(kindAlphaM, &body)
+			if err != nil {
 				return fmt.Errorf("party: %s pair (%s,%s) chunk %d: %w", from, j, k, ci, err)
+			}
+			if m.Attr != attr {
+				return fmt.Errorf("party: %s pair (%s,%s) chunk %d is for attr %d, want %d", from, j, k, ci, m.Attr, attr)
 			}
 			if err := checkPairChunk(from, j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
 				return err
@@ -354,8 +360,12 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssemble
 			}
 		} else {
 			var body numSBody
-			if _, err := src.expect(sh.sender(), kindNumS, &body); err != nil {
+			m, err := ln.expect(kindNumS, &body)
+			if err != nil {
 				return fmt.Errorf("party: %s pair (%s,%s) chunk %d: %w", from, j, k, ci, err)
+			}
+			if m.Attr != attr {
+				return fmt.Errorf("party: %s pair (%s,%s) chunk %d is for attr %d, want %d", from, j, k, ci, m.Attr, attr)
 			}
 			if err := checkPairChunk(from, j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
 				return err
@@ -375,7 +385,7 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssemble
 				return row, body.wire.Rows, body.wire.Cols, err
 			}
 		}
-		err := c.computing(func() error {
+		err := c.computing(ln.ctx, func() error {
 			row, bRows, bCols, err := eval()
 			if err != nil {
 				return err

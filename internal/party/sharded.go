@@ -8,8 +8,8 @@ package party
 // dissim.ShardRanges(total, K) has its own holder conduits, and this file is
 // what the extra lanes need:
 //
-//   - shardSource, where one range's slices come from: a stage pool over the
-//     range's demuxes in this process (localShard, below), or a ppc-shard
+//   - shardSource, where one range's slices come from: lane readers over the
+//     range's conduits in this process (localShard, below), or a ppc-shard
 //     worker behind a relay link (remoteShard, shardproc.go);
 //   - mergeShardSlices, which concatenates the slices into each attribute's
 //     condensed matrix (SetPackedRows) and normalizes.
@@ -23,6 +23,7 @@ package party
 // downstream clustering result match byte for byte.
 
 import (
+	"context"
 	"fmt"
 
 	"ppclust/internal/dissim"
@@ -36,83 +37,50 @@ type attrSlice struct {
 	max   float64
 }
 
-// shardSource is where one row range's slices come from. run blocks until
+// shardSource is where one row range's slices come from. It blocks until
 // every comparison attribute's slice has landed in out (indexed by
-// attribute) or the source failed; stop unblocks it from outside and
-// releases what it holds — safe to call more than once and after run
-// returned.
-type shardSource struct {
-	run  func(out []attrSlice) error
-	stop func()
+// attribute) or the source failed; the end of ctx stops it from outside.
+type shardSource func(ctx context.Context, out []attrSlice) error
+
+// readSlices assembles every comparison attribute's slice of global rows r
+// from the holder lanes eps, into out. The assemblers live only for the
+// call, so nothing but out keeps a slice reachable once it returns.
+func (c *shardCore) readSlices(ctx context.Context, eps []*wire.Endpoint, r [2]int, out []attrSlice) error {
+	g := &laneGroup{eps: eps, asms: make([]*dissim.SliceAssembler, len(out))}
+	for attr, a := range c.cfg.Schema.Attrs {
+		if tagBased(a.Type) {
+			continue
+		}
+		sa, err := dissim.NewSliceAssembler(c.counts, r[0], r[1], c.workers)
+		if err != nil {
+			return err
+		}
+		if err := c.splitBlocks(sa, attr); err != nil {
+			return err
+		}
+		g.attrs, g.asms[attr] = append(g.attrs, attr), sa
+	}
+	g.finish = func(attr int) (err error) {
+		out[attr].cells, out[attr].max, err = g.asms[attr].Done()
+		return err
+	}
+	return c.readLanes(ctx, g)
 }
 
-// laneClassifier routes a session's demux traffic: aborts fail the lane,
-// clustering requests land past the attribute lanes, everything else routes
-// by attribute. The third party's control and shard demuxes and a worker's
-// demuxes use the same routing (shard and worker demuxes have no request
-// lane: reqLane < 0).
-func laneClassifier(nAttr, reqLane int) func(m *wire.Message) (int, error) {
-	return func(m *wire.Message) (int, error) {
-		// A peer's abort terminates the whole stream: the classify error
-		// becomes the demux's terminal error, every lane closes, and the
-		// stages observe the classified reason instead of a routing error.
-		if m.Kind == kindAbort {
-			return 0, peerAbortError(m)
+// localShard is the in-process source of shard s: lane readers over the
+// shard's conduits, each holder's restricted to its row intersection with
+// the range (a holder with no rows there sends nothing, and its reader
+// never touches the conduit).
+func (tp *ThirdParty) localShard(core *shardCore, s int, r [2]int) (shardSource, error) {
+	return func(ctx context.Context, out []attrSlice) error {
+		eps := make([]*wire.Endpoint, len(tp.holders))
+		for hi, h := range tp.holders {
+			eps[hi] = wire.NewEndpoint(tp.shardLanes[s][h])
 		}
-		if m.Kind == kindRequest && reqLane >= 0 {
-			return reqLane, nil
+		if err := core.readSlices(ctx, eps, r, out); err != nil {
+			return fmt.Errorf("shard %d: %w", s, err)
 		}
-		if m.Attr < 0 || m.Attr >= nAttr {
-			return 0, fmt.Errorf("party: message %q for attribute %d outside schema", m.Kind, m.Attr)
-		}
-		return m.Attr, nil
-	}
-}
-
-// assembleSlice builds one comparison attribute's slice of global rows r
-// from the range's demuxes.
-func (c *shardCore) assembleSlice(r [2]int, demux []*wire.Demux, attr int, fail func(error)) (attrSlice, error) {
-	sa, err := dissim.NewSliceAssembler(c.counts, r[0], r[1], c.workers)
-	if err != nil {
-		return attrSlice{}, err
-	}
-	if err := c.assembleRows(sa, demuxSource{ds: demux, lane: attr}, attr, fail); err != nil {
-		return attrSlice{}, err
-	}
-	cells, max, err := sa.Done()
-	return attrSlice{cells: cells, max: max}, err
-}
-
-// localShard is the in-process source of shard s: one demux per holder over
-// the shard's conduits, lane quotas restricted to each holder's row
-// intersection with the range (a holder with no rows there sends nothing:
-// every quota is zero, the lanes close immediately and the reader never
-// touches the conduit), and a stage pool of its own — a pool shared between
-// shards and narrower than K could deadlock against holders blocked on a
-// lane nobody is draining.
-func (tp *ThirdParty) localShard(core *shardCore, s int, r [2]int, fail func(error)) (shardSource, error) {
-	demux := make([]*wire.Demux, len(tp.holders))
-	classify := laneClassifier(len(tp.cfg.Schema.Attrs), -1)
-	for hi, h := range tp.holders {
-		demux[hi] = wire.NewDemux(wire.NewEndpoint(tp.shardLanes[s][h]), core.laneQuotas(hi, r), laneBuffer, classify)
-	}
-	return shardSource{
-		run: func(out []attrSlice) error {
-			core.runStages(core.comparisonAttrs(), func(attr int, fail func(error)) error {
-				sl, err := core.assembleSlice(r, demux, attr, func(err error) { fail(fmt.Errorf("shard %d: %w", s, err)) })
-				if err != nil {
-					return fmt.Errorf("shard %d: %w", s, err)
-				}
-				out[attr] = sl
-				return nil
-			}, fail)
-			return nil
-		},
-		stop: func() {
-			for _, d := range demux {
-				d.Stop()
-			}
-		},
+		return nil
 	}, nil
 }
 

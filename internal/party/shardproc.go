@@ -3,7 +3,7 @@ package party
 // Cross-process TP shards: the coordinator side.
 //
 // With Config.ShardDial set and TPShards > 1, a range's slices come from a
-// ppc-shard worker process (shardserver.go) instead of a stage pool in this
+// ppc-shard worker process (shardserver.go) instead of lane readers in this
 // process, and this file is the coordinator's half of the
 // coordinator↔shard control protocol — remoteShard, the shardSource the
 // session body plugs in:
@@ -24,10 +24,10 @@ package party
 //
 // The coordinator keeps the secured holder→shard conduits from the
 // handshake and relays every frame, byte for byte, to the owning worker
-// (one pump per (shard, holder) lane with the shared laneQuotas stream
-// length). The worker feeds the bytes through an identical demux, so its
-// stage pool reads the exact stream an in-process shard would —
-// bit-identity across deployments is code identity, not re-derivation.
+// (one pump per (shard, holder) lane with the shared laneFrames stream
+// length). The worker feeds the bytes to identical lane readers, which read
+// the exact stream an in-process shard would — bit-identity across
+// deployments is code identity, not re-derivation.
 //
 // Failure and healing: worker links are plain conduits when ResumeWindow
 // is 0 (a severed worker fails the session, classified under
@@ -191,12 +191,12 @@ func (tp *ThirdParty) dialShard(s int) (*shardLink, error) {
 }
 
 // remoteShard is the worker-process source of shard s: it dials the worker
-// and hands it the slice offer; run then relays the holders' shard-lane
-// frames and collects the slices the worker returns.
-func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, fail func(error)) (shardSource, error) {
+// and hands it the slice offer; the source then relays the holders'
+// shard-lane frames and collects the slices the worker returns.
+func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int) (shardSource, error) {
 	link, err := tp.dialShard(s)
 	if err != nil {
-		return shardSource{}, err
+		return nil, err
 	}
 	offer := shardOfferBody{
 		Shard: s, Lo: r[0], Hi: r[1],
@@ -211,52 +211,64 @@ func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, fail func(er
 	}
 	if err := link.send(wire.Message{From: TPName, To: ShardName(s), Kind: kindShardOffer, Attr: -1}, offer); err != nil {
 		link.close()
-		return shardSource{}, fmt.Errorf("party: offering slice to shard worker %d: %w", s, err)
+		return nil, fmt.Errorf("party: offering slice to shard worker %d: %w", s, err)
 	}
-	run := func(out []attrSlice) error {
-		// Relay pumps: one per holder lane with a non-zero quota, copying
-		// exactly the lane's scheduled frame count. A pump parked in a
-		// holder Recv when some other component fails unwinds at guard
-		// teardown, exactly like a demux reader, so it is joined on the
-		// clean path only — where every pump has drained its quota by the
-		// time the slices are in, unless its holder lane died, which fails
-		// the session before run returns.
-		var pumps sync.WaitGroup
+	return func(ctx context.Context, out []attrSlice) error {
+		// The end of ctx unparks the slice collector and relay sends.
+		defer context.AfterFunc(ctx, link.close)()
+		// Relay pumps: one per holder lane with frames, copying exactly the
+		// lane's scheduled frame count and then reporting, nil or the first
+		// error. A pump that fails reports and then closes the link, so the
+		// collector unparks and the pump's error is the source's — at once,
+		// even after the slices are in. A pump parked in a holder Recv when
+		// some other component fails unwinds at guard teardown, like a lane
+		// reader, so it is waited for on the clean path only.
+		pumps := 0
+		pumped := make(chan error, len(tp.holders))
 		for hi, h := range tp.holders {
-			quota := 0
-			for _, q := range core.laneQuotas(hi, r) {
-				quota += q
-			}
-			if quota == 0 {
+			frames := core.laneFrames(hi, r)
+			if frames == 0 {
 				continue
 			}
-			pumps.Add(1)
+			pumps++
 			go func(src wire.Conduit) {
-				defer pumps.Done()
-				for i := 0; i < quota; i++ {
+				for range frames {
 					frame, err := src.Recv()
 					if err == nil {
 						m := wire.Message{From: TPName, To: ShardName(s), Kind: kindShardFrame, Attr: hi}
 						err = link.send(m, shardFrameBody{Frame: frame})
 					}
 					if err != nil {
-						fail(fmt.Errorf("party: relaying %s frames to shard worker %d: %w", h, s, err))
+						pumped <- fmt.Errorf("party: relaying %s frames to shard worker %d: %w", h, s, err)
+						link.close()
 						return
 					}
 				}
+				pumped <- nil
 			}(tp.shardLanes[s][h])
 		}
 		if err := tp.collectShardSlices(s, link, out); err != nil {
-			return err
+			for {
+				select {
+				case perr := <-pumped:
+					if perr != nil {
+						return perr
+					}
+				default:
+					return err
+				}
+			}
 		}
-		pumps.Wait()
+		for range pumps {
+			if err := <-pumped; err != nil {
+				return err
+			}
+		}
 		// Clean hand-off: end the worker's run and drop the link before
 		// publishing — a worker is not a session peer and holds no results.
 		link.shutdown()
 		return nil
-	}
-	// stop unparks the slice collector and relay sends.
-	return shardSource{run: run, stop: link.close}, nil
+	}, nil
 }
 
 // collectShardSlices drains worker s's control stream until every

@@ -3,15 +3,17 @@ package party
 // Cross-process TP shards: the worker side. A ppc-shard process runs one
 // ShardServer; each coordinator registration (netid v4 hello) starts one
 // shardRun, which receives the slice offer, rebuilds the shard pipeline
-// (shardCore) from it, feeds the relayed holder frames through demuxes
-// with the shared lane quotas, and returns the finished slices. The
-// worker holds no durable state: a registration always answers with
-// watermarks (0, 0), and a re-registration for the same (session, shard)
-// supersedes the previous run — the coordinator replays the stream from
-// the beginning and the worker recomputes, which is what makes a crashed
-// worker process and a flapped link heal through the same path.
+// (shardCore) from it, feeds the relayed holder frames to lane readers,
+// bounded by the shared lane frame counts, and returns the finished
+// slices. The worker holds no durable state: a registration always
+// answers with watermarks (0, 0), and a re-registration for the same
+// (session, shard) supersedes the previous run — the coordinator replays
+// the stream from the beginning and the worker recomputes, which is what
+// makes a crashed worker process and a flapped link heal through the same
+// path.
 
 import (
+	"context"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -302,9 +304,9 @@ func (r *shardRun) serve() {
 }
 
 // run rebuilds the shard pipeline from the offer and drives it: relayed
-// frames feed per-holder pipes whose demuxes use the shared lane quotas,
-// the pipeline computes the slices, and the slices go back ascending by
-// attribute. Returns nil on a clean coordinator-initiated end.
+// frames feed per-holder pipes, one lane reader per pipe computes the
+// slices, and the slices go back ascending by attribute. Returns nil on a
+// clean coordinator-initiated end.
 func (r *shardRun) run(offer shardOfferBody) error {
 	s := r.srv
 	if offer.Fingerprint != s.fp {
@@ -353,32 +355,28 @@ func (r *shardRun) run(offer shardOfferBody) error {
 	}
 	rg := [2]int{offer.Lo, offer.Hi}
 
-	// One pipe + demux per holder — the write end receives the relayed
-	// frame bytes, the read end reproduces exactly the stream an
-	// in-process shard's demux would see. Holders with an all-zero quota
-	// close their lanes immediately and never touch the pipe.
-	classify := laneClassifier(nAttr, -1)
+	// One pipe per holder — the write end receives the relayed frame bytes,
+	// the read end reproduces exactly the stream an in-process shard's lane
+	// reader sees. A holder with no frames for the range never has its pipe
+	// read.
 	feeds := make([]wire.Conduit, len(offer.Holders))
-	demux := make([]*wire.Demux, len(offer.Holders))
-	quotas := make([]int, len(offer.Holders))
+	eps := make([]*wire.Endpoint, len(offer.Holders))
+	frames := make([]int, len(offer.Holders))
 	for hi := range offer.Holders {
 		a, b := wire.Pipe()
-		feeds[hi] = a
-		lanes := core.laneQuotas(hi, rg)
-		for _, q := range lanes {
-			quotas[hi] += q
-		}
-		demux[hi] = wire.NewDemux(wire.NewEndpoint(b), lanes, laneBuffer, classify)
+		feeds[hi], eps[hi] = a, wire.NewEndpoint(b)
+		frames[hi] = core.laneFrames(hi, rg)
 	}
-	stopAll := func() {
-		for _, d := range demux {
-			d.Stop()
-		}
+	// stop ends the lane readers: they yield no frame once ctx ends, and
+	// closing the feeds unparks the ones waiting for a frame.
+	ctx, cancel := context.WithCancel(context.Background())
+	stop := func() {
+		cancel()
 		for _, f := range feeds {
 			f.Close()
 		}
 	}
-	defer stopAll()
+	defer stop()
 
 	var mu sync.Mutex
 	var runErr error
@@ -386,28 +384,20 @@ func (r *shardRun) run(offer shardOfferBody) error {
 		mu.Lock()
 		if runErr == nil {
 			runErr = err
-			for _, d := range demux {
-				d.Stop()
-			}
 		}
 		mu.Unlock()
+		stop()
 	}
 
 	// The pipeline computes on its own goroutine and, on success, sends
 	// the slices back itself — ascending by attribute, so the reply order
 	// is deterministic.
-	out := make([]attrSlice, nAttr)
 	computeDone := make(chan struct{})
 	go func() {
 		defer close(computeDone)
-		core.runStages(core.comparisonAttrs(), func(attr int, fail func(error)) (err error) {
-			out[attr], err = core.assembleSlice(rg, demux, attr, fail)
-			return err
-		}, fail)
-		mu.Lock()
-		failed := runErr != nil
-		mu.Unlock()
-		if failed {
+		out := make([]attrSlice, nAttr)
+		if err := core.readSlices(ctx, eps, rg, out); err != nil {
+			fail(err)
 			return
 		}
 		for attr, a := range cfg.Schema.Attrs {
@@ -442,11 +432,11 @@ func (r *shardRun) run(offer shardOfferBody) error {
 	}()
 
 	// The relayed frames all arrive on one link, so the receive loop must
-	// never block on one holder's pipe while another holder's demux waits
+	// never block on one holder's pipe while another holder's reader waits
 	// for frames. It does not: a pipe queue is unbounded, so Send never
-	// blocks, and the lane quota bounds how much a coordinator can make
-	// the worker hold.
-	frames := 0
+	// blocks, and the lane frame count bounds how much a coordinator can
+	// make the worker hold.
+	relayed := 0
 	fed := make([]int, len(offer.Holders))
 	clean := false
 	var recvErr error
@@ -468,17 +458,17 @@ loop:
 				recvErr = fmt.Errorf("party: relayed frame for holder %d outside the roster", m.Attr)
 				break loop
 			}
-			if fed[m.Attr] >= quotas[m.Attr] {
-				recvErr = fmt.Errorf("party: relayed frames for %s exceed the lane quota %d", offer.Holders[m.Attr], quotas[m.Attr])
+			if fed[m.Attr] >= frames[m.Attr] {
+				recvErr = fmt.Errorf("party: relayed frames for %s exceed the lane's %d", offer.Holders[m.Attr], frames[m.Attr])
 				break loop
 			}
 			fed[m.Attr]++
 			if err := feeds[m.Attr].Send(body.Frame); err != nil {
 				fail(err)
 			}
-			frames++
+			relayed++
 			if hook := s.cfg.OnFrame; hook != nil {
-				hook(r.key.session, r.key.shard, frames)
+				hook(r.key.session, r.key.shard, relayed)
 			}
 		case kindShardDone:
 			clean = true
@@ -492,7 +482,7 @@ loop:
 		}
 	}
 	close(hbStop)
-	stopAll()
+	stop()
 	<-computeDone
 	hbWg.Wait()
 	if clean {

@@ -206,7 +206,7 @@ func TestConstructionOverlapsHandshakes(t *testing.T) {
 		ca, cb := wire.Pipe()
 		raw = append(raw, ca, cb)
 		if a == TPName {
-			ca = wire.Latency(ca, delay, 0, uint64(len(raw)))
+			ca = wire.Link(ca, delay, 0, 0, uint64(len(raw)))
 		}
 		conduits[a][keyA], conduits[b][keyB] = ca, cb
 	}

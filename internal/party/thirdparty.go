@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"ppclust/internal/catdist"
 	"ppclust/internal/dataset"
@@ -21,32 +19,6 @@ import (
 	"ppclust/internal/rng"
 	"ppclust/internal/wire"
 )
-
-// activeStages counts the pipeline stage goroutines currently live across
-// every ThirdParty in the process — the stage-pool occupancy gauge the
-// multi-tenant server exports. Process-wide on purpose: occupancy is a
-// statement about the machine's compute in flight, not about one session.
-var activeStages atomic.Int64
-
-// ActiveStages reports how many pipeline stage goroutines are running
-// right now, summed over all concurrent third-party sessions.
-func ActiveStages() int64 { return activeStages.Load() }
-
-// pipelineDepth bounds how many attribute stages may be in flight at the
-// third party at once: the stage pool has this many goroutines, and each
-// holder stream's per-attribute mailboxes hold at most laneBuffer
-// messages, so a fast sender can run only a bounded distance ahead of
-// assembly. Depth 4 keeps the CPU fed on real links without hoarding
-// per-stage scratch memory. The effective width is further capped by the
-// session's Parallelism budget (see stageWidthFor): stage concurrency must
-// never put more compute in flight than the operator allowed, and at
-// Parallelism 1 assembly compute stays strictly serial — wire overlap
-// then comes from the demux readers prefetching into their mailboxes.
-const pipelineDepth = 4
-
-// laneBuffer is the per-(holder, attribute) mailbox capacity of the
-// session demultiplexers.
-const laneBuffer = 2
 
 // ThirdParty runs the TP side of the session: it "does not have any data
 // but serves as a means of computation power and storage space" (paper
@@ -67,7 +39,7 @@ type ThirdParty struct {
 
 	// shardLanes[s][holder] is the secured holder→shard-s conduit of a
 	// TPShards > 1 session; nil otherwise. An in-process shard reads it
-	// through a demux; with Config.ShardDial the coordinator relays each
+	// with a lane reader; with Config.ShardDial the coordinator relays each
 	// frame, byte for byte, to the owning worker.
 	shardLanes []map[string]wire.Conduit
 
@@ -265,21 +237,21 @@ func (tp *ThirdParty) core() *shardCore {
 
 // Run executes the third party's side and returns the session report.
 //
-// The per-attribute work runs as a bounded pipeline: one reader goroutine
-// per holder conduit demultiplexes that holder's message stream into
-// per-attribute mailboxes, and a pool of at most pipelineDepth stage
-// goroutines pulls complete attributes through receive → assemble →
-// normalize, so attribute i's matrix is being decoded and assembled while
-// attribute i+1 is still streaming in; once the last matrix lands the
-// clustering tail (clusterAll) runs. Every stage writes only its own
-// attribute's slot and borrows a private engine from the pool, so the report
-// is bit-identical at any worker count, pipeline schedule and shard count.
+// Every holder lane has one reader goroutine, which walks the holder's send
+// order — attributes in schema order, each a contiguous run of the lane —
+// and installs each frame as it reads it, so attribute i's matrix is being
+// assembled while attribute i+1 is still streaming in; the last reader
+// through an attribute finishes and normalizes it, and once the last
+// matrix lands the clustering tail (clusterAll) runs. Every cell is written
+// once, by the one reader of the lane that carries it, and compute tokens
+// bound how many readers compute at once, so the report is bit-identical
+// at any worker count, frame arrival order and shard count.
 func (tp *ThirdParty) Run() (*TPReport, error) { return tp.RunContext(context.Background()) }
 
 // RunContext is Run bounded by a caller context: cancelling ctx aborts the
 // session (classified under ErrAborted, holders notified with the cause)
-// and unwinds promptly — demux readers, stage-pool goroutines and blocked
-// transport calls all exit — even mid-stream. Config.SessionTimeout and
+// and unwinds promptly — lane readers and blocked transport calls all
+// exit — even mid-stream. Config.SessionTimeout and
 // Config.PhaseTimeout bound the session independently of ctx. On a clean
 // return conduit ownership stays with the caller, exactly as with Run.
 func (tp *ThirdParty) RunContext(ctx context.Context) (*TPReport, error) {
@@ -306,82 +278,75 @@ func (tp *ThirdParty) runGuarded(ctx context.Context, body func() (*TPReport, er
 }
 
 // assemble is the third party's one post-census session body. The census
-// total is cut into dissim.ShardRanges(total, TPShards) row ranges and the
-// work into lane groups, each a stage pool (shardCore.runStages) over its
-// own demuxes:
+// total is cut into dissim.ShardRanges(total, TPShards) row ranges, and
+// the holder lanes into groups (shardCore.readLanes):
 //
 //   - the control group, on the per-holder control conduits: the tag-based
 //     attributes always, and at TPShards ≤ 1 — one range, the whole
 //     triangle, which holders stream on the control conduit — every
-//     attribute in schema order through a single pool;
+//     attribute in schema order, then each holder's clustering request;
 //   - at TPShards > 1 one group per range carrying the comparison
-//     attributes, whose slices come from a shardSource: a stage pool in this
-//     process, or a worker process behind a relay link (Config.ShardDial).
+//     attributes, whose slices come from a shardSource: lane readers in
+//     this process, or a worker process behind a relay link
+//     (Config.ShardDial).
 //
-// The groups finish, the shard slices (if any) merge, and the clustering
-// requests are served.
+// The first error of any group ends the session at once; otherwise the
+// shard slices (if any) merge and the clustering requests are served.
 func (tp *ThirdParty) assemble() (*TPReport, error) {
 	attrs := tp.cfg.Schema.Attrs
-	nAttr := len(attrs)
-	reqLane := nAttr
 	core := tp.core()
-	whole := [2]int{0, core.total}
 	sharded := len(tp.shardLanes) > 0
+	matrices := make([]*dissim.Matrix, len(attrs))
+	scales := make([]float64, len(attrs))
 
-	// One control demux per holder: lane a carries attribute a's messages
-	// (the single tag column, or — on a one-range session — the
-	// local-matrix chunk frames plus the S/M chunk frames of every pair-block
-	// share this holder produces), the extra lane carries the clustering
-	// request that ends the holder's stream. The chunk schedules are pure
-	// functions of the census and the shared Config, so each lane's quota
-	// is known before the first frame arrives.
-	ctl := make([]*wire.Demux, len(tp.holders))
-	classify := laneClassifier(nAttr, reqLane)
+	ctl := &laneGroup{
+		eps:  make([]*wire.Endpoint, len(tp.holders)),
+		asms: make([]*dissim.SliceAssembler, len(attrs)),
+		tags: make([][]*wire.Message, len(attrs)),
+		reqs: make([]requestBody, len(tp.holders)),
+	}
 	for hi, h := range tp.holders {
-		quotas := make([]int, nAttr+1)
-		if !sharded {
-			copy(quotas, core.laneQuotas(hi, whole))
-		}
-		for attr, a := range attrs {
-			if tagBased(a.Type) {
-				quotas[attr] = 1 // the encrypted column
-			}
-		}
-		quotas[reqLane] = 1
-		ctl[hi] = wire.NewDemux(tp.eps[h], quotas, laneBuffer, classify)
+		ctl.eps[hi] = tp.eps[h]
 	}
-	var ctlAttrs []int
+	whole := make([]*dissim.Assembler, len(attrs))
 	for attr, a := range attrs {
-		if !sharded || tagBased(a.Type) {
-			ctlAttrs = append(ctlAttrs, attr)
+		switch {
+		case tagBased(a.Type):
+			ctl.tags[attr] = make([]*wire.Message, len(tp.holders))
+		case sharded:
+			continue
+		default:
+			asm, err := dissim.NewAssemblerPar(tp.counts, tp.workers)
+			if err != nil {
+				return nil, err
+			}
+			if err := core.splitBlocks(asm.SliceAssembler, attr); err != nil {
+				return nil, err
+			}
+			whole[attr], ctl.asms[attr] = asm, asm.SliceAssembler
 		}
+		ctl.attrs = append(ctl.attrs, attr)
 	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		sources  []shardSource
-	)
-	stopAll := func() {
-		for _, d := range ctl {
-			d.Stop()
+	// A comparison attribute reaches the control group only on a one-range
+	// session, where the range is the whole triangle and the finished
+	// assembly is adopted as the matrix — no second triangle.
+	ctl.finish = func(attr int) error {
+		var m *dissim.Matrix
+		var err error
+		switch attrs[attr].Type {
+		case dataset.Categorical:
+			m, err = tp.assembleCategorical(ctl.tags[attr])
+		case dataset.Hierarchical:
+			m, err = tp.assembleHierarchical(ctl.tags[attr])
+		default:
+			m, err = whole[attr].Done()
 		}
-		for _, src := range sources {
-			src.stop()
+		if err != nil {
+			return err
 		}
-	}
-	defer stopAll()
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			// Release reader goroutines blocked on mailboxes no stage will
-			// drain, and abort sibling stages waiting in Next — even those
-			// waiting on a holder whose reader is parked in a conduit Recv
-			// that Stop cannot reach (the guard's teardown unparks those).
-			stopAll()
-		}
-		mu.Unlock()
+		scales[attr] = m.NormalizePar(tp.workers)
+		matrices[attr] = m
+		return nil
 	}
 
 	// ShardRanges never emits an empty range, so fewer than K shards are
@@ -390,6 +355,7 @@ func (tp *ThirdParty) assemble() (*TPReport, error) {
 	// census, so holders send nothing on them either) and no surplus
 	// worker is dialed.
 	var ranges [][2]int
+	var sources []shardSource
 	if sharded {
 		ranges = dissim.ShardRanges(core.total, len(tp.shardLanes))
 		open := tp.localShard
@@ -397,7 +363,7 @@ func (tp *ThirdParty) assemble() (*TPReport, error) {
 			open = tp.remoteShard
 		}
 		for s, r := range ranges {
-			src, err := open(core, s, r, fail)
+			src, err := open(core, s, r)
 			if err != nil {
 				return nil, err
 			}
@@ -405,76 +371,30 @@ func (tp *ThirdParty) assemble() (*TPReport, error) {
 		}
 	}
 
-	matrices := make([]*dissim.Matrix, nAttr)
-	scales := make([]float64, nAttr)
+	ctx, cancel := context.WithCancel(tp.guard.ctx)
+	defer cancel()
+	errs := make(chan error, 1+len(sources))
 	slices := make([][]attrSlice, len(sources))
-	var wg sync.WaitGroup
 	for s, src := range sources {
-		slices[s] = make([]attrSlice, nAttr)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := src.run(slices[s]); err != nil {
-				fail(err)
-			}
-		}()
+		slices[s] = make([]attrSlice, len(attrs))
+		go func() { errs <- src(ctx, slices[s]) }()
 	}
-	core.runStages(ctlAttrs, func(attr int, fail func(error)) error {
-		m, err := tp.assembleAttr(core, attr, demuxSource{ds: ctl, lane: attr}, fail)
-		if err != nil {
-			return err
+	go func() { errs <- core.readLanes(ctx, ctl) }()
+	for range cap(errs) {
+		if err := <-errs; err != nil {
+			return nil, err
 		}
-		scales[attr] = m.NormalizePar(tp.workers)
-		matrices[attr] = m
-		return nil
-	}, fail)
-	wg.Wait()
-	// Everything that can call fail has returned, except relay pumps of a
-	// source that itself failed — hence the lock.
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err != nil {
-		return nil, err
 	}
 	if sharded {
 		if err := tp.mergeShardSlices(core.total, ranges, slices, matrices, scales); err != nil {
 			return nil, err
 		}
 	}
-
-	return tp.finish(matrices, scales, func(hi int) (requestBody, error) {
-		var req requestBody
-		_, err := ctl[hi].Expect(reqLane, kindRequest, &req)
-		return req, err
-	})
+	return tp.finish(matrices, scales, func(hi int) (requestBody, error) { return ctl.reqs[hi], nil })
 }
 
-// assembleAttr is the control group's stage: one attribute's global matrix
-// from the messages src delivers. A comparison attribute reaches it
-// only on a one-range session, where the range is the whole triangle and
-// the finished assembly is adopted as the matrix — no second triangle.
-func (tp *ThirdParty) assembleAttr(core *shardCore, attr int, src attrSource, fail func(error)) (*dissim.Matrix, error) {
-	switch tp.cfg.Schema.Attrs[attr].Type {
-	case dataset.Categorical:
-		return tp.assembleCategorical(attr, src)
-	case dataset.Hierarchical:
-		return tp.assembleHierarchical(attr, src)
-	}
-	asm, err := dissim.NewAssemblerPar(tp.counts, tp.workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := core.assembleRows(asm.SliceAssembler, src, attr, fail); err != nil {
-		return nil, err
-	}
-	return asm.Done()
-}
-
-// finish answers the holders' clustering requests (nextReq reads one, in
-// holder order) through clusterAll and publishes the results. Requests
-// arrive after all of a holder's protocol traffic, so by the time the last
-// matrix lands they are typically already buffered.
+// finish answers the holders' clustering requests (nextReq returns one, in
+// holder order) through clusterAll and publishes the results.
 func (tp *ThirdParty) finish(matrices []*dissim.Matrix, scales []float64, nextReq func(hi int) (requestBody, error)) (*TPReport, error) {
 	tp.guard.setPhase("cluster-publish")
 	report := &TPReport{
@@ -539,19 +459,16 @@ func (tp *ThirdParty) census() error {
 	return nil
 }
 
-// assembleCategorical merges the holders' encrypted columns and runs the
-// Figure 12 construction over the combined tags (paper Section 5:
-// "Construction algorithm for categorical data is much simpler").
-func (tp *ThirdParty) assembleCategorical(attr int, src attrSource) (*dissim.Matrix, error) {
+// assembleCategorical merges the holders' encrypted columns — frames[hi]
+// is holder hi's — and runs the Figure 12 construction over the combined
+// tags (paper Section 5: "Construction algorithm for categorical data is
+// much simpler").
+func (tp *ThirdParty) assembleCategorical(frames []*wire.Message) (*dissim.Matrix, error) {
 	var all []detenc.Tag
 	for hi, h := range tp.holders {
 		var body catTagsBody
-		m, err := src.expect(hi, kindCatTags, &body)
-		if err != nil {
+		if err := wire.DecodeBody(frames[hi].Payload, &body); err != nil {
 			return nil, err
-		}
-		if m.Attr != attr {
-			return nil, fmt.Errorf("party: %s sent tags for attr %d, want %d", h, m.Attr, attr)
 		}
 		if len(body.Tags) != tp.counts[hi] {
 			return nil, fmt.Errorf("party: %s sent %d tags, census says %d", h, len(body.Tags), tp.counts[hi])
@@ -566,20 +483,16 @@ func (tp *ThirdParty) assembleCategorical(attr int, src attrSource) (*dissim.Mat
 	return dissim.FromLocalPar(len(all), tp.workers, func(int) func(i, j int) float64 { return dist }), nil
 }
 
-// assembleHierarchical merges the holders' encrypted path columns and
-// evaluates the taxonomy distance on tag sequences — the future-work
-// extension of Section 4.3 realized with the same trust structure as
-// categorical attributes.
-func (tp *ThirdParty) assembleHierarchical(attr int, src attrSource) (*dissim.Matrix, error) {
+// assembleHierarchical merges the holders' encrypted path columns —
+// frames[hi] is holder hi's — and evaluates the taxonomy distance on tag
+// sequences: the future-work extension of Section 4.3 realized with the
+// same trust structure as categorical attributes.
+func (tp *ThirdParty) assembleHierarchical(frames []*wire.Message) (*dissim.Matrix, error) {
 	var all [][]detenc.Tag
 	for hi, h := range tp.holders {
 		var body pathTagsBody
-		m, err := src.expect(hi, kindPathTags, &body)
-		if err != nil {
+		if err := wire.DecodeBody(frames[hi].Payload, &body); err != nil {
 			return nil, err
-		}
-		if m.Attr != attr {
-			return nil, fmt.Errorf("party: %s sent path tags for attr %d, want %d", h, m.Attr, attr)
 		}
 		if len(body.Paths) != tp.counts[hi] {
 			return nil, fmt.Errorf("party: %s sent %d paths, census says %d", h, len(body.Paths), tp.counts[hi])

@@ -1,7 +1,7 @@
 // Package proctest is the multi-process conformance harness: it builds
 // the real ppc-shard worker binary once, spawns worker subprocesses on
 // localhost TCP, and drives sessions whose coordinator lives in the test
-// process while the shard stage pipelines run in the spawned workers —
+// process while the shard lane readers run in the spawned workers —
 // the full cross-process control protocol (v4 registration, slice offer,
 // frame relay, heartbeats, done/abort) over real process and socket
 // boundaries.

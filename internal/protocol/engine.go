@@ -99,11 +99,11 @@ func (e *Engine) tpScratch() []*editdist.Scratch {
 }
 
 // EnginePool hands out Engines with a shared worker setting so concurrent
-// pipeline stages — the third party's in-flight attribute assemblies —
-// each own an engine for the duration of a stage and return it when done.
-// Buffers warmed by one attribute are reused by the next instead of being
-// reallocated per stage, and the pool never shrinks: steady state holds
-// one engine per concurrently active stage.
+// consumers — the third party's lane readers, each through one attribute
+// at a time — each own an engine while they use it and return it when
+// done. Buffers warmed by one attribute are reused by the next instead of
+// being reallocated, and the pool never shrinks: steady state holds one
+// engine per concurrently active consumer.
 //
 // A zero-size pool is not meaningful; construct with NewEnginePool. Get
 // and Put are safe for concurrent use.

@@ -275,8 +275,8 @@ func TestEngineBufferReuse(t *testing.T) {
 // TestEnginePoolReuseAndConcurrency: Get after Put hands back the same
 // engine (buffer reuse), engines are independent under concurrent
 // borrowers, and concurrent pool use produces bit-identical protocol
-// outputs — the property the third party's pipelined attribute stages
-// rely on.
+// outputs — the property the third party's concurrent lane readers rely
+// on.
 func TestEnginePool(t *testing.T) {
 	p := NewEnginePool(1)
 	e1 := p.Get()

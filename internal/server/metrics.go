@@ -138,7 +138,8 @@ func (m *Metrics) noteEstimate(estimate int64) {
 //	reconnects_refused  resume hellos refused
 //	wire_sent_bytes / wire_sent_frames / wire_recv_bytes / wire_recv_frames
 //	                    summed session traffic at the server edge
-//	stage_pool_active   gauge: pipeline stage goroutines running now
+//	compute_active      gauge: compute tokens held now, process-wide — the
+//	                    chunks and attribute finishes being evaluated
 //	shards_active       gauge: in-process TP shard engines serving running
 //	                    sessions (0 on the single-TP path)
 //	shard_procs_active  gauge: coordinator→worker links connected now
@@ -169,7 +170,7 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"wire_sent_frames":                 int64(sentF),
 		"wire_recv_bytes":                  int64(recvB),
 		"wire_recv_frames":                 int64(recvF),
-		"stage_pool_active":                party.ActiveStages(),
+		"compute_active":                   party.ComputeActive(),
 		"shards_active":                    m.shardsActive.Load(),
 		"shard_procs_active":               m.shardProcsActive.Load(),
 		"shard_restarts":                   m.shardRestarts.Load(),

@@ -81,7 +81,7 @@ type FaultSpec struct {
 }
 
 // Fault wraps a conduit's send side with one scripted fault, layered like
-// Latency and Link: payload-transparent until the scripted frame, then the
+// Link: payload-transparent until the scripted frame, then the
 // configured failure. Chaos tests wrap one party's end of one session link
 // and assert that every party unwinds with a classified error (or, for
 // survivable faults, that reports stay bit-identical).

@@ -170,33 +170,6 @@ func TestChaosFaultTransientAndRetry(t *testing.T) {
 	}
 }
 
-// TestChaosLatencyCloseInterruptsDelay: closing a Latency conduit mid-delay
-// returns promptly instead of sleeping out the schedule.
-func TestChaosLatencyCloseInterruptsDelay(t *testing.T) {
-	leakcheck.Check(t)
-	a, b := Pipe()
-	defer a.Close()
-	lat := Latency(b, time.Hour, 0, 1)
-	if err := a.Send([]byte("slow")); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := lat.Recv()
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	lat.Close()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("interrupted delay want ErrClosed, got %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("close did not interrupt the latency delay")
-	}
-}
-
 // TestChaosLinkCloseInterruptsDelivery: closing a Link conduit interrupts
 // an in-progress delivery sleep and the pump goroutine exits.
 func TestChaosLinkCloseInterruptsDelivery(t *testing.T) {

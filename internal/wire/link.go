@@ -1,51 +1,16 @@
 package wire
 
 import (
+	"bytes"
 	"sync"
 	"time"
 
 	"ppclust/internal/rng"
 )
 
-// Latency wraps a conduit so that every received frame is charged a
-// transfer delay of base plus a deterministic per-frame jitter drawn
-// uniformly from [0, jitter). Delays are paid on the receiving side, one
-// frame at a time, so consecutive frames on one conduit serialize — the
-// model of a bandwidth-limited WAN link the session-pipeline benchmarks
-// and the networking tests inject. The jitter stream is seeded, making a
-// wrapped conduit's delay schedule reproducible run to run.
-//
-// Only Recv is delayed: a real sender does not block for propagation
-// time, and delaying both sides would double-count the link.
-//
-// Close interrupts an in-progress delay — the undelivered frame is
-// dropped, matching a link torn down mid-flight — so session teardown is
-// never held hostage by a simulated propagation sleep.
-func Latency(c Conduit, base, jitter time.Duration, seed uint64) Conduit {
-	return &latencyConduit{
-		inner:  c,
-		base:   base,
-		jitter: jitter,
-		src:    rng.NewXoshiro(rng.SeedFromUint64(seed)),
-		closed: make(chan struct{}),
-	}
-}
-
-type latencyConduit struct {
-	inner  Conduit
-	base   time.Duration
-	jitter time.Duration
-
-	mu  sync.Mutex // guards src: one jitter stream per conduit
-	src rng.Stream
-
-	closeOnce sync.Once
-	closed    chan struct{}
-}
-
 // sleepInterruptible sleeps for d unless done closes first, reporting
-// whether the full delay elapsed. The simulated-link wrappers (Latency,
-// Link, Fault) route every delay through it so that Close tears a
+// whether the full delay elapsed. The simulated-link wrappers (Link,
+// Fault) route every delay through it so that Close tears a
 // simulation down promptly instead of waiting out its schedule.
 func sleepInterruptible(d time.Duration, done <-chan struct{}) bool {
 	if d <= 0 {
@@ -61,43 +26,13 @@ func sleepInterruptible(d time.Duration, done <-chan struct{}) bool {
 	}
 }
 
-func (l *latencyConduit) delay() time.Duration {
-	d := l.base
-	if l.jitter > 0 {
-		l.mu.Lock()
-		d += time.Duration(rng.Float64(l.src) * float64(l.jitter))
-		l.mu.Unlock()
-	}
-	return d
-}
-
-func (l *latencyConduit) Send(frame []byte) error { return l.inner.Send(frame) }
-
-func (l *latencyConduit) Recv() ([]byte, error) {
-	f, err := l.inner.Recv()
-	if err != nil {
-		return nil, err
-	}
-	if !sleepInterruptible(l.delay(), l.closed) {
-		return nil, ErrClosed
-	}
-	return f, nil
-}
-
-func (l *latencyConduit) RecvOwned() bool { return RecvOwned(l.inner) }
-
-func (l *latencyConduit) Close() error {
-	l.closeOnce.Do(func() { close(l.closed) })
-	return l.inner.Close()
-}
-
 // Link wraps a conduit's receive side in a store-and-forward link model:
 // frames are serialized through a bandwidth bottleneck of bytesPerSec and
 // then delivered after a propagation delay of base plus deterministic
-// seeded jitter from [0, jitter). Unlike Latency — whose per-frame sleep
-// serializes base across frames, modeling a link where every frame costs a
-// full round — Link charges the size-proportional transfer serially while
-// propagation overlaps across in-flight frames, which is the shape that
+// seeded jitter from [0, jitter), so a link's delay schedule is
+// reproducible run to run. Link charges the size-proportional transfer
+// serially while propagation overlaps across in-flight frames, which is
+// the shape that
 // makes one monolithic matrix frame a serial wall and a row-chunked stream
 // of the same bytes consumable as it arrives. bytesPerSec <= 0 disables the
 // bandwidth bottleneck.
@@ -163,6 +98,11 @@ func (l *linkConduit) pump() {
 			return
 		}
 		owned := RecvOwned(l.inner)
+		if !owned {
+			// A lent frame is valid only until the inner conduit's next
+			// Recv, which the pump makes before this frame is delivered.
+			f = bytes.Clone(f)
+		}
 		now := time.Now()
 		start := busyUntil
 		if now.After(start) {
@@ -173,15 +113,22 @@ func (l *linkConduit) pump() {
 			xfer = time.Duration(float64(len(f)) / l.bps * float64(time.Second))
 		}
 		busyUntil = start.Add(xfer)
-		deliver := busyUntil.Add(l.base)
-		if l.jitter > 0 {
-			deliver = deliver.Add(time.Duration(rng.Float64(l.src) * float64(l.jitter)))
-		}
+		deliver := busyUntil.Add(l.delay())
 		l.mu.Lock()
 		l.queue = append(l.queue, linkFrame{frame: f, owned: owned, deliver: deliver})
 		l.cond.Broadcast()
 		l.mu.Unlock()
 	}
+}
+
+// delay is the next frame's propagation delay: base plus a draw from the
+// seeded jitter stream.
+func (l *linkConduit) delay() time.Duration {
+	d := l.base
+	if l.jitter > 0 {
+		d += time.Duration(rng.Float64(l.src) * float64(l.jitter))
+	}
+	return d
 }
 
 func (l *linkConduit) Send(frame []byte) error { return l.inner.Send(frame) }

@@ -178,11 +178,11 @@ func (e *Endpoint) SendBody(m Message, body any) error {
 }
 
 // Recv blocks for the next Message. The Message owns its Payload: it stays
-// valid across later Recvs (Demux parks messages in mailboxes, relayed
-// frames queue behind slow consumers), so body decoders may keep
-// references into it. The payload aliases the received frame when the
-// conduit vouches that Recv transferred ownership (see Conduit) and is
-// copied out of it otherwise.
+// valid across later Recvs (the third party keeps a holder's tag frame
+// until every holder's has arrived, relayed frames queue behind slow
+// consumers), so body decoders may keep references into it. The payload
+// aliases the received frame when the conduit vouches that Recv
+// transferred ownership (see Conduit) and is copied out of it otherwise.
 func (e *Endpoint) Recv() (*Message, error) {
 	frame, err := e.conduit.Recv()
 	if err != nil {

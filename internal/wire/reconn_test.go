@@ -315,8 +315,8 @@ func TestReconnCloseWhileDown(t *testing.T) {
 }
 
 // TestLinkCloseThenRebind pins the Close-then-rebind contract the resume
-// path relies on for shaped links: closing a Link (or Latency) conduit
-// releases its pump goroutine and the underlying transport promptly, so a
+// path relies on for shaped links: closing a Link conduit releases its
+// pump goroutine and the underlying transport promptly, so a
 // fresh shaped conduit can be dialed in its place without leaking the old
 // one's resources.
 func TestLinkCloseThenRebind(t *testing.T) {
@@ -324,7 +324,7 @@ func TestLinkCloseThenRebind(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		rawA, rawB := Pipe()
 		shaped := Link(rawA, time.Millisecond, 0, 64<<20, uint64(round))
-		lat := Latency(rawB, time.Millisecond, 0, uint64(round))
+		lat := Link(rawB, time.Millisecond, 0, 0, uint64(round))
 		done := make(chan struct{})
 		go func() {
 			defer close(done)

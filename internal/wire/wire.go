@@ -49,8 +49,8 @@ const maxRetainedBuf = 1 << 20
 // buffers through a pool on the strength of this). Whether the frame Recv
 // returned belongs to the caller, or is only lent until the next Recv, is
 // answered by RecvOwned: a conduit vouches when nothing else will read or
-// write the frame again. Pipe and Secure vouch; Meter, Latency, Link
-// and Reconn hand frames through untouched and forward their inner
+// write the frame again. Pipe and Secure vouch; Meter, Link and Reconn
+// hand frames through untouched and forward their inner
 // conduit's answer; TCPPooled (recycled receive buffer), Tap (its observer
 // may be reading), the fault injectors and any Conduit from outside this
 // package do not. Secure opens an owned frame in place and any other into

@@ -693,7 +693,7 @@ func TestSecureOpensInPlaceOnlyWhenVouched(t *testing.T) {
 	for name, decorate := range map[string]func(Conduit) Conduit{
 		"bare pipe": func(c Conduit) Conduit { return c },
 		"meter+link+reconn": func(c Conduit) Conduit {
-			return NewReconn(Meter(Latency(Link(c, 0, 0, 0, 1), 0, 0, 1), &Counter{}), time.Second)
+			return NewReconn(Meter(Link(c, 0, 0, 0, 1), &Counter{}), time.Second)
 		},
 	} {
 		a, b := Pipe()
@@ -826,8 +826,9 @@ func TestLinkVouchesForTheDeliveredFrame(t *testing.T) {
 
 // TestLinkDeliversInOrderThroughBottleneck: the store-and-forward link must
 // preserve order and content, serialize transfer through the bandwidth
-// bottleneck (many frames take at least size/bw in aggregate), and not
-// charge the propagation delay once per frame the way Latency does.
+// bottleneck (many frames take at least size/bw in aggregate), not charge
+// the propagation delay once per frame, and pass the inner conduit's
+// terminal error through once the frames are drained.
 func TestLinkDeliversInOrderThroughBottleneck(t *testing.T) {
 	a, b := Pipe()
 	const frames, frameLen = 16, 4096
@@ -856,7 +857,7 @@ func TestLinkDeliversInOrderThroughBottleneck(t *testing.T) {
 	if elapsed < transfer {
 		t.Fatalf("delivered %v of frames in %v, bottleneck requires >= %v", frames, elapsed, transfer)
 	}
-	// Latency's model would charge 16 × 20ms of propagation serially; the
+	// A per-frame sleep would charge 16 × 20ms of propagation serially; the
 	// pipelined link must come in well under that.
 	if serialProp := frames * 20 * time.Millisecond; elapsed >= transfer+serialProp {
 		t.Fatalf("propagation appears serialized: %v elapsed for %v transfer", elapsed, transfer)

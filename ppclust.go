@@ -247,9 +247,12 @@ type Options struct {
 	// with a merge coordinator: each shard owns a contiguous range of the
 	// session's global rows, holders fan their comparison-attribute chunk
 	// streams to the owning shard's conduit, and the coordinator merges
-	// the assembled slices before clustering. Peak per-shard resident
-	// memory drops roughly by the shard count; results are bit-identical
-	// to the single-TP session at every setting. 0 and 1 both select the
+	// the assembled slices before clustering. Each shard holds only its
+	// slice, so the memory of a shard worker process (TPShardWorker)
+	// drops roughly by the shard count; shards in the third party's own
+	// process peak above the single-TP session, since the slices and the
+	// merged matrix coexist at the merge. Results are bit-identical to
+	// the single-TP session at every setting. 0 and 1 both select the
 	// single-TP path. The count is part of the session agreement: every
 	// party must run the same value, and holders need one extra conduit
 	// per shard (TPShardConduitName) next to the control conduit. See

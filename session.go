@@ -232,7 +232,7 @@ func NewTPServer(holders []string, schema Schema, opts Options, srv TPServerOpti
 // TPShardWorker is one external shard worker: a server that accepts
 // version-4 shard-registration hellos from session coordinators (a
 // TPServer running with TPServerOptions.ShardAddrs, or cmd/ppc-tp with
-// -shard-addrs) and runs one shard's stage pipeline per registered
+// -shard-addrs) and runs one shard's lane readers per registered
 // session. Workers are stateless between registrations — a restarted
 // worker heals its degraded sessions by recomputing from the
 // coordinator's replay — so one worker process (cmd/ppc-shard) per
@@ -264,8 +264,8 @@ func NewTPShardWorker(cfg TPShardWorkerConfig) (*TPShardWorker, error) {
 }
 
 // EstimateSessionBytes prices one session under the server's budget
-// formula: the resident matrices plus the streaming mailboxes and scratch
-// a session of totalObjects objects claims at its peak. It is the per-
+// formula: the resident matrices plus the frames and scratch the lane
+// readers of a session of totalObjects objects hold at its peak. It is the per-
 // session reservation NewTPServer charges against GlobalBudgetBytes, and
 // the number to size -budget-bytes with.
 func EstimateSessionBytes(schema Schema, opts Options, numHolders, totalObjects int) int64 {
