@@ -359,7 +359,7 @@ func FromLocal(n int, dist func(i, j int) float64) *Matrix {
 // FromLocalPar is Figure 12 over the parallel engine: the packed cell
 // range is split into contiguous chunks, one per worker, and newDist is
 // invoked once per worker so distance functions can carry private scratch
-// (the alphanumeric edit-distance DP rows). Every cell's value depends
+// (the alphanumeric edit distance's match table). Every cell's value depends
 // only on its own (i, j), so output is bit-identical at any worker count.
 // The construction pass tracks the maximum entry, fusing the Max scan
 // Normalize would otherwise need.

@@ -1,7 +1,10 @@
 package editdist
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,11 +14,7 @@ import (
 
 func dist(t *testing.T, a *alphabet.Alphabet, s, u string) int {
 	t.Helper()
-	d, err := DistanceStrings(a, s, u)
-	if err != nil {
-		t.Fatalf("DistanceStrings(%q,%q): %v", s, u, err)
-	}
-	return d
+	return Distance(a.MustEncode(s), a.MustEncode(u))
 }
 
 func TestKnownDistances(t *testing.T) {
@@ -186,31 +185,6 @@ func TestEmptyStringsViaCCM(t *testing.T) {
 	}
 }
 
-func TestCustomCosts(t *testing.T) {
-	a := alphabet.Lower
-	s, u := a.MustEncode("abc"), a.MustEncode("adc")
-	// Substitution twice as expensive as insert+delete: distance becomes 2
-	// via delete+insert rather than 3 via substitution... unit sub = 1.
-	if got := DistanceCosts(s, u, Costs{Insert: 1, Delete: 1, Substitute: 3}); got != 2 {
-		t.Fatalf("expensive substitution distance = %d, want 2", got)
-	}
-	if got := DistanceCosts(s, u, Costs{Insert: 1, Delete: 1, Substitute: 1}); got != 1 {
-		t.Fatalf("unit distance = %d, want 1", got)
-	}
-	if got := FromCCMCosts(BuildCCM(s, u), Costs{Insert: 1, Delete: 1, Substitute: 3}); got != 2 {
-		t.Fatal("FromCCMCosts disagrees with DistanceCosts")
-	}
-}
-
-func TestNegativeCostsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative costs did not panic")
-		}
-	}()
-	DistanceCosts(nil, nil, Costs{Insert: -1, Delete: 1, Substitute: 1})
-}
-
 func TestQuickCCMEquivalence(t *testing.T) {
 	s := rng.NewXoshiro(rng.SeedFromUint64(4))
 	f := func(alen, blen uint8) bool {
@@ -278,10 +252,6 @@ func BenchmarkFromCCM32(b *testing.B) {
 func TestScratchMatchesOneShot(t *testing.T) {
 	s := rng.NewXoshiro(rng.SeedFromUint64(77))
 	sc := MustUnitScratch()
-	weighted, err := NewScratch(Costs{Insert: 2, Delete: 3, Substitute: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for trial := 0; trial < 200; trial++ {
 		a := make([]alphabet.Symbol, rng.Symbol(s, 20))
 		b := make([]alphabet.Symbol, rng.Symbol(s, 20))
@@ -298,21 +268,6 @@ func TestScratchMatchesOneShot(t *testing.T) {
 		if got, want := sc.FromCCM(ccm), FromCCM(ccm); got != want {
 			t.Fatalf("Scratch.FromCCM = %d, want %d", got, want)
 		}
-		wc := weighted.Costs()
-		if got, want := weighted.Distance(a, b), DistanceCosts(a, b, wc); got != want {
-			t.Fatalf("weighted Scratch.Distance = %d, want %d", got, want)
-		}
-		if got, want := weighted.FromCCM(ccm), FromCCMCosts(ccm, wc); got != want {
-			t.Fatalf("weighted Scratch.FromCCM = %d, want %d", got, want)
-		}
-	}
-}
-
-// TestScratchRejectsInvalidCosts checks validation happens once, at
-// construction.
-func TestScratchRejectsInvalidCosts(t *testing.T) {
-	if _, err := NewScratch(Costs{Insert: -1, Delete: 1, Substitute: 1}); err == nil {
-		t.Fatal("negative insert cost accepted")
 	}
 }
 
@@ -347,14 +302,132 @@ func TestFromMaskedMatchesDistance(t *testing.T) {
 		if got, ok := FromMasked(s, narrow, len(a), len(b), mask, n); !ok || got != want {
 			t.Fatalf("trial %d: byte cells give %d (%v), want %d", trial, got, ok, want)
 		}
+		packed := make([]byte, len(mask))
+		for j, m := range mask {
+			packed[j] = byte(m)
+		}
+		if got, ok := FromMasked(s, narrow, len(a), len(b), packed, n); !ok || got != want {
+			t.Fatalf("trial %d: byte cells eight at a time give %d (%v), want %d", trial, got, ok, want)
+		}
 		if len(narrow) > 0 {
 			narrow[gen.Intn(len(narrow))] = n
 			if _, ok := FromMasked(s, narrow, len(a), len(b), mask, n); ok {
 				t.Fatalf("trial %d: a cell at the limit passed", trial)
 			}
+			if _, ok := FromMasked(s, narrow, len(a), len(b), packed, n); ok {
+				t.Fatalf("trial %d: a cell at the limit passed eight at a time", trial)
+			}
 		}
 	}
-	if got, ok := FromMasked(s, []byte(nil), 0, 7, nil, n); !ok || got != 7 {
+	if got, ok := FromMasked(s, []byte(nil), 0, 7, []int(nil), n); !ok || got != 7 {
 		t.Fatalf("0×7 matrix: %d (%v), want 7", got, ok)
 	}
+}
+
+// BenchmarkScratch times the allocation-free forms on both sides of the
+// one-word pattern limit: 16 and 64 symbols run the bit-parallel kernel, 96
+// the DP fallback. FromMasked reads a CCM's cells against a byte mask, the
+// way the third party reads a byte slab.
+func BenchmarkScratch(b *testing.B) {
+	for _, size := range []int{16, 64, 96} {
+		gen := rng.NewXoshiro(rng.SeedFromUint64(uint64(size)))
+		var strs [2][]alphabet.Symbol
+		for i := range strs {
+			strs[i] = make([]alphabet.Symbol, size)
+			for j := range strs[i] {
+				strs[i][j] = alphabet.Symbol(rng.Symbol(gen, alphabet.DNA.Size()))
+			}
+		}
+		ccm, zero := BuildCCM(strs[0], strs[1]), make([]byte, size)
+		sc := MustUnitScratch()
+		b.Run(fmt.Sprintf("Distance/%d", size), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				sc.Distance(strs[0], strs[1])
+			}
+		})
+		b.Run(fmt.Sprintf("FromMasked/%d", size), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				FromMasked(sc, ccm.Cell, size, size, zero, 2)
+			}
+		})
+	}
+}
+
+// FuzzEditDistance checks every form against the independent full-matrix
+// naive: strings of up to 130 symbols on both sides of the one-word
+// pattern, over alphabets of 1 to 65536 symbols. A string is one symbol per
+// byte, reduced modulo the alphabet size. From the strings and the masks
+// it builds a responder's masked differences as symbol cells and, when they
+// fit, byte cells; corrupt replaces one cell with a value out of range,
+// and ok must be false exactly when some cell is not below the limit.
+func FuzzEditDistance(f *testing.F) {
+	f.Add([]byte("kitten"), []byte("sitting"), uint16(25), uint64(1), uint32(0))
+	f.Add([]byte(""), []byte("abc"), uint16(0), uint64(2), uint32(0))
+	f.Add(make([]byte, 64), make([]byte, 65), uint16(3), uint64(3), uint32(0))
+	f.Add([]byte(strings.Repeat("acgt", 16)), []byte(strings.Repeat("tgca", 16)+"a"), uint16(3), uint64(4), uint32(196<<8|7))
+	f.Add([]byte(strings.Repeat("ab", 33)), []byte(strings.Repeat("ba", 65)), uint16(127), uint64(5), uint32(1<<8|1))
+	f.Add([]byte(strings.Repeat("ba", 32)), []byte(strings.Repeat("ab", 40)), uint16(128), uint64(8), uint32(2<<8|5))
+	f.Add([]byte("short"), []byte("pattern"), uint16(255), uint64(6), uint32(0))
+	f.Add([]byte("short"), []byte("pattern"), uint16(300), uint64(7), uint32(1000<<8|3))
+	f.Fuzz(func(t *testing.T, ra, rb []byte, lim uint16, seed uint64, corrupt uint32) {
+		n := int(lim) + 1
+		sym := func(raw []byte) []alphabet.Symbol {
+			out := make([]alphabet.Symbol, min(len(raw), 130))
+			for i := range out {
+				out[i] = alphabet.Symbol(int(raw[i]) % n)
+			}
+			return out
+		}
+		a, b := sym(ra), sym(rb)
+		want := naive(a, b)
+		sc := MustUnitScratch()
+		if got := Distance(a, b); got != want {
+			t.Fatalf("Distance = %d, naive %d", got, want)
+		}
+		if got, back := sc.Distance(a, b), sc.Distance(b, a); got != want || back != want {
+			t.Fatalf("Scratch.Distance = %d and %d reversed, naive %d", got, back, want)
+		}
+		if got := sc.FromCCM(BuildCCM(a, b)); got != want {
+			t.Fatalf("Scratch.FromCCM = %d, naive %d", got, want)
+		}
+
+		gen := rng.NewXoshiro(rng.SeedFromUint64(seed))
+		mask, packed := make([]int, len(b)), make([]byte, len(b))
+		for j := range mask {
+			mask[j] = rng.Symbol(gen, n)
+			packed[j] = byte(mask[j])
+		}
+		wide := make([]alphabet.Symbol, len(a)*len(b))
+		for i := range a {
+			for j := range b {
+				wide[i*len(b)+j] = alphabet.Symbol((int(b[j]) + mask[j] - int(a[i]) + n) % n)
+			}
+		}
+		if corrupt != 0 && len(wide) > 0 && n < 1<<16 {
+			wide[int(corrupt)%len(wide)] = alphabet.Symbol(n + int(corrupt>>8)%(1<<16-n))
+		}
+		inRange, narrow := true, make([]byte, len(wide))
+		for i, c := range wide {
+			inRange = inRange && int(c) < n
+			narrow[i] = byte(c)
+		}
+		check := func(form string, got int, ok bool) {
+			t.Helper()
+			if ok != inRange || ok && got != want {
+				t.Fatalf("%s = %d (ok %v), naive %d (in range %v)", form, got, ok, want, inRange)
+			}
+		}
+		got, ok := FromMasked(sc, wide, len(a), len(b), mask, n)
+		check("FromMasked over symbols", got, ok)
+		if !slices.ContainsFunc(wide, func(c alphabet.Symbol) bool { return c > 0xff }) {
+			got, ok = FromMasked(sc, narrow, len(a), len(b), mask, n)
+			check("FromMasked over bytes", got, ok)
+			if n <= 1<<8 {
+				got, ok = FromMasked(sc, narrow, len(a), len(b), packed, n)
+				check("FromMasked over bytes, eight at a time", got, ok)
+			}
+		}
+	})
 }

@@ -409,6 +409,11 @@ func TestNumericFramesMatchParent(t *testing.T) {
 // column row, the responder's rows of one cell (batch) or of every column
 // (per-pair).
 func FuzzChunkBodyDecoders(f *testing.F) {
+	runes := make([]rune, 256)
+	for i := range runes {
+		runes[i] = rune(0x100 + i)
+	}
+	byteAlphabet := alphabet.MustNew("bytes", runes)
 	which := map[wire.Kind]uint8{kindLocal: 0, kindNumS: 1, kindNumDisg: 2, kindAlphaM: 3}
 	for _, cfg := range []Config{
 		{Schema: pipelineSchema(), Variant: Float64Variant, LocalChunkBytes: 64},
@@ -461,7 +466,9 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 		jt := rng.NewAESCTR(rng.SeedFromUint64(1))
 		switch b := d.(type) {
 		case *alphaMBody:
-			for _, a := range []*alphabet.Alphabet{alphabet.DNA, alphabet.AlphaNum} {
+			// The last alphabet takes every byte cell, so the byte kernel's
+			// check at the top of its range sees cells from the payload.
+			for _, a := range []*alphabet.Alphabet{alphabet.DNA, alphabet.AlphaNum, byteAlphabet} {
 				protocol.NewEngine(2).AlphaThirdPartyChunk(&b.M, 0, len(b.M.Counts), a, jt)
 			}
 		case *localBody:

@@ -296,8 +296,9 @@ func centralizedMatrix(all *dataset.Table, attr int, a dataset.Attribute) (*diss
 		if err != nil {
 			return nil, err
 		}
+		sc := editdist.MustUnitScratch()
 		return dissim.FromLocal(n, func(i, j int) float64 {
-			return float64(editdist.Distance(col[i], col[j]))
+			return float64(sc.Distance(col[i], col[j]))
 		}), nil
 	case dataset.Ordered:
 		col, err := all.RanksCol(attr)

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -18,8 +19,8 @@ import (
 // prefix R. The responder DHK forms, for every (own, disguised) string
 // pair, the matrix of symbol differences s′[p] − t[q]. The third party,
 // which shares R's seed with the initiator, subtracts R and flattens the
-// result into the 0/1 character comparison matrix (CCM), over which it runs
-// the edit-distance DP of internal/editdist.
+// result into the 0/1 character comparison matrix (CCM), from which
+// internal/editdist computes the edit distance.
 //
 // Faithfulness note: as published, the third party observes the full
 // difference s[p] − t[q] (mod |A|) before flattening it to 0/1 — a leak the
@@ -213,48 +214,92 @@ func (e *Engine) alphaResponder(c *AlphaChunk, own, disguised []SymbolString, a 
 		}
 		cells += len(t) * width
 	}
-	if narrow {
-		c.Narrow, c.Wide = slices.Grow(c.Narrow[:0], cells)[:cells], nil
-		alphaDiffRows(e.workers, c.Narrow, own, disguised, width, a.Size())
-	} else {
+	if !narrow {
 		c.Narrow, c.Wide = nil, slices.Grow(c.Wide[:0], cells)[:cells]
-		alphaDiffRows(e.workers, c.Wide, own, disguised, width, a.Size())
+		alphaDiffRows(e.workers, c.Wide, own, disguised, nil, width, a.Size())
+		return
 	}
+	c.Narrow, c.Wide = slices.Grow(c.Narrow[:0], cells)[:cells], nil
+	packed := slices.Grow(e.b8[:0], width)
+	for _, sp := range disguised {
+		for _, sym := range sp {
+			packed = append(packed, byte(sym))
+		}
+	}
+	e.b8 = packed
+	alphaDiffRows(e.workers, c.Narrow, own, disguised, packed, width, a.Size())
 }
 
 // alphaDiffRows is the Figure 9 arithmetic: for every own string t, every
 // disguised string sp and every character pair, dst gets sp[p] − t[q]
-// modulo the alphabet size n, laid out as AlphaChunk describes. Operands
-// are symbols, so one conditional add reduces the difference. Pure
-// per-cell arithmetic at fixed positions: parallel over own strings and
+// modulo the alphabet size n, laid out as AlphaChunk describes. A byte slab
+// is filled eight cells per word from packed, the disguised strings back to
+// back a byte a symbol, wherever sp has at least eight. Pure per-cell
+// arithmetic at fixed positions: parallel over own strings and
 // bit-identical at any worker count.
-func alphaDiffRows[T ~uint8 | ~uint16](workers int, dst []T, own, disguised []SymbolString, width, n int) {
+func alphaDiffRows[T ~uint8 | ~uint16](workers int, dst []T, own, disguised []SymbolString, packed []byte, width, n int) {
 	parallel.Range(workers, len(own), func(_, lo, hi int) {
 		off := 0
 		for _, t := range own[:lo] {
 			off += len(t) * width
 		}
 		for _, t := range own[lo:hi] {
+			from := 0
 			for _, sp := range disguised {
-				for _, tq := range t {
-					row := dst[off : off+len(sp)]
-					for p, spp := range sp {
-						d := int(spp) - int(tq)
-						if d < 0 {
-							d += n
-						}
-						row[p] = T(d)
-					}
-					off += len(sp)
+				block := dst[off : off+len(t)*len(sp)]
+				if b, ok := any(block).([]byte); ok && len(sp) >= 8 {
+					diffWords(b, t, packed[from:from+len(sp)], n)
+				} else {
+					diffBlock(block, t, sp, n)
 				}
+				off, from = off+len(block), from+len(sp)
 			}
 		}
 	})
 }
 
+// diffBlock is one pair's cells, one at a time. Operands are symbols, so
+// one conditional add reduces the difference.
+func diffBlock[T ~uint8 | ~uint16](dst []T, t, sp SymbolString, n int) {
+	for _, tq := range t {
+		row := dst[:len(sp)]
+		for p, spp := range sp {
+			d := int(spp) - int(tq)
+			if d < 0 {
+				d += n
+			}
+			row[p] = T(d)
+		}
+		dst = dst[len(sp):]
+	}
+}
+
+// diffWords is one pair's byte cells eight at a time, for a disguised
+// string sp of at least eight symbols, a byte each: each word of sp is
+// loaded once and differenced with every own character by a per-byte
+// subtract, the last word ending at sp's end and overlapping the one before.
+// A byte that borrowed holds x − y + 256, at least 257 − n, so taking 256 − n
+// off it wraps it to x − y + n without borrowing from its neighbour; for
+// n = 256 the byte arithmetic is already modulo n.
+func diffWords(dst []byte, t SymbolString, sp []byte, n int) {
+	const ones, low7, high = 0x0101010101010101, 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	cols, wrap := len(sp), uint64(256-n)
+	for p := 0; p < cols; p += 8 {
+		k := min(p, cols-8)
+		x := binary.LittleEndian.Uint64(sp[k:])
+		for q, tq := range t {
+			y := uint64(tq) * ones
+			e := ^(x ^ y)
+			d := (x | high) - (y & low7) ^ e&high
+			borrow := (^x&y | e&d) & high
+			binary.LittleEndian.PutUint64(dst[q*cols+k:], d-borrow>>7*wrap)
+		}
+	}
+}
+
 // AlphaThirdParty is Figure 10, run at site TP: regenerate the mask prefix
-// and run the edit-distance DP over each intermediary matrix compared with
-// it. The returned block has out[m][n] = editdist(own string m, initiator
+// and compute the edit distance from each intermediary matrix compared
+// with it. The returned block has out[m][n] = editdist(own string m, initiator
 // string n). jt must be freshly seeded with the initiator-TP shared seed.
 func AlphaThirdParty(m [][]*SymbolMatrix, a *alphabet.Alphabet, jt rng.Stream) (*Int64Matrix, error) {
 	return NewEngine(1).AlphaThirdParty(m, a, jt)
@@ -313,8 +358,8 @@ func (e *Engine) alphaPrefix(pairs []alphaPair, a *alphabet.Alphabet, jt rng.Str
 
 // pairDist is Figure 10 for one pair: the fused kernel over its cells, and
 // the shared range check's account of the cell that failed it.
-func pairDist[T ~uint8 | ~uint16](sc *editdist.Scratch, cells []T, sh AlphaShape, prefix []int, a *alphabet.Alphabet) (int, error) {
-	dist, ok := editdist.FromMasked(sc, cells, sh.Rows, sh.Cols, prefix, a.Size())
+func pairDist[T ~uint8 | ~uint16, M ~uint8 | ~int](sc *editdist.Scratch, cells []T, sh AlphaShape, mask []M, a *alphabet.Alphabet) (int, error) {
+	dist, ok := editdist.FromMasked(sc, cells, sh.Rows, sh.Cols, mask, a.Size())
 	if !ok {
 		return 0, alphabet.InRange(a, cells)
 	}
@@ -322,23 +367,31 @@ func pairDist[T ~uint8 | ~uint16](sc *editdist.Scratch, cells []T, sh AlphaShape
 }
 
 // alphaThirdParty is Figure 10 over a rows×cols block of string pairs: one
-// mask-prefix regeneration, then the per-pair kernel across the engine's
-// workers, each with its own two-row DP scratch — the n²/2 evaluations
-// allocate nothing. A cell outside the alphabet fails the whole block,
-// naming its pair.
+// mask-prefix regeneration, packed into bytes once for byte cells, then the
+// per-pair kernel across the engine's workers, each with its own scratch —
+// the n²/2 evaluations allocate nothing. A cell outside the alphabet fails
+// the whole block, naming its pair.
 func (e *Engine) alphaThirdParty(rows, cols int, pairs []alphaPair, a *alphabet.Alphabet, jt rng.Stream) (*Int64Matrix, error) {
 	defer clear(pairs) // the buffer outlives the call; the caller's cells need not
 	prefix := e.alphaPrefix(pairs, a, jt)
+	packed := slices.Grow(e.b8[:0], len(prefix)) // byte cells' mask, when every mask fits a byte
+	for _, m := range prefix {
+		packed = append(packed, byte(m))
+	}
+	e.b8 = packed
 	out := NewInt64Matrix(rows, cols)
 	scratch := e.tpScratch()
 	err := parallel.RangeErr(e.workers, len(pairs), func(w, lo, hi int) error {
 		for idx, p := range pairs[lo:hi] {
 			var dist int
 			var err error
-			if p.narrow != nil {
-				dist, err = pairDist(scratch[w], p.narrow, p.AlphaShape, prefix, a)
-			} else {
+			switch {
+			case p.narrow == nil:
 				dist, err = pairDist(scratch[w], p.wide, p.AlphaShape, prefix, a)
+			case a.Size() > 1<<8:
+				dist, err = pairDist(scratch[w], p.narrow, p.AlphaShape, prefix, a)
+			default:
+				dist, err = pairDist(scratch[w], p.narrow, p.AlphaShape, packed, a)
 			}
 			if err != nil {
 				return fmt.Errorf("protocol: intermediary (%d,%d): %w", (lo+idx)/cols, (lo+idx)%cols, err)

@@ -20,14 +20,16 @@ func sizedAlphabet(n int) *alphabet.Alphabet {
 
 // FuzzAlphaKernel drives the slab responder and the fused third-party
 // kernel against the three-pass oracle: alphabet sizes on both sides of
-// the one-byte cell (and at both ends of Symbol), strings from empty to
-// longer than a cache line of cells, and optionally one cell pushed
-// outside the alphabet. Cells, distances and the generator's position must
-// be equal, and the kernel must fail exactly when the oracle does, naming
-// the same pair — in chunk and per-pair form, at one worker and two.
+// the one-byte cell (and at both ends of Symbol) and around a byte's high
+// bit, strings from empty to longer than the one-word pattern, and
+// optionally one cell pushed outside the alphabet. A maxLen of 162 + L or
+// more makes every string exactly L symbols long. Cells, distances and the
+// generator's position must be equal, and the kernel must fail exactly when
+// the oracle does, naming the same pair — in chunk and per-pair form, at one
+// worker and two.
 func FuzzAlphaKernel(f *testing.F) {
 	var alphabets []*alphabet.Alphabet
-	for _, n := range []int{1, 2, 4, 255, 256, 257, 1 << 16} {
+	for _, n := range []int{1, 2, 4, 255, 256, 257, 1 << 16, 127, 128, 129} {
 		alphabets = append(alphabets, sizedAlphabet(n))
 	}
 	f.Add(uint64(1), uint8(2), uint8(3), uint8(4), uint8(16), false, uint32(0))
@@ -35,11 +37,28 @@ func FuzzAlphaKernel(f *testing.F) {
 	f.Add(uint64(3), uint8(6), uint8(1), uint8(3), uint8(5), false, uint32(0))
 	f.Add(uint64(4), uint8(3), uint8(3), uint8(1), uint8(70), true, uint32(1<<20))
 	f.Add(uint64(5), uint8(0), uint8(2), uint8(2), uint8(0), false, uint32(0))
+	f.Add(uint64(6), uint8(7), uint8(2), uint8(3), uint8(162+64), true, uint32(5<<8|3))   // 127 symbols, cell 132
+	f.Add(uint64(7), uint8(8), uint8(3), uint8(2), uint8(162+65), false, uint32(0))       // 128 symbols
+	f.Add(uint64(8), uint8(9), uint8(2), uint8(2), uint8(162+65), true, uint32(100<<8|9)) // 129 symbols, cell 229
+	f.Add(uint64(9), uint8(3), uint8(2), uint8(2), uint8(162+64), true, uint32(0<<8|17))  // 255 symbols, cell 255
+	f.Add(uint64(10), uint8(4), uint8(2), uint8(3), uint8(162+65), false, uint32(0))      // 256 symbols
 	f.Fuzz(func(t *testing.T, seed uint64, which, nOwn, nTheir, maxLen uint8, corrupt bool, where uint32) {
 		a := alphabets[int(which)%len(alphabets)]
 		gen := rng.NewXoshiro(rng.SeedFromUint64(seed))
-		own := randomStrings(gen, a, int(nOwn%5), int(maxLen%81))
-		their := randomStrings(gen, a, int(nTheir%5), int(maxLen%81))
+		strs := func(n int) []SymbolString {
+			if maxLen < 162 {
+				return randomStrings(gen, a, n, int(maxLen%81))
+			}
+			out := make([]SymbolString, n)
+			for i := range out {
+				out[i] = make(SymbolString, maxLen-162)
+				for j := range out[i] {
+					out[i][j] = alphabet.Symbol(rng.Symbol(gen, a.Size()))
+				}
+			}
+			return out
+		}
+		own, their := strs(int(nOwn%5)), strs(int(nTheir%5))
 		seedJT := rng.SeedFromUint64(seed ^ 0x5eed)
 		disguised := AlphaInitiator(their, a, rng.NewAESCTR(seedJT))
 
@@ -151,6 +170,8 @@ var alphaBenchShapes = []struct {
 }{
 	{"dna-80x80x16", alphabet.DNA, 80, 16},
 	{"protein-80x80x32", alphabet.Protein, 80, 32},
+	{"lower-80x80x64", alphabet.Lower, 80, 64}, // the longest pattern one word holds
+	{"lower-40x40x96", alphabet.Lower, 40, 96}, // past it: the DP fallback
 }
 
 func alphaBenchStrings(a *alphabet.Alphabet, n, size int, seed uint64) []SymbolString {

@@ -35,8 +35,9 @@ type Engine struct {
 	f64 []float64      // float masks (shared rngJT)
 	sym []int          // alphanumeric mask prefix (shared rngJT)
 	elm []modp.Element // field masks of the mod-p variant (shared rngJT)
+	b8  []byte         // a byte a symbol: the TP's mask prefix, a responder's disguised strings
 
-	tpw   []*editdist.Scratch // per-worker edit-distance DP scratch
+	tpw   []*editdist.Scratch // per-worker edit-distance scratch
 	pairs []alphaPair         // the block the third party is evaluating
 }
 
@@ -89,8 +90,8 @@ func (e *Engine) elembuf(n int) []modp.Element {
 	return e.elm
 }
 
-// tpScratch sizes the third party's per-worker edit-distance DP scratch,
-// so the n²/2 DP calls per alphanumeric attribute stop allocating.
+// tpScratch sizes the third party's per-worker edit-distance scratch, so
+// the n²/2 evaluations per alphanumeric attribute stop allocating.
 func (e *Engine) tpScratch() []*editdist.Scratch {
 	for len(e.tpw) < e.workers {
 		e.tpw = append(e.tpw, editdist.MustUnitScratch())
