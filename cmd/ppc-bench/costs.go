@@ -115,13 +115,13 @@ func runCostAlpha(w io.Writer) error {
 		}
 		j := minusOverhead(sentBy(out, "A", "B", "TP"), overhead)
 		k := minusOverhead(sentBy(out, "B", "A", "TP"), overhead)
-		lj, pj := costmodel.AlphaInitiatorElems(n, p)
-		lk, pk := costmodel.AlphaResponderElems(n, p, n, p)
+		lj, _ := costmodel.AlphaInitiatorElems(n, p)
+		lk, _ := costmodel.AlphaResponderElems(n, p, n, p)
 		// Local matrices ship as 8-byte float64 cells, protocol symbols
-		// as 1 byte each; model in elements with uniform width and let the
-		// fit absorb the constant.
-		mj := float64(costmodel.Bytes(lj, costmodel.Float64Width) + costmodel.Bytes(pj, costmodel.SymbolWidth))
-		mk := float64(costmodel.Bytes(lk, costmodel.Float64Width) + costmodel.Bytes(pk, costmodel.SymbolWidth))
+		// at DNA's two bits each, rows padded to a byte; the fit absorbs
+		// the framing.
+		mj := float64(costmodel.Bytes(lj, costmodel.Float64Width) + costmodel.AlphaInitiatorBytes(dnaAlpha(), n, p))
+		mk := float64(costmodel.Bytes(lk, costmodel.Float64Width) + costmodel.AlphaResponderBytes(dnaAlpha(), n, p, n, p))
 		measJ = append(measJ, j)
 		measK = append(measK, k)
 		modelJ = append(modelJ, mj)
@@ -151,8 +151,8 @@ func runCostAlpha(w io.Writer) error {
 			return err
 		}
 		k := minusOverhead(sentBy(out, "B", "A", "TP"), overhead)
-		lk, pk := costmodel.AlphaResponderElems(16, pl, 16, pl)
-		mk := float64(costmodel.Bytes(lk, costmodel.Float64Width) + costmodel.Bytes(pk, costmodel.SymbolWidth))
+		lk, _ := costmodel.AlphaResponderElems(16, pl, 16, pl)
+		mk := float64(costmodel.Bytes(lk, costmodel.Float64Width) + costmodel.AlphaResponderBytes(dnaAlpha(), 16, pl, 16, pl))
 		measP = append(measP, k)
 		modelP = append(modelP, mk)
 		fmt.Fprintf(w, "%6d %14.0f %14.0f\n", pl, k, mk)
@@ -204,17 +204,17 @@ func runCostCategorical(w io.Writer) error {
 // runCostAtallah compares this implementation's alphanumeric traffic with
 // the homomorphic edit-distance model of Atallah et al. [8].
 func runCostAtallah(w io.Writer) error {
-	fmt.Fprintln(w, "total cross-site comparison traffic for n = m strings of p = q = 20 symbols")
+	fmt.Fprintln(w, "total cross-site comparison traffic for n = m DNA strings of p = q = 20 symbols")
 	fmt.Fprintln(w, "[8] modeled as 3 Paillier-1024 ciphertexts per DP cell (optimistic for [8])")
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%6s %16s %18s %10s\n", "n=m", "ours (bytes)", "Atallah [8] (bytes)", "ratio")
 	for _, n := range []int{10, 50, 100, 500} {
-		ours := costmodel.OursAlphaTotalBytes(n, 20, n, 20)
+		ours := costmodel.OursAlphaTotalBytes(dnaAlpha(), n, 20, n, 20)
 		theirs := costmodel.DefaultAtallah.TotalBytes(n, 20, n, 20)
 		fmt.Fprintf(w, "%6d %16d %18d %9.0fx\n", n, ours, theirs, float64(theirs)/float64(ours))
 	}
 	fmt.Fprintln(w, "\nSHAPE: the paper's claim that [8] is \"not feasible for clustering private")
-	fmt.Fprintln(w, "data due to high communication costs\" holds at every scale (~200x here);")
+	fmt.Fprintln(w, "data due to high communication costs\" holds at every scale (over 1000x here);")
 	fmt.Fprintln(w, "note both grow as n²·p·q — the gap is the constant per compared cell")
 	return nil
 }

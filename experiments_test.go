@@ -219,7 +219,7 @@ func TestHierarchicalVsKMeansShapes(t *testing.T) {
 // clustering workloads the [8] comparator needs two orders of magnitude
 // more traffic.
 func TestAtallahComparisonModel(t *testing.T) {
-	ours := costmodel.OursAlphaTotalBytes(50, 20, 50, 20)
+	ours := costmodel.OursAlphaTotalBytes(ppclust.DNA, 50, 20, 50, 20)
 	theirs := costmodel.DefaultAtallah.TotalBytes(50, 20, 50, 20)
 	if ratio := float64(theirs) / float64(ours); ratio < 100 {
 		t.Fatalf("Atallah/ours ratio = %.0f, want ≥ 100", ratio)

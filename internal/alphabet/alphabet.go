@@ -184,10 +184,27 @@ func (a *Alphabet) Sub(x, y Symbol) Symbol {
 func InRange[T ~uint8 | ~uint16](a *Alphabet, v []T) error {
 	for i, s := range v {
 		if int(s) >= len(a.symbols) {
-			return fmt.Errorf("symbol %d at position %d outside %s", s, i, a)
+			return &RangeError{Alphabet: a, Value: int(s), Position: i}
 		}
 	}
 	return nil
+}
+
+// RangeError is what arrived from another party outside an alphabet: the
+// symbol Value at Position of the symbols checked or, when Padding is set,
+// padding bits Value after Position in a row of symbols packed a few bits
+// each, which must be zero.
+type RangeError struct {
+	Alphabet        *Alphabet
+	Value, Position int
+	Padding         bool
+}
+
+func (e *RangeError) Error() string {
+	if e.Padding {
+		return fmt.Sprintf("padding %#x after position %d outside %s", e.Value, e.Position, e.Alphabet)
+	}
+	return fmt.Sprintf("symbol %d at position %d outside %s", e.Value, e.Position, e.Alphabet)
 }
 
 // String implements fmt.Stringer.

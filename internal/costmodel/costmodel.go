@@ -8,7 +8,12 @@
 // protocol's intrinsic growth from wire-format constants.
 package costmodel
 
-import "fmt"
+import (
+	"fmt"
+
+	"ppclust/internal/alphabet"
+	"ppclust/internal/protocol"
+)
 
 // Numeric protocol (Section 4.1). With initiator size n and responder size
 // m: the initiator sends its local dissimilarity matrix, O(n²), plus the
@@ -49,6 +54,22 @@ func AlphaResponderElems(n, p, m, q int) (local, proto int64) {
 	return int64(m) * int64(m-1) / 2, int64(m) * int64(q) * int64(n) * int64(p)
 }
 
+// AlphaInitiatorBytes is the initiator's protocol payload in bytes: n
+// disguised strings of p symbols, each a row of protocol.AlphaCellBits(a)
+// bits a symbol padded to a whole byte — the slab protocol.AlphaStrings
+// carries, headers excluded.
+func AlphaInitiatorBytes(a *alphabet.Alphabet, n, p int) int64 {
+	return int64(n) * int64(protocol.AlphaRowBytes(p, protocol.AlphaCellBits(a)))
+}
+
+// AlphaResponderBytes is the responder's protocol payload in bytes: m·n
+// intermediary matrices of q rows of p cells, each row at
+// protocol.AlphaCellBits(a) bits a cell padded to a whole byte — the slabs
+// protocol.AlphaChunk carries, headers excluded.
+func AlphaResponderBytes(a *alphabet.Alphabet, n, p, m, q int) int64 {
+	return int64(m) * int64(n) * int64(q) * int64(protocol.AlphaRowBytes(p, protocol.AlphaCellBits(a)))
+}
+
 // CategoricalElems returns the element count for a holder with n objects
 // ("O(n)", Section 4.3).
 func CategoricalElems(n int) int64 { return int64(n) }
@@ -56,7 +77,9 @@ func CategoricalElems(n int) int64 { return int64(n) }
 // Bytes converts an element count to bytes under a fixed element width.
 func Bytes(elems int64, width int) int64 { return elems * int64(width) }
 
-// Widths of the wire representations used by this implementation.
+// Widths of the wire representations used by this implementation. The
+// alphanumeric protocol's width is its alphabet's (AlphaInitiatorBytes,
+// AlphaResponderBytes).
 const (
 	// Float64Width is the numeric protocol's float64 element.
 	Float64Width = 8
@@ -64,8 +87,6 @@ const (
 	Int64Width = 8
 	// ModPWidth is the mod-p protocol's 32-byte field element.
 	ModPWidth = 32
-	// SymbolWidth is the alphanumeric protocol's symbol (uint16).
-	SymbolWidth = 2
 	// TagWidth is the categorical protocol's HMAC-SHA256 tag.
 	TagWidth = 32
 )
@@ -100,11 +121,10 @@ func (a AtallahModel) TotalBytes(n, p, m, q int) int64 {
 }
 
 // OursAlphaTotalBytes is this implementation's alphanumeric traffic for the
-// same workload: disguised strings plus intermediary CCM symbol matrices.
-func OursAlphaTotalBytes(n, p, m, q int) int64 {
-	_, ip := AlphaInitiatorElems(n, p)
-	_, rp := AlphaResponderElems(n, p, m, q)
-	return Bytes(ip+rp, SymbolWidth)
+// same workload over alphabet a: disguised strings plus intermediary
+// matrices.
+func OursAlphaTotalBytes(a *alphabet.Alphabet, n, p, m, q int) int64 {
+	return AlphaInitiatorBytes(a, n, p) + AlphaResponderBytes(a, n, p, m, q)
 }
 
 // FitScale finds c minimizing Σ(measured − c·predicted)² and returns c with

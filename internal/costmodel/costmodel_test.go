@@ -3,6 +3,8 @@ package costmodel
 import (
 	"math"
 	"testing"
+
+	"ppclust/internal/alphabet"
 )
 
 func TestNumericElems(t *testing.T) {
@@ -31,6 +33,33 @@ func TestAlphaElems(t *testing.T) {
 	}
 }
 
+// TestAlphaBytes: a row is its symbols at the alphabet's cell width,
+// padded to a whole byte.
+func TestAlphaBytes(t *testing.T) {
+	wide := alphabet.MustNew("wide", func() []rune {
+		r := make([]rune, 300)
+		for i := range r {
+			r[i] = rune(0x100 + i)
+		}
+		return r
+	}())
+	for _, tc := range []struct {
+		a         *alphabet.Alphabet
+		p, rowLen int64
+	}{
+		{alphabet.DNA, 16, 4}, {alphabet.DNA, 13, 4}, {alphabet.DNA, 17, 5},
+		{alphabet.Digits, 5, 3}, {alphabet.Digits, 16, 8},
+		{alphabet.Protein, 13, 13}, {alphabet.AlphaNum, 7, 7}, {wide, 3, 6},
+	} {
+		if got := AlphaInitiatorBytes(tc.a, 10, int(tc.p)); got != 10*tc.rowLen {
+			t.Errorf("%v, p = %d: initiator %d bytes, want %d", tc.a, tc.p, got, 10*tc.rowLen)
+		}
+		if got := AlphaResponderBytes(tc.a, 10, int(tc.p), 7, 12); got != 7*10*12*tc.rowLen {
+			t.Errorf("%v, p = %d: responder %d bytes, want %d", tc.a, tc.p, got, 7*10*12*tc.rowLen)
+		}
+	}
+}
+
 func TestCategoricalElems(t *testing.T) {
 	if CategoricalElems(42) != 42 {
 		t.Fatal("categorical is O(n)")
@@ -44,7 +73,7 @@ func TestAtallahDominatesOurs(t *testing.T) {
 	// E14: for realistic sizes the homomorphic comparator costs orders of
 	// magnitude more traffic than the CCM protocol.
 	n, p, m, q := 50, 20, 50, 20
-	ours := OursAlphaTotalBytes(n, p, m, q)
+	ours := OursAlphaTotalBytes(alphabet.Protein, n, p, m, q)
 	theirs := DefaultAtallah.TotalBytes(n, p, m, q)
 	if theirs < 100*ours {
 		t.Fatalf("expected ≥100x gap, got ours=%d theirs=%d (%.1fx)", ours, theirs, float64(theirs)/float64(ours))

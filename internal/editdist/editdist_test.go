@@ -271,15 +271,29 @@ func TestScratchMatchesOneShot(t *testing.T) {
 	}
 }
 
+// packRows lays rows×cols cells out as FromMasked reads them: each row's
+// cells as little-endian bits-wide fields, padded with zero bits to a byte.
+func packRows[T ~uint16 | ~int](cells []T, rows, cols, bits int) []byte {
+	rb := (cols*bits + 7) / 8
+	out := make([]byte, rows*rb)
+	for i := range rows {
+		for j := range cols {
+			out[i*rb+j*bits/8] |= byte(cells[i*cols+j]) << (j * bits % 8)
+		}
+	}
+	return out
+}
+
 // TestFromMaskedMatchesDistance: over masked differences (b[j] + mask[j] −
-// a[i]) mod n the fused kernel returns the strings' edit distance, for byte
-// and symbol cells alike; a cell at the limit is refused; a matrix with no
-// row needs no mask.
+// a[i]) mod n the fused kernel returns the strings' edit distance, for
+// symbol cells and for cells packed at every width that holds them; a cell
+// at the limit is refused, and so is a padding bit; a matrix with no row
+// needs no mask.
 func TestFromMaskedMatchesDistance(t *testing.T) {
-	const n = 20
 	gen := rand.New(rand.NewSource(26))
 	s := MustUnitScratch()
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 300; trial++ {
+		n := []int{3, 4, 13, 16, 20, 200}[trial%6]
 		a, b := make([]alphabet.Symbol, gen.Intn(70)), make([]alphabet.Symbol, gen.Intn(70))
 		for i := range a {
 			a[i] = alphabet.Symbol(gen.Intn(n))
@@ -288,39 +302,53 @@ func TestFromMaskedMatchesDistance(t *testing.T) {
 		for j := range b {
 			b[j], mask[j] = alphabet.Symbol(gen.Intn(n)), gen.Intn(n)
 		}
-		wide, narrow := make([]alphabet.Symbol, len(a)*len(b)), make([]byte, len(a)*len(b))
+		wide := make([]alphabet.Symbol, len(a)*len(b))
 		for i := range a {
 			for j := range b {
-				d := (int(b[j]) + mask[j] - int(a[i]) + n) % n
-				wide[i*len(b)+j], narrow[i*len(b)+j] = alphabet.Symbol(d), byte(d)
+				wide[i*len(b)+j] = alphabet.Symbol((int(b[j]) + mask[j] - int(a[i]) + n) % n)
 			}
 		}
 		want := Distance(a, b)
-		if got, ok := FromMasked(s, wide, len(a), len(b), mask, n); !ok || got != want {
+		if got, ok := FromMaskedSymbols(s, wide, len(a), len(b), mask, n); !ok || got != want {
 			t.Fatalf("trial %d: symbol cells give %d (%v), want %d", trial, got, ok, want)
 		}
-		if got, ok := FromMasked(s, narrow, len(a), len(b), mask, n); !ok || got != want {
-			t.Fatalf("trial %d: byte cells give %d (%v), want %d", trial, got, ok, want)
-		}
-		packed := make([]byte, len(mask))
-		for j, m := range mask {
-			packed[j] = byte(m)
-		}
-		if got, ok := FromMasked(s, narrow, len(a), len(b), packed, n); !ok || got != want {
-			t.Fatalf("trial %d: byte cells eight at a time give %d (%v), want %d", trial, got, ok, want)
-		}
-		if len(narrow) > 0 {
-			narrow[gen.Intn(len(narrow))] = n
-			if _, ok := FromMasked(s, narrow, len(a), len(b), mask, n); ok {
-				t.Fatalf("trial %d: a cell at the limit passed", trial)
+		for _, bits := range []int{2, 4, 8} {
+			if n > 1<<bits {
+				continue
 			}
-			if _, ok := FromMasked(s, narrow, len(a), len(b), packed, n); ok {
-				t.Fatalf("trial %d: a cell at the limit passed eight at a time", trial)
+			cells, pm := packRows(wide, len(a), len(b), bits), packRows(mask, 1, len(b), bits)
+			if got, ok := FromMasked(s, cells, bits, len(a), len(b), pm, n); !ok || got != want {
+				t.Fatalf("trial %d: %d-bit cells give %d (%v), want %d", trial, bits, got, ok, want)
+			}
+			if len(cells) == 0 {
+				continue
+			}
+			rb := len(cells) / len(a)
+			if len(b)*bits%8 != 0 {
+				bad := slices.Clone(cells)
+				bad[rb*gen.Intn(len(a))+rb-1] |= 0x80
+				if _, ok := FromMasked(s, bad, bits, len(a), len(b), pm, n); ok {
+					t.Fatalf("trial %d: a %d-bit row's padding bit passed", trial, bits)
+				}
+			}
+			if n < 1<<bits {
+				at := gen.Intn(len(wide))
+				bad := slices.Clone(wide)
+				bad[at] = alphabet.Symbol(n)
+				if _, ok := FromMasked(s, packRows(bad, len(a), len(b), bits), bits, len(a), len(b), pm, n); ok {
+					t.Fatalf("trial %d: a %d-bit cell at the limit passed", trial, bits)
+				}
+				if _, ok := FromMaskedSymbols(s, bad, len(a), len(b), mask, n); ok {
+					t.Fatalf("trial %d: a symbol cell at the limit passed", trial)
+				}
 			}
 		}
 	}
-	if got, ok := FromMasked(s, []byte(nil), 0, 7, []int(nil), n); !ok || got != 7 {
+	if got, ok := FromMasked(s, nil, 2, 0, 7, nil, 4); !ok || got != 7 {
 		t.Fatalf("0×7 matrix: %d (%v), want 7", got, ok)
+	}
+	if got, ok := FromMasked(s, nil, 2, 5, 0, nil, 4); !ok || got != 5 {
+		t.Fatalf("5×0 matrix: %d (%v), want 5", got, ok)
 	}
 }
 
@@ -349,7 +377,7 @@ func BenchmarkScratch(b *testing.B) {
 		b.Run(fmt.Sprintf("FromMasked/%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				FromMasked(sc, ccm.Cell, size, size, zero, 2)
+				FromMasked(sc, ccm.Cell, 8, size, size, zero, 2)
 			}
 		})
 	}
@@ -359,9 +387,10 @@ func BenchmarkScratch(b *testing.B) {
 // naive: strings of up to 130 symbols on both sides of the one-word
 // pattern, over alphabets of 1 to 65536 symbols. A string is one symbol per
 // byte, reduced modulo the alphabet size. From the strings and the masks
-// it builds a responder's masked differences as symbol cells and, when they
-// fit, byte cells; corrupt replaces one cell with a value out of range,
-// and ok must be false exactly when some cell is not below the limit.
+// it builds a responder's masked differences as symbol cells and, packed
+// at every width of 2, 4 and 8 bits that holds them, as field cells;
+// corrupt replaces one cell with a value out of range, and ok must be false
+// exactly when some cell is not below the limit.
 func FuzzEditDistance(f *testing.F) {
 	f.Add([]byte("kitten"), []byte("sitting"), uint16(25), uint64(1), uint32(0))
 	f.Add([]byte(""), []byte("abc"), uint16(0), uint64(2), uint32(0))
@@ -394,10 +423,9 @@ func FuzzEditDistance(f *testing.F) {
 		}
 
 		gen := rng.NewXoshiro(rng.SeedFromUint64(seed))
-		mask, packed := make([]int, len(b)), make([]byte, len(b))
+		mask := make([]int, len(b))
 		for j := range mask {
 			mask[j] = rng.Symbol(gen, n)
-			packed[j] = byte(mask[j])
 		}
 		wide := make([]alphabet.Symbol, len(a)*len(b))
 		for i := range a {
@@ -408,26 +436,21 @@ func FuzzEditDistance(f *testing.F) {
 		if corrupt != 0 && len(wide) > 0 && n < 1<<16 {
 			wide[int(corrupt)%len(wide)] = alphabet.Symbol(n + int(corrupt>>8)%(1<<16-n))
 		}
-		inRange, narrow := true, make([]byte, len(wide))
-		for i, c := range wide {
-			inRange = inRange && int(c) < n
-			narrow[i] = byte(c)
-		}
+		inRange := !slices.ContainsFunc(wide, func(c alphabet.Symbol) bool { return int(c) >= n })
 		check := func(form string, got int, ok bool) {
 			t.Helper()
 			if ok != inRange || ok && got != want {
 				t.Fatalf("%s = %d (ok %v), naive %d (in range %v)", form, got, ok, want, inRange)
 			}
 		}
-		got, ok := FromMasked(sc, wide, len(a), len(b), mask, n)
-		check("FromMasked over symbols", got, ok)
-		if !slices.ContainsFunc(wide, func(c alphabet.Symbol) bool { return c > 0xff }) {
-			got, ok = FromMasked(sc, narrow, len(a), len(b), mask, n)
-			check("FromMasked over bytes", got, ok)
-			if n <= 1<<8 {
-				got, ok = FromMasked(sc, narrow, len(a), len(b), packed, n)
-				check("FromMasked over bytes, eight at a time", got, ok)
+		got, ok := FromMaskedSymbols(sc, wide, len(a), len(b), mask, n)
+		check("FromMaskedSymbols", got, ok)
+		for _, bits := range []int{2, 4, 8} {
+			if n > 1<<bits || slices.ContainsFunc(wide, func(c alphabet.Symbol) bool { return int(c) >= 1<<bits }) {
+				continue
 			}
+			got, ok = FromMasked(sc, packRows(wide, len(a), len(b), bits), bits, len(a), len(b), packRows(mask, 1, len(b), bits), n)
+			check(fmt.Sprintf("FromMasked over %d-bit cells", bits), got, ok)
 		}
 	})
 }

@@ -38,12 +38,13 @@ func (c *scriptedConduit) Close() error { return nil }
 
 // TestAlphaChunkAllocationPin runs the responder role of one alphanumeric
 // pair — Holder.respond itself, over conduits that only count — and pins
-// what it may allocate. The allocation COUNT follows the strings on either
-// side and the frames sent, never the rows × cols string pairs (the parent
-// allocated two objects per pair); the allocated BYTES, an upper bound on
-// the holder's peak, follow one chunk's cells and not the block's (the
-// parent built the whole rows × cols × len² block, two bytes a cell,
-// before its first frame).
+// what it may allocate and send. The allocation COUNT follows the strings
+// on either side and the frames sent, never the rows × cols string pairs
+// (the parent allocated two objects per pair); the allocated BYTES, an
+// upper bound on the holder's peak, follow one chunk's slab and not the
+// block's (the parent built the whole rows × cols × len² block, two bytes
+// a cell, before its first frame). The frames carry the cells at DNA's two
+// bits each, rows padded to a byte, plus headers.
 func TestAlphaChunkAllocationPin(t *testing.T) {
 	const strLen = 16
 	schema := dataset.Schema{Attrs: []dataset.Attribute{{Name: "seq", Type: dataset.Alphanumeric, Alphabet: alphabet.DNA}}}
@@ -68,11 +69,11 @@ func TestAlphaChunkAllocationPin(t *testing.T) {
 		for _, s := range dna(rows) {
 			table.MustAppendRow(s)
 		}
-		disg := alphaDisguisedBody{Strings: make([]protocol.SymbolString, cols)}
+		strs := make([]protocol.SymbolString, cols)
 		for i, s := range dna(cols) {
-			disg.Strings[i] = alphabet.DNA.MustEncode(s)
+			strs[i] = alphabet.DNA.MustEncode(s)
 		}
-		frame, err := wire.EncodeBody(disg)
+		frame, err := wire.EncodeBody(alphaDisguisedBody{S: protocol.PackAlphaStrings(strs, protocol.AlphaCellBits(alphabet.DNA))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,13 +98,14 @@ func TestAlphaChunkAllocationPin(t *testing.T) {
 	for _, tc := range []struct{ rows, cols int }{{80, 80}, {160, 80}, {80, 160}, {160, 160}} {
 		mallocs, bytes, sink := respond(tc.rows, tc.cols)
 		pairs, cells := tc.rows*tc.cols, tc.rows*tc.cols*strLen*strLen
+		slab := pairs * strLen * protocol.AlphaRowBytes(strLen, protocol.AlphaCellBits(alphabet.DNA))
 		chunks := len(cfg.pairChunksRange(dataset.Alphanumeric, 0, tc.rows, tc.cols))
-		chunkCells := cells / tc.rows * ((tc.rows + chunks - 1) / chunks)
+		chunkBytes := slab / tc.rows * ((tc.rows + chunks - 1) / chunks)
 		label := fmt.Sprintf("%dx%d", tc.rows, tc.cols)
-		t.Logf("%s: %d pairs, %d cells in %d frames; %d allocations, %d bytes (largest chunk %d cells)",
-			label, pairs, cells, sink.frames, mallocs, bytes, chunkCells)
-		if sink.frames != chunks || sink.bytes < cells {
-			t.Fatalf("%s: sent %d frames of %d bytes, want %d frames carrying %d cells", label, sink.frames, sink.bytes, chunks, cells)
+		t.Logf("%s: %d pairs, %d cells in %d slab bytes and %d frames of %d bytes; %d allocations, %d bytes (largest chunk %d bytes)",
+			label, pairs, cells, slab, sink.frames, sink.bytes, mallocs, bytes, chunkBytes)
+		if sink.frames != chunks || sink.bytes < slab || sink.bytes > slab+slab/8 {
+			t.Fatalf("%s: sent %d frames of %d bytes, want %d frames carrying %d slab bytes and their headers", label, sink.frames, sink.bytes, chunks, slab)
 		}
 		if chunks < 2 || pairs < 1600 {
 			t.Fatalf("%s: %d chunks of %d pairs pin nothing", label, chunks, pairs)
@@ -115,11 +117,11 @@ func TestAlphaChunkAllocationPin(t *testing.T) {
 		}
 		// The slab, the shapes beside it and the frame it is copied into,
 		// each reached by growing: a few chunks' worth, and well under the
-		// one-byte-a-cell block. Not under the race detector, where
-		// sync.Pool drops a share of the frame buffers it is handed back
-		// and every dropped one is a chunk-sized allocation.
-		if limit := uint64(4*chunkCells + 64<<10); !raceEnabled && (bytes > limit || limit > uint64(cells)*3/4) {
-			t.Errorf("%s: %d bytes allocated, want at most %d (the block is %d cells)", label, bytes, limit, cells)
+		// block. Not under the race detector, where sync.Pool drops a share
+		// of the frame buffers it is handed back and every dropped one is a
+		// chunk-sized allocation.
+		if limit := uint64(4*chunkBytes + 64<<10); !raceEnabled && (bytes > limit || limit > uint64(slab)) {
+			t.Errorf("%s: %d bytes allocated, want at most %d (the block is %d bytes)", label, bytes, limit, slab)
 		}
 	}
 }

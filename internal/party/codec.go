@@ -6,25 +6,36 @@ import (
 	"math"
 	"slices"
 
-	"ppclust/internal/alphabet"
 	"ppclust/internal/protocol"
 )
 
-// Fixed binary layouts of the six partition-quadratic bodies
+// Fixed binary layouts of the seven partition-quadratic bodies
 // (wire.BodyAppender / wire.BodyDecoder; every other body stays gob).
 // Integers are zigzag varints; cells are little-endian 8-byte int64 or
-// float64 bit patterns, 32-byte mod-p elements, or 1- or 2-byte symbols.
-// Each layout ends in a cell block that runs to the end of the payload, so
-// a decoder sizes its one allocation from the bytes actually present.
+// float64 bit patterns, 32-byte mod-p elements, or alphanumeric symbols in
+// protocol.AlphaChunk's layout. Each layout ends in a cell block that runs
+// to the end of the payload, so a decoder sizes its allocations from the
+// bytes actually present.
 //
 //	localBody         N Lo Hi | float64 cells
 //	numSBody,
 //	numDisguisedBody  Rows Lo Hi | variant byte | [rows cols | cells]
-//	alphaMBody        Rows Lo Hi | width byte | rows matrices |
-//	                  per row: count, per matrix: rows cols | symbol cells
+//	alphaDisguisedBody
+//	                  bits byte | strings | per string: length | slab
+//	                  (a protocol.AlphaStrings: each string one row)
+//	alphaMBody        Rows Lo Hi | bits byte | rows matrices |
+//	                  per row: count, per matrix: rows cols | slab
 //	                  (a protocol.AlphaChunk, slab and all)
 //	shardSliceBody    Attr | float64 Max | float64 cells
 //	shardFrameBody    the relayed frame, byte for byte
+//
+// The bits byte is the alphabet's cell width, protocol.AlphaCellBits: 2, 4
+// or 8 for an alphabet of at most 4, 16 or 256 symbols, 16 above. A slab
+// is rows back to back, a row its cells as little-endian bits-wide fields
+// padded with zero bits to a whole byte (16-bit cells: two little-endian
+// bytes each). The codec copies the slab as it lies and leaves its
+// accounting to the protocol types' Validate; the receiver refuses a width
+// that is not its schema's, and a padding bit that is set.
 
 // Variant bytes of a numeric chunk body.
 const (
@@ -273,20 +284,14 @@ func (b *numDisguisedBody) DecodeBody(p []byte) error {
 }
 
 // AppendBody writes the header and then the chunk's slab as it lies: the
-// cell block is the in-memory layout. A narrow slab is one copy; a wide one
-// is narrowed on the way out when no cell of this chunk needs its second
-// byte, so the width is a property of the data, not of the alphabet.
+// cell block is the in-memory layout.
 func (b alphaMBody) AppendBody(dst []byte) ([]byte, error) {
 	c := &b.M
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("party: intermediary chunk: %w", err)
 	}
-	width := 1
-	if slices.ContainsFunc(c.Wide, func(s alphabet.Symbol) bool { return s > 0xFF }) {
-		width = 2
-	}
 	dst = appendInts(dst, b.Rows, b.Lo, b.Hi)
-	dst = appendInts(append(dst, byte(width)), len(c.Counts), len(c.Shapes))
+	dst = appendInts(append(dst, byte(c.Bits)), len(c.Counts), len(c.Shapes))
 	shapes := c.Shapes
 	for _, n := range c.Counts {
 		dst = appendInts(dst, n)
@@ -295,35 +300,21 @@ func (b alphaMBody) AppendBody(dst []byte) ([]byte, error) {
 		}
 		shapes = shapes[n:]
 	}
-	if c.Wide == nil {
-		return append(dst, c.Narrow...), nil
-	}
-	dst, tail := extend(dst, width*len(c.Wide))
-	for i, s := range c.Wide {
-		if width == 1 {
-			tail[i] = byte(s)
-		} else {
-			binary.LittleEndian.PutUint16(tail[2*i:], uint16(s))
-		}
-	}
-	return dst, nil
+	return c.AppendSlab(dst), nil
 }
 
 // DecodeBody makes two allocations per chunk however many string pairs it
-// carries — the counts and the shapes — and keeps a one-byte cell block
-// where it arrived: the chunk's Narrow slab is the payload's tail, which the
-// received Message owns and the evaluation only reads. A two-byte block is
-// decoded into a Wide slab of its own, whatever its symbols need.
+// carries — the counts and the shapes — and keeps a packed cell block
+// where it arrived: the chunk's slab is the payload's tail, which the
+// received Message owns and the evaluation only reads. A 16-bit block is
+// decoded into a Wide slab of its own.
 func (b *alphaMBody) DecodeBody(p []byte) error {
 	r := bodyReader{p: p}
 	*b = alphaMBody{Rows: r.int(), Lo: r.int(), Hi: r.int()}
-	width := int(r.tag())
+	bits := int(r.tag())
 	nRows, nMats := r.count(), r.count()
 	if r.err != nil {
 		return r.err
-	}
-	if width != 1 && width != 2 {
-		return fmt.Errorf("symbol width %d, want 1 or 2", width)
 	}
 	// Every row costs at least its count byte and every matrix its two
 	// shape bytes, which bounds both claims by the bytes left.
@@ -335,7 +326,7 @@ func (b *alphaMBody) DecodeBody(p []byte) error {
 		c.Counts = make([]int, nRows)
 	}
 	c.Shapes = make([]protocol.AlphaShape, nMats)
-	next, cells := 0, 0
+	next := 0
 	for i := range c.Counts {
 		n := r.count()
 		if n > nMats-next {
@@ -343,17 +334,7 @@ func (b *alphaMBody) DecodeBody(p []byte) error {
 		}
 		c.Counts[i] = n
 		for ; n > 0; n-- {
-			sh := &c.Shapes[next]
-			sh.Rows, sh.Cols = r.count(), r.count()
-			// A matrix larger than the whole payload cannot be backed by
-			// it; checking per matrix keeps the running sum from wrapping.
-			if sh.Cols != 0 && sh.Rows > len(p)/sh.Cols {
-				return fmt.Errorf("matrix %d claims %dx%d cells in a %d-byte payload", next, sh.Rows, sh.Cols, len(p))
-			}
-			cells += sh.Rows * sh.Cols
-			if cells > len(p) {
-				return fmt.Errorf("matrices claim more cells than the %d-byte payload holds", len(p))
-			}
+			c.Shapes[next] = protocol.AlphaShape{Rows: r.count(), Cols: r.count()}
 			next++
 		}
 	}
@@ -363,16 +344,38 @@ func (b *alphaMBody) DecodeBody(p []byte) error {
 	if next != nMats {
 		return fmt.Errorf("rows hold %d matrices, %d announced", next, nMats)
 	}
-	if len(r.p) != width*cells {
-		return fmt.Errorf("%d cells of %d bytes do not account for the %d bytes left", cells, width, len(r.p))
+	return c.SetSlab(bits, r.p)
+}
+
+func (b alphaDisguisedBody) AppendBody(dst []byte) ([]byte, error) {
+	s := &b.S
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("party: disguised strings: %w", err)
 	}
-	if width == 1 {
-		c.Narrow = r.p
-		return nil
+	dst = appendInts(append(dst, byte(s.Bits)), len(s.Lens))
+	return append(appendInts(dst, s.Lens...), s.Slab...), nil
+}
+
+// DecodeBody makes one allocation — the lengths — and keeps the slab where
+// it arrived, capped at the payload's end.
+func (b *alphaDisguisedBody) DecodeBody(p []byte) error {
+	r := bodyReader{p: p}
+	bits := int(r.tag())
+	n := r.count()
+	if r.err == nil && n > len(r.p) { // every length costs at least a byte
+		r.fail("%d strings claimed with %d bytes left", n, len(r.p))
 	}
-	c.Wide = make([]alphabet.Symbol, cells)
-	for i := range c.Wide {
-		c.Wide[i] = alphabet.Symbol(binary.LittleEndian.Uint16(r.p[2*i:]))
+	if r.err != nil {
+		return r.err
 	}
-	return nil
+	s := &b.S
+	*s = protocol.AlphaStrings{Bits: bits, Lens: make([]int, n)}
+	for i := range s.Lens {
+		s.Lens[i] = r.count()
+	}
+	if r.err != nil {
+		return r.err
+	}
+	s.Slab = r.p[:len(r.p):len(r.p)]
+	return s.Validate()
 }

@@ -27,7 +27,7 @@ import (
 // chunkDecoders lists a fresh decoder for each fixed layout, in a fixed
 // order the fuzz target indexes.
 func chunkDecoders() []wire.BodyDecoder {
-	return []wire.BodyDecoder{&localBody{}, &numSBody{}, &numDisguisedBody{}, &alphaMBody{}, &shardSliceBody{}, &shardFrameBody{}}
+	return []wire.BodyDecoder{&localBody{}, &numSBody{}, &numDisguisedBody{}, &alphaMBody{}, &shardSliceBody{}, &shardFrameBody{}, &alphaDisguisedBody{}}
 }
 
 // reencode encodes what a decoder holds, through the value receiver the
@@ -53,6 +53,15 @@ func reencode(t testing.TB, d wire.BodyDecoder) []byte {
 	return out
 }
 
+// sizedAlphabet is an alphabet of n symbols.
+func sizedAlphabet(n int) *alphabet.Alphabet {
+	runes := make([]rune, n)
+	for i := range runes {
+		runes[i] = rune(0x100 + i)
+	}
+	return alphabet.MustNew(fmt.Sprintf("sized-%d", n), runes)
+}
+
 func symbolMatrix(rows, cols int, cells ...alphabet.Symbol) *protocol.SymbolMatrix {
 	m := protocol.NewSymbolMatrix(rows, cols)
 	copy(m.Cell, cells)
@@ -60,24 +69,59 @@ func symbolMatrix(rows, cols int, cells ...alphabet.Symbol) *protocol.SymbolMatr
 }
 
 // alphaChunkOf packs per-pair matrices into the slab form the body
-// carries: narrow, or wide when asked — which symbols that fit a byte do
-// not prevent.
-func alphaChunkOf(wide bool, rows ...[]*protocol.SymbolMatrix) protocol.AlphaChunk {
-	var c protocol.AlphaChunk
+// carries at the given cell width: rows of little-endian bits-wide fields
+// padded to a byte, or one symbol a cell for 16 bits.
+func alphaChunkOf(bits int, rows ...[]*protocol.SymbolMatrix) protocol.AlphaChunk {
+	c := protocol.AlphaChunk{Bits: bits}
 	for _, row := range rows {
 		c.Counts = append(c.Counts, len(row))
 		for _, m := range row {
 			c.Shapes = append(c.Shapes, protocol.AlphaShape{Rows: m.Rows, Cols: m.Cols})
-			for _, s := range m.Cell {
-				if wide {
-					c.Wide = append(c.Wide, s)
-				} else {
-					c.Narrow = append(c.Narrow, byte(s))
+			if bits == 16 {
+				c.Wide = append(c.Wide, m.Cell...)
+				continue
+			}
+			rb := protocol.AlphaRowBytes(m.Cols, bits)
+			for q := 0; q < m.Rows; q++ {
+				row := make([]byte, rb)
+				for p := 0; p < m.Cols; p++ {
+					row[p*bits/8] |= byte(int(m.At(q, p)) << (p * bits % 8))
 				}
+				c.Packed = append(c.Packed, row...)
 			}
 		}
 	}
 	return c
+}
+
+// chunkCells reads every matrix of a chunk back out of its slab, one
+// symbol an int, matrix after matrix and row after row, refusing a row
+// whose padding bits are not zero.
+func chunkCells(c *protocol.AlphaChunk) ([][]int, error) {
+	var out [][]int
+	off := 0
+	for i, sh := range c.Shapes {
+		rb := protocol.AlphaRowBytes(sh.Cols, c.Bits)
+		cells := make([]int, 0, sh.Rows*sh.Cols)
+		for q := 0; q < sh.Rows; q++ {
+			if c.Bits == 16 {
+				for _, s := range c.Wide[off/2+q*sh.Cols : off/2+(q+1)*sh.Cols] {
+					cells = append(cells, int(s))
+				}
+				continue
+			}
+			row := c.Packed[off+q*rb : off+(q+1)*rb]
+			for p := 0; p < sh.Cols; p++ {
+				cells = append(cells, int(row[p*c.Bits/8]>>(p*c.Bits%8))&(1<<c.Bits-1))
+			}
+			if used := sh.Cols*c.Bits - 8*(rb-1); rb > 0 && row[rb-1]>>used != 0 {
+				return nil, fmt.Errorf("matrix %d row %d: padding bits %#x", i, q, row[rb-1]>>used)
+			}
+		}
+		off += sh.Rows * rb
+		out = append(out, cells)
+	}
+	return out, nil
 }
 
 // TestChunkBodyRoundTrip drives every fixed layout through
@@ -116,21 +160,34 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 		{"disguised float", numDisguisedBody{Rows: 1, Lo: 0, Hi: 1, Float: &protocol.Float64Matrix{Rows: 1, Cols: 3,
 			Cell: []float64{1.5, -2.5, 1e300}}}, &numDisguisedBody{}, 0},
 		{"disguised modp", numDisguisedBody{Rows: 2, Lo: 1, Hi: 2, ModP: &protocol.ElementMatrix{Rows: 1, Cols: 2, Cell: elems[:2]}}, &numDisguisedBody{}, 0},
-		{"alpha one-byte symbols", alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: alphaChunkOf(false,
+		{"alpha 2-bit symbols", alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: alphaChunkOf(2,
+			[]*protocol.SymbolMatrix{symbolMatrix(2, 3, 0, 1, 2, 3, 3, 1), symbolMatrix(0, 3)},
+			[]*protocol.SymbolMatrix{symbolMatrix(1, 1, 2), symbolMatrix(2, 0)},
+		)}, &alphaMBody{}, 3 + 1 + 2 + 2 + 8 + 2 + 1},
+		{"alpha 4-bit symbols", alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: alphaChunkOf(4,
+			[]*protocol.SymbolMatrix{symbolMatrix(2, 3, 0, 1, 2, 13, 14, 15), symbolMatrix(0, 3)},
+			[]*protocol.SymbolMatrix{symbolMatrix(1, 1, 7), symbolMatrix(2, 0)},
+		)}, &alphaMBody{}, 3 + 1 + 2 + 2 + 8 + 4 + 1},
+		{"alpha one-byte symbols", alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: alphaChunkOf(8,
 			[]*protocol.SymbolMatrix{symbolMatrix(2, 3, 0, 1, 2, 3, 254, 255), symbolMatrix(0, 3)},
 			[]*protocol.SymbolMatrix{symbolMatrix(1, 1, 7), symbolMatrix(2, 0)},
 		)}, &alphaMBody{}, 3 + 1 + 2 + 2 + 8 + 7},
-		{"alpha one-byte symbols in a wide slab", alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: alphaChunkOf(true,
+		{"alpha one-byte symbols in a wide slab", alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: alphaChunkOf(16,
 			[]*protocol.SymbolMatrix{symbolMatrix(2, 3, 0, 1, 2, 3, 254, 255), symbolMatrix(0, 3)},
 			[]*protocol.SymbolMatrix{symbolMatrix(1, 1, 7), symbolMatrix(2, 0)},
-		)}, &alphaMBody{}, 3 + 1 + 2 + 2 + 8 + 7},
-		{"alpha two-byte symbols", alphaMBody{Rows: 9, Lo: 4, Hi: 5, M: alphaChunkOf(true,
+		)}, &alphaMBody{}, 3 + 1 + 2 + 2 + 8 + 2*7},
+		{"alpha two-byte symbols", alphaMBody{Rows: 9, Lo: 4, Hi: 5, M: alphaChunkOf(16,
 			[]*protocol.SymbolMatrix{symbolMatrix(1, 2, 255, 256), symbolMatrix(2, 2, 0, 1000, 65535, 3)},
 		)}, &alphaMBody{}, 3 + 1 + 2 + 1 + 4 + 2*6},
-		{"alpha zero rows", alphaMBody{Rows: 0, Lo: 0, Hi: 0}, &alphaMBody{}, 6},
-		{"alpha ragged", alphaMBody{Rows: 3, Lo: 0, Hi: 3, M: alphaChunkOf(false,
+		{"alpha zero rows", alphaMBody{Rows: 0, Lo: 0, Hi: 0, M: protocol.AlphaChunk{Bits: 2}}, &alphaMBody{}, 6},
+		{"alpha ragged", alphaMBody{Rows: 3, Lo: 0, Hi: 3, M: alphaChunkOf(2,
 			[]*protocol.SymbolMatrix{symbolMatrix(1, 1, 1)}, nil, []*protocol.SymbolMatrix{symbolMatrix(1, 1, 2), symbolMatrix(1, 1, 3)},
 		)}, &alphaMBody{}, 0},
+		{"disguised 2-bit", alphaDisguisedBody{S: protocol.PackAlphaStrings([]protocol.SymbolString{{1, 2, 3}, {}, {3, 3, 3, 3, 0}}, 2)},
+			&alphaDisguisedBody{}, 1 + 1 + 3 + 1 + 0 + 2},
+		{"disguised 16-bit", alphaDisguisedBody{S: protocol.PackAlphaStrings([]protocol.SymbolString{{299, 0}}, 16)},
+			&alphaDisguisedBody{}, 1 + 1 + 1 + 4},
+		{"disguised none", alphaDisguisedBody{S: protocol.AlphaStrings{Bits: 4}}, &alphaDisguisedBody{}, 2},
 		{"slice", shardSliceBody{Attr: 2, Max: math.Inf(1), Cells: specials}, &shardSliceBody{}, 1 + 8 + 8*8},
 		{"slice empty", shardSliceBody{Attr: 0, Max: 0}, &shardSliceBody{}, 9},
 		{"relayed frame", shardFrameBody{Frame: []byte("any bytes at all")}, &shardFrameBody{}, 16},
@@ -172,15 +229,16 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 			t.Errorf("cell %d: bits %#x, want %#x", i, bits, math.Float64bits(v))
 		}
 	}
-	// The alphanumeric decoder allocates per chunk, not per string pair.
+	// The alphanumeric decoder allocates per chunk, not per string pair,
+	// and keeps the slab where it arrived.
 	row := make([]*protocol.SymbolMatrix, 100)
 	for i := range row {
 		row[i] = symbolMatrix(2, 2, 1, 2, 3, 0)
 	}
-	enc, _ = wire.EncodeBody(alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: alphaChunkOf(false, row, row)})
+	enc, _ = wire.EncodeBody(alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: alphaChunkOf(2, row, row)})
 	if allocs := testing.AllocsPerRun(10, func() {
 		var am alphaMBody
-		if err := wire.DecodeBody(enc, &am); err != nil || am.M.Narrow[199*4+2] != 3 {
+		if err := wire.DecodeBody(enc, &am); err != nil || len(am.M.Packed) != 400 || &am.M.Packed[0] != &enc[len(enc)-400] {
 			t.Errorf("alphanumeric chunk: %v", err)
 		}
 	}); allocs > 3 {
@@ -188,8 +246,10 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 	}
 	// What a sender must not put on the wire is refused where it is built.
 	for name, body := range map[string]wire.BodyAppender{
-		"stray matrix":   alphaMBody{M: protocol.AlphaChunk{Shapes: []protocol.AlphaShape{{Rows: 0, Cols: 0}}}},
-		"short slab":     alphaMBody{M: protocol.AlphaChunk{Counts: []int{1}, Shapes: []protocol.AlphaShape{{Rows: 2, Cols: 2}}, Narrow: make([]byte, 3)}},
+		"stray matrix":   alphaMBody{M: protocol.AlphaChunk{Bits: 2, Shapes: []protocol.AlphaShape{{Rows: 0, Cols: 0}}}},
+		"short slab":     alphaMBody{M: protocol.AlphaChunk{Bits: 2, Counts: []int{1}, Shapes: []protocol.AlphaShape{{Rows: 2, Cols: 5}}, Packed: make([]byte, 3)}},
+		"no width":       alphaMBody{M: protocol.AlphaChunk{Counts: []int{1}, Shapes: []protocol.AlphaShape{{Rows: 1, Cols: 1}}, Packed: make([]byte, 1)}},
+		"short strings":  alphaDisguisedBody{S: protocol.AlphaStrings{Bits: 2, Lens: []int{5}, Slab: make([]byte, 1)}},
 		"inconsistent S": numSBody{Float: &protocol.Float64Matrix{Rows: 2, Cols: 2, Cell: make([]float64, 3)}},
 	} {
 		if _, err := wire.EncodeBody(body); err == nil {
@@ -209,11 +269,16 @@ func TestChunkDecodersBoundClaims(t *testing.T) {
 	}{
 		"S rows":       {huge(appendInts(append(header[:3:3], numFloat), 1)), &numSBody{}},
 		"S overflow":   {huge(huge(append(header[:3:3], numModP))), &numSBody{}},
-		"alpha rows":   {appendInts(huge(append(header[:3:3], 1)), 0), &alphaMBody{}},
-		"alpha mats":   {huge(appendInts(append(header[:3:3], 1), 1)), &alphaMBody{}},
-		"alpha shape":  {huge(huge(appendInts(appendInts(appendInts(append(header[:3:3], 2), 1), 1), 1))), &alphaMBody{}},
-		"alpha cells":  {appendInts(appendInts(appendInts(appendInts(appendInts(append(header[:3:3], 1), 1), 1), 1), 1<<20), 1<<20), &alphaMBody{}},
+		"alpha rows":   {appendInts(huge(append(header[:3:3], 8)), 0), &alphaMBody{}},
+		"alpha mats":   {huge(appendInts(append(header[:3:3], 8), 1)), &alphaMBody{}},
+		"alpha shape":  {huge(huge(appendInts(appendInts(appendInts(append(header[:3:3], 16), 1), 1), 1))), &alphaMBody{}},
+		"alpha cells":  {appendInts(appendInts(appendInts(appendInts(appendInts(append(header[:3:3], 8), 1), 1), 1), 1<<20), 1<<20), &alphaMBody{}},
 		"alpha width":  {appendInts(appendInts(append(header[:3:3], 3), 0), 0), &alphaMBody{}},
+		"alpha rows 2": {appendInts(appendInts(appendInts(appendInts(appendInts(append(header[:3:3], 2), 1), 1), 1), 1<<20), 1<<20), &alphaMBody{}},
+		"alpha cols":   {appendInts(appendInts(appendInts(appendInts(appendInts(append(header[:3:3], 16), 1), 1), 1), 1), math.MaxInt64/2), &alphaMBody{}},
+		"disg strings": {huge([]byte{2}), &alphaDisguisedBody{}},
+		"disg length":  {huge(appendInts([]byte{2}, 1)), &alphaDisguisedBody{}},
+		"disg width":   {appendInts([]byte{5}, 0), &alphaDisguisedBody{}},
 		"S bad tag":    {append(header[:3:3], 9, 0, 0), &numSBody{}},
 		"slice no max": {[]byte{0, 1, 2, 3}, &shardSliceBody{}},
 	} {
@@ -300,30 +365,33 @@ func laneDigest(t *testing.T, cfg Config, parts []dataset.Partition, kinds ...wi
 
 // TestAlphaFramesMatchParent is the transcript differential of the
 // alphanumeric engine: every ppc/alpha-m frame of a mixed-schema session,
-// lane by lane in the order it was sent, must hash to what commit d84a373
-// — the last one to build a SymbolMatrix per string pair — put on the same
-// lane, at every chunk budget, shard count and worker count (the recorded
-// digests do not depend on the last).
+// lane by lane in the order it was sent, must hash to the recorded digest,
+// at every chunk budget, shard count and worker count (the recorded
+// digests do not depend on the last). The digests were first recorded at
+// d84a373, the last commit to build a SymbolMatrix per string pair, and
+// re-recorded once when the slab went from a byte a cell to the
+// alphabet's cell width: the lanes and frame counts stayed, the frames
+// shrank.
 func TestAlphaFramesMatchParent(t *testing.T) {
 	parts := pipelineParts(t, 40)
 	for _, tc := range []struct {
 		chunk, shards int
 		hash          string
 	}{
-		{1, 1, "2/125/b8995a1d4c009a6c"},
-		{64, 1, "2/125/b8995a1d4c009a6c"},
-		{0, 1, "2/6/dd33634bcc8f6733"},
-		{oneFrameBudget, 1, "2/3/20962a784e1d016d"},
-		{1, 2, "3/125/1f072683517bed5a"},
-		{64, 2, "3/125/1f072683517bed5a"},
-		{0, 2, "3/8/a7484b74663bdd39"},
-		{oneFrameBudget, 2, "3/5/b3d1412079729d48"},
+		{1, 1, "2/125/3147fef6b52889b4"},
+		{64, 1, "2/125/3147fef6b52889b4"},
+		{0, 1, "2/6/b60a0d25b984a080"},
+		{oneFrameBudget, 1, "2/3/3b9b7111df3206a6"},
+		{1, 2, "3/125/1b59b3295bf62ff3"},
+		{64, 2, "3/125/1b59b3295bf62ff3"},
+		{0, 2, "3/8/a5f9ea624f5dbc23"},
+		{oneFrameBudget, 2, "3/5/d39d3e717dd25c26"},
 	} {
 		for _, workers := range []int{1, 2} {
 			cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant,
 				LocalChunkBytes: tc.chunk, TPShards: tc.shards, Parallelism: workers}
 			if got := laneDigest(t, cfg, parts, kindAlphaM); got != tc.hash {
-				t.Errorf("chunk %d, shards %d, workers %d: lanes/frames/digest %s, the parent sent %s",
+				t.Errorf("chunk %d, shards %d, workers %d: lanes/frames/digest %s, recorded %s",
 					tc.chunk, tc.shards, workers, got, tc.hash)
 			}
 		}
@@ -397,24 +465,21 @@ func TestNumericFramesMatchParent(t *testing.T) {
 	}
 }
 
-// FuzzChunkBodyDecoders feeds arbitrary payloads to the six fixed-layout
+// FuzzChunkBodyDecoders feeds arbitrary payloads to the seven fixed-layout
 // decoders: never a panic, only ErrMalformed failures, memory bounded by
 // the input (no claimed length is believed before the bytes are seen), and
 // whatever decodes re-encodes to a fixed point; the chunks that keep their
 // cells in the payload — local, numeric S and alphanumeric — are also
-// evaluated and installed, and nothing may have written the payload by the
-// end. Seeded with the payloads of real session
-// frames in every numeric variant and mode — both holders' S chunks of a
-// split pair block, and the disguise each sends the other: the initiator's
-// column row, the responder's rows of one cell (batch) or of every column
-// (per-pair).
+// evaluated and installed, and the disguised strings responded to, and
+// nothing may have written the payload by the end. Seeded with the
+// payloads of real session frames in every numeric variant and mode — both
+// holders' S chunks of a split pair block, and the disguise each sends the
+// other: the initiator's column row, the responder's rows of one cell
+// (batch) or of every column (per-pair) — and with alphanumeric chunks and
+// strings at every cell width, and under width bytes no alphabet has.
 func FuzzChunkBodyDecoders(f *testing.F) {
-	runes := make([]rune, 256)
-	for i := range runes {
-		runes[i] = rune(0x100 + i)
-	}
-	byteAlphabet := alphabet.MustNew("bytes", runes)
-	which := map[wire.Kind]uint8{kindLocal: 0, kindNumS: 1, kindNumDisg: 2, kindAlphaM: 3}
+	alphabets := []*alphabet.Alphabet{alphabet.DNA, sizedAlphabet(3), alphabet.Digits, alphabet.AlphaNum, sizedAlphabet(256), sizedAlphabet(300)}
+	which := map[wire.Kind]uint8{kindLocal: 0, kindNumS: 1, kindNumDisg: 2, kindAlphaM: 3, kindAlphaDisg: 6}
 	for _, cfg := range []Config{
 		{Schema: pipelineSchema(), Variant: Float64Variant, LocalChunkBytes: 64},
 		{Schema: pipelineSchema(), Variant: Float64Variant, Mode: protocol.PerPair},
@@ -434,6 +499,23 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 	}
 	slice, _ := wire.EncodeBody(shardSliceBody{Attr: 1, Max: 2.5, Cells: []float64{0.5, 2.5}})
 	f.Add(uint8(4), slice)
+	eng := protocol.NewEngine(1)
+	own := []protocol.SymbolString{{0, 1, 2}, {2, 0, 1, 1, 2, 0, 1, 2, 2, 1, 0, 0, 1}}
+	for _, a := range alphabets {
+		their := []protocol.SymbolString{{1}, {2, 2, 0, 1, 0, 2, 1, 1, 0, 2, 2, 1, 0}, {}}
+		disg := protocol.PackAlphaStrings(their, protocol.AlphaCellBits(a))
+		enc, _ := wire.EncodeBody(alphaDisguisedBody{S: disg})
+		f.Add(uint8(6), enc)
+		var c protocol.AlphaChunk
+		eng.AlphaResponderChunk(&c, own, &disg, a)
+		enc, _ = wire.EncodeBody(alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: c})
+		f.Add(uint8(3), enc)
+		for _, bits := range []byte{0, 1, 3, 32, 255} {
+			bad := bytes.Clone(enc)
+			bad[3] = bits // the width byte, after three one-byte header integers
+			f.Add(uint8(3), bad)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, which uint8, payload []byte) {
 		decoders := chunkDecoders()
@@ -466,10 +548,18 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 		jt := rng.NewAESCTR(rng.SeedFromUint64(1))
 		switch b := d.(type) {
 		case *alphaMBody:
-			// The last alphabet takes every byte cell, so the byte kernel's
-			// check at the top of its range sees cells from the payload.
-			for _, a := range []*alphabet.Alphabet{alphabet.DNA, alphabet.AlphaNum, byteAlphabet} {
+			// One alphabet of each width, and one whose width has room for
+			// cells past it, so the third party's width, range and padding
+			// checks all see cells from the payload.
+			for _, a := range alphabets {
 				protocol.NewEngine(2).AlphaThirdPartyChunk(&b.M, 0, len(b.M.Counts), a, jt)
+			}
+		case *alphaDisguisedBody:
+			for _, a := range alphabets {
+				if b.S.InAlphabet(a) == nil && len(b.S.Slab) <= 1<<10 {
+					var c protocol.AlphaChunk
+					protocol.NewEngine(2).AlphaResponderChunk(&c, []protocol.SymbolString{{0}, {0, 1, 0, 1, 0}}, &b.S, a)
+				}
 			}
 		case *localBody:
 			if 0 <= b.Lo && b.Lo <= b.N && b.N <= 256 {
@@ -575,7 +665,7 @@ func BenchmarkChunkBodyCodec(b *testing.B) {
 	for i := range rows {
 		rows[i] = row
 	}
-	m := alphaMBody{Rows: 16, Lo: 0, Hi: 16, M: alphaChunkOf(false, rows...)}
+	m := alphaMBody{Rows: 16, Lo: 0, Hi: 16, M: alphaChunkOf(2, rows...)}
 	for _, tc := range []struct {
 		name    string
 		body    wire.BodyAppender

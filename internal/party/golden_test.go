@@ -2,7 +2,6 @@ package party
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/hex"
 	"os"
 	"path/filepath"
@@ -16,105 +15,134 @@ import (
 	"ppclust/internal/wire"
 )
 
-// goldenAlphaCase is one ppc/alpha-m chunk whose payload was recorded, in
-// testdata/alpha_m_<name>.hex, from the encoder of commit d84a373 — the
-// last one that walked a SymbolMatrix per string pair — over the per-pair
-// responder's output for these strings.
+// goldenAlphaCase is one ppc/alpha-m chunk whose payload is recorded in
+// testdata/alpha_m_<name>.hex, and the ppc/alpha-disguised body its
+// disguised strings travel in, in testdata/alpha_disguised_<name>.hex. The
+// recordings were made once, when the slab went to the alphabet's cell
+// width — 2 bits for DNA, 4 for digits, 16 above 256 symbols — and the test
+// checks every recorded cell against the one-symbol-a-cell per-pair
+// responder, so the bytes pin the layout and the layout is checked against
+// the arithmetic.
 type goldenAlphaCase struct {
 	name           string
 	a              *alphabet.Alphabet
 	rows, lo, hi   int
 	own, disguised []protocol.SymbolString
-	wide           bool // the width byte the parent wrote was 2
 }
 
 func goldenAlphaCases() []goldenAlphaCase {
-	runes := make([]rune, 300)
-	for i := range runes {
-		runes[i] = rune(0x100 + i)
-	}
-	big := alphabet.MustNew("big", runes)
-	dna := func(ss ...string) []protocol.SymbolString {
+	big := sizedAlphabet(300)
+	enc := func(a *alphabet.Alphabet, ss ...string) []protocol.SymbolString {
 		out := make([]protocol.SymbolString, len(ss))
 		for i, s := range ss {
-			out[i] = alphabet.DNA.MustEncode(s)
+			out[i] = a.MustEncode(s)
 		}
 		return out
 	}
+	dna := func(ss ...string) []protocol.SymbolString { return enc(alphabet.DNA, ss...) }
 	return []goldenAlphaCase{
-		{"dna", alphabet.DNA, 5, 1, 3, dna("ACGT", "GG"), dna("TTAC", "C", "GATTACA"), false},
+		// GATTACA is 14 bits: two bytes, the second with two padding bits.
+		{"dna", alphabet.DNA, 5, 1, 3, dna("ACGT", "GG"), dna("TTAC", "C", "GATTACA")},
+		// Four bits a cell; rows of 5 and 1 cells end inside a byte.
+		{"digits", alphabet.Digits, 4, 2, 4, enc(alphabet.Digits, "0123456789", "7"), enc(alphabet.Digits, "31415", "", "2718281828", "9")},
 		// 0 − 299 and 299 − 0 modulo 300: differences past a byte.
-		{"wide", big, 2, 0, 2, []protocol.SymbolString{{299, 0}, {5}}, []protocol.SymbolString{{0, 299, 150}, {298}}, true},
-		// The same alphabet, every difference below 256: one byte a cell.
-		{"wide_small", big, 7, 6, 7, []protocol.SymbolString{{10, 20}}, []protocol.SymbolString{{30, 40, 200}, {21}}, false},
+		{"wide", big, 2, 0, 2, []protocol.SymbolString{{299, 0}, {5}}, []protocol.SymbolString{{0, 299, 150}, {298}}},
+		// The same alphabet, every difference below 256: still two bytes a
+		// cell, the width being the alphabet's and not the data's.
+		{"wide_small", big, 7, 6, 7, []protocol.SymbolString{{10, 20}}, []protocol.SymbolString{{30, 40, 200}, {21}}},
 		// Empty strings on either side: 0×c and r×0 matrices.
-		{"empty", alphabet.DNA, 3, 0, 3, dna("", "AC", ""), dna("", "G", ""), false},
+		{"empty", alphabet.DNA, 3, 0, 3, dna("", "AC", ""), dna("", "G", "")},
 	}
 }
 
-// TestGoldenAlphaM: the slab responder and encoder reproduce the parent's
-// frames byte for byte, the aliasing decoder takes them back to a fixed
-// point, and a chunk evaluates the same built or decoded.
+func readGolden(t *testing.T, name string) []byte {
+	t.Helper()
+	text, err := os.ReadFile(filepath.Join("testdata", name+".hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return want
+}
+
+// TestGoldenAlphaM: the packing initiator and the slab responder and their
+// encoders reproduce the recorded frames byte for byte, the decoders take
+// them back to a fixed point, every decoded cell is the per-pair
+// responder's, and a chunk evaluates the same built, decoded or per pair.
 func TestGoldenAlphaM(t *testing.T) {
 	eng := protocol.NewEngine(2)
 	for _, tc := range goldenAlphaCases() {
-		text, err := os.ReadFile(filepath.Join("testdata", "alpha_m_"+tc.name+".hex"))
-		if err != nil {
-			t.Fatal(err)
+		bits := protocol.AlphaCellBits(tc.a)
+		wantDisg := readGolden(t, "alpha_disguised_"+tc.name)
+		disg := protocol.PackAlphaStrings(tc.disguised, bits)
+		if enc, err := wire.EncodeBody(alphaDisguisedBody{S: disg}); err != nil || !bytes.Equal(enc, wantDisg) {
+			t.Errorf("%s: disguised strings encode to %x (%v), recorded %x", tc.name, enc, err, wantDisg)
 		}
-		want, err := hex.DecodeString(strings.TrimSpace(string(text)))
+		var gotDisg alphaDisguisedBody
+		if err := wire.DecodeBody(wantDisg, &gotDisg); err != nil || gotDisg.S.InAlphabet(tc.a) != nil {
+			t.Fatalf("%s: recorded disguised strings: %v", tc.name, err)
+		}
+		if again := reencode(t, &gotDisg); !bytes.Equal(again, wantDisg) {
+			t.Errorf("%s: disguised strings re-encode to %x", tc.name, again)
+		}
+
+		want := readGolden(t, "alpha_m_"+tc.name)
+		header := len(appendInts(nil, tc.rows, tc.lo, tc.hi))
+		if int(want[header]) != bits {
+			t.Fatalf("%s: recorded width byte %d, the alphabet takes %d bits", tc.name, want[header], bits)
+		}
+		var built protocol.AlphaChunk
+		eng.AlphaResponderChunk(&built, tc.own, &gotDisg.S, tc.a)
+		enc, err := wire.EncodeBody(alphaMBody{Rows: tc.rows, Lo: tc.lo, Hi: tc.hi, M: built})
+		if err != nil || !bytes.Equal(enc, want) {
+			t.Errorf("%s: encodes to %x (%v), recorded %x", tc.name, enc, err, want)
+		}
+		var body alphaMBody
+		if err := wire.DecodeBody(want, &body); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if body.Rows != tc.rows || body.Lo != tc.lo || body.Hi != tc.hi {
+			t.Errorf("%s: header %d [%d,%d)", tc.name, body.Rows, body.Lo, body.Hi)
+		}
+		if again := reencode(t, &body); !bytes.Equal(again, want) {
+			t.Errorf("%s: re-encodes to %x, want %x", tc.name, again, want)
+		}
+		cells, err := chunkCells(&body.M)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		header := len(appendInts(nil, tc.rows, tc.lo, tc.hi))
-		if gotWide := want[header] == 2; gotWide != tc.wide {
-			t.Fatalf("%s: recorded width byte %d", tc.name, want[header])
+		perPair := eng.AlphaResponder(tc.own, tc.disguised, tc.a)
+		for i, row := range perPair {
+			for j, m := range row {
+				got := cells[i*len(row)+j]
+				for k, c := range m.Cell {
+					if got[k] != int(c) {
+						t.Fatalf("%s: recorded cell %d of pair (%d,%d) is %d, the per-pair responder's %d", tc.name, k, i, j, got[k], c)
+					}
+				}
+			}
 		}
 
-		var built protocol.AlphaChunk
-		eng.AlphaResponderChunk(&built, tc.own, tc.disguised, tc.a)
-		enc, err := wire.EncodeBody(alphaMBody{Rows: tc.rows, Lo: tc.lo, Hi: tc.hi, M: built})
-		if err != nil || !bytes.Equal(enc, want) {
-			t.Errorf("%s: encodes to %x (%v), the parent wrote %x", tc.name, enc, err, want)
-		}
-
-		evaluate := func(label string, payload []byte) []int64 {
-			var body alphaMBody
-			if err := wire.DecodeBody(payload, &body); err != nil {
-				t.Fatalf("%s, %s: %v", tc.name, label, err)
-			}
-			if body.Rows != tc.rows || body.Lo != tc.lo || body.Hi != tc.hi {
-				t.Errorf("%s, %s: header %d [%d,%d)", tc.name, label, body.Rows, body.Lo, body.Hi)
-			}
-			if again := reencode(t, &body); !bytes.Equal(again, want) {
-				t.Errorf("%s, %s: re-encodes to %x, want %x", tc.name, label, again, want)
-			}
-			dists, err := eng.AlphaThirdPartyChunk(&body.M, tc.lo, tc.hi, tc.a, rng.NewAESCTR(rng.SeedFromUint64(26)))
+		dists := func(label string, eval func(jt rng.Stream) (*protocol.Int64Matrix, error)) []int64 {
+			d, err := eval(rng.NewAESCTR(rng.SeedFromUint64(26)))
 			if err != nil {
 				t.Fatalf("%s, %s: %v", tc.name, label, err)
 			}
-			return dists.Cell
+			return d.Cell
 		}
-		wantDists, err := eng.AlphaThirdPartyChunk(&built, tc.lo, tc.hi, tc.a, rng.NewAESCTR(rng.SeedFromUint64(26)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := evaluate("recorded", want); !slices.Equal(got, wantDists.Cell) {
-			t.Errorf("%s: decoded chunk evaluates to %v, built chunk to %v", tc.name, got, wantDists.Cell)
-		}
-		if tc.wide {
-			continue
-		}
-		// The non-canonical form the parent's decoder took: two bytes a
-		// cell for symbols that fit one.
-		cells := want[len(want)-built.Cells():]
-		loose := append(bytes.Clone(want[:len(want)-len(cells)]), make([]byte, 2*len(cells))...)
-		loose[header] = 2
-		for i, c := range cells {
-			binary.LittleEndian.PutUint16(loose[len(loose)-2*len(cells)+2*i:], uint16(c))
-		}
-		if got := evaluate("width 2", loose); !slices.Equal(got, wantDists.Cell) {
-			t.Errorf("%s: width-2 form evaluates to %v, want %v", tc.name, got, wantDists.Cell)
+		wantDists := dists("per pair", func(jt rng.Stream) (*protocol.Int64Matrix, error) {
+			return eng.AlphaThirdPartyRows(perPair, tc.lo, tc.hi, tc.a, jt)
+		})
+		for label, c := range map[string]*protocol.AlphaChunk{"built": &built, "recorded": &body.M} {
+			got := dists(label, func(jt rng.Stream) (*protocol.Int64Matrix, error) {
+				return eng.AlphaThirdPartyChunk(c, tc.lo, tc.hi, tc.a, jt)
+			})
+			if !slices.Equal(got, wantDists) {
+				t.Errorf("%s: %s chunk evaluates to %v, per-pair matrices to %v", tc.name, label, got, wantDists)
+			}
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"ppclust/internal/alphabet"
 	"ppclust/internal/catdist"
 	"ppclust/internal/dataset"
 	"ppclust/internal/detenc"
@@ -588,7 +587,7 @@ func (h *Holder) initiate(attr, p int) error {
 		}
 		disguised := h.eng.AlphaInitiator(strs, a.Alphabet, jt)
 		msg.Kind = kindAlphaDisg
-		return h.peers[k].SendBody(msg, alphaDisguisedBody{Strings: disguised})
+		return h.peers[k].SendBody(msg, alphaDisguisedBody{S: protocol.PackAlphaStrings(disguised, protocol.AlphaCellBits(a.Alphabet))})
 	}
 
 	col, err := h.numCol(attr)
@@ -667,10 +666,8 @@ func (h *Holder) respond(attr, p int) error {
 		for i, s := range col {
 			own[i] = protocol.SymbolString(s)
 		}
-		for i, s := range disg.Strings {
-			if err := alphabet.InRange(a.Alphabet, s); err != nil {
-				return fmt.Errorf("party: disguised string %d: %w", i, err)
-			}
+		if err := disg.S.InAlphabet(a.Alphabet); err != nil {
+			return fmt.Errorf("party: %s responding (%s,%s) attr %d: %w", k, j, k, attr, err)
 		}
 		// One slab, filled for a chunk's rows just before its frame is
 		// built from it and refilled for the next: the holder never holds
@@ -680,7 +677,7 @@ func (h *Holder) respond(attr, p int) error {
 		return h.eachLane(h.index, 0, rows, func(ln compLane) error {
 			msg.To = ln.to
 			for _, ch := range h.cfg.pairChunksRange(a.Type, ln.lo, ln.hi, cols) {
-				h.eng.AlphaResponderChunk(&chunk, own[ch[0]:ch[1]], disg.Strings, a.Alphabet)
+				h.eng.AlphaResponderChunk(&chunk, own[ch[0]:ch[1]], &disg.S, a.Alphabet)
 				body := alphaMBody{Rows: rows, Lo: ch[0], Hi: ch[1], M: chunk}
 				if err := ln.ep.SendBody(msg, body); err != nil {
 					return err

@@ -701,16 +701,18 @@ type numSBody struct {
 // matrix, so it decodes into the variant pointer.
 type numDisguisedBody numSBody
 
-// alphaDisguisedBody is the initiator→responder alphanumeric message.
+// alphaDisguisedBody is the initiator→responder alphanumeric message: the
+// disguised strings packed at the alphabet's cell width, the words the
+// responder's Figure 9 kernel reads.
 type alphaDisguisedBody struct {
-	Strings []protocol.SymbolString
+	S protocol.AlphaStrings
 }
 
 // alphaMBody is one chunk of the responder→TP alphanumeric message: rows
 // [Lo, Hi) of the intermediary-matrix block (one row of per-initiator
-// symbol matrices per responder string) in one cell slab, streamed in the
-// shared pairChunksRange schedule. Rows is the responder's full object
-// count, repeated per chunk.
+// symbol matrices per responder string) in one cell slab packed at the
+// alphabet's cell width, streamed in the shared pairChunksRange schedule.
+// Rows is the responder's full object count, repeated per chunk.
 type alphaMBody struct {
 	Rows   int
 	Lo, Hi int

@@ -344,19 +344,16 @@ func alphaThreePass(chunks []protocol.AlphaChunk, a *alphabet.Alphabet, jt rng.S
 		if err := c.Validate(); err != nil {
 			return nil, err
 		}
-		shapes, off := c.Shapes, 0
+		cells, err := chunkCells(&c)
+		if err != nil {
+			return nil, err
+		}
+		shapes := c.Shapes
 		for _, n := range c.Counts {
 			var row []pair
 			for _, sh := range shapes[:n] {
-				p := pair{rows: sh.Rows, cols: sh.Cols, cell: make([]int, sh.Rows*sh.Cols)}
-				for i := range p.cell {
-					if c.Wide != nil {
-						p.cell[i] = int(c.Wide[off+i])
-					} else {
-						p.cell[i] = int(c.Narrow[off+i])
-					}
-				}
-				off += len(p.cell)
+				p := pair{rows: sh.Rows, cols: sh.Cols, cell: cells[0]}
+				cells = cells[1:]
 				if p.rows > 0 {
 					anyRows = true
 					maxCols = max(maxCols, p.cols)

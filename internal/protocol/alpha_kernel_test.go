@@ -19,17 +19,18 @@ func sizedAlphabet(n int) *alphabet.Alphabet {
 }
 
 // FuzzAlphaKernel drives the slab responder and the fused third-party
-// kernel against the three-pass oracle: alphabet sizes on both sides of
-// the one-byte cell (and at both ends of Symbol) and around a byte's high
-// bit, strings from empty to longer than the one-word pattern, and
-// optionally one cell pushed outside the alphabet. A maxLen of 162 + L or
-// more makes every string exactly L symbols long. Cells, distances and the
-// generator's position must be equal, and the kernel must fail exactly when
-// the oracle does, naming the same pair — in chunk and per-pair form, at one
-// worker and two.
+// kernel against the three-pass oracle: alphabet sizes at and around every
+// field width's edge (2, 4 and 8 bits, and both ends of Symbol) and around
+// each width's high bit, strings from empty to longer than the one-word
+// pattern — rows that end inside a byte and rows of more than one word —
+// and optionally one cell pushed outside the alphabet but inside its field.
+// A maxLen of 162 + L or more makes every string exactly L symbols long.
+// Cells, distances and the generator's position must be equal, and the
+// kernel must fail exactly when the oracle does, naming the same pair — in
+// chunk and per-pair form, at one worker and two.
 func FuzzAlphaKernel(f *testing.F) {
 	var alphabets []*alphabet.Alphabet
-	for _, n := range []int{1, 2, 4, 255, 256, 257, 1 << 16, 127, 128, 129} {
+	for _, n := range []int{1, 2, 4, 255, 256, 257, 1 << 16, 127, 128, 129, 3, 5, 15, 16, 17} {
 		alphabets = append(alphabets, sizedAlphabet(n))
 	}
 	f.Add(uint64(1), uint8(2), uint8(3), uint8(4), uint8(16), false, uint32(0))
@@ -42,6 +43,13 @@ func FuzzAlphaKernel(f *testing.F) {
 	f.Add(uint64(8), uint8(9), uint8(2), uint8(2), uint8(162+65), true, uint32(100<<8|9)) // 129 symbols, cell 229
 	f.Add(uint64(9), uint8(3), uint8(2), uint8(2), uint8(162+64), true, uint32(0<<8|17))  // 255 symbols, cell 255
 	f.Add(uint64(10), uint8(4), uint8(2), uint8(3), uint8(162+65), false, uint32(0))      // 256 symbols
+	f.Add(uint64(11), uint8(10), uint8(3), uint8(2), uint8(162+13), true, uint32(4<<8|2)) // 3 symbols, 26 bits a row, cell 3
+	f.Add(uint64(12), uint8(2), uint8(2), uint8(3), uint8(162+33), false, uint32(0))      // 4 symbols, 66 bits a row
+	f.Add(uint64(13), uint8(11), uint8(2), uint8(2), uint8(162+17), true, uint32(9<<8|5)) // 5 symbols, 68 bits a row
+	f.Add(uint64(14), uint8(12), uint8(3), uint8(3), uint8(162+7), true, uint32(0<<8|1))  // 15 symbols, 28 bits a row, cell 15
+	f.Add(uint64(15), uint8(13), uint8(2), uint8(2), uint8(162+21), false, uint32(0))     // 16 symbols, 84 bits a row
+	f.Add(uint64(16), uint8(14), uint8(2), uint8(3), uint8(162+9), true, uint32(30<<8|4)) // 17 symbols, 72 bits a row
+	f.Add(uint64(17), uint8(10), uint8(2), uint8(2), uint8(162+70), true, uint32(0<<8|8)) // 3 symbols, past the one-word pattern
 	f.Fuzz(func(t *testing.T, seed uint64, which, nOwn, nTheir, maxLen uint8, corrupt bool, where uint32) {
 		a := alphabets[int(which)%len(alphabets)]
 		gen := rng.NewXoshiro(rng.SeedFromUint64(seed))
@@ -63,15 +71,19 @@ func FuzzAlphaKernel(f *testing.F) {
 		disguised := AlphaInitiator(their, a, rng.NewAESCTR(seedJT))
 
 		want := oracleAlphaResponder(own, disguised, a)
+		packed := PackAlphaStrings(disguised, AlphaCellBits(a))
+		if err := packed.InAlphabet(a); err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{1, 2} {
 			e := NewEngine(workers)
 			var chunk AlphaChunk
-			e.AlphaResponderChunk(&chunk, own, disguised, a)
+			e.AlphaResponderChunk(&chunk, own, &packed, a)
 			if err := chunk.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			if chunk.Cells() > 0 && (chunk.Wide != nil) != (a.Size() > 256) {
-				t.Fatalf("alphabet of %d symbols: wide slab is %v", a.Size(), chunk.Wide != nil)
+			if bits := AlphaCellBits(a); chunk.Bits != bits || (bits == 16) != (chunk.Packed == nil) && cellCount(&chunk) > 0 || 1<<bits < a.Size() || bits > 2 && 1<<(bits/2) >= a.Size() {
+				t.Fatalf("alphabet of %d symbols: %d-bit cells, packed slab %v", a.Size(), chunk.Bits, chunk.Packed != nil)
 			}
 			perPair := e.AlphaResponder(own, disguised, a)
 			for name, got := range map[string][][]*SymbolMatrix{"chunk": chunkMatrices(&chunk), "per-pair": perPair} {
@@ -85,19 +97,10 @@ func FuzzAlphaKernel(f *testing.F) {
 				}
 			}
 
-			// One cell outside the alphabet, where the slab's cell type can
-			// hold such a value at all; the oracle reads the same cells.
-			limit := 1 << 8
-			if chunk.Wide != nil {
-				limit = 1 << 16
-			}
-			if corrupt && chunk.Cells() > 0 && a.Size() < limit {
-				at, bad := int(where)%chunk.Cells(), a.Size()+int(where>>8)%(limit-a.Size())
-				if chunk.Wide != nil {
-					chunk.Wide[at] = alphabet.Symbol(bad)
-				} else {
-					chunk.Narrow[at] = byte(bad)
-				}
+			// One cell outside the alphabet, where the cell's field can hold
+			// such a value at all; the oracle reads the same cells.
+			if cells := cellCount(&chunk); corrupt && cells > 0 && a.Size() < 1<<chunk.Bits {
+				setCell(&chunk, int(where)%cells, a.Size()+int(where>>8)%(1<<chunk.Bits-a.Size()))
 			}
 			block := chunkMatrices(&chunk)
 			oracleJT := rng.NewAESCTR(seedJT)
@@ -134,30 +137,39 @@ func FuzzAlphaKernel(f *testing.F) {
 // TestAlphaChunkValidation: a chunk a decoder would not have produced is an
 // error at the third party, not an index out of range.
 func TestAlphaChunkValidation(t *testing.T) {
-	e, a := NewEngine(2), alphabet.DNA
+	e, a := NewEngine(2), sizedAlphabet(3)
 	for name, c := range map[string]*AlphaChunk{
-		"ragged":         {Counts: []int{1, 2}, Shapes: []AlphaShape{{1, 1}, {1, 1}, {1, 1}}, Narrow: []byte{0, 1, 2}},
-		"rows overclaim": {Counts: []int{2, 2}, Shapes: []AlphaShape{{1, 1}, {1, 1}, {1, 1}}, Narrow: []byte{0, 1, 2}},
-		"stray matrix":   {Counts: []int{1, 1}, Shapes: []AlphaShape{{1, 1}, {1, 1}, {1, 1}}, Narrow: []byte{0, 1, 2}},
-		"short slab":     {Counts: []int{1, 1}, Shapes: []AlphaShape{{2, 2}, {1, 1}}, Narrow: []byte{0, 1, 2}},
-		"long slab":      {Counts: []int{1, 1}, Shapes: []AlphaShape{{1, 1}, {1, 1}}, Narrow: []byte{0, 1, 2}},
-		"negative shape": {Counts: []int{1, 1}, Shapes: []AlphaShape{{-1, 1}, {1, 1}}, Narrow: []byte{0}},
-		"overflow":       {Counts: []int{1, 1}, Shapes: []AlphaShape{{1 << 62, 4}, {1, 1}}, Narrow: []byte{0}},
-		"both slabs":     {Counts: []int{1, 1}, Shapes: []AlphaShape{{1, 1}, {1, 1}}, Narrow: []byte{0}, Wide: []alphabet.Symbol{1}},
-		"cell outside":   {Counts: []int{1, 1}, Shapes: []AlphaShape{{1, 1}, {1, 2}}, Narrow: []byte{0, 1, 4}},
+		"ragged":         {Counts: []int{1, 2}, Shapes: []AlphaShape{{1, 1}, {1, 1}, {1, 1}}, Bits: 2, Packed: []byte{0, 1, 2}},
+		"rows overclaim": {Counts: []int{2, 2}, Shapes: []AlphaShape{{1, 1}, {1, 1}, {1, 1}}, Bits: 2, Packed: []byte{0, 1, 2}},
+		"stray matrix":   {Counts: []int{1, 1}, Shapes: []AlphaShape{{1, 1}, {1, 1}, {1, 1}}, Bits: 2, Packed: []byte{0, 1, 2}},
+		"short slab":     {Counts: []int{1, 1}, Shapes: []AlphaShape{{2, 2}, {1, 1}}, Bits: 2, Packed: []byte{0, 1}},
+		"long slab":      {Counts: []int{1, 1}, Shapes: []AlphaShape{{1, 1}, {1, 1}}, Bits: 2, Packed: []byte{0, 1, 2}},
+		"long row":       {Counts: []int{1, 1}, Shapes: []AlphaShape{{1, 4}, {1, 1}}, Bits: 2, Packed: []byte{0, 1, 2}},
+		"negative shape": {Counts: []int{1, 1}, Shapes: []AlphaShape{{-1, 1}, {1, 1}}, Bits: 2, Packed: []byte{0}},
+		"overflow":       {Counts: []int{1, 1}, Shapes: []AlphaShape{{1 << 62, 4}, {1, 1}}, Bits: 2, Packed: []byte{0}},
+		"wide overflow":  {Counts: []int{1, 1}, Shapes: []AlphaShape{{1, 1 << 61}, {1, 1}}, Bits: 16, Wide: []alphabet.Symbol{0}},
+		"both slabs":     {Counts: []int{1, 1}, Shapes: []AlphaShape{{1, 1}, {1, 1}}, Bits: 2, Packed: []byte{0}, Wide: []alphabet.Symbol{1}},
+		"no width":       {Counts: []int{1, 1}, Shapes: []AlphaShape{{1, 1}, {1, 1}}, Packed: []byte{0, 1}},
+		"width 3":        {Counts: []int{1, 1}, Shapes: []AlphaShape{{1, 1}, {1, 1}}, Bits: 3, Packed: []byte{0, 1}},
+		"byte width":     {Counts: []int{1, 1}, Shapes: []AlphaShape{{1, 1}, {1, 1}}, Bits: 8, Packed: []byte{0, 1}},
+		"wide width":     {Counts: []int{1, 1}, Shapes: []AlphaShape{{1, 1}, {1, 1}}, Bits: 16, Wide: []alphabet.Symbol{0, 1}},
+		"cell outside":   {Counts: []int{1, 1}, Shapes: []AlphaShape{{1, 1}, {1, 2}}, Bits: 2, Packed: []byte{0, 1 | 3<<2}},
+		"padding":        {Counts: []int{1, 1}, Shapes: []AlphaShape{{1, 1}, {1, 2}}, Bits: 2, Packed: []byte{0, 1 | 1<<6}},
 	} {
 		_, err := e.AlphaThirdPartyChunk(c, 0, 2, a, rng.Scripted(0))
 		if err == nil {
 			t.Errorf("%s: accepted", name)
+			continue
 		}
-		if name == "cell outside" && !strings.Contains(err.Error(), "intermediary (1,0): symbol 4 at position 1 outside") {
+		if name == "cell outside" && !strings.Contains(err.Error(), "intermediary (1,0): symbol 3 at position 1 outside") ||
+			name == "padding" && !strings.Contains(err.Error(), "intermediary (1,0): padding 0x4 after position 1 outside") {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
 	// A 0×c matrix wider than every matrix with a row draws no mask for its
 	// columns and still has distance c.
-	c := &AlphaChunk{Counts: []int{2}, Shapes: []AlphaShape{{0, 9}, {1, 2}}, Narrow: []byte{1, 1}}
-	got, err := e.AlphaThirdPartyChunk(c, 0, 1, a, rng.Scripted(1, 3))
+	c := &AlphaChunk{Counts: []int{2}, Shapes: []AlphaShape{{0, 9}, {1, 2}}, Bits: 2, Packed: []byte{1 | 1<<2}}
+	got, err := e.AlphaThirdPartyChunk(c, 0, 1, a, rng.Scripted(1, 2))
 	if err != nil || got.At(0, 0) != 9 || got.At(0, 1) != 1 {
 		t.Fatalf("rowless matrix: %v, %v", got, err)
 	}
@@ -169,6 +181,7 @@ var alphaBenchShapes = []struct {
 	n, size int
 }{
 	{"dna-80x80x16", alphabet.DNA, 80, 16},
+	{"digits-80x80x16", alphabet.Digits, 80, 16},
 	{"protein-80x80x32", alphabet.Protein, 80, 32},
 	{"lower-80x80x64", alphabet.Lower, 80, 64}, // the longest pattern one word holds
 	{"lower-40x40x96", alphabet.Lower, 40, 96}, // past it: the DP fallback
@@ -194,11 +207,12 @@ func BenchmarkAlphaResponder(b *testing.B) {
 		own, their := alphaBenchStrings(sh.a, sh.n, sh.size, 1), alphaBenchStrings(sh.a, sh.n, sh.size, 2)
 		e := NewEngine(2)
 		disguised := e.AlphaInitiator(their, sh.a, rng.NewAESCTR(rng.SeedFromUint64(3)))
+		packed := PackAlphaStrings(disguised, AlphaCellBits(sh.a))
 		b.Run(sh.name+"/chunk", func(b *testing.B) {
 			b.ReportAllocs()
 			var chunk AlphaChunk
 			for i := 0; i < b.N; i++ {
-				e.AlphaResponderChunk(&chunk, own, disguised, sh.a)
+				e.AlphaResponderChunk(&chunk, own, &packed, sh.a)
 			}
 		})
 		b.Run(sh.name+"/per-pair", func(b *testing.B) {
@@ -217,8 +231,9 @@ func BenchmarkAlphaThirdParty(b *testing.B) {
 		e := NewEngine(2)
 		seed := rng.SeedFromUint64(3)
 		disguised := e.AlphaInitiator(their, sh.a, rng.NewAESCTR(seed))
+		packed := PackAlphaStrings(disguised, AlphaCellBits(sh.a))
 		var chunk AlphaChunk
-		e.AlphaResponderChunk(&chunk, own, disguised, sh.a)
+		e.AlphaResponderChunk(&chunk, own, &packed, sh.a)
 		block := e.AlphaResponder(own, disguised, sh.a)
 		jt := rng.NewAESCTR(seed)
 		b.Run(sh.name+"/chunk", func(b *testing.B) {

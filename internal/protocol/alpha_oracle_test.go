@@ -138,24 +138,59 @@ func oracleAlphaThirdParty(m [][]*SymbolMatrix, a *alphabet.Alphabet, jt rng.Str
 }
 
 // chunkMatrices copies a chunk out into per-pair matrices, the form the
-// oracle reads.
+// oracle reads, one field at a time from the packed layout.
 func chunkMatrices(c *AlphaChunk) [][]*SymbolMatrix {
 	out := make([][]*SymbolMatrix, len(c.Counts))
 	shapes, off := c.Shapes, 0
 	for i, n := range c.Counts {
 		for _, sh := range shapes[:n] {
 			mat := NewSymbolMatrix(sh.Rows, sh.Cols)
-			for k := range mat.Cell {
-				if c.Wide != nil {
-					mat.Cell[k] = c.Wide[off+k]
-				} else {
-					mat.Cell[k] = alphabet.Symbol(c.Narrow[off+k])
+			rb := AlphaRowBytes(sh.Cols, c.Bits)
+			for q := range sh.Rows {
+				for p := range sh.Cols {
+					if c.Wide != nil {
+						mat.Set(q, p, c.Wide[off/2+q*sh.Cols+p])
+					} else {
+						mat.Set(q, p, alphabet.Symbol(field(c.Packed[off+q*rb:], p, c.Bits)))
+					}
 				}
 			}
-			off += len(mat.Cell)
+			off += sh.Rows * rb
 			out[i] = append(out[i], mat)
 		}
 		shapes = shapes[n:]
 	}
 	return out
+}
+
+// cellCount is the number of cells a chunk's matrices hold.
+func cellCount(c *AlphaChunk) int {
+	n := 0
+	for _, sh := range c.Shapes {
+		n += sh.Rows * sh.Cols
+	}
+	return n
+}
+
+// setCell overwrites cell k of a chunk, counting cells matrix after matrix
+// and row after row as chunkMatrices does.
+func setCell(c *AlphaChunk, k, v int) {
+	off := 0
+	for _, sh := range c.Shapes {
+		rb := AlphaRowBytes(sh.Cols, c.Bits)
+		if k < sh.Rows*sh.Cols {
+			q, p := k/sh.Cols, k%sh.Cols
+			if c.Wide != nil {
+				c.Wide[off/2+k] = alphabet.Symbol(v)
+				return
+			}
+			row := c.Packed[off+q*rb:]
+			mask := 1<<c.Bits - 1
+			row[p*c.Bits/8] &^= byte(mask << (p * c.Bits % 8))
+			setField(row, p, c.Bits, v)
+			return
+		}
+		k -= sh.Rows * sh.Cols
+		off += sh.Rows * rb
+	}
 }

@@ -35,7 +35,7 @@ type Engine struct {
 	f64 []float64      // float masks (shared rngJT)
 	sym []int          // alphanumeric mask prefix (shared rngJT)
 	elm []modp.Element // field masks of the mod-p variant (shared rngJT)
-	b8  []byte         // a byte a symbol: the TP's mask prefix, a responder's disguised strings
+	b8  []byte         // the TP's mask prefix in the cells' layout
 
 	tpw   []*editdist.Scratch // per-worker edit-distance scratch
 	pairs []alphaPair         // the block the third party is evaluating

@@ -187,9 +187,10 @@ func TestEngineAlphaBitIdentical(t *testing.T) {
 		}
 		gotM := e.AlphaResponder(ks, gotD, alphabet.Protein)
 		var chunk AlphaChunk
-		e.AlphaResponderChunk(&chunk, ks, gotD, alphabet.Protein)
-		if chunk.Wide != nil || chunk.Validate() != nil {
-			t.Fatalf("workers=%d: a 20-symbol alphabet's chunk is wide or inconsistent", workers)
+		packed := PackAlphaStrings(gotD, AlphaCellBits(alphabet.Protein))
+		e.AlphaResponderChunk(&chunk, ks, &packed, alphabet.Protein)
+		if chunk.Bits != 8 || chunk.Wide != nil || chunk.Validate() != nil {
+			t.Fatalf("workers=%d: a 20-symbol alphabet's chunk is not one byte a cell, or inconsistent", workers)
 		}
 		for name, got := range map[string][][]*SymbolMatrix{"per-pair": gotM, "chunk": chunkMatrices(&chunk)} {
 			for i := range wantM {

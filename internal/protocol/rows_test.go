@@ -232,6 +232,7 @@ func TestAlphaThirdPartyRowsMatchesMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	packed := PackAlphaStrings(disguised, AlphaCellBits(a))
 	var chunk AlphaChunk // reused from range to range, as a responder does
 	for _, per := range []int{1, 3, len(own)} {
 		jt, chunkJT := rng.NewAESCTR(seedJT), rng.NewAESCTR(seedJT)
@@ -241,7 +242,7 @@ func TestAlphaThirdPartyRowsMatchesMonolithic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.AlphaResponderChunk(&chunk, own[lo:hi], disguised, a)
+			e.AlphaResponderChunk(&chunk, own[lo:hi], &packed, a)
 			gotChunk, err := e.AlphaThirdPartyChunk(&chunk, lo, hi, a, chunkJT)
 			if err != nil {
 				t.Fatal(err)
