@@ -9,7 +9,7 @@ import (
 	"ppclust/internal/protocol"
 )
 
-// Fixed binary layouts of the seven partition-quadratic bodies
+// Fixed binary layouts of the six partition-quadratic bodies
 // (wire.BodyAppender / wire.BodyDecoder; every other body stays gob).
 // Integers are zigzag varints; cells are little-endian 8-byte int64 or
 // float64 bit patterns, 32-byte mod-p elements, or alphanumeric symbols in
@@ -18,8 +18,9 @@ import (
 // bytes actually present.
 //
 //	localBody         N Lo Hi | float64 cells
-//	numSBody,
-//	numDisguisedBody  Rows Lo Hi | variant byte | [rows cols | cells]
+//	numSBody          Rows Lo Hi | variant byte | rows cols | cells
+//	                  (a protocol.NumericChunk block; the disguise a
+//	                  holder sends its peer has the same layout)
 //	alphaDisguisedBody
 //	                  bits byte | strings | per string: length | slab
 //	                  (a protocol.AlphaStrings: each string one row)
@@ -36,14 +37,6 @@ import (
 // bytes each). The codec copies the slab as it lies and leaves its
 // accounting to the protocol types' Validate; the receiver refuses a width
 // that is not its schema's, and a padding bit that is set.
-
-// Variant bytes of a numeric chunk body.
-const (
-	numNone byte = iota
-	numInt
-	numFloat
-	numModP
-)
 
 func appendInts(dst []byte, vs ...int) []byte {
 	for _, v := range vs {
@@ -62,14 +55,6 @@ func appendFloat64s(dst []byte, cells []float64) []byte {
 	dst, tail := extend(dst, 8*len(cells))
 	for i, v := range cells {
 		binary.LittleEndian.PutUint64(tail[8*i:], math.Float64bits(v))
-	}
-	return dst
-}
-
-func appendInt64s(dst []byte, cells []int64) []byte {
-	dst, tail := extend(dst, 8*len(cells))
-	for i, v := range cells {
-		binary.LittleEndian.PutUint64(tail[8*i:], uint64(v))
 	}
 	return dst
 }
@@ -116,29 +101,6 @@ func (r *bodyReader) tag() byte {
 	b := r.p[0]
 	r.p = r.p[1:]
 	return b
-}
-
-// cellBlock returns the rest of the payload as n = rows×cols cells of size
-// bytes each, or fails: the claimed shape must account for exactly the
-// bytes present, so nothing is allocated on a shape's say-so.
-func (r *bodyReader) cellBlock(rows, cols, size int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	n := len(r.p) / size
-	if len(r.p)%size != 0 || !shapeHolds(rows, cols, n) {
-		r.fail("%dx%d cells of %d bytes do not account for the %d bytes left", rows, cols, size, len(r.p))
-		return nil
-	}
-	return r.p
-}
-
-// shapeHolds reports rows×cols == n without overflowing.
-func shapeHolds(rows, cols, n int) bool {
-	if rows == 0 || cols == 0 {
-		return n == 0
-	}
-	return rows <= n/cols && rows*cols == n
 }
 
 func float64s(p []byte) []float64 {
@@ -194,93 +156,24 @@ func (b *shardFrameBody) DecodeBody(p []byte) error {
 	return nil
 }
 
+// AppendBody writes the header and then has the sender's fill compute the
+// cell block straight into the frame.
 func (b numSBody) AppendBody(dst []byte) ([]byte, error) {
-	dst = appendInts(dst, b.Rows, b.Lo, b.Hi)
-	switch {
-	case b.Int != nil:
-		if err := b.Int.Validate(); err != nil {
-			return nil, err
-		}
-		dst = appendInts(append(dst, numInt), b.Int.Rows, b.Int.Cols)
-		dst = appendInt64s(dst, b.Int.Cell)
-	case b.Float != nil:
-		if err := b.Float.Validate(); err != nil {
-			return nil, err
-		}
-		dst = appendInts(append(dst, numFloat), b.Float.Rows, b.Float.Cols)
-		dst = appendFloat64s(dst, b.Float.Cell)
-	case b.ModP != nil:
-		if err := b.ModP.Validate(); err != nil {
-			return nil, err
-		}
-		dst = appendInts(append(dst, numModP), b.ModP.Rows, b.ModP.Cols)
-		var tail []byte
-		dst, tail = extend(dst, 32*len(b.ModP.Cell))
-		for i := range b.ModP.Cell {
-			copy(tail[32*i:], b.ModP.Cell[i][:])
-		}
-	default:
-		dst = append(dst, numNone)
-	}
-	return dst, nil
+	return b.fill(appendInts(dst, b.Rows, b.Lo, b.Hi))
 }
 
-// DecodeBody checks the claimed shape against the bytes present and keeps
-// the cell block where it is: the received Message owns its payload, and
-// the protocol engine evaluates the cells out of it.
+// DecodeBody keeps the cell block where it is, its shape checked against
+// the bytes present: the received Message owns its payload, and the
+// protocol reads the cells out of it.
 func (b *numSBody) DecodeBody(p []byte) error {
 	r := bodyReader{p: p}
 	*b = numSBody{Rows: r.int(), Lo: r.int(), Hi: r.int()}
-	tag := r.tag()
-	if tag == numNone {
-		if r.err == nil && len(r.p) != 0 {
-			r.fail("%d trailing bytes after a chunk without a payload", len(r.p))
-		}
-		return r.err
-	}
-	rows, cols := r.count(), r.count()
-	size := 8
-	switch {
-	case tag == numModP:
-		size = 32
-	case tag > numModP:
-		r.fail("unknown numeric variant %d", tag)
-	}
-	cells := r.cellBlock(rows, cols, size)
 	if r.err != nil {
 		return r.err
 	}
-	b.variant, b.wire = tag, protocol.NumericChunk{Rows: rows, Cols: cols, Cells: cells}
-	return nil
-}
-
-func (b numDisguisedBody) AppendBody(dst []byte) ([]byte, error) { return numSBody(b).AppendBody(dst) }
-
-// DecodeBody is numSBody's, with the cell block then decoded into the
-// variant's matrix.
-func (b *numDisguisedBody) DecodeBody(p []byte) error {
-	if err := (*numSBody)(b).DecodeBody(p); err != nil {
-		return err
-	}
-	rows, cols, cells := b.wire.Rows, b.wire.Cols, b.wire.Cells
-	switch b.variant {
-	case numInt:
-		m := &protocol.Int64Matrix{Rows: rows, Cols: cols, Cell: make([]int64, len(cells)/8)}
-		for i := range m.Cell {
-			m.Cell[i] = int64(binary.LittleEndian.Uint64(cells[8*i:]))
-		}
-		b.Int = m
-	case numFloat:
-		b.Float = &protocol.Float64Matrix{Rows: rows, Cols: cols, Cell: float64s(cells)}
-	case numModP:
-		m := &protocol.ElementMatrix{Rows: rows, Cols: cols, Cell: make([][32]byte, len(cells)/32)}
-		for i := range m.Cell {
-			copy(m.Cell[i][:], cells[32*i:])
-		}
-		b.ModP = m
-	}
-	b.variant, b.wire = numNone, protocol.NumericChunk{}
-	return nil
+	var err error
+	b.cells, err = protocol.DecodeNumericChunk(r.p)
+	return err
 }
 
 // AppendBody writes the header and then the chunk's slab as it lies: the

@@ -27,24 +27,41 @@ import (
 // chunkDecoders lists a fresh decoder for each fixed layout, in a fixed
 // order the fuzz target indexes.
 func chunkDecoders() []wire.BodyDecoder {
-	return []wire.BodyDecoder{&localBody{}, &numSBody{}, &numDisguisedBody{}, &alphaMBody{}, &shardSliceBody{}, &shardFrameBody{}, &alphaDisguisedBody{}}
+	return []wire.BodyDecoder{&localBody{}, &numSBody{}, &alphaMBody{}, &shardSliceBody{}, &shardFrameBody{}, &alphaDisguisedBody{}}
+}
+
+// The wire's numeric variant bytes (protocol.NumericChunk).
+const (
+	tagInt64 byte = iota + 1
+	tagFloat64
+	tagModP
+)
+
+// numBody is a numeric chunk body whose cell block — variant byte, shape,
+// cells — is given as it goes on the wire.
+func numBody(rows, lo, hi int, tag byte, cRows, cCols int, cells []byte) numSBody {
+	return numSBody{Rows: rows, Lo: lo, Hi: hi, fill: func(dst []byte) ([]byte, error) {
+		return append(appendInts(append(dst, tag), cRows, cCols), cells...), nil
+	}}
 }
 
 // reencode encodes what a decoder holds, through the value receiver the
 // session sends with. The two bodies that keep their cells in the payload
-// are never sent again by the session, so their send form is rebuilt here:
-// the local cells as values, the numeric header around the cell block.
-func reencode(t testing.TB, d wire.BodyDecoder) []byte {
+// they were decoded from are never sent again by the session, so their
+// send form is rebuilt here: the local cells as values, the numeric
+// header before the cell block as it arrived.
+func reencode(t testing.TB, d wire.BodyDecoder, payload []byte) []byte {
 	t.Helper()
 	body := reflect.ValueOf(d).Elem().Interface()
 	switch b := d.(type) {
 	case *localBody:
 		body = localBody{N: b.N, Lo: b.Lo, Hi: b.Hi, Cells: float64s(b.wire)}
 	case *numSBody:
-		if b.variant != numNone {
-			out := appendInts(append(appendInts(nil, b.Rows, b.Lo, b.Hi), b.variant), b.wire.Rows, b.wire.Cols)
-			return append(out, b.wire.Cells...)
-		}
+		r := bodyReader{p: payload}
+		r.int()
+		r.int()
+		r.int()
+		body = numSBody{Rows: b.Rows, Lo: b.Lo, Hi: b.Hi, fill: func(dst []byte) ([]byte, error) { return append(dst, r.p...), nil }}
 	}
 	out, err := wire.EncodeBody(body)
 	if err != nil {
@@ -133,13 +150,12 @@ func chunkCells(c *protocol.AlphaChunk) ([][]int, error) {
 func TestChunkBodyRoundTrip(t *testing.T) {
 	specials := []float64{math.NaN(), math.Float64frombits(0x7ff8000000000123), math.Inf(1), math.Inf(-1),
 		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, -math.MaxFloat64}
-	var elems [][32]byte
-	for i := 0; i < 6; i++ {
-		var e [32]byte
-		for j := range e {
-			e[j] = byte(i*32 + j)
-		}
-		elems = append(elems, e)
+	var ints, elems []byte // four int64 cells, six 32-byte cells
+	for _, v := range []int64{math.MinInt64, -1, 0, math.MaxInt64} {
+		ints = binary.LittleEndian.AppendUint64(ints, uint64(v))
+	}
+	for i := 0; i < 6*32; i++ {
+		elems = append(elems, byte(i))
 	}
 	for _, tc := range []struct {
 		name    string
@@ -151,15 +167,11 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 		{"local zero rows", localBody{N: 0, Lo: 0, Hi: 0}, &localBody{}, 3},
 		{"local special floats", localBody{N: 9, Lo: 1, Hi: 2, Cells: specials}, &localBody{}, 0},
 		{"local negative header", localBody{N: -1, Lo: -7, Hi: 1 << 40}, &localBody{}, 0},
-		{"numS no variant", numSBody{Rows: 4, Lo: 1, Hi: 3}, &numSBody{}, 4},
-		{"numS float", numSBody{Rows: 4, Lo: 1, Hi: 3, Float: &protocol.Float64Matrix{Rows: 2, Cols: 4, Cell: specials}}, &numSBody{}, 6 + 8*8},
-		{"numS int", numSBody{Rows: 4, Lo: 0, Hi: 2, Int: &protocol.Int64Matrix{Rows: 2, Cols: 2,
-			Cell: []int64{math.MinInt64, -1, 0, math.MaxInt64}}}, &numSBody{}, 6 + 4*8},
-		{"numS modp", numSBody{Rows: 3, Lo: 0, Hi: 3, ModP: &protocol.ElementMatrix{Rows: 3, Cols: 2, Cell: elems}}, &numSBody{}, 6 + 6*32},
-		{"numS zero rows", numSBody{Rows: 0, Lo: 0, Hi: 0, Float: &protocol.Float64Matrix{Rows: 0, Cols: 7}}, &numSBody{}, 6},
-		{"disguised float", numDisguisedBody{Rows: 1, Lo: 0, Hi: 1, Float: &protocol.Float64Matrix{Rows: 1, Cols: 3,
-			Cell: []float64{1.5, -2.5, 1e300}}}, &numDisguisedBody{}, 0},
-		{"disguised modp", numDisguisedBody{Rows: 2, Lo: 1, Hi: 2, ModP: &protocol.ElementMatrix{Rows: 1, Cols: 2, Cell: elems[:2]}}, &numDisguisedBody{}, 0},
+		{"numS float", numBody(4, 1, 3, tagFloat64, 2, 4, appendFloat64s(nil, specials)), &numSBody{}, 6 + 8*8},
+		{"numS int", numBody(4, 0, 2, tagInt64, 2, 2, ints), &numSBody{}, 6 + 4*8},
+		{"numS modp", numBody(3, 0, 3, tagModP, 3, 2, elems), &numSBody{}, 6 + 6*32},
+		{"numS zero rows", numBody(0, 0, 0, tagFloat64, 0, 7, nil), &numSBody{}, 6},
+		{"disguised row", numBody(1, 0, 1, tagFloat64, 1, 3, appendFloat64s(nil, []float64{1.5, -2.5, 1e300})), &numSBody{}, 0},
 		{"alpha 2-bit symbols", alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: alphaChunkOf(2,
 			[]*protocol.SymbolMatrix{symbolMatrix(2, 3, 0, 1, 2, 3, 3, 1), symbolMatrix(0, 3)},
 			[]*protocol.SymbolMatrix{symbolMatrix(1, 1, 2), symbolMatrix(2, 0)},
@@ -204,7 +216,7 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 			t.Errorf("%s: decode: %v", tc.name, err)
 			continue
 		}
-		if again := reencode(t, tc.decoder); !bytes.Equal(again, enc) {
+		if again := reencode(t, tc.decoder, enc); !bytes.Equal(again, enc) {
 			t.Errorf("%s: decoded body re-encodes to %x, want %x", tc.name, again, enc)
 		}
 		if _, relayed := tc.body.(shardFrameBody); relayed {
@@ -246,11 +258,14 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 	}
 	// What a sender must not put on the wire is refused where it is built.
 	for name, body := range map[string]wire.BodyAppender{
-		"stray matrix":   alphaMBody{M: protocol.AlphaChunk{Bits: 2, Shapes: []protocol.AlphaShape{{Rows: 0, Cols: 0}}}},
-		"short slab":     alphaMBody{M: protocol.AlphaChunk{Bits: 2, Counts: []int{1}, Shapes: []protocol.AlphaShape{{Rows: 2, Cols: 5}}, Packed: make([]byte, 3)}},
-		"no width":       alphaMBody{M: protocol.AlphaChunk{Counts: []int{1}, Shapes: []protocol.AlphaShape{{Rows: 1, Cols: 1}}, Packed: make([]byte, 1)}},
-		"short strings":  alphaDisguisedBody{S: protocol.AlphaStrings{Bits: 2, Lens: []int{5}, Slab: make([]byte, 1)}},
-		"inconsistent S": numSBody{Float: &protocol.Float64Matrix{Rows: 2, Cols: 2, Cell: make([]float64, 3)}},
+		"stray matrix":  alphaMBody{M: protocol.AlphaChunk{Bits: 2, Shapes: []protocol.AlphaShape{{Rows: 0, Cols: 0}}}},
+		"short slab":    alphaMBody{M: protocol.AlphaChunk{Bits: 2, Counts: []int{1}, Shapes: []protocol.AlphaShape{{Rows: 2, Cols: 5}}, Packed: make([]byte, 3)}},
+		"no width":      alphaMBody{M: protocol.AlphaChunk{Counts: []int{1}, Shapes: []protocol.AlphaShape{{Rows: 1, Cols: 1}}, Packed: make([]byte, 1)}},
+		"short strings": alphaDisguisedBody{S: protocol.AlphaStrings{Bits: 2, Lens: []int{5}, Slab: make([]byte, 1)}},
+		"a column the arithmetic cannot carry": numSBody{fill: func(dst []byte) ([]byte, error) {
+			return Config{Variant: Int64Variant}.numeric().Disguise(protocol.NewEngine(1), dst, []float64{0.5}, 0, 1, 1,
+				rng.NewXoshiro(rng.Seed{}), rng.NewXoshiro(rng.Seed{}), protocol.InitiatorCols)
+		}},
 	} {
 		if _, err := wire.EncodeBody(body); err == nil {
 			t.Errorf("%s: encoded", name)
@@ -267,8 +282,9 @@ func TestChunkDecodersBoundClaims(t *testing.T) {
 		payload []byte
 		decoder wire.BodyDecoder
 	}{
-		"S rows":       {huge(appendInts(append(header[:3:3], numFloat), 1)), &numSBody{}},
-		"S overflow":   {huge(huge(append(header[:3:3], numModP))), &numSBody{}},
+		"S rows":       {huge(appendInts(append(header[:3:3], tagFloat64), 1)), &numSBody{}},
+		"S overflow":   {huge(huge(append(header[:3:3], tagModP))), &numSBody{}},
+		"S no variant": {append(header[:3:3], 0), &numSBody{}},
 		"alpha rows":   {appendInts(huge(append(header[:3:3], 8)), 0), &alphaMBody{}},
 		"alpha mats":   {huge(appendInts(append(header[:3:3], 8), 1)), &alphaMBody{}},
 		"alpha shape":  {huge(huge(appendInts(appendInts(appendInts(append(header[:3:3], 16), 1), 1), 1))), &alphaMBody{}},
@@ -465,7 +481,7 @@ func TestNumericFramesMatchParent(t *testing.T) {
 	}
 }
 
-// FuzzChunkBodyDecoders feeds arbitrary payloads to the seven fixed-layout
+// FuzzChunkBodyDecoders feeds arbitrary payloads to the six fixed-layout
 // decoders: never a panic, only ErrMalformed failures, memory bounded by
 // the input (no claimed length is believed before the bytes are seen), and
 // whatever decodes re-encodes to a fixed point; the chunks that keep their
@@ -479,12 +495,14 @@ func TestNumericFramesMatchParent(t *testing.T) {
 // strings at every cell width, and under width bytes no alphabet has.
 func FuzzChunkBodyDecoders(f *testing.F) {
 	alphabets := []*alphabet.Alphabet{alphabet.DNA, sizedAlphabet(3), alphabet.Digits, alphabet.AlphaNum, sizedAlphabet(256), sizedAlphabet(300)}
-	which := map[wire.Kind]uint8{kindLocal: 0, kindNumS: 1, kindNumDisg: 2, kindAlphaM: 3, kindAlphaDisg: 6}
+	which := map[wire.Kind]uint8{kindLocal: 0, kindNumS: 1, kindNumDisg: 1, kindAlphaM: 2, kindAlphaDisg: 5}
 	for _, cfg := range []Config{
 		{Schema: pipelineSchema(), Variant: Float64Variant, LocalChunkBytes: 64},
 		{Schema: pipelineSchema(), Variant: Float64Variant, Mode: protocol.PerPair},
 		{Schema: pipelineSchema(), Variant: Int64Variant, Mode: protocol.PerPair},
 		{Schema: pipelineSchema(), Variant: ModPVariant, LocalChunkBytes: 256},
+		{Schema: pipelineSchema(), Variant: Int64Variant, LocalChunkBytes: 128},
+		{Schema: pipelineSchema(), Variant: ModPVariant, Mode: protocol.PerPair},
 	} {
 		for _, frame := range sessionFrames(f, cfg, pipelineParts(f, 3)) {
 			m, err := wire.ParseFrame(frame)
@@ -493,27 +511,27 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 			}
 			if w, ok := which[m.Kind]; ok {
 				f.Add(w, m.Payload)
-				f.Add(uint8(5), frame) // as the coordinator relays it
+				f.Add(uint8(4), frame) // as the coordinator relays it
 			}
 		}
 	}
 	slice, _ := wire.EncodeBody(shardSliceBody{Attr: 1, Max: 2.5, Cells: []float64{0.5, 2.5}})
-	f.Add(uint8(4), slice)
+	f.Add(uint8(3), slice)
 	eng := protocol.NewEngine(1)
 	own := []protocol.SymbolString{{0, 1, 2}, {2, 0, 1, 1, 2, 0, 1, 2, 2, 1, 0, 0, 1}}
 	for _, a := range alphabets {
 		their := []protocol.SymbolString{{1}, {2, 2, 0, 1, 0, 2, 1, 1, 0, 2, 2, 1, 0}, {}}
 		disg := protocol.PackAlphaStrings(their, protocol.AlphaCellBits(a))
 		enc, _ := wire.EncodeBody(alphaDisguisedBody{S: disg})
-		f.Add(uint8(6), enc)
+		f.Add(uint8(5), enc)
 		var c protocol.AlphaChunk
 		eng.AlphaResponderChunk(&c, own, &disg, a)
 		enc, _ = wire.EncodeBody(alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: c})
-		f.Add(uint8(3), enc)
+		f.Add(uint8(2), enc)
 		for _, bits := range []byte{0, 1, 3, 32, 255} {
 			bad := bytes.Clone(enc)
 			bad[3] = bits // the width byte, after three one-byte header integers
-			f.Add(uint8(3), bad)
+			f.Add(uint8(2), bad)
 		}
 	}
 
@@ -568,19 +586,11 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 				}
 			}
 		case *numSBody:
-			c, eng := b.wire, protocol.NewEngine(2)
-			for _, mode := range []protocol.Mode{protocol.Batch, protocol.PerPair} {
-				for _, axis := range []protocol.Axis{protocol.InitiatorCols, protocol.InitiatorRows} {
-					for _, eval := range []func() (protocol.RowFunc, error){
-						func() (protocol.RowFunc, error) {
-							return eng.NumericThirdPartyFloatChunk(c, b.Lo, b.Hi, jt, protocol.DefaultFloatParams, mode, axis)
-						},
-						func() (protocol.RowFunc, error) {
-							return eng.NumericThirdPartyIntChunk(c, b.Lo, b.Hi, jt, protocol.DefaultIntParams, mode, axis)
-						},
-						func() (protocol.RowFunc, error) { return eng.NumericThirdPartyModPChunk(c, b.Lo, b.Hi, jt, mode, axis) },
-					} {
-						row, err := eval()
+			c, eng := b.cells, protocol.NewEngine(2)
+			for _, v := range []Variant{Float64Variant, Int64Variant, ModPVariant} {
+				for _, mode := range []protocol.Mode{protocol.Batch, protocol.PerPair} {
+					for _, axis := range []protocol.Axis{protocol.InitiatorCols, protocol.InitiatorRows} {
+						row, err := Config{Variant: v, Mode: mode}.numeric().Strip(eng, c, b.Lo, b.Hi, jt, axis)
 						if err != nil || b.Lo < 0 || b.Hi > 256 || c.Cols > 256 {
 							continue
 						}
@@ -591,12 +601,12 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 				}
 			}
 		}
-		enc := reencode(t, d)
+		enc := reencode(t, d, payload)
 		again := chunkDecoders()[int(which)%len(decoders)]
 		if err := wire.DecodeBody(enc, again); err != nil {
 			t.Fatalf("%T: own encoding rejected: %v", d, err)
 		}
-		if !bytes.Equal(reencode(t, again), enc) {
+		if !bytes.Equal(reencode(t, again, enc), enc) {
 			t.Fatalf("%T: encoding is not a fixed point", d)
 		}
 	})
@@ -653,10 +663,11 @@ func TestPooledTCPPlaintextSessionBitIdentical(t *testing.T) {
 // dominant messages — a responder's S matrix chunk and an alphanumeric M
 // chunk — through the calls the session makes.
 func BenchmarkChunkBodyCodec(b *testing.B) {
-	s := numSBody{Rows: 128, Lo: 0, Hi: 128, Float: protocol.NewFloat64Matrix(128, 128)}
-	for i := range s.Float.Cell {
-		s.Float.Cell[i] = float64(i) * 1.000003
+	cells := make([]float64, 128*128)
+	for i := range cells {
+		cells[i] = float64(i) * 1.000003
 	}
+	s := numBody(128, 0, 128, tagFloat64, 128, 128, appendFloat64s(nil, cells))
 	row := make([]*protocol.SymbolMatrix, 64)
 	for i := range row {
 		row[i] = symbolMatrix(16, 16, 1, 2, 3)

@@ -85,7 +85,7 @@ func TestGoldenAlphaM(t *testing.T) {
 		if err := wire.DecodeBody(wantDisg, &gotDisg); err != nil || gotDisg.S.InAlphabet(tc.a) != nil {
 			t.Fatalf("%s: recorded disguised strings: %v", tc.name, err)
 		}
-		if again := reencode(t, &gotDisg); !bytes.Equal(again, wantDisg) {
+		if again := reencode(t, &gotDisg, nil); !bytes.Equal(again, wantDisg) {
 			t.Errorf("%s: disguised strings re-encode to %x", tc.name, again)
 		}
 
@@ -107,7 +107,7 @@ func TestGoldenAlphaM(t *testing.T) {
 		if body.Rows != tc.rows || body.Lo != tc.lo || body.Hi != tc.hi {
 			t.Errorf("%s: header %d [%d,%d)", tc.name, body.Rows, body.Lo, body.Hi)
 		}
-		if again := reencode(t, &body); !bytes.Equal(again, want) {
+		if again := reencode(t, &body, nil); !bytes.Equal(again, want) {
 			t.Errorf("%s: re-encodes to %x, want %x", tc.name, again, want)
 		}
 		cells, err := chunkCells(&body.M)

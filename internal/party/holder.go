@@ -51,12 +51,12 @@ type Holder struct {
 	census     *census
 	ranges     [][2]int
 
-	// slab is the storage every chunk this holder builds is computed into
-	// just before its frame is written — its local rows and the float64 S
-	// rows of each share it produces — and s is its one S chunk body:
-	// whichever roles it plays, a holder holds one chunk.
+	// num is the session's numeric protocol. A disguise or S chunk is
+	// computed straight into the frame that carries it, and a local chunk
+	// into slab just before its frame is written from it: whichever roles
+	// it plays, a holder holds one chunk.
+	num  protocol.Numeric
 	slab []float64
-	s    numSBody
 }
 
 // compLane is one destination of a holder's comparison traffic: the
@@ -117,6 +117,7 @@ func NewHolder(name string, table *dataset.Table, holders []string, cfg Config, 
 		random:    random,
 		workers:   parallel.Workers(cfg.Parallelism),
 		eng:       protocol.NewEngine(cfg.Parallelism),
+		num:       cfg.numeric(),
 		peers:     make(map[string]*wire.Endpoint),
 		masters:   make(map[string][]byte),
 		pairBases: make(map[string]rng.Seed),
@@ -590,19 +591,18 @@ func (h *Holder) initiate(attr, p int) error {
 		return h.peers[k].SendBody(msg, alphaDisguisedBody{S: protocol.PackAlphaStrings(disguised, protocol.AlphaCellBits(a.Alphabet))})
 	}
 
-	col, err := h.numCol(attr)
+	col, err := h.numericValues(attr)
 	if err != nil {
 		return err
 	}
 	split, nk := h.census.splitAt(a.Type, p), h.census.counts[kIdx]
 	if split > 0 {
 		jk := rng.New(h.cfg.RNG, h.seedJK(k, attr, false))
-		full, err := h.disguise(col, false, split, jk, jt)
-		if err != nil {
-			return err
-		}
 		rows := disguisedRows(h.cfg.Mode, split)
-		if err := h.sendDisguise(k, msg, a.Type, &full, rows, 0, rows, h.table.Len()); err != nil {
+		err := h.sendDisguise(k, msg, a.Type, rows, 0, rows, h.table.Len(), func(dst []byte, lo, hi int) ([]byte, error) {
+			return h.num.Disguise(h.eng, dst, col, lo, hi, split, jk, jt, protocol.InitiatorCols)
+		})
+		if err != nil {
 			return err
 		}
 	}
@@ -614,11 +614,10 @@ func (h *Holder) initiate(attr, p int) error {
 	if err != nil {
 		return err
 	}
-	fill, err := h.shareFill(col, &disg, rng.New(h.cfg.RNG, h.seedJK(k, attr, true)), true, split)
-	if err != nil {
-		return err
-	}
-	return h.streamShare(attr, p, split, nk, fill)
+	jk := rng.New(h.cfg.RNG, h.seedJK(k, attr, true))
+	return h.streamShare(attr, p, split, nk, func(dst []byte, lo, hi int) ([]byte, error) {
+		return h.num.Combine(h.eng, dst, disg, col, lo-split, hi-split, jk, protocol.InitiatorRows)
+	})
 }
 
 // disguisedRows is the row count of J's disguised matrix for the split
@@ -644,9 +643,9 @@ func disguisedRows(mode protocol.Mode, split int) int {
 // the shared pairChunksRange schedule, each lane receiving the rows its
 // range owns: the third party evaluates and installs each range on arrival,
 // and no frame grows with either partition. Every chunk is built just
-// before its frame, in storage the next chunk reuses (Conduit.Send may not
-// retain frames), so the responder never holds more of a block than the
-// chunk in flight.
+// before its frame — a numeric one straight into it, an alphanumeric one
+// in storage the next chunk reuses (Conduit.Send may not retain frames) —
+// so the responder never holds more of a block than the chunk in flight.
 func (h *Holder) respond(attr, p int) error {
 	a := h.cfg.Schema.Attrs[attr]
 	jIdx := h.census.pairs[p][0]
@@ -687,12 +686,12 @@ func (h *Holder) respond(attr, p int) error {
 		})
 	}
 
-	col, err := h.numCol(attr)
+	col, err := h.numericValues(attr)
 	if err != nil {
 		return err
 	}
 	split := h.census.splitAt(a.Type, p)
-	var disg numSBody
+	var disg []protocol.NumericChunk
 	if split > 0 {
 		dRows := disguisedRows(h.cfg.Mode, split)
 		if disg, err = h.recvDisguise(j, a.Type, j, k, dRows, 0, dRows, cols); err != nil {
@@ -702,277 +701,97 @@ func (h *Holder) respond(attr, p int) error {
 	if split < rows {
 		jk := rng.New(h.cfg.RNG, h.seedJK(j, attr, true))
 		kt := rng.New(h.cfg.RNG, maskSeed(h.maskBase, attr, j, k, true))
-		full, err := h.disguise(col.from(split), true, cols, jk, kt)
-		if err != nil {
-			return err
-		}
 		msg := wire.Message{From: k, To: j, Kind: kindNumDisg, Attr: attr, PairJ: j, PairK: k}
-		if err := h.sendDisguise(j, msg, a.Type, &full, rows, split, rows, protocol.RowWidth(cols, h.cfg.Mode)); err != nil {
+		err := h.sendDisguise(j, msg, a.Type, rows, split, rows, protocol.RowWidth(cols, h.cfg.Mode), func(dst []byte, lo, hi int) ([]byte, error) {
+			return h.num.Disguise(h.eng, dst, col, lo, hi, cols, jk, kt, protocol.InitiatorRows)
+		})
+		if err != nil {
 			return err
 		}
 	}
 	if split == 0 {
 		return nil
 	}
-	fill, err := h.shareFill(col, &disg, rng.New(h.cfg.RNG, h.seedJK(j, attr, false)), false, 0)
-	if err != nil {
-		return err
-	}
-	return h.streamShare(attr, p, 0, split, fill)
+	jk := rng.New(h.cfg.RNG, h.seedJK(j, attr, false))
+	return h.streamShare(attr, p, 0, split, func(dst []byte, lo, hi int) ([]byte, error) {
+		return h.num.Combine(h.eng, dst, disg, col, lo, hi, jk, protocol.InitiatorCols)
+	})
 }
 
-// sendDisguise streams full, a disguise of the rows [lo, hi) of a rows-row
-// payload of width cells a row, to peer as bounded row-range chunks in the
-// shared pairChunksRange schedule: a per-pair disguise grows with both
-// partitions, so a monolithic frame would re-impose the wire.MaxFrame
-// ceiling the rest of the session has shed (in batch mode a disguise is
-// O(n) and travels as one frame under the default budget). The chunk
-// bodies are zero-copy views of a payload dropped after the final chunk.
-func (h *Holder) sendDisguise(peer string, msg wire.Message, t dataset.AttrType, full *numSBody, rows, lo, hi, width int) error {
+// chunkFill computes rows [lo, hi) of a numeric payload into the frame
+// being built: a disguise (protocol.Numeric.Disguise) or a share of S
+// (Combine).
+type chunkFill func(dst []byte, lo, hi int) ([]byte, error)
+
+// sendDisguise streams a disguise of the rows [lo, hi) of a rows-row
+// payload of width cells a row to peer as bounded row-range chunks in the
+// shared pairChunksRange schedule, each computed by fill into its frame: a
+// per-pair disguise grows with both partitions, so a monolithic frame
+// would re-impose the wire.MaxFrame ceiling the rest of the session has
+// shed (in batch mode a disguise is O(n) and travels as one frame under
+// the default budget).
+func (h *Holder) sendDisguise(peer string, msg wire.Message, t dataset.AttrType, rows, lo, hi, width int, fill chunkFill) error {
 	for _, ch := range h.cfg.pairChunksRange(t, lo, hi, width) {
-		if err := h.peers[peer].SendBody(msg, numDisguisedBody(numSView(full, rows, ch, lo))); err != nil {
+		if err := h.peers[peer].SendBody(msg, chunkBody(rows, ch, fill)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// recvDisguise reassembles a peer's disguise of the rows [lo, hi) of a
-// rows-row payload of width cols, streamed in the shared pairChunksRange
-// schedule: both ends derive the schedule from the census, so the receiver
-// validates each frame's claimed range against its own before the combine
-// — framing only, the result is what one monolithic frame would have
-// carried.
-func (h *Holder) recvDisguise(peer string, t dataset.AttrType, j, k string, rows, lo, hi, cols int) (numSBody, error) {
-	var disg numSBody
-	for ci, sched := range h.cfg.pairChunksRange(t, lo, hi, cols) {
-		var chunk numDisguisedBody
+// chunkBody is the body of chunk ch of a rows-row numeric payload, its
+// cells computed by fill as the frame is built.
+func chunkBody(rows int, ch [2]int, fill chunkFill) numSBody {
+	return numSBody{Rows: rows, Lo: ch[0], Hi: ch[1], fill: func(dst []byte) ([]byte, error) { return fill(dst, ch[0], ch[1]) }}
+}
+
+// recvDisguise receives a peer's disguise of the rows [lo, hi) of a
+// rows-row payload of width cells a row, streamed in the shared
+// pairChunksRange schedule, as the chunks it arrived in: both ends derive
+// the schedule from the census, so the receiver validates each frame's
+// claimed range and shape against its own before the combine reads it
+// where it lies.
+func (h *Holder) recvDisguise(peer string, t dataset.AttrType, j, k string, rows, lo, hi, width int) ([]protocol.NumericChunk, error) {
+	var disg []protocol.NumericChunk
+	for ci, sched := range h.cfg.pairChunksRange(t, lo, hi, width) {
+		var chunk numSBody
 		if _, err := expectMsg(h.peers[peer], kindNumDisg, &chunk); err != nil {
-			return disg, err
+			return nil, err
 		}
 		if chunk.Rows != rows {
-			return disg, fmt.Errorf("party: %s disguised payload for pair (%s,%s) claims %d rows, expected %d",
+			return nil, fmt.Errorf("party: %s disguised payload for pair (%s,%s) claims %d rows, expected %d",
 				peer, j, k, chunk.Rows, rows)
 		}
 		if chunk.Lo != sched[0] || chunk.Hi != sched[1] {
-			return disg, fmt.Errorf("party: %s pair (%s,%s) disguised chunk %d covers rows [%d,%d), schedule says [%d,%d)",
+			return nil, fmt.Errorf("party: %s pair (%s,%s) disguised chunk %d covers rows [%d,%d), schedule says [%d,%d)",
 				peer, j, k, ci, chunk.Lo, chunk.Hi, sched[0], sched[1])
 		}
-		if err := appendNumChunk(&disg, (*numSBody)(&chunk), sched, hi-lo, cols); err != nil {
-			return disg, fmt.Errorf("party: %s pair (%s,%s) disguised chunk %d %w", peer, j, k, ci, err)
+		// A chunk without rows (an empty responder) carries no usable
+		// column count.
+		if c := chunk.cells; c.Rows != sched[1]-sched[0] || (c.Rows > 0 && c.Cols != width) {
+			return nil, fmt.Errorf("party: %s pair (%s,%s) disguised chunk %d is %dx%d, census says %dx%d",
+				peer, j, k, ci, c.Rows, c.Cols, sched[1]-sched[0], width)
 		}
+		disg = append(disg, chunk.cells)
 	}
 	return disg, nil
 }
 
-// numCol is a holder's column of one numeric or ordered attribute in the
-// session variant's arithmetic: floats, or integers (bounded by
-// protocol.DefaultIntParams for the int64 variant).
-type numCol struct {
-	f []float64
-	i []int64
-}
-
-func (h *Holder) numCol(attr int) (numCol, error) {
-	col, err := h.numericValues(attr)
-	if err != nil {
-		return numCol{}, err
-	}
-	switch h.cfg.Variant {
-	case Int64Variant:
-		ints, err := toInts(col)
-		return numCol{i: ints}, err
-	case ModPVariant:
-		ints, err := toIntsUnbounded(col)
-		return numCol{i: ints}, err
-	}
-	return numCol{f: col}, nil
-}
-
-// from is the column from row lo on.
-func (c numCol) from(lo int) numCol {
-	if c.f != nil {
-		return numCol{f: c.f[lo:]}
-	}
-	return numCol{i: c.i[lo:]}
-}
-
-// disguise is Figure 4 over col: with the initiator on the columns of a
-// block of n responder rows (J's disguise), or — onRows — on the rows of a
-// block of n columns (K's disguise of the rows J produces).
-func (h *Holder) disguise(col numCol, onRows bool, n int, jk, jt rng.Stream) (b numSBody, err error) {
-	mode := h.cfg.Mode
-	switch {
-	case h.cfg.Variant == Float64Variant && onRows:
-		b.Float, err = h.eng.NumericInitiatorRowsFloat(col.f, n, jk, jt, protocol.DefaultFloatParams, mode)
-	case h.cfg.Variant == Float64Variant:
-		b.Float, err = h.eng.NumericInitiatorFloat(col.f, jk, jt, protocol.DefaultFloatParams, mode, n)
-	case h.cfg.Variant == Int64Variant && onRows:
-		b.Int, err = h.eng.NumericInitiatorRowsInt(col.i, n, jk, jt, protocol.DefaultIntParams, mode)
-	case h.cfg.Variant == Int64Variant:
-		b.Int, err = h.eng.NumericInitiatorInt(col.i, jk, jt, protocol.DefaultIntParams, mode, n)
-	case onRows:
-		b.ModP, err = h.eng.NumericInitiatorRowsModP(col.i, n, jk, jt, mode)
-	default:
-		b.ModP, err = h.eng.NumericInitiatorModP(col.i, jk, jt, mode, n)
-	}
-	return b, err
-}
-
-// shareFill returns the function that computes rows [lo, hi) of a share
-// into h.s: Figure 5 over the peer's disguise disg and this holder's col —
-// on the rows the responder produces, or — onCols, the rows from first on
-// the initiator produces — with this holder's values on the columns. jk is
-// the share's parity stream, read on from chunk to chunk.
-func (h *Holder) shareFill(col numCol, disg *numSBody, jk rng.Stream, onCols bool, first int) (func(lo, hi int) error, error) {
-	mode, s := h.cfg.Mode, &h.s
-	switch h.cfg.Variant {
-	case Float64Variant:
-		if disg.Float == nil {
-			return nil, fmt.Errorf("party: missing float payload")
-		}
-		if s.Float == nil {
-			s.Float = &protocol.Float64Matrix{}
-		}
-		return func(lo, hi int) (err error) {
-			// The S rows are computed into the slab the local chunks use.
-			s.Float.Cell = h.slab
-			if onCols {
-				err = h.eng.NumericResponderColsFloatRows(s.Float, disg.Float, col.f, lo-first, hi-lo, jk, protocol.DefaultFloatParams, mode)
-			} else {
-				err = h.eng.NumericResponderFloatRows(s.Float, disg.Float, col.f[lo:hi], lo, jk, protocol.DefaultFloatParams, mode)
-			}
-			h.slab = s.Float.Cell
-			return err
-		}, nil
-	case Int64Variant:
-		if disg.Int == nil {
-			return nil, fmt.Errorf("party: missing int payload")
-		}
-		if s.Int == nil {
-			s.Int = &protocol.Int64Matrix{}
-		}
-		return func(lo, hi int) error {
-			if onCols {
-				return h.eng.NumericResponderColsIntRows(s.Int, disg.Int, col.i, lo-first, hi-lo, jk, protocol.DefaultIntParams, mode)
-			}
-			return h.eng.NumericResponderIntRows(s.Int, disg.Int, col.i[lo:hi], lo, jk, protocol.DefaultIntParams, mode)
-		}, nil
-	default:
-		if disg.ModP == nil {
-			return nil, fmt.Errorf("party: missing modp payload")
-		}
-		if s.ModP == nil {
-			s.ModP = &protocol.ElementMatrix{}
-		}
-		return func(lo, hi int) error {
-			if onCols {
-				return h.eng.NumericResponderColsModPRows(s.ModP, disg.ModP, col.i, lo-first, hi-lo, jk, mode)
-			}
-			return h.eng.NumericResponderModPRows(s.ModP, disg.ModP, col.i[lo:hi], lo, jk, mode)
-		}, nil
-	}
-}
-
 // streamShare streams rows [lo, hi) of pair p's block — the responder's
 // objects — to the lanes that own them, a chunk at a time: fill computes a
-// chunk's rows into h.s just before its frame is written from it.
-func (h *Holder) streamShare(attr, p, lo, hi int, fill func(lo, hi int) error) error {
+// chunk's rows into the frame that carries it.
+func (h *Holder) streamShare(attr, p, lo, hi int, fill chunkFill) error {
 	pr := h.census.pairs[p]
 	msg := wire.Message{From: h.name, Kind: kindNumS, Attr: attr, PairJ: h.holders[pr[0]], PairK: h.holders[pr[1]]}
-	h.s.Rows = h.census.counts[pr[1]]
 	return h.eachLane(pr[1], lo, hi, func(ln compLane) error {
 		msg.To = ln.to
 		for _, ch := range h.cfg.pairChunksRange(h.cfg.Schema.Attrs[attr].Type, ln.lo, ln.hi, h.census.counts[pr[0]]) {
-			h.s.Lo, h.s.Hi = ch[0], ch[1]
-			if err := fill(ch[0], ch[1]); err != nil {
-				return err
-			}
-			if err := ln.ep.SendBody(msg, h.s); err != nil {
+			if err := ln.ep.SendBody(msg, chunkBody(h.census.counts[pr[1]], ch, fill)); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-}
-
-// numSView is the zero-copy row-range chunk [ch[0], ch[1]) of a numeric
-// pairwise payload whose first row is row first of rows — the masked S/M
-// matrix, or (by conversion, the bodies share one layout) a disguised
-// matrix.
-func numSView(s *numSBody, rows int, ch [2]int, first int) numSBody {
-	body := numSBody{Rows: rows, Lo: ch[0], Hi: ch[1]}
-	lo, hi := ch[0]-first, ch[1]-first
-	switch {
-	case s.Float != nil:
-		body.Float = &protocol.Float64Matrix{Rows: hi - lo, Cols: s.Float.Cols,
-			Cell: s.Float.Cell[lo*s.Float.Cols : hi*s.Float.Cols]}
-	case s.Int != nil:
-		body.Int = &protocol.Int64Matrix{Rows: hi - lo, Cols: s.Int.Cols,
-			Cell: s.Int.Cell[lo*s.Int.Cols : hi*s.Int.Cols]}
-	case s.ModP != nil:
-		body.ModP = &protocol.ElementMatrix{Rows: hi - lo, Cols: s.ModP.Cols,
-			Cell: s.ModP.Cell[lo*s.ModP.Cols : hi*s.ModP.Cols]}
-	}
-	return body
-}
-
-// appendNumChunk concatenates one numeric chunk's sub-matrix onto the
-// reassembled monolithic payload, enforcing a consistent variant and the
-// census column count across the chunks of one pair. totalRows and
-// censusCols (both census-derived) presize the reassembled cell storage
-// on the first chunk, so the multi-append reassembly copies each cell
-// once instead of re-growing a multi-megabyte payload log-many times; the
-// column check runs before the presize, so a hostile chunk's
-// self-declared Cols can only produce the shape error — never a
-// rows-amplified allocation.
-func appendNumChunk(mono, chunk *numSBody, ch [2]int, totalRows, censusCols int) error {
-	if (chunk.Float == nil && mono.Float != nil) || (chunk.Int == nil && mono.Int != nil) || (chunk.ModP == nil && mono.ModP != nil) {
-		return fmt.Errorf("mixes numeric variants across chunks")
-	}
-	wantRows := ch[1] - ch[0]
-	switch {
-	case chunk.Float != nil:
-		if mono.Float == nil {
-			mono.Float = &protocol.Float64Matrix{}
-		}
-		m, c := mono.Float, chunk.Float
-		return appendRows(&m.Rows, &m.Cols, &m.Cell, c.Validate(), c.Rows, c.Cols, c.Cell, wantRows, totalRows, censusCols)
-	case chunk.Int != nil:
-		if mono.Int == nil {
-			mono.Int = &protocol.Int64Matrix{}
-		}
-		m, c := mono.Int, chunk.Int
-		return appendRows(&m.Rows, &m.Cols, &m.Cell, c.Validate(), c.Rows, c.Cols, c.Cell, wantRows, totalRows, censusCols)
-	case chunk.ModP != nil:
-		if mono.ModP == nil {
-			mono.ModP = &protocol.ElementMatrix{}
-		}
-		m, c := mono.ModP, chunk.ModP
-		return appendRows(&m.Rows, &m.Cols, &m.Cell, c.Validate(), c.Rows, c.Cols, c.Cell, wantRows, totalRows, censusCols)
-	}
-	return fmt.Errorf("carries no payload")
-}
-
-// appendRows is appendNumChunk for one variant's cell type: the chunk
-// (cRows×cCols, its Validate result in invalid) onto the reassembled matrix.
-func appendRows[T any](rows, cols *int, cell *[]T, invalid error, cRows, cCols int, cCell []T, wantRows, totalRows, censusCols int) error {
-	if invalid != nil {
-		return invalid
-	}
-	if cRows != wantRows {
-		return fmt.Errorf("carries %d rows, want %d", cRows, wantRows)
-	}
-	// A zero-row chunk (empty responder) carries no usable column count,
-	// matching the monolithic path's census-check exemption.
-	if cRows > 0 && cCols != censusCols {
-		return fmt.Errorf("has %d columns, census says %d", cCols, censusCols)
-	}
-	if *cell == nil {
-		*cell = make([]T, 0, totalRows*cCols)
-	}
-	*rows, *cols, *cell = *rows+cRows, cCols, append(*cell, cCell...)
-	return nil
 }
 
 func (h *Holder) sendRequest() error {
@@ -1019,36 +838,4 @@ func (h *Holder) recvResult() (*Result, error) {
 		res.Clusters = append(res.Clusters, members)
 	}
 	return res, nil
-}
-
-// toInts converts a numeric column for the integer variant, requiring
-// integral values within the magnitude bound.
-func toInts(col []float64) ([]int64, error) {
-	bound := protocol.DefaultIntParams.MaxMagnitude
-	out := make([]int64, len(col))
-	for i, v := range col {
-		iv := int64(v)
-		if float64(iv) != v {
-			return nil, fmt.Errorf("party: value %v at row %d is not integral (required by the int64/modp variants)", v, i)
-		}
-		if iv > bound || iv < -bound {
-			return nil, fmt.Errorf("party: value %v at row %d exceeds magnitude bound", v, i)
-		}
-		out[i] = iv
-	}
-	return out, nil
-}
-
-// toIntsUnbounded converts for the mod-p variant, which has no magnitude
-// bound beyond int64 itself.
-func toIntsUnbounded(col []float64) ([]int64, error) {
-	out := make([]int64, len(col))
-	for i, v := range col {
-		iv := int64(v)
-		if float64(iv) != v {
-			return nil, fmt.Errorf("party: value %v at row %d is not integral (required by the int64/modp variants)", v, i)
-		}
-		out[i] = iv
-	}
-	return out, nil
 }

@@ -282,9 +282,10 @@ func (c *extraChunkConduit) Send(frame []byte) error {
 	return nil
 }
 
-// colsTamperConduit rewrites the first kindNumS chunk frame so its matrix
-// self-declares an inflated column count (with a matching Cell slice, so
-// Validate alone cannot catch it). Requires PlaintextChannels.
+// colsTamperConduit rewrites the first kindNumS chunk frame so its cell
+// block self-declares an inflated column count (with the cells to match,
+// so the block's own shape check cannot catch it). Requires
+// PlaintextChannels.
 type colsTamperConduit struct {
 	wire.Conduit
 	done bool
@@ -296,27 +297,22 @@ func (c *colsTamperConduit) Send(frame []byte) error {
 		return c.Conduit.Send(frame)
 	}
 	c.done = true
-	var body numDisguisedBody // numSBody's layout, decoded into a matrix
-	if err := wire.DecodeBody(m.Payload, &body); err != nil || body.Float == nil {
+	var body numSBody
+	if err := wire.DecodeBody(m.Payload, &body); err != nil {
 		return c.Conduit.Send(frame)
 	}
-	body.Float.Cols += 7
-	body.Float.Cell = make([]float64, body.Float.Rows*body.Float.Cols)
-	payload, err := wire.EncodeBody(body)
-	if err != nil {
-		return err
-	}
-	m.Payload = payload
+	cells, header := body.cells, appendInts(nil, body.Rows, body.Lo, body.Hi)
+	cols := cells.Cols + 7
+	payload := appendInts(append(header, m.Payload[len(header)]), cells.Rows, cols) // keeps the variant byte
+	m.Payload = append(payload, make([]byte, 8*cells.Rows*cols)...)
 	return c.Conduit.Send(wire.AppendFrame(nil, m))
 }
 
 // TestPairChunkRejectsWrongColumns: a chunk whose matrix claims a column
 // count other than the census's must fail with a descriptive shape error
 // on the session pipeline and on the serial oracle — in the oracle's
-// reassembly path (appendNumChunk, which the holders' disguised-matrix
-// reassembly shares) BEFORE the reassembled payload is presized, so a
-// hostile self-declared width can never amplify into a rows×cols
-// allocation.
+// reassembly path BEFORE the reassembled payload is presized, so a hostile
+// self-declared width can never amplify into a rows×cols allocation.
 func TestPairChunkRejectsWrongColumns(t *testing.T) {
 	parts := pairCapParts(t, 10, 10)
 	wrap := func(owner, peer string, c wire.Conduit) wire.Conduit {

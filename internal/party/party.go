@@ -86,36 +86,16 @@ func ShardName(i int) string { return TPName + "#" + strconv.Itoa(i) }
 // link a holder keys by ShardName(i)).
 func ShardConduitKey(holder string, i int) string { return holder + "#" + strconv.Itoa(i) }
 
-// Variant selects the arithmetic of the numeric comparison protocol.
-type Variant int
+// Variant selects the arithmetic of the numeric comparison protocol
+// (protocol.Variant: float64, int64 or mod-p).
+type Variant = protocol.Variant
 
+// The numeric arithmetics; see protocol.Variant.
 const (
-	// Float64Variant runs the protocol over IEEE-754 doubles (the paper's
-	// "real values" remark). Distances are recovered to ≈1e-9 of the
-	// plaintext value at unit scale.
-	Float64Variant Variant = iota
-	// Int64Variant runs the protocol over integers; numeric attribute
-	// values must be integral and within protocol.DefaultIntParams'
-	// MaxMagnitude. Exact.
-	Int64Variant
-	// ModPVariant runs the protocol in Z_p with perfectly hiding masks;
-	// values must be integral. Exact.
-	ModPVariant
+	Float64Variant = protocol.Float64Variant
+	Int64Variant   = protocol.Int64Variant
+	ModPVariant    = protocol.ModPVariant
 )
-
-// String names the variant.
-func (v Variant) String() string {
-	switch v {
-	case Float64Variant:
-		return "float64"
-	case Int64Variant:
-		return "int64"
-	case ModPVariant:
-		return "modp"
-	default:
-		return "unknown"
-	}
-}
 
 // Config is the session agreement all parties share out of band (paper
 // Section 3: parties "have previously agreed on the list of attributes").
@@ -278,19 +258,24 @@ func (c Config) chunkBudgetBytes() int {
 const alphaPairCellBytes = 256
 
 // pairCellBytes is the nominal wire bytes per cell of a holder→TP S/M
-// payload, used to derive the shared pairwise chunk schedule: 8 for the
-// int64/float64 numeric variants (one machine word per cell), 32 for the
-// mod-p variant (fixed field-element encoding), and alphaPairCellBytes
-// for alphanumeric attributes.
+// payload, used to derive the shared pairwise chunk schedule: the numeric
+// protocol's cell size (protocol.Numeric.CellBytes) for numeric and ordered
+// attributes, alphaPairCellBytes for alphanumeric ones.
 func (c Config) pairCellBytes(t dataset.AttrType) int {
-	switch {
-	case t == dataset.Alphanumeric:
+	if t == dataset.Alphanumeric {
 		return alphaPairCellBytes
-	case c.Variant == ModPVariant:
-		return 32
-	default:
-		return 8
 	}
+	return c.numeric().CellBytes()
+}
+
+// numeric is the session's numeric protocol, whose variant and mode
+// normalized has vetted.
+func (c Config) numeric() protocol.Numeric {
+	num, err := protocol.NewNumeric(c.Variant, c.Mode)
+	if err != nil {
+		panic(fmt.Sprintf("party: numeric protocol of an unvetted config: %v", err))
+	}
+	return num
 }
 
 // shardCount resolves TPShards: anything below 2 is one range.
@@ -427,8 +412,11 @@ func (c Config) normalized() (Config, error) {
 	if err := c.Schema.Validate(); err != nil {
 		return c, err
 	}
-	if c.Variant < Float64Variant || c.Variant > ModPVariant {
-		return c, fmt.Errorf("party: invalid variant %d", c.Variant)
+	if _, err := protocol.NewNumeric(c.Variant, c.Mode); err != nil {
+		return c, fmt.Errorf("party: %w", err)
+	}
+	if c.RNG != rng.KindXoshiro && c.RNG != rng.KindAESCTR {
+		return c, fmt.Errorf("party: unknown generator kind %d", c.RNG)
 	}
 	if c.LocalChunkBytes < 0 {
 		return c, fmt.Errorf("party: negative LocalChunkBytes %d", c.LocalChunkBytes)
@@ -669,37 +657,28 @@ type localBody struct {
 	wire   []byte
 }
 
-// numSBody is one chunk of a holder→TP numeric message: rows [Lo, Hi) of
-// the masked comparison matrix S of one pair — from the responder's share
-// of the rows or the initiator's (split.go) — streamed in the shared
-// pairChunksRange schedule (a single chunk per lane when the budget
-// exceeds the payload). Rows is the responder's full object count,
-// repeated per chunk so every frame validates against the census on its
-// own. A sender sets exactly one variant pointer, holding the (Hi−Lo)×cols
-// sub-matrix; a decoded chunk keeps the variant byte and the cell block
-// where it arrived (wire aliases the payload) for the protocol engine to
-// evaluate in place.
+// numSBody is one chunk of a numeric pairwise payload, streamed in the
+// shared pairChunksRange schedule (a single chunk per lane when the budget
+// exceeds the payload): rows [Lo, Hi) of the masked comparison matrix S of
+// one pair, from the responder's share of the rows or the initiator's
+// (split.go), toward the third party — or, under kind
+// ppc/numeric-disguised, rows [Lo, Hi) of a disguise one holder of a pair
+// sends the other. Rows is the payload's full row count, repeated per
+// chunk so every frame validates against the census on its own: the
+// responder's object count for S and for the responder's disguise of the
+// rows the initiator produces, the initiator's disguise's own row count
+// (the split row in per-pair mode, 1 in batch mode) for it.
+//
+// The cells are the numeric protocol's, as the frame carries them: a
+// sender's fill appends the block straight into the frame being built
+// (protocol.Numeric's Disguise or Combine), and a received chunk keeps it
+// where it arrived.
 type numSBody struct {
-	Rows    int
-	Lo, Hi  int
-	Int     *protocol.Int64Matrix
-	Float   *protocol.Float64Matrix
-	ModP    *protocol.ElementMatrix
-	variant byte
-	wire    protocol.NumericChunk
+	Rows   int
+	Lo, Hi int
+	cells  protocol.NumericChunk
+	fill   func(dst []byte) ([]byte, error)
 }
-
-// numDisguisedBody is one chunk of a disguise one holder of a pair sends
-// the other: rows [Lo, Hi) of the disguised matrix, streamed in the shared
-// pairChunksRange schedule — the same budget that bounds holder→TP frames,
-// so no session message grows with the partition. The initiator's disguise
-// has Rows = its row count (the split row in per-pair mode, 1 in batch
-// mode); the responder's disguise of the rows the initiator produces keeps
-// the block's rows, Rows being the responder's census count and [Lo, Hi)
-// within [split, Rows), each row one cell wide in batch mode. It has
-// numSBody's layout, but the receiver combines it with its own column as a
-// matrix, so it decodes into the variant pointer.
-type numDisguisedBody numSBody
 
 // alphaDisguisedBody is the initiator→responder alphanumeric message: the
 // disguised strings packed at the alphabet's cell width, the words the

@@ -287,6 +287,70 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := (Config{Schema: schema, LocalChunkBytes: -1}).normalized(); err == nil {
 		t.Fatal("negative chunk budget accepted")
 	}
+	if _, err := RunInMemory(Config{Schema: schema, Mode: protocol.Mode(2)},
+		mixedPartitions(t), nil, deterministicRandom(4)); err == nil || !strings.Contains(err.Error(), "masking mode") {
+		t.Fatalf("unknown masking mode: %v", err)
+	}
+	if _, err := RunInMemory(Config{Schema: schema, RNG: rng.Kind(9)},
+		mixedPartitions(t), nil, deterministicRandom(4)); err == nil || !strings.Contains(err.Error(), "generator kind") {
+		t.Fatalf("unknown generator kind: %v", err)
+	}
+}
+
+// modPBoundParts is a two-holder session of one numeric attribute whose
+// first rows are a and b.
+func modPBoundParts(a, b float64) []dataset.Partition {
+	schema := dataset.Schema{Attrs: []dataset.Attribute{{Name: "x", Type: dataset.Numeric}}}
+	var parts []dataset.Partition
+	for i, rows := range [][]float64{{a, 0}, {b, 5}} {
+		tab := dataset.MustNewTable(schema)
+		for _, v := range rows {
+			tab.MustAppendRow(v)
+		}
+		parts = append(parts, dataset.Partition{Site: string(rune('A' + i)), Table: tab})
+	}
+	return parts
+}
+
+// TestModPBoundDecodes: the largest magnitudes the mod-p arithmetic takes,
+// ±(2^62 − 512) — the largest float64 integers below 2^62 — are a distance
+// of 2^63 − 1024 apart, which the third party recovers exactly in both
+// masking modes.
+func TestModPBoundDecodes(t *testing.T) {
+	const top = 1<<62 - 512
+	parts := modPBoundParts(top, -top)
+	for _, mode := range []protocol.Mode{protocol.Batch, protocol.PerPair} {
+		cfg := Config{Schema: parts[0].Table.Schema(), Variant: ModPVariant, Mode: mode}
+		out, err := RunInMemory(cfg, parts, nil, deterministicRandom(61))
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if got, want := out.Report.Scales[0]*out.Report.AttributeMatrices[0].At(0, 2), float64(1<<63-1024); got != want || out.Report.Scales[0] != want {
+			t.Fatalf("%v: distance %v (scale %v), want %v", mode, got, out.Report.Scales[0], want)
+		}
+	}
+}
+
+// TestModPBoundRefusedBeforeS: a holder holding 2^62 — whose distance to
+// −2^62 would not decode — fails the session before any S frame moves,
+// whichever side of the pair it is on, with an error that names the row.
+func TestModPBoundRefusedBeforeS(t *testing.T) {
+	for _, mode := range []protocol.Mode{protocol.Batch, protocol.PerPair} {
+		for _, parts := range [][]dataset.Partition{modPBoundParts(1<<62, -(1 << 62)), modPBoundParts(-1<<62+512, 1<<62)} {
+			var sFrames atomic.Int64
+			wrap := func(owner, peer string, c wire.Conduit) wire.Conduit {
+				return &kindCountingConduit{Conduit: c, kinds: map[wire.Kind]bool{kindNumS: true}, n: &sFrames}
+			}
+			cfg := Config{Schema: parts[0].Table.Schema(), Variant: ModPVariant, Mode: mode, PlaintextChannels: true}
+			_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(62), wrap)
+			if err == nil || !strings.Contains(err.Error(), "at row 0 exceeds magnitude bound") {
+				t.Fatalf("%v: want the holder's refusal naming row 0, got %v", mode, err)
+			}
+			if n := sFrames.Load(); n != 0 {
+				t.Fatalf("%v: %d S frames moved before the refusal", mode, n)
+			}
+		}
+	}
 }
 
 // TestEmptyPartition: a holder with zero objects participates without

@@ -15,6 +15,7 @@ package party
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -213,21 +214,26 @@ func (tp *ThirdParty) recvShareSerial(core *shardCore, eng *protocol.Engine, att
 		bRows, bCols = dists.Rows, dists.Cols
 		block = func(m, n int) float64 { return float64(dists.At(m, n)) }
 	} else {
-		var mono numSBody
+		// The chunks' cells, reassembled — the columns checked before the
+		// payload is presized — and decoded into the variant's matrix.
+		var cells []byte
 		for ci, ch := range chunks {
-			// The disguised body has the S chunk's layout and decodes it the
-			// old way, into a matrix.
-			var body numDisguisedBody
+			var body numSBody
 			if _, err := expectMsg(tp.ep(sh.sender()), kindNumS, &body); err != nil {
 				return nil, err
 			}
 			if err := checkPairChunk(from, j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
 				return nil, err
 			}
-			if err := appendNumChunk(&mono, (*numSBody)(&body), ch, sh.hi-sh.lo, cols); err != nil {
-				return nil, fmt.Errorf("party: %s pair (%s,%s) chunk %d: %w", from, j, k, ci, err)
+			if c := body.cells; c.Rows != ch[1]-ch[0] || (c.Rows > 0 && c.Cols != cols) {
+				return nil, fmt.Errorf("party: %s pair (%s,%s) chunk %d has %dx%d cells, census says %d columns", from, j, k, ci, c.Rows, c.Cols, cols)
 			}
+			if cells == nil {
+				cells = make([]byte, 0, tp.cfg.numeric().CellBytes()*(sh.hi-sh.lo)*cols)
+			}
+			cells = append(cells, body.cells.Cells...)
 		}
+		mono := decodeShare(tp.cfg.Variant, sh.hi-sh.lo, cols, cells)
 		var err error
 		if sh.byInitiator {
 			block, bRows, bCols, err = unmaskRowsSerial(tp.cfg, mono, jt)
@@ -246,47 +252,69 @@ func (tp *ThirdParty) recvShareSerial(core *shardCore, eng *protocol.Engine, att
 	return block, nil
 }
 
+// share is a reassembled share of a pair block in its variant's matrix.
+type share struct {
+	f *protocol.Float64Matrix
+	i *protocol.Int64Matrix
+	e *protocol.ElementMatrix
+}
+
+// decodeShare decodes rows×cols cells in the variant's layout.
+func decodeShare(v Variant, rows, cols int, cells []byte) share {
+	switch v {
+	case Float64Variant:
+		return share{f: &protocol.Float64Matrix{Rows: rows, Cols: cols, Cell: float64s(cells)}}
+	case Int64Variant:
+		m := protocol.NewInt64Matrix(rows, cols)
+		for i := range m.Cell {
+			m.Cell[i] = int64(binary.LittleEndian.Uint64(cells[8*i:]))
+		}
+		return share{i: m}
+	}
+	m := protocol.NewElementMatrix(rows, cols)
+	for i := range m.Cell {
+		m.Cell[i] = [32]byte(cells[32*i:])
+	}
+	return share{e: m}
+}
+
 // unmaskWhole is Figure 6 over a reassembled share of the responder's
 // rows, through the engine's whole-matrix forms.
-func unmaskWhole(cfg Config, eng *protocol.Engine, mono numSBody, jt rng.Stream) (func(m, n int) float64, int, int, error) {
-	switch {
-	case cfg.Variant == Float64Variant && mono.Float != nil:
-		d, err := eng.NumericThirdPartyFloat(mono.Float, jt, protocol.DefaultFloatParams, cfg.Mode)
+func unmaskWhole(cfg Config, eng *protocol.Engine, mono share, jt rng.Stream) (func(m, n int) float64, int, int, error) {
+	switch cfg.Variant {
+	case Float64Variant:
+		d, err := eng.NumericThirdPartyFloat(mono.f, jt, protocol.DefaultFloatParams, cfg.Mode)
 		if err != nil {
 			return nil, 0, 0, err
 		}
 		return d.At, d.Rows, d.Cols, nil
-	case cfg.Variant == Int64Variant && mono.Int != nil:
-		d, err := eng.NumericThirdPartyInt(mono.Int, jt, protocol.DefaultIntParams, cfg.Mode)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return func(m, n int) float64 { return float64(d.At(m, n)) }, d.Rows, d.Cols, nil
-	case cfg.Variant == ModPVariant && mono.ModP != nil:
-		d, err := eng.NumericThirdPartyModP(mono.ModP, jt, cfg.Mode)
+	case Int64Variant:
+		d, err := eng.NumericThirdPartyInt(mono.i, jt, protocol.DefaultIntParams, cfg.Mode)
 		if err != nil {
 			return nil, 0, 0, err
 		}
 		return func(m, n int) float64 { return float64(d.At(m, n)) }, d.Rows, d.Cols, nil
 	}
-	return nil, 0, 0, fmt.Errorf("party: missing %s payload", cfg.Variant)
+	d, err := eng.NumericThirdPartyModP(mono.e, jt, cfg.Mode)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return func(m, n int) float64 { return float64(d.At(m, n)) }, d.Rows, d.Cols, nil
 }
 
 // unmaskRowsSerial is the reference for a reassembled share of the rows
 // the initiator produces: it draws the responder's masks itself, one per
 // row in batch mode and one per cell in per-pair mode, row-major, and
 // strips them — sharing nothing with the engine but the generators.
-func unmaskRowsSerial(cfg Config, mono numSBody, jt rng.Stream) (func(m, n int) float64, int, int, error) {
+func unmaskRowsSerial(cfg Config, mono share, jt rng.Stream) (func(m, n int) float64, int, int, error) {
 	var rows, cols int
-	switch {
-	case cfg.Variant == Float64Variant && mono.Float != nil:
-		rows, cols = mono.Float.Rows, mono.Float.Cols
-	case cfg.Variant == Int64Variant && mono.Int != nil:
-		rows, cols = mono.Int.Rows, mono.Int.Cols
-	case cfg.Variant == ModPVariant && mono.ModP != nil:
-		rows, cols = mono.ModP.Rows, mono.ModP.Cols
+	switch cfg.Variant {
+	case Float64Variant:
+		rows, cols = mono.f.Rows, mono.f.Cols
+	case Int64Variant:
+		rows, cols = mono.i.Rows, mono.i.Cols
 	default:
-		return nil, 0, 0, fmt.Errorf("party: missing %s payload", cfg.Variant)
+		rows, cols = mono.e.Rows, mono.e.Cols
 	}
 	w := cols
 	if cfg.Mode == protocol.Batch {
@@ -298,13 +326,13 @@ func unmaskRowsSerial(cfg Config, mono numSBody, jt rng.Stream) (func(m, n int) 
 	case Float64Variant:
 		masks := make([]float64, rows*w)
 		rng.FillFloat64(jt, masks)
-		for i, v := range mono.Float.Cell {
+		for i, v := range mono.f.Cell {
 			out[i] = math.Abs(v - masks[at(i/cols, i%cols)]*protocol.DefaultFloatParams.MaskRange)
 		}
 	case Int64Variant:
 		masks := make([]int64, rows*w)
 		rng.FillInt64n(jt, masks, protocol.DefaultIntParams.MaskRange)
-		for i, v := range mono.Int.Cell {
+		for i, v := range mono.i.Cell {
 			d := v - masks[at(i/cols, i%cols)]
 			out[i] = math.Abs(float64(d))
 		}
@@ -313,7 +341,7 @@ func unmaskRowsSerial(cfg Config, mono numSBody, jt rng.Stream) (func(m, n int) 
 		for i := range masks {
 			masks[i] = modp.Random(jt)
 		}
-		for i, cell := range mono.ModP.Cell {
+		for i, cell := range mono.e.Cell {
 			v, err := modp.FromBytes(cell)
 			if err != nil {
 				return nil, 0, 0, err
@@ -409,19 +437,46 @@ func alphaThreePass(chunks []protocol.AlphaChunk, a *alphabet.Alphabet, jt rng.S
 	return out, nil
 }
 
-// numericForms is one arithmetic variant's protocol steps in both shapes:
-// the whole-matrix forms — the oracles — and the row forms the session
-// runs, the responder's writing into a reused chunk body and the third
-// party's reading a decoded one.
-type numericForms struct {
-	variant      Variant
-	initiate     func(e *protocol.Engine, xs []int64, jk, jt rng.Stream, mode protocol.Mode, rows int) (numSBody, error)
-	respondWhole func(e *protocol.Engine, disg numSBody, ys []int64, jk rng.Stream, mode protocol.Mode) (numSBody, error)
-	respondRows  func(e *protocol.Engine, s *numSBody, disg numSBody, ys []int64, lo int, jk rng.Stream, mode protocol.Mode) error
-	tpWhole      func(e *protocol.Engine, s numSBody, jt rng.Stream, mode protocol.Mode) (func(m, n int) float64, error)
-	tpChunk      func(e *protocol.Engine, c protocol.NumericChunk, lo, hi int, jt rng.Stream, mode protocol.Mode) (protocol.RowFunc, error)
-	advance      func(e *protocol.Engine, jt rng.Stream, rows, cols int, mode protocol.Mode)
+// wholeBlock is a pair block of the responder values ys and the
+// initiator values xs through the whole-matrix forms: its distance at
+// (m, n).
+func wholeBlock(t *testing.T, e *protocol.Engine, v Variant, mode protocol.Mode, xs, ys []int64) func(m, n int) float64 {
+	t.Helper()
+	jk, jt := func() rng.Stream { return rng.NewAESCTR(seedJK) }, func() rng.Stream { return rng.NewAESCTR(seedJT) }
+	rows, fail := len(ys), func(err error) {
+		if err != nil {
+			t.Helper()
+			t.Fatal(err)
+		}
+	}
+	switch v {
+	case Float64Variant:
+		d, err := e.NumericInitiatorFloat(floats(xs), jk(), jt(), protocol.DefaultFloatParams, mode, rows)
+		fail(err)
+		s, err := e.NumericResponderFloat(d, floats(ys), jk(), protocol.DefaultFloatParams, mode)
+		fail(err)
+		o, err := e.NumericThirdPartyFloat(s, jt(), protocol.DefaultFloatParams, mode)
+		fail(err)
+		return o.At
+	case Int64Variant:
+		d, err := e.NumericInitiatorInt(xs, jk(), jt(), protocol.DefaultIntParams, mode, rows)
+		fail(err)
+		s, err := e.NumericResponderInt(d, ys, jk(), protocol.DefaultIntParams, mode)
+		fail(err)
+		o, err := e.NumericThirdPartyInt(s, jt(), protocol.DefaultIntParams, mode)
+		fail(err)
+		return func(m, n int) float64 { return float64(o.At(m, n)) }
+	}
+	d, err := e.NumericInitiatorModP(xs, jk(), jt(), mode, rows)
+	fail(err)
+	s, err := e.NumericResponderModP(d, ys, jk(), mode)
+	fail(err)
+	o, err := e.NumericThirdPartyModP(s, jt(), mode)
+	fail(err)
+	return func(m, n int) float64 { return float64(o.At(m, n)) }
 }
+
+var seedJK, seedJT = rng.SeedFromUint64(71), rng.SeedFromUint64(72)
 
 func floats(vs []int64) []float64 {
 	out := make([]float64, len(vs))
@@ -431,97 +486,20 @@ func floats(vs []int64) []float64 {
 	return out
 }
 
-var allNumericForms = []numericForms{{
-	variant: Float64Variant,
-	initiate: func(e *protocol.Engine, xs []int64, jk, jt rng.Stream, mode protocol.Mode, rows int) (b numSBody, err error) {
-		b.Float, err = e.NumericInitiatorFloat(floats(xs), jk, jt, protocol.DefaultFloatParams, mode, rows)
-		return b, err
-	},
-	respondWhole: func(e *protocol.Engine, disg numSBody, ys []int64, jk rng.Stream, mode protocol.Mode) (b numSBody, err error) {
-		b.Float, err = e.NumericResponderFloat(disg.Float, floats(ys), jk, protocol.DefaultFloatParams, mode)
-		return b, err
-	},
-	respondRows: func(e *protocol.Engine, s *numSBody, disg numSBody, ys []int64, lo int, jk rng.Stream, mode protocol.Mode) error {
-		if s.Float == nil {
-			s.Float = &protocol.Float64Matrix{}
-		}
-		return e.NumericResponderFloatRows(s.Float, disg.Float, floats(ys), lo, jk, protocol.DefaultFloatParams, mode)
-	},
-	tpWhole: func(e *protocol.Engine, s numSBody, jt rng.Stream, mode protocol.Mode) (func(m, n int) float64, error) {
-		d, err := e.NumericThirdPartyFloat(s.Float, jt, protocol.DefaultFloatParams, mode)
-		return func(m, n int) float64 { return d.At(m, n) }, err
-	},
-	tpChunk: func(e *protocol.Engine, c protocol.NumericChunk, lo, hi int, jt rng.Stream, mode protocol.Mode) (protocol.RowFunc, error) {
-		return e.NumericThirdPartyFloatChunk(c, lo, hi, jt, protocol.DefaultFloatParams, mode, protocol.InitiatorCols)
-	},
-	advance: func(e *protocol.Engine, jt rng.Stream, rows, cols int, mode protocol.Mode) {
-		e.AdvanceThirdPartyFloat(jt, rows, cols, protocol.DefaultFloatParams, mode, protocol.InitiatorCols)
-	},
-}, {
-	variant: Int64Variant,
-	initiate: func(e *protocol.Engine, xs []int64, jk, jt rng.Stream, mode protocol.Mode, rows int) (b numSBody, err error) {
-		b.Int, err = e.NumericInitiatorInt(xs, jk, jt, protocol.DefaultIntParams, mode, rows)
-		return b, err
-	},
-	respondWhole: func(e *protocol.Engine, disg numSBody, ys []int64, jk rng.Stream, mode protocol.Mode) (b numSBody, err error) {
-		b.Int, err = e.NumericResponderInt(disg.Int, ys, jk, protocol.DefaultIntParams, mode)
-		return b, err
-	},
-	respondRows: func(e *protocol.Engine, s *numSBody, disg numSBody, ys []int64, lo int, jk rng.Stream, mode protocol.Mode) error {
-		if s.Int == nil {
-			s.Int = &protocol.Int64Matrix{}
-		}
-		return e.NumericResponderIntRows(s.Int, disg.Int, ys, lo, jk, protocol.DefaultIntParams, mode)
-	},
-	tpWhole: func(e *protocol.Engine, s numSBody, jt rng.Stream, mode protocol.Mode) (func(m, n int) float64, error) {
-		d, err := e.NumericThirdPartyInt(s.Int, jt, protocol.DefaultIntParams, mode)
-		return func(m, n int) float64 { return float64(d.At(m, n)) }, err
-	},
-	tpChunk: func(e *protocol.Engine, c protocol.NumericChunk, lo, hi int, jt rng.Stream, mode protocol.Mode) (protocol.RowFunc, error) {
-		return e.NumericThirdPartyIntChunk(c, lo, hi, jt, protocol.DefaultIntParams, mode, protocol.InitiatorCols)
-	},
-	advance: func(e *protocol.Engine, jt rng.Stream, rows, cols int, mode protocol.Mode) {
-		e.AdvanceThirdPartyInt(jt, rows, cols, protocol.DefaultIntParams, mode, protocol.InitiatorCols)
-	},
-}, {
-	variant: ModPVariant,
-	initiate: func(e *protocol.Engine, xs []int64, jk, jt rng.Stream, mode protocol.Mode, rows int) (b numSBody, err error) {
-		b.ModP, err = e.NumericInitiatorModP(xs, jk, jt, mode, rows)
-		return b, err
-	},
-	respondWhole: func(e *protocol.Engine, disg numSBody, ys []int64, jk rng.Stream, mode protocol.Mode) (b numSBody, err error) {
-		b.ModP, err = e.NumericResponderModP(disg.ModP, ys, jk, mode)
-		return b, err
-	},
-	respondRows: func(e *protocol.Engine, s *numSBody, disg numSBody, ys []int64, lo int, jk rng.Stream, mode protocol.Mode) error {
-		if s.ModP == nil {
-			s.ModP = &protocol.ElementMatrix{}
-		}
-		return e.NumericResponderModPRows(s.ModP, disg.ModP, ys, lo, jk, mode)
-	},
-	tpWhole: func(e *protocol.Engine, s numSBody, jt rng.Stream, mode protocol.Mode) (func(m, n int) float64, error) {
-		d, err := e.NumericThirdPartyModP(s.ModP, jt, mode)
-		return func(m, n int) float64 { return float64(d.At(m, n)) }, err
-	},
-	tpChunk: func(e *protocol.Engine, c protocol.NumericChunk, lo, hi int, jt rng.Stream, mode protocol.Mode) (protocol.RowFunc, error) {
-		return e.NumericThirdPartyModPChunk(c, lo, hi, jt, mode, protocol.InitiatorCols)
-	},
-	advance: func(e *protocol.Engine, jt rng.Stream, rows, cols int, mode protocol.Mode) {
-		e.AdvanceThirdPartyModP(jt, rows, cols, mode, protocol.InitiatorCols)
-	},
-}}
-
 // TestRowFormsMatchWholeMatrixOracles drives one pair's comparison traffic
 // the way the session does — local triangles built a row range at a time,
-// the responder's S rows produced per chunk into reused storage, every
-// chunk through its body's codec, local cells read out of the payload and
-// pair chunks unmasked out of it straight into the assembler — and requires
-// the assembled rows to be, bit for bit, what the whole-matrix forms
-// produce: FromLocalPar, NumericResponder*, NumericThirdParty*, installed
+// the initiator's disguise and the responder's S rows computed by the
+// numeric protocol into the frame that carries each chunk, every chunk
+// through its body's codec, the disguise combined where it arrived, local
+// cells read out of the payload and pair chunks unmasked out of it
+// straight into the assembler — and requires the assembled rows to be, bit
+// for bit, what the whole-matrix forms produce: FromLocalPar,
+// NumericInitiator*, NumericResponder*, NumericThirdParty*, installed
 // whole. Every variant, mode, chunk budget and worker count; the whole
 // triangle, and a slice whose first row is in the middle of the responder's
 // block — where a per-pair keystream must be entered mid-stream on both
-// the jk and the jt side.
+// the jk and the jt side. (The initiator on the rows has no whole-matrix
+// form; protocol's TestNumericOperations covers it.)
 func TestRowFormsMatchWholeMatrixOracles(t *testing.T) {
 	const n, m = 13, 9 // initiator and responder counts
 	src := rng.NewXoshiro(rng.SeedFromUint64(2727))
@@ -537,17 +515,24 @@ func TestRowFormsMatchWholeMatrixOracles(t *testing.T) {
 		dist := func(i, j int) float64 { return math.Abs(float64(values[p][i] - values[p][j])) }
 		return func(int) func(i, j int) float64 { return dist }
 	}
-	seedJK, seedJT := rng.SeedFromUint64(71), rng.SeedFromUint64(72)
 	numeric := dataset.Numeric
+	// codec sends a numeric chunk through its body's layout.
+	codec := func(body numSBody) numSBody {
+		enc, err := wire.EncodeBody(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got numSBody
+		if err := wire.DecodeBody(enc, &got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
 
-	for _, f := range allNumericForms {
+	for _, v := range []Variant{Float64Variant, Int64Variant, ModPVariant} {
 		for _, mode := range []protocol.Mode{protocol.Batch, protocol.PerPair} {
 			for _, workers := range []int{1, 2} {
 				e := protocol.NewEngine(workers)
-				disg, err := f.initiate(e, xs, rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT), mode, m)
-				if err != nil {
-					t.Fatal(err)
-				}
 				// The oracle: everything whole.
 				whole, err := dissim.NewAssemblerPar([]int{n, m}, workers)
 				if err != nil {
@@ -558,15 +543,7 @@ func TestRowFormsMatchWholeMatrixOracles(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				s, err := f.respondWhole(e, disg, ys, rng.NewAESCTR(seedJK), mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				at, err := f.tpWhole(e, s, rng.NewAESCTR(seedJT), mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := whole.SetCross(0, 1, at); err != nil {
+				if err := whole.SetCross(0, 1, wholeBlock(t, e, v, mode, xs, ys)); err != nil {
 					t.Fatal(err)
 				}
 				want, err := whole.Done()
@@ -576,8 +553,9 @@ func TestRowFormsMatchWholeMatrixOracles(t *testing.T) {
 
 				for _, chunkBytes := range []int{1, 200, 0} {
 					for _, start := range []int{0, 4} { // the slice's first responder row
-						name := fmt.Sprintf("%v %v workers=%d chunk=%d start=%d", f.variant, mode, workers, chunkBytes, start)
-						cfg := Config{Variant: f.variant, LocalChunkBytes: chunkBytes}
+						name := fmt.Sprintf("%v %v workers=%d chunk=%d start=%d", v, mode, workers, chunkBytes, start)
+						cfg := Config{Variant: v, Mode: mode, LocalChunkBytes: chunkBytes}
+						num := cfg.numeric()
 						lo := 0
 						if start > 0 {
 							lo = n + start
@@ -608,25 +586,23 @@ func TestRowFormsMatchWholeMatrixOracles(t *testing.T) {
 							}
 						}
 						jk, jt := rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT)
+						dRows := disguisedRows(mode, m)
+						var disg []protocol.NumericChunk
+						for _, ch := range cfg.pairChunksRange(numeric, 0, dRows, n) {
+							disg = append(disg, codec(chunkBody(dRows, ch, func(dst []byte, lo, hi int) ([]byte, error) {
+								return num.Disguise(e, dst, floats(xs), lo, hi, m, jk, jt, protocol.InitiatorCols)
+							})).cells)
+						}
+						jk, jt = rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT)
 						if mode == protocol.PerPair {
 							rng.FillUint64(jk, make([]uint64, start*n))
 						}
-						f.advance(e, jt, start, n, mode)
-						chunk := numSBody{Rows: m}
+						num.Advance(e, jt, start, n, protocol.InitiatorCols)
 						for _, ch := range cfg.pairChunksRange(numeric, start, m, n) {
-							chunk.Lo, chunk.Hi = ch[0], ch[1]
-							if err := f.respondRows(e, &chunk, disg, ys[ch[0]:ch[1]], ch[0], jk, mode); err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							enc, err := wire.EncodeBody(chunk)
-							if err != nil {
-								t.Fatal(err)
-							}
-							var body numSBody
-							if err := wire.DecodeBody(enc, &body); err != nil {
-								t.Fatal(err)
-							}
-							row, err := f.tpChunk(e, body.wire, body.Lo, body.Hi, jt, mode)
+							body := codec(chunkBody(m, ch, func(dst []byte, lo, hi int) ([]byte, error) {
+								return num.Combine(e, dst, disg, floats(ys), lo, hi, jk, protocol.InitiatorCols)
+							}))
+							row, err := num.Strip(e, body.cells, body.Lo, body.Hi, jt, protocol.InitiatorCols)
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}

@@ -34,6 +34,7 @@ import (
 type shardCore struct {
 	*census
 	cfg     Config
+	num     protocol.Numeric
 	holders []string
 	workers int
 	engines *protocol.EnginePool
@@ -53,7 +54,7 @@ type shardCore struct {
 }
 
 func newShardCore(cfg Config, holders []string, counts []int, workers int, engines *protocol.EnginePool, seeds, rowSeeds [][]rng.Seed) *shardCore {
-	return &shardCore{census: newCensus(counts), cfg: cfg, holders: holders, workers: workers, engines: engines,
+	return &shardCore{census: newCensus(counts), cfg: cfg, num: cfg.numeric(), holders: holders, workers: workers, engines: engines,
 		compute: make(chan struct{}, max(workers, 1)), seeds: seeds, rowSeeds: rowSeeds}
 }
 
@@ -307,7 +308,6 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssemble
 	a := c.cfg.Schema.Attrs[attr]
 	j, k, from := c.holders[sh.j], c.holders[sh.k], c.holders[sh.sender()]
 	rows, cols := c.counts[sh.k], c.counts[sh.j]
-	variant := [...]byte{Float64Variant: numFloat, Int64Variant: numInt, ModPVariant: numModP}[c.cfg.Variant]
 	// The responder's rows are masked by the initiator's stream from row 0,
 	// the initiator's rows by the responder's from the split row on.
 	seed, axis, first := c.seeds[attr][sh.p], protocol.InitiatorCols, 0
@@ -320,17 +320,10 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssemble
 	// row by drawing and discarding the earlier rows' masks, so its first
 	// chunk evaluates at the exact keystream position a whole-block pass
 	// would use. Streams rewound per chunk (batch and alphanumeric
-	// evaluation on the responder's rows) need no positioning: the Advance
-	// calls no-op, as they do at the stream's first row.
+	// evaluation on the responder's rows) need no positioning: Advance
+	// no-ops, as it does at the stream's first row.
 	if a.Type != dataset.Alphanumeric {
-		switch c.cfg.Variant {
-		case Float64Variant:
-			eng.AdvanceThirdPartyFloat(jt, sh.lo-first, cols, protocol.DefaultFloatParams, c.cfg.Mode, axis)
-		case Int64Variant:
-			eng.AdvanceThirdPartyInt(jt, sh.lo-first, cols, protocol.DefaultIntParams, c.cfg.Mode, axis)
-		case ModPVariant:
-			eng.AdvanceThirdPartyModP(jt, sh.lo-first, cols, c.cfg.Mode, axis)
-		}
+		c.num.Advance(eng, jt, sh.lo-first, cols, axis)
 	}
 	for ci, ch := range c.cfg.pairChunksRange(a.Type, sh.lo, sh.hi, cols) {
 		var eval func() (protocol.RowFunc, int, int, error)
@@ -370,19 +363,9 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssemble
 			if err := checkPairChunk(from, j, k, ci, ch, body.Rows, body.Lo, body.Hi, rows); err != nil {
 				return err
 			}
-			if body.variant != variant {
-				return fmt.Errorf("party: missing %s payload from %s", c.cfg.Variant, from)
-			}
-			eval = func() (row protocol.RowFunc, _ int, _ int, err error) {
-				switch c.cfg.Variant {
-				case Float64Variant:
-					row, err = eng.NumericThirdPartyFloatChunk(body.wire, ch[0], ch[1], jt, protocol.DefaultFloatParams, c.cfg.Mode, axis)
-				case Int64Variant:
-					row, err = eng.NumericThirdPartyIntChunk(body.wire, ch[0], ch[1], jt, protocol.DefaultIntParams, c.cfg.Mode, axis)
-				case ModPVariant:
-					row, err = eng.NumericThirdPartyModPChunk(body.wire, ch[0], ch[1], jt, c.cfg.Mode, axis)
-				}
-				return row, body.wire.Rows, body.wire.Cols, err
+			eval = func() (protocol.RowFunc, int, int, error) {
+				row, err := c.num.Strip(eng, body.cells, ch[0], ch[1], jt, axis)
+				return row, body.cells.Rows, body.cells.Cols, err
 			}
 		}
 		err := c.computing(ln.ctx, func() error {

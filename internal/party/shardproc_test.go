@@ -718,10 +718,39 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 	tp := &ThirdParty{cfg: cfg, holders: []string{"A", "B"}, counts: []int{2, 2},
 		guard: newGuard(TPName, cfg), masters: map[string][]byte{"A": {1}, "B": {2}}}
 	defer tp.guard.release()
-	tp.cfg.ShardDial = pool.dialer("crafted-offer", nil)
 	if tp.identity, err = keys.NewIdentity(TPName, rand.Reader); err != nil {
 		t.Fatal(err)
 	}
+	// An offer whose masking mode or generator kind is unknown is refused
+	// outright: the worker's first answer is a typed abort, not a beat or a
+	// slice.
+	for _, bad := range []struct {
+		name  string
+		offer shardOfferBody
+	}{{"masking mode", shardOfferBody{Mode: protocol.Mode(2)}}, {"generator kind", shardOfferBody{RNG: rng.Kind(9)}}} {
+		tp.cfg.ShardDial = pool.dialer("crafted-"+bad.name, nil)
+		link, err := tp.dialShard(0)
+		if err != nil {
+			t.Fatalf("%s: dial: %v", bad.name, err)
+		}
+		offer := bad.offer
+		offer.Lo, offer.Hi, offer.Holders, offer.Counts = 0, 4, tp.holders, tp.counts
+		offer.Fingerprint, offer.Parallelism = schemaFingerprint(cfg.Schema), 1
+		offer.Seeds, offer.RowSeeds = tp.seedTables()
+		if err := link.send(wire.Message{From: TPName, To: ShardName(0), Kind: kindShardOffer, Attr: -1}, offer); err != nil {
+			t.Fatalf("%s: send offer: %v", bad.name, err)
+		}
+		m, err := link.ep.Recv()
+		if err != nil {
+			t.Fatalf("%s: the worker link ended without an abort: %v", bad.name, err)
+		}
+		var body abortBody
+		if m.Kind != kindAbort || wire.DecodeBody(m.Payload, &body) != nil || !strings.Contains(body.Reason, bad.name) {
+			t.Fatalf("%s: the worker answered with %q %q, want an abort naming it", bad.name, m.Kind, body.Reason)
+		}
+		link.close()
+	}
+	tp.cfg.ShardDial = pool.dialer("crafted-offer", nil)
 	link, err := tp.dialShard(0)
 	if err != nil {
 		t.Fatalf("dial: %v", err)

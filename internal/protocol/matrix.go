@@ -8,7 +8,10 @@
 //   - numeric (Section 4.1): NumericInitiator* (Figure 4, site DHJ),
 //     NumericResponder* (Figure 5, site DHK), NumericThirdParty* (Figure 6,
 //     site TP); in int64, float64 and mod-p arithmetic, each in batch or
-//     per-pair masking mode;
+//     per-pair masking mode. Those per-pair forms are the reference for
+//     the session's forms, which run a row range at a time on the cells
+//     the frames carry through one Numeric value — Disguise, Combine,
+//     Strip and Advance (see session.go);
 //   - alphanumeric (Section 4.2): AlphaInitiator (Figure 8),
 //     AlphaResponder (Figure 9), AlphaThirdParty (Figure 10). Those
 //     per-pair forms, over one SymbolMatrix per string pair, are
@@ -27,8 +30,7 @@ package protocol
 import "fmt"
 
 // Int64Matrix is a dense row-major matrix of int64, the shape exchanged by
-// the integer numeric protocol. Fields are exported for the orchestration
-// layer's chunk codec, which writes Cell as 8-byte little-endian words.
+// the integer numeric protocol's per-pair forms.
 type Int64Matrix struct {
 	Rows, Cols int
 	Cell       []int64

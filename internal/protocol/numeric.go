@@ -3,7 +3,6 @@ package protocol
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"ppclust/internal/parallel"
 	"ppclust/internal/rng"
@@ -149,55 +148,35 @@ func NumericResponderInt(disguised *Int64Matrix, values []int64, jk rng.Stream, 
 	return NewEngine(1).NumericResponderInt(disguised, values, jk, params, mode)
 }
 
-// NumericResponderInt is Figure 5 on the engine: NumericResponderIntRows
-// over every row at once.
+// NumericResponderInt is Figure 5 on the engine: the batch-mode parity
+// prefix is drawn once and left rewound instead of re-read per row.
 func (e *Engine) NumericResponderInt(disguised *Int64Matrix, values []int64, jk rng.Stream, params IntParams, mode Mode) (*Int64Matrix, error) {
-	if mode == PerPair && disguised.Rows != len(values) {
-		return nil, fmt.Errorf("protocol: per-pair mode expects %d disguised rows, got %d", len(values), disguised.Rows)
-	}
-	s := &Int64Matrix{}
-	if err := e.NumericResponderIntRows(s, disguised, values, 0, jk, params, mode); err != nil {
+	if err := disguised.Validate(); err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// NumericResponderIntRows is Figure 5 for the responder rows
-// [lo, lo+len(values)) alone: values holds those rows' own values and s
-// receives exactly their rows of the comparison matrix, in storage it
-// reuses from call to call, so a responder streaming S a chunk at a time
-// holds one chunk. Sign alignment mirrors the third party's chunk
-// evaluation (rows.go): in batch mode every row re-reads the same rngJK
-// prefix (the paper's per-row re-initialization), so a call draws it once
-// and leaves jk rewound; in per-pair mode a call advances jk by its own
-// rows·cols draws, so calls in ascending row order from row 0 on one
-// stream consume exactly what the whole-matrix pass consumes.
-func (e *Engine) NumericResponderIntRows(s, disguised *Int64Matrix, values []int64, lo int, jk rng.Stream, params IntParams, mode Mode) (err error) {
-	if err = disguised.Validate(); err == nil {
-		err = params.validate(values)
+	if err := params.validate(values); err != nil {
+		return nil, err
 	}
+	cell, err := respondRows(e, disguised.Cell, disguised.Rows, disguised.Cols, values, jk, mode)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.Rows, s.Cols = len(values), disguised.Cols
-	s.Cell, err = respondRows(e, s.Cell, disguised.Cell, disguised.Rows, s.Cols, values, lo, jk, mode)
-	return err
+	return &Int64Matrix{Rows: len(values), Cols: disguised.Cols, Cell: cell}, nil
 }
 
 // respondRows is the arithmetic of Figure 5 for both machine-word
-// variants: s[m][n] = disguised(lo+m, n) + values[m]·σ̄, written into
-// cell's storage when it suffices.
-func respondRows[T int64 | float64](e *Engine, cell, disguised []T, disguisedRows, cols int, values []T, lo int, jk rng.Stream, mode Mode) ([]T, error) {
+// variants: s[m][n] = disguised(m, n) + values[m]·σ̄.
+func respondRows[T int64 | float64](e *Engine, disguised []T, disguisedRows, cols int, values []T, jk rng.Stream, mode Mode) ([]T, error) {
 	rows := len(values)
-	if err := disguisedCovers(disguisedRows, lo, rows, mode); err != nil {
+	if err := disguisedCovers(disguisedRows, rows, mode); err != nil {
 		return nil, err
 	}
-	cell = resize(cell, rows*cols)
+	cell := make([]T, rows*cols)
 	signs := e.signs(jk, rows, cols, mode)
 	parallel.Range(e.workers, rows, func(_, from, to int) {
 		for m := from; m < to; m++ {
 			y, dst := values[m], cell[m*cols:(m+1)*cols]
-			src, sign := drawRow(disguised, lo+m, cols, mode), drawRow(signs, m, cols, mode)
+			src, sign := drawRow(disguised, m, cols, mode), drawRow(signs, m, cols, mode)
 			for n := range dst {
 				dst[n] = src[n] + y*T(negSignResponder(sign[n]))
 			}
@@ -207,11 +186,11 @@ func respondRows[T int64 | float64](e *Engine, cell, disguised []T, disguisedRow
 }
 
 // keystream draws what a protocol step over rows×cols cells of a block
-// consumes of a shared generator into an engine buffer: one value per cell
-// in per-pair mode; in batch mode one row's worth, re-read by every row,
-// when the initiator is on the columns (the stream is left rewound), and
-// one value per row, read on, when it is on the rows.
-func keystream[T any](g rng.Stream, buf func(int) []T, fill func([]T), rows, cols int, mode Mode, axis Axis) []T {
+// consumes of a shared generator, through draw, into an engine buffer: one
+// value per cell in per-pair mode; in batch mode one row's worth, re-read by
+// every row, when the initiator is on the columns (the stream is left
+// rewound), and one value per row, read on, when it is on the rows.
+func keystream[T any](g rng.Stream, draw func(n int) []T, rows, cols int, mode Mode, axis Axis) []T {
 	if rows == 0 {
 		return nil
 	}
@@ -222,8 +201,7 @@ func keystream[T any](g rng.Stream, buf func(int) []T, fill func([]T), rows, col
 	case mode == PerPair:
 		n = rows * cols
 	}
-	out := buf(n)
-	fill(out)
+	out := draw(n)
 	if mode == Batch && axis == InitiatorCols {
 		g.Reseed()
 	}
@@ -232,18 +210,25 @@ func keystream[T any](g rng.Stream, buf func(int) []T, fill func([]T), rows, col
 
 // signs draws the responder's parities.
 func (e *Engine) signs(jk rng.Stream, rows, cols int, mode Mode) []uint64 {
-	return keystream(jk, e.u64buf, func(s []uint64) { rng.FillUint64(jk, s) }, rows, cols, mode, InitiatorCols)
+	return keystream(jk, func(n int) []uint64 { return e.parities(jk, n) }, rows, cols, mode, InitiatorCols)
+}
+
+// parities draws n parities from jk into the engine's buffer.
+func (e *Engine) parities(jk rng.Stream, n int) []uint64 {
+	signs := e.u64buf(n)
+	rng.FillUint64(jk, signs)
+	return signs
 }
 
 // disguisedCovers checks that a disguised matrix of the given row count
-// serves responder rows [lo, lo+rows): the one masked row of batch mode,
-// or a row per responder object in per-pair mode.
-func disguisedCovers(disguisedRows, lo, rows int, mode Mode) error {
+// serves rows responder rows: the one masked row of batch mode, or a row
+// per responder object in per-pair mode.
+func disguisedCovers(disguisedRows, rows int, mode Mode) error {
 	if mode == Batch && disguisedRows != 1 {
 		return fmt.Errorf("protocol: batch mode expects a 1-row disguised vector, got %d rows", disguisedRows)
 	}
-	if mode == PerPair && (lo < 0 || lo+rows > disguisedRows) {
-		return fmt.Errorf("protocol: per-pair mode: rows [%d,%d) outside the %d disguised rows", lo, lo+rows, disguisedRows)
+	if mode == PerPair && disguisedRows != rows {
+		return fmt.Errorf("protocol: per-pair mode expects %d disguised rows, got %d", rows, disguisedRows)
 	}
 	return nil
 }
@@ -251,16 +236,18 @@ func disguisedCovers(disguisedRows, lo, rows int, mode Mode) error {
 // drawRow is row m's share of a keystream buffer, or of a disguised matrix,
 // which has the same shape.
 func drawRow[T any](buf []T, m, cols int, mode Mode) []T {
-	if mode == PerPair {
-		return buf[m*cols : (m+1)*cols]
-	}
-	return buf[:cols]
+	r := drawIndex(m, mode)
+	return buf[r*cols : (r+1)*cols]
 }
 
-// resize returns cell with length n and unspecified contents, reusing its
-// storage when it suffices.
-func resize[T any](cell []T, n int) []T {
-	return slices.Grow(cell[:0], n)[:n]
+// drawIndex is the row of a disguise, or of a keystream's draws, that row m
+// of a block with the initiator on the columns reads: its own in per-pair
+// mode, the one shared row in batch mode.
+func drawIndex(m int, mode Mode) int {
+	if mode == PerPair {
+		return m
+	}
+	return 0
 }
 
 // NumericThirdPartyInt is Figure 6, run at site TP over integer data. It
@@ -301,7 +288,11 @@ func (e *Engine) intMasks(jt rng.Stream, rows, cols int, params IntParams, mode 
 	if params.MaskRange <= 0 {
 		return nil, fmt.Errorf("protocol: MaskRange %d must be positive", params.MaskRange)
 	}
-	return keystream(jt, e.i64buf, func(m []int64) { rng.FillInt64n(jt, m, params.MaskRange) }, rows, cols, mode, axis), nil
+	return keystream(jt, func(n int) []int64 {
+		m := e.i64buf(n)
+		rng.FillInt64n(jt, m, params.MaskRange)
+		return m
+	}, rows, cols, mode, axis), nil
 }
 
 func absInt64(d int64) int64 {
@@ -385,28 +376,17 @@ func NumericResponderFloat(disguised *Float64Matrix, values []float64, jk rng.St
 // NumericResponderFloat is Figure 5 over reals on the engine; see
 // NumericResponderInt.
 func (e *Engine) NumericResponderFloat(disguised *Float64Matrix, values []float64, jk rng.Stream, params FloatParams, mode Mode) (*Float64Matrix, error) {
-	if mode == PerPair && disguised.Rows != len(values) {
-		return nil, fmt.Errorf("protocol: per-pair mode expects %d disguised rows, got %d", len(values), disguised.Rows)
-	}
-	s := &Float64Matrix{}
-	if err := e.NumericResponderFloatRows(s, disguised, values, 0, jk, params, mode); err != nil {
+	if err := disguised.Validate(); err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// NumericResponderFloatRows is the real-valued form of
-// NumericResponderIntRows.
-func (e *Engine) NumericResponderFloatRows(s, disguised *Float64Matrix, values []float64, lo int, jk rng.Stream, params FloatParams, mode Mode) (err error) {
-	if err = disguised.Validate(); err == nil {
-		err = params.validate(values)
+	if err := params.validate(values); err != nil {
+		return nil, err
 	}
+	cell, err := respondRows(e, disguised.Cell, disguised.Rows, disguised.Cols, values, jk, mode)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.Rows, s.Cols = len(values), disguised.Cols
-	s.Cell, err = respondRows(e, s.Cell, disguised.Cell, disguised.Rows, s.Cols, values, lo, jk, mode)
-	return err
+	return &Float64Matrix{Rows: len(values), Cols: disguised.Cols, Cell: cell}, nil
 }
 
 // NumericThirdPartyFloat is Figure 6 over real-valued data.
@@ -443,10 +423,12 @@ func (e *Engine) floatMasks(jt rng.Stream, rows, cols int, params FloatParams, m
 	if !(params.MaskRange > 0) {
 		return nil, fmt.Errorf("protocol: MaskRange %v must be positive", params.MaskRange)
 	}
-	return keystream(jt, e.f64buf, func(m []float64) {
+	return keystream(jt, func(n int) []float64 {
+		m := e.f64buf(n)
 		rng.FillFloat64(jt, m)
 		for i := range m {
 			m[i] *= params.MaskRange
 		}
+		return m
 	}, rows, cols, mode, axis), nil
 }

@@ -96,34 +96,18 @@ func NumericResponderModP(disguised *ElementMatrix, values []int64, jk rng.Strea
 // NumericResponderModP is Figure 5 in Z_p on the engine; see
 // NumericResponderInt.
 func (eng *Engine) NumericResponderModP(disguised *ElementMatrix, values []int64, jk rng.Stream, mode Mode) (*ElementMatrix, error) {
-	if mode == PerPair && disguised.Rows != len(values) {
-		return nil, fmt.Errorf("protocol: per-pair mode expects %d disguised rows, got %d", len(values), disguised.Rows)
-	}
-	s := &ElementMatrix{}
-	if err := eng.NumericResponderModPRows(s, disguised, values, 0, jk, mode); err != nil {
+	if err := disguised.Validate(); err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// NumericResponderModPRows is the Z_p form of NumericResponderIntRows.
-func (eng *Engine) NumericResponderModPRows(s, disguised *ElementMatrix, values []int64, lo int, jk rng.Stream, mode Mode) error {
-	if err := disguised.Validate(); err != nil {
-		return err
-	}
 	rows, cols := len(values), disguised.Cols
-	if err := disguisedCovers(disguised.Rows, lo, rows, mode); err != nil {
-		return err
+	if err := disguisedCovers(disguised.Rows, rows, mode); err != nil {
+		return nil, err
 	}
-	s.Rows, s.Cols, s.Cell = rows, cols, resize(s.Cell, rows*cols)
+	s := NewElementMatrix(rows, cols)
 	signs := eng.signs(jk, rows, cols, mode)
-	return parallel.RangeErr(eng.workers, rows, func(_, from, to int) error {
+	err := parallel.RangeErr(eng.workers, rows, func(_, from, to int) error {
 		for m := from; m < to; m++ {
-			srcRow := 0
-			if mode == PerPair {
-				srcRow = lo + m
-			}
-			sign := drawRow(signs, m, cols, mode)
+			srcRow, sign := drawIndex(m, mode), drawRow(signs, m, cols, mode)
 			for n := 0; n < cols; n++ {
 				d, err := disguised.At(srcRow, n)
 				if err != nil {
@@ -138,6 +122,10 @@ func (eng *Engine) NumericResponderModPRows(s, disguised *ElementMatrix, values 
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // NumericThirdPartyModP is Figure 6 in Z_p: subtract the regenerated mask
@@ -177,10 +165,12 @@ func (eng *Engine) NumericThirdPartyModP(s *ElementMatrix, jt rng.Stream, mode M
 
 // modpMasks is the Z_p form of intMasks.
 func (eng *Engine) modpMasks(jt rng.Stream, rows, cols int, mode Mode, axis Axis) []modp.Element {
-	return keystream(jt, eng.elembuf, func(m []modp.Element) {
+	return keystream(jt, func(n int) []modp.Element {
+		m := eng.elembuf(n)
 		for i := range m {
 			m[i] = modp.Random(jt)
 		}
+		return m
 	}, rows, cols, mode, axis)
 }
 

@@ -201,10 +201,13 @@ type NumericVariant int
 const (
 	// Float64Arithmetic recovers distances to ≈1e-9 at unit scale.
 	Float64Arithmetic NumericVariant = iota
-	// Int64Arithmetic is exact; values must be integral and bounded.
+	// Int64Arithmetic is exact; values must be integral and at most 2^40
+	// in magnitude.
 	Int64Arithmetic
 	// ModPArithmetic is exact with perfectly hiding masks; values must be
-	// integral.
+	// integral and below 2^62 in magnitude, so that every distance is
+	// below 2^63. A holder refuses any other value, naming its row, before
+	// any of the attribute's masked values leave it.
 	ModPArithmetic
 )
 
