@@ -499,7 +499,7 @@ func floats(vs []int64) []float64 {
 // triangle, and a slice whose first row is in the middle of the responder's
 // block — where a per-pair keystream must be entered mid-stream on both
 // the jk and the jt side. (The initiator on the rows has no whole-matrix
-// form; protocol's TestNumericOperations covers it.)
+// form; protocol's TestRowAxisRecoversDistances covers it.)
 func TestRowFormsMatchWholeMatrixOracles(t *testing.T) {
 	const n, m = 13, 9 // initiator and responder counts
 	src := rng.NewXoshiro(rng.SeedFromUint64(2727))

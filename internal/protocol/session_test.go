@@ -174,18 +174,28 @@ func transpose[T any](cells []T, rows, cols, size int) []T {
 	return out
 }
 
-// TestNumericOperations runs the session's four numeric operations over
-// every arithmetic, masking mode and axis, on a block with rows and
-// columns, one without rows and one without columns, uncut on one worker
-// and cut every row and every four rows on three, with the third party
-// starting at the share's first row and at a later one. Every run recovers |x − y| (exactly, but for the float protocol's
-// error), the cells and distances are the same at every cut and start,
-// and they are the per-pair matrix forms' bit for bit: as computed with
-// the initiator on the columns, and transposed with the roles swapped with
-// the initiator on the rows in batch mode (per-pair mode draws the swapped
-// block's cells in another order, and a block without columns disguises
-// nothing on the row axis).
-func TestNumericOperations(t *testing.T) {
+// numericCase is one arithmetic, masking mode, axis and block shape of
+// the session's numeric operations, with its uncut run on one worker.
+type numericCase struct {
+	v      Variant
+	mode   Mode
+	num    Numeric
+	axis   Axis
+	xs, ys []float64
+	first  int
+	whole  numericPass
+	m, n   int
+}
+
+func (c numericCase) String() string {
+	return fmt.Sprintf("%v %v %v %dx%d", c.v, c.mode, c.axis, c.m, c.n)
+}
+
+// forNumericCases calls f for every arithmetic, masking mode and axis, on
+// a block with rows and columns, one without rows and one without
+// columns; on the row axis the share starts a third of the way down.
+func forNumericCases(t *testing.T, f func(c numericCase)) {
+	t.Helper()
 	src := rng.NewXoshiro(rng.SeedFromUint64(4242))
 	column := func(k int, v Variant) []float64 {
 		out := make([]float64, k)
@@ -205,51 +215,99 @@ func TestNumericOperations(t *testing.T) {
 			}
 			for _, axis := range []Axis{InitiatorCols, InitiatorRows} {
 				for _, shape := range [][2]int{{9, 13}, {0, 5}, {6, 0}} {
-					m, n := shape[0], shape[1]
-					xs, ys := column(n, v), column(m, v)
-					first := 0
+					c := numericCase{v: v, mode: mode, num: num, axis: axis, m: shape[0], n: shape[1]}
+					c.xs, c.ys = column(c.n, v), column(c.m, v)
 					if axis == InitiatorRows {
-						first = m / 3
+						c.first = c.m / 3
 					}
-					whole := runNumeric(t, NewEngine(1), num, axis, xs, ys, first, m+1, first)
-					for r := first; r < m; r++ {
-						for c := range n {
-							got, want := whole.dist[(r-first)*n+c], math.Abs(ys[r]-xs[c])
-							if got != want && (v != Float64Variant || math.Abs(got-want) > 1e-9) {
-								t.Fatalf("%v %v %v %dx%d: cell (%d,%d) = %v, want %v", v, mode, axis, m, n, r, c, got, want)
-							}
-						}
-					}
-					for _, per := range []int{1, 4} {
-						for _, start := range []int{first, min(first+per, m)} {
-							name := fmt.Sprintf("%v %v %v %dx%d per=%d start=%d", v, mode, axis, m, n, per, start)
-							got := runNumeric(t, NewEngine(3), num, axis, xs, ys, first, per, start)
-							if !bytes.Equal(got.disguise, whole.disguise) || !bytes.Equal(got.s, whole.s) {
-								t.Fatalf("%s: cells differ from the uncut run's", name)
-							}
-							if !slices.Equal(got.dist, whole.dist[(start-first)*n:]) {
-								t.Fatalf("%s: distances differ from the uncut run's", name)
-							}
-						}
-					}
-					size := num.CellBytes()
-					switch {
-					case axis == InitiatorCols:
-						ref := pairForms(t, v, mode, xs, ys)
-						if !bytes.Equal(ref.disguise, whole.disguise) || !bytes.Equal(ref.s, whole.s) || !slices.Equal(ref.dist, whole.dist) {
-							t.Fatalf("%v %v %dx%d: the session forms differ from the per-pair forms", v, mode, m, n)
-						}
-					case mode == Batch && n > 0: // with no columns the row axis draws nothing
-						ref := pairForms(t, v, mode, ys[first:], xs)
-						if !bytes.Equal(ref.disguise, whole.disguise) || !bytes.Equal(transpose(ref.s, n, m-first, size), whole.s) ||
-							!slices.Equal(transpose(ref.dist, n, m-first, 1), whole.dist) {
-							t.Fatalf("%v %v %dx%d: the row-axis forms differ from the per-pair forms with the roles swapped", v, mode, m, n)
-						}
-					}
+					c.whole = runNumeric(t, NewEngine(1), num, axis, c.xs, c.ys, c.first, c.m+1, c.first)
+					f(c)
 				}
 			}
 		}
 	}
+}
+
+// checkDistances checks that a run recovered |x − y| on every row of the
+// share: exactly, but for the float protocol's error.
+func (c numericCase) checkDistances(t *testing.T) {
+	t.Helper()
+	for r := c.first; r < c.m; r++ {
+		for col := range c.n {
+			got, want := c.whole.dist[(r-c.first)*c.n+col], math.Abs(c.ys[r]-c.xs[col])
+			if got != want && (c.v != Float64Variant || math.Abs(got-want) > 1e-9) {
+				t.Fatalf("%v: cell (%d,%d) = %v, want %v", c, r, col, got, want)
+			}
+		}
+	}
+}
+
+// checkCuts runs the block cut every row and every four rows on three
+// workers, the third party starting at row start(per), and checks the
+// cells and distances against the uncut run's.
+func (c numericCase) checkCuts(t *testing.T, start func(per int) int) {
+	t.Helper()
+	for _, per := range []int{1, 4} {
+		from := start(per)
+		got := runNumeric(t, NewEngine(3), c.num, c.axis, c.xs, c.ys, c.first, per, from)
+		if !bytes.Equal(got.disguise, c.whole.disguise) || !bytes.Equal(got.s, c.whole.s) {
+			t.Fatalf("%v per=%d start=%d: cells differ from the uncut run's", c, per, from)
+		}
+		if !slices.Equal(got.dist, c.whole.dist[(from-c.first)*c.n:]) {
+			t.Fatalf("%v per=%d start=%d: distances differ from the uncut run's", c, per, from)
+		}
+	}
+}
+
+// TestNumericThirdPartyRowsMatchesMonolithic: with the initiator on the
+// columns, every arithmetic and masking mode recovers |x − y|, cutting
+// the block into chunks changes no cell and no distance, and the cells
+// and distances are the per-pair matrix forms' bit for bit.
+func TestNumericThirdPartyRowsMatchesMonolithic(t *testing.T) {
+	forNumericCases(t, func(c numericCase) {
+		if c.axis != InitiatorCols {
+			return
+		}
+		c.checkDistances(t)
+		c.checkCuts(t, func(int) int { return c.first })
+		ref := pairForms(t, c.v, c.mode, c.xs, c.ys)
+		if !bytes.Equal(ref.disguise, c.whole.disguise) || !bytes.Equal(ref.s, c.whole.s) || !slices.Equal(ref.dist, c.whole.dist) {
+			t.Fatalf("%v: the session forms differ from the per-pair forms", c)
+		}
+	})
+}
+
+// TestAdvanceThirdPartyPositionsStream: a third party that starts past
+// the share's first row, its stream advanced over the earlier rows,
+// recovers the uncut run's distances from there on, on either axis.
+func TestAdvanceThirdPartyPositionsStream(t *testing.T) {
+	forNumericCases(t, func(c numericCase) {
+		c.checkCuts(t, func(per int) int { return min(c.first+per, c.m) })
+	})
+}
+
+// TestRowAxisRecoversDistances: with the initiator on the rows and the
+// share starting mid-block, every arithmetic and masking mode recovers
+// |x − y| at every chunk cut. In batch mode the cells and distances are
+// the per-pair matrix forms' with the roles swapped, transposed (per-pair
+// mode draws the swapped block's cells in another order, and a block
+// without columns disguises nothing on the row axis).
+func TestRowAxisRecoversDistances(t *testing.T) {
+	forNumericCases(t, func(c numericCase) {
+		if c.axis != InitiatorRows {
+			return
+		}
+		c.checkDistances(t)
+		c.checkCuts(t, func(int) int { return c.first })
+		if c.mode != Batch || c.n == 0 {
+			return
+		}
+		ref := pairForms(t, c.v, c.mode, c.ys[c.first:], c.xs)
+		if !bytes.Equal(ref.disguise, c.whole.disguise) || !bytes.Equal(transpose(ref.s, c.n, c.m-c.first, c.num.CellBytes()), c.whole.s) ||
+			!slices.Equal(transpose(ref.dist, c.n, c.m-c.first, 1), c.whole.dist) {
+			t.Fatalf("%v: the row-axis forms differ from the per-pair forms with the roles swapped", c)
+		}
+	})
 }
 
 // TestRowAxisDisguiseShape: batch mode disguises each row object once,
