@@ -48,7 +48,7 @@ func (c *scriptedConduit) Close() error { return nil }
 func TestAlphaChunkAllocationPin(t *testing.T) {
 	const strLen = 16
 	schema := dataset.Schema{Attrs: []dataset.Attribute{{Name: "seq", Type: dataset.Alphanumeric, Alphabet: alphabet.DNA}}}
-	cfg, err := Config{Schema: schema, Variant: Float64Variant, Parallelism: 2}.normalized()
+	cfg, num, err := Config{Schema: schema, Variant: Float64Variant, Parallelism: 2}.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestAlphaChunkAllocationPin(t *testing.T) {
 		mallocs, bytes, sink := respond(tc.rows, tc.cols)
 		pairs, cells := tc.rows*tc.cols, tc.rows*tc.cols*strLen*strLen
 		slab := pairs * strLen * protocol.AlphaRowBytes(strLen, protocol.AlphaCellBits(alphabet.DNA))
-		chunks := len(cfg.pairChunksRange(dataset.Alphanumeric, 0, tc.rows, tc.cols))
+		chunks := len(cfg.pairChunksRange(num, dataset.Alphanumeric, 0, tc.rows, tc.cols))
 		chunkBytes := slab / tc.rows * ((tc.rows + chunks - 1) / chunks)
 		label := fmt.Sprintf("%dx%d", tc.rows, tc.cols)
 		t.Logf("%s: %d pairs, %d cells in %d slab bytes and %d frames of %d bytes; %d allocations, %d bytes (largest chunk %d bytes)",

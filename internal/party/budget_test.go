@@ -11,7 +11,7 @@ import (
 
 func TestEstimateSessionBytesFormula(t *testing.T) {
 	cfg := Config{Schema: mixedSchema(), LocalChunkBytes: 1 << 10}
-	cfg, err := cfg.normalized()
+	cfg, _, err := cfg.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}

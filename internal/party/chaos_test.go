@@ -350,14 +350,14 @@ func (c *failingConduit) Recv() ([]byte, error) {
 // frame one of them was already receiving when the failure came: it is
 // dropped, not installed.
 func TestChaosLaneFailureStopsSiblingReaders(t *testing.T) {
-	cfg, err := Config{Schema: dataset.Schema{Attrs: []dataset.Attribute{{Name: "x", Type: dataset.Numeric}}},
+	cfg, num, err := Config{Schema: dataset.Schema{Attrs: []dataset.Attribute{{Name: "x", Type: dataset.Numeric}}},
 		LocalChunkBytes: 64}.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
 	holders, counts := []string{"A", "B"}, []int{8, 8}
 	seeds := [][]rng.Seed{make([]rng.Seed, 1)}
-	core := newShardCore(cfg, holders, counts, 1, protocol.NewEnginePool(1), seeds, seeds)
+	core := newShardCore(cfg, num, holders, counts, 1, protocol.NewEnginePool(1), seeds, seeds)
 	asm, err := dissim.NewSliceAssembler(counts, 0, 16, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -48,8 +48,10 @@ func numBody(rows, lo, hi int, tag byte, cRows, cCols int, cells []byte) numSBod
 // reencode encodes what a decoder holds, through the value receiver the
 // session sends with. The two bodies that keep their cells in the payload
 // they were decoded from are never sent again by the session, so their
-// send form is rebuilt here: the local cells as values, the numeric
-// header before the cell block as it arrived.
+// send form is rebuilt here from what was decoded: the local cells as
+// values, the numeric block from its shape and cells. Only the numeric
+// block's variant byte, which the protocol keeps to itself, is taken from
+// the payload the body was decoded from.
 func reencode(t testing.TB, d wire.BodyDecoder, payload []byte) []byte {
 	t.Helper()
 	body := reflect.ValueOf(d).Elem().Interface()
@@ -57,11 +59,8 @@ func reencode(t testing.TB, d wire.BodyDecoder, payload []byte) []byte {
 	case *localBody:
 		body = localBody{N: b.N, Lo: b.Lo, Hi: b.Hi, Cells: float64s(b.wire)}
 	case *numSBody:
-		r := bodyReader{p: payload}
-		r.int()
-		r.int()
-		r.int()
-		body = numSBody{Rows: b.Rows, Lo: b.Lo, Hi: b.Hi, fill: func(dst []byte) ([]byte, error) { return append(dst, r.p...), nil }}
+		tag := payload[len(appendInts(nil, b.Rows, b.Lo, b.Hi))]
+		body = numBody(b.Rows, b.Lo, b.Hi, tag, b.cells.Rows, b.cells.Cols, b.cells.Cells)
 	}
 	out, err := wire.EncodeBody(body)
 	if err != nil {
@@ -262,9 +261,14 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 		"short slab":    alphaMBody{M: protocol.AlphaChunk{Bits: 2, Counts: []int{1}, Shapes: []protocol.AlphaShape{{Rows: 2, Cols: 5}}, Packed: make([]byte, 3)}},
 		"no width":      alphaMBody{M: protocol.AlphaChunk{Counts: []int{1}, Shapes: []protocol.AlphaShape{{Rows: 1, Cols: 1}}, Packed: make([]byte, 1)}},
 		"short strings": alphaDisguisedBody{S: protocol.AlphaStrings{Bits: 2, Lens: []int{5}, Slab: make([]byte, 1)}},
-		"a column the arithmetic cannot carry": numSBody{fill: func(dst []byte) ([]byte, error) {
-			return Config{Variant: Int64Variant}.numeric().Disguise(protocol.NewEngine(1), dst, []float64{0.5}, 0, 1, 1,
-				rng.NewXoshiro(rng.Seed{}), rng.NewXoshiro(rng.Seed{}), protocol.InitiatorCols)
+		"a column another arithmetic checked": numSBody{fill: func(dst []byte) ([]byte, error) {
+			floatNum, _ := protocol.NewNumeric(Float64Variant, protocol.Batch)
+			intNum, _ := protocol.NewNumeric(Int64Variant, protocol.Batch)
+			col, err := floatNum.Column([]float64{0.5})
+			if err != nil {
+				return nil, err
+			}
+			return intNum.Disguise(protocol.NewEngine(1), dst, col, 0, 1, 1, rng.NewXoshiro(rng.Seed{}), rng.NewXoshiro(rng.Seed{}), protocol.InitiatorCols)
 		}},
 	} {
 		if _, err := wire.EncodeBody(body); err == nil {
@@ -590,7 +594,8 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 			for _, v := range []Variant{Float64Variant, Int64Variant, ModPVariant} {
 				for _, mode := range []protocol.Mode{protocol.Batch, protocol.PerPair} {
 					for _, axis := range []protocol.Axis{protocol.InitiatorCols, protocol.InitiatorRows} {
-						row, err := Config{Variant: v, Mode: mode}.numeric().Strip(eng, c, b.Lo, b.Hi, jt, axis)
+						num, _ := protocol.NewNumeric(v, mode)
+						row, err := num.Strip(eng, c, b.Lo, b.Hi, jt, axis)
 						if err != nil || b.Lo < 0 || b.Hi > 256 || c.Cols > 256 {
 							continue
 						}

@@ -73,7 +73,7 @@ type compLane struct {
 // (keyed by peer name). random sources identity and group-key material;
 // nil uses crypto/rand.
 func NewHolder(name string, table *dataset.Table, holders []string, cfg Config, req ClusterRequest, conduits map[string]wire.Conduit, random io.Reader) (*Holder, error) {
-	cfg, err := cfg.normalized()
+	cfg, num, err := cfg.normalized()
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +117,7 @@ func NewHolder(name string, table *dataset.Table, holders []string, cfg Config, 
 		random:    random,
 		workers:   parallel.Workers(cfg.Parallelism),
 		eng:       protocol.NewEngine(cfg.Parallelism),
-		num:       cfg.numeric(),
+		num:       num,
 		peers:     make(map[string]*wire.Endpoint),
 		masters:   make(map[string][]byte),
 		pairBases: make(map[string]rng.Seed),
@@ -390,6 +390,16 @@ func (h *Holder) numericValues(attr int) ([]float64, error) {
 	return h.table.NumericCol(attr)
 }
 
+// numericColumn is attr's column as the numeric protocol takes it,
+// checked once for the session's arithmetic.
+func (h *Holder) numericColumn(attr int) (protocol.Column, error) {
+	values, err := h.numericValues(attr)
+	if err != nil {
+		return protocol.Column{}, err
+	}
+	return h.num.Column(values)
+}
+
 // localDistance returns a per-worker factory of plaintext distance
 // functions for attribute attr, used for the parallel Figure 12 local
 // matrix construction. Numeric distances are stateless and shared;
@@ -591,7 +601,7 @@ func (h *Holder) initiate(attr, p int) error {
 		return h.peers[k].SendBody(msg, alphaDisguisedBody{S: protocol.PackAlphaStrings(disguised, protocol.AlphaCellBits(a.Alphabet))})
 	}
 
-	col, err := h.numericValues(attr)
+	col, err := h.numericColumn(attr)
 	if err != nil {
 		return err
 	}
@@ -675,7 +685,7 @@ func (h *Holder) respond(attr, p int) error {
 		msg := wire.Message{From: k, Kind: kindAlphaM, Attr: attr, PairJ: j, PairK: k}
 		return h.eachLane(h.index, 0, rows, func(ln compLane) error {
 			msg.To = ln.to
-			for _, ch := range h.cfg.pairChunksRange(a.Type, ln.lo, ln.hi, cols) {
+			for _, ch := range h.cfg.pairChunksRange(h.num, a.Type, ln.lo, ln.hi, cols) {
 				h.eng.AlphaResponderChunk(&chunk, own[ch[0]:ch[1]], &disg.S, a.Alphabet)
 				body := alphaMBody{Rows: rows, Lo: ch[0], Hi: ch[1], M: chunk}
 				if err := ln.ep.SendBody(msg, body); err != nil {
@@ -686,7 +696,7 @@ func (h *Holder) respond(attr, p int) error {
 		})
 	}
 
-	col, err := h.numericValues(attr)
+	col, err := h.numericColumn(attr)
 	if err != nil {
 		return err
 	}
@@ -731,7 +741,7 @@ type chunkFill func(dst []byte, lo, hi int) ([]byte, error)
 // shed (in batch mode a disguise is O(n) and travels as one frame under
 // the default budget).
 func (h *Holder) sendDisguise(peer string, msg wire.Message, t dataset.AttrType, rows, lo, hi, width int, fill chunkFill) error {
-	for _, ch := range h.cfg.pairChunksRange(t, lo, hi, width) {
+	for _, ch := range h.cfg.pairChunksRange(h.num, t, lo, hi, width) {
 		if err := h.peers[peer].SendBody(msg, chunkBody(rows, ch, fill)); err != nil {
 			return err
 		}
@@ -753,7 +763,7 @@ func chunkBody(rows int, ch [2]int, fill chunkFill) numSBody {
 // where it lies.
 func (h *Holder) recvDisguise(peer string, t dataset.AttrType, j, k string, rows, lo, hi, width int) ([]protocol.NumericChunk, error) {
 	var disg []protocol.NumericChunk
-	for ci, sched := range h.cfg.pairChunksRange(t, lo, hi, width) {
+	for ci, sched := range h.cfg.pairChunksRange(h.num, t, lo, hi, width) {
 		var chunk numSBody
 		if _, err := expectMsg(h.peers[peer], kindNumDisg, &chunk); err != nil {
 			return nil, err
@@ -785,7 +795,7 @@ func (h *Holder) streamShare(attr, p, lo, hi int, fill chunkFill) error {
 	msg := wire.Message{From: h.name, Kind: kindNumS, Attr: attr, PairJ: h.holders[pr[0]], PairK: h.holders[pr[1]]}
 	return h.eachLane(pr[1], lo, hi, func(ln compLane) error {
 		msg.To = ln.to
-		for _, ch := range h.cfg.pairChunksRange(h.cfg.Schema.Attrs[attr].Type, ln.lo, ln.hi, h.census.counts[pr[0]]) {
+		for _, ch := range h.cfg.pairChunksRange(h.num, h.cfg.Schema.Attrs[attr].Type, ln.lo, ln.hi, h.census.counts[pr[0]]) {
 			if err := ln.ep.SendBody(msg, chunkBody(h.census.counts[pr[1]], ch, fill)); err != nil {
 				return err
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ppclust/internal/dataset"
@@ -212,7 +213,8 @@ func runTamperedPairStream(t *testing.T, mode string) error {
 	// (4 rows per frame).
 	cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant,
 		PlaintextChannels: true, LocalChunkBytes: 320}
-	if chunks := cfg.pairChunksRange(dataset.Numeric, 0, 10, 10); len(chunks) < 2 {
+	num, _ := protocol.NewNumeric(cfg.Variant, cfg.Mode)
+	if chunks := cfg.pairChunksRange(num, dataset.Numeric, 0, 10, 10); len(chunks) < 2 {
 		t.Fatalf("test shape yields %d chunks, want several", len(chunks))
 	}
 	_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(17), wrap)
@@ -282,18 +284,19 @@ func (c *extraChunkConduit) Send(frame []byte) error {
 	return nil
 }
 
-// colsTamperConduit rewrites the first kindNumS chunk frame so its cell
-// block self-declares an inflated column count (with the cells to match,
-// so the block's own shape check cannot catch it). Requires
+// colsTamperConduit rewrites the first float64 chunk frame of its kind so
+// its cell block self-declares an inflated column count (with the cells to
+// match, so the block's own shape check cannot catch it). Requires
 // PlaintextChannels.
 type colsTamperConduit struct {
 	wire.Conduit
+	kind wire.Kind
 	done bool
 }
 
 func (c *colsTamperConduit) Send(frame []byte) error {
 	m, err := wire.ParseFrame(frame)
-	if err != nil || m.Kind != kindNumS || c.done {
+	if err != nil || m.Kind != c.kind || c.done {
 		return c.Conduit.Send(frame)
 	}
 	c.done = true
@@ -308,32 +311,49 @@ func (c *colsTamperConduit) Send(frame []byte) error {
 	return c.Conduit.Send(wire.AppendFrame(nil, m))
 }
 
-// TestPairChunkRejectsWrongColumns: a chunk whose matrix claims a column
-// count other than the census's must fail with a descriptive shape error
-// on the session pipeline and on the serial oracle — in the oracle's
-// reassembly path BEFORE the reassembled payload is presized, so a hostile
-// self-declared width can never amplify into a rows×cols allocation.
+// TestPairChunkRejectsWrongColumns: a chunk whose block claims a column
+// count other than the census's must fail with a descriptive shape error,
+// on the session pipeline and on the serial oracle. An S chunk fails at
+// the third party — in the oracle's reassembly path BEFORE the reassembled
+// payload is presized, so a hostile self-declared width can never amplify
+// into a rows×cols allocation. A disguised chunk one holder sends the
+// other — J's to K, the initiator on the columns, or K's to J, on the
+// rows — fails at the receiving holder, which sends no S frame.
 func TestPairChunkRejectsWrongColumns(t *testing.T) {
 	parts := pairCapParts(t, 10, 10)
-	wrap := func(owner, peer string, c wire.Conduit) wire.Conduit {
-		if owner == "B" && peer == TPName {
-			return &colsTamperConduit{Conduit: c}
-		}
-		return c
-	}
 	cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant,
 		PlaintextChannels: true, LocalChunkBytes: 320}
-	for _, serial := range []bool{false, true} {
-		run := RunInMemoryWrapped
-		if serial {
-			run = runSerialTP
-		}
-		_, err := run(cfg, parts, nil, deterministicRandom(19), wrap)
-		if err == nil {
-			t.Fatalf("serial=%v: inflated-columns chunk reported no error", serial)
-		}
-		if !strings.Contains(err.Error(), "columns") {
-			t.Fatalf("serial=%v: error %q does not describe the column mismatch", serial, err)
+	for _, tc := range []struct {
+		from, to string
+		kind     wire.Kind
+		want     string
+	}{
+		{"B", TPName, kindNumS, "columns"},
+		{"A", "B", kindNumDisg, "disguised chunk 0 is 1x17, census says 1x10"},
+		{"B", "A", kindNumDisg, "disguised chunk 0 is"},
+	} {
+		for _, serial := range []bool{false, true} {
+			var sFrames atomic.Int64
+			wrap := func(owner, peer string, c wire.Conduit) wire.Conduit {
+				switch {
+				case owner == tc.from && peer == tc.to:
+					return &colsTamperConduit{Conduit: c, kind: tc.kind}
+				case owner == tc.to && peer == TPName:
+					return &kindCountingConduit{Conduit: c, kinds: map[wire.Kind]bool{kindNumS: true}, n: &sFrames}
+				}
+				return c
+			}
+			run := RunInMemoryWrapped
+			if serial {
+				run = runSerialTP
+			}
+			_, err := run(cfg, parts, nil, deterministicRandom(19), wrap)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s %s→%s serial=%v: error %v does not describe the column mismatch", tc.kind, tc.from, tc.to, serial, err)
+			}
+			if n := sFrames.Load(); n != 0 {
+				t.Fatalf("%s %s→%s serial=%v: %s sent %d S frames after refusing the chunk", tc.kind, tc.from, tc.to, serial, tc.to, n)
+			}
 		}
 	}
 }

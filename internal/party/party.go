@@ -258,24 +258,14 @@ func (c Config) chunkBudgetBytes() int {
 const alphaPairCellBytes = 256
 
 // pairCellBytes is the nominal wire bytes per cell of a holder→TP S/M
-// payload, used to derive the shared pairwise chunk schedule: the numeric
-// protocol's cell size (protocol.Numeric.CellBytes) for numeric and ordered
+// payload, used to derive the shared pairwise chunk schedule: the session's
+// numeric cell size (protocol.Numeric.CellBytes) for numeric and ordered
 // attributes, alphaPairCellBytes for alphanumeric ones.
-func (c Config) pairCellBytes(t dataset.AttrType) int {
+func pairCellBytes(num protocol.Numeric, t dataset.AttrType) int {
 	if t == dataset.Alphanumeric {
 		return alphaPairCellBytes
 	}
-	return c.numeric().CellBytes()
-}
-
-// numeric is the session's numeric protocol, whose variant and mode
-// normalized has vetted.
-func (c Config) numeric() protocol.Numeric {
-	num, err := protocol.NewNumeric(c.Variant, c.Mode)
-	if err != nil {
-		panic(fmt.Sprintf("party: numeric protocol of an unvetted config: %v", err))
-	}
-	return num
+	return num.CellBytes()
 }
 
 // shardCount resolves TPShards: anything below 2 is one range.
@@ -301,18 +291,17 @@ func (c Config) localChunksRange(lo, hi int) [][2]int {
 // payload for an attribute of type t — a share of the holder→TP S/M matrix
 // (rows = the responder's objects a lane's range owns, cols = the
 // initiator's count) or a disguised matrix one holder sends the other: row
-// ranges bounded
-// by the configured chunk bytes, driven by the same Config.LocalChunkBytes
-// knob as localChunksRange and shared between sender and receiver the
-// same way.
-func (c Config) pairChunksRange(t dataset.AttrType, lo, hi, cols int) [][2]int {
-	return dissim.RectChunksRange(lo, hi, cols, c.chunkBudgetBytes()/c.pairCellBytes(t))
+// ranges bounded by the configured chunk bytes in cells of the session's
+// numeric protocol num, driven by the same Config.LocalChunkBytes knob as
+// localChunksRange and shared between sender and receiver the same way.
+func (c Config) pairChunksRange(num protocol.Numeric, t dataset.AttrType, lo, hi, cols int) [][2]int {
+	return dissim.RectChunksRange(lo, hi, cols, c.chunkBudgetBytes()/pairCellBytes(num, t))
 }
 
-// pairChunkCountRange is len(pairChunksRange(t, lo, hi, cols)) without
-// materializing the schedule, for the lane frame counts.
-func (c Config) pairChunkCountRange(t dataset.AttrType, lo, hi, cols int) int {
-	return dissim.RectChunkCountRange(lo, hi, cols, c.chunkBudgetBytes()/c.pairCellBytes(t))
+// pairChunkCountRange is len(pairChunksRange(num, t, lo, hi, cols))
+// without materializing the schedule, for the lane frame counts.
+func (c Config) pairChunkCountRange(num protocol.Numeric, t dataset.AttrType, lo, hi, cols int) int {
+	return dissim.RectChunkCountRange(lo, hi, cols, c.chunkBudgetBytes()/pairCellBytes(num, t))
 }
 
 // shardRowsOf intersects global triangle rows [lo, hi) with the rows a
@@ -403,28 +392,30 @@ func (c Config) EstimateSessionBytes(numHolders, totalObjects, shards int) int64
 // peak.
 const readerChunks = 8
 
-// normalized validates the config and fills defaults. The schema's
-// attribute slice is cloned first: Validate fills defaulted weights in
-// place, and every party of an in-memory session normalizes the same
-// shared Config concurrently — without the clone those writes race.
-func (c Config) normalized() (Config, error) {
+// normalized validates the config and fills defaults, and builds the
+// session's numeric protocol from its variant and masking mode. The
+// schema's attribute slice is cloned first: Validate fills defaulted
+// weights in place, and every party of an in-memory session normalizes the
+// same shared Config concurrently — without the clone those writes race.
+func (c Config) normalized() (Config, protocol.Numeric, error) {
 	c.Schema = dataset.Schema{Attrs: append([]dataset.Attribute(nil), c.Schema.Attrs...)}
 	if err := c.Schema.Validate(); err != nil {
-		return c, err
+		return c, protocol.Numeric{}, err
 	}
-	if _, err := protocol.NewNumeric(c.Variant, c.Mode); err != nil {
-		return c, fmt.Errorf("party: %w", err)
+	num, err := protocol.NewNumeric(c.Variant, c.Mode)
+	if err != nil {
+		return c, num, fmt.Errorf("party: %w", err)
 	}
 	if c.RNG != rng.KindXoshiro && c.RNG != rng.KindAESCTR {
-		return c, fmt.Errorf("party: unknown generator kind %d", c.RNG)
+		return c, num, fmt.Errorf("party: unknown generator kind %d", c.RNG)
 	}
 	if c.LocalChunkBytes < 0 {
-		return c, fmt.Errorf("party: negative LocalChunkBytes %d", c.LocalChunkBytes)
+		return c, num, fmt.Errorf("party: negative LocalChunkBytes %d", c.LocalChunkBytes)
 	}
 	if c.TPShards > MaxTPShards {
-		return c, fmt.Errorf("party: TPShards %d exceeds the maximum of %d", c.TPShards, MaxTPShards)
+		return c, num, fmt.Errorf("party: TPShards %d exceeds the maximum of %d", c.TPShards, MaxTPShards)
 	}
-	return c, nil
+	return c, num, nil
 }
 
 // Method selects the clustering algorithm the third party runs for a

@@ -284,7 +284,7 @@ func TestValidationErrors(t *testing.T) {
 		mixedPartitions(t), nil, deterministicRandom(4)); err == nil {
 		t.Fatal("invalid variant accepted")
 	}
-	if _, err := (Config{Schema: schema, LocalChunkBytes: -1}).normalized(); err == nil {
+	if _, _, err := (Config{Schema: schema, LocalChunkBytes: -1}).normalized(); err == nil {
 		t.Fatal("negative chunk budget accepted")
 	}
 	if _, err := RunInMemory(Config{Schema: schema, Mode: protocol.Mode(2)},

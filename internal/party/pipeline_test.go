@@ -126,10 +126,13 @@ func TestPipelinedMatchesSerialTP(t *testing.T) {
 // in between, by a sampler for as long as the session runs; it counts
 // every evaluation, which the test checks on a core of its own first.
 func TestParallelismOneComputesOneChunk(t *testing.T) {
-	cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, LocalChunkBytes: 256}
-	core := newShardCore(cfg, []string{"A", "B"}, []int{1, 1}, 1, protocol.NewEnginePool(1), nil, nil)
+	cfg, num, err := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, LocalChunkBytes: 256}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := newShardCore(cfg, num, []string{"A", "B"}, []int{1, 1}, 1, protocol.NewEnginePool(1), nil, nil)
 	before := ComputeActive()
-	err := core.computing(context.Background(), func() error {
+	err = core.computing(context.Background(), func() error {
 		if got := ComputeActive(); got != before+1 {
 			return fmt.Errorf("ComputeActive reads %d while evaluating, want %d", got, before+1)
 		}

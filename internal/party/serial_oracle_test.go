@@ -182,7 +182,7 @@ func (tp *ThirdParty) recvShareSerial(core *shardCore, eng *protocol.Engine, att
 	if sh.lo == sh.hi {
 		return nil, nil
 	}
-	chunks := tp.cfg.pairChunksRange(a.Type, sh.lo, sh.hi, cols)
+	chunks := tp.cfg.pairChunksRange(tp.num, a.Type, sh.lo, sh.hi, cols)
 	seed := core.seeds[attr][sh.p]
 	if sh.byInitiator {
 		seed = core.rowSeeds[attr][sh.p]
@@ -229,7 +229,7 @@ func (tp *ThirdParty) recvShareSerial(core *shardCore, eng *protocol.Engine, att
 				return nil, fmt.Errorf("party: %s pair (%s,%s) chunk %d has %dx%d cells, census says %d columns", from, j, k, ci, c.Rows, c.Cols, cols)
 			}
 			if cells == nil {
-				cells = make([]byte, 0, tp.cfg.numeric().CellBytes()*(sh.hi-sh.lo)*cols)
+				cells = make([]byte, 0, tp.num.CellBytes()*(sh.hi-sh.lo)*cols)
 			}
 			cells = append(cells, body.cells.Cells...)
 		}
@@ -555,7 +555,18 @@ func TestRowFormsMatchWholeMatrixOracles(t *testing.T) {
 					for _, start := range []int{0, 4} { // the slice's first responder row
 						name := fmt.Sprintf("%v %v workers=%d chunk=%d start=%d", v, mode, workers, chunkBytes, start)
 						cfg := Config{Variant: v, Mode: mode, LocalChunkBytes: chunkBytes}
-						num := cfg.numeric()
+						num, err := protocol.NewNumeric(v, mode)
+						if err != nil {
+							t.Fatal(err)
+						}
+						xCol, err := num.Column(floats(xs))
+						if err != nil {
+							t.Fatal(err)
+						}
+						yCol, err := num.Column(floats(ys))
+						if err != nil {
+							t.Fatal(err)
+						}
 						lo := 0
 						if start > 0 {
 							lo = n + start
@@ -588,9 +599,9 @@ func TestRowFormsMatchWholeMatrixOracles(t *testing.T) {
 						jk, jt := rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT)
 						dRows := disguisedRows(mode, m)
 						var disg []protocol.NumericChunk
-						for _, ch := range cfg.pairChunksRange(numeric, 0, dRows, n) {
+						for _, ch := range cfg.pairChunksRange(num, numeric, 0, dRows, n) {
 							disg = append(disg, codec(chunkBody(dRows, ch, func(dst []byte, lo, hi int) ([]byte, error) {
-								return num.Disguise(e, dst, floats(xs), lo, hi, m, jk, jt, protocol.InitiatorCols)
+								return num.Disguise(e, dst, xCol, lo, hi, m, jk, jt, protocol.InitiatorCols)
 							})).cells)
 						}
 						jk, jt = rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT)
@@ -598,9 +609,9 @@ func TestRowFormsMatchWholeMatrixOracles(t *testing.T) {
 							rng.FillUint64(jk, make([]uint64, start*n))
 						}
 						num.Advance(e, jt, start, n, protocol.InitiatorCols)
-						for _, ch := range cfg.pairChunksRange(numeric, start, m, n) {
+						for _, ch := range cfg.pairChunksRange(num, numeric, start, m, n) {
 							body := codec(chunkBody(m, ch, func(dst []byte, lo, hi int) ([]byte, error) {
-								return num.Combine(e, dst, disg, floats(ys), lo, hi, jk, protocol.InitiatorCols)
+								return num.Combine(e, dst, disg, yCol, lo, hi, jk, protocol.InitiatorCols)
 							}))
 							row, err := num.Strip(e, body.cells, body.Lo, body.Hi, jt, protocol.InitiatorCols)
 							if err != nil {

@@ -53,8 +53,8 @@ type shardCore struct {
 	seeds, rowSeeds [][]rng.Seed
 }
 
-func newShardCore(cfg Config, holders []string, counts []int, workers int, engines *protocol.EnginePool, seeds, rowSeeds [][]rng.Seed) *shardCore {
-	return &shardCore{census: newCensus(counts), cfg: cfg, num: cfg.numeric(), holders: holders, workers: workers, engines: engines,
+func newShardCore(cfg Config, num protocol.Numeric, holders []string, counts []int, workers int, engines *protocol.EnginePool, seeds, rowSeeds [][]rng.Seed) *shardCore {
+	return &shardCore{census: newCensus(counts), cfg: cfg, num: num, holders: holders, workers: workers, engines: engines,
 		compute: make(chan struct{}, max(workers, 1)), seeds: seeds, rowSeeds: rowSeeds}
 }
 
@@ -78,7 +78,7 @@ func (c *shardCore) laneFrames(hi int, r [2]int) int {
 			frames += len(c.cfg.localChunksRange(llo, lhi))
 		}
 		for _, sh := range c.shares(hi, a.Type, rows) {
-			frames += c.cfg.pairChunkCountRange(a.Type, sh.lo, sh.hi, c.counts[sh.j])
+			frames += c.cfg.pairChunkCountRange(c.num, a.Type, sh.lo, sh.hi, c.counts[sh.j])
 		}
 	}
 	return frames
@@ -325,7 +325,7 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssemble
 	if a.Type != dataset.Alphanumeric {
 		c.num.Advance(eng, jt, sh.lo-first, cols, axis)
 	}
-	for ci, ch := range c.cfg.pairChunksRange(a.Type, sh.lo, sh.hi, cols) {
+	for ci, ch := range c.cfg.pairChunksRange(c.num, a.Type, sh.lo, sh.hi, cols) {
 		var eval func() (protocol.RowFunc, int, int, error)
 		if a.Type == dataset.Alphanumeric {
 			var body alphaMBody

@@ -406,7 +406,7 @@ func (c *recvSeveringConduit) Recv() ([]byte, error) {
 // with the relay error, not publish.
 func TestChaosShardProcPumpFailsAfterSlices(t *testing.T) {
 	leakcheck.Check(t)
-	cfg, err := chaosConfig().normalized() // the fingerprint covers defaulted weights
+	cfg, _, err := chaosConfig().normalized() // the fingerprint covers defaulted weights
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestShardProcRegistrationOrderedByEpoch(t *testing.T) {
 				Logf: func(format string, args ...any) { events <- fmt.Sprintf(format, args...) }})
 			defer pool.close()
 			dial := pool.dialer("epoch-order", nil)
-			cfg, err := Config{Schema: pipelineSchema(), Variant: Float64Variant}.normalized()
+			cfg, _, err := Config{Schema: pipelineSchema(), Variant: Float64Variant}.normalized()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -588,7 +588,7 @@ func TestShardProcRefusesRetiredHellos(t *testing.T) {
 // the first install must win with no double count.
 func TestShardSliceDedup(t *testing.T) {
 	schema := pipelineSchema()
-	cfg, err := Config{Schema: schema, Variant: Float64Variant}.normalized()
+	cfg, _, err := Config{Schema: schema, Variant: Float64Variant}.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -656,7 +656,7 @@ func TestShardOfferValidation(t *testing.T) {
 		{"count-shape", func(o *shardOfferBody) { o.Counts = o.Counts[:1] }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg, err := Config{Schema: pipelineSchema(), Variant: Float64Variant}.normalized()
+			cfg, _, err := Config{Schema: pipelineSchema(), Variant: Float64Variant}.normalized()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -711,7 +711,7 @@ func TestShardOfferValidation(t *testing.T) {
 func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 	leakcheck.Check(t)
 	pool := newShardWorkerPool(t, 1, ShardServerConfig{Schema: pipelineSchema()})
-	cfg, err := Config{Schema: pipelineSchema(), Variant: Int64Variant, Mode: protocol.PerPair, Parallelism: 1}.normalized()
+	cfg, _, err := Config{Schema: pipelineSchema(), Variant: Int64Variant, Mode: protocol.PerPair, Parallelism: 1}.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -321,7 +321,7 @@ func (r *shardRun) run(offer shardOfferBody) error {
 	if len(offer.Counts) != len(offer.Holders) {
 		return fmt.Errorf("party: offer carries %d counts for %d holders", len(offer.Counts), len(offer.Holders))
 	}
-	cfg, err := Config{
+	cfg, num, err := Config{
 		Schema:          s.cfg.Schema,
 		Mode:            offer.Mode,
 		Variant:         offer.Variant,
@@ -348,7 +348,7 @@ func (r *shardRun) run(offer shardOfferBody) error {
 			return fmt.Errorf("party: offer census holds a negative count for %s", offer.Holders[i])
 		}
 	}
-	core := newShardCore(cfg, offer.Holders, offer.Counts, parallel.Workers(cfg.Parallelism),
+	core := newShardCore(cfg, num, offer.Holders, offer.Counts, parallel.Workers(cfg.Parallelism),
 		protocol.NewEnginePool(cfg.Parallelism), offer.Seeds, offer.RowSeeds)
 	if offer.Lo < 0 || offer.Hi < offer.Lo || offer.Hi > core.total {
 		return fmt.Errorf("party: offer range [%d,%d) outside the census total %d", offer.Lo, offer.Hi, core.total)

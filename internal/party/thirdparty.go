@@ -27,6 +27,7 @@ import (
 type ThirdParty struct {
 	holders []string
 	cfg     Config
+	num     protocol.Numeric
 	random  io.Reader
 	workers int
 	engines *protocol.EnginePool
@@ -67,7 +68,7 @@ type TPReport struct {
 // NewThirdParty prepares the third party with conduits keyed by holder
 // name. random sources the TP identity; nil uses crypto/rand.
 func NewThirdParty(holders []string, cfg Config, conduits map[string]wire.Conduit, random io.Reader) (*ThirdParty, error) {
-	cfg, err := cfg.normalized()
+	cfg, num, err := cfg.normalized()
 	if err != nil {
 		return nil, err
 	}
@@ -94,6 +95,7 @@ func NewThirdParty(holders []string, cfg Config, conduits map[string]wire.Condui
 	tp := &ThirdParty{
 		holders: holders,
 		cfg:     cfg,
+		num:     num,
 		random:  random,
 		workers: parallel.Workers(cfg.Parallelism),
 		engines: protocol.NewEnginePool(cfg.Parallelism),
@@ -232,7 +234,7 @@ func (tp *ThirdParty) seedTables() (seeds, rowSeeds [][]rng.Seed) {
 // core builds the third party's own view of the assembly pipeline.
 func (tp *ThirdParty) core() *shardCore {
 	seeds, rowSeeds := tp.seedTables()
-	return newShardCore(tp.cfg, tp.holders, tp.counts, tp.workers, tp.engines, seeds, rowSeeds)
+	return newShardCore(tp.cfg, tp.num, tp.holders, tp.counts, tp.workers, tp.engines, seeds, rowSeeds)
 }
 
 // Run executes the third party's side and returns the session report.

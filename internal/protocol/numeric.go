@@ -123,8 +123,7 @@ func (e *Engine) NumericInitiatorInt(values []int64, jk, jt rng.Stream, params I
 	cols := len(values)
 	out := NewInt64Matrix(rows, cols)
 	total := rows * cols
-	masks := e.i64buf(total)
-	rng.FillInt64n(jt, masks, params.MaskRange)
+	masks := e.intDraws(jt, total, params.MaskRange)
 	signs := e.u64buf(total)
 	rng.FillUint64(jk, signs)
 	parallel.Range(e.workers, rows, func(_, lo, hi int) {
@@ -288,11 +287,15 @@ func (e *Engine) intMasks(jt rng.Stream, rows, cols int, params IntParams, mode 
 	if params.MaskRange <= 0 {
 		return nil, fmt.Errorf("protocol: MaskRange %d must be positive", params.MaskRange)
 	}
-	return keystream(jt, func(n int) []int64 {
-		m := e.i64buf(n)
-		rng.FillInt64n(jt, m, params.MaskRange)
-		return m
-	}, rows, cols, mode, axis), nil
+	return keystream(jt, func(n int) []int64 { return e.intDraws(jt, n, params.MaskRange) }, rows, cols, mode, axis), nil
+}
+
+// intDraws draws n int64 masks of range maskRange from jt into the
+// engine's buffer: the one order every int64 form reads its masks in.
+func (e *Engine) intDraws(jt rng.Stream, n int, maskRange int64) []int64 {
+	m := e.i64buf(n)
+	rng.FillInt64n(jt, m, maskRange)
+	return m
 }
 
 func absInt64(d int64) int64 {
@@ -350,11 +353,7 @@ func (e *Engine) NumericInitiatorFloat(values []float64, jk, jt rng.Stream, para
 	cols := len(values)
 	out := NewFloat64Matrix(rows, cols)
 	total := rows * cols
-	masks := e.f64buf(total)
-	rng.FillFloat64(jt, masks)
-	for i := range masks {
-		masks[i] *= params.MaskRange
-	}
+	masks := e.floatDraws(jt, total, params.MaskRange)
 	signs := e.u64buf(total)
 	rng.FillUint64(jk, signs)
 	parallel.Range(e.workers, rows, func(_, lo, hi int) {
@@ -423,12 +422,15 @@ func (e *Engine) floatMasks(jt rng.Stream, rows, cols int, params FloatParams, m
 	if !(params.MaskRange > 0) {
 		return nil, fmt.Errorf("protocol: MaskRange %v must be positive", params.MaskRange)
 	}
-	return keystream(jt, func(n int) []float64 {
-		m := e.f64buf(n)
-		rng.FillFloat64(jt, m)
-		for i := range m {
-			m[i] *= params.MaskRange
-		}
-		return m
-	}, rows, cols, mode, axis), nil
+	return keystream(jt, func(n int) []float64 { return e.floatDraws(jt, n, params.MaskRange) }, rows, cols, mode, axis), nil
+}
+
+// floatDraws is the real-valued form of intDraws.
+func (e *Engine) floatDraws(jt rng.Stream, n int, maskRange float64) []float64 {
+	m := e.f64buf(n)
+	rng.FillFloat64(jt, m)
+	for i := range m {
+		m[i] *= maskRange
+	}
+	return m
 }

@@ -67,10 +67,7 @@ func (eng *Engine) NumericInitiatorModP(values []int64, jk, jt rng.Stream, mode 
 	cols := len(values)
 	out := NewElementMatrix(rows, cols)
 	total := rows * cols
-	masks := eng.elembuf(total)
-	for i := range masks {
-		masks[i] = modp.Random(jt)
-	}
+	masks := eng.modpDraws(jt, total)
 	signs := eng.u64buf(total)
 	rng.FillUint64(jk, signs)
 	parallel.Range(eng.workers, rows, func(_, lo, hi int) {
@@ -165,13 +162,16 @@ func (eng *Engine) NumericThirdPartyModP(s *ElementMatrix, jt rng.Stream, mode M
 
 // modpMasks is the Z_p form of intMasks.
 func (eng *Engine) modpMasks(jt rng.Stream, rows, cols int, mode Mode, axis Axis) []modp.Element {
-	return keystream(jt, func(n int) []modp.Element {
-		m := eng.elembuf(n)
-		for i := range m {
-			m[i] = modp.Random(jt)
-		}
-		return m
-	}, rows, cols, mode, axis)
+	return keystream(jt, func(n int) []modp.Element { return eng.modpDraws(jt, n) }, rows, cols, mode, axis)
+}
+
+// modpDraws is the Z_p form of intDraws.
+func (eng *Engine) modpDraws(jt rng.Stream, n int) []modp.Element {
+	m := eng.elembuf(n)
+	for i := range m {
+		m[i] = modp.Random(jt)
+	}
+	return m
 }
 
 // unmaskModP strips the mask from the cell at chunk position (m, n) and

@@ -174,6 +174,34 @@ func (c NumericChunk) row(r, size int, dst []float64) []byte {
 	return c.Cells[size*r*c.Cols : size*(r+1)*c.Cols]
 }
 
+// Column is a holder's values of one attribute, checked once for the
+// session's arithmetic by Numeric.Column: Disguise and Combine take them
+// as they are.
+type Column struct {
+	values []float64
+	tag    byte // the variant byte of the arithmetic that checked them
+}
+
+// Column checks values for the arithmetic — integral and within its bound
+// for int64 and mod-p, finite for float64 — on the float, before any
+// conversion, so a column the arithmetic cannot carry is refused before
+// anything is drawn, with an error that names the row.
+func (n Numeric) Column(values []float64) (Column, error) {
+	if err := n.arith.check(values); err != nil {
+		return Column{}, err
+	}
+	return Column{values: values, tag: n.arith.tag()}, nil
+}
+
+// values returns col's values, refusing a column another arithmetic
+// checked.
+func (n Numeric) values(col Column) ([]float64, error) {
+	if col.tag != n.arith.tag() {
+		return nil, fmt.Errorf("protocol: a column checked for variant byte %d, the session's is %d", col.tag, n.arith.tag())
+	}
+	return col.values, nil
+}
+
 // RowFunc writes row r of an evaluated chunk — the distances between the
 // responder's object lo+r and every initiator object — into dst, one
 // element per chunk column: the shape dissim.SliceAssembler.SetCrossRowsInto
@@ -183,17 +211,16 @@ func (c NumericChunk) row(r, size int, dst []float64) []byte {
 type RowFunc = func(r int, dst []float64) error
 
 // Disguise is Figure 4: it appends rows [lo, hi) of this holder's disguise
-// of values, its column, to dst as a block — out(r, c) = R + v·σ, a mask
-// from jt and a parity from jk per cell, both streams read on from one call
-// to the next. With the initiator on the columns (the paper's figure)
-// every row disguises all of values, and the disguise has one row in batch
-// mode and one per peer object in per-pair mode; with the initiator on the
-// rows, row r disguises values[r] in RowWidth(peer, mode) cells. peer is
-// the other holder's object count. Every value is checked first, so a
-// column the arithmetic cannot carry fails before anything is drawn, and
-// the error names its row.
-func (n Numeric) Disguise(e *Engine, dst []byte, values []float64, lo, hi, peer int, jk, jt rng.Stream, axis Axis) ([]byte, error) {
-	if err := n.arith.check(values); err != nil {
+// of its column to dst as a block — out(r, c) = R + v·σ, a mask from jt
+// and a parity from jk per cell, both streams read on from one call to the
+// next. With the initiator on the columns (the paper's figure) every row
+// disguises the whole column, and the disguise has one row in batch mode
+// and one per peer object in per-pair mode; with the initiator on the
+// rows, row r disguises the column's r-th value in RowWidth(peer, mode)
+// cells. peer is the other holder's object count.
+func (n Numeric) Disguise(e *Engine, dst []byte, col Column, lo, hi, peer int, jk, jt rng.Stream, axis Axis) ([]byte, error) {
+	values, err := n.values(col)
+	if err != nil {
 		return nil, err
 	}
 	w, rows := len(values), 1
@@ -214,15 +241,16 @@ func (n Numeric) Disguise(e *Engine, dst []byte, values []float64, lo, hi, peer 
 // Combine is Figure 5: it appends rows [lo, hi) of the block's masked
 // comparison matrix S to dst as a block, combining the peer's disguise —
 // held as the chunks it arrived in, its rows counted from its first — with
-// values, this holder's column: s(m, n) = disguise + x·σ̄. With the
-// initiator on the columns values lie on the rows (row m's is values[m];
-// the batch disguise is one row every row re-reads, the per-pair one a row
-// per row); with the initiator on the rows they lie on the columns, and
+// this holder's column: s(m, n) = disguise + x·σ̄. With the initiator on
+// the columns its values lie on the rows (row m's is its m-th; the batch
+// disguise is one row every row re-reads, the per-pair one a row per row);
+// with the initiator on the rows they lie on the columns, and
 // disguise row m holds row m's RowWidth cells. jk is the share's parity
 // stream: re-read by every call with the initiator on the columns in batch
 // mode (it is left rewound), read on from one call to the next otherwise.
-func (n Numeric) Combine(e *Engine, dst []byte, disguise []NumericChunk, values []float64, lo, hi int, jk rng.Stream, axis Axis) ([]byte, error) {
-	if err := n.arith.check(values); err != nil {
+func (n Numeric) Combine(e *Engine, dst []byte, disguise []NumericChunk, col Column, lo, hi int, jk rng.Stream, axis Axis) ([]byte, error) {
+	values, err := n.values(col)
+	if err != nil {
 		return nil, err
 	}
 	d, err := n.disguised(disguise)
@@ -383,22 +411,13 @@ type words[T word] struct {
 var (
 	int64Words = words[int64]{
 		variantByte: 1,
-		draw: func(e *Engine, jt rng.Stream, n int) []int64 {
-			m := e.i64buf(n)
-			rng.FillInt64n(jt, m, DefaultIntParams.MaskRange)
-			return m
-		},
-		vet: func(values []float64) error { return integers(values, float64(DefaultIntParams.MaxMagnitude)) },
+		draw:        func(e *Engine, jt rng.Stream, n int) []int64 { return e.intDraws(jt, n, DefaultIntParams.MaskRange) },
+		vet:         func(values []float64) error { return integers(values, float64(DefaultIntParams.MaxMagnitude)) },
 	}
 	float64Words = words[float64]{
 		variantByte: 2,
 		draw: func(e *Engine, jt rng.Stream, n int) []float64 {
-			m := e.f64buf(n)
-			rng.FillFloat64(jt, m)
-			for i := range m {
-				m[i] *= DefaultFloatParams.MaskRange
-			}
-			return m
+			return e.floatDraws(jt, n, DefaultFloatParams.MaskRange)
 		},
 		vet: func(values []float64) error {
 			for i, v := range values {
@@ -420,10 +439,11 @@ func (a words[T]) disguise(e *Engine, out []byte, values []float64, lo, rows, w 
 	signs := e.parities(jk, rows*w)
 	parallel.Range(e.workers, rows, func(_, from, to int) {
 		for m := from; m < to; m++ {
-			for c := m * w; c < (m+1)*w; c++ {
-				v := disguisedValue(values, lo, m, c-m*w, axis)
-				putWord(out[8*c:], masks[c]+T(v)*T(negSignInitiator(signs[c])))
+			row := values // the initiator on the columns: every row disguises the column
+			if axis == InitiatorRows {
+				row = values[lo+m : lo+m+1]
 			}
+			disguiseRow(out[8*m*w:8*(m+1)*w], row, masks[m*w:(m+1)*w], signs[m*w:(m+1)*w])
 		}
 	})
 }
@@ -434,24 +454,11 @@ func (words[T]) combine(e *Engine, out []byte, d disguised, values []float64, lo
 		for m := from; m < to; m++ {
 			dst := out[8*m*cols : 8*(m+1)*cols]
 			if axis == InitiatorCols {
-				y, sign, s := T(values[lo+m]), drawRow(signs, m, cols, mode), src.row(drawIndex(lo+m, mode))
-				for n := range cols {
-					putWord(dst[8*n:], getWord[T](s[8*n:])+y*T(negSignResponder(sign[n])))
-				}
+				combineRow(dst, src.row(drawIndex(lo+m, mode)), T(values[lo+m]), drawRow(signs, m, cols, mode))
 				continue
 			}
 			w := RowWidth(cols, mode)
-			s, sign := src.row(lo+m), signs[m*w:(m+1)*w]
-			if w == 1 {
-				dd, sg := getWord[T](s), T(negSignResponder(sign[0]))
-				for n, x := range values {
-					putWord(dst[8*n:], dd+T(x)*sg)
-				}
-				continue
-			}
-			for n, x := range values {
-				putWord(dst[8*n:], getWord[T](s[8*n:])+T(x)*T(negSignResponder(sign[n])))
-			}
+			combineCols[T](dst, src.row(lo+m), values, signs[m*w:(m+1)*w])
 		}
 	})
 	return nil
@@ -460,30 +467,62 @@ func (words[T]) combine(e *Engine, out []byte, d disguised, values []float64, lo
 func (a words[T]) strip(e *Engine, c NumericChunk, jt rng.Stream, mode Mode, axis Axis) RowFunc {
 	masks := keystream(jt, func(k int) []T { return a.draw(e, jt, k) }, c.Rows, c.Cols, mode, axis)
 	return func(r int, dst []float64) error {
-		src, mask := c.row(r, 8, dst), maskRow(masks, r, c.Cols, mode, axis)
-		if len(mask) == 1 {
-			for n := range dst {
-				dst[n] = math.Abs(float64(getWord[T](src[8*n:]) - mask[0]))
-			}
-			return nil
-		}
-		for n := range dst {
-			dst[n] = math.Abs(float64(getWord[T](src[8*n:]) - mask[n]))
-		}
+		stripRow(dst, c.row(r, 8, dst), maskRow(masks, r, c.Cols, mode, axis))
 		return nil
 	}
 }
 
 func (a words[T]) advance(e *Engine, jt rng.Stream, n int) { a.draw(e, jt, n) }
 
-// disguisedValue is the value cell c of disguise row lo+m disguises: the
-// column's c-th with the initiator on the columns, its row's own with the
-// initiator on the rows.
-func disguisedValue(values []float64, lo, m, c int, axis Axis) float64 {
-	if axis == InitiatorRows {
-		return values[lo+m]
+// The per-row kernels of Figures 4–6 are functions of their own: written
+// out in the closures parallel.Range and Strip run, getWord, putWord and
+// the parity helpers compiled to a call per cell (go1.24, amd64), which
+// more than doubled the time of a 600×600 Combine.
+
+// disguiseRow writes a disguise row, out(c) = R(c) + v·σ(c): v is the
+// column's c-th value, or the one value given in every cell.
+func disguiseRow[T word](out []byte, values []float64, masks []T, signs []uint64) {
+	for c, g := range signs {
+		putWord(out[8*c:], masks[c]+T(values[min(c, len(values)-1)])*T(negSignInitiator(g)))
 	}
-	return values[c]
+}
+
+// combineRow writes a row of S with the initiator on the columns:
+// s(n) = disguise(n) + y·σ̄(n).
+func combineRow[T word](dst, disguise []byte, y T, signs []uint64) {
+	for n, g := range signs {
+		putWord(dst[8*n:], getWord[T](disguise[8*n:])+y*T(negSignResponder(g)))
+	}
+}
+
+// combineCols writes a row of S with the initiator on the rows:
+// s(n) = disguise(n) + x_n·σ̄(n), the disguise and its parity one cell in
+// batch mode.
+func combineCols[T word](dst, disguise []byte, values []float64, signs []uint64) {
+	if len(signs) == 1 {
+		d, sg := getWord[T](disguise), T(negSignResponder(signs[0]))
+		for n, x := range values {
+			putWord(dst[8*n:], d+T(x)*sg)
+		}
+		return
+	}
+	for n, x := range values {
+		putWord(dst[8*n:], getWord[T](disguise[8*n:])+T(x)*T(negSignResponder(signs[n])))
+	}
+}
+
+// stripRow writes |s(n) − R(n)| into dst, the mask one cell when it
+// serves the whole row.
+func stripRow[T word](dst []float64, s []byte, masks []T) {
+	if len(masks) == 1 {
+		for n := range dst {
+			dst[n] = math.Abs(float64(getWord[T](s[8*n:]) - masks[0]))
+		}
+		return
+	}
+	for n := range dst {
+		dst[n] = math.Abs(float64(getWord[T](s[8*n:]) - masks[n]))
+	}
 }
 
 // integers refuses a value that is not an integer of magnitude at most
@@ -514,15 +553,16 @@ func (modPCells) cellBytes() int               { return 32 }
 func (modPCells) check(values []float64) error { return integers(values, modPMax) }
 
 func (modPCells) disguise(e *Engine, out []byte, values []float64, lo, rows, w int, jk, jt rng.Stream, axis Axis) {
-	masks := e.elembuf(rows * w)
-	for i := range masks {
-		masks[i] = modp.Random(jt)
-	}
+	masks := e.modpDraws(jt, rows*w)
 	signs := e.parities(jk, rows*w)
 	parallel.Range(e.workers, rows, func(_, from, to int) {
 		for m := from; m < to; m++ {
+			row := values // as words.disguise
+			if axis == InitiatorRows {
+				row = values[lo+m : lo+m+1]
+			}
 			for c := m * w; c < (m+1)*w; c++ {
-				y := modp.FromInt64(int64(disguisedValue(values, lo, m, c-m*w, axis)))
+				y := modp.FromInt64(int64(row[min(c-m*w, len(row)-1)]))
 				if negSignInitiator(signs[c]) < 0 {
 					y = y.Neg()
 				}

@@ -43,7 +43,7 @@ func runNumeric(t *testing.T, e *Engine, num Numeric, axis Axis, xs, ys []float6
 	jk, jt := rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT)
 	var chunks []NumericChunk
 	for _, ch := range rowRanges(hi-lo, per) {
-		c := decodeBlock(t)(num.Disguise(e, nil, disguiser, lo+ch[0], lo+ch[1], peer, jk, jt, axis))
+		c := decodeBlock(t)(num.Disguise(e, nil, column(t, num, disguiser), lo+ch[0], lo+ch[1], peer, jk, jt, axis))
 		chunks, out.disguise = append(chunks, c), append(out.disguise, c.Cells...)
 	}
 	jk, jt = rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT)
@@ -54,7 +54,7 @@ func runNumeric(t *testing.T, e *Engine, num Numeric, axis Axis, xs, ys []float6
 		if axis == InitiatorRows {
 			d0 = first // the disguise's rows count from the share's first
 		}
-		c := decodeBlock(t)(num.Combine(e, nil, chunks, combiner, clo-d0, chi-d0, jk, axis))
+		c := decodeBlock(t)(num.Combine(e, nil, chunks, column(t, num, combiner), clo-d0, chi-d0, jk, axis))
 		out.s = append(out.s, c.Cells...)
 		if clo >= start {
 			row, err := num.Strip(e, c, clo, chi, jt, axis)
@@ -62,6 +62,16 @@ func runNumeric(t *testing.T, e *Engine, num Numeric, axis Axis, xs, ys []float6
 		}
 	}
 	return out
+}
+
+// column checks values for num's arithmetic.
+func column(t *testing.T, num Numeric, values []float64) Column {
+	t.Helper()
+	col, err := num.Column(values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col
 }
 
 // decodeBlock checks an operation's result and reads it back as a frame
@@ -244,7 +254,9 @@ func (c numericCase) checkDistances(t *testing.T) {
 
 // checkCuts runs the block cut every row and every four rows on three
 // workers, the third party starting at row start(per), and checks the
-// cells and distances against the uncut run's.
+// cells and distances against the uncut run's — for float64 with the
+// initiator on the columns, also those NumericThirdPartyFloatRows strips
+// from the same cuts.
 func (c numericCase) checkCuts(t *testing.T, start func(per int) int) {
 	t.Helper()
 	for _, per := range []int{1, 4} {
@@ -255,6 +267,33 @@ func (c numericCase) checkCuts(t *testing.T, start func(per int) int) {
 		}
 		if !slices.Equal(got.dist, c.whole.dist[(from-c.first)*c.n:]) {
 			t.Fatalf("%v per=%d start=%d: distances differ from the uncut run's", c, per, from)
+		}
+		if c.v == Float64Variant && c.axis == InitiatorCols {
+			c.checkFloatRows(t, per, from)
+		}
+	}
+}
+
+// checkFloatRows strips the uncut run's S through its matrix container
+// form, NumericThirdPartyFloatRows, per rows at a time from row from on,
+// the stream advanced past the earlier rows, and checks every cut against
+// the uncut run's distances.
+func (c numericCase) checkFloatRows(t *testing.T, per, from int) {
+	t.Helper()
+	e, jt := NewEngine(3), rng.NewAESCTR(seedJT)
+	c.num.Advance(e, jt, from, c.n, InitiatorCols)
+	for _, ch := range rowRanges(c.m-from, per) {
+		lo, hi := from+ch[0], from+ch[1]
+		s := NewFloat64Matrix(hi-lo, c.n)
+		for i := range s.Cell {
+			s.Cell[i] = math.Float64frombits(binary.LittleEndian.Uint64(c.whole.s[8*(lo*c.n+i):]))
+		}
+		got, err := e.NumericThirdPartyFloatRows(s, lo, hi, jt, DefaultFloatParams, c.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Cell, c.whole.dist[lo*c.n:hi*c.n]) {
+			t.Fatalf("%v per=%d: NumericThirdPartyFloatRows [%d,%d) differs from the uncut run's distances", c, per, lo, hi)
 		}
 	}
 }
@@ -321,31 +360,31 @@ func TestRowAxisDisguiseShape(t *testing.T) {
 		cols int
 	}{{Batch, 1}, {PerPair, 5}} {
 		num, _ := NewNumeric(Int64Variant, tc.mode)
-		d := decodeBlock(t)(num.Disguise(e, nil, []float64{1, 2, 3}, 0, 3, 5, jk, jt, InitiatorRows))
+		d := decodeBlock(t)(num.Disguise(e, nil, column(t, num, []float64{1, 2, 3}), 0, 3, 5, jk, jt, InitiatorRows))
 		if d.Rows != 3 || d.Cols != tc.cols {
 			t.Fatalf("%v: disguise is %dx%d, want 3x%d", tc.mode, d.Rows, d.Cols, tc.cols)
 		}
-		if _, err := num.Combine(e, nil, []NumericChunk{d}, make([]float64, 5), 2, 4, jk, InitiatorRows); err == nil {
+		if _, err := num.Combine(e, nil, []NumericChunk{d}, column(t, num, make([]float64, 5)), 2, 4, jk, InitiatorRows); err == nil {
 			t.Fatalf("%v: rows past the disguise accepted", tc.mode)
 		}
 		perPair, _ := NewNumeric(Int64Variant, PerPair)
-		if _, err := perPair.Combine(e, nil, []NumericChunk{d}, make([]float64, 4), 0, 1, jk, InitiatorRows); err == nil {
+		if _, err := perPair.Combine(e, nil, []NumericChunk{d}, column(t, perPair, make([]float64, 4)), 0, 1, jk, InitiatorRows); err == nil {
 			t.Fatalf("%v: a disguise of the wrong width accepted", tc.mode)
 		}
 	}
 }
 
-// TestThirdPartyRowsShapeValidation: a chunk that does not cover exactly
-// the scheduled rows, is of another arithmetic or is torn is refused with
-// a descriptive error.
+// TestThirdPartyRowsShapeValidation: a chunk — or a matrix, in the
+// container form — that does not cover exactly the scheduled rows, is of
+// another arithmetic or is torn is refused with a descriptive error.
 func TestThirdPartyRowsShapeValidation(t *testing.T) {
 	e := NewEngine(1)
 	jt := rng.NewAESCTR(rng.SeedFromUint64(1))
 	intNum, _ := NewNumeric(Int64Variant, Batch)
 	floatNum, _ := NewNumeric(Float64Variant, Batch)
 	modpNum, _ := NewNumeric(ModPVariant, Batch)
-	chunk := decodeBlock(t)(intNum.Combine(e, nil, []NumericChunk{decodeBlock(t)(intNum.Disguise(e, nil, make([]float64, 3), 0, 1, 2, jt, jt, InitiatorCols))},
-		make([]float64, 2), 0, 2, jt, InitiatorCols))
+	chunk := decodeBlock(t)(intNum.Combine(e, nil, []NumericChunk{decodeBlock(t)(intNum.Disguise(e, nil, column(t, intNum, make([]float64, 3)), 0, 1, 2, jt, jt, InitiatorCols))},
+		column(t, intNum, make([]float64, 2)), 0, 2, jt, InitiatorCols))
 	for name, err := range map[string]error{
 		"short chunk":    second(intNum.Strip(e, chunk, 0, 3, jt, InitiatorCols)),
 		"inverted range": second(intNum.Strip(e, chunk, 3, 1, jt, InitiatorCols)),
@@ -353,7 +392,8 @@ func TestThirdPartyRowsShapeValidation(t *testing.T) {
 		"modp session":   second(modpNum.Strip(e, chunk, 0, 2, jt, InitiatorCols)),
 		"torn cell":      second(intNum.Strip(e, NumericChunk{Rows: 2, Cols: 3, Cells: chunk.Cells[:47], tag: chunk.tag}, 0, 2, jt, InitiatorCols)),
 		"untagged chunk": second(intNum.Strip(e, NumericChunk{Rows: 2, Cols: 3, Cells: chunk.Cells}, 0, 2, jt, InitiatorCols)),
-		"foreign disg":   second(floatNum.Combine(e, nil, []NumericChunk{chunk}, make([]float64, 3), 0, 1, jt, InitiatorCols)),
+		"foreign disg":   second(floatNum.Combine(e, nil, []NumericChunk{chunk}, column(t, floatNum, make([]float64, 3)), 0, 1, jt, InitiatorCols)),
+		"float matrix":   second(e.NumericThirdPartyFloatRows(NewFloat64Matrix(2, 3), 0, 1, jt, DefaultFloatParams, Batch)),
 		"alpha short":    second(e.AlphaThirdPartyRows(make([][]*SymbolMatrix, 2), 0, 1, alphabet.DNA, jt)),
 		"alpha slab":     second(e.AlphaThirdPartyChunk(&AlphaChunk{Counts: []int{0, 0}}, 0, 1, alphabet.DNA, jt)),
 	} {
@@ -376,10 +416,10 @@ func TestThirdPartyRowsShapeValidation(t *testing.T) {
 }
 
 // TestNumericValueChecks: an unknown variant or masking mode is refused
-// where the protocol is built, and a column the arithmetic cannot carry
-// before anything is drawn — on the float, the bound before any
-// conversion, with an error that names the row. The largest mod-p
-// magnitudes, ±(2^62 − 512), are taken.
+// where the protocol is built, a column the arithmetic cannot carry where
+// it is checked — on the float, the bound before any conversion, with an
+// error that names the row — and a column another arithmetic checked by
+// the operations. The largest mod-p magnitudes, ±(2^62 − 512), are taken.
 func TestNumericValueChecks(t *testing.T) {
 	for name, err := range map[string]error{
 		"unknown mode":    second(NewNumeric(Int64Variant, Mode(2))),
@@ -407,15 +447,24 @@ func TestNumericValueChecks(t *testing.T) {
 		{modpNum, []float64{math.Inf(1)}, "at row 0 exceeds magnitude bound"},
 		{floatNum, []float64{1, math.Inf(-1)}, "value -Inf at row 1 is not finite"},
 	} {
-		for _, axis := range []Axis{InitiatorCols, InitiatorRows} {
-			_, err := tc.num.Disguise(e, nil, tc.values, 0, 1, 1, jt, jt, axis)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%v: disguising %v: got %v, want %q", axis, tc.values, err, tc.want)
-			}
+		if _, err := tc.num.Column(tc.values); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("checking %v: got %v, want %q", tc.values, err, tc.want)
 		}
 	}
-	if _, err := modpNum.Disguise(e, nil, []float64{1<<62 - 512, -(1<<62 - 512)}, 0, 1, 1, jt, jt, InitiatorCols); err != nil {
+	if _, err := modpNum.Column([]float64{1<<62 - 512, -(1<<62 - 512)}); err != nil {
 		t.Errorf("the largest mod-p magnitudes refused: %v", err)
+	}
+	floatCol := column(t, floatNum, []float64{0.5})
+	for _, axis := range []Axis{InitiatorCols, InitiatorRows} {
+		for name, err := range map[string]error{
+			"disguise": second(intNum.Disguise(e, nil, floatCol, 0, 1, 1, jt, jt, axis)),
+			"combine":  second(modpNum.Combine(e, nil, nil, floatCol, 0, 0, jt, axis)),
+			"zero":     second(floatNum.Disguise(e, nil, Column{}, 0, 0, 1, jt, jt, axis)),
+		} {
+			if err == nil || !strings.Contains(err.Error(), "a column checked for variant byte") {
+				t.Errorf("%v: %s of a column another arithmetic checked: got %v", axis, name, err)
+			}
+		}
 	}
 }
 
