@@ -42,6 +42,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -163,9 +164,12 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown method %q", *methodFlag)
 	}
-	opts, err := buildOptions(*perPair, *variant)
-	if err != nil {
+	var opts ppclust.Options
+	if opts.Variant, err = ppclust.ParseVariant(*variant); err != nil {
 		return err
+	}
+	if *perPair {
+		opts.Masking = ppclust.PerPairMasking
 	}
 	opts.SessionTimeout = *sessionTimeout
 	opts.PhaseTimeout = *phaseTimeout
@@ -282,7 +286,7 @@ func run() error {
 			}
 			retries = 0
 			peer, err := netid.AcceptHelloWithin(c, handshakeTimeout)
-			if err != nil || peer.Extended() || !contains(expectHigher, peer.Name) || conns[peer.Name] != nil {
+			if err != nil || peer.Extended() || !slices.Contains(expectHigher, peer.Name) || conns[peer.Name] != nil {
 				log.Printf("rejecting connection (%v, peer %q)", err, peer.Name)
 				c.Close()
 				continue
@@ -457,31 +461,4 @@ func splitNonEmpty(s string) []string {
 		}
 	}
 	return out
-}
-
-func contains(list []string, v string) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func buildOptions(perPair bool, variant string) (ppclust.Options, error) {
-	var opts ppclust.Options
-	if perPair {
-		opts.Masking = ppclust.PerPairMasking
-	}
-	switch variant {
-	case "float64":
-		opts.Variant = ppclust.Float64Arithmetic
-	case "int64":
-		opts.Variant = ppclust.Int64Arithmetic
-	case "modp":
-		opts.Variant = ppclust.ModPArithmetic
-	default:
-		return opts, fmt.Errorf("unknown variant %q", variant)
-	}
-	return opts, nil
 }

@@ -125,9 +125,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	opts, err := buildOptions(*perPair, *variant)
-	if err != nil {
+	var opts ppclust.Options
+	if opts.Variant, err = ppclust.ParseVariant(*variant); err != nil {
 		return err
+	}
+	if *perPair {
+		opts.Masking = ppclust.PerPairMasking
 	}
 	opts.SessionTimeout = *sessionTimeout
 	opts.PhaseTimeout = *phaseTimeout
@@ -246,22 +249,4 @@ func splitNonEmpty(s string) []string {
 		}
 	}
 	return out
-}
-
-func buildOptions(perPair bool, variant string) (ppclust.Options, error) {
-	var opts ppclust.Options
-	if perPair {
-		opts.Masking = ppclust.PerPairMasking
-	}
-	switch variant {
-	case "float64":
-		opts.Variant = ppclust.Float64Arithmetic
-	case "int64":
-		opts.Variant = ppclust.Int64Arithmetic
-	case "modp":
-		opts.Variant = ppclust.ModPArithmetic
-	default:
-		return opts, fmt.Errorf("unknown variant %q", variant)
-	}
-	return opts, nil
 }

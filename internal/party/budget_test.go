@@ -96,17 +96,20 @@ func TestValidateHolders(t *testing.T) {
 	}
 }
 
-// TestOnCensusRefusalAbortsSession pins the admission hook's contract: a
-// refusing OnCensus ends the session before any payload moves, the third
-// party reports the hook's reason, holders observe a classified abort,
-// and nothing leaks.
+// TestOnCensusRefusalAbortsSession pins the census event's contract: an
+// Events that refuses the census ends the session before any payload
+// moves, the third party reports the refusal's reason, holders observe a
+// classified abort, and nothing leaks.
 func TestOnCensusRefusalAbortsSession(t *testing.T) {
 	defer leakcheck.Check(t)
 	refusal := errors.New("session exceeds the object budget")
 	var gotCounts []int
 	cfg := Config{Variant: Float64Variant, Mode: protocol.Batch, Schema: mixedSchema(),
-		OnCensus: func(counts []int) error {
-			gotCounts = append([]int(nil), counts...)
+		Events: func(e Event) error {
+			if e.Kind != EventCensus {
+				return nil
+			}
+			gotCounts = append([]int(nil), e.Counts...)
 			return refusal
 		}}
 	_, err := RunInMemory(cfg, mixedPartitions(t), nil, deterministicRandom(31))
@@ -121,26 +124,31 @@ func TestOnCensusRefusalAbortsSession(t *testing.T) {
 	}
 	want := []int{3, 2, 3} // A, B, C partition sizes
 	if len(gotCounts) != len(want) {
-		t.Fatalf("OnCensus saw counts %v, want %v", gotCounts, want)
+		t.Fatalf("the census event carried counts %v, want %v", gotCounts, want)
 	}
 	for i := range want {
 		if gotCounts[i] != want[i] {
-			t.Fatalf("OnCensus saw counts %v, want %v", gotCounts, want)
+			t.Fatalf("the census event carried counts %v, want %v", gotCounts, want)
 		}
 	}
 }
 
-// TestOnCensusAcceptingSessionCompletes: a nil-returning hook observes the
-// census and changes nothing about the session.
+// TestOnCensusAcceptingSessionCompletes: an Events accepting the census
+// observes it once and changes nothing about the session.
 func TestOnCensusAcceptingSessionCompletes(t *testing.T) {
 	calls := 0
 	cfg := Config{Variant: Float64Variant, Mode: protocol.Batch,
-		OnCensus: func(counts []int) error { calls++; return nil }}
+		Events: func(e Event) error {
+			if e.Kind == EventCensus {
+				calls++
+			}
+			return nil
+		}}
 	out := runMixedSession(t, cfg)
 	if len(out.Results) != 3 {
 		t.Fatalf("results: %d", len(out.Results))
 	}
 	if calls != 1 {
-		t.Fatalf("OnCensus called %d times", calls)
+		t.Fatalf("census reported %d times", calls)
 	}
 }

@@ -206,10 +206,11 @@ func (h *Holder) handshakeAll(conduits map[string]wire.Conduit) error {
 		} else if string(master) != string(h.masters[TPName]) {
 			return fmt.Errorf("party: %s presented a different identity than %s", l.peer, TPName)
 		}
-		// The TP lanes (not holder↔holder conduits) are resumable: the
-		// Reconn sits above the channel so a sever parks the lane and the
-		// redial loop replaces the transport underneath the endpoint.
-		if h.resumable() {
+		// The TP lanes (not holder↔holder conduits) are resumable, given
+		// both the window and a way to dial replacements: the Reconn sits
+		// above the channel so a sever parks the lane and the redial loop
+		// replaces the transport underneath the endpoint.
+		if h.cfg.ResumeWindow > 0 && h.cfg.Redial != nil {
 			secured = h.armResume(secured, l.peer, l.lane)
 		}
 		ep := wire.NewEndpoint(secured)

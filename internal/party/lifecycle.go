@@ -68,6 +68,8 @@ const abortReasonLimit = 512
 type guard struct {
 	name         string
 	phaseTimeout time.Duration
+	window       time.Duration // Config.ResumeWindow: the reconnect window of every link arm makes resumable
+	events       Events        // Config.Events, a no-op when unset
 	ctx          context.Context
 	cancel       context.CancelCauseFunc
 	stopDeadline context.CancelFunc // frees the SessionTimeout timer; nil without one
@@ -92,7 +94,10 @@ type guard struct {
 // guard context, by fail's cancel or by the deadline, closes every conduit
 // the guard owns from one AfterFunc: no goroutine waits per conduit.
 func newGuard(name string, cfg Config) *guard {
-	g := &guard{name: name, phaseTimeout: cfg.PhaseTimeout, phase: "handshake"}
+	g := &guard{name: name, phaseTimeout: cfg.PhaseTimeout, window: cfg.ResumeWindow, events: cfg.Events, phase: "handshake"}
+	if g.events == nil {
+		g.events = func(Event) error { return nil }
+	}
 	base := context.Background()
 	if cfg.SessionTimeout > 0 {
 		base, g.stopDeadline = context.WithDeadlineCause(base, time.Now().Add(cfg.SessionTimeout),

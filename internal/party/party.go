@@ -168,15 +168,6 @@ type Config struct {
 	// effective bound is between one and two PhaseTimeouts after the
 	// last frame. 0 disables the watchdog. Local, like SessionTimeout.
 	PhaseTimeout time.Duration
-	// OnCensus, when set on a third party, is called with the gathered
-	// per-holder object counts after the census is received and before it
-	// is broadcast — the one point where the true session size is first
-	// known. Returning an error refuses the session: the third party
-	// aborts with the error (classified, peers notified) before any
-	// partition-sized payload moves. The multi-tenant server uses it to
-	// enforce per-session resource budgets; holders ignore it. Local
-	// policy, not part of the session agreement.
-	OnCensus func(counts []int) error
 	// ResumeWindow, when positive, makes a mid-session sever of a
 	// holder↔TP conduit recoverable instead of fatal: the lane parks in a
 	// degraded state for up to this long while a replacement transport is
@@ -200,13 +191,6 @@ type Config struct {
 	// ErrResumeAborted or ErrResumeUnknown is fatal; any other error is
 	// retried with capped backoff until the window expires.
 	Redial RedialFunc
-	// OnConduitDown fires when a resumable lane severs and its reconnect
-	// window opens; OnConduitUp fires when the lane rebinds. peer is the
-	// conduit's peer name, lane its resume lane index (0 = control,
-	// s+1 = shard s). Observer hooks for gauges and logs — they run on
-	// lifecycle goroutines and must not block.
-	OnConduitDown func(peer string, lane int, cause error)
-	OnConduitUp   func(peer string, lane int)
 	// ShardDial, set on the third party alongside TPShards > 1, promotes
 	// the shards to separate worker processes: instead of running shard
 	// goroutines, the coordinator dials one ppc-shard worker per active
@@ -221,13 +205,11 @@ type Config struct {
 	// worker recomputes the slice from a full replay; the session heals
 	// bit-identically. Holders ignore this field.
 	ShardDial ShardDialFunc
-	// OnShardProcUp fires when a worker link establishes (epoch 0 on
-	// first contact, the rebind epoch after a redial); OnShardProcDown
-	// fires when a worker link severs and its reconnect window opens.
-	// Observer hooks for gauges and logs — they run on lifecycle
-	// goroutines and must not block.
-	OnShardProcUp   func(shard int, epoch uint32)
-	OnShardProcDown func(shard int, cause error)
+	// Events, when set, observes the session from this party's side: the
+	// third party's census and every resumable link going down and coming
+	// up. A census event returning an error refuses the session. Local
+	// policy and observation, not part of the session agreement.
+	Events Events
 }
 
 // DefaultLocalChunkBytes is the local-matrix streaming chunk size when
@@ -727,7 +709,9 @@ type resultBody struct {
 // masters during the handshake, forwards exactly the seeds the slice
 // needs; the masters themselves never leave the coordinator). The schema
 // is not carried: worker and coordinator each hold their own copy and the
-// offer's fingerprint pins the agreement.
+// offer's fingerprint pins the agreement. Neither is the parallelism: a
+// worker sizes its compute from its own cores, and results are
+// bit-identical at any width.
 type shardOfferBody struct {
 	Shard       int
 	Lo, Hi      int
@@ -739,7 +723,6 @@ type shardOfferBody struct {
 	Variant         Variant
 	RNG             rng.Kind
 	LocalChunkBytes int
-	Parallelism     int
 
 	// Seeds[attr][p] is the mask-stream seed of attribute attr and the
 	// p-th pair in sortedPairs order, for the rows its responder produces;

@@ -85,6 +85,54 @@ func TestChaosReconnectEveryHolderFlaps(t *testing.T) {
 	}
 }
 
+// eventLog is a recording Events: every event any party reports, in the
+// order they arrive.
+type eventLog struct {
+	mu     sync.Mutex
+	events []Event
+}
+
+func (l *eventLog) record(e Event) error {
+	l.mu.Lock()
+	l.events = append(l.events, e)
+	l.mu.Unlock()
+	return nil
+}
+
+// of returns the events reported for link.
+func (l *eventLog) of(link Link) []Event {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []Event
+	for _, e := range l.events {
+		if e.Kind != EventCensus && e.Link == link {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestLinkEventsOnFlap: when holder A's TP control lane flaps once, the
+// third party reports A's control lane down, with the sever's cause, and
+// then up again at a rebind epoch.
+func TestLinkEventsOnFlap(t *testing.T) {
+	leakcheck.Check(t)
+	var log eventLog
+	cfg := reconnConfig()
+	cfg.Events = log.record
+	if _, err := RunInMemoryWrappedContext(context.Background(), cfg, pipelineParts(t, 8), pipelineReqs(),
+		deterministicRandom(31), flapLaneOnce("A", TPName, 3)); err != nil {
+		t.Fatalf("flapped run: %v", err)
+	}
+	got := log.of(Link{Peer: "A", Lane: 0})
+	if len(got) < 2 || got[0].Kind != EventLinkDown || got[0].Cause == nil {
+		t.Fatalf("the third party reported %+v for A's control lane, want a down event with its cause first", got)
+	}
+	if last := got[len(got)-1]; last.Kind != EventLinkUp || last.Epoch < 1 {
+		t.Fatalf("the third party reported %+v for A's control lane, want an up event at epoch ≥ 1 last", got)
+	}
+}
+
 // TestChaosReconnectShardedFlap pins shard-lane self-healing: at K=2 a
 // flapped shard lane per holder rebinds through the same resume path and
 // the sharded session stays bit-identical to its fault-free run.
@@ -191,9 +239,10 @@ func TestChaosDisconnectClassified(t *testing.T) {
 // refusal after the session is gone.
 func TestResumeValidationEdgeCases(t *testing.T) {
 	leakcheck.Check(t)
+	cfg := Config{ResumeWindow: 5 * time.Second, PlaintextChannels: true}
 	tp := &ThirdParty{
-		cfg:     Config{ResumeWindow: 5 * time.Second, PlaintextChannels: true},
-		guard:   newGuard(TPName, Config{}),
+		cfg:     cfg,
+		guard:   newGuard(TPName, cfg),
 		masters: map[string][]byte{"A": nil},
 	}
 	a, b := wire.Pipe()

@@ -117,36 +117,92 @@ const (
 // ErrResumeUnknown are fatal; any other error is retried.
 type redialFunc func(epoch uint32, sent, recv uint64) (secured wire.Conduit, peerRecv uint64, err error)
 
-// keepUp installs the hooks every resumable link shares — holder TP lanes,
-// the third party's holder lanes and the coordinator's worker links. A
+// Events observes a session from one party's side: the third party's
+// census, and every resumable link of the party going down and coming up.
+// The census is reported after it is gathered and before it is broadcast —
+// the one point where the true session size is first known — and an error
+// refuses the session: the third party aborts with it (classified, peers
+// notified) before any partition-sized payload moves. The multi-tenant
+// server enforces its per-session budget there. Link events run on
+// lifecycle goroutines, must not block, and their error is ignored.
+type Events func(Event) error
+
+// EventKind says what an Event reports.
+type EventKind uint8
+
+const (
+	// EventCensus carries the gathered per-holder object counts.
+	EventCensus EventKind = iota
+	// EventLinkDown reports a resumable link severed, its reconnect window
+	// open.
+	EventLinkDown
+	// EventLinkUp reports a resumable link rebound, or a worker link
+	// connected for the first time.
+	EventLinkUp
+)
+
+// Event is one observation of a session.
+type Event struct {
+	Kind   EventKind
+	Counts []int  // EventCensus: the per-holder counts, a copy
+	Link   Link   // EventLinkDown, EventLinkUp: the link
+	Cause  error  // EventLinkDown: why the link severed
+	Epoch  uint32 // EventLinkUp: 0 on a worker link's first connect, ≥ 1 on a rebind
+}
+
+// Link names a resumable link from the reporting party's side: a
+// holder↔TP lane by the party across it and its resume lane (0 = control,
+// s+1 = shard s), or, with Worker set, the coordinator's link to the
+// worker of shard Lane.
+type Link struct {
+	Peer   string
+	Lane   int
+	Worker bool
+}
+
+func (l Link) String() string {
+	if l.Worker {
+		return fmt.Sprintf("link to shard worker %d", l.Lane)
+	}
+	return fmt.Sprintf("lane %d to %s", l.Lane, l.Peer)
+}
+
+// arm makes a secured link resumable — a holder's TP lanes, the third
+// party's holder lanes and the coordinator's worker links all go through
+// here. It wraps the link in a wire.Reconn for the session's reconnect
+// window, installs the hooks every resumable link shares, and owns it. A
 // sever marks the session degraded (suspending the phase watchdog) and
-// calls onDown; a rebind restores it and calls onUp; window expiry fails
-// the session with a timeout naming what degraded. With a non-nil redial
-// the sever also runs redialLoop, one per link at a time: a replay failure
-// inside Rebind re-enters the down state and fires onDown again while the
-// first loop is still retrying. A passive end (the third party's holder
-// lanes) passes nil and waits for Resume.
-func (g *guard) keepUp(rc *wire.Reconn, what string, onDown func(error), onUp func(), redial redialFunc) {
+// reports the link down; a rebind restores it and reports it up with its
+// epoch; window expiry fails the session with a timeout naming the link.
+// With a non-nil redial the sever also runs redialLoop, one per link at a
+// time: a replay failure inside Rebind re-enters the down state and
+// reports the link down again while the first loop is still retrying. A
+// passive end (the third party's holder lanes) passes nil and waits for
+// Resume.
+func (g *guard) arm(secured wire.Conduit, link Link, redial redialFunc) *wire.Reconn {
+	rc := wire.NewReconn(secured, g.window)
 	var looping atomic.Bool
 	rc.SetHooks(
 		func(cause error) {
 			g.noteDegraded()
-			onDown(cause)
+			g.events(Event{Kind: EventLinkDown, Link: link, Cause: cause})
 			if redial != nil && looping.CompareAndSwap(false, true) {
-				g.redialLoop(rc, what, redial)
+				g.redialLoop(rc, link, redial)
 				looping.Store(false)
 			}
 		},
 		func() {
 			g.noteRestored()
-			onUp()
+			g.events(Event{Kind: EventLinkUp, Link: link, Epoch: rc.Epoch()})
 		},
 		func(err error) {
 			g.noteRestored()
 			g.fail(fmt.Errorf("%w: %s: %s degraded past the reconnect window in phase %q: %w",
-				ErrSessionTimeout, g.name, what, g.phaseName(), err))
+				ErrSessionTimeout, g.name, link, g.phaseName(), err))
 		},
 	)
+	g.own(rc)
+	return rc
 }
 
 // redialLoop drives one parked link back up: read the watermarks the link
@@ -155,7 +211,7 @@ func (g *guard) keepUp(rc *wire.Reconn, what string, onDown func(error), onUp fu
 // and rebind. It retries with capped backoff until the link rebinds, turns
 // terminal (window expiry, which onExpire classifies, or close) or the
 // session ends; a typed refusal fails the session as a disconnect.
-func (g *guard) redialLoop(rc *wire.Reconn, what string, redial redialFunc) {
+func (g *guard) redialLoop(rc *wire.Reconn, link Link, redial redialFunc) {
 	backoff := resumeBackoffMin
 	for attempt := uint32(0); ; attempt++ {
 		select {
@@ -177,7 +233,7 @@ func (g *guard) redialLoop(rc *wire.Reconn, what string, redial redialFunc) {
 			}
 			secured.Close()
 		} else if errors.Is(err, ErrResumeStale) || errors.Is(err, ErrResumeAborted) || errors.Is(err, ErrResumeUnknown) {
-			g.fail(fmt.Errorf("%w: %s: redial of %s refused: %w", ErrDisconnected, g.name, what, err))
+			g.fail(fmt.Errorf("%w: %s: redial of %s refused: %w", ErrDisconnected, g.name, link, err))
 			return
 		}
 		t := time.NewTimer(backoff)
@@ -191,36 +247,11 @@ func (g *guard) redialLoop(rc *wire.Reconn, what string, redial redialFunc) {
 	}
 }
 
-// conduitHooks adapts the OnConduitDown / OnConduitUp observers to one
-// holder↔TP lane's keepUp hooks; peer is the name across the lane.
-func (c Config) conduitHooks(peer string, lane int) (func(error), func()) {
-	down := func(cause error) {
-		if c.OnConduitDown != nil {
-			c.OnConduitDown(peer, lane, cause)
-		}
-	}
-	up := func() {
-		if c.OnConduitUp != nil {
-			c.OnConduitUp(peer, lane)
-		}
-	}
-	return down, up
-}
-
-// resumable reports whether this holder arms mid-session resume on its TP
-// lanes: it needs both the grace window and a way to dial replacements.
-func (h *Holder) resumable() bool {
-	return h.cfg.ResumeWindow > 0 && h.cfg.Redial != nil
-}
-
-// armResume wraps one secured TP lane in a Reconn, owned by the guard, and
-// returns it for the endpoint to read: a sever parks the lane and redials
-// through Config.Redial, carrying the lane's watermarks, and secures the
-// replacement under the epoch key.
+// armResume arms one secured TP lane and returns it for the endpoint to
+// read: a sever parks the lane and redials through Config.Redial, carrying
+// the lane's watermarks, and secures the replacement under the epoch key.
 func (h *Holder) armResume(secured wire.Conduit, peer string, lane int) wire.Conduit {
-	rc := wire.NewReconn(secured, h.cfg.ResumeWindow)
-	down, up := h.cfg.conduitHooks(peer, lane)
-	h.guard.keepUp(rc, "lane to "+peer, down, up, func(epoch uint32, sent, recv uint64) (wire.Conduit, uint64, error) {
+	return h.guard.arm(secured, Link{Peer: peer, Lane: lane}, func(epoch uint32, sent, recv uint64) (wire.Conduit, uint64, error) {
 		raw, grant, err := h.cfg.Redial(h.guard.ctx, h.name, lane, ResumeState{Epoch: epoch, Sent: sent, Recv: recv})
 		if err != nil {
 			return nil, 0, err
@@ -232,8 +263,6 @@ func (h *Holder) armResume(secured wire.Conduit, peer string, lane int) wire.Con
 		}
 		return secured, grant.Recv, nil
 	})
-	h.guard.own(rc)
-	return rc
 }
 
 // resumeSecure layers the holder's lifecycle binding and epoch-keyed
@@ -265,19 +294,16 @@ type resumeLane struct {
 	resuming bool // a granted resume is completing; refuses duplicates
 }
 
-// armResume wraps one secured holder lane in a Reconn, records it in the
-// resume registry, and returns the guarded conduit the endpoint reads.
-// The third party side is passive: it parks on a sever and waits for
-// Resume to deliver a replacement.
+// armResume arms one secured holder lane, records it in the resume
+// registry, and returns it for the endpoint to read. The third party side
+// is passive: it parks on a sever and waits for Resume to deliver a
+// replacement.
 func (tp *ThirdParty) armResume(secured wire.Conduit, holder string, lane int) wire.Conduit {
-	rc := wire.NewReconn(secured, tp.cfg.ResumeWindow)
+	rc := tp.guard.arm(secured, Link{Peer: holder, Lane: lane}, nil)
 	if tp.resumeLanes == nil {
 		tp.resumeLanes = make(map[laneKey]*resumeLane)
 	}
 	tp.resumeLanes[laneKey{holder, lane}] = &resumeLane{holder: holder, lane: lane, rc: rc}
-	down, up := tp.cfg.conduitHooks(holder, lane)
-	tp.guard.keepUp(rc, laneConduitName(lane)+" lane to "+holder, down, up, nil)
-	tp.guard.own(rc)
 	return rc
 }
 

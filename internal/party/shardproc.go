@@ -71,7 +71,6 @@ const shardDoneGrace = 250 * time.Millisecond
 type shardLink struct {
 	s  int
 	ep *wire.Endpoint
-	rc *wire.Reconn // nil when ResumeWindow is 0
 
 	// mu serializes senders — the offer, the per-holder relay pumps and
 	// the done frame share one conduit, and Endpoint.Send is not
@@ -85,16 +84,10 @@ func (l *shardLink) send(m wire.Message, body any) error {
 	return l.ep.SendBody(m, body)
 }
 
-// close severs the link. Closing the Reconn (not just the endpoint) is
-// terminal: parked senders and receivers unpark with ErrClosed and the
+// close severs the link. On a resumable link it closes the Reconn, which
+// is terminal: parked senders and receivers unpark with ErrClosed and the
 // redial loop, if running, exits.
-func (l *shardLink) close() {
-	if l.rc != nil {
-		l.rc.Close()
-		return
-	}
-	l.ep.Close()
-}
+func (l *shardLink) close() { l.ep.Close() }
 
 // shutdown ends a worker's run cleanly: a best-effort done frame bounded
 // by shardDoneGrace, then the link closes.
@@ -156,38 +149,15 @@ func (tp *ThirdParty) dialShard(s int) (*shardLink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("party: dialing shard worker %d: %w", s, err)
 	}
-	link := &shardLink{s: s}
+	link := Link{Lane: s, Worker: true}
 	if tp.cfg.ResumeWindow > 0 {
-		rc := wire.NewReconn(secured, tp.cfg.ResumeWindow)
-		link.rc = rc
-		tp.guard.keepUp(rc, fmt.Sprintf("link to shard worker %d", s),
-			func(cause error) {
-				if hook := tp.cfg.OnShardProcDown; hook != nil {
-					hook(s, cause)
-				}
-			},
-			func() {
-				if hook := tp.cfg.OnShardProcUp; hook != nil {
-					hook(s, rc.Epoch())
-				}
-			},
-			func(epoch uint32, _, _ uint64) (wire.Conduit, uint64, error) {
-				secured, err := tp.shardConnect(s, epoch)
-				return secured, 0, err
-			})
-		// Owned like a holder's resumable lane (armResume): operations
-		// parked in a down Reconn see neither the inner conduit's close nor
-		// the guard's end, so without this a session that fails while the
-		// link is down sits out the rest of the window.
-		tp.guard.own(rc)
-		link.ep = wire.NewEndpoint(rc)
-	} else {
-		link.ep = wire.NewEndpoint(secured)
+		secured = tp.guard.arm(secured, link, func(epoch uint32, _, _ uint64) (wire.Conduit, uint64, error) {
+			secured, err := tp.shardConnect(s, epoch)
+			return secured, 0, err
+		})
 	}
-	if hook := tp.cfg.OnShardProcUp; hook != nil {
-		hook(s, 0)
-	}
-	return link, nil
+	tp.guard.events(Event{Kind: EventLinkUp, Link: link})
+	return &shardLink{s: s, ep: wire.NewEndpoint(secured)}, nil
 }
 
 // remoteShard is the worker-process source of shard s: it dials the worker
@@ -205,7 +175,6 @@ func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int) (shardSource
 		Fingerprint: schemaFingerprint(tp.cfg.Schema),
 		Mode:        tp.cfg.Mode, Variant: tp.cfg.Variant, RNG: tp.cfg.RNG,
 		LocalChunkBytes: tp.cfg.LocalChunkBytes,
-		Parallelism:     tp.cfg.Parallelism,
 		Seeds:           core.seeds,
 		RowSeeds:        core.rowSeeds,
 	}

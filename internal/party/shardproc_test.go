@@ -17,6 +17,7 @@ import (
 	"ppclust/internal/keys"
 	"ppclust/internal/leakcheck"
 	"ppclust/internal/netid"
+	"ppclust/internal/parallel"
 	"ppclust/internal/protocol"
 	"ppclust/internal/rng"
 	"ppclust/internal/wire"
@@ -735,7 +736,7 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 		}
 		offer := bad.offer
 		offer.Lo, offer.Hi, offer.Holders, offer.Counts = 0, 4, tp.holders, tp.counts
-		offer.Fingerprint, offer.Parallelism = schemaFingerprint(cfg.Schema), 1
+		offer.Fingerprint = schemaFingerprint(cfg.Schema)
 		offer.Seeds, offer.RowSeeds = tp.seedTables()
 		if err := link.send(wire.Message{From: TPName, To: ShardName(0), Kind: kindShardOffer, Attr: -1}, offer); err != nil {
 			t.Fatalf("%s: send offer: %v", bad.name, err)
@@ -772,6 +773,35 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 		Parallelism     int
 		Seeds           [][]rng.Seed
 		RowSeeds        [][]rng.Seed
+	}
+	// The same layout carried the coordinator's parallelism, and a worker
+	// sized its compute from it: a crafted width sized the compute-token
+	// channel and, on an alphanumeric attribute, grew each engine's
+	// edit-distance scratches to that many. The worker sizes its core from
+	// its own cores now. Only the sizing is checked: nothing is evaluated
+	// at the crafted width.
+	wide := boundedOffer{
+		Lo: 0, Hi: 4, Holders: tp.holders, Counts: tp.counts,
+		Fingerprint: schemaFingerprint(cfg.Schema),
+		Mode:        protocol.PerPair, Variant: Int64Variant, RNG: cfg.RNG,
+		Parallelism: 1 << 40,
+	}
+	wide.Seeds, wide.RowSeeds = tp.seedTables()
+	payload, err := wire.EncodeBody(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded shardOfferBody
+	if err := wire.DecodeBody(payload, &decoded); err != nil {
+		t.Fatalf("the old offer layout no longer decodes: %v", err)
+	}
+	core, err := pool.servers[0].offerCore(0, decoded)
+	if err != nil {
+		t.Fatalf("offer with parallelism 2^40: %v", err)
+	}
+	if own := parallel.Workers(0); core.workers != own || cap(core.compute) != own || core.engines.Workers() != own {
+		t.Fatalf("offer with parallelism 2^40 sized the worker's core %d wide (%d compute tokens, %d-wide engines), want its own %d",
+			core.workers, cap(core.compute), core.engines.Workers(), own)
 	}
 	offer := boundedOffer{
 		Shard: 0, Lo: 3, Hi: 4, // B's second row: the range starts mid-holder

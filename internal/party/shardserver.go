@@ -303,23 +303,21 @@ func (r *shardRun) serve() {
 	r.close(nil)
 }
 
-// run rebuilds the shard pipeline from the offer and drives it: relayed
-// frames feed per-holder pipes, one lane reader per pipe computes the
-// slices, and the slices go back ascending by attribute. Returns nil on a
-// clean coordinator-initiated end.
-func (r *shardRun) run(offer shardOfferBody) error {
-	s := r.srv
+// offerCore validates an offer against this worker's schema and
+// registration and rebuilds the shard pipeline it asks for, its compute
+// sized by the worker's own cores.
+func (s *ShardServer) offerCore(shard int, offer shardOfferBody) (*shardCore, error) {
 	if offer.Fingerprint != s.fp {
-		return errors.New("party: offer schema fingerprint disagrees with this worker's schema")
+		return nil, errors.New("party: offer schema fingerprint disagrees with this worker's schema")
 	}
-	if offer.Shard != r.key.shard {
-		return fmt.Errorf("party: offer names shard %d, registration said %d", offer.Shard, r.key.shard)
+	if offer.Shard != shard {
+		return nil, fmt.Errorf("party: offer names shard %d, registration said %d", offer.Shard, shard)
 	}
 	if err := validHolderNames(offer.Holders); err != nil {
-		return err
+		return nil, err
 	}
 	if len(offer.Counts) != len(offer.Holders) {
-		return fmt.Errorf("party: offer carries %d counts for %d holders", len(offer.Counts), len(offer.Holders))
+		return nil, fmt.Errorf("party: offer carries %d counts for %d holders", len(offer.Counts), len(offer.Holders))
 	}
 	cfg, num, err := Config{
 		Schema:          s.cfg.Schema,
@@ -327,32 +325,45 @@ func (r *shardRun) run(offer shardOfferBody) error {
 		Variant:         offer.Variant,
 		RNG:             offer.RNG,
 		LocalChunkBytes: offer.LocalChunkBytes,
-		Parallelism:     offer.Parallelism,
 	}.normalized()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	nAttr, pairs := len(cfg.Schema.Attrs), len(sortedPairs(len(offer.Holders)))
 	for name, table := range map[string][][]rng.Seed{"seeds": offer.Seeds, "row seeds": offer.RowSeeds} {
 		if len(table) != nAttr {
-			return fmt.Errorf("party: offer carries %s for %d attributes, schema has %d", name, len(table), nAttr)
+			return nil, fmt.Errorf("party: offer carries %s for %d attributes, schema has %d", name, len(table), nAttr)
 		}
 		for attr, seeds := range table {
 			if len(seeds) != pairs {
-				return fmt.Errorf("party: offer attribute %d carries %d pair %s, want %d", attr, len(seeds), name, pairs)
+				return nil, fmt.Errorf("party: offer attribute %d carries %d pair %s, want %d", attr, len(seeds), name, pairs)
 			}
 		}
 	}
 	for i, c := range offer.Counts {
 		if c < 0 {
-			return fmt.Errorf("party: offer census holds a negative count for %s", offer.Holders[i])
+			return nil, fmt.Errorf("party: offer census holds a negative count for %s", offer.Holders[i])
 		}
 	}
-	core := newShardCore(cfg, num, offer.Holders, offer.Counts, parallel.Workers(cfg.Parallelism),
-		protocol.NewEnginePool(cfg.Parallelism), offer.Seeds, offer.RowSeeds)
+	core := newShardCore(cfg, num, offer.Holders, offer.Counts, parallel.Workers(0),
+		protocol.NewEnginePool(0), offer.Seeds, offer.RowSeeds)
 	if offer.Lo < 0 || offer.Hi < offer.Lo || offer.Hi > core.total {
-		return fmt.Errorf("party: offer range [%d,%d) outside the census total %d", offer.Lo, offer.Hi, core.total)
+		return nil, fmt.Errorf("party: offer range [%d,%d) outside the census total %d", offer.Lo, offer.Hi, core.total)
 	}
+	return core, nil
+}
+
+// run rebuilds the shard pipeline from the offer and drives it: relayed
+// frames feed per-holder pipes, one lane reader per pipe computes the
+// slices, and the slices go back ascending by attribute. Returns nil on a
+// clean coordinator-initiated end.
+func (r *shardRun) run(offer shardOfferBody) error {
+	s := r.srv
+	core, err := s.offerCore(r.key.shard, offer)
+	if err != nil {
+		return err
+	}
+	cfg, nAttr := core.cfg, len(core.cfg.Schema.Attrs)
 	rg := [2]int{offer.Lo, offer.Hi}
 
 	// One pipe per holder — the write end receives the relayed frame bytes,

@@ -442,14 +442,12 @@ func (tp *ThirdParty) census() error {
 		}
 		tp.counts[i] = c.Count
 	}
-	if tp.cfg.OnCensus != nil {
-		// The budget hook sits between gathering and broadcast: the true
-		// session size is known, no partition-sized payload has moved, and
-		// a refusal aborts the session with the hook's reason (classified,
-		// holders notified) instead of letting it start over budget.
-		if err := tp.cfg.OnCensus(append([]int(nil), tp.counts...)); err != nil {
-			return fmt.Errorf("party: census refused: %w", err)
-		}
+	// The census event sits between gathering and broadcast: the true
+	// session size is known, no partition-sized payload has moved, and a
+	// refusal aborts the session with its reason (classified, holders
+	// notified) instead of letting it start over budget.
+	if err := tp.guard.events(Event{Kind: EventCensus, Counts: slices.Clone(tp.counts)}); err != nil {
+		return fmt.Errorf("party: census refused: %w", err)
 	}
 	census := censusBody{Holders: tp.holders, Counts: tp.counts}
 	for _, h := range tp.holders {

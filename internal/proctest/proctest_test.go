@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -231,8 +232,18 @@ func TestMultiProcessKillRestartResumes(t *testing.T) {
 			stop := respawnOnExit(doomed, func(err error) { respawnErr <- err })
 			t.Cleanup(stop)
 
+			var mu sync.Mutex
+			var restarts []uint32 // epochs of shard 1's worker link coming up again
 			cfg := party.Config{Schema: schema(), Variant: party.Float64Variant, TPShards: 2,
-				ResumeWindow: 20 * time.Second}
+				ResumeWindow: 20 * time.Second,
+				Events: func(e party.Event) error {
+					if e.Kind == party.EventLinkUp && e.Link == (party.Link{Lane: 1, Worker: true}) && e.Epoch > 0 {
+						mu.Lock()
+						restarts = append(restarts, e.Epoch)
+						mu.Unlock()
+					}
+					return nil
+				}}
 			cfg.ShardDial = dialerFor(fmt.Sprintf("kill-%d", kill), []string{w0.addr, doomed.addr})
 			got, err := party.RunInMemory(cfg, parts(t, 9), reqs(), random(62))
 			select {
@@ -246,6 +257,11 @@ func TestMultiProcessKillRestartResumes(t *testing.T) {
 			assertSame(t, fmt.Sprintf("kill at %d frames", kill), want, got)
 			if w0.exited() {
 				t.Fatal("the surviving worker died")
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(restarts) == 0 {
+				t.Fatal("no up event at epoch ≥ 1 for the killed worker's link")
 			}
 		})
 	}

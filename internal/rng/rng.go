@@ -224,11 +224,6 @@ func FillIntn(s Stream, dst []int, n int) {
 	}
 }
 
-// Int63 returns a non-negative int64 drawn from s.
-func Int63(s Stream) int64 {
-	return int64(s.Next() >> 1)
-}
-
 // Int64n returns a uniform value in [0, n) for n > 0.
 func Int64n(s Stream, n int64) int64 {
 	if n <= 0 {
@@ -294,14 +289,6 @@ func Perm(s Stream, n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the first n indices in place via swap, Fisher–Yates.
-func Shuffle(s Stream, n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := int(Uint64n(s, uint64(i+1)))
-		swap(i, j)
-	}
 }
 
 // splitmix64 is the seeding expander recommended by the xoshiro authors.

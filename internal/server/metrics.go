@@ -193,3 +193,71 @@ func (m *Metrics) Snapshot() map[string]int64 {
 	}
 	return snap
 }
+
+// sessionEvents observes one session's third party (party.Events). The
+// census is where the server's per-session budget meets the session's true
+// size: an oversized census refuses the session (classified, holders
+// notified) before any partition-sized payload moves, and an admitted one
+// records its estimate. Link events keep the sessions_degraded gauge — a
+// session counts while at least one of its holder lanes is down inside the
+// reconnect window — and, in ShardAddrs mode, shard_procs_active and
+// shard_restarts.
+type sessionEvents struct {
+	m         *Manager
+	id        string
+	lanesDown atomic.Int64
+	workers   []atomic.Bool // by shard (the session's TPShards): the worker link is up
+}
+
+func (e *sessionEvents) observe(ev party.Event) error {
+	m := e.m
+	switch {
+	case ev.Kind == party.EventCensus:
+		total := 0
+		for _, c := range ev.Counts {
+			total += c
+		}
+		if m.cfg.MaxSessionObjects > 0 && total > m.cfg.MaxSessionObjects {
+			return fmt.Errorf("session %q has %d objects, server cap is %d", e.id, total, m.cfg.MaxSessionObjects)
+		}
+		m.metrics.noteEstimate(m.cfg.Session.EstimateSessionBytes(len(m.cfg.Holders), total, m.shards))
+	case ev.Link.Worker && ev.Kind == party.EventLinkUp:
+		if ev.Epoch > 0 {
+			m.metrics.shardRestarts.Add(1)
+		}
+		if !e.workers[ev.Link.Lane].Swap(true) {
+			m.metrics.shardProcsActive.Add(1)
+		}
+		m.logf("event=shard-proc-up session=%q shard=%d epoch=%d", e.id, ev.Link.Lane, ev.Epoch)
+	case ev.Link.Worker:
+		if e.workers[ev.Link.Lane].Swap(false) {
+			m.metrics.shardProcsActive.Add(-1)
+		}
+		m.logf("event=shard-proc-down session=%q shard=%d cause=%q", e.id, ev.Link.Lane, ev.Cause)
+	case ev.Kind == party.EventLinkDown:
+		if e.lanesDown.Add(1) == 1 {
+			m.metrics.sessionsDegraded.Add(1)
+		}
+		m.logf("event=lane-down session=%q holder=%s lane=%d cause=%q", e.id, ev.Link.Peer, ev.Link.Lane, ev.Cause)
+	default:
+		if e.lanesDown.Add(-1) == 0 {
+			m.metrics.sessionsDegraded.Add(-1)
+		}
+		m.logf("event=lane-up session=%q holder=%s lane=%d", e.id, ev.Link.Peer, ev.Link.Lane)
+	}
+	return nil
+}
+
+// settle clears the session's residual gauge contributions after the run:
+// a session that fails with lanes still down or worker links still up
+// must not pin a gauge.
+func (e *sessionEvents) settle() {
+	if e.lanesDown.Swap(0) > 0 {
+		e.m.metrics.sessionsDegraded.Add(-1)
+	}
+	for i := range e.workers {
+		if e.workers[i].Swap(false) {
+			e.m.metrics.shardProcsActive.Add(-1)
+		}
+	}
+}

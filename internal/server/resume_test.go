@@ -3,7 +3,10 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -78,7 +81,7 @@ func resumeSession() party.Config {
 
 // resumeManager is newManager with a reconnect window armed on the
 // session config.
-func resumeManager(t *testing.T, window time.Duration) (*Manager, *completions) {
+func resumeManager(t *testing.T, window time.Duration, logf func(string, ...any)) (*Manager, *completions) {
 	t.Helper()
 	done := newCompletions()
 	session := resumeSession()
@@ -89,7 +92,7 @@ func resumeManager(t *testing.T, window time.Duration) (*Manager, *completions) 
 		Session:     session,
 		Random:      tpRandom,
 		OnComplete:  done.hook,
-		Logf:        t.Logf,
+		Logf:        logf,
 	}
 	m, err := New(cfg)
 	if err != nil {
@@ -108,7 +111,7 @@ func TestManagerResumeRoundTrip(t *testing.T) {
 
 	// Fault-free reference run of the same session ID (same deterministic
 	// randomness) on its own manager.
-	ref, refDone := resumeManager(t, 10*time.Second)
+	ref, refDone := resumeManager(t, 10*time.Second, t.Logf)
 	refTenant := newTenant(t, "sess")
 	refHolders := refTenant.runHolders(resumeSession())
 	refTenant.submitAll(ref)
@@ -122,7 +125,14 @@ func TestManagerResumeRoundTrip(t *testing.T) {
 
 	// Flapped run: holder A's TP lane is cut at its 5th frame (mid
 	// chunk-stream, after the handshake), then redialed through Submit.
-	m, done := resumeManager(t, 10*time.Second)
+	var logMu sync.Mutex
+	var logged []string
+	m, done := resumeManager(t, 10*time.Second, func(format string, args ...any) {
+		t.Logf(format, args...)
+		logMu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	})
 	te := newTenant(t, "sess")
 	te.holder["A"] = wire.Fault(te.holder["A"], wire.FaultSpec{Kind: wire.FaultFlap, Frame: 4})
 	holderCfg := resumeSession()
@@ -146,6 +156,19 @@ func TestManagerResumeRoundTrip(t *testing.T) {
 	// duplicate refusal before the retry lands.
 	if got := m.Metrics().Degraded(); got != 0 {
 		t.Errorf("sessions_degraded gauge = %d after completion, want 0", got)
+	}
+	// Every sever of A's lane the server saw, it saw heal.
+	downs, ups := 0, 0
+	logMu.Lock()
+	for _, line := range logged {
+		if strings.Contains(line, " holder=A ") {
+			downs += strings.Count(line, "event=lane-down ")
+			ups += strings.Count(line, "event=lane-up ")
+		}
+	}
+	logMu.Unlock()
+	if downs == 0 || downs != ups {
+		t.Errorf("logged %d event=lane-down and %d event=lane-up lines for holder A, want equal and non-zero", downs, ups)
 	}
 
 	// The resumed session's report is bit-identical to the fault-free run.
@@ -187,7 +210,7 @@ func (g *gateConduit) Send(frame []byte) error {
 // responder that cannot carry a grant.
 func TestManagerResumeRefusals(t *testing.T) {
 	defer leakcheck.Check(t)
-	m, done := resumeManager(t, 10*time.Second)
+	m, done := resumeManager(t, 10*time.Second, t.Logf)
 	te := newTenant(t, "live")
 	// Park holder A mid chunk-stream (the 5th frame is past the handshake,
 	// cf. the flap point above) so the session stays observably running —

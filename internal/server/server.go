@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -302,7 +303,7 @@ func (m *Manager) Submit(hello netid.Hello, c wire.Conduit, respond Responder) {
 		m.resume(hello, tc)
 		return
 	}
-	if !contains(m.cfg.Holders, hello.Name) {
+	if !slices.Contains(m.cfg.Holders, hello.Name) {
 		m.refuse(hello, tc, netid.RejectUnknownHolder,
 			fmt.Sprintf("holder %q not in roster %v", hello.Name, m.cfg.Holders))
 		return
@@ -634,47 +635,15 @@ func (m *Manager) runSession(s *session) {
 	}
 }
 
-// serveSession builds and runs one session's ThirdParty. The census hook
-// is where the server's per-session budget meets the session's true size:
-// an oversized census aborts the session (classified, holders notified)
-// before any partition-sized payload moves.
+// serveSession builds and runs one session's ThirdParty, observed by its
+// own sessionEvents.
 func (m *Manager) serveSession(s *session) (*party.TPReport, error) {
 	cfg := m.cfg.Session
-	// Degraded-session accounting: the session counts as degraded while at
-	// least one of its lanes is down inside the reconnect window. The
-	// residual is settled after the run — a session that fails with lanes
-	// still down must not pin the gauge.
-	var lanesDown atomic.Int64
-	cfg.OnConduitDown = func(holder string, lane int, cause error) {
-		if lanesDown.Add(1) == 1 {
-			m.metrics.sessionsDegraded.Add(1)
-		}
-		m.logf("event=lane-down session=%q holder=%s lane=%d cause=%q", s.id, holder, lane, cause)
-	}
-	cfg.OnConduitUp = func(holder string, lane int) {
-		if lanesDown.Add(-1) == 0 {
-			m.metrics.sessionsDegraded.Add(-1)
-		}
-		m.logf("event=lane-up session=%q holder=%s lane=%d", s.id, holder, lane)
-	}
-	defer func() {
-		if lanesDown.Swap(0) > 0 {
-			m.metrics.sessionsDegraded.Add(-1)
-		}
-	}()
+	ev := &sessionEvents{m: m, id: s.id, workers: make([]atomic.Bool, m.shards)}
+	defer ev.settle()
+	cfg.Events = ev.observe
 	if len(m.cfg.ShardAddrs) > 0 {
-		defer m.wireShardPool(&cfg, s.id)()
-	}
-	cfg.OnCensus = func(counts []int) error {
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		if m.cfg.MaxSessionObjects > 0 && total > m.cfg.MaxSessionObjects {
-			return fmt.Errorf("session %q has %d objects, server cap is %d", s.id, total, m.cfg.MaxSessionObjects)
-		}
-		m.metrics.noteEstimate(cfg.EstimateSessionBytes(len(m.cfg.Holders), total, m.shards))
-		return nil
+		cfg.ShardDial = m.shardDialer(s.id)
 	}
 	// s.conns is already keyed the way party.NewThirdParty expects: holder
 	// names for control conduits, ShardConduitKey for shard lanes.
@@ -779,13 +748,4 @@ func (m *Manager) Close() error {
 		return nil
 	}
 	return err
-}
-
-func contains(list []string, v string) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

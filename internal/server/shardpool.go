@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"ppclust/internal/netid"
@@ -48,37 +47,5 @@ func (m *Manager) shardDialer(session string) party.ShardDialFunc {
 		}
 		c := wire.Meter(wire.TCPPooled(conn), &m.metrics.workerWire)
 		return c, party.ResumeGrant{Sent: sent, Recv: recv}, nil
-	}
-}
-
-// wireShardPool arms one session's config with the worker-pool dialer and
-// the process-liveness hooks behind the shard_procs_active gauge and the
-// shard_restarts counter. The returned settle func clears the session's
-// residual gauge contribution after the run — a session that fails with
-// worker links still up must not pin the gauge.
-func (m *Manager) wireShardPool(cfg *party.Config, id string) (settle func()) {
-	connected := make([]atomic.Bool, m.shards)
-	cfg.ShardDial = m.shardDialer(id)
-	cfg.OnShardProcUp = func(shard int, epoch uint32) {
-		if epoch > 0 {
-			m.metrics.shardRestarts.Add(1)
-		}
-		if shard >= 0 && shard < len(connected) && !connected[shard].Swap(true) {
-			m.metrics.shardProcsActive.Add(1)
-		}
-		m.logf("event=shard-proc-up session=%q shard=%d epoch=%d", id, shard, epoch)
-	}
-	cfg.OnShardProcDown = func(shard int, cause error) {
-		if shard >= 0 && shard < len(connected) && connected[shard].Swap(false) {
-			m.metrics.shardProcsActive.Add(-1)
-		}
-		m.logf("event=shard-proc-down session=%q shard=%d cause=%q", id, shard, cause)
-	}
-	return func() {
-		for i := range connected {
-			if connected[i].Swap(false) {
-				m.metrics.shardProcsActive.Add(-1)
-			}
-		}
 	}
 }

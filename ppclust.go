@@ -2,6 +2,7 @@ package ppclust
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"time"
 
@@ -210,6 +211,20 @@ const (
 	// any of the attribute's masked values leave it.
 	ModPArithmetic
 )
+
+// ParseVariant resolves a numeric arithmetic name ("float64", "int64",
+// "modp").
+func ParseVariant(name string) (NumericVariant, error) {
+	switch name {
+	case "float64":
+		return Float64Arithmetic, nil
+	case "int64":
+		return Int64Arithmetic, nil
+	case "modp":
+		return ModPArithmetic, nil
+	}
+	return 0, fmt.Errorf("unknown variant %q", name)
+}
 
 // Options tunes a session. The zero value is the recommended
 // configuration: float64 arithmetic, batch masking, AES-CTR generators and

@@ -203,6 +203,28 @@ func TestParseLinkageFacade(t *testing.T) {
 	}
 }
 
+func TestParseVariant(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want ppclust.NumericVariant
+		err  string
+	}{
+		{name: "float64", want: ppclust.Float64Arithmetic},
+		{name: "int64", want: ppclust.Int64Arithmetic},
+		{name: "modp", want: ppclust.ModPArithmetic},
+		{name: "float32", err: `unknown variant "float32"`},
+		{name: "", err: `unknown variant ""`},
+	} {
+		got, err := ppclust.ParseVariant(tc.name)
+		switch {
+		case tc.err != "" && (err == nil || err.Error() != tc.err):
+			t.Errorf("ParseVariant(%q) error = %v, want %q", tc.name, err, tc.err)
+		case tc.err == "" && (err != nil || got != tc.want):
+			t.Errorf("ParseVariant(%q) = %v, %v, want %v", tc.name, got, err, tc.want)
+		}
+	}
+}
+
 // TestTCPSessionFacade runs the full three-party protocol over real TCP
 // sockets on localhost through the public API.
 func TestTCPSessionFacade(t *testing.T) {
