@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"slices"
 
 	"ppclust/internal/alphabet"
 	"ppclust/internal/attack"
@@ -45,8 +47,9 @@ func runAttackFrequency(w io.Writer) error {
 		return out
 	}
 
+	const trials = 20
+	recovery := map[protocol.Mode]float64{}
 	for _, mode := range []protocol.Mode{protocol.Batch, protocol.PerPair} {
-		const trials = 20
 		sum := 0.0
 		for trial := 0; trial < trials; trial++ {
 			gen := rng.NewAESCTR(rng.SeedFromUint64(uint64(1000 + trial)))
@@ -75,11 +78,18 @@ func runAttackFrequency(w io.Writer) error {
 			}
 			sum += attack.RecoveryRate(guess, ys)
 		}
-		fmt.Fprintf(w, "%10s %8d %17.1f%%\n", mode, trials, sum/trials*100)
+		recovery[mode] = sum / trials
+		fmt.Fprintf(w, "%10s %8d %17.1f%%\n", mode, trials, recovery[mode]*100)
 	}
-	fmt.Fprintln(w, "\nSHAPE: batch masking is fully broken under these conditions; the paper's")
-	fmt.Fprintln(w, "per-pair countermeasure reduces the attack to near-chance")
-	return nil
+	fmt.Fprintln(w)
+	var broken []error
+	if r := recovery[protocol.Batch]; r < 0.9 {
+		broken = append(broken, fmt.Errorf("batch: the attack recovers only %.1f%%, want at least 90%%", r*100))
+	}
+	if r := recovery[protocol.PerPair]; r > 0.3 {
+		broken = append(broken, fmt.Errorf("per-pair: the attack still recovers %.1f%%, want at most 30%%", r*100))
+	}
+	return verdict(w, "SHAPE: batch masking is broken under these conditions; the paper's per-pair countermeasure reduces the attack to near-chance", broken...)
 }
 
 // runAttackEavesdrop demonstrates the Section 4.1 channel analysis: what an
@@ -132,27 +142,20 @@ func runAttackEavesdrop(w io.Writer) error {
 	if _, err := sb.Recv(); err != nil {
 		return err
 	}
+	leaked := bytes.Contains(observed, []byte(payload))
 	fmt.Fprintf(w, "\nwith the paper-mandated secured channel the observer sees %d ciphertext\n", len(observed))
-	fmt.Fprintf(w, "bytes bearing no plaintext structure (contains \"%s\": %v)\n",
-		payload, containsSub(observed, []byte(payload)))
-	fmt.Fprintln(w, "SHAPE: matches the paper's requirement that both channels be secured")
-	return nil
-}
-
-func containsSub(hay, needle []byte) bool {
-	for i := 0; i+len(needle) <= len(hay); i++ {
-		match := true
-		for j := range needle {
-			if hay[i+j] != needle[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
+	fmt.Fprintf(w, "bytes bearing no plaintext structure (contains \"%s\": %v)\n", payload, leaked)
+	var broken []error
+	if !slices.Contains(cx[:], x) {
+		broken = append(broken, fmt.Errorf("x candidates %v miss x = %d", cx, x))
 	}
-	return false
+	if !slices.Contains(cy[:], y) {
+		broken = append(broken, fmt.Errorf("y candidates %v miss y = %d", cy, y))
+	}
+	if leaked {
+		broken = append(broken, fmt.Errorf("the secured channel's ciphertext contains %q", payload))
+	}
+	return verdict(w, "SHAPE: each plaintext channel exposes a value up to one bit, the secured one nothing — the paper's requirement that both channels be secured", broken...)
 }
 
 // runAttackAlpha demonstrates the alphanumeric difference-matrix leak the
@@ -177,14 +180,18 @@ func runAttackAlpha(w io.Writer) error {
 	}
 	fmt.Fprintln(w, "the TP's pre-flattening view is the full difference matrix s[p]-t[q] mod |A|,")
 	fmt.Fprintln(w, "which determines both strings up to one additive shift. candidates:")
+	found := false
 	for c := range sC {
 		marker := ""
 		if a.Decode(sC[c]) == sTrue && a.Decode(tC[c]) == tTrue {
-			marker = "   <-- true strings"
+			marker, found = "   <-- true strings", true
 		}
 		fmt.Fprintf(w, "  shift %d: s=%q t=%q%s\n", c, a.Decode(sC[c]), a.Decode(tC[c]), marker)
 	}
 	fmt.Fprintf(w, "\nresidual privacy of the pair: log2(|A|) = 2 bits for DNA\n")
-	fmt.Fprintln(w, "SHAPE: confirms why the paper flags alphanumeric privacy analysis as future work")
-	return nil
+	var broken error
+	if !found {
+		broken = fmt.Errorf("no shift yields s = %q, t = %q", sTrue, tTrue)
+	}
+	return verdict(w, "SHAPE: the true strings are among the shifts — why the paper flags alphanumeric privacy analysis as future work", broken)
 }

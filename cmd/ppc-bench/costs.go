@@ -3,18 +3,54 @@ package main
 import (
 	"fmt"
 	"io"
+	"math"
 
+	"ppclust/internal/alphabet"
 	"ppclust/internal/costmodel"
-	"ppclust/internal/dataset"
 	"ppclust/internal/protocol"
 )
 
+// fitWithin fits measured = c·model and fails when a point deviates from
+// the fit by more than bound; it returns c and the largest deviation.
+func fitWithin(name string, measured, model []float64, bound float64) (c, dev float64, err error) {
+	c, dev, err = costmodel.FitScale(measured, model)
+	if err == nil && dev > bound {
+		err = fmt.Errorf("%s deviates %.1f%% from one constant times the model, bound %.0f%%", name, dev*100, bound*100)
+	}
+	return c, dev, err
+}
+
+// growsAsModel fails unless the model fits measured at least twice as
+// well as a linear one does: what tells quadratic growth from linear when
+// fixed framing keeps a single constant from fitting the smallest row.
+func growsAsModel(name string, sizes []int, measured, model []float64) error {
+	linear := make([]float64, len(sizes))
+	for i, n := range sizes {
+		linear[i] = float64(n)
+	}
+	_, devModel, err := costmodel.FitScale(measured, model)
+	if err != nil {
+		return err
+	}
+	_, devLinear, err := costmodel.FitScale(measured, linear)
+	if err != nil {
+		return err
+	}
+	if devLinear < 2*devModel {
+		return fmt.Errorf("%s: a linear model fits as well as the paper's (%.1f%% vs %.1f%%)", name, devLinear*100, devModel*100)
+	}
+	return nil
+}
+
 // runCostNumeric measures the numeric protocol's wire traffic against the
-// paper's Section 4.1 analysis: initiator O(n²+n), responder O(m²+m·n).
+// paper's Section 4.1 analysis, initiator O(n²+n) and responder
+// O(m²+m·n), with each pair block cut between its holders where the
+// session cuts it.
 func runCostNumeric(w io.Writer) error {
 	fmt.Fprintln(w, "two holders, one numeric attribute, batch masking; n = m")
-	fmt.Fprintln(w, "paper: DHJ sends O(n²+n), DHK sends O(m²+m·n)")
-	fmt.Fprintln(w, "(fixed session overhead — handshakes, census, key transport — subtracted)")
+	fmt.Fprintln(w, "paper: DHJ sends O(n²+n), DHK sends O(m²+m·n); the session cuts the m·n block at")
+	fmt.Fprintln(w, "row h, so J sends n²/2 + n + (m−h)·n cells and K m²/2 + (m−h) + h·n")
+	fmt.Fprintln(w, "(each holder's own fixed session overhead — handshakes, census, key transport — subtracted)")
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%6s %14s %14s %14s %14s\n", "n", "J bytes", "model J", "K bytes", "model K")
 
@@ -29,61 +65,59 @@ func runCostNumeric(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		out, err := runSession(parts, protocol.Batch)
+		t, err := runSession(parts, protocol.Batch)
 		if err != nil {
 			return err
 		}
-		j := minusOverhead(sentBy(out, "A", "B", "TP"), overhead)
-		k := minusOverhead(sentBy(out, "B", "A", "TP"), overhead)
-		lj, pj := costmodel.NumericInitiatorElems(n, n, false)
-		lk, pk := costmodel.NumericResponderElems(n, n)
-		mj := float64(costmodel.Bytes(lj+pj, costmodel.Float64Width))
-		mk := float64(costmodel.Bytes(lk+pk, costmodel.Float64Width))
-		measJ = append(measJ, j)
-		measK = append(measK, k)
-		modelJ = append(modelJ, mj)
-		modelK = append(modelK, mk)
+		j, k := t.beyond(overhead, "A"), t.beyond(overhead, "B")
+		toTP, toPeer := costmodel.NumericLinkElems([]int{n, n}, false)
+		mj := float64(costmodel.Bytes(toTP[0]+toPeer[0][1], costmodel.Float64Width))
+		mk := float64(costmodel.Bytes(toTP[1]+toPeer[1][0], costmodel.Float64Width))
+		measJ, measK = append(measJ, j), append(measK, k)
+		modelJ, modelK = append(modelJ, mj), append(modelK, mk)
 		fmt.Fprintf(w, "%6d %14.0f %14.0f %14.0f %14.0f\n", n, j, mj, k, mk)
 	}
-	scaleJ, devJ, err := costmodel.FitScale(measJ, modelJ)
-	if err != nil {
-		return err
-	}
-	scaleK, devK, err := costmodel.FitScale(measK, modelK)
-	if err != nil {
-		return err
-	}
+	cJ, devJ, errJ := fitWithin("J", measJ, modelJ, 0.15)
+	cK, devK, errK := fitWithin("K", measK, modelK, 0.15)
 	fmt.Fprintf(w, "\nfit: measured = c * model; J: c=%.3f maxdev=%.1f%%; K: c=%.3f maxdev=%.1f%%\n",
-		scaleJ, devJ*100, scaleK, devK*100)
-	fmt.Fprintln(w, "SHAPE: traffic follows the paper's O(n²+n) / O(m²+m·n) with a wire-format constant")
+		cJ, devJ*100, cK, devK*100)
+	var errC error
+	if math.Abs(cJ-cK) > 0.05*math.Min(cJ, cK) {
+		errC = fmt.Errorf("J fits at c = %.3f and K at c = %.3f, more than 5%% apart", cJ, cK)
+	}
+	err = verdict(w, "SHAPE: both holders follow the paper's O(n²+n) / O(m²+m·n) with one wire-format constant",
+		errJ, errK, errC, growsAsModel("J", sizes, measJ, modelJ), growsAsModel("K", sizes, measK, modelK))
+	if err != nil {
+		return err
+	}
 
-	fmt.Fprintln(w, "\nbatch vs per-pair masking at the initiator (the countermeasure's price):")
-	fmt.Fprintf(w, "%6s %16s %16s %8s\n", "n", "batch J bytes", "per-pair J bytes", "ratio")
+	fmt.Fprintln(w, "\nbatch vs per-pair masking on the J->K link (the countermeasure's price):")
+	fmt.Fprintf(w, "%6s %14s %16s %12s %12s %8s\n", "n", "batch bytes", "per-pair bytes", "extra", "model extra", "model x")
+	var broken []error
 	for _, n := range []int{32, 64, 128} {
 		parts, err := numericParts([]int{n, n}, uint64(n))
 		if err != nil {
 			return err
 		}
-		outB, err := runSession(parts, protocol.Batch)
+		batch, err := runSession(parts, protocol.Batch)
 		if err != nil {
 			return err
 		}
-		parts2, err := numericParts([]int{n, n}, uint64(n))
+		perPair, err := runSession(parts, protocol.PerPair)
 		if err != nil {
 			return err
 		}
-		outP, err := runSession(parts2, protocol.PerPair)
-		if err != nil {
-			return err
+		_, toPeerB := costmodel.NumericLinkElems([]int{n, n}, false)
+		_, toPeerP := costmodel.NumericLinkElems([]int{n, n}, true)
+		jkB, jkP := toPeerB[0][1], toPeerP[0][1]
+		extra := perPair["A->B"] - batch["A->B"]
+		model := float64(costmodel.Bytes(jkP-jkB, costmodel.Float64Width))
+		fmt.Fprintf(w, "%6d %14.0f %16.0f %12.0f %12.0f %8d\n", n, batch["A->B"], perPair["A->B"], extra, model, jkP/jkB)
+		if math.Abs(extra-model) > 0.01*model {
+			broken = append(broken, fmt.Errorf("n = %d: per-pair adds %.0f bytes to J->K, the model %.0f", n, extra, model))
 		}
-		// Only the J->K link shows the difference (disguised vector vs
-		// disguised matrix).
-		jb, _ := outB.Traffic["A->B"].Sent()
-		jp, _ := outP.Traffic["A->B"].Sent()
-		fmt.Fprintf(w, "%6d %16d %16d %8.1f\n", n, jb, jp, float64(jp)/float64(jb))
 	}
-	fmt.Fprintln(w, "SHAPE: per-pair masking multiplies initiator protocol traffic by ~m, as analyzed")
-	return nil
+	return verdict(w, "SHAPE: per-pair masking multiplies J's disguise by h = m/2, the rows [0, h) it covers", broken...)
 }
 
 // runCostAlpha measures the alphanumeric protocol against Section 4.2:
@@ -91,86 +125,72 @@ func runCostNumeric(w io.Writer) error {
 func runCostAlpha(w io.Writer) error {
 	fmt.Fprintln(w, "two holders, one DNA attribute of fixed string length p = q = 16; n = m")
 	fmt.Fprintln(w, "paper: DHJ sends O(n²+n·p), DHK sends O(m²+m·q·n·p)")
-	fmt.Fprintln(w, "(fixed session overhead subtracted)")
+	fmt.Fprintln(w, "(each holder's own fixed session overhead subtracted)")
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%6s %14s %14s %14s %14s\n", "n", "J bytes", "model J", "K bytes", "model K")
 
 	const p = 16
-	overhead, err := sessionOverhead(func(c []int, s uint64) ([]dataset.Partition, error) {
-		return alphaParts(c, p, s)
-	}, 2)
+	overhead, err := sessionOverhead(alphaParts(p), 2)
 	if err != nil {
 		return err
+	}
+	// Local matrices ship as 8-byte float64 cells, protocol symbols at
+	// DNA's two bits each, rows padded to a byte; the fit absorbs the
+	// framing.
+	modelK := func(n, m, p int) float64 {
+		local, _ := costmodel.AlphaResponderElems(n, p, m, p)
+		return float64(costmodel.Bytes(local, costmodel.Float64Width) + costmodel.AlphaResponderBytes(alphabet.DNA, n, p, m, p))
 	}
 	sizes := []int{8, 16, 32, 64}
-	var measJ, measK, modelJ, modelK []float64
+	var measJ, measK, modJ, modK []float64
 	for _, n := range sizes {
-		parts, err := alphaParts([]int{n, n}, p, uint64(n))
+		parts, err := alphaParts(p)([]int{n, n}, uint64(n))
 		if err != nil {
 			return err
 		}
-		out, err := runSession(parts, protocol.Batch)
+		t, err := runSession(parts, protocol.Batch)
 		if err != nil {
 			return err
 		}
-		j := minusOverhead(sentBy(out, "A", "B", "TP"), overhead)
-		k := minusOverhead(sentBy(out, "B", "A", "TP"), overhead)
+		j, k := t.beyond(overhead, "A"), t.beyond(overhead, "B")
 		lj, _ := costmodel.AlphaInitiatorElems(n, p)
-		lk, _ := costmodel.AlphaResponderElems(n, p, n, p)
-		// Local matrices ship as 8-byte float64 cells, protocol symbols
-		// at DNA's two bits each, rows padded to a byte; the fit absorbs
-		// the framing.
-		mj := float64(costmodel.Bytes(lj, costmodel.Float64Width) + costmodel.AlphaInitiatorBytes(dnaAlpha(), n, p))
-		mk := float64(costmodel.Bytes(lk, costmodel.Float64Width) + costmodel.AlphaResponderBytes(dnaAlpha(), n, p, n, p))
-		measJ = append(measJ, j)
-		measK = append(measK, k)
-		modelJ = append(modelJ, mj)
-		modelK = append(modelK, mk)
+		mj := float64(costmodel.Bytes(lj, costmodel.Float64Width) + costmodel.AlphaInitiatorBytes(alphabet.DNA, n, p))
+		mk := modelK(n, n, p)
+		measJ, measK = append(measJ, j), append(measK, k)
+		modJ, modK = append(modJ, mj), append(modK, mk)
 		fmt.Fprintf(w, "%6d %14.0f %14.0f %14.0f %14.0f\n", n, j, mj, k, mk)
 	}
-	_, devJ, err := costmodel.FitScale(measJ, modelJ)
-	if err != nil {
-		return err
-	}
-	_, devK, err := costmodel.FitScale(measK, modelK)
-	if err != nil {
-		return err
-	}
+	_, devJ, _ := costmodel.FitScale(measJ, modJ)
+	_, devK, errK := fitWithin("K over n", measK, modK, 0.15)
 	fmt.Fprintf(w, "\nfit deviation: J %.1f%%, K %.1f%%\n", devJ*100, devK*100)
 
 	fmt.Fprintln(w, "\nstring-length sweep at fixed n = m = 16:")
 	fmt.Fprintf(w, "%6s %14s %14s\n", "p", "K bytes", "model K")
-	var measP, modelP []float64
+	var measP, modP []float64
 	for _, pl := range []int{8, 16, 32, 64} {
-		parts, err := alphaParts([]int{16, 16}, pl, uint64(pl))
+		parts, err := alphaParts(pl)([]int{16, 16}, uint64(pl))
 		if err != nil {
 			return err
 		}
-		out, err := runSession(parts, protocol.Batch)
+		t, err := runSession(parts, protocol.Batch)
 		if err != nil {
 			return err
 		}
-		k := minusOverhead(sentBy(out, "B", "A", "TP"), overhead)
-		lk, _ := costmodel.AlphaResponderElems(16, pl, 16, pl)
-		mk := float64(costmodel.Bytes(lk, costmodel.Float64Width) + costmodel.AlphaResponderBytes(dnaAlpha(), 16, pl, 16, pl))
-		measP = append(measP, k)
-		modelP = append(modelP, mk)
+		k, mk := t.beyond(overhead, "B"), modelK(16, 16, pl)
+		measP, modP = append(measP, k), append(modP, mk)
 		fmt.Fprintf(w, "%6d %14.0f %14.0f\n", pl, k, mk)
 	}
-	_, devP, err := costmodel.FitScale(measP, modelP)
-	if err != nil {
-		return err
-	}
+	_, devP, errP := fitWithin("K over p", measP, modP, 0.15)
 	fmt.Fprintf(w, "fit deviation over p sweep: %.1f%%\n", devP*100)
-	fmt.Fprintln(w, "SHAPE: responder traffic grows with m·q·n·p as the paper states")
-	return nil
+	return verdict(w, "SHAPE: responder traffic grows with m·q·n·p and initiator traffic with n², as the paper states",
+		errK, errP, growsAsModel("J", sizes, measJ, modJ))
 }
 
 // runCostCategorical measures Section 4.3's O(n) per-holder cost.
 func runCostCategorical(w io.Writer) error {
 	fmt.Fprintln(w, "two holders, one categorical attribute")
 	fmt.Fprintln(w, "paper: each holder sends O(n) encrypted values")
-	fmt.Fprintln(w, "(fixed session overhead subtracted)")
+	fmt.Fprintln(w, "(the holder's own fixed session overhead subtracted)")
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%6s %14s %14s %14s\n", "n", "holder bytes", "model", "bytes/object")
 	overhead, err := sessionOverhead(catParts, 2)
@@ -183,22 +203,18 @@ func runCostCategorical(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		out, err := runSession(parts, protocol.Batch)
+		t, err := runSession(parts, protocol.Batch)
 		if err != nil {
 			return err
 		}
-		j := minusOverhead(sentBy(out, "A", "B", "TP"), overhead)
+		j := t.beyond(overhead, "A")
 		m := float64(costmodel.Bytes(costmodel.CategoricalElems(n), costmodel.TagWidth))
-		meas = append(meas, j)
-		model = append(model, m)
+		meas, model = append(meas, j), append(model, m)
 		fmt.Fprintf(w, "%6d %14.0f %14.0f %14.1f\n", n, j, m, j/float64(n))
 	}
-	_, dev, err := costmodel.FitScale(meas, model)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nfit deviation: %.1f%% — linear in n, as analyzed\n", dev*100)
-	return nil
+	_, dev, err := fitWithin("holder A", meas, model, 0.10)
+	fmt.Fprintf(w, "\nfit deviation: %.1f%%\n", dev*100)
+	return verdict(w, "SHAPE: each holder's traffic is linear in n, as analyzed", err)
 }
 
 // runCostAtallah compares this implementation's alphanumeric traffic with
@@ -208,13 +224,17 @@ func runCostAtallah(w io.Writer) error {
 	fmt.Fprintln(w, "[8] modeled as 3 Paillier-1024 ciphertexts per DP cell (optimistic for [8])")
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%6s %16s %18s %10s\n", "n=m", "ours (bytes)", "Atallah [8] (bytes)", "ratio")
+	var broken []error
 	for _, n := range []int{10, 50, 100, 500} {
-		ours := costmodel.OursAlphaTotalBytes(dnaAlpha(), n, 20, n, 20)
+		ours := costmodel.OursAlphaTotalBytes(alphabet.DNA, n, 20, n, 20)
 		theirs := costmodel.DefaultAtallah.TotalBytes(n, 20, n, 20)
-		fmt.Fprintf(w, "%6d %16d %18d %9.0fx\n", n, ours, theirs, float64(theirs)/float64(ours))
+		ratio := float64(theirs) / float64(ours)
+		fmt.Fprintf(w, "%6d %16d %18d %9.0fx\n", n, ours, theirs, ratio)
+		if ratio < 100 {
+			broken = append(broken, fmt.Errorf("n = %d: [8] costs only %.0fx ours", n, ratio))
+		}
 	}
-	fmt.Fprintln(w, "\nSHAPE: the paper's claim that [8] is \"not feasible for clustering private")
-	fmt.Fprintln(w, "data due to high communication costs\" holds at every scale (over 1000x here);")
-	fmt.Fprintln(w, "note both grow as n²·p·q — the gap is the constant per compared cell")
-	return nil
+	fmt.Fprintln(w, "\nthe paper: [8] is \"not feasible for clustering private data due to high")
+	fmt.Fprintln(w, "communication costs\"; both grow as n²·p·q — the gap is the constant per compared cell")
+	return verdict(w, "SHAPE: [8] needs at least 100x our traffic at every scale", broken...)
 }

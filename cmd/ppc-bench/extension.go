@@ -60,9 +60,16 @@ func runExtension(w io.Writer) error {
 	fmt.Fprintf(w, "max |private − centralized| over both attributes: %g\n", worst)
 	fmt.Fprintln(w, "\nnormalized taxonomy distances at the third party (values never revealed):")
 	m := ms[1]
-	fmt.Fprintf(w, "  d(%v, %v) = %.3f  (influenza vs measles: siblings)\n", ids[0], ids[1], m.At(0, 1))
-	fmt.Fprintf(w, "  d(%v, %v) = %.3f  (influenza vs tuberculosis: cousins)\n", ids[0], ids[3], m.At(0, 3))
-	fmt.Fprintf(w, "  d(%v, %v) = %.3f  (influenza vs diabetes: different branch)\n", ids[0], ids[2], m.At(0, 2))
-	fmt.Fprintln(w, "SHAPE: sibling < cousin < cross-branch, with zero accuracy loss")
-	return nil
+	sibling, cousin, cross := m.At(0, 1), m.At(0, 3), m.At(0, 2)
+	fmt.Fprintf(w, "  d(%v, %v) = %.3f  (influenza vs measles: siblings)\n", ids[0], ids[1], sibling)
+	fmt.Fprintf(w, "  d(%v, %v) = %.3f  (influenza vs tuberculosis: cousins)\n", ids[0], ids[3], cousin)
+	fmt.Fprintf(w, "  d(%v, %v) = %.3f  (influenza vs diabetes: different branch)\n", ids[0], ids[2], cross)
+	var broken []error
+	if !(sibling < cousin && cousin < cross) {
+		broken = append(broken, fmt.Errorf("sibling %.3f, cousin %.3f, cross-branch %.3f are out of order", sibling, cousin, cross))
+	}
+	if worst != 0 {
+		broken = append(broken, fmt.Errorf("private and centralized matrices differ by %g", worst))
+	}
+	return verdict(w, "SHAPE: sibling < cousin < cross-branch, with zero accuracy loss", broken...)
 }

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"strings"
 
-	"ppclust"
+	"ppclust/internal/alphabet"
 	"ppclust/internal/dataset"
 	"ppclust/internal/gen"
 	"ppclust/internal/keys"
@@ -20,130 +22,120 @@ func detRandom(party string) io.Reader {
 	return keys.StreamReader(rng.NewAESCTR(seed))
 }
 
-// numericParts builds k holders with the given per-site object counts over
-// a single numeric attribute, values drawn uniformly from [0, 1000).
+// verdict prints line, the experiment's verdict, when nothing broke it,
+// and otherwise fails the experiment with the rows that did.
+func verdict(w io.Writer, line string, broken ...error) error {
+	if err := errors.Join(broken...); err != nil {
+		return fmt.Errorf("%q does not hold: %w", line, err)
+	}
+	fmt.Fprintln(w, line)
+	return nil
+}
+
+// partsFunc builds holders A, B, … with the given object counts.
+type partsFunc func(counts []int, seed uint64) ([]dataset.Partition, error)
+
+// partsOf builds holders A, B, … with the given object counts over the
+// one attribute attr, drawing every value from one stream seeded by seed.
+func partsOf(attr dataset.Attribute, counts []int, seed uint64, value func(s rng.Stream) any) ([]dataset.Partition, error) {
+	schema := dataset.Schema{Attrs: []dataset.Attribute{attr}}
+	s := rng.NewXoshiro(rng.SeedFromUint64(seed))
+	parts := make([]dataset.Partition, len(counts))
+	names := gen.SiteNames(len(counts))
+	for i, n := range counts {
+		t, err := dataset.NewTable(schema)
+		if err != nil {
+			return nil, err
+		}
+		for range n {
+			if err := t.AppendRow(value(s)); err != nil {
+				return nil, err
+			}
+		}
+		parts[i] = dataset.Partition{Site: names[i], Table: t}
+	}
+	return parts, nil
+}
+
+// numericParts draws one numeric attribute uniformly from [0, 1000):
+// continuous values, as real attributes have; the wire spends a fixed
+// cell on each either way.
 func numericParts(counts []int, seed uint64) ([]dataset.Partition, error) {
-	schema := dataset.Schema{Attrs: []dataset.Attribute{{Name: "x", Type: dataset.Numeric}}}
-	s := rng.NewXoshiro(rng.SeedFromUint64(seed))
-	parts := make([]dataset.Partition, len(counts))
-	names := gen.SiteNames(len(counts))
-	for i, n := range counts {
-		t, err := dataset.NewTable(schema)
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < n; r++ {
-			// Continuous values, as real attributes have; the wire spends a
-			// fixed 8 bytes per element either way.
-			if err := t.AppendRow(rng.Float64(s) * 1000); err != nil {
-				return nil, err
-			}
-		}
-		parts[i] = dataset.Partition{Site: names[i], Table: t}
-	}
-	return parts, nil
+	return partsOf(dataset.Attribute{Name: "x", Type: dataset.Numeric}, counts, seed,
+		func(s rng.Stream) any { return rng.Float64(s) * 1000 })
 }
 
-// alphaParts builds k holders over a single DNA attribute with strings of
-// exactly the given length.
-func alphaParts(counts []int, length int, seed uint64) ([]dataset.Partition, error) {
-	schema := dataset.Schema{Attrs: []dataset.Attribute{
-		{Name: "seq", Type: dataset.Alphanumeric, Alphabet: dnaAlpha()},
-	}}
-	s := rng.NewXoshiro(rng.SeedFromUint64(seed))
-	parts := make([]dataset.Partition, len(counts))
-	names := gen.SiteNames(len(counts))
-	for i, n := range counts {
-		t, err := dataset.NewTable(schema)
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < n; r++ {
-			buf := make([]rune, length)
+// alphaParts draws one DNA attribute of strings exactly length symbols
+// long.
+func alphaParts(length int) partsFunc {
+	return func(counts []int, seed uint64) ([]dataset.Partition, error) {
+		attr := dataset.Attribute{Name: "seq", Type: dataset.Alphanumeric, Alphabet: alphabet.DNA}
+		return partsOf(attr, counts, seed, func(s rng.Stream) any {
+			buf := make([]byte, length)
 			for c := range buf {
-				buf[c] = []rune("ACGT")[rng.Symbol(s, 4)]
+				buf[c] = "ACGT"[rng.Symbol(s, 4)]
 			}
-			if err := t.AppendRow(string(buf)); err != nil {
-				return nil, err
-			}
-		}
-		parts[i] = dataset.Partition{Site: names[i], Table: t}
+			return string(buf)
+		})
 	}
-	return parts, nil
 }
 
-// catParts builds k holders over a single categorical attribute drawn from
-// a small palette.
+// catParts draws one categorical attribute from a palette of eight.
 func catParts(counts []int, seed uint64) ([]dataset.Partition, error) {
-	schema := dataset.Schema{Attrs: []dataset.Attribute{{Name: "c", Type: dataset.Categorical}}}
-	s := rng.NewXoshiro(rng.SeedFromUint64(seed))
-	parts := make([]dataset.Partition, len(counts))
-	names := gen.SiteNames(len(counts))
-	for i, n := range counts {
-		t, err := dataset.NewTable(schema)
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < n; r++ {
-			if err := t.AppendRow(fmt.Sprintf("v%d", rng.Symbol(s, 8))); err != nil {
-				return nil, err
-			}
-		}
-		parts[i] = dataset.Partition{Site: names[i], Table: t}
-	}
-	return parts, nil
+	return partsOf(dataset.Attribute{Name: "c", Type: dataset.Categorical}, counts, seed,
+		func(s rng.Stream) any { return fmt.Sprintf("v%d", rng.Symbol(s, 8)) })
 }
 
-// runSession executes a session over the partitions and returns its
-// outcome.
-func runSession(parts []dataset.Partition, mode protocol.Mode) (*party.SessionOutcome, error) {
+// traffic is what each link of a session carried, keyed by
+// party.LinkName, as its sending end counted it.
+type traffic map[string]float64
+
+// runSession executes a float64 session over the partitions and returns
+// its traffic.
+func runSession(parts []dataset.Partition, mode protocol.Mode) (traffic, error) {
 	cfg := party.Config{
 		Schema:  parts[0].Table.Schema(),
 		Mode:    mode,
 		Variant: party.Float64Variant,
 	}
-	return party.RunInMemory(cfg, parts, nil, detRandom)
+	out, err := party.RunInMemory(cfg, parts, nil, detRandom)
+	if err != nil {
+		return nil, err
+	}
+	t := traffic{}
+	for name, ctr := range out.Traffic {
+		b, _ := ctr.Sent()
+		t[name] = float64(b)
+	}
+	return t, nil
 }
 
-// sentBy sums the bytes a holder sent on all its links.
-func sentBy(out *party.SessionOutcome, name string, peers ...string) uint64 {
-	total := uint64(0)
-	for _, p := range peers {
-		b, _ := out.Traffic[party.LinkName(name, p)].Sent()
-		total += b
+// sent sums what holder sent on all its links.
+func (t traffic) sent(holder string) float64 {
+	total := 0.0
+	for name, b := range t {
+		if strings.HasPrefix(name, holder+"->") {
+			total += b
+		}
 	}
 	return total
 }
 
-// sessionOverhead measures the fixed per-session traffic of one holder
-// (handshakes, census, group key, request, empty matrices) by running the
-// same session shape with zero objects. Cost experiments subtract it so
-// the fits see only the data-dependent traffic the paper analyzes.
-func sessionOverhead(mk func(counts []int, seed uint64) ([]dataset.Partition, error), holders int) (float64, error) {
-	counts := make([]int, holders)
-	parts, err := mk(counts, 0)
+// sessionOverhead runs the session shape with zero objects: what each
+// holder sends there (handshakes, census, group key, request, empty
+// matrices) is its own fixed per-session overhead, which the cost
+// experiments subtract so the fits see only the data-dependent traffic
+// the paper analyzes.
+func sessionOverhead(mk partsFunc, holders int) (traffic, error) {
+	parts, err := mk(make([]int, holders), 0)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	out, err := runSession(parts, protocol.Batch)
-	if err != nil {
-		return 0, err
-	}
-	peers := append([]string{}, gen.SiteNames(holders)[1:]...)
-	peers = append(peers, party.TPName)
-	return float64(sentBy(out, "A", peers...)), nil
+	return runSession(parts, protocol.Batch)
 }
 
-// minusOverhead clamps measured-minus-overhead at a small positive floor so
-// fits stay well defined.
-func minusOverhead(measured uint64, overhead float64) float64 {
-	v := float64(measured) - overhead
-	if v < 1 {
-		v = 1
-	}
-	return v
-}
-
-func dnaAlpha() *ppclust.Alphabet {
-	return ppclust.DNA
+// beyond is what holder sent in t past its own overhead, floored at one
+// byte so fits stay well defined.
+func (t traffic) beyond(overhead traffic, holder string) float64 {
+	return max(t.sent(holder)-overhead.sent(holder), 1)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"ppclust"
@@ -10,6 +11,7 @@ import (
 	"ppclust/internal/eval"
 	"ppclust/internal/hcluster"
 	"ppclust/internal/kmeans"
+	"ppclust/internal/party"
 	"ppclust/internal/protocol"
 	"ppclust/internal/rng"
 )
@@ -40,13 +42,15 @@ func runAccuracy(w io.Writer) error {
 	}
 	fmt.Fprintln(w, "3 holders, mixed schema; per-attribute max |private - centralized| entry:")
 	fmt.Fprintf(w, "%10s %14s %14s %14s\n", "variant", "numeric", "categorical", "alphanumeric")
+	var broken []error
 	for _, v := range []struct {
-		name string
-		opt  ppclust.NumericVariant
+		name  string
+		opt   ppclust.NumericVariant
+		bound float64 // 0: exact
 	}{
-		{"float64", ppclust.Float64Arithmetic},
-		{"int64", ppclust.Int64Arithmetic},
-		{"modp", ppclust.ModPArithmetic},
+		{"float64", ppclust.Float64Arithmetic, 1e-9},
+		{"int64", ppclust.Int64Arithmetic, 0},
+		{"modp", ppclust.ModPArithmetic, 0},
 	} {
 		ms, _, err := ppclust.BuildDissimilarity(schema, parts, ppclust.Options{Variant: v.opt, Random: detRandom})
 		if err != nil {
@@ -58,12 +62,14 @@ func runAccuracy(w io.Writer) error {
 			if err != nil {
 				return err
 			}
+			if devs[i] > v.bound {
+				broken = append(broken, fmt.Errorf("%s, %s: deviation %g, bound %g", v.name, schema.Attrs[i].Name, devs[i], v.bound))
+			}
 		}
 		fmt.Fprintf(w, "%10s %14.3g %14.3g %14.3g\n", v.name, devs[0], devs[1], devs[2])
 	}
-	fmt.Fprintln(w, "\nSHAPE: zero loss for exact variants; ≤1e-9 float rounding for float64 —")
-	fmt.Fprintln(w, "the paper's \"there is no loss of accuracy\" claim, versus sanitization methods")
-	return nil
+	fmt.Fprintln(w, "\nthe paper's \"there is no loss of accuracy\" claim, versus sanitization methods")
+	return verdict(w, "SHAPE: zero loss for exact variants; ≤1e-9 float rounding for float64", broken...)
 }
 
 // runShapes is the hierarchical-vs-k-means comparison motivating the
@@ -83,6 +89,7 @@ func runShapes(w io.Writer) error {
 	})
 
 	fmt.Fprintf(w, "%22s %8s\n", "method", "ARI")
+	var broken []error
 	for _, link := range []hcluster.Linkage{hcluster.Single, hcluster.Complete, hcluster.Average} {
 		dg, err := hcluster.Cluster(m, link)
 		if err != nil {
@@ -97,6 +104,9 @@ func runShapes(w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "%22s %8.3f\n", "hierarchical/"+link.String(), ari)
+		if link == hcluster.Single && ari < 0.999 {
+			broken = append(broken, fmt.Errorf("single linkage: ARI %.3f, want at least 0.999", ari))
+		}
 	}
 	points := make([][]float64, n)
 	for i := range points {
@@ -111,8 +121,13 @@ func runShapes(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "%22s %8.3f\n", "k-means (baseline)", ariKM)
-	fmt.Fprintln(w, "SHAPE: single-linkage recovers the rings exactly; k-means cannot")
+	if ariKM > 0.3 {
+		broken = append(broken, fmt.Errorf("k-means: ARI %.3f, want at most 0.3", ariKM))
+	}
 	fmt.Fprintln(w, "(paper: partitioning methods \"tend to result in spherical clusters\")")
+	if err := verdict(w, "SHAPE: single-linkage recovers the rings exactly; k-means cannot", broken...); err != nil {
+		return err
+	}
 
 	fmt.Fprintln(w, "\n(b) string data: 4 DNA families x 10 strains")
 	dna, err := ppclust.GenDNAFamilies(ppclust.DNASpec{Families: 4, PerFamily: 10, Length: 50, SubRate: 0.05, IndelRate: 0.02}, 43)
@@ -140,39 +155,47 @@ func runShapes(w io.Writer) error {
 	fmt.Fprintf(w, "hierarchical over private edit-distance matrix: ARI = %.3f\n", ari)
 	fmt.Fprintln(w, "k-means: not applicable — no mean is defined for strings (type-level fact;")
 	fmt.Fprintln(w, "the kmeans package accepts only numeric vectors, as the paper argues)")
-	return nil
+	var errDNA error
+	if ari < 0.999 {
+		errDNA = fmt.Errorf("DNA families: ARI %.3f, want at least 0.999", ari)
+	}
+	return verdict(w, "SHAPE: the private edit-distance matrix recovers the DNA families exactly", errDNA)
 }
 
 // runScaleK measures session traffic and wall time against the number of
-// data holders: C(k,2) pairwise protocol runs.
+// data holders at a fixed size per holder: the comparison protocol runs
+// once per holder pair, C(k,2) times.
 func runScaleK(w io.Writer) error {
-	fmt.Fprintln(w, "one numeric attribute, 120 objects total, split evenly over k holders")
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%4s %8s %14s %12s\n", "k", "pairs", "total bytes", "wall time")
+	const perHolder = 24
+	fmt.Fprintf(w, "one numeric attribute, %d objects per holder, k holders\n\n", perHolder)
+	fmt.Fprintf(w, "%4s %8s %14s %14s %12s\n", "k", "pairs", "total bytes", "cross-holder", "wall time")
+	var cross, pairs []float64
 	for _, k := range []int{2, 3, 4, 5, 6} {
 		counts := make([]int, k)
 		for i := range counts {
-			counts[i] = 120 / k
+			counts[i] = perHolder
 		}
 		parts, err := numericParts(counts, uint64(k))
 		if err != nil {
 			return err
 		}
 		start := time.Now()
-		out, err := runSession(parts, protocol.Batch)
+		t, err := runSession(parts, protocol.Batch)
 		if err != nil {
 			return err
 		}
 		elapsed := time.Since(start)
-		total := uint64(0)
-		for _, ctr := range out.Traffic {
-			b, _ := ctr.Sent()
+		total, holders := 0.0, 0.0
+		for name, b := range t {
 			total += b
+			if !strings.Contains(name, party.TPName) {
+				holders += b
+			}
 		}
-		fmt.Fprintf(w, "%4d %8d %14d %12s\n", k, k*(k-1)/2, total, elapsed.Round(time.Millisecond))
+		cross, pairs = append(cross, holders), append(pairs, float64(k*(k-1)/2))
+		fmt.Fprintf(w, "%4d %8d %14.0f %14.0f %12s\n", k, k*(k-1)/2, total, holders, elapsed.Round(time.Millisecond))
 	}
-	fmt.Fprintln(w, "\nSHAPE: the comparison protocol repeats C(k,2) times per attribute (paper")
-	fmt.Fprintln(w, "Section 4); with per-holder size fixed by the census, cross-site traffic")
-	fmt.Fprintln(w, "stays dominated by the per-pair s matrices")
-	return nil
+	_, dev, err := fitWithin("cross-holder bytes", cross, pairs, 0.35)
+	fmt.Fprintf(w, "\nfit of cross-holder bytes to C(k,2): maxdev %.1f%%\n", dev*100)
+	return verdict(w, "SHAPE: cross-holder traffic grows with the C(k,2) pairwise protocol runs (paper Section 4)", err)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"ppclust"
 	"ppclust/internal/alphabet"
@@ -33,11 +34,16 @@ func runFig3(w io.Writer) error {
 	fmt.Fprintf(w, "site DHK:  y = 8, RJK = 5 -> DHK keeps sign; m = %d   (paper: 12)\n", s.At(0, 0))
 	fmt.Fprintf(w, "site TP:   |m - RJT| = |%d - 7| = %d               (paper: |x-y| = 5)\n",
 		s.At(0, 0), dist.At(0, 0))
-	if dist.At(0, 0) != 5 {
-		return fmt.Errorf("worked example diverged: got %d", dist.At(0, 0))
+	var broken []error
+	for _, v := range []struct {
+		name      string
+		got, want int64
+	}{{"x''", disguised.At(0, 0), 4}, {"m", s.At(0, 0), 12}, {"|x-y|", dist.At(0, 0), 5}} {
+		if v.got != v.want {
+			broken = append(broken, fmt.Errorf("%s = %d, the paper has %d", v.name, v.got, v.want))
+		}
 	}
-	fmt.Fprintln(w, "MATCH: reproduces the paper exactly")
-	return nil
+	return verdict(w, "MATCH: reproduces the paper exactly", broken...)
 }
 
 // runFig7 traces the paper's Figure 7: S="abc", T="bd" over A={a,b,c,d},
@@ -47,19 +53,27 @@ func runFig7(w io.Writer) error {
 	s := protocol.SymbolString(abcd.MustEncode("abc"))
 	t := protocol.SymbolString(abcd.MustEncode("bd"))
 
+	var broken []error
+	same := func(name, got, want string) {
+		if got != want {
+			broken = append(broken, fmt.Errorf("%s = %q, the paper has %q", name, got, want))
+		}
+	}
 	disguised := protocol.AlphaInitiator([]protocol.SymbolString{s}, abcd, rng.Scripted(0, 1, 3))
 	fmt.Fprintf(w, "site DHJ:  S = \"abc\", R = \"013\" -> S' = %q      (paper: \"acb\")\n",
 		abcd.Decode(disguised[0]))
+	same("S'", abcd.Decode(disguised[0]), "acb")
 
 	inter := protocol.AlphaResponder([]protocol.SymbolString{t}, disguised, abcd)
 	m := inter[0][0]
 	fmt.Fprintf(w, "site DHK:  T = \"bd\"; difference matrix M:\n")
-	for q := 0; q < m.Rows; q++ {
-		fmt.Fprintf(w, "           ")
-		for p := 0; p < m.Cols; p++ {
-			fmt.Fprintf(w, "%c ", abcd.Rune(m.At(q, p)))
+	for q, want := range []string{"dba", "bdc"} {
+		row := make([]rune, m.Cols)
+		for p := range row {
+			row[p] = abcd.Rune(m.At(q, p))
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "           %s\n", strings.Join(strings.Split(string(row), ""), " "))
+		same(fmt.Sprintf("row %d of M", q), string(row), want)
 	}
 	fmt.Fprintln(w, "           (paper: rows \"dba\" and \"bdc\")")
 
@@ -77,7 +91,7 @@ func runFig7(w io.Writer) error {
 		fmt.Fprintln(w)
 	}
 	if ccm.At(0, 1) != 0 {
-		return fmt.Errorf("CCM[0][1] != 0")
+		broken = append(broken, fmt.Errorf("CCM[0][1] = %d, the paper has 0", ccm.At(0, 1)))
 	}
 	fmt.Fprintln(w, "           CCM[0][1] = 0 implies s[1] = t[0] = 'b'  (paper: same)")
 
@@ -87,8 +101,10 @@ func runFig7(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "site TP:   edit distance over CCM = %d (abc -> bd: delete 'a', substitute c->d)\n",
 		dist.At(0, 0))
-	fmt.Fprintln(w, "MATCH: reproduces the paper exactly")
-	return nil
+	if dist.At(0, 0) != 2 {
+		broken = append(broken, fmt.Errorf("edit distance %d, the paper has 2", dist.At(0, 0)))
+	}
+	return verdict(w, "MATCH: reproduces the paper exactly", broken...)
 }
 
 // runFig13 publishes a small session's result in the Figure 13 layout.
@@ -124,5 +140,20 @@ func runFig13(w io.Writer) error {
 		fmt.Fprintf(w, "  Cluster%d: size=%d avgSqDist=%.4f\n", i+1, q.Size, q.AvgSquaredDistance)
 	}
 	fmt.Fprintln(w, "the dissimilarity matrix itself stays at the third party")
-	return nil
+	var broken []error
+	seen := map[ppclust.ObjectID]int{}
+	for _, members := range res.Clusters {
+		for _, id := range members {
+			seen[id]++
+		}
+	}
+	for _, id := range out.Report.ObjectIDs {
+		if seen[id] != 1 {
+			broken = append(broken, fmt.Errorf("object %v is listed %d times", id, seen[id]))
+		}
+	}
+	if len(res.Clusters) != 3 || len(seen) != len(out.Report.ObjectIDs) {
+		broken = append(broken, fmt.Errorf("%d clusters over %d objects, the session asked 3 over %d", len(res.Clusters), len(seen), len(out.Report.ObjectIDs)))
+	}
+	return verdict(w, "SHAPE: the published membership lists place every object in exactly one of the K clusters", broken...)
 }

@@ -167,9 +167,10 @@
 // Runnable scenarios live under examples/, command-line tools (including a
 // real TCP deployment of the three-role protocol) under cmd/, and the
 // experiment harness regenerating every figure and analysis of the paper is
-// cmd/ppc-bench plus the benchmarks in bench_test.go. What a session
-// costs — end to end and layer by layer — is measured by the separate
-// module under benchmark/ (bash benchmark/run.sh; workloads pair-cpu,
-// pair-wan, mixed-cpu, shard-workers and tenants-small are described in
-// benchmark/README.md).
+// cmd/ppc-bench: `go test ./cmd/ppc-bench` checks every verdict it
+// prints, and `ppc-bench -list` indexes the experiments by id and paper
+// section. What a session costs — end to end and layer by layer — is
+// measured by the separate module under benchmark/ (bash benchmark/run.sh;
+// workloads pair-cpu, pair-wan, mixed-cpu, shard-workers and tenants-small
+// are described in benchmark/README.md).
 package ppclust

@@ -1,7 +1,9 @@
 // Package costmodel evaluates the closed-form communication costs of the
 // paper's Sections 4.1–4.3 and the Atallah et al. [8] comparator, for the
 // cost experiments (E6–E8, E14) that check measured wire traffic against
-// the stated asymptotics.
+// the stated asymptotics. It also holds the rule that cuts each numeric
+// pair block between its two holders (SplitRows), which the session runs
+// and the numeric model counts, so the two cannot drift apart.
 //
 // Costs are expressed in *elements* (matrix entries, symbols, tags) and in
 // bytes under a given element width, so the experiments can separate the
@@ -15,27 +17,93 @@ import (
 	"ppclust/internal/protocol"
 )
 
-// Numeric protocol (Section 4.1). With initiator size n and responder size
-// m: the initiator sends its local dissimilarity matrix, O(n²), plus the
-// disguised vector, O(n); the responder sends its local matrix, O(m²), plus
-// the pairwise comparison matrix, O(m·n).
+// Numeric protocol (Section 4.1). With initiator J holding n_j objects
+// and responder K holding n_k, Figures 4–6 make J send K its disguised
+// values, O(n_j), and K send the third party the pair's comparison block
+// S, O(n_k·n_j); each holder also sends its local triangle, O(n²). The
+// session cuts each block at a responder row h (SplitRows): K produces
+// rows [0, h) as the paper has it, and J rows [h, n_k) with the roles
+// swapped, K disguising its values for those rows and J combining them.
 
-// NumericInitiatorElems returns (local matrix, protocol) element counts for
-// an initiator with n objects under the given mode ("O(n²+n)").
-func NumericInitiatorElems(n, m int, perPair bool) (local, proto int64) {
-	local = int64(n) * int64(n-1) / 2
-	proto = int64(n)
-	if perPair {
-		proto = int64(n) * int64(m)
+// SplitRows plans the numeric split row of every pair, in order: each
+// holder's load starts at its local triangle, and each pair's block goes
+// to whichever split leaves the larger of its two holders' loads smallest
+// (ties keep rows with the responder), given the loads the earlier pairs
+// left. With two holders that equalises the two loads to within one row;
+// with more, no holder ends up carrying more than the most loaded holder
+// carried when every responder produced its whole blocks. An empty
+// initiator's block has no cells to move and stays whole.
+func SplitRows(counts []int, pairs [][2]int) []int {
+	load := make([]int, len(counts))
+	for i, n := range counts {
+		load[i] = n * (n - 1) / 2
 	}
-	return local, proto
+	split := make([]int, len(pairs))
+	for p, pr := range pairs {
+		j, k := pr[0], pr[1]
+		nj, nk := counts[j], counts[k]
+		worst := func(h int) int { return max(load[j]+(nk-h)*nj, load[k]+h*nj) }
+		h := nk
+		if nj > 0 {
+			// The loads meet at (load_J − load_K + n_k·n_j) / (2·n_j); of the
+			// rows either side, take the better.
+			h = min(max((load[j]-load[k]+nk*nj)/(2*nj), 0), nk)
+			if h < nk && worst(h+1) <= worst(h) {
+				h++
+			}
+		}
+		split[p] = h
+		load[j] += (nk - h) * nj
+		load[k] += h * nj
+	}
+	return split
 }
 
-// NumericResponderElems returns (local matrix, protocol) element counts for
-// a responder with m objects against an initiator with n ("O(m²+m·n)").
-func NumericResponderElems(n, m int) (local, proto int64) {
-	return int64(m) * int64(m-1) / 2, int64(m) * int64(n)
+// NumericPairElems counts the elements one pair block of a numeric
+// attribute puts on each of its holders' links when cut at responder row
+// h, for an initiator J with nj objects and a responder K with nk:
+//   - jk, J's disguise to K for the rows [0, h): its nj values once
+//     (batch) or once a row (per-pair);
+//   - kj, K's disguise to J for the rows [h, nk): a value a row (batch) or
+//     nj a row (per-pair);
+//   - jt and kt, the rows of S that J and K stream to the third party:
+//     (nk − h)·nj and h·nj.
+func NumericPairElems(nj, nk, h int, perPair bool) (jk, kj, jt, kt int64) {
+	rowsJ, widthK := min(int64(h), 1), min(int64(nj), 1)
+	if perPair {
+		rowsJ, widthK = int64(h), int64(nj)
+	}
+	rest := int64(nk - h)
+	return rowsJ * int64(nj), rest * widthK, rest * int64(nj), int64(h) * int64(nj)
 }
+
+// NumericLinkElems counts what each holder of a session sends for one
+// numeric attribute, every pair block cut where SplitRows cuts it: toTP[i]
+// is holder i's local triangle plus its rows of every block it is in,
+// toPeer[i][j] its disguises for holder j. Holders are in session order,
+// and pairs (j, k), j < k, are planned in ascending order.
+func NumericLinkElems(counts []int, perPair bool) (toTP []int64, toPeer [][]int64) {
+	var pairs [][2]int
+	toTP, toPeer = make([]int64, len(counts)), make([][]int64, len(counts))
+	for j, n := range counts {
+		toTP[j], toPeer[j] = triangle(n), make([]int64, len(counts))
+		for k := j + 1; k < len(counts); k++ {
+			pairs = append(pairs, [2]int{j, k})
+		}
+	}
+	for p, h := range SplitRows(counts, pairs) {
+		j, k := pairs[p][0], pairs[p][1]
+		jk, kj, jt, kt := NumericPairElems(counts[j], counts[k], h, perPair)
+		toPeer[j][k], toPeer[k][j] = jk, kj
+		toTP[j] += jt
+		toTP[k] += kt
+	}
+	return toTP, toPeer
+}
+
+// triangle is the element count of a holder's local dissimilarity matrix
+// over n objects, n(n−1)/2.
+func triangle(n int) int64 { return int64(n) * int64(n-1) / 2 }
 
 // Alphanumeric protocol (Section 4.2). With n initiator strings of length
 // ≤ p and m responder strings of length ≤ q: the initiator sends its local
@@ -45,13 +113,13 @@ func NumericResponderElems(n, m int) (local, proto int64) {
 // AlphaInitiatorElems returns (local, protocol) element counts for an
 // initiator with n strings of length p ("O(n²+n·p)").
 func AlphaInitiatorElems(n, p int) (local, proto int64) {
-	return int64(n) * int64(n-1) / 2, int64(n) * int64(p)
+	return triangle(n), int64(n) * int64(p)
 }
 
 // AlphaResponderElems returns (local, protocol) element counts for a
 // responder with m strings of length q ("O(m²+m·q·n·p)").
 func AlphaResponderElems(n, p, m, q int) (local, proto int64) {
-	return int64(m) * int64(m-1) / 2, int64(m) * int64(q) * int64(n) * int64(p)
+	return triangle(m), int64(m) * int64(q) * int64(n) * int64(p)
 }
 
 // AlphaInitiatorBytes is the initiator's protocol payload in bytes: n
@@ -83,10 +151,6 @@ func Bytes(elems int64, width int) int64 { return elems * int64(width) }
 const (
 	// Float64Width is the numeric protocol's float64 element.
 	Float64Width = 8
-	// Int64Width is the numeric protocol's int64 element.
-	Int64Width = 8
-	// ModPWidth is the mod-p protocol's 32-byte field element.
-	ModPWidth = 32
 	// TagWidth is the categorical protocol's HMAC-SHA256 tag.
 	TagWidth = 32
 )

@@ -7,18 +7,29 @@ import (
 	"ppclust/internal/alphabet"
 )
 
+// TestNumericElems: a pair block cut at h puts J's disguise on the J→K
+// link only when K produces rows, K's only when J does, and the block's
+// rows on the two links to the third party.
 func TestNumericElems(t *testing.T) {
-	local, proto := NumericInitiatorElems(10, 7, false)
-	if local != 45 || proto != 10 {
-		t.Fatalf("batch initiator: %d/%d", local, proto)
+	for _, tc := range []struct {
+		nj, nk, h      int
+		perPair        bool
+		jk, kj, jt, kt int64
+	}{
+		{10, 7, 3, false, 10, 4, 40, 30},
+		{10, 7, 3, true, 30, 40, 40, 30},
+		{10, 7, 0, false, 0, 7, 70, 0},
+		{10, 7, 7, true, 70, 0, 0, 70},
+		{0, 7, 7, false, 0, 0, 0, 0},
+	} {
+		jk, kj, jt, kt := NumericPairElems(tc.nj, tc.nk, tc.h, tc.perPair)
+		if jk != tc.jk || kj != tc.kj || jt != tc.jt || kt != tc.kt {
+			t.Errorf("%+v: got %d/%d/%d/%d", tc, jk, kj, jt, kt)
+		}
 	}
-	_, protoPP := NumericInitiatorElems(10, 7, true)
-	if protoPP != 70 {
-		t.Fatalf("per-pair initiator proto = %d", protoPP)
-	}
-	local, proto = NumericResponderElems(10, 7)
-	if local != 21 || proto != 70 {
-		t.Fatalf("responder: %d/%d", local, proto)
+	toTP, toPeer := NumericLinkElems([]int{600, 600}, false)
+	if want := int64(600*599/2 + 300*600); toTP[0] != want || toTP[1] != want || toPeer[0][1] != 600 || toPeer[1][0] != 300 {
+		t.Fatalf("600 + 600: to TP %v, to peers %v", toTP, toPeer)
 	}
 }
 

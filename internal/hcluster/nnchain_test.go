@@ -425,9 +425,8 @@ func TestCondIdxRoundTrip(t *testing.T) {
 // BenchmarkClusterSingle500Reference times the retained generic reference
 // engine on single linkage, the baseline the MST path's ≥5× criterion is
 // measured against; it pairs with BenchmarkClusterSingle500 (the routed
-// engine) for a quick in-package before/after. The engines' linkage ×
-// worker-count family at this scale is BenchmarkClusterBackend in the root
-// bench_test.go.
+// engine) for a quick in-package before/after. The session's own shape is
+// timed by the hcluster.cluster_ms row of the repo benchmark (benchmark/).
 func BenchmarkClusterSingle500Reference(b *testing.B) {
 	d := randomMatrix(500, 2)
 	b.ReportAllocs()

@@ -3,8 +3,9 @@ package party
 import (
 	"bytes"
 	"errors"
+	"maps"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"ppclust/internal/alphabet"
@@ -159,26 +160,20 @@ func TestAlphaSlabLengthRefused(t *testing.T) {
 	}
 }
 
-// alphaSessionFrames runs a plaintext session over dnaParts and returns
-// every alphanumeric frame it sent, parsed.
-func alphaSessionFrames(t *testing.T, cfg Config, parts []dataset.Partition) []*wire.Message {
+// framesOf returns every frame of the given kinds a plaintext session over
+// parts sent (sessionFrames), parsed.
+func framesOf(t *testing.T, cfg Config, parts []dataset.Partition, kinds ...wire.Kind) []*wire.Message {
 	t.Helper()
-	var mu sync.Mutex
+	cfg.Schema = parts[0].Table.Schema()
 	var out []*wire.Message
-	tap := func(_, _ string, c wire.Conduit) wire.Conduit {
-		return wire.Tap(c, func(dir string, frame []byte) {
-			m, err := wire.ParseFrame(bytes.Clone(frame))
-			if dir != "send" || err != nil || m.Kind != kindAlphaM && m.Kind != kindAlphaDisg {
-				return
-			}
-			mu.Lock()
+	for _, frame := range sessionFrames(t, cfg, parts) {
+		m, err := wire.ParseFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(kinds, m.Kind) {
 			out = append(out, m)
-			mu.Unlock()
-		})
-	}
-	cfg.Schema, cfg.PlaintextChannels = parts[0].Table.Schema(), true
-	if _, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(13), tap); err != nil {
-		t.Fatal(err)
+		}
 	}
 	return out
 }
@@ -190,7 +185,7 @@ func alphaSessionFrames(t *testing.T, cfg Config, parts []dataset.Partition) []*
 func TestAlphaSessionPaddingZero(t *testing.T) {
 	parts := dnaParts(13, 5, 6, 7)
 	for _, cfg := range []Config{{LocalChunkBytes: 1}, {}, {TPShards: 2}} {
-		frames := alphaSessionFrames(t, cfg, parts)
+		frames := framesOf(t, cfg, parts, kindAlphaM, kindAlphaDisg)
 		chunks := 0
 		for _, m := range frames {
 			if m.Kind == kindAlphaDisg {
@@ -224,7 +219,7 @@ func TestAlphaBytesMatchCostModel(t *testing.T) {
 	sizes := map[string]int{"A": 5, "B": 6, "C": 7}
 	parts := dnaParts(strLen, sizes["A"], sizes["B"], sizes["C"])
 	perPair := map[string]int64{}
-	for _, m := range alphaSessionFrames(t, Config{LocalChunkBytes: 1}, parts) {
+	for _, m := range framesOf(t, Config{LocalChunkBytes: 1}, parts, kindAlphaM, kindAlphaDisg) {
 		if m.Kind == kindAlphaDisg {
 			var b alphaDisguisedBody
 			if err := wire.DecodeBody(m.Payload, &b); err != nil {
@@ -248,6 +243,63 @@ func TestAlphaBytesMatchCostModel(t *testing.T) {
 		j, k := pair[:1], pair[1:]
 		if want := costmodel.AlphaResponderBytes(alphabet.DNA, sizes[j], strLen, sizes[k], strLen); got != want {
 			t.Errorf("pair %s: %d slab bytes, the model counts %d", pair, got, want)
+		}
+	}
+}
+
+// TestNumericCellsMatchCostModel: in a three-holder session with uneven
+// counts, the numeric cells each holder sends on each link, per numeric
+// attribute and in both masking modes, are exactly what the cost model
+// counts for blocks cut where the session cuts them: its local triangle
+// and its rows of S toward the third party, its disguises toward each
+// peer.
+func TestNumericCellsMatchCostModel(t *testing.T) {
+	counts := []int{5, 9, 13}
+	parts := pipelinePartsOf(counts...)
+	holders := []string{"A", "B", "C"}
+	for _, mode := range []protocol.Mode{protocol.Batch, protocol.PerPair} {
+		cfg := Config{Variant: Int64Variant, Mode: mode, LocalChunkBytes: 64}
+		sent := map[int]map[[2]string]int64{}
+		for _, m := range framesOf(t, cfg, parts, kindLocal, kindNumDisg, kindNumS) {
+			if parts[0].Table.Schema().Attrs[m.Attr].Type != dataset.Numeric {
+				continue
+			}
+			var cells int
+			if m.Kind == kindLocal {
+				var b localBody
+				if err := wire.DecodeBody(m.Payload, &b); err != nil {
+					t.Fatal(err)
+				}
+				cells = len(b.wire) / 8
+			} else {
+				var b numSBody
+				if err := wire.DecodeBody(m.Payload, &b); err != nil {
+					t.Fatal(err)
+				}
+				cells = b.cells.Rows * b.cells.Cols
+			}
+			if sent[m.Attr] == nil {
+				sent[m.Attr] = map[[2]string]int64{}
+			}
+			sent[m.Attr][[2]string{m.From, m.To}] += int64(cells)
+		}
+		toTP, toPeer := costmodel.NumericLinkElems(counts, mode == protocol.PerPair)
+		want := map[[2]string]int64{}
+		for i, from := range holders {
+			want[[2]string{from, TPName}] = toTP[i]
+			for j, to := range holders {
+				if toPeer[i][j] > 0 {
+					want[[2]string{from, to}] = toPeer[i][j]
+				}
+			}
+		}
+		if len(sent) != 2 {
+			t.Fatalf("%v: numeric frames for %d attributes, want 2", mode, len(sent))
+		}
+		for attr, links := range sent {
+			if !maps.Equal(links, want) {
+				t.Errorf("%v, attribute %d: links carry %v cells, the model counts %v", mode, attr, links, want)
+			}
 		}
 	}
 }

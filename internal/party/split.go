@@ -20,11 +20,13 @@ package party
 // the pairs in the same order, so the blocking sends never form a cycle.
 //
 // h is a pure function of the census and the attribute type, the same at
-// every party: splitRows balances the cells each holder's links to the third
-// party carry. Alphanumeric blocks are not cut (h = n_k): no deployment is
+// every party: costmodel.SplitRows balances the cells each holder's links to
+// the third party carry, and costmodel's numeric forms count the links it
+// leaves. Alphanumeric blocks are not cut (h = n_k): no deployment is
 // bound by their bytes, and their M matrices are not sized by the census.
 
 import (
+	"ppclust/internal/costmodel"
 	"ppclust/internal/dataset"
 )
 
@@ -37,7 +39,7 @@ type census struct {
 	offsets []int // global row offset of each holder's first object
 	total   int
 	pairs   [][2]int // sortedPairs order
-	split   []int    // numeric split row of each pair (splitRows)
+	split   []int    // numeric split row of each pair (costmodel.SplitRows)
 }
 
 func newCensus(counts []int) *census {
@@ -46,42 +48,8 @@ func newCensus(counts []int) *census {
 		c.offsets[i] = c.total
 		c.total += n
 	}
-	c.split = splitRows(counts, c.pairs)
+	c.split = costmodel.SplitRows(counts, c.pairs)
 	return c
-}
-
-// splitRows plans the numeric split row of every pair, in order: each
-// holder's load starts at its local triangle, and each pair's block goes
-// to whichever split leaves the larger of its two holders' loads smallest
-// (ties keep rows with the responder), given the loads the earlier pairs
-// left. With two holders that equalises the two loads to within one row;
-// with more, no holder ends up carrying more than the most loaded holder
-// carried when every responder produced its whole blocks. An empty
-// initiator's block has no cells to move and stays whole.
-func splitRows(counts []int, pairs [][2]int) []int {
-	load := make([]int, len(counts))
-	for i, n := range counts {
-		load[i] = n * (n - 1) / 2
-	}
-	split := make([]int, len(pairs))
-	for p, pr := range pairs {
-		j, k := pr[0], pr[1]
-		nj, nk := counts[j], counts[k]
-		worst := func(h int) int { return max(load[j]+(nk-h)*nj, load[k]+h*nj) }
-		h := nk
-		if nj > 0 {
-			// The loads meet at (load_J − load_K + n_k·n_j) / (2·n_j); of the
-			// rows either side, take the better.
-			h = min(max((load[j]-load[k]+nk*nj)/(2*nj), 0), nk)
-			if h < nk && worst(h+1) <= worst(h) {
-				h++
-			}
-		}
-		split[p] = h
-		load[j] += (nk - h) * nj
-		load[k] += h * nj
-	}
-	return split
 }
 
 // splitAt is the responder row at which pair p's block of an attribute of

@@ -65,7 +65,7 @@ func runNumeric(t *testing.T, e *Engine, num Numeric, axis Axis, xs, ys []float6
 }
 
 // column checks values for num's arithmetic.
-func column(t *testing.T, num Numeric, values []float64) Column {
+func column(t testing.TB, num Numeric, values []float64) Column {
 	t.Helper()
 	col, err := num.Column(values)
 	if err != nil {
@@ -76,7 +76,7 @@ func column(t *testing.T, num Numeric, values []float64) Column {
 
 // decodeBlock checks an operation's result and reads it back as a frame
 // would carry it.
-func decodeBlock(t *testing.T) func([]byte, error) NumericChunk {
+func decodeBlock(t testing.TB) func([]byte, error) NumericChunk {
 	return func(blk []byte, err error) NumericChunk {
 		t.Helper()
 		if err != nil {
@@ -469,3 +469,52 @@ func TestNumericValueChecks(t *testing.T) {
 }
 
 func second[T any](_ T, err error) error { return err }
+
+// BenchmarkNumeric is Figures 4–6 as a session runs them over one pair
+// block of 256 × 256 objects, for every arithmetic in both masking modes:
+// the initiator's Disguise, the responder's Combine and the third party's
+// Strip of every row, one chunk each, on one worker, the blocks' storage
+// reused from one iteration to the next.
+func BenchmarkNumeric(b *testing.B) {
+	const n = 256
+	src := rng.NewXoshiro(rng.SeedFromUint64(4243))
+	xs, ys := make([]float64, n), make([]float64, n)
+	for i := range xs {
+		xs[i], ys[i] = float64(rng.Int64Range(src, 0, 1<<30)), float64(rng.Int64Range(src, 0, 1<<30))
+	}
+	for _, v := range []Variant{Float64Variant, Int64Variant, ModPVariant} {
+		for _, mode := range []Mode{Batch, PerPair} {
+			b.Run(fmt.Sprintf("%v/%v", v, mode), func(b *testing.B) {
+				num, err := NewNumeric(v, mode)
+				if err != nil {
+					b.Fatal(err)
+				}
+				e, cx, cy := NewEngine(1), column(b, num, xs), column(b, num, ys)
+				rows := 1
+				if mode == PerPair {
+					rows = n
+				}
+				var dBlk, sBlk []byte
+				dist := make([]float64, n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					jk, jt := rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT)
+					dBlk, err = num.Disguise(e, dBlk[:0], cx, 0, rows, n, jk, jt, InitiatorCols)
+					d := decodeBlock(b)(dBlk, err)
+					jk, jt = rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT)
+					sBlk, err = num.Combine(e, sBlk[:0], []NumericChunk{d}, cy, 0, n, jk, InitiatorCols)
+					row, err := num.Strip(e, decodeBlock(b)(sBlk, err), 0, n, jt, InitiatorCols)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for r := range n {
+						if err := row(r, dist); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+		}
+	}
+}
