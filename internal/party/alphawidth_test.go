@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"maps"
-	"slices"
 	"strings"
 	"testing"
 
@@ -160,24 +159,6 @@ func TestAlphaSlabLengthRefused(t *testing.T) {
 	}
 }
 
-// framesOf returns every frame of the given kinds a plaintext session over
-// parts sent (sessionFrames), parsed.
-func framesOf(t *testing.T, cfg Config, parts []dataset.Partition, kinds ...wire.Kind) []*wire.Message {
-	t.Helper()
-	cfg.Schema = parts[0].Table.Schema()
-	var out []*wire.Message
-	for _, frame := range sessionFrames(t, cfg, parts) {
-		m, err := wire.ParseFrame(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if slices.Contains(kinds, m.Kind) {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // TestAlphaSessionPaddingZero: every ppc/alpha-m and ppc/alpha-disguised
 // frame of a DNA session with 13-symbol strings — rows of 26 bits, six
 // padding bits each — has every padding bit zero, at one-row chunks and
@@ -185,9 +166,9 @@ func framesOf(t *testing.T, cfg Config, parts []dataset.Partition, kinds ...wire
 func TestAlphaSessionPaddingZero(t *testing.T) {
 	parts := dnaParts(13, 5, 6, 7)
 	for _, cfg := range []Config{{LocalChunkBytes: 1}, {}, {TPShards: 2}} {
-		frames := framesOf(t, cfg, parts, kindAlphaM, kindAlphaDisg)
 		chunks := 0
-		for _, m := range frames {
+		for _, f := range tapSession(t, cfg, parts).sent("", "", kindAlphaM, kindAlphaDisg) {
+			m := f.Msg
 			if m.Kind == kindAlphaDisg {
 				var b alphaDisguisedBody
 				if err := wire.DecodeBody(m.Payload, &b); err != nil || b.S.InAlphabet(alphabet.DNA) != nil {
@@ -200,7 +181,7 @@ func TestAlphaSessionPaddingZero(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := chunkCells(&b.M); err != nil {
-				t.Fatalf("%s's chunk [%d,%d): %v", m.From, b.Lo, b.Hi, err)
+				t.Fatalf("%s's chunk [%d,%d): %v", m.From, f.Lo, f.Hi, err)
 			}
 			chunks++
 		}
@@ -219,7 +200,8 @@ func TestAlphaBytesMatchCostModel(t *testing.T) {
 	sizes := map[string]int{"A": 5, "B": 6, "C": 7}
 	parts := dnaParts(strLen, sizes["A"], sizes["B"], sizes["C"])
 	perPair := map[string]int64{}
-	for _, m := range framesOf(t, Config{LocalChunkBytes: 1}, parts, kindAlphaM, kindAlphaDisg) {
+	for _, f := range tapSession(t, Config{LocalChunkBytes: 1}, parts).sent("", "", kindAlphaM, kindAlphaDisg) {
+		m := f.Msg
 		if m.Kind == kindAlphaDisg {
 			var b alphaDisguisedBody
 			if err := wire.DecodeBody(m.Payload, &b); err != nil {
@@ -260,23 +242,14 @@ func TestNumericCellsMatchCostModel(t *testing.T) {
 	for _, mode := range []protocol.Mode{protocol.Batch, protocol.PerPair} {
 		cfg := Config{Variant: Int64Variant, Mode: mode, LocalChunkBytes: 64}
 		sent := map[int]map[[2]string]int64{}
-		for _, m := range framesOf(t, cfg, parts, kindLocal, kindNumDisg, kindNumS) {
+		for _, f := range tapSession(t, cfg, parts).sent("", "", kindLocal, kindNumDisg, kindNumS) {
+			m := f.Msg
 			if parts[0].Table.Schema().Attrs[m.Attr].Type != dataset.Numeric {
 				continue
 			}
-			var cells int
-			if m.Kind == kindLocal {
-				var b localBody
-				if err := wire.DecodeBody(m.Payload, &b); err != nil {
-					t.Fatal(err)
-				}
-				cells = len(b.wire) / 8
-			} else {
-				var b numSBody
-				if err := wire.DecodeBody(m.Payload, &b); err != nil {
-					t.Fatal(err)
-				}
-				cells = b.cells.Rows * b.cells.Cols
+			cells, err := f.cells()
+			if err != nil {
+				t.Fatal(err)
 			}
 			if sent[m.Attr] == nil {
 				sent[m.Attr] = map[[2]string]int64{}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,20 +58,28 @@ func linkFault(owner, peer string, spec wire.FaultSpec) ConduitWrap {
 // is the group key (A→B) or the first disguised payload; on a TP→holder
 // link frame 2 is the census broadcast and frame 3 the published result.
 func TestChaosFaultSweep(t *testing.T) {
+	// A send that fails with an error of the transport's own, not one the
+	// session knows, still ends the session classified.
+	unretried := newTap(chaosConfig())
+	unretried.onSend("B", TPName, func(f *tapFrame) ([][]byte, error) {
+		if f.N == 4 {
+			return nil, errors.New("chaos test: send failed")
+		}
+		return f.pass()
+	})
 	scenarios := []struct {
-		name        string
-		owner, peer string
-		spec        wire.FaultSpec
+		name string
+		wrap ConduitWrap
 	}{
-		{"cut-handshake", "A", "TP", wire.FaultSpec{Kind: wire.FaultCut, Frame: 1}},
-		{"drop-census-count", "A", "TP", wire.FaultSpec{Kind: wire.FaultDrop, Frame: 2}},
-		{"cut-group-key", "A", "B", wire.FaultSpec{Kind: wire.FaultCut, Frame: 2}},
-		{"drop-local-stream", "B", "TP", wire.FaultSpec{Kind: wire.FaultDrop, Frame: 4}},
-		{"cut-pair-stream", "C", "TP", wire.FaultSpec{Kind: wire.FaultCut, Frame: 5}},
-		{"corrupt-secured-frame", "A", "TP", wire.FaultSpec{Kind: wire.FaultCorrupt, Frame: 3, Seed: 9}},
-		{"cut-disguise", "A", "C", wire.FaultSpec{Kind: wire.FaultCut, Frame: 3}},
-		{"transient-unretried", "B", "TP", wire.FaultSpec{Kind: wire.FaultTransient, Frame: 4}},
-		{"drop-result", "TP", "A", wire.FaultSpec{Kind: wire.FaultDrop, Frame: 3}},
+		{"cut-handshake", linkFault("A", "TP", wire.FaultSpec{Kind: wire.FaultCut, Frame: 1})},
+		{"drop-census-count", linkFault("A", "TP", wire.FaultSpec{Kind: wire.FaultDrop, Frame: 2})},
+		{"cut-group-key", linkFault("A", "B", wire.FaultSpec{Kind: wire.FaultCut, Frame: 2})},
+		{"drop-local-stream", linkFault("B", "TP", wire.FaultSpec{Kind: wire.FaultDrop, Frame: 4})},
+		{"cut-pair-stream", linkFault("C", "TP", wire.FaultSpec{Kind: wire.FaultCut, Frame: 5})},
+		{"corrupt-secured-frame", linkFault("A", "TP", wire.FaultSpec{Kind: wire.FaultCorrupt, Frame: 3, Seed: 9})},
+		{"cut-disguise", linkFault("A", "C", wire.FaultSpec{Kind: wire.FaultCut, Frame: 3})},
+		{"transient-unretried", unretried.wrap},
+		{"drop-result", linkFault("TP", "A", wire.FaultSpec{Kind: wire.FaultDrop, Frame: 3})},
 	}
 	parts := pipelineParts(t, 8)
 	reqs := pipelineReqs()
@@ -81,12 +87,12 @@ func TestChaosFaultSweep(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			leakcheck.Check(t)
 			out, err := RunInMemoryWrappedContext(context.Background(), chaosConfig(), parts, reqs,
-				deterministicRandom(21), linkFault(sc.owner, sc.peer, sc.spec))
+				deterministicRandom(21), sc.wrap)
 			if err == nil {
-				t.Fatalf("fault %s on %s->%s: session succeeded, outcome %v", sc.spec.Kind, sc.owner, sc.peer, out)
+				t.Fatalf("%s: session succeeded, outcome %v", sc.name, out)
 			}
 			if !errors.Is(err, ErrAborted) && !errors.Is(err, ErrSessionTimeout) && !errors.Is(err, wire.ErrClosed) {
-				t.Fatalf("fault %s on %s->%s: unclassified error: %v", sc.spec.Kind, sc.owner, sc.peer, err)
+				t.Fatalf("%s: unclassified error: %v", sc.name, err)
 			}
 		})
 	}
@@ -137,31 +143,6 @@ func TestChaosSurvivableStall(t *testing.T) {
 	assertSameOutcome(t, "survivable stall", want, got)
 }
 
-// TestChaosSurvivableTransientWithRetry: a one-shot transient send error
-// under a Retry layer (below the secure channel, so sequence numbers stay
-// aligned) is absorbed — the session completes bit-identically.
-func TestChaosSurvivableTransientWithRetry(t *testing.T) {
-	leakcheck.Check(t)
-	parts := pipelineParts(t, 8)
-	reqs := pipelineReqs()
-	want, err := RunInMemoryContext(context.Background(), chaosConfig(), parts, reqs, deterministicRandom(24))
-	if err != nil {
-		t.Fatalf("fault-free run: %v", err)
-	}
-	wrap := func(o, p string, c wire.Conduit) wire.Conduit {
-		if o == "C" && p == "TP" {
-			return wire.Retry(wire.Fault(c, wire.FaultSpec{Kind: wire.FaultTransient, Frame: 5}), 2)
-		}
-		return c
-	}
-	got, err := RunInMemoryWrappedContext(context.Background(), chaosConfig(), parts, reqs,
-		deterministicRandom(24), wrap)
-	if err != nil {
-		t.Fatalf("transient+retry run: %v", err)
-	}
-	assertSameOutcome(t, "survivable transient", want, got)
-}
-
 // TestChaosFaultFreeBitIdenticalWithLifecycle pins that the lifecycle
 // plumbing — bound conduits, armed watchdogs, context linking — is pure
 // supervision: fault-free sessions with timeouts armed publish reports
@@ -202,43 +183,6 @@ func TestChaosCallerCancelAborts(t *testing.T) {
 	}
 }
 
-// abortInjectingConduit rewrites the n-th sent frame of the watched kind
-// into a crafted abort frame and keeps sending the remaining genuine
-// frames afterwards — a peer that aborts mid-stream but whose already-
-// queued chunk frames still arrive late. Plaintext sessions only.
-type abortInjectingConduit struct {
-	wire.Conduit
-	from string
-
-	mu   sync.Mutex
-	seen int
-}
-
-func (c *abortInjectingConduit) Send(frame []byte) error {
-	m, err := wire.ParseFrame(frame)
-	if err != nil || m.Kind != kindLocal {
-		return c.Conduit.Send(frame)
-	}
-	c.mu.Lock()
-	c.seen++
-	inject := c.seen == 1
-	c.mu.Unlock()
-	if !inject {
-		return c.Conduit.Send(frame)
-	}
-	payload, err := wire.EncodeBody(abortBody{Reason: "chaos test injected abort"})
-	if err != nil {
-		return err
-	}
-	abort := &wire.Message{From: c.from, To: TPName, Kind: kindAbort, Attr: -1, Payload: payload}
-	if err := c.Conduit.Send(wire.AppendFrame(nil, abort)); err != nil {
-		return err
-	}
-	// The genuine chunk — and everything after it — still goes out, now
-	// arriving AFTER the abort.
-	return c.Conduit.Send(frame)
-}
-
 // TestChaosLateChunksAfterAbort covers the post-abort wire tail: chunk
 // frames that arrive after an abort frame terminated the stream must
 // surface the peer's classified reason — never a kind-mismatch or schedule
@@ -247,15 +191,16 @@ func (c *abortInjectingConduit) Send(frame []byte) error {
 func TestChaosLateChunksAfterAbort(t *testing.T) {
 	leakcheck.Check(t)
 	cfg := chaosConfig()
-	cfg.PlaintextChannels = true // the wrap crafts protocol frames
-	wrap := func(o, p string, c wire.Conduit) wire.Conduit {
-		if o == "B" && p == "TP" {
-			return &abortInjectingConduit{Conduit: c, from: "B"}
-		}
-		return c
-	}
+	cfg.PlaintextChannels = true // the rule crafts protocol frames
+	tp := newTap(cfg)
+	// B aborts in front of its first local-matrix chunk, and the chunk —
+	// and everything after it — still goes out, arriving after the abort.
+	abort := abortFrame(t, "B", "chaos test injected abort")
+	tp.onSend("B", TPName, first(kindLocal, func(f *tapFrame) ([][]byte, error) {
+		return [][]byte{abort, f.Raw}, nil
+	}))
 	_, err := RunInMemoryWrappedContext(context.Background(), cfg, pipelineParts(t, 8), pipelineReqs(),
-		deterministicRandom(27), wrap)
+		deterministicRandom(27), tp.wrap)
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("want ErrAborted from injected abort, got %v", err)
 	}
@@ -264,32 +209,48 @@ func TestChaosLateChunksAfterAbort(t *testing.T) {
 	}
 }
 
-// chunkDuplicatingConduit re-sends the first frame of the watched kind
-// immediately after the genuine send — a peer whose retransmit logic has
-// gone wrong. Plaintext sessions only.
-type chunkDuplicatingConduit struct {
-	wire.Conduit
-
-	mu   sync.Mutex
-	done bool
+// abortFrame is the plaintext abort frame a holder sends the third party.
+func abortFrame(t *testing.T, from, reason string) []byte {
+	payload, err := wire.EncodeBody(abortBody{Reason: reason})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire.AppendFrame(nil, &wire.Message{From: from, To: TPName, Kind: kindAbort, Attr: -1, Payload: payload})
 }
 
-func (c *chunkDuplicatingConduit) Send(frame []byte) error {
-	if err := c.Conduit.Send(frame); err != nil {
-		return err
+// TestChaosPeerAbortReasonBounded: a peer's abort reason is cut to
+// abortReasonLimit bytes at receipt, so a megabyte reason cannot become
+// the session error a server holds and logs. Holder B's first local-matrix
+// chunk is replaced by an abort carrying 1 MiB of reason; the third
+// party's error stays under 1 KiB and still classifies B's abort.
+func TestChaosPeerAbortReasonBounded(t *testing.T) {
+	leakcheck.Check(t)
+	cfg := chaosConfig()
+	cfg.PlaintextChannels = true // the rule crafts protocol frames
+	tp := newTap(cfg)
+	abort := abortFrame(t, "B", strings.Repeat("x", 1<<20))
+	tp.onSend("B", TPName, first(kindLocal, func(*tapFrame) ([][]byte, error) {
+		return [][]byte{abort}, nil
+	}))
+	_, err := RunInMemoryWrappedContext(context.Background(), cfg, pipelineParts(t, 8), pipelineReqs(),
+		deterministicRandom(27), tp.wrap)
+	var tpErr error
+	if joined, ok := err.(interface{ Unwrap() []error }); ok {
+		for _, e := range joined.Unwrap() {
+			if strings.HasPrefix(e.Error(), "third party: ") {
+				tpErr = e
+			}
+		}
 	}
-	m, err := wire.ParseFrame(frame)
-	if err != nil || m.Kind != kindLocal {
-		return nil
+	if tpErr == nil {
+		t.Fatalf("no third-party error in %.500s", err)
 	}
-	c.mu.Lock()
-	dup := !c.done
-	c.done = true
-	c.mu.Unlock()
-	if dup {
-		return c.Conduit.Send(frame)
+	if n := len(tpErr.Error()); n >= 1<<10 {
+		t.Fatalf("third party's error is %d bytes: %.200s…", n, tpErr)
 	}
-	return nil
+	if !errors.Is(tpErr, ErrAborted) || !strings.Contains(tpErr.Error(), "peer B: ") {
+		t.Fatalf("third party's error does not classify B's abort: %v", tpErr)
+	}
 }
 
 // TestChaosDuplicateLocalChunkFrame: a duplicated chunk frame in the
@@ -299,49 +260,21 @@ func (c *chunkDuplicatingConduit) Send(frame []byte) error {
 func TestChaosDuplicateLocalChunkFrame(t *testing.T) {
 	leakcheck.Check(t)
 	cfg := chaosConfig()
-	cfg.PlaintextChannels = true // the wrap decodes and replays frames
-	wrap := func(o, p string, c wire.Conduit) wire.Conduit {
-		if o == "A" && p == "TP" {
-			return &chunkDuplicatingConduit{Conduit: c}
-		}
-		return c
-	}
+	cfg.PlaintextChannels = true // the rule reads frame kinds
+	tp := newTap(cfg)
+	// A sends its first local-matrix chunk twice — a peer whose retransmit
+	// logic has gone wrong.
+	tp.onSend("A", TPName, first(kindLocal, func(f *tapFrame) ([][]byte, error) {
+		return [][]byte{f.Raw, f.Raw}, nil
+	}))
 	_, err := RunInMemoryWrappedContext(context.Background(), cfg, pipelineParts(t, 8), pipelineReqs(),
-		deterministicRandom(29), wrap)
+		deterministicRandom(29), tp.wrap)
 	if err == nil {
 		t.Fatal("duplicated chunk frame was accepted")
 	}
 	if !strings.Contains(err.Error(), "schedule") && !strings.Contains(err.Error(), "chunk") {
 		t.Fatalf("duplicate chunk error not descriptive: %v", err)
 	}
-}
-
-// gatedConduit parks its first Recv until release closes, after telling
-// entered it has begun, and counts every Recv.
-type gatedConduit struct {
-	wire.Conduit
-	entered, release chan struct{}
-	recvs            atomic.Int32
-}
-
-func (c *gatedConduit) Recv() ([]byte, error) {
-	if c.recvs.Add(1) == 1 {
-		close(c.entered)
-		<-c.release
-	}
-	return c.Conduit.Recv()
-}
-
-// failingConduit fails its first Recv once ready closes.
-type failingConduit struct {
-	wire.Conduit
-	ready <-chan struct{}
-	err   error
-}
-
-func (c *failingConduit) Recv() ([]byte, error) {
-	<-c.ready
-	return nil, c.err
 }
 
 // TestChaosLaneFailureStopsSiblingReaders: the first lane error returns at
@@ -381,9 +314,31 @@ func TestChaosLaneFailureStopsSiblingReaders(t *testing.T) {
 		}
 	}
 	in.Close()
-	a := &gatedConduit{Conduit: out, entered: make(chan struct{}), release: make(chan struct{})}
+	// A's reader parks inside its first receive until release closes;
+	// B's lane fails once A's reader is parked there.
+	tp := newTap(cfg)
+	entered, release := make(chan struct{}), make(chan struct{})
+	tp.onRecv(TPName, "A", func(f *tapFrame) ([][]byte, error) {
+		if f.N == 1 {
+			close(entered)
+			<-release
+		}
+		return f.pass()
+	})
+	severed := errors.New("lane B severed")
+	tp.onRecv(TPName, "B", func(*tapFrame) ([][]byte, error) {
+		<-entered
+		return nil, severed
+	})
+	a := tp.wrap(TPName, "A", out)
+	bIn, bOut := wire.Pipe()
+	defer bIn.Close()
+	if err := bIn.Send([]byte("B's first frame")); err != nil {
+		t.Fatal(err)
+	}
+	b := tp.wrap(TPName, "B", bOut)
 	t.Cleanup(func() { // runs once leakcheck has seen every reader exit
-		if got := a.recvs.Load(); got != 1 {
+		if got := len(tp.received("A", TPName)); got != 1 {
 			t.Errorf("A's reader received %d frames after B's lane failed, want only the one in flight", got)
 		}
 		left := 0
@@ -402,9 +357,6 @@ func TestChaosLaneFailureStopsSiblingReaders(t *testing.T) {
 	})
 	leakcheck.Check(t)
 
-	// B's lane fails once A's reader is inside its first receive.
-	severed := errors.New("lane B severed")
-	b := &failingConduit{ready: a.entered, err: severed}
 	g := &laneGroup{
 		eps:    []*wire.Endpoint{wire.NewEndpoint(a), wire.NewEndpoint(b)},
 		attrs:  []int{0},
@@ -414,5 +366,5 @@ func TestChaosLaneFailureStopsSiblingReaders(t *testing.T) {
 	if err := core.readLanes(context.Background(), g); !errors.Is(err, severed) {
 		t.Fatalf("readLanes returned %v, want B's lane error", err)
 	}
-	close(a.release)
+	close(release)
 }

@@ -2,22 +2,15 @@ package party
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"math"
-	"net"
 	"reflect"
 	"runtime"
-	"slices"
-	"sort"
-	"sync"
 	"testing"
 
 	"ppclust/internal/alphabet"
-	"ppclust/internal/dataset"
 	"ppclust/internal/dissim"
 	"ppclust/internal/protocol"
 	"ppclust/internal/rng"
@@ -324,65 +317,6 @@ func allocatedBytes(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// sessionFrames runs a small plaintext session and returns every frame it
-// put on a wire, the seed material of the fuzz corpora.
-func sessionFrames(t testing.TB, cfg Config, parts []dataset.Partition) [][]byte {
-	t.Helper()
-	var mu sync.Mutex
-	var frames [][]byte
-	tap := func(_, _ string, c wire.Conduit) wire.Conduit {
-		return wire.Tap(c, func(dir string, frame []byte) {
-			if dir == "send" {
-				mu.Lock()
-				frames = append(frames, bytes.Clone(frame))
-				mu.Unlock()
-			}
-		})
-	}
-	cfg.PlaintextChannels = true
-	if _, err := RunInMemoryWrapped(cfg, parts, pipelineReqs(), deterministicRandom(61), tap); err != nil {
-		t.Fatalf("seed session: %v", err)
-	}
-	return frames
-}
-
-// laneDigest runs the session and digests every frame of the given kinds,
-// lane by lane in the order it was sent: "lanes/frames/digest", where the
-// digest covers each lane's name and the SHA-256 of its length-prefixed
-// frames — what the transcript differentials below compare with the
-// digests a parent commit's session produced.
-func laneDigest(t *testing.T, cfg Config, parts []dataset.Partition, kinds ...wire.Kind) string {
-	t.Helper()
-	lanes := map[string]hash.Hash{}
-	frames := 0
-	for _, frame := range sessionFrames(t, cfg, parts) {
-		m, err := wire.ParseFrame(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Contains(kinds, m.Kind) {
-			continue
-		}
-		lane := m.From + ">" + m.To
-		if lanes[lane] == nil {
-			lanes[lane] = sha256.New()
-		}
-		binary.Write(lanes[lane], binary.LittleEndian, uint64(len(frame)))
-		lanes[lane].Write(frame)
-		frames++
-	}
-	names := make([]string, 0, len(lanes))
-	for lane := range lanes {
-		names = append(names, lane)
-	}
-	sort.Strings(names)
-	all := sha256.New()
-	for _, lane := range names {
-		fmt.Fprintf(all, "%s %x\n", lane, lanes[lane].Sum(nil))
-	}
-	return fmt.Sprintf("%d/%d/%x", len(names), frames, all.Sum(nil)[:8])
-}
-
 // TestAlphaFramesMatchParent is the transcript differential of the
 // alphanumeric engine: every ppc/alpha-m frame of a mixed-schema session,
 // lane by lane in the order it was sent, must hash to the recorded digest,
@@ -410,7 +344,7 @@ func TestAlphaFramesMatchParent(t *testing.T) {
 		for _, workers := range []int{1, 2} {
 			cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant,
 				LocalChunkBytes: tc.chunk, TPShards: tc.shards, Parallelism: workers}
-			if got := laneDigest(t, cfg, parts, kindAlphaM); got != tc.hash {
+			if got := tapSession(t, cfg, parts).laneDigest(kindAlphaM); got != tc.hash {
 				t.Errorf("chunk %d, shards %d, workers %d: lanes/frames/digest %s, recorded %s",
 					tc.chunk, tc.shards, workers, got, tc.hash)
 			}
@@ -476,7 +410,7 @@ func TestNumericFramesMatchParent(t *testing.T) {
 			for _, workers := range []int{1, 2} {
 				cfg := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: tc.mode,
 					LocalChunkBytes: chunk, TPShards: shards, Parallelism: workers}
-				if got := laneDigest(t, cfg, parts, kindLocal, kindNumDisg, kindNumS); got != hash {
+				if got := tapSession(t, cfg, parts).laneDigest(kindLocal, kindNumDisg, kindNumS); got != hash {
 					t.Errorf("%v %v, chunk %d, shards %d, workers %d: lanes/frames/digest %s, recorded %s",
 						tc.variant, tc.mode, chunk, shards, workers, got, hash)
 				}
@@ -508,14 +442,13 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 		{Schema: pipelineSchema(), Variant: Int64Variant, LocalChunkBytes: 128},
 		{Schema: pipelineSchema(), Variant: ModPVariant, Mode: protocol.PerPair},
 	} {
-		for _, frame := range sessionFrames(f, cfg, pipelineParts(f, 3)) {
-			m, err := wire.ParseFrame(frame)
-			if err != nil {
-				f.Fatalf("session frame does not parse: %v", err)
+		for _, fr := range tapSession(f, cfg, pipelineParts(f, 3)).sent("", "") {
+			if fr.Msg == nil {
+				f.Fatalf("session frame %d from %s does not parse", fr.N, fr.From)
 			}
-			if w, ok := which[m.Kind]; ok {
-				f.Add(w, m.Payload)
-				f.Add(uint8(4), frame) // as the coordinator relays it
+			if w, ok := which[fr.Msg.Kind]; ok {
+				f.Add(w, fr.Msg.Payload)
+				f.Add(uint8(4), fr.Raw) // as the coordinator relays it
 			}
 		}
 	}
@@ -631,33 +564,7 @@ func TestPooledTCPPlaintextSessionBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	// The driver wraps the two ends of a link back to back, so the first
-	// call of a pair dials and parks the accepted end for the second.
-	var parked net.Conn
-	overTCP := func(_, _ string, c wire.Conduit) wire.Conduit {
-		if parked != nil {
-			conn := parked
-			parked = nil
-			return wire.TCPPooled(conn)
-		}
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		accepted, err := ln.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close(); accepted.Close() })
-		parked = accepted
-		return wire.TCPPooled(conn)
-	}
-	got, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(62), overTCP)
+	got, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(62), overTCP(t, 0))
 	if err != nil {
 		t.Fatalf("session over pooled TCP: %v", err)
 	}

@@ -47,8 +47,12 @@ const abortGrace = 2 * time.Second
 
 // abortReasonLimit caps the reason string carried in an abort frame, so a
 // pathological error chain cannot balloon the one frame that must still
-// fit through a failing session's wire.
+// fit through a failing session's wire — and what a party keeps of a
+// peer's, so a hostile one cannot balloon the session error it holds.
 const abortReasonLimit = 512
+
+// clipReason cuts an abort reason to abortReasonLimit bytes.
+func clipReason(reason string) string { return reason[:min(len(reason), abortReasonLimit)] }
 
 // guard owns one party's session lifecycle: the cancellable context, the
 // conduits closed when it ends, the session and phase watchdogs, and the
@@ -318,11 +322,7 @@ func (g *guard) fail(cause error) {
 	notify := g.notify
 	g.mu.Unlock()
 	if notify != nil {
-		reason := cause.Error()
-		if len(reason) > abortReasonLimit {
-			reason = reason[:abortReasonLimit]
-		}
-		notify(reason)
+		notify(clipReason(cause.Error()))
 	}
 	g.cancel(cause)
 }
@@ -443,12 +443,12 @@ func sendAbortAll(from string, eps map[string]*wire.Endpoint, reason string) {
 }
 
 // peerAbortError converts a received abort frame into its classified
-// session error.
+// session error, the peer's reason clipped.
 func peerAbortError(m *wire.Message) error {
 	reason := "no reason given"
 	var body abortBody
 	if err := wire.DecodeBody(m.Payload, &body); err == nil && body.Reason != "" {
-		reason = body.Reason
+		reason = clipReason(body.Reason)
 	}
 	return fmt.Errorf("%w: peer %s: %s", ErrAborted, m.From, reason)
 }

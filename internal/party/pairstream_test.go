@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"ppclust/internal/dataset"
@@ -69,26 +68,6 @@ func TestPairChunkedMatchesSerialAcrossVariants(t *testing.T) {
 	}
 }
 
-// kindCappingConduit rejects frames of the given kind larger than cap at
-// Send, standing in for a transport with a much smaller MaxFrame — but
-// only for the message family under test, so the property "this payload
-// was the oversized one" is pinned directly.
-type kindCappingConduit struct {
-	wire.Conduit
-	kind wire.Kind
-	cap  int
-}
-
-func (c *kindCappingConduit) Send(frame []byte) error {
-	if len(frame) > c.cap {
-		if m, err := wire.ParseFrame(frame); err == nil && m.Kind == c.kind {
-			return fmt.Errorf("party test: %q frame of %d bytes over conduit cap %d: %w",
-				m.Kind, len(frame), c.cap, wire.ErrFrameTooLarge)
-		}
-	}
-	return c.Conduit.Send(frame)
-}
-
 // pairCapParts builds a two-holder numeric session in which both
 // partitions are large enough that the responder's masked S matrix (the
 // |B|×|A| comparison payload, 8 bytes a cell) is well past the test cap.
@@ -117,16 +96,18 @@ func pairCapParts(t testing.TB, rowsA, rowsB int) []dataset.Partition {
 // with the descriptive frame-size error when forced monolithic.
 func TestPairChunkedStreamingLiftsFrameCeiling(t *testing.T) {
 	parts := pairCapParts(t, 60, 60)
-	capWrap := func(owner, peer string, c wire.Conduit) wire.Conduit {
-		if peer == TPName {
-			return &kindCappingConduit{Conduit: c, kind: kindNumS, cap: 8 << 10}
-		}
-		return c
-	}
-	// Plaintext channels so the capping wrapper can classify frames by kind.
+	// Plaintext channels so the capping rule can classify frames by kind.
 	cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant,
 		PlaintextChannels: true, LocalChunkBytes: 4 << 10}
-	out, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(16), capWrap)
+	capped := newTap(cfg)
+	capped.onSend("", TPName, func(f *tapFrame) ([][]byte, error) {
+		if len(f.Raw) > 8<<10 && f.Msg.Kind == kindNumS {
+			return nil, fmt.Errorf("party test: %q frame of %d bytes over conduit cap %d: %w",
+				f.Msg.Kind, len(f.Raw), 8<<10, wire.ErrFrameTooLarge)
+		}
+		return f.pass()
+	})
+	out, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(16), capped.wrap)
 	if err != nil {
 		t.Fatalf("chunked session over capped conduit: %v", err)
 	}
@@ -137,78 +118,20 @@ func TestPairChunkedStreamingLiftsFrameCeiling(t *testing.T) {
 	assertSameOutcome(t, "capped conduit", uncapped, out)
 
 	cfg.LocalChunkBytes = oneFrameBudget // monolithic: the S-matrix frame must be rejected
-	if _, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(16), capWrap); !errors.Is(err, wire.ErrFrameTooLarge) {
+	if _, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(16), capped.wrap); !errors.Is(err, wire.ErrFrameTooLarge) {
 		t.Fatalf("monolithic session over capped conduit: want ErrFrameTooLarge, got %v", err)
 	}
 }
 
-// tamperConduit rewrites a holder's kindNumS chunk stream at Send to
-// simulate a misbehaving responder: mode "duplicate" replaces the second
-// chunk frame with a copy of the first, mode "reorder" swaps the first
-// two chunk frames, mode "truncate" closes the conduit right after the
-// first chunk frame. Requires PlaintextChannels.
-type tamperConduit struct {
-	wire.Conduit
-	mode   string
-	seen   int
-	stash  []byte
-	closed bool
-}
-
-func (c *tamperConduit) Send(frame []byte) error {
-	if c.closed {
-		return wire.ErrClosed
-	}
-	m, err := wire.ParseFrame(frame)
-	if err != nil || m.Kind != kindNumS {
-		return c.Conduit.Send(frame)
-	}
-	c.seen++
-	switch c.mode {
-	case "duplicate":
-		if c.seen == 1 {
-			// Send must not retain the caller's frame, so stash a copy.
-			c.stash = append([]byte(nil), frame...)
-		}
-		if c.seen == 2 {
-			return c.Conduit.Send(c.stash) // first chunk again
-		}
-	case "reorder":
-		if c.seen == 1 {
-			c.stash = append([]byte(nil), frame...)
-			return nil // hold the first chunk back
-		}
-		if c.seen == 2 {
-			if err := c.Conduit.Send(frame); err != nil {
-				return err
-			}
-			return c.Conduit.Send(c.stash)
-		}
-	case "truncate":
-		if c.seen == 1 {
-			if err := c.Conduit.Send(frame); err != nil {
-				return err
-			}
-			c.closed = true
-			c.Conduit.Close()
-			return nil
-		}
-	}
-	return c.Conduit.Send(frame)
-}
-
 // runTamperedPairStream runs a two-holder numeric session whose S payload
-// spans several chunks, with holder B's TP conduit tampered in the given
-// mode, and returns the session error.
+// spans several chunks, with holder B's kindNumS stream to the third party
+// tampered in the given mode — "duplicate" sends the first chunk again in
+// place of the second, "reorder" swaps the first two chunks, "truncate"
+// severs the conduit at B's first send after the first chunk — and
+// returns the session error.
 func runTamperedPairStream(t *testing.T, mode string) error {
 	t.Helper()
 	parts := pairCapParts(t, 10, 10)
-	wrap := func(owner, peer string, c wire.Conduit) wire.Conduit {
-		if owner == "B" && peer == TPName {
-			return &tamperConduit{Conduit: c, mode: mode}
-		}
-		return c
-	}
 	// 320-byte chunks over a 10×10 S matrix give a multi-chunk schedule
 	// (4 rows per frame).
 	cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant,
@@ -217,7 +140,31 @@ func runTamperedPairStream(t *testing.T, mode string) error {
 	if chunks := cfg.pairChunksRange(num, dataset.Numeric, 0, 10, 10); len(chunks) < 2 {
 		t.Fatalf("test shape yields %d chunks, want several", len(chunks))
 	}
-	_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(17), wrap)
+	tp := newTap(cfg)
+	var chunks int
+	var first []byte
+	tp.onSend("B", TPName, func(f *tapFrame) ([][]byte, error) {
+		if mode == "truncate" && first != nil {
+			return nil, errSever
+		}
+		if f.Msg.Kind != kindNumS {
+			return f.pass()
+		}
+		chunks++
+		switch {
+		case chunks == 1:
+			first = f.Raw
+			if mode == "reorder" {
+				return nil, nil // held back
+			}
+		case chunks == 2 && mode == "duplicate":
+			return [][]byte{first}, nil
+		case chunks == 2 && mode == "reorder":
+			return [][]byte{f.Raw, first}, nil
+		}
+		return f.pass()
+	})
+	_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(17), tp.wrap)
 	return err
 }
 
@@ -251,64 +198,24 @@ func TestPairChunkStreamTampering(t *testing.T) {
 // so a flooding responder cannot make it install or hold extra frames.
 func TestPairChunkScheduleEnforced(t *testing.T) {
 	parts := pairCapParts(t, 10, 10)
-	extra := func(owner, peer string, c wire.Conduit) wire.Conduit {
-		return &extraChunkConduit{Conduit: c, owner: owner, peer: peer}
-	}
 	cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant,
 		PlaintextChannels: true, LocalChunkBytes: 320}
-	_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(18), extra)
+	// Holder B sends every kindNumS frame twice, running past the schedule
+	// the third party derived from the census.
+	extra := newTap(cfg)
+	extra.onSend("B", TPName, func(f *tapFrame) ([][]byte, error) {
+		if f.Msg.Kind == kindNumS {
+			return [][]byte{f.Raw, f.Raw}, nil
+		}
+		return f.pass()
+	})
+	_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(18), extra.wrap)
 	if err == nil {
 		t.Fatal("over-long chunk stream reported no error")
 	}
 	if !strings.Contains(err.Error(), "schedule") && !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("over-long stream error %q does not name the schedule", err)
 	}
-}
-
-// extraChunkConduit re-sends every kindNumS frame once more, running past
-// the schedule the third party derived from the census.
-type extraChunkConduit struct {
-	wire.Conduit
-	owner, peer string
-}
-
-func (c *extraChunkConduit) Send(frame []byte) error {
-	if err := c.Conduit.Send(frame); err != nil {
-		return err
-	}
-	if c.owner == "B" && c.peer == TPName {
-		if m, err := wire.ParseFrame(frame); err == nil && m.Kind == kindNumS {
-			return c.Conduit.Send(frame)
-		}
-	}
-	return nil
-}
-
-// colsTamperConduit rewrites the first float64 chunk frame of its kind so
-// its cell block self-declares an inflated column count (with the cells to
-// match, so the block's own shape check cannot catch it). Requires
-// PlaintextChannels.
-type colsTamperConduit struct {
-	wire.Conduit
-	kind wire.Kind
-	done bool
-}
-
-func (c *colsTamperConduit) Send(frame []byte) error {
-	m, err := wire.ParseFrame(frame)
-	if err != nil || m.Kind != c.kind || c.done {
-		return c.Conduit.Send(frame)
-	}
-	c.done = true
-	var body numSBody
-	if err := wire.DecodeBody(m.Payload, &body); err != nil {
-		return c.Conduit.Send(frame)
-	}
-	cells, header := body.cells, appendInts(nil, body.Rows, body.Lo, body.Hi)
-	cols := cells.Cols + 7
-	payload := appendInts(append(header, m.Payload[len(header)]), cells.Rows, cols) // keeps the variant byte
-	m.Payload = append(payload, make([]byte, 8*cells.Rows*cols)...)
-	return c.Conduit.Send(wire.AppendFrame(nil, m))
 }
 
 // TestPairChunkRejectsWrongColumns: a chunk whose block claims a column
@@ -333,25 +240,31 @@ func TestPairChunkRejectsWrongColumns(t *testing.T) {
 		{"B", "A", kindNumDisg, "disguised chunk 0 is"},
 	} {
 		for _, serial := range []bool{false, true} {
-			var sFrames atomic.Int64
-			wrap := func(owner, peer string, c wire.Conduit) wire.Conduit {
-				switch {
-				case owner == tc.from && peer == tc.to:
-					return &colsTamperConduit{Conduit: c, kind: tc.kind}
-				case owner == tc.to && peer == TPName:
-					return &kindCountingConduit{Conduit: c, kinds: map[wire.Kind]bool{kindNumS: true}, n: &sFrames}
+			// The first float64 chunk of the kind self-declares seven more
+			// columns, with the cells to match, so the block's own shape
+			// check cannot catch it.
+			tp := newTap(cfg)
+			tp.onSend(tc.from, tc.to, first(tc.kind, func(f *tapFrame) ([][]byte, error) {
+				var body numSBody
+				if err := wire.DecodeBody(f.Msg.Payload, &body); err != nil {
+					return nil, err
 				}
-				return c
-			}
+				cells, header := body.cells, appendInts(nil, body.Rows, body.Lo, body.Hi)
+				cols := cells.Cols + 7
+				m := *f.Msg
+				payload := appendInts(append(header, m.Payload[len(header)]), cells.Rows, cols) // keeps the variant byte
+				m.Payload = append(payload, make([]byte, 8*cells.Rows*cols)...)
+				return [][]byte{wire.AppendFrame(nil, &m)}, nil
+			}))
 			run := RunInMemoryWrapped
 			if serial {
 				run = runSerialTP
 			}
-			_, err := run(cfg, parts, nil, deterministicRandom(19), wrap)
+			_, err := run(cfg, parts, nil, deterministicRandom(19), tp.wrap)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("%s %s→%s serial=%v: error %v does not describe the column mismatch", tc.kind, tc.from, tc.to, serial, err)
 			}
-			if n := sFrames.Load(); n != 0 {
+			if n := len(tp.sent(tc.to, TPName, kindNumS)); n != 0 {
 				t.Fatalf("%s %s→%s serial=%v: %s sent %d S frames after refusing the chunk", tc.kind, tc.from, tc.to, serial, tc.to, n)
 			}
 		}

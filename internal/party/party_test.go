@@ -4,7 +4,6 @@ import (
 	"io"
 	"math"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"ppclust/internal/alphabet"
@@ -337,16 +336,13 @@ func TestModPBoundDecodes(t *testing.T) {
 func TestModPBoundRefusedBeforeS(t *testing.T) {
 	for _, mode := range []protocol.Mode{protocol.Batch, protocol.PerPair} {
 		for _, parts := range [][]dataset.Partition{modPBoundParts(1<<62, -(1 << 62)), modPBoundParts(-1<<62+512, 1<<62)} {
-			var sFrames atomic.Int64
-			wrap := func(owner, peer string, c wire.Conduit) wire.Conduit {
-				return &kindCountingConduit{Conduit: c, kinds: map[wire.Kind]bool{kindNumS: true}, n: &sFrames}
-			}
 			cfg := Config{Schema: parts[0].Table.Schema(), Variant: ModPVariant, Mode: mode, PlaintextChannels: true}
-			_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(62), wrap)
+			tp := newTap(cfg)
+			_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(62), tp.wrap)
 			if err == nil || !strings.Contains(err.Error(), "at row 0 exceeds magnitude bound") {
 				t.Fatalf("%v: want the holder's refusal naming row 0, got %v", mode, err)
 			}
-			if n := sFrames.Load(); n != 0 {
+			if n := len(tp.sent("", "", kindNumS)); n != 0 {
 				t.Fatalf("%v: %d S frames moved before the refusal", mode, n)
 			}
 		}
@@ -381,21 +377,6 @@ func TestEmptyPartition(t *testing.T) {
 	}
 }
 
-// kindCountingConduit counts the frames of the given kinds its owner sends.
-// Plaintext sessions only.
-type kindCountingConduit struct {
-	wire.Conduit
-	kinds map[wire.Kind]bool
-	n     *atomic.Int64
-}
-
-func (c *kindCountingConduit) Send(frame []byte) error {
-	if m, err := wire.ParseFrame(frame); err == nil && c.kinds[m.Kind] {
-		c.n.Add(1)
-	}
-	return c.Conduit.Send(frame)
-}
-
 // TestEmptyHolderSendsNoComparisonFrames pins the wire rule for holders
 // without objects: no rows in a range means no frames toward it — not the
 // former "one empty frame minimum" — for local triangles and S/M payloads
@@ -403,25 +384,16 @@ func (c *kindCountingConduit) Send(frame []byte) error {
 func TestEmptyHolderSendsNoComparisonFrames(t *testing.T) {
 	parts := mixedPartitions(t)
 	parts[1] = dataset.Partition{Site: "B", Table: dataset.MustNewTable(mixedSchema())}
-	comparison := map[wire.Kind]bool{kindLocal: true, kindNumS: true, kindAlphaM: true}
-	var fromB, fromC atomic.Int64
-	wrap := func(owner, peer string, c wire.Conduit) wire.Conduit {
-		switch {
-		case owner == "B" && peer == TPName:
-			return &kindCountingConduit{Conduit: c, kinds: comparison, n: &fromB}
-		case owner == "C" && peer == TPName:
-			return &kindCountingConduit{Conduit: c, kinds: comparison, n: &fromC}
-		}
-		return c
-	}
+	comparison := []wire.Kind{kindLocal, kindNumS, kindAlphaM}
 	cfg := Config{Schema: mixedSchema(), Variant: Float64Variant, PlaintextChannels: true}
-	if _, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(5), wrap); err != nil {
+	tp := newTap(cfg)
+	if _, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(5), tp.wrap); err != nil {
 		t.Fatal(err)
 	}
-	if n := fromB.Load(); n != 0 {
+	if n := len(tp.sent("B", TPName, comparison...)); n != 0 {
 		t.Fatalf("empty holder B sent %d comparison frames, want 0", n)
 	}
-	if fromC.Load() == 0 {
+	if len(tp.sent("C", TPName, comparison...)) == 0 {
 		t.Fatal("holder C sent no comparison frames; the counter is not observing the stream")
 	}
 }

@@ -2,10 +2,12 @@ package party
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -163,13 +165,12 @@ func TestParallelismOneComputesOneChunk(t *testing.T) {
 			}
 		}
 	}()
-	wrap := func(owner, peer string, c wire.Conduit) wire.Conduit {
-		if owner != TPName {
-			return c
-		}
-		return &samplingConduit{Conduit: c, sample: sample}
-	}
-	_, err = RunInMemoryWrapped(cfg, pipelineParts(t, 30), pipelineReqs(), deterministicRandom(7), wrap)
+	tp := newTap(cfg)
+	tp.onRecv(TPName, "", func(f *tapFrame) ([][]byte, error) {
+		sample()
+		return f.pass()
+	})
+	_, err = RunInMemoryWrapped(cfg, pipelineParts(t, 30), pipelineReqs(), deterministicRandom(7), tp.wrap)
 	close(done)
 	<-sampled
 	if err != nil {
@@ -178,18 +179,6 @@ func TestParallelismOneComputesOneChunk(t *testing.T) {
 	if got := peak.Load(); got > 1 {
 		t.Fatalf("ComputeActive peaked at %d during a Parallelism 1 session, want at most 1", got)
 	}
-}
-
-// samplingConduit calls sample at every frame its owner receives.
-type samplingConduit struct {
-	wire.Conduit
-	sample func()
-}
-
-func (c *samplingConduit) Recv() ([]byte, error) {
-	frame, err := c.Conduit.Recv()
-	c.sample()
-	return frame, err
 }
 
 // latencyWrap injects delay and jitter into the third party's receive side
@@ -257,6 +246,36 @@ func tcpLink(t *testing.T) (net.Conn, net.Conn) {
 	return dialer, acc.c
 }
 
+// overTCP is a ConduitWrap that carries each session link between two
+// parties named in over (every link when over is empty) on a fresh
+// loopback TCP connection, TCPPooled at both ends, whose sockets ask for
+// buf-byte buffers when buf is positive. The driver wraps a link's two
+// ends back to back, so the first call of a pair dials and parks the
+// other end for the second.
+func overTCP(t *testing.T, buf int, over ...string) ConduitWrap {
+	var parked net.Conn
+	return func(owner, peer string, c wire.Conduit) wire.Conduit {
+		if len(over) > 0 && (!slices.Contains(over, owner) || !slices.Contains(over, peer)) {
+			return c
+		}
+		if parked != nil {
+			conn := parked
+			parked = nil
+			return wire.TCPPooled(conn)
+		}
+		a, b := tcpLink(t)
+		for _, conn := range []net.Conn{a, b} {
+			if tc := conn.(*net.TCPConn); buf > 0 {
+				if err := errors.Join(tc.SetReadBuffer(buf), tc.SetWriteBuffer(buf)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		parked = b
+		return wire.TCPPooled(a)
+	}
+}
+
 // TestTCPSessionOverJitteryLinkMatchesInMemory runs the full session over
 // real TCP connections whose TP side receives through a latency+jitter
 // conduit, and requires the pipelined third party's matrices, scales and
@@ -269,69 +288,13 @@ func TestTCPSessionOverJitteryLinkMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	holders := []string{"A", "B", "C"}
-	holderConduits := map[string]map[string]wire.Conduit{
-		"A": {}, "B": {}, "C": {},
-	}
-	tpConduits := map[string]wire.Conduit{}
-	for i, a := range holders {
-		for _, b := range holders[i+1:] {
-			ca, cb := tcpLink(t)
-			holderConduits[a][b] = wire.TCPPooled(ca)
-			holderConduits[b][a] = wire.TCPPooled(cb)
-		}
-		ch, ct := tcpLink(t)
-		holderConduits[a][TPName] = wire.TCPPooled(ch)
-		// The TP receives each holder stream through an independent
-		// jittery link, the deployment the pipeline exists for.
-		tpConduits[a] = wire.Link(wire.TCPPooled(ct), time.Millisecond, time.Millisecond, 0, uint64(i+1))
-	}
-
-	var wg sync.WaitGroup
-	results := make(map[string]*Result)
-	var mu sync.Mutex
-	errCh := make(chan error, len(parts)+1)
-	for _, p := range parts {
-		wg.Add(1)
-		go func(p dataset.Partition) {
-			defer wg.Done()
-			h, err := NewHolder(p.Site, p.Table, holders, cfg, reqs[p.Site], holderConduits[p.Site], deterministicRandom(5)(p.Site))
-			if err != nil {
-				errCh <- err
-				return
-			}
-			res, err := h.Run()
-			if err != nil {
-				errCh <- err
-				return
-			}
-			mu.Lock()
-			results[p.Site] = res
-			mu.Unlock()
-		}(p)
-	}
-	var report *TPReport
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tp, err := NewThirdParty(holders, cfg, tpConduits, deterministicRandom(5)(TPName))
-		if err != nil {
-			errCh <- err
-			return
-		}
-		report, err = tp.Run()
-		if err != nil {
-			errCh <- err
-		}
-	}()
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	// The TP receives each holder stream through an independent jittery
+	// link, the deployment the pipeline exists for.
+	got, err := RunInMemoryWrapped(cfg, parts, reqs, deterministicRandom(5),
+		chainWraps(overTCP(t, 0), latencyWrap(time.Millisecond, time.Millisecond)))
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	got := &SessionOutcome{Results: results, Report: report}
 	assertSameOutcome(t, "tcp session", want, got)
 }
 
@@ -341,14 +304,9 @@ func TestTCPSessionOverJitteryLinkMatchesInMemory(t *testing.T) {
 func TestPipelinedSessionFailsCleanly(t *testing.T) {
 	parts := pipelineParts(t, 6)
 	cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant}
-	// Sever B's TP link after the 6th frame B sends on it: past the
-	// handshake and census, inside the attribute traffic.
-	wrap := func(owner, peer string, c wire.Conduit) wire.Conduit {
-		if owner == "B" && peer == TPName {
-			return &severingConduit{Conduit: c, after: 6}
-		}
-		return c
-	}
+	// Sever B's TP link at the 7th frame B sends on it — a holder crash
+	// past the handshake and census, inside the attribute traffic.
+	wrap := linkFault("B", TPName, wire.FaultSpec{Kind: wire.FaultCut, Frame: 7})
 	_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(6), wrap)
 	if err == nil {
 		t.Fatal("severed session reported no error")
@@ -356,23 +314,6 @@ func TestPipelinedSessionFailsCleanly(t *testing.T) {
 	if !strings.Contains(err.Error(), "closed") && !strings.Contains(err.Error(), "authentication") {
 		t.Logf("severed session error (accepted): %v", err)
 	}
-}
-
-// severingConduit closes itself after n sends, simulating a holder crash
-// mid-stream.
-type severingConduit struct {
-	wire.Conduit
-	after int
-	sent  int
-}
-
-func (s *severingConduit) Send(frame []byte) error {
-	s.sent++
-	if s.sent > s.after {
-		s.Conduit.Close()
-		return wire.ErrClosed
-	}
-	return s.Conduit.Send(frame)
 }
 
 // TestCentralizedMatrixRejectsUnknownType is the regression test for the

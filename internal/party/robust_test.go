@@ -10,23 +10,6 @@ import (
 	"ppclust/internal/wire"
 )
 
-// corruptingConduit flips a byte in the Nth sent frame.
-type corruptingConduit struct {
-	wire.Conduit
-	n     int
-	count int
-}
-
-func (c *corruptingConduit) Send(frame []byte) error {
-	c.count++
-	if c.count == c.n && len(frame) > 10 {
-		cp := append([]byte(nil), frame...)
-		cp[len(cp)/2] ^= 0xff
-		return c.Conduit.Send(cp)
-	}
-	return c.Conduit.Send(frame)
-}
-
 // TestCorruptedFrameFailsSessionCleanly injects corruption into a live
 // session's conduit and verifies that every party terminates with an error
 // — nobody hangs, and the AES-GCM layer is what catches the tampering.
@@ -38,72 +21,36 @@ func TestCorruptedFrameFailsSessionCleanly(t *testing.T) {
 	b := dataset.MustNewTable(schema)
 	b.MustAppendRow(9.0)
 
-	// Hand-build the topology so we can interpose on A->TP.
-	ab1, ab2 := wire.Pipe()
-	atp1, atp2 := wire.Pipe()
-	btp1, btp2 := wire.Pipe()
-	// Corrupt A's 3rd frame to the TP (inside the secured stream, past the
-	// handshake, so the GCM open must fail).
-	aToTP := &corruptingConduit{Conduit: atp1, n: 3}
-
+	parts := []dataset.Partition{{Site: "A", Table: a}, {Site: "B", Table: b}}
+	reqs := map[string]ClusterRequest{"A": {Linkage: hcluster.Average, K: 1}, "B": {Linkage: hcluster.Average, K: 1}}
 	cfg := Config{Schema: schema, Variant: Float64Variant}
-	holders := []string{"A", "B"}
-	errs := make(chan error, 3)
-	done := make(chan struct{})
+	// Corrupt A's 3rd frame to the TP (inside the secured stream, past the
+	// handshake, so the GCM open must fail). The driver closes every
+	// conduit once the first party fails, as a deployment's cleanup would.
+	done := make(chan error, 1)
 	go func() {
-		h, err := NewHolder("A", a, holders, cfg, ClusterRequest{Linkage: hcluster.Average, K: 1},
-			map[string]wire.Conduit{"B": ab1, TPName: aToTP}, deterministicRandom(21)("A"))
-		if err == nil {
-			_, err = h.Run()
-		}
-		errs <- err
+		_, err := RunInMemoryWrapped(cfg, parts, reqs, deterministicRandom(21),
+			linkFault("A", TPName, wire.FaultSpec{Kind: wire.FaultCorrupt, Frame: 3, Seed: 21}))
+		done <- err
 	}()
-	go func() {
-		h, err := NewHolder("B", b, holders, cfg, ClusterRequest{Linkage: hcluster.Average, K: 1},
-			map[string]wire.Conduit{"A": ab2, TPName: btp1}, deterministicRandom(21)("B"))
-		if err == nil {
-			_, err = h.Run()
-		}
-		errs <- err
-	}()
-	go func() {
-		tp, err := NewThirdParty(holders, cfg,
-			map[string]wire.Conduit{"A": atp2, "B": btp2}, deterministicRandom(21)("TP"))
-		if err == nil {
-			_, err = tp.Run()
-		}
-		errs <- err
-		close(done)
-	}()
-
-	// The TP must fail authentication; closing its conduits unblocks the
-	// holders. Emulate the driver's cleanup once the first error lands.
-	var first error
+	var err error
 	select {
-	case first = <-errs:
+	case err = <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("session hung on corrupted frame")
 	}
-	for _, c := range []wire.Conduit{ab1, ab2, atp1, atp2, btp1, btp2} {
-		c.Close()
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case e := <-errs:
-			if first == nil {
-				first = e
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("party hung after conduit close")
-		}
-	}
-	if first == nil {
+	if err == nil {
 		t.Fatal("corrupted session reported no error")
 	}
-	if !strings.Contains(first.Error(), "authentication") &&
-		!strings.Contains(first.Error(), "closed") &&
-		!strings.Contains(first.Error(), "decoding") {
-		t.Logf("first error (accepted): %v", first)
+	for _, party := range []string{"third party: ", "holder A: ", "holder B: "} {
+		if !strings.Contains(err.Error(), party) {
+			t.Errorf("%sreported no error: %v", party, err)
+		}
+	}
+	if !strings.Contains(err.Error(), "authentication") &&
+		!strings.Contains(err.Error(), "closed") &&
+		!strings.Contains(err.Error(), "decoding") {
+		t.Logf("session error (accepted): %v", err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -385,20 +384,6 @@ func eagerWorker(t *testing.T, schema dataset.Schema) ShardDialFunc {
 	}
 }
 
-// recvSeveringConduit severs itself after its owner has read n frames.
-type recvSeveringConduit struct {
-	wire.Conduit
-	left atomic.Int64
-}
-
-func (c *recvSeveringConduit) Recv() ([]byte, error) {
-	if c.left.Add(-1) < 0 {
-		c.Conduit.Close()
-		return nil, wire.ErrClosed
-	}
-	return c.Conduit.Recv()
-}
-
 // TestChaosShardProcPumpFailsAfterSlices is the -race regression for the
 // coordinator's error hand-off: relay pumps outlive the slice collectors,
 // so a pump whose holder lane dies after every slice is in reports its
@@ -415,15 +400,14 @@ func TestChaosShardProcPumpFailsAfterSlices(t *testing.T) {
 	cfg.ShardDial = eagerWorker(t, cfg.Schema)
 	// C is the holder whose rows reach shard 1; its lane there dies on the
 	// coordinator's side after the hello and two chunk frames.
-	sever := func(owner, peer string, c wire.Conduit) wire.Conduit {
-		if owner == ShardName(1) && peer == "C" {
-			sc := &recvSeveringConduit{Conduit: c}
-			sc.left.Store(3)
-			return sc
+	tp := newTap(cfg)
+	tp.onRecv(ShardName(1), "C", func(f *tapFrame) ([][]byte, error) {
+		if f.N > 3 {
+			return nil, errSever
 		}
-		return c
-	}
-	_, err = RunInMemoryWrapped(cfg, pipelineParts(t, 8), pipelineReqs(), deterministicRandom(47), sever)
+		return f.pass()
+	})
+	_, err = RunInMemoryWrapped(cfg, pipelineParts(t, 8), pipelineReqs(), deterministicRandom(47), tp.wrap)
 	if err == nil {
 		t.Fatal("session with a dead relay lane published")
 	}

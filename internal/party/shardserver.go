@@ -277,11 +277,7 @@ func (r *shardRun) send(kind wire.Kind, attr int, body any) error {
 func (r *shardRun) close(reason error) {
 	r.closeOnce.Do(func() {
 		if reason != nil {
-			msg := reason.Error()
-			if len(msg) > abortReasonLimit {
-				msg = msg[:abortReasonLimit]
-			}
-			_ = r.send(kindAbort, -1, abortBody{Reason: msg})
+			_ = r.send(kindAbort, -1, abortBody{Reason: clipReason(reason.Error())})
 		}
 		r.conduit.Close()
 	})

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"net"
 	"slices"
 	"strings"
 	"sync"
@@ -148,27 +147,6 @@ func TestSplitRowsBalancesLinks(t *testing.T) {
 	}
 }
 
-// censusRewriter hands holder A a census whose counts the test chose.
-type censusRewriter struct {
-	wire.Conduit
-	counts []int
-}
-
-func (c *censusRewriter) Send(frame []byte) error {
-	if m, err := wire.ParseFrame(frame); err == nil && m.Kind == kindCensus {
-		var body censusBody
-		if err := wire.DecodeBody(m.Payload, &body); err != nil {
-			return err
-		}
-		body.Counts = c.counts
-		if m.Payload, err = wire.EncodeBody(body); err != nil {
-			return err
-		}
-		frame = wire.AppendFrame(nil, m)
-	}
-	return c.Conduit.Send(frame)
-}
-
 // TestHolderRefusesMalformedCensus: a census whose counts do not line up
 // with its holders, or that holds a negative count, is refused with a
 // descriptive error. A short one once indexed past the counts and panicked
@@ -177,13 +155,22 @@ func TestHolderRefusesMalformedCensus(t *testing.T) {
 	parts := pairCapParts(t, 3, 4)
 	cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant, PlaintextChannels: true}
 	for _, counts := range [][]int{{3}, {3, 4, 5}, {3, -4}} {
-		wrap := func(owner, peer string, c wire.Conduit) wire.Conduit {
-			if owner == TPName && peer == "A" {
-				return &censusRewriter{Conduit: c, counts: counts}
+		// Holder A is handed a census whose counts the test chose.
+		tp := newTap(cfg)
+		tp.onSend(TPName, "A", first(kindCensus, func(f *tapFrame) ([][]byte, error) {
+			var body censusBody
+			if err := wire.DecodeBody(f.Msg.Payload, &body); err != nil {
+				return nil, err
 			}
-			return c
-		}
-		_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(33), wrap)
+			body.Counts = counts
+			m := *f.Msg
+			var err error
+			if m.Payload, err = wire.EncodeBody(body); err != nil {
+				return nil, err
+			}
+			return [][]byte{wire.AppendFrame(nil, &m)}, nil
+		}))
+		_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(33), tp.wrap)
 		if err == nil || !strings.Contains(err.Error(), "holder A: ") || !strings.Contains(err.Error(), "census") {
 			t.Fatalf("census counts %v: want holder A to refuse the census, got %v", counts, err)
 		}
@@ -300,29 +287,6 @@ func TestHolderLinksCarryEqualBytes(t *testing.T) {
 	}
 }
 
-// shareShifter moves the row range of the first ppc/numeric-s frame its
-// owner sends to the given first row, keeping the cells: a holder claiming
-// rows of the other holder's share.
-type shareShifter struct {
-	wire.Conduit
-	to   int
-	done bool
-}
-
-func (c *shareShifter) Send(frame []byte) error {
-	if m, err := wire.ParseFrame(frame); err == nil && m.Kind == kindNumS && !c.done {
-		c.done = true
-		var body numSBody
-		if err := wire.DecodeBody(m.Payload, &body); err != nil {
-			return err
-		}
-		header := len(appendInts(nil, body.Rows, body.Lo, body.Hi))
-		m.Payload = append(appendInts(nil, body.Rows, c.to, c.to+body.Hi-body.Lo), m.Payload[header:]...)
-		frame = wire.AppendFrame(nil, m)
-	}
-	return c.Conduit.Send(frame)
-}
-
 // TestShareRowsOfTheOtherHolderRefused: the third party takes each holder's
 // rows of a pair block only from the share that holder produces. An
 // initiator chunk claiming rows below the split, or a responder chunk
@@ -334,13 +298,19 @@ func TestShareRowsOfTheOtherHolderRefused(t *testing.T) {
 		holder string
 		to     int
 	}{{"A", 0}, {"B", 20}} {
-		wrap := func(owner, peer string, c wire.Conduit) wire.Conduit {
-			if owner == tc.holder && peer == TPName {
-				return &shareShifter{Conduit: c, to: tc.to}
-			}
-			return c
-		}
-		_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(36), wrap)
+		// The holder's first S chunk is moved to start at row tc.to, its
+		// cells kept: a holder claiming rows of the other holder's share.
+		tp := newTap(cfg)
+		tp.onSend(tc.holder, TPName, first(kindNumS, func(f *tapFrame) ([][]byte, error) {
+			r := bodyReader{p: f.Msg.Payload}
+			rows := r.int()
+			r.int()
+			r.int()
+			m := *f.Msg
+			m.Payload = append(appendInts(nil, rows, tc.to, tc.to+f.Hi-f.Lo), r.p...)
+			return [][]byte{wire.AppendFrame(nil, &m)}, nil
+		}))
+		_, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(36), tp.wrap)
 		if err == nil || !strings.Contains(err.Error(), "schedule says") {
 			t.Fatalf("%s's chunk moved to row %d: want a schedule error, got %v", tc.holder, tc.to, err)
 		}
@@ -363,33 +333,9 @@ func TestPerPairSplitOverSmallTCPBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var parked net.Conn
-	small := func(c net.Conn) net.Conn {
-		tc := c.(*net.TCPConn)
-		if err := tc.SetReadBuffer(8 << 10); err != nil {
-			t.Fatal(err)
-		}
-		if err := tc.SetWriteBuffer(8 << 10); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	overTCP := func(owner, peer string, c wire.Conduit) wire.Conduit {
-		if owner == TPName || peer == TPName {
-			return c
-		}
-		if parked != nil {
-			conn := parked
-			parked = nil
-			return wire.TCPPooled(conn)
-		}
-		a, b := tcpLink(t)
-		parked = small(b)
-		return wire.TCPPooled(small(a))
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	got, err := RunInMemoryWrappedContext(ctx, cfg, parts, pipelineReqs(), deterministicRandom(37), overTCP)
+	got, err := RunInMemoryWrappedContext(ctx, cfg, parts, pipelineReqs(), deterministicRandom(37), overTCP(t, 8<<10, "A", "B", "C"))
 	if err != nil {
 		t.Fatalf("per-pair session over small TCP buffers: %v", err)
 	}

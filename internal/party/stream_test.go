@@ -52,22 +52,6 @@ func TestChunkedStreamingMatchesSerialTP(t *testing.T) {
 	}
 }
 
-// cappingConduit rejects frames larger than cap at Send, standing in for a
-// transport with a much smaller MaxFrame so the ceiling-lift property is
-// testable without moving a quarter-gigabyte triangle.
-type cappingConduit struct {
-	wire.Conduit
-	cap int
-}
-
-func (c *cappingConduit) Send(frame []byte) error {
-	if len(frame) > c.cap {
-		return fmt.Errorf("party test: frame of %d bytes over conduit cap %d: %w",
-			len(frame), c.cap, wire.ErrFrameTooLarge)
-	}
-	return c.Conduit.Send(frame)
-}
-
 // streamCapParts builds a two-holder numeric session whose larger holder's
 // packed triangle (7140 cells, 56 KiB on the wire) is well past the test
 // conduit cap.
@@ -95,14 +79,18 @@ func streamCapParts(t *testing.T) []dataset.Partition {
 // ceiling-lift property at test scale.
 func TestChunkedStreamingLiftsFrameCeiling(t *testing.T) {
 	parts := streamCapParts(t)
-	capWrap := func(owner, peer string, c wire.Conduit) wire.Conduit {
-		if peer == TPName {
-			return &cappingConduit{Conduit: c, cap: 24 << 10}
-		}
-		return c
-	}
 	cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant, LocalChunkBytes: 4 << 10}
-	out, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(12), capWrap)
+	// The cap stands in for a transport with a much smaller MaxFrame, so
+	// the property is testable without moving a quarter-gigabyte triangle.
+	capped := newTap(cfg)
+	capped.onSend("", TPName, func(f *tapFrame) ([][]byte, error) {
+		if len(f.Raw) > 24<<10 {
+			return nil, fmt.Errorf("party test: frame of %d bytes over conduit cap %d: %w",
+				len(f.Raw), 24<<10, wire.ErrFrameTooLarge)
+		}
+		return f.pass()
+	})
+	out, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(12), capped.wrap)
 	if err != nil {
 		t.Fatalf("chunked session over capped conduit: %v", err)
 	}
@@ -113,7 +101,7 @@ func TestChunkedStreamingLiftsFrameCeiling(t *testing.T) {
 	assertSameOutcome(t, "capped conduit", uncapped, out)
 
 	cfg.LocalChunkBytes = oneFrameBudget // monolithic: the triangle frame must be rejected
-	if _, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(12), capWrap); !errors.Is(err, wire.ErrFrameTooLarge) {
+	if _, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(12), capped.wrap); !errors.Is(err, wire.ErrFrameTooLarge) {
 		t.Fatalf("monolithic session over capped conduit: want ErrFrameTooLarge, got %v", err)
 	}
 }

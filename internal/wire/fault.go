@@ -1,21 +1,11 @@
 package wire
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"time"
 
 	"ppclust/internal/rng"
 )
-
-// ErrTransient marks a send failure the transport believes is momentary:
-// the conduit remains usable and re-sending the same frame may succeed.
-// Session layers do not retry on their own — layer Retry over a transport
-// that produces transient errors to absorb them below any channel
-// protection (retrying above an AES-GCM channel would re-seal under a new
-// sequence number and desynchronize the peer).
-var ErrTransient = errors.New("wire: transient transport error")
 
 // FaultKind selects the fault class a Fault conduit injects.
 type FaultKind int
@@ -36,10 +26,6 @@ const (
 	// bit flipped (position drawn from Seed) — in-flight corruption, caught
 	// by the AES-GCM layer on secured sessions.
 	FaultCorrupt
-	// FaultTransient fails the send of frame Frame once with ErrTransient
-	// without delivering it; the frame is lost but the conduit stays
-	// usable. Survivable when a Retry layer sits above the fault.
-	FaultTransient
 	// FaultFlap closes the conduit instead of delivering frame Frame, like
 	// FaultCut, but labels the sever as a link flap: the transport accepts
 	// a re-dial, so a session layered over Reconn survives by rebinding a
@@ -58,8 +44,6 @@ func (k FaultKind) String() string {
 		return "cut"
 	case FaultCorrupt:
 		return "corrupt"
-	case FaultTransient:
-		return "transient"
 	case FaultFlap:
 		return "flap"
 	default:
@@ -93,9 +77,8 @@ type faultConduit struct {
 	inner Conduit
 	spec  FaultSpec
 
-	mu      sync.Mutex
-	sent    int
-	tripped bool // FaultTransient fired
+	mu   sync.Mutex
+	sent int
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -127,16 +110,6 @@ func (f *faultConduit) Send(frame []byte) error {
 			cp[src.Next()%uint64(len(cp))] ^= byte(1) << (src.Next() % 8)
 			return f.inner.Send(cp)
 		}
-	case FaultTransient:
-		f.mu.Lock()
-		trip := n >= f.spec.Frame && !f.tripped
-		if trip {
-			f.tripped = true
-		}
-		f.mu.Unlock()
-		if trip {
-			return fmt.Errorf("wire: injected fault at frame %d: %w", n, ErrTransient)
-		}
 	}
 	return f.inner.Send(frame)
 }
@@ -147,28 +120,3 @@ func (f *faultConduit) Close() error {
 	f.closeOnce.Do(func() { close(f.closed) })
 	return f.inner.Close()
 }
-
-// Retry wraps a conduit so that Sends failing with ErrTransient are
-// re-attempted up to attempts extra times — the reliability shim a
-// deployment places directly above a transport with momentary failures,
-// and below any channel protection (see ErrTransient). All other errors,
-// and transient errors that persist past the budget, pass through.
-func Retry(c Conduit, attempts int) Conduit {
-	return &retryConduit{inner: c, attempts: attempts}
-}
-
-type retryConduit struct {
-	inner    Conduit
-	attempts int
-}
-
-func (r *retryConduit) Send(frame []byte) error {
-	err := r.inner.Send(frame)
-	for extra := 0; extra < r.attempts && errors.Is(err, ErrTransient); extra++ {
-		err = r.inner.Send(frame)
-	}
-	return err
-}
-
-func (r *retryConduit) Recv() ([]byte, error) { return r.inner.Recv() }
-func (r *retryConduit) Close() error          { return r.inner.Close() }

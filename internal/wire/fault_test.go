@@ -139,37 +139,6 @@ func TestChaosFaultCorruptDoesNotMutateCallerFrame(t *testing.T) {
 	b.Recv()
 }
 
-// TestChaosFaultTransientAndRetry: the one-shot transient error surfaces as
-// ErrTransient, the frame is lost, and a Retry layer directly above the
-// fault absorbs it transparently.
-func TestChaosFaultTransientAndRetry(t *testing.T) {
-	leakcheck.Check(t)
-	a, b := Pipe()
-	defer a.Close()
-	defer b.Close()
-	f := Fault(a, FaultSpec{Kind: FaultTransient, Frame: 1})
-	if err := f.Send([]byte("lost")); !errors.Is(err, ErrTransient) {
-		t.Fatalf("want ErrTransient, got %v", err)
-	}
-	if err := f.Send([]byte("ok")); err != nil {
-		t.Fatalf("post-transient send: %v", err)
-	}
-	if got, err := b.Recv(); err != nil || string(got) != "ok" {
-		t.Fatalf("post-transient frame: %q %v", got, err)
-	}
-
-	a2, b2 := Pipe()
-	defer a2.Close()
-	defer b2.Close()
-	r := Retry(Fault(a2, FaultSpec{Kind: FaultTransient, Frame: 1}), 2)
-	if err := r.Send([]byte("retried")); err != nil {
-		t.Fatalf("retried send: %v", err)
-	}
-	if got, err := b2.Recv(); err != nil || string(got) != "retried" {
-		t.Fatalf("retried frame: %q %v", got, err)
-	}
-}
-
 // TestChaosLinkCloseInterruptsDelivery: closing a Link conduit interrupts
 // an in-progress delivery sleep and the pump goroutine exits.
 func TestChaosLinkCloseInterruptsDelivery(t *testing.T) {
