@@ -65,6 +65,23 @@ func (m *Matrix) At(i, j int) float64 {
 	return m.cell[m.index(i, j)]
 }
 
+// Row gathers row i — d[i][j] for every j, the diagonal's 0 included —
+// into dst, grown to N when it is shorter, and returns it. By symmetry it
+// is column i too: one pass reads what N calls to At(j, i) would, the
+// cells below the diagonal as one contiguous run.
+func (m *Matrix) Row(dst []float64, i int) []float64 {
+	m.index(i, i) // bounds check
+	dst = slices.Grow(dst[:0], m.n)[:m.n]
+	copy(dst, m.cell[i*(i-1)/2:i*(i+1)/2])
+	dst[i] = 0
+	at := i*(i+1)/2 + i // index(i+1, i)
+	for j := i + 1; j < m.n; j++ {
+		dst[j] = m.cell[at]
+		at += j
+	}
+	return dst
+}
+
 // Set assigns d[i][j] = d[j][i] = v. Diagonal entries may only be set to 0;
 // negative or non-finite dissimilarities are rejected by panic, as they
 // indicate a protocol-layer bug rather than a recoverable condition.

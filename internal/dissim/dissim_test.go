@@ -29,6 +29,32 @@ func TestPackedIndexingSymmetry(t *testing.T) {
 	}
 }
 
+// TestRowMatchesAt: a gathered row is At's row, cell for cell, at every
+// size from empty up, into a buffer too short, exact or too long.
+func TestRowMatchesAt(t *testing.T) {
+	for n := 1; n <= 9; n++ {
+		m := New(n)
+		for i := 1; i < n; i++ {
+			for j := 0; j < i; j++ {
+				m.Set(i, j, float64(100*i+j))
+			}
+		}
+		for _, buf := range [][]float64{nil, make([]float64, n), make([]float64, n+3)} {
+			for i := 0; i < n; i++ {
+				row := m.Row(buf, i)
+				if len(row) != n {
+					t.Fatalf("n=%d row %d: %d cells", n, i, len(row))
+				}
+				for j, v := range row {
+					if v != m.At(i, j) {
+						t.Fatalf("n=%d row %d cell %d: %v, At says %v", n, i, j, v, m.At(i, j))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSetViaUpperTriangleAliases(t *testing.T) {
 	m := New(3)
 	m.Set(0, 2, 7) // j > i: must alias (2,0)

@@ -77,21 +77,25 @@ func Cluster(d *dissim.Matrix, k int, stream rng.Stream, cfg Config) (*Result, e
 		}
 	}
 	workers := parallel.Workers(cfg.Workers)
+	// PAM reads the matrix a row at a time (dissim.Matrix.Row): each
+	// worker gathers the row of the candidate it scores into its own
+	// reused buffer, and each medoid's row is kept while it is one.
+	scratch := make([][]float64, min(workers, n))
 
-	medoids, isMedoid := build(d, k, stream, workers)
+	medoids, medoidRows, isMedoid := build(d, k, stream, workers, scratch)
 
 	// Per-object caches: distance to the nearest and second-nearest
 	// medoid, and the nearest medoid's position in medoids.
 	nearest := make([]float64, n)
 	second := make([]float64, n)
 	nearestIdx := make([]int, n)
-	recomputeCaches(d, medoids, nearest, second, nearestIdx, workers)
+	recomputeCaches(medoidRows, nearest, second, nearestIdx, workers)
 
 	res := &Result{}
 	deltas := make([]float64, n*k)
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
 		res.SwapIterations = iter + 1
-		swapDeltas(d, k, isMedoid, nearest, second, nearestIdx, deltas, workers)
+		swapDeltas(d, k, isMedoid, nearest, second, nearestIdx, deltas, workers, scratch)
 		// Serial arg-min in fixed (candidate, medoid) order: the lowest
 		// pair wins exact ties, independent of the worker count.
 		bestC, bestM, bestDelta := -1, -1, 0.0
@@ -112,7 +116,8 @@ func Cluster(d *dissim.Matrix, k int, stream rng.Stream, cfg Config) (*Result, e
 		isMedoid[medoids[bestM]] = false
 		isMedoid[bestC] = true
 		medoids[bestM] = bestC
-		recomputeCaches(d, medoids, nearest, second, nearestIdx, workers)
+		medoidRows[bestM] = d.Row(medoidRows[bestM], bestC)
+		recomputeCaches(medoidRows, nearest, second, nearestIdx, workers)
 	}
 
 	// Final assignment from the caches; the cost sum runs serially in
@@ -151,9 +156,11 @@ func Cluster(d *dissim.Matrix, k int, stream rng.Stream, cfg Config) (*Result, e
 // loop computed it — and the arg-max scan (including the stream's
 // tie-break draws) replays serially in candidate order, so the selected
 // medoids and the stream consumption are identical at any worker count.
-func build(d *dissim.Matrix, k int, stream rng.Stream, workers int) (medoids []int, isMedoid []bool) {
+// It returns each medoid's row beside it.
+func build(d *dissim.Matrix, k int, stream rng.Stream, workers int, scratch [][]float64) (medoids []int, medoidRows [][]float64, isMedoid []bool) {
 	n := d.N()
 	medoids = make([]int, 0, k)
+	medoidRows = make([][]float64, 0, k)
 	isMedoid = make([]bool, n)
 	// nearest[i] = dissimilarity of i to its closest chosen medoid.
 	nearest := make([]float64, n)
@@ -162,21 +169,22 @@ func build(d *dissim.Matrix, k int, stream rng.Stream, workers int) (medoids []i
 	}
 	gains := make([]float64, n)
 	for len(medoids) < k {
-		parallel.Range(workers, n, func(_, lo, hi int) {
+		parallel.Range(workers, n, func(w, lo, hi int) {
 			for c := lo; c < hi; c++ {
 				if isMedoid[c] {
 					gains[c] = 0
 					continue
 				}
+				scratch[w] = d.Row(scratch[w], c)
 				gain := 0.0
-				for i := 0; i < n; i++ {
+				for i, dic := range scratch[w] {
 					if isMedoid[i] || i == c {
 						continue
 					}
-					if diff := nearest[i] - d.At(i, c); diff > 0 && !math.IsInf(nearest[i], 1) {
+					if diff := nearest[i] - dic; diff > 0 && !math.IsInf(nearest[i], 1) {
 						gain += diff
 					} else if math.IsInf(nearest[i], 1) {
-						gain += -d.At(i, c) // first medoid: minimize total distance
+						gain += -dic // first medoid: minimize total distance
 					}
 				}
 				gains[c] = gain
@@ -191,27 +199,29 @@ func build(d *dissim.Matrix, k int, stream rng.Stream, workers int) (medoids []i
 				best, bestGain = c, gains[c]
 			}
 		}
-		medoids = append(medoids, best)
+		row := d.Row(nil, best)
+		medoids, medoidRows = append(medoids, best), append(medoidRows, row)
 		isMedoid[best] = true
-		for i := 0; i < n; i++ {
-			if v := d.At(i, best); v < nearest[i] {
+		for i, v := range row {
+			if v < nearest[i] {
 				nearest[i] = v
 			}
 		}
 	}
-	return medoids, isMedoid
+	return medoids, medoidRows, isMedoid
 }
 
 // recomputeCaches refreshes the nearest/second-nearest medoid distances
-// and the nearest medoid position for every object. Each object is
-// computed independently (medoid scan in position order), so the parallel
-// fan-out is bit-identical to the serial walk.
-func recomputeCaches(d *dissim.Matrix, medoids []int, nearest, second []float64, nearestIdx []int, workers int) {
-	parallel.Range(workers, d.N(), func(_, lo, hi int) {
+// and the nearest medoid position for every object from the medoids'
+// rows, in medoid position order. Each object is computed independently
+// (medoid scan in position order), so the parallel fan-out is
+// bit-identical to the serial walk.
+func recomputeCaches(medoidRows [][]float64, nearest, second []float64, nearestIdx []int, workers int) {
+	parallel.Range(workers, len(nearest), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			d1, d2, idx := math.Inf(1), math.Inf(1), 0
-			for mi, m := range medoids {
-				v := d.At(i, m)
+			for mi, row := range medoidRows {
+				v := row[i]
 				if v < d1 {
 					d1, d2, idx = v, d1, mi
 				} else if v < d2 {
@@ -231,10 +241,10 @@ func recomputeCaches(d *dissim.Matrix, medoids []int, nearest, second []float64,
 // deltas[c*k+m] receives the total cost change of swapping medoid m for
 // candidate c; rows of medoid objects are zeroed. Each candidate owns its
 // row and accumulates in object order, so results are bit-identical at
-// any worker count.
-func swapDeltas(d *dissim.Matrix, k int, isMedoid []bool, nearest, second []float64, nearestIdx []int, deltas []float64, workers int) {
+// any worker count. Worker w gathers each candidate's row into scratch[w].
+func swapDeltas(d *dissim.Matrix, k int, isMedoid []bool, nearest, second []float64, nearestIdx []int, deltas []float64, workers int, scratch [][]float64) {
 	n := d.N()
-	parallel.Range(workers, n, func(_, lo, hi int) {
+	parallel.Range(workers, n, func(w, lo, hi int) {
 		for c := lo; c < hi; c++ {
 			row := deltas[c*k : c*k+k]
 			for m := range row {
@@ -243,9 +253,9 @@ func swapDeltas(d *dissim.Matrix, k int, isMedoid []bool, nearest, second []floa
 			if isMedoid[c] {
 				continue
 			}
+			scratch[w] = d.Row(scratch[w], c)
 			shared := 0.0
-			for o := 0; o < n; o++ {
-				doc := d.At(o, c)
+			for o, doc := range scratch[w] {
 				dn, ds := nearest[o], second[o]
 				sh := 0.0
 				if doc < dn {

@@ -143,13 +143,14 @@ func TestSwapDeltasMatchBruteForce(t *testing.T) {
 				continue
 			}
 			d := randomPAMMatrix(n, uint64(n*10+k))
-			medoids, isMedoid := build(d, k, stream(uint64(k)), 1)
+			scratch := make([][]float64, 1)
+			medoids, medoidRows, isMedoid := build(d, k, stream(uint64(k)), 1, scratch)
 			nearest := make([]float64, n)
 			second := make([]float64, n)
 			nearestIdx := make([]int, n)
-			recomputeCaches(d, medoids, nearest, second, nearestIdx, 1)
+			recomputeCaches(medoidRows, nearest, second, nearestIdx, 1)
 			deltas := make([]float64, n*k)
-			swapDeltas(d, k, isMedoid, nearest, second, nearestIdx, deltas, 1)
+			swapDeltas(d, k, isMedoid, nearest, second, nearestIdx, deltas, 1, scratch)
 
 			assignCost := func(meds []int) float64 {
 				cost := 0.0
@@ -223,7 +224,7 @@ func TestPAMSwapImprovesCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	// BUILD-only cost: k medoids chosen greedily, no swaps.
-	medoids, _ := build(d, 6, stream(11), 1)
+	medoids, _, _ := build(d, 6, stream(11), 1, make([][]float64, 1))
 	buildCost := 0.0
 	for i := 0; i < d.N(); i++ {
 		best := math.Inf(1)

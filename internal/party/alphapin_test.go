@@ -94,7 +94,7 @@ func TestAlphaChunkAllocationPin(t *testing.T) {
 		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, sink
 	}
 
-	respond(8, 8) // warm the gob type tables and the frame-buffer pool
+	respond(8, 8) // warm the frame-buffer pool
 	for _, tc := range []struct{ rows, cols int }{{80, 80}, {160, 80}, {80, 160}, {160, 160}} {
 		mallocs, bytes, sink := respond(tc.rows, tc.cols)
 		pairs, cells := tc.rows*tc.cols, tc.rows*tc.cols*strLen*strLen

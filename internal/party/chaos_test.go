@@ -255,12 +255,14 @@ func TestChaosPeerAbortReasonBounded(t *testing.T) {
 
 // TestChaosDuplicateLocalChunkFrame: a duplicated chunk frame in the
 // local-matrix stream is a protocol violation the third party must turn
-// into a descriptive error — the lane reader finds a chunk outside the
-// agreed schedule — never a panic, never a hang.
+// into a descriptive error — the lane reader's local-chunk check finds the
+// copy where the schedule wants the next chunk — never a panic, never a
+// hang.
 func TestChaosDuplicateLocalChunkFrame(t *testing.T) {
 	leakcheck.Check(t)
 	cfg := chaosConfig()
 	cfg.PlaintextChannels = true // the rule reads frame kinds
+	cfg.LocalChunkBytes = 64     // several local chunks, so the copy lands where chunk 1 belongs
 	tp := newTap(cfg)
 	// A sends its first local-matrix chunk twice — a peer whose retransmit
 	// logic has gone wrong.
@@ -272,8 +274,8 @@ func TestChaosDuplicateLocalChunkFrame(t *testing.T) {
 	if err == nil {
 		t.Fatal("duplicated chunk frame was accepted")
 	}
-	if !strings.Contains(err.Error(), "schedule") && !strings.Contains(err.Error(), "chunk") {
-		t.Fatalf("duplicate chunk error not descriptive: %v", err)
+	if !scheduleRefusal("A local").MatchString(err.Error()) {
+		t.Fatalf("duplicate chunk error is not the lane reader's schedule refusal: %v", err)
 	}
 }
 

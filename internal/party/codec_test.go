@@ -3,24 +3,73 @@ package party
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"ppclust/internal/alphabet"
 	"ppclust/internal/dissim"
+	"ppclust/internal/leakcheck"
 	"ppclust/internal/protocol"
 	"ppclust/internal/rng"
 	"ppclust/internal/wire"
 )
 
-// chunkDecoders lists a fresh decoder for each fixed layout, in a fixed
-// order the fuzz target indexes.
-func chunkDecoders() []wire.BodyDecoder {
-	return []wire.BodyDecoder{&localBody{}, &numSBody{}, &alphaMBody{}, &shardSliceBody{}, &shardFrameBody{}, &alphaDisguisedBody{}}
+// sessionKinds lists every Kind a session sends, in a fixed order the fuzz
+// target indexes: the partition-quadratic bodies' kinds first, then the
+// control kinds.
+var sessionKinds = []wire.Kind{kindLocal, kindNumS, kindAlphaM, kindShardSlice, kindShardFrame, kindAlphaDisg,
+	kindNumDisg, kindHello, kindCount, kindCensus, kindGroupKey, kindCatTags, kindPathTags, kindRequest,
+	kindResult, kindShardOffer, kindShardBeat, kindShardDone, kindAbort}
+
+// newBody returns a fresh decoder of kind's body.
+func newBody(kind wire.Kind) wire.BodyDecoder {
+	switch kind {
+	case kindLocal:
+		return &localBody{}
+	case kindNumS, kindNumDisg:
+		return &numSBody{}
+	case kindAlphaM:
+		return &alphaMBody{}
+	case kindShardSlice:
+		return &shardSliceBody{}
+	case kindShardFrame:
+		return &shardFrameBody{}
+	case kindAlphaDisg:
+		return &alphaDisguisedBody{}
+	case kindHello:
+		return &helloBody{}
+	case kindCount:
+		return &countBody{}
+	case kindCensus:
+		return &censusBody{}
+	case kindGroupKey:
+		return &groupKeyBody{}
+	case kindCatTags:
+		return &catTagsBody{}
+	case kindPathTags:
+		return &pathTagsBody{}
+	case kindRequest:
+		return &requestBody{}
+	case kindResult:
+		return &resultBody{}
+	case kindShardOffer:
+		return &shardOfferBody{}
+	case kindShardBeat:
+		return &shardBeatBody{}
+	case kindShardDone:
+		return &shardDoneBody{}
+	case kindAbort:
+		return &abortBody{}
+	}
+	panic(fmt.Sprintf("no body for kind %q", kind))
 }
 
 // The wire's numeric variant bytes (protocol.NumericChunk).
@@ -60,6 +109,17 @@ func reencode(t testing.TB, d wire.BodyDecoder, payload []byte) []byte {
 		t.Fatalf("re-encoding %T: %v", d, err)
 	}
 	return out
+}
+
+// gobEncode is v as a gob-era peer sent it: the body the session once
+// encoded through gob.
+func gobEncode(t testing.TB, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatalf("gob-encoding %T: %v", v, err)
+	}
+	return buf.Bytes()
 }
 
 // sizedAlphabet is an alphabet of n symbols.
@@ -135,10 +195,10 @@ func chunkCells(c *protocol.AlphaChunk) ([][]int, error) {
 
 // TestChunkBodyRoundTrip drives every fixed layout through
 // wire.EncodeBody / wire.DecodeBody — the calls the session makes — over
-// the shapes the schedules produce and the edge cases they can: the
-// decoded body must re-encode to the same bytes (the layouts write every
-// field bit for bit, so equal bytes are equal bodies), and one byte more
-// or less must be rejected as malformed.
+// the shapes the schedules produce and the edge cases they can, and over
+// the recorded control bodies: the decoded body must re-encode to the same
+// bytes (the layouts write every field bit for bit, so equal bytes are
+// equal bodies), and one byte more or less must be rejected as malformed.
 func TestChunkBodyRoundTrip(t *testing.T) {
 	specials := []float64{math.NaN(), math.Float64frombits(0x7ff8000000000123), math.Inf(1), math.Inf(-1),
 		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, -math.MaxFloat64}
@@ -149,12 +209,13 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 	for i := 0; i < 6*32; i++ {
 		elems = append(elems, byte(i))
 	}
-	for _, tc := range []struct {
+	type roundTrip struct {
 		name    string
 		body    wire.BodyAppender
 		decoder wire.BodyDecoder
 		size    int // exact encoded size, 0 to skip
-	}{
+	}
+	cases := []roundTrip{
 		{"local", localBody{N: 5, Lo: 2, Hi: 4, Cells: []float64{1, 2, 3, 4, 5}}, &localBody{}, 3 + 5*8},
 		{"local zero rows", localBody{N: 0, Lo: 0, Hi: 0}, &localBody{}, 3},
 		{"local special floats", localBody{N: 9, Lo: 1, Hi: 2, Cells: specials}, &localBody{}, 0},
@@ -195,7 +256,11 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 		{"slice", shardSliceBody{Attr: 2, Max: math.Inf(1), Cells: specials}, &shardSliceBody{}, 1 + 8 + 8*8},
 		{"slice empty", shardSliceBody{Attr: 0, Max: 0}, &shardSliceBody{}, 9},
 		{"relayed frame", shardFrameBody{Frame: []byte("any bytes at all")}, &shardFrameBody{}, 16},
-	} {
+	}
+	for _, c := range controlSamples() {
+		cases = append(cases, roundTrip{string(c.kind), c.body, newBody(c.kind), 0})
+	}
+	for _, tc := range cases {
 		enc, err := wire.EncodeBody(tc.body)
 		if err != nil {
 			t.Errorf("%s: encode: %v", tc.name, err)
@@ -214,7 +279,11 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 		if _, relayed := tc.body.(shardFrameBody); relayed {
 			continue // every byte string is a relayed frame
 		}
-		for name, bad := range map[string][]byte{"trailing byte": append(enc[:len(enc):len(enc)], 0), "short by one": enc[:len(enc)-1]} {
+		bad := map[string][]byte{"trailing byte": append(enc[:len(enc):len(enc)], 0)}
+		if len(enc) > 0 {
+			bad["short by one"] = enc[:len(enc)-1]
+		}
+		for name, bad := range bad {
 			if err := wire.DecodeBody(bad, tc.decoder); !errors.Is(err, wire.ErrMalformed) {
 				t.Errorf("%s, %s: want ErrMalformed, got %v", tc.name, name, err)
 			}
@@ -270,11 +339,18 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChunkDecodersBoundClaims: a few bytes that claim a huge shape are
-// refused before anything is allocated for them.
+// TestChunkDecodersBoundClaims: a few bytes that claim a huge shape or
+// count are refused before anything is allocated for them, by the chunk
+// decoders and the control decoders alike.
 func TestChunkDecodersBoundClaims(t *testing.T) {
 	huge := func(dst []byte) []byte { return appendInts(dst, math.MaxInt64/2) }
 	header := appendInts(appendInts(appendInts(nil, 1), 0), 1)
+	// An offer up to its seed tables: one attribute of 2^40 seeds follows.
+	offer, err := wire.EncodeBody(shardOfferBody{Shard: 1, Lo: 0, Hi: 4, Holders: []string{"A", "B"}, Counts: []int{2, 2}, Fingerprint: "x/numeric/1;"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	offer = offer[:len(offer)-2] // the two empty seed tables
 	for name, tc := range map[string]struct {
 		payload []byte
 		decoder wire.BodyDecoder
@@ -294,6 +370,19 @@ func TestChunkDecodersBoundClaims(t *testing.T) {
 		"disg width":   {appendInts([]byte{5}, 0), &alphaDisguisedBody{}},
 		"S bad tag":    {append(header[:3:3], 9, 0, 0), &numSBody{}},
 		"slice no max": {[]byte{0, 1, 2, 3}, &shardSliceBody{}},
+
+		"census holders":   {appendInts(nil, 1<<40), &censusBody{}},
+		"census counts":    {appendInts(appendStrings(nil, []string{"A"}), 1<<40), &censusBody{}},
+		"result clusters":  {appendInts(nil, 1<<40), &resultBody{}},
+		"result members":   {appendInts(nil, 1, 1<<40), &resultBody{}},
+		"result quality":   {appendInts(nil, 0, 0, 1<<40), &resultBody{}},
+		"path levels":      {appendInts(nil, 1, 1<<40), &pathTagsBody{}},
+		"category tags":    {appendInts(nil, 1<<40), &catTagsBody{}},
+		"offer seeds":      {appendInts(offer, 1, 1<<40), &shardOfferBody{}},
+		"offer attributes": {appendInts(offer, 1<<40), &shardOfferBody{}},
+		"request weights":  {appendInts(nil, 1<<40), &requestBody{}},
+		"hello key":        {appendInts(nil, 1<<40), &helloBody{}},
+		"abort reason":     {appendInts(nil, 1<<40), &abortBody{}},
 	} {
 		grew := allocatedBytes(func() {
 			if err := wire.DecodeBody(tc.payload, tc.decoder); !errors.Is(err, wire.ErrMalformed) {
@@ -303,6 +392,84 @@ func TestChunkDecodersBoundClaims(t *testing.T) {
 		// The error values are about all a refusal may allocate.
 		if grew > 4<<10 {
 			t.Errorf("%s: allocated %d bytes while refusing %d", name, grew, len(tc.payload))
+		}
+	}
+}
+
+// TestSessionBodiesHaveFixedLayouts: no session body goes through gob.
+// Over a plain session, a K = 2 one, one whose shards run on ShardServers
+// and an aborted one over the extension types, every frame on every link —
+// the worker links recorded inside their channel protection, a relayed
+// holder frame opened too — decodes through its kind's body decoder and
+// re-encodes to the same bytes, and every kind a session sends is among
+// them.
+func TestSessionBodiesHaveFixedLayouts(t *testing.T) {
+	leakcheck.Check(t)
+	seen := map[wire.Kind]bool{}
+	var check func(label string, raw []byte)
+	check = func(label string, raw []byte) {
+		m, err := wire.ParseFrame(raw)
+		if err != nil {
+			t.Errorf("%s: %v", label, err)
+			return
+		}
+		seen[m.Kind] = true
+		d := newBody(m.Kind)
+		if err := wire.DecodeBody(m.Payload, d); err != nil {
+			t.Errorf("%s: %v", label, err)
+			return
+		}
+		if again := reencode(t, d, m.Payload); !bytes.Equal(again, m.Payload) {
+			t.Errorf("%s: %s body re-encodes to %x, sent as %x", label, m.Kind, again, m.Payload)
+		}
+		if relayed, ok := d.(*shardFrameBody); ok {
+			check(label+", relayed", relayed.Frame)
+		}
+	}
+	checkAll := func(label string, tp *tap) {
+		for _, f := range append(tp.sent("", ""), tp.received("", "")...) {
+			check(fmt.Sprintf("%s, %s>%s frame %d (received %v)", label, f.From, f.To, f.N, f.Recv), f.Raw)
+		}
+	}
+
+	parts := pipelineParts(t, 4)
+	plain := Config{Schema: pipelineSchema(), Variant: Float64Variant, LocalChunkBytes: 256, PlaintextChannels: true}
+	checkAll("plain", tapSession(t, plain, parts))
+	sharded := plain
+	sharded.TPShards = 2
+	checkAll("K = 2", tapSession(t, sharded, parts))
+
+	// The first relayed frame is held past a heartbeat, so the worker
+	// sends one.
+	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: pipelineSchema()})
+	tp := newTap(sharded)
+	var held sync.Once
+	worker := sharded
+	worker.ShardDial = pool.dialer("tapped", tp.workerLinks(pool.servers[0].fp, func(f *tapFrame) {
+		if f.Msg.Kind == kindShardFrame {
+			held.Do(func() { time.Sleep(shardHeartbeat + shardHeartbeat/4) })
+		}
+	}))
+	if _, err := RunInMemoryWrapped(worker, parts, pipelineReqs(), deterministicRandom(61), tp.wrap); err != nil {
+		t.Fatalf("worker session: %v", err)
+	}
+	checkAll("worker", tp)
+
+	// B gives up where it would send its request: its peers get aborts.
+	schema, ext := extensionParts()
+	aborted := Config{Schema: schema, Variant: Int64Variant, PlaintextChannels: true}
+	tp = newTap(aborted)
+	tp.onSend("B", TPName, first(kindRequest, func(*tapFrame) ([][]byte, error) {
+		return nil, errors.New("B gives up")
+	}))
+	if _, err := RunInMemoryWrapped(aborted, ext, nil, deterministicRandom(61), tp.wrap); err == nil {
+		t.Fatal("the aborted session succeeded")
+	}
+	checkAll("aborted", tp)
+
+	for _, kind := range sessionKinds {
+		if !seen[kind] {
+			t.Errorf("no %s frame recorded", kind)
 		}
 	}
 }
@@ -419,21 +586,24 @@ func TestNumericFramesMatchParent(t *testing.T) {
 	}
 }
 
-// FuzzChunkBodyDecoders feeds arbitrary payloads to the six fixed-layout
-// decoders: never a panic, only ErrMalformed failures, memory bounded by
-// the input (no claimed length is believed before the bytes are seen), and
-// whatever decodes re-encodes to a fixed point; the chunks that keep their
-// cells in the payload — local, numeric S and alphanumeric — are also
-// evaluated and installed, and the disguised strings responded to, and
-// nothing may have written the payload by the end. Seeded with the
-// payloads of real session frames in every numeric variant and mode — both
-// holders' S chunks of a split pair block, and the disguise each sends the
-// other: the initiator's column row, the responder's rows of one cell
-// (batch) or of every column (per-pair) — and with alphanumeric chunks and
-// strings at every cell width, and under width bytes no alphabet has.
+// FuzzChunkBodyDecoders, named when only the chunk bodies had layouts of
+// their own, feeds arbitrary payloads to the decoder of every Kind a
+// session sends: never a panic, only ErrMalformed failures, memory bounded
+// by the input (no claimed length or count is believed before the bytes
+// are seen), and whatever decodes re-encodes to a fixed point; the chunks
+// that keep their cells in the payload — local, numeric S and
+// alphanumeric — are also evaluated and installed, and the disguised
+// strings responded to, and nothing may have written the payload by the
+// end. Seeded with the payloads of every frame of real sessions in every
+// numeric variant and mode — among them both holders' S chunks of a split
+// pair block, and the disguise each sends the other: the initiator's
+// column row, the responder's rows of one cell (batch) or of every column
+// (per-pair) — with the recorded control bodies, and with alphanumeric
+// chunks and strings at every cell width, and under width bytes no
+// alphabet has.
 func FuzzChunkBodyDecoders(f *testing.F) {
 	alphabets := []*alphabet.Alphabet{alphabet.DNA, sizedAlphabet(3), alphabet.Digits, alphabet.AlphaNum, sizedAlphabet(256), sizedAlphabet(300)}
-	which := map[wire.Kind]uint8{kindLocal: 0, kindNumS: 1, kindNumDisg: 1, kindAlphaM: 2, kindAlphaDisg: 5}
+	index := func(kind wire.Kind) uint8 { return uint8(slices.Index(sessionKinds, kind)) }
 	for _, cfg := range []Config{
 		{Schema: pipelineSchema(), Variant: Float64Variant, LocalChunkBytes: 64},
 		{Schema: pipelineSchema(), Variant: Float64Variant, Mode: protocol.PerPair},
@@ -446,35 +616,40 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 			if fr.Msg == nil {
 				f.Fatalf("session frame %d from %s does not parse", fr.N, fr.From)
 			}
-			if w, ok := which[fr.Msg.Kind]; ok {
-				f.Add(w, fr.Msg.Payload)
-				f.Add(uint8(4), fr.Raw) // as the coordinator relays it
+			f.Add(index(fr.Msg.Kind), fr.Msg.Payload)
+			switch fr.Msg.Kind {
+			case kindLocal, kindNumS, kindNumDisg, kindAlphaM, kindAlphaDisg:
+				f.Add(index(kindShardFrame), fr.Raw) // as the coordinator relays it
 			}
 		}
 	}
 	slice, _ := wire.EncodeBody(shardSliceBody{Attr: 1, Max: 2.5, Cells: []float64{0.5, 2.5}})
-	f.Add(uint8(3), slice)
+	f.Add(index(kindShardSlice), slice)
+	for _, c := range controlSamples() {
+		enc, _ := wire.EncodeBody(c.body)
+		f.Add(index(c.kind), enc)
+	}
 	eng := protocol.NewEngine(1)
 	own := []protocol.SymbolString{{0, 1, 2}, {2, 0, 1, 1, 2, 0, 1, 2, 2, 1, 0, 0, 1}}
 	for _, a := range alphabets {
 		their := []protocol.SymbolString{{1}, {2, 2, 0, 1, 0, 2, 1, 1, 0, 2, 2, 1, 0}, {}}
 		disg := protocol.PackAlphaStrings(their, protocol.AlphaCellBits(a))
 		enc, _ := wire.EncodeBody(alphaDisguisedBody{S: disg})
-		f.Add(uint8(5), enc)
+		f.Add(index(kindAlphaDisg), enc)
 		var c protocol.AlphaChunk
 		eng.AlphaResponderChunk(&c, own, &disg, a)
 		enc, _ = wire.EncodeBody(alphaMBody{Rows: 2, Lo: 0, Hi: 2, M: c})
-		f.Add(uint8(2), enc)
+		f.Add(index(kindAlphaM), enc)
 		for _, bits := range []byte{0, 1, 3, 32, 255} {
 			bad := bytes.Clone(enc)
 			bad[3] = bits // the width byte, after three one-byte header integers
-			f.Add(uint8(2), bad)
+			f.Add(index(kindAlphaM), bad)
 		}
 	}
 
 	f.Fuzz(func(t *testing.T, which uint8, payload []byte) {
-		decoders := chunkDecoders()
-		d := decoders[int(which)%len(decoders)]
+		kind := sessionKinds[int(which)%len(sessionKinds)]
+		d := newBody(kind)
 		received := bytes.Clone(payload)
 		defer func() {
 			if !bytes.Equal(payload, received) {
@@ -483,9 +658,10 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 		}()
 		var err error
 		grew := allocatedBytes(func() { err = wire.DecodeBody(payload, d) })
-		// The widest expansion is an empty symbol matrix: two shape bytes
-		// become a 16-byte AlphaShape. The slack covers the error value
-		// and whatever the runtime allocates on the side.
+		// The widest expansions are an empty symbol matrix — two shape
+		// bytes become a 16-byte AlphaShape — and an empty list in a list,
+		// one byte a 24-byte slice header. The slack covers the error
+		// value and whatever the runtime allocates on the side.
 		if grew > 64*uint64(len(payload))+32<<10 {
 			t.Fatalf("%T allocated %d bytes decoding %d", d, grew, len(payload))
 		}
@@ -540,7 +716,7 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 			}
 		}
 		enc := reencode(t, d, payload)
-		again := chunkDecoders()[int(which)%len(decoders)]
+		again := newBody(kind)
 		if err := wire.DecodeBody(enc, again); err != nil {
 			t.Fatalf("%T: own encoding rejected: %v", d, err)
 		}

@@ -3,13 +3,17 @@ package party
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"ppclust/internal/alphabet"
+	"ppclust/internal/hcluster"
 	"ppclust/internal/protocol"
 	"ppclust/internal/rng"
 	"ppclust/internal/wire"
@@ -143,6 +147,81 @@ func TestGoldenAlphaM(t *testing.T) {
 			if !slices.Equal(got, wantDists) {
 				t.Errorf("%s: %s chunk evaluates to %v, per-pair matrices to %v", tc.name, label, got, wantDists)
 			}
+		}
+	}
+}
+
+// controlSample is one control body whose encoding is recorded in
+// testdata/<kind>.hex, the kind named without its "ppc/" prefix.
+type controlSample struct {
+	kind wire.Kind
+	body wire.BodyAppender
+}
+
+// controlSamples is one body of each control kind, its fields chosen to
+// reach every item of its layout: multi-byte and negative integers, empty
+// strings and lists, raw tags and seeds, and float64 bit patterns a
+// decoder could canonicalize (−0, the smallest subnormal, ±Inf).
+func controlSamples() []controlSample {
+	run := func(from byte, n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = from + byte(i)
+		}
+		return b
+	}
+	block := func(from byte) [32]byte { return [32]byte(run(from, 32)) }
+	return []controlSample{
+		{kindHello, helloBody{Public: run(0, 32), Fingerprint: "age/numeric/1;dna/alphanumeric/dna/1;"}},
+		{kindCount, countBody{Count: 300}},
+		{kindCensus, censusBody{Holders: []string{"A", "B", "C"}, Counts: []int{80, 0, 1 << 20}}},
+		{kindGroupKey, groupKeyBody{Box: run(0x40, 60)}},
+		{kindCatTags, catTagsBody{Tags: [][32]byte{block(1), block(2), block(1)}}},
+		{kindPathTags, pathTagsBody{Paths: [][][32]byte{{block(3)}, {block(3), block(4), block(5)}}}},
+		{kindRequest, requestBody{Weights: []float64{1, 0.5, math.Copysign(0, -1), math.SmallestNonzeroFloat64}, Method: 2, Linkage: 3, K: 4}},
+		{kindResult, resultBody{
+			ClusterSites:   [][]string{{"A", "B", "A"}, {"C"}},
+			ClusterIndices: [][]int{{0, 5, 1}, {2}},
+			Quality:        []hcluster.ClusterQuality{{Size: 3, AvgSquaredDistance: 0.25, Diameter: math.Inf(1)}, {Size: 1}},
+			Silhouette:     -0.125,
+			Method:         0, Linkage: 1, K: 2,
+		}},
+		{kindShardOffer, shardOfferBody{
+			Shard: 1, Lo: 4, Hi: 9,
+			Holders: []string{"A", "B"}, Counts: []int{5, 6},
+			Fingerprint: "x/numeric/1;",
+			Mode:        protocol.PerPair, Variant: ModPVariant, RNG: rng.KindAESCTR,
+			LocalChunkBytes: -1,
+			Seeds:           [][]rng.Seed{{block(7)}, nil},
+			RowSeeds:        [][]rng.Seed{{block(8)}, {block(9)}},
+		}},
+		{kindShardBeat, shardBeatBody{}},
+		{kindShardDone, shardDoneBody{}},
+		{kindAbort, abortBody{Reason: "party: B local chunk 1 covers rows [0,4), schedule says [4,6)"}},
+	}
+}
+
+// TestGoldenControlBodies: every control kind's body encodes to its
+// recorded bytes and decodes from them to the body it was recorded from
+// (TestChunkBodyRoundTrip takes it back to the same bytes); what a gob-era
+// peer sent for the same body is refused as malformed, never accepted.
+func TestGoldenControlBodies(t *testing.T) {
+	for _, tc := range controlSamples() {
+		name := strings.TrimPrefix(string(tc.kind), "ppc/")
+		want := readGolden(t, name)
+		if enc, err := wire.EncodeBody(tc.body); err != nil || !bytes.Equal(enc, want) {
+			t.Errorf("%s: encodes to %x (%v), recorded %x", name, enc, err, want)
+		}
+		d := newBody(tc.kind)
+		if err := wire.DecodeBody(want, d); err != nil {
+			t.Errorf("%s: recorded bytes: %v", name, err)
+			continue
+		}
+		if got := reflect.ValueOf(d).Elem().Interface(); !reflect.DeepEqual(got, tc.body) {
+			t.Errorf("%s: decodes to %+v, recorded from %+v", name, got, tc.body)
+		}
+		if err := wire.DecodeBody(gobEncode(t, tc.body), newBody(tc.kind)); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%s: gob-era body: want ErrMalformed, got %v", name, err)
 		}
 	}
 }

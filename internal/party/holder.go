@@ -835,6 +835,9 @@ func (h *Holder) recvResult() (*Result, error) {
 		Linkage:    hcluster.Linkage(body.Linkage),
 		K:          body.K,
 	}
+	if len(body.ClusterSites) != len(body.ClusterIndices) {
+		return nil, fmt.Errorf("party: result of %d site lists and %d index lists", len(body.ClusterSites), len(body.ClusterIndices))
+	}
 	for c := range body.ClusterSites {
 		if len(body.ClusterSites[c]) != len(body.ClusterIndices[c]) {
 			return nil, fmt.Errorf("party: ragged result cluster %d", c)

@@ -3,6 +3,7 @@ package party
 import (
 	"errors"
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -194,8 +195,9 @@ func TestPairChunkStreamTampering(t *testing.T) {
 
 // TestPairChunkScheduleEnforced: an S/M chunk frame beyond the schedule's
 // frame count is refused by the third party's lane reader — where the
-// schedule wants the next chunk, the repeated one covers the wrong rows —
-// so a flooding responder cannot make it install or hold extra frames.
+// schedule wants the next chunk, the repeated one covers the wrong rows,
+// and checkPairChunk says so — so a flooding responder cannot make it
+// install or hold extra frames.
 func TestPairChunkScheduleEnforced(t *testing.T) {
 	parts := pairCapParts(t, 10, 10)
 	cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant,
@@ -213,9 +215,17 @@ func TestPairChunkScheduleEnforced(t *testing.T) {
 	if err == nil {
 		t.Fatal("over-long chunk stream reported no error")
 	}
-	if !strings.Contains(err.Error(), "schedule") && !strings.Contains(err.Error(), "closed") {
-		t.Fatalf("over-long stream error %q does not name the schedule", err)
+	if !scheduleRefusal(`pair \(A,B\)`).MatchString(err.Error()) {
+		t.Fatalf("over-long stream error %q is not the lane reader's schedule refusal", err)
 	}
+}
+
+// scheduleRefusal matches the lane reader's refusal of a chunk whose rows
+// are not the ones the schedule wants next. what names the stream, and
+// with it the check: `pair \(J,K\)` for checkPairChunk's, `H local` for
+// recvLocalRows'.
+func scheduleRefusal(what string) *regexp.Regexp {
+	return regexp.MustCompile(what + ` chunk \d+ covers rows \[\d+,\d+\), schedule says \[\d+,\d+\)`)
 }
 
 // TestPairChunkRejectsWrongColumns: a chunk whose block claims a column

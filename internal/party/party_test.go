@@ -442,11 +442,9 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
-// TestOrderedAndHierarchicalAttributes is the future-work extension end to
-// end: ordered attributes flow through the numeric protocol on ranks,
-// hierarchical ones through encrypted taxonomy paths, and both match the
-// centralized baseline exactly.
-func TestOrderedAndHierarchicalAttributes(t *testing.T) {
+// extensionParts is two holders of two rows over an ordered and a
+// hierarchical attribute, the extension types.
+func extensionParts() (dataset.Schema, []dataset.Partition) {
 	severity := catdist.MustNewOrdering("mild", "moderate", "severe", "critical")
 	tax := catdist.MustNewTaxonomy("disease").
 		MustAdd("infectious", "disease").
@@ -465,8 +463,15 @@ func TestOrderedAndHierarchicalAttributes(t *testing.T) {
 	b := dataset.MustNewTable(schema)
 	b.MustAppendRow("moderate", "measles")
 	b.MustAppendRow("severe", "influenza")
-	parts := []dataset.Partition{{Site: "A", Table: a}, {Site: "B", Table: b}}
+	return schema, []dataset.Partition{{Site: "A", Table: a}, {Site: "B", Table: b}}
+}
 
+// TestOrderedAndHierarchicalAttributes is the future-work extension end to
+// end: ordered attributes flow through the numeric protocol on ranks,
+// hierarchical ones through encrypted taxonomy paths, and both match the
+// centralized baseline exactly.
+func TestOrderedAndHierarchicalAttributes(t *testing.T) {
+	schema, parts := extensionParts()
 	want, _, err := CentralizedMatrices(schema, parts)
 	if err != nil {
 		t.Fatal(err)

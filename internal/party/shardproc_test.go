@@ -686,13 +686,15 @@ func TestShardOfferValidation(t *testing.T) {
 }
 
 // TestShardProcOfferParamsCannotCrashWorker: the offer once carried the
-// coordinator's integer mask bounds, and a worker trusted them — an offer
-// with MaskRange 0 for an int64 per-pair session over a range that starts
-// mid-holder made the keystream positioning panic in a stage goroutine,
-// killing every session of the process. Such an offer (gob matches fields
-// by name, so the old layout still decodes) must now leave the worker
-// answering with a heartbeat, slice or abort, and the same ShardServer must
-// then complete a normal session.
+// coordinator's integer mask bounds and parallelism, and a worker trusted
+// them — an offer with MaskRange 0 for an int64 per-pair session over a
+// range that starts mid-holder made the keystream positioning panic in a
+// stage goroutine, killing every session of the process, and a crafted
+// parallelism sized the worker's compute. That gob-era offer is now
+// refused as malformed with a typed abort; an offer in the fixed layout
+// over such a range must leave the worker answering with a heartbeat,
+// slice or abort, its core sized from the worker's own cores; and the same
+// ShardServer must then complete a normal session.
 func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 	leakcheck.Check(t)
 	pool := newShardWorkerPool(t, 1, ShardServerConfig{Schema: pipelineSchema()})
@@ -735,13 +737,10 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 		}
 		link.close()
 	}
-	tp.cfg.ShardDial = pool.dialer("crafted-offer", nil)
-	link, err := tp.dialShard(0)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer link.close()
-	// The offer layout that still carried the mask bounds.
+	// The offer layout that still carried the mask bounds and the
+	// coordinator's parallelism, as gob wrote it: a crafted width sized the
+	// compute-token channel and, on an alphanumeric attribute, grew each
+	// engine's edit-distance scratches to that many.
 	type boundedOffer struct {
 		Shard           int
 		Lo, Hi          int
@@ -758,44 +757,64 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 		Seeds           [][]rng.Seed
 		RowSeeds        [][]rng.Seed
 	}
-	// The same layout carried the coordinator's parallelism, and a worker
-	// sized its compute from it: a crafted width sized the compute-token
-	// channel and, on an alphanumeric attribute, grew each engine's
-	// edit-distance scratches to that many. The worker sizes its core from
-	// its own cores now. Only the sizing is checked: nothing is evaluated
-	// at the crafted width.
 	wide := boundedOffer{
 		Lo: 0, Hi: 4, Holders: tp.holders, Counts: tp.counts,
 		Fingerprint: schemaFingerprint(cfg.Schema),
 		Mode:        protocol.PerPair, Variant: Int64Variant, RNG: cfg.RNG,
+		IntParams:   protocol.IntParams{MaskRange: 0, MaxMagnitude: 1},
 		Parallelism: 1 << 40,
 	}
 	wide.Seeds, wide.RowSeeds = tp.seedTables()
-	payload, err := wire.EncodeBody(wide)
+	tp.cfg.ShardDial = pool.dialer("gob-era-offer", nil)
+	link, err := tp.dialShard(0)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	gobOffer := wire.Message{From: TPName, To: ShardName(0), Kind: kindShardOffer, Attr: -1, Payload: gobEncode(t, wide)}
+	if err := link.ep.Send(&gobOffer); err != nil {
+		t.Fatalf("send the gob-era offer: %v", err)
+	}
+	m, err := link.ep.Recv()
+	if err != nil {
+		t.Fatalf("the worker link ended without an abort for the gob-era offer: %v", err)
+	}
+	if err := peerAbortError(m); m.Kind != kindAbort || !errors.Is(err, ErrAborted) || !strings.Contains(err.Error(), wire.ErrMalformed.Error()) {
+		t.Fatalf("the worker answered the gob-era offer with %q (%v), want an abort naming it malformed", m.Kind, err)
+	}
+	link.close()
+
+	// The fixed layout has no parallelism to craft: a decoded offer gets a
+	// core sized from the worker's own cores. Only the sizing is checked:
+	// nothing is evaluated here.
+	offer := shardOfferBody{
+		Shard: 0, Lo: 3, Hi: 4, // B's second row: the range starts mid-holder
+		Holders: tp.holders, Counts: tp.counts,
+		Fingerprint: schemaFingerprint(cfg.Schema),
+		Mode:        protocol.PerPair, Variant: Int64Variant, RNG: cfg.RNG,
+	}
+	offer.Seeds, offer.RowSeeds = tp.seedTables()
+	payload, err := wire.EncodeBody(offer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded shardOfferBody
 	if err := wire.DecodeBody(payload, &decoded); err != nil {
-		t.Fatalf("the old offer layout no longer decodes: %v", err)
+		t.Fatalf("the fixed-layout offer does not decode: %v", err)
 	}
 	core, err := pool.servers[0].offerCore(0, decoded)
 	if err != nil {
-		t.Fatalf("offer with parallelism 2^40: %v", err)
+		t.Fatalf("fixed-layout offer: %v", err)
 	}
 	if own := parallel.Workers(0); core.workers != own || cap(core.compute) != own || core.engines.Workers() != own {
-		t.Fatalf("offer with parallelism 2^40 sized the worker's core %d wide (%d compute tokens, %d-wide engines), want its own %d",
+		t.Fatalf("a fixed-layout offer sized the worker's core %d wide (%d compute tokens, %d-wide engines), want its own %d",
 			core.workers, cap(core.compute), core.engines.Workers(), own)
 	}
-	offer := boundedOffer{
-		Shard: 0, Lo: 3, Hi: 4, // B's second row: the range starts mid-holder
-		Holders: tp.holders, Counts: tp.counts,
-		Fingerprint: schemaFingerprint(cfg.Schema),
-		Mode:        protocol.PerPair, Variant: Int64Variant, RNG: cfg.RNG,
-		IntParams:   protocol.IntParams{MaskRange: 0, MaxMagnitude: 1},
-		Parallelism: 1,
+
+	tp.cfg.ShardDial = pool.dialer("crafted-offer", nil)
+	if link, err = tp.dialShard(0); err != nil {
+		t.Fatalf("dial: %v", err)
 	}
-	offer.Seeds, offer.RowSeeds = tp.seedTables()
+	defer link.close()
 	if err := link.send(wire.Message{From: TPName, To: ShardName(0), Kind: kindShardOffer, Attr: -1}, offer); err != nil {
 		t.Fatalf("send offer: %v", err)
 	}
@@ -814,8 +833,7 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 	if err := link.send(wire.Message{From: TPName, To: ShardName(0), Kind: kindShardFrame, Attr: 1}, shardFrameBody{Frame: frame}); err != nil {
 		t.Fatalf("relay B's chunk: %v", err)
 	}
-	m, err := link.ep.Recv()
-	if err != nil {
+	if m, err = link.ep.Recv(); err != nil {
 		t.Fatalf("worker link after the crafted offer: %v", err)
 	}
 	if m.Kind != kindShardBeat && m.Kind != kindShardSlice && m.Kind != kindAbort {

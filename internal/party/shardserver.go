@@ -284,10 +284,19 @@ func (r *shardRun) close(reason error) {
 }
 
 // serve runs the registration to completion: offer, then the frame loop.
+// An offer that arrives but does not decode — a malformed layout, another
+// kind — is refused with an abort; a link that ends first has no one to
+// tell.
 func (r *shardRun) serve() {
-	var offer shardOfferBody
-	if _, err := r.ep.Expect(kindShardOffer, &offer); err != nil {
+	m, err := r.ep.Recv()
+	if err != nil {
 		r.close(nil)
+		return
+	}
+	var offer shardOfferBody
+	if err := expectBody(m, kindShardOffer, &offer); err != nil {
+		r.srv.cfg.Logf("event=shard-offer-refused session=%q shard=%d err=%v", r.key.session, r.key.shard, err)
+		r.close(err)
 		return
 	}
 	if err := r.run(offer); err != nil {

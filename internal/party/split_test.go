@@ -177,6 +177,38 @@ func TestHolderRefusesMalformedCensus(t *testing.T) {
 	}
 }
 
+// TestHolderRefusesRaggedResult: a result whose cluster site and index
+// lists do not line up is refused with a descriptive error. One with
+// fewer index lists than site lists once indexed past them and panicked
+// in Holder.recvResult.
+func TestHolderRefusesRaggedResult(t *testing.T) {
+	parts := pairCapParts(t, 3, 4)
+	cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant, PlaintextChannels: true}
+	for _, cut := range []func(*resultBody){
+		func(b *resultBody) { b.ClusterIndices = b.ClusterIndices[:1] },
+		func(b *resultBody) { b.ClusterIndices[0] = b.ClusterIndices[0][1:] },
+	} {
+		tp := newTap(cfg)
+		tp.onSend(TPName, "A", first(kindResult, func(f *tapFrame) ([][]byte, error) {
+			var body resultBody
+			if err := wire.DecodeBody(f.Msg.Payload, &body); err != nil {
+				return nil, err
+			}
+			cut(&body)
+			m := *f.Msg
+			var err error
+			if m.Payload, err = wire.EncodeBody(body); err != nil {
+				return nil, err
+			}
+			return [][]byte{wire.AppendFrame(nil, &m)}, nil
+		}))
+		_, err := RunInMemoryWrapped(cfg, parts, map[string]ClusterRequest{"A": {K: 2}}, deterministicRandom(33), tp.wrap)
+		if err == nil || !strings.Contains(err.Error(), "holder A: party: ") || !strings.Contains(err.Error(), "result") {
+			t.Fatalf("want holder A to refuse the ragged result, got %v", err)
+		}
+	}
+}
+
 // TestConstructionOverlapsHandshakes: every hello of a party goes out
 // before it reads any, so with 50 ms on every frame the third party
 // receives — control and shard conduits alike, two holders at TPShards 2 —

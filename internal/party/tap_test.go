@@ -2,6 +2,7 @@ package party
 
 import (
 	"bytes"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"ppclust/internal/dataset"
+	"ppclust/internal/keys"
 	"ppclust/internal/wire"
 )
 
@@ -187,6 +189,69 @@ func (c *tapConduit) fail(err error) error {
 }
 
 func (c *tapConduit) Close() error { return c.inner.Close() }
+
+// workerLinks returns the wrap of a shard dialer (shardWorkerPool.dialer)
+// that records each coordinator↔worker link in the tap. Worker links are
+// always secured, so the recorder stands in the middle: it runs the
+// worker's side of the handshake toward the coordinator and the
+// coordinator's side toward the worker, under schema fingerprint fp, and
+// relays every frame across, recorded once as sent. hold, when set, sees
+// each coordinator frame before it goes on and may delay it.
+func (t *tap) workerLinks(fp string, hold func(f *tapFrame)) func(shard, dial int, c wire.Conduit) wire.Conduit {
+	return func(shard, _ int, worker wire.Conduit) wire.Conduit {
+		coordinator, far := wire.Pipe()
+		go func() {
+			name := ShardName(shard)
+			toCoordinator, err := relayHandshake(far, name, TPName, fp, false)
+			if err != nil {
+				worker.Close()
+				return
+			}
+			toWorker, err := relayHandshake(worker, TPName, name, fp, true)
+			if err != nil {
+				toCoordinator.Close()
+				return
+			}
+			go t.relay(toCoordinator, toWorker, TPName, name, hold)
+			t.relay(toWorker, toCoordinator, name, TPName, nil)
+		}()
+		return coordinator
+	}
+}
+
+// relayHandshake is one side of a worker link's handshake under a fresh
+// identity; a failure closes c.
+func relayHandshake(c wire.Conduit, self, peer, fp string, initiator bool) (wire.Conduit, error) {
+	id, err := keys.NewIdentity(self, rand.Reader)
+	var secured wire.Conduit
+	if err == nil {
+		secured, _, err = handshake(c, self, peer, id, fp, initiator)
+	}
+	if err != nil {
+		c.Close()
+	}
+	return secured, err
+}
+
+// relay copies frames from src to dst, recording each as sent from → to,
+// until either end fails, and then closes both.
+func (t *tap) relay(src, dst wire.Conduit, from, to string, hold func(f *tapFrame)) {
+	defer src.Close()
+	defer dst.Close()
+	for {
+		frame, err := src.Recv()
+		if err != nil {
+			return
+		}
+		f := t.record(tapEnd{from, to, false}, frame)
+		if hold != nil {
+			hold(f)
+		}
+		if dst.Send(frame) != nil {
+			return
+		}
+	}
+}
 
 // sent returns the recorded frames of the given kinds (every frame when
 // none is given) sent from → to, in the order they were sent; an empty

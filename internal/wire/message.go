@@ -97,8 +97,11 @@ type BodyDecoder interface {
 }
 
 // EncodeBody encodes a payload struct for embedding in a Message: through
-// its own layout when it is a BodyAppender, gob otherwise (the small
-// control bodies).
+// its own layout when it is a BodyAppender, gob otherwise. Every session
+// body has a layout of its own (internal/party/codec.go), so no session
+// reaches the gob fallback; it stays only for the benchmark's replay,
+// which times private gob mirrors of the session bodies through
+// Endpoint.SendBody and Expect, and goes when that replay does.
 func EncodeBody(v any) ([]byte, error) { return appendBody(nil, v) }
 
 func appendBody(dst []byte, v any) ([]byte, error) {
@@ -117,8 +120,8 @@ func appendBody(dst []byte, v any) ([]byte, error) {
 }
 
 // DecodeBody decodes a Message payload into v, which must be a pointer —
-// a BodyDecoder reads its own layout, anything else is gob. Failures wrap
-// ErrMalformed.
+// a BodyDecoder reads its own layout, anything else is gob (the fallback
+// EncodeBody describes). Failures wrap ErrMalformed.
 func DecodeBody(payload []byte, v any) error {
 	var err error
 	if d, ok := v.(BodyDecoder); ok {
