@@ -10,7 +10,8 @@
 // The first line on stdout is "listening on ADDR" with the bound address
 // (so -listen 127.0.0.1:0 is usable under a harness that needs the
 // ephemeral port). A termination signal drains: every registered run is
-// aborted with a typed reason and the process exits.
+// aborted with a typed reason and the process exits. -debug-addr serves
+// the Go profiles at /debug/pprof/ on a separate address, off by default.
 //
 // Usage:
 //
@@ -22,6 +23,8 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"net/http"
+	_ "net/http/pprof" // -debug-addr serves /debug/pprof/
 	"os"
 	"os/signal"
 	"strconv"
@@ -48,6 +51,7 @@ func main() {
 func run() error {
 	listen := flag.String("listen", ":9100", "address to listen on")
 	schemaFlag := flag.String("schema", "", "schema spec, e.g. age:numeric,seq:alphanumeric:dna (required; must match the coordinator's)")
+	debugAddr := flag.String("debug-addr", "", "pprof endpoint address (/debug/pprof/), e.g. localhost:9190 (empty = disabled)")
 	flag.Parse()
 
 	if *schemaFlag == "" {
@@ -71,6 +75,14 @@ func run() error {
 		return err
 	}
 	defer ln.Close()
+	if *debugAddr != "" {
+		go func() {
+			log.Printf("event=debug-endpoint addr=%s path=/debug/pprof/", *debugAddr)
+			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
+				log.Printf("event=debug-endpoint-failed err=%q", err)
+			}
+		}()
+	}
 	// The stdout address line is the spawn handshake the multi-process
 	// harness (and any supervisor using an ephemeral -listen port) reads.
 	fmt.Printf("listening on %s\n", ln.Addr())

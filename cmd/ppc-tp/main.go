@@ -32,6 +32,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	_ "net/http/pprof" // -debug-addr also serves /debug/pprof/
 	"os"
 	"os/signal"
 	"sort"
@@ -98,7 +99,7 @@ func run() error {
 	maxObjects := flag.Int("max-objects", 0, "per-session object cap, enforced at census (0 = uncapped)")
 	gatherTimeout := flag.Duration("gather-timeout", 2*time.Minute, "bound on an admitted session gathering its holders (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "graceful-drain bound after a termination signal (0 = wait forever)")
-	debugAddr := flag.String("debug-addr", "", "expvar endpoint address, e.g. localhost:9090 (empty = disabled)")
+	debugAddr := flag.String("debug-addr", "", "expvar (/debug/vars) and pprof (/debug/pprof/) endpoint address, e.g. localhost:9090 (empty = disabled)")
 	once := flag.Bool("once", false, "serve exactly one session, print its report, then exit")
 	printReports := flag.Bool("print-reports", false, "print every completed session's published results (implied by -once)")
 	flag.Parse()
@@ -164,7 +165,7 @@ func run() error {
 	if *debugAddr != "" {
 		expvar.Publish("ppc_server", expvar.Func(func() any { return srv.Metrics().Snapshot() }))
 		go func() {
-			log.Printf("event=debug-endpoint addr=%s path=/debug/vars", *debugAddr)
+			log.Printf("event=debug-endpoint addr=%s path=/debug/vars,/debug/pprof/", *debugAddr)
 			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
 				log.Printf("event=debug-endpoint-failed err=%q", err)
 			}

@@ -72,6 +72,15 @@ type crossSources struct {
 // with the given object counts, running block installs over workers
 // (<= 0 = all cores).
 func NewSliceAssembler(counts []int, lo, hi, workers int) (*SliceAssembler, error) {
+	return NewSliceAssemblerInto(nil, counts, lo, hi, workers)
+}
+
+// NewSliceAssemblerInto is NewSliceAssembler assembling into dst, the
+// packed cells of rows [lo, hi) — typically the PackedRowsView of the
+// matrix the slice belongs to, so the slice is built where it lies and
+// Done hands back dst itself. Every cell of dst is written before Done
+// succeeds. A nil dst allocates the slice.
+func NewSliceAssemblerInto(dst []float64, counts []int, lo, hi, workers int) (*SliceAssembler, error) {
 	total := 0
 	offsets := make([]int, len(counts))
 	for i, c := range counts {
@@ -84,13 +93,19 @@ func NewSliceAssembler(counts []int, lo, hi, workers int) (*SliceAssembler, erro
 	if lo < 0 || hi < lo || hi > total {
 		return nil, fmt.Errorf("dissim: shard range [%d,%d) out of range for %d objects", lo, hi, total)
 	}
+	cells := hi*(hi-1)/2 - lo*(lo-1)/2
+	if dst == nil {
+		dst = make([]float64, cells)
+	} else if len(dst) != cells {
+		return nil, fmt.Errorf("dissim: %d cells to assemble rows [%d,%d) into, want %d", len(dst), lo, hi, cells)
+	}
 	a := &SliceAssembler{
 		sizes:   append([]int(nil), counts...),
 		offsets: offsets,
 		lo:      lo,
 		hi:      hi,
 		base:    lo * (lo - 1) / 2,
-		cells:   make([]float64, hi*(hi-1)/2-lo*(lo-1)/2),
+		cells:   dst,
 		workers: parallel.Workers(workers),
 		local:   make([]*cursor, len(counts)),
 		cross:   make(map[[2]int]*crossSources),

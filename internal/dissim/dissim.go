@@ -134,11 +134,15 @@ func (m *Matrix) setMax(max float64) {
 	m.maxCache, m.maxOK = max, true
 }
 
-// invalidateMax drops the cache; the next Max call rescans. Builders use
-// it when their incremental tracking can no longer be trusted (a packed-row
-// overwrite in SetPackedRows).
-func (m *Matrix) invalidateMax() {
-	m.maxOK = false
+// FoldMax raises the maximum cache to v: how a builder that wrote cells in
+// place — through PackedRowsView or SetRowsLE, which bypass the cache — and
+// tracked their maximum itself hands that maximum over, once no write is
+// running. Without it Max and Normalize would trust a cache that never saw
+// those cells.
+func (m *Matrix) FoldMax(v float64) {
+	if m.maxOK && v > m.maxCache {
+		m.maxCache = v
+	}
 }
 
 // Normalize scales all entries into [0, 1] by dividing by the maximum
@@ -238,7 +242,10 @@ func (m *Matrix) PackedView() []float64 {
 // the row-range form of PackedView that the chunked local-matrix wire path
 // serializes one bounded frame at a time. Row i's cells occupy packed
 // indices [i(i−1)/2, i(i−1)/2+i), so a row range is one contiguous run.
-// The same aliasing rules as PackedView apply.
+// The same aliasing rules as PackedView apply, with one exception: a shard
+// of the third party assembles its rows of the matrix in place through
+// this view (NewSliceAssemblerInto), and then hands their maximum over
+// with FoldMax.
 func (m *Matrix) PackedRowsView(lo, hi int) []float64 {
 	if lo < 0 || hi < lo || hi > m.n {
 		panic(fmt.Sprintf("dissim: row range [%d,%d) out of range for n=%d", lo, hi, m.n))

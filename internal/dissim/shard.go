@@ -3,11 +3,14 @@
 // rows [lo, hi), which is one contiguous slice of the condensed matrix
 // (see SliceAssembler), so shards assemble disjoint slices that
 // concatenate into the full triangle with no overlap and no reshuffling:
-// ShardRanges computes the partition and SetPackedRows is the
-// coordinator's merge of a slice that arrived from a worker process.
+// ShardRanges computes the partition. Every slice is assembled where it
+// lies in the one matrix: an in-process shard's SliceAssembler writes
+// through PackedRowsView (NewSliceAssemblerInto), and SetRowsLE installs
+// the chunks of a slice that arrived from a worker process.
 package dissim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -58,40 +61,30 @@ func ShardRanges(n, k int) [][2]int {
 	return ranges
 }
 
-// SetPackedRows installs the packed cells of rows [lo, hi) — a shard's
-// assembled slice — into the matrix, validating length and entry ranges.
-// The region is expected to be untouched (grow-from-zero, the merge
-// pattern of the sharded coordinator), which keeps the max cache alive;
-// overwriting non-zero cells falls back to invalidating the cache.
-func (m *Matrix) SetPackedRows(lo, hi int, cells []float64) error {
+// SetRowsLE installs the packed cells of rows [lo, hi) as a frame carries
+// them — 8 little-endian bytes of float64 bits each — decoded straight into
+// the matrix: the coordinator's install of one chunk of a slice that a
+// worker process assembled. Each cell is validated like FromPacked, and the
+// rows' maximum is returned rather than folded into the maximum cache, so
+// installs into disjoint rows may run concurrently; the caller folds the
+// maxima in with FoldMax once they are done. Refused cells leave the rows
+// zero. cells is only read.
+func (m *Matrix) SetRowsLE(lo, hi int, cells []byte) (float64, error) {
 	if lo < 0 || hi < lo || hi > m.n {
-		return fmt.Errorf("dissim: row range [%d,%d) out of range for n=%d", lo, hi, m.n)
+		return 0, fmt.Errorf("dissim: row range [%d,%d) out of range for n=%d", lo, hi, m.n)
 	}
-	base, end := lo*(lo-1)/2, hi*(hi-1)/2
-	if len(cells) != end-base {
-		return fmt.Errorf("dissim: %d cells for rows [%d,%d), want %d", len(cells), lo, hi, end-base)
+	dst := m.cell[lo*(lo-1)/2 : hi*(hi-1)/2]
+	if len(cells) != 8*len(dst) {
+		return 0, fmt.Errorf("dissim: %d bytes for the %d cells of rows [%d,%d)", len(cells), len(dst), lo, hi)
 	}
-	max := 0.0
-	for i, v := range cells {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return fmt.Errorf("dissim: invalid packed entry %v at offset %d of rows [%d,%d)", v, i, lo, hi)
-		}
-		if v > max {
-			max = v
-		}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(cells[8*i:]))
 	}
-	overwrote := false
-	for _, v := range m.cell[base:end] {
-		if v != 0 {
-			overwrote = true
-			break
-		}
+	bad, max := scanRow(dst)
+	if bad >= 0 {
+		err := fmt.Errorf("dissim: invalid packed entry %v at offset %d of rows [%d,%d)", dst[bad], bad, lo, hi)
+		clear(dst)
+		return 0, err
 	}
-	copy(m.cell[base:end], cells)
-	if overwrote {
-		m.invalidateMax()
-	} else if m.maxOK && max > m.maxCache {
-		m.maxCache = max
-	}
-	return nil
+	return max, nil
 }

@@ -1,6 +1,7 @@
 package dissim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -265,7 +266,7 @@ func TestSliceAssemblerMatchesAssembler(t *testing.T) {
 				ranges := ShardRanges(total, k)
 				got := New(total)
 				for _, r := range ranges {
-					sa, err := NewSliceAssembler(counts, r[0], r[1], 1)
+					sa, err := NewSliceAssemblerInto(got.PackedRowsView(r[0], r[1]), counts, r[0], r[1], 1)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -308,9 +309,10 @@ func TestSliceAssemblerMatchesAssembler(t *testing.T) {
 							t.Fatalf("slice max %v below cell %v", sliceMax, v)
 						}
 					}
-					if err := got.SetPackedRows(r[0], r[1], cells); err != nil {
-						t.Fatal(err)
+					if len(cells) > 0 && &cells[0] != &got.PackedRowsView(r[0], r[1])[0] {
+						t.Fatalf("slice %v was not assembled in place", r)
 					}
+					got.FoldMax(sliceMax)
 				}
 				if total > 0 && !got.EqualWithin(want, 0) {
 					t.Fatalf("counts %v k=%d: merged matrix differs from monolithic assembly", counts, k)
@@ -358,27 +360,58 @@ func TestSliceAssemblerRejects(t *testing.T) {
 	if err := sa2.SetCrossRows(0, 1, 0, 1, func(m, n int) float64 { return 0 }); err == nil {
 		t.Fatal("cross install into shard without pair rows accepted")
 	}
+
+	// Rows [2,5) hold 9 cells: a view of another size is not theirs.
+	if _, err := NewSliceAssemblerInto(make([]float64, 8), counts, 2, 5, 1); err == nil {
+		t.Fatal("assembly into a view of the wrong size accepted")
+	}
 }
 
-// TestSetPackedRowsValidation covers SetPackedRows' range/length/entry
-// checks and its max-cache behaviour on grow-from-zero merges.
-func TestSetPackedRowsValidation(t *testing.T) {
+// TestSetRowsLEValidation covers SetRowsLE's range, length and entry
+// checks, where it places the cells it decodes, and the maximum it returns
+// for FoldMax instead of touching the cache.
+func TestSetRowsLEValidation(t *testing.T) {
+	le := func(cells ...float64) []byte {
+		var b []byte
+		for _, v := range cells {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
 	m := New(5)
-	if err := m.SetPackedRows(2, 6, nil); err == nil {
+	if _, err := m.SetRowsLE(2, 6, nil); err == nil {
 		t.Fatal("out-of-range rows accepted")
 	}
-	if err := m.SetPackedRows(1, 3, []float64{1}); err == nil {
-		t.Fatal("short cell slice accepted")
+	if _, err := m.SetRowsLE(1, 3, le(1)); err == nil {
+		t.Fatal("short cell block accepted")
 	}
-	if err := m.SetPackedRows(1, 3, []float64{1, math.Inf(1), 2}); err == nil {
-		t.Fatal("non-finite entry accepted")
+	if _, err := m.SetRowsLE(1, 3, append(le(1, 4, 2), 0)); err == nil {
+		t.Fatal("trailing byte accepted")
 	}
-	if err := m.SetPackedRows(1, 3, []float64{1, 4, 2}); err != nil {
+	for _, bad := range []float64{math.Inf(1), math.NaN(), -1} {
+		if _, err := m.SetRowsLE(1, 3, le(1, bad, 2)); err == nil {
+			t.Fatalf("entry %v accepted", bad)
+		}
+		if m.At(1, 0) != 0 {
+			t.Fatalf("refusing entry %v left row 1 holding %v", bad, m.At(1, 0))
+		}
+	}
+	max1, err := m.SetRowsLE(1, 3, le(1, 4, 2))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SetPackedRows(3, 5, []float64{1, 2, 3, 1, 2, 3, 7}); err != nil {
+	max2, err := m.SetRowsLE(3, 5, le(1, 2, 3, 1, 2, 3, 7))
+	if err != nil {
 		t.Fatal(err)
 	}
+	if max1 != 4 || max2 != 7 {
+		t.Fatalf("row maxima %v and %v, want 4 and 7", max1, max2)
+	}
+	if got := m.Max(); got != 0 {
+		t.Fatalf("Max = %v before FoldMax, want the untouched cache's 0", got)
+	}
+	m.FoldMax(max1)
+	m.FoldMax(max2)
 	if got := m.Max(); got != 7 {
 		t.Fatalf("Max = %v, want 7", got)
 	}
@@ -400,7 +433,7 @@ func TestSliceAssemblerSingleRowSlices(t *testing.T) {
 		if r[1]-r[0] != 1 {
 			t.Fatalf("ShardRanges(%d,%d) produced multi-row range %v", total, total, r)
 		}
-		sa, err := NewSliceAssembler(counts, r[0], r[1], 1)
+		sa, err := NewSliceAssemblerInto(got.PackedRowsView(r[0], r[1]), counts, r[0], r[1], 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,18 +463,16 @@ func TestSliceAssemblerSingleRowSlices(t *testing.T) {
 				}
 			}
 		}
-		cells, _, err := sa.Done()
+		cells, sliceMax, err := sa.Done()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if wantCells := r[1]*(r[1]-1)/2 - r[0]*(r[0]-1)/2; len(cells) != wantCells {
 			t.Fatalf("slice %v has %d cells, want %d", r, len(cells), wantCells)
 		}
-		if err := got.SetPackedRows(r[0], r[1], cells); err != nil {
-			t.Fatal(err)
-		}
+		got.FoldMax(sliceMax)
 	}
-	if !got.EqualWithin(want, 0) {
+	if !got.EqualWithin(want, 0) || got.Max() != want.Max() {
 		t.Fatal("single-row-slice merge differs from monolithic assembly")
 	}
 }
@@ -487,26 +518,5 @@ func TestSliceAssemblerNoDoubleInstall(t *testing.T) {
 	}
 	if err := sa.SetCrossRows(0, 1, 2, 2, nil); err == nil {
 		t.Fatal("cross install after Done accepted")
-	}
-}
-
-// TestSetPackedRowsOverwrite covers the coordinator-merge fallback: a
-// second install over a non-zero region is accepted (last write wins) but
-// invalidates the max cache, so Max() rescans instead of trusting a stale
-// running maximum.
-func TestSetPackedRowsOverwrite(t *testing.T) {
-	m := New(4)
-	if err := m.SetPackedRows(0, 4, []float64{9, 1, 2, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Max(); got != 9 {
-		t.Fatalf("Max = %v, want 9", got)
-	}
-	// Overwrite shrinks the true maximum; a live cache would report 9.
-	if err := m.SetPackedRows(0, 4, []float64{4, 1, 2, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Max(); got != 4 {
-		t.Fatalf("Max after overwrite = %v, want 4", got)
 	}
 }

@@ -59,7 +59,7 @@ import (
 //	alphaMBody        Rows Lo Hi | bits byte | rows matrices |
 //	                  per row: count, per matrix: rows cols | slab
 //	                  (a protocol.AlphaChunk, slab and all)
-//	shardSliceBody    Attr | float64 Max | float64 cells
+//	shardSliceBody    Attr Lo Hi | float64 cells
 //	shardFrameBody    the relayed frame, byte for byte
 //
 // The bits byte is the alphabet's cell width, protocol.AlphaCellBits: 2, 4
@@ -235,14 +235,6 @@ func tags[T ~[32]byte](r *bodyReader) []T {
 	return list(r, 32, func() T { return r.tag() })
 }
 
-func float64s(p []byte) []float64 {
-	out := make([]float64, len(p)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-	}
-	return out
-}
-
 func (b helloBody) AppendBody(dst []byte) ([]byte, error) {
 	return appendString(appendBytes(dst, b.Public), b.Fingerprint), nil
 }
@@ -385,20 +377,20 @@ func (b *localBody) DecodeBody(p []byte) error {
 }
 
 func (b shardSliceBody) AppendBody(dst []byte) ([]byte, error) {
-	return appendFloat64s(appendFloat64(appendInt(dst, b.Attr), b.Max), b.Cells), nil
+	return appendFloat64s(appendInts(dst, b.Attr, b.Lo, b.Hi), b.Cells), nil
 }
 
+// DecodeBody keeps the cell block where it is: the received Message owns
+// its payload, and the coordinator decodes the cells out of it into the
+// attribute's matrix.
 func (b *shardSliceBody) DecodeBody(p []byte) error {
 	r := bodyReader{p: p}
-	b.Attr, b.Max = r.int(), r.float64()
+	*b = shardSliceBody{Attr: r.int(), Lo: r.int(), Hi: r.int()}
 	if r.err == nil && len(r.p)%8 != 0 {
 		r.fail("%d trailing bytes after the last cell", len(r.p)%8)
 	}
-	if r.err != nil {
-		return r.err
-	}
-	b.Cells = float64s(r.p)
-	return nil
+	b.wire = r.p
+	return r.err
 }
 
 func (b shardFrameBody) AppendBody(dst []byte) ([]byte, error) {

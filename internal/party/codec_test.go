@@ -100,6 +100,8 @@ func reencode(t testing.TB, d wire.BodyDecoder, payload []byte) []byte {
 	switch b := d.(type) {
 	case *localBody:
 		body = localBody{N: b.N, Lo: b.Lo, Hi: b.Hi, Cells: float64s(b.wire)}
+	case *shardSliceBody:
+		body = shardSliceBody{Attr: b.Attr, Lo: b.Lo, Hi: b.Hi, Cells: float64s(b.wire)}
 	case *numSBody:
 		tag := payload[len(appendInts(nil, b.Rows, b.Lo, b.Hi))]
 		body = numBody(b.Rows, b.Lo, b.Hi, tag, b.cells.Rows, b.cells.Cols, b.cells.Cells)
@@ -107,6 +109,15 @@ func reencode(t testing.TB, d wire.BodyDecoder, payload []byte) []byte {
 	out, err := wire.EncodeBody(body)
 	if err != nil {
 		t.Fatalf("re-encoding %T: %v", d, err)
+	}
+	return out
+}
+
+// float64s decodes a cell block of 8 little-endian bytes a cell.
+func float64s(p []byte) []float64 {
+	out := make([]float64, len(p)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 	}
 	return out
 }
@@ -253,8 +264,8 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 		{"disguised 16-bit", alphaDisguisedBody{S: protocol.PackAlphaStrings([]protocol.SymbolString{{299, 0}}, 16)},
 			&alphaDisguisedBody{}, 1 + 1 + 1 + 4},
 		{"disguised none", alphaDisguisedBody{S: protocol.AlphaStrings{Bits: 4}}, &alphaDisguisedBody{}, 2},
-		{"slice", shardSliceBody{Attr: 2, Max: math.Inf(1), Cells: specials}, &shardSliceBody{}, 1 + 8 + 8*8},
-		{"slice empty", shardSliceBody{Attr: 0, Max: 0}, &shardSliceBody{}, 9},
+		{"slice", shardSliceBody{Attr: 2, Lo: 8, Hi: 9, Cells: specials}, &shardSliceBody{}, 3 + 8*8},
+		{"slice empty", shardSliceBody{Attr: 0, Lo: 0, Hi: 1}, &shardSliceBody{}, 3},
 		{"relayed frame", shardFrameBody{Frame: []byte("any bytes at all")}, &shardFrameBody{}, 16},
 	}
 	for _, c := range controlSamples() {
@@ -370,6 +381,7 @@ func TestChunkDecodersBoundClaims(t *testing.T) {
 		"disg width":   {appendInts([]byte{5}, 0), &alphaDisguisedBody{}},
 		"S bad tag":    {append(header[:3:3], 9, 0, 0), &numSBody{}},
 		"slice no max": {[]byte{0, 1, 2, 3}, &shardSliceBody{}},
+		"slice rows":   {append(appendInts(nil, 1, 0, 1<<40), 1, 2, 3), &shardSliceBody{}},
 
 		"census holders":   {appendInts(nil, 1<<40), &censusBody{}},
 		"census counts":    {appendInts(appendStrings(nil, []string{"A"}), 1<<40), &censusBody{}},
@@ -445,10 +457,11 @@ func TestSessionBodiesHaveFixedLayouts(t *testing.T) {
 	tp := newTap(sharded)
 	var held sync.Once
 	worker := sharded
-	worker.ShardDial = pool.dialer("tapped", tp.workerLinks(pool.servers[0].fp, func(f *tapFrame) {
+	worker.ShardDial = pool.dialer("tapped", tp.workerLinks(pool.servers[0].fp, func(f *tapFrame) error {
 		if f.Msg.Kind == kindShardFrame {
 			held.Do(func() { time.Sleep(shardHeartbeat + shardHeartbeat/4) })
 		}
+		return nil
 	}))
 	if _, err := RunInMemoryWrapped(worker, parts, pipelineReqs(), deterministicRandom(61), tp.wrap); err != nil {
 		t.Fatalf("worker session: %v", err)
@@ -591,8 +604,8 @@ func TestNumericFramesMatchParent(t *testing.T) {
 // session sends: never a panic, only ErrMalformed failures, memory bounded
 // by the input (no claimed length or count is believed before the bytes
 // are seen), and whatever decodes re-encodes to a fixed point; the chunks
-// that keep their cells in the payload — local, numeric S and
-// alphanumeric — are also evaluated and installed, and the disguised
+// that keep their cells in the payload — local, numeric S, alphanumeric
+// and slice chunks — are also evaluated and installed, and the disguised
 // strings responded to, and nothing may have written the payload by the
 // end. Seeded with the payloads of every frame of real sessions in every
 // numeric variant and mode — among them both holders' S chunks of a split
@@ -623,7 +636,7 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 			}
 		}
 	}
-	slice, _ := wire.EncodeBody(shardSliceBody{Attr: 1, Max: 2.5, Cells: []float64{0.5, 2.5}})
+	slice, _ := wire.EncodeBody(shardSliceBody{Attr: 1, Lo: 1, Hi: 3, Cells: []float64{0.5, 2.5, 1}})
 	f.Add(index(kindShardSlice), slice)
 	for _, c := range controlSamples() {
 		enc, _ := wire.EncodeBody(c.body)
@@ -697,6 +710,10 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 				if asm, err := dissim.NewSliceAssembler([]int{b.N}, b.Lo, b.N, 2); err == nil {
 					asm.SetLocalRowsLE(0, b.Lo, b.Hi, b.wire)
 				}
+			}
+		case *shardSliceBody:
+			if b.Hi <= 256 {
+				dissim.New(256).SetRowsLE(b.Lo, b.Hi, b.wire)
 			}
 		case *numSBody:
 			c, eng := b.cells, protocol.NewEngine(2)

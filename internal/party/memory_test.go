@@ -157,10 +157,9 @@ func TestSessionPeakWithinEstimate(t *testing.T) {
 }
 
 // TestSessionPeakWithinEstimateTwoShards is the same pin for in-process
-// shards (TPShards 2), plus a ceiling of its own: the estimate prices the
-// slices and the merged matrix side by side, so a slice kept reachable
-// past the merge — through the tail — still fits it, and only the ceiling
-// notices.
+// shards (TPShards 2), which assemble their rows in place in the one
+// matrix per attribute, plus a ceiling of its own: a slice held beside
+// the matrix again would show there first.
 func TestSessionPeakWithinEstimateTwoShards(t *testing.T) {
 	const ceiling = 2.6
 	peak, estimate := sessionPeak(t, 2)

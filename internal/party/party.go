@@ -325,14 +325,14 @@ func shardRowsOf(lo, hi, off, n int) (int, int) {
 //     scratch — priced at readerChunks chunks per lane, and at least two
 //     lanes.
 //
-// Sharding does NOT multiply the matrix term: the K shard slices of one
-// attribute partition its triangle, so all slices resident before the
-// coordinator's merge add up to at most one extra triangle in aggregate —
-// regardless of K. What does scale with K is the per-shard plumbing: each
-// shard runs its own lane readers, whose frames are bounded by the
-// per-shard slice, not the full chunk. Pricing the session at
-// K× the single-TP estimate would over-reserve by roughly the matrix
-// term times K−1.
+// Sharding adds nothing to the matrix term: the K shards of one attribute
+// install their rows where they lie in its one matrix — an in-process
+// shard assembles into the matrix's rows, and the coordinator decodes a
+// worker's slice chunks into them — so no slice is held beside it. What
+// scales with K is the per-shard plumbing: each shard runs its own lane
+// readers, whose frames are bounded by the per-shard slice, not the full
+// chunk. Pricing the session at K× the single-TP estimate would
+// over-reserve by roughly the matrix term times K−1.
 //
 // A chunk budget larger than the triangle prices each "chunk" at the full
 // triangle, which is exactly the pre-streaming resident shape. The
@@ -353,9 +353,6 @@ func (c Config) EstimateSessionBytes(numHolders, totalObjects, shards int) int64
 	lanes := int64(max(numHolders, 2))
 	readers := readerChunks * lanes * chunk
 	if shards > 1 {
-		// Aggregate resident shard slices before the merge: one extra
-		// triangle total, however many shards partition it.
-		matrices += triangle
 		// Per-shard lane readers. A shard never holds more than its own
 		// slice, so its chunk price is capped at the slice size.
 		shardChunk := chunk
@@ -738,12 +735,17 @@ type shardFrameBody struct {
 	Frame []byte
 }
 
-// shardSliceBody returns one finished attribute slice from a worker:
-// the packed cells of the shard's global row range plus their maximum.
+// shardSliceBody is one chunk of a finished attribute slice, returned by a
+// worker: the packed cells of global triangle rows [Lo, Hi), streamed in
+// the localChunksRange schedule of the shard's rows. A worker sends Cells;
+// a decoded chunk keeps its cell block where it arrived (wire, 8
+// little-endian bytes a cell, aliasing the payload) for the coordinator to
+// decode straight into the attribute's matrix.
 type shardSliceBody struct {
-	Attr  int
-	Cells []float64
-	Max   float64
+	Attr   int
+	Lo, Hi int
+	Cells  []float64
+	wire   []byte
 }
 
 // shardBeatBody is a worker's liveness heartbeat; its only effect is

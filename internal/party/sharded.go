@@ -8,19 +8,26 @@ package party
 // dissim.ShardRanges(total, K) has its own holder conduits, and this file is
 // what the extra lanes need:
 //
-//   - shardSource, where one range's slices come from: lane readers over the
+//   - shardSource, where one range's rows come from: lane readers over the
 //     range's conduits in this process (localShard, below), or a ppc-shard
 //     worker behind a relay link (remoteShard, shardproc.go);
-//   - mergeShardSlices, which concatenates the slices into each attribute's
-//     condensed matrix (SetPackedRows) and normalizes.
+//   - mergeShardSlices, which folds the sources' maxima into each
+//     attribute's matrix and normalizes.
 //
-// The split partitions rows, wire lanes and resident memory (each shard
-// holds ~1/K of every attribute triangle), not trust. Bit-identity with the
-// one-range session holds for every K: chunk evaluation is sequence-identical
-// (pinned by the protocol row tests), slice assembly writes each cell exactly
-// once with the same value (pinned by the dissim slice tests), and max is
-// associative, so the merged matrix, its normalization scale and every
-// downstream clustering result match byte for byte.
+// Each comparison attribute's matrix is allocated once, before the sources
+// start, and every source installs its range's rows where they lie: an
+// in-process shard assembles into the matrix's row view
+// (dissim.NewSliceAssemblerInto over PackedRowsView), and the coordinator
+// decodes a worker's slice chunks into it (Matrix.SetRowsLE). No slice is
+// held beside the matrix, and nothing is copied to merge.
+//
+// The split partitions rows and wire lanes (on a worker, resident memory:
+// each holds ~1/K of every attribute triangle), not trust. Bit-identity
+// with the one-range session holds for every K: chunk evaluation is
+// sequence-identical (pinned by the protocol row tests), slice assembly
+// writes each cell exactly once with the same value (pinned by the dissim
+// slice tests), and max is associative, so the matrix, its normalization
+// scale and every downstream clustering result match byte for byte.
 
 import (
 	"context"
@@ -30,28 +37,25 @@ import (
 	"ppclust/internal/wire"
 )
 
-// attrSlice is one shard's assembled slice of one comparison attribute:
-// the packed cells of the shard's global row range plus their maximum.
-type attrSlice struct {
-	cells []float64
-	max   float64
-}
-
-// shardSource is where one row range's slices come from. It blocks until
-// every comparison attribute's slice has landed in out (indexed by
-// attribute) or the source failed; the end of ctx stops it from outside.
-type shardSource func(ctx context.Context, out []attrSlice) error
+// shardSource is where one row range's rows come from. It blocks until
+// every comparison attribute's rows of the range are installed where they
+// lie in the attribute's matrix, and the largest entry it installed is in
+// maxes (indexed by attribute), or until the source failed; the end of ctx
+// stops it from outside. A source writes only its own rows and its own
+// maxes, so sources run concurrently.
+type shardSource func(ctx context.Context, maxes []float64) error
 
 // readSlices assembles every comparison attribute's slice of global rows r
-// from the holder lanes eps, into out. The assemblers live only for the
-// call, so nothing but out keeps a slice reachable once it returns.
-func (c *shardCore) readSlices(ctx context.Context, eps []*wire.Endpoint, r [2]int, out []attrSlice) error {
-	g := &laneGroup{eps: eps, asms: make([]*dissim.SliceAssembler, len(out))}
+// from the holder lanes eps into dst[attr] — the packed cells of those
+// rows; where nil, a slice of its own, left in dst[attr] — and records
+// each slice's largest entry in maxes[attr].
+func (c *shardCore) readSlices(ctx context.Context, eps []*wire.Endpoint, r [2]int, dst [][]float64, maxes []float64) error {
+	g := &laneGroup{eps: eps, asms: make([]*dissim.SliceAssembler, len(dst))}
 	for attr, a := range c.cfg.Schema.Attrs {
 		if tagBased(a.Type) {
 			continue
 		}
-		sa, err := dissim.NewSliceAssembler(c.counts, r[0], r[1], c.workers)
+		sa, err := dissim.NewSliceAssemblerInto(dst[attr], c.counts, r[0], r[1], c.workers)
 		if err != nil {
 			return err
 		}
@@ -61,7 +65,7 @@ func (c *shardCore) readSlices(ctx context.Context, eps []*wire.Endpoint, r [2]i
 		g.attrs, g.asms[attr] = append(g.attrs, attr), sa
 	}
 	g.finish = func(attr int) (err error) {
-		out[attr].cells, out[attr].max, err = g.asms[attr].Done()
+		dst[attr], maxes[attr], err = g.asms[attr].Done()
 		return err
 	}
 	return c.readLanes(ctx, g)
@@ -70,39 +74,40 @@ func (c *shardCore) readSlices(ctx context.Context, eps []*wire.Endpoint, r [2]i
 // localShard is the in-process source of shard s: lane readers over the
 // shard's conduits, each holder's restricted to its row intersection with
 // the range (a holder with no rows there sends nothing, and its reader
-// never touches the conduit).
-func (tp *ThirdParty) localShard(core *shardCore, s int, r [2]int) (shardSource, error) {
-	return func(ctx context.Context, out []attrSlice) error {
+// never touches the conduit), assembling straight into the range's rows of
+// each comparison attribute's matrix.
+func (tp *ThirdParty) localShard(core *shardCore, s int, r [2]int, matrices []*dissim.Matrix) (shardSource, error) {
+	rows := make([][]float64, len(matrices))
+	for attr, a := range tp.cfg.Schema.Attrs {
+		if !tagBased(a.Type) {
+			rows[attr] = matrices[attr].PackedRowsView(r[0], r[1])
+		}
+	}
+	return func(ctx context.Context, maxes []float64) error {
 		eps := make([]*wire.Endpoint, len(tp.holders))
 		for hi, h := range tp.holders {
 			eps[hi] = wire.NewEndpoint(tp.shardLanes[s][h])
 		}
-		if err := core.readSlices(ctx, eps, r, out); err != nil {
+		if err := core.readSlices(ctx, eps, r, rows, maxes); err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
 		return nil
 	}, nil
 }
 
-// mergeShardSlices concatenates each comparison attribute's shard slices
-// into the condensed matrix and normalizes. The slices partition the
-// triangle, SetPackedRows validates each and folds its maximum into the
-// matrix's max cache, and max is associative — so the scale, and with
-// element-wise division every cell, is bit-identical to the one-range
-// assembly.
-func (tp *ThirdParty) mergeShardSlices(total int, ranges [][2]int, slices [][]attrSlice, matrices []*dissim.Matrix, scales []float64) error {
+// mergeShardSlices folds the sources' maxima (maxes[s], by attribute) into
+// each comparison attribute's matrix, whose rows the sources installed
+// where they lie, and normalizes. The ranges partition the triangle and
+// max is associative — so the scale, and with element-wise division every
+// cell, is bit-identical to the one-range assembly.
+func (tp *ThirdParty) mergeShardSlices(maxes [][]float64, matrices []*dissim.Matrix, scales []float64) {
 	for attr, a := range tp.cfg.Schema.Attrs {
 		if tagBased(a.Type) {
 			continue
 		}
-		m := dissim.New(total)
-		for s, r := range ranges {
-			if err := m.SetPackedRows(r[0], r[1], slices[s][attr].cells); err != nil {
-				return fmt.Errorf("party: merging attribute %q slice of shard %d: %w", a.Name, s, err)
-			}
+		for _, m := range maxes {
+			matrices[attr].FoldMax(m[attr])
 		}
-		scales[attr] = m.NormalizePar(tp.workers)
-		matrices[attr] = m
+		scales[attr] = matrices[attr].NormalizePar(tp.workers)
 	}
-	return nil
 }

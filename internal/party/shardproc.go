@@ -18,7 +18,7 @@ package party
 //	    │──────────────────────────────────────────▶
 //	    │  ppc/shard-frame (relayed holder bytes)  │
 //	    │──────────────────────────────────────────▶   ◀─ ppc/shard-heartbeat
-//	    ◀──────────────────────────────────────────│  ppc/shard-slice × attrs
+//	    ◀──────────────────────────────────────────│  ppc/shard-slice × chunks
 //	    │  ppc/shard-done                          │
 //	    │──────────────────────────────────────────▶
 //
@@ -27,7 +27,11 @@ package party
 // (one pump per (shard, holder) lane with the shared laneFrames stream
 // length). The worker feeds the bytes to identical lane readers, which read
 // the exact stream an in-process shard would — bit-identity across
-// deployments is code identity, not re-derivation.
+// deployments is code identity, not re-derivation. The worker returns each
+// attribute's slice the way a holder sends its local triangle: one
+// ppc/shard-slice frame per chunk of the localChunksRange schedule of the
+// shard's rows, so no frame on the link outgrows the chunk budget,
+// whatever the session's size.
 //
 // Failure and healing: worker links are plain conduits when ResumeWindow
 // is 0 (a severed worker fails the session, classified under
@@ -36,19 +40,24 @@ package party
 // and the coordinator rebinds with peerRecv 0, so the Reconn's replay
 // cursor never advances and a rebind replays the offer and every relayed
 // frame from the beginning. The replacement worker recomputes the slice
-// from scratch; the coordinator drops duplicate slices (first install
-// wins — the generations are bit-identical). This trades replay-cache
+// from scratch and resends every chunk from the first; the coordinator
+// drops each chunk it already installed (first install wins — the
+// generations are bit-identical) and installs the rest where they lie in
+// the attribute's matrix. This trades replay-cache
 // memory (the coordinator retains the shard's full relayed stream for
 // the session's lifetime when ResumeWindow > 0) for healing that covers
 // both process crashes and link flaps with one mechanism. Aborts
 // propagate in both directions as kindAbort, exactly as on holder lanes.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
+	"ppclust/internal/dissim"
 	"ppclust/internal/wire"
 )
 
@@ -162,8 +171,9 @@ func (tp *ThirdParty) dialShard(s int) (*shardLink, error) {
 
 // remoteShard is the worker-process source of shard s: it dials the worker
 // and hands it the slice offer; the source then relays the holders'
-// shard-lane frames and collects the slices the worker returns.
-func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int) (shardSource, error) {
+// shard-lane frames and installs the slice chunks the worker returns into
+// matrices.
+func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, matrices []*dissim.Matrix) (shardSource, error) {
 	link, err := tp.dialShard(s)
 	if err != nil {
 		return nil, err
@@ -182,7 +192,7 @@ func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int) (shardSource
 		link.close()
 		return nil, fmt.Errorf("party: offering slice to shard worker %d: %w", s, err)
 	}
-	return func(ctx context.Context, out []attrSlice) error {
+	return func(ctx context.Context, maxes []float64) error {
 		// The end of ctx unparks the slice collector and relay sends.
 		defer context.AfterFunc(ctx, link.close)()
 		// Relay pumps: one per holder lane with frames, copying exactly the
@@ -216,7 +226,7 @@ func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int) (shardSource
 				pumped <- nil
 			}(tp.shardLanes[s][h])
 		}
-		if err := tp.collectShardSlices(s, link, out); err != nil {
+		if err := tp.collectShardSlices(s, link, r, matrices, maxes); err != nil {
 			for {
 				select {
 				case perr := <-pumped:
@@ -240,20 +250,25 @@ func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int) (shardSource
 	}, nil
 }
 
-// collectShardSlices drains worker s's control stream until every
-// comparison attribute's slice has landed in out. Duplicate slices — a
-// restarted worker recomputes and resends everything after the replay —
-// are dropped on arrival: the generations are bit-identical, so the first
-// install wins and the merge below never sees a double.
-func (tp *ThirdParty) collectShardSlices(s int, link *shardLink, out []attrSlice) error {
+// collectShardSlices drains worker s's control stream until every chunk of
+// every comparison attribute's slice of rows r — the localChunksRange
+// schedule of r, per attribute — is installed in matrices, and records
+// each attribute's largest installed entry in maxes. A chunk must be the
+// attribute's next in the schedule; it is validated and decoded straight
+// into the rows it covers. A restarted worker recomputes and resends every
+// chunk from the first after the replay, so a chunk this collector already
+// installed is dropped on arrival: the generations are bit-identical and
+// the first install wins. Any other range is refused.
+func (tp *ThirdParty) collectShardSlices(s int, link *shardLink, r [2]int, matrices []*dissim.Matrix, maxes []float64) error {
 	attrs := tp.cfg.Schema.Attrs
+	chunks := tp.cfg.localChunksRange(r[0], r[1])
+	next := make([]int, len(attrs)) // by attribute, the index of the next chunk to install
 	need := 0
 	for _, a := range attrs {
 		if !tagBased(a.Type) {
-			need++
+			need += len(chunks)
 		}
 	}
-	got := make([]bool, len(attrs))
 	for need > 0 {
 		m, err := link.ep.Recv()
 		if err != nil {
@@ -269,18 +284,43 @@ func (tp *ThirdParty) collectShardSlices(s int, link *shardLink, out []attrSlice
 			if err := wire.DecodeBody(m.Payload, &body); err != nil {
 				return fmt.Errorf("party: slice from shard worker %d: %w", s, err)
 			}
-			if body.Attr < 0 || body.Attr >= len(attrs) || tagBased(attrs[body.Attr].Type) {
-				return fmt.Errorf("party: shard worker %d sent a slice for attribute %d", s, body.Attr)
+			attr := body.Attr
+			if m.Attr != attr {
+				return fmt.Errorf("party: shard worker %d sent a slice chunk of attribute %d in an envelope of attribute %d", s, attr, m.Attr)
 			}
-			if got[body.Attr] {
-				continue
+			if attr < 0 || attr >= len(attrs) || tagBased(attrs[attr].Type) {
+				return fmt.Errorf("party: shard worker %d sent a slice for attribute %d", s, attr)
 			}
-			got[body.Attr] = true
-			out[body.Attr] = attrSlice{cells: body.Cells, max: body.Max}
-			need--
+			rows, ci := [2]int{body.Lo, body.Hi}, next[attr]
+			switch {
+			case ci < len(chunks) && rows == chunks[ci]:
+				top, err := matrices[attr].SetRowsLE(body.Lo, body.Hi, body.wire)
+				if err != nil {
+					return fmt.Errorf("party: shard worker %d attribute %q slice chunk %d: %w", s, attrs[attr].Name, ci, err)
+				}
+				maxes[attr] = max(maxes[attr], top)
+				next[attr]++
+				need--
+			case installed(chunks[:ci], rows):
+				// A restarted worker's copy of a chunk already in place.
+			default:
+				want := [2]int{r[1], r[1]} // past the schedule's end
+				if ci < len(chunks) {
+					want = chunks[ci]
+				}
+				return fmt.Errorf("party: shard worker %d attribute %q slice chunk %d covers rows [%d,%d), schedule says [%d,%d)",
+					s, attrs[attr].Name, ci, body.Lo, body.Hi, want[0], want[1])
+			}
 		default:
 			return fmt.Errorf("party: unexpected %q from shard worker %d", m.Kind, s)
 		}
 	}
 	return nil
+}
+
+// installed reports whether rows are one of the chunks of an ascending
+// schedule.
+func installed(chunks [][2]int, rows [2]int) bool {
+	i, ok := slices.BinarySearchFunc(chunks, rows[0], func(ch [2]int, lo int) int { return cmp.Compare(ch[0], lo) })
+	return ok && chunks[i] == rows
 }

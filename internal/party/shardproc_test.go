@@ -6,13 +6,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"ppclust/internal/dataset"
+	"ppclust/internal/dissim"
 	"ppclust/internal/keys"
 	"ppclust/internal/leakcheck"
 	"ppclust/internal/netid"
@@ -245,6 +248,114 @@ func TestChaosShardProcWorkerRestartResumes(t *testing.T) {
 	assertSameOutcome(t, "worker restart", want, got)
 }
 
+// TestChaosShardProcCutMidSlice is the worker restart at the worst point
+// of the slice hand-off: shard 0's link is cut after the coordinator has
+// installed two chunks of its first slice and before the third arrives.
+// The redial lands on a freshly booted worker, which recomputes from the
+// replayed stream and resends every chunk; the coordinator drops the two
+// it already installed and installs the rest, and the report stays
+// bit-identical to the serial oracle.
+func TestChaosShardProcCutMidSlice(t *testing.T) {
+	leakcheck.Check(t)
+	parts := pipelineParts(t, 8)
+	reqs := pipelineReqs()
+	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
+	want, err := runSerialTP(base, parts, reqs, deterministicRandom(45), nil)
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+
+	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: pipelineSchema()})
+	cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, TPShards: 2,
+		LocalChunkBytes: 256, ResumeWindow: 10 * time.Second}
+	// The worker links are secured whatever the holder channels are, so
+	// the tap in their middle parses what it relays.
+	tp := newTap(Config{PlaintextChannels: true})
+	var mu sync.Mutex
+	slicesFrom0, cut := 0, false
+	links := tp.workerLinks(pool.servers[0].fp, func(f *tapFrame) error {
+		if f.From != ShardName(0) || f.Msg.Kind != kindShardSlice {
+			return nil
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if slicesFrom0++; slicesFrom0 == 3 && !cut {
+			cut = true
+			return errSever
+		}
+		return nil
+	})
+	cfg.ShardDial = pool.dialer("proc-cut-mid-slice", func(shard, dial int, c wire.Conduit) wire.Conduit {
+		if shard == 0 && dial == 0 {
+			// The replacement stands by before the cut, as a pool manager
+			// restarting a crashed worker would have it.
+			pool.setAddr(0, pool.startWorker(ShardServerConfig{Schema: pipelineSchema()}))
+		}
+		return links(shard, dial, c)
+	})
+	got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(45))
+	if err != nil {
+		t.Fatalf("session cut mid-slice: %v", err)
+	}
+	assertSameOutcome(t, "worker cut mid-slice", want, got)
+
+	// The first worker sent three chunks, the third undelivered; its
+	// replacement sent every chunk of each of the three comparison
+	// attributes.
+	normal, _, err := cfg.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := dissim.ShardRanges(8+9+10, 2)[0] // pipelineParts(t, 8) holds 8, 9 and 10 rows
+	perSlice := len(normal.localChunksRange(r[0], r[1]))
+	if perSlice < 3 {
+		t.Fatalf("shard 0's slices have %d chunks, the cut needs 3+", perSlice)
+	}
+	if sent, want := len(tp.sent(ShardName(0), TPName, kindShardSlice)), 3+3*perSlice; !cut || sent != want {
+		t.Fatalf("shard 0 sent %d slice chunks (cut: %v), want 3 before the cut and %d after", sent, cut, want-3)
+	}
+}
+
+// TestShardProcWorkerFramesBounded: a worker returns its slices in frames
+// no larger than the chunk budget plus fixed framing, whatever the
+// session's size. A whole slice in one frame would carry 4·n(n−1)/K bytes
+// — at K = 2 past wire.MaxFrame, and so refused with ErrFrameTooLarge,
+// from about 11 600 objects — so the frame ceiling does not limit a
+// sharded session.
+func TestShardProcWorkerFramesBounded(t *testing.T) {
+	const budget = 4 << 10
+	const framing = 64 // the envelope and the chunk's row range
+	cfg, parts, reqs := pairCPUParts(200)
+	cfg.Variant, cfg.TPShards, cfg.LocalChunkBytes = Float64Variant, 2, budget
+	want, err := RunInMemory(cfg, parts, reqs, deterministicRandom(48))
+	if err != nil {
+		t.Fatalf("in-process shards: %v", err)
+	}
+	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: cfg.Schema})
+	tp := newTap(Config{PlaintextChannels: true})
+	cfg.ShardDial = pool.dialer("bounded-frames", tp.workerLinks(pool.servers[0].fp, nil))
+	got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(48))
+	if err != nil {
+		t.Fatalf("worker session: %v", err)
+	}
+	assertSameOutcome(t, "worker session at a 4 KiB chunk budget", want, got)
+	chunks, largest := 0, 0
+	for _, f := range tp.sent("", TPName) {
+		largest = max(largest, len(f.Raw))
+		if f.Msg.Kind == kindShardSlice {
+			chunks++
+		}
+	}
+	if largest > budget+framing {
+		t.Errorf("a worker sent a %d-byte frame, the chunk budget is %d", largest, budget)
+	}
+	// 400 objects: two slices of about 40 000 cells, 512 cells a chunk.
+	if chunks < 150 {
+		t.Errorf("the workers returned their slices in %d frames", chunks)
+	}
+	t.Logf("%d slice chunks, the largest worker frame %d bytes", chunks, largest)
+}
+
 // TestChaosShardProcKillOutsideWindow: without a reconnect window a severed
 // worker link fails the session promptly and classified — ErrDisconnected
 // (or the peers' ErrAborted view), never a hang — and leaves no goroutine
@@ -364,15 +475,17 @@ func eagerWorker(t *testing.T, schema dataset.Schema) ShardDialFunc {
 			if _, err := ep.Expect(kindShardOffer, &offer); err != nil {
 				return
 			}
-			cells := make([]float64, offer.Hi*(offer.Hi-1)/2-offer.Lo*(offer.Lo-1)/2)
-			for attr, a := range schema.Attrs {
-				if tagBased(a.Type) {
-					continue
-				}
-				msg := wire.Message{From: ShardName(shard), To: TPName, Kind: kindShardSlice, Attr: attr}
-				if err := ep.SendBody(msg, shardSliceBody{Attr: attr, Cells: cells}); err != nil {
-					return
-				}
+			zeros := make([]float64, offer.Hi*(offer.Hi-1)/2-offer.Lo*(offer.Lo-1)/2)
+			cells := make([][]float64, len(schema.Attrs))
+			for attr := range cells {
+				cells[attr] = zeros
+			}
+			err = sendSlices(Config{Schema: schema, LocalChunkBytes: offer.LocalChunkBytes}, [2]int{offer.Lo, offer.Hi}, cells,
+				func(b shardSliceBody) error {
+					return ep.SendBody(wire.Message{From: ShardName(shard), To: TPName, Kind: kindShardSlice, Attr: b.Attr}, b)
+				})
+			if err != nil {
+				return
 			}
 			for {
 				if _, err := ep.Recv(); err != nil {
@@ -568,53 +681,181 @@ func TestShardProcRefusesRetiredHellos(t *testing.T) {
 	assertSameOutcome(t, "session after the refusals", want, got)
 }
 
-// TestShardSliceDedup drives the collector's duplicate-slice guard
-// directly: a restarted worker resends every slice after the replay, and
-// the first install must win with no double count.
-func TestShardSliceDedup(t *testing.T) {
-	schema := pipelineSchema()
-	cfg, _, err := Config{Schema: schema, Variant: Float64Variant}.normalized()
+// sliceHarness runs worker 0's slice collector for rows [3, 9) of a
+// pipelineSchema session at an 8-cell chunk budget — five chunks per
+// attribute — installing into matrices; peer is the worker's end of the
+// link.
+type sliceHarness struct {
+	cfg      Config
+	r        [2]int
+	chunks   [][2]int
+	comp     []int // the comparison attributes
+	matrices []*dissim.Matrix
+	maxes    []float64
+	peer     *wire.Endpoint
+	done     chan error
+}
+
+func newSliceHarness(t *testing.T) *sliceHarness {
+	t.Helper()
+	cfg, _, err := Config{Schema: pipelineSchema(), Variant: Float64Variant, LocalChunkBytes: 64}.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := &sliceHarness{cfg: cfg, r: [2]int{3, 9}, done: make(chan error, 1)}
+	h.chunks = cfg.localChunksRange(h.r[0], h.r[1])
+	h.matrices = make([]*dissim.Matrix, len(cfg.Schema.Attrs))
+	h.maxes = make([]float64, len(cfg.Schema.Attrs))
+	for attr, a := range cfg.Schema.Attrs {
+		if !tagBased(a.Type) {
+			h.comp = append(h.comp, attr)
+			h.matrices[attr] = dissim.New(h.r[1])
+		}
+	}
+	if len(h.chunks) < 3 || len(h.comp) < 2 {
+		t.Fatalf("%d chunks of %d comparison attributes, need 3 of 2+", len(h.chunks), len(h.comp))
+	}
 	tp := &ThirdParty{cfg: cfg, guard: newGuard(TPName, cfg)}
-	defer tp.guard.release()
 	a, b := wire.Pipe()
-	defer a.Close()
-	defer b.Close()
+	t.Cleanup(func() {
+		a.Close()
+		b.Close()
+		tp.guard.release()
+	})
+	h.peer = wire.NewEndpoint(b)
 	link := &shardLink{s: 0, ep: wire.NewEndpoint(a)}
-	peer := wire.NewEndpoint(b)
+	go func() { h.done <- tp.collectShardSlices(0, link, h.r, h.matrices, h.maxes) }()
+	return h
+}
 
-	var comp []int
-	for attr, at := range schema.Attrs {
-		if !tagBased(at.Type) {
-			comp = append(comp, attr)
+// cells is a generation of slices: by comparison attribute, the packed
+// cells of the harness's rows, from v up.
+func (h *sliceHarness) cells(v float64) [][]float64 {
+	out := make([][]float64, len(h.matrices))
+	n := h.r[1]*(h.r[1]-1)/2 - h.r[0]*(h.r[0]-1)/2
+	for _, attr := range h.comp {
+		out[attr] = make([]float64, n)
+		for i := range out[attr] {
+			out[attr][i] = v + float64(attr*n+i)
 		}
 	}
-	if len(comp) < 2 {
-		t.Fatalf("pipeline schema has %d comparison attributes, need 2+", len(comp))
-	}
+	return out
+}
+
+// send sends body as a slice chunk in an envelope of attribute attr.
+func (h *sliceHarness) send(attr int, body wire.BodyAppender) error {
+	return h.peer.SendBody(wire.Message{From: ShardName(0), To: TPName, Kind: kindShardSlice, Attr: attr}, body)
+}
+
+// installed is what the collector installed of attr's rows.
+func (h *sliceHarness) installed(attr int) []float64 {
+	return h.matrices[attr].PackedRowsView(h.r[0], h.r[1])
+}
+
+// TestShardSliceDedup drives the collector's duplicate-chunk guard
+// directly: the first generation installs two of the first attribute's
+// chunks, then a restarted worker resends every chunk after the replay,
+// with different bytes. The installed cells must not change — the first
+// install wins — and the rest install from the second generation, each
+// counted once.
+func TestShardSliceDedup(t *testing.T) {
+	h := newSliceHarness(t)
+	first, second := h.cells(1), h.cells(1000)
+	errStop := errors.New("the first generation's link dies")
 	go func() {
-		send := func(attr int, cells []float64, max float64) {
-			peer.SendBody(wire.Message{From: ShardName(0), To: TPName, Kind: kindShardSlice, Attr: attr},
-				shardSliceBody{Attr: attr, Cells: cells, Max: max})
-		}
-		// Heartbeats interleave; the first generation delivers attr comp[0],
-		// then the "restarted" worker resends it with different bytes before
-		// completing the set — the duplicate must be ignored.
-		peer.SendBody(wire.Message{From: ShardName(0), To: TPName, Kind: kindShardBeat, Attr: -1}, shardBeatBody{})
-		send(comp[0], []float64{1, 2, 3}, 3)
-		send(comp[0], []float64{9, 9, 9}, 9)
-		for _, attr := range comp[1:] {
-			send(attr, []float64{4}, 4)
-		}
+		h.peer.SendBody(wire.Message{From: ShardName(0), To: TPName, Kind: kindShardBeat, Attr: -1}, shardBeatBody{})
+		sent := 0
+		sendSlices(h.cfg, h.r, first, func(b shardSliceBody) error {
+			if sent == 2 {
+				return errStop
+			}
+			sent++
+			return h.send(b.Attr, b)
+		})
+		sendSlices(h.cfg, h.r, second, func(b shardSliceBody) error { return h.send(b.Attr, b) })
 	}()
-	out := make([]attrSlice, len(schema.Attrs))
-	if err := tp.collectShardSlices(0, link, out); err != nil {
+	if err := <-h.done; err != nil {
 		t.Fatalf("collect: %v", err)
 	}
-	if got := out[comp[0]]; got.max != 3 || len(got.cells) != 3 || got.cells[0] != 1 {
-		t.Fatalf("duplicate slice overwrote the first install: %+v", got)
+	kept := h.chunks[2][0]*(h.chunks[2][0]-1)/2 - h.r[0]*(h.r[0]-1)/2 // cells of the first two chunks
+	for _, attr := range h.comp {
+		want := second[attr]
+		if attr == h.comp[0] {
+			want = slices.Concat(first[attr][:kept], second[attr][kept:])
+		}
+		if got := h.installed(attr); !slices.Equal(got, want) {
+			t.Errorf("attribute %d: installed %v, want %v", attr, got, want)
+		}
+		if h.maxes[attr] != slices.Max(want) {
+			t.Errorf("attribute %d: max %v, want %v", attr, h.maxes[attr], slices.Max(want))
+		}
+	}
+}
+
+// TestShardSliceChunksRefused: a slice chunk off the schedule, in an
+// envelope of another attribute, with a cell that is no dissimilarity,
+// with bytes past its last cell, or a whole slice in one frame of the
+// retired layout (Attr | float64 Max | cells) — or of this one — is
+// refused, and installs nothing.
+func TestShardSliceChunksRefused(t *testing.T) {
+	withCell := func(v float64) func(h *sliceHarness) error {
+		return func(h *sliceHarness) error {
+			cells := h.cells(1)[h.comp[0]]
+			cells[1] = v
+			ch := h.chunks[0]
+			return h.send(h.comp[0], shardSliceBody{Attr: h.comp[0], Lo: ch[0], Hi: ch[1], Cells: cells[:ch[1]*(ch[1]-1)/2-ch[0]*(ch[0]-1)/2]})
+		}
+	}
+	raw := func(payload func(h *sliceHarness) []byte) func(h *sliceHarness) error {
+		return func(h *sliceHarness) error {
+			return h.send(h.comp[0], shardFrameBody{Frame: payload(h)}) // the bytes as they are
+		}
+	}
+	firstChunk := func(h *sliceHarness) shardSliceBody {
+		var body shardSliceBody
+		sendSlices(h.cfg, h.r, h.cells(1), func(b shardSliceBody) error { body = b; return io.EOF })
+		return body
+	}
+	for _, tc := range []struct {
+		name string
+		send func(h *sliceHarness) error
+		want string
+	}{
+		{"off schedule", func(h *sliceHarness) error {
+			ch := h.chunks[1]
+			return h.send(h.comp[0], shardSliceBody{Attr: h.comp[0], Lo: ch[0], Hi: ch[1], Cells: make([]float64, ch[1]*(ch[1]-1)/2-ch[0]*(ch[0]-1)/2)})
+		}, "covers rows [5,6), schedule says [3,5)"},
+		{"envelope attribute", func(h *sliceHarness) error { return h.send(h.comp[1], firstChunk(h)) }, "in an envelope of attribute"},
+		{"NaN cell", withCell(math.NaN()), "invalid packed entry NaN"},
+		{"negative cell", withCell(-1), "invalid packed entry -1"},
+		{"+Inf cell", withCell(math.Inf(1)), "invalid packed entry +Inf"},
+		{"trailing bytes", raw(func(h *sliceHarness) []byte {
+			enc, _ := wire.EncodeBody(firstChunk(h))
+			return append(enc, 0)
+		}), "trailing bytes"},
+		{"one-frame slice", raw(func(h *sliceHarness) []byte {
+			cells := h.cells(1)[h.comp[0]]
+			return appendFloat64s(appendFloat64(appendInt(nil, h.comp[0]), slices.Max(cells)), cells)
+		}), "malformed"},
+		{"one-frame slice without its max", func(h *sliceHarness) error {
+			return h.send(h.comp[0], shardSliceBody{Attr: h.comp[0], Lo: h.r[0], Hi: h.r[1], Cells: h.cells(1)[h.comp[0]]})
+		}, "covers rows [3,9), schedule says [3,5)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newSliceHarness(t)
+			if err := tc.send(h); err != nil {
+				t.Fatal(err)
+			}
+			err := <-h.done
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error saying %q", err, tc.want)
+			}
+			for _, attr := range h.comp {
+				if slices.Max(h.installed(attr)) != 0 {
+					t.Errorf("attribute %d: a refused chunk was installed: %v", attr, h.installed(attr))
+				}
+			}
+		})
 	}
 }
 

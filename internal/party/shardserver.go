@@ -406,24 +406,19 @@ func (r *shardRun) run(offer shardOfferBody) error {
 	}
 
 	// The pipeline computes on its own goroutine and, on success, sends
-	// the slices back itself — ascending by attribute, so the reply order
-	// is deterministic.
+	// the slices back itself — ascending by attribute, each in its chunk
+	// schedule, so the reply order is deterministic.
 	computeDone := make(chan struct{})
 	go func() {
 		defer close(computeDone)
-		out := make([]attrSlice, nAttr)
-		if err := core.readSlices(ctx, eps, rg, out); err != nil {
+		cells := make([][]float64, nAttr)
+		if err := core.readSlices(ctx, eps, rg, cells, make([]float64, nAttr)); err != nil {
 			fail(err)
 			return
 		}
-		for attr, a := range cfg.Schema.Attrs {
-			if tagBased(a.Type) {
-				continue
-			}
-			if err := r.send(kindShardSlice, attr, shardSliceBody{Attr: attr, Cells: out[attr].cells, Max: out[attr].max}); err != nil {
-				fail(err)
-				return
-			}
+		err := sendSlices(cfg, rg, cells, func(b shardSliceBody) error { return r.send(kindShardSlice, b.Attr, b) })
+		if err != nil {
+			fail(err)
 		}
 	}()
 
@@ -479,7 +474,9 @@ loop:
 				break loop
 			}
 			fed[m.Attr]++
-			if err := feeds[m.Attr].Send(body.Frame); err != nil {
+			// The received Message owns its payload, so the frame is handed
+			// to the lane reader as it is, not copied into the pipe.
+			if err := wire.SendOwned(feeds[m.Attr], body.Frame); err != nil {
 				fail(err)
 			}
 			relayed++
@@ -511,4 +508,25 @@ loop:
 		err = recvErr
 	}
 	return err
+}
+
+// sendSlices sends every comparison attribute's slice of rows rg — cells,
+// by attribute, the packed cells of those rows — ascending by attribute,
+// one body per chunk of the rows' localChunksRange schedule: the stream
+// the coordinator's collector expects, each frame bounded by the chunk
+// budget.
+func sendSlices(cfg Config, rg [2]int, cells [][]float64, send func(shardSliceBody) error) error {
+	base := rg[0] * (rg[0] - 1) / 2
+	for attr, a := range cfg.Schema.Attrs {
+		if tagBased(a.Type) {
+			continue
+		}
+		for _, ch := range cfg.localChunksRange(rg[0], rg[1]) {
+			lo, hi := ch[0]*(ch[0]-1)/2-base, ch[1]*(ch[1]-1)/2-base
+			if err := send(shardSliceBody{Attr: attr, Lo: ch[0], Hi: ch[1], Cells: cells[attr][lo:hi]}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

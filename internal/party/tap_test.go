@@ -50,7 +50,7 @@ type tapFrame struct {
 	// secured session.
 	Msg *wire.Message
 	// Lo and Hi are the row range of a ppc/local, ppc/numeric-disguised,
-	// ppc/numeric-s or ppc/alpha-m chunk.
+	// ppc/numeric-s, ppc/alpha-m or ppc/shard-slice chunk.
 	Lo, Hi int
 }
 
@@ -120,7 +120,7 @@ func (t *tap) record(e tapEnd, frame []byte) *tapFrame {
 	}
 	if m := f.Msg; m != nil {
 		switch m.Kind {
-		case kindLocal, kindNumDisg, kindNumS, kindAlphaM:
+		case kindLocal, kindNumDisg, kindNumS, kindAlphaM, kindShardSlice:
 			r := bodyReader{p: m.Payload}
 			r.int()
 			f.Lo, f.Hi = r.int(), r.int()
@@ -195,9 +195,11 @@ func (c *tapConduit) Close() error { return c.inner.Close() }
 // always secured, so the recorder stands in the middle: it runs the
 // worker's side of the handshake toward the coordinator and the
 // coordinator's side toward the worker, under schema fingerprint fp, and
-// relays every frame across, recorded once as sent. hold, when set, sees
-// each coordinator frame before it goes on and may delay it.
-func (t *tap) workerLinks(fp string, hold func(f *tapFrame)) func(shard, dial int, c wire.Conduit) wire.Conduit {
+// relays every frame across, recorded once as sent. rule, when set, sees
+// each frame of either direction before it goes on and may delay it, or
+// sever the link, the frame undelivered, by returning an error; the two
+// directions call it concurrently.
+func (t *tap) workerLinks(fp string, rule func(f *tapFrame) error) func(shard, dial int, c wire.Conduit) wire.Conduit {
 	return func(shard, _ int, worker wire.Conduit) wire.Conduit {
 		coordinator, far := wire.Pipe()
 		go func() {
@@ -212,8 +214,8 @@ func (t *tap) workerLinks(fp string, hold func(f *tapFrame)) func(shard, dial in
 				toCoordinator.Close()
 				return
 			}
-			go t.relay(toCoordinator, toWorker, TPName, name, hold)
-			t.relay(toWorker, toCoordinator, name, TPName, nil)
+			go t.relay(toCoordinator, toWorker, TPName, name, rule)
+			t.relay(toWorker, toCoordinator, name, TPName, rule)
 		}()
 		return coordinator
 	}
@@ -234,8 +236,8 @@ func relayHandshake(c wire.Conduit, self, peer, fp string, initiator bool) (wire
 }
 
 // relay copies frames from src to dst, recording each as sent from → to,
-// until either end fails, and then closes both.
-func (t *tap) relay(src, dst wire.Conduit, from, to string, hold func(f *tapFrame)) {
+// until either end fails or rule severs the link, and then closes both.
+func (t *tap) relay(src, dst wire.Conduit, from, to string, rule func(f *tapFrame) error) {
 	defer src.Close()
 	defer dst.Close()
 	for {
@@ -244,8 +246,8 @@ func (t *tap) relay(src, dst wire.Conduit, from, to string, hold func(f *tapFram
 			return
 		}
 		f := t.record(tapEnd{from, to, false}, frame)
-		if hold != nil {
-			hold(f)
+		if rule != nil && rule(f) != nil {
+			return
 		}
 		if dst.Send(frame) != nil {
 			return

@@ -288,12 +288,14 @@ func (tp *ThirdParty) runGuarded(ctx context.Context, body func() (*TPReport, er
 //     triangle, which holders stream on the control conduit — every
 //     attribute in schema order, then each holder's clustering request;
 //   - at TPShards > 1 one group per range carrying the comparison
-//     attributes, whose slices come from a shardSource: lane readers in
+//     attributes, whose rows come from a shardSource — lane readers in
 //     this process, or a worker process behind a relay link
-//     (Config.ShardDial).
+//     (Config.ShardDial) — and are installed where they lie in matrices
+//     allocated before any source starts.
 //
 // The first error of any group ends the session at once; otherwise the
-// shard slices (if any) merge and the clustering requests are served.
+// shard sources' maxima (if any) fold into their matrices and the
+// clustering requests are served.
 func (tp *ThirdParty) assemble() (*TPReport, error) {
 	attrs := tp.cfg.Schema.Attrs
 	core := tp.core()
@@ -316,6 +318,8 @@ func (tp *ThirdParty) assemble() (*TPReport, error) {
 		case tagBased(a.Type):
 			ctl.tags[attr] = make([]*wire.Message, len(tp.holders))
 		case sharded:
+			// Every source installs its rows of the triangle in place.
+			matrices[attr] = dissim.New(core.total)
 			continue
 		default:
 			asm, err := dissim.NewAssemblerPar(tp.counts, tp.workers)
@@ -365,7 +369,7 @@ func (tp *ThirdParty) assemble() (*TPReport, error) {
 			open = tp.remoteShard
 		}
 		for s, r := range ranges {
-			src, err := open(core, s, r)
+			src, err := open(core, s, r, matrices)
 			if err != nil {
 				return nil, err
 			}
@@ -376,10 +380,10 @@ func (tp *ThirdParty) assemble() (*TPReport, error) {
 	ctx, cancel := context.WithCancel(tp.guard.ctx)
 	defer cancel()
 	errs := make(chan error, 1+len(sources))
-	slices := make([][]attrSlice, len(sources))
+	maxes := make([][]float64, len(sources))
 	for s, src := range sources {
-		slices[s] = make([]attrSlice, len(attrs))
-		go func() { errs <- src(ctx, slices[s]) }()
+		maxes[s] = make([]float64, len(attrs))
+		go func() { errs <- src(ctx, maxes[s]) }()
 	}
 	go func() { errs <- core.readLanes(ctx, ctl) }()
 	for range cap(errs) {
@@ -388,9 +392,7 @@ func (tp *ThirdParty) assemble() (*TPReport, error) {
 		}
 	}
 	if sharded {
-		if err := tp.mergeShardSlices(core.total, ranges, slices, matrices, scales); err != nil {
-			return nil, err
-		}
+		tp.mergeShardSlices(maxes, matrices, scales)
 	}
 	return tp.finish(matrices, scales, func(hi int) (requestBody, error) { return ctl.reqs[hi], nil })
 }

@@ -63,6 +63,18 @@ type Conduit interface {
 	Close() error
 }
 
+// SendOwned sends frame on c and gives it up: the caller must not read or
+// write it again. A Pipe end queues the frame itself, where Send would
+// queue a copy, so a frame the caller already owns — a received Message's
+// payload, say — reaches the peer without one; any other conduit sends it
+// as Send does.
+func SendOwned(c Conduit, frame []byte) error {
+	if o, ok := c.(interface{ SendOwned([]byte) error }); ok {
+		return o.SendOwned(frame)
+	}
+	return c.Send(frame)
+}
+
 // RecvOwned reports whether c vouches that the frame its last Recv returned
 // was handed over to the caller — by a RecvOwned method of its own, which a
 // conduit that cannot know does not have.
@@ -72,8 +84,9 @@ func RecvOwned(c Conduit) bool {
 }
 
 // Pipe returns two ends of an in-memory conduit. Frames are copied on Send,
-// so callers may reuse buffers. Queues are unbounded: protocol rounds may
-// send many frames before the peer drains them.
+// so callers may reuse buffers; SendOwned hands a frame over instead.
+// Queues are unbounded: protocol rounds may send many frames before the
+// peer drains them.
 func Pipe() (Conduit, Conduit) {
 	a2b := newQueue()
 	b2a := newQueue()
@@ -105,12 +118,17 @@ func (q *queue) push(frame []byte) error {
 	// out a sender's copy.
 	cp := make([]byte, len(frame))
 	copy(cp, frame)
+	return q.hand(cp)
+}
+
+// hand queues frame itself: the receiver's pop returns it.
+func (q *queue) hand(frame []byte) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrClosed
 	}
-	q.frames = append(q.frames, cp)
+	q.frames = append(q.frames, frame)
 	q.cond.Signal()
 	return nil
 }
@@ -148,9 +166,10 @@ type pipeEnd struct {
 	in  *queue
 }
 
-func (p *pipeEnd) Send(frame []byte) error { return p.out.push(frame) }
-func (p *pipeEnd) Recv() ([]byte, error)   { return p.in.pop() }
-func (p *pipeEnd) RecvOwned() bool         { return true } // push copied the frame
+func (p *pipeEnd) Send(frame []byte) error      { return p.out.push(frame) }
+func (p *pipeEnd) SendOwned(frame []byte) error { return p.out.hand(frame) }
+func (p *pipeEnd) Recv() ([]byte, error)        { return p.in.pop() }
+func (p *pipeEnd) RecvOwned() bool              { return true } // push copied the frame; SendOwned gave it up
 
 func (p *pipeEnd) Close() error {
 	p.out.close()

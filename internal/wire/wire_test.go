@@ -41,6 +41,38 @@ func TestPipeIsCopying(t *testing.T) {
 	}
 }
 
+// TestPipeSendOwnedHandsFrameOver: SendOwned queues the frame itself, in
+// order with copied frames, and on a conduit without the method it is a
+// plain Send.
+func TestPipeSendOwnedHandsFrameOver(t *testing.T) {
+	a, b := Pipe()
+	owned := []byte("handed over")
+	if err := a.Send([]byte("copied")); err != nil {
+		t.Fatal(err)
+	}
+	if err := SendOwned(a, owned); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := b.Recv(); string(got) != "copied" {
+		t.Fatalf("first frame %q", got)
+	}
+	got, _ := b.Recv()
+	if &got[0] != &owned[0] {
+		t.Fatal("SendOwned queued a copy")
+	}
+	m := Meter(a, &Counter{})
+	if err := SendOwned(m, owned); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := b.Recv(); string(got) != "handed over" || &got[0] == &owned[0] {
+		t.Fatalf("SendOwned through a Meter: %q, not a copy of its own", got)
+	}
+	a.Close()
+	if err := SendOwned(a, owned); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SendOwned on a closed pipe: %v", err)
+	}
+}
+
 func TestPipeOrderingAndBuffering(t *testing.T) {
 	a, b := Pipe()
 	const n = 1000
