@@ -200,6 +200,19 @@ func (c *guardedConduit) Send(frame []byte) error {
 	return nil
 }
 
+func (c *guardedConduit) SendOwned(frame []byte) error {
+	if c.g.ended() != nil {
+		return c.endedErr(wire.ErrClosed)
+	}
+	if err := wire.SendOwned(c.inner, frame); err != nil {
+		return c.endedErr(err)
+	}
+	c.g.touch()
+	return nil
+}
+
+func (c *guardedConduit) TakesOwned() bool { return wire.TakesOwned(c.inner) }
+
 func (c *guardedConduit) Recv() ([]byte, error) {
 	f, err := c.inner.Recv()
 	if err != nil {

@@ -275,6 +275,7 @@ func (c *shardCore) recvLocalRows(asm *dissim.SliceAssembler, ln lane, hi int, a
 		if err := c.computing(ln.ctx, func() error { return asm.SetLocalRowsLE(hi, body.Lo, body.Hi, body.wire) }); err != nil {
 			return err
 		}
+		ln.ep.Release(m)
 	}
 	return nil
 }
@@ -326,10 +327,12 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssemble
 		c.num.Advance(eng, jt, sh.lo-first, cols, axis)
 	}
 	for ci, ch := range c.cfg.pairChunksRange(c.num, a.Type, sh.lo, sh.hi, cols) {
+		var m *wire.Message
 		var eval func() (protocol.RowFunc, int, int, error)
 		if a.Type == dataset.Alphanumeric {
 			var body alphaMBody
-			m, err := ln.expect(kindAlphaM, &body)
+			var err error
+			m, err = ln.expect(kindAlphaM, &body)
 			if err != nil {
 				return fmt.Errorf("party: %s pair (%s,%s) chunk %d: %w", from, j, k, ci, err)
 			}
@@ -353,7 +356,8 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssemble
 			}
 		} else {
 			var body numSBody
-			m, err := ln.expect(kindNumS, &body)
+			var err error
+			m, err = ln.expect(kindNumS, &body)
 			if err != nil {
 				return fmt.Errorf("party: %s pair (%s,%s) chunk %d: %w", from, j, k, ci, err)
 			}
@@ -382,6 +386,7 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssemble
 		if err != nil {
 			return err
 		}
+		ln.ep.Release(m)
 	}
 	return nil
 }

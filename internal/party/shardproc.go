@@ -214,8 +214,14 @@ func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, matrices []*
 				for range frames {
 					frame, err := src.Recv()
 					if err == nil {
+						owned := wire.RecvOwned(src)
 						m := wire.Message{From: TPName, To: ShardName(s), Kind: kindShardFrame, Attr: hi}
 						err = link.send(m, shardFrameBody{Frame: frame})
+						if err == nil && owned {
+							// Re-sealed on the worker link: the plaintext
+							// goes back to the pool.
+							wire.Release(frame)
+						}
 					}
 					if err != nil {
 						pumped <- fmt.Errorf("party: relaying %s frames to shard worker %d: %w", h, s, err)
@@ -301,6 +307,7 @@ func (tp *ThirdParty) collectShardSlices(s int, link *shardLink, r [2]int, matri
 				maxes[attr] = max(maxes[attr], top)
 				next[attr]++
 				need--
+				link.ep.Release(m)
 			case installed(chunks[:ci], rows):
 				// A restarted worker's copy of a chunk already in place.
 			default:

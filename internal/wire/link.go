@@ -131,7 +131,9 @@ func (l *linkConduit) delay() time.Duration {
 	return d
 }
 
-func (l *linkConduit) Send(frame []byte) error { return l.inner.Send(frame) }
+func (l *linkConduit) Send(frame []byte) error      { return l.inner.Send(frame) }
+func (l *linkConduit) SendOwned(frame []byte) error { return SendOwned(l.inner, frame) }
+func (l *linkConduit) TakesOwned() bool             { return TakesOwned(l.inner) }
 
 func (l *linkConduit) Recv() ([]byte, error) {
 	l.mu.Lock()

@@ -6,7 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 )
 
 // Kind names a protocol message type. Kinds are defined by the layers that
@@ -28,6 +28,10 @@ type Message struct {
 	// Payload is the encoded message body: everything in the frame after
 	// the header.
 	Payload []byte
+
+	// frame is the received frame Payload aliases, when the Message owns
+	// it; Endpoint.Release hands it back to the frame pool.
+	frame []byte
 }
 
 // FrameVersion is the first byte of every Message frame. The value can
@@ -140,15 +144,17 @@ type Endpoint struct {
 	conduit Conduit
 }
 
+// frameHint is the length of the longest frame any Endpoint in the
+// process has built, up to maxRetainedBuf: the size of the pooled buffer
+// the next frame is built in. Sessions repeat their frame sizes — chunk
+// frames are bounded by the chunk budget — so once the process has sent
+// one long frame, building a frame grows no buffer. The buffer goes back
+// to the pool as soon as the frame is sent, so a large hint holds one
+// buffer per concurrent sender at most.
+var frameHint atomic.Int64
+
 // NewEndpoint wraps a conduit for Message traffic.
 func NewEndpoint(c Conduit) *Endpoint { return &Endpoint{conduit: c} }
-
-// frameBufs pools the buffers Endpoint sends build frames in.
-// Conduit.Send may not retain its frame, so a buffer is safe to recycle the
-// moment Send returns; with row-chunked matrix streaming sending many
-// mid-sized frames per attribute, reuse keeps the per-frame cost at the
-// conduit's own copy instead of a fresh buffer growth per message.
-var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Send serializes and transmits m, whose Payload is already encoded.
 func (e *Endpoint) Send(m *Message) error { return e.SendBody(*m, encoded(m.Payload)) }
@@ -159,24 +165,28 @@ type encoded []byte
 func (p encoded) AppendBody(dst []byte) ([]byte, error) { return append(dst, p...), nil }
 
 // SendBody encodes body and sends it under the given envelope fields, in
-// one pass: header and body are written back to back into one pooled
-// buffer. m.Payload is not consulted.
+// one pass: header and body are written back to back into one buffer from
+// the frame pool, which goes back to the pool zeroed once Send returns,
+// since it holds the frame in plaintext. m.Payload is not consulted.
 func (e *Endpoint) SendBody(m Message, body any) error {
-	bp := frameBufs.Get().(*[]byte)
-	frame, err := appendBody(appendHeader((*bp)[:0], &m), body)
+	buf := getFrame(int(frameHint.Load()))[:0]
+	frame, err := appendBody(appendHeader(buf, &m), body)
 	if err != nil {
-		frameBufs.Put(bp)
+		Release(buf)
 		return err
+	}
+	if n := int64(min(len(frame), maxRetainedBuf)); n > frameHint.Load() {
+		frameHint.Store(n)
 	}
 	if len(frame) > MaxFrame {
 		err = fmt.Errorf("wire: message %q of %d bytes: %w", m.Kind, len(frame), ErrFrameTooLarge)
 	} else {
 		err = e.conduit.Send(frame)
 	}
-	if cap(frame) <= maxRetainedBuf {
-		*bp = frame[:0]
-		frameBufs.Put(bp)
-	}
+	// Only the frame's own bytes are plaintext: the rest of the buffer is
+	// as the pool handed it out, or as a grown append left it, zero.
+	clear(frame)
+	putFrame(frame)
 	return err
 }
 
@@ -195,10 +205,23 @@ func (e *Endpoint) Recv() (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !RecvOwned(e.conduit) {
+	if RecvOwned(e.conduit) {
+		m.frame = frame
+	} else {
 		m.Payload = bytes.Clone(m.Payload)
 	}
 	return m, nil
+}
+
+// Release hands the frame a received Message aliases back to the frame
+// pool, zeroed, and clears m's Payload; a Message whose payload was copied
+// out of a lent frame has nothing to give back. Call it only when nothing
+// decoded from m — no body, no slice of its Payload — is read again
+// (docs/WIRE.md, "Release"); a Message never released is garbage collected
+// as usual.
+func (e *Endpoint) Release(m *Message) {
+	Release(m.frame)
+	m.frame, m.Payload = nil, nil
 }
 
 // Expect receives the next message and verifies its Kind, decoding the

@@ -17,11 +17,18 @@ import (
 // secured": an observer of the underlying conduit sees only ciphertext, and
 // any modification or reordering causes the receiver to fail loudly.
 //
+// Send seals each frame into a buffer from the frame pool. When c takes
+// ownership of what it is sent (TakesOwned) the sealed buffer is handed
+// over and becomes the frame the peer receives; otherwise it goes back to
+// the pool once c's Send returns — unzeroed, as it holds only ciphertext.
+//
 // Recv opens a frame in place when c vouches that it handed the frame over
-// (RecvOwned) and into a buffer of its own otherwise: a conduit that lends
-// its frames — or replays the same ones to a second reader — finds them
-// byte for byte as it delivered them. Either way the plaintext is the
-// caller's, so Secure itself always vouches.
+// (RecvOwned) and into a pooled buffer of its own otherwise: a conduit that
+// lends its frames — or replays the same ones to a second reader — finds
+// them byte for byte as it delivered them. Either way the plaintext is the
+// caller's, so Secure itself always vouches, and a consumer done with it
+// may Release it. A frame that fails authentication leaves no plaintext
+// behind in either buffer.
 func Secure(c Conduit, key [32]byte, initiator bool) (Conduit, error) {
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
@@ -44,21 +51,21 @@ type secureConduit struct {
 	sendDir byte
 	recvDir byte
 
-	sendMu  sync.Mutex
-	sendSeq uint64
-	sealBuf []byte // reused Seal destination; guarded by sendMu
-	recvMu  sync.Mutex
-	recvSeq uint64
+	sendMu    sync.Mutex
+	sendSeq   uint64
+	sendNonce [12]byte // guarded by sendMu
+	recvMu    sync.Mutex
+	recvSeq   uint64
+	recvNonce [12]byte // guarded by recvMu
 }
 
-// nonce builds the 12-byte GCM nonce: direction byte, 3 zero bytes, 8-byte
-// big-endian sequence number. Returned by value so callers keep it on the
-// stack.
-func nonce(dir byte, seq uint64) [12]byte {
-	var n [12]byte
+// nonce writes the 12-byte GCM nonce — direction byte, 3 zero bytes,
+// 8-byte big-endian sequence number — into n and returns it. n is one of
+// the conduit's own buffers, so handing it to the AEAD allocates nothing.
+func nonce(n *[12]byte, dir byte, seq uint64) []byte {
 	n[0] = dir
 	binary.BigEndian.PutUint64(n[4:], seq)
-	return n
+	return n[:]
 }
 
 func (s *secureConduit) Send(frame []byte) error {
@@ -70,40 +77,43 @@ func (s *secureConduit) Send(frame []byte) error {
 		return fmt.Errorf("wire: frame of %d bytes (+%d sealing overhead): %w",
 			len(frame), s.aead.Overhead(), ErrFrameTooLarge)
 	}
-	// The seal buffer is reused across Sends, so hold the lock through
-	// inner.Send — which may not retain the frame — rather than just the
-	// sequence draw. The Conduit contract admits one concurrent sender, so
-	// the widened critical section serializes nothing new.
+	// Hold the lock through inner.Send, not just the sequence draw, so
+	// frames reach the wire in nonce order. The Conduit contract admits one
+	// concurrent sender, so the wider critical section serializes nothing
+	// new.
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
-	seq := s.sendSeq
+	n := nonce(&s.sendNonce, s.sendDir, s.sendSeq)
 	s.sendSeq++
-	n := nonce(s.sendDir, seq)
-	sealed := s.aead.Seal(s.sealBuf[:0], n[:], frame, nil)
-	if cap(sealed) <= maxRetainedBuf {
-		s.sealBuf = sealed[:0]
-	} else {
-		s.sealBuf = nil
+	sealed := s.aead.Seal(getFrame(len(frame) + s.aead.Overhead())[:0], n, frame, nil)
+	if TakesOwned(s.inner) {
+		return SendOwned(s.inner, sealed)
 	}
-	return s.inner.Send(sealed)
+	err := s.inner.Send(sealed)
+	putFrame(sealed)
+	return err
 }
 
 func (s *secureConduit) Recv() ([]byte, error) {
+	s.recvMu.Lock()
+	defer s.recvMu.Unlock()
 	sealed, err := s.inner.Recv()
 	if err != nil {
 		return nil, err
 	}
-	s.recvMu.Lock()
 	seq := s.recvSeq
 	s.recvSeq++
-	s.recvMu.Unlock()
-	n := nonce(s.recvDir, seq)
+	n := nonce(&s.recvNonce, s.recvDir, seq)
 	var dst []byte
 	if RecvOwned(s.inner) {
 		dst = sealed[:0]
+	} else {
+		dst = getFrame(max(len(sealed)-s.aead.Overhead(), 0))[:0]
 	}
-	frame, err := s.aead.Open(dst, n[:], sealed, nil)
+	frame, err := s.aead.Open(dst, n, sealed, nil)
 	if err != nil {
+		// Open may have written plaintext before the tag check failed.
+		clear(dst[:min(cap(dst), len(sealed))])
 		return nil, fmt.Errorf("wire: secure channel authentication failed (frame %d): %w", seq, err)
 	}
 	return frame, nil

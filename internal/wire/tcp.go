@@ -11,24 +11,31 @@ import (
 )
 
 // TCPPooled adapts a net.Conn into a Conduit using 4-byte big-endian length
-// framing, with a recycled receive buffer: Recv reads each frame into a
-// conduit-owned buffer that is reused (and grown as needed) across calls,
-// so a long stream of bounded frames — the row-chunked local-matrix path —
-// performs zero per-frame receive allocations. The returned frame is valid
-// only until the next Recv on the conduit: the conduit does not vouch for
-// it (RecvOwned), so Secure opens it into a buffer of its own and an
-// Endpoint copies the payload out. The caller owns connection
-// establishment (Dial/Accept); see cmd/ppc-tp and cmd/ppc-holder for the
-// deployment wiring.
+// framing. Recv reads each frame into a buffer from the process's frame
+// pool and hands it over: the conduit vouches for every frame it returns
+// (RecvOwned), so Secure opens it in place, an Endpoint aliases it, and a
+// consumer done with it may Release it — a long stream of bounded frames,
+// the row-chunked matrix path, performs no per-frame receive allocation.
+// A frame longer than maxRetainedBuf is read into a buffer that grows as
+// its bytes arrive, so a length prefix alone — which an unauthenticated
+// peer sends before any key is agreed — costs at most maxRetainedBuf.
+// Send writes the caller's frame and keeps nothing. The caller owns
+// connection establishment (Dial/Accept); see cmd/ppc-tp and
+// cmd/ppc-holder for the deployment wiring.
 func TCPPooled(c net.Conn) Conduit {
 	return &tcpConduit{conn: c}
 }
 
 type tcpConduit struct {
-	conn    net.Conn
-	recvBuf []byte // guarded by recvMu
+	conn net.Conn
+	// The length prefixes and the writev vector live in the conduit, so
+	// neither direction allocates per frame.
 	sendMu  sync.Mutex
+	sendHdr [4]byte     // guarded by sendMu
+	vec     [2][]byte   // guarded by sendMu
+	bufs    net.Buffers // guarded by sendMu
 	recvMu  sync.Mutex
+	recvHdr [4]byte // guarded by recvMu
 	closeMu sync.Mutex
 	closed  bool
 }
@@ -39,13 +46,17 @@ func (t *tcpConduit) Send(frame []byte) error {
 	}
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
+	binary.BigEndian.PutUint32(t.sendHdr[:], uint32(len(frame)))
 	// Vectored write: header and body leave in a single writev call, so
 	// the kernel never sees a lone 4-byte header segment and the syscall
-	// count per frame is halved.
-	bufs := net.Buffers{hdr[:], frame}
-	if _, err := bufs.WriteTo(t.conn); err != nil {
+	// count per frame is halved. WriteTo consumes the vector it is given,
+	// so it is set afresh over the conduit's array for every frame, and
+	// the frame is dropped from it afterwards.
+	t.vec = [2][]byte{t.sendHdr[:], frame}
+	t.bufs = t.vec[:]
+	_, err := t.bufs.WriteTo(t.conn)
+	t.vec[1] = nil
+	if err != nil {
 		if t.isClosed() || errors.Is(err, net.ErrClosed) || severed(err) {
 			return ErrClosed
 		}
@@ -57,29 +68,48 @@ func (t *tcpConduit) Send(frame []byte) error {
 func (t *tcpConduit) Recv() ([]byte, error) {
 	t.recvMu.Lock()
 	defer t.recvMu.Unlock()
-	var hdr [4]byte
-	if _, err := io.ReadFull(t.conn, hdr[:]); err != nil {
+	if _, err := io.ReadFull(t.conn, t.recvHdr[:]); err != nil {
 		return nil, t.recvErr("header", err)
 	}
 	// Check the length prefix before converting to int: on 32-bit
 	// platforms a hostile prefix >= 2^31 would wrap negative and slip past
 	// an int comparison into a panicking make.
-	n32 := binary.BigEndian.Uint32(hdr[:])
+	n32 := binary.BigEndian.Uint32(t.recvHdr[:])
 	if n32 > MaxFrame {
 		return nil, fmt.Errorf("wire: incoming frame of %d bytes exceeds MaxFrame", n32)
 	}
 	n := int(n32)
-	// Reuse the conduit buffer; drop it back to a fresh right-sized one
-	// when a single oversized frame would otherwise stay parked.
-	if cap(t.recvBuf) < n || (cap(t.recvBuf) > maxRetainedBuf && n <= maxRetainedBuf) {
-		t.recvBuf = make([]byte, n)
+	if n > maxRetainedBuf {
+		return t.recvLarge(n)
 	}
-	frame := t.recvBuf[:n]
+	frame := getFrame(n)
 	if _, err := io.ReadFull(t.conn, frame); err != nil {
 		return nil, t.recvErr("body", err)
 	}
 	return frame, nil
 }
+
+// recvLarge reads an n-byte body that is too large for the pool into a
+// buffer that starts at maxRetainedBuf and doubles, up to n, only as the
+// body's bytes arrive.
+func (t *tcpConduit) recvLarge(n int) ([]byte, error) {
+	frame := make([]byte, 0, maxRetainedBuf)
+	for len(frame) < n {
+		if len(frame) == cap(frame) {
+			frame = append(make([]byte, 0, min(2*cap(frame), n)), frame...)
+		}
+		got, err := io.ReadFull(t.conn, frame[len(frame):min(cap(frame), n)])
+		frame = frame[:len(frame)+got]
+		if err != nil {
+			return nil, t.recvErr("body", err)
+		}
+	}
+	return frame, nil
+}
+
+// RecvOwned vouches for every frame: each Recv reads into a buffer of its
+// own.
+func (t *tcpConduit) RecvOwned() bool { return true }
 
 // recvErr maps every way the stream can end to ErrClosed — a clean EOF at
 // a frame boundary, a peer that vanished mid-frame (io.ErrUnexpectedEOF on

@@ -32,10 +32,11 @@ var ErrFrameTooLarge = errors.New("frame exceeds MaxFrame")
 // hostile length prefixes.
 const MaxFrame = 1 << 28 // 256 MiB
 
-// maxRetainedBuf caps how much memory the framing layers keep parked in
-// reusable buffers (the pooled Endpoint frame buffers, a secure conduit's
-// seal buffer, a pooled TCP conduit's receive buffer). Buffers that had to
-// grow past it for one oversized frame are dropped rather than retained.
+// maxRetainedBuf is the largest frame buffer the process's frame pool
+// keeps (pool.go): sealed frames, TCP receive buffers, Pipe copies and the
+// buffers Endpoint builds frames in all come from the pool up to this size,
+// and a larger one is allocated for its frame and left to the garbage
+// collector.
 const maxRetainedBuf = 1 << 20
 
 // Conduit is a reliable, ordered, bidirectional frame transport between two
@@ -44,19 +45,22 @@ const maxRetainedBuf = 1 << 20
 // drained. Implementations are safe for one concurrent sender and one
 // concurrent receiver.
 //
-// Ownership: Send must not retain frame after it returns — the caller may
-// immediately reuse the buffer (the Endpoint layer recycles its frame
-// buffers through a pool on the strength of this). Whether the frame Recv
-// returned belongs to the caller, or is only lent until the next Recv, is
-// answered by RecvOwned: a conduit vouches when nothing else will read or
-// write the frame again. Pipe and Secure vouch; Meter, Link and Reconn
-// hand frames through untouched and forward their inner
-// conduit's answer; TCPPooled (recycled receive buffer), Tap (its observer
-// may be reading), the fault injectors and any Conduit from outside this
-// package do not. Secure opens an owned frame in place and any other into
-// a buffer of its own; Endpoint.Recv — whose Messages alias the frame and
-// outlive the next Recv — copies the payload out of a frame that is not
-// owned (docs/WIRE.md, "Ownership").
+// Ownership (docs/WIRE.md, "Ownership"): Send must not retain frame after
+// it returns — the caller may immediately reuse the buffer (Secure and
+// Endpoint put theirs back into the frame pool on the strength of this).
+// A conduit that TakesOwned instead accepts frames through SendOwned and
+// keeps them: Pipe does, and Meter, Link and the party's guard forward
+// their inner conduit's answer, so a sealed frame travels from Secure's
+// Send to the peer's Recv uncopied. Whether the frame Recv returned
+// belongs to the caller is answered by RecvOwned: a conduit vouches when
+// nothing else will read or write the frame again. Pipe, TCPPooled and
+// Secure vouch; Meter, Link and Reconn hand frames through untouched and
+// forward their inner conduit's answer; Tap (its observer may be reading),
+// the fault injectors and any Conduit from outside this package do not.
+// Secure opens an owned frame in place and any other into a buffer of its
+// own; Endpoint.Recv — whose Messages alias the frame and outlive the next
+// Recv — copies the payload out of a frame that is not owned. An owned
+// frame's consumer may hand its buffer back to the pool with Release.
 type Conduit interface {
 	Send(frame []byte) error
 	Recv() ([]byte, error)
@@ -64,15 +68,24 @@ type Conduit interface {
 }
 
 // SendOwned sends frame on c and gives it up: the caller must not read or
-// write it again. A Pipe end queues the frame itself, where Send would
-// queue a copy, so a frame the caller already owns — a received Message's
-// payload, say — reaches the peer without one; any other conduit sends it
-// as Send does.
+// write it again. A conduit that TakesOwned keeps the frame itself — a
+// Pipe end queues it where Send would queue a copy — so a frame the caller
+// already owns, a received Message's payload or a freshly sealed buffer,
+// reaches the peer without one; any other conduit sends it as Send does.
 func SendOwned(c Conduit, frame []byte) error {
 	if o, ok := c.(interface{ SendOwned([]byte) error }); ok {
 		return o.SendOwned(frame)
 	}
 	return c.Send(frame)
+}
+
+// TakesOwned reports whether SendOwned on c keeps the frame rather than
+// sending it as Send does — by a TakesOwned method of its own, which a
+// conduit that copies or does not know does not have. A sender that would
+// recycle its buffer after Send hands it over instead when c takes it.
+func TakesOwned(c Conduit) bool {
+	o, ok := c.(interface{ TakesOwned() bool })
+	return ok && o.TakesOwned()
 }
 
 // RecvOwned reports whether c vouches that the frame its last Recv returned
@@ -83,8 +96,10 @@ func RecvOwned(c Conduit) bool {
 	return ok && o.RecvOwned()
 }
 
-// Pipe returns two ends of an in-memory conduit. Frames are copied on Send,
-// so callers may reuse buffers; SendOwned hands a frame over instead.
+// Pipe returns two ends of an in-memory conduit. Frames are copied on Send
+// into a pooled buffer, so callers may reuse theirs; SendOwned hands a
+// frame over instead (Pipe TakesOwned). Either way the receiver owns what
+// Recv returns.
 // Queues are unbounded: protocol rounds may send many frames before the
 // peer drains them.
 func Pipe() (Conduit, Conduit) {
@@ -97,8 +112,7 @@ func Pipe() (Conduit, Conduit) {
 
 // queue is an unbounded FIFO of frames with close semantics. A head index
 // (rather than re-slicing the front away) keeps the backing array reusable,
-// so a steady push/pop rhythm allocates only the per-frame defensive copy —
-// the single copy on the whole in-memory send path.
+// so a steady push/pop rhythm allocates nothing of its own.
 type queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -116,7 +130,7 @@ func newQueue() *queue {
 func (q *queue) push(frame []byte) error {
 	// Copied before the lock is taken, so the receiver's pop never waits
 	// out a sender's copy.
-	cp := make([]byte, len(frame))
+	cp := getFrame(len(frame))
 	copy(cp, frame)
 	return q.hand(cp)
 }
@@ -169,6 +183,7 @@ type pipeEnd struct {
 func (p *pipeEnd) Send(frame []byte) error      { return p.out.push(frame) }
 func (p *pipeEnd) SendOwned(frame []byte) error { return p.out.hand(frame) }
 func (p *pipeEnd) Recv() ([]byte, error)        { return p.in.pop() }
+func (p *pipeEnd) TakesOwned() bool             { return true }
 func (p *pipeEnd) RecvOwned() bool              { return true } // push copied the frame; SendOwned gave it up
 
 func (p *pipeEnd) Close() error {
@@ -235,7 +250,8 @@ func (c *Counter) addRecv(n int) {
 // same sizes an on-path observer would. The wrapper is copy- and
 // allocation-free on both directions: it only reads len(frame), so a
 // metered send costs exactly what the inner conduit's send costs
-// (asserted by TestMeterTapSendPathAllocFree).
+// (asserted by TestMeterTapSendPathAllocFree). It forwards the inner
+// conduit's ownership answers in both directions (TakesOwned, RecvOwned).
 func Meter(c Conduit, ctr *Counter) Conduit {
 	return &meteredConduit{inner: c, ctr: ctr}
 }
@@ -252,6 +268,16 @@ func (m *meteredConduit) Send(frame []byte) error {
 	m.ctr.addSent(len(frame))
 	return nil
 }
+
+func (m *meteredConduit) SendOwned(frame []byte) error {
+	if err := SendOwned(m.inner, frame); err != nil {
+		return err
+	}
+	m.ctr.addSent(len(frame))
+	return nil
+}
+
+func (m *meteredConduit) TakesOwned() bool { return TakesOwned(m.inner) }
 
 func (m *meteredConduit) Recv() ([]byte, error) {
 	f, err := m.inner.Recv()

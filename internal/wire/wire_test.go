@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -42,11 +43,14 @@ func TestPipeIsCopying(t *testing.T) {
 }
 
 // TestPipeSendOwnedHandsFrameOver: SendOwned queues the frame itself, in
-// order with copied frames, and on a conduit without the method it is a
-// plain Send.
+// order with copied frames; a Meter forwards the hand-over (and counts it),
+// while a conduit that does not take ownership — a Tap — sends a copy.
 func TestPipeSendOwnedHandsFrameOver(t *testing.T) {
 	a, b := Pipe()
 	owned := []byte("handed over")
+	if !TakesOwned(a) {
+		t.Fatal("a pipe end does not take ownership")
+	}
 	if err := a.Send([]byte("copied")); err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +64,29 @@ func TestPipeSendOwnedHandsFrameOver(t *testing.T) {
 	if &got[0] != &owned[0] {
 		t.Fatal("SendOwned queued a copy")
 	}
-	m := Meter(a, &Counter{})
+	var ctr Counter
+	m := Meter(a, &ctr)
+	if !TakesOwned(m) {
+		t.Fatal("a Meter hides its pipe's hand-over")
+	}
 	if err := SendOwned(m, owned); err != nil {
 		t.Fatal(err)
 	}
+	if got, _ := b.Recv(); &got[0] != &owned[0] {
+		t.Fatalf("SendOwned through a Meter queued a copy: %q", got)
+	}
+	if n, frames := ctr.Sent(); n != uint64(len(owned)) || frames != 1 {
+		t.Fatalf("the meter counted %d bytes in %d frames", n, frames)
+	}
+	tapped := Tap(a, func(string, []byte) {})
+	if TakesOwned(tapped) {
+		t.Fatal("a Tap claims to take ownership")
+	}
+	if err := SendOwned(tapped, owned); err != nil {
+		t.Fatal(err)
+	}
 	if got, _ := b.Recv(); string(got) != "handed over" || &got[0] == &owned[0] {
-		t.Fatalf("SendOwned through a Meter: %q, not a copy of its own", got)
+		t.Fatalf("SendOwned through a Tap: %q, not a copy of its own", got)
 	}
 	a.Close()
 	if err := SendOwned(a, owned); !errors.Is(err, ErrClosed) {
@@ -535,53 +556,212 @@ func TestSecureOversizeFrameRejected(t *testing.T) {
 }
 
 // TestTCPPooledRecvReusesBuffer pins the pooled variant's contract: frames
-// round-trip intact, and consecutive same-size frames land in the same
-// conduit-owned buffer (zero per-frame receive allocation), which is why a
-// pooled frame is only valid until the next Recv.
+// round-trip intact, each in a buffer the conduit hands over (it vouches),
+// and a receiver that releases every frame it is done with makes no
+// allocation per frame in steady state — the released buffer comes back
+// for the next one.
 func TestTCPPooledRecvReusesBuffer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	receiver, conn := tcpPair(t)
+	const frames, size = 300, 1000
+	// The whole stream is framed up front and written in one call, so the
+	// sender allocates nothing while the receiver is measured.
+	stream := make([]byte, 0, frames*(4+size))
+	for i := 0; i < frames; i++ {
+		stream = binary.BigEndian.AppendUint32(stream, size)
+		stream = append(stream, bytes.Repeat([]byte{byte(i)}, size)...)
 	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err == nil {
-			accepted <- conn
+	go conn.Write(stream)
+	next := 0
+	recv := func() {
+		f, err := receiver.Recv()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	conn, err := net.Dial("tcp", ln.Addr().String())
+		if !RecvOwned(receiver) {
+			t.Fatal("pooled TCP does not vouch for its frames")
+		}
+		if len(f) != size || f[0] != byte(next) || f[size-1] != byte(next) {
+			t.Fatalf("frame %d arrived as %d bytes starting %d", next, len(f), f[0])
+		}
+		next++
+		Release(f)
+	}
+	recv()
+	first, err := receiver.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := <-accepted
-	defer conn.Close()
-	defer srv.Close()
+	second, err := receiver.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &first[0] == &second[0] || first[0] != 1 || second[0] != 2 {
+		t.Fatal("a frame kept past the next Recv was overwritten")
+	}
+	next = 3
+	Release(first)
+	Release(second)
+	allocs := testing.AllocsPerRun(200, recv)
+	if raceEnabled {
+		t.Logf("%.2f allocs per frame (not asserted under the race detector)", allocs)
+	} else if allocs != 0 {
+		t.Fatalf("Recv+Release allocates %.2f times per frame, want 0", allocs)
+	}
+}
 
-	sender, receiver := TCPPooled(conn), TCPPooled(srv)
-	go func() {
-		sender.Send([]byte("first frame"))
-		sender.Send([]byte("other bytes"))
-	}()
-	f1, err := receiver.Recv()
+// TestTCPLengthPrefixBoundsAllocation: a length prefix alone costs the
+// receiver at most the pool's largest buffer, whatever it claims. A peer
+// that promises 200 MiB, sends 18 bytes and hangs up makes Recv allocate
+// a few MiB, not the claim; a real frame larger than the pool's buffers
+// still round-trips, grown as its bytes arrive.
+func TestTCPLengthPrefixBoundsAllocation(t *testing.T) {
+	server, client := tcpPair(t)
+	var claim [4]byte
+	binary.BigEndian.PutUint32(claim[:], 200<<20)
+	if _, err := client.Write(append(claim[:], "eighteen bytes, no"...)); err != nil {
+		t.Fatal(err)
+	}
+	client.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := server.Recv()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("truncated 200 MiB claim: want ErrClosed, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Fatalf("a 200 MiB claim with 18 bytes behind it allocated %.1f MiB", float64(got)/(1<<20))
+	}
+
+	server, client = tcpPair(t)
+	big := make([]byte, 3<<20)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	go TCPPooled(client).Send(big)
+	got, err := server.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(f1) != "first frame" {
-		t.Fatalf("frame 1 = %q", f1)
+	if !bytes.Equal(got, big) {
+		t.Fatal("a 3 MiB frame did not round-trip")
 	}
-	f2, err := receiver.Recv()
+}
+
+// TestReleaseZeroesBuffer: Release hands back a buffer zeroed over its
+// whole capacity, not just its length, since the next owner may belong to
+// another session; a frame that starts a little into a pooled buffer — a
+// relayed holder frame inside a worker's ppc/shard-frame — goes back to its
+// buffer's own size class; an Endpoint puts the buffer it built a frame in
+// back without the plaintext; and an Endpoint's Release gives back the
+// frame a received Message aliases.
+func TestReleaseZeroesBuffer(t *testing.T) {
+	b := getFrame(3000)
+	full := b[:cap(b)]
+	for i := range full {
+		full[i] = 0xA5
+	}
+	Release(b[:10])
+	for i, v := range full {
+		if v != 0 {
+			t.Fatalf("byte %d of %d is %#x after Release", i, len(full), v)
+		}
+	}
+
+	for k := 0; k <= maxPooledBits-minPooledBits; k++ {
+		n := 1 << (minPooledBits + k)
+		c := cap(getFrame(n))
+		if got, ok := putClass(c); !ok || got != k {
+			t.Fatalf("a %d-byte class buffer (cap %d) goes back to class %d (%v)", n, c, got, ok)
+		}
+		if got, ok := putClass(c - 200); !ok || got != k {
+			t.Fatalf("a frame 200 bytes into a %d-byte class buffer goes back to class %d (%v)", n, got, ok)
+		}
+		if got, ok := putClass(n - 1); ok && got == k {
+			t.Fatalf("a buffer of %d bytes would serve class %d", n-1, k)
+		}
+	}
+	if _, ok := putClass(maxRetainedBuf + poolHeadroom + 1); ok {
+		t.Fatal("the pool would keep a buffer above maxRetainedBuf")
+	}
+
+	if !raceEnabled {
+		// One P and no collection in between: the pool hands the buffer
+		// back at once.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		b := getFrame(4000)
+		sub := b[40:]
+		Release(sub)
+		if again := getFrame(4000); &again[0] != &sub[0] {
+			t.Fatal("a released sub-slice did not serve the next request of its class")
+		}
+
+		// An Endpoint puts the buffer it built a frame in back without
+		// the frame's plaintext.
+		a, c := Pipe()
+		secret := bytes.Repeat([]byte("plaintext "), 60)
+		built := int(max(frameHint.Load(), 1000)) // the size SendBody builds in
+		frameHint.Store(int64(built))
+		if err := NewEndpoint(Tap(a, func(string, []byte) {})).Send(&Message{Kind: "k", Payload: secret}); err != nil {
+			t.Fatal(err)
+		}
+		if f, _ := c.Recv(); !bytes.Contains(f, secret) {
+			t.Fatal("the frame did not arrive")
+		}
+		if back := getFrame(built); bytes.Contains(back[:cap(back)], []byte("plaintext")) {
+			t.Fatal("Endpoint.SendBody put its buffer back with the frame's plaintext in it")
+		}
+	}
+
+	a, c := Pipe()
+	ea, ec := NewEndpoint(a), NewEndpoint(c)
+	if err := ea.Send(&Message{From: "A", To: "B", Kind: "k", Payload: bytes.Repeat([]byte{7}, 600)}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ec.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(f2) != "other bytes" {
-		t.Fatalf("frame 2 = %q", f2)
+	payload := m.Payload[:cap(m.Payload)]
+	ec.Release(m)
+	if m.Payload != nil || bytes.IndexByte(payload, 7) >= 0 {
+		t.Fatal("Endpoint.Release left the payload reachable or unzeroed")
 	}
-	// Same length, same backing array: the second Recv overwrote the first
-	// frame, exactly as documented.
-	if &f1[0] != &f2[0] {
-		t.Fatal("pooled Recv did not reuse its buffer for same-sized frames")
+}
+
+// TestSecureSendSteadyStateAllocFree: a secured frame costs no allocation
+// once the pool is warm — sealed into a pooled buffer, over TCP written and
+// put back, over a pipe handed to the receiver, opened in place and
+// released by it.
+func TestSecureSendSteadyStateAllocFree(t *testing.T) {
+	var key [32]byte
+	key[3] = 46
+	frame := bytes.Repeat([]byte("cells"), 400)
+	tcpServer, tcpClient := tcpPair(t)
+	pa, pb := Pipe()
+	for name, ends := range map[string][2]Conduit{
+		"pooled TCP": {TCPPooled(tcpClient), tcpServer},
+		"pipe":       {pa, pb},
+	} {
+		sa, _ := Secure(ends[0], key, true)
+		sb, _ := Secure(ends[1], key, false)
+		round := func() {
+			if err := sa.Send(frame); err != nil {
+				t.Fatal(err)
+			}
+			got, err := sb.Recv()
+			if err != nil || !bytes.Equal(got, frame) {
+				t.Fatalf("%s: %q, %v", name, got, err)
+			}
+			Release(got)
+		}
+		round()
+		allocs := testing.AllocsPerRun(200, round)
+		if raceEnabled {
+			t.Logf("%s: %.2f allocs per frame (not asserted under the race detector)", name, allocs)
+		} else if allocs != 0 {
+			t.Errorf("%s: Send+Recv+Release allocates %.2f times per frame, want 0", name, allocs)
+		}
 	}
 }
 
@@ -712,24 +892,33 @@ func (p *tape) Recv() ([]byte, error) {
 
 // TestSecureOpensInPlaceOnlyWhenVouched pins both halves of the ownership
 // rule. Over a pipe — bare, and under every pass-through decorator at once —
+// and over pooled TCP, which reads every frame into a buffer of its own,
 // the plaintext Secure returns lies in the received frame itself, and an
 // Endpoint above a Reconn aliases it too. Over anything that does not vouch
-// — a pooled TCP buffer, a tap, a foreign replayer — the sealed bytes are
-// as they arrived after Recv, so whoever else holds them can open them
-// again. A corrupted owned frame fails authentication and yields nothing.
+// — a foreign replayer, a tap, a fault injector — the sealed bytes are as
+// they arrived after Recv, so whoever else holds them can open them again.
+// A frame that fails authentication, over a pipe or over TCP, yields
+// nothing and leaves no plaintext in the buffer it arrived in.
 func TestSecureOpensInPlaceOnlyWhenVouched(t *testing.T) {
 	var key [32]byte
 	key[7] = 27
 	msg := &Message{From: "A", To: "TP", Kind: "test/kind", Attr: 3, Payload: bytes.Repeat([]byte("cells "), 100)}
+	pipe := func() (Conduit, Conduit) { return Pipe() }
+	tcp := func() (Conduit, Conduit) {
+		server, client := tcpPair(t)
+		return TCPPooled(client), server
+	}
 
-	for name, decorate := range map[string]func(Conduit) Conduit{
-		"bare pipe": func(c Conduit) Conduit { return c },
-		"meter+link+reconn": func(c Conduit) Conduit {
-			return NewReconn(Meter(Link(c, 0, 0, 0, 1), &Counter{}), time.Second)
+	for name, link := range map[string]func() (Conduit, Conduit){
+		"bare pipe": pipe,
+		"meter+link+reconn": func() (Conduit, Conduit) {
+			a, b := Pipe()
+			return a, NewReconn(Meter(Link(b, 0, 0, 0, 1), &Counter{}), time.Second)
 		},
+		"pooled TCP": tcp,
 	} {
-		a, b := Pipe()
-		under := &spy{Conduit: decorate(b)}
+		a, b := link()
+		under := &spy{Conduit: b}
 		sa, _ := Secure(a, key, true)
 		sb, _ := Secure(under, key, false)
 		ea, eb := NewEndpoint(sa), NewEndpoint(NewReconn(sb, time.Second))
@@ -778,14 +967,20 @@ func TestSecureOpensInPlaceOnlyWhenVouched(t *testing.T) {
 	for i := range sealed {
 		kept[i] = bytes.Clone(sealed[i])
 	}
-	for pass := 0; pass < 2; pass++ { // the second reader finds what the first did
-		openAll("replaying conduit", &tape{frames: kept}, len(kept))
+	unchanged := func(what string) {
+		t.Helper()
 		for i := range kept {
 			if !bytes.Equal(kept[i], sealed[i]) {
-				t.Fatalf("pass %d: opening wrote the replayer's frame %d", pass, i)
+				t.Fatalf("%s: opening wrote the replayer's frame %d", what, i)
 			}
 		}
 	}
+	for pass := 0; pass < 2; pass++ { // the second reader finds what the first did
+		openAll("replaying conduit", &tape{frames: kept}, len(kept))
+		unchanged(fmt.Sprintf("pass %d", pass))
+	}
+	openAll("fault injector", Fault(&tape{frames: kept}, FaultSpec{Kind: FaultStall, Frame: 1}), len(kept))
+	unchanged("fault injector")
 	var tapped []byte // a tap may still be reading the frame it was shown
 	openAll("tap", Tap(&tape{frames: kept[:1]}, func(_ string, f []byte) { tapped = f }), 1)
 	if !bytes.Equal(tapped, sealed[0]) {
@@ -795,40 +990,24 @@ func TestSecureOpensInPlaceOnlyWhenVouched(t *testing.T) {
 		t.Fatal("a meter vouches for a conduit that does not")
 	}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	srv, err := ln.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if err := TCPPooled(conn).Send(sealed[0]); err != nil {
-		t.Fatal(err)
-	}
-	pooled := TCPPooled(srv)
-	openAll("pooled TCP", pooled, 1)
-	if buf := pooled.(*tcpConduit).recvBuf; !bytes.Equal(buf[:len(sealed[0])], sealed[0]) {
-		t.Fatal("opening wrote the pooled receive buffer")
-	}
-
-	c, d := Pipe()
-	sc, _ := Secure(&flipper{c}, key, true)
-	owned := &spy{Conduit: d}
-	sd, _ := Secure(owned, key, false)
-	sc.Send([]byte("payload"))
-	if got, err := sd.Recv(); err == nil || got != nil {
-		t.Fatalf("corrupted owned frame: %q, %v", got, err)
-	}
-	if bytes.Contains(owned.last, []byte("payload")) {
-		t.Fatal("a frame that failed authentication holds plaintext")
+	for name, link := range map[string]func() (Conduit, Conduit){"pipe": pipe, "pooled TCP": tcp} {
+		c, d := link()
+		sc, _ := Secure(&flipper{c}, key, true)
+		owned := &spy{Conduit: d}
+		sd, _ := Secure(owned, key, false)
+		if err := sc.Send([]byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := sd.Recv(); err == nil || got != nil {
+			t.Fatalf("%s: corrupted owned frame: %q, %v", name, got, err)
+		}
+		if !RecvOwned(owned) {
+			t.Fatalf("%s does not vouch", name)
+		}
+		if bytes.Contains(owned.last, []byte("payload")) {
+			t.Fatalf("%s: a frame that failed authentication holds plaintext", name)
+		}
+		c.Close()
 	}
 }
 
@@ -906,7 +1085,8 @@ func BenchmarkPipeRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a.Send(frame)
-		p.Recv()
+		f, _ := p.Recv()
+		Release(f)
 	}
 }
 
@@ -916,9 +1096,11 @@ func BenchmarkSecureSeal1KiB(b *testing.B) {
 	sa, _ := Secure(a, key, true)
 	go func() {
 		for {
-			if _, err := p.Recv(); err != nil {
+			f, err := p.Recv()
+			if err != nil {
 				return
 			}
+			Release(f)
 		}
 	}()
 	frame := make([]byte, 1024)

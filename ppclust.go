@@ -262,15 +262,19 @@ type Options struct {
 	// See docs/WIRE.md for the chunk-frame schemas.
 	StreamChunkBytes int
 	// TPShards splits the third party into this many row-range shards
-	// with a merge coordinator: each shard owns a contiguous range of the
-	// session's global rows, holders fan their comparison-attribute chunk
-	// streams to the owning shard's conduit, and the coordinator merges
-	// the assembled slices before clustering. Each shard holds only its
-	// slice, so the memory of a shard worker process (TPShardWorker)
-	// drops roughly by the shard count; shards in the third party's own
-	// process peak above the single-TP session, since the slices and the
-	// merged matrix coexist at the merge. Results are bit-identical to
-	// the single-TP session at every setting. 0 and 1 both select the
+	// with a coordinator: each shard owns a contiguous range of the
+	// session's global rows, and holders fan their comparison-attribute
+	// chunk streams to the owning shard's conduit. The coordinator
+	// allocates every comparison attribute's full matrix before the
+	// shards start; each shard's rows are installed in place there —
+	// assembled straight into it by a shard in the third party's own
+	// process, decoded into it chunk by chunk from a worker process — and
+	// the coordinator normalizes the matrices before clustering. A shard
+	// worker process (TPShardWorker) holds only its range's rows, so its
+	// memory falls roughly by the shard count; shards in the third
+	// party's own process divide no memory, since the matrices are whole
+	// from the start. Results are bit-identical to the single-TP session
+	// at every setting. 0 and 1 both select the
 	// single-TP path. The count is part of the session agreement: every
 	// party must run the same value, and holders need one extra conduit
 	// per shard (TPShardConduitName) next to the control conduit. See

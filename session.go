@@ -50,9 +50,8 @@ type ThirdPartySession = party.ThirdParty
 func NewHolderSession(name string, table *Table, holders []string, schema Schema, opts Options, req ClusterRequest, conns map[string]net.Conn) (*HolderSession, error) {
 	conduits := make(map[string]wire.Conduit, len(conns))
 	for peer, c := range conns {
-		// The session Endpoint decodes every frame before asking for the
-		// next, so the pooled receive buffer is safe and keeps long chunk
-		// streams allocation-free at the transport.
+		// Each frame arrives in a buffer from the process's frame pool,
+		// which the session then owns (docs/WIRE.md, "Ownership").
 		conduits[peer] = wire.TCPPooled(c)
 	}
 	return party.NewHolder(name, table, holders, opts.toConfig(schema), req, conduits, optRandom(opts, name))
