@@ -269,8 +269,9 @@ func (a *SliceAssembler) SetCrossRows(j, k, lo, hi int, at func(r, c int) float6
 // with the distances of party k's object lo+r, so an evaluation that can
 // write its result anywhere writes it once. Rows are placed in parallel,
 // so row must be safe for concurrent calls on distinct rows. Invalid
-// entries — negative or non-finite, indicating a protocol-layer bug — are
-// reported as errors. The range must continue the pair's ascending install
+// entries — negative or non-finite, indicating a protocol-layer bug or a
+// peer's bad cells — are reported as errors, and a refused chunk leaves
+// its rows zero. The range must continue the pair's ascending install
 // cursor.
 func (a *SliceAssembler) SetCrossRowsInto(j, k, lo, hi int, row func(r int, dst []float64) error) error {
 	if a.done {
@@ -308,6 +309,10 @@ func (a *SliceAssembler) SetCrossRowsInto(j, k, lo, hi int, row func(r int, dst 
 		return chunkMax, nil
 	})
 	if err != nil {
+		for r := lo; r < hi; r++ {
+			gi := offK + r
+			clear(a.cells[gi*(gi-1)/2+offJ-a.base:][:cols])
+		}
 		return err
 	}
 	cur.max = max(cur.max, blockMax)

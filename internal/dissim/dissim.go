@@ -9,6 +9,7 @@
 package dissim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -135,7 +136,7 @@ func (m *Matrix) setMax(max float64) {
 }
 
 // FoldMax raises the maximum cache to v: how a builder that wrote cells in
-// place — through PackedRowsView or SetRowsLE, which bypass the cache — and
+// place — through PackedRowsView, which bypasses the cache — and
 // tracked their maximum itself hands that maximum over, once no write is
 // running. Without it Max and Normalize would trust a cache that never saw
 // those cells.
@@ -393,18 +394,34 @@ func FromLocalPar(n, workers int, newDist func(worker int) func(i, j int) float6
 	return m
 }
 
-// FromLocalRowsPar is FromLocalPar for triangle rows [lo, hi) alone: it
-// returns their packed cells — what PackedRowsView(lo, hi) of the whole
-// matrix would show — built in dst's storage when that suffices, so a
-// holder streaming its triangle a chunk at a time holds one chunk.
-func FromLocalRowsPar(dst []float64, lo, hi, workers int, newDist func(worker int) func(i, j int) float64) []float64 {
+// AppendLocalRowsLE is FromLocalPar for triangle rows [lo, hi) alone,
+// appended to dst as a frame carries them: their packed cells, in the
+// order PackedRowsView(lo, hi) of the whole matrix would show them, each
+// 8 little-endian bytes of float64 bits. A holder streaming its triangle
+// a chunk at a time computes each chunk straight into its frame and holds
+// no cells of its own. The cells are split across workers as FromLocalPar
+// splits them, and each worker stages a bounded run of cells on its stack
+// before it encodes them.
+func AppendLocalRowsLE(dst []byte, lo, hi, workers int, newDist func(worker int) func(i, j int) float64) []byte {
 	if lo < 0 || hi < lo {
 		panic(fmt.Sprintf("dissim: invalid row range [%d,%d)", lo, hi))
 	}
-	n := hi*(hi-1)/2 - lo*(lo-1)/2
-	dst = slices.Grow(dst[:0], n)[:n]
-	fillLocalRows(dst, lo*(lo-1)/2, workers, newDist)
-	return dst
+	base := lo * (lo - 1) / 2
+	n := hi*(hi-1)/2 - base
+	out := slices.Grow(dst, 8*n)[:len(dst)+8*n]
+	tail := out[len(dst):]
+	parallel.Range(workers, n, func(w, clo, chi int) {
+		dist := newDist(w)
+		var stage [512]float64
+		for k := clo; k < chi; k += len(stage) {
+			cells := stage[:min(len(stage), chi-k)]
+			fillLocalCells(cells, base+k, dist)
+			for c, v := range cells {
+				binary.LittleEndian.PutUint64(tail[8*(k+c):], math.Float64bits(v))
+			}
+		}
+	})
+	return out
 }
 
 // fillLocalRows computes the packed cells [base, base+len(cells)) of a

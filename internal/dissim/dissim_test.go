@@ -1,6 +1,7 @@
 package dissim
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
 	"strings"
@@ -359,20 +360,29 @@ func TestFromLocalParBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFromLocalRowsParMatchesWholeTriangle: every row range of every
-// schedule, built into one reused buffer at several worker counts, holds
-// the cells the whole-triangle build shows for those rows.
-func TestFromLocalRowsParMatchesWholeTriangle(t *testing.T) {
+// TestAppendLocalRowsLEMatchesWholeTriangle: every row range of every
+// schedule, appended into one reused frame at several worker counts,
+// carries the cells the whole-triangle build shows for those rows, bit
+// for bit, behind the bytes already in the frame.
+func TestAppendLocalRowsLEMatchesWholeTriangle(t *testing.T) {
 	newDist := func(int) func(i, j int) float64 { return synthDist }
-	for _, n := range []int{0, 1, 2, 17, 64, 150} {
+	header := []byte{0xB1, 7}
+	for _, n := range []int{0, 1, 2, 17, 64, 150, 400} {
 		whole := FromLocalPar(n, 1, newDist)
 		for _, maxCells := range []int{1, 100, 1 << 30} {
 			for _, workers := range []int{1, 3} {
-				var cells []float64
+				var frame []byte
 				for _, ch := range RowChunksRange(0, n, maxCells) {
-					cells = FromLocalRowsPar(cells, ch[0], ch[1], workers, newDist)
-					if want := whole.PackedRowsView(ch[0], ch[1]); !slices.Equal(cells, want) {
-						t.Fatalf("n=%d maxCells=%d workers=%d: rows [%d,%d) differ from the whole triangle's", n, maxCells, workers, ch[0], ch[1])
+					frame = AppendLocalRowsLE(append(frame[:0], header...), ch[0], ch[1], workers, newDist)
+					want := whole.PackedRowsView(ch[0], ch[1])
+					if len(frame) != len(header)+8*len(want) || !slices.Equal(frame[:len(header)], header) {
+						t.Fatalf("n=%d maxCells=%d workers=%d: rows [%d,%d) appended %d bytes behind the header, want %d",
+							n, maxCells, workers, ch[0], ch[1], len(frame)-len(header), 8*len(want))
+					}
+					for c, v := range want {
+						if bits := binary.LittleEndian.Uint64(frame[len(header)+8*c:]); bits != math.Float64bits(v) {
+							t.Fatalf("n=%d maxCells=%d workers=%d: rows [%d,%d) cell %d differs from the whole triangle's", n, maxCells, workers, ch[0], ch[1], c)
+						}
 					}
 				}
 			}

@@ -1,7 +1,6 @@
 package dissim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -364,59 +363,6 @@ func TestSliceAssemblerRejects(t *testing.T) {
 	// Rows [2,5) hold 9 cells: a view of another size is not theirs.
 	if _, err := NewSliceAssemblerInto(make([]float64, 8), counts, 2, 5, 1); err == nil {
 		t.Fatal("assembly into a view of the wrong size accepted")
-	}
-}
-
-// TestSetRowsLEValidation covers SetRowsLE's range, length and entry
-// checks, where it places the cells it decodes, and the maximum it returns
-// for FoldMax instead of touching the cache.
-func TestSetRowsLEValidation(t *testing.T) {
-	le := func(cells ...float64) []byte {
-		var b []byte
-		for _, v := range cells {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
-		return b
-	}
-	m := New(5)
-	if _, err := m.SetRowsLE(2, 6, nil); err == nil {
-		t.Fatal("out-of-range rows accepted")
-	}
-	if _, err := m.SetRowsLE(1, 3, le(1)); err == nil {
-		t.Fatal("short cell block accepted")
-	}
-	if _, err := m.SetRowsLE(1, 3, append(le(1, 4, 2), 0)); err == nil {
-		t.Fatal("trailing byte accepted")
-	}
-	for _, bad := range []float64{math.Inf(1), math.NaN(), -1} {
-		if _, err := m.SetRowsLE(1, 3, le(1, bad, 2)); err == nil {
-			t.Fatalf("entry %v accepted", bad)
-		}
-		if m.At(1, 0) != 0 {
-			t.Fatalf("refusing entry %v left row 1 holding %v", bad, m.At(1, 0))
-		}
-	}
-	max1, err := m.SetRowsLE(1, 3, le(1, 4, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	max2, err := m.SetRowsLE(3, 5, le(1, 2, 3, 1, 2, 3, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if max1 != 4 || max2 != 7 {
-		t.Fatalf("row maxima %v and %v, want 4 and 7", max1, max2)
-	}
-	if got := m.Max(); got != 0 {
-		t.Fatalf("Max = %v before FoldMax, want the untouched cache's 0", got)
-	}
-	m.FoldMax(max1)
-	m.FoldMax(max2)
-	if got := m.Max(); got != 7 {
-		t.Fatalf("Max = %v, want 7", got)
-	}
-	if m.At(2, 0) != 4 || m.At(4, 3) != 7 {
-		t.Fatalf("cells misplaced: %v %v", m.At(2, 0), m.At(4, 3))
 	}
 }
 

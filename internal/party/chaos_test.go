@@ -311,7 +311,7 @@ func TestChaosLaneFailureStopsSiblingReaders(t *testing.T) {
 	cellsOf := func(ch [2]int) []float64 { return make([]float64, ch[1]*(ch[1]-1)/2-ch[0]*(ch[0]-1)/2) }
 	for _, ch := range chunks {
 		msg := wire.Message{From: "A", To: TPName, Kind: kindLocal, Attr: 0}
-		if err := sender.SendBody(msg, localBody{N: counts[0], Lo: ch[0], Hi: ch[1], Cells: cellsOf(ch)}); err != nil {
+		if err := sender.SendBody(msg, localChunk(counts[0], ch[0], ch[1], cellsOf(ch))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -361,6 +361,7 @@ func TestChaosLaneFailureStopsSiblingReaders(t *testing.T) {
 
 	g := &laneGroup{
 		eps:    []*wire.Endpoint{wire.NewEndpoint(a), wire.NewEndpoint(b)},
+		rows:   [2]int{0, 16},
 		attrs:  []int{0},
 		asms:   []*dissim.SliceAssembler{asm},
 		finish: func(int) error { return errors.New("an attribute finished") },

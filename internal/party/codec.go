@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"ppclust/internal/hcluster"
+	"ppclust/internal/parallel"
 	"ppclust/internal/protocol"
 	"ppclust/internal/rng"
 )
@@ -59,7 +60,7 @@ import (
 //	alphaMBody        Rows Lo Hi | bits byte | rows matrices |
 //	                  per row: count, per matrix: rows cols | slab
 //	                  (a protocol.AlphaChunk, slab and all)
-//	shardSliceBody    Attr Lo Hi | float64 cells
+//	shardRowsBody     Attr J K Lo Hi | float64 cells
 //	shardFrameBody    the relayed frame, byte for byte
 //
 // The bits byte is the alphabet's cell width, protocol.AlphaCellBits: 2, 4
@@ -85,12 +86,12 @@ func extend(dst []byte, n int) (all, tail []byte) {
 	return all, all[len(dst):]
 }
 
-func appendFloat64s(dst []byte, cells []float64) []byte {
-	dst, tail := extend(dst, 8*len(cells))
+// putFloat64s writes cells into the head of dst, 8 little-endian bytes
+// each.
+func putFloat64s(dst []byte, cells []float64) {
 	for i, v := range cells {
-		binary.LittleEndian.PutUint64(tail[8*i:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
 	}
-	return dst
 }
 
 func appendFloat64(dst []byte, v float64) []byte {
@@ -196,6 +197,15 @@ func (r *bodyReader) float64() float64 {
 		return 0
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(r.next(8)))
+}
+
+// cells takes the rest of the payload as a block of float64 cells, 8
+// bytes each, where it lies.
+func (r *bodyReader) cells() []byte {
+	if r.err == nil && len(r.p)%8 != 0 {
+		r.fail("%d trailing bytes after the last cell", len(r.p)%8)
+	}
+	return r.p
 }
 
 func (r *bodyReader) tag() (t [32]byte) {
@@ -360,8 +370,10 @@ func (b *abortBody) DecodeBody(p []byte) error {
 	return r.end()
 }
 
+// AppendBody writes the header and then has the holder's fill compute the
+// cell block straight into the frame.
 func (b localBody) AppendBody(dst []byte) ([]byte, error) {
-	return appendFloat64s(appendInts(dst, b.N, b.Lo, b.Hi), b.Cells), nil
+	return b.fill(appendInts(dst, b.N, b.Lo, b.Hi)), nil
 }
 
 // DecodeBody keeps the cell block where it is: the received Message owns
@@ -369,27 +381,37 @@ func (b localBody) AppendBody(dst []byte) ([]byte, error) {
 func (b *localBody) DecodeBody(p []byte) error {
 	r := bodyReader{p: p}
 	*b = localBody{N: r.int(), Lo: r.int(), Hi: r.int()}
-	if r.err == nil && len(r.p)%8 != 0 {
-		r.fail("%d trailing bytes after the last cell", len(r.p)%8)
-	}
-	b.wire = r.p
+	b.wire = r.cells()
 	return r.err
 }
 
-func (b shardSliceBody) AppendBody(dst []byte) ([]byte, error) {
-	return appendFloat64s(appendInts(dst, b.Attr, b.Lo, b.Hi), b.Cells), nil
+// AppendBody writes the header and then stages the chunk's rows into the
+// frame a row at a time as row evaluates them, split across the body's
+// workers: the worker holds no more of the chunk than one row per
+// goroutine beside the frame itself.
+func (b shardRowsBody) AppendBody(dst []byte) ([]byte, error) {
+	rows := b.Hi - b.Lo
+	dst, tail := extend(appendInts(dst, b.Attr, b.J, b.K, b.Lo, b.Hi), 8*rows*b.cols)
+	err := parallel.RangeErr(b.workers, rows, func(_, lo, hi int) error {
+		row := make([]float64, b.cols)
+		for r := lo; r < hi; r++ {
+			if err := b.row(r, row); err != nil {
+				return err
+			}
+			putFloat64s(tail[8*r*b.cols:], row)
+		}
+		return nil
+	})
+	return dst, err
 }
 
 // DecodeBody keeps the cell block where it is: the received Message owns
 // its payload, and the coordinator decodes the cells out of it into the
-// attribute's matrix.
-func (b *shardSliceBody) DecodeBody(p []byte) error {
+// attribute's matrix once it has checked them against the census.
+func (b *shardRowsBody) DecodeBody(p []byte) error {
 	r := bodyReader{p: p}
-	*b = shardSliceBody{Attr: r.int(), Lo: r.int(), Hi: r.int()}
-	if r.err == nil && len(r.p)%8 != 0 {
-		r.fail("%d trailing bytes after the last cell", len(r.p)%8)
-	}
-	b.wire = r.p
+	*b = shardRowsBody{Attr: r.int(), J: r.int(), K: r.int(), Lo: r.int(), Hi: r.int()}
+	b.wire = r.cells()
 	return r.err
 }
 

@@ -25,7 +25,7 @@ import (
 // sessionKinds lists every Kind a session sends, in a fixed order the fuzz
 // target indexes: the partition-quadratic bodies' kinds first, then the
 // control kinds.
-var sessionKinds = []wire.Kind{kindLocal, kindNumS, kindAlphaM, kindShardSlice, kindShardFrame, kindAlphaDisg,
+var sessionKinds = []wire.Kind{kindLocal, kindNumS, kindAlphaM, kindShardRows, kindShardFrame, kindAlphaDisg,
 	kindNumDisg, kindHello, kindCount, kindCensus, kindGroupKey, kindCatTags, kindPathTags, kindRequest,
 	kindResult, kindShardOffer, kindShardBeat, kindShardDone, kindAbort}
 
@@ -38,8 +38,8 @@ func newBody(kind wire.Kind) wire.BodyDecoder {
 		return &numSBody{}
 	case kindAlphaM:
 		return &alphaMBody{}
-	case kindShardSlice:
-		return &shardSliceBody{}
+	case kindShardRows:
+		return &shardRowsBody{}
 	case kindShardFrame:
 		return &shardFrameBody{}
 	case kindAlphaDisg:
@@ -88,20 +88,24 @@ func numBody(rows, lo, hi int, tag byte, cRows, cCols int, cells []byte) numSBod
 }
 
 // reencode encodes what a decoder holds, through the value receiver the
-// session sends with. The two bodies that keep their cells in the payload
+// session sends with. The bodies that keep their cells in the payload
 // they were decoded from are never sent again by the session, so their
-// send form is rebuilt here from what was decoded: the local cells as
-// values, the numeric block from its shape and cells. Only the numeric
-// block's variant byte, which the protocol keeps to itself, is taken from
-// the payload the body was decoded from.
+// send form is rebuilt here from what was decoded: the local and row
+// cells as values, the numeric block from its shape and cells. Only the
+// numeric block's variant byte, which the protocol keeps to itself, is
+// taken from the payload the body was decoded from.
 func reencode(t testing.TB, d wire.BodyDecoder, payload []byte) []byte {
 	t.Helper()
 	body := reflect.ValueOf(d).Elem().Interface()
 	switch b := d.(type) {
 	case *localBody:
-		body = localBody{N: b.N, Lo: b.Lo, Hi: b.Hi, Cells: float64s(b.wire)}
-	case *shardSliceBody:
-		body = shardSliceBody{Attr: b.Attr, Lo: b.Lo, Hi: b.Hi, Cells: float64s(b.wire)}
+		body = localChunk(b.N, b.Lo, b.Hi, float64s(b.wire))
+	case *shardRowsBody:
+		cols := 0
+		if rows := b.Hi - b.Lo; rows > 0 {
+			cols = len(b.wire) / 8 / rows
+		}
+		body = rowsChunk(b.Attr, b.J, b.K, b.Lo, b.Hi, cols, float64s(b.wire))
 	case *numSBody:
 		tag := payload[len(appendInts(nil, b.Rows, b.Lo, b.Hi))]
 		body = numBody(b.Rows, b.Lo, b.Hi, tag, b.cells.Rows, b.cells.Cols, b.cells.Cells)
@@ -111,6 +115,28 @@ func reencode(t testing.TB, d wire.BodyDecoder, payload []byte) []byte {
 		t.Fatalf("re-encoding %T: %v", d, err)
 	}
 	return out
+}
+
+// localChunk is a local-matrix chunk body carrying the given cells.
+func localChunk(n, lo, hi int, cells []float64) localBody {
+	return localBody{N: n, Lo: lo, Hi: hi, fill: func(dst []byte) []byte { return appendFloat64s(dst, cells) }}
+}
+
+// rowsChunk is a worker's body of evaluated rows [lo, hi) of pair (j, k)
+// carrying the given cells, cols a row.
+func rowsChunk(attr, j, k, lo, hi, cols int, cells []float64) shardRowsBody {
+	return shardRowsBody{Attr: attr, J: j, K: k, Lo: lo, Hi: hi, cols: cols, workers: 2,
+		row: func(r int, dst []float64) error {
+			copy(dst, cells[r*cols:(r+1)*cols])
+			return nil
+		}}
+}
+
+// appendFloat64s appends cells to dst, 8 little-endian bytes each.
+func appendFloat64s(dst []byte, cells []float64) []byte {
+	dst, tail := extend(dst, 8*len(cells))
+	putFloat64s(tail, cells)
+	return dst
 }
 
 // float64s decodes a cell block of 8 little-endian bytes a cell.
@@ -227,10 +253,10 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 		size    int // exact encoded size, 0 to skip
 	}
 	cases := []roundTrip{
-		{"local", localBody{N: 5, Lo: 2, Hi: 4, Cells: []float64{1, 2, 3, 4, 5}}, &localBody{}, 3 + 5*8},
-		{"local zero rows", localBody{N: 0, Lo: 0, Hi: 0}, &localBody{}, 3},
-		{"local special floats", localBody{N: 9, Lo: 1, Hi: 2, Cells: specials}, &localBody{}, 0},
-		{"local negative header", localBody{N: -1, Lo: -7, Hi: 1 << 40}, &localBody{}, 0},
+		{"local", localChunk(5, 2, 4, []float64{1, 2, 3, 4, 5}), &localBody{}, 3 + 5*8},
+		{"local zero rows", localChunk(0, 0, 0, nil), &localBody{}, 3},
+		{"local special floats", localChunk(9, 1, 2, specials), &localBody{}, 0},
+		{"local negative header", localChunk(-1, -7, 1<<40, nil), &localBody{}, 0},
 		{"numS float", numBody(4, 1, 3, tagFloat64, 2, 4, appendFloat64s(nil, specials)), &numSBody{}, 6 + 8*8},
 		{"numS int", numBody(4, 0, 2, tagInt64, 2, 2, ints), &numSBody{}, 6 + 4*8},
 		{"numS modp", numBody(3, 0, 3, tagModP, 3, 2, elems), &numSBody{}, 6 + 6*32},
@@ -264,8 +290,9 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 		{"disguised 16-bit", alphaDisguisedBody{S: protocol.PackAlphaStrings([]protocol.SymbolString{{299, 0}}, 16)},
 			&alphaDisguisedBody{}, 1 + 1 + 1 + 4},
 		{"disguised none", alphaDisguisedBody{S: protocol.AlphaStrings{Bits: 4}}, &alphaDisguisedBody{}, 2},
-		{"slice", shardSliceBody{Attr: 2, Lo: 8, Hi: 9, Cells: specials}, &shardSliceBody{}, 3 + 8*8},
-		{"slice empty", shardSliceBody{Attr: 0, Lo: 0, Hi: 1}, &shardSliceBody{}, 3},
+		{"rows", rowsChunk(2, 0, 1, 8, 10, 4, specials), &shardRowsBody{}, 5 + 8*8},
+		{"rows one", rowsChunk(1, 1, 3, 0, 1, 1, []float64{0.25}), &shardRowsBody{}, 5 + 8},
+		{"rows empty", rowsChunk(0, 0, 1, 3, 3, 7, nil), &shardRowsBody{}, 5},
 		{"relayed frame", shardFrameBody{Frame: []byte("any bytes at all")}, &shardFrameBody{}, 16},
 	}
 	for _, c := range controlSamples() {
@@ -303,14 +330,21 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 
 	// Bit patterns, not just values: the re-encode comparison above would
 	// pass a decoder that canonicalized NaNs both ways.
-	enc, _ := wire.EncodeBody(localBody{Cells: specials})
+	enc, _ := wire.EncodeBody(localChunk(0, 0, 0, specials))
 	var got localBody
 	if err := wire.DecodeBody(enc, &got); err != nil {
 		t.Fatal(err)
 	}
+	enc, _ = wire.EncodeBody(rowsChunk(0, 0, 1, 0, 2, 4, specials))
+	var rows shardRowsBody
+	if err := wire.DecodeBody(enc, &rows); err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range specials {
-		if bits := binary.LittleEndian.Uint64(got.wire[8*i:]); bits != math.Float64bits(v) {
-			t.Errorf("cell %d: bits %#x, want %#x", i, bits, math.Float64bits(v))
+		for name, cells := range map[string][]byte{"local": got.wire, "rows": rows.wire} {
+			if bits := binary.LittleEndian.Uint64(cells[8*i:]); bits != math.Float64bits(v) {
+				t.Errorf("%s cell %d: bits %#x, want %#x", name, i, bits, math.Float64bits(v))
+			}
 		}
 	}
 	// The alphanumeric decoder allocates per chunk, not per string pair,
@@ -380,8 +414,9 @@ func TestChunkDecodersBoundClaims(t *testing.T) {
 		"disg length":  {huge(appendInts([]byte{2}, 1)), &alphaDisguisedBody{}},
 		"disg width":   {appendInts([]byte{5}, 0), &alphaDisguisedBody{}},
 		"S bad tag":    {append(header[:3:3], 9, 0, 0), &numSBody{}},
-		"slice no max": {[]byte{0, 1, 2, 3}, &shardSliceBody{}},
-		"slice rows":   {append(appendInts(nil, 1, 0, 1<<40), 1, 2, 3), &shardSliceBody{}},
+		"rows short":   {appendInts(nil, 1, 0, 1, 0), &shardRowsBody{}},
+		"rows cells":   {append(appendInts(nil, 1, 0, 1, 0, 1<<40), 1, 2, 3), &shardRowsBody{}},
+		"rows pair":    {append(appendInts(nil, 0, math.MaxInt64/2, 1<<40, 0, 1<<40), 1), &shardRowsBody{}},
 
 		"census holders":   {appendInts(nil, 1<<40), &censusBody{}},
 		"census counts":    {appendInts(appendStrings(nil, []string{"A"}), 1<<40), &censusBody{}},
@@ -605,7 +640,7 @@ func TestNumericFramesMatchParent(t *testing.T) {
 // by the input (no claimed length or count is believed before the bytes
 // are seen), and whatever decodes re-encodes to a fixed point; the chunks
 // that keep their cells in the payload — local, numeric S, alphanumeric
-// and slice chunks — are also evaluated and installed, and the disguised
+// and returned row chunks — are also evaluated and installed, and the disguised
 // strings responded to, and nothing may have written the payload by the
 // end. Seeded with the payloads of every frame of real sessions in every
 // numeric variant and mode — among them both holders' S chunks of a split
@@ -636,8 +671,13 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 			}
 		}
 	}
-	slice, _ := wire.EncodeBody(shardSliceBody{Attr: 1, Lo: 1, Hi: 3, Cells: []float64{0.5, 2.5, 1}})
-	f.Add(index(kindShardSlice), slice)
+	for _, body := range []shardRowsBody{
+		rowsChunk(1, 0, 1, 1, 3, 2, []float64{0.5, 2.5, 1, 0}),
+		rowsChunk(0, 0, 2, 0, 1, 3, []float64{1, math.NaN(), -1}),
+	} {
+		rows, _ := wire.EncodeBody(body)
+		f.Add(index(kindShardRows), rows)
+	}
 	for _, c := range controlSamples() {
 		enc, _ := wire.EncodeBody(c.body)
 		f.Add(index(c.kind), enc)
@@ -711,9 +751,12 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 					asm.SetLocalRowsLE(0, b.Lo, b.Hi, b.wire)
 				}
 			}
-		case *shardSliceBody:
-			if b.Hi <= 256 {
-				dissim.New(256).SetRowsLE(b.Lo, b.Hi, b.wire)
+		case *shardRowsBody:
+			if rows := b.Hi - b.Lo; b.J == 0 && b.K == 1 && 0 <= b.Lo && rows > 0 && b.Hi <= 256 && len(b.wire)/8/rows <= 256 {
+				c := &shardCore{census: newCensus([]int{len(b.wire) / 8 / rows, b.Hi})}
+				if asm, err := dissim.NewSliceAssembler(c.counts, c.counts[0]+b.Lo, c.total, 2); err == nil {
+					c.installRows(asm, *b)
+				}
 			}
 		case *numSBody:
 			c, eng := b.cells, protocol.NewEngine(2)

@@ -51,12 +51,10 @@ type Holder struct {
 	census     *census
 	ranges     [][2]int
 
-	// num is the session's numeric protocol. A disguise or S chunk is
-	// computed straight into the frame that carries it, and a local chunk
-	// into slab just before its frame is written from it: whichever roles
+	// num is the session's numeric protocol. A disguise, S or local chunk
+	// is computed straight into the frame that carries it: whichever roles
 	// it plays, a holder holds one chunk.
-	num  protocol.Numeric
-	slab []float64
+	num protocol.Numeric
 }
 
 // compLane is one destination of a holder's comparison traffic: the
@@ -456,10 +454,10 @@ func tagBased(t dataset.AttrType) bool {
 // installs each range on arrival — so assembly of this attribute starts
 // while most of the triangle is still on the wire — and no single frame
 // approaches wire.MaxFrame no matter how large the partition is.
-// Rows [lo, hi) of the triangle are computed into one reused buffer just
-// before their frame is written from it (localBody.AppendBody), so the
-// holder holds one chunk of its triangle, not the triangle, and the first
-// frame leaves after one chunk's compute.
+// Rows [lo, hi) of the triangle are computed straight into the frame that
+// carries them (localBody.AppendBody), so the holder holds no cells of its
+// triangle beside the frame, and the first frame leaves after one chunk's
+// compute.
 func (h *Holder) sendLocalMatrix(attr int) error {
 	if tagBased(h.cfg.Schema.Attrs[attr].Type) {
 		return nil
@@ -472,8 +470,9 @@ func (h *Holder) sendLocalMatrix(attr int) error {
 	return h.eachLane(h.index, 0, h.table.Len(), func(ln compLane) error {
 		msg.To = ln.to
 		for _, ch := range h.cfg.localChunksRange(ln.lo, ln.hi) {
-			h.slab = dissim.FromLocalRowsPar(h.slab, ch[0], ch[1], h.workers, distFn)
-			body := localBody{N: h.table.Len(), Lo: ch[0], Hi: ch[1], Cells: h.slab}
+			body := localBody{N: h.table.Len(), Lo: ch[0], Hi: ch[1], fill: func(dst []byte) []byte {
+				return dissim.AppendLocalRowsLE(dst, ch[0], ch[1], h.workers, distFn)
+			}}
 			if err := ln.ep.SendBody(msg, body); err != nil {
 				return err
 			}

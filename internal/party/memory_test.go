@@ -39,8 +39,9 @@ func pairCPUParts(rows int) (Config, []dataset.Partition, map[string]ClusterRequ
 // TestSessionAllocationPin: a 600 + 600 one-attribute session over
 // in-memory pipes allocates the assembled triangle and the linkage engine's
 // working copy — two triangles of 1200·1199/2 float64 cells — plus the
-// frame-pool buffers the pool did not have back in time, the holders'
-// chunk buffers and small change (measured 2.25). The pipe's copy of
+// frame-pool buffers the pool did not have back in time and small change
+// (measured 2.16; 2.25 while each holder built its local chunks in a slab
+// of its own before copying them into the frame). The pipe's copy of
 // every frame is gone: a frame is sealed into a pooled buffer, handed
 // through the pipe, opened in place and released by the lane reader.
 // Before that the session allocated 3.6 (a pipe copy of every frame, a
@@ -49,17 +50,24 @@ func pairCPUParts(rows int) (Config, []dataset.Partition, map[string]ClusterRequ
 // the holders' whole triangles and S matrices); any one of those coming
 // back costs at least 0.5. The mod-p
 // variant moves 32-byte cells and spends most of its allocation in
-// big-integer arithmetic (measured 37.45).
+// big-integer arithmetic (measured 37.45). With TPShards 2 served by two
+// ShardServers over loopback TCP, the process also runs the workers, which
+// hold no slice and are relayed pair chunks alone (measured 2.38; 3.4
+// while each worker assembled its slice, local rows and all, and returned
+// it whole).
 func TestSessionAllocationPin(t *testing.T) {
 	const rows = 600
-	cfg, parts, reqs := pairCPUParts(rows)
+	base, parts, reqs := pairCPUParts(rows)
+	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: base.Schema})
 	for _, tc := range []struct {
 		variant   Variant
+		workers   bool // TPShards 2 served by ShardServers over loopback TCP
 		triangles float64
 	}{
-		{Float64Variant, 2.6},
-		{Int64Variant, 2.6},
-		{ModPVariant, 38.5},
+		{Float64Variant, false, 2.6},
+		{Int64Variant, false, 2.6},
+		{ModPVariant, false, 38.5},
+		{Float64Variant, true, 2.6},
 	} {
 		if raceEnabled {
 			// sync.Pool drops buffers at random under the race detector, so
@@ -67,15 +75,19 @@ func TestSessionAllocationPin(t *testing.T) {
 			// and 39.01–39.80); the plain build asserts the exact ceilings.
 			tc.triangles += 0.8 + tc.triangles/20
 		}
+		cfg, label := base, tc.variant.String()
 		cfg.Variant = tc.variant
+		if tc.workers {
+			cfg.TPShards, cfg.ShardDial, label = 2, pool.dialer("allocation-pin", nil), label+" with K = 2 workers"
+		}
 		got := allocTriangles(2*rows, func() {
 			if _, err := RunInMemory(cfg, parts, reqs, deterministicRandom(27)); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%v: %.2f triangles", tc.variant, got)
+		t.Logf("%s: %.2f triangles", label, got)
 		if got > tc.triangles {
-			t.Errorf("%v: the session allocated %.2f triangles, want ≤ %.1f", tc.variant, got, tc.triangles)
+			t.Errorf("%s: the session allocated %.2f triangles, want ≤ %.1f", label, got, tc.triangles)
 		}
 	}
 }

@@ -501,7 +501,7 @@ const (
 	// shardserver.go). Aborts reuse kindAbort in both directions.
 	kindShardOffer wire.Kind = "ppc/shard-offer"
 	kindShardFrame wire.Kind = "ppc/shard-frame"
-	kindShardSlice wire.Kind = "ppc/shard-slice"
+	kindShardRows  wire.Kind = "ppc/shard-rows"
 	kindShardBeat  wire.Kind = "ppc/shard-heartbeat"
 	kindShardDone  wire.Kind = "ppc/shard-done"
 )
@@ -616,14 +616,15 @@ type groupKeyBody struct {
 // the packed cells of triangle rows [Lo, Hi), streamed in the shared
 // localChunksRange schedule (a single chunk per lane when the budget
 // exceeds the payload). N is the full object count, repeated per chunk so every
-// frame validates against the census on its own. A holder sends Cells; a
+// frame validates against the census on its own. A holder's fill
+// computes the cells straight into the frame (dissim.AppendLocalRowsLE); a
 // decoded chunk keeps its cell block where it arrived (wire, 8
 // little-endian bytes a cell, aliasing the payload) for the assembler to
 // read straight into the triangle.
 type localBody struct {
 	N      int
 	Lo, Hi int
-	Cells  []float64
+	fill   func(dst []byte) []byte
 	wire   []byte
 }
 
@@ -735,17 +736,23 @@ type shardFrameBody struct {
 	Frame []byte
 }
 
-// shardSliceBody is one chunk of a finished attribute slice, returned by a
-// worker: the packed cells of global triangle rows [Lo, Hi), streamed in
-// the localChunksRange schedule of the shard's rows. A worker sends Cells;
-// a decoded chunk keeps its cell block where it arrived (wire, 8
-// little-endian bytes a cell, aliasing the payload) for the coordinator to
-// decode straight into the attribute's matrix.
-type shardSliceBody struct {
-	Attr   int
-	Lo, Hi int
-	Cells  []float64
-	wire   []byte
+// shardRowsBody is one pair chunk a worker evaluated, returned to the
+// coordinator: rows [Lo, Hi) of the block of pair (J, K) — census
+// indices, J < K — of comparison attribute Attr, in responder K's
+// holder-local rows, one float64 distance per object of J a row. The
+// rows are a chunk of the share's pairChunksRange schedule: exactly the
+// chunk the worker was relayed. A worker stages each row into the frame
+// as row evaluates it (cols cells a row, split across workers); a decoded
+// chunk keeps its cell block where it arrived (wire, 8 little-endian
+// bytes a cell, aliasing the payload) for the coordinator to install
+// straight into the attribute's matrix.
+type shardRowsBody struct {
+	Attr, J, K int
+	Lo, Hi     int
+	cols       int
+	row        protocol.RowFunc
+	workers    int
+	wire       []byte
 }
 
 // shardBeatBody is a worker's liveness heartbeat; its only effect is
@@ -753,7 +760,7 @@ type shardSliceBody struct {
 type shardBeatBody struct{}
 
 // shardDoneBody ends a worker's run cleanly after the coordinator has
-// collected every slice.
+// installed every pair chunk the worker returned.
 type shardDoneBody struct{}
 
 // abortBody carries a failing party's reason to its peers. An abort frame

@@ -575,15 +575,15 @@ func TestRowFormsMatchWholeMatrixOracles(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						var cells []float64
 						for p := range values {
 							plo, phi := asm.PartyRows(p)
 							if plo == phi {
 								continue
 							}
 							for _, ch := range cfg.localChunksRange(plo, phi) {
-								cells = dissim.FromLocalRowsPar(cells, ch[0], ch[1], workers, localDist(p))
-								enc, err := wire.EncodeBody(localBody{N: len(values[p]), Lo: ch[0], Hi: ch[1], Cells: cells})
+								enc, err := wire.EncodeBody(localBody{N: len(values[p]), Lo: ch[0], Hi: ch[1], fill: func(dst []byte) []byte {
+									return dissim.AppendLocalRowsLE(dst, ch[0], ch[1], workers, localDist(p))
+								}})
 								if err != nil {
 									t.Fatal(err)
 								}

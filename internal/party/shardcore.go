@@ -8,8 +8,8 @@ package party
 //     a TPShards ≤ 1 session, plus the tag attributes of every session) and
 //     over the shard conduits of in-process shards;
 //   - in a ppc-shard worker, which builds a core from the coordinator's
-//     slice offer (census, range, per-pair mask seeds) and feeds it the
-//     relayed holder frames.
+//     offer (census, range, per-pair mask seeds) and feeds it the relayed
+//     pair chunks.
 //
 // The core holds only what the math needs — the session agreement, the
 // census, the compute budget and the per-(attribute, pair) mask-stream
@@ -58,26 +58,28 @@ func newShardCore(cfg Config, num protocol.Numeric, holders []string, counts []i
 		compute: make(chan struct{}, max(workers, 1)), seeds: seeds, rowSeeds: rowSeeds}
 }
 
-// laneFrames is the number of comparison frames holder hi sends toward
-// the owner of global rows [r[0], r[1]): for every comparison attribute,
-// the local-matrix chunks of the holder-local row intersection plus the
+// partyRows is holder p's holder-local row range within global rows r —
+// the rows of its triangle and, as a responder, of each of its pair blocks
+// that a lane group over r carries (SliceAssembler.PartyRows, from the
+// census alone).
+func (c *shardCore) partyRows(r [2]int) func(p int) (int, int) {
+	return func(p int) (int, int) { return shardRowsOf(r[0], r[1], c.offsets[p], c.counts[p]) }
+}
+
+// pairFrames is the number of pair-chunk frames holder hi sends toward the
+// owner of global rows [r[0], r[1]): for every comparison attribute, the
 // chunks of every pair-block share the holder produces (census.shares),
-// restricted the same way. Every party — the holder, the coordinator's
-// relay pumps and a worker process's relay bound — derives the identical
-// count from (Config, census, range) alone, so the exact stream length is
-// known before the first frame moves. A holder with no rows to send toward
-// the range sends nothing there.
-func (c *shardCore) laneFrames(hi int, r [2]int) int {
+// restricted to the range — what a worker process is relayed of the
+// holder's lane, and all it evaluates. Coordinator and worker derive the
+// identical count from (Config, census, range) alone, so the worker knows
+// the exact stream length before the first frame moves.
+func (c *shardCore) pairFrames(hi int, r [2]int) int {
 	frames := 0
-	rows := func(p int) (int, int) { return shardRowsOf(r[0], r[1], c.offsets[p], c.counts[p]) }
 	for _, a := range c.cfg.Schema.Attrs {
 		if tagBased(a.Type) {
 			continue
 		}
-		if llo, lhi := rows(hi); llo < lhi {
-			frames += len(c.cfg.localChunksRange(llo, lhi))
-		}
-		for _, sh := range c.shares(hi, a.Type, rows) {
+		for _, sh := range c.shares(hi, a.Type, c.partyRows(r)) {
 			frames += c.cfg.pairChunkCountRange(c.num, a.Type, sh.lo, sh.hi, c.counts[sh.j])
 		}
 	}
@@ -103,13 +105,24 @@ func (c *shardCore) splitBlocks(asm *dissim.SliceAssembler, attr int) error {
 // builds.
 type laneGroup struct {
 	eps   []*wire.Endpoint // by holder
+	rows  [2]int           // the global triangle rows the lanes carry
 	attrs []int            // the attributes the lanes carry, in schema order
 	// asms[attr] assembles comparison attribute attr's rows of the group's
-	// range, its pair blocks already split (splitBlocks).
+	// range, its pair blocks already split (splitBlocks). A worker has none:
+	// its lanes carry pair chunks alone.
 	asms []*dissim.SliceAssembler
+	// relay, when set, takes each pair chunk off holder hi's lane
+	// unevaluated, once it is checked against its schedule: the coordinator
+	// of a worker shard sends it on (remoteShard).
+	relay func(hi int, m *wire.Message) error
+	// evaluated, when set, takes each evaluated pair chunk in place of
+	// asms: a worker sends it back (shardRun.run).
+	evaluated func(attr int, sh pairShare, lo, hi int, row protocol.RowFunc) error
+	// lane, when set, names holder hi's lane in its reader's errors.
+	lane func(hi int) string
 	// tags[attr][hi] is holder hi's frame of tag attribute attr.
 	tags [][]*wire.Message
-	// finish completes attr once every lane has passed it.
+	// finish, when set, completes attr once every lane has passed it.
 	finish func(attr int) error
 	// reqs, when set, receives each holder's clustering request: the frame
 	// that ends a control lane.
@@ -118,11 +131,12 @@ type laneGroup struct {
 
 // readLanes reads a lane group with one reader per holder lane. A reader
 // walks its holder's send order — every attribute of the group in schema
-// order (a comparison attribute's local chunks, then its pair-block shares
-// in census.shares order; a tag attribute's one frame), then the request
-// on a control lane — and installs each frame as it reads it, so no lane
-// ever waits for another and none is re-sorted. The last reader through an
-// attribute finishes it, under a compute token like every chunk.
+// order (a comparison attribute's local chunks — none on a worker — then
+// its pair-block shares in census.shares order; a tag attribute's one frame),
+// then the request on a control lane — and installs, relays or evaluates
+// and returns each frame as it reads it, so no lane ever waits for another
+// and none is re-sorted. The last reader through an attribute finishes it,
+// under a compute token like every chunk.
 //
 // The first error returns at once and ends ctx for the group's other
 // readers: each checks it before every frame and again once it holds a
@@ -138,7 +152,13 @@ func (c *shardCore) readLanes(ctx context.Context, g *laneGroup) error {
 	}
 	errs := make(chan error, len(g.eps))
 	for hi, ep := range g.eps {
-		go func() { errs <- c.readLane(g, hi, lane{ctx: ctx, ep: ep}, pending) }()
+		go func() {
+			err := c.readLane(g, hi, lane{ctx: ctx, ep: ep}, pending)
+			if err != nil && g.lane != nil {
+				err = fmt.Errorf("party: %s: %w", g.lane(hi), err)
+			}
+			errs <- err
+		}()
 	}
 	for range g.eps {
 		if err := <-errs; err != nil {
@@ -152,7 +172,7 @@ func (c *shardCore) readLanes(ctx context.Context, g *laneGroup) error {
 func (c *shardCore) readLane(g *laneGroup, hi int, ln lane, pending []atomic.Int32) error {
 	for _, attr := range g.attrs {
 		err := c.readAttr(g, hi, ln, attr)
-		if err == nil && pending[attr].Add(-1) == 0 {
+		if err == nil && pending[attr].Add(-1) == 0 && g.finish != nil {
 			err = c.computing(ln.ctx, func() error { return g.finish(attr) })
 		}
 		if err != nil {
@@ -184,18 +204,33 @@ func (c *shardCore) readAttr(g *laneGroup, hi int, ln lane, attr int) error {
 		g.tags[attr][hi] = m
 		return nil
 	}
-	asm := g.asms[attr]
-	if err := c.recvLocalRows(asm, ln, hi, attr); err != nil {
-		return err
+	if g.asms != nil {
+		if err := c.recvLocalRows(g.asms[attr], ln, hi, attr); err != nil {
+			return err
+		}
 	}
-	shares := c.shares(hi, a.Type, asm.PartyRows)
+	shares := c.shares(hi, a.Type, c.partyRows(g.rows))
+	if g.relay != nil {
+		for _, sh := range shares {
+			if err := c.relayPairRows(g, ln, hi, attr, sh); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	if len(shares) == 0 {
 		return nil
 	}
 	eng := c.engines.Get()
 	defer c.engines.Put(eng)
 	for _, sh := range shares {
-		if err := c.recvPairRows(eng, asm, ln, attr, sh); err != nil {
+		install := func(lo, up int, row protocol.RowFunc) error {
+			return g.asms[attr].SetCrossRowsInto(sh.j, sh.k, lo, up, row)
+		}
+		if g.evaluated != nil {
+			install = func(lo, up int, row protocol.RowFunc) error { return g.evaluated(attr, sh, lo, up, row) }
+		}
+		if err := c.recvPairRows(eng, install, ln, attr, sh); err != nil {
 			return err
 		}
 	}
@@ -301,11 +336,12 @@ func checkPairChunk(from, j, k string, ci int, sched [2]int, bodyRows, lo, hi, r
 // pair) block from the holder that produces it, evaluating each chunk the
 // moment it arrives (the protocol engine's chunk methods, sharing one
 // mask stream per share so batched keystreams stay aligned — positioned
-// first for a share that starts past its stream's first row) and
-// installing it row-exactly, so unmasking and placement of a block overlap
-// the rest of the payload still on the wire. A numeric chunk is unmasked
-// from the payload's cells straight into the assembled rows.
-func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssembler, ln lane, attr int, sh pairShare) error {
+// first for a share that starts past its stream's first row) and handing
+// its rows to install — the assembler's SetCrossRowsInto, or a worker's
+// return frame — so unmasking and placement of a block overlap the rest of
+// the payload still on the wire. A numeric chunk is unmasked from the
+// payload's cells straight into the installed rows.
+func (c *shardCore) recvPairRows(eng *protocol.Engine, install func(lo, hi int, row protocol.RowFunc) error, ln lane, attr int, sh pairShare) error {
 	a := c.cfg.Schema.Attrs[attr]
 	j, k, from := c.holders[sh.j], c.holders[sh.k], c.holders[sh.sender()]
 	rows, cols := c.counts[sh.k], c.counts[sh.j]
@@ -381,9 +417,47 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, asm *dissim.SliceAssemble
 				return fmt.Errorf("party: block (%s,%s) rows [%d,%d) have %d columns, census says %d",
 					j, k, ch[0], ch[1], bCols, cols)
 			}
-			return asm.SetCrossRowsInto(sh.j, sh.k, ch[0], ch[1], row)
+			return install(ch[0], ch[1], row)
 		})
 		if err != nil {
+			return err
+		}
+		ln.ep.Release(m)
+	}
+	return nil
+}
+
+// relayPairRows passes the chunk frames of one share of one (attribute,
+// pair) block from holder hi's lane on unevaluated — the coordinator of a
+// worker shard, which leaves the unmasking to the worker — each checked
+// first against the share's pairChunksRange schedule from its header
+// alone, so a worker is relayed only what the schedule allows. The frame
+// goes back to the pool once the relay has re-sealed it.
+func (c *shardCore) relayPairRows(g *laneGroup, ln lane, hi, attr int, sh pairShare) error {
+	a := c.cfg.Schema.Attrs[attr]
+	j, k, from := c.holders[sh.j], c.holders[sh.k], c.holders[sh.sender()]
+	kind := kindNumS
+	if a.Type == dataset.Alphanumeric {
+		kind = kindAlphaM
+	}
+	for ci, ch := range c.cfg.pairChunksRange(c.num, a.Type, sh.lo, sh.hi, c.counts[sh.j]) {
+		m, err := ln.expect(kind, nil)
+		if err != nil {
+			return fmt.Errorf("party: %s pair (%s,%s) chunk %d: %w", from, j, k, ci, err)
+		}
+		if m.Attr != attr {
+			return fmt.Errorf("party: %s pair (%s,%s) chunk %d is for attr %d, want %d", from, j, k, ci, m.Attr, attr)
+		}
+		// Both chunk bodies open with Rows Lo Hi; the worker decodes the rest.
+		r := bodyReader{p: m.Payload}
+		rows, lo, up := r.int(), r.int(), r.int()
+		if r.err != nil {
+			return fmt.Errorf("party: %s pair (%s,%s) chunk %d: %w: %w", from, j, k, ci, wire.ErrMalformed, r.err)
+		}
+		if err := checkPairChunk(from, j, k, ci, ch, rows, lo, up, c.counts[sh.k]); err != nil {
+			return err
+		}
+		if err := g.relay(hi, m); err != nil {
 			return err
 		}
 		ln.ep.Release(m)

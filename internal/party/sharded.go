@@ -9,25 +9,27 @@ package party
 // what the extra lanes need:
 //
 //   - shardSource, where one range's rows come from: lane readers over the
-//     range's conduits in this process (localShard, below), or a ppc-shard
-//     worker behind a relay link (remoteShard, shardproc.go);
+//     range's conduits in this process (localShard, below), which install
+//     local chunks and evaluate pair chunks, or the same readers installing
+//     local chunks and relaying pair chunks to a ppc-shard worker, whose
+//     evaluated rows come back to be installed (remoteShard, shardproc.go);
 //   - mergeShardSlices, which folds the sources' maxima into each
 //     attribute's matrix and normalizes.
 //
 // Each comparison attribute's matrix is allocated once, before the sources
-// start, and every source installs its range's rows where they lie: an
-// in-process shard assembles into the matrix's row view
-// (dissim.NewSliceAssemblerInto over PackedRowsView), and the coordinator
-// decodes a worker's slice chunks into it (Matrix.SetRowsLE). No slice is
-// held beside the matrix, and nothing is copied to merge.
+// start, and every source installs its range's rows where they lie: both
+// kinds assemble into the matrix's row view (dissim.NewSliceAssemblerInto
+// over PackedRowsView), a worker's rows decoded straight into it. No slice
+// is held beside the matrix — by the coordinator or by a worker — and
+// nothing is copied to merge.
 //
-// The split partitions rows and wire lanes (on a worker, resident memory:
-// each holds ~1/K of every attribute triangle), not trust. Bit-identity
-// with the one-range session holds for every K: chunk evaluation is
-// sequence-identical (pinned by the protocol row tests), slice assembly
-// writes each cell exactly once with the same value (pinned by the dissim
-// slice tests), and max is associative, so the matrix, its normalization
-// scale and every downstream clustering result match byte for byte.
+// The split partitions rows and wire lanes (on a worker, the pair-chunk
+// evaluation), not trust. Bit-identity with the one-range session holds
+// for every K: chunk evaluation is sequence-identical (pinned by the
+// protocol row tests), slice assembly writes each cell exactly once with
+// the same value (pinned by the dissim slice tests), and max is
+// associative, so the matrix, its normalization scale and every downstream
+// clustering result match byte for byte.
 
 import (
 	"context"
@@ -45,30 +47,42 @@ import (
 // maxes, so sources run concurrently.
 type shardSource func(ctx context.Context, maxes []float64) error
 
-// readSlices assembles every comparison attribute's slice of global rows r
-// from the holder lanes eps into dst[attr] — the packed cells of those
-// rows; where nil, a slice of its own, left in dst[attr] — and records
-// each slice's largest entry in maxes[attr].
-func (c *shardCore) readSlices(ctx context.Context, eps []*wire.Endpoint, r [2]int, dst [][]float64, maxes []float64) error {
-	g := &laneGroup{eps: eps, asms: make([]*dissim.SliceAssembler, len(dst))}
+// sliceGroup is the lane group of global rows r over the holder lanes
+// eps: every comparison attribute's rows of r assembled into dst[attr] —
+// the packed cells of those rows in the attribute's matrix — with its pair
+// blocks split.
+func (c *shardCore) sliceGroup(eps []*wire.Endpoint, r [2]int, dst [][]float64) (*laneGroup, error) {
+	g := &laneGroup{eps: eps, rows: r, asms: make([]*dissim.SliceAssembler, len(dst))}
 	for attr, a := range c.cfg.Schema.Attrs {
 		if tagBased(a.Type) {
 			continue
 		}
 		sa, err := dissim.NewSliceAssemblerInto(dst[attr], c.counts, r[0], r[1], c.workers)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := c.splitBlocks(sa, attr); err != nil {
-			return err
+			return nil, err
 		}
 		g.attrs, g.asms[attr] = append(g.attrs, attr), sa
 	}
-	g.finish = func(attr int) (err error) {
-		dst[attr], maxes[attr], err = g.asms[attr].Done()
-		return err
+	return g, nil
+}
+
+// shardGroup is the lane group of shard s: its holder conduits, carrying
+// rows r, assembled in place into each comparison attribute's matrix.
+func (tp *ThirdParty) shardGroup(core *shardCore, s int, r [2]int, matrices []*dissim.Matrix) (*laneGroup, error) {
+	eps := make([]*wire.Endpoint, len(tp.holders))
+	for hi, h := range tp.holders {
+		eps[hi] = wire.NewEndpoint(tp.shardLanes[s][h])
 	}
-	return c.readLanes(ctx, g)
+	rows := make([][]float64, len(matrices))
+	for attr, a := range tp.cfg.Schema.Attrs {
+		if !tagBased(a.Type) {
+			rows[attr] = matrices[attr].PackedRowsView(r[0], r[1])
+		}
+	}
+	return core.sliceGroup(eps, r, rows)
 }
 
 // localShard is the in-process source of shard s: lane readers over the
@@ -77,18 +91,16 @@ func (c *shardCore) readSlices(ctx context.Context, eps []*wire.Endpoint, r [2]i
 // never touches the conduit), assembling straight into the range's rows of
 // each comparison attribute's matrix.
 func (tp *ThirdParty) localShard(core *shardCore, s int, r [2]int, matrices []*dissim.Matrix) (shardSource, error) {
-	rows := make([][]float64, len(matrices))
-	for attr, a := range tp.cfg.Schema.Attrs {
-		if !tagBased(a.Type) {
-			rows[attr] = matrices[attr].PackedRowsView(r[0], r[1])
-		}
+	g, err := tp.shardGroup(core, s, r, matrices)
+	if err != nil {
+		return nil, err
 	}
 	return func(ctx context.Context, maxes []float64) error {
-		eps := make([]*wire.Endpoint, len(tp.holders))
-		for hi, h := range tp.holders {
-			eps[hi] = wire.NewEndpoint(tp.shardLanes[s][h])
+		g.finish = func(attr int) (err error) {
+			_, maxes[attr], err = g.asms[attr].Done()
+			return err
 		}
-		if err := core.readSlices(ctx, eps, r, rows, maxes); err != nil {
+		if err := core.readLanes(ctx, g); err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
 		return nil

@@ -2,9 +2,9 @@ package party
 
 // Cross-process TP shards: the coordinator side.
 //
-// With Config.ShardDial set and TPShards > 1, a range's slices come from a
-// ppc-shard worker process (shardserver.go) instead of lane readers in this
-// process, and this file is the coordinator's half of the
+// With Config.ShardDial set and TPShards > 1, a range's pair chunks are
+// evaluated by a ppc-shard worker process (shardserver.go) instead of lane
+// readers in this process, and this file is the coordinator's half of the
 // coordinator↔shard control protocol — remoteShard, the shardSource the
 // session body plugs in:
 //
@@ -16,22 +16,29 @@ package party
 //	    │──────────────────────────────────────────▶
 //	    │  ppc/shard-offer (range+census+seeds)    │
 //	    │──────────────────────────────────────────▶
-//	    │  ppc/shard-frame (relayed holder bytes)  │
+//	    │  ppc/shard-frame (relayed pair chunks)   │
 //	    │──────────────────────────────────────────▶   ◀─ ppc/shard-heartbeat
-//	    ◀──────────────────────────────────────────│  ppc/shard-slice × chunks
+//	    ◀──────────────────────────────────────────│  ppc/shard-rows × pair chunks
 //	    │  ppc/shard-done                          │
 //	    │──────────────────────────────────────────▶
 //
-// The coordinator keeps the secured holder→shard conduits from the
-// handshake and relays every frame, byte for byte, to the owning worker
-// (one pump per (shard, holder) lane with the shared laneFrames stream
-// length). The worker feeds the bytes to identical lane readers, which read
+// A shard lane carries two kinds of frame, and each goes where it is
+// needed. The coordinator keeps the secured holder→shard conduits from
+// the handshake and reads them with the same lane readers an in-process
+// shard runs (shardCore.readLanes over the range's rows of each
+// attribute's matrix): a holder's local-matrix chunks are checked against
+// their schedule and installed here, as in any other deployment, and its
+// pair chunks — the only frames that need the third party's unmasking
+// step — are checked against theirs and relayed, byte for byte, to the
+// worker. The worker feeds them to the same pair readers, which evaluate
 // the exact stream an in-process shard would — bit-identity across
-// deployments is code identity, not re-derivation. The worker returns each
-// attribute's slice the way a holder sends its local triangle: one
-// ppc/shard-slice frame per chunk of the localChunksRange schedule of the
-// shard's rows, so no frame on the link outgrows the chunk budget,
-// whatever the session's size.
+// deployments is code identity, not re-derivation — and returns each
+// chunk's rows as one ppc/shard-rows frame, so no frame on the link
+// outgrows the chunk budget, whatever the session's size. The collector
+// here installs each returned chunk into the matrix; the attribute is done
+// once the local rows are in and every pair share's rows have come back.
+// The only difference between an in-process and a worker shard is who
+// evaluates pair chunks.
 //
 // Failure and healing: worker links are plain conduits when ResumeWindow
 // is 0 (a severed worker fails the session, classified under
@@ -39,20 +46,22 @@ package party
 // fresh process for a given registration — it grants watermarks (0, 0)
 // and the coordinator rebinds with peerRecv 0, so the Reconn's replay
 // cursor never advances and a rebind replays the offer and every relayed
-// frame from the beginning. The replacement worker recomputes the slice
-// from scratch and resends every chunk from the first; the coordinator
+// pair chunk from the beginning. The replacement worker re-evaluates them
+// and resends the rows of every chunk from the first; the coordinator
 // drops each chunk it already installed (first install wins — the
 // generations are bit-identical) and installs the rest where they lie in
-// the attribute's matrix. This trades replay-cache
-// memory (the coordinator retains the shard's full relayed stream for
-// the session's lifetime when ResumeWindow > 0) for healing that covers
-// both process crashes and link flaps with one mechanism. Aborts
-// propagate in both directions as kindAbort, exactly as on holder lanes.
+// the attribute's matrix. This trades replay-cache memory (the
+// coordinator retains the offer and every relayed pair chunk for the
+// session's lifetime when ResumeWindow > 0) for healing that covers both
+// process crashes and link flaps with one mechanism. Aborts propagate in
+// both directions as kindAbort, exactly as on holder lanes.
 
 import (
 	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -170,10 +179,16 @@ func (tp *ThirdParty) dialShard(s int) (*shardLink, error) {
 }
 
 // remoteShard is the worker-process source of shard s: it dials the worker
-// and hands it the slice offer; the source then relays the holders'
-// shard-lane frames and installs the slice chunks the worker returns into
-// matrices.
+// and hands it the offer; the source then reads the holders' shard lanes
+// like an in-process shard, installing their local chunks into the
+// range's rows of each comparison attribute's matrix and relaying their
+// pair chunks to the worker, and installs the evaluated rows the worker
+// returns.
 func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, matrices []*dissim.Matrix) (shardSource, error) {
+	g, err := tp.shardGroup(core, s, r, matrices)
+	if err != nil {
+		return nil, err
+	}
 	link, err := tp.dialShard(s)
 	if err != nil {
 		return nil, err
@@ -192,61 +207,36 @@ func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, matrices []*
 		link.close()
 		return nil, fmt.Errorf("party: offering slice to shard worker %d: %w", s, err)
 	}
+	g.relay = func(hi int, m *wire.Message) error {
+		return link.send(wire.Message{From: TPName, To: ShardName(s), Kind: kindShardFrame, Attr: hi}, relayedFrame{m})
+	}
+	g.lane = func(hi int) string { return fmt.Sprintf("relaying %s frames to shard worker %d", tp.holders[hi], s) }
 	return func(ctx context.Context, maxes []float64) error {
-		// The end of ctx unparks the slice collector and relay sends.
+		// The end of ctx unparks the rows collector and relay sends, and so
+		// does a failed source: the lane readers and the collector each
+		// report, nil or their first error, and the first error is the
+		// source's at once, even after every row is in. Readers parked in a
+		// holder Recv then unwind at guard teardown, the collector when the
+		// link closes.
 		defer context.AfterFunc(ctx, link.close)()
-		// Relay pumps: one per holder lane with frames, copying exactly the
-		// lane's scheduled frame count and then reporting, nil or the first
-		// error. A pump that fails reports and then closes the link, so the
-		// collector unparks and the pump's error is the source's — at once,
-		// even after the slices are in. A pump parked in a holder Recv when
-		// some other component fails unwinds at guard teardown, like a lane
-		// reader, so it is waited for on the clean path only.
-		pumps := 0
-		pumped := make(chan error, len(tp.holders))
-		for hi, h := range tp.holders {
-			frames := core.laneFrames(hi, r)
-			if frames == 0 {
-				continue
+		relayed, collected := make(chan error, 1), make(chan error, 1)
+		go func() { relayed <- core.readLanes(ctx, g) }()
+		go func() { collected <- core.collectShardRows(ctx, s, link, g) }()
+		for range 2 {
+			var err error
+			select {
+			case err = <-relayed:
+			case err = <-collected:
 			}
-			pumps++
-			go func(src wire.Conduit) {
-				for range frames {
-					frame, err := src.Recv()
-					if err == nil {
-						owned := wire.RecvOwned(src)
-						m := wire.Message{From: TPName, To: ShardName(s), Kind: kindShardFrame, Attr: hi}
-						err = link.send(m, shardFrameBody{Frame: frame})
-						if err == nil && owned {
-							// Re-sealed on the worker link: the plaintext
-							// goes back to the pool.
-							wire.Release(frame)
-						}
-					}
-					if err != nil {
-						pumped <- fmt.Errorf("party: relaying %s frames to shard worker %d: %w", h, s, err)
-						link.close()
-						return
-					}
-				}
-				pumped <- nil
-			}(tp.shardLanes[s][h])
-		}
-		if err := tp.collectShardSlices(s, link, r, matrices, maxes); err != nil {
-			for {
-				select {
-				case perr := <-pumped:
-					if perr != nil {
-						return perr
-					}
-				default:
-					return err
-				}
-			}
-		}
-		for range pumps {
-			if err := <-pumped; err != nil {
+			if err != nil {
+				link.close()
 				return err
+			}
+		}
+		for _, attr := range g.attrs {
+			var err error
+			if _, maxes[attr], err = g.asms[attr].Done(); err != nil {
+				return fmt.Errorf("shard %d: %w", s, err)
 			}
 		}
 		// Clean hand-off: end the worker's run and drop the link before
@@ -256,23 +246,45 @@ func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, matrices []*
 	}, nil
 }
 
-// collectShardSlices drains worker s's control stream until every chunk of
-// every comparison attribute's slice of rows r — the localChunksRange
-// schedule of r, per attribute — is installed in matrices, and records
-// each attribute's largest installed entry in maxes. A chunk must be the
-// attribute's next in the schedule; it is validated and decoded straight
-// into the rows it covers. A restarted worker recomputes and resends every
-// chunk from the first after the replay, so a chunk this collector already
+// relayedFrame is a holder frame inside its ppc/shard-frame body: the
+// received envelope and payload framed again as the holder framed them.
+type relayedFrame struct{ m *wire.Message }
+
+func (f relayedFrame) AppendBody(dst []byte) ([]byte, error) { return wire.AppendFrame(dst, f.m), nil }
+
+// collectShardRows drains worker s's control stream until every pair chunk
+// the lane group g relays to it has come back evaluated and is installed
+// in g's assemblers. A returned chunk must be the next of its share's
+// pairChunksRange schedule; it is validated — its cell count against the
+// census, each cell by the assembler — and installed straight into the
+// rows it covers. A restarted worker re-evaluates and resends every chunk
+// from the first after the replay, so a chunk this collector already
 // installed is dropped on arrival: the generations are bit-identical and
 // the first install wins. Any other range is refused.
-func (tp *ThirdParty) collectShardSlices(s int, link *shardLink, r [2]int, matrices []*dissim.Matrix, maxes []float64) error {
-	attrs := tp.cfg.Schema.Attrs
-	chunks := tp.cfg.localChunksRange(r[0], r[1])
-	next := make([]int, len(attrs)) // by attribute, the index of the next chunk to install
+func (c *shardCore) collectShardRows(ctx context.Context, s int, link *shardLink, g *laneGroup) error {
+	attrs := c.cfg.Schema.Attrs
+	// shares[attr][share], a share keyed by its pair and whether its rows
+	// are the initiator's, is the share's schedule and the index of its
+	// next chunk to install.
+	type cursor struct {
+		chunks [][2]int
+		next   int
+	}
+	type shareKey struct {
+		p           int
+		byInitiator bool
+	}
+	shares := make([]map[shareKey]*cursor, len(attrs))
 	need := 0
-	for _, a := range attrs {
-		if !tagBased(a.Type) {
-			need += len(chunks)
+	for _, attr := range g.attrs {
+		shares[attr] = map[shareKey]*cursor{}
+		t := attrs[attr].Type
+		for hi := range c.holders {
+			for _, sh := range c.shares(hi, t, c.partyRows(g.rows)) {
+				chunks := c.cfg.pairChunksRange(c.num, t, sh.lo, sh.hi, c.counts[sh.j])
+				shares[attr][shareKey{sh.p, sh.byInitiator}] = &cursor{chunks: chunks}
+				need += len(chunks)
+			}
 		}
 	}
 	for need > 0 {
@@ -285,44 +297,67 @@ func (tp *ThirdParty) collectShardSlices(s int, link *shardLink, r [2]int, matri
 			// Liveness only; the bound transport already fed the watchdog.
 		case kindAbort:
 			return peerAbortError(m)
-		case kindShardSlice:
-			var body shardSliceBody
+		case kindShardRows:
+			var body shardRowsBody
 			if err := wire.DecodeBody(m.Payload, &body); err != nil {
-				return fmt.Errorf("party: slice from shard worker %d: %w", s, err)
+				return fmt.Errorf("party: rows from shard worker %d: %w", s, err)
 			}
 			attr := body.Attr
 			if m.Attr != attr {
-				return fmt.Errorf("party: shard worker %d sent a slice chunk of attribute %d in an envelope of attribute %d", s, attr, m.Attr)
+				return fmt.Errorf("party: shard worker %d sent rows of attribute %d in an envelope of attribute %d", s, attr, m.Attr)
 			}
-			if attr < 0 || attr >= len(attrs) || tagBased(attrs[attr].Type) {
-				return fmt.Errorf("party: shard worker %d sent a slice for attribute %d", s, attr)
+			if attr < 0 || attr >= len(attrs) || shares[attr] == nil {
+				return fmt.Errorf("party: shard worker %d sent rows of attribute %d", s, attr)
 			}
-			rows, ci := [2]int{body.Lo, body.Hi}, next[attr]
+			p := slices.Index(c.pairs, [2]int{body.J, body.K})
+			var cur *cursor
+			if p >= 0 {
+				cur = shares[attr][shareKey{p, body.Lo >= c.splitAt(attrs[attr].Type, p)}]
+			}
+			if cur == nil {
+				return fmt.Errorf("party: shard worker %d sent attribute %q rows of pair (%d,%d), which has no share [%d,%d) in the range",
+					s, attrs[attr].Name, body.J, body.K, body.Lo, body.Hi)
+			}
+			rows, ci := [2]int{body.Lo, body.Hi}, cur.next
 			switch {
-			case ci < len(chunks) && rows == chunks[ci]:
-				top, err := matrices[attr].SetRowsLE(body.Lo, body.Hi, body.wire)
-				if err != nil {
-					return fmt.Errorf("party: shard worker %d attribute %q slice chunk %d: %w", s, attrs[attr].Name, ci, err)
+			case ci < len(cur.chunks) && rows == cur.chunks[ci]:
+				if err := c.computing(ctx, func() error { return c.installRows(g.asms[attr], body) }); err != nil {
+					return fmt.Errorf("party: shard worker %d attribute %q pair (%s,%s) chunk %d: %w",
+						s, attrs[attr].Name, c.holders[body.J], c.holders[body.K], ci, err)
 				}
-				maxes[attr] = max(maxes[attr], top)
-				next[attr]++
+				cur.next++
 				need--
 				link.ep.Release(m)
-			case installed(chunks[:ci], rows):
+			case installed(cur.chunks[:ci], rows):
 				// A restarted worker's copy of a chunk already in place.
+			case ci < len(cur.chunks):
+				want := cur.chunks[ci]
+				return fmt.Errorf("party: shard worker %d attribute %q pair (%s,%s) chunk %d covers rows [%d,%d), schedule says [%d,%d)",
+					s, attrs[attr].Name, c.holders[body.J], c.holders[body.K], ci, body.Lo, body.Hi, want[0], want[1])
 			default:
-				want := [2]int{r[1], r[1]} // past the schedule's end
-				if ci < len(chunks) {
-					want = chunks[ci]
-				}
-				return fmt.Errorf("party: shard worker %d attribute %q slice chunk %d covers rows [%d,%d), schedule says [%d,%d)",
-					s, attrs[attr].Name, ci, body.Lo, body.Hi, want[0], want[1])
+				return fmt.Errorf("party: shard worker %d attribute %q pair (%s,%s) rows [%d,%d) are no chunk of the share's schedule",
+					s, attrs[attr].Name, c.holders[body.J], c.holders[body.K], body.Lo, body.Hi)
 			}
 		default:
 			return fmt.Errorf("party: unexpected %q from shard worker %d", m.Kind, s)
 		}
 	}
 	return nil
+}
+
+// installRows installs one returned chunk of evaluated rows, its cells
+// decoded straight into the attribute's matrix.
+func (c *shardCore) installRows(asm *dissim.SliceAssembler, body shardRowsBody) error {
+	cols := c.counts[body.J]
+	if len(body.wire) != 8*(body.Hi-body.Lo)*cols {
+		return fmt.Errorf("%d bytes for %d rows of %d cells", len(body.wire), body.Hi-body.Lo, cols)
+	}
+	return asm.SetCrossRowsInto(body.J, body.K, body.Lo, body.Hi, func(r int, dst []float64) error {
+		for c := range dst {
+			dst[c] = math.Float64frombits(binary.LittleEndian.Uint64(body.wire[8*(r*cols+c):]))
+		}
+		return nil
+	})
 }
 
 // installed reports whether rows are one of the chunks of an ascending

@@ -248,14 +248,14 @@ func TestChaosShardProcWorkerRestartResumes(t *testing.T) {
 	assertSameOutcome(t, "worker restart", want, got)
 }
 
-// TestChaosShardProcCutMidSlice is the worker restart at the worst point
-// of the slice hand-off: shard 0's link is cut after the coordinator has
-// installed two chunks of its first slice and before the third arrives.
-// The redial lands on a freshly booted worker, which recomputes from the
-// replayed stream and resends every chunk; the coordinator drops the two
-// it already installed and installs the rest, and the report stays
-// bit-identical to the serial oracle.
-func TestChaosShardProcCutMidSlice(t *testing.T) {
+// TestChaosShardProcCutMidRows is the worker restart at the worst point
+// of the rows hand-off: shard 0's link is cut after the coordinator has
+// installed two of the worker's evaluated pair chunks and before the third
+// arrives. The redial lands on a freshly booted worker, which re-evaluates
+// the replayed pair chunks and resends the rows of every one; the
+// coordinator drops the two it already installed and installs the rest,
+// and the report stays bit-identical to the serial oracle.
+func TestChaosShardProcCutMidRows(t *testing.T) {
 	leakcheck.Check(t)
 	parts := pipelineParts(t, 8)
 	reqs := pipelineReqs()
@@ -272,20 +272,20 @@ func TestChaosShardProcCutMidSlice(t *testing.T) {
 	// the tap in their middle parses what it relays.
 	tp := newTap(Config{PlaintextChannels: true})
 	var mu sync.Mutex
-	slicesFrom0, cut := 0, false
+	rowsFrom0, cut := 0, false
 	links := tp.workerLinks(pool.servers[0].fp, func(f *tapFrame) error {
-		if f.From != ShardName(0) || f.Msg.Kind != kindShardSlice {
+		if f.From != ShardName(0) || f.Msg.Kind != kindShardRows {
 			return nil
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		if slicesFrom0++; slicesFrom0 == 3 && !cut {
+		if rowsFrom0++; rowsFrom0 == 3 && !cut {
 			cut = true
 			return errSever
 		}
 		return nil
 	})
-	cfg.ShardDial = pool.dialer("proc-cut-mid-slice", func(shard, dial int, c wire.Conduit) wire.Conduit {
+	cfg.ShardDial = pool.dialer("proc-cut-mid-rows", func(shard, dial int, c wire.Conduit) wire.Conduit {
 		if shard == 0 && dial == 0 {
 			// The replacement stands by before the cut, as a pool manager
 			// restarting a crashed worker would have it.
@@ -295,33 +295,53 @@ func TestChaosShardProcCutMidSlice(t *testing.T) {
 	})
 	got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(45))
 	if err != nil {
-		t.Fatalf("session cut mid-slice: %v", err)
+		t.Fatalf("session cut mid-rows: %v", err)
 	}
-	assertSameOutcome(t, "worker cut mid-slice", want, got)
+	assertSameOutcome(t, "worker cut mid-rows", want, got)
 
 	// The first worker sent three chunks, the third undelivered; its
-	// replacement sent every chunk of each of the three comparison
-	// attributes.
-	normal, _, err := cfg.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// replacement sent the rows of every pair chunk of the range.
 	r := dissim.ShardRanges(8+9+10, 2)[0] // pipelineParts(t, 8) holds 8, 9 and 10 rows
-	perSlice := len(normal.localChunksRange(r[0], r[1]))
-	if perSlice < 3 {
-		t.Fatalf("shard 0's slices have %d chunks, the cut needs 3+", perSlice)
+	chunks := testCore(t, cfg, []int{8, 9, 10}).rangePairChunks(r)
+	if chunks < 3 {
+		t.Fatalf("shard 0 evaluates %d pair chunks, the cut needs 3+", chunks)
 	}
-	if sent, want := len(tp.sent(ShardName(0), TPName, kindShardSlice)), 3+3*perSlice; !cut || sent != want {
-		t.Fatalf("shard 0 sent %d slice chunks (cut: %v), want 3 before the cut and %d after", sent, cut, want-3)
+	if sent, want := len(tp.sent(ShardName(0), TPName, kindShardRows)), 3+chunks; !cut || sent != want {
+		t.Fatalf("shard 0 sent %d row chunks (cut: %v), want 3 before the cut and %d after", sent, cut, want-3)
 	}
 }
 
-// TestShardProcWorkerFramesBounded: a worker returns its slices in frames
-// no larger than the chunk budget plus fixed framing, whatever the
-// session's size. A whole slice in one frame would carry 4·n(n−1)/K bytes
-// — at K = 2 past wire.MaxFrame, and so refused with ErrFrameTooLarge,
-// from about 11 600 objects — so the frame ceiling does not limit a
-// sharded session.
+// testCore is the shard pipeline a session under cfg builds over a
+// census of holders A, B, … with the given counts.
+func testCore(t testing.TB, cfg Config, counts []int) *shardCore {
+	t.Helper()
+	cfg, num, err := cfg.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	holders := make([]string, len(counts))
+	for i := range holders {
+		holders[i] = string(rune('A' + i))
+	}
+	return newShardCore(cfg, num, holders, counts, 1, protocol.NewEnginePool(1), nil, nil)
+}
+
+// rangePairChunks is how many pair chunks the holders send toward global
+// rows r: what a worker owning r is relayed and returns rows for.
+func (c *shardCore) rangePairChunks(r [2]int) int {
+	n := 0
+	for hi := range c.holders {
+		n += c.pairFrames(hi, r)
+	}
+	return n
+}
+
+// TestShardProcWorkerFramesBounded: a worker returns its evaluated rows in
+// frames no larger than the chunk budget plus fixed framing, one per pair
+// chunk it was relayed, whatever the session's size. A whole slice in one
+// frame would carry 4·n(n−1)/K bytes — at K = 2 past wire.MaxFrame, and so
+// refused with ErrFrameTooLarge, from about 11 600 objects — so the frame
+// ceiling does not limit a sharded session.
 func TestShardProcWorkerFramesBounded(t *testing.T) {
 	const budget = 4 << 10
 	const framing = 64 // the envelope and the chunk's row range
@@ -342,18 +362,72 @@ func TestShardProcWorkerFramesBounded(t *testing.T) {
 	chunks, largest := 0, 0
 	for _, f := range tp.sent("", TPName) {
 		largest = max(largest, len(f.Raw))
-		if f.Msg.Kind == kindShardSlice {
+		if f.Msg.Kind == kindShardRows {
 			chunks++
 		}
 	}
 	if largest > budget+framing {
 		t.Errorf("a worker sent a %d-byte frame, the chunk budget is %d", largest, budget)
 	}
-	// 400 objects: two slices of about 40 000 cells, 512 cells a chunk.
-	if chunks < 150 {
-		t.Errorf("the workers returned their slices in %d frames", chunks)
+	// 400 objects: a 200 × 200 cross block, 512 cells a chunk.
+	core, pairChunks := testCore(t, cfg, []int{200, 200}), 0
+	for _, r := range dissim.ShardRanges(400, 2) {
+		pairChunks += core.rangePairChunks(r)
 	}
-	t.Logf("%d slice chunks, the largest worker frame %d bytes", chunks, largest)
+	if chunks != pairChunks || chunks < 80 {
+		t.Errorf("the workers returned their rows in %d frames, the pair chunks number %d", chunks, pairChunks)
+	}
+	t.Logf("%d row chunks, the largest worker frame %d bytes", chunks, largest)
+}
+
+// TestShardProcRelaysPairChunksOnly: a worker is relayed the pair chunks
+// it evaluates and nothing else. On every worker link of K = 2 and K = 3
+// sessions over numeric and alphanumeric attributes, no relayed holder
+// frame is a ppc/local chunk — the coordinator installs those itself —
+// and the frames relayed for each holder number exactly its pair chunks
+// toward the worker's range.
+func TestShardProcRelaysPairChunksOnly(t *testing.T) {
+	parts := pipelineParts(t, 8)
+	counts := []int{8, 9, 10}
+	for _, k := range []int{2, 3} {
+		cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, TPShards: k, LocalChunkBytes: 256}
+		want, err := RunInMemory(cfg, parts, nil, deterministicRandom(50))
+		if err != nil {
+			t.Fatalf("K = %d in-process: %v", k, err)
+		}
+		pool := newShardWorkerPool(t, k, ShardServerConfig{Schema: pipelineSchema()})
+		tp := newTap(Config{PlaintextChannels: true})
+		cfg.ShardDial = pool.dialer(fmt.Sprintf("pairs-only-%d", k), tp.workerLinks(pool.servers[0].fp, nil))
+		got, err := RunInMemory(cfg, parts, nil, deterministicRandom(50))
+		if err != nil {
+			t.Fatalf("K = %d workers: %v", k, err)
+		}
+		assertSameOutcome(t, fmt.Sprintf("K = %d workers", k), want, got)
+		core := testCore(t, cfg, counts)
+		for s, r := range dissim.ShardRanges(core.total, k) {
+			relayed := make([]int, len(counts))
+			for _, f := range tp.sent(TPName, ShardName(s), kindShardFrame) {
+				m, err := wire.ParseFrame(f.Msg.Payload)
+				if err != nil {
+					t.Fatalf("K = %d shard %d: relayed frame %d: %v", k, s, f.N, err)
+				}
+				if m.Kind != kindNumS && m.Kind != kindAlphaM {
+					t.Errorf("K = %d shard %d: relayed a %s frame from %s", k, s, m.Kind, m.From)
+				}
+				relayed[f.Msg.Attr]++
+			}
+			for hi, n := range relayed {
+				if want := core.pairFrames(hi, r); n != want {
+					t.Errorf("K = %d shard %d: relayed %d frames of holder %s, its pair chunks toward rows [%d,%d) number %d",
+						k, s, n, core.holders[hi], r[0], r[1], want)
+				}
+			}
+			if n := len(tp.sent(ShardName(s), TPName, kindShardRows)); n != core.rangePairChunks(r) {
+				t.Errorf("K = %d shard %d: returned %d row chunks for %d pair chunks", k, s, n, core.rangePairChunks(r))
+			}
+		}
+		pool.close()
+	}
 }
 
 // TestChaosShardProcKillOutsideWindow: without a reconnect window a severed
@@ -452,11 +526,16 @@ func TestChaosShardProcWindowExpiry(t *testing.T) {
 	}
 }
 
-// eagerWorker stands in for a shard worker that answers the slice offer
-// with (all-zero) slices at once, without waiting for a single relayed
-// frame, and then drains its link — so the coordinator's slice collectors
-// finish while its relay pumps are still mid-stream.
+// eagerWorker stands in for a shard worker that answers the offer with
+// (all-zero) rows for every pair chunk of its range at once, without
+// waiting for a single relayed frame, and then drains its link — so the
+// coordinator's rows collectors finish while its lane readers are still
+// mid-stream.
 func eagerWorker(t *testing.T, schema dataset.Schema) ShardDialFunc {
+	srv, err := NewShardServer(ShardServerConfig{Schema: schema})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return func(_ context.Context, shard int, _ ResumeState) (wire.Conduit, ResumeGrant, error) {
 		near, far := wire.Pipe()
 		go func() {
@@ -475,15 +554,14 @@ func eagerWorker(t *testing.T, schema dataset.Schema) ShardDialFunc {
 			if _, err := ep.Expect(kindShardOffer, &offer); err != nil {
 				return
 			}
-			zeros := make([]float64, offer.Hi*(offer.Hi-1)/2-offer.Lo*(offer.Lo-1)/2)
-			cells := make([][]float64, len(schema.Attrs))
-			for attr := range cells {
-				cells[attr] = zeros
+			core, err := srv.offerCore(shard, offer)
+			if err != nil {
+				t.Error(err)
+				return
 			}
-			err = sendSlices(Config{Schema: schema, LocalChunkBytes: offer.LocalChunkBytes}, [2]int{offer.Lo, offer.Hi}, cells,
-				func(b shardSliceBody) error {
-					return ep.SendBody(wire.Message{From: ShardName(shard), To: TPName, Kind: kindShardSlice, Attr: b.Attr}, b)
-				})
+			err = core.rowChunks([2]int{offer.Lo, offer.Hi}, func(int) float64 { return 0 }, func(b shardRowsBody) error {
+				return ep.SendBody(wire.Message{From: ShardName(shard), To: TPName, Kind: kindShardRows, Attr: b.Attr}, b)
+			})
 			if err != nil {
 				return
 			}
@@ -497,12 +575,41 @@ func eagerWorker(t *testing.T, schema dataset.Schema) ShardDialFunc {
 	}
 }
 
+// rowChunks hands send a worker's rows body for every pair chunk the
+// holders send toward global rows r, by comparison attribute, holder and
+// share in their send order, each cell the value cell(n) gives for the
+// n-th cell handed over.
+func (c *shardCore) rowChunks(r [2]int, cell func(n int) float64, send func(shardRowsBody) error) error {
+	n := 0
+	for attr, a := range c.cfg.Schema.Attrs {
+		if tagBased(a.Type) {
+			continue
+		}
+		for hi := range c.holders {
+			for _, sh := range c.shares(hi, a.Type, c.partyRows(r)) {
+				cols := c.counts[sh.j]
+				for _, ch := range c.cfg.pairChunksRange(c.num, a.Type, sh.lo, sh.hi, cols) {
+					cells := make([]float64, (ch[1]-ch[0])*cols)
+					for i := range cells {
+						cells[i] = cell(n)
+						n++
+					}
+					if err := send(rowsChunk(attr, sh.j, sh.k, ch[0], ch[1], cols, cells)); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // TestChaosShardProcPumpFailsAfterSlices is the -race regression for the
-// coordinator's error hand-off: relay pumps outlive the slice collectors,
-// so a pump whose holder lane dies after every slice is in reports its
-// failure while the session body is deciding whether it succeeded. The
-// decision must read that failure under the lock and the session must end
-// with the relay error, not publish.
+// coordinator's error hand-off: the lane readers that relay to a worker
+// outlive its rows collector, so a reader whose holder lane dies after
+// every row is in reports its failure while the session body is deciding
+// whether it succeeded. The decision must read that failure under the
+// lock and the session must end with the relay error, not publish.
 func TestChaosShardProcPumpFailsAfterSlices(t *testing.T) {
 	leakcheck.Check(t)
 	cfg, _, err := chaosConfig().normalized() // the fingerprint covers defaulted weights
@@ -511,12 +618,17 @@ func TestChaosShardProcPumpFailsAfterSlices(t *testing.T) {
 	}
 	cfg.TPShards = 2
 	cfg.ShardDial = eagerWorker(t, cfg.Schema)
-	// C is the holder whose rows reach shard 1; its lane there dies on the
-	// coordinator's side after the hello and two chunk frames.
+	// C is the holder whose rows reach shard 1; its lane there fails on the
+	// coordinator's side after the hello and two chunk frames. The receive
+	// fails without closing the conduit: a closed lane would let C see it
+	// and race its own abort, on its control lane, against the
+	// coordinator's report while the coordinator still installs C's queued
+	// local chunks.
+	errLane := errors.New("C's lane to shard 1 fails")
 	tp := newTap(cfg)
 	tp.onRecv(ShardName(1), "C", func(f *tapFrame) ([][]byte, error) {
 		if f.N > 3 {
-			return nil, errSever
+			return nil, errLane
 		}
 		return f.pass()
 	})
@@ -681,174 +793,259 @@ func TestShardProcRefusesRetiredHellos(t *testing.T) {
 	assertSameOutcome(t, "session after the refusals", want, got)
 }
 
-// sliceHarness runs worker 0's slice collector for rows [3, 9) of a
-// pipelineSchema session at an 8-cell chunk budget — five chunks per
-// attribute — installing into matrices; peer is the worker's end of the
-// link.
-type sliceHarness struct {
-	cfg      Config
+// rowsHarness runs worker 0's rows collector for global rows [5, 13) of a
+// pipelineSchema session over a census of 5, 5 and 6 objects at a 16-byte
+// chunk budget — a row a chunk — installing into matrices; peer is the
+// worker's end of the link.
+type rowsHarness struct {
+	core     *shardCore
 	r        [2]int
-	chunks   [][2]int
 	comp     []int // the comparison attributes
+	share    []int // where the chunks of the first share of 3+ chunks are in a generation
 	matrices []*dissim.Matrix
-	maxes    []float64
 	peer     *wire.Endpoint
 	done     chan error
 }
 
-func newSliceHarness(t *testing.T) *sliceHarness {
+func newRowsHarness(t *testing.T) *rowsHarness {
 	t.Helper()
-	cfg, _, err := Config{Schema: pipelineSchema(), Variant: Float64Variant, LocalChunkBytes: 64}.normalized()
+	cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, LocalChunkBytes: 16}
+	h := &rowsHarness{core: testCore(t, cfg, []int{5, 5, 6}), r: [2]int{5, 13}, done: make(chan error, 1)}
+	g, err := h.group()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &sliceHarness{cfg: cfg, r: [2]int{3, 9}, done: make(chan error, 1)}
-	h.chunks = cfg.localChunksRange(h.r[0], h.r[1])
-	h.matrices = make([]*dissim.Matrix, len(cfg.Schema.Attrs))
-	h.maxes = make([]float64, len(cfg.Schema.Attrs))
-	for attr, a := range cfg.Schema.Attrs {
-		if !tagBased(a.Type) {
-			h.comp = append(h.comp, attr)
-			h.matrices[attr] = dissim.New(h.r[1])
+	h.comp = g.attrs
+	shares := map[[4]int][]int{} // attribute, pair and first row of a share: its chunks
+	var order [][4]int
+	for i, b := range h.gen(1) {
+		key := [4]int{b.Attr, b.J, b.K, b.Lo}
+		for k, idx := range shares {
+			if last := h.gen(1)[idx[len(idx)-1]]; k[0] == b.Attr && k[1] == b.J && k[2] == b.K && last.Hi == b.Lo {
+				key = k
+			}
+		}
+		if shares[key] == nil {
+			order = append(order, key)
+		}
+		shares[key] = append(shares[key], i)
+	}
+	for _, k := range order {
+		if len(shares[k]) >= 3 && h.share == nil {
+			h.share = shares[k]
 		}
 	}
-	if len(h.chunks) < 3 || len(h.comp) < 2 {
-		t.Fatalf("%d chunks of %d comparison attributes, need 3 of 2+", len(h.chunks), len(h.comp))
+	if len(h.comp) < 2 || h.share == nil {
+		t.Fatalf("%d comparison attributes, no share of 3+ chunks: the harness needs both", len(h.comp))
 	}
-	tp := &ThirdParty{cfg: cfg, guard: newGuard(TPName, cfg)}
 	a, b := wire.Pipe()
 	t.Cleanup(func() {
 		a.Close()
 		b.Close()
-		tp.guard.release()
 	})
 	h.peer = wire.NewEndpoint(b)
 	link := &shardLink{s: 0, ep: wire.NewEndpoint(a)}
-	go func() { h.done <- tp.collectShardSlices(0, link, h.r, h.matrices, h.maxes) }()
+	go func() { h.done <- h.core.collectShardRows(context.Background(), 0, link, g) }()
 	return h
 }
 
-// cells is a generation of slices: by comparison attribute, the packed
-// cells of the harness's rows, from v up.
-func (h *sliceHarness) cells(v float64) [][]float64 {
-	out := make([][]float64, len(h.matrices))
-	n := h.r[1]*(h.r[1]-1)/2 - h.r[0]*(h.r[0]-1)/2
-	for _, attr := range h.comp {
-		out[attr] = make([]float64, n)
-		for i := range out[attr] {
-			out[attr][i] = v + float64(attr*n+i)
+// group is a fresh lane group of the harness's rows over fresh matrices,
+// which are h.matrices from then on.
+func (h *rowsHarness) group() (*laneGroup, error) {
+	attrs := h.core.cfg.Schema.Attrs
+	h.matrices = make([]*dissim.Matrix, len(attrs))
+	rows := make([][]float64, len(attrs))
+	for attr, a := range attrs {
+		if !tagBased(a.Type) {
+			h.matrices[attr] = dissim.New(h.core.total)
+			rows[attr] = h.matrices[attr].PackedRowsView(h.r[0], h.r[1])
 		}
+	}
+	return h.core.sliceGroup(nil, h.r, rows)
+}
+
+// gen is a generation of a worker's rows: a body for every pair chunk of
+// the range, in send order, the cells counting up from v.
+func (h *rowsHarness) gen(v float64) []shardRowsBody {
+	var out []shardRowsBody
+	h.core.rowChunks(h.r, func(n int) float64 { return v + float64(n) }, func(b shardRowsBody) error {
+		out = append(out, b)
+		return nil
+	})
+	return out
+}
+
+// send sends body as a rows chunk in an envelope of attribute attr.
+func (h *rowsHarness) send(attr int, body wire.BodyAppender) error {
+	return h.peer.SendBody(wire.Message{From: ShardName(0), To: TPName, Kind: kindShardRows, Attr: attr}, body)
+}
+
+// installed is what the collector installed of attr's rows.
+func (h *rowsHarness) installed(attr int) []float64 {
+	return h.matrices[attr].PackedRowsView(h.r[0], h.r[1])
+}
+
+// expect is what installing bodies, each once, into fresh matrices leaves
+// of the harness's rows, by attribute.
+func (h *rowsHarness) expect(t *testing.T, bodies []shardRowsBody) [][]float64 {
+	t.Helper()
+	kept := h.matrices
+	defer func() { h.matrices = kept }()
+	g, err := h.group()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bodies {
+		enc, err := wire.EncodeBody(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body shardRowsBody
+		if err := wire.DecodeBody(enc, &body); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.core.installRows(g.asms[b.Attr], body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := make([][]float64, len(h.matrices))
+	for _, attr := range h.comp {
+		out[attr] = h.installed(attr)
 	}
 	return out
 }
 
-// send sends body as a slice chunk in an envelope of attribute attr.
-func (h *sliceHarness) send(attr int, body wire.BodyAppender) error {
-	return h.peer.SendBody(wire.Message{From: ShardName(0), To: TPName, Kind: kindShardSlice, Attr: attr}, body)
-}
-
-// installed is what the collector installed of attr's rows.
-func (h *sliceHarness) installed(attr int) []float64 {
-	return h.matrices[attr].PackedRowsView(h.r[0], h.r[1])
-}
-
-// TestShardSliceDedup drives the collector's duplicate-chunk guard
-// directly: the first generation installs two of the first attribute's
-// chunks, then a restarted worker resends every chunk after the replay,
-// with different bytes. The installed cells must not change — the first
+// TestShardSliceDedup drives the rows collector's duplicate-chunk guard
+// directly: the first generation installs a share's first two chunks,
+// then a restarted worker resends every chunk after the replay, with
+// different cells. The installed cells must not change — the first
 // install wins — and the rest install from the second generation, each
-// counted once.
+// counted once. A resent range that is no chunk of the share's schedule is
+// refused, not dropped.
 func TestShardSliceDedup(t *testing.T) {
-	h := newSliceHarness(t)
-	first, second := h.cells(1), h.cells(1000)
-	errStop := errors.New("the first generation's link dies")
+	h := newRowsHarness(t)
+	first, second := h.gen(1), h.gen(1000)
+	c0, c1, c2 := first[h.share[0]], first[h.share[1]], first[h.share[2]]
 	go func() {
 		h.peer.SendBody(wire.Message{From: ShardName(0), To: TPName, Kind: kindShardBeat, Attr: -1}, shardBeatBody{})
-		sent := 0
-		sendSlices(h.cfg, h.r, first, func(b shardSliceBody) error {
-			if sent == 2 {
-				return errStop
-			}
-			sent++
-			return h.send(b.Attr, b)
-		})
-		sendSlices(h.cfg, h.r, second, func(b shardSliceBody) error { return h.send(b.Attr, b) })
+		h.send(c0.Attr, c0)
+		h.send(c1.Attr, c1)
+		for _, b := range second {
+			h.send(b.Attr, b)
+		}
 	}()
 	if err := <-h.done; err != nil {
 		t.Fatalf("collect: %v", err)
 	}
-	kept := h.chunks[2][0]*(h.chunks[2][0]-1)/2 - h.r[0]*(h.r[0]-1)/2 // cells of the first two chunks
+	kept := slices.Clone(second)
+	kept[h.share[0]], kept[h.share[1]] = c0, c1
+	want := h.expect(t, kept)
 	for _, attr := range h.comp {
-		want := second[attr]
-		if attr == h.comp[0] {
-			want = slices.Concat(first[attr][:kept], second[attr][kept:])
+		if got := h.installed(attr); !slices.Equal(got, want[attr]) {
+			t.Errorf("attribute %d: installed %v, want %v", attr, got, want[attr])
 		}
-		if got := h.installed(attr); !slices.Equal(got, want) {
-			t.Errorf("attribute %d: installed %v, want %v", attr, got, want)
+	}
+
+	h = newRowsHarness(t)
+	whole := rowsChunk(c0.Attr, c0.J, c0.K, c0.Lo, c1.Hi, c0.cols, make([]float64, (c1.Hi-c0.Lo)*c0.cols))
+	go func() {
+		for _, b := range []shardRowsBody{c0, c1, c0, whole} {
+			h.send(b.Attr, b)
 		}
-		if h.maxes[attr] != slices.Max(want) {
-			t.Errorf("attribute %d: max %v, want %v", attr, h.maxes[attr], slices.Max(want))
-		}
+	}()
+	err := <-h.done
+	if wantErr := fmt.Sprintf("chunk 2 covers rows [%d,%d), schedule says [%d,%d)", whole.Lo, whole.Hi, c2.Lo, c2.Hi); err == nil || !strings.Contains(err.Error(), wantErr) {
+		t.Fatalf("a resent range off the schedule: got %v, want an error saying %q", err, wantErr)
 	}
 }
 
-// TestShardSliceChunksRefused: a slice chunk off the schedule, in an
+// TestShardSliceChunksRefused: a returned rows chunk off its share's
+// schedule, of a pair or attribute the range has no share of, in an
 // envelope of another attribute, with a cell that is no dissimilarity,
-// with bytes past its last cell, or a whole slice in one frame of the
-// retired layout (Attr | float64 Max | cells) — or of this one — is
-// refused, and installs nothing.
+// with too few cells or bytes past its last cell, a whole share in one
+// frame, or a whole slice in one frame of the retired layout (Attr |
+// float64 Max | cells) is refused, and installs nothing.
 func TestShardSliceChunksRefused(t *testing.T) {
-	withCell := func(v float64) func(h *sliceHarness) error {
-		return func(h *sliceHarness) error {
-			cells := h.cells(1)[h.comp[0]]
+	chunk := func(h *rowsHarness, i int) shardRowsBody { return h.gen(1)[h.share[i]] }
+	withCell := func(v float64) func(h *rowsHarness) error {
+		return func(h *rowsHarness) error {
+			b := chunk(h, 0)
+			cells := make([]float64, (b.Hi-b.Lo)*b.cols)
+			for i := range cells {
+				cells[i] = 1
+			}
 			cells[1] = v
-			ch := h.chunks[0]
-			return h.send(h.comp[0], shardSliceBody{Attr: h.comp[0], Lo: ch[0], Hi: ch[1], Cells: cells[:ch[1]*(ch[1]-1)/2-ch[0]*(ch[0]-1)/2]})
+			return h.send(b.Attr, rowsChunk(b.Attr, b.J, b.K, b.Lo, b.Hi, b.cols, cells))
 		}
 	}
-	raw := func(payload func(h *sliceHarness) []byte) func(h *sliceHarness) error {
-		return func(h *sliceHarness) error {
-			return h.send(h.comp[0], shardFrameBody{Frame: payload(h)}) // the bytes as they are
+	first := func(h *rowsHarness) shardRowsBody { return chunk(h, 0) }
+	raw := func(payload func(h *rowsHarness) []byte) func(h *rowsHarness) error {
+		return func(h *rowsHarness) error {
+			return h.send(first(h).Attr, shardFrameBody{Frame: payload(h)}) // the bytes as they are
 		}
-	}
-	firstChunk := func(h *sliceHarness) shardSliceBody {
-		var body shardSliceBody
-		sendSlices(h.cfg, h.r, h.cells(1), func(b shardSliceBody) error { body = b; return io.EOF })
-		return body
 	}
 	for _, tc := range []struct {
 		name string
-		send func(h *sliceHarness) error
-		want string
+		send func(h *rowsHarness) error
+		want func(h *rowsHarness) string
 	}{
-		{"off schedule", func(h *sliceHarness) error {
-			ch := h.chunks[1]
-			return h.send(h.comp[0], shardSliceBody{Attr: h.comp[0], Lo: ch[0], Hi: ch[1], Cells: make([]float64, ch[1]*(ch[1]-1)/2-ch[0]*(ch[0]-1)/2)})
-		}, "covers rows [5,6), schedule says [3,5)"},
-		{"envelope attribute", func(h *sliceHarness) error { return h.send(h.comp[1], firstChunk(h)) }, "in an envelope of attribute"},
-		{"NaN cell", withCell(math.NaN()), "invalid packed entry NaN"},
-		{"negative cell", withCell(-1), "invalid packed entry -1"},
-		{"+Inf cell", withCell(math.Inf(1)), "invalid packed entry +Inf"},
-		{"trailing bytes", raw(func(h *sliceHarness) []byte {
-			enc, _ := wire.EncodeBody(firstChunk(h))
+		{"off schedule", func(h *rowsHarness) error {
+			b := chunk(h, 1)
+			return h.send(b.Attr, b)
+		}, func(h *rowsHarness) string {
+			c0, c1 := chunk(h, 0), chunk(h, 1)
+			return fmt.Sprintf("covers rows [%d,%d), schedule says [%d,%d)", c1.Lo, c1.Hi, c0.Lo, c0.Hi)
+		}},
+		{"envelope attribute", func(h *rowsHarness) error {
+			b := first(h)
+			other := h.comp[0]
+			if other == b.Attr {
+				other = h.comp[1]
+			}
+			return h.send(other, b)
+		}, said("in an envelope of attribute")},
+		{"wrong pair", func(h *rowsHarness) error {
+			b := first(h)
+			b.J, b.K = b.K, b.J
+			return h.send(b.Attr, b)
+		}, said("which has no share")},
+		{"wrong attribute", func(h *rowsHarness) error {
+			b := first(h)
+			b.Attr = len(h.core.cfg.Schema.Attrs) - 1 // the categorical city
+			return h.send(b.Attr, b)
+		}, said("sent rows of attribute 3")},
+		{"NaN cell", withCell(math.NaN()), said("invalid dissimilarity NaN")},
+		{"negative cell", withCell(-1), said("invalid dissimilarity -1")},
+		{"+Inf cell", withCell(math.Inf(1)), said("invalid dissimilarity +Inf")},
+		{"short cell block", func(h *rowsHarness) error {
+			b := first(h)
+			b.cols--
+			return h.send(b.Attr, b)
+		}, said("bytes for")},
+		{"trailing bytes", raw(func(h *rowsHarness) []byte {
+			enc, _ := wire.EncodeBody(first(h))
 			return append(enc, 0)
-		}), "trailing bytes"},
-		{"one-frame slice", raw(func(h *sliceHarness) []byte {
-			cells := h.cells(1)[h.comp[0]]
-			return appendFloat64s(appendFloat64(appendInt(nil, h.comp[0]), slices.Max(cells)), cells)
-		}), "malformed"},
-		{"one-frame slice without its max", func(h *sliceHarness) error {
-			return h.send(h.comp[0], shardSliceBody{Attr: h.comp[0], Lo: h.r[0], Hi: h.r[1], Cells: h.cells(1)[h.comp[0]]})
-		}, "covers rows [3,9), schedule says [3,5)"},
+		}), said("trailing bytes")},
+		{"one-frame slice", raw(func(h *rowsHarness) []byte {
+			return appendFloat64s(appendFloat64(appendInt(nil, first(h).Attr), 2), []float64{1, 2})
+		}), said("malformed")},
+		{"one-frame slice without its max", func(h *rowsHarness) error {
+			b := first(h)
+			b.Hi = h.gen(1)[h.share[len(h.share)-1]].Hi
+			return h.send(b.Attr, rowsChunk(b.Attr, b.J, b.K, b.Lo, b.Hi, b.cols, make([]float64, (b.Hi-b.Lo)*b.cols)))
+		}, func(h *rowsHarness) string {
+			c0 := chunk(h, 0)
+			return fmt.Sprintf("schedule says [%d,%d)", c0.Lo, c0.Hi)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newSliceHarness(t)
+			h := newRowsHarness(t)
 			if err := tc.send(h); err != nil {
 				t.Fatal(err)
 			}
-			err := <-h.done
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("got %v, want an error saying %q", err, tc.want)
+			err, want := <-h.done, tc.want(h)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("got %v, want an error saying %q", err, want)
 			}
 			for _, attr := range h.comp {
 				if slices.Max(h.installed(attr)) != 0 {
@@ -858,6 +1055,9 @@ func TestShardSliceChunksRefused(t *testing.T) {
 		})
 	}
 }
+
+// said is the expectation of an error saying text.
+func said(text string) func(*rowsHarness) string { return func(*rowsHarness) string { return text } }
 
 // TestShardOfferValidation exercises the worker's offer hygiene: a
 // mismatched schema fingerprint, a shard index disagreeing with the
@@ -932,10 +1132,11 @@ func TestShardOfferValidation(t *testing.T) {
 // range that starts mid-holder made the keystream positioning panic in a
 // stage goroutine, killing every session of the process, and a crafted
 // parallelism sized the worker's compute. That gob-era offer is now
-// refused as malformed with a typed abort; an offer in the fixed layout
-// over such a range must leave the worker answering with a heartbeat,
-// slice or abort, its core sized from the worker's own cores; and the same
-// ShardServer must then complete a normal session.
+// refused as malformed with a typed abort, and so is an offer whose census
+// cannot fit, before the worker allocates for it; an offer in the fixed
+// layout over such a range must leave the worker answering with a
+// heartbeat, rows or abort, its core sized from the worker's own cores;
+// and the same ShardServer must then complete a normal session.
 func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 	leakcheck.Check(t)
 	pool := newShardWorkerPool(t, 1, ShardServerConfig{Schema: pipelineSchema()})
@@ -1024,6 +1225,38 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 	}
 	link.close()
 
+	// An offer whose census cannot fit is refused with a typed abort before
+	// anything is built for it: a census of 2^31 rows, whose triangle's
+	// float64 cells would take 2^64 bytes, and censuses whose total or
+	// triangle overflows an int. The range is B's first 2^17 rows, whose
+	// chunk schedules alone would take megabytes to lay out.
+	for _, counts := range [][]int{{1 << 30, 1 << 30}, {math.MaxInt, 1}, {1 << 32, 0}} {
+		tp.cfg.ShardDial = pool.dialer(fmt.Sprintf("census-%d-%d", counts[0], counts[1]), nil)
+		link, err := tp.dialShard(0)
+		if err != nil {
+			t.Fatalf("census %v: dial: %v", counts, err)
+		}
+		offer := shardOfferBody{Lo: counts[0], Hi: counts[0] + 1<<17, Holders: tp.holders, Counts: counts,
+			Fingerprint: schemaFingerprint(cfg.Schema), Mode: cfg.Mode, Variant: cfg.Variant, RNG: cfg.RNG}
+		offer.Seeds, offer.RowSeeds = tp.seedTables()
+		var m *wire.Message
+		grew := allocatedBytes(func() {
+			if err = link.send(wire.Message{From: TPName, To: ShardName(0), Kind: kindShardOffer, Attr: -1}, offer); err == nil {
+				m, err = link.ep.Recv()
+			}
+		})
+		if err != nil {
+			t.Fatalf("census %v: the worker link ended without an abort: %v", counts, err)
+		}
+		if err := peerAbortError(m); m.Kind != kindAbort || !errors.Is(err, ErrAborted) || !strings.Contains(err.Error(), "census") {
+			t.Fatalf("census %v: the worker answered with %q (%v), want an abort naming the census", counts, m.Kind, err)
+		}
+		if grew >= 1<<20 {
+			t.Errorf("census %v: %d bytes allocated while the worker refused the offer", counts, grew)
+		}
+		link.close()
+	}
+
 	// The fixed layout has no parallelism to craft: a decoded offer gets a
 	// core sized from the worker's own cores. Only the sizing is checked:
 	// nothing is evaluated here.
@@ -1059,12 +1292,13 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 	if err := link.send(wire.Message{From: TPName, To: ShardName(0), Kind: kindShardOffer, Attr: -1}, offer); err != nil {
 		t.Fatalf("send offer: %v", err)
 	}
-	// B's one local chunk of the range, attribute 0 (numeric), encoded as
-	// B's shard lane carries it: once it is installed the stage positions
-	// the pair's keystream at B's row 1.
+	// An S chunk of B's row 1, attribute 0 (numeric), encoded as B's shard
+	// lane carries it: the worker's pair readers positioned the pair's
+	// keystream at B's row 1 as they started, and the chunk is evaluated or
+	// refused, never a crash.
 	near, far := wire.Pipe()
-	chunk := localBody{N: 2, Lo: 1, Hi: 2, Cells: []float64{1}}
-	if err := wire.NewEndpoint(near).SendBody(wire.Message{From: "B", To: ShardName(0), Kind: kindLocal, Attr: 0}, chunk); err != nil {
+	chunk := numBody(2, 1, 2, tagInt64, 1, 2, make([]byte, 16))
+	if err := wire.NewEndpoint(near).SendBody(wire.Message{From: "B", To: ShardName(0), Kind: kindNumS, Attr: 0}, chunk); err != nil {
 		t.Fatal(err)
 	}
 	frame, err := far.Recv()
@@ -1077,7 +1311,7 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 	if m, err = link.ep.Recv(); err != nil {
 		t.Fatalf("worker link after the crafted offer: %v", err)
 	}
-	if m.Kind != kindShardBeat && m.Kind != kindShardSlice && m.Kind != kindAbort {
+	if m.Kind != kindShardBeat && m.Kind != kindShardRows && m.Kind != kindAbort {
 		t.Fatalf("worker answered the crafted offer with %q", m.Kind)
 	}
 	link.close()

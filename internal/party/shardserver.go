@@ -2,21 +2,25 @@ package party
 
 // Cross-process TP shards: the worker side. A ppc-shard process runs one
 // ShardServer; each coordinator registration (netid v4 hello) starts one
-// shardRun, which receives the slice offer, rebuilds the shard pipeline
-// (shardCore) from it, feeds the relayed holder frames to lane readers,
-// bounded by the shared lane frame counts, and returns the finished
-// slices. The worker holds no durable state: a registration always
-// answers with watermarks (0, 0), and a re-registration for the same
-// (session, shard) supersedes the previous run — the coordinator replays
-// the stream from the beginning and the worker recomputes, which is what
-// makes a crashed worker process and a flapped link heal through the same
-// path.
+// shardRun, which receives the offer, rebuilds the shard pipeline
+// (shardCore) from it and feeds the relayed pair chunks to its pair-share
+// readers, bounded by the shared pair frame counts (pairFrames). Each
+// chunk is evaluated as it arrives and its rows go straight back as one
+// ppc/shard-rows frame, staged into the frame a row at a time: the worker
+// holds no slice, and never sees a holder's local-matrix chunks, which the
+// coordinator installs itself. The worker holds no durable state: a
+// registration always answers with watermarks (0, 0), and a
+// re-registration for the same (session, shard) supersedes the previous
+// run — the coordinator replays the stream from the beginning and the
+// worker re-evaluates, which is what makes a crashed worker process and a
+// flapped link heal through the same path.
 
 import (
 	"context"
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -45,10 +49,10 @@ type ShardServerConfig struct {
 	// list. An offer whose schema fingerprint disagrees is refused — the
 	// worker evaluates protocol payloads and must share the agreement.
 	Schema dataset.Schema
-	// OnFrame, when set, observes every relayed holder frame after it is
-	// fed to the pipeline: session, shard index and the running frame
-	// total of the current run. The multi-process test harness uses it to
-	// crash the worker at exact protocol points.
+	// OnFrame, when set, observes every relayed holder frame — a pair
+	// chunk — after it is fed to the pipeline: session, shard index and the
+	// running frame total of the current run. The multi-process test
+	// harness uses it to crash the worker at exact protocol points.
 	OnFrame func(session string, shard, total int)
 	// Logf receives worker lifecycle events; nil discards them.
 	Logf func(format string, args ...any)
@@ -310,7 +314,9 @@ func (r *shardRun) serve() {
 
 // offerCore validates an offer against this worker's schema and
 // registration and rebuilds the shard pipeline it asks for, its compute
-// sized by the worker's own cores.
+// sized by the worker's own cores. An offer whose census cannot fit — its
+// total, or its triangle's bytes, overflow an int — is refused before
+// anything is built for it.
 func (s *ShardServer) offerCore(shard int, offer shardOfferBody) (*shardCore, error) {
 	if offer.Fingerprint != s.fp {
 		return nil, errors.New("party: offer schema fingerprint disagrees with this worker's schema")
@@ -345,30 +351,38 @@ func (s *ShardServer) offerCore(shard int, offer shardOfferBody) (*shardCore, er
 			}
 		}
 	}
+	total := 0
 	for i, c := range offer.Counts {
 		if c < 0 {
 			return nil, fmt.Errorf("party: offer census holds a negative count for %s", offer.Holders[i])
 		}
+		if c > math.MaxInt-total {
+			return nil, errors.New("party: offer census total overflows an int")
+		}
+		total += c
 	}
-	core := newShardCore(cfg, num, offer.Holders, offer.Counts, parallel.Workers(0),
-		protocol.NewEnginePool(0), offer.Seeds, offer.RowSeeds)
-	if offer.Lo < 0 || offer.Hi < offer.Lo || offer.Hi > core.total {
-		return nil, fmt.Errorf("party: offer range [%d,%d) outside the census total %d", offer.Lo, offer.Hi, core.total)
+	// No process can hold the float64 cells of a triangle whose byte count
+	// overflows an int, so neither can the coordinator that sent the offer.
+	if total > 1 && (total-1 > math.MaxInt/total || total*(total-1)/2 > math.MaxInt/8) {
+		return nil, fmt.Errorf("party: offer census of %d objects makes a triangle no process can hold", total)
 	}
-	return core, nil
+	if offer.Lo < 0 || offer.Hi < offer.Lo || offer.Hi > total {
+		return nil, fmt.Errorf("party: offer range [%d,%d) outside the census total %d", offer.Lo, offer.Hi, total)
+	}
+	return newShardCore(cfg, num, offer.Holders, offer.Counts, parallel.Workers(0),
+		protocol.NewEnginePool(0), offer.Seeds, offer.RowSeeds), nil
 }
 
 // run rebuilds the shard pipeline from the offer and drives it: relayed
-// frames feed per-holder pipes, one lane reader per pipe computes the
-// slices, and the slices go back ascending by attribute. Returns nil on a
-// clean coordinator-initiated end.
+// pair chunks feed per-holder pipes, and one pair-share reader per pipe
+// evaluates each chunk and sends its rows back. Returns nil on a clean
+// coordinator-initiated end.
 func (r *shardRun) run(offer shardOfferBody) error {
 	s := r.srv
 	core, err := s.offerCore(r.key.shard, offer)
 	if err != nil {
 		return err
 	}
-	cfg, nAttr := core.cfg, len(core.cfg.Schema.Attrs)
 	rg := [2]int{offer.Lo, offer.Hi}
 
 	// One pipe per holder — the write end receives the relayed frame bytes,
@@ -381,7 +395,7 @@ func (r *shardRun) run(offer shardOfferBody) error {
 	for hi := range offer.Holders {
 		a, b := wire.Pipe()
 		feeds[hi], eps[hi] = a, wire.NewEndpoint(b)
-		frames[hi] = core.laneFrames(hi, rg)
+		frames[hi] = core.pairFrames(hi, rg)
 	}
 	// stop ends the lane readers: they yield no frame once ctx ends, and
 	// closing the feeds unparks the ones waiting for a frame.
@@ -405,19 +419,25 @@ func (r *shardRun) run(offer shardOfferBody) error {
 		stop()
 	}
 
-	// The pipeline computes on its own goroutine and, on success, sends
-	// the slices back itself — ascending by attribute, each in its chunk
-	// schedule, so the reply order is deterministic.
+	// The pipeline computes on its own goroutine: the pair-share readers
+	// evaluate each relayed chunk and send its rows straight back, one
+	// ppc/shard-rows frame per chunk, staged into the frame a row at a
+	// time — the worker holds no slice.
+	g := &laneGroup{eps: eps, rows: rg,
+		evaluated: func(attr int, sh pairShare, lo, hi int, row protocol.RowFunc) error {
+			body := shardRowsBody{Attr: attr, J: sh.j, K: sh.k, Lo: lo, Hi: hi,
+				cols: core.counts[sh.j], row: row, workers: core.workers}
+			return r.send(kindShardRows, attr, body)
+		}}
+	for attr, a := range core.cfg.Schema.Attrs {
+		if !tagBased(a.Type) {
+			g.attrs = append(g.attrs, attr)
+		}
+	}
 	computeDone := make(chan struct{})
 	go func() {
 		defer close(computeDone)
-		cells := make([][]float64, nAttr)
-		if err := core.readSlices(ctx, eps, rg, cells, make([]float64, nAttr)); err != nil {
-			fail(err)
-			return
-		}
-		err := sendSlices(cfg, rg, cells, func(b shardSliceBody) error { return r.send(kindShardSlice, b.Attr, b) })
-		if err != nil {
+		if err := core.readLanes(ctx, g); err != nil {
 			fail(err)
 		}
 	}()
@@ -445,7 +465,7 @@ func (r *shardRun) run(offer shardOfferBody) error {
 	// The relayed frames all arrive on one link, so the receive loop must
 	// never block on one holder's pipe while another holder's reader waits
 	// for frames. It does not: a pipe queue is unbounded, so Send never
-	// blocks, and the lane frame count bounds how much a coordinator can
+	// blocks, and the pair frame count bounds how much a coordinator can
 	// make the worker hold.
 	relayed := 0
 	fed := make([]int, len(offer.Holders))
@@ -508,25 +528,4 @@ loop:
 		err = recvErr
 	}
 	return err
-}
-
-// sendSlices sends every comparison attribute's slice of rows rg — cells,
-// by attribute, the packed cells of those rows — ascending by attribute,
-// one body per chunk of the rows' localChunksRange schedule: the stream
-// the coordinator's collector expects, each frame bounded by the chunk
-// budget.
-func sendSlices(cfg Config, rg [2]int, cells [][]float64, send func(shardSliceBody) error) error {
-	base := rg[0] * (rg[0] - 1) / 2
-	for attr, a := range cfg.Schema.Attrs {
-		if tagBased(a.Type) {
-			continue
-		}
-		for _, ch := range cfg.localChunksRange(rg[0], rg[1]) {
-			lo, hi := ch[0]*(ch[0]-1)/2-base, ch[1]*(ch[1]-1)/2-base
-			if err := send(shardSliceBody{Attr: attr, Lo: ch[0], Hi: ch[1], Cells: cells[attr][lo:hi]}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -50,7 +50,7 @@ type tapFrame struct {
 	// secured session.
 	Msg *wire.Message
 	// Lo and Hi are the row range of a ppc/local, ppc/numeric-disguised,
-	// ppc/numeric-s, ppc/alpha-m or ppc/shard-slice chunk.
+	// ppc/numeric-s, ppc/alpha-m or ppc/shard-rows chunk.
 	Lo, Hi int
 }
 
@@ -120,9 +120,13 @@ func (t *tap) record(e tapEnd, frame []byte) *tapFrame {
 	}
 	if m := f.Msg; m != nil {
 		switch m.Kind {
-		case kindLocal, kindNumDisg, kindNumS, kindAlphaM, kindShardSlice:
+		case kindLocal, kindNumDisg, kindNumS, kindAlphaM, kindShardRows:
 			r := bodyReader{p: m.Payload}
 			r.int()
+			if m.Kind == kindShardRows {
+				r.int() // J
+				r.int() // K
+			}
 			f.Lo, f.Hi = r.int(), r.int()
 		}
 	}

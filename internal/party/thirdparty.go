@@ -305,6 +305,7 @@ func (tp *ThirdParty) assemble() (*TPReport, error) {
 
 	ctl := &laneGroup{
 		eps:  make([]*wire.Endpoint, len(tp.holders)),
+		rows: [2]int{0, core.total},
 		asms: make([]*dissim.SliceAssembler, len(attrs)),
 		tags: make([][]*wire.Message, len(attrs)),
 		reqs: make([]requestBody, len(tp.holders)),
