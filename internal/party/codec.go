@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"ppclust/internal/hcluster"
@@ -79,6 +80,15 @@ func appendInts(dst []byte, vs ...int) []byte {
 }
 
 func appendInt(dst []byte, v int) []byte { return binary.AppendVarint(dst, int64(v)) }
+
+// intsLen is how many bytes appendInts writes for vs.
+func intsLen(vs ...int) int {
+	n := 0
+	for _, v := range vs {
+		n += (bits.Len64(uint64(v)<<1^uint64(int64(v)>>63)|1) + 6) / 7
+	}
+	return n
+}
 
 // extend grows dst by n bytes and returns it with the new tail to fill.
 func extend(dst []byte, n int) (all, tail []byte) {
@@ -376,6 +386,10 @@ func (b localBody) AppendBody(dst []byte) ([]byte, error) {
 	return b.fill(appendInts(dst, b.N, b.Lo, b.Hi)), nil
 }
 
+func (b localBody) BodySize() int {
+	return intsLen(b.N, b.Lo, b.Hi) + 8*(b.Hi*(b.Hi-1)/2-b.Lo*(b.Lo-1)/2)
+}
+
 // DecodeBody keeps the cell block where it is: the received Message owns
 // its payload, and the assembler reads the cells out of it.
 func (b *localBody) DecodeBody(p []byte) error {
@@ -405,6 +419,10 @@ func (b shardRowsBody) AppendBody(dst []byte) ([]byte, error) {
 	return dst, err
 }
 
+func (b shardRowsBody) BodySize() int {
+	return intsLen(b.Attr, b.J, b.K, b.Lo, b.Hi) + 8*(b.Hi-b.Lo)*b.cols
+}
+
 // DecodeBody keeps the cell block where it is: the received Message owns
 // its payload, and the coordinator decodes the cells out of it into the
 // attribute's matrix once it has checked them against the census.
@@ -419,6 +437,8 @@ func (b shardFrameBody) AppendBody(dst []byte) ([]byte, error) {
 	return append(dst, b.Frame...), nil
 }
 
+func (b shardFrameBody) BodySize() int { return len(b.Frame) }
+
 // DecodeBody keeps the payload itself: the received Message owns it.
 func (b *shardFrameBody) DecodeBody(p []byte) error {
 	b.Frame = p
@@ -430,6 +450,8 @@ func (b *shardFrameBody) DecodeBody(p []byte) error {
 func (b numSBody) AppendBody(dst []byte) ([]byte, error) {
 	return b.fill(appendInts(dst, b.Rows, b.Lo, b.Hi))
 }
+
+func (b numSBody) BodySize() int { return intsLen(b.Rows, b.Lo, b.Hi) + b.size }
 
 // DecodeBody keeps the cell block where it is, its shape checked against
 // the bytes present: the received Message owns its payload, and the
@@ -463,6 +485,18 @@ func (b alphaMBody) AppendBody(dst []byte) ([]byte, error) {
 		shapes = shapes[n:]
 	}
 	return c.AppendSlab(dst), nil
+}
+
+func (b alphaMBody) BodySize() int {
+	c := &b.M
+	n := intsLen(b.Rows, b.Lo, b.Hi) + 1 + intsLen(len(c.Counts), len(c.Shapes)) + len(c.Packed) + 2*len(c.Wide)
+	for _, k := range c.Counts {
+		n += intsLen(k)
+	}
+	for _, sh := range c.Shapes {
+		n += intsLen(sh.Rows, sh.Cols)
+	}
+	return n
 }
 
 // DecodeBody makes two allocations per chunk however many string pairs it
@@ -511,6 +545,14 @@ func (b alphaDisguisedBody) AppendBody(dst []byte) ([]byte, error) {
 		return nil, fmt.Errorf("party: disguised strings: %w", err)
 	}
 	return append(appendIntList(append(dst, byte(s.Bits)), s.Lens), s.Slab...), nil
+}
+
+func (b alphaDisguisedBody) BodySize() int {
+	n := 1 + intsLen(len(b.S.Lens)) + len(b.S.Slab)
+	for _, l := range b.S.Lens {
+		n += intsLen(l)
+	}
+	return n
 }
 
 // DecodeBody makes one allocation — the lengths — and keeps the slab where

@@ -84,7 +84,7 @@ const (
 func numBody(rows, lo, hi int, tag byte, cRows, cCols int, cells []byte) numSBody {
 	return numSBody{Rows: rows, Lo: lo, Hi: hi, fill: func(dst []byte) ([]byte, error) {
 		return append(appendInts(append(dst, tag), cRows, cCols), cells...), nil
-	}}
+	}, size: 1 + intsLen(cRows, cCols) + len(cells)}
 }
 
 // reencode encodes what a decoder holds, through the value receiver the
@@ -257,6 +257,7 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 		{"local zero rows", localChunk(0, 0, 0, nil), &localBody{}, 3},
 		{"local special floats", localChunk(9, 1, 2, specials), &localBody{}, 0},
 		{"local negative header", localChunk(-1, -7, 1<<40, nil), &localBody{}, 0},
+		{"local two-byte header", localChunk(300, 200, 201, make([]float64, 200)), &localBody{}, 6 + 200*8},
 		{"numS float", numBody(4, 1, 3, tagFloat64, 2, 4, appendFloat64s(nil, specials)), &numSBody{}, 6 + 8*8},
 		{"numS int", numBody(4, 0, 2, tagInt64, 2, 2, ints), &numSBody{}, 6 + 4*8},
 		{"numS modp", numBody(3, 0, 3, tagModP, 3, 2, elems), &numSBody{}, 6 + 6*32},
@@ -306,6 +307,10 @@ func TestChunkBodyRoundTrip(t *testing.T) {
 		}
 		if tc.size != 0 && len(enc) != tc.size {
 			t.Errorf("%s: encodes to %d bytes, layout says %d", tc.name, len(enc), tc.size)
+		}
+		// A sizer's frame is built in a buffer of the size it declares.
+		if s, ok := tc.body.(wire.BodySizer); ok && tc.size != 0 && s.BodySize() != len(enc) {
+			t.Errorf("%s: declares %d bytes, encodes to %d", tc.name, s.BodySize(), len(enc))
 		}
 		if err := wire.DecodeBody(enc, tc.decoder); err != nil {
 			t.Errorf("%s: decode: %v", tc.name, err)

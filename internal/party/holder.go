@@ -742,17 +742,20 @@ type chunkFill func(dst []byte, lo, hi int) ([]byte, error)
 // the default budget).
 func (h *Holder) sendDisguise(peer string, msg wire.Message, t dataset.AttrType, rows, lo, hi, width int, fill chunkFill) error {
 	for _, ch := range h.cfg.pairChunksRange(h.num, t, lo, hi, width) {
-		if err := h.peers[peer].SendBody(msg, chunkBody(rows, ch, fill)); err != nil {
+		if err := h.peers[peer].SendBody(msg, chunkBody(h.num, rows, width, ch, fill)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// chunkBody is the body of chunk ch of a rows-row numeric payload, its
-// cells computed by fill as the frame is built.
-func chunkBody(rows int, ch [2]int, fill chunkFill) numSBody {
-	return numSBody{Rows: rows, Lo: ch[0], Hi: ch[1], fill: func(dst []byte) ([]byte, error) { return fill(dst, ch[0], ch[1]) }}
+// chunkBody is the body of chunk ch of a rows-row numeric payload of cols
+// cells a row, its cells computed by fill as the frame is built: a block
+// of the chunk's rows in num's arithmetic.
+func chunkBody(num protocol.Numeric, rows, cols int, ch [2]int, fill chunkFill) numSBody {
+	n := ch[1] - ch[0]
+	return numSBody{Rows: rows, Lo: ch[0], Hi: ch[1], fill: func(dst []byte) ([]byte, error) { return fill(dst, ch[0], ch[1]) },
+		size: 1 + intsLen(n, cols) + n*cols*num.CellBytes()}
 }
 
 // recvDisguise receives a peer's disguise of the rows [lo, hi) of a
@@ -796,7 +799,7 @@ func (h *Holder) streamShare(attr, p, lo, hi int, fill chunkFill) error {
 	return h.eachLane(pr[1], lo, hi, func(ln compLane) error {
 		msg.To = ln.to
 		for _, ch := range h.cfg.pairChunksRange(h.num, h.cfg.Schema.Attrs[attr].Type, ln.lo, ln.hi, h.census.counts[pr[0]]) {
-			if err := ln.ep.SendBody(msg, chunkBody(h.census.counts[pr[1]], ch, fill)); err != nil {
+			if err := ln.ep.SendBody(msg, chunkBody(h.num, h.census.counts[pr[1]], h.census.counts[pr[0]], ch, fill)); err != nil {
 				return err
 			}
 		}

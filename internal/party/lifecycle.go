@@ -64,7 +64,7 @@ func clipReason(reason string) string { return reason[:min(len(reason), abortRea
 //	  → notify peers (abort frames, best-effort, bounded by abortGrace)
 //	  → cancel the guard context with the classified cause
 //	  → owned conduits close, unblocking every parked Send/Recv
-//	  → lane readers and relay pumps drain out with the cause
+//	  → lane readers and rows collectors drain out with the cause
 //
 // A clean session instead calls release, which detaches the close so
 // nothing closes — conduit ownership stays with the caller, exactly as
@@ -463,8 +463,17 @@ func peerAbortError(m *wire.Message) error {
 	if err := wire.DecodeBody(m.Payload, &body); err == nil && body.Reason != "" {
 		reason = clipReason(body.Reason)
 	}
-	return fmt.Errorf("%w: peer %s: %s", ErrAborted, m.From, reason)
+	return &peerAbort{from: m.From, reason: reason}
 }
+
+// peerAbort is a peer's abort frame as a session error, classified under
+// ErrAborted.
+type peerAbort struct{ from, reason string }
+
+func (e *peerAbort) Error() string {
+	return fmt.Sprintf("%v: peer %s: %s", ErrAborted, e.from, e.reason)
+}
+func (e *peerAbort) Unwrap() error { return ErrAborted }
 
 // expectMsg is Endpoint.Expect plus abort interception: an abort frame
 // arriving where any protocol message is awaited terminates the wait with

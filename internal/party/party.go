@@ -649,6 +649,7 @@ type numSBody struct {
 	Lo, Hi int
 	cells  protocol.NumericChunk
 	fill   func(dst []byte) ([]byte, error)
+	size   int // the bytes fill appends
 }
 
 // alphaDisguisedBody is the initiator→responder alphanumeric message: the

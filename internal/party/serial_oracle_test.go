@@ -522,6 +522,9 @@ func TestRowFormsMatchWholeMatrixOracles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if n := body.BodySize(); n != len(enc) {
+			t.Fatalf("a numeric chunk body declares %d bytes and encodes to %d", n, len(enc))
+		}
 		var got numSBody
 		if err := wire.DecodeBody(enc, &got); err != nil {
 			t.Fatal(err)
@@ -581,11 +584,15 @@ func TestRowFormsMatchWholeMatrixOracles(t *testing.T) {
 								continue
 							}
 							for _, ch := range cfg.localChunksRange(plo, phi) {
-								enc, err := wire.EncodeBody(localBody{N: len(values[p]), Lo: ch[0], Hi: ch[1], fill: func(dst []byte) []byte {
+								local := localBody{N: len(values[p]), Lo: ch[0], Hi: ch[1], fill: func(dst []byte) []byte {
 									return dissim.AppendLocalRowsLE(dst, ch[0], ch[1], workers, localDist(p))
-								}})
+								}}
+								enc, err := wire.EncodeBody(local)
 								if err != nil {
 									t.Fatal(err)
+								}
+								if n := local.BodySize(); n != len(enc) {
+									t.Fatalf("a local chunk body declares %d bytes and encodes to %d", n, len(enc))
 								}
 								var body localBody
 								if err := wire.DecodeBody(enc, &body); err != nil {
@@ -600,7 +607,7 @@ func TestRowFormsMatchWholeMatrixOracles(t *testing.T) {
 						dRows := disguisedRows(mode, m)
 						var disg []protocol.NumericChunk
 						for _, ch := range cfg.pairChunksRange(num, numeric, 0, dRows, n) {
-							disg = append(disg, codec(chunkBody(dRows, ch, func(dst []byte, lo, hi int) ([]byte, error) {
+							disg = append(disg, codec(chunkBody(num, dRows, n, ch, func(dst []byte, lo, hi int) ([]byte, error) {
 								return num.Disguise(e, dst, xCol, lo, hi, m, jk, jt, protocol.InitiatorCols)
 							})).cells)
 						}
@@ -610,7 +617,7 @@ func TestRowFormsMatchWholeMatrixOracles(t *testing.T) {
 						}
 						num.Advance(e, jt, start, n, protocol.InitiatorCols)
 						for _, ch := range cfg.pairChunksRange(num, numeric, start, m, n) {
-							body := codec(chunkBody(m, ch, func(dst []byte, lo, hi int) ([]byte, error) {
+							body := codec(chunkBody(num, m, n, ch, func(dst []byte, lo, hi int) ([]byte, error) {
 								return num.Combine(e, dst, disg, yCol, lo, hi, jk, protocol.InitiatorCols)
 							}))
 							row, err := num.Strip(e, body.cells, body.Lo, body.Hi, jt, protocol.InitiatorCols)

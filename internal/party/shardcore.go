@@ -20,8 +20,11 @@ package party
 // runs; that is the whole cross-deployment bit-identity argument.
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"ppclust/internal/dataset"
@@ -44,6 +47,8 @@ type shardCore struct {
 	// readers — one per holder lane — never compute wider than the budget
 	// allows, and can never deadlock on it.
 	compute chan struct{}
+	// faults orders the failures its lane readers see, across every group.
+	faults laneFaults
 	// seeds[attr][p] and rowSeeds[attr][p] are the mask-stream seeds of pair
 	// p's block (sortedPairs order): the one the initiator shares with the
 	// third party, for the rows the responder produces, and the one the
@@ -104,6 +109,7 @@ func (c *shardCore) splitBlocks(asm *dissim.SliceAssembler, attr int) error {
 // conduits, one shard's conduits, or a worker's relay pipes — and what it
 // builds.
 type laneGroup struct {
+	name  string           // where the lanes lead, for their errors: "shard 1", "shard worker 1"; empty for the control lanes
 	eps   []*wire.Endpoint // by holder
 	rows  [2]int           // the global triangle rows the lanes carry
 	attrs []int            // the attributes the lanes carry, in schema order
@@ -115,11 +121,9 @@ type laneGroup struct {
 	// unevaluated, once it is checked against its schedule: the coordinator
 	// of a worker shard sends it on (remoteShard).
 	relay func(hi int, m *wire.Message) error
-	// evaluated, when set, takes each evaluated pair chunk in place of
-	// asms: a worker sends it back (shardRun.run).
-	evaluated func(attr int, sh pairShare, lo, hi int, row protocol.RowFunc) error
-	// lane, when set, names holder hi's lane in its reader's errors.
-	lane func(hi int) string
+	// install takes the rows of each pair chunk the group evaluates: into
+	// asms (crossInto), or on a worker back to the coordinator.
+	install func(attr int, sh pairShare, lo, hi int, row protocol.RowFunc) error
 	// tags[attr][hi] is holder hi's frame of tag attribute attr.
 	tags [][]*wire.Message
 	// finish, when set, completes attr once every lane has passed it.
@@ -143,6 +147,8 @@ type laneGroup struct {
 // compute token, so none evaluates a chunk after a failure. One parked in
 // a receive is unparked by whoever owns the conduits — the guard's
 // teardown on the third party, the close of the feed pipes on a worker.
+// Every error names the group and the holder whose lane it came from, and
+// a peer's abort yields to a failure another reader saw first (laneFaults).
 func (c *shardCore) readLanes(ctx context.Context, g *laneGroup) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -154,8 +160,12 @@ func (c *shardCore) readLanes(ctx context.Context, g *laneGroup) error {
 	for hi, ep := range g.eps {
 		go func() {
 			err := c.readLane(g, hi, lane{ctx: ctx, ep: ep}, pending)
-			if err != nil && g.lane != nil {
-				err = fmt.Errorf("party: %s: %w", g.lane(hi), err)
+			if err != nil {
+				to := ""
+				if g.name != "" {
+					to = " to " + g.name
+				}
+				err = c.faults.note(fmt.Errorf("party: %s's lane%s: %w", c.holders[hi], to, err))
 			}
 			errs <- err
 		}()
@@ -224,17 +234,44 @@ func (c *shardCore) readAttr(g *laneGroup, hi int, ln lane, attr int) error {
 	eng := c.engines.Get()
 	defer c.engines.Put(eng)
 	for _, sh := range shares {
-		install := func(lo, up int, row protocol.RowFunc) error {
-			return g.asms[attr].SetCrossRowsInto(sh.j, sh.k, lo, up, row)
-		}
-		if g.evaluated != nil {
-			install = func(lo, up int, row protocol.RowFunc) error { return g.evaluated(attr, sh, lo, up, row) }
-		}
-		if err := c.recvPairRows(eng, install, ln, attr, sh); err != nil {
+		if err := c.recvPairRows(eng, g.install, ln, attr, sh); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// crossInto is the install of a lane group that assembles the rows it
+// evaluates itself: into asms[attr], the attribute's assembler.
+func crossInto(asms []*dissim.SliceAssembler) func(attr int, sh pairShare, lo, hi int, row protocol.RowFunc) error {
+	return func(attr int, sh pairShare, lo, hi int, row protocol.RowFunc) error {
+		return asms[attr].SetCrossRowsInto(sh.j, sh.k, lo, hi, row)
+	}
+}
+
+// laneFaults orders the failures a core's lane readers see. A holder
+// whose lane fails at the third party's end sees it fail too, and aborts
+// on its other lanes; that abort can reach another group's reader while
+// the reader that saw the failure is still unwinding. The third party saw
+// the failure first, so the abort — its echo — yields to it.
+type laneFaults struct {
+	mu    sync.Mutex
+	first error // the first failure seen that was not an abort or the end of a reader's group
+}
+
+// note records err, a reader's failure, and returns the error the
+// reader's group reports: err itself, unless err is a peer's abort that
+// follows another failure, which it then reports in the abort's place.
+func (f *laneFaults) note(err error) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case errors.As(err, new(*peerAbort)):
+		return cmp.Or(f.first, err)
+	case f.first == nil && !errors.Is(err, context.Canceled):
+		f.first = err
+	}
+	return err
 }
 
 // lane is one holder's stream toward a lane group. It yields no frame once
@@ -341,7 +378,7 @@ func checkPairChunk(from, j, k string, ci int, sched [2]int, bodyRows, lo, hi, r
 // return frame — so unmasking and placement of a block overlap the rest of
 // the payload still on the wire. A numeric chunk is unmasked from the
 // payload's cells straight into the installed rows.
-func (c *shardCore) recvPairRows(eng *protocol.Engine, install func(lo, hi int, row protocol.RowFunc) error, ln lane, attr int, sh pairShare) error {
+func (c *shardCore) recvPairRows(eng *protocol.Engine, install func(attr int, sh pairShare, lo, hi int, row protocol.RowFunc) error, ln lane, attr int, sh pairShare) error {
 	a := c.cfg.Schema.Attrs[attr]
 	j, k, from := c.holders[sh.j], c.holders[sh.k], c.holders[sh.sender()]
 	rows, cols := c.counts[sh.k], c.counts[sh.j]
@@ -417,7 +454,7 @@ func (c *shardCore) recvPairRows(eng *protocol.Engine, install func(lo, hi int, 
 				return fmt.Errorf("party: block (%s,%s) rows [%d,%d) have %d columns, census says %d",
 					j, k, ch[0], ch[1], bCols, cols)
 			}
-			return install(ch[0], ch[1], row)
+			return install(attr, sh, ch[0], ch[1], row)
 		})
 		if err != nil {
 			return err

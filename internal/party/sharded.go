@@ -53,6 +53,7 @@ type shardSource func(ctx context.Context, maxes []float64) error
 // blocks split.
 func (c *shardCore) sliceGroup(eps []*wire.Endpoint, r [2]int, dst [][]float64) (*laneGroup, error) {
 	g := &laneGroup{eps: eps, rows: r, asms: make([]*dissim.SliceAssembler, len(dst))}
+	g.install = crossInto(g.asms)
 	for attr, a := range c.cfg.Schema.Attrs {
 		if tagBased(a.Type) {
 			continue
@@ -69,9 +70,10 @@ func (c *shardCore) sliceGroup(eps []*wire.Endpoint, r [2]int, dst [][]float64) 
 	return g, nil
 }
 
-// shardGroup is the lane group of shard s: its holder conduits, carrying
-// rows r, assembled in place into each comparison attribute's matrix.
-func (tp *ThirdParty) shardGroup(core *shardCore, s int, r [2]int, matrices []*dissim.Matrix) (*laneGroup, error) {
+// shardGroup is the lane group of shard s, named name: its holder
+// conduits, carrying rows r, assembled in place into each comparison
+// attribute's matrix.
+func (tp *ThirdParty) shardGroup(core *shardCore, name string, s int, r [2]int, matrices []*dissim.Matrix) (*laneGroup, error) {
 	eps := make([]*wire.Endpoint, len(tp.holders))
 	for hi, h := range tp.holders {
 		eps[hi] = wire.NewEndpoint(tp.shardLanes[s][h])
@@ -82,7 +84,12 @@ func (tp *ThirdParty) shardGroup(core *shardCore, s int, r [2]int, matrices []*d
 			rows[attr] = matrices[attr].PackedRowsView(r[0], r[1])
 		}
 	}
-	return core.sliceGroup(eps, r, rows)
+	g, err := core.sliceGroup(eps, r, rows)
+	if err != nil {
+		return nil, err
+	}
+	g.name = name
+	return g, nil
 }
 
 // localShard is the in-process source of shard s: lane readers over the
@@ -91,7 +98,7 @@ func (tp *ThirdParty) shardGroup(core *shardCore, s int, r [2]int, matrices []*d
 // never touches the conduit), assembling straight into the range's rows of
 // each comparison attribute's matrix.
 func (tp *ThirdParty) localShard(core *shardCore, s int, r [2]int, matrices []*dissim.Matrix) (shardSource, error) {
-	g, err := tp.shardGroup(core, s, r, matrices)
+	g, err := tp.shardGroup(core, fmt.Sprintf("shard %d", s), s, r, matrices)
 	if err != nil {
 		return nil, err
 	}
@@ -100,10 +107,7 @@ func (tp *ThirdParty) localShard(core *shardCore, s int, r [2]int, matrices []*d
 			_, maxes[attr], err = g.asms[attr].Done()
 			return err
 		}
-		if err := core.readLanes(ctx, g); err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
-		}
-		return nil
+		return core.readLanes(ctx, g)
 	}, nil
 }
 

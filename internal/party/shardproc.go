@@ -90,8 +90,8 @@ type shardLink struct {
 	s  int
 	ep *wire.Endpoint
 
-	// mu serializes senders — the offer, the per-holder relay pumps and
-	// the done frame share one conduit, and Endpoint.Send is not
+	// mu serializes senders — the offer, the lane readers' relayed pair
+	// chunks and the done frame share one conduit, whose Send is not
 	// concurrency-safe.
 	mu sync.Mutex
 }
@@ -185,7 +185,7 @@ func (tp *ThirdParty) dialShard(s int) (*shardLink, error) {
 // pair chunks to the worker, and installs the evaluated rows the worker
 // returns.
 func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, matrices []*dissim.Matrix) (shardSource, error) {
-	g, err := tp.shardGroup(core, s, r, matrices)
+	g, err := tp.shardGroup(core, fmt.Sprintf("shard worker %d", s), s, r, matrices)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +210,6 @@ func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, matrices []*
 	g.relay = func(hi int, m *wire.Message) error {
 		return link.send(wire.Message{From: TPName, To: ShardName(s), Kind: kindShardFrame, Attr: hi}, relayedFrame{m})
 	}
-	g.lane = func(hi int) string { return fmt.Sprintf("relaying %s frames to shard worker %d", tp.holders[hi], s) }
 	return func(ctx context.Context, maxes []float64) error {
 		// The end of ctx unparks the rows collector and relay sends, and so
 		// does a failed source: the lane readers and the collector each
@@ -251,6 +250,7 @@ func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, matrices []*
 type relayedFrame struct{ m *wire.Message }
 
 func (f relayedFrame) AppendBody(dst []byte) ([]byte, error) { return wire.AppendFrame(dst, f.m), nil }
+func (f relayedFrame) BodySize() int                         { return wire.FrameLen(f.m) }
 
 // collectShardRows drains worker s's control stream until every pair chunk
 // the lane group g relays to it has come back evaluated and is installed

@@ -610,34 +610,44 @@ func (c *shardCore) rowChunks(r [2]int, cell func(n int) float64, send func(shar
 // every row is in reports its failure while the session body is deciding
 // whether it succeeded. The decision must read that failure under the
 // lock and the session must end with the relay error, not publish.
+//
+// C is the holder whose rows reach shard 1; its lane there fails on the
+// coordinator's side after the hello and two chunk frames, either severed
+// or by a receive error that leaves the conduit open. A severed lane is
+// seen by C too, whose abort then reaches the coordinator's other readers
+// of C while the failed one may still be unwinding: the abort must yield
+// to the failure the coordinator saw first.
 func TestChaosShardProcPumpFailsAfterSlices(t *testing.T) {
-	leakcheck.Check(t)
-	cfg, _, err := chaosConfig().normalized() // the fingerprint covers defaulted weights
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.TPShards = 2
-	cfg.ShardDial = eagerWorker(t, cfg.Schema)
-	// C is the holder whose rows reach shard 1; its lane there fails on the
-	// coordinator's side after the hello and two chunk frames. The receive
-	// fails without closing the conduit: a closed lane would let C see it
-	// and race its own abort, on its control lane, against the
-	// coordinator's report while the coordinator still installs C's queued
-	// local chunks.
-	errLane := errors.New("C's lane to shard 1 fails")
-	tp := newTap(cfg)
-	tp.onRecv(ShardName(1), "C", func(f *tapFrame) ([][]byte, error) {
-		if f.N > 3 {
-			return nil, errLane
-		}
-		return f.pass()
-	})
-	_, err = RunInMemoryWrapped(cfg, pipelineParts(t, 8), pipelineReqs(), deterministicRandom(47), tp.wrap)
-	if err == nil {
-		t.Fatal("session with a dead relay lane published")
-	}
-	if !strings.Contains(err.Error(), "relaying C frames to shard worker 1") {
-		t.Fatalf("session error does not name the failed relay: %v", err)
+	for _, tc := range []struct {
+		name  string
+		fault error
+	}{
+		{"sever", errSever},
+		{"recv-error", errors.New("C's lane to shard 1 fails")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leakcheck.Check(t)
+			cfg, _, err := chaosConfig().normalized() // the fingerprint covers defaulted weights
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.TPShards = 2
+			cfg.ShardDial = eagerWorker(t, cfg.Schema)
+			tp := newTap(cfg)
+			tp.onRecv(ShardName(1), "C", func(f *tapFrame) ([][]byte, error) {
+				if f.N > 3 {
+					return nil, tc.fault
+				}
+				return f.pass()
+			})
+			_, err = RunInMemoryWrapped(cfg, pipelineParts(t, 8), pipelineReqs(), deterministicRandom(47), tp.wrap)
+			if err == nil {
+				t.Fatal("session with a dead relay lane published")
+			}
+			if !strings.Contains(err.Error(), "C's lane to shard worker 1") {
+				t.Fatalf("session error does not name the failed relay: %v", err)
+			}
+		})
 	}
 }
 
@@ -802,6 +812,7 @@ type rowsHarness struct {
 	r        [2]int
 	comp     []int // the comparison attributes
 	share    []int // where the chunks of the first share of 3+ chunks are in a generation
+	g        *laneGroup
 	matrices []*dissim.Matrix
 	peer     *wire.Endpoint
 	done     chan error
@@ -815,7 +826,7 @@ func newRowsHarness(t *testing.T) *rowsHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.comp = g.attrs
+	h.g, h.comp = g, g.attrs
 	shares := map[[4]int][]int{} // attribute, pair and first row of a share: its chunks
 	var order [][4]int
 	for i, b := range h.gen(1) {
@@ -885,6 +896,25 @@ func (h *rowsHarness) installed(attr int) []float64 {
 	return h.matrices[attr].PackedRowsView(h.r[0], h.r[1])
 }
 
+// max is attr's largest installed cell as its assembler records it, once
+// the local rows — which the collector does not install — are in, zero.
+func (h *rowsHarness) max(t *testing.T, attr int) float64 {
+	t.Helper()
+	asm := h.g.asms[attr]
+	for p := range h.core.counts {
+		if lo, hi := asm.PartyRows(p); lo < hi {
+			if err := asm.SetLocalRows(p, lo, hi, make([]float64, hi*(hi-1)/2-lo*(lo-1)/2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_, top, err := asm.Done()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
+}
+
 // expect is what installing bodies, each once, into fresh matrices leaves
 // of the harness's rows, by attribute.
 func (h *rowsHarness) expect(t *testing.T, bodies []shardRowsBody) [][]float64 {
@@ -920,12 +950,16 @@ func (h *rowsHarness) expect(t *testing.T, bodies []shardRowsBody) [][]float64 {
 // then a restarted worker resends every chunk after the replay, with
 // different cells. The installed cells must not change — the first
 // install wins — and the rest install from the second generation, each
-// counted once. A resent range that is no chunk of the share's schedule is
-// refused, not dropped.
+// counted once; the dropped copies, whose cells are the largest sent, must
+// not raise the attribute's maximum. A resent range that is no chunk of
+// the share's schedule is refused, not dropped.
 func TestShardSliceDedup(t *testing.T) {
 	h := newRowsHarness(t)
 	first, second := h.gen(1), h.gen(1000)
 	c0, c1, c2 := first[h.share[0]], first[h.share[1]], first[h.share[2]]
+	for _, i := range h.share[:2] {
+		second[i] = h.gen(1e6)[i]
+	}
 	go func() {
 		h.peer.SendBody(wire.Message{From: ShardName(0), To: TPName, Kind: kindShardBeat, Attr: -1}, shardBeatBody{})
 		h.send(c0.Attr, c0)
@@ -943,6 +977,9 @@ func TestShardSliceDedup(t *testing.T) {
 	for _, attr := range h.comp {
 		if got := h.installed(attr); !slices.Equal(got, want[attr]) {
 			t.Errorf("attribute %d: installed %v, want %v", attr, got, want[attr])
+		}
+		if got := h.max(t, attr); got != slices.Max(want[attr]) {
+			t.Errorf("attribute %d: max %v, want %v", attr, got, slices.Max(want[attr]))
 		}
 	}
 

@@ -202,7 +202,7 @@ func (s *ShardServer) handle(conn net.Conn) {
 		key:     shardRunKey{session: hello.Session, shard: shard},
 		epoch:   hello.Epoch,
 		conduit: secured,
-		ep:      wire.NewEndpoint(secured),
+		ep:      wire.NewEndpoint(&serialSends{Conduit: secured}),
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -263,17 +263,32 @@ type shardRun struct {
 	key     shardRunKey
 	epoch   uint32
 	conduit wire.Conduit
-	ep      *wire.Endpoint
+	// ep sends over serialSends: the lane readers build their rows frames
+	// concurrently, each evaluating its chunk into a frame of its own, and
+	// take turns only to seal and write it.
+	ep *wire.Endpoint
 
-	sendMu    sync.Mutex
 	closeOnce sync.Once
 }
 
 func (r *shardRun) send(kind wire.Kind, attr int, body any) error {
-	r.sendMu.Lock()
-	defer r.sendMu.Unlock()
 	return r.ep.SendBody(wire.Message{From: ShardName(r.key.shard), To: TPName, Kind: kind, Attr: attr}, body)
 }
+
+// serialSends is a conduit whose Sends take turns; Recv is the inner
+// conduit's own, and so is whether it hands over what it received.
+type serialSends struct {
+	wire.Conduit
+	mu sync.Mutex
+}
+
+func (c *serialSends) Send(frame []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.Conduit.Send(frame)
+}
+
+func (c *serialSends) RecvOwned() bool { return wire.RecvOwned(c.Conduit) }
 
 // close tears the run's link down, first explaining the failure to the
 // coordinator when there is one to explain (best-effort — on a dead link
@@ -424,7 +439,7 @@ func (r *shardRun) run(offer shardOfferBody) error {
 	// ppc/shard-rows frame per chunk, staged into the frame a row at a
 	// time — the worker holds no slice.
 	g := &laneGroup{eps: eps, rows: rg,
-		evaluated: func(attr int, sh pairShare, lo, hi int, row protocol.RowFunc) error {
+		install: func(attr int, sh pairShare, lo, hi int, row protocol.RowFunc) error {
 			body := shardRowsBody{Attr: attr, J: sh.j, K: sh.k, Lo: lo, Hi: hi,
 				cols: core.counts[sh.j], row: row, workers: core.workers}
 			return r.send(kindShardRows, attr, body)

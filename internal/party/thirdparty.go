@@ -310,6 +310,7 @@ func (tp *ThirdParty) assemble() (*TPReport, error) {
 		tags: make([][]*wire.Message, len(attrs)),
 		reqs: make([]requestBody, len(tp.holders)),
 	}
+	ctl.install = crossInto(ctl.asms)
 	for hi, h := range tp.holders {
 		ctl.eps[hi] = tp.eps[h]
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -52,6 +53,21 @@ func AppendFrame(dst []byte, m *Message) []byte {
 	return append(appendHeader(dst, m), m.Payload...)
 }
 
+// FrameLen is the length of the frame AppendFrame appends for m.
+func FrameLen(m *Message) int { return headerLen(m) + len(m.Payload) }
+
+// headerLen is the length of the header appendHeader writes for m.
+func headerLen(m *Message) int {
+	n := 1 + uvarintLen(uint64(m.Attr)<<1^uint64(int64(m.Attr)>>63))
+	for _, s := range [...]string{m.From, m.To, string(m.Kind), m.PairJ, m.PairK} {
+		n += uvarintLen(uint64(len(s))) + len(s)
+	}
+	return n
+}
+
+// uvarintLen is the length of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
 func appendHeader(dst []byte, m *Message) []byte {
 	dst = append(dst, FrameVersion)
 	for _, s := range [...]string{m.From, m.To, string(m.Kind), m.PairJ, m.PairK} {
@@ -90,6 +106,16 @@ func ParseFrame(frame []byte) (*Message, error) {
 // slice. SendBody writes such a body straight after the frame header.
 type BodyAppender interface {
 	AppendBody(dst []byte) ([]byte, error)
+}
+
+// BodySizer is a BodyAppender that knows, before it appends, at most how
+// many bytes it will: SendBody builds its frame in a buffer of that size.
+// The bodies whose size scales with a session — its chunks — are sizers,
+// so a holder sending 64 KiB chunks never builds a frame in a buffer sized
+// for another session's 256 KiB ones.
+type BodySizer interface {
+	BodyAppender
+	BodySize() int
 }
 
 // BodyDecoder is the receiving half of BodyAppender. DecodeBody must bound
@@ -145,12 +171,12 @@ type Endpoint struct {
 }
 
 // frameHint is the length of the longest frame any Endpoint in the
-// process has built, up to maxRetainedBuf: the size of the pooled buffer
-// the next frame is built in. Sessions repeat their frame sizes — chunk
-// frames are bounded by the chunk budget — so once the process has sent
-// one long frame, building a frame grows no buffer. The buffer goes back
-// to the pool as soon as the frame is sent, so a large hint holds one
-// buffer per concurrent sender at most.
+// process has built from a body that is no BodySizer, up to
+// maxRetainedBuf: the size of the pooled buffer the next such frame is
+// built in. Sessions repeat their frame sizes, so once the process has
+// sent one long frame, building a frame grows no buffer. The buffer goes
+// back to the pool as soon as the frame is sent, so a large hint holds
+// one buffer per concurrent sender at most.
 var frameHint atomic.Int64
 
 // NewEndpoint wraps a conduit for Message traffic.
@@ -163,19 +189,24 @@ func (e *Endpoint) Send(m *Message) error { return e.SendBody(*m, encoded(m.Payl
 type encoded []byte
 
 func (p encoded) AppendBody(dst []byte) ([]byte, error) { return append(dst, p...), nil }
+func (p encoded) BodySize() int                         { return len(p) }
 
 // SendBody encodes body and sends it under the given envelope fields, in
 // one pass: header and body are written back to back into one buffer from
 // the frame pool, which goes back to the pool zeroed once Send returns,
 // since it holds the frame in plaintext. m.Payload is not consulted.
 func (e *Endpoint) SendBody(m Message, body any) error {
-	buf := getFrame(int(frameHint.Load()))[:0]
+	n, sized := int(frameHint.Load()), false
+	if b, ok := body.(BodySizer); ok {
+		n, sized = headerLen(&m)+b.BodySize(), true
+	}
+	buf := getFrame(n)[:0]
 	frame, err := appendBody(appendHeader(buf, &m), body)
 	if err != nil {
 		Release(buf)
 		return err
 	}
-	if n := int64(min(len(frame), maxRetainedBuf)); n > frameHint.Load() {
+	if n := int64(min(len(frame), maxRetainedBuf)); !sized && n > frameHint.Load() {
 		frameHint.Store(n)
 	}
 	if len(frame) > MaxFrame {

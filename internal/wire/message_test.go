@@ -22,6 +22,9 @@ func TestFrameRoundTrip(t *testing.T) {
 		{From: strings.Repeat("n", 300), Kind: "k", Attr: 1 << 40},
 	} {
 		frame := AppendFrame([]byte("prefix"), &m)[len("prefix"):]
+		if n := FrameLen(&m); n != len(frame) {
+			t.Errorf("%+v: FrameLen says %d bytes, the frame has %d", m, n, len(frame))
+		}
 		got, err := ParseFrame(frame)
 		if err != nil {
 			t.Fatalf("%+v: %v", m, err)
