@@ -20,8 +20,9 @@
 // when the server refuses (retrying first, with capped exponential backoff,
 // when the refusal is retryable — e.g. the server is draining). The routing
 // admission carries the server's TP shard count: when the third party is
-// sharded (ppc-tp -shards K), the holder automatically dials one extra
-// connection per shard lane — no holder-side flag. All dials retry
+// sharded (ppc-tp -shard-addrs with K worker addresses), the holder
+// automatically dials one extra connection per shard lane — no
+// holder-side flag. All dials retry
 // transient failures under -connect-retries / -connect-backoff.
 //
 // With -reconnect-window, a severed third-party connection mid-session no

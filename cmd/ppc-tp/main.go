@@ -3,14 +3,13 @@
 // session ID (ppc-holder -session; empty is the default session) are
 // matched into one session, many sessions run concurrently under admission
 // control and resource budgets, and a termination signal drains gracefully.
-// With -once it serves exactly one session, prints its report and exits. The
-// -shards flag splits each session's third party into K row-range shards
-// behind a merge coordinator — holders learn the shard count from the
-// routing admission and dial one extra connection per shard; reports are
-// bit-identical to the single-TP path at every K. With -shard-addrs, the
-// shard pipelines run in external ppc-shard worker processes at the given
-// addresses instead of in-process goroutines; holders connect exactly the
-// same way, and a restarted worker heals its degraded sessions inside
+// With -once it serves exactly one session, prints its report and exits.
+// -shard-addrs lists K ≥ 2 ppc-shard worker processes and splits each
+// session's third party into K row-range shards behind a merge
+// coordinator, one worker evaluating each shard's pair chunks — holders
+// learn the shard count from the routing admission and dial one extra
+// connection per shard; reports are bit-identical to the single-TP path
+// at every K, and a restarted worker heals its degraded sessions inside
 // -reconnect-window. With -reconnect-window,
 // a session whose holder lane is severed mid-run parks degraded for that
 // grace period and accepts the holder's version-3 resume redial instead of
@@ -88,8 +87,7 @@ func run() error {
 	schemaFlag := flag.String("schema", "", "schema spec, e.g. age:numeric,seq:alphanumeric:dna (required)")
 	perPair := flag.Bool("perpair", false, "use per-pair masking (frequency-attack countermeasure)")
 	variant := flag.String("variant", "float64", "numeric arithmetic: float64, int64 or modp")
-	shards := flag.Int("shards", 1, "row-range TP shards per session (1 = single third party; results are bit-identical at every setting)")
-	shardAddrs := flag.String("shard-addrs", "", "comma-separated ppc-shard worker addresses, one per shard (empty = run shards in-process; requires -shards > 1)")
+	shardAddrs := flag.String("shard-addrs", "", "comma-separated ppc-shard worker addresses: K ≥ 2 of them shard each session K ways, one worker per shard (empty = single third party; results are bit-identical at every K)")
 	sessionTimeout := flag.Duration("session-timeout", 0, "bound on each tenant session (0 = unbounded)")
 	phaseTimeout := flag.Duration("phase-timeout", 2*time.Minute, "watchdog bound on per-session inactivity (0 = disabled)")
 	reconnectWindow := flag.Duration("reconnect-window", 0, "grace period a session with a severed holder lane waits degraded for a version-3 resume redial (0 = severs abort immediately; must match the holders')")
@@ -109,15 +107,10 @@ func run() error {
 		flag.Usage()
 		os.Exit(exitUsage)
 	}
-	if *shards < 1 || *shards > ppclust.MaxTPShards {
-		fmt.Fprintf(flag.CommandLine.Output(), "ppc-tp: -shards %d outside [1, %d]\n", *shards, ppclust.MaxTPShards)
-		flag.Usage()
-		os.Exit(exitUsage)
-	}
 	workerAddrs := splitNonEmpty(*shardAddrs)
-	if len(workerAddrs) > 0 && len(workerAddrs) != *shards {
-		fmt.Fprintf(flag.CommandLine.Output(), "ppc-tp: %d -shard-addrs entries for -shards %d (need exactly one worker per shard)\n",
-			len(workerAddrs), *shards)
+	shards := max(len(workerAddrs), 1)
+	if len(workerAddrs) == 1 || shards > ppclust.MaxTPShards {
+		fmt.Fprintf(flag.CommandLine.Output(), "ppc-tp: %d -shard-addrs entries, want none or 2 to %d\n", len(workerAddrs), ppclust.MaxTPShards)
 		flag.Usage()
 		os.Exit(exitUsage)
 	}
@@ -135,7 +128,7 @@ func run() error {
 	}
 	opts.SessionTimeout = *sessionTimeout
 	opts.PhaseTimeout = *phaseTimeout
-	opts.TPShards = *shards
+	opts.TPShards = shards
 	opts.ReconnectWindow = *reconnectWindow
 
 	if *once {
@@ -178,7 +171,7 @@ func run() error {
 	}
 	defer ln.Close()
 	log.Printf("third party listening on %s for holders %v (max-sessions=%d queue=%d shards=%d)",
-		ln.Addr(), holders, *maxSessions, *queueDepth, *shards)
+		ln.Addr(), holders, *maxSessions, *queueDepth, shards)
 
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln, ppclust.TPServeConfig{}) }()

@@ -173,6 +173,10 @@ func runInMemory(ctx context.Context, cfg Config, parts []dataset.Partition, req
 			c.Close()
 		}
 	}
+	// A party that fails to start leaves its peers waiting for its hellos,
+	// so every link closes. One that fails mid-session closes its own
+	// conduits after its abort frames, as over TCP; closing every other
+	// link too would show the third party bare closes before the reason.
 	defer closeAll()
 
 	type holderOut struct {
@@ -195,9 +199,6 @@ func runInMemory(ctx context.Context, cfg Config, parts []dataset.Partition, req
 			}
 			res, err := h.RunContext(ctx)
 			holderCh <- holderOut{name: p.Site, res: res, err: err}
-			if err != nil {
-				closeAll()
-			}
 		}(p)
 	}
 
@@ -214,9 +215,6 @@ func runInMemory(ctx context.Context, cfg Config, parts []dataset.Partition, req
 		}
 		tpCell.Store(tp)
 		report, tpErr = tpRun(tp, ctx)
-		if tpErr != nil {
-			closeAll()
-		}
 	}()
 	wg.Wait()
 	close(holderCh)

@@ -3,6 +3,7 @@ package party
 import (
 	"context"
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"io"
 
@@ -223,11 +224,16 @@ func (h *Holder) handshakeAll(conduits map[string]wire.Conduit) error {
 		}
 	}
 	// With every channel established the holder can explain a failure to
-	// its peers: abort frames go to the third party and every other holder.
+	// its peers: abort frames go to every other holder and on every lane to
+	// the third party — at K > 1 the shard lanes too, whose readers would
+	// otherwise see only the lane close.
 	h.guard.setNotify(func(reason string) {
-		eps := make(map[string]*wire.Endpoint, len(h.peers)+1)
+		eps := make(map[string]*wire.Endpoint, len(h.peers)+1+len(h.rangeLanes))
 		for name, ep := range h.peers {
 			eps[name] = ep
+		}
+		for _, ln := range h.rangeLanes {
+			eps[ln.to] = ln.ep
 		}
 		eps[TPName] = h.tp
 		sendAbortAll(h.name, eps, reason)
@@ -357,7 +363,7 @@ func (h *Holder) exchangeGroupKey() error {
 				return err
 			}
 			msg := wire.Message{From: h.name, To: peer, Kind: kindGroupKey, Attr: -1}
-			if err := h.peers[peer].SendBody(msg, groupKeyBody{Box: box}); err != nil {
+			if err := h.sendPeer(peer, msg, groupKeyBody{Box: box}); err != nil {
 				return err
 			}
 		}
@@ -598,7 +604,7 @@ func (h *Holder) initiate(attr, p int) error {
 		}
 		disguised := h.eng.AlphaInitiator(strs, a.Alphabet, jt)
 		msg.Kind = kindAlphaDisg
-		return h.peers[k].SendBody(msg, alphaDisguisedBody{S: protocol.PackAlphaStrings(disguised, protocol.AlphaCellBits(a.Alphabet))})
+		return h.sendPeer(k, msg, alphaDisguisedBody{S: protocol.PackAlphaStrings(disguised, protocol.AlphaCellBits(a.Alphabet))})
 	}
 
 	col, err := h.numericColumn(attr)
@@ -742,11 +748,34 @@ type chunkFill func(dst []byte, lo, hi int) ([]byte, error)
 // the default budget).
 func (h *Holder) sendDisguise(peer string, msg wire.Message, t dataset.AttrType, rows, lo, hi, width int, fill chunkFill) error {
 	for _, ch := range h.cfg.pairChunksRange(h.num, t, lo, hi, width) {
-		if err := h.peers[peer].SendBody(msg, chunkBody(h.num, rows, width, ch, fill)); err != nil {
+		if err := h.sendPeer(peer, msg, chunkBody(h.num, rows, width, ch, fill)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// sendPeer sends body to peer. A peer that failed sent its abort before
+// closing its conduits, so a send that finds the conduit closed while
+// this holder's session is still live reads that abort — the frames a
+// closed conduit still holds come before its close — and fails with the
+// peer's reason rather than the close: the holder's own abort then
+// carries the cause to the third party. Peer conduits are read only by
+// the run loop that sends on them, so nothing else is reading them.
+func (h *Holder) sendPeer(peer string, msg wire.Message, body any) error {
+	err := h.peers[peer].SendBody(msg, body)
+	if !errors.Is(err, wire.ErrClosed) || h.guard.ctx.Err() != nil {
+		return err
+	}
+	for {
+		m, rerr := h.peers[peer].Recv()
+		if rerr != nil {
+			return err
+		}
+		if m.Kind == kindAbort {
+			return peerAbortError(m)
+		}
+	}
 }
 
 // chunkBody is the body of chunk ch of a rows-row numeric payload of cols

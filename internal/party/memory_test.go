@@ -174,10 +174,11 @@ func TestSessionPeakWithinEstimate(t *testing.T) {
 	}
 }
 
-// TestSessionPeakWithinEstimateTwoShards is the same pin for in-process
-// shards (TPShards 2), which assemble their rows in place in the one
-// matrix per attribute, plus a ceiling of its own: a slice held beside
-// the matrix again would show there first.
+// TestSessionPeakWithinEstimateTwoShards is the same pin for two shards
+// (TPShards 2), whose rows are installed in place in the one matrix per
+// attribute, plus a ceiling of its own: a slice held beside the matrix
+// again would show there first. The two ShardServer workers run in this
+// process, so the sampled heap holds what they hold too.
 func TestSessionPeakWithinEstimateTwoShards(t *testing.T) {
 	const ceiling = 2.6
 	peak, estimate := sessionPeak(t, 2)
@@ -189,14 +190,18 @@ func TestSessionPeakWithinEstimateTwoShards(t *testing.T) {
 	}
 }
 
-// sessionPeak runs a 600 + 600 session at the given TPShards and returns,
-// in triangles, the highest live heap a sampler saw over the baseline
-// while ThirdParty.Run was running, and the admission estimate.
+// sessionPeak runs a 600 + 600 session at the given TPShards, with its
+// workers, and returns, in triangles, the highest live heap a sampler saw
+// over the baseline while ThirdParty.Run was running, and the admission
+// estimate.
 func sessionPeak(t *testing.T, shards int) (peak, estimate float64) {
 	const rows = 600
 	cfg, parts, reqs := pairCPUParts(rows)
 	cfg.Variant = Float64Variant
 	cfg.TPShards = shards
+	if shards > 1 {
+		cfg.ShardDial = newShardWorkerPool(t, shards, ShardServerConfig{Schema: cfg.Schema}).dialer("peak", nil)
+	}
 	// A collection marks what is reachable when it starts plus what is
 	// allocated while it runs, so one cycle that a loaded scheduler
 	// stretches across a hand-off — slices merged into the matrix, frames

@@ -36,10 +36,11 @@
 // 1); each holder streams every comparison attribute's chunk frames to
 // the lane that owns the rows — its control conduit at K ≤ 1, the shard
 // conduits otherwise — and the third party reads every lane with a reader
-// of its own, in the holder's send order (shardCore.readLanes). A range's
-// slice is assembled either in-process or by a ppc-shard worker the
-// coordinator relays the lane's frames to (Config.ShardDial); nothing else
-// differs between the deployments.
+// of its own, in the holder's send order (shardCore.readLanes). At K > 1
+// the third party installs each range's local chunks itself and relays
+// its pair chunks to the ppc-shard worker process that evaluates them
+// (Config.ShardDial); the worker's rows come back to be installed where
+// they lie.
 //
 // Holder-to-holder conduits carry a pair's two disguises in a fixed order —
 // J sends, K receives and then sends, J receives — and every holder walks
@@ -129,13 +130,14 @@ type Config struct {
 	// TPShards splits the third party into that many row-range shards
 	// plus a merge coordinator (0 and 1 both mean one range: the whole
 	// triangle, streamed on the control conduit and assembled by the third
-	// party itself). Each shard owns a contiguous
-	// range of global triangle rows (dissim.ShardRanges over the census
-	// total): holders fan each comparison attribute's local and pairwise
-	// chunk frames to the owning shard's conduit, each shard evaluates
-	// and assembles exactly its slice, and the coordinator merges the
-	// slices and normalizes — bit-identical to the single-TP session for
-	// every K. It is part of the session agreement: holder and third
+	// party itself). Each shard owns a contiguous range of global triangle
+	// rows (dissim.ShardRanges over the census total): holders fan each
+	// comparison attribute's local and pairwise chunk frames to the owning
+	// shard's conduit, the coordinator installs the local chunks, a worker
+	// process (ShardDial) evaluates the pair chunks, and the coordinator
+	// installs the worker's rows and normalizes — bit-identical to the
+	// single-TP session for every K. A third party with K > 1 needs
+	// ShardDial. It is part of the session agreement: holder and third
 	// party must agree (the server's admission routing preamble carries
 	// the count to holders), and every holder needs conduits named
 	// ShardName(0..K−1) next to the TPName control conduit. Tag-based
@@ -191,11 +193,10 @@ type Config struct {
 	// ErrResumeAborted or ErrResumeUnknown is fatal; any other error is
 	// retried with capped backoff until the window expires.
 	Redial RedialFunc
-	// ShardDial, set on the third party alongside TPShards > 1, promotes
-	// the shards to separate worker processes: instead of running shard
-	// goroutines, the coordinator dials one ppc-shard worker per active
-	// range through this hook, hands each its slice offer and relays the
-	// holders' shard-lane frames to it. The hook performs the shard
+	// ShardDial reaches the shards' worker processes, and the third party
+	// of a TPShards > 1 session requires it: the coordinator dials one
+	// ppc-shard worker per active range through this hook, hands each its
+	// slice offer and relays the holders' pair chunks to it. The hook performs the shard
 	// registration (netid v4 hello carrying state) and returns the raw
 	// replacement transport plus the worker's grant; the coordinator
 	// layers key agreement and AES-GCM on top — worker links are always
@@ -326,9 +327,9 @@ func shardRowsOf(lo, hi, off, n int) (int, int) {
 //     lanes.
 //
 // Sharding adds nothing to the matrix term: the K shards of one attribute
-// install their rows where they lie in its one matrix — an in-process
-// shard assembles into the matrix's rows, and the coordinator decodes a
-// worker's slice chunks into them — so no slice is held beside it. What
+// install their rows where they lie in its one matrix — the coordinator
+// assembles a range's local chunks into the matrix's rows and decodes a
+// worker's evaluated rows into them — so no slice is held beside it. What
 // scales with K is the per-shard plumbing: each shard runs its own lane
 // readers, whose frames are bounded by the per-shard slice, not the full
 // chunk. Pricing the session at K× the single-TP estimate would
@@ -731,8 +732,8 @@ type shardOfferBody struct {
 
 // shardFrameBody relays one holder frame, byte for byte, to the worker.
 // Message.Attr carries the holder's census index; the worker feeds the
-// bytes into that holder's pipe, reproducing the exact stream an
-// in-process shard's lane reader reads.
+// bytes into that holder's pipe, reproducing the holder's pair chunks of
+// the range in the order the holder sent them.
 type shardFrameBody struct {
 	Frame []byte
 }

@@ -360,8 +360,9 @@ func TestEmptyPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: mixedSchema()})
 	for _, k := range []int{1, 2} {
-		cfg := Config{Schema: mixedSchema(), Variant: Float64Variant, TPShards: k}
+		cfg := pool.withWorkers(Config{Schema: mixedSchema(), Variant: Float64Variant, TPShards: k}, "empty-partition")
 		out, err := RunInMemory(cfg, parts, map[string]ClusterRequest{"A": {Linkage: hcluster.Average, K: 2}}, deterministicRandom(5))
 		if err != nil {
 			t.Fatalf("shards=%d: %v", k, err)
@@ -517,8 +518,10 @@ func TestAllEmptySession(t *testing.T) {
 		{Site: "A", Table: dataset.MustNewTable(schema)},
 		{Site: "B", Table: dataset.MustNewTable(schema)},
 	}
+	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: schema})
 	for _, k := range []int{1, 2} {
-		out, err := RunInMemory(Config{Schema: schema, Variant: Float64Variant, TPShards: k}, parts, nil, deterministicRandom(9))
+		cfg := pool.withWorkers(Config{Schema: schema, Variant: Float64Variant, TPShards: k}, "all-empty")
+		out, err := RunInMemory(cfg, parts, nil, deterministicRandom(9))
 		if err != nil {
 			t.Fatalf("shards=%d: %v", k, err)
 		}

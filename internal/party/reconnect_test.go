@@ -140,11 +140,14 @@ func TestChaosReconnectShardedFlap(t *testing.T) {
 	leakcheck.Check(t)
 	parts := pipelineParts(t, 8)
 	reqs := pipelineReqs()
+	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: reconnConfig().Schema})
 	cfg := reconnConfig()
 	cfg.TPShards = 2
+	cfg = pool.withWorkers(cfg, "flapped")
 	clean := reconnConfig()
 	clean.TPShards = 2
 	clean.ResumeWindow = 0
+	clean = pool.withWorkers(clean, "fault-free")
 	want, err := RunInMemoryContext(context.Background(), clean, parts, reqs, deterministicRandom(32))
 	if err != nil {
 		t.Fatalf("fault-free sharded run: %v", err)

@@ -2,14 +2,15 @@ package party
 
 // shardCore is the third party's assembly pipeline over one set of
 // per-holder lanes, detached from the ThirdParty session object so the same
-// code runs wherever a row range is assembled:
+// code runs wherever a row range is read:
 //
 //   - on the third party itself, over the control conduits (the one range of
-//     a TPShards ≤ 1 session, plus the tag attributes of every session) and
-//     over the shard conduits of in-process shards;
+//     a TPShards ≤ 1 session, plus the tag attributes of every session) and,
+//     as the coordinator of a sharded one, over each shard's conduits, where
+//     it installs local chunks and relays pair chunks;
 //   - in a ppc-shard worker, which builds a core from the coordinator's
 //     offer (census, range, per-pair mask seeds) and feeds it the relayed
-//     pair chunks.
+//     pair chunks to evaluate.
 //
 // The core holds only what the math needs — the session agreement, the
 // census, the compute budget and the per-(attribute, pair) mask-stream
@@ -118,11 +119,11 @@ type laneGroup struct {
 	// its lanes carry pair chunks alone.
 	asms []*dissim.SliceAssembler
 	// relay, when set, takes each pair chunk off holder hi's lane
-	// unevaluated, once it is checked against its schedule: the coordinator
-	// of a worker shard sends it on (remoteShard).
+	// unevaluated, once it is checked against its schedule: a shard lane's
+	// coordinator sends it on to the shard's worker (remoteShard).
 	relay func(hi int, m *wire.Message) error
 	// install takes the rows of each pair chunk the group evaluates: into
-	// asms (crossInto), or on a worker back to the coordinator.
+	// asms on the control lanes, or on a worker back to the coordinator.
 	install func(attr int, sh pairShare, lo, hi int, row protocol.RowFunc) error
 	// tags[attr][hi] is holder hi's frame of tag attribute attr.
 	tags [][]*wire.Message
@@ -239,14 +240,6 @@ func (c *shardCore) readAttr(g *laneGroup, hi int, ln lane, attr int) error {
 		}
 	}
 	return nil
-}
-
-// crossInto is the install of a lane group that assembles the rows it
-// evaluates itself: into asms[attr], the attribute's assembler.
-func crossInto(asms []*dissim.SliceAssembler) func(attr int, sh pairShare, lo, hi int, row protocol.RowFunc) error {
-	return func(attr int, sh pairShare, lo, hi int, row protocol.RowFunc) error {
-		return asms[attr].SetCrossRowsInto(sh.j, sh.k, lo, hi, row)
-	}
 }
 
 // laneFaults orders the failures a core's lane readers see. A holder

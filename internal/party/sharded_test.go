@@ -1,24 +1,25 @@
 package party
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
+	"ppclust/internal/dataset"
 	"ppclust/internal/leakcheck"
 	"ppclust/internal/protocol"
 	"ppclust/internal/wire"
 )
 
 // TestShardedMatchesSingleTP is the sharded third party's differential
-// pin: K row-range shards behind the merge coordinator, for K 1, 2 and 4
-// crossed with Parallelism 1, 2 and all cores, must publish a report
-// bit-identical to the phase-serial single-TP reference — matrices,
-// scales, object ordering and every holder's clustering result. K=1
-// additionally covers the degenerate coordinator that owns the whole
-// triangle itself.
+// pin: K row-range shards behind the merge coordinator, their pair chunks
+// evaluated by ShardServer workers, for K 1, 2 and 4 crossed with
+// Parallelism 1, 2 and all cores, must publish a report bit-identical to
+// the phase-serial single-TP reference — matrices, scales, object
+// ordering and every holder's clustering result. K=1 additionally covers
+// the degenerate coordinator that owns the whole triangle itself.
 func TestShardedMatchesSingleTP(t *testing.T) {
 	parts := pipelineParts(t, 10)
 	reqs := pipelineReqs()
@@ -27,9 +28,11 @@ func TestShardedMatchesSingleTP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
+	pool := newShardWorkerPool(t, 4, ShardServerConfig{Schema: pipelineSchema()})
 	for _, k := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 2, 0} {
 			cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: workers, TPShards: k}
+			cfg = pool.withWorkers(cfg, fmt.Sprintf("single-tp-%d-%d", k, workers))
 			got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(23))
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d: %v", k, workers, err)
@@ -41,10 +44,9 @@ func TestShardedMatchesSingleTP(t *testing.T) {
 
 // TestSessionMatrixMatchesOracle is the full differential matrix of the one
 // session pipeline against the phase-serial oracle: every deployment of the
-// row ranges — one range, 2 and 4 in-process shards, 2 shards in ShardServer
-// workers over real TCP — crossed with chunk sizes one row per frame, 4 KiB,
-// the 256 KiB default and one frame per payload, Parallelism 1, 2 and all
-// cores, and
+// row ranges — one range, 2 and 4 shards in ShardServer workers over real
+// TCP — crossed with chunk sizes one row per frame, 4 KiB, the 256 KiB
+// default and one frame per payload, Parallelism 1, 2 and all cores, and
 // the float64, int64, mod-p and per-pair arithmetic must publish a report
 // bit-identical to the oracle's monolithic one. -short trims the chunk and
 // Parallelism axes to their extremes.
@@ -55,7 +57,7 @@ func TestSessionMatrixMatchesOracle(t *testing.T) {
 	if testing.Short() {
 		chunks, workers = []int{1, oneFrameBudget}, []int{1, 0}
 	}
-	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: pipelineSchema()})
+	pool := newShardWorkerPool(t, 4, ShardServerConfig{Schema: pipelineSchema()})
 	for _, v := range []struct {
 		name    string
 		variant Variant
@@ -76,14 +78,11 @@ func TestSessionMatrixMatchesOracle(t *testing.T) {
 				for _, dep := range []struct {
 					name   string
 					shards int
-					procs  bool
-				}{{"one-range", 1, false}, {"shards-2", 2, false}, {"shards-4", 4, false}, {"workers-2", 2, true}} {
+				}{{"one-range", 1}, {"workers-2", 2}, {"workers-4", 4}} {
 					label := fmt.Sprintf("%s chunk=%d workers=%d %s", v.name, chunk, w, dep.name)
 					cfg := base
 					cfg.LocalChunkBytes, cfg.Parallelism, cfg.TPShards = chunk, w, dep.shards
-					if dep.procs {
-						cfg.ShardDial = pool.dialer(label, nil)
-					}
+					cfg = pool.withWorkers(cfg, label)
 					got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(31))
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
@@ -99,12 +98,14 @@ func TestSessionMatrixMatchesOracle(t *testing.T) {
 // per-pair masking — the mode whose initiator→responder disguised matrix
 // now streams on the shared chunk schedule — across chunk sizes one row
 // per frame, 4 KiB, the 256 KiB default and one frame per payload (the
-// monolithic legacy shape), unsharded and at K=2. The mod-p variant rides along at the
-// smallest chunk: its rejection-sampled per-cell masks are the most
-// alignment-sensitive keystream across chunk and shard boundaries.
+// monolithic legacy shape), unsharded and at K=2 through workers. The
+// mod-p variant rides along at the smallest chunk: its rejection-sampled
+// per-cell masks are the most alignment-sensitive keystream across chunk
+// and shard boundaries.
 func TestShardedPerPairDisguisedChunkSweep(t *testing.T) {
 	parts := pipelineParts(t, 8)
 	reqs := pipelineReqs()
+	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: pipelineSchema()})
 	for _, tc := range []struct {
 		name    string
 		variant Variant
@@ -123,6 +124,7 @@ func TestShardedPerPairDisguisedChunkSweep(t *testing.T) {
 			for _, k := range []int{1, 2} {
 				cfg := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: protocol.PerPair,
 					Parallelism: 2, TPShards: k, LocalChunkBytes: chunk}
+				cfg = pool.withWorkers(cfg, fmt.Sprintf("per-pair-%s-%d-%d", tc.name, chunk, k))
 				got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(24))
 				if err != nil {
 					t.Fatalf("%s chunk=%d shards=%d: %v", tc.name, chunk, k, err)
@@ -145,8 +147,9 @@ func TestShardedMoreShardsThanRows(t *testing.T) {
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
+	pool := newShardWorkerPool(t, 8, ShardServerConfig{Schema: pipelineSchema()})
 	for _, k := range []int{4, 8} {
-		cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, TPShards: k}
+		cfg := pool.withWorkers(Config{Schema: pipelineSchema(), Variant: Float64Variant, TPShards: k}, fmt.Sprintf("more-shards-%d", k))
 		got, err := RunInMemory(cfg, parts, nil, deterministicRandom(25))
 		if err != nil {
 			t.Fatalf("shards=%d: %v", k, err)
@@ -155,10 +158,11 @@ func TestShardedMoreShardsThanRows(t *testing.T) {
 	}
 }
 
-// TestChaosShardedConduitFault: a severed shard conduit mid-stream must
-// abort the whole sharded session with a classified error — coordinator,
-// sibling shard and every holder released, no goroutine left behind. The
-// Chaos prefix places it in CI's race-enabled chaos smoke.
+// TestChaosShardedConduitFault: a severed holder→shard conduit mid-stream
+// must abort the whole sharded session with a classified error —
+// coordinator, both workers' runs and every holder released, no goroutine
+// left behind. The Chaos prefix places it in CI's race-enabled chaos
+// smoke.
 func TestChaosShardedConduitFault(t *testing.T) {
 	leakcheck.Check(t)
 	parts := pipelineParts(t, 8)
@@ -177,6 +181,7 @@ func TestChaosShardedConduitFault(t *testing.T) {
 			leakcheck.Check(t)
 			cfg := chaosConfig()
 			cfg.TPShards = 2
+			cfg.ShardDial = newShardWorkerPool(t, 2, ShardServerConfig{Schema: cfg.Schema}).dialer("conduit-fault-"+sc.name, nil)
 			out, err := RunInMemoryWrapped(cfg, parts, pipelineReqs(),
 				deterministicRandom(26), linkFault("C", ShardName(1), sc.spec))
 			if err == nil {
@@ -189,43 +194,74 @@ func TestChaosShardedConduitFault(t *testing.T) {
 	}
 }
 
-// benchShardedSession runs one full session with the third party split
-// into k row-range shards, every TP-side lane (control and shard) behind
-// a store-and-forward link: 1 ms propagation, 64 MB/s bandwidth. The
-// two-holder shape from the stream benchmarks keeps the responder→TP S
-// matrix the dominant payload, so shard scaling shows up as K lanes
-// draining it concurrently.
-func benchShardedSession(b *testing.B, k int) {
-	parts := pairCapParts(b, 400, 400)
-	cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant, TPShards: k}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		linkSeed := uint64(0)
-		tpLink := func(owner, peer string, c wire.Conduit) wire.Conduit {
-			if owner != TPName && peer != TPName && !isShardLane(owner, peer) {
-				return c
-			}
-			linkSeed++
-			return wire.Link(c, time.Millisecond, 0, 64<<20, linkSeed)
+// TestShardedThirdPartyNeedsWorkers: a third party of more than one shard
+// without a ShardDial has no one to evaluate its shards' pair chunks, so
+// its constructor refuses the configuration, naming what is missing,
+// before a hello goes out.
+func TestShardedThirdPartyNeedsWorkers(t *testing.T) {
+	holders := []string{"A", "B"}
+	conduits := map[string]wire.Conduit{}
+	var far []wire.Conduit
+	attach := func(key string) {
+		a, b := wire.Pipe()
+		conduits[key], far = a, append(far, b)
+		t.Cleanup(func() {
+			a.Close()
+			b.Close()
+		})
+	}
+	for _, h := range holders {
+		attach(h)
+		for s := range 2 {
+			attach(ShardConduitKey(h, s))
 		}
-		if _, err := RunInMemoryWrapped(cfg, parts, nil, deterministicRandom(27), tpLink); err != nil {
-			b.Fatal(err)
+	}
+	cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, TPShards: 2}
+	_, err := NewThirdParty(holders, cfg, conduits, deterministicRandom(21)(TPName))
+	if err == nil || !strings.Contains(err.Error(), "2 shards has no ShardDial") {
+		t.Fatalf("2 shards without a ShardDial: %v, want a configuration error naming the missing ShardDial", err)
+	}
+	for _, c := range conduits {
+		c.Close()
+	}
+	for i, c := range far {
+		if m, err := c.Recv(); err == nil {
+			t.Fatalf("lane %d carried a %d-byte frame from a refused third party", i, len(m))
 		}
 	}
 }
 
-// isShardLane reports whether either end of a session link is a TP shard
-// ("TP#0", "TP#1", …) — the extra lanes the sharded driver adds.
-func isShardLane(owner, peer string) bool {
-	return strings.HasPrefix(owner, TPName+"#") || strings.HasPrefix(peer, TPName+"#")
-}
-
-// BenchmarkSessionSharded is the session-sharded family's in-tree smoke
-// variant (CI runs it at -benchtime=1x): the same session at K 1, 2
-// and 4 row-range shards over bandwidth-limited 1 ms TP links.
-func BenchmarkSessionSharded(b *testing.B) {
-	for _, k := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards-%d", k), func(b *testing.B) { benchShardedSession(b, k) })
+// TestChaosHolderAbortReachesShardLanes: a holder that fails mid-session
+// sends its abort on every lane it has to the third party, shard lanes
+// included, so the third party's session error is that holder's
+// classified reason — never the close of a lane whose reader never saw
+// the abort. Holder D's non-integral ages fail its mod-p value check once
+// its first local chunks are on the shard lanes; ten sessions of four
+// holders at K = 2, each through workers, must all end in D's reason.
+func TestChaosHolderAbortReachesShardLanes(t *testing.T) {
+	leakcheck.Check(t)
+	parts := pipelinePartsOf(6, 7, 8, 9)
+	fractional := dataset.MustNewTable(pipelineSchema())
+	for r := range 9 {
+		fractional.MustAppendRow(float64(r)+0.5, float64(40*r), "ACGTAC", "izmir")
+	}
+	parts[3].Table = fractional
+	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: pipelineSchema()})
+	for run := range 10 {
+		cfg := Config{Schema: pipelineSchema(), Variant: ModPVariant, TPShards: 2, LocalChunkBytes: 64}
+		cfg.ShardDial = pool.dialer(fmt.Sprintf("abort-%d", run), nil)
+		var tpErr error
+		_, err := runInMemory(context.Background(), cfg, parts, pipelineReqs(), deterministicRandom(uint64(70+run)), nil,
+			func(tp *ThirdParty, ctx context.Context) (*TPReport, error) {
+				rep, err := tp.RunContext(ctx)
+				tpErr = err
+				return rep, err
+			})
+		if err == nil {
+			t.Fatalf("run %d: a session with a non-integral mod-p column succeeded", run)
+		}
+		if !errors.Is(tpErr, ErrAborted) || !strings.Contains(tpErr.Error(), "is not integral") || strings.Contains(tpErr.Error(), "conduit closed") {
+			t.Errorf("run %d: the third party failed with %v, want D's abort carrying its reason", run, tpErr)
+		}
 	}
 }

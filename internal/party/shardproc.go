@@ -1,12 +1,18 @@
 package party
 
-// Cross-process TP shards: the coordinator side.
+// The sharded third party (TPShards > 1): the coordinator side.
 //
-// With Config.ShardDial set and TPShards > 1, a range's pair chunks are
-// evaluated by a ppc-shard worker process (shardserver.go) instead of lane
-// readers in this process, and this file is the coordinator's half of the
-// coordinator↔shard control protocol — remoteShard, the shardSource the
-// session body plugs in:
+// A sharded session differs from the single-TP one only in where
+// comparison rows come from. The session body (ThirdParty.assemble) is
+// shared: the control conduit carries handshake, census, the tag-based
+// attributes, clustering requests and results in every session, and at
+// K ≤ 1 the comparison traffic too. At K > 1 each row range of
+// dissim.ShardRanges(total, K) has its own holder conduits, and its pair
+// chunks are evaluated by a ppc-shard worker process (shardserver.go)
+// that the coordinator reaches through Config.ShardDial. This file is the
+// coordinator's half of the coordinator↔shard control protocol:
+// remoteShard, the shardSource of one range, and mergeShardSlices, which
+// folds the sources' maxima into each attribute's matrix and normalizes.
 //
 //	coordinator                                 worker
 //	    │  netid v4 shard-registration hello       │
@@ -24,21 +30,34 @@ package party
 //
 // A shard lane carries two kinds of frame, and each goes where it is
 // needed. The coordinator keeps the secured holder→shard conduits from
-// the handshake and reads them with the same lane readers an in-process
-// shard runs (shardCore.readLanes over the range's rows of each
-// attribute's matrix): a holder's local-matrix chunks are checked against
-// their schedule and installed here, as in any other deployment, and its
-// pair chunks — the only frames that need the third party's unmasking
-// step — are checked against theirs and relayed, byte for byte, to the
-// worker. The worker feeds them to the same pair readers, which evaluate
-// the exact stream an in-process shard would — bit-identity across
-// deployments is code identity, not re-derivation — and returns each
-// chunk's rows as one ppc/shard-rows frame, so no frame on the link
-// outgrows the chunk budget, whatever the session's size. The collector
-// here installs each returned chunk into the matrix; the attribute is done
-// once the local rows are in and every pair share's rows have come back.
-// The only difference between an in-process and a worker shard is who
-// evaluates pair chunks.
+// the handshake and reads them with lane readers (shardCore.readLanes
+// over the range's rows of each attribute's matrix): a holder's
+// local-matrix chunks are checked against their schedule and installed
+// here, as at K ≤ 1, and its pair chunks — the only frames that need the
+// third party's unmasking step — are checked against theirs and relayed,
+// byte for byte, to the worker. The worker feeds them to the pair readers
+// the single-TP session runs on its control lanes, which evaluate them —
+// bit-identity across deployments is code identity, not re-derivation —
+// and returns each chunk's rows as one ppc/shard-rows frame, so no frame
+// on the link outgrows the chunk budget, whatever the session's size. The
+// collector here installs each returned chunk into the matrix; the
+// attribute is done once the local rows are in and every pair share's
+// rows have come back.
+//
+// Each comparison attribute's matrix is allocated once, before the
+// sources start, and every row is installed where it lies: the range's
+// local chunks through a slice assembler over the matrix's row view
+// (dissim.NewSliceAssemblerInto over PackedRowsView), a worker's rows
+// decoded straight into it. No slice is held beside the matrix — by the
+// coordinator or by a worker — and nothing is copied to merge.
+//
+// The split partitions rows, wire lanes and pair-chunk evaluation, not
+// trust. Bit-identity with the one-range session holds for every K:
+// chunk evaluation is sequence-identical (pinned by the protocol row
+// tests), slice assembly writes each cell exactly once with the same
+// value (pinned by the dissim slice tests), and max is associative, so
+// the matrix, its normalization scale and every downstream clustering
+// result match byte for byte.
 //
 // Failure and healing: worker links are plain conduits when ResumeWindow
 // is 0 (a severed worker fails the session, classified under
@@ -178,14 +197,47 @@ func (tp *ThirdParty) dialShard(s int) (*shardLink, error) {
 	return &shardLink{s: s, ep: wire.NewEndpoint(secured)}, nil
 }
 
-// remoteShard is the worker-process source of shard s: it dials the worker
-// and hands it the offer; the source then reads the holders' shard lanes
-// like an in-process shard, installing their local chunks into the
-// range's rows of each comparison attribute's matrix and relaying their
-// pair chunks to the worker, and installs the evaluated rows the worker
-// returns.
+// shardSource is where one row range's rows come from. It blocks until
+// every comparison attribute's rows of the range are installed where they
+// lie in the attribute's matrix, and the largest entry it installed is in
+// maxes (indexed by attribute), or until the source failed; the end of ctx
+// stops it from outside. A source writes only its own rows and its own
+// maxes, so sources run concurrently.
+type shardSource func(ctx context.Context, maxes []float64) error
+
+// shardGroup is the coordinator's lane group of global rows r over the
+// holder lanes eps, named name: each comparison attribute's rows of r
+// assembled in place into its matrix, its pair blocks split. The caller
+// sets relay, which takes every pair chunk.
+func (c *shardCore) shardGroup(name string, eps []*wire.Endpoint, r [2]int, matrices []*dissim.Matrix) (*laneGroup, error) {
+	g := &laneGroup{name: name, eps: eps, rows: r, asms: make([]*dissim.SliceAssembler, len(matrices))}
+	for attr, a := range c.cfg.Schema.Attrs {
+		if tagBased(a.Type) {
+			continue
+		}
+		sa, err := dissim.NewSliceAssemblerInto(matrices[attr].PackedRowsView(r[0], r[1]), c.counts, r[0], r[1], c.workers)
+		if err != nil {
+			return nil, err
+		}
+		if err := c.splitBlocks(sa, attr); err != nil {
+			return nil, err
+		}
+		g.attrs, g.asms[attr] = append(g.attrs, attr), sa
+	}
+	return g, nil
+}
+
+// remoteShard is the source of shard s: it dials the shard's worker and
+// hands it the offer; the source then reads the holders' shard lanes,
+// installing their local chunks into the range's rows of each comparison
+// attribute's matrix and relaying their pair chunks to the worker, and
+// installs the evaluated rows the worker returns.
 func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, matrices []*dissim.Matrix) (shardSource, error) {
-	g, err := tp.shardGroup(core, fmt.Sprintf("shard worker %d", s), s, r, matrices)
+	eps := make([]*wire.Endpoint, len(tp.holders))
+	for hi, h := range tp.holders {
+		eps[hi] = wire.NewEndpoint(tp.shardLanes[s][h])
+	}
+	g, err := core.shardGroup(fmt.Sprintf("shard worker %d", s), eps, r, matrices)
 	if err != nil {
 		return nil, err
 	}
@@ -365,4 +417,21 @@ func (c *shardCore) installRows(asm *dissim.SliceAssembler, body shardRowsBody) 
 func installed(chunks [][2]int, rows [2]int) bool {
 	i, ok := slices.BinarySearchFunc(chunks, rows[0], func(ch [2]int, lo int) int { return cmp.Compare(ch[0], lo) })
 	return ok && chunks[i] == rows
+}
+
+// mergeShardSlices folds the sources' maxima (maxes[s], by attribute) into
+// each comparison attribute's matrix, whose rows the sources installed
+// where they lie, and normalizes. The ranges partition the triangle and
+// max is associative — so the scale, and with element-wise division every
+// cell, is bit-identical to the one-range assembly.
+func (tp *ThirdParty) mergeShardSlices(maxes [][]float64, matrices []*dissim.Matrix, scales []float64) {
+	for attr, a := range tp.cfg.Schema.Attrs {
+		if tagBased(a.Type) {
+			continue
+		}
+		for _, m := range maxes {
+			matrices[attr].FoldMax(m[attr])
+		}
+		scales[attr] = matrices[attr].NormalizePar(tp.workers)
+	}
 }

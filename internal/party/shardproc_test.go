@@ -25,108 +25,11 @@ import (
 	"ppclust/internal/wire"
 )
 
-// shardWorkerPool runs N in-process ShardServers over real localhost TCP —
-// the worker half of the cross-process protocol without the subprocess
-// spawn (internal/proctest covers real processes). The address registry is
-// mutable so tests can retarget a shard's dials mid-session (worker
-// restart) and conduit hooks can inject link faults on the coordinator's
-// side of a dial.
-type shardWorkerPool struct {
-	t       testing.TB
-	mu      sync.Mutex
-	addrs   map[int]string
-	servers []*ShardServer
-}
-
-func newShardWorkerPool(t testing.TB, shards int, cfg ShardServerConfig) *shardWorkerPool {
-	t.Helper()
-	p := &shardWorkerPool{t: t, addrs: make(map[int]string)}
-	for s := 0; s < shards; s++ {
-		p.setAddr(s, p.startWorker(cfg))
-	}
-	t.Cleanup(p.close)
-	return p
-}
-
-// startWorker boots one ShardServer on its own listener and returns its
-// address. The server is torn down with the pool.
-func (p *shardWorkerPool) startWorker(cfg ShardServerConfig) string {
-	p.t.Helper()
-	srv, err := NewShardServer(cfg)
-	if err != nil {
-		p.t.Fatalf("shard server: %v", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		p.t.Fatalf("shard listener: %v", err)
-	}
-	go srv.Serve(ln)
-	p.mu.Lock()
-	p.servers = append(p.servers, srv)
-	p.mu.Unlock()
-	return ln.Addr().String()
-}
-
-func (p *shardWorkerPool) setAddr(shard int, addr string) {
-	p.mu.Lock()
-	p.addrs[shard] = addr
-	p.mu.Unlock()
-}
-
-func (p *shardWorkerPool) close() {
-	p.mu.Lock()
-	servers := p.servers
-	p.servers = nil
-	p.mu.Unlock()
-	for _, srv := range servers {
-		srv.Close()
-	}
-}
-
-// dialer builds the ShardDialFunc a deployment's coordinator would use:
-// TCP dial, v4 shard-registration hello with the resume state, watermark
-// grant, pooled conduit. wrap, when non-nil, decorates each returned
-// conduit (keyed by shard and the per-shard dial ordinal) — the hook tests
-// use to flap or cut a worker link.
-func (p *shardWorkerPool) dialer(session string, wrap func(shard, dial int, c wire.Conduit) wire.Conduit) ShardDialFunc {
-	dials := make(map[int]int)
-	var mu sync.Mutex
-	return func(ctx context.Context, shard int, state ResumeState) (wire.Conduit, ResumeGrant, error) {
-		p.mu.Lock()
-		addr := p.addrs[shard]
-		p.mu.Unlock()
-		var d net.Dialer
-		conn, err := d.DialContext(ctx, "tcp", addr)
-		if err != nil {
-			return nil, ResumeGrant{}, err
-		}
-		if err := netid.AnnounceShardRegistrationWithin(conn, TPName, session, shard,
-			state.Epoch, state.Sent, state.Recv, 5*time.Second); err != nil {
-			conn.Close()
-			return nil, ResumeGrant{}, err
-		}
-		sent, recv, err := netid.AwaitResumeGrant(conn, 5*time.Second)
-		if err != nil {
-			conn.Close()
-			return nil, ResumeGrant{}, err
-		}
-		c := wire.Conduit(wire.TCPPooled(conn))
-		if wrap != nil {
-			mu.Lock()
-			n := dials[shard]
-			dials[shard] = n + 1
-			mu.Unlock()
-			c = wrap(shard, n, c)
-		}
-		return c, ResumeGrant{Sent: sent, Recv: recv}, nil
-	}
-}
-
-// TestShardProcMatchesInProcess is the cross-process differential pin: at
-// K=2 and K=4, with the shard pipelines in ShardServer workers on the far
-// side of real TCP links, the session must publish reports bit-identical
-// to the in-process sharded path and the phase-serial single-TP reference.
-func TestShardProcMatchesInProcess(t *testing.T) {
+// TestShardProcMatchesSerialTP is the cross-process differential pin: at
+// K=2 and K=4, with the shards' pair chunks evaluated by ShardServer
+// workers on the far side of real TCP links, the session must publish
+// reports bit-identical to the phase-serial single-TP reference.
+func TestShardProcMatchesSerialTP(t *testing.T) {
 	parts := pipelineParts(t, 10)
 	reqs := pipelineReqs()
 	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
@@ -136,15 +39,8 @@ func TestShardProcMatchesInProcess(t *testing.T) {
 	}
 	for _, k := range []int{2, 4} {
 		for _, workers := range []int{1, 0} {
-			inproc := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: workers, TPShards: k}
-			oracle, err := RunInMemory(inproc, parts, reqs, deterministicRandom(41))
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d in-process oracle: %v", k, workers, err)
-			}
-			assertSameOutcome(t, fmt.Sprintf("in-process shards=%d workers=%d", k, workers), want, oracle)
-
 			pool := newShardWorkerPool(t, k, ShardServerConfig{Schema: pipelineSchema()})
-			cfg := inproc
+			cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: workers, TPShards: k}
 			cfg.ShardDial = pool.dialer(fmt.Sprintf("proc-%d-%d", k, workers), nil)
 			got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(41))
 			if err != nil {
@@ -346,11 +242,12 @@ func TestShardProcWorkerFramesBounded(t *testing.T) {
 	const budget = 4 << 10
 	const framing = 64 // the envelope and the chunk's row range
 	cfg, parts, reqs := pairCPUParts(200)
-	cfg.Variant, cfg.TPShards, cfg.LocalChunkBytes = Float64Variant, 2, budget
-	want, err := RunInMemory(cfg, parts, reqs, deterministicRandom(48))
+	cfg.Variant, cfg.LocalChunkBytes = Float64Variant, budget
+	want, err := runSerialTP(cfg, parts, reqs, deterministicRandom(48), nil)
 	if err != nil {
-		t.Fatalf("in-process shards: %v", err)
+		t.Fatalf("single-TP baseline: %v", err)
 	}
+	cfg.TPShards = 2
 	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: cfg.Schema})
 	tp := newTap(Config{PlaintextChannels: true})
 	cfg.ShardDial = pool.dialer("bounded-frames", tp.workerLinks(pool.servers[0].fp, nil))
@@ -389,12 +286,14 @@ func TestShardProcWorkerFramesBounded(t *testing.T) {
 func TestShardProcRelaysPairChunksOnly(t *testing.T) {
 	parts := pipelineParts(t, 8)
 	counts := []int{8, 9, 10}
+	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, LocalChunkBytes: 256}
+	want, err := runSerialTP(base, parts, nil, deterministicRandom(50), nil)
+	if err != nil {
+		t.Fatalf("single-TP baseline: %v", err)
+	}
 	for _, k := range []int{2, 3} {
-		cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, TPShards: k, LocalChunkBytes: 256}
-		want, err := RunInMemory(cfg, parts, nil, deterministicRandom(50))
-		if err != nil {
-			t.Fatalf("K = %d in-process: %v", k, err)
-		}
+		cfg := base
+		cfg.TPShards = k
 		pool := newShardWorkerPool(t, k, ShardServerConfig{Schema: pipelineSchema()})
 		tp := newTap(Config{PlaintextChannels: true})
 		cfg.ShardDial = pool.dialer(fmt.Sprintf("pairs-only-%d", k), tp.workerLinks(pool.servers[0].fp, nil))
@@ -865,14 +764,12 @@ func newRowsHarness(t *testing.T) *rowsHarness {
 func (h *rowsHarness) group() (*laneGroup, error) {
 	attrs := h.core.cfg.Schema.Attrs
 	h.matrices = make([]*dissim.Matrix, len(attrs))
-	rows := make([][]float64, len(attrs))
 	for attr, a := range attrs {
 		if !tagBased(a.Type) {
 			h.matrices[attr] = dissim.New(h.core.total)
-			rows[attr] = h.matrices[attr].PackedRowsView(h.r[0], h.r[1])
 		}
 	}
-	return h.core.sliceGroup(nil, h.r, rows)
+	return h.core.shardGroup("", nil, h.r, h.matrices)
 }
 
 // gen is a generation of a worker's rows: a body for every pair chunk of
@@ -1370,10 +1267,15 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 	assertSameOutcome(t, "session after the crafted offer", want, got)
 }
 
-// benchShardProcSession runs one full session whose K shard pipelines
-// live behind the cross-process control protocol — real localhost TCP,
-// v4 registration, AES-GCM worker links — against in-process
-// ShardServers (the protocol cost without subprocess spawn noise).
+// benchShardProcSession runs one full session with the third party split
+// into k row-range shards (one range at k = 1), every holder↔TP lane
+// (control and shard) behind a store-and-forward link: 1 ms propagation,
+// 64 MB/s bandwidth. The shards' pair chunks are evaluated behind the
+// cross-process control protocol — real localhost TCP, v4 registration,
+// AES-GCM worker links — by ShardServers in this process (the protocol
+// cost without subprocess spawn noise). The two-holder shape keeps the
+// responder→TP S matrix the dominant payload, so shard scaling shows up
+// as K lanes draining it concurrently.
 func benchShardProcSession(b *testing.B, k int) {
 	parts := pairCapParts(b, 400, 400)
 	pool := newShardWorkerPool(b, k, ShardServerConfig{Schema: parts[0].Table.Schema()})
@@ -1381,32 +1283,28 @@ func benchShardProcSession(b *testing.B, k int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run := cfg
-		run.ShardDial = pool.dialer(fmt.Sprintf("bench-%d", i), nil)
-		if _, err := RunInMemory(run, parts, nil, deterministicRandom(28)); err != nil {
+		linkSeed := uint64(0)
+		tpLink := func(owner, peer string, c wire.Conduit) wire.Conduit {
+			if !strings.HasPrefix(owner, TPName) && !strings.HasPrefix(peer, TPName) {
+				return c
+			}
+			linkSeed++
+			return wire.Link(c, time.Millisecond, 0, 64<<20, linkSeed)
+		}
+		run := pool.withWorkers(cfg, fmt.Sprintf("bench-%d", i))
+		if _, err := RunInMemoryWrapped(run, parts, nil, deterministicRandom(28), tpLink); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkSessionShardProc is the session-shardproc family's in-tree
-// smoke variant (CI runs it at -benchtime=1x): the sharded session with
-// its shard pipelines behind worker processes' wire protocol at K 2 and
-// 4, against the in-process K = 2 sharded path as the overhead baseline.
+// smoke variant (CI runs it at -benchtime=1x): the session over
+// bandwidth-limited 1 ms TP links at one range, and sharded at K 2 and 4
+// with its pair chunks evaluated by workers.
 func BenchmarkSessionShardProc(b *testing.B) {
-	b.Run("inproc-2", func(b *testing.B) {
-		parts := pairCapParts(b, 400, 400)
-		cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant, TPShards: 2}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := RunInMemory(cfg, parts, nil, deterministicRandom(28)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Run("one-range", func(b *testing.B) { benchShardProcSession(b, 1) })
 	for _, k := range []int{2, 4} {
-		k := k
 		b.Run(fmt.Sprintf("workers-%d", k), func(b *testing.B) { benchShardProcSession(b, k) })
 	}
 }

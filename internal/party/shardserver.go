@@ -401,8 +401,8 @@ func (r *shardRun) run(offer shardOfferBody) error {
 	rg := [2]int{offer.Lo, offer.Hi}
 
 	// One pipe per holder — the write end receives the relayed frame bytes,
-	// the read end reproduces exactly the stream an in-process shard's lane
-	// reader sees. A holder with no frames for the range never has its pipe
+	// the read end reproduces exactly the pair chunks the holder sent the
+	// range. A holder with no frames for the range never has its pipe
 	// read.
 	feeds := make([]wire.Conduit, len(offer.Holders))
 	eps := make([]*wire.Endpoint, len(offer.Holders))

@@ -40,9 +40,9 @@ func reportHash(out *SessionOutcome) string {
 // what they publish. The hashes were recorded by this very function at
 // dd107c3, the last commit whose higher-named holder produced every row of
 // every pair block; each must hold for both exact variants in both modes,
-// at two chunk budgets, at K = 1, at K = 2 in process and at K = 2 behind
-// shard workers.
+// at two chunk budgets, at K = 1 and at K = 2 and 4 behind shard workers.
 func TestExactReportsMatchParent(t *testing.T) {
+	pool := newShardWorkerPool(t, 4, ShardServerConfig{Schema: pipelineSchema()})
 	for _, tc := range []struct {
 		name  string
 		sizes []int
@@ -55,16 +55,10 @@ func TestExactReportsMatchParent(t *testing.T) {
 		for _, variant := range []Variant{Int64Variant, ModPVariant} {
 			for _, mode := range []protocol.Mode{protocol.Batch, protocol.PerPair} {
 				for _, chunk := range []int{0, 64} {
-					for _, deploy := range []string{"K=1", "K=2", "worker"} {
-						label := fmt.Sprintf("%s %v %v chunk=%d %s", tc.name, variant, mode, chunk, deploy)
-						cfg := Config{Schema: pipelineSchema(), Variant: variant, Mode: mode, LocalChunkBytes: chunk, Parallelism: 2}
-						if deploy != "K=1" {
-							cfg.TPShards = 2
-						}
-						if deploy == "worker" {
-							pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: pipelineSchema()})
-							cfg.ShardDial = pool.dialer(label, nil)
-						}
+					for _, k := range []int{1, 2, 4} {
+						label := fmt.Sprintf("%s %v %v chunk=%d K=%d", tc.name, variant, mode, chunk, k)
+						cfg := Config{Schema: pipelineSchema(), Variant: variant, Mode: mode, LocalChunkBytes: chunk, Parallelism: 2, TPShards: k}
+						cfg = pool.withWorkers(cfg, label)
 						out, err := RunInMemory(cfg, parts, pipelineReqs(), deterministicRandom(32))
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
@@ -218,6 +212,7 @@ func TestConstructionOverlapsHandshakes(t *testing.T) {
 	const delay = 50 * time.Millisecond
 	parts := pairCapParts(t, 3, 3)
 	cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant, TPShards: 2}
+	cfg = newShardWorkerPool(t, 2, ShardServerConfig{Schema: cfg.Schema}).withWorkers(cfg, "overlapped-handshakes")
 	holders := []string{"A", "B"}
 	conduits := map[string]map[string]wire.Conduit{"A": {}, "B": {}, TPName: {}}
 	var raw []wire.Conduit
@@ -292,8 +287,10 @@ func TestConstructionOverlapsHandshakes(t *testing.T) {
 // than 1.5 MB (the busiest used to carry 2.88 MB).
 func TestHolderLinksCarryEqualBytes(t *testing.T) {
 	parts := pairCapParts(t, 600, 600)
+	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: parts[0].Table.Schema()})
 	for _, k := range []int{1, 2} {
 		cfg := Config{Schema: parts[0].Table.Schema(), Variant: Float64Variant, TPShards: k}
+		cfg = pool.withWorkers(cfg, "equal-bytes")
 		out, err := RunInMemory(cfg, parts, nil, deterministicRandom(35))
 		if err != nil {
 			t.Fatal(err)

@@ -552,8 +552,9 @@ func tailSessionShape(mixed, ties bool, rows int) (dataset.Schema, []dataset.Par
 }
 
 // TestSessionTailMatchesParent runs whole sessions of the pair-cpu and
-// mixed-cpu shapes, unsharded and at TPShards 2, and requires the published
-// report to be the parent's: equal to the per-request oracle over the
+// mixed-cpu shapes, unsharded and at TPShards 2 through workers, and
+// requires the published report to be the parent's: equal to the
+// per-request oracle over the
 // session's own matrices, delivered intact to every holder, and hashing to
 // the digest recorded by this very function from commit 04d7c0a (the last
 // one whose finish ran the per-request tail) — or, for the benchmark-size
@@ -576,9 +577,11 @@ func TestSessionTailMatchesParent(t *testing.T) {
 		{"mixed-cpu", true, false, 30, "080048ebfaed1882"},
 	} {
 		schema, parts, reqs := tailSessionShape(tc.mixed, tc.ties, tc.rows)
+		pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: schema})
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
 				cfg := Config{Schema: schema, Variant: Float64Variant, Parallelism: 2, TPShards: shards}
+				cfg = pool.withWorkers(cfg, tc.name)
 				out, err := RunInMemory(cfg, parts, reqs, deterministicRandom(25))
 				if err != nil {
 					t.Fatal(err)

@@ -323,13 +323,18 @@ func (f *tapFrame) cells() (int, error) {
 }
 
 // tapSession runs a small plaintext session over parts under a tap (the
-// schema defaults to the partitions') and returns the tap.
+// schema defaults to the partitions'), a sharded one with its workers,
+// and returns the tap. The tap records the holders' links, not the
+// workers'.
 func tapSession(t testing.TB, cfg Config, parts []dataset.Partition) *tap {
 	t.Helper()
 	if cfg.Schema.Attrs == nil {
 		cfg.Schema = parts[0].Table.Schema()
 	}
 	cfg.PlaintextChannels = true
+	if k := cfg.shardCount(); k > 1 {
+		cfg.ShardDial = newShardWorkerPool(t, k, ShardServerConfig{Schema: cfg.Schema}).dialer("tapped", nil)
+	}
 	tp := newTap(cfg)
 	if _, err := RunInMemoryWrapped(cfg, parts, pipelineReqs(), deterministicRandom(61), tp.wrap); err != nil {
 		t.Fatalf("tapped session: %v", err)

@@ -39,9 +39,9 @@ type ThirdParty struct {
 	guard    *guard
 
 	// shardLanes[s][holder] is the secured holder→shard-s conduit of a
-	// TPShards > 1 session; nil otherwise. An in-process shard reads it
-	// with a lane reader; with Config.ShardDial the coordinator relays each
-	// frame, byte for byte, to the owning worker.
+	// TPShards > 1 session; nil otherwise. The coordinator reads it with a
+	// lane reader, installing local chunks and relaying each pair chunk,
+	// byte for byte, to the owning worker.
 	shardLanes []map[string]wire.Conduit
 
 	// resumeLanes registers each Reconn-armed holder lane for Resume;
@@ -84,6 +84,9 @@ func NewThirdParty(holders []string, cfg Config, conduits map[string]wire.Condui
 		}
 	}
 	if k := cfg.shardCount(); k > 1 {
+		if cfg.ShardDial == nil {
+			return nil, fmt.Errorf("party: third party of %d shards has no ShardDial to reach their workers", k)
+		}
 		for _, h := range holders {
 			for s := 0; s < k; s++ {
 				if conduits[ShardConduitKey(h, s)] == nil {
@@ -137,9 +140,9 @@ func (tp *ThirdParty) handshakeAll(conduits map[string]wire.Conduit) error {
 	// shard s — the holder handshakes them too. The shards reuse the TP
 	// identity (one X25519 agreement per holder, so the master is
 	// unchanged), but each conduit derives its own channel key salted by the
-	// shard name — control and shard channels never share AES-GCM keys. The
-	// holder's side is identical whether the shard runs in-process or as a
-	// worker process.
+	// shard name — control and shard channels never share AES-GCM keys. A
+	// shard lane ends here, at the coordinator, so a holder never sees the
+	// worker that evaluates its pair chunks.
 	type link struct {
 		holder string
 		lane   int
@@ -288,10 +291,10 @@ func (tp *ThirdParty) runGuarded(ctx context.Context, body func() (*TPReport, er
 //     triangle, which holders stream on the control conduit — every
 //     attribute in schema order, then each holder's clustering request;
 //   - at TPShards > 1 one group per range carrying the comparison
-//     attributes, whose rows come from a shardSource — lane readers in
-//     this process, or a worker process behind a relay link
-//     (Config.ShardDial) — and are installed where they lie in matrices
-//     allocated before any source starts.
+//     attributes, whose rows come from a shardSource (remoteShard): local
+//     chunks installed here, pair chunks evaluated by a worker process
+//     behind a relay link (Config.ShardDial), every row installed where it
+//     lies in matrices allocated before any source starts.
 //
 // The first error of any group ends the session at once; otherwise the
 // shard sources' maxima (if any) fold into their matrices and the
@@ -310,7 +313,9 @@ func (tp *ThirdParty) assemble() (*TPReport, error) {
 		tags: make([][]*wire.Message, len(attrs)),
 		reqs: make([]requestBody, len(tp.holders)),
 	}
-	ctl.install = crossInto(ctl.asms)
+	ctl.install = func(attr int, sh pairShare, lo, hi int, row protocol.RowFunc) error {
+		return ctl.asms[attr].SetCrossRowsInto(sh.j, sh.k, lo, hi, row)
+	}
 	for hi, h := range tp.holders {
 		ctl.eps[hi] = tp.eps[h]
 	}
@@ -362,16 +367,10 @@ func (tp *ThirdParty) assemble() (*TPReport, error) {
 	// conduits stay idle (both sides derive the same partition from the
 	// census, so holders send nothing on them either) and no surplus
 	// worker is dialed.
-	var ranges [][2]int
 	var sources []shardSource
 	if sharded {
-		ranges = dissim.ShardRanges(core.total, len(tp.shardLanes))
-		open := tp.localShard
-		if tp.cfg.ShardDial != nil {
-			open = tp.remoteShard
-		}
-		for s, r := range ranges {
-			src, err := open(core, s, r, matrices)
+		for s, r := range dissim.ShardRanges(core.total, len(tp.shardLanes)) {
+			src, err := tp.remoteShard(core, s, r, matrices)
 			if err != nil {
 				return nil, err
 			}

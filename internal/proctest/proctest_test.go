@@ -175,10 +175,9 @@ func spawn(t *testing.T, listen string, crashAfter int) *worker {
 }
 
 // TestMultiProcessDifferential is the conformance grid: sessions whose
-// shard pipelines run in real ppc-shard subprocesses must publish reports
-// bit-identical to the single-TP reference at every K × Parallelism
-// configuration, with the in-process K-shard path cross-checked as the
-// oracle.
+// shards' pair chunks are evaluated by real ppc-shard subprocesses must
+// publish reports bit-identical to the single-TP reference at every K ×
+// Parallelism configuration.
 func TestMultiProcessDifferential(t *testing.T) {
 	want := baseline(t, 10, 61)
 	workers := make([]*worker, 4)
@@ -190,14 +189,7 @@ func TestMultiProcessDifferential(t *testing.T) {
 	for _, k := range []int{2, 4} {
 		for _, par := range []int{1, 0} {
 			label := fmt.Sprintf("k=%d parallelism=%d", k, par)
-			inproc := party.Config{Schema: schema(), Variant: party.Float64Variant, Parallelism: par, TPShards: k}
-			oracle, err := party.RunInMemory(inproc, parts(t, 10), reqs(), random(61))
-			if err != nil {
-				t.Fatalf("%s in-process oracle: %v", label, err)
-			}
-			assertSame(t, label+" (in-process oracle)", want, oracle)
-
-			cfg := inproc
+			cfg := party.Config{Schema: schema(), Variant: party.Float64Variant, Parallelism: par, TPShards: k}
 			cfg.ShardDial = dialerFor(fmt.Sprintf("diff-%d-%d", k, par), addrs[:k])
 			got, err := party.RunInMemory(cfg, parts(t, 10), reqs(), random(61))
 			if err != nil {

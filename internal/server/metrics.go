@@ -25,12 +25,7 @@ type Metrics struct {
 	reservedHW atomic.Int64
 	estimateHW atomic.Int64
 
-	// shardsActive gauges the in-process TP shard engines currently
-	// serving running sessions (shard count × running sessions when the
-	// server shards; always 0 on the single-TP path).
-	shardsActive atomic.Int64
-
-	// Worker-pool counters (ShardAddrs mode only): shardProcsActive gauges
+	// Worker-pool counters (sharded sessions only): shardProcsActive gauges
 	// the coordinator→worker links currently connected across running
 	// sessions; shardRestarts counts worker links re-established after a
 	// degrade (each one is a worker process death or link sever the
@@ -140,14 +135,12 @@ func (m *Metrics) noteEstimate(estimate int64) {
 //	                    summed session traffic at the server edge
 //	compute_active      gauge: compute tokens held now, process-wide — the
 //	                    chunks and attribute finishes being evaluated
-//	shards_active       gauge: in-process TP shard engines serving running
-//	                    sessions (0 on the single-TP path)
 //	shard_procs_active  gauge: coordinator→worker links connected now
-//	                    (ShardAddrs mode; 0 otherwise)
+//	                    (sharded sessions; 0 otherwise)
 //	shard_restarts      worker links re-established after a degrade
 //	wire_*_shard<N>     per-shard-lane traffic (present only when the
 //	                    server shards the third party)
-//	wire_*_workers      coordinator→worker link traffic (ShardAddrs mode)
+//	wire_*_workers      coordinator→worker link traffic (sharded sessions)
 //	budget_reserved_high_water_bytes
 //	                    peak summed admission reservations
 //	budget_estimate_high_water_bytes
@@ -171,7 +164,6 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"wire_recv_bytes":                  int64(recvB),
 		"wire_recv_frames":                 int64(recvF),
 		"compute_active":                   party.ComputeActive(),
-		"shards_active":                    m.shardsActive.Load(),
 		"shard_procs_active":               m.shardProcsActive.Load(),
 		"shard_restarts":                   m.shardRestarts.Load(),
 		"budget_reserved_high_water_bytes": m.reservedHW.Load(),

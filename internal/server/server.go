@@ -53,14 +53,13 @@ type Config struct {
 	// the routing admission on a holder's control connection carries the
 	// shard count, and the holder then dials one connection per shard lane.
 	Session party.Config
-	// ShardAddrs, when set, moves the session shard pipelines out of this
-	// process: entry s is the listen address of a ppc-shard worker serving
-	// shard s, and every session's coordinator dials its slice ranges there
-	// through the v4 shard-registration handshake instead of running
-	// in-process shard goroutines. Requires Session.TPShards > 1 and
-	// exactly one address per shard. Holder-facing admission is unchanged
-	// — holders still dial their K shard lanes to this server; only the
-	// stage compute moves. A dead worker degrades its sessions within
+	// ShardAddrs lists the workers of a sharded session: entry s is the
+	// listen address of the ppc-shard worker that evaluates shard s's pair
+	// chunks, and every session's coordinator dials it through the v4
+	// shard-registration handshake. Session.TPShards > 1 requires exactly
+	// one address per shard, and TPShards ≤ 1 none. Holders still dial
+	// their K shard lanes to this server; only the pair-chunk evaluation
+	// runs on the workers. A dead worker degrades its sessions within
 	// Session.ResumeWindow (the coordinator redials the same address, so a
 	// restarted worker heals them) and fails them classified past it.
 	ShardAddrs []string
@@ -195,13 +194,12 @@ func New(cfg Config) (*Manager, error) {
 	if shards > party.MaxTPShards {
 		return nil, fmt.Errorf("server: %d TP shards exceeds the maximum of %d", shards, party.MaxTPShards)
 	}
-	if len(cfg.ShardAddrs) > 0 {
-		if shards <= 1 {
-			return nil, errors.New("server: ShardAddrs requires Session.TPShards > 1")
-		}
-		if len(cfg.ShardAddrs) != shards {
-			return nil, fmt.Errorf("server: %d shard worker addresses for %d shards", len(cfg.ShardAddrs), shards)
-		}
+	switch {
+	case shards <= 1 && len(cfg.ShardAddrs) > 0:
+		return nil, errors.New("server: ShardAddrs requires Session.TPShards > 1")
+	case shards > 1 && len(cfg.ShardAddrs) != shards:
+		return nil, fmt.Errorf("server: %d shard worker addresses for %d shards (a sharded session needs one worker per shard)",
+			len(cfg.ShardAddrs), shards)
 	}
 	connsPer := len(cfg.Holders)
 	if shards > 1 {
@@ -590,11 +588,6 @@ func (m *Manager) runSession(s *session) {
 			}
 		}
 	}
-
-	if m.shards > 1 {
-		m.metrics.shardsActive.Add(int64(m.shards))
-		defer m.metrics.shardsActive.Add(-int64(m.shards))
-	}
 	report, err := m.serveSession(s)
 
 	m.mu.Lock()
@@ -642,7 +635,7 @@ func (m *Manager) serveSession(s *session) (*party.TPReport, error) {
 	ev := &sessionEvents{m: m, id: s.id, workers: make([]atomic.Bool, m.shards)}
 	defer ev.settle()
 	cfg.Events = ev.observe
-	if len(m.cfg.ShardAddrs) > 0 {
+	if m.shards > 1 {
 		cfg.ShardDial = m.shardDialer(s.id)
 	}
 	// s.conns is already keyed the way party.NewThirdParty expects: holder

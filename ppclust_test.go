@@ -64,6 +64,23 @@ func TestClusterFacade(t *testing.T) {
 	}
 }
 
+// TestClusterRefusesShards: an in-process session has no shard worker to
+// reach, so Cluster and BuildDissimilarity refuse TPShards > 1 and say
+// where a sharded session runs; TPShards 1 is the single third party.
+func TestClusterRefusesShards(t *testing.T) {
+	parts := facadeParts(t)
+	_, err := ppclust.Cluster(facadeSchema(), parts, nil, ppclust.Options{TPShards: 2, Random: detRandom})
+	if err == nil || !strings.Contains(err.Error(), "TPServerOptions.ShardAddrs") {
+		t.Fatalf("Cluster at TPShards 2: %v, want a refusal naming the worker deployment", err)
+	}
+	if _, _, err := ppclust.BuildDissimilarity(facadeSchema(), parts, ppclust.Options{TPShards: 4}); err == nil {
+		t.Fatal("BuildDissimilarity at TPShards 4 accepted")
+	}
+	if _, err := ppclust.Cluster(facadeSchema(), parts, nil, ppclust.Options{TPShards: 1, Random: detRandom}); err != nil {
+		t.Fatalf("Cluster at TPShards 1: %v", err)
+	}
+}
+
 func TestBuildDissimilarityAndApps(t *testing.T) {
 	ms, ids, err := ppclust.BuildDissimilarity(facadeSchema(), facadeParts(t),
 		ppclust.Options{Random: detRandom})

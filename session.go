@@ -59,7 +59,9 @@ func NewHolderSession(name string, table *Table, holders []string, schema Schema
 
 // NewThirdPartySession prepares the third party over live network
 // connections: conns maps each holder name to an open net.Conn. Call Run
-// on the returned session to serve the protocol.
+// on the returned session to serve the protocol. It runs the single third
+// party; a sharded session (Options.TPShards > 1) needs its workers, which
+// only NewTPServer reaches (TPServerOptions.ShardAddrs).
 func NewThirdPartySession(holders []string, schema Schema, opts Options, conns map[string]net.Conn) (*ThirdPartySession, error) {
 	conduits := make(map[string]wire.Conduit, len(conns))
 	for peer, c := range conns {
@@ -189,15 +191,14 @@ type TPServerOptions struct {
 	// holders; on expiry the gathered connections are refused with the
 	// typed gather-timeout reason. 0 disables.
 	GatherTimeout time.Duration
-	// ShardAddrs moves the session shard pipelines into external
-	// ppc-shard worker processes: entry s is the listen address of the
-	// worker serving shard s. Requires Options.TPShards > 1 with exactly
-	// one address per shard. Holders connect exactly as with in-process
-	// shards; only the server's compute placement changes. A worker that
-	// dies mid-session degrades its sessions within
+	// ShardAddrs lists the ppc-shard worker processes of a sharded
+	// session: entry s is the listen address of the worker that evaluates
+	// shard s's pair chunks. Options.TPShards > 1 requires exactly one
+	// address per shard, and TPShards ≤ 1 none. Holders connect to the
+	// server alone, one lane per shard; only the server dials workers. A
+	// worker that dies mid-session degrades its sessions within
 	// Options.ReconnectWindow (the server redials the same address, so a
 	// restarted worker heals them) and fails them classified past it.
-	// Empty (the default) runs the shards in-process.
 	ShardAddrs []string
 	// OnComplete, when set, observes every session outcome.
 	OnComplete func(session string, report *TPReport, err error)
