@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -92,6 +93,30 @@ func (st *shardedTenant) runHoldersSharded(cfg party.Config) <-chan error {
 	out := make(chan error, 1)
 	go func() { out <- errors.Join(<-errs, <-errs) }()
 	return out
+}
+
+// TestShardedSessionCompletes runs a full tenant session against a K=2
+// sharded server: every lane is admitted with the routing accept, the
+// session completes with the single-TP report, and the per-shard wire
+// counters land where documented, each below the summed counter.
+func TestShardedSessionCompletes(t *testing.T) {
+	defer leakcheck.Check(t)
+	const k = 2
+	snap := runShardedSession(t, "sharded-1", k)
+	for s := 0; s < k; s++ {
+		for _, dir := range []string{"sent", "recv"} {
+			bytesKey := fmt.Sprintf("wire_%s_bytes_shard%d", dir, s)
+			framesKey := fmt.Sprintf("wire_%s_frames_shard%d", dir, s)
+			if snap[bytesKey] == 0 || snap[framesKey] == 0 {
+				t.Fatalf("shard lane %d not metered: %s=%d %s=%d (snapshot %v)",
+					s, bytesKey, snap[bytesKey], framesKey, snap[framesKey], snap)
+			}
+		}
+	}
+	if snap["wire_sent_bytes"] <= snap["wire_sent_bytes_shard0"] {
+		t.Fatalf("summed wire counter %d not above shard 0's %d",
+			snap["wire_sent_bytes"], snap["wire_sent_bytes_shard0"])
+	}
 }
 
 // TestShardedServerRefusesPreShardHellos: a holder that predates the

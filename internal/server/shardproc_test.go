@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -32,15 +31,13 @@ func startShardWorkers(t *testing.T, n int) []string {
 	return addrs
 }
 
-// TestShardProcSessionCompletes runs a full tenant session against a K=2
-// server whose shards' pair chunks are evaluated by worker processes (real
-// ShardServers over localhost TCP): every lane is admitted with the
-// routing accept, the session completes with the single-TP report, the
-// per-shard lanes and the worker links are metered, and the
-// shard_procs_active gauge settles back to zero with no restarts.
-func TestShardProcSessionCompletes(t *testing.T) {
-	defer leakcheck.Check(t)
-	const k = 2
+// runShardedSession serves one tenant session named id on a K=k server
+// whose shards' pair chunks are evaluated by ShardServer workers over
+// localhost TCP, checks that every lane is admitted with the routing
+// accept and that the session completes with the single-TP report, and
+// returns the server's metrics snapshot after completion.
+func runShardedSession(t *testing.T, id string, k int) map[string]int64 {
+	t.Helper()
 	done := newCompletions()
 	m, err := New(Config{
 		Holders:    roster,
@@ -57,7 +54,7 @@ func TestShardProcSessionCompletes(t *testing.T) {
 	}
 	t.Cleanup(func() { m.Close() })
 
-	st := newShardedTenant(t, "shardproc-1", k)
+	st := newShardedTenant(t, id, k)
 	st.submitAllSharded(m)
 	holders := st.runHoldersSharded(shardedSession(k))
 	for _, h := range roster {
@@ -73,25 +70,18 @@ func TestShardProcSessionCompletes(t *testing.T) {
 	if out.err != nil {
 		t.Fatalf("session failed: %v", out.err)
 	}
-	if out.id != "shardproc-1" || len(out.report.ObjectIDs) != 5 {
+	if out.id != id || len(out.report.ObjectIDs) != 5 {
 		t.Fatalf("completion %q with %d objects", out.id, len(out.report.ObjectIDs))
 	}
+	return m.Metrics().Snapshot()
+}
 
-	snap := m.Metrics().Snapshot()
-	for s := 0; s < k; s++ {
-		for _, dir := range []string{"sent", "recv"} {
-			bytesKey := fmt.Sprintf("wire_%s_bytes_shard%d", dir, s)
-			framesKey := fmt.Sprintf("wire_%s_frames_shard%d", dir, s)
-			if snap[bytesKey] == 0 || snap[framesKey] == 0 {
-				t.Fatalf("shard lane %d not metered: %s=%d %s=%d (snapshot %v)",
-					s, bytesKey, snap[bytesKey], framesKey, snap[framesKey], snap)
-			}
-		}
-	}
-	if snap["wire_sent_bytes"] <= snap["wire_sent_bytes_shard0"] {
-		t.Fatalf("summed wire counter %d not above shard 0's %d",
-			snap["wire_sent_bytes"], snap["wire_sent_bytes_shard0"])
-	}
+// TestShardProcSessionCompletes runs a full tenant session against a K=2
+// server with worker processes: the worker links are metered and the
+// shard_procs_active gauge settles back to zero with no restarts.
+func TestShardProcSessionCompletes(t *testing.T) {
+	defer leakcheck.Check(t)
+	snap := runShardedSession(t, "shardproc-1", 2)
 	if got := snap["shard_procs_active"]; got != 0 {
 		t.Fatalf("shard_procs_active = %d after completion, want 0", got)
 	}
