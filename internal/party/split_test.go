@@ -8,6 +8,7 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -25,11 +26,14 @@ func reportHash(out *SessionOutcome) string {
 	h := sha256.New()
 	rep := out.Report
 	fmt.Fprintf(h, "%v\n", rep.ObjectIDs)
+	var cells []byte
 	for i, m := range rep.AttributeMatrices {
 		fmt.Fprintf(h, "m%d|%x\n", i, math.Float64bits(rep.Scales[i]))
+		cells = cells[:0]
 		for _, v := range m.PackedView() {
-			fmt.Fprintf(h, "%x,", math.Float64bits(v))
+			cells = append(strconv.AppendUint(cells, math.Float64bits(v), 16), ',')
 		}
+		h.Write(cells)
 	}
 	fmt.Fprintf(h, "\n%s", resultsHash(slices.Sorted(maps.Keys(rep.Results)), rep.Results))
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])

@@ -309,6 +309,29 @@ func (t *tap) laneDigest(kinds ...wire.Kind) string {
 	return fmt.Sprintf("%d/%d/%x", len(names), len(frames), all.Sum(nil)[:8])
 }
 
+// laneSums hashes every sent frame lane by lane and kind by kind, in the
+// order it was sent, where a lane is an envelope's From>To: one sorted line
+// "lane kind frames digest" each, the digest the leading 8 bytes of the
+// SHA-256 of those frames, each prefixed by its length.
+func (t *tap) laneSums() []string {
+	hashes, frames := map[string]hash.Hash{}, map[string]int{}
+	for _, f := range t.sent("", "") {
+		key := fmt.Sprintf("%s>%s %s", f.Msg.From, f.Msg.To, f.Msg.Kind)
+		if hashes[key] == nil {
+			hashes[key] = sha256.New()
+		}
+		binary.Write(hashes[key], binary.LittleEndian, uint64(len(f.Raw)))
+		hashes[key].Write(f.Raw)
+		frames[key]++
+	}
+	var lines []string
+	for key, h := range hashes {
+		lines = append(lines, fmt.Sprintf("%s %d %x", key, frames[key], h.Sum(nil)[:8]))
+	}
+	slices.Sort(lines)
+	return lines
+}
+
 // cells counts the numeric cells a ppc/local, ppc/numeric-disguised or
 // ppc/numeric-s frame carries.
 func (f *tapFrame) cells() (int, error) {
