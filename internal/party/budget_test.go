@@ -20,7 +20,7 @@ func TestEstimateSessionBytesFormula(t *testing.T) {
 	chunk := int64(1 << 10)
 	nAttr := int64(len(cfg.Schema.Attrs))
 	want := (nAttr+1)*triangle + readerChunks*holders*chunk
-	if got := cfg.EstimateSessionBytes(holders, n, 1); got != want {
+	if got := cfg.EstimateSessionBytes(holders, n); got != want {
 		t.Fatalf("EstimateSessionBytes = %d, want %d", got, want)
 	}
 }
@@ -28,13 +28,13 @@ func TestEstimateSessionBytesFormula(t *testing.T) {
 func TestEstimateSessionBytesMonolithicPricesFullTriangle(t *testing.T) {
 	chunked := Config{Schema: mixedSchema(), LocalChunkBytes: 1 << 10}
 	mono := Config{Schema: mixedSchema(), LocalChunkBytes: oneFrameBudget}
-	if c, m := chunked.EstimateSessionBytes(3, 500, 1), mono.EstimateSessionBytes(3, 500, 1); m <= c {
+	if c, m := chunked.EstimateSessionBytes(3, 500), mono.EstimateSessionBytes(3, 500); m <= c {
 		t.Fatalf("monolithic estimate %d not above chunked %d", m, c)
 	}
 	// The chunk price never exceeds the triangle itself: a tiny session
 	// under a huge chunk budget is priced by its actual payload.
 	small := Config{Schema: mixedSchema(), LocalChunkBytes: 64 << 20}
-	tiny := small.EstimateSessionBytes(2, 4, 1)
+	tiny := small.EstimateSessionBytes(2, 4)
 	if limit := int64(10 * 8 * 6 * 4); tiny > limit { // generous shape bound
 		t.Fatalf("tiny session estimate %d grew with the chunk budget", tiny)
 	}
@@ -43,18 +43,20 @@ func TestEstimateSessionBytesMonolithicPricesFullTriangle(t *testing.T) {
 // TestEstimateSessionBytesSharded pins the shard-aware pricing: a K-way
 // session must not be priced K× the single-TP session — each shard's
 // streaming state covers only its row slice, so the reservation grows far
-// slower than linearly — and shards below 2 must price exactly like the
+// slower than linearly — and TPShards below 2 must price exactly like the
 // legacy single-TP formula.
 func TestEstimateSessionBytesSharded(t *testing.T) {
 	cfg := Config{Schema: mixedSchema(), LocalChunkBytes: 4 << 10}
-	single := cfg.EstimateSessionBytes(3, 2000, 1)
+	single := cfg.EstimateSessionBytes(3, 2000)
 	for _, k := range []int{0, -3} {
-		if got := cfg.EstimateSessionBytes(3, 2000, k); got != single {
+		cfg.TPShards = k
+		if got := cfg.EstimateSessionBytes(3, 2000); got != single {
 			t.Fatalf("shards=%d estimate %d differs from single-TP %d", k, got, single)
 		}
 	}
 	for _, k := range []int{2, 4, 8} {
-		got := cfg.EstimateSessionBytes(3, 2000, k)
+		cfg.TPShards = k
+		got := cfg.EstimateSessionBytes(3, 2000)
 		if got < single {
 			t.Fatalf("shards=%d estimate %d below single-TP %d", k, got, single)
 		}
@@ -68,13 +70,13 @@ func TestEstimateSessionBytesMonotone(t *testing.T) {
 	cfg := Config{Schema: mixedSchema()}
 	prev := int64(-1)
 	for _, n := range []int{2, 10, 100, 1000} {
-		got := cfg.EstimateSessionBytes(3, n, 1)
+		got := cfg.EstimateSessionBytes(3, n)
 		if got <= prev {
 			t.Fatalf("estimate not monotone in n: %d objects -> %d, previous %d", n, got, prev)
 		}
 		prev = got
 	}
-	if a, b := cfg.EstimateSessionBytes(2, 100, 1), cfg.EstimateSessionBytes(5, 100, 1); b <= a {
+	if a, b := cfg.EstimateSessionBytes(2, 100), cfg.EstimateSessionBytes(5, 100); b <= a {
 		t.Fatalf("estimate not monotone in holders: %d vs %d", a, b)
 	}
 }

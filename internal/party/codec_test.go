@@ -537,108 +537,6 @@ func allocatedBytes(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestAlphaFramesMatchParent is the transcript differential of the
-// alphanumeric engine: every ppc/alpha-m frame of a mixed-schema session,
-// lane by lane in the order it was sent, must hash to the recorded digest,
-// at every chunk budget, shard count and worker count (the recorded
-// digests do not depend on the last). The digests were first recorded at
-// d84a373, the last commit to build a SymbolMatrix per string pair, and
-// re-recorded once when the slab went from a byte a cell to the
-// alphabet's cell width: the lanes and frame counts stayed, the frames
-// shrank.
-func TestAlphaFramesMatchParent(t *testing.T) {
-	parts := pipelineParts(t, 40)
-	for _, tc := range []struct {
-		chunk, shards int
-		hash          string
-	}{
-		{1, 1, "2/125/3147fef6b52889b4"},
-		{64, 1, "2/125/3147fef6b52889b4"},
-		{0, 1, "2/6/b60a0d25b984a080"},
-		{oneFrameBudget, 1, "2/3/3b9b7111df3206a6"},
-		{1, 2, "3/125/1b59b3295bf62ff3"},
-		{64, 2, "3/125/1b59b3295bf62ff3"},
-		{0, 2, "3/8/a5f9ea624f5dbc23"},
-		{oneFrameBudget, 2, "3/5/d39d3e717dd25c26"},
-	} {
-		for _, workers := range []int{1, 2} {
-			cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant,
-				LocalChunkBytes: tc.chunk, TPShards: tc.shards, Parallelism: workers}
-			if got := tapSession(t, cfg, parts).laneDigest(kindAlphaM); got != tc.hash {
-				t.Errorf("chunk %d, shards %d, workers %d: lanes/frames/digest %s, recorded %s",
-					tc.chunk, tc.shards, workers, got, tc.hash)
-			}
-		}
-	}
-}
-
-// TestNumericFramesMatchParent is the same differential for the numeric
-// frames — every ppc/local, ppc/numeric-disguised and ppc/numeric-s frame —
-// at every variant and mode, chunk budget, shard count and worker count.
-// The digests were first recorded at 813549b, the last commit whose holders
-// built whole local triangles and whole S matrices before the first chunk
-// left, and re-recorded once when each pair block was split between its two
-// holders: the initiator then produces the rows from the split on, the
-// responder sends its disguise of them back, and both holders stream S
-// frames.
-func TestNumericFramesMatchParent(t *testing.T) {
-	parts := pipelineParts(t, 24)
-	for _, tc := range []struct {
-		variant Variant
-		mode    protocol.Mode
-		hashes  [8]string // chunk budgets 1, 64, default, monolithic × shards 1, 2
-	}{
-		{Float64Variant, protocol.Batch, [8]string{
-			"9/450/9389d2acd6cdfd5e", "12/450/d34b2b79e8b43f31",
-			"9/368/2ec1f7fa97d7982e", "12/368/2f5a8aa5d6c68f8f",
-			"9/33/52af87e425be8f8a", "12/40/d1348ea6b00b3c43",
-			"9/33/52af87e425be8f8a", "12/40/d1348ea6b00b3c43",
-		}},
-		{Float64Variant, protocol.PerPair, [8]string{
-			"9/524/db2b9ffa0c1e1660", "12/524/ae3d6d63f00c6ccd",
-			"9/506/f32d63fb76efde06", "12/506/418f0b364d527544",
-			"9/33/42b841ab0b049b27", "12/40/8a119ae90da8dc39",
-			"9/33/42b841ab0b049b27", "12/40/8a119ae90da8dc39",
-		}},
-		{Int64Variant, protocol.Batch, [8]string{
-			"9/450/16337a8e5f6879d7", "12/450/340407400d4b279d",
-			"9/368/a49edadb07f5d8bb", "12/368/92c13c43b38419b8",
-			"9/33/b55b3cf14647db3f", "12/40/18098400e80c0a93",
-			"9/33/b55b3cf14647db3f", "12/40/18098400e80c0a93",
-		}},
-		{Int64Variant, protocol.PerPair, [8]string{
-			"9/524/409f655989f73e97", "12/524/c717a9b4f994f04d",
-			"9/506/9d8c6b4985ec474d", "12/506/bf23eb80e9c309ac",
-			"9/33/f578c39524e27ce9", "12/40/3320e7560fe3e0af",
-			"9/33/f578c39524e27ce9", "12/40/3320e7560fe3e0af",
-		}},
-		{ModPVariant, protocol.Batch, [8]string{
-			"9/450/973318b3810f2e26", "12/450/abfcd63fbe5a37a5",
-			"9/396/6304cbe888b67930", "12/396/a764885cc6ea4f23",
-			"9/33/e8416d4308d360b9", "12/40/a76095182e03c51e",
-			"9/33/e8416d4308d360b9", "12/40/a76095182e03c51e",
-		}},
-		{ModPVariant, protocol.PerPair, [8]string{
-			"9/524/5b991ba73ad639ca", "12/524/6411b99023b30fcc",
-			"9/506/15d9e11beb3ae0e5", "12/506/0ce210b83905c148",
-			"9/33/8bd63505901cd538", "12/40/9213b39ee8fb157e",
-			"9/33/8bd63505901cd538", "12/40/9213b39ee8fb157e",
-		}},
-	} {
-		for i, hash := range tc.hashes {
-			chunk, shards := [...]int{1, 64, 0, oneFrameBudget}[i/2], 1+i%2
-			for _, workers := range []int{1, 2} {
-				cfg := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: tc.mode,
-					LocalChunkBytes: chunk, TPShards: shards, Parallelism: workers}
-				if got := tapSession(t, cfg, parts).laneDigest(kindLocal, kindNumDisg, kindNumS); got != hash {
-					t.Errorf("%v %v, chunk %d, shards %d, workers %d: lanes/frames/digest %s, recorded %s",
-						tc.variant, tc.mode, chunk, shards, workers, got, hash)
-				}
-			}
-		}
-	}
-}
-
 // FuzzChunkBodyDecoders, named when only the chunk bodies had layouts of
 // their own, feeds arbitrary payloads to the decoder of every Kind a
 // session sends: never a panic, only ErrMalformed failures, memory bounded

@@ -12,63 +12,6 @@ import (
 	"ppclust/internal/wire"
 )
 
-// TestPairChunkedMatchesSerialAcrossVariants extends the streaming
-// differential pin to the pairwise protocol payloads across arithmetic
-// variants and masking modes: chunked S/M streams (one row per frame and
-// a 4 KiB bound) crossed with Parallelism 1 and all cores must publish
-// reports bit-identical to the phase-serial reference's monolithic wire
-// shape — for the int64 and mod-p variants and for per-pair masking,
-// whose third-party keystream is consumed row-sequentially across chunks
-// (the alignment-sensitive case). The serial reference is also run over
-// the chunked wire, covering the reassembly path.
-func TestPairChunkedMatchesSerialAcrossVariants(t *testing.T) {
-	parts := pipelineParts(t, 8)
-	reqs := pipelineReqs()
-	cases := []struct {
-		name    string
-		variant Variant
-		mode    protocol.Mode
-	}{
-		{"int64-batch", Int64Variant, protocol.Batch},
-		{"modp-batch", ModPVariant, protocol.Batch},
-		{"float64-perpair", Float64Variant, protocol.PerPair},
-		{"int64-perpair", Int64Variant, protocol.PerPair},
-		// The mod-p per-pair masks are rejection-sampled per cell
-		// (modp.Random), the most alignment-sensitive chunk-boundary case:
-		// the TP must consume the keystream strictly sequentially across
-		// chunk evaluations to regenerate them.
-		{"modp-perpair", ModPVariant, protocol.PerPair},
-	}
-	for _, tc := range cases {
-		base := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: tc.mode,
-			Parallelism: 1, LocalChunkBytes: oneFrameBudget}
-		want, err := runSerialTP(base, parts, reqs, deterministicRandom(15), nil)
-		if err != nil {
-			t.Fatalf("%s baseline: %v", tc.name, err)
-		}
-		for _, chunk := range []int{1, 4 << 10} {
-			for _, workers := range []int{1, 0} {
-				cfg := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: tc.mode,
-					Parallelism: workers, LocalChunkBytes: chunk}
-				got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(15))
-				if err != nil {
-					t.Fatalf("%s chunk=%d workers=%d: %v", tc.name, chunk, workers, err)
-				}
-				assertSameOutcome(t, fmt.Sprintf("%s chunk=%d workers=%d", tc.name, chunk, workers), want, got)
-			}
-			// Serial third party over the same chunked wire: the pairwise
-			// reassembly reference must agree too.
-			cfg := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: tc.mode,
-				Parallelism: 1, LocalChunkBytes: chunk}
-			got, err := runSerialTP(cfg, parts, reqs, deterministicRandom(15), nil)
-			if err != nil {
-				t.Fatalf("%s chunk=%d serial: %v", tc.name, chunk, err)
-			}
-			assertSameOutcome(t, fmt.Sprintf("%s chunk=%d serial", tc.name, chunk), want, got)
-		}
-	}
-}
-
 // pairCapParts builds a two-holder numeric session in which both
 // partitions are large enough that the responder's masked S matrix (the
 // |B|×|A| comparison payload, 8 bytes a cell) is well past the test cap.

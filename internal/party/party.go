@@ -309,8 +309,8 @@ func shardRowsOf(lo, hi, off, n int) (int, int) {
 }
 
 // EstimateSessionBytes is the third party's worst-case resident memory
-// for one session of numHolders holders, totalObjects global objects and
-// `shards` TP shards (≤1 = single TP) under this config — the
+// for one session of numHolders holders and totalObjects global objects
+// under this config, at its TPShards (≤1 = single TP) — the
 // admission-control number the multi-tenant server reserves against its
 // global budget before letting a session start. It is a deliberate
 // overestimate of what the session holds:
@@ -339,7 +339,7 @@ func shardRowsOf(lo, hi, off, n int) (int, int) {
 // triangle, which is exactly the pre-streaming resident shape. The
 // estimate is a pure function of public shape (schema, census, chunking,
 // shard count) — it never consults private data.
-func (c Config) EstimateSessionBytes(numHolders, totalObjects, shards int) int64 {
+func (c Config) EstimateSessionBytes(numHolders, totalObjects int) int64 {
 	if numHolders < 0 {
 		numHolders = 0
 	}
@@ -353,7 +353,7 @@ func (c Config) EstimateSessionBytes(numHolders, totalObjects, shards int) int64
 	matrices := (nAttr + 1) * triangle
 	lanes := int64(max(numHolders, 2))
 	readers := readerChunks * lanes * chunk
-	if shards > 1 {
+	if shards := c.shardCount(); shards > 1 {
 		// Per-shard lane readers. A shard never holds more than its own
 		// slice, so its chunk price is capped at the slice size.
 		shardChunk := chunk

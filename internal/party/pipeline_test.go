@@ -100,26 +100,6 @@ func assertSameOutcome(t *testing.T, label string, want, got *SessionOutcome) {
 	}
 }
 
-// TestPipelinedMatchesSerialTP pins the pipelined session engine to the
-// phase-serial reference path: bit-identical matrices, scales and results
-// at Parallelism 1, 2 and all cores.
-func TestPipelinedMatchesSerialTP(t *testing.T) {
-	parts := pipelineParts(t, 10)
-	reqs := pipelineReqs()
-	for _, workers := range []int{1, 2, 0} {
-		cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: workers}
-		serial, err := runSerialTP(cfg, parts, reqs, deterministicRandom(3), nil)
-		if err != nil {
-			t.Fatalf("workers=%d serial: %v", workers, err)
-		}
-		piped, err := RunInMemory(cfg, parts, reqs, deterministicRandom(3))
-		if err != nil {
-			t.Fatalf("workers=%d pipelined: %v", workers, err)
-		}
-		assertSameOutcome(t, fmt.Sprintf("workers=%d", workers), serial, piped)
-	}
-}
-
 // TestParallelismOneComputesOneChunk pins the compute tokens' contract on
 // a one-range session: at Parallelism 1 the lane readers of tag and
 // comparison attributes alike share one token, so no two chunks — nor a

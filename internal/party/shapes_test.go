@@ -80,20 +80,16 @@ type shapeData struct {
 
 func shapeDataSets() map[string]shapeData {
 	pipeline := func(sizes ...int) shapeData { return shapeData{pipelinePartsOf(sizes...), pipelineReqs()} }
-	tail := func(mixed, ties bool, rows int) shapeData {
-		_, parts, reqs := tailSessionShape(mixed, ties, rows)
-		return shapeData{parts, reqs}
-	}
 	return map[string]shapeData{
 		"pipeline8":       pipeline(8, 9, 10),
 		"pipeline10":      pipeline(10, 11, 12),
 		"pipeline24":      pipeline(24, 25, 26),
 		"pipeline40":      pipeline(40, 41, 42),
 		"unequal-7-40-90": pipeline(7, 40, 90),
-		"pair-cpu":        tail(false, false, 120),
-		"pair-cpu-600":    tail(false, false, 600),
-		"pair-ties":       tail(false, true, 200),
-		"mixed-cpu":       tail(true, false, 30),
+		"pair-cpu":        tailSessionShape(false, false, 120),
+		"pair-cpu-600":    tailSessionShape(false, false, 600),
+		"pair-ties":       tailSessionShape(false, true, 200),
+		"mixed-cpu":       tailSessionShape(true, false, 30),
 	}
 }
 
@@ -182,9 +178,6 @@ func TestSessionShapes(t *testing.T) {
 							got, err := run(cfg, d.parts, d.reqs, deterministicRandom(row.seed), tp.wrap)
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
-							}
-							if shapeRunHook != nil {
-								shapeRunHook(t, row.data, row.seed, a, chunk, dep, par, tp, got)
 							}
 							holders := slices.Sorted(maps.Keys(got.Report.Results))
 							lines := append(tp.laneSums(), fmt.Sprintf("report %s %s", reportHash(got), resultsHash(holders, got.Report.Results)))

@@ -5,143 +5,23 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ppclust/internal/dataset"
 	"ppclust/internal/leakcheck"
-	"ppclust/internal/protocol"
 	"ppclust/internal/wire"
 )
 
-// TestShardedMatchesSingleTP is the sharded third party's differential
-// pin: K row-range shards behind the merge coordinator, their pair chunks
-// evaluated by ShardServer workers, for K 1, 2 and 4 crossed with
-// Parallelism 1, 2 and all cores, must publish a report bit-identical to
-// the phase-serial single-TP reference — matrices, scales, object
-// ordering and every holder's clustering result. K=1 additionally covers
-// the degenerate coordinator that owns the whole triangle itself.
-func TestShardedMatchesSingleTP(t *testing.T) {
-	parts := pipelineParts(t, 10)
-	reqs := pipelineReqs()
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
-	want, err := runSerialTP(base, parts, reqs, deterministicRandom(23), nil)
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	pool := newShardWorkerPool(t, 4, ShardServerConfig{Schema: pipelineSchema()})
-	for _, k := range []int{1, 2, 4} {
-		for _, workers := range []int{1, 2, 0} {
-			cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: workers, TPShards: k}
-			cfg = pool.withWorkers(cfg, fmt.Sprintf("single-tp-%d-%d", k, workers))
-			got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(23))
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d: %v", k, workers, err)
-			}
-			assertSameOutcome(t, fmt.Sprintf("shards=%d workers=%d", k, workers), want, got)
-		}
-	}
-}
-
-// TestSessionMatrixMatchesOracle is the full differential matrix of the one
-// session pipeline against the phase-serial oracle: every deployment of the
-// row ranges — one range, 2 and 4 shards in ShardServer workers over real
-// TCP — crossed with chunk sizes one row per frame, 4 KiB, the 256 KiB
-// default and one frame per payload, Parallelism 1, 2 and all cores, and
-// the float64, int64, mod-p and per-pair arithmetic must publish a report
-// bit-identical to the oracle's monolithic one. -short trims the chunk and
-// Parallelism axes to their extremes.
-func TestSessionMatrixMatchesOracle(t *testing.T) {
-	parts := pipelineParts(t, 8)
-	reqs := pipelineReqs()
-	chunks, workers := []int{1, 4 << 10, 256 << 10, oneFrameBudget}, []int{1, 2, 0}
-	if testing.Short() {
-		chunks, workers = []int{1, oneFrameBudget}, []int{1, 0}
-	}
-	pool := newShardWorkerPool(t, 4, ShardServerConfig{Schema: pipelineSchema()})
-	for _, v := range []struct {
-		name    string
-		variant Variant
-		mode    protocol.Mode
-	}{
-		{"float64", Float64Variant, protocol.Batch},
-		{"int64", Int64Variant, protocol.Batch},
-		{"modp", ModPVariant, protocol.Batch},
-		{"per-pair", Float64Variant, protocol.PerPair},
-	} {
-		base := Config{Schema: pipelineSchema(), Variant: v.variant, Mode: v.mode, Parallelism: 1, LocalChunkBytes: oneFrameBudget}
-		want, err := runSerialTP(base, parts, reqs, deterministicRandom(31), nil)
-		if err != nil {
-			t.Fatalf("%s oracle: %v", v.name, err)
-		}
-		for _, chunk := range chunks {
-			for _, w := range workers {
-				for _, dep := range []struct {
-					name   string
-					shards int
-				}{{"one-range", 1}, {"workers-2", 2}, {"workers-4", 4}} {
-					label := fmt.Sprintf("%s chunk=%d workers=%d %s", v.name, chunk, w, dep.name)
-					cfg := base
-					cfg.LocalChunkBytes, cfg.Parallelism, cfg.TPShards = chunk, w, dep.shards
-					cfg = pool.withWorkers(cfg, label)
-					got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(31))
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					assertSameOutcome(t, label, want, got)
-				}
-			}
-		}
-	}
-}
-
-// TestShardedPerPairDisguisedChunkSweep extends the differential pin to
-// per-pair masking — the mode whose initiator→responder disguised matrix
-// now streams on the shared chunk schedule — across chunk sizes one row
-// per frame, 4 KiB, the 256 KiB default and one frame per payload (the
-// monolithic legacy shape), unsharded and at K=2 through workers. The
-// mod-p variant rides along at the smallest chunk: its rejection-sampled
-// per-cell masks are the most alignment-sensitive keystream across chunk
-// and shard boundaries.
-func TestShardedPerPairDisguisedChunkSweep(t *testing.T) {
-	parts := pipelineParts(t, 8)
-	reqs := pipelineReqs()
-	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: pipelineSchema()})
-	for _, tc := range []struct {
-		name    string
-		variant Variant
-		chunks  []int
-	}{
-		{"float64", Float64Variant, []int{1, 4 << 10, 256 << 10, oneFrameBudget}},
-		{"modp", ModPVariant, []int{1}},
-	} {
-		base := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: protocol.PerPair,
-			Parallelism: 1, LocalChunkBytes: oneFrameBudget}
-		want, err := runSerialTP(base, parts, reqs, deterministicRandom(24), nil)
-		if err != nil {
-			t.Fatalf("%s baseline: %v", tc.name, err)
-		}
-		for _, chunk := range tc.chunks {
-			for _, k := range []int{1, 2} {
-				cfg := Config{Schema: pipelineSchema(), Variant: tc.variant, Mode: protocol.PerPair,
-					Parallelism: 2, TPShards: k, LocalChunkBytes: chunk}
-				cfg = pool.withWorkers(cfg, fmt.Sprintf("per-pair-%s-%d-%d", tc.name, chunk, k))
-				got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(24))
-				if err != nil {
-					t.Fatalf("%s chunk=%d shards=%d: %v", tc.name, chunk, k, err)
-				}
-				assertSameOutcome(t, fmt.Sprintf("%s chunk=%d shards=%d", tc.name, chunk, k), want, got)
-			}
-		}
-	}
-}
-
 // TestShardedMoreShardsThanRows covers the degenerate partitions at the
 // session level: with more shards than triangle rows the coordinator
-// plans fewer active ranges than conduits, the surplus lanes carry only
-// their hellos, and the report stays bit-identical. One-row holders make
-// several shard×holder row intersections empty.
+// plans min(K, rows) ranges, registers with the worker of each active
+// range exactly once and never with a surplus worker, the surplus lanes
+// carry only their hellos, and the report stays bit-identical. One-row
+// holders make several shard×holder row intersections empty.
 func TestShardedMoreShardsThanRows(t *testing.T) {
-	parts := pipelineParts(t, 1) // holders of 1, 2 and 3 rows: 6 triangle rows
+	const rows = 6
+	parts := pipelineParts(t, 1) // holders of 1, 2 and 3 rows
 	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
 	want, err := runSerialTP(base, parts, nil, deterministicRandom(25), nil)
 	if err != nil {
@@ -149,12 +29,22 @@ func TestShardedMoreShardsThanRows(t *testing.T) {
 	}
 	pool := newShardWorkerPool(t, 8, ShardServerConfig{Schema: pipelineSchema()})
 	for _, k := range []int{4, 8} {
-		cfg := pool.withWorkers(Config{Schema: pipelineSchema(), Variant: Float64Variant, TPShards: k}, fmt.Sprintf("more-shards-%d", k))
+		registered := make([]atomic.Int32, k)
+		cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, TPShards: k}
+		cfg.ShardDial = pool.dialer(fmt.Sprintf("more-shards-%d", k), func(shard, _ int, c wire.Conduit) wire.Conduit {
+			registered[shard].Add(1)
+			return c
+		})
 		got, err := RunInMemory(cfg, parts, nil, deterministicRandom(25))
 		if err != nil {
 			t.Fatalf("shards=%d: %v", k, err)
 		}
 		assertSameOutcome(t, fmt.Sprintf("shards=%d", k), want, got)
+		for s := range registered {
+			if n, active := registered[s].Load(), s < min(k, rows); active && n != 1 || !active && n != 0 {
+				t.Errorf("shards=%d: worker %d registered %d times (active range: %v)", k, s, n, active)
+			}
+		}
 	}
 }
 

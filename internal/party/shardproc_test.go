@@ -25,53 +25,6 @@ import (
 	"ppclust/internal/wire"
 )
 
-// TestShardProcMatchesSerialTP is the cross-process differential pin: at
-// K=2 and K=4, with the shards' pair chunks evaluated by ShardServer
-// workers on the far side of real TCP links, the session must publish
-// reports bit-identical to the phase-serial single-TP reference.
-func TestShardProcMatchesSerialTP(t *testing.T) {
-	parts := pipelineParts(t, 10)
-	reqs := pipelineReqs()
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
-	want, err := runSerialTP(base, parts, reqs, deterministicRandom(41), nil)
-	if err != nil {
-		t.Fatalf("single-TP baseline: %v", err)
-	}
-	for _, k := range []int{2, 4} {
-		for _, workers := range []int{1, 0} {
-			pool := newShardWorkerPool(t, k, ShardServerConfig{Schema: pipelineSchema()})
-			cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: workers, TPShards: k}
-			cfg.ShardDial = pool.dialer(fmt.Sprintf("proc-%d-%d", k, workers), nil)
-			got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(41))
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d cross-process: %v", k, workers, err)
-			}
-			assertSameOutcome(t, fmt.Sprintf("cross-process shards=%d workers=%d", k, workers), want, got)
-			pool.close()
-		}
-	}
-}
-
-// TestShardProcMoreShardsThanRows: with more shard workers than triangle
-// rows only the active ranges are dialed — the surplus workers see no
-// registration at all — and the report stays bit-identical.
-func TestShardProcMoreShardsThanRows(t *testing.T) {
-	parts := pipelineParts(t, 1) // holders of 1, 2 and 3 rows: 6 triangle rows
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1}
-	want, err := runSerialTP(base, parts, nil, deterministicRandom(42), nil)
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	pool := newShardWorkerPool(t, 8, ShardServerConfig{Schema: pipelineSchema()})
-	cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, TPShards: 8}
-	cfg.ShardDial = pool.dialer("proc-degenerate", nil)
-	got, err := RunInMemory(cfg, parts, nil, deterministicRandom(42))
-	if err != nil {
-		t.Fatalf("shards=8 over 6 rows: %v", err)
-	}
-	assertSameOutcome(t, "shards=8 over 6 rows", want, got)
-}
-
 // TestChaosShardProcLinkFlapResumes pins worker-link self-healing: the
 // coordinator's link to one worker flaps mid-relay, the redial re-registers
 // (superseding the worker's half-fed run), the Reconn replays the entire

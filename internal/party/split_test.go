@@ -39,47 +39,6 @@ func reportHash(out *SessionOutcome) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
-// TestExactReportsMatchParent: the integer and mod-p variants are exact, so
-// moving who produces which rows of a cross block must not move a bit of
-// what they publish. The hashes were recorded by this very function at
-// dd107c3, the last commit whose higher-named holder produced every row of
-// every pair block; each must hold for both exact variants in both modes,
-// at two chunk budgets, at K = 1 and at K = 2 and 4 behind shard workers.
-func TestExactReportsMatchParent(t *testing.T) {
-	pool := newShardWorkerPool(t, 4, ShardServerConfig{Schema: pipelineSchema()})
-	for _, tc := range []struct {
-		name  string
-		sizes []int
-		hash  string
-	}{
-		{"pipeline24", []int{24, 25, 26}, "9bc7e437e2f710a6"},
-		{"unequal", []int{7, 40, 90}, "4df6fa94b8622890"},
-	} {
-		parts := pipelinePartsOf(tc.sizes...)
-		for _, variant := range []Variant{Int64Variant, ModPVariant} {
-			for _, mode := range []protocol.Mode{protocol.Batch, protocol.PerPair} {
-				for _, chunk := range []int{0, 64} {
-					for _, k := range []int{1, 2, 4} {
-						label := fmt.Sprintf("%s %v %v chunk=%d K=%d", tc.name, variant, mode, chunk, k)
-						cfg := Config{Schema: pipelineSchema(), Variant: variant, Mode: mode, LocalChunkBytes: chunk, Parallelism: 2, TPShards: k}
-						cfg = pool.withWorkers(cfg, label)
-						out, err := RunInMemory(cfg, parts, pipelineReqs(), deterministicRandom(32))
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						for h, res := range out.Results {
-							assertSameResult(t, label+": result received by "+h, out.Report.Results[h], res)
-						}
-						if got := reportHash(out); got != tc.hash {
-							t.Errorf("%s: report hash %s, the parent published %s", label, got, tc.hash)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // linkLoads is what each holder sends over its links to the third party
 // when every pair block is cut at split: its local triangle plus, per
 // pair, the responder's rows below the cut or the initiator's from it on.

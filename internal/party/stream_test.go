@@ -15,43 +15,6 @@ import (
 // every lane's payload travels as one frame, the pre-streaming wire shape.
 const oneFrameBudget = 1 << 30
 
-// TestChunkedStreamingMatchesSerialTP is the streaming engine's
-// differential pin: every chunk size — one row per frame, 4 KiB, the
-// 256 KiB default, and one frame per payload (the pre-streaming wire
-// shape) —
-// crossed with Parallelism 1, 2 and all cores must publish a report
-// bit-identical to the phase-serial reference path's monolithic install.
-// The serial reference is also run over a chunked wire (it reassembles the
-// frames into the old monolithic FromPacked + SetLocal install), covering
-// the reassembly path the equivalence claim rests on.
-func TestChunkedStreamingMatchesSerialTP(t *testing.T) {
-	parts := pipelineParts(t, 10)
-	reqs := pipelineReqs()
-	base := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, LocalChunkBytes: oneFrameBudget}
-	want, err := runSerialTP(base, parts, reqs, deterministicRandom(11), nil)
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	for _, chunk := range []int{1, 4 << 10, 256 << 10, oneFrameBudget} {
-		for _, workers := range []int{1, 2, 0} {
-			cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: workers, LocalChunkBytes: chunk}
-			got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(11))
-			if err != nil {
-				t.Fatalf("chunk=%d workers=%d: %v", chunk, workers, err)
-			}
-			assertSameOutcome(t, fmt.Sprintf("chunk=%d workers=%d", chunk, workers), want, got)
-		}
-		// Serial third party over the same chunked wire: the reassembly
-		// reference must agree too.
-		cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, Parallelism: 1, LocalChunkBytes: chunk}
-		got, err := runSerialTP(cfg, parts, reqs, deterministicRandom(11), nil)
-		if err != nil {
-			t.Fatalf("chunk=%d serial: %v", chunk, err)
-		}
-		assertSameOutcome(t, fmt.Sprintf("chunk=%d serial", chunk), want, got)
-	}
-}
-
 // streamCapParts builds a two-holder numeric session whose larger holder's
 // packed triangle (7140 cells, 56 KiB on the wire) is well past the test
 // conduit cap.

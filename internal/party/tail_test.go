@@ -346,17 +346,18 @@ func TestTailResultsNeverAlias(t *testing.T) {
 	assertSameResult(t, "holder C after A's result was mutated", want, got["C"])
 }
 
-// allocTriangles reports the bytes run allocates in units of one packed
-// float64 triangle over n objects (the least of three runs, so a stray
-// allocation by a finished test's winding-down goroutine cannot fail it).
+// allocTriangles reports the bytes run allocates less frameBufferBytes', in
+// packed float64 triangles over n objects: the least of three runs, so a
+// stray allocation by a finished test's winding-down goroutine cannot fail it.
 func allocTriangles(n int, run func()) float64 {
 	least := math.Inf(1)
 	for i := 0; i < 3; i++ {
+		frames := frameBufferBytes()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		run()
 		runtime.ReadMemStats(&after)
-		least = math.Min(least, float64(after.TotalAlloc-before.TotalAlloc))
+		least = math.Min(least, float64(after.TotalAlloc-before.TotalAlloc)-float64(frameBufferBytes()-frames))
 	}
 	return least / float64(8*n*(n-1)/2)
 }
@@ -506,7 +507,7 @@ func resultsHash(holders []string, results map[string]*Result) string {
 // requests — pair-cpu) or mixed (3 holders, numeric + DNA + categorical,
 // average / single / PAM — mixed-cpu). ties makes the pair's values
 // integers in 0..20, so most cells of the matrix tie exactly.
-func tailSessionShape(mixed, ties bool, rows int) (dataset.Schema, []dataset.Partition, map[string]ClusterRequest) {
+func tailSessionShape(mixed, ties bool, rows int) shapeData {
 	schema := dataset.Schema{Attrs: []dataset.Attribute{{Name: "x", Type: dataset.Numeric}}}
 	sites := []string{"A", "B"}
 	reqs := map[string]ClusterRequest{
@@ -548,64 +549,5 @@ func tailSessionShape(mixed, ties bool, rows int) (dataset.Schema, []dataset.Par
 		}
 		parts = append(parts, dataset.Partition{Site: site, Table: tab})
 	}
-	return schema, parts, reqs
-}
-
-// TestSessionTailMatchesParent runs whole sessions of the pair-cpu and
-// mixed-cpu shapes, unsharded and at TPShards 2 through workers, and
-// requires the published report to be the parent's: equal to the
-// per-request oracle over the
-// session's own matrices, delivered intact to every holder, and hashing to
-// the digest recorded by this very function from commit 04d7c0a (the last
-// one whose finish ran the per-request tail) — or, for the benchmark-size
-// and tie-heavy pair rows, from c7db6ce (the last one whose NN-chain walked
-// every slot and whose silhouette scanned object by object). The rows whose
-// float64 cells carry fractions were re-recorded once when each pair block
-// was split between its two holders: the third party then strips r′ from
-// r′ + σ′y + σ̄′x for the initiator's rows, which moves low bits of the
-// matrix and so of the published quality, but no cluster membership.
-func TestSessionTailMatchesParent(t *testing.T) {
-	for _, tc := range []struct {
-		name        string
-		mixed, ties bool
-		rows        int
-		hash        string
-	}{
-		{"pair-cpu", false, false, 120, "1bb90dfa8cd60e9b"},
-		{"pair-cpu-600", false, false, 600, "c3fbd2d275a9d47f"},
-		{"pair-ties", false, true, 200, "35b3503e740e97e3"},
-		{"mixed-cpu", true, false, 30, "080048ebfaed1882"},
-	} {
-		schema, parts, reqs := tailSessionShape(tc.mixed, tc.ties, tc.rows)
-		pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: schema})
-		for _, shards := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
-				cfg := Config{Schema: schema, Variant: Float64Variant, Parallelism: 2, TPShards: shards}
-				cfg = pool.withWorkers(cfg, tc.name)
-				out, err := RunInMemory(cfg, parts, reqs, deterministicRandom(25))
-				if err != nil {
-					t.Fatal(err)
-				}
-				tp := &ThirdParty{workers: 2}
-				var wire []requestBody
-				for _, p := range parts {
-					tp.holders = append(tp.holders, p.Site)
-					tp.counts = append(tp.counts, p.Table.Len())
-					req := reqs[p.Site]
-					wire = append(wire, requestBody{Weights: schema.Weights(), Method: int(req.Method), Linkage: int(req.Linkage), K: req.K})
-				}
-				want, err := tp.oracleTail(out.Report.AttributeMatrices, wire)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, h := range tp.holders {
-					assertSameResult(t, "TP report for "+h, want[h], out.Report.Results[h])
-					assertSameResult(t, "result received by "+h, want[h], out.Results[h])
-				}
-				if got := resultsHash(tp.holders, out.Report.Results); got != tc.hash {
-					t.Fatalf("report hash %s, the parent published %s", got, tc.hash)
-				}
-			})
-		}
-	}
+	return shapeData{parts, reqs}
 }

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"maps"
 	"slices"
 	"sync"
 	"testing"
@@ -282,31 +281,6 @@ func (t *tap) frames(recv bool, from, to string, kinds []wire.Kind) []*tapFrame 
 		}
 	}
 	return out
-}
-
-// laneDigest digests every sent frame of the given kinds, lane by lane in
-// the order it was sent: "lanes/frames/digest", where a lane is an
-// envelope's From>To and the digest covers each lane's name and the
-// SHA-256 of its length-prefixed frames — what the transcript
-// differentials compare with the digests a parent commit's session
-// produced.
-func (t *tap) laneDigest(kinds ...wire.Kind) string {
-	frames := t.sent("", "", kinds...)
-	lanes := map[string]hash.Hash{}
-	for _, f := range frames {
-		lane := f.Msg.From + ">" + f.Msg.To
-		if lanes[lane] == nil {
-			lanes[lane] = sha256.New()
-		}
-		binary.Write(lanes[lane], binary.LittleEndian, uint64(len(f.Raw)))
-		lanes[lane].Write(f.Raw)
-	}
-	names := slices.Sorted(maps.Keys(lanes))
-	all := sha256.New()
-	for _, lane := range names {
-		fmt.Fprintf(all, "%s %x\n", lane, lanes[lane].Sum(nil))
-	}
-	return fmt.Sprintf("%d/%d/%x", len(names), len(frames), all.Sum(nil)[:8])
 }
 
 // laneSums hashes every sent frame lane by lane and kind by kind, in the

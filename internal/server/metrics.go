@@ -212,7 +212,7 @@ func (e *sessionEvents) observe(ev party.Event) error {
 		if m.cfg.MaxSessionObjects > 0 && total > m.cfg.MaxSessionObjects {
 			return fmt.Errorf("session %q has %d objects, server cap is %d", e.id, total, m.cfg.MaxSessionObjects)
 		}
-		m.metrics.noteEstimate(m.cfg.Session.EstimateSessionBytes(len(m.cfg.Holders), total, m.shards))
+		m.metrics.noteEstimate(m.cfg.Session.EstimateSessionBytes(len(m.cfg.Holders), total))
 	case ev.Link.Worker && ev.Kind == party.EventLinkUp:
 		if ev.Epoch > 0 {
 			m.metrics.shardRestarts.Add(1)

@@ -213,7 +213,7 @@ func New(cfg Config) (*Manager, error) {
 		// The shard-aware estimate prices the aggregate sharded footprint
 		// (slices partition the triangle; lane buffers scale with the shard
 		// count but shrink with the per-shard chunk), not K full sessions.
-		perSession = cfg.Session.EstimateSessionBytes(len(cfg.Holders), cfg.MaxSessionObjects, shards)
+		perSession = cfg.Session.EstimateSessionBytes(len(cfg.Holders), cfg.MaxSessionObjects)
 		if perSession > cfg.GlobalBudgetBytes {
 			return nil, fmt.Errorf("server: budget %d bytes admits no session (one session reserves %d)",
 				cfg.GlobalBudgetBytes, perSession)

@@ -343,7 +343,7 @@ func TestCapacityRefusalWithoutQueue(t *testing.T) {
 // reason — and admits fine once the first session's reservation releases.
 func TestBudgetRefusal(t *testing.T) {
 	session := testSession()
-	budget := session.EstimateSessionBytes(len(roster), 100, 1)
+	budget := session.EstimateSessionBytes(len(roster), 100)
 	m, done := newManager(t, Config{
 		MaxSessions:       5,
 		GlobalBudgetBytes: budget,

@@ -269,9 +269,5 @@ func NewTPShardWorker(cfg TPShardWorkerConfig) (*TPShardWorker, error) {
 // session reservation NewTPServer charges against GlobalBudgetBytes, and
 // the number to size -budget-bytes with.
 func EstimateSessionBytes(schema Schema, opts Options, numHolders, totalObjects int) int64 {
-	shards := opts.TPShards
-	if shards < 1 {
-		shards = 1
-	}
-	return opts.toConfig(schema).EstimateSessionBytes(numHolders, totalObjects, shards)
+	return opts.toConfig(schema).EstimateSessionBytes(numHolders, totalObjects)
 }
