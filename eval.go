@@ -140,8 +140,5 @@ func ParseSchema(spec string) (Schema, error) {
 		}
 		schema.Attrs = append(schema.Attrs, attr)
 	}
-	if err := schema.Validate(); err != nil {
-		return schema, err
-	}
-	return schema, nil
+	return schema.Normalized()
 }

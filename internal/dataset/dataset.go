@@ -10,7 +10,9 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ppclust/internal/alphabet"
 	"ppclust/internal/catdist"
@@ -72,8 +74,8 @@ type Attribute struct {
 	// category tree.
 	Taxonomy *catdist.Taxonomy
 	// Weight is this attribute's contribution to the merged dissimilarity
-	// matrix (paper Section 5). Zero-valued weights are replaced by 1 at
-	// validation.
+	// matrix (paper Section 5). A zero weight stands for the default, 1:
+	// Normalized fills it in, and Weights reads it so.
 	Weight float64
 }
 
@@ -83,14 +85,15 @@ type Schema struct {
 	Attrs []Attribute
 }
 
-// Validate checks the schema and fills defaulted weights in place.
-func (s *Schema) Validate() error {
+// Validate checks the schema. It writes nothing: copies of a Schema share
+// their attribute array, so a caller's schema stays as the caller wrote it
+// however many sessions validate it at once.
+func (s Schema) Validate() error {
 	if len(s.Attrs) == 0 {
 		return fmt.Errorf("dataset: schema has no attributes")
 	}
 	seen := make(map[string]bool, len(s.Attrs))
-	for i := range s.Attrs {
-		a := &s.Attrs[i]
+	for i, a := range s.Attrs {
 		if a.Name == "" {
 			return fmt.Errorf("dataset: attribute %d has no name", i)
 		}
@@ -118,18 +121,31 @@ func (s *Schema) Validate() error {
 		if a.Weight < 0 {
 			return fmt.Errorf("dataset: attribute %q has negative weight %v", a.Name, a.Weight)
 		}
-		if a.Weight == 0 {
-			a.Weight = 1
-		}
 	}
 	return nil
 }
 
-// Weights returns the attribute weight vector in schema order.
+// Normalized validates the schema and returns a copy of it with its
+// defaults filled in: every zero weight is 1. The receiver is unchanged.
+func (s Schema) Normalized() (Schema, error) {
+	if err := s.Validate(); err != nil {
+		return s, err
+	}
+	attrs := slices.Clone(s.Attrs)
+	for i := range attrs {
+		if attrs[i].Weight == 0 {
+			attrs[i].Weight = 1
+		}
+	}
+	return Schema{Attrs: attrs}, nil
+}
+
+// Weights returns the attribute weight vector in schema order, a zero
+// weight read as the default 1.
 func (s *Schema) Weights() []float64 {
 	w := make([]float64, len(s.Attrs))
 	for i, a := range s.Attrs {
-		w[i] = a.Weight
+		w[i] = cmp.Or(a.Weight, 1)
 	}
 	return w
 }
@@ -154,10 +170,11 @@ type Table struct {
 	cols []any
 }
 
-// NewTable returns an empty table over the schema. The schema is validated
-// (and weight defaults filled) first.
+// NewTable returns an empty table over the schema, normalized: the table's
+// schema has its weight defaults filled, the caller's is left as it is.
 func NewTable(schema Schema) (*Table, error) {
-	if err := schema.Validate(); err != nil {
+	schema, err := schema.Normalized()
+	if err != nil {
 		return nil, err
 	}
 	t := &Table{schema: schema, cols: make([]any, len(schema.Attrs))}

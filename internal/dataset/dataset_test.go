@@ -16,19 +16,30 @@ func testSchema() Schema {
 	}}
 }
 
+// TestSchemaValidateDefaultsWeights: Validate leaves a schema's zero
+// weights as they are, Normalized fills them into a copy, and Weights reads
+// them as the default 1 either way.
 func TestSchemaValidateDefaultsWeights(t *testing.T) {
 	s := testSchema()
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range s.Attrs {
+	n, err := s.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range n.Attrs {
 		if a.Weight != 1 {
-			t.Fatalf("weight of %q = %v, want default 1", a.Name, a.Weight)
+			t.Fatalf("normalized weight of %q = %v, want default 1", a.Name, a.Weight)
+		}
+		if s.Attrs[i].Weight != 0 {
+			t.Fatalf("weight of %q = %v after validating, want it left at 0", a.Name, s.Attrs[i].Weight)
 		}
 	}
-	w := s.Weights()
-	if len(w) != 3 || w[0] != 1 {
-		t.Fatalf("Weights = %v", w)
+	for _, w := range [][]float64{s.Weights(), n.Weights()} {
+		if len(w) != 3 || w[0] != 1 || w[1] != 1 || w[2] != 1 {
+			t.Fatalf("Weights = %v", w)
+		}
 	}
 }
 

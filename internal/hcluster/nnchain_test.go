@@ -3,10 +3,10 @@ package hcluster
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"testing"
 
+	"ppclust/internal/alloccheck"
 	"ppclust/internal/dissim"
 	"ppclust/internal/parallel"
 	"ppclust/internal/rng"
@@ -332,21 +332,6 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// allocBytes reports the bytes run allocates, the least of three runs (so a
-// stray allocation by a finished test's winding-down goroutine cannot fail a
-// pin).
-func allocBytes(run func()) uint64 {
-	least := uint64(math.MaxUint64)
-	for i := 0; i < 3; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	return least
-}
-
 // TestNNChainAllocationPin: below the row grain the Lance–Williams update
 // runs inline, so a tree costs a fixed handful of allocations — the working
 // copy, the chain state, the dendrogram — not a closure per merge (an
@@ -363,7 +348,7 @@ func TestNNChainAllocationPin(t *testing.T) {
 			if allocs := testing.AllocsPerRun(3, run); allocs > 40 {
 				t.Errorf("%v, workers %d: %v allocations for a 300-leaf tree", link, workers, allocs)
 			}
-			if bytes := allocBytes(run); bytes > bound {
+			if bytes, _ := alloccheck.Least(3, run); bytes > bound {
 				t.Errorf("%v, workers %d: %d bytes for a 300-leaf tree, want ≤ %d", link, workers, bytes, bound)
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 
+	"ppclust/internal/alloccheck"
 	"ppclust/internal/dissim"
 	"ppclust/internal/pam"
 	"ppclust/internal/parallel"
@@ -338,7 +339,7 @@ func TestScorePartitionAllocationPin(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if bytes := allocBytes(func() {
+		if bytes, _ := alloccheck.Least(3, func() {
 			if _, _, err := ScorePartition(d, tc.cs); err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"time"
 
 	"ppclust/internal/hcluster"
 	"ppclust/internal/parallel"
@@ -40,8 +41,8 @@ import (
 //	                  float64 Silhouette | Method Linkage K
 //	shardOfferBody    Shard Lo Hi | strings Holders | ints Counts |
 //	                  string Fingerprint | Mode Variant RNG LocalChunkBytes |
+//	                  PhaseTimeout (nanoseconds) |
 //	                  list of seeds Seeds | list of seeds RowSeeds
-//	shardBeatBody,
 //	shardDoneBody     nothing
 //	abortBody         string Reason
 //
@@ -345,7 +346,7 @@ func (b *resultBody) DecodeBody(p []byte) error {
 func (b shardOfferBody) AppendBody(dst []byte) ([]byte, error) {
 	dst = appendStrings(appendInts(dst, b.Shard, b.Lo, b.Hi), b.Holders)
 	dst = appendString(appendIntList(dst, b.Counts), b.Fingerprint)
-	dst = appendInts(dst, int(b.Mode), int(b.Variant), int(b.RNG), b.LocalChunkBytes)
+	dst = appendInts(dst, int(b.Mode), int(b.Variant), int(b.RNG), b.LocalChunkBytes, int(b.PhaseTimeout))
 	dst = appendList(dst, b.Seeds, appendTags[rng.Seed])
 	return appendList(dst, b.RowSeeds, appendTags[rng.Seed]), nil
 }
@@ -358,15 +359,12 @@ func (b *shardOfferBody) DecodeBody(p []byte) error {
 		Holders: r.strings(), Counts: r.ints(), Fingerprint: r.string(),
 		Mode: protocol.Mode(r.int()), Variant: Variant(r.int()), RNG: rng.Kind(r.int()),
 		LocalChunkBytes: r.int(),
+		PhaseTimeout:    time.Duration(r.int()),
 		Seeds:           list(&r, 1, seeds),
 		RowSeeds:        list(&r, 1, seeds),
 	}
 	return r.end()
 }
-
-func (shardBeatBody) AppendBody(dst []byte) ([]byte, error) { return dst, nil }
-
-func (*shardBeatBody) DecodeBody(p []byte) error { return (&bodyReader{p: p}).end() }
 
 func (shardDoneBody) AppendBody(dst []byte) ([]byte, error) { return dst, nil }
 

@@ -8,12 +8,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"slices"
-	"sync"
 	"testing"
-	"time"
 
+	"ppclust/internal/alloccheck"
 	"ppclust/internal/alphabet"
 	"ppclust/internal/dissim"
 	"ppclust/internal/leakcheck"
@@ -27,7 +25,7 @@ import (
 // control kinds.
 var sessionKinds = []wire.Kind{kindLocal, kindNumS, kindAlphaM, kindShardRows, kindShardFrame, kindAlphaDisg,
 	kindNumDisg, kindHello, kindCount, kindCensus, kindGroupKey, kindCatTags, kindPathTags, kindRequest,
-	kindResult, kindShardOffer, kindShardBeat, kindShardDone, kindAbort}
+	kindResult, kindShardOffer, kindShardDone, kindAbort}
 
 // newBody returns a fresh decoder of kind's body.
 func newBody(kind wire.Kind) wire.BodyDecoder {
@@ -62,8 +60,6 @@ func newBody(kind wire.Kind) wire.BodyDecoder {
 		return &resultBody{}
 	case kindShardOffer:
 		return &shardOfferBody{}
-	case kindShardBeat:
-		return &shardBeatBody{}
 	case kindShardDone:
 		return &shardDoneBody{}
 	case kindAbort:
@@ -436,7 +432,7 @@ func TestChunkDecodersBoundClaims(t *testing.T) {
 		"hello key":        {appendInts(nil, 1<<40), &helloBody{}},
 		"abort reason":     {appendInts(nil, 1<<40), &abortBody{}},
 	} {
-		grew := allocatedBytes(func() {
+		grew, _ := alloccheck.Least(3, func() {
 			if err := wire.DecodeBody(tc.payload, tc.decoder); !errors.Is(err, wire.ErrMalformed) {
 				t.Errorf("%s: want ErrMalformed, got %v", name, err)
 			}
@@ -491,18 +487,10 @@ func TestSessionBodiesHaveFixedLayouts(t *testing.T) {
 	sharded.TPShards = 2
 	checkAll("K = 2", tapSession(t, sharded, parts))
 
-	// The first relayed frame is held past a heartbeat, so the worker
-	// sends one.
 	pool := newShardWorkerPool(t, 2, ShardServerConfig{Schema: pipelineSchema()})
 	tp := newTap(sharded)
-	var held sync.Once
 	worker := sharded
-	worker.ShardDial = pool.dialer("tapped", tp.workerLinks(pool.servers[0].fp, func(f *tapFrame) error {
-		if f.Msg.Kind == kindShardFrame {
-			held.Do(func() { time.Sleep(shardHeartbeat + shardHeartbeat/4) })
-		}
-		return nil
-	}))
+	worker.ShardDial = pool.dialer("tapped", tp.workerLinks(pool.servers[0].fp, nil))
 	if _, err := RunInMemoryWrapped(worker, parts, pipelineReqs(), deterministicRandom(61), tp.wrap); err != nil {
 		t.Fatalf("worker session: %v", err)
 	}
@@ -525,16 +513,6 @@ func TestSessionBodiesHaveFixedLayouts(t *testing.T) {
 			t.Errorf("no %s frame recorded", kind)
 		}
 	}
-}
-
-// allocatedBytes reports the heap bytes allocated while fn ran (by any
-// goroutine — callers leave slack for the runtime's own).
-func allocatedBytes(fn func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
 }
 
 // FuzzChunkBodyDecoders, named when only the chunk bodies had layouts of
@@ -613,7 +591,7 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 			}
 		}()
 		var err error
-		grew := allocatedBytes(func() { err = wire.DecodeBody(payload, d) })
+		grew, _ := alloccheck.Least(3, func() { err = wire.DecodeBody(payload, d) })
 		// The widest expansions are an empty symbol matrix — two shape
 		// bytes become a 16-byte AlphaShape — and an empty list in a list,
 		// one byte a 24-byte slice header. The slack covers the error

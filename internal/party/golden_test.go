@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"ppclust/internal/alphabet"
 	"ppclust/internal/hcluster"
@@ -192,10 +193,10 @@ func controlSamples() []controlSample {
 			Fingerprint: "x/numeric/1;",
 			Mode:        protocol.PerPair, Variant: ModPVariant, RNG: rng.KindAESCTR,
 			LocalChunkBytes: -1,
+			PhaseTimeout:    1500 * time.Millisecond,
 			Seeds:           [][]rng.Seed{{block(7)}, nil},
 			RowSeeds:        [][]rng.Seed{{block(8)}, {block(9)}},
 		}},
-		{kindShardBeat, shardBeatBody{}},
 		{kindShardDone, shardDoneBody{}},
 		{kindAbort, abortBody{Reason: "party: B local chunk 1 covers rows [0,4), schedule says [4,6)"}},
 	}

@@ -71,7 +71,7 @@ func clipReason(reason string) string { return reason[:min(len(reason), abortRea
 // before the lifecycle hardening.
 type guard struct {
 	name         string
-	phaseTimeout time.Duration
+	phaseTimeout time.Duration // set once, by watch
 	window       time.Duration // Config.ResumeWindow: the reconnect window of every link arm makes resumable
 	events       Events        // Config.Events, a no-op when unset
 	ctx          context.Context
@@ -98,7 +98,7 @@ type guard struct {
 // guard context, by fail's cancel or by the deadline, closes every conduit
 // the guard owns from one AfterFunc: no goroutine waits per conduit.
 func newGuard(name string, cfg Config) *guard {
-	g := &guard{name: name, phaseTimeout: cfg.PhaseTimeout, window: cfg.ResumeWindow, events: cfg.Events, phase: "handshake"}
+	g := &guard{name: name, window: cfg.ResumeWindow, events: cfg.Events, phase: "handshake"}
 	if g.events == nil {
 		g.events = func(Event) error { return nil }
 	}
@@ -109,10 +109,22 @@ func newGuard(name string, cfg Config) *guard {
 	}
 	g.ctx, g.cancel = context.WithCancelCause(base)
 	g.stopClose = context.AfterFunc(g.ctx, g.closeOwned)
-	if cfg.PhaseTimeout > 0 {
-		g.watchdog = time.AfterFunc(cfg.PhaseTimeout, g.tick)
-	}
+	g.watch(cfg.PhaseTimeout)
 	return g
+}
+
+// watch arms the phase watchdog at d, counting progress from now; d ≤ 0
+// leaves the party without one. A party arms it once: from its Config at
+// construction, or, on a shard worker, from the PhaseTimeout the
+// coordinator's offer carries.
+func (g *guard) watch(d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.phaseTimeout, g.lastSeq = d, g.seq
+	g.watchdog = time.AfterFunc(d, g.tick)
 }
 
 // bind owns a conduit and wraps it so that every successful frame in

@@ -373,13 +373,10 @@ func (c Config) EstimateSessionBytes(numHolders, totalObjects int) int64 {
 const readerChunks = 8
 
 // normalized validates the config and fills defaults, and builds the
-// session's numeric protocol from its variant and masking mode. The
-// schema's attribute slice is cloned first: Validate fills defaulted
-// weights in place, and every party of an in-memory session normalizes the
-// same shared Config concurrently — without the clone those writes race.
+// session's numeric protocol from its variant and masking mode.
 func (c Config) normalized() (Config, protocol.Numeric, error) {
-	c.Schema = dataset.Schema{Attrs: append([]dataset.Attribute(nil), c.Schema.Attrs...)}
-	if err := c.Schema.Validate(); err != nil {
+	var err error
+	if c.Schema, err = c.Schema.Normalized(); err != nil {
 		return c, protocol.Numeric{}, err
 	}
 	num, err := protocol.NewNumeric(c.Variant, c.Mode)
@@ -503,7 +500,6 @@ const (
 	kindShardOffer wire.Kind = "ppc/shard-offer"
 	kindShardFrame wire.Kind = "ppc/shard-frame"
 	kindShardRows  wire.Kind = "ppc/shard-rows"
-	kindShardBeat  wire.Kind = "ppc/shard-heartbeat"
 	kindShardDone  wire.Kind = "ppc/shard-done"
 )
 
@@ -723,6 +719,9 @@ type shardOfferBody struct {
 	Variant         Variant
 	RNG             rng.Kind
 	LocalChunkBytes int
+	// PhaseTimeout is the session's Config.PhaseTimeout, which the worker
+	// arms its own watchdog with; 0 leaves the run without one.
+	PhaseTimeout time.Duration
 
 	// Seeds[attr][p] is the mask-stream seed of attribute attr and the
 	// p-th pair in sortedPairs order, for the rows its responder produces;
@@ -756,10 +755,6 @@ type shardRowsBody struct {
 	workers    int
 	wire       []byte
 }
-
-// shardBeatBody is a worker's liveness heartbeat; its only effect is
-// feeding the coordinator's phase watchdog.
-type shardBeatBody struct{}
 
 // shardDoneBody ends a worker's run cleanly after the coordinator has
 // installed every pair chunk the worker returned.

@@ -4,6 +4,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"ppclust/internal/alphabet"
@@ -617,5 +618,51 @@ func TestWeightsAffectClustering(t *testing.T) {
 	}
 	if !cohabit(strOnly.Results["A"], "A1", "B2") {
 		t.Fatal("string-weighted clustering ignored string identity")
+	}
+}
+
+// TestSharedSchemaKeepsItsFingerprint: the entry points that validate a
+// caller's schema — a session's Config, a ShardServer, a table and the
+// centralized baseline — leave it as the caller wrote it, however many
+// validate it at once: its zero weights stay zero, so its fingerprint does
+// not move after first use, and (under -race) no two validations write the
+// attribute array they share.
+func TestSharedSchemaKeepsItsFingerprint(t *testing.T) {
+	schema := pipelineSchema()
+	for i := range schema.Attrs {
+		schema.Attrs[i].Weight = 0
+	}
+	before := schemaFingerprint(schema)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := (Config{Schema: schema}).normalized(); err != nil {
+				t.Error(err)
+			}
+			if _, err := NewShardServer(ShardServerConfig{Schema: schema}); err != nil {
+				t.Error(err)
+			}
+			if _, err := dataset.NewTable(schema); err != nil {
+				t.Error(err)
+			}
+			CentralizedMatrices(schema, nil)
+		}()
+	}
+	wg.Wait()
+	if after := schemaFingerprint(schema); after != before {
+		t.Fatalf("the caller's schema moved from %q to %q", before, after)
+	}
+	cfg, _, err := Config{Schema: schema}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewShardServer(ShardServerConfig{Schema: schema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.fp != schemaFingerprint(cfg.Schema) {
+		t.Fatalf("a worker of the schema has fingerprint %q, its sessions %q", srv.fp, schemaFingerprint(cfg.Schema))
 	}
 }

@@ -20,13 +20,16 @@ package party
 //	    ◀──────────────────────────────────────────│  grant (0, 0)
 //	    │  hello (X25519) ⇄ hello, then AES-GCM    │
 //	    │──────────────────────────────────────────▶
-//	    │  ppc/shard-offer (range+census+seeds)    │
+//	    │  ppc/shard-offer (range+census+seeds+    │
+//	    │  PhaseTimeout)                           │
 //	    │──────────────────────────────────────────▶
 //	    │  ppc/shard-frame (relayed pair chunks)   │
-//	    │──────────────────────────────────────────▶   ◀─ ppc/shard-heartbeat
+//	    │──────────────────────────────────────────▶
 //	    ◀──────────────────────────────────────────│  ppc/shard-rows × pair chunks
 //	    │  ppc/shard-done                          │
 //	    │──────────────────────────────────────────▶
+//	    ◀──────────────────────────────────────────│  ppc/abort, on the worker's
+//	                                                  first failure
 //
 // A shard lane carries two kinds of frame, and each goes where it is
 // needed. The coordinator keeps the secured holder→shard conduits from
@@ -73,12 +76,15 @@ package party
 // coordinator retains the offer and every relayed pair chunk for the
 // session's lifetime when ResumeWindow > 0) for healing that covers both
 // process crashes and link flaps with one mechanism. Aborts propagate in
-// both directions as kindAbort, exactly as on holder lanes.
+// both directions as kindAbort, exactly as on holder lanes: a worker runs
+// each registration under a guard of its own, armed with the offer's
+// PhaseTimeout, and its first failure is one abort and the link's close.
 
 import (
 	"cmp"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -252,6 +258,7 @@ func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, matrices []*
 		Fingerprint: schemaFingerprint(tp.cfg.Schema),
 		Mode:        tp.cfg.Mode, Variant: tp.cfg.Variant, RNG: tp.cfg.RNG,
 		LocalChunkBytes: tp.cfg.LocalChunkBytes,
+		PhaseTimeout:    tp.cfg.PhaseTimeout,
 		Seeds:           core.seeds,
 		RowSeeds:        core.rowSeeds,
 	}
@@ -260,7 +267,11 @@ func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, matrices []*
 		return nil, fmt.Errorf("party: offering slice to shard worker %d: %w", s, err)
 	}
 	g.relay = func(hi int, m *wire.Message) error {
-		return link.send(wire.Message{From: TPName, To: ShardName(s), Kind: kindShardFrame, Attr: hi}, relayedFrame{m})
+		err := link.send(wire.Message{From: TPName, To: ShardName(s), Kind: kindShardFrame, Attr: hi}, relayedFrame{m})
+		if errors.Is(err, wire.ErrClosed) {
+			return fmt.Errorf("%w: %w", errWorkerGone, err)
+		}
+		return err
 	}
 	return func(ctx context.Context, maxes []float64) error {
 		// The end of ctx unparks the rows collector and relay sends, and so
@@ -273,19 +284,27 @@ func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, matrices []*
 		relayed, collected := make(chan error, 1), make(chan error, 1)
 		go func() { relayed <- core.readLanes(ctx, g) }()
 		go func() { collected <- core.collectShardRows(ctx, s, link, g) }()
-		for range 2 {
-			var err error
-			select {
-			case err = <-relayed:
-			case err = <-collected:
+		var err error
+		select {
+		case err = <-relayed:
+			switch {
+			case err == nil:
+				err = <-collected
+			case errors.Is(err, errWorkerGone):
+				// The worker's abort, when it sent one, is on the link ahead
+				// of its end, and the collector reads it.
+				err = cmp.Or(<-collected, err)
 			}
-			if err != nil {
-				link.close()
-				return err
+		case err = <-collected:
+			if err == nil {
+				err = <-relayed
 			}
 		}
+		if err != nil {
+			link.close()
+			return err
+		}
 		for _, attr := range g.attrs {
-			var err error
 			if _, maxes[attr], err = g.asms[attr].Done(); err != nil {
 				return fmt.Errorf("shard %d: %w", s, err)
 			}
@@ -296,6 +315,10 @@ func (tp *ThirdParty) remoteShard(core *shardCore, s int, r [2]int, matrices []*
 		return nil
 	}, nil
 }
+
+// errWorkerGone marks a relay that found the worker link ended. Why it
+// ended is the rows collector's to tell: it reads the same link.
+var errWorkerGone = errors.New("party: the worker link ended")
 
 // relayedFrame is a holder frame inside its ppc/shard-frame body: the
 // received envelope and payload framed again as the holder framed them.
@@ -345,8 +368,6 @@ func (c *shardCore) collectShardRows(ctx context.Context, s int, link *shardLink
 			return fmt.Errorf("party: shard worker %d: %w", s, err)
 		}
 		switch m.Kind {
-		case kindShardBeat:
-			// Liveness only; the bound transport already fed the watchdog.
 		case kindAbort:
 			return peerAbortError(m)
 		case kindShardRows:

@@ -1,6 +1,7 @@
 package party
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"errors"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"ppclust/internal/alloccheck"
 	"ppclust/internal/dataset"
 	"ppclust/internal/dissim"
 	"ppclust/internal/keys"
@@ -376,6 +378,152 @@ func TestChaosShardProcWindowExpiry(t *testing.T) {
 	if !errors.Is(err, wire.ErrReconnectExpired) {
 		t.Fatalf("wire.ErrReconnectExpired lost from the chain: %v", err)
 	}
+}
+
+// TestChaosShardProcWorkerFailureAborts: a worker whose pipeline fails
+// tells the coordinator at once. One holder pair chunk is corrupted on its
+// holder→shard lane — its variant byte names int64 in a float64 session —
+// which the coordinator, checking the header alone, relays untouched, and
+// which the worker refuses to evaluate. With no phase watchdog and a 30 s
+// session bound, the session must fail in well under a second, with an
+// abort naming the worker and its reason.
+func TestChaosShardProcWorkerFailureAborts(t *testing.T) {
+	leakcheck.Check(t)
+	for _, k := range []int{2, 4} {
+		t.Run(fmt.Sprintf("workers-%d", k), func(t *testing.T) {
+			pool := newShardWorkerPool(t, k, ShardServerConfig{Schema: pipelineSchema()})
+			cfg := Config{Schema: pipelineSchema(), Variant: Float64Variant, TPShards: k,
+				PlaintextChannels: true, SessionTimeout: 30 * time.Second}
+			cfg.ShardDial = pool.dialer(fmt.Sprintf("worker-fails-%d", k), nil)
+			tp := newTap(cfg)
+			var mu sync.Mutex
+			corrupted := "" // the shard whose lane carried the corrupted chunk
+			corrupt := func(f *tapFrame) ([][]byte, error) {
+				mu.Lock()
+				defer mu.Unlock()
+				if f.Msg.Kind != kindNumS || corrupted != "" {
+					return f.pass()
+				}
+				corrupted = f.To
+				m := *f.Msg
+				r := bodyReader{p: m.Payload}
+				m.Payload = bytes.Clone(m.Payload)
+				m.Payload[intsLen(r.int(), r.int(), r.int())] = tagInt64
+				return [][]byte{wire.AppendFrame(nil, &m)}, nil
+			}
+			for s := range k {
+				tp.onSend("", ShardName(s), corrupt)
+			}
+			start := time.Now()
+			_, err := RunInMemoryWrapped(cfg, pipelineParts(t, 8), pipelineReqs(), deterministicRandom(51), tp.wrap)
+			took := time.Since(start)
+			mu.Lock()
+			defer mu.Unlock()
+			if corrupted == "" {
+				t.Fatalf("no pair chunk crossed a shard lane (session error %v)", err)
+			}
+			want := fmt.Sprintf("peer %s: ", corrupted)
+			if !errors.Is(err, ErrAborted) || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "variant byte") {
+				t.Fatalf("session error %v, want an abort from %s saying why its pipeline failed", err, corrupted)
+			}
+			if took > time.Second {
+				t.Errorf("the session took %v to report the worker's failure", took)
+			}
+			t.Logf("failed in %v: %v", took, err)
+		})
+	}
+}
+
+// TestChaosShardProcSilentCoordinator: a coordinator that goes silent after
+// its offer cannot hold a worker's run. The worker arms its watchdog with
+// the offer's PhaseTimeout, so within two of them its run ends with a
+// classified timeout sent to the coordinator as an abort, the link closes
+// and the worker forgets the run; no goroutine of the run is left.
+func TestChaosShardProcSilentCoordinator(t *testing.T) {
+	leakcheck.Check(t)
+	const phase = 300 * time.Millisecond
+	ended := make(chan string, 1)
+	pool := newShardWorkerPool(t, 1, ShardServerConfig{Schema: pipelineSchema(), Logf: func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.HasPrefix(line, "event=shard-run-") {
+			ended <- line
+		}
+	}})
+	cfg, _, err := Config{Schema: pipelineSchema(), Variant: Float64Variant}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := &ThirdParty{cfg: cfg, holders: []string{"A", "B"}, counts: []int{2, 2},
+		guard: newGuard(TPName, cfg), masters: map[string][]byte{"A": {1}, "B": {2}}}
+	defer tp.guard.release()
+	if tp.identity, err = keys.NewIdentity(TPName, rand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	tp.cfg.ShardDial = pool.dialer("silent-coordinator", nil)
+	link, err := tp.dialShard(0)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer link.close()
+	offer := shardOfferBody{Lo: 0, Hi: 4, Holders: tp.holders, Counts: tp.counts,
+		Fingerprint: schemaFingerprint(cfg.Schema), Variant: cfg.Variant, RNG: cfg.RNG, PhaseTimeout: phase}
+	offer.Seeds, offer.RowSeeds = tp.seedTables()
+	start := time.Now()
+	if err := link.send(wire.Message{From: TPName, To: ShardName(0), Kind: kindShardOffer, Attr: -1}, offer); err != nil {
+		t.Fatalf("send offer: %v", err)
+	}
+	m, err := link.ep.Recv()
+	took := time.Since(start)
+	if err != nil {
+		t.Fatalf("the worker link ended without an abort: %v", err)
+	}
+	if err := peerAbortError(m); m.Kind != kindAbort || !strings.Contains(err.Error(), ErrSessionTimeout.Error()) || !strings.Contains(err.Error(), `phase "relay"`) {
+		t.Fatalf("the worker answered the silence with %q (%v), want an abort naming its watchdog", m.Kind, err)
+	}
+	if took > 2*phase {
+		t.Errorf("the worker's run ended %v after the offer, its PhaseTimeout is %v", took, phase)
+	}
+	if _, err := link.ep.Recv(); err == nil {
+		t.Error("the worker link stayed open after the abort")
+	}
+	// The worker logs the run's end once it has dropped the run.
+	if line := <-ended; !strings.HasPrefix(line, "event=shard-run-failed") {
+		t.Errorf("the run ended with %q", line)
+	}
+	srv := pool.servers[0]
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if len(srv.runs) != 0 {
+		t.Errorf("the worker still holds %d runs", len(srv.runs))
+	}
+}
+
+// TestChaosShardProcLongChunksNeedNoBeat: a worker sends nothing while it
+// evaluates a chunk, so the coordinator's watchdog waits out the worker's
+// longest chunk, as the third party's own waits out its longest at one
+// range. A mod-p per-pair session at one frame a payload — one chunk a
+// share, the longest there are — passes, at K = 2 with workers, the
+// PhaseTimeout it passes at one range: the time the whole one-range
+// session took, so the watchdog ticks while each session runs.
+func TestChaosShardProcLongChunksNeedNoBeat(t *testing.T) {
+	leakcheck.Check(t)
+	cfg, parts, reqs := pairCPUParts(200)
+	cfg.Variant, cfg.Mode, cfg.LocalChunkBytes = ModPVariant, protocol.PerPair, oneFrameBudget
+	start := time.Now()
+	if _, err := RunInMemory(cfg, parts, reqs, deterministicRandom(52)); err != nil {
+		t.Fatalf("one range: %v", err)
+	}
+	cfg.PhaseTimeout = time.Since(start)
+	want, err := RunInMemory(cfg, parts, reqs, deterministicRandom(52))
+	if err != nil {
+		t.Fatalf("one range under a %v PhaseTimeout: %v", cfg.PhaseTimeout, err)
+	}
+	cfg.TPShards = 2
+	cfg.ShardDial = newShardWorkerPool(t, 2, ShardServerConfig{Schema: cfg.Schema}).dialer("long-chunks", nil)
+	got, err := RunInMemory(cfg, parts, reqs, deterministicRandom(52))
+	if err != nil {
+		t.Fatalf("K = 2 workers under a %v PhaseTimeout: %v", cfg.PhaseTimeout, err)
+	}
+	assertSameOutcome(t, "K = 2 workers at one chunk a share", want, got)
 }
 
 // eagerWorker stands in for a shard worker that answers the offer with
@@ -811,7 +959,6 @@ func TestShardSliceDedup(t *testing.T) {
 		second[i] = h.gen(1e6)[i]
 	}
 	go func() {
-		h.peer.SendBody(wire.Message{From: ShardName(0), To: TPName, Kind: kindShardBeat, Attr: -1}, shardBeatBody{})
 		h.send(c0.Attr, c0)
 		h.send(c1.Attr, c1)
 		for _, b := range second {
@@ -1021,8 +1168,8 @@ func TestShardOfferValidation(t *testing.T) {
 // parallelism sized the worker's compute. That gob-era offer is now
 // refused as malformed with a typed abort, and so is an offer whose census
 // cannot fit, before the worker allocates for it; an offer in the fixed
-// layout over such a range must leave the worker answering with a
-// heartbeat, rows or abort, its core sized from the worker's own cores;
+// layout over such a range must leave the worker answering with rows or
+// an abort, its core sized from the worker's own cores;
 // and the same ShardServer must then complete a normal session.
 func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 	leakcheck.Check(t)
@@ -1038,8 +1185,7 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An offer whose masking mode or generator kind is unknown is refused
-	// outright: the worker's first answer is a typed abort, not a beat or a
-	// slice.
+	// outright: the worker's first answer is a typed abort, not rows.
 	for _, bad := range []struct {
 		name  string
 		offer shardOfferBody
@@ -1127,7 +1273,8 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 			Fingerprint: schemaFingerprint(cfg.Schema), Mode: cfg.Mode, Variant: cfg.Variant, RNG: cfg.RNG}
 		offer.Seeds, offer.RowSeeds = tp.seedTables()
 		var m *wire.Message
-		grew := allocatedBytes(func() {
+		// The worker answers an offer once: one reading.
+		grew, _ := alloccheck.Least(1, func() {
 			if err = link.send(wire.Message{From: TPName, To: ShardName(0), Kind: kindShardOffer, Attr: -1}, offer); err == nil {
 				m, err = link.ep.Recv()
 			}
@@ -1198,7 +1345,7 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 	if m, err = link.ep.Recv(); err != nil {
 		t.Fatalf("worker link after the crafted offer: %v", err)
 	}
-	if m.Kind != kindShardBeat && m.Kind != kindShardRows && m.Kind != kindAbort {
+	if m.Kind != kindShardRows && m.Kind != kindAbort {
 		t.Fatalf("worker answered the crafted offer with %q", m.Kind)
 	}
 	link.close()

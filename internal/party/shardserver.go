@@ -8,7 +8,10 @@ package party
 // chunk is evaluated as it arrives and its rows go straight back as one
 // ppc/shard-rows frame, staged into the frame a row at a time: the worker
 // holds no slice, and never sees a holder's local-matrix chunks, which the
-// coordinator installs itself. The worker holds no durable state: a
+// coordinator installs itself. Each run is a party under its own guard
+// (lifecycle.go), armed with the offer's PhaseTimeout: its first failure
+// sends the coordinator one abort and closes the link, which ends the
+// receive loop and the lane readers. The worker holds no durable state: a
 // registration always answers with watermarks (0, 0), and a
 // re-registration for the same (session, shard) supersedes the previous
 // run — the coordinator replays the stream from the beginning and the
@@ -16,12 +19,12 @@ package party
 // flapped link heal through the same path.
 
 import (
-	"context"
 	"crypto/rand"
 	"errors"
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -34,14 +37,9 @@ import (
 	"ppclust/internal/wire"
 )
 
-const (
-	// shardHandshakeTimeout bounds registration + key agreement per
-	// connection.
-	shardHandshakeTimeout = 10 * time.Second
-	// shardHeartbeat is the cadence of worker→coordinator liveness
-	// heartbeats.
-	shardHeartbeat = time.Second
-)
+// shardHandshakeTimeout bounds a connection's registration, key agreement
+// and offer; the offer's PhaseTimeout bounds the run from then on.
+const shardHandshakeTimeout = 10 * time.Second
 
 // ShardServerConfig configures one shard worker.
 type ShardServerConfig struct {
@@ -82,9 +80,11 @@ type ShardServer struct {
 
 // NewShardServer validates the schema and prepares a worker.
 func NewShardServer(cfg ShardServerConfig) (*ShardServer, error) {
-	if err := cfg.Schema.Validate(); err != nil {
+	schema, err := cfg.Schema.Normalized()
+	if err != nil {
 		return nil, fmt.Errorf("party: shard server schema: %w", err)
 	}
+	cfg.Schema = schema
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -152,25 +152,24 @@ func (s *ShardServer) Close() {
 		ln.Close()
 	}
 	for _, r := range runs {
-		r.close(errors.New("party: shard worker draining"))
+		r.guard.fail(errors.New("party: shard worker draining"))
 	}
 	s.wg.Wait()
 }
 
 // handle runs one registration: v4 hello, unconditional (0, 0) grant, key
-// agreement, then the run loop until the coordinator finishes, aborts, or
-// the link dies.
+// agreement, then the run under its own guard until the coordinator
+// finishes, the run fails, or the link dies.
 func (s *ShardServer) handle(conn net.Conn) {
+	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(shardHandshakeTimeout))
 	hello, err := netid.ParseHello(conn)
 	if err != nil {
-		conn.Close()
 		return
 	}
 	if !hello.ShardRegistration() || hello.Lane == 0 {
 		s.cfg.Logf("event=shard-reject reason=version remote=%s", conn.RemoteAddr())
 		netid.SendReject(conn, netid.RejectVersion, "shard worker accepts the v4 shard-registration hello only")
-		conn.Close()
 		return
 	}
 	shard := int(hello.Lane) - 1
@@ -179,7 +178,6 @@ func (s *ShardServer) handle(conn net.Conn) {
 	s.mu.Unlock()
 	if closed {
 		netid.SendReject(conn, netid.RejectDraining, "shard worker draining")
-		conn.Close()
 		return
 	}
 	// The grant is unconditionally (0, 0): a worker is always fresh for a
@@ -187,27 +185,30 @@ func (s *ShardServer) handle(conn net.Conn) {
 	// accumulated is unusable after the coordinator's full replay, so
 	// there are no watermarks to reconcile.
 	if err := netid.SendAcceptResume(conn, 0, 0); err != nil {
-		conn.Close()
 		return
 	}
-	secured, err := s.secure(conn, shard)
+	// The run is a party of its own: its guard binds the raw transport, so
+	// a failure closes the link under the channel protection and the
+	// receive loop ends.
+	run := &shardRun{
+		srv:   s,
+		key:   shardRunKey{session: hello.Session, shard: shard},
+		epoch: hello.Epoch,
+		guard: newGuard(ShardName(shard), Config{}),
+	}
+	defer run.guard.release()
+	secured, err := s.secure(run.guard.bind(wire.TCPPooled(conn)), shard)
 	if err != nil {
 		s.cfg.Logf("event=shard-handshake-failed shard=%d err=%v", shard, err)
-		conn.Close()
 		return
 	}
-	conn.SetDeadline(time.Time{})
-	run := &shardRun{
-		srv:     s,
-		key:     shardRunKey{session: hello.Session, shard: shard},
-		epoch:   hello.Epoch,
-		conduit: secured,
-		ep:      wire.NewEndpoint(&serialSends{Conduit: secured}),
-	}
+	run.ep = wire.NewEndpoint(&serialSends{Conduit: secured})
+	run.guard.setNotify(func(reason string) {
+		sendAbortAll(ShardName(shard), map[string]*wire.Endpoint{TPName: run.ep}, reason)
+	})
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		secured.Close()
 		return
 	}
 	if old := s.runs[run.key]; old != nil {
@@ -218,61 +219,63 @@ func (s *ShardServer) handle(conn net.Conn) {
 			s.mu.Unlock()
 			s.cfg.Logf("event=shard-register-stale session=%q shard=%d epoch=%d current=%d",
 				hello.Session, shard, hello.Epoch, old.epoch)
-			secured.Close()
 			return
 		}
 		// Re-registration after a crash of the coordinator's link (or a
 		// coordinator that never learned its old link died): the stream
 		// restarts from the beginning, so the old run must not keep
-		// half-assembled state alive. It dies silently — the coordinator
+		// half-assembled state alive. It ends silently — the coordinator
 		// has replaced that link and an abort frame has no reader there,
 		// or worse, a reader that takes it for the session's.
 		s.cfg.Logf("event=shard-superseded session=%q shard=%d epoch=%d by=%d",
 			hello.Session, shard, old.epoch, hello.Epoch)
-		old.close(nil)
+		old.guard.setNotify(nil)
+		old.guard.fail(errors.New("party: shard run superseded"))
 	}
 	s.runs[run.key] = run
 	s.mu.Unlock()
 	s.cfg.Logf("event=shard-register session=%q shard=%d epoch=%d remote=%s",
 		hello.Session, shard, hello.Epoch, conn.RemoteAddr())
-	run.serve()
+	err = run.run(conn)
 	s.mu.Lock()
 	if s.runs[run.key] == run {
 		delete(s.runs, run.key)
 	}
 	s.mu.Unlock()
+	if err != nil {
+		s.cfg.Logf("event=shard-run-failed session=%q shard=%d err=%v", hello.Session, shard, err)
+	} else {
+		s.cfg.Logf("event=shard-run-done session=%q shard=%d", hello.Session, shard)
+	}
 }
 
-// secure is the worker side of the link handshake: a fresh X25519
+// secure is the worker side of the link handshake over raw: a fresh X25519
 // identity per connection (the link is transport protection only — no
 // session key material derives from it), then the key agreement. Like the
 // coordinator's side, it never runs plain.
-func (s *ShardServer) secure(conn net.Conn, shard int) (wire.Conduit, error) {
+func (s *ShardServer) secure(raw wire.Conduit, shard int) (wire.Conduit, error) {
 	name := ShardName(shard)
 	identity, err := keys.NewIdentity(name, rand.Reader)
 	if err != nil {
 		return nil, err
 	}
-	secured, _, err := handshake(wire.TCPPooled(conn), name, TPName, identity, s.fp, false)
+	secured, _, err := handshake(raw, name, TPName, identity, s.fp, false)
 	return secured, err
 }
 
 // shardRun is one registration's lifetime on the worker.
 type shardRun struct {
-	srv     *ShardServer
-	key     shardRunKey
-	epoch   uint32
-	conduit wire.Conduit
+	srv   *ShardServer
+	key   shardRunKey
+	epoch uint32
+	// guard is the run's lifecycle, as a holder's or the third party's is
+	// theirs: the first failure sends the coordinator one abort, closes the
+	// link and the feed pipes, and stops the lane readers.
+	guard *guard
 	// ep sends over serialSends: the lane readers build their rows frames
 	// concurrently, each evaluating its chunk into a frame of its own, and
 	// take turns only to seal and write it.
 	ep *wire.Endpoint
-
-	closeOnce sync.Once
-}
-
-func (r *shardRun) send(kind wire.Kind, attr int, body any) error {
-	return r.ep.SendBody(wire.Message{From: ShardName(r.key.shard), To: TPName, Kind: kind, Attr: attr}, body)
 }
 
 // serialSends is a conduit whose Sends take turns; Recv is the inner
@@ -289,43 +292,6 @@ func (c *serialSends) Send(frame []byte) error {
 }
 
 func (c *serialSends) RecvOwned() bool { return wire.RecvOwned(c.Conduit) }
-
-// close tears the run's link down, first explaining the failure to the
-// coordinator when there is one to explain (best-effort — on a dead link
-// the send fails immediately).
-func (r *shardRun) close(reason error) {
-	r.closeOnce.Do(func() {
-		if reason != nil {
-			_ = r.send(kindAbort, -1, abortBody{Reason: clipReason(reason.Error())})
-		}
-		r.conduit.Close()
-	})
-}
-
-// serve runs the registration to completion: offer, then the frame loop.
-// An offer that arrives but does not decode — a malformed layout, another
-// kind — is refused with an abort; a link that ends first has no one to
-// tell.
-func (r *shardRun) serve() {
-	m, err := r.ep.Recv()
-	if err != nil {
-		r.close(nil)
-		return
-	}
-	var offer shardOfferBody
-	if err := expectBody(m, kindShardOffer, &offer); err != nil {
-		r.srv.cfg.Logf("event=shard-offer-refused session=%q shard=%d err=%v", r.key.session, r.key.shard, err)
-		r.close(err)
-		return
-	}
-	if err := r.run(offer); err != nil {
-		r.srv.cfg.Logf("event=shard-run-failed session=%q shard=%d err=%v", r.key.session, r.key.shard, err)
-		r.close(err)
-		return
-	}
-	r.srv.cfg.Logf("event=shard-run-done session=%q shard=%d", r.key.session, r.key.shard)
-	r.close(nil)
-}
 
 // offerCore validates an offer against this worker's schema and
 // registration and rebuilds the shard pipeline it asks for, its compute
@@ -388,50 +354,40 @@ func (s *ShardServer) offerCore(shard int, offer shardOfferBody) (*shardCore, er
 		protocol.NewEnginePool(0), offer.Seeds, offer.RowSeeds), nil
 }
 
-// run rebuilds the shard pipeline from the offer and drives it: relayed
-// pair chunks feed per-holder pipes, and one pair-share reader per pipe
-// evaluates each chunk and sends its rows back. Returns nil on a clean
-// coordinator-initiated end.
-func (r *shardRun) run(offer shardOfferBody) error {
-	s := r.srv
-	core, err := s.offerCore(r.key.shard, offer)
+// run reads the offer — still under the handshake deadline on conn — arms
+// the guard's watchdog with the offer's PhaseTimeout, rebuilds the shard
+// pipeline and drives it: relayed pair chunks feed per-holder pipes, and
+// one pair-share reader per pipe evaluates each chunk and sends its rows
+// back. Every failure ends the run through the guard; run returns its
+// classified error, or nil once the coordinator ended the run cleanly.
+func (r *shardRun) run(conn net.Conn) error {
+	r.guard.setPhase("offer")
+	var offer shardOfferBody
+	if _, err := expectMsg(r.ep, kindShardOffer, &offer); err != nil {
+		return r.guard.abort(fmt.Errorf("party: shard offer: %w", err))
+	}
+	conn.SetDeadline(time.Time{})
+	r.guard.setPhase("relay")
+	r.guard.watch(offer.PhaseTimeout)
+	core, err := r.srv.offerCore(r.key.shard, offer)
 	if err != nil {
-		return err
+		return r.guard.abort(err)
 	}
 	rg := [2]int{offer.Lo, offer.Hi}
 
 	// One pipe per holder — the write end receives the relayed frame bytes,
 	// the read end reproduces exactly the pair chunks the holder sent the
-	// range. A holder with no frames for the range never has its pipe
-	// read.
+	// range. The guard owns the pipes, so a failure unparks the readers
+	// waiting on them. A holder with no frames for the range never has its
+	// pipe read.
 	feeds := make([]wire.Conduit, len(offer.Holders))
 	eps := make([]*wire.Endpoint, len(offer.Holders))
 	frames := make([]int, len(offer.Holders))
 	for hi := range offer.Holders {
 		a, b := wire.Pipe()
+		r.guard.own(a)
 		feeds[hi], eps[hi] = a, wire.NewEndpoint(b)
 		frames[hi] = core.pairFrames(hi, rg)
-	}
-	// stop ends the lane readers: they yield no frame once ctx ends, and
-	// closing the feeds unparks the ones waiting for a frame.
-	ctx, cancel := context.WithCancel(context.Background())
-	stop := func() {
-		cancel()
-		for _, f := range feeds {
-			f.Close()
-		}
-	}
-	defer stop()
-
-	var mu sync.Mutex
-	var runErr error
-	fail := func(err error) {
-		mu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		mu.Unlock()
-		stop()
 	}
 
 	// The pipeline computes on its own goroutine: the pair-share readers
@@ -442,105 +398,77 @@ func (r *shardRun) run(offer shardOfferBody) error {
 		install: func(attr int, sh pairShare, lo, hi int, row protocol.RowFunc) error {
 			body := shardRowsBody{Attr: attr, J: sh.j, K: sh.k, Lo: lo, Hi: hi,
 				cols: core.counts[sh.j], row: row, workers: core.workers}
-			return r.send(kindShardRows, attr, body)
+			return r.ep.SendBody(wire.Message{From: ShardName(r.key.shard), To: TPName, Kind: kindShardRows, Attr: attr}, body)
 		}}
 	for attr, a := range core.cfg.Schema.Attrs {
 		if !tagBased(a.Type) {
 			g.attrs = append(g.attrs, attr)
 		}
 	}
-	computeDone := make(chan struct{})
+	computed := make(chan error, 1)
 	go func() {
-		defer close(computeDone)
-		if err := core.readLanes(ctx, g); err != nil {
-			fail(err)
+		err := core.readLanes(r.guard.ctx, g)
+		if err != nil {
+			err = r.guard.abort(err)
 		}
+		computed <- err
 	}()
+	if err = r.relay(feeds, frames, offer.Holders); err != nil {
+		err = r.guard.abort(err)
+	}
+	// A clean end comes after every frame was fed, so the readers finish
+	// on their own; a failure has closed the pipes under them.
+	if cerr := <-computed; err == nil {
+		err = cerr
+	}
+	return err
+}
 
-	// Heartbeats, until the run ends or the first send fails.
-	hbStop := make(chan struct{})
-	var hbWg sync.WaitGroup
-	hbWg.Add(1)
-	go func() {
-		defer hbWg.Done()
-		t := time.NewTicker(shardHeartbeat)
-		defer t.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-t.C:
-				if err := r.send(kindShardBeat, -1, shardBeatBody{}); err != nil {
-					return
-				}
-			}
-		}
-	}()
-
-	// The relayed frames all arrive on one link, so the receive loop must
-	// never block on one holder's pipe while another holder's reader waits
-	// for frames. It does not: a pipe queue is unbounded, so Send never
-	// blocks, and the pair frame count bounds how much a coordinator can
-	// make the worker hold.
-	relayed := 0
-	fed := make([]int, len(offer.Holders))
-	clean := false
-	var recvErr error
-loop:
+// relay is the run's receive loop: it feeds each relayed frame to its
+// holder's pipe until the coordinator's done, after every frame the range
+// has. The relayed frames all arrive on one link, so the loop must never
+// block on one holder's pipe while another holder's reader waits for
+// frames. It does not: a pipe queue is unbounded, so Send never blocks,
+// and the pair frame count bounds how much a coordinator can make the
+// worker hold.
+func (r *shardRun) relay(feeds []wire.Conduit, frames []int, holders []string) error {
+	fed, relayed := make([]int, len(feeds)), 0
 	for {
 		m, err := r.ep.Recv()
 		if err != nil {
-			recvErr = err
-			break
+			return err
 		}
 		switch m.Kind {
 		case kindShardFrame:
 			var body shardFrameBody
 			if err := wire.DecodeBody(m.Payload, &body); err != nil {
-				recvErr = err
-				break loop
+				return err
 			}
 			if m.Attr < 0 || m.Attr >= len(feeds) {
-				recvErr = fmt.Errorf("party: relayed frame for holder %d outside the roster", m.Attr)
-				break loop
+				return fmt.Errorf("party: relayed frame for holder %d outside the roster", m.Attr)
 			}
 			if fed[m.Attr] >= frames[m.Attr] {
-				recvErr = fmt.Errorf("party: relayed frames for %s exceed the lane's %d", offer.Holders[m.Attr], frames[m.Attr])
-				break loop
+				return fmt.Errorf("party: relayed frames for %s exceed the lane's %d", holders[m.Attr], frames[m.Attr])
 			}
 			fed[m.Attr]++
 			// The received Message owns its payload, so the frame is handed
 			// to the lane reader as it is, not copied into the pipe.
 			if err := wire.SendOwned(feeds[m.Attr], body.Frame); err != nil {
-				fail(err)
+				return err
 			}
 			relayed++
-			if hook := s.cfg.OnFrame; hook != nil {
+			if hook := r.srv.cfg.OnFrame; hook != nil {
 				hook(r.key.session, r.key.shard, relayed)
 			}
 		case kindShardDone:
-			clean = true
-			break loop
+			if !slices.Equal(fed, frames) {
+				return fmt.Errorf("party: coordinator ended the run after %d relayed frames, before the range's last", relayed)
+			}
+			return nil
 		case kindAbort:
-			recvErr = peerAbortError(m)
-			break loop
+			return peerAbortError(m)
 		default:
-			recvErr = fmt.Errorf("party: unexpected %q from coordinator", m.Kind)
-			break loop
+			return fmt.Errorf("party: unexpected %q from coordinator", m.Kind)
 		}
 	}
-	close(hbStop)
-	stop()
-	<-computeDone
-	hbWg.Wait()
-	if clean {
-		return nil
-	}
-	mu.Lock()
-	err = runErr
-	mu.Unlock()
-	if err == nil {
-		err = recvErr
-	}
-	return err
 }

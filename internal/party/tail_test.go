@@ -12,10 +12,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
+	"ppclust/internal/alloccheck"
 	"ppclust/internal/alphabet"
 	"ppclust/internal/dataset"
 	"ppclust/internal/dissim"
@@ -348,16 +348,14 @@ func TestTailResultsNeverAlias(t *testing.T) {
 
 // allocTriangles reports the bytes run allocates less frameBufferBytes', in
 // packed float64 triangles over n objects: the least of three runs, so a
-// stray allocation by a finished test's winding-down goroutine cannot fail it.
+// stray allocation by a finished test's winding-down goroutine cannot fail
+// it. Each run is read alone, because frameBufferBytes reads its own.
 func allocTriangles(n int, run func()) float64 {
 	least := math.Inf(1)
 	for i := 0; i < 3; i++ {
 		frames := frameBufferBytes()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		least = math.Min(least, float64(after.TotalAlloc-before.TotalAlloc)-float64(frameBufferBytes()-frames))
+		bytes, _ := alloccheck.Least(1, run)
+		least = math.Min(least, float64(bytes)-float64(frameBufferBytes()-frames))
 	}
 	return least / float64(8*n*(n-1)/2)
 }

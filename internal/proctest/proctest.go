@@ -3,7 +3,7 @@
 // localhost TCP, and drives sessions whose coordinator lives in the test
 // process while the shard lane readers run in the spawned workers —
 // the full cross-process control protocol (v4 registration, slice offer,
-// frame relay, heartbeats, done/abort) over real process and socket
+// frame relay, returned rows, done/abort) over real process and socket
 // boundaries.
 //
 // The package also scripts deterministic process death: a worker spawned

@@ -79,9 +79,10 @@ func NewReconn(inner Conduit, window time.Duration) *Reconn {
 }
 
 // SetHooks installs observer callbacks: onDown fires (on its own
-// goroutine) when the inner conduit fails and the window opens, onUp after
-// a successful Rebind, onExpire when the window runs out. Any hook may be
-// nil. Call before the conduit carries traffic.
+// goroutine) when the inner conduit fails and the window opens, onUp when
+// a Rebind swaps its conduit in, before it replays (a replay that fails
+// takes the link down again), onExpire when the window runs out. Any hook
+// may be nil. Call before the conduit carries traffic.
 func (r *Reconn) SetHooks(onDown func(error), onUp func(), onExpire func(error)) {
 	r.mu.Lock()
 	r.onDown, r.onUp, r.onExpire = onDown, onUp, onExpire
@@ -325,7 +326,14 @@ func (r *Reconn) Rebind(inner Conduit, peerRecv uint64, epoch uint32) error {
 		r.timer = nil
 	}
 	r.cond.Broadcast() // receivers start draining the peer's replay now
+	hook := r.onUp
 	r.mu.Unlock()
+	// The link is up from the swap on. The hook runs before the replay, so
+	// nothing the replay brings about — the peer's answers to it — can be
+	// seen before the link reports up.
+	if hook != nil {
+		hook()
+	}
 	old.Close()
 	for i, frame := range replay {
 		if err := inner.Send(frame); err != nil {
@@ -347,11 +355,7 @@ func (r *Reconn) Rebind(inner Conduit, peerRecv uint64, epoch uint32) error {
 		r.flushed = r.acked + uint64(len(replay))
 	}
 	r.hold = false
-	hook := r.onUp
 	r.cond.Broadcast()
 	r.mu.Unlock()
-	if hook != nil {
-		hook()
-	}
 	return nil
 }

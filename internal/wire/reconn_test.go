@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -312,6 +313,47 @@ func TestReconnCloseWhileDown(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("parked recv never released")
 	}
+}
+
+// TestReconnUpBeforeReplay: Rebind reports the link up when it swaps its
+// conduit in, before it replays, so nothing the replay brings about — the
+// peer's answer to it — can be seen before the up report. Fired after the
+// replay, the report could come after a whole session had finished over
+// the replayed link.
+func TestReconnUpBeforeReplay(t *testing.T) {
+	leakcheck.Check(t)
+	rawA, rawB := Pipe()
+	defer rawB.Close()
+	r := NewReconn(rawA, time.Hour)
+	defer r.Close()
+	var up atomic.Bool
+	r.SetHooks(nil, func() { up.Store(true) }, nil)
+	if err := r.Send([]byte("cached")); err != nil {
+		t.Fatal(err)
+	}
+	rawA.Close()
+	go r.Recv() // notices the sever, then parks until the Close
+	awaitDown(t, r)
+	next, _ := Pipe()
+	probe := &upProbe{Conduit: next, up: &up}
+	if err := r.Rebind(probe, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.upAtSend) != 1 || !probe.upAtSend[0] {
+		t.Fatalf("link reported up at each replayed send: %v, want [true]", probe.upAtSend)
+	}
+}
+
+// upProbe is a conduit that records, at each Send, whether up is set.
+type upProbe struct {
+	Conduit
+	up       *atomic.Bool
+	upAtSend []bool
+}
+
+func (p *upProbe) Send([]byte) error {
+	p.upAtSend = append(p.upAtSend, p.up.Load())
+	return nil
 }
 
 // TestLinkCloseThenRebind pins the Close-then-rebind contract the resume
