@@ -562,6 +562,14 @@ func FuzzChunkBodyDecoders(f *testing.F) {
 	for _, c := range controlSamples() {
 		enc, _ := wire.EncodeBody(c.body)
 		f.Add(index(c.kind), enc)
+		if o, ok := c.body.(shardOfferBody); ok {
+			// The same offer without its PhaseTimeout field: the layout
+			// the offer had before workers armed a phase deadline.
+			head := appendInts(appendString(appendIntList(appendStrings(appendInts(nil, o.Shard, o.Lo, o.Hi), o.Holders), o.Counts), o.Fingerprint),
+				int(o.Mode), int(o.Variant), int(o.RNG), o.LocalChunkBytes)
+			phase := appendInts(nil, int(o.PhaseTimeout))
+			f.Add(index(kindShardOffer), slices.Concat(head, enc[len(head)+len(phase):]))
+		}
 	}
 	eng := protocol.NewEngine(1)
 	own := []protocol.SymbolString{{0, 1, 2}, {2, 0, 1, 1, 2, 0, 1, 2, 2, 1, 0, 0, 1}}
