@@ -55,24 +55,13 @@ func runAttackFrequency(w io.Writer) error {
 			gen := rng.NewAESCTR(rng.SeedFromUint64(uint64(1000 + trial)))
 			ys := sample(gen, 30)
 			xs := sample(gen, 3)
-			seedJK := rng.SeedFromUint64(uint64(5000 + trial))
-			seedJT := rng.SeedFromUint64(uint64(6000 + trial))
-			rows := 0
-			if mode == protocol.PerPair {
-				rows = len(ys)
-			}
-			disguised, err := protocol.NumericInitiatorInt(xs,
-				rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT), protocol.DefaultIntParams, mode, rows)
+			jk, jt := aes(uint64(5000+trial)), aes(uint64(6000+trial))
+			_, s, _, err := numericRun(xs, ys, mode, jk, jt)
 			if err != nil {
 				return err
 			}
-			s, err := protocol.NumericResponderInt(disguised, ys, rng.NewAESCTR(seedJK),
-				protocol.DefaultIntParams, mode)
-			if err != nil {
-				return err
-			}
-			guess, err := attack.FrequencyAttack(s, rng.NewAESCTR(seedJT),
-				protocol.DefaultIntParams, mode, prior)
+			// The attack reads the S block as the third party receives it.
+			guess, err := attack.FrequencyAttack(s, jt(), mode, prior)
 			if err != nil {
 				continue // no consistent hypothesis: recovery 0
 			}
@@ -92,6 +81,11 @@ func runAttackFrequency(w io.Writer) error {
 	return verdict(w, "SHAPE: batch masking is broken under these conditions; the paper's per-pair countermeasure reduces the attack to near-chance", broken...)
 }
 
+// aes returns a constructor of fresh AES-CTR streams of the given seed.
+func aes(seed uint64) func() rng.Stream {
+	return func() rng.Stream { return rng.NewAESCTR(rng.SeedFromUint64(seed)) }
+}
+
 // runAttackEavesdrop demonstrates the Section 4.1 channel analysis: what an
 // observer of each unsecured channel infers, and that AES-GCM channels
 // remove the inference.
@@ -100,23 +94,18 @@ func runAttackEavesdrop(w io.Writer) error {
 	maskJT := int64(7)
 
 	fmt.Fprintln(w, "scenario: x=37 at DHJ, y=90 at DHK, RJT=7, RJK odd")
-	d, err := protocol.NumericInitiatorInt([]int64{x}, rng.Scripted(5), rng.Scripted(uint64(maskJT)),
-		protocol.DefaultIntParams, protocol.Batch, 0)
+	dc, sc, _, err := numericRun([]int64{x}, []int64{y}, protocol.Batch, scripted(5), scripted(uint64(maskJT)))
 	if err != nil {
 		return err
 	}
-	s, err := protocol.NumericResponderInt(d, []int64{y}, rng.Scripted(5),
-		protocol.DefaultIntParams, protocol.Batch)
-	if err != nil {
-		return err
-	}
+	d, s := int64Cell(dc, 0), int64Cell(sc, 0)
 
-	cx := attack.EavesdropXCandidates(d.At(0, 0), maskJT)
-	fmt.Fprintf(w, "\nTP eavesdropping the plaintext DHJ->DHK channel (sees x''=%d, knows R=%d):\n", d.At(0, 0), maskJT)
+	cx := attack.EavesdropXCandidates(d, maskJT)
+	fmt.Fprintf(w, "\nTP eavesdropping the plaintext DHJ->DHK channel (sees x''=%d, knows R=%d):\n", d, maskJT)
 	fmt.Fprintf(w, "  x candidates: {%d, %d}   (true x = %d is exposed up to 1 bit)\n", cx[0], cx[1], x)
 
-	cy := attack.EavesdropYCandidates(s.At(0, 0), maskJT, x)
-	fmt.Fprintf(w, "DHJ eavesdropping the plaintext DHK->TP channel (sees m=%d, knows R and x):\n", s.At(0, 0))
+	cy := attack.EavesdropYCandidates(s, maskJT, x)
+	fmt.Fprintf(w, "DHJ eavesdropping the plaintext DHK->TP channel (sees m=%d, knows R and x):\n", s)
 	fmt.Fprintf(w, "  y candidates: {%d, %d}   (true y = %d is exposed up to 1 bit)\n", cy[0], cy[1], y)
 
 	// Now the secured channel: the observer sees AES-GCM ciphertext only.
@@ -135,7 +124,7 @@ func runAttackEavesdrop(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	payload := fmt.Sprintf("x''=%d", d.At(0, 0))
+	payload := fmt.Sprintf("x''=%d", d)
 	if err := sa.Send([]byte(payload)); err != nil {
 		return err
 	}
@@ -166,9 +155,10 @@ func runAttackAlpha(w io.Writer) error {
 	tTrue := "GGTA"
 	seed := rng.SeedFromUint64(99)
 
-	disguised := protocol.AlphaInitiator(
+	e := protocol.NewEngine(1)
+	disguised := e.AlphaInitiator(
 		[]protocol.SymbolString{protocol.SymbolString(a.MustEncode(sTrue))}, a, rng.NewAESCTR(seed))
-	inter := protocol.AlphaResponder(
+	inter := e.AlphaResponder(
 		[]protocol.SymbolString{protocol.SymbolString(a.MustEncode(tTrue))}, disguised, a)
 	diff, err := attack.StripAlphaMasks(inter[0][0], a, rng.NewAESCTR(seed))
 	if err != nil {

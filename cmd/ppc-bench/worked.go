@@ -1,12 +1,14 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"strings"
 
 	"ppclust"
 	"ppclust/internal/alphabet"
+	"ppclust/internal/attack"
 	"ppclust/internal/protocol"
 	"ppclust/internal/rng"
 )
@@ -14,36 +16,88 @@ import (
 // runFig3 traces the paper's Figure 3: x=3 at DHJ, y=8 at DHK, RJK=5,
 // RJT=7.
 func runFig3(w io.Writer) error {
-	params := protocol.DefaultIntParams
-	disguised, err := protocol.NumericInitiatorInt([]int64{3},
-		rng.Scripted(5), rng.Scripted(7), params, protocol.Batch, 0)
+	d, s, dist, err := numericRun([]int64{3}, []int64{8}, protocol.Batch, scripted(5), scripted(7))
 	if err != nil {
 		return err
 	}
-	s, err := protocol.NumericResponderInt(disguised, []int64{8},
-		rng.Scripted(5), params, protocol.Batch)
-	if err != nil {
-		return err
-	}
-	dist, err := protocol.NumericThirdPartyInt(s, rng.Scripted(7), params, protocol.Batch)
-	if err != nil {
-		return err
-	}
+	x2, m, abs := int64Cell(d, 0), int64Cell(s, 0), int64(dist[0])
 	fmt.Fprintln(w, "site DHJ:  x = 3, RJK = 5 (odd -> DHJ negates), RJT = 7")
-	fmt.Fprintf(w, "           x' = -3, x'' = x' + RJT = %d          (paper: 4)\n", disguised.At(0, 0))
-	fmt.Fprintf(w, "site DHK:  y = 8, RJK = 5 -> DHK keeps sign; m = %d   (paper: 12)\n", s.At(0, 0))
-	fmt.Fprintf(w, "site TP:   |m - RJT| = |%d - 7| = %d               (paper: |x-y| = 5)\n",
-		s.At(0, 0), dist.At(0, 0))
+	fmt.Fprintf(w, "           x' = -3, x'' = x' + RJT = %d          (paper: 4)\n", x2)
+	fmt.Fprintf(w, "site DHK:  y = 8, RJK = 5 -> DHK keeps sign; m = %d   (paper: 12)\n", m)
+	fmt.Fprintf(w, "site TP:   |m - RJT| = |%d - 7| = %d               (paper: |x-y| = 5)\n", m, abs)
 	var broken []error
 	for _, v := range []struct {
 		name      string
 		got, want int64
-	}{{"x''", disguised.At(0, 0), 4}, {"m", s.At(0, 0), 12}, {"|x-y|", dist.At(0, 0), 5}} {
+	}{{"x''", x2, 4}, {"m", m, 12}, {"|x-y|", abs, 5}} {
 		if v.got != v.want {
 			broken = append(broken, fmt.Errorf("%s = %d, the paper has %d", v.name, v.got, v.want))
 		}
 	}
 	return verdict(w, "MATCH: reproduces the paper exactly", broken...)
+}
+
+// numericRun runs Figures 4–6 through the int64 numeric protocol sessions
+// run, over one block with DHJ's values xs on the columns and DHK's ys on
+// the rows, each site's step one chunk: it returns the disguise DHJ sends
+// DHK, the S block DHK sends the third party, and the distances the third
+// party strips from S, row-major. jk and jt return fresh copies of the
+// shared streams, one for each site that reads them.
+func numericRun(xs, ys []int64, mode protocol.Mode, jk, jt func() rng.Stream) (d, s protocol.NumericChunk, dist []float64, err error) {
+	num, err := protocol.NewNumeric(protocol.Int64Variant, mode)
+	if err != nil {
+		return
+	}
+	cx, err := num.Column(floats(xs))
+	if err != nil {
+		return
+	}
+	cy, err := num.Column(floats(ys))
+	if err != nil {
+		return
+	}
+	e, rows := protocol.NewEngine(1), 1
+	if mode == protocol.PerPair {
+		rows = len(ys)
+	}
+	blk, err := num.Disguise(e, nil, cx, 0, rows, len(ys), jk(), jt(), protocol.InitiatorCols)
+	if err == nil {
+		d, err = protocol.DecodeNumericChunk(blk)
+	}
+	if err == nil {
+		blk, err = num.Combine(e, nil, []protocol.NumericChunk{d}, cy, 0, len(ys), jk(), protocol.InitiatorCols)
+	}
+	if err == nil {
+		s, err = protocol.DecodeNumericChunk(blk)
+	}
+	if err != nil {
+		return
+	}
+	row, err := num.Strip(e, s, 0, len(ys), jt(), protocol.InitiatorCols)
+	dist = make([]float64, len(ys)*len(xs))
+	for r := 0; err == nil && r < len(ys); r++ {
+		err = row(r, dist[r*len(xs):(r+1)*len(xs)])
+	}
+	return
+}
+
+// floats converts integer values to the float64 a Column checks.
+func floats(vs []int64) []float64 {
+	out := make([]float64, len(vs))
+	for i, v := range vs {
+		out[i] = float64(v)
+	}
+	return out
+}
+
+// int64Cell is cell i of an int64 block: 8 little-endian bytes.
+func int64Cell(c protocol.NumericChunk, i int) int64 {
+	return int64(binary.LittleEndian.Uint64(c.Cells[8*i:]))
+}
+
+// scripted returns a constructor of the stream that replays words.
+func scripted(words ...uint64) func() rng.Stream {
+	return func() rng.Stream { return rng.Scripted(words...) }
 }
 
 // runFig7 traces the paper's Figure 7: S="abc", T="bd" over A={a,b,c,d},
@@ -59,12 +113,13 @@ func runFig7(w io.Writer) error {
 			broken = append(broken, fmt.Errorf("%s = %q, the paper has %q", name, got, want))
 		}
 	}
-	disguised := protocol.AlphaInitiator([]protocol.SymbolString{s}, abcd, rng.Scripted(0, 1, 3))
+	e := protocol.NewEngine(1)
+	disguised := e.AlphaInitiator([]protocol.SymbolString{s}, abcd, rng.Scripted(0, 1, 3))
 	fmt.Fprintf(w, "site DHJ:  S = \"abc\", R = \"013\" -> S' = %q      (paper: \"acb\")\n",
 		abcd.Decode(disguised[0]))
 	same("S'", abcd.Decode(disguised[0]), "acb")
 
-	inter := protocol.AlphaResponder([]protocol.SymbolString{t}, disguised, abcd)
+	inter := e.AlphaResponder([]protocol.SymbolString{t}, disguised, abcd)
 	m := inter[0][0]
 	fmt.Fprintf(w, "site DHK:  T = \"bd\"; difference matrix M:\n")
 	for q, want := range []string{"dba", "bdc"} {
@@ -77,25 +132,32 @@ func runFig7(w io.Writer) error {
 	}
 	fmt.Fprintln(w, "           (paper: rows \"dba\" and \"bdc\")")
 
-	ccms, err := protocol.AlphaThirdPartyCCMs(inter, abcd, rng.Scripted(0, 1, 3))
+	// The CCM flattens the difference matrix the third party strips the
+	// masks from: a cell is 0 where the characters are equal, 1 elsewhere.
+	diff, err := attack.StripAlphaMasks(m, abcd, rng.Scripted(0, 1, 3))
 	if err != nil {
 		return err
 	}
-	ccm := ccms[0][0]
+	ccm := func(q, p int) int {
+		if diff.At(q, p) != 0 {
+			return 1
+		}
+		return 0
+	}
 	fmt.Fprintln(w, "site TP:   decoded CCM (0 = characters equal):")
-	for q := 0; q < ccm.Rows; q++ {
+	for q := 0; q < diff.Rows; q++ {
 		fmt.Fprintf(w, "           ")
-		for p := 0; p < ccm.Cols; p++ {
-			fmt.Fprintf(w, "%d ", ccm.At(q, p))
+		for p := 0; p < diff.Cols; p++ {
+			fmt.Fprintf(w, "%d ", ccm(q, p))
 		}
 		fmt.Fprintln(w)
 	}
-	if ccm.At(0, 1) != 0 {
-		broken = append(broken, fmt.Errorf("CCM[0][1] = %d, the paper has 0", ccm.At(0, 1)))
+	if ccm(0, 1) != 0 {
+		broken = append(broken, fmt.Errorf("CCM[0][1] = %d, the paper has 0", ccm(0, 1)))
 	}
 	fmt.Fprintln(w, "           CCM[0][1] = 0 implies s[1] = t[0] = 'b'  (paper: same)")
 
-	dist, err := protocol.AlphaThirdParty(inter, abcd, rng.Scripted(0, 1, 3))
+	dist, err := e.AlphaThirdParty(inter, abcd, rng.Scripted(0, 1, 3))
 	if err != nil {
 		return err
 	}

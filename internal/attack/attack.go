@@ -17,6 +17,7 @@
 package attack
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -55,35 +56,35 @@ func UniformPrior(lo, hi int64) FrequencyPrior {
 }
 
 // FrequencyAttack is the third party's batch-mode attack. The TP holds the
-// pair-wise comparison matrix s (as received from DHK) and regenerates the
-// masks from its shared generator with DHJ, exactly as in the legitimate
-// protocol. In batch mode the unmasked column n is σ_n·(x_n − y) for the
-// whole private vector y of DHK with a single unknown shift x_n and sign
-// σ_n, so the attacker scores every (shift, sign) hypothesis against the
-// prior and reads y off the best one. The same procedure applied to
-// per-pair traffic faces independent signs per cell and collapses.
+// block of the comparison matrix S it received from DHK, and regenerates
+// the masks from its shared generator with DHJ, exactly as in the
+// legitimate protocol. In batch mode the unmasked column n is
+// σ_n·(x_n − y) for the whole private vector y of DHK with a single
+// unknown shift x_n and sign σ_n, so the attacker scores every
+// (shift, sign) hypothesis against the prior and reads y off the best one.
+// The same procedure applied to per-pair traffic faces independent signs
+// per cell and collapses.
 //
-// s is the received matrix, jt a fresh stream seeded with the TP–DHJ shared
-// seed, mode the protocol mode, and params the protocol's mask parameters.
-// The return value is the attacker's best guess of DHK's vector.
-func FrequencyAttack(s *protocol.Int64Matrix, jt rng.Stream, params protocol.IntParams, mode protocol.Mode, prior FrequencyPrior) ([]int64, error) {
+// s is the S block as its frame carries it in the int64 arithmetic —
+// 8-byte little-endian two's-complement cells, masks of range
+// protocol.DefaultIntParams.MaskRange — jt a fresh stream seeded with the
+// TP–DHJ shared seed, and mode the protocol mode. The return value is the
+// attacker's best guess of DHK's vector.
+func FrequencyAttack(s protocol.NumericChunk, jt rng.Stream, mode protocol.Mode, prior FrequencyPrior) ([]int64, error) {
 	if err := prior.Validate(); err != nil {
 		return nil, err
 	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if s.Rows == 0 || s.Cols == 0 {
+	if s.Rows <= 0 || s.Cols <= 0 {
 		return nil, fmt.Errorf("attack: empty matrix")
+	}
+	if len(s.Cells) != 8*s.Rows*s.Cols {
+		return nil, fmt.Errorf("attack: %d bytes for %dx%d int64 cells", len(s.Cells), s.Rows, s.Cols)
 	}
 	// Step 1: strip the masks the TP legitimately knows. v[m][n] = ±(x_n − y_m).
 	v := protocol.NewInt64Matrix(s.Rows, s.Cols)
-	for m := 0; m < s.Rows; m++ {
-		for n := 0; n < s.Cols; n++ {
-			mask := rng.Int64n(jt, params.MaskRange)
-			v.Set(m, n, s.At(m, n)-mask)
-		}
-		if mode == protocol.Batch {
+	for i := range v.Cell {
+		v.Cell[i] = int64(binary.LittleEndian.Uint64(s.Cells[8*i:])) - rng.Int64n(jt, protocol.DefaultIntParams.MaskRange)
+		if mode == protocol.Batch && (i+1)%s.Cols == 0 {
 			jt.Reseed()
 		}
 	}

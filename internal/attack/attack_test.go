@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"ppclust/internal/alphabet"
@@ -8,28 +9,57 @@ import (
 	"ppclust/internal/rng"
 )
 
-// runNumericToTP executes DHJ and DHK and returns what the TP receives,
-// with fresh shared streams as the attacker-TP would hold them.
-func runNumericToTP(t *testing.T, xs, ys []int64, mode protocol.Mode, seedJK, seedJT uint64) *protocol.Int64Matrix {
+// transcript runs DHJ and DHK through the int64 numeric protocol over one
+// block, one chunk each, with DHJ's objects on the columns, and returns
+// what crosses the two channels: the disguise DHJ sends DHK and the S
+// block DHK sends the TP. jk and jt return fresh copies of the shared
+// streams.
+func transcript(t *testing.T, xs, ys []int64, mode protocol.Mode, jk, jt func() rng.Stream) (d, s protocol.NumericChunk) {
 	t.Helper()
-	params := protocol.DefaultIntParams
-	rows := 0
+	num, err := protocol.NewNumeric(protocol.Int64Variant, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cx, err := num.Column(floats(xs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cy, err := num.Column(floats(ys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, rows := protocol.NewEngine(1), 1
 	if mode == protocol.PerPair {
 		rows = len(ys)
 	}
-	disguised, err := protocol.NumericInitiatorInt(xs,
-		rng.NewAESCTR(rng.SeedFromUint64(seedJK)), rng.NewAESCTR(rng.SeedFromUint64(seedJT)),
-		params, mode, rows)
+	blk, err := num.Disguise(e, nil, cx, 0, rows, len(ys), jk(), jt(), protocol.InitiatorCols)
+	if err == nil {
+		d, err = protocol.DecodeNumericChunk(blk)
+	}
+	if err == nil {
+		blk, err = num.Combine(e, nil, []protocol.NumericChunk{d}, cy, 0, len(ys), jk(), protocol.InitiatorCols)
+	}
+	if err == nil {
+		s, err = protocol.DecodeNumericChunk(blk)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := protocol.NumericResponderInt(disguised, ys,
-		rng.NewAESCTR(rng.SeedFromUint64(seedJK)), params, mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return d, s
 }
+
+// aes returns a constructor of fresh AES-CTR streams of the given seed.
+func aes(seed uint64) func() rng.Stream {
+	return func() rng.Stream { return rng.NewAESCTR(rng.SeedFromUint64(seed)) }
+}
+
+// scripted returns a constructor of the stream that replays words.
+func scripted(words ...uint64) func() rng.Stream {
+	return func() rng.Stream { return rng.Scripted(words...) }
+}
+
+// cell is the one int64 cell of a 1×1 block.
+func cell(c protocol.NumericChunk) int64 { return int64(binary.LittleEndian.Uint64(c.Cells)) }
 
 // skewedAges draws from an asymmetric distribution over [20, 50] that gives
 // the attacker usable frequency statistics. Asymmetry matters: under a
@@ -69,9 +99,8 @@ func skewedAges(n int, seed uint64) ([]int64, FrequencyPrior) {
 func TestFrequencyAttackBatchMode(t *testing.T) {
 	ys, prior := skewedAges(40, 1)
 	xs := []int64{25, 33, 47} // DHJ's values: any in-domain values work
-	s := runNumericToTP(t, xs, ys, protocol.Batch, 100, 200)
-	guess, err := FrequencyAttack(s, rng.NewAESCTR(rng.SeedFromUint64(200)),
-		protocol.DefaultIntParams, protocol.Batch, prior)
+	_, s := transcript(t, xs, ys, protocol.Batch, aes(100), aes(200))
+	guess, err := FrequencyAttack(s, aes(200)(), protocol.Batch, prior)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +116,8 @@ func TestFrequencyAttackBatchMode(t *testing.T) {
 func TestFrequencyAttackDefeatedPerPair(t *testing.T) {
 	ys, prior := skewedAges(40, 2)
 	xs := []int64{25, 33, 47}
-	s := runNumericToTP(t, xs, ys, protocol.PerPair, 101, 201)
-	guess, err := FrequencyAttack(s, rng.NewAESCTR(rng.SeedFromUint64(201)),
-		protocol.DefaultIntParams, protocol.PerPair, prior)
+	_, s := transcript(t, xs, ys, protocol.PerPair, aes(101), aes(201))
+	guess, err := FrequencyAttack(s, aes(201)(), protocol.PerPair, prior)
 	if err != nil {
 		// No consistent hypothesis at all is also a defeat.
 		return
@@ -101,14 +129,17 @@ func TestFrequencyAttackDefeatedPerPair(t *testing.T) {
 }
 
 func TestFrequencyAttackValidation(t *testing.T) {
-	if _, err := FrequencyAttack(protocol.NewInt64Matrix(0, 0), rng.Scripted(1),
-		protocol.DefaultIntParams, protocol.Batch, UniformPrior(0, 1)); err == nil {
+	if _, err := FrequencyAttack(protocol.NumericChunk{}, rng.Scripted(1), protocol.Batch, UniformPrior(0, 1)); err == nil {
 		t.Fatal("empty matrix accepted")
 	}
+	_, s := transcript(t, []int64{1}, []int64{2}, protocol.Batch, scripted(1), scripted(1))
 	bad := FrequencyPrior{Lo: 5, Hi: 4}
-	if _, err := FrequencyAttack(protocol.NewInt64Matrix(1, 1), rng.Scripted(1),
-		protocol.DefaultIntParams, protocol.Batch, bad); err == nil {
+	if _, err := FrequencyAttack(s, rng.Scripted(1), protocol.Batch, bad); err == nil {
 		t.Fatal("bad prior accepted")
+	}
+	s.Cells = s.Cells[:4]
+	if _, err := FrequencyAttack(s, rng.Scripted(1), protocol.Batch, UniformPrior(0, 1)); err == nil {
+		t.Fatal("torn cells accepted")
 	}
 }
 
@@ -117,13 +148,8 @@ func TestFrequencyAttackValidation(t *testing.T) {
 func TestEavesdropXCandidates(t *testing.T) {
 	for _, jkDraw := range []uint64{4, 5} { // even: no negation; odd: negation
 		x := int64(37)
-		jk := rng.Scripted(jkDraw)
-		jt := rng.Scripted(7)
-		d, err := protocol.NumericInitiatorInt([]int64{x}, jk, jt, protocol.DefaultIntParams, protocol.Batch, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cands := EavesdropXCandidates(d.At(0, 0), 7)
+		d, _ := transcript(t, []int64{x}, []int64{0}, protocol.Batch, scripted(jkDraw), scripted(7))
+		cands := EavesdropXCandidates(cell(d), 7)
 		if cands[0] != x && cands[1] != x {
 			t.Fatalf("true x=%d not in candidates %v (draw %d)", x, cands, jkDraw)
 		}
@@ -135,17 +161,8 @@ func TestEavesdropXCandidates(t *testing.T) {
 func TestEavesdropYCandidates(t *testing.T) {
 	x, y := int64(37), int64(90)
 	for _, jkDraw := range []uint64{4, 5} {
-		d, err := protocol.NumericInitiatorInt([]int64{x},
-			rng.Scripted(jkDraw), rng.Scripted(7), protocol.DefaultIntParams, protocol.Batch, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := protocol.NumericResponderInt(d, []int64{y},
-			rng.Scripted(jkDraw), protocol.DefaultIntParams, protocol.Batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cands := EavesdropYCandidates(s.At(0, 0), 7, x)
+		_, s := transcript(t, []int64{x}, []int64{y}, protocol.Batch, scripted(jkDraw), scripted(7))
+		cands := EavesdropYCandidates(cell(s), 7, x)
 		if cands[0] != y && cands[1] != y {
 			t.Fatalf("true y=%d not in candidates %v (draw %d)", y, cands, jkDraw)
 		}
@@ -161,8 +178,9 @@ func TestAlphaDifferenceLeak(t *testing.T) {
 	tStr := protocol.SymbolString(a.MustEncode("GGTA"))
 	seed := rng.SeedFromUint64(42)
 
-	disguised := protocol.AlphaInitiator([]protocol.SymbolString{sStr}, a, rng.NewAESCTR(seed))
-	inter := protocol.AlphaResponder([]protocol.SymbolString{tStr}, disguised, a)
+	e := protocol.NewEngine(1)
+	disguised := e.AlphaInitiator([]protocol.SymbolString{sStr}, a, rng.NewAESCTR(seed))
+	inter := e.AlphaResponder([]protocol.SymbolString{tStr}, disguised, a)
 	diff, err := StripAlphaMasks(inter[0][0], a, rng.NewAESCTR(seed))
 	if err != nil {
 		t.Fatal(err)
@@ -213,4 +231,12 @@ func TestRecoveryRateEdges(t *testing.T) {
 	if RecoveryRate([]int64{1, 2}, []int64{1, 3}) != 0.5 {
 		t.Fatal("half rate expected")
 	}
+}
+
+func floats(vs []int64) []float64 {
+	out := make([]float64, len(vs))
+	for i, v := range vs {
+		out[i] = float64(v)
+	}
+	return out
 }

@@ -345,8 +345,20 @@ func (g *guard) fail(cause error) {
 	// context.
 	g.cause = cause
 	notify := g.notify
+	owned := g.owned
 	g.mu.Unlock()
 	if notify != nil {
+		// An abort frame sent on a resumable link that is down would park
+		// until the teardown, so the grace would always run out: such a
+		// link is closed first, and arm's down hook closes one that goes
+		// down while the frames flush.
+		for _, c := range owned {
+			if rc, ok := c.(*wire.Reconn); ok {
+				if _, _, down := rc.State(); down {
+					rc.Close()
+				}
+			}
+		}
 		notify(clipReason(cause.Error()))
 	}
 	g.cancel(cause)

@@ -184,6 +184,10 @@ func (g *guard) arm(secured wire.Conduit, link Link, redial redialFunc) *wire.Re
 	var looping atomic.Bool
 	rc.SetHooks(
 		func(cause error) {
+			if err := g.failure(); err != nil && err != errSessionDone {
+				rc.Close() // a failed session resumes nothing (see fail)
+				return
+			}
 			g.noteDegraded()
 			g.events(Event{Kind: EventLinkDown, Link: link, Cause: cause})
 			if redial != nil && looping.CompareAndSwap(false, true) {

@@ -7,11 +7,13 @@ package party
 // schema order, with blocking endpoint reads from one goroutine (no lane
 // readers, no compute tokens);
 // every chunk stream is reassembled into the monolithic pre-streaming
-// payload, evaluated in one whole-matrix engine pass and installed with the
-// monolithic SetLocal / SetCross — the exact pre-streaming code path over
-// the chunked wire, which is what pins chunking, pipelining and sharding as
-// pure framing and scheduling. It reads comparison traffic off the control
-// conduits, so it serves one-range (TPShards ≤ 1) sessions only.
+// payload, evaluated in one pass by references that share nothing with the
+// engine but the generators — the per-cell Figure 6 (unmaskSerial) and the
+// three-pass Figure 10 (alphaThreePass) — and installed with the
+// monolithic SetLocal / SetCross, which is what pins chunking, pipelining
+// and sharding as pure framing and scheduling. It reads comparison traffic
+// off the control conduits, so it serves one-range (TPShards ≤ 1) sessions
+// only.
 
 import (
 	"context"
@@ -44,8 +46,6 @@ func runSerialTP(cfg Config, parts []dataset.Partition, reqs map[string]ClusterR
 func (tp *ThirdParty) ep(hi int) *wire.Endpoint { return tp.eps[tp.holders[hi]] }
 
 func (tp *ThirdParty) runSerial() (*TPReport, error) {
-	eng := tp.engines.Get()
-	defer tp.engines.Put(eng)
 	core := tp.core()
 	matrices := make([]*dissim.Matrix, len(tp.cfg.Schema.Attrs))
 	scales := make([]float64, len(tp.cfg.Schema.Attrs))
@@ -55,7 +55,7 @@ func (tp *ThirdParty) runSerial() (*TPReport, error) {
 		if tagBased(a.Type) {
 			m, err = tp.assembleTagsSerial(attr)
 		} else {
-			m, err = tp.assembleComparisonSerial(core, eng, attr)
+			m, err = tp.assembleComparisonSerial(core, attr)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("party: assembling attribute %q: %w", a.Name, err)
@@ -98,7 +98,7 @@ func (tp *ThirdParty) assembleTagsSerial(attr int) (*dissim.Matrix, error) {
 // whole local triangles and whole pair blocks, each block put together from
 // its two shares. A holder without objects sends no comparison frames, so
 // its triangle and the blocks it would hold rows of are skipped.
-func (tp *ThirdParty) assembleComparisonSerial(core *shardCore, eng *protocol.Engine, attr int) (*dissim.Matrix, error) {
+func (tp *ThirdParty) assembleComparisonSerial(core *shardCore, attr int) (*dissim.Matrix, error) {
 	t := tp.cfg.Schema.Attrs[attr].Type
 	asm, err := dissim.NewAssemblerPar(tp.counts, tp.workers)
 	if err != nil {
@@ -118,11 +118,11 @@ func (tp *ThirdParty) assembleComparisonSerial(core *shardCore, eng *protocol.En
 		if rows == 0 {
 			continue
 		}
-		top, err := tp.recvShareSerial(core, eng, attr, pairShare{p: p, j: ji, k: ki, lo: 0, hi: split})
+		top, err := tp.recvShareSerial(core, attr, pairShare{p: p, j: ji, k: ki, lo: 0, hi: split})
 		if err != nil {
 			return nil, err
 		}
-		bottom, err := tp.recvShareSerial(core, eng, attr, pairShare{p: p, j: ji, k: ki, lo: split, hi: rows, byInitiator: true})
+		bottom, err := tp.recvShareSerial(core, attr, pairShare{p: p, j: ji, k: ki, lo: split, hi: rows, byInitiator: true})
 		if err != nil {
 			return nil, err
 		}
@@ -171,11 +171,10 @@ func (tp *ThirdParty) recvLocalSerial(asm *dissim.Assembler, hi int, h string, a
 
 // recvShareSerial is the phase-serial reference consumption of one share
 // of a pair block (an empty one receives nothing): the chunks are
-// reassembled into the monolithic payload and evaluated in one pass — the
-// responder's rows by the whole-matrix engine forms, the initiator's rows
-// by masks this function draws itself — returning the share's block, rows
-// counted from the share's first.
-func (tp *ThirdParty) recvShareSerial(core *shardCore, eng *protocol.Engine, attr int, sh pairShare) (func(m, n int) float64, error) {
+// reassembled into the monolithic payload and evaluated in one pass by
+// the references, returning the share's block, rows counted from the
+// share's first.
+func (tp *ThirdParty) recvShareSerial(core *shardCore, attr int, sh pairShare) (func(m, n int) float64, error) {
 	a := tp.cfg.Schema.Attrs[attr]
 	j, k, from := tp.holders[sh.j], tp.holders[sh.k], tp.holders[sh.sender()]
 	rows, cols := tp.counts[sh.k], tp.counts[sh.j]
@@ -233,14 +232,13 @@ func (tp *ThirdParty) recvShareSerial(core *shardCore, eng *protocol.Engine, att
 			}
 			cells = append(cells, body.cells.Cells...)
 		}
-		mono := decodeShare(tp.cfg.Variant, sh.hi-sh.lo, cols, cells)
-		var err error
+		axis := protocol.InitiatorCols
 		if sh.byInitiator {
-			block, bRows, bCols, err = unmaskRowsSerial(tp.cfg, mono, jt)
-		} else {
-			block, bRows, bCols, err = unmaskWhole(tp.cfg, eng, mono, jt)
+			axis = protocol.InitiatorRows
 		}
-		if err != nil {
+		var err error
+		bRows, bCols = sh.hi-sh.lo, cols
+		if block, err = unmaskSerial(tp.cfg, bRows, bCols, cells, jt, axis); err != nil {
 			return nil, err
 		}
 	}
@@ -252,108 +250,53 @@ func (tp *ThirdParty) recvShareSerial(core *shardCore, eng *protocol.Engine, att
 	return block, nil
 }
 
-// share is a reassembled share of a pair block in its variant's matrix.
-type share struct {
-	f *protocol.Float64Matrix
-	i *protocol.Int64Matrix
-	e *protocol.ElementMatrix
-}
-
-// decodeShare decodes rows×cols cells in the variant's layout.
-func decodeShare(v Variant, rows, cols int, cells []byte) share {
-	switch v {
-	case Float64Variant:
-		return share{f: &protocol.Float64Matrix{Rows: rows, Cols: cols, Cell: float64s(cells)}}
-	case Int64Variant:
-		m := protocol.NewInt64Matrix(rows, cols)
-		for i := range m.Cell {
-			m.Cell[i] = int64(binary.LittleEndian.Uint64(cells[8*i:]))
-		}
-		return share{i: m}
-	}
-	m := protocol.NewElementMatrix(rows, cols)
-	for i := range m.Cell {
-		m.Cell[i] = [32]byte(cells[32*i:])
-	}
-	return share{e: m}
-}
-
-// unmaskWhole is Figure 6 over a reassembled share of the responder's
-// rows, through the engine's whole-matrix forms.
-func unmaskWhole(cfg Config, eng *protocol.Engine, mono share, jt rng.Stream) (func(m, n int) float64, int, int, error) {
-	switch cfg.Variant {
-	case Float64Variant:
-		d, err := eng.NumericThirdPartyFloat(mono.f, jt, protocol.DefaultFloatParams, cfg.Mode)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return d.At, d.Rows, d.Cols, nil
-	case Int64Variant:
-		d, err := eng.NumericThirdPartyInt(mono.i, jt, protocol.DefaultIntParams, cfg.Mode)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return func(m, n int) float64 { return float64(d.At(m, n)) }, d.Rows, d.Cols, nil
-	}
-	d, err := eng.NumericThirdPartyModP(mono.e, jt, cfg.Mode)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return func(m, n int) float64 { return float64(d.At(m, n)) }, d.Rows, d.Cols, nil
-}
-
-// unmaskRowsSerial is the reference for a reassembled share of the rows
-// the initiator produces: it draws the responder's masks itself, one per
-// row in batch mode and one per cell in per-pair mode, row-major, and
-// strips them — sharing nothing with the engine but the generators.
-func unmaskRowsSerial(cfg Config, mono share, jt rng.Stream) (func(m, n int) float64, int, int, error) {
-	var rows, cols int
-	switch cfg.Variant {
-	case Float64Variant:
-		rows, cols = mono.f.Rows, mono.f.Cols
-	case Int64Variant:
-		rows, cols = mono.i.Rows, mono.i.Cols
+// unmaskSerial is the reference Figure 6 over a reassembled share of a
+// pair block's S, rows×cols cells in the variant's layout: it draws the
+// masks itself — with the initiator on the columns one per column in
+// batch mode, re-read by every row, and on the rows one per row; one per
+// cell in per-pair mode, row-major — and strips them, sharing nothing with
+// the engine but the generators.
+func unmaskSerial(cfg Config, rows, cols int, cells []byte, jt rng.Stream, axis protocol.Axis) (func(m, n int) float64, error) {
+	draws, at := rows*cols, func(i int) int { return i }
+	switch {
+	case cfg.Mode == protocol.PerPair:
+	case axis == protocol.InitiatorCols:
+		draws, at = cols, func(i int) int { return i % cols }
 	default:
-		rows, cols = mono.e.Rows, mono.e.Cols
-	}
-	w := cols
-	if cfg.Mode == protocol.Batch {
-		w = 1
+		draws, at = rows, func(i int) int { return i / cols }
 	}
 	out := make([]float64, rows*cols)
-	at := func(m, n int) int { return m*w + min(n, w-1) }
 	switch cfg.Variant {
 	case Float64Variant:
-		masks := make([]float64, rows*w)
+		masks := make([]float64, draws)
 		rng.FillFloat64(jt, masks)
-		for i, v := range mono.f.Cell {
-			out[i] = math.Abs(v - masks[at(i/cols, i%cols)]*protocol.DefaultFloatParams.MaskRange)
+		for i, v := range float64s(cells) {
+			out[i] = math.Abs(v - masks[at(i)]*protocol.DefaultFloatParams.MaskRange)
 		}
 	case Int64Variant:
-		masks := make([]int64, rows*w)
+		masks := make([]int64, draws)
 		rng.FillInt64n(jt, masks, protocol.DefaultIntParams.MaskRange)
-		for i, v := range mono.i.Cell {
-			d := v - masks[at(i/cols, i%cols)]
-			out[i] = math.Abs(float64(d))
+		for i := range out {
+			out[i] = math.Abs(float64(int64(binary.LittleEndian.Uint64(cells[8*i:])) - masks[at(i)]))
 		}
 	case ModPVariant:
-		masks := make([]modp.Element, rows*w)
+		masks := make([]modp.Element, draws)
 		for i := range masks {
 			masks[i] = modp.Random(jt)
 		}
-		for i, cell := range mono.e.Cell {
-			v, err := modp.FromBytes(cell)
+		for i := range out {
+			v, err := modp.FromBytes([32]byte(cells[32*i:]))
 			if err != nil {
-				return nil, 0, 0, err
+				return nil, err
 			}
-			d, err := v.Sub(masks[at(i/cols, i%cols)]).AbsInt64()
+			d, err := v.Sub(masks[at(i)]).AbsInt64()
 			if err != nil {
-				return nil, 0, 0, err
+				return nil, err
 			}
 			out[i] = float64(d)
 		}
 	}
-	return func(m, n int) float64 { return out[m*cols+n] }, rows, cols, nil
+	return func(m, n int) float64 { return out[m*cols+n] }, nil
 }
 
 // alphaThreePass is the third party's alphanumeric evaluation as it stood
@@ -438,42 +381,52 @@ func alphaThreePass(chunks []protocol.AlphaChunk, a *alphabet.Alphabet, jt rng.S
 }
 
 // wholeBlock is a pair block of the responder values ys and the
-// initiator values xs through the whole-matrix forms: its distance at
-// (m, n).
-func wholeBlock(t *testing.T, e *protocol.Engine, v Variant, mode protocol.Mode, xs, ys []int64) func(m, n int) float64 {
+// initiator values xs by the paper's per-cell formula: S = R + σx − σy,
+// with one mask and one parity σ per column in batch mode and per cell in
+// per-pair mode, then Figure 6 by unmaskSerial. It shares nothing with the
+// engine but the generators, and returns the distance at (m, n).
+func wholeBlock(t *testing.T, v Variant, mode protocol.Mode, xs, ys []int64) func(m, n int) float64 {
 	t.Helper()
-	jk, jt := func() rng.Stream { return rng.NewAESCTR(seedJK) }, func() rng.Stream { return rng.NewAESCTR(seedJT) }
-	rows, fail := len(ys), func(err error) {
-		if err != nil {
-			t.Helper()
-			t.Fatal(err)
+	rows, cols := len(ys), len(xs)
+	draws, at := rows*cols, func(m, n int) int { return m*cols + n }
+	if mode == protocol.Batch {
+		draws, at = cols, func(_, n int) int { return n }
+	}
+	jk, jt := rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT)
+	sigma := make([]int64, draws) // DHJ negates on an odd draw, DHK on an even one
+	fm, im, em := make([]float64, draws), make([]int64, draws), make([]modp.Element, draws)
+	for k := range draws {
+		sigma[k] = 1 - 2*int64(jk.Next()&1)
+		switch v {
+		case Float64Variant:
+			fm[k] = rng.Float64(jt) * protocol.DefaultFloatParams.MaskRange
+		case Int64Variant:
+			im[k] = rng.Int64n(jt, protocol.DefaultIntParams.MaskRange)
+		default:
+			em[k] = modp.Random(jt)
 		}
 	}
-	switch v {
-	case Float64Variant:
-		d, err := e.NumericInitiatorFloat(floats(xs), jk(), jt(), protocol.DefaultFloatParams, mode, rows)
-		fail(err)
-		s, err := e.NumericResponderFloat(d, floats(ys), jk(), protocol.DefaultFloatParams, mode)
-		fail(err)
-		o, err := e.NumericThirdPartyFloat(s, jt(), protocol.DefaultFloatParams, mode)
-		fail(err)
-		return o.At
-	case Int64Variant:
-		d, err := e.NumericInitiatorInt(xs, jk(), jt(), protocol.DefaultIntParams, mode, rows)
-		fail(err)
-		s, err := e.NumericResponderInt(d, ys, jk(), protocol.DefaultIntParams, mode)
-		fail(err)
-		o, err := e.NumericThirdPartyInt(s, jt(), protocol.DefaultIntParams, mode)
-		fail(err)
-		return func(m, n int) float64 { return float64(o.At(m, n)) }
+	var cells []byte
+	for m, y := range ys {
+		for n, x := range xs {
+			k := at(m, n)
+			sx, sy := sigma[k]*x, sigma[k]*y
+			switch v {
+			case Float64Variant:
+				cells = binary.LittleEndian.AppendUint64(cells, math.Float64bits(fm[k]+float64(sx)-float64(sy)))
+			case Int64Variant:
+				cells = binary.LittleEndian.AppendUint64(cells, uint64(im[k]+sx-sy))
+			default:
+				b := em[k].Add(modp.FromInt64(sx)).Add(modp.FromInt64(-sy)).Bytes()
+				cells = append(cells, b[:]...)
+			}
+		}
 	}
-	d, err := e.NumericInitiatorModP(xs, jk(), jt(), mode, rows)
-	fail(err)
-	s, err := e.NumericResponderModP(d, ys, jk(), mode)
-	fail(err)
-	o, err := e.NumericThirdPartyModP(s, jt(), mode)
-	fail(err)
-	return func(m, n int) float64 { return float64(o.At(m, n)) }
+	block, err := unmaskSerial(Config{Variant: v, Mode: mode}, rows, cols, cells, rng.NewAESCTR(seedJT), protocol.InitiatorCols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return block
 }
 
 var seedJK, seedJT = rng.SeedFromUint64(71), rng.SeedFromUint64(72)
@@ -493,13 +446,12 @@ func floats(vs []int64) []float64 {
 // through its body's codec, the disguise combined where it arrived, local
 // cells read out of the payload and pair chunks unmasked out of it
 // straight into the assembler — and requires the assembled rows to be, bit
-// for bit, what the whole-matrix forms produce: FromLocalPar,
-// NumericInitiator*, NumericResponder*, NumericThirdParty*, installed
-// whole. Every variant, mode, chunk budget and worker count; the whole
+// for bit, what the whole forms produce: FromLocalPar and the per-cell
+// formula's block (wholeBlock), installed whole. Every variant, mode, chunk budget and worker count; the whole
 // triangle, and a slice whose first row is in the middle of the responder's
 // block — where a per-pair keystream must be entered mid-stream on both
-// the jk and the jt side. (The initiator on the rows has no whole-matrix
-// form; protocol's TestRowAxisRecoversDistances covers it.)
+// the jk and the jt side. (protocol's TestRowAxisRecoversDistances covers
+// the initiator on the rows against the same formula.)
 func TestRowFormsMatchWholeMatrixOracles(t *testing.T) {
 	const n, m = 13, 9 // initiator and responder counts
 	src := rng.NewXoshiro(rng.SeedFromUint64(2727))
@@ -546,7 +498,7 @@ func TestRowFormsMatchWholeMatrixOracles(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := whole.SetCross(0, 1, wholeBlock(t, e, v, mode, xs, ys)); err != nil {
+				if err := whole.SetCross(0, 1, wholeBlock(t, v, mode, xs, ys)); err != nil {
 					t.Fatal(err)
 				}
 				want, err := whole.Done()

@@ -40,10 +40,11 @@ import (
 // The session runs both over an AlphaChunk — one cell slab per chunk of
 // responder rows, packed at the alphabet's width in the layout the wire
 // carries — and the responder reads the initiator's disguised strings in
-// the same layout (AlphaStrings). The per-pair forms (AlphaResponder,
-// AlphaThirdParty, AlphaThirdPartyRows, AlphaThirdPartyCCMs over
-// SymbolMatrix) keep one symbol a cell, the 16-bit case of the same two
-// kernels.
+// the same layout (AlphaStrings). The per-pair forms over SymbolMatrix
+// (AlphaResponder, AlphaThirdParty, AlphaThirdPartyRows), kept for the
+// benchmark's replay of a session and for the paper experiments that print
+// one pair's matrix, keep one symbol a cell, the 16-bit case of the same
+// two kernels.
 
 // SymbolString is one attribute value as alphabet symbol indices.
 type SymbolString []alphabet.Symbol
@@ -301,16 +302,11 @@ func rowsInRange(a *alphabet.Alphabet, p []byte, bits, rows, cols int) error {
 
 // AlphaInitiator is Figure 8, run at site DHJ: disguise every string with
 // the shared mask stream, re-initializing jt after each string so all
-// strings share the mask prefix. jt must be freshly seeded.
-func AlphaInitiator(strings []SymbolString, a *alphabet.Alphabet, jt rng.Stream) []SymbolString {
-	return NewEngine(1).AlphaInitiator(strings, a, jt)
-}
-
-// AlphaInitiator is Figure 8 on the engine. Because every string is
-// masked by the same stream prefix (the paper's per-string
-// re-initialization), the engine draws the prefix once — up to the
-// longest string — and disguises all strings from it in parallel, leaving
-// jt rewound exactly as the serial per-string Reseed discipline does.
+// strings share the mask prefix; jt must be freshly seeded. Because every
+// string is masked by the same stream prefix, the engine draws the prefix
+// once — up to the longest string — and disguises all strings from it in
+// parallel, leaving jt rewound exactly as the per-string Reseed discipline
+// does.
 func (e *Engine) AlphaInitiator(strings []SymbolString, a *alphabet.Alphabet, jt rng.Stream) []SymbolString {
 	out := make([]SymbolString, len(strings))
 	if len(strings) == 0 {
@@ -338,17 +334,13 @@ func (e *Engine) AlphaInitiator(strings []SymbolString, a *alphabet.Alphabet, jt
 	return out
 }
 
-// AlphaResponder is Figure 9, run at site DHK: build the intermediary
-// difference matrix for every (own, disguised) string pair. The result is
-// indexed result[m][n] for own string m versus disguised string n; each
-// matrix has the own string's characters as rows.
-func AlphaResponder(own []SymbolString, disguised []SymbolString, a *alphabet.Alphabet) [][]*SymbolMatrix {
-	return NewEngine(1).AlphaResponder(own, disguised, a)
-}
-
-// AlphaResponder is Figure 9 in per-pair form: the whole block as one
-// chunk of one symbol a cell, with a SymbolMatrix view cut out of its slab
-// for every pair.
+// AlphaResponder is Figure 9 in per-pair form: the intermediary difference
+// matrix of every (own, disguised) string pair, result[m][n] for own
+// string m versus disguised string n, each with the own string's
+// characters as rows. It is the whole block as one chunk of one symbol a
+// cell, with a SymbolMatrix view cut out of its slab for every pair.
+// Sessions run AlphaResponderChunk; this form serves benchmark/replay.go
+// and the paper experiments in cmd/ppc-bench (Figure 7, E16).
 func (e *Engine) AlphaResponder(own []SymbolString, disguised []SymbolString, a *alphabet.Alphabet) [][]*SymbolMatrix {
 	var c AlphaChunk
 	d := PackAlphaStrings(disguised, 16)
@@ -526,14 +518,6 @@ func diffWide(dst []alphabet.Symbol, t, sp SymbolString, n int) {
 	}
 }
 
-// AlphaThirdParty is Figure 10, run at site TP: regenerate the mask prefix
-// and compute the edit distance from each intermediary matrix compared
-// with it. The returned block has out[m][n] = editdist(own string m, initiator
-// string n). jt must be freshly seeded with the initiator-TP shared seed.
-func AlphaThirdParty(m [][]*SymbolMatrix, a *alphabet.Alphabet, jt rng.Stream) (*Int64Matrix, error) {
-	return NewEngine(1).AlphaThirdParty(m, a, jt)
-}
-
 // alphaPair is one string pair's intermediary matrix, wherever its cells
 // live: a SymbolMatrix's or a wide chunk's symbols, or a packed chunk's
 // rows.
@@ -642,7 +626,12 @@ func (e *Engine) alphaThirdParty(rows, cols, bits int, pairs []alphaPair, a *alp
 	return out, nil
 }
 
-// AlphaThirdParty is Figure 10 in per-pair form.
+// AlphaThirdParty is Figure 10 in per-pair form: regenerate the mask
+// prefix and compute the edit distance from each intermediary matrix,
+// out[m][n] = editdist(own string m, initiator string n). jt must be
+// freshly seeded with the initiator–TP shared seed. Sessions run
+// AlphaThirdPartyChunk; this form serves AlphaThirdPartyRows and Figure 7's
+// worked example in cmd/ppc-bench.
 func (e *Engine) AlphaThirdParty(m [][]*SymbolMatrix, a *alphabet.Alphabet, jt rng.Stream) (*Int64Matrix, error) {
 	cols := 0
 	if len(m) > 0 {
@@ -696,42 +685,4 @@ func (e *Engine) AlphaThirdPartyChunk(c *AlphaChunk, lo, hi int, a *alphabet.Alp
 		e.pairs, off = append(e.pairs, p), off+sh.Rows*AlphaRowBytes(sh.Cols, c.Bits)
 	}
 	return e.alphaThirdParty(len(c.Counts), cols, c.Bits, e.pairs, a, jt)
-}
-
-// AlphaThirdPartyCCMs performs only the mask-stripping half of Figure 10,
-// returning the decoded CCM for every pair. Exposed separately so that the
-// attack experiments can inspect exactly what the third party sees.
-func AlphaThirdPartyCCMs(m [][]*SymbolMatrix, a *alphabet.Alphabet, jt rng.Stream) ([][]editdist.CCM, error) {
-	return NewEngine(1).AlphaThirdPartyCCMs(m, a, jt)
-}
-
-// AlphaThirdPartyCCMs is the mask-stripping half of Figure 10 on the
-// engine: one prefix regeneration, then every pair's CCM, freshly
-// allocated (callers keep them). A CCM cell is the edit distance between
-// one character of each string, so each is the per-pair kernel's answer
-// for a 1×1 matrix — there is no second comparison to keep in step.
-func (e *Engine) AlphaThirdPartyCCMs(m [][]*SymbolMatrix, a *alphabet.Alphabet, jt rng.Stream) ([][]editdist.CCM, error) {
-	pairs, err := e.matrixPairs(m)
-	if err != nil {
-		return nil, err
-	}
-	defer clear(pairs)
-	prefix := e.alphaPrefix(pairs, a, jt)
-	sc := e.tpScratch()[0]
-	out := make([][]editdist.CCM, len(m))
-	for i, row := range m {
-		out[i] = make([]editdist.CCM, len(row))
-		for j, mat := range row {
-			if err := alphabet.InRange(a, mat.Cell); err != nil {
-				return nil, fmt.Errorf("protocol: intermediary (%d,%d): %w", i, j, err)
-			}
-			ccm := editdist.NewCCM(mat.Rows, mat.Cols)
-			for c := range ccm.Cell {
-				d, _ := editdist.FromMaskedSymbols(sc, mat.Cell[c:c+1], 1, 1, prefix[c%mat.Cols:], a.Size())
-				ccm.Cell[c] = uint8(d)
-			}
-			out[i][j] = ccm
-		}
-	}
-	return out, nil
 }

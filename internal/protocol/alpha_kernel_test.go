@@ -68,7 +68,7 @@ func FuzzAlphaKernel(f *testing.F) {
 		}
 		own, their := strs(int(nOwn%5)), strs(int(nTheir%5))
 		seedJT := rng.SeedFromUint64(seed ^ 0x5eed)
-		disguised := AlphaInitiator(their, a, rng.NewAESCTR(seedJT))
+		disguised := oracleAlphaInitiator(their, a, rng.NewAESCTR(seedJT))
 
 		want := oracleAlphaResponder(own, disguised, a)
 		packed := PackAlphaStrings(disguised, AlphaCellBits(a))

@@ -19,6 +19,19 @@ func oracleSub(a *alphabet.Alphabet, x, y alphabet.Symbol) alphabet.Symbol {
 	return alphabet.Symbol(((int(x)-int(y))%n + n) % n)
 }
 
+// oracleAlphaInitiator masks every string symbol by symbol from jt,
+// re-initializing it after each string.
+func oracleAlphaInitiator(strings []SymbolString, a *alphabet.Alphabet, jt rng.Stream) []SymbolString {
+	out := make([]SymbolString, len(strings))
+	for m, s := range strings {
+		for _, sym := range s {
+			out[m] = append(out[m], alphabet.Symbol((int(sym)+rng.Symbol(jt, a.Size()))%a.Size()))
+		}
+		jt.Reseed()
+	}
+	return out
+}
+
 func oracleAlphaResponder(own, disguised []SymbolString, a *alphabet.Alphabet) [][]*SymbolMatrix {
 	out := make([][]*SymbolMatrix, len(own))
 	for m, t := range own {

@@ -19,13 +19,13 @@ func TestFigure7WorkedExample(t *testing.T) {
 	tt := SymbolString(abcd.MustEncode("bd"))
 
 	// R = "013": symbol offsets 0, 1, 3 (cycled by Reseed for every string).
-	jt := rng.Scripted(0, 1, 3)
-	disguised := AlphaInitiator([]SymbolString{s}, abcd, jt)
+	e, jt := NewEngine(1), rng.Scripted(0, 1, 3)
+	disguised := e.AlphaInitiator([]SymbolString{s}, abcd, jt)
 	if got := abcd.Decode(disguised[0]); got != "acb" {
 		t.Fatalf("S′ = %q, want %q", got, "acb")
 	}
 
-	inter := AlphaResponder([]SymbolString{tt}, disguised, abcd)
+	inter := e.AlphaResponder([]SymbolString{tt}, disguised, abcd)
 	// Paper's M (row q = T's chars, col p = S′'s chars):
 	//   a−b  c−b  b−b        d  b  a     (symbols: 3,1,0)
 	//   a−d  c−d  b−d   =    b  d  c     (symbols: 1,3,2)
@@ -39,11 +39,11 @@ func TestFigure7WorkedExample(t *testing.T) {
 		}
 	}
 
-	ccms, err := AlphaThirdPartyCCMs(inter, abcd, rng.Scripted(0, 1, 3))
+	ccms, err := oracleAlphaCCMs(inter, abcd, rng.Scripted(0, 1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccm := ccms[0][0]
+	ccm := ccms[0][0] // the paper's CCM, by the three-pass reference
 	// CCM[0][1] = 0 implies s[1] = t[0] (both 'b'); everything else is 1.
 	for q := 0; q < ccm.Rows; q++ {
 		for p := 0; p < ccm.Cols; p++ {
@@ -58,7 +58,7 @@ func TestFigure7WorkedExample(t *testing.T) {
 	}
 
 	// End to end: edit distance abc→bd is 2 (delete 'a', substitute c→d).
-	dist, err := AlphaThirdParty(inter, abcd, rng.Scripted(0, 1, 3))
+	dist, err := e.AlphaThirdParty(inter, abcd, rng.Scripted(0, 1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +92,10 @@ func TestAlphanumericProtocolMatchesPlaintext(t *testing.T) {
 			ks := randomStrings(gen, a, 9, 14)
 			seedJT := rng.SeedFromUint64(77)
 
-			disguised := AlphaInitiator(js, a, rng.NewAESCTR(seedJT))
-			inter := AlphaResponder(ks, disguised, a)
-			dist, err := AlphaThirdParty(inter, a, rng.NewAESCTR(seedJT))
+			e := NewEngine(1)
+			disguised := e.AlphaInitiator(js, a, rng.NewAESCTR(seedJT))
+			inter := e.AlphaResponder(ks, disguised, a)
+			dist, err := e.AlphaThirdParty(inter, a, rng.NewAESCTR(seedJT))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,9 +119,10 @@ func TestAlphanumericEmptyStrings(t *testing.T) {
 	js := []SymbolString{a.MustEncode(""), a.MustEncode("ACG")}
 	ks := []SymbolString{a.MustEncode("T"), a.MustEncode("")}
 	seed := rng.SeedFromUint64(5)
-	disguised := AlphaInitiator(js, a, rng.NewAESCTR(seed))
-	inter := AlphaResponder(ks, disguised, a)
-	dist, err := AlphaThirdParty(inter, a, rng.NewAESCTR(seed))
+	e := NewEngine(1)
+	disguised := e.AlphaInitiator(js, a, rng.NewAESCTR(seed))
+	inter := e.AlphaResponder(ks, disguised, a)
+	dist, err := e.AlphaThirdParty(inter, a, rng.NewAESCTR(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestAlphaDisguiseHidesStrings(t *testing.T) {
 	counts := make([]int, a.Size())
 	const trials = 3000
 	for i := 0; i < trials; i++ {
-		d := AlphaInitiator(s, a, rng.NewAESCTR(rng.SeedFromUint64(uint64(i))))
+		d := NewEngine(1).AlphaInitiator(s, a, rng.NewAESCTR(rng.SeedFromUint64(uint64(i))))
 		counts[d[0][0]]++
 	}
 	expected := float64(trials) / float64(a.Size())
@@ -164,7 +166,7 @@ func TestAlphaDisguiseHidesStrings(t *testing.T) {
 func TestAlphaSharedMaskPrefix(t *testing.T) {
 	a := alphabet.DNA
 	strs := []SymbolString{a.MustEncode("ACGT"), a.MustEncode("AC"), a.MustEncode("A")}
-	d := AlphaInitiator(strs, a, rng.NewAESCTR(rng.SeedFromUint64(3)))
+	d := NewEngine(1).AlphaInitiator(strs, a, rng.NewAESCTR(rng.SeedFromUint64(3)))
 	// Identical leading plaintext symbols ⇒ identical leading disguised
 	// symbols across strings.
 	if d[0][0] != d[1][0] || d[1][0] != d[2][0] {
@@ -176,16 +178,16 @@ func TestAlphaSharedMaskPrefix(t *testing.T) {
 }
 
 func TestAlphaThirdPartyValidation(t *testing.T) {
-	a := alphabet.DNA
-	if _, err := AlphaThirdParty([][]*SymbolMatrix{{nil}}, a, rng.Scripted(0)); err == nil {
+	a, e := alphabet.DNA, NewEngine(1)
+	if _, err := e.AlphaThirdParty([][]*SymbolMatrix{{nil}}, a, rng.Scripted(0)); err == nil {
 		t.Fatal("nil intermediary accepted")
 	}
 	bad := &SymbolMatrix{Rows: 1, Cols: 2, Cell: []alphabet.Symbol{0}}
-	if _, err := AlphaThirdParty([][]*SymbolMatrix{{bad}}, a, rng.Scripted(0)); err == nil {
+	if _, err := e.AlphaThirdParty([][]*SymbolMatrix{{bad}}, a, rng.Scripted(0)); err == nil {
 		t.Fatal("inconsistent intermediary accepted")
 	}
 	oob := &SymbolMatrix{Rows: 1, Cols: 1, Cell: []alphabet.Symbol{99}}
-	if _, err := AlphaThirdParty([][]*SymbolMatrix{{oob}}, a, rng.Scripted(0)); err == nil {
+	if _, err := e.AlphaThirdParty([][]*SymbolMatrix{{oob}}, a, rng.Scripted(0)); err == nil {
 		t.Fatal("out-of-alphabet symbol accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -10,134 +11,38 @@ import (
 )
 
 // TestEngineNumericBitIdentical checks that every engine worker count
-// reproduces the serial protocol output bit for bit, for all three
-// arithmetic variants and both masking modes, and that the three-step
-// round trip still recovers |x−y|.
+// reproduces the paper's per-cell formula bit for bit — the disguise, S
+// and the distances — for all three arithmetic variants and both masking
+// modes, and that the integer round trip recovers |x−y|.
 func TestEngineNumericBitIdentical(t *testing.T) {
 	const n = 37
 	s := rng.NewXoshiro(rng.SeedFromUint64(5))
-	xs := make([]int64, n)
-	ys := make([]int64, n)
-	for i := range xs {
-		xs[i] = rng.Int64Range(s, -1000, 1000)
-		ys[i] = rng.Int64Range(s, -1000, 1000)
-	}
-	fx := make([]float64, n)
-	fy := make([]float64, n)
+	xs, ys := randomInts(s, n, -1000, 1000), randomInts(s, n, -1000, 1000)
+	fx, fy := make([]float64, n), make([]float64, n)
 	for i := range fx {
 		fx[i] = rng.Float64(s) * 50
 		fy[i] = rng.Float64(s) * 50
 	}
-	seedJK := rng.SeedFromUint64(21)
-	seedJT := rng.SeedFromUint64(22)
+	jk, jt := streams(rng.KindAESCTR, 21, 22)
 
-	for _, mode := range []Mode{Batch, PerPair} {
-		rows := 0
-		if mode == PerPair {
-			rows = n
+	for _, v := range []Variant{Float64Variant, Int64Variant, ModPVariant} {
+		x, y := xs, ys
+		if v == Float64Variant {
+			x, y = fx, fy
 		}
-		// Serial references via the package-level wrappers.
-		dInt, err := NumericInitiatorInt(xs, rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT), DefaultIntParams, mode, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sInt, err := NumericResponderInt(dInt, ys, rng.NewAESCTR(seedJK), DefaultIntParams, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oInt, err := NumericThirdPartyInt(sInt, rng.NewAESCTR(seedJT), DefaultIntParams, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dF, err := NumericInitiatorFloat(fx, rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT), DefaultFloatParams, mode, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sF, err := NumericResponderFloat(dF, fy, rng.NewAESCTR(seedJK), DefaultFloatParams, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oF, err := NumericThirdPartyFloat(sF, rng.NewAESCTR(seedJT), DefaultFloatParams, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dM, err := NumericInitiatorModP(xs, rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT), mode, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sM, err := NumericResponderModP(dM, ys, rng.NewAESCTR(seedJK), mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oM, err := NumericThirdPartyModP(sM, rng.NewAESCTR(seedJT), mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Sanity: the integer path recovers |x−y| exactly.
-		for m := 0; m < oInt.Rows; m++ {
-			for c := 0; c < oInt.Cols; c++ {
-				want := xs[c] - ys[m]
-				if want < 0 {
-					want = -want
+		for _, mode := range []Mode{Batch, PerPair} {
+			num := mustNumeric(t, v, mode)
+			want := oracleNumeric(v, mode, InitiatorCols, x, y, jk(), jt())
+			if v == Int64Variant {
+				checkPlaintext(t, want.dist, x, y, 0)
+			}
+			for _, workers := range []int{1, 2, 3, 8} {
+				d, s, dist, err := roundTrip(NewEngine(workers), num, x, y, jk, jt)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if oInt.At(m, c) != want {
-					t.Fatalf("mode %v: recovered %d, want %d", mode, oInt.At(m, c), want)
-				}
-			}
-		}
-
-		for _, workers := range []int{1, 2, 3, 8} {
-			e := NewEngine(workers)
-			name := fmt.Sprintf("%v/workers=%d", mode, workers)
-			gd, err := e.NumericInitiatorInt(xs, rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT), DefaultIntParams, mode, rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gs, err := e.NumericResponderInt(gd, ys, rng.NewAESCTR(seedJK), DefaultIntParams, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			go2, err := e.NumericThirdPartyInt(gs, rng.NewAESCTR(seedJT), DefaultIntParams, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range go2.Cell {
-				if gd.Cell[i%len(gd.Cell)] != dInt.Cell[i%len(dInt.Cell)] || gs.Cell[i] != sInt.Cell[i] || go2.Cell[i] != oInt.Cell[i] {
-					t.Fatalf("%s: int engine output differs at %d", name, i)
-				}
-			}
-			gdF, err := e.NumericInitiatorFloat(fx, rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT), DefaultFloatParams, mode, rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gsF, err := e.NumericResponderFloat(gdF, fy, rng.NewAESCTR(seedJK), DefaultFloatParams, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			goF, err := e.NumericThirdPartyFloat(gsF, rng.NewAESCTR(seedJT), DefaultFloatParams, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range goF.Cell {
-				if gdF.Cell[i%len(gdF.Cell)] != dF.Cell[i%len(dF.Cell)] || gsF.Cell[i] != sF.Cell[i] || goF.Cell[i] != oF.Cell[i] {
-					t.Fatalf("%s: float engine output differs at %d", name, i)
-				}
-			}
-			gdM, err := e.NumericInitiatorModP(xs, rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT), mode, rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gsM, err := e.NumericResponderModP(gdM, ys, rng.NewAESCTR(seedJK), mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			goM, err := e.NumericThirdPartyModP(gsM, rng.NewAESCTR(seedJT), mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range goM.Cell {
-				if gdM.Cell[i%len(gdM.Cell)] != dM.Cell[i%len(dM.Cell)] || gsM.Cell[i] != sM.Cell[i] || goM.Cell[i] != oM.Cell[i] {
-					t.Fatalf("%s: modp engine output differs at %d", name, i)
+				if !bytes.Equal(d.Cells, want.disguise) || !bytes.Equal(s.Cells, want.s) || !slices.Equal(dist, want.dist) {
+					t.Fatalf("%v %v workers=%d: output differs from the per-cell formula's", v, mode, workers)
 				}
 			}
 		}
@@ -145,8 +50,8 @@ func TestEngineNumericBitIdentical(t *testing.T) {
 }
 
 // TestEngineAlphaBitIdentical checks the alphanumeric engine against the
-// serial protocol for all worker counts, including the CCM inspection
-// path and variable-length strings.
+// pre-slab three-pass forms for all worker counts and variable-length
+// strings.
 func TestEngineAlphaBitIdentical(t *testing.T) {
 	s := rng.NewXoshiro(rng.SeedFromUint64(9))
 	mk := func(count int) []SymbolString {
@@ -164,13 +69,9 @@ func TestEngineAlphaBitIdentical(t *testing.T) {
 	seedJT := rng.SeedFromUint64(123)
 
 	// The references are the pre-slab three-pass forms (alpha_oracle_test.go).
-	wantD := AlphaInitiator(js, alphabet.Protein, rng.NewAESCTR(seedJT))
+	wantD := oracleAlphaInitiator(js, alphabet.Protein, rng.NewAESCTR(seedJT))
 	wantM := oracleAlphaResponder(ks, wantD, alphabet.Protein)
 	wantOut, err := oracleAlphaThirdParty(wantM, alphabet.Protein, rng.NewAESCTR(seedJT))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCCMs, err := oracleAlphaCCMs(wantM, alphabet.Protein, rng.NewAESCTR(seedJT))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,69 +116,31 @@ func TestEngineAlphaBitIdentical(t *testing.T) {
 				t.Fatalf("workers=%d: distance block differs at %d", workers, i)
 			}
 		}
-		gotCCMs, err := e.AlphaThirdPartyCCMs(gotM, alphabet.Protein, rng.NewAESCTR(seedJT))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range gotCCMs {
-			for j := range gotCCMs[i] {
-				g, w := gotCCMs[i][j], wantCCMs[i][j]
-				if g.Rows != w.Rows || g.Cols != w.Cols {
-					t.Fatalf("workers=%d: CCM (%d,%d) shape differs", workers, i, j)
-				}
-				for c := range g.Cell {
-					if g.Cell[c] != w.Cell[c] {
-						t.Fatalf("workers=%d: CCM (%d,%d) differs at %d", workers, i, j, c)
-					}
-				}
-			}
-		}
 	}
 }
 
-// TestEngineBufferReuse runs two different-shaped calls through one
-// engine to check buffer growth/reuse doesn't leak state between calls.
+// TestEngineBufferReuse runs different-shaped blocks through one engine
+// to check buffer growth/reuse doesn't leak state between calls.
 func TestEngineBufferReuse(t *testing.T) {
-	e := NewEngine(2)
-	seedJK, seedJT := rng.SeedFromUint64(1), rng.SeedFromUint64(2)
+	e, num := NewEngine(2), mustNumeric(t, Int64Variant, Batch)
+	jk, jt := streams(rng.KindAESCTR, 1, 2)
 	for _, n := range []int{64, 8, 100} {
-		xs := make([]int64, n)
-		ys := make([]int64, n)
+		xs, ys := make([]float64, n), make([]float64, n)
 		for i := range xs {
-			xs[i] = int64(i)
-			ys[i] = int64(2 * i)
+			xs[i], ys[i] = float64(i), float64(2*i)
 		}
-		d, err := e.NumericInitiatorInt(xs, rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT), DefaultIntParams, Batch, 0)
+		_, _, dist, err := roundTrip(e, num, xs, ys, jk, jt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sm, err := e.NumericResponderInt(d, ys, rng.NewAESCTR(seedJK), DefaultIntParams, Batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := e.NumericThirdPartyInt(sm, rng.NewAESCTR(seedJT), DefaultIntParams, Batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for m := 0; m < n; m++ {
-			for c := 0; c < n; c++ {
-				want := int64(c - 2*m)
-				if want < 0 {
-					want = -want
-				}
-				if out.At(m, c) != want {
-					t.Fatalf("n=%d: recovered %d at (%d,%d), want %d", n, out.At(m, c), m, c, want)
-				}
-			}
-		}
+		checkPlaintext(t, dist, xs, ys, 0)
 	}
 }
 
-// TestEnginePoolReuseAndConcurrency: Get after Put hands back the same
-// engine (buffer reuse), engines are independent under concurrent
-// borrowers, and concurrent pool use produces bit-identical protocol
-// outputs — the property the third party's concurrent lane readers rely
-// on.
+// TestEnginePool: Get after Put hands back the same engine (buffer reuse),
+// engines are independent under concurrent borrowers, and concurrent pool
+// use reproduces the per-cell formula bit for bit — the property the third
+// party's concurrent lane readers rely on.
 func TestEnginePool(t *testing.T) {
 	p := NewEnginePool(1)
 	e1 := p.Get()
@@ -289,29 +152,13 @@ func TestEnginePool(t *testing.T) {
 	}
 
 	const n = 33
-	xs := make([]int64, n)
-	ys := make([]int64, n)
+	xs, ys := make([]float64, n), make([]float64, n)
 	for i := range xs {
-		xs[i] = int64(3 * i)
-		ys[i] = int64(i * i % 50)
+		xs[i], ys[i] = float64(3*i)/8, float64(i*i%50)/8
 	}
-	seedJK := rng.SeedFromUint64(11)
-	seedJT := rng.SeedFromUint64(12)
-	round := func(e *Engine) (*Int64Matrix, error) {
-		d, err := e.NumericInitiatorInt(xs, rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT), DefaultIntParams, Batch, 0)
-		if err != nil {
-			return nil, err
-		}
-		sm, err := e.NumericResponderInt(d, ys, rng.NewAESCTR(seedJK), DefaultIntParams, Batch)
-		if err != nil {
-			return nil, err
-		}
-		return e.NumericThirdPartyInt(sm, rng.NewAESCTR(seedJT), DefaultIntParams, Batch)
-	}
-	ref, err := round(NewEngine(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	num := mustNumeric(t, Float64Variant, Batch)
+	jk, jt := streams(rng.KindAESCTR, 11, 12)
+	ref := oracleNumeric(Float64Variant, Batch, InitiatorCols, xs, ys, jk(), jt()).dist
 
 	const borrowers = 8
 	errs := make(chan error, borrowers)
@@ -319,19 +166,15 @@ func TestEnginePool(t *testing.T) {
 		go func() {
 			for r := 0; r < 4; r++ {
 				e := p.Get()
-				out, err := round(e)
+				_, _, out, err := roundTrip(e, num, xs, ys, jk, jt)
 				p.Put(e)
 				if err != nil {
 					errs <- err
 					return
 				}
-				for m := 0; m < n; m++ {
-					for c := 0; c < n; c++ {
-						if out.At(m, c) != ref.At(m, c) {
-							errs <- fmt.Errorf("pooled engine diverged at (%d,%d)", m, c)
-							return
-						}
-					}
+				if !slices.Equal(out, ref) {
+					errs <- fmt.Errorf("pooled engine diverged from the per-cell formula")
+					return
 				}
 			}
 			errs <- nil

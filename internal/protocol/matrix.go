@@ -1,36 +1,31 @@
 // Package protocol implements the İnan et al. privacy-preserving comparison
-// protocols — the paper's primary contribution.
+// protocols — the paper's primary contribution — one protocol per
+// attribute type, each step a function of the site that runs it:
 //
-// Three protocols are provided, one per attribute type, each decomposed into
-// one pure function per participating site so that every pseudocode figure
-// of the paper corresponds to exactly one Go function:
-//
-//   - numeric (Section 4.1): NumericInitiator* (Figure 4, site DHJ),
-//     NumericResponder* (Figure 5, site DHK), NumericThirdParty* (Figure 6,
-//     site TP); in int64, float64 and mod-p arithmetic, each in batch or
-//     per-pair masking mode. Those per-pair forms are the reference for
-//     the session's forms, which run a row range at a time on the cells
-//     the frames carry through one Numeric value — Disguise, Combine,
-//     Strip and Advance (see session.go);
-//   - alphanumeric (Section 4.2): AlphaInitiator (Figure 8),
-//     AlphaResponder (Figure 9), AlphaThirdParty (Figure 10). Those
-//     per-pair forms, over one SymbolMatrix per string pair, are
-//     containers over the two kernels the session runs chunk by chunk on
-//     an AlphaChunk's cell slab — AlphaResponderChunk and
-//     AlphaThirdPartyChunk (see alpha.go);
+//   - numeric (Section 4.1): Numeric, over int64, float64 or Z_p cells in
+//     batch or per-pair masking mode — Disguise (Figure 4, site DHJ),
+//     Combine (Figure 5, site DHK), Strip (Figure 6, site TP) and Advance,
+//     each over a row range of the cells a frame carries (see session.go);
+//   - alphanumeric (Section 4.2): the Engine's AlphaInitiator (Figure 8),
+//     AlphaResponderChunk (Figure 9) and AlphaThirdPartyChunk (Figure 10),
+//     the last two over an AlphaChunk's cell slab (see alpha.go);
 //   - categorical (Section 4.3): CategoricalEncryptColumn and
 //     CategoricalDistances.
 //
 // The functions communicate only through their returned values, which the
 // orchestration layer (internal/party) moves between sites over
 // internal/wire channels. Keeping the steps pure makes each site's
-// computation independently testable against the plaintext reference.
+// computation independently testable against the plaintext reference and
+// the paper's per-cell formula. The per-pair whole-matrix forms left —
+// float64 Figures 4–6, AlphaResponder and AlphaThirdParty, and their row
+// forms in rows.go — serve the benchmark's replay of a session, and the
+// alphanumeric two the paper experiments that print one pair's matrix.
 package protocol
 
 import "fmt"
 
-// Int64Matrix is a dense row-major matrix of int64, the shape exchanged by
-// the integer numeric protocol's per-pair forms.
+// Int64Matrix is a dense row-major matrix of int64: a block of alphanumeric
+// or categorical distances.
 type Int64Matrix struct {
 	Rows, Cols int
 	Cell       []int64
@@ -57,7 +52,7 @@ func (m *Int64Matrix) Validate() error {
 }
 
 // Float64Matrix is a dense row-major matrix of float64, exchanged by the
-// real-valued numeric protocol.
+// float64 whole-matrix forms of Figures 4–6.
 type Float64Matrix struct {
 	Rows, Cols int
 	Cell       []float64

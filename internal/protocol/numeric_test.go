@@ -13,92 +13,138 @@ func quickCheck(f any) error {
 	return quick.Check(f, &quick.Config{MaxCount: 200})
 }
 
+// roundTrip runs the three sites through Numeric over one block, each step
+// one chunk, with the initiator on the columns: DHJ disguises xs, DHK
+// combines its ys into S, the TP strips S into the distances, row-major.
+// jk and jt return fresh copies of the two shared streams, one for each
+// site that reads them.
+func roundTrip(e *Engine, num Numeric, xs, ys []float64, jk, jt func() rng.Stream) (d, s NumericChunk, dist []float64, err error) {
+	cx, err := num.Column(xs)
+	if err != nil {
+		return
+	}
+	cy, err := num.Column(ys)
+	if err != nil {
+		return
+	}
+	rows := 1
+	if num.mode == PerPair {
+		rows = len(ys)
+	}
+	if d, err = decode(num.Disguise(e, nil, cx, 0, rows, len(ys), jk(), jt(), InitiatorCols)); err != nil {
+		return
+	}
+	if s, err = decode(num.Combine(e, nil, []NumericChunk{d}, cy, 0, len(ys), jk(), InitiatorCols)); err != nil {
+		return
+	}
+	row, err := num.Strip(e, s, 0, len(ys), jt(), InitiatorCols)
+	if err != nil {
+		return
+	}
+	n := len(xs)
+	dist = make([]float64, len(ys)*n)
+	for r := range ys {
+		if err = row(r, dist[r*n:(r+1)*n]); err != nil {
+			return
+		}
+	}
+	return
+}
+
+func decode(blk []byte, err error) (NumericChunk, error) {
+	if err != nil {
+		return NumericChunk{}, err
+	}
+	return DecodeNumericChunk(blk)
+}
+
+// streams returns fresh-stream constructors of the given kind and seeds.
+func streams(kind rng.Kind, jk, jt uint64) (func() rng.Stream, func() rng.Stream) {
+	return func() rng.Stream { return rng.New(kind, rng.SeedFromUint64(jk)) },
+		func() rng.Stream { return rng.New(kind, rng.SeedFromUint64(jt)) }
+}
+
+// scripted returns a constructor of the stream that replays words.
+func scripted(words ...uint64) func() rng.Stream {
+	return func() rng.Stream { return rng.Scripted(words...) }
+}
+
+// intCell is cell i of an int64 block.
+func intCell(c NumericChunk, i int) int64 { return getWord[int64](c.Cells[8*i:]) }
+
+// mustNumeric builds the protocol of a known variant and mode.
+func mustNumeric(t testing.TB, v Variant, mode Mode) Numeric {
+	t.Helper()
+	num, err := NewNumeric(v, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return num
+}
+
+// checkPlaintext checks that dist is |x − y| for every pair, rows indexing
+// ys: exactly, or within tol.
+func checkPlaintext(t *testing.T, dist, xs, ys []float64, tol float64) {
+	t.Helper()
+	if len(dist) != len(xs)*len(ys) {
+		t.Fatalf("%d distances for a %dx%d block", len(dist), len(ys), len(xs))
+	}
+	for m, y := range ys {
+		for n, x := range xs {
+			if got, want := dist[m*len(xs)+n], math.Abs(x-y); math.Abs(got-want) > tol {
+				t.Fatalf("d(x[%d]=%v, y[%d]=%v) = %v, want %v", n, x, m, y, got, want)
+			}
+		}
+	}
+}
+
 // TestFigure3WorkedExample reproduces the paper's Figure 3 numeric example
 // exactly: x=3, y=8, RJK=5, RJT=7 gives x′=−3, x″=4, m=12 and the third
 // party recovers |x−y| = 5. (Experiment E1.)
 func TestFigure3WorkedExample(t *testing.T) {
-	params := DefaultIntParams // MaskRange 2^62 passes small draws through
-
-	jk := rng.Scripted(5)
-	jt := rng.Scripted(7)
-	disguised, err := NumericInitiatorInt([]int64{3}, jk, jt, params, Batch, 0)
+	// The int64 arithmetic's mask range, 2^62, passes small draws through.
+	d, s, dist, err := roundTrip(NewEngine(1), mustNumeric(t, Int64Variant, Batch), []float64{3}, []float64{8}, scripted(5), scripted(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// RJK = 5 is odd, so DHJ negates: x′ = −3; x″ = −3 + 7 = 4.
-	if got := disguised.At(0, 0); got != 4 {
+	if got := intCell(d, 0); got != 4 {
 		t.Fatalf("x″ = %d, want 4", got)
 	}
-
-	s, err := NumericResponderInt(disguised, []int64{8}, rng.Scripted(5), params, Batch)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// DHK does not negate (5 odd): m = 8 + 4 = 12.
-	if got := s.At(0, 0); got != 12 {
+	if got := intCell(s, 0); got != 12 {
 		t.Fatalf("m = %d, want 12", got)
 	}
-
-	dist, err := NumericThirdPartyInt(s, rng.Scripted(7), params, Batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dist.At(0, 0); got != 5 {
-		t.Fatalf("|x−y| = %d, want 5", got)
+	if dist[0] != 5 {
+		t.Fatalf("|x−y| = %v, want 5", dist[0])
 	}
 }
 
 // TestFigure3OppositeParity covers the even-draw orientation: DHK negates
 // instead of DHJ and TP still recovers the distance.
 func TestFigure3OppositeParity(t *testing.T) {
-	params := DefaultIntParams
-	disguised, err := NumericInitiatorInt([]int64{3}, rng.Scripted(4), rng.Scripted(7), params, Batch, 0)
+	d, s, dist, err := roundTrip(NewEngine(1), mustNumeric(t, Int64Variant, Batch), []float64{3}, []float64{8}, scripted(4), scripted(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := disguised.At(0, 0); got != 10 { // 7 + 3
+	if got := intCell(d, 0); got != 10 { // 7 + 3
 		t.Fatalf("x″ = %d, want 10", got)
 	}
-	s, err := NumericResponderInt(disguised, []int64{8}, rng.Scripted(4), params, Batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.At(0, 0); got != 2 { // 10 − 8
+	if got := intCell(s, 0); got != 2 { // 10 − 8
 		t.Fatalf("m = %d, want 2", got)
 	}
-	dist, err := NumericThirdPartyInt(s, rng.Scripted(7), params, Batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dist.At(0, 0); got != 5 {
-		t.Fatalf("|x−y| = %d, want 5", got)
+	if dist[0] != 5 {
+		t.Fatalf("|x−y| = %v, want 5", dist[0])
 	}
 }
 
-// runIntProtocol executes the full three-site integer protocol with fresh
-// shared streams, mirroring what the orchestration layer does.
-func runIntProtocol(t *testing.T, xs, ys []int64, params IntParams, mode Mode, kind rng.Kind) *Int64Matrix {
-	t.Helper()
-	seedJK := rng.SeedFromUint64(1001)
-	seedJT := rng.SeedFromUint64(2002)
-
-	rows := 0
-	if mode == PerPair {
-		rows = len(ys)
+// randomInts draws k integers in [lo, hi] as floats.
+func randomInts(gen rng.Stream, k int, lo, hi int64) []float64 {
+	out := make([]float64, k)
+	for i := range out {
+		out[i] = float64(rng.Int64Range(gen, lo, hi))
 	}
-	disguised, err := NumericInitiatorInt(xs, rng.New(kind, seedJK), rng.New(kind, seedJT), params, mode, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NumericResponderInt(disguised, ys, rng.New(kind, seedJK), params, mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist, err := NumericThirdPartyInt(s, rng.New(kind, seedJT), params, mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dist
+	return out
 }
 
 // TestNumericProtocolMatchesPlaintextInt verifies E2 for the integer
@@ -106,102 +152,81 @@ func runIntProtocol(t *testing.T, xs, ys []int64, params IntParams, mode Mode, k
 // masking modes and with both generator kinds.
 func TestNumericProtocolMatchesPlaintextInt(t *testing.T) {
 	gen := rng.NewXoshiro(rng.SeedFromUint64(7))
-	xs := make([]int64, 23)
-	ys := make([]int64, 17)
-	for i := range xs {
-		xs[i] = rng.Int64Range(gen, -1_000_000, 1_000_000)
-	}
-	for i := range ys {
-		ys[i] = rng.Int64Range(gen, -1_000_000, 1_000_000)
-	}
+	xs, ys := randomInts(gen, 23, -1_000_000, 1_000_000), randomInts(gen, 17, -1_000_000, 1_000_000)
 	for _, mode := range []Mode{Batch, PerPair} {
 		for _, kind := range []rng.Kind{rng.KindXoshiro, rng.KindAESCTR} {
 			t.Run(mode.String()+"/"+kind.String(), func(t *testing.T) {
-				dist := runIntProtocol(t, xs, ys, DefaultIntParams, mode, kind)
-				if dist.Rows != len(ys) || dist.Cols != len(xs) {
-					t.Fatalf("block is %dx%d, want %dx%d", dist.Rows, dist.Cols, len(ys), len(xs))
+				jk, jt := streams(kind, 1001, 2002)
+				_, s, dist, err := roundTrip(NewEngine(1), mustNumeric(t, Int64Variant, mode), xs, ys, jk, jt)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for m, y := range ys {
-					for n, x := range xs {
-						want := x - y
-						if want < 0 {
-							want = -want
-						}
-						if got := dist.At(m, n); got != want {
-							t.Fatalf("d(x[%d]=%d, y[%d]=%d) = %d, want %d", n, x, m, y, got, want)
-						}
-					}
+				if s.Rows != len(ys) || s.Cols != len(xs) {
+					t.Fatalf("S is %dx%d, want %dx%d", s.Rows, s.Cols, len(ys), len(xs))
 				}
+				checkPlaintext(t, dist, xs, ys, 0)
 			})
 		}
 	}
 }
 
 func TestNumericProtocolEdgeValues(t *testing.T) {
-	p := DefaultIntParams
-	xs := []int64{0, p.MaxMagnitude, -p.MaxMagnitude, 1, -1}
-	ys := []int64{p.MaxMagnitude, -p.MaxMagnitude, 0}
-	dist := runIntProtocol(t, xs, ys, p, Batch, rng.KindAESCTR)
-	for m, y := range ys {
-		for n, x := range xs {
-			want := x - y
-			if want < 0 {
-				want = -want
-			}
-			if got := dist.At(m, n); got != want {
-				t.Fatalf("edge d(%d,%d) = %d, want %d", x, y, got, want)
-			}
+	max := float64(DefaultIntParams.MaxMagnitude)
+	xs, ys := []float64{0, max, -max, 1, -1}, []float64{max, -max, 0}
+	jk, jt := streams(rng.KindAESCTR, 1001, 2002)
+	_, _, dist, err := roundTrip(NewEngine(1), mustNumeric(t, Int64Variant, Batch), xs, ys, jk, jt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPlaintext(t, dist, xs, ys, 0)
+}
+
+func TestNumericProtocolEmptyVectors(t *testing.T) {
+	num := mustNumeric(t, Int64Variant, Batch)
+	jk, jt := streams(rng.KindXoshiro, 1001, 2002)
+	for _, tc := range []struct {
+		xs         []float64
+		rows, cols int
+	}{{nil, 0, 0}, {[]float64{5}, 0, 1}} {
+		_, s, dist, err := roundTrip(NewEngine(1), num, tc.xs, nil, jk, jt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Rows != tc.rows || s.Cols != tc.cols || len(dist) != 0 {
+			t.Fatalf("%d initiator values: S is %dx%d with %d distances, want %dx%d and none", len(tc.xs), s.Rows, s.Cols, len(dist), tc.rows, tc.cols)
 		}
 	}
 }
 
-func TestNumericProtocolEmptyVectors(t *testing.T) {
-	dist := runIntProtocol(t, nil, nil, DefaultIntParams, Batch, rng.KindXoshiro)
-	if dist.Rows != 0 || dist.Cols != 0 {
-		t.Fatalf("empty protocol produced %dx%d", dist.Rows, dist.Cols)
-	}
-	dist = runIntProtocol(t, []int64{5}, nil, DefaultIntParams, Batch, rng.KindXoshiro)
-	if dist.Rows != 0 || dist.Cols != 1 {
-		t.Fatalf("half-empty protocol produced %dx%d", dist.Rows, dist.Cols)
-	}
-}
-
+// TestNumericValidationErrors: a value past the int64 bound is refused by
+// Column, a disguise row range its block does not have by Disguise, and a
+// disguise that does not serve the responder's rows, or is torn, by
+// Combine; a torn S by Strip.
 func TestNumericValidationErrors(t *testing.T) {
-	jk, jt := rng.Scripted(1), rng.Scripted(1)
-	if _, err := NumericInitiatorInt([]int64{1 << 50}, jk, jt, DefaultIntParams, Batch, 0); err == nil {
+	e, jk, jt := NewEngine(1), rng.Scripted(1), rng.Scripted(1)
+	batch, perPair := mustNumeric(t, Int64Variant, Batch), mustNumeric(t, Int64Variant, PerPair)
+	if _, err := batch.Column([]float64{1 << 50}); err == nil {
 		t.Fatal("magnitude violation accepted")
 	}
-	if _, err := NumericInitiatorInt([]int64{1}, jk, jt, IntParams{MaskRange: 0, MaxMagnitude: 1}, Batch, 0); err == nil {
-		t.Fatal("zero mask range accepted")
-	}
-	if _, err := NumericInitiatorInt([]int64{1}, jk, jt, IntParams{MaskRange: math.MaxInt64, MaxMagnitude: 1 << 40}, Batch, 0); err == nil {
-		t.Fatal("overflow-risking params accepted")
-	}
-	if _, err := NumericInitiatorInt([]int64{1}, jk, jt, DefaultIntParams, PerPair, -1); err == nil {
-		t.Fatal("negative responderRows accepted")
+	if _, err := perPair.Disguise(e, nil, column(t, perPair, []float64{1}), 0, 1, -1, jk, jt, InitiatorCols); err == nil {
+		t.Fatal("a disguise for a negative responder row count accepted")
 	}
 
 	// Responder shape mismatches.
-	d, err := NumericInitiatorInt([]int64{1, 2}, rng.Scripted(1), rng.Scripted(1), DefaultIntParams, Batch, 0)
-	if err != nil {
-		t.Fatal(err)
+	d := decodeBlock(t)(batch.Disguise(e, nil, column(t, batch, []float64{1, 2}), 0, 1, 3, jk, jt, InitiatorCols))
+	if _, err := perPair.Combine(e, nil, []NumericChunk{d}, column(t, perPair, []float64{3, 4, 5}), 0, 3, jk, InitiatorCols); err == nil {
+		t.Fatal("per-pair mode accepted a disguise with the wrong row count")
 	}
-	if _, err := NumericResponderInt(d, []int64{3, 4, 5}, rng.Scripted(1), DefaultIntParams, PerPair); err == nil {
-		t.Fatal("per-pair mode accepted a disguised matrix with the wrong row count")
+	dp := decodeBlock(t)(perPair.Disguise(e, nil, column(t, perPair, []float64{1, 2}), 0, 3, 3, jk, jt, InitiatorCols))
+	if _, err := batch.Combine(e, nil, []NumericChunk{dp}, column(t, batch, []float64{3}), 0, 1, jk, InitiatorCols); err == nil {
+		t.Fatal("batch mode accepted a 3-row disguise")
 	}
-	dp, err := NumericInitiatorInt([]int64{1, 2}, rng.Scripted(1), rng.Scripted(1), DefaultIntParams, PerPair, 3)
-	if err != nil {
-		t.Fatal(err)
+	torn := NumericChunk{Rows: 2, Cols: 2, Cells: d.Cells[:8], tag: d.tag}
+	if _, err := batch.Combine(e, nil, []NumericChunk{torn}, column(t, batch, []float64{1, 2}), 0, 2, jk, InitiatorCols); err == nil {
+		t.Fatal("inconsistent disguise accepted")
 	}
-	if _, err := NumericResponderInt(dp, []int64{3}, rng.Scripted(1), DefaultIntParams, Batch); err == nil {
-		t.Fatal("batch mode accepted 3-row disguised matrix")
-	}
-	bad := &Int64Matrix{Rows: 2, Cols: 2, Cell: []int64{1}}
-	if _, err := NumericResponderInt(bad, []int64{1, 2}, rng.Scripted(1), DefaultIntParams, Batch); err == nil {
-		t.Fatal("inconsistent matrix accepted")
-	}
-	if _, err := NumericThirdPartyInt(bad, rng.Scripted(1), DefaultIntParams, Batch); err == nil {
-		t.Fatal("TP accepted inconsistent matrix")
+	if _, err := batch.Strip(e, torn, 0, 2, jt, InitiatorCols); err == nil {
+		t.Fatal("TP accepted an inconsistent S")
 	}
 }
 
@@ -211,23 +236,18 @@ func TestNumericValidationErrors(t *testing.T) {
 // mean/occupancy checks).
 func TestNumericDisguiseHidesValue(t *testing.T) {
 	const trials = 4000
+	e, num := NewEngine(1), mustNumeric(t, Int64Variant, Batch)
+	low, high := column(t, num, []float64{0}), column(t, num, []float64{1 << 40})
 	countsLow, countsHigh := 0, 0
 	for i := 0; i < trials; i++ {
-		seedJK := rng.SeedFromUint64(uint64(10_000 + i))
-		seedJT := rng.SeedFromUint64(uint64(20_000 + i))
-		dLow, err := NumericInitiatorInt([]int64{0}, rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT), DefaultIntParams, Batch, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dHigh, err := NumericInitiatorInt([]int64{1 << 40}, rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT), DefaultIntParams, Batch, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		jk, jt := streams(rng.KindAESCTR, uint64(10_000+i), uint64(20_000+i))
+		dLow := decodeBlock(t)(num.Disguise(e, nil, low, 0, 1, 1, jk(), jt(), InitiatorCols))
+		dHigh := decodeBlock(t)(num.Disguise(e, nil, high, 0, 1, 1, jk(), jt(), InitiatorCols))
 		mid := int64(1) << 61 // median of the mask range [0, 2^62)
-		if dLow.At(0, 0) > mid {
+		if intCell(dLow, 0) > mid {
 			countsLow++
 		}
-		if dHigh.At(0, 0) > mid {
+		if intCell(dHigh, 0) > mid {
 			countsHigh++
 		}
 	}
@@ -243,8 +263,7 @@ func TestNumericDisguiseHidesValue(t *testing.T) {
 
 func TestNumericProtocolMatchesPlaintextFloat(t *testing.T) {
 	gen := rng.NewXoshiro(rng.SeedFromUint64(8))
-	xs := make([]float64, 19)
-	ys := make([]float64, 13)
+	xs, ys := make([]float64, 19), make([]float64, 13)
 	for i := range xs {
 		xs[i] = rng.Float64(gen)*200 - 100
 	}
@@ -253,111 +272,70 @@ func TestNumericProtocolMatchesPlaintextFloat(t *testing.T) {
 	}
 	for _, mode := range []Mode{Batch, PerPair} {
 		t.Run(mode.String(), func(t *testing.T) {
-			seedJK := rng.SeedFromUint64(31)
-			seedJT := rng.SeedFromUint64(32)
-			rows := 0
-			if mode == PerPair {
-				rows = len(ys)
-			}
-			disguised, err := NumericInitiatorFloat(xs, rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT), DefaultFloatParams, mode, rows)
+			jk, jt := streams(rng.KindAESCTR, 31, 32)
+			_, _, dist, err := roundTrip(NewEngine(1), mustNumeric(t, Float64Variant, mode), xs, ys, jk, jt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NumericResponderFloat(disguised, ys, rng.NewAESCTR(seedJK), DefaultFloatParams, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dist, err := NumericThirdPartyFloat(s, rng.NewAESCTR(seedJT), DefaultFloatParams, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for m, y := range ys {
-				for n, x := range xs {
-					want := math.Abs(x - y)
-					if got := dist.At(m, n); math.Abs(got-want) > 1e-7 {
-						t.Fatalf("d(%v,%v) = %v, want %v (err %g)", x, y, got, want, math.Abs(got-want))
-					}
-				}
-			}
+			checkPlaintext(t, dist, xs, ys, 1e-7)
 		})
 	}
 }
 
+// TestNumericFloatValidation: a value that is not finite is refused where
+// the float64 arithmetic checks a column.
 func TestNumericFloatValidation(t *testing.T) {
-	jk, jt := rng.Scripted(1), rng.Scripted(1)
-	if _, err := NumericInitiatorFloat([]float64{math.NaN()}, jk, jt, DefaultFloatParams, Batch, 0); err == nil {
+	num := mustNumeric(t, Float64Variant, Batch)
+	if _, err := num.Column([]float64{math.NaN()}); err == nil {
 		t.Fatal("NaN accepted")
 	}
-	if _, err := NumericInitiatorFloat([]float64{math.Inf(1)}, jk, jt, DefaultFloatParams, Batch, 0); err == nil {
+	if _, err := num.Column([]float64{math.Inf(1)}); err == nil {
 		t.Fatal("Inf accepted")
-	}
-	if _, err := NumericInitiatorFloat([]float64{1}, jk, jt, FloatParams{MaskRange: -1}, Batch, 0); err == nil {
-		t.Fatal("negative mask range accepted")
 	}
 }
 
 func TestNumericProtocolMatchesPlaintextModP(t *testing.T) {
 	gen := rng.NewXoshiro(rng.SeedFromUint64(9))
-	xs := make([]int64, 11)
-	ys := make([]int64, 9)
-	for i := range xs {
-		xs[i] = rng.Int64Range(gen, -1<<45, 1<<45) // beyond the int mode's default bound
-	}
-	for i := range ys {
-		ys[i] = rng.Int64Range(gen, -1<<45, 1<<45)
-	}
+	// Beyond the int64 arithmetic's bound.
+	xs, ys := randomInts(gen, 11, -1<<45, 1<<45), randomInts(gen, 9, -1<<45, 1<<45)
 	for _, mode := range []Mode{Batch, PerPair} {
 		t.Run(mode.String(), func(t *testing.T) {
-			seedJK := rng.SeedFromUint64(41)
-			seedJT := rng.SeedFromUint64(42)
-			rows := 0
-			if mode == PerPair {
-				rows = len(ys)
-			}
-			disguised, err := NumericInitiatorModP(xs, rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT), mode, rows)
+			jk, jt := streams(rng.KindAESCTR, 41, 42)
+			_, _, dist, err := roundTrip(NewEngine(1), mustNumeric(t, ModPVariant, mode), xs, ys, jk, jt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NumericResponderModP(disguised, ys, rng.NewAESCTR(seedJK), mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dist, err := NumericThirdPartyModP(s, rng.NewAESCTR(seedJT), mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for m, y := range ys {
-				for n, x := range xs {
-					want := x - y
-					if want < 0 {
-						want = -want
-					}
-					if got := dist.At(m, n); got != want {
-						t.Fatalf("modp d(%d,%d) = %d, want %d", x, y, got, want)
-					}
-				}
-			}
+			checkPlaintext(t, dist, xs, ys, 0)
 		})
 	}
 }
 
+// TestModPValidation: a disguise for a negative responder row count is
+// refused, and so is a torn chunk or a non-canonical residue wherever it
+// is read — by the responder's Combine and the third party's strip.
 func TestModPValidation(t *testing.T) {
-	if _, err := NumericInitiatorModP([]int64{1}, rng.Scripted(1), rng.Scripted(1), PerPair, -2); err == nil {
-		t.Fatal("negative responderRows accepted")
+	e, num := NewEngine(1), mustNumeric(t, ModPVariant, PerPair)
+	if _, err := num.Disguise(e, nil, column(t, num, []float64{1}), 0, 1, -2, rng.Scripted(1), rng.Scripted(1), InitiatorCols); err == nil {
+		t.Fatal("a disguise for a negative responder row count accepted")
 	}
-	bad := &ElementMatrix{Rows: 1, Cols: 2, Cell: make([][32]byte, 1)}
-	if _, err := NumericResponderModP(bad, []int64{1}, rng.Scripted(1), Batch); err == nil {
-		t.Fatal("inconsistent element matrix accepted")
+	ones, tag := make([]byte, 32), modPCells{}.tag()
+	for i := range ones {
+		ones[i] = 0xff
 	}
-	// Non-canonical residue on the wire must be rejected.
-	m := NewElementMatrix(1, 1)
-	for i := range m.Cell[0] {
-		m.Cell[0][i] = 0xff
+	y := column(t, num, []float64{1})
+	for name, c := range map[string]NumericChunk{
+		"inconsistent chunk":    {Rows: 1, Cols: 2, Cells: ones, tag: tag},
+		"non-canonical residue": {Rows: 1, Cols: 1, Cells: ones, tag: tag},
+	} {
+		if _, err := num.Combine(e, nil, []NumericChunk{c}, y, 0, 1, rng.Scripted(1), InitiatorCols); err == nil {
+			t.Fatalf("%s accepted by responder", name)
+		}
 	}
-	if _, err := NumericResponderModP(m, []int64{1}, rng.Scripted(1), Batch); err == nil {
-		t.Fatal("non-canonical residue accepted by responder")
+	row, err := num.Strip(e, NumericChunk{Rows: 1, Cols: 1, Cells: ones, tag: tag}, 0, 1, rng.Scripted(1), InitiatorCols)
+	if err == nil {
+		err = row(0, make([]float64, 1))
 	}
-	if _, err := NumericThirdPartyModP(m, rng.Scripted(1), Batch); err == nil {
+	if err == nil {
 		t.Fatal("non-canonical residue accepted by TP")
 	}
 }
@@ -370,31 +348,9 @@ func TestQuickNumericProtocolRoundTrip(t *testing.T) {
 		if perPair {
 			mode = PerPair
 		}
-		xs := []int64{int64(x)}
-		ys := []int64{int64(y)}
-		rows := 0
-		if mode == PerPair {
-			rows = 1
-		}
-		sjk := rng.SeedFromUint64(seedJK)
-		sjt := rng.SeedFromUint64(seedJT)
-		d, err := NumericInitiatorInt(xs, rng.NewXoshiro(sjk), rng.NewXoshiro(sjt), DefaultIntParams, mode, rows)
-		if err != nil {
-			return false
-		}
-		s, err := NumericResponderInt(d, ys, rng.NewXoshiro(sjk), DefaultIntParams, mode)
-		if err != nil {
-			return false
-		}
-		out, err := NumericThirdPartyInt(s, rng.NewXoshiro(sjt), DefaultIntParams, mode)
-		if err != nil {
-			return false
-		}
-		want := int64(x) - int64(y)
-		if want < 0 {
-			want = -want
-		}
-		return out.At(0, 0) == want
+		jk, jt := streams(rng.KindXoshiro, seedJK, seedJT)
+		_, _, dist, err := roundTrip(NewEngine(1), mustNumeric(t, Int64Variant, mode), []float64{float64(x)}, []float64{float64(y)}, jk, jt)
+		return err == nil && dist[0] == math.Abs(float64(x)-float64(y))
 	}
 	if err := quickCheck(f); err != nil {
 		t.Fatal(err)

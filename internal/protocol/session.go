@@ -12,17 +12,18 @@ import (
 	"ppclust/internal/rng"
 )
 
-// The session's numeric protocol.
+// The numeric protocol.
 //
-// A session runs Figures 4–6 a row range at a time over the cells its
-// frames carry: a holder disguises its column and combines a peer's
-// disguise straight into the frame being built, and the third party strips
-// each chunk where it arrived. Which arithmetic the cells are in — int64,
-// float64 or Z_p — and which masking mode the keystreams are read in are
-// fixed for the session by one Numeric value, so its four operations are
-// the only place either is decided. The per-pair matrix forms (numeric.go,
-// numericmodp.go) are the paper's API and the reference the session forms
-// are tested against.
+// Numeric is the one implementation of Figures 4–6: sessions, the paper
+// experiments and the attack simulations all run it. It runs a row range
+// at a time over the cells a frame carries: a holder disguises its column
+// and combines a peer's disguise straight into the frame being built, and
+// the third party strips each chunk where it arrived. Which arithmetic the
+// cells are in — int64, float64 or Z_p — and which masking mode the
+// keystreams are read in are fixed by one Numeric value, so its four
+// operations are the only place either is decided. Its tests compare it
+// with the paper's per-cell formula (numeric_oracle_test.go), which shares
+// nothing with it but the generators.
 
 // Variant selects the arithmetic of the numeric comparison protocol.
 type Variant int
@@ -544,8 +545,11 @@ func integers(values []float64, max float64) error {
 // largest float64 below 2^62, so every distance |x − y| < 2^63 decodes.
 const modPMax = 1<<62 - 512
 
-// modPCells is the Z_p arithmetic: 32-byte big-endian residues, field
-// masks, big-integer arithmetic.
+// modPCells is the Z_p arithmetic (p = 2^255 − 19): 32-byte big-endian
+// residues, masks drawn uniformly from the whole field, big-integer
+// arithmetic. A uniform additive mask over Z_p is a one-time pad, so a
+// disguised value R + σx carries no information about x, where the int64
+// arithmetic's bounded masks hide it only statistically.
 type modPCells struct{}
 
 func (modPCells) tag() byte                    { return 3 }
@@ -626,4 +630,32 @@ func (modPCells) advance(_ *Engine, jt rng.Stream, n int) {
 	for ; n > 0; n-- {
 		modp.Random(jt)
 	}
+}
+
+// modpMasks is the Z_p form of keystream's mask draw.
+func (eng *Engine) modpMasks(jt rng.Stream, rows, cols int, mode Mode, axis Axis) []modp.Element {
+	return keystream(jt, func(n int) []modp.Element { return eng.modpDraws(jt, n) }, rows, cols, mode, axis)
+}
+
+// modpDraws is the Z_p form of intDraws.
+func (eng *Engine) modpDraws(jt rng.Stream, n int) []modp.Element {
+	m := eng.elembuf(n)
+	for i := range m {
+		m[i] = modp.Random(jt)
+	}
+	return m
+}
+
+// unmaskModP strips the mask from the cell at chunk position (m, n) and
+// decodes |x−y| from the signed embedding.
+func unmaskModP(cell [32]byte, mask modp.Element, m, n int) (int64, error) {
+	v, err := modp.FromBytes(cell)
+	if err != nil {
+		return 0, fmt.Errorf("protocol: s(%d,%d): %w", m, n, err)
+	}
+	abs, err := v.Sub(mask).AbsInt64()
+	if err != nil {
+		return 0, fmt.Errorf("protocol: decoding distance (%d,%d): %w", m, n, err)
+	}
+	return abs, nil
 }

@@ -90,111 +90,18 @@ func decodeBlock(t testing.TB) func([]byte, error) NumericChunk {
 	}
 }
 
-// pairForms is the per-pair matrix forms' run of the same block with the
-// initiator on the columns: the disguise, S and the recovered distances,
-// in the session's cell layout.
-func pairForms(t *testing.T, v Variant, mode Mode, xs, ys []float64) numericPass {
-	t.Helper()
-	e, rows := NewEngine(1), 0
-	if mode == PerPair {
-		rows = len(ys)
-	}
-	jk, jt := func() rng.Stream { return rng.NewAESCTR(seedJK) }, func() rng.Stream { return rng.NewAESCTR(seedJT) }
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	var out numericPass
-	switch v {
-	case Float64Variant:
-		d, err := e.NumericInitiatorFloat(xs, jk(), jt(), DefaultFloatParams, mode, rows)
-		must(err)
-		s, err := e.NumericResponderFloat(d, ys, jk(), DefaultFloatParams, mode)
-		must(err)
-		o, err := e.NumericThirdPartyFloat(s, jt(), DefaultFloatParams, mode)
-		must(err)
-		out = numericPass{wordCells(d.Cell), wordCells(s.Cell), o.Cell}
-	case Int64Variant:
-		d, err := e.NumericInitiatorInt(ints(xs), jk(), jt(), DefaultIntParams, mode, rows)
-		must(err)
-		s, err := e.NumericResponderInt(d, ints(ys), jk(), DefaultIntParams, mode)
-		must(err)
-		o, err := e.NumericThirdPartyInt(s, jt(), DefaultIntParams, mode)
-		must(err)
-		out = numericPass{wordCells(d.Cell), wordCells(s.Cell), floats(o.Cell)}
-	case ModPVariant:
-		d, err := e.NumericInitiatorModP(ints(xs), jk(), jt(), mode, rows)
-		must(err)
-		s, err := e.NumericResponderModP(d, ints(ys), jk(), mode)
-		must(err)
-		o, err := e.NumericThirdPartyModP(s, jt(), mode)
-		must(err)
-		out = numericPass{elemCells(d.Cell), elemCells(s.Cell), floats(o.Cell)}
-	}
-	return out
-}
-
-func wordCells[T int64 | float64](cell []T) []byte {
-	var out []byte
-	for _, v := range cell {
-		switch v := any(v).(type) {
-		case int64:
-			out = binary.LittleEndian.AppendUint64(out, uint64(v))
-		case float64:
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
-		}
-	}
-	return out
-}
-
-func elemCells(cell [][32]byte) []byte {
-	var out []byte
-	for _, v := range cell {
-		out = append(out, v[:]...)
-	}
-	return out
-}
-
-func ints(vs []float64) []int64 {
-	out := make([]int64, len(vs))
-	for i, v := range vs {
-		out[i] = int64(v)
-	}
-	return out
-}
-
-func floats(vs []int64) []float64 {
-	out := make([]float64, len(vs))
-	for i, v := range vs {
-		out[i] = float64(v)
-	}
-	return out
-}
-
-// transpose returns rows×cols cells of size elements each column-major.
-func transpose[T any](cells []T, rows, cols, size int) []T {
-	out := make([]T, 0, len(cells))
-	for c := 0; c < cols; c++ {
-		for r := 0; r < rows; r++ {
-			out = append(out, cells[size*(r*cols+c):size*(r*cols+c+1)]...)
-		}
-	}
-	return out
-}
-
 // numericCase is one arithmetic, masking mode, axis and block shape of
-// the session's numeric operations, with its uncut run on one worker.
+// the session's numeric operations, with its uncut run on one worker and
+// the per-cell formula's run of the share (numeric_oracle_test.go).
 type numericCase struct {
-	v      Variant
-	mode   Mode
-	num    Numeric
-	axis   Axis
-	xs, ys []float64
-	first  int
-	whole  numericPass
-	m, n   int
+	v           Variant
+	mode        Mode
+	num         Numeric
+	axis        Axis
+	xs, ys      []float64
+	first       int
+	whole, want numericPass
+	m, n        int
 }
 
 func (c numericCase) String() string {
@@ -231,6 +138,7 @@ func forNumericCases(t *testing.T, f func(c numericCase)) {
 						c.first = c.m / 3
 					}
 					c.whole = runNumeric(t, NewEngine(1), num, axis, c.xs, c.ys, c.first, c.m+1, c.first)
+					c.want = oracleNumeric(v, mode, axis, c.xs, c.ys[c.first:], rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT))
 					f(c)
 				}
 			}
@@ -252,32 +160,40 @@ func (c numericCase) checkDistances(t *testing.T) {
 	}
 }
 
-// checkCuts runs the block cut every row and every four rows on three
-// workers, the third party starting at row start(per), and checks the
-// cells and distances against the uncut run's — for float64 with the
-// initiator on the columns, also those NumericThirdPartyFloatRows strips
-// from the same cuts.
+// checkCuts checks the uncut run, and the block cut every row and every
+// four rows on three workers with the third party starting at row
+// start(per), against the per-cell formula's cells and distances — for
+// float64 with the initiator on the columns, also the distances
+// NumericThirdPartyFloatRows strips from the formula's S at the same cuts.
 func (c numericCase) checkCuts(t *testing.T, start func(per int) int) {
 	t.Helper()
+	c.matches(t, "uncut", c.whole, c.first)
 	for _, per := range []int{1, 4} {
 		from := start(per)
 		got := runNumeric(t, NewEngine(3), c.num, c.axis, c.xs, c.ys, c.first, per, from)
-		if !bytes.Equal(got.disguise, c.whole.disguise) || !bytes.Equal(got.s, c.whole.s) {
-			t.Fatalf("%v per=%d start=%d: cells differ from the uncut run's", c, per, from)
-		}
-		if !slices.Equal(got.dist, c.whole.dist[(from-c.first)*c.n:]) {
-			t.Fatalf("%v per=%d start=%d: distances differ from the uncut run's", c, per, from)
-		}
+		c.matches(t, fmt.Sprintf("per=%d start=%d", per, from), got, from)
 		if c.v == Float64Variant && c.axis == InitiatorCols {
 			c.checkFloatRows(t, per, from)
 		}
 	}
 }
 
-// checkFloatRows strips the uncut run's S through its matrix container
-// form, NumericThirdPartyFloatRows, per rows at a time from row from on,
-// the stream advanced past the earlier rows, and checks every cut against
-// the uncut run's distances.
+// matches checks a run's cells, and its distances from row from on,
+// against the per-cell formula's, bit for bit.
+func (c numericCase) matches(t *testing.T, name string, got numericPass, from int) {
+	t.Helper()
+	if !bytes.Equal(got.disguise, c.want.disguise) || !bytes.Equal(got.s, c.want.s) {
+		t.Fatalf("%v %s: cells differ from the per-cell formula's", c, name)
+	}
+	if !slices.Equal(got.dist, c.want.dist[(from-c.first)*c.n:]) {
+		t.Fatalf("%v %s: distances differ from the per-cell formula's", c, name)
+	}
+}
+
+// checkFloatRows strips the per-cell formula's S through its matrix
+// container form, NumericThirdPartyFloatRows, per rows at a time from row
+// from on, the stream advanced past the earlier rows, and checks every cut
+// against the formula's distances.
 func (c numericCase) checkFloatRows(t *testing.T, per, from int) {
 	t.Helper()
 	e, jt := NewEngine(3), rng.NewAESCTR(seedJT)
@@ -286,22 +202,22 @@ func (c numericCase) checkFloatRows(t *testing.T, per, from int) {
 		lo, hi := from+ch[0], from+ch[1]
 		s := NewFloat64Matrix(hi-lo, c.n)
 		for i := range s.Cell {
-			s.Cell[i] = math.Float64frombits(binary.LittleEndian.Uint64(c.whole.s[8*(lo*c.n+i):]))
+			s.Cell[i] = math.Float64frombits(binary.LittleEndian.Uint64(c.want.s[8*(lo*c.n+i):]))
 		}
 		got, err := e.NumericThirdPartyFloatRows(s, lo, hi, jt, DefaultFloatParams, c.mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got.Cell, c.whole.dist[lo*c.n:hi*c.n]) {
-			t.Fatalf("%v per=%d: NumericThirdPartyFloatRows [%d,%d) differs from the uncut run's distances", c, per, lo, hi)
+		if !slices.Equal(got.Cell, c.want.dist[lo*c.n:hi*c.n]) {
+			t.Fatalf("%v per=%d: NumericThirdPartyFloatRows [%d,%d) differs from the per-cell formula's distances", c, per, lo, hi)
 		}
 	}
 }
 
 // TestNumericThirdPartyRowsMatchesMonolithic: with the initiator on the
-// columns, every arithmetic and masking mode recovers |x − y|, cutting
-// the block into chunks changes no cell and no distance, and the cells
-// and distances are the per-pair matrix forms' bit for bit.
+// columns, every arithmetic and masking mode recovers |x − y|, and the
+// cells and distances, uncut or cut into chunks, are the per-cell
+// formula's bit for bit.
 func TestNumericThirdPartyRowsMatchesMonolithic(t *testing.T) {
 	forNumericCases(t, func(c numericCase) {
 		if c.axis != InitiatorCols {
@@ -309,16 +225,12 @@ func TestNumericThirdPartyRowsMatchesMonolithic(t *testing.T) {
 		}
 		c.checkDistances(t)
 		c.checkCuts(t, func(int) int { return c.first })
-		ref := pairForms(t, c.v, c.mode, c.xs, c.ys)
-		if !bytes.Equal(ref.disguise, c.whole.disguise) || !bytes.Equal(ref.s, c.whole.s) || !slices.Equal(ref.dist, c.whole.dist) {
-			t.Fatalf("%v: the session forms differ from the per-pair forms", c)
-		}
 	})
 }
 
 // TestAdvanceThirdPartyPositionsStream: a third party that starts past
 // the share's first row, its stream advanced over the earlier rows,
-// recovers the uncut run's distances from there on, on either axis.
+// recovers the per-cell formula's distances from there on, on either axis.
 func TestAdvanceThirdPartyPositionsStream(t *testing.T) {
 	forNumericCases(t, func(c numericCase) {
 		c.checkCuts(t, func(per int) int { return min(c.first+per, c.m) })
@@ -327,10 +239,8 @@ func TestAdvanceThirdPartyPositionsStream(t *testing.T) {
 
 // TestRowAxisRecoversDistances: with the initiator on the rows and the
 // share starting mid-block, every arithmetic and masking mode recovers
-// |x − y| at every chunk cut. In batch mode the cells and distances are
-// the per-pair matrix forms' with the roles swapped, transposed (per-pair
-// mode draws the swapped block's cells in another order, and a block
-// without columns disguises nothing on the row axis).
+// |x − y|, and the cells and distances, uncut or cut into chunks, are the
+// per-cell formula's bit for bit.
 func TestRowAxisRecoversDistances(t *testing.T) {
 	forNumericCases(t, func(c numericCase) {
 		if c.axis != InitiatorRows {
@@ -338,14 +248,6 @@ func TestRowAxisRecoversDistances(t *testing.T) {
 		}
 		c.checkDistances(t)
 		c.checkCuts(t, func(int) int { return c.first })
-		if c.mode != Batch || c.n == 0 {
-			return
-		}
-		ref := pairForms(t, c.v, c.mode, c.ys[c.first:], c.xs)
-		if !bytes.Equal(ref.disguise, c.whole.disguise) || !bytes.Equal(transpose(ref.s, c.n, c.m-c.first, c.num.CellBytes()), c.whole.s) ||
-			!slices.Equal(transpose(ref.dist, c.n, c.m-c.first, 1), c.whole.dist) {
-			t.Fatalf("%v: the row-axis forms differ from the per-pair forms with the roles swapped", c)
-		}
 	})
 }
 
