@@ -55,13 +55,13 @@ func runAttackFrequency(w io.Writer) error {
 			gen := rng.NewAESCTR(rng.SeedFromUint64(uint64(1000 + trial)))
 			ys := sample(gen, 30)
 			xs := sample(gen, 3)
-			jk, jt := aes(uint64(5000+trial)), aes(uint64(6000+trial))
-			_, s, _, err := numericRun(xs, ys, mode, jk, jt)
+			jt := rng.NewAESCTR(rng.SeedFromUint64(uint64(6000 + trial)))
+			_, s, err := attack.Transcript(xs, ys, mode, rng.NewAESCTR(rng.SeedFromUint64(uint64(5000+trial))), jt)
 			if err != nil {
 				return err
 			}
 			// The attack reads the S block as the third party receives it.
-			guess, err := attack.FrequencyAttack(s, jt(), mode, prior)
+			guess, err := attack.FrequencyAttack(s, jt, mode, prior)
 			if err != nil {
 				continue // no consistent hypothesis: recovery 0
 			}
@@ -81,11 +81,6 @@ func runAttackFrequency(w io.Writer) error {
 	return verdict(w, "SHAPE: batch masking is broken under these conditions; the paper's per-pair countermeasure reduces the attack to near-chance", broken...)
 }
 
-// aes returns a constructor of fresh AES-CTR streams of the given seed.
-func aes(seed uint64) func() rng.Stream {
-	return func() rng.Stream { return rng.NewAESCTR(rng.SeedFromUint64(seed)) }
-}
-
 // runAttackEavesdrop demonstrates the Section 4.1 channel analysis: what an
 // observer of each unsecured channel infers, and that AES-GCM channels
 // remove the inference.
@@ -94,11 +89,15 @@ func runAttackEavesdrop(w io.Writer) error {
 	maskJT := int64(7)
 
 	fmt.Fprintln(w, "scenario: x=37 at DHJ, y=90 at DHK, RJT=7, RJK odd")
-	dc, sc, _, err := numericRun([]int64{x}, []int64{y}, protocol.Batch, scripted(5), scripted(uint64(maskJT)))
+	dc, sc, err := attack.Transcript([]int64{x}, []int64{y}, protocol.Batch, rng.Scripted(5), rng.Scripted(uint64(maskJT)))
 	if err != nil {
 		return err
 	}
-	d, s := int64Cell(dc, 0), int64Cell(sc, 0)
+	cells, err := firstCells(dc, sc)
+	if err != nil {
+		return err
+	}
+	d, s := cells[0], cells[1]
 
 	cx := attack.EavesdropXCandidates(d, maskJT)
 	fmt.Fprintf(w, "\nTP eavesdropping the plaintext DHJ->DHK channel (sees x''=%d, knows R=%d):\n", d, maskJT)

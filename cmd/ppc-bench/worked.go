@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strings"
@@ -16,11 +15,28 @@ import (
 // runFig3 traces the paper's Figure 3: x=3 at DHJ, y=8 at DHK, RJK=5,
 // RJT=7.
 func runFig3(w io.Writer) error {
-	d, s, dist, err := numericRun([]int64{3}, []int64{8}, protocol.Batch, scripted(5), scripted(7))
+	jt := rng.Scripted(7)
+	d, s, err := attack.Transcript([]int64{3}, []int64{8}, protocol.Batch, rng.Scripted(5), jt)
 	if err != nil {
 		return err
 	}
-	x2, m, abs := int64Cell(d, 0), int64Cell(s, 0), int64(dist[0])
+	num, err := protocol.NewNumeric(protocol.Int64Variant, protocol.Batch)
+	if err != nil {
+		return err
+	}
+	row, err := num.Strip(protocol.NewEngine(1), s, 0, 1, jt, protocol.InitiatorCols)
+	if err != nil {
+		return err
+	}
+	dist := make([]float64, 1)
+	if err := row(0, dist); err != nil {
+		return err
+	}
+	cells, err := firstCells(d, s)
+	if err != nil {
+		return err
+	}
+	x2, m, abs := cells[0], cells[1], int64(dist[0])
 	fmt.Fprintln(w, "site DHJ:  x = 3, RJK = 5 (odd -> DHJ negates), RJT = 7")
 	fmt.Fprintf(w, "           x' = -3, x'' = x' + RJT = %d          (paper: 4)\n", x2)
 	fmt.Fprintf(w, "site DHK:  y = 8, RJK = 5 -> DHK keeps sign; m = %d   (paper: 12)\n", m)
@@ -37,67 +53,20 @@ func runFig3(w io.Writer) error {
 	return verdict(w, "MATCH: reproduces the paper exactly", broken...)
 }
 
-// numericRun runs Figures 4–6 through the int64 numeric protocol sessions
-// run, over one block with DHJ's values xs on the columns and DHK's ys on
-// the rows, each site's step one chunk: it returns the disguise DHJ sends
-// DHK, the S block DHK sends the third party, and the distances the third
-// party strips from S, row-major. jk and jt return fresh copies of the
-// shared streams, one for each site that reads them.
-func numericRun(xs, ys []int64, mode protocol.Mode, jk, jt func() rng.Stream) (d, s protocol.NumericChunk, dist []float64, err error) {
-	num, err := protocol.NewNumeric(protocol.Int64Variant, mode)
-	if err != nil {
-		return
+// firstCells is the first cell of each int64 block.
+func firstCells(blocks ...protocol.NumericChunk) ([]int64, error) {
+	out := make([]int64, len(blocks))
+	for i, b := range blocks {
+		cells, err := b.Int64s()
+		if err != nil {
+			return nil, err
+		}
+		if len(cells) == 0 {
+			return nil, fmt.Errorf("an empty %dx%d block", b.Rows, b.Cols)
+		}
+		out[i] = cells[0]
 	}
-	cx, err := num.Column(floats(xs))
-	if err != nil {
-		return
-	}
-	cy, err := num.Column(floats(ys))
-	if err != nil {
-		return
-	}
-	e, rows := protocol.NewEngine(1), 1
-	if mode == protocol.PerPair {
-		rows = len(ys)
-	}
-	blk, err := num.Disguise(e, nil, cx, 0, rows, len(ys), jk(), jt(), protocol.InitiatorCols)
-	if err == nil {
-		d, err = protocol.DecodeNumericChunk(blk)
-	}
-	if err == nil {
-		blk, err = num.Combine(e, nil, []protocol.NumericChunk{d}, cy, 0, len(ys), jk(), protocol.InitiatorCols)
-	}
-	if err == nil {
-		s, err = protocol.DecodeNumericChunk(blk)
-	}
-	if err != nil {
-		return
-	}
-	row, err := num.Strip(e, s, 0, len(ys), jt(), protocol.InitiatorCols)
-	dist = make([]float64, len(ys)*len(xs))
-	for r := 0; err == nil && r < len(ys); r++ {
-		err = row(r, dist[r*len(xs):(r+1)*len(xs)])
-	}
-	return
-}
-
-// floats converts integer values to the float64 a Column checks.
-func floats(vs []int64) []float64 {
-	out := make([]float64, len(vs))
-	for i, v := range vs {
-		out[i] = float64(v)
-	}
-	return out
-}
-
-// int64Cell is cell i of an int64 block: 8 little-endian bytes.
-func int64Cell(c protocol.NumericChunk, i int) int64 {
-	return int64(binary.LittleEndian.Uint64(c.Cells[8*i:]))
-}
-
-// scripted returns a constructor of the stream that replays words.
-func scripted(words ...uint64) func() rng.Stream {
-	return func() rng.Stream { return rng.Scripted(words...) }
+	return out, nil
 }
 
 // runFig7 traces the paper's Figure 7: S="abc", T="bd" over A={a,b,c,d},

@@ -7,7 +7,8 @@
 //     and there is enough statistics ... TP can infer input values of site
 //     DHK"), together with its failure against per-pair masking;
 //   - eavesdropping inference: the candidate sets an observer recovers from
-//     the DHJ→DHK and DHK→TP channels when they are not secured;
+//     the DHJ→DHK and DHK→TP channels when they are not secured, whose
+//     traffic Transcript produces;
 //   - RecoverStringsUpToShift: the third party's reconstruction of
 //     alphanumeric attribute values up to a single additive shift from the
 //     intermediary difference matrices.
@@ -17,7 +18,6 @@
 package attack
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -55,6 +55,50 @@ func UniformPrior(lo, hi int64) FrequencyPrior {
 	return FrequencyPrior{Lo: lo, Hi: hi, Weight: w}
 }
 
+// Transcript runs DHJ and DHK through the int64 numeric protocol sessions
+// run, over one block with DHJ's values xs on the columns and DHK's ys on
+// the rows, each site's step one chunk, and returns what crosses the two
+// channels: the disguise DHJ sends DHK and the S block DHK sends the third
+// party. jk and jt are the shared streams. Each site reads them from their
+// first word, as one seeded with the shared seed does, and they are left
+// rewound for the third party.
+func Transcript(xs, ys []int64, mode protocol.Mode, jk, jt rng.Stream) (d, s protocol.NumericChunk, err error) {
+	num, err := protocol.NewNumeric(protocol.Int64Variant, mode)
+	if err != nil {
+		return
+	}
+	var cols [2]protocol.Column
+	for i, vs := range [][]int64{xs, ys} {
+		fs := make([]float64, len(vs))
+		for k, v := range vs {
+			fs[k] = float64(v)
+		}
+		if cols[i], err = num.Column(fs); err != nil {
+			return
+		}
+	}
+	e, rows := protocol.NewEngine(1), 1
+	if mode == protocol.PerPair {
+		rows = len(ys)
+	}
+	jk.Reseed()
+	jt.Reseed()
+	blk, err := num.Disguise(e, nil, cols[0], 0, rows, len(ys), jk, jt, protocol.InitiatorCols)
+	if err == nil {
+		d, err = protocol.DecodeNumericChunk(blk)
+	}
+	jk.Reseed()
+	if err == nil {
+		blk, err = num.Combine(e, nil, []protocol.NumericChunk{d}, cols[1], 0, len(ys), jk, protocol.InitiatorCols)
+	}
+	if err == nil {
+		s, err = protocol.DecodeNumericChunk(blk)
+	}
+	jk.Reseed()
+	jt.Reseed()
+	return
+}
+
 // FrequencyAttack is the third party's batch-mode attack. The TP holds the
 // block of the comparison matrix S it received from DHK, and regenerates
 // the masks from its shared generator with DHJ, exactly as in the
@@ -65,11 +109,9 @@ func UniformPrior(lo, hi int64) FrequencyPrior {
 // The same procedure applied to per-pair traffic faces independent signs
 // per cell and collapses.
 //
-// s is the S block as its frame carries it in the int64 arithmetic —
-// 8-byte little-endian two's-complement cells, masks of range
-// protocol.DefaultIntParams.MaskRange — jt a fresh stream seeded with the
-// TP–DHJ shared seed, and mode the protocol mode. The return value is the
-// attacker's best guess of DHK's vector.
+// s is the S block as its frame carries it in the int64 arithmetic, jt a
+// fresh stream seeded with the TP–DHJ shared seed, and mode the protocol
+// mode. The return value is the attacker's best guess of DHK's vector.
 func FrequencyAttack(s protocol.NumericChunk, jt rng.Stream, mode protocol.Mode, prior FrequencyPrior) ([]int64, error) {
 	if err := prior.Validate(); err != nil {
 		return nil, err
@@ -77,13 +119,14 @@ func FrequencyAttack(s protocol.NumericChunk, jt rng.Stream, mode protocol.Mode,
 	if s.Rows <= 0 || s.Cols <= 0 {
 		return nil, fmt.Errorf("attack: empty matrix")
 	}
-	if len(s.Cells) != 8*s.Rows*s.Cols {
-		return nil, fmt.Errorf("attack: %d bytes for %dx%d int64 cells", len(s.Cells), s.Rows, s.Cols)
+	cells, err := s.Int64s()
+	if err != nil {
+		return nil, err
 	}
 	// Step 1: strip the masks the TP legitimately knows. v[m][n] = ±(x_n − y_m).
-	v := protocol.NewInt64Matrix(s.Rows, s.Cols)
+	v := protocol.Int64Matrix{Rows: s.Rows, Cols: s.Cols, Cell: cells}
 	for i := range v.Cell {
-		v.Cell[i] = int64(binary.LittleEndian.Uint64(s.Cells[8*i:])) - rng.Int64n(jt, protocol.DefaultIntParams.MaskRange)
+		v.Cell[i] -= rng.Int64n(jt, protocol.Int64MaskRange)
 		if mode == protocol.Batch && (i+1)%s.Cols == 0 {
 			jt.Reseed()
 		}

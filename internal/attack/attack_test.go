@@ -1,7 +1,7 @@
 package attack
 
 import (
-	"encoding/binary"
+	"strings"
 	"testing"
 
 	"ppclust/internal/alphabet"
@@ -9,57 +9,28 @@ import (
 	"ppclust/internal/rng"
 )
 
-// transcript runs DHJ and DHK through the int64 numeric protocol over one
-// block, one chunk each, with DHJ's objects on the columns, and returns
-// what crosses the two channels: the disguise DHJ sends DHK and the S
-// block DHK sends the TP. jk and jt return fresh copies of the shared
-// streams.
-func transcript(t *testing.T, xs, ys []int64, mode protocol.Mode, jk, jt func() rng.Stream) (d, s protocol.NumericChunk) {
+// transcript is Transcript's blocks, failing the test on an error.
+func transcript(t *testing.T, xs, ys []int64, mode protocol.Mode, jk, jt rng.Stream) (d, s protocol.NumericChunk) {
 	t.Helper()
-	num, err := protocol.NewNumeric(protocol.Int64Variant, mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cx, err := num.Column(floats(xs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cy, err := num.Column(floats(ys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, rows := protocol.NewEngine(1), 1
-	if mode == protocol.PerPair {
-		rows = len(ys)
-	}
-	blk, err := num.Disguise(e, nil, cx, 0, rows, len(ys), jk(), jt(), protocol.InitiatorCols)
-	if err == nil {
-		d, err = protocol.DecodeNumericChunk(blk)
-	}
-	if err == nil {
-		blk, err = num.Combine(e, nil, []protocol.NumericChunk{d}, cy, 0, len(ys), jk(), protocol.InitiatorCols)
-	}
-	if err == nil {
-		s, err = protocol.DecodeNumericChunk(blk)
-	}
+	d, s, err := Transcript(xs, ys, mode, jk, jt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d, s
 }
 
-// aes returns a constructor of fresh AES-CTR streams of the given seed.
-func aes(seed uint64) func() rng.Stream {
-	return func() rng.Stream { return rng.NewAESCTR(rng.SeedFromUint64(seed)) }
-}
-
-// scripted returns a constructor of the stream that replays words.
-func scripted(words ...uint64) func() rng.Stream {
-	return func() rng.Stream { return rng.Scripted(words...) }
-}
+// aes is an AES-CTR stream of the given seed.
+func aes(seed uint64) rng.Stream { return rng.NewAESCTR(rng.SeedFromUint64(seed)) }
 
 // cell is the one int64 cell of a 1×1 block.
-func cell(c protocol.NumericChunk) int64 { return int64(binary.LittleEndian.Uint64(c.Cells)) }
+func cell(t *testing.T, c protocol.NumericChunk) int64 {
+	t.Helper()
+	v, err := c.Int64s()
+	if err != nil || len(v) != 1 {
+		t.Fatalf("a %dx%d block: %v", c.Rows, c.Cols, err)
+	}
+	return v[0]
+}
 
 // skewedAges draws from an asymmetric distribution over [20, 50] that gives
 // the attacker usable frequency statistics. Asymmetry matters: under a
@@ -99,8 +70,9 @@ func skewedAges(n int, seed uint64) ([]int64, FrequencyPrior) {
 func TestFrequencyAttackBatchMode(t *testing.T) {
 	ys, prior := skewedAges(40, 1)
 	xs := []int64{25, 33, 47} // DHJ's values: any in-domain values work
-	_, s := transcript(t, xs, ys, protocol.Batch, aes(100), aes(200))
-	guess, err := FrequencyAttack(s, aes(200)(), protocol.Batch, prior)
+	jt := aes(200)
+	_, s := transcript(t, xs, ys, protocol.Batch, aes(100), jt)
+	guess, err := FrequencyAttack(s, jt, protocol.Batch, prior)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +88,9 @@ func TestFrequencyAttackBatchMode(t *testing.T) {
 func TestFrequencyAttackDefeatedPerPair(t *testing.T) {
 	ys, prior := skewedAges(40, 2)
 	xs := []int64{25, 33, 47}
-	_, s := transcript(t, xs, ys, protocol.PerPair, aes(101), aes(201))
-	guess, err := FrequencyAttack(s, aes(201)(), protocol.PerPair, prior)
+	jt := aes(201)
+	_, s := transcript(t, xs, ys, protocol.PerPair, aes(101), jt)
+	guess, err := FrequencyAttack(s, jt, protocol.PerPair, prior)
 	if err != nil {
 		// No consistent hypothesis at all is also a defeat.
 		return
@@ -132,15 +105,36 @@ func TestFrequencyAttackValidation(t *testing.T) {
 	if _, err := FrequencyAttack(protocol.NumericChunk{}, rng.Scripted(1), protocol.Batch, UniformPrior(0, 1)); err == nil {
 		t.Fatal("empty matrix accepted")
 	}
-	_, s := transcript(t, []int64{1}, []int64{2}, protocol.Batch, scripted(1), scripted(1))
+	_, s := transcript(t, []int64{1}, []int64{2}, protocol.Batch, rng.Scripted(1), rng.Scripted(1))
 	bad := FrequencyPrior{Lo: 5, Hi: 4}
 	if _, err := FrequencyAttack(s, rng.Scripted(1), protocol.Batch, bad); err == nil {
 		t.Fatal("bad prior accepted")
 	}
-	s.Cells = s.Cells[:4]
-	if _, err := FrequencyAttack(s, rng.Scripted(1), protocol.Batch, UniformPrior(0, 1)); err == nil {
+	torn := s
+	torn.Cells = s.Cells[:4]
+	if _, err := FrequencyAttack(torn, rng.Scripted(1), protocol.Batch, UniformPrior(0, 1)); err == nil {
 		t.Fatal("torn cells accepted")
 	}
+	num, err := protocol.NewNumeric(protocol.Float64Variant, protocol.Batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := num.Column([]float64{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, err := num.Disguise(protocol.NewEngine(1), nil, col, 0, 1, 1, rng.Scripted(1), rng.Scripted(1), protocol.InitiatorCols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	float, err := protocol.DecodeNumericChunk(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FrequencyAttack(float, rng.Scripted(1), protocol.Batch, UniformPrior(0, 1)); err == nil || !strings.Contains(err.Error(), "variant byte") {
+		t.Fatalf("a float64 block read as int64 cells: %v", err)
+	}
+
 }
 
 // TestEavesdropXCandidates is experiment E12: the paper's stated inference
@@ -148,8 +142,8 @@ func TestFrequencyAttackValidation(t *testing.T) {
 func TestEavesdropXCandidates(t *testing.T) {
 	for _, jkDraw := range []uint64{4, 5} { // even: no negation; odd: negation
 		x := int64(37)
-		d, _ := transcript(t, []int64{x}, []int64{0}, protocol.Batch, scripted(jkDraw), scripted(7))
-		cands := EavesdropXCandidates(cell(d), 7)
+		d, _ := transcript(t, []int64{x}, []int64{0}, protocol.Batch, rng.Scripted(jkDraw), rng.Scripted(7))
+		cands := EavesdropXCandidates(cell(t, d), 7)
 		if cands[0] != x && cands[1] != x {
 			t.Fatalf("true x=%d not in candidates %v (draw %d)", x, cands, jkDraw)
 		}
@@ -161,8 +155,8 @@ func TestEavesdropXCandidates(t *testing.T) {
 func TestEavesdropYCandidates(t *testing.T) {
 	x, y := int64(37), int64(90)
 	for _, jkDraw := range []uint64{4, 5} {
-		_, s := transcript(t, []int64{x}, []int64{y}, protocol.Batch, scripted(jkDraw), scripted(7))
-		cands := EavesdropYCandidates(cell(s), 7, x)
+		_, s := transcript(t, []int64{x}, []int64{y}, protocol.Batch, rng.Scripted(jkDraw), rng.Scripted(7))
+		cands := EavesdropYCandidates(cell(t, s), 7, x)
 		if cands[0] != y && cands[1] != y {
 			t.Fatalf("true y=%d not in candidates %v (draw %d)", y, cands, jkDraw)
 		}
@@ -231,12 +225,4 @@ func TestRecoveryRateEdges(t *testing.T) {
 	if RecoveryRate([]int64{1, 2}, []int64{1, 3}) != 0.5 {
 		t.Fatal("half rate expected")
 	}
-}
-
-func floats(vs []int64) []float64 {
-	out := make([]float64, len(vs))
-	for i, v := range vs {
-		out[i] = float64(v)
-	}
-	return out
 }

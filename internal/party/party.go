@@ -106,7 +106,7 @@ type Config struct {
 	// Mode is the numeric protocol's masking mode (batch or per-pair).
 	Mode protocol.Mode
 	// Variant selects the numeric protocol arithmetic. Integer and float
-	// masks are always bounded by protocol.DefaultIntParams and
+	// masks are always bounded by protocol.Int64MaskRange and
 	// protocol.DefaultFloatParams.
 	Variant Variant
 	// RNG selects the shared generator implementation. The zero value is

@@ -275,7 +275,7 @@ func unmaskSerial(cfg Config, rows, cols int, cells []byte, jt rng.Stream, axis 
 		}
 	case Int64Variant:
 		masks := make([]int64, draws)
-		rng.FillInt64n(jt, masks, protocol.DefaultIntParams.MaskRange)
+		rng.FillInt64n(jt, masks, protocol.Int64MaskRange)
 		for i := range out {
 			out[i] = math.Abs(float64(int64(binary.LittleEndian.Uint64(cells[8*i:])) - masks[at(i)]))
 		}
@@ -401,7 +401,7 @@ func wholeBlock(t *testing.T, v Variant, mode protocol.Mode, xs, ys []int64) fun
 		case Float64Variant:
 			fm[k] = rng.Float64(jt) * protocol.DefaultFloatParams.MaskRange
 		case Int64Variant:
-			im[k] = rng.Int64n(jt, protocol.DefaultIntParams.MaskRange)
+			im[k] = rng.Int64n(jt, protocol.Int64MaskRange)
 		default:
 			em[k] = modp.Random(jt)
 		}

@@ -1216,6 +1216,7 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 	// coordinator's parallelism, as gob wrote it: a crafted width sized the
 	// compute-token channel and, on an alphanumeric attribute, grew each
 	// engine's edit-distance scratches to that many.
+	type intParams struct{ MaskRange, MaxMagnitude int64 }
 	type boundedOffer struct {
 		Shard           int
 		Lo, Hi          int
@@ -1225,7 +1226,7 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 		Mode            protocol.Mode
 		Variant         Variant
 		RNG             rng.Kind
-		IntParams       protocol.IntParams
+		IntParams       intParams
 		FloatParams     protocol.FloatParams
 		LocalChunkBytes int
 		Parallelism     int
@@ -1236,7 +1237,7 @@ func TestShardProcOfferParamsCannotCrashWorker(t *testing.T) {
 		Lo: 0, Hi: 4, Holders: tp.holders, Counts: tp.counts,
 		Fingerprint: schemaFingerprint(cfg.Schema),
 		Mode:        protocol.PerPair, Variant: Int64Variant, RNG: cfg.RNG,
-		IntParams:   protocol.IntParams{MaskRange: 0, MaxMagnitude: 1},
+		IntParams:   intParams{MaskRange: 0, MaxMagnitude: 1},
 		Parallelism: 1 << 40,
 	}
 	wide.Seeds, wide.RowSeeds = tp.seedTables()

@@ -13,7 +13,8 @@ import (
 // TestEngineNumericBitIdentical checks that every engine worker count
 // reproduces the paper's per-cell formula bit for bit — the disguise, S
 // and the distances — for all three arithmetic variants and both masking
-// modes, and that the integer round trip recovers |x−y|.
+// modes, the float64 matrix forms too, and that the integer round trip
+// recovers |x−y|.
 func TestEngineNumericBitIdentical(t *testing.T) {
 	const n = 37
 	s := rng.NewXoshiro(rng.SeedFromUint64(5))
@@ -24,7 +25,6 @@ func TestEngineNumericBitIdentical(t *testing.T) {
 		fy[i] = rng.Float64(s) * 50
 	}
 	jk, jt := streams(rng.KindAESCTR, 21, 22)
-
 	for _, v := range []Variant{Float64Variant, Int64Variant, ModPVariant} {
 		x, y := xs, ys
 		if v == Float64Variant {
@@ -32,17 +32,19 @@ func TestEngineNumericBitIdentical(t *testing.T) {
 		}
 		for _, mode := range []Mode{Batch, PerPair} {
 			num := mustNumeric(t, v, mode)
-			want := oracleNumeric(v, mode, InitiatorCols, x, y, jk(), jt())
+			want := oracleNumeric(v, mode, InitiatorCols, x, y, rng.NewAESCTR(rng.SeedFromUint64(21)), rng.NewAESCTR(rng.SeedFromUint64(22)))
 			if v == Int64Variant {
 				checkPlaintext(t, want.dist, x, y, 0)
 			}
 			for _, workers := range []int{1, 2, 3, 8} {
-				d, s, dist, err := roundTrip(NewEngine(workers), num, x, y, jk, jt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(d.Cells, want.disguise) || !bytes.Equal(s.Cells, want.s) || !slices.Equal(dist, want.dist) {
+				got := roundTrip(t, NewEngine(workers), num, x, y, jk, jt)
+				if !bytes.Equal(got.disguise, want.disguise) || !bytes.Equal(got.s, want.s) || !slices.Equal(got.dist, want.dist) {
 					t.Fatalf("%v %v workers=%d: output differs from the per-cell formula's", v, mode, workers)
+				}
+				if v == Float64Variant {
+					jk.Reseed()
+					jt.Reseed()
+					checkFloatForms(t, NewEngine(workers), mode, x, y, jk, jt, want)
 				}
 			}
 		}
@@ -129,11 +131,7 @@ func TestEngineBufferReuse(t *testing.T) {
 		for i := range xs {
 			xs[i], ys[i] = float64(i), float64(2*i)
 		}
-		_, _, dist, err := roundTrip(e, num, xs, ys, jk, jt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPlaintext(t, dist, xs, ys, 0)
+		checkPlaintext(t, roundTrip(t, e, num, xs, ys, jk, jt).dist, xs, ys, 0)
 	}
 }
 
@@ -158,31 +156,24 @@ func TestEnginePool(t *testing.T) {
 	}
 	num := mustNumeric(t, Float64Variant, Batch)
 	jk, jt := streams(rng.KindAESCTR, 11, 12)
-	ref := oracleNumeric(Float64Variant, Batch, InitiatorCols, xs, ys, jk(), jt()).dist
+	ref := oracleNumeric(Float64Variant, Batch, InitiatorCols, xs, ys, jk, jt).dist
 
-	const borrowers = 8
-	errs := make(chan error, borrowers)
-	for b := 0; b < borrowers; b++ {
-		go func() {
-			for r := 0; r < 4; r++ {
-				e := p.Get()
-				_, _, out, err := roundTrip(e, num, xs, ys, jk, jt)
-				p.Put(e)
-				if err != nil {
-					errs <- err
-					return
+	// Parallel subtests are the concurrent borrowers; the group returns
+	// when all of them have.
+	t.Run("borrowers", func(t *testing.T) {
+		for b := range 8 {
+			t.Run(fmt.Sprint(b), func(t *testing.T) {
+				t.Parallel()
+				for range 4 {
+					e := p.Get()
+					jk, jt := streams(rng.KindAESCTR, 11, 12)
+					out := roundTrip(t, e, num, xs, ys, jk, jt).dist
+					p.Put(e)
+					if !slices.Equal(out, ref) {
+						t.Fatal("pooled engine diverged from the per-cell formula")
+					}
 				}
-				if !slices.Equal(out, ref) {
-					errs <- fmt.Errorf("pooled engine diverged from the per-cell formula")
-					return
-				}
-			}
-			errs <- nil
-		}()
-	}
-	for b := 0; b < borrowers; b++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
+			})
 		}
-	}
+	})
 }

@@ -40,18 +40,15 @@ func (m Mode) String() string {
 	}
 }
 
-// IntParams bounds the integer numeric protocol. Masks are drawn uniformly
-// from [0, MaskRange); inputs must satisfy |x| ≤ MaxMagnitude. The defaults
-// guarantee that every intermediate sum mask ± x ∓ y stays clear of int64
-// overflow.
-type IntParams struct {
-	MaskRange    int64
-	MaxMagnitude int64
-}
-
-// DefaultIntParams gives masks 2^62 of head-room and admits inputs up to
-// 2^40 in magnitude: the int64 arithmetic's bounds.
-var DefaultIntParams = IntParams{MaskRange: 1 << 62, MaxMagnitude: 1 << 40}
+// The int64 arithmetic's bounds: masks are drawn uniformly from
+// [0, Int64MaskRange) and inputs must satisfy |x| ≤ intMaxMagnitude, so
+// every intermediate sum mask ± x ∓ y stays clear of int64 overflow. The
+// third party regenerates the masks with the same range, and so does an
+// attack simulation in its position (attack.FrequencyAttack).
+const (
+	Int64MaskRange  = 1 << 62
+	intMaxMagnitude = 1 << 40
+)
 
 // FloatParams bounds the real-valued numeric protocol. Masks are drawn
 // uniformly from [0, MaskRange). Because IEEE-754 addition is lossy, the
@@ -210,37 +207,22 @@ func (e *Engine) NumericResponderFloat(disguised *Float64Matrix, values []float6
 	if err := params.validate(values); err != nil {
 		return nil, err
 	}
-	cell, err := respondRows(e, disguised.Cell, disguised.Rows, disguised.Cols, values, jk, mode)
-	if err != nil {
+	rows, cols := len(values), disguised.Cols
+	if err := disguisedCovers(disguised.Rows, rows, mode); err != nil {
 		return nil, err
 	}
-	return &Float64Matrix{Rows: len(values), Cols: disguised.Cols, Cell: cell}, nil
-}
-
-// respondRows is the arithmetic of Figure 5 over a whole disguised matrix:
-// s[m][n] = disguised(m, n) + values[m]·σ̄.
-func respondRows[T int64 | float64](e *Engine, disguised []T, disguisedRows, cols int, values []T, jk rng.Stream, mode Mode) ([]T, error) {
-	rows := len(values)
-	if err := disguisedCovers(disguisedRows, rows, mode); err != nil {
-		return nil, err
-	}
-	cell := make([]T, rows*cols)
-	signs := e.signs(jk, rows, cols, mode)
+	out := NewFloat64Matrix(rows, cols)
+	signs := keystream(jk, func(n int) []uint64 { return e.parities(jk, n) }, rows, cols, mode, InitiatorCols)
 	parallel.Range(e.workers, rows, func(_, from, to int) {
 		for m := from; m < to; m++ {
-			y, dst := values[m], cell[m*cols:(m+1)*cols]
-			src, sign := drawRow(disguised, m, cols, mode), drawRow(signs, m, cols, mode)
+			y, dst := values[m], out.Cell[m*cols:(m+1)*cols]
+			src, sign := drawRow(disguised.Cell, m, cols, mode), drawRow(signs, m, cols, mode)
 			for n := range dst {
-				dst[n] = src[n] + y*T(negSignResponder(sign[n]))
+				dst[n] = src[n] + y*float64(negSignResponder(sign[n]))
 			}
 		}
 	})
-	return cell, nil
-}
-
-// signs draws the responder's parities.
-func (e *Engine) signs(jk rng.Stream, rows, cols int, mode Mode) []uint64 {
-	return keystream(jk, func(n int) []uint64 { return e.parities(jk, n) }, rows, cols, mode, InitiatorCols)
+	return out, nil
 }
 
 // disguisedCovers checks that a disguised matrix of the given row count

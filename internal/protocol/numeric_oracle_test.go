@@ -47,7 +47,7 @@ var (
 		masks: func(jt rng.Stream, k int) []int64 {
 			out := make([]int64, k)
 			for i := range out {
-				out[i] = rng.Int64n(jt, DefaultIntParams.MaskRange)
+				out[i] = rng.Int64n(jt, Int64MaskRange)
 			}
 			return out
 		},

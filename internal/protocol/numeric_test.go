@@ -13,64 +13,21 @@ func quickCheck(f any) error {
 	return quick.Check(f, &quick.Config{MaxCount: 200})
 }
 
-// roundTrip runs the three sites through Numeric over one block, each step
-// one chunk, with the initiator on the columns: DHJ disguises xs, DHK
+// roundTrip runs the three sites through Numeric over one uncut block
+// with the initiator on the columns (runNumeric): DHJ disguises xs, DHK
 // combines its ys into S, the TP strips S into the distances, row-major.
-// jk and jt return fresh copies of the two shared streams, one for each
-// site that reads them.
-func roundTrip(e *Engine, num Numeric, xs, ys []float64, jk, jt func() rng.Stream) (d, s NumericChunk, dist []float64, err error) {
-	cx, err := num.Column(xs)
-	if err != nil {
-		return
-	}
-	cy, err := num.Column(ys)
-	if err != nil {
-		return
-	}
-	rows := 1
-	if num.mode == PerPair {
-		rows = len(ys)
-	}
-	if d, err = decode(num.Disguise(e, nil, cx, 0, rows, len(ys), jk(), jt(), InitiatorCols)); err != nil {
-		return
-	}
-	if s, err = decode(num.Combine(e, nil, []NumericChunk{d}, cy, 0, len(ys), jk(), InitiatorCols)); err != nil {
-		return
-	}
-	row, err := num.Strip(e, s, 0, len(ys), jt(), InitiatorCols)
-	if err != nil {
-		return
-	}
-	n := len(xs)
-	dist = make([]float64, len(ys)*n)
-	for r := range ys {
-		if err = row(r, dist[r*n:(r+1)*n]); err != nil {
-			return
-		}
-	}
-	return
+func roundTrip(t *testing.T, e *Engine, num Numeric, xs, ys []float64, jk, jt rng.Stream) numericPass {
+	t.Helper()
+	return runNumeric(t, e, num, InitiatorCols, xs, ys, 0, len(ys)+1, 0, jk, jt)
 }
 
-func decode(blk []byte, err error) (NumericChunk, error) {
-	if err != nil {
-		return NumericChunk{}, err
-	}
-	return DecodeNumericChunk(blk)
+// streams returns the two shared streams of the given kind and seeds.
+func streams(kind rng.Kind, jk, jt uint64) (rng.Stream, rng.Stream) {
+	return rng.New(kind, rng.SeedFromUint64(jk)), rng.New(kind, rng.SeedFromUint64(jt))
 }
 
-// streams returns fresh-stream constructors of the given kind and seeds.
-func streams(kind rng.Kind, jk, jt uint64) (func() rng.Stream, func() rng.Stream) {
-	return func() rng.Stream { return rng.New(kind, rng.SeedFromUint64(jk)) },
-		func() rng.Stream { return rng.New(kind, rng.SeedFromUint64(jt)) }
-}
-
-// scripted returns a constructor of the stream that replays words.
-func scripted(words ...uint64) func() rng.Stream {
-	return func() rng.Stream { return rng.Scripted(words...) }
-}
-
-// intCell is cell i of an int64 block.
-func intCell(c NumericChunk, i int) int64 { return getWord[int64](c.Cells[8*i:]) }
+// intCell is cell i of int64 cells.
+func intCell(cells []byte, i int) int64 { return getWord[int64](cells[8*i:]) }
 
 // mustNumeric builds the protocol of a known variant and mode.
 func mustNumeric(t testing.TB, v Variant, mode Mode) Numeric {
@@ -103,38 +60,32 @@ func checkPlaintext(t *testing.T, dist, xs, ys []float64, tol float64) {
 // party recovers |x−y| = 5. (Experiment E1.)
 func TestFigure3WorkedExample(t *testing.T) {
 	// The int64 arithmetic's mask range, 2^62, passes small draws through.
-	d, s, dist, err := roundTrip(NewEngine(1), mustNumeric(t, Int64Variant, Batch), []float64{3}, []float64{8}, scripted(5), scripted(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := roundTrip(t, NewEngine(1), mustNumeric(t, Int64Variant, Batch), []float64{3}, []float64{8}, rng.Scripted(5), rng.Scripted(7))
 	// RJK = 5 is odd, so DHJ negates: x′ = −3; x″ = −3 + 7 = 4.
-	if got := intCell(d, 0); got != 4 {
-		t.Fatalf("x″ = %d, want 4", got)
+	if x2 := intCell(got.disguise, 0); x2 != 4 {
+		t.Fatalf("x″ = %d, want 4", x2)
 	}
 	// DHK does not negate (5 odd): m = 8 + 4 = 12.
-	if got := intCell(s, 0); got != 12 {
-		t.Fatalf("m = %d, want 12", got)
+	if m := intCell(got.s, 0); m != 12 {
+		t.Fatalf("m = %d, want 12", m)
 	}
-	if dist[0] != 5 {
-		t.Fatalf("|x−y| = %v, want 5", dist[0])
+	if got.dist[0] != 5 {
+		t.Fatalf("|x−y| = %v, want 5", got.dist[0])
 	}
 }
 
 // TestFigure3OppositeParity covers the even-draw orientation: DHK negates
 // instead of DHJ and TP still recovers the distance.
 func TestFigure3OppositeParity(t *testing.T) {
-	d, s, dist, err := roundTrip(NewEngine(1), mustNumeric(t, Int64Variant, Batch), []float64{3}, []float64{8}, scripted(4), scripted(7))
-	if err != nil {
-		t.Fatal(err)
+	got := roundTrip(t, NewEngine(1), mustNumeric(t, Int64Variant, Batch), []float64{3}, []float64{8}, rng.Scripted(4), rng.Scripted(7))
+	if x2 := intCell(got.disguise, 0); x2 != 10 { // 7 + 3
+		t.Fatalf("x″ = %d, want 10", x2)
 	}
-	if got := intCell(d, 0); got != 10 { // 7 + 3
-		t.Fatalf("x″ = %d, want 10", got)
+	if m := intCell(got.s, 0); m != 2 { // 10 − 8
+		t.Fatalf("m = %d, want 2", m)
 	}
-	if got := intCell(s, 0); got != 2 { // 10 − 8
-		t.Fatalf("m = %d, want 2", got)
-	}
-	if dist[0] != 5 {
-		t.Fatalf("|x−y| = %v, want 5", dist[0])
+	if got.dist[0] != 5 {
+		t.Fatalf("|x−y| = %v, want 5", got.dist[0])
 	}
 }
 
@@ -157,43 +108,31 @@ func TestNumericProtocolMatchesPlaintextInt(t *testing.T) {
 		for _, kind := range []rng.Kind{rng.KindXoshiro, rng.KindAESCTR} {
 			t.Run(mode.String()+"/"+kind.String(), func(t *testing.T) {
 				jk, jt := streams(kind, 1001, 2002)
-				_, s, dist, err := roundTrip(NewEngine(1), mustNumeric(t, Int64Variant, mode), xs, ys, jk, jt)
-				if err != nil {
-					t.Fatal(err)
+				got := roundTrip(t, NewEngine(1), mustNumeric(t, Int64Variant, mode), xs, ys, jk, jt)
+				if len(got.s) != 8*len(ys)*len(xs) {
+					t.Fatalf("S has %d bytes, want %dx%d cells", len(got.s), len(ys), len(xs))
 				}
-				if s.Rows != len(ys) || s.Cols != len(xs) {
-					t.Fatalf("S is %dx%d, want %dx%d", s.Rows, s.Cols, len(ys), len(xs))
-				}
-				checkPlaintext(t, dist, xs, ys, 0)
+				checkPlaintext(t, got.dist, xs, ys, 0)
 			})
 		}
 	}
 }
 
 func TestNumericProtocolEdgeValues(t *testing.T) {
-	max := float64(DefaultIntParams.MaxMagnitude)
+	max := float64(intMaxMagnitude)
 	xs, ys := []float64{0, max, -max, 1, -1}, []float64{max, -max, 0}
 	jk, jt := streams(rng.KindAESCTR, 1001, 2002)
-	_, _, dist, err := roundTrip(NewEngine(1), mustNumeric(t, Int64Variant, Batch), xs, ys, jk, jt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPlaintext(t, dist, xs, ys, 0)
+	checkPlaintext(t, roundTrip(t, NewEngine(1), mustNumeric(t, Int64Variant, Batch), xs, ys, jk, jt).dist, xs, ys, 0)
 }
 
 func TestNumericProtocolEmptyVectors(t *testing.T) {
 	num := mustNumeric(t, Int64Variant, Batch)
 	jk, jt := streams(rng.KindXoshiro, 1001, 2002)
-	for _, tc := range []struct {
-		xs         []float64
-		rows, cols int
-	}{{nil, 0, 0}, {[]float64{5}, 0, 1}} {
-		_, s, dist, err := roundTrip(NewEngine(1), num, tc.xs, nil, jk, jt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Rows != tc.rows || s.Cols != tc.cols || len(dist) != 0 {
-			t.Fatalf("%d initiator values: S is %dx%d with %d distances, want %dx%d and none", len(tc.xs), s.Rows, s.Cols, len(dist), tc.rows, tc.cols)
+	for _, xs := range [][]float64{nil, {5}} {
+		got := roundTrip(t, NewEngine(1), num, xs, nil, jk, jt)
+		if len(got.disguise) != 8*len(xs) || len(got.s) != 0 || len(got.dist) != 0 {
+			t.Fatalf("%d initiator values: %d disguise bytes, %d of S and %d distances, want %d, none and none",
+				len(xs), len(got.disguise), len(got.s), len(got.dist), 8*len(xs))
 		}
 	}
 }
@@ -241,13 +180,15 @@ func TestNumericDisguiseHidesValue(t *testing.T) {
 	countsLow, countsHigh := 0, 0
 	for i := 0; i < trials; i++ {
 		jk, jt := streams(rng.KindAESCTR, uint64(10_000+i), uint64(20_000+i))
-		dLow := decodeBlock(t)(num.Disguise(e, nil, low, 0, 1, 1, jk(), jt(), InitiatorCols))
-		dHigh := decodeBlock(t)(num.Disguise(e, nil, high, 0, 1, 1, jk(), jt(), InitiatorCols))
+		dLow := decodeBlock(t)(num.Disguise(e, nil, low, 0, 1, 1, jk, jt, InitiatorCols))
+		jk.Reseed()
+		jt.Reseed()
+		dHigh := decodeBlock(t)(num.Disguise(e, nil, high, 0, 1, 1, jk, jt, InitiatorCols))
 		mid := int64(1) << 61 // median of the mask range [0, 2^62)
-		if intCell(dLow, 0) > mid {
+		if intCell(dLow.Cells, 0) > mid {
 			countsLow++
 		}
-		if intCell(dHigh, 0) > mid {
+		if intCell(dHigh.Cells, 0) > mid {
 			countsHigh++
 		}
 	}
@@ -273,24 +214,42 @@ func TestNumericProtocolMatchesPlaintextFloat(t *testing.T) {
 	for _, mode := range []Mode{Batch, PerPair} {
 		t.Run(mode.String(), func(t *testing.T) {
 			jk, jt := streams(rng.KindAESCTR, 31, 32)
-			_, _, dist, err := roundTrip(NewEngine(1), mustNumeric(t, Float64Variant, mode), xs, ys, jk, jt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkPlaintext(t, dist, xs, ys, 1e-7)
+			got := roundTrip(t, NewEngine(1), mustNumeric(t, Float64Variant, mode), xs, ys, jk, jt)
+			checkPlaintext(t, got.dist, xs, ys, 1e-7)
+			want := oracleNumeric(Float64Variant, mode, InitiatorCols, xs, ys, rng.NewAESCTR(rng.SeedFromUint64(31)), rng.NewAESCTR(rng.SeedFromUint64(32)))
+			jk.Reseed()
+			jt.Reseed()
+			checkFloatForms(t, NewEngine(1), mode, xs, ys, jk, jt, want)
 		})
 	}
 }
 
 // TestNumericFloatValidation: a value that is not finite is refused where
-// the float64 arithmetic checks a column.
+// the float64 arithmetic checks a column, and by the float64 matrix forms,
+// which also refuse a mask range that is not positive and a disguise that
+// does not serve the responder's rows.
 func TestNumericFloatValidation(t *testing.T) {
-	num := mustNumeric(t, Float64Variant, Batch)
-	if _, err := num.Column([]float64{math.NaN()}); err == nil {
-		t.Fatal("NaN accepted")
+	num, e := mustNumeric(t, Float64Variant, Batch), NewEngine(1)
+	jk, jt := rng.Scripted(1), rng.Scripted(1)
+	for name, v := range map[string]float64{"NaN": math.NaN(), "Inf": math.Inf(1)} {
+		if _, err := num.Column([]float64{v}); err == nil {
+			t.Fatalf("%s accepted by Column", name)
+		}
+		if _, err := e.NumericInitiatorFloat([]float64{v}, jk, jt, DefaultFloatParams, Batch, 0); err == nil {
+			t.Fatalf("%s accepted by NumericInitiatorFloat", name)
+		}
+		if _, err := e.NumericResponderFloat(NewFloat64Matrix(1, 1), []float64{v}, jk, DefaultFloatParams, Batch); err == nil {
+			t.Fatalf("%s accepted by NumericResponderFloat", name)
+		}
 	}
-	if _, err := num.Column([]float64{math.Inf(1)}); err == nil {
-		t.Fatal("Inf accepted")
+	if _, err := e.NumericInitiatorFloat([]float64{1}, jk, jt, FloatParams{MaskRange: -1}, Batch, 0); err == nil {
+		t.Fatal("negative mask range accepted")
+	}
+	if _, err := e.NumericResponderFloat(NewFloat64Matrix(3, 1), []float64{1, 2, 3}, jk, DefaultFloatParams, Batch); err == nil {
+		t.Fatal("batch mode accepted a 3-row disguise")
+	}
+	if _, err := e.NumericResponderFloat(NewFloat64Matrix(2, 1), []float64{1, 2, 3}, jk, DefaultFloatParams, PerPair); err == nil {
+		t.Fatal("per-pair mode accepted a disguise with the wrong row count")
 	}
 }
 
@@ -301,11 +260,7 @@ func TestNumericProtocolMatchesPlaintextModP(t *testing.T) {
 	for _, mode := range []Mode{Batch, PerPair} {
 		t.Run(mode.String(), func(t *testing.T) {
 			jk, jt := streams(rng.KindAESCTR, 41, 42)
-			_, _, dist, err := roundTrip(NewEngine(1), mustNumeric(t, ModPVariant, mode), xs, ys, jk, jt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkPlaintext(t, dist, xs, ys, 0)
+			checkPlaintext(t, roundTrip(t, NewEngine(1), mustNumeric(t, ModPVariant, mode), xs, ys, jk, jt).dist, xs, ys, 0)
 		})
 	}
 }
@@ -349,8 +304,8 @@ func TestQuickNumericProtocolRoundTrip(t *testing.T) {
 			mode = PerPair
 		}
 		jk, jt := streams(rng.KindXoshiro, seedJK, seedJT)
-		_, _, dist, err := roundTrip(NewEngine(1), mustNumeric(t, Int64Variant, mode), []float64{float64(x)}, []float64{float64(y)}, jk, jt)
-		return err == nil && dist[0] == math.Abs(float64(x)-float64(y))
+		got := roundTrip(t, NewEngine(1), mustNumeric(t, Int64Variant, mode), []float64{float64(x)}, []float64{float64(y)}, jk, jt)
+		return got.dist[0] == math.Abs(float64(x)-float64(y))
 	}
 	if err := quickCheck(f); err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ const (
 	// plaintext value at unit scale.
 	Float64Variant Variant = iota
 	// Int64Variant runs the protocol over integers; values must be
-	// integral and within DefaultIntParams' MaxMagnitude. Exact.
+	// integral and within ±2^40. Exact.
 	Int64Variant
 	// ModPVariant runs the protocol in Z_p with perfectly hiding masks;
 	// values must be integral and below 2^62 in magnitude, so that every
@@ -173,6 +173,19 @@ func (c NumericChunk) row(r, size int, dst []float64) []byte {
 		panic(fmt.Sprintf("protocol: destination row of %d cells for a chunk of %d columns", len(dst), c.Cols))
 	}
 	return c.Cells[size*r*c.Cols : size*(r+1)*c.Cols]
+}
+
+// Int64s returns the cells of an int64 block, row-major, refusing a block
+// of another arithmetic and cells that do not account for its shape.
+func (c NumericChunk) Int64s() ([]int64, error) {
+	if err := (Numeric{arith: int64Words}).holds(c); err != nil {
+		return nil, err
+	}
+	out := make([]int64, c.Rows*c.Cols)
+	for i := range out {
+		out[i] = getWord[int64](c.Cells[8*i:])
+	}
+	return out, nil
 }
 
 // Column is a holder's values of one attribute, checked once for the
@@ -412,8 +425,8 @@ type words[T word] struct {
 var (
 	int64Words = words[int64]{
 		variantByte: 1,
-		draw:        func(e *Engine, jt rng.Stream, n int) []int64 { return e.intDraws(jt, n, DefaultIntParams.MaskRange) },
-		vet:         func(values []float64) error { return integers(values, float64(DefaultIntParams.MaxMagnitude)) },
+		draw:        func(e *Engine, jt rng.Stream, n int) []int64 { return e.intDraws(jt, n, Int64MaskRange) },
+		vet:         func(values []float64) error { return integers(values, intMaxMagnitude) },
 	}
 	float64Words = words[float64]{
 		variantByte: 2,

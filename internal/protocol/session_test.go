@@ -21,6 +21,8 @@ import (
 // The share starts at row first (the split row, with the initiator on the
 // rows), and the third party strips the chunks from row start on, its
 // stream advanced past the earlier rows; start must be a cut boundary.
+// jk and jt are the shared streams, which each site reads from their
+// first word.
 type numericPass struct {
 	disguise, s []byte    // the blocks' cells, every cut in order
 	dist        []float64 // rows [start, len(ys)) of the recovered block
@@ -28,7 +30,7 @@ type numericPass struct {
 
 var seedJK, seedJT = rng.SeedFromUint64(71), rng.SeedFromUint64(72)
 
-func runNumeric(t *testing.T, e *Engine, num Numeric, axis Axis, xs, ys []float64, first, per, start int) numericPass {
+func runNumeric(t *testing.T, e *Engine, num Numeric, axis Axis, xs, ys []float64, first, per, start int, jk, jt rng.Stream) numericPass {
 	t.Helper()
 	m, n := len(ys), len(xs)
 	var out numericPass
@@ -40,13 +42,15 @@ func runNumeric(t *testing.T, e *Engine, num Numeric, axis Axis, xs, ys []float6
 	if axis == InitiatorRows {
 		disguiser, combiner, peer, lo, hi = ys, xs, n, first, m
 	}
-	jk, jt := rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT)
+	jk.Reseed()
+	jt.Reseed()
 	var chunks []NumericChunk
 	for _, ch := range rowRanges(hi-lo, per) {
 		c := decodeBlock(t)(num.Disguise(e, nil, column(t, num, disguiser), lo+ch[0], lo+ch[1], peer, jk, jt, axis))
 		chunks, out.disguise = append(chunks, c), append(out.disguise, c.Cells...)
 	}
-	jk, jt = rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT)
+	jk.Reseed()
+	jt.Reseed()
 	num.Advance(e, jt, start-first, n, axis)
 	for _, ch := range rowRanges(m-first, per) {
 		clo, chi := first+ch[0], first+ch[1]
@@ -137,7 +141,7 @@ func forNumericCases(t *testing.T, f func(c numericCase)) {
 					if axis == InitiatorRows {
 						c.first = c.m / 3
 					}
-					c.whole = runNumeric(t, NewEngine(1), num, axis, c.xs, c.ys, c.first, c.m+1, c.first)
+					c.whole = runNumeric(t, NewEngine(1), num, axis, c.xs, c.ys, c.first, c.m+1, c.first, rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT))
 					c.want = oracleNumeric(v, mode, axis, c.xs, c.ys[c.first:], rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT))
 					f(c)
 				}
@@ -163,14 +167,18 @@ func (c numericCase) checkDistances(t *testing.T) {
 // checkCuts checks the uncut run, and the block cut every row and every
 // four rows on three workers with the third party starting at row
 // start(per), against the per-cell formula's cells and distances — for
-// float64 with the initiator on the columns, also the distances
-// NumericThirdPartyFloatRows strips from the formula's S at the same cuts.
+// float64 with the initiator on the columns, also the matrix forms'
+// disguise and S, and the distances NumericThirdPartyFloatRows strips from
+// the formula's S at the same cuts.
 func (c numericCase) checkCuts(t *testing.T, start func(per int) int) {
 	t.Helper()
 	c.matches(t, "uncut", c.whole, c.first)
+	if c.v == Float64Variant && c.axis == InitiatorCols {
+		checkFloatForms(t, NewEngine(3), c.mode, c.xs, c.ys, rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT), c.want)
+	}
 	for _, per := range []int{1, 4} {
 		from := start(per)
-		got := runNumeric(t, NewEngine(3), c.num, c.axis, c.xs, c.ys, c.first, per, from)
+		got := runNumeric(t, NewEngine(3), c.num, c.axis, c.xs, c.ys, c.first, per, from, rng.NewAESCTR(seedJK), rng.NewAESCTR(seedJT))
 		c.matches(t, fmt.Sprintf("per=%d start=%d", per, from), got, from)
 		if c.v == Float64Variant && c.axis == InitiatorCols {
 			c.checkFloatRows(t, per, from)
@@ -187,6 +195,35 @@ func (c numericCase) matches(t *testing.T, name string, got numericPass, from in
 	}
 	if !slices.Equal(got.dist, c.want.dist[(from-c.first)*c.n:]) {
 		t.Fatalf("%v %s: distances differ from the per-cell formula's", c, name)
+	}
+}
+
+// checkFloatForms runs the float64 matrix forms of Figures 4 and 5,
+// NumericInitiatorFloat and NumericResponderFloat, over a block with the
+// initiator's xs on the columns from the shared streams jk and jt, and
+// checks the disguise and S against the per-cell formula's, bit for bit.
+func checkFloatForms(t *testing.T, e *Engine, mode Mode, xs, ys []float64, jk, jt rng.Stream, want numericPass) {
+	t.Helper()
+	d, err := e.NumericInitiatorFloat(xs, jk, jt, DefaultFloatParams, mode, len(ys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jk.Reseed()
+	s, err := e.NumericResponderFloat(d, ys, jk, DefaultFloatParams, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]struct {
+		got  []float64
+		want []byte
+	}{"NumericInitiatorFloat": {d.Cell, want.disguise}, "NumericResponderFloat": {s.Cell, want.s}} {
+		var got []byte
+		for _, v := range m.got {
+			got = oracleFloat.put(got, v)
+		}
+		if !bytes.Equal(got, m.want) {
+			t.Fatalf("%v %dx%d: %s differs from the per-cell formula's cells", mode, len(ys), len(xs), name)
+		}
 	}
 }
 
